@@ -168,24 +168,18 @@ fn sudoku_shard_plan() -> Arc<ShardPlan> {
 /// `duration` of measured activity → 10 s settle (so pending operations
 /// commit and the convergence check is meaningful).
 pub fn run_session(cfg: &SessionConfig) -> SessionResult {
-    run_session_traced(cfg, None)
+    run_session_instrumented(cfg, None, Telemetry::noop())
 }
 
-/// [`run_session`] with a protocol trace sink installed on every machine.
+/// [`run_session`] with a protocol trace sink and a shared [`Telemetry`]
+/// handle installed on every machine, the latter fed the driver's
+/// transport counters at the end.
 ///
 /// Every machine in the session emits [`guesstimate_net::TraceEvent`]s to
 /// `tracer`; pass a [`guesstimate_net::RecordingTracer`] to post-process the
 /// stream (see [`crate::trace`]) or a [`crate::trace::JsonlSink`] to stream
-/// it to disk. `None` is equivalent to [`run_session`].
-pub fn run_session_traced(cfg: &SessionConfig, tracer: Option<Arc<dyn Tracer>>) -> SessionResult {
-    run_session_instrumented(cfg, tracer, Telemetry::noop())
-}
-
-/// [`run_session_traced`] with a shared [`Telemetry`] handle installed on
-/// every machine and fed the driver's transport counters at the end.
-///
-/// Pass [`Telemetry::noop`] to get exactly [`run_session_traced`]; pass an
-/// enabled handle and snapshot it afterwards
+/// it to disk. `None` and [`Telemetry::noop`] give exactly [`run_session`];
+/// pass an enabled handle and snapshot it afterwards
 /// ([`Telemetry::render_prometheus`] / [`Telemetry::render_json`] /
 /// [`Telemetry::render_chrome_trace`]) to get the run's metrics and per-op
 /// spans alongside the figure data.
@@ -368,20 +362,11 @@ pub fn histogram(samples: &[SyncSample]) -> Vec<HistogramBucket> {
 /// "the times when synchronization stalled and the master had to perform a
 /// fault recovery").
 pub fn run_fig5(seed: u64, duration: SimTime) -> SessionResult {
-    run_fig5_traced(seed, duration, None)
+    run_fig5_instrumented(seed, duration, None, Telemetry::noop())
 }
 
-/// [`run_fig5`] with a protocol trace sink installed on every machine.
-pub fn run_fig5_traced(
-    seed: u64,
-    duration: SimTime,
-    tracer: Option<Arc<dyn Tracer>>,
-) -> SessionResult {
-    run_fig5_instrumented(seed, duration, tracer, Telemetry::noop())
-}
-
-/// [`run_fig5_traced`] with a shared [`Telemetry`] handle (see
-/// [`run_session_instrumented`]).
+/// [`run_fig5`] with a protocol trace sink and a shared [`Telemetry`]
+/// handle (see [`run_session_instrumented`]).
 pub fn run_fig5_instrumented(
     seed: u64,
     duration: SimTime,
@@ -441,24 +426,11 @@ pub struct Fig6Row {
 /// Figure 6: average synchronization time vs number of users (2–8), with
 /// and without user activity. Expect a linear trend (serial stage 1) and
 /// little difference between active and idle (network-delay dominated).
-pub fn run_fig6(seed: u64, duration: SimTime) -> Vec<Fig6Row> {
-    run_fig6_traced(seed, duration, None)
-}
-
-/// [`run_fig6`] with a protocol trace sink on the **8-user active** session
-/// only — the series' most contended point, and the one whose per-stage
-/// breakdown explains the linear trend (serial stage 1 grows with users).
-pub fn run_fig6_traced(
-    seed: u64,
-    duration: SimTime,
-    tracer: Option<Arc<dyn Tracer>>,
-) -> Vec<Fig6Row> {
-    run_fig6_instrumented(seed, duration, tracer, Telemetry::noop())
-}
-
-/// [`run_fig6_traced`] with a shared [`Telemetry`] handle on the same
-/// 8-user active session the tracer observes (see
-/// [`run_session_instrumented`]).
+///
+/// The trace sink and the [`Telemetry`] handle observe the **8-user
+/// active** session only — the series' most contended point, and the one
+/// whose per-stage breakdown explains the linear trend (serial stage 1
+/// grows with users); see [`run_session_instrumented`].
 pub fn run_fig6_instrumented(
     seed: u64,
     duration: SimTime,

@@ -34,19 +34,13 @@ use std::sync::Arc;
 use guesstimate_analysis::matrices_from_json;
 use guesstimate_core::CommuteMatrix;
 use guesstimate_mc::{
-    explore, minimize, multigroup, replay_traced, ExploreConfig, Preset, Schedule, TamperSpec,
-    CROSS_GROUP, PRESETS,
+    explore, minimize, replay_traced, ExploreConfig, Preset, Schedule, TamperSpec, PRESETS,
 };
-use guesstimate_net::Tracer;
 use guesstimate_obs::FlightRecorder;
 use guesstimate_telemetry::Telemetry;
 
 struct Args {
-    presets: Vec<&'static Preset>,
-    /// Run the multi-group `cross-group` preset (not part of `all`: it
-    /// explores a different cluster shape with its own oracles).
-    cross_group: bool,
-    rounds: Option<u64>,
+    presets: Vec<Preset>,
     cfg: ExploreConfig,
     matrix: CommuteMatrix,
     min_prune: Option<f64>,
@@ -77,9 +71,7 @@ fn parse_tamper(s: &str) -> Result<TamperSpec, String> {
 
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
-        presets: PRESETS.iter().collect(),
-        cross_group: false,
-        rounds: None,
+        presets: PRESETS.to_vec(),
         cfg: ExploreConfig::default(),
         matrix: CommuteMatrix::new(),
         min_prune: None,
@@ -90,6 +82,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         emit: None,
         metrics: std::env::var("GUESSTIMATE_METRICS").ok(),
     };
+    let mut rounds = None;
     let mut argv = std::env::args().skip(1);
     let need = |flag: &str, v: Option<String>| v.ok_or(format!("{flag} needs a value"));
     while let Some(a) = argv.next() {
@@ -98,24 +91,18 @@ fn parse_args() -> Result<Option<Args>, String> {
                 for p in PRESETS {
                     println!("{:<14} {}", p.name, p.blurb);
                 }
-                println!(
-                    "{CROSS_GROUP:<14} multi-group cluster: per-group rounds + one coordinated cross round"
-                );
                 return Ok(None);
             }
             "--preset" => {
                 let v = need("--preset", argv.next())?;
-                if v == CROSS_GROUP {
-                    args.presets = Vec::new();
-                    args.cross_group = true;
-                } else if v != "all" {
+                if v != "all" {
                     let p =
                         Preset::by_name(&v).ok_or(format!("unknown preset `{v}` (try --list)"))?;
-                    args.presets = vec![p];
+                    args.presets = vec![*p];
                 }
             }
             "--rounds" => {
-                args.rounds = Some(
+                rounds = Some(
                     need("--rounds", argv.next())?
                         .parse()
                         .map_err(|e| format!("--rounds: {e}"))?,
@@ -159,6 +146,16 @@ fn parse_args() -> Result<Option<Args>, String> {
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
     }
+    for p in &mut args.presets {
+        if let Some(r) = rounds {
+            p.rounds = r;
+        }
+        // Fail closed before exploring anything: a scenario that cannot
+        // install the tamper hook says so when built.
+        if args.tamper.is_some() {
+            p.build(&args.matrix, args.tamper)?;
+        }
+    }
     Ok(Some(args))
 }
 
@@ -177,8 +174,7 @@ fn write_postmortem(
     // Generous capacity: minimized schedules are short, so the whole
     // replay fits in the ring and nothing is dropped from the window.
     let recorder = Arc::new(FlightRecorder::new(4096));
-    let tracer: Arc<dyn Tracer> = recorder.clone();
-    let (_, states) = replay_traced(sched, matrix, tracer)?;
+    let (_, states) = replay_traced(sched, matrix, recorder.clone())?;
     let reason = format!("mc oracle violation ({}): {violation}", sched.preset);
     recorder
         .write_postmortem(file.as_ref(), &reason, &states)
@@ -194,8 +190,7 @@ fn run_replay(path: &str, matrix: &CommuteMatrix) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let sched = Schedule::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let recorder = Arc::new(FlightRecorder::new(4096));
-    let tracer: Arc<dyn Tracer> = recorder.clone();
-    let (report, states) = replay_traced(&sched, matrix, tracer.clone())?;
+    let (report, states) = replay_traced(&sched, matrix, recorder.clone())?;
     println!(
         "replayed {path}: {} applied, {} skipped",
         report.applied, report.skipped
@@ -244,12 +239,8 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
     args.cfg.telemetry = telemetry.clone();
 
     let mut gate_failed = false;
-    for base in &args.presets {
-        let mut preset = **base;
-        if let Some(r) = args.rounds {
-            preset.rounds = r;
-        }
-        let out = explore(&preset, &args.matrix, args.tamper, &args.cfg);
+    for preset in &args.presets {
+        let out = explore(preset, &args.matrix, args.tamper, &args.cfg);
         let ratio = out.pruned as f64 / (out.pruned + out.schedules).max(1) as f64;
         println!(
             "{:<14} schedules {:>7}  pruned {:>7} ({:>5.1}%)  truncated {:>5}  max depth {:>3}  steps {:>9}{}",
@@ -322,72 +313,6 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
                     "{}: GATE FAILED: prune ratio {ratio:.3}, wanted >= {min}",
                     preset.name
                 );
-                gate_failed = true;
-            }
-        }
-    }
-    if args.cross_group {
-        let out = multigroup::explore(&args.cfg);
-        let ratio = out.pruned as f64 / (out.pruned + out.schedules).max(1) as f64;
-        println!(
-            "{:<14} schedules {:>7}  pruned {:>7} ({:>5.1}%)  truncated {:>5}  max depth {:>3}  steps {:>9}{}",
-            CROSS_GROUP,
-            out.schedules,
-            out.pruned,
-            100.0 * ratio,
-            out.truncated,
-            out.max_depth,
-            out.steps_executed,
-            if out.complete { "  (exhausted)" } else { "" },
-        );
-        if let Some((violation, steps)) = out.violation {
-            println!(
-                "{CROSS_GROUP}: VIOLATION after {} steps: {violation}",
-                steps.len()
-            );
-            let raw = Schedule {
-                preset: CROSS_GROUP.to_owned(),
-                tamper: None,
-                steps,
-            };
-            let min = minimize(&raw, &args.matrix);
-            println!(
-                "{CROSS_GROUP}: minimized {} -> {} steps",
-                raw.steps.len(),
-                min.steps.len()
-            );
-            let file = format!("{}/mc-repro-{CROSS_GROUP}.json", args.out_dir);
-            std::fs::write(&file, min.to_json()).map_err(|e| format!("{file}: {e}"))?;
-            println!("{CROSS_GROUP}: wrote repro to {file} (replay with: mc --replay {file})");
-            let pm = format!("{}/mc-postmortem-{CROSS_GROUP}.json", args.out_dir);
-            write_postmortem(&min, &args.matrix, &pm, &violation.to_string())?;
-            write_metrics(args.metrics.as_deref(), &telemetry)?;
-            return Ok(ExitCode::from(1));
-        }
-        if let (Some(path), Some(steps)) = (&args.emit, &out.sample) {
-            let sched = Schedule {
-                preset: CROSS_GROUP.to_owned(),
-                tamper: None,
-                steps: steps.clone(),
-            };
-            std::fs::write(path, sched.to_json()).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "{CROSS_GROUP}: wrote sample schedule ({} steps) to {path}",
-                steps.len()
-            );
-        }
-        if let Some(min) = args.min_schedules {
-            if out.schedules < min {
-                eprintln!(
-                    "{CROSS_GROUP}: GATE FAILED: explored {} schedules, wanted >= {min}",
-                    out.schedules
-                );
-                gate_failed = true;
-            }
-        }
-        if let Some(min) = args.min_prune {
-            if args.cfg.reduction && ratio < min {
-                eprintln!("{CROSS_GROUP}: GATE FAILED: prune ratio {ratio:.3}, wanted >= {min}");
                 gate_failed = true;
             }
         }

@@ -2,7 +2,8 @@
 //! reduction.
 //!
 //! The explorer enumerates schedules of a [`Preset`]'s post-prelude
-//! cluster. Each tree node is a scheduler state; its outgoing edges are
+//! cluster through the [`Cluster`] interface — one harness for every
+//! node type. Each tree node is a scheduler state; its outgoing edges are
 //! the **enabled choices**: deliver any in-flight message, drop one
 //! (while the preset's loss budget lasts), and — in quiet phases — admit
 //! the staged joiner or fire the earliest timer. Machines are not
@@ -24,15 +25,18 @@
 //!
 //! ## The independence relation
 //!
-//! Grounded in the validated effect analysis (`guesstimate_runtime::commute`,
-//! fed by `guesstimate-analysis`):
+//! The harness judges every pair except two deliveries, which it leaves
+//! to [`Cluster::deliveries_independent`]. For single-group clusters that
+//! judgement is grounded in the validated effect analysis
+//! (`guesstimate_runtime::commute`, fed by `guesstimate-analysis`):
 //!
 //! * `Deliver(x)` / `Deliver(y)` to **different machines** are
-//!   independent: delivery only mutates the target.
+//!   independent: delivery only mutates the target. (The multi-group
+//!   scenario stops here: same-node deliveries are dependent.)
 //! * `Deliver(x)` / `Deliver(y)` to the **same machine** are independent
 //!   iff both are `Msg::Ops` batches of the *same round* from *different
 //!   senders* and every cross-pair of envelopes — serialized batches and
-//!   piggybacked async windows alike — commutes per [`wire_ops_commute`]
+//!   piggybacked async windows alike — commutes per `wire_ops_commute`
 //!   (object-disjointness → validated [`CommuteMatrix`] →
 //!   argument-precise footprints). This is strictly conservative: the
 //!   receiver buffers a round's batches by operation id and applies them
@@ -57,15 +61,15 @@
 //! stable across replays of the same prefix.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use guesstimate_core::{CommuteMatrix, MachineId};
-use guesstimate_net::SchedNet;
-use guesstimate_runtime::commute::wire_ops_commute;
-use guesstimate_runtime::{Machine, Msg, WireEnvelope};
+use guesstimate_core::CommuteMatrix;
+use guesstimate_net::Tracer;
+use guesstimate_runtime::StateSummary;
 use guesstimate_telemetry::Telemetry;
 
-use crate::oracle::{check_step, check_terminal, state_digest, Violation};
-use crate::scenario::{Built, Preset};
+use crate::oracle::Violation;
+use crate::scenario::{Cluster, Preset};
 use crate::schedule::{Schedule, Step, TamperSpec};
 
 /// Exploration limits and switches.
@@ -128,24 +132,12 @@ struct Frame {
     explored: Vec<Step>,
 }
 
-/// Executes one choice against the cluster. Returns false if the choice
-/// was not applicable (stale seq, no timer).
-pub fn exec_step(net: &mut SchedNet<Machine>, s: Step) -> bool {
-    match s {
-        Step::Deliver(q) => net.deliver(q),
-        Step::Drop(q) => net.drop_msg(q),
-        Step::Admit(q) => net.admit(q),
-        Step::Timer => net.fire_next_timer(),
-    }
-}
-
-fn enabled(built: &Built, preset: &Preset, drops_used: u32) -> Vec<Step> {
-    let net = &built.net;
+fn enabled(built: &dyn Cluster, may_drop: bool) -> Vec<Step> {
     let mut v = Vec::new();
-    let msgs = net.pending_msgs();
+    let msgs = built.pending_msgs();
     if !msgs.is_empty() {
         v.extend(msgs.iter().map(|&s| Step::Deliver(s)));
-        if drops_used < preset.drop_budget {
+        if may_drop {
             v.extend(msgs.iter().map(|&s| Step::Drop(s)));
         }
         return v;
@@ -153,106 +145,24 @@ fn enabled(built: &Built, preset: &Preset, drops_used: u32) -> Vec<Step> {
     // Quiet phase: the round is over (or has not started). Admission and
     // the next timer are the only moves; the joiner's handshake messages
     // then become ordinary delivery choices.
-    let master = net.actor(MachineId::new(0)).expect("master");
-    if master.stats().syncs_seen >= built.base_rounds + preset.rounds {
+    if built.window_done() {
         return v; // terminal: explored rounds exhausted, nothing in flight
     }
-    v.extend(net.pending_joins().iter().map(|&j| Step::Admit(j)));
-    if net.has_timers() {
+    v.extend(built.pending_joins().iter().map(|&j| Step::Admit(j)));
+    if built.has_timers() {
         v.push(Step::Timer);
     }
     v
 }
 
 /// The independence relation described in the module docs.
-fn independent(built: &Built, matrix: &CommuteMatrix, a: Step, b: Step) -> bool {
+fn independent(built: &dyn Cluster, a: Step, b: Step) -> bool {
     use Step::{Admit, Deliver, Drop, Timer};
     match (a, b) {
         (Admit(_) | Timer, _) | (_, Admit(_) | Timer) => false,
         (Deliver(x) | Drop(x), Deliver(y) | Drop(y)) if x == y => false,
         (Drop(_), Deliver(_) | Drop(_)) | (Deliver(_), Drop(_)) => true,
-        (Deliver(x), Deliver(y)) => {
-            let net = &built.net;
-            let (Some(px), Some(py)) = (net.pending_msg(x), net.pending_msg(y)) else {
-                return false;
-            };
-            if px.to != py.to {
-                return true;
-            }
-            let Some(target) = net.actor(px.to) else {
-                return false;
-            };
-            let type_of = |oid| target.object_type(oid).map(str::to_owned);
-            let commute = |ea: &WireEnvelope, eb: &WireEnvelope| {
-                wire_ops_commute(&built.registry, matrix, &type_of, &ea.op, &eb.op)
-            };
-            // Envelopes a message applies (or stages) at the receiver:
-            // serialized batch plus the piggybacked async window for Ops,
-            // the single envelope for a standalone AsyncOp.
-            match (&px.msg, &py.msg) {
-                (
-                    Msg::Ops {
-                        round: ra,
-                        machine: sa,
-                        ops: oa,
-                        asyncs: aa,
-                    },
-                    Msg::Ops {
-                        round: rb,
-                        machine: sb,
-                        ops: ob,
-                        asyncs: ab,
-                    },
-                ) => {
-                    if ra != rb || sa == sb {
-                        return false;
-                    }
-                    let ea = oa.iter().chain(aa.iter().map(|(_, e)| e));
-                    ea.clone().all(|a| {
-                        ob.iter()
-                            .chain(ab.iter().map(|(_, e)| e))
-                            .all(|b| commute(a, b))
-                    })
-                }
-                (Msg::AsyncOp { env: ea, .. }, Msg::AsyncOp { env: eb, .. }) => {
-                    // Same-sender AsyncOps share an arrival-order slot.
-                    px.from != py.from && commute(ea, eb)
-                }
-                (
-                    Msg::AsyncOp { env, .. },
-                    Msg::Ops {
-                        machine,
-                        ops,
-                        asyncs,
-                        ..
-                    },
-                )
-                | (
-                    Msg::Ops {
-                        machine,
-                        ops,
-                        asyncs,
-                        ..
-                    },
-                    Msg::AsyncOp { env, .. },
-                ) => {
-                    // The async op must commute with both the ops the
-                    // round will apply and the piggybacked window; a flush
-                    // from the async op's own sender shares its slot.
-                    let sender = if matches!(&px.msg, Msg::AsyncOp { .. }) {
-                        px.from
-                    } else {
-                        py.from
-                    };
-                    sender != *machine
-                        && ops
-                            .iter()
-                            .chain(asyncs.iter().map(|(_, e)| e))
-                            .all(|b| commute(env, b))
-                }
-                _ => false,
-            }
-        }
+        (Deliver(x), Deliver(y)) => built.deliveries_independent(x, y),
     }
 }
 
@@ -262,26 +172,32 @@ fn independent(built: &Built, matrix: &CommuteMatrix, a: Step, b: Step) -> bool 
 /// [`Outcome::violation`] together with the offending schedule), when
 /// `max_schedules` is reached, or when the tree is exhausted
 /// (`complete = true`).
+///
+/// # Panics
+///
+/// Panics if the preset cannot install `tamper` ([`Preset::build`]
+/// tells beforehand).
 pub fn explore(
     preset: &Preset,
     matrix: &CommuteMatrix,
     tamper: Option<TamperSpec>,
     cfg: &ExploreConfig,
 ) -> Outcome {
-    // Resolve the matrix once: the preset's baseline pairs (which arm the
-    // hybrid path) must feed the POR independence relation and the
-    // machines' own classification identically.
-    let matrix = &preset.effective_matrix(matrix);
+    let build = || {
+        preset
+            .build(matrix, tamper)
+            .unwrap_or_else(|e| panic!("explore: {e}"))
+    };
     let mut out = Outcome::default();
-    let mut built = preset.build(matrix, tamper);
+    let mut built = build();
     let mut path: Vec<Step> = Vec::new();
+    let mut drops_used = 0u32;
     let mut frames = vec![Frame {
-        choices: enabled(&built, preset, 0),
+        choices: enabled(&*built, drops_used < preset.drop_budget),
         idx: 0,
         sleep: Vec::new(),
         explored: Vec::new(),
     }];
-    let mut drops_used = 0u32;
     // Set when the cluster state has moved past the node the top frame
     // describes (after any backtrack): rebuild + replay before executing.
     let mut dirty = false;
@@ -318,12 +234,9 @@ pub fn explore(
             continue;
         }
         if dirty {
-            built = preset.build(matrix, tamper);
+            built = build();
             for &s in &path {
-                assert!(
-                    exec_step(&mut built.net, s),
-                    "replaying {s} of a known prefix"
-                );
+                assert!(built.exec(s), "replaying {s} of a known prefix");
                 out.steps_executed += 1;
             }
             dirty = false;
@@ -336,13 +249,10 @@ pub fn explore(
             .iter()
             .chain(frame.explored.iter())
             .copied()
-            .filter(|&x| x != c && independent(&built, matrix, x, c))
+            .filter(|&x| x != c && independent(&*built, x, c))
             .collect();
 
-        assert!(
-            exec_step(&mut built.net, c),
-            "enabled choice {c} must apply"
-        );
+        assert!(built.exec(c), "enabled choice {c} must apply");
         out.steps_executed += 1;
         path.push(c);
         if matches!(c, Step::Drop(_)) {
@@ -350,12 +260,12 @@ pub fn explore(
         }
         out.max_depth = out.max_depth.max(path.len());
         cfg.telemetry.mc_oracle_check();
-        if let Some(v) = check_step(&built.net, preset.hybrid) {
+        if let Some(v) = built.check_step() {
             out.violation = Some((v, path.clone()));
             return out;
         }
 
-        let next = enabled(&built, preset, drops_used);
+        let next = enabled(&*built, drops_used < preset.drop_budget);
         let terminal = next.is_empty();
         let cut = !terminal && path.len() >= cfg.max_steps;
         if terminal || cut {
@@ -366,15 +276,13 @@ pub fn explore(
             }
             if terminal {
                 cfg.telemetry.mc_oracle_check();
-                if let Some(v) =
-                    check_terminal(&built.net, &built.registry, preset.total_machines())
-                {
+                if let Some(v) = built.check_terminal() {
                     out.violation = Some((v, path.clone()));
                     return out;
                 }
             }
             if cfg.collect_digests {
-                out.terminal_digests.insert(state_digest(&built.net));
+                out.terminal_digests.insert(built.state_digest());
             }
             out.sample = Some(path.clone());
             path.pop();
@@ -415,15 +323,15 @@ pub struct ReplayReport {
 ///
 /// # Errors
 ///
-/// Returns `Err` when the schedule names an unknown preset.
+/// Returns `Err` when the schedule names an unknown preset, or carries a
+/// tamper block its preset cannot install.
 pub fn replay(sched: &Schedule, matrix: &CommuteMatrix) -> Result<ReplayReport, String> {
     replay_inner(sched, matrix, None).map(|(report, _)| report)
 }
 
 /// [`replay`] with a shared trace sink installed on the scheduler driver
-/// and every initial machine *before* any step executes, plus a
-/// [`guesstimate_runtime::StateSummary`] snapshot of each machine at the
-/// end.
+/// and every initial protocol instance *before* any step executes, plus a
+/// [`StateSummary`] snapshot of each instance at the end.
 ///
 /// Message-stamp allocation is part of the deterministic driver state,
 /// so replaying the same schedule reproduces the exact same stamped
@@ -432,38 +340,25 @@ pub fn replay(sched: &Schedule, matrix: &CommuteMatrix) -> Result<ReplayReport, 
 ///
 /// # Errors
 ///
-/// Returns `Err` when the schedule names an unknown preset.
+/// As [`replay`].
 pub fn replay_traced(
     sched: &Schedule,
     matrix: &CommuteMatrix,
-    tracer: std::sync::Arc<dyn guesstimate_net::Tracer>,
-) -> Result<(ReplayReport, Vec<guesstimate_runtime::StateSummary>), String> {
-    replay_inner(sched, matrix, Some(tracer))
+    tracer: Arc<dyn Tracer>,
+) -> Result<(ReplayReport, Vec<StateSummary>), String> {
+    replay_inner(sched, matrix, Some(tracer)).map(|(report, built)| (report, built.summaries()))
 }
 
 fn replay_inner(
     sched: &Schedule,
     matrix: &CommuteMatrix,
-    tracer: Option<std::sync::Arc<dyn guesstimate_net::Tracer>>,
-) -> Result<(ReplayReport, Vec<guesstimate_runtime::StateSummary>), String> {
-    // The multi-group preset builds its own cluster shape (MultiMachine
-    // wrappers, no tamper, no commute matrix); driver-level tracing does
-    // not reach the inner machines, so its bundles carry state summaries
-    // with an empty causal timeline.
-    if sched.preset == crate::multigroup::CROSS_GROUP {
-        return Ok(crate::multigroup::replay_with_summaries(sched));
-    }
+    tracer: Option<Arc<dyn Tracer>>,
+) -> Result<(ReplayReport, Box<dyn Cluster>), String> {
     let preset =
         Preset::by_name(&sched.preset).ok_or_else(|| format!("unknown preset {}", sched.preset))?;
-    let matrix = &preset.effective_matrix(matrix);
-    let mut built = preset.build(matrix, sched.tamper);
+    let mut built = preset.build(matrix, sched.tamper)?;
     if let Some(t) = tracer {
-        built.net.set_tracer(t.clone());
-        for i in 0..preset.total_machines() {
-            if let Some(m) = built.net.actor_mut(MachineId::new(i)) {
-                m.set_tracer(t.clone());
-            }
-        }
+        built.set_tracer(t);
     }
     let mut report = ReplayReport {
         applied: 0,
@@ -471,44 +366,27 @@ fn replay_inner(
         violation: None,
     };
     for &s in &sched.steps {
-        if exec_step(&mut built.net, s) {
-            report.applied += 1;
-        } else {
+        if !built.exec(s) {
             report.skipped += 1;
             continue;
         }
-        if let Some(v) = check_step(&built.net, preset.hybrid) {
-            report.violation = Some(v);
-            return Ok((report, summaries(&built, preset)));
+        report.applied += 1;
+        report.violation = built.check_step();
+        if report.violation.is_some() {
+            return Ok((report, built));
         }
     }
-    let quiesced = built.net.pending_msgs().is_empty()
-        && built
-            .net
-            .actor(MachineId::new(0))
-            .expect("master")
-            .stats()
-            .syncs_seen
-            >= built.base_rounds + preset.rounds;
-    if quiesced {
-        report.violation = check_terminal(&built.net, &built.registry, preset.total_machines());
+    if built.pending_msgs().is_empty() && built.window_done() {
+        report.violation = built.check_terminal();
     }
-    let states = summaries(&built, preset);
-    Ok((report, states))
-}
-
-/// State summaries of every machine currently admitted to the net, in
-/// machine-id order.
-fn summaries(built: &Built, preset: &Preset) -> Vec<guesstimate_runtime::StateSummary> {
-    (0..preset.total_machines())
-        .filter_map(|i| built.net.actor(MachineId::new(i)))
-        .map(Machine::state_summary)
-        .collect()
+    Ok((report, built))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multigroup::CROSS_GROUP;
+    use crate::scenario::PRESETS;
 
     fn small_cfg(reduction: bool) -> ExploreConfig {
         ExploreConfig {
@@ -576,27 +454,138 @@ mod tests {
         assert!(reduced.pruned > 0);
     }
 
-    /// Replaying any explored prefix is deterministic: the same path
-    /// reaches the same digest.
+    fn build(p: &Preset) -> Box<dyn Cluster> {
+        p.build(&CommuteMatrix::new(), None)
+            .expect("no tamper to refuse")
+    }
+
+    /// Drives a built scenario down the deterministic road — lowest-seq
+    /// delivery first, then admission, a timer only when quiet — checking
+    /// the oracles as the harness does. Returns the path and the first
+    /// violation.
+    fn drain(built: &mut dyn Cluster) -> (Vec<Step>, Option<Violation>) {
+        let mut path = Vec::new();
+        while path.len() < 100_000 {
+            let next = if let Some(&seq) = built.pending_msgs().first() {
+                Step::Deliver(seq)
+            } else if let Some(&j) = built.pending_joins().first() {
+                Step::Admit(j)
+            } else if built.window_done() {
+                return (path, built.check_terminal());
+            } else {
+                Step::Timer
+            };
+            assert!(built.exec(next), "drain stalled at {next}");
+            path.push(next);
+            if let Some(v) = built.check_step() {
+                return (path, Some(v));
+            }
+        }
+        panic!("drain failed to converge");
+    }
+
     #[test]
-    fn replay_is_deterministic() {
-        let p = Preset::by_name("sudoku").unwrap();
+    fn every_scenario_builds_deterministically() {
+        for p in Preset::all() {
+            let (a, b) = (build(p), build(p));
+            assert_eq!(a.state_digest(), b.state_digest(), "{}", p.name);
+            assert_eq!(a.pending_msgs(), b.pending_msgs(), "{}", p.name);
+            assert_eq!(a.pending_joins(), b.pending_joins(), "{}", p.name);
+            assert_eq!(
+                a.pending_joins().len(),
+                usize::from(p.late_join),
+                "{}",
+                p.name
+            );
+            assert!(a.has_timers(), "{}: tick must be armed", p.name);
+            assert!(!a.window_done(), "{}: nothing to explore", p.name);
+            if PRESETS.iter().any(|q| q.name == p.name) {
+                assert_eq!(a.check_step(), None, "{}", p.name);
+            }
+        }
+    }
+
+    /// The deterministic drain is oracle-clean on every public preset and
+    /// trips an oracle on every hidden one; replaying its path — by hand
+    /// and through [`replay`] — reaches the same state and verdict.
+    #[test]
+    fn deterministic_drain_is_oracle_clean_and_replays() {
+        for p in Preset::all() {
+            let mut a = build(p);
+            let (steps, verdict) = drain(&mut *a);
+            let negative = PRESETS.iter().all(|q| q.name != p.name);
+            assert_eq!(verdict.is_some(), negative, "{}: {verdict:?}", p.name);
+
+            let mut b = build(p);
+            for &s in &steps {
+                assert!(b.exec(s), "{}: replaying {s}", p.name);
+            }
+            assert_eq!(a.state_digest(), b.state_digest(), "{}", p.name);
+            assert_eq!(a.window_done(), b.window_done(), "{}", p.name);
+
+            let sched = Schedule {
+                preset: p.name.to_owned(),
+                tamper: None,
+                steps,
+            };
+            let report = replay(&sched, &CommuteMatrix::new()).expect("known preset");
+            assert_eq!(report.violation, verdict, "{}", p.name);
+            assert_eq!(report.skipped, 0, "{}", p.name);
+        }
+    }
+
+    /// A small bounded exploration of every public preset stays
+    /// oracle-clean, the reduction actually prunes, and the sample
+    /// schedule round-trips through the file format and replays clean.
+    #[test]
+    fn bounded_exploration_is_clean_and_its_sample_replays() {
         let matrix = CommuteMatrix::new();
-        let mut a = p.build(&matrix, None);
-        let mut b = p.build(&matrix, None);
-        let mut steps = Vec::new();
-        for _ in 0..24 {
-            let next = enabled(&a, p, 0);
-            let Some(&c) = next.first() else { break };
-            assert!(exec_step(&mut a.net, c));
-            steps.push(c);
+        let cfg = ExploreConfig {
+            max_schedules: 200,
+            ..ExploreConfig::default()
+        };
+        for p in PRESETS {
+            let out = explore(p, &matrix, None, &cfg);
+            assert!(out.violation.is_none(), "{}: {:?}", p.name, out.violation);
+            assert_eq!(out.schedules, cfg.max_schedules, "{}", p.name);
+            assert!(out.pruned > 0, "{}: the reduction must prune", p.name);
+
+            let sched = Schedule {
+                preset: p.name.to_owned(),
+                tamper: None,
+                steps: out.sample.expect("explored schedules"),
+            };
+            let reparsed = Schedule::from_json(&sched.to_json()).expect("well-formed");
+            assert_eq!(reparsed, sched, "{}", p.name);
+            let report = replay(&reparsed, &matrix).expect("known preset");
+            assert!(
+                report.violation.is_none(),
+                "{}: {:?}",
+                p.name,
+                report.violation
+            );
+            assert!(report.applied > 0 && report.skipped == 0, "{}", p.name);
         }
-        for &s in &steps {
-            assert!(exec_step(&mut b.net, s));
-        }
-        assert_eq!(
-            crate::oracle::state_digest(&a.net),
-            crate::oracle::state_digest(&b.net)
-        );
+    }
+
+    /// A schedule whose preset cannot honour its tamper block must not
+    /// replay "clean" with the mutation silently left out.
+    #[test]
+    fn rejects_tamper_the_scenario_cannot_install() {
+        let mut sched = Schedule {
+            preset: CROSS_GROUP.to_owned(),
+            tamper: Some(TamperSpec {
+                victim: 1,
+                nth: 1,
+                swap: (0, 1),
+            }),
+            steps: vec![Step::Timer],
+        };
+        let err = replay(&sched, &CommuteMatrix::new()).unwrap_err();
+        assert!(err.contains(CROSS_GROUP) && err.contains("tamper"), "{err}");
+        sched.tamper = None;
+        assert!(replay(&sched, &CommuteMatrix::new()).is_ok());
+        sched.preset = "nope".to_owned();
+        assert!(replay(&sched, &CommuteMatrix::new()).is_err());
     }
 }

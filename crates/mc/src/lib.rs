@@ -16,15 +16,16 @@
 //!
 //! Layout:
 //!
-//! * [`scenario`] — the checking presets (small clusters with
-//!   conflicting workloads) and the deterministic prelude.
+//! * [`scenario`] — the scenario table (small clusters with conflicting
+//!   workloads), the deterministic prelude, and the [`Cluster`] interface
+//!   every built scenario hands the shared harness.
 //! * [`schedule`] — the choice alphabet ([`Step`]) and the replayable
 //!   JSON schedule file format.
 //! * [`mod@explore`] — the DFS explorer, the independence relation, and
-//!   schedule replay.
-//! * [`mod@multigroup`] — the `cross-group` preset: multi-group
-//!   [`guesstimate_runtime::MultiMachine`] clusters, per-group prefix
-//!   oracles, and the coordinated cross-round oracle.
+//!   schedule replay, for every scenario alike.
+//! * [`mod@multigroup`] — what only the `cross-group` scenario has: the
+//!   multi-group [`guesstimate_runtime::MultiMachine`] fixture, per-group
+//!   prefix oracles, and the coordinated cross-round oracle.
 //! * [`oracle`] — step/terminal oracles and the state digest.
 //! * [`shrink`] — ddmin minimization of failing schedules.
 //!
@@ -42,6 +43,6 @@ pub mod shrink;
 pub use explore::{explore, replay, replay_traced, ExploreConfig, Outcome, ReplayReport};
 pub use multigroup::CROSS_GROUP;
 pub use oracle::{check_step, check_terminal, state_digest, Violation};
-pub use scenario::{Built, Preset, MISKEYED, PRESETS, SNEAKY};
+pub use scenario::{Built, Cluster, Preset, MISKEYED, PRESETS, SNEAKY};
 pub use schedule::{Schedule, Step, TamperSpec};
 pub use shrink::minimize;

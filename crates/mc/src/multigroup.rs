@@ -33,12 +33,12 @@
 //! have resolved every submitted cross operation, hold no fenced group,
 //! and agree on the merged committed digest.
 //!
-//! Exploration is stateless DFS with a conservative sleep-set reduction
+//! Everything else — the DFS, the sleep sets, replay, ddmin, the report
+//! and the gates — is the shared harness: [`CrossBuilt`] implements
+//! [`Cluster`], and the preset sits in the scenario table under the name
+//! [`CROSS_GROUP`]. Its delivery reduction is the conservative one
 //! (deliveries to distinct nodes are independent — a delivery only
-//! mutates its target wrapper; everything else is dependent). Schedules
-//! reuse the standard [`Schedule`] file format under the preset name
-//! [`CROSS_GROUP`], so `mc --replay`, ddmin minimization and the
-//! checked-in regression suite work unchanged.
+//! mutates its target wrapper; same-node deliveries are dependent).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -47,23 +47,19 @@ use guesstimate_core::{
     args, ComponentPlan, EffectSpec, Footprint, GState, MachineId, OpRegistry, PathPattern,
     RestoreError, Routing, ShardPlan, SharedOp, TypePlan, Value,
 };
-use guesstimate_net::{SchedNet, SimTime};
+use guesstimate_net::{SchedNet, SimTime, Tracer};
 use guesstimate_runtime::multigroup::{vid, GroupId, GroupTable, MultiClusterSpec, MultiMachine};
-use guesstimate_runtime::MachineConfig;
+use guesstimate_runtime::{Machine, MachineConfig, StateSummary};
 
-use crate::explore::{ExploreConfig, Outcome, ReplayReport};
-use crate::oracle::Violation;
-use crate::schedule::{Schedule, Step};
+use crate::oracle::{check_machine, check_pair, digest_of, Violation};
+use crate::scenario::{exec_step, run_prelude, Cluster, Preset};
+use crate::schedule::{Step, TamperSpec};
 
 /// The multi-group preset's name in schedule files and `mc --preset`.
 pub const CROSS_GROUP: &str = "cross-group";
 
-/// Nodes in the fixture cluster (full overlap: each hosts both groups).
-const NODES: u32 = 3;
 /// Cross operations the workload submits (the cross oracle's target).
 const CROSS_OPS: u64 = 1;
-/// Per-group rounds to explore beyond the prelude.
-const ROUNDS: u64 = 2;
 
 /// The two-component fixture type: independent fields `a` and `b`.
 #[derive(Clone, Default, Debug, PartialEq)]
@@ -167,24 +163,36 @@ pub fn plan() -> Arc<ShardPlan> {
 pub struct CrossBuilt {
     /// The multi-group cluster under the controlled scheduler.
     pub net: SchedNet<MultiMachine>,
-    /// Each group master's sync count at the end of the prelude;
-    /// exploration targets `base + ROUNDS` per group.
-    pub base_rounds: BTreeMap<GroupId, u64>,
+    /// Each group master's sync count at which the explored window ends
+    /// (its count at the end of the prelude plus the preset's `rounds`).
+    pub target_rounds: BTreeMap<GroupId, u64>,
 }
 
-/// Builds the cross-group cluster, runs the deterministic prelude
+/// Builds the cross-group cluster — `preset.eager` fully-overlapping
+/// nodes, each hosting both groups — runs the deterministic prelude
 /// (joins of both groups plus the fixture object's per-group creates),
 /// and injects the workload: one conflicting local op per group and one
 /// cross-routed `mix` whose `CrossSubmit` is in flight when exploration
 /// starts.
 ///
+/// # Errors
+///
+/// Fails closed on a `tamper` spec: the hook rewrites single-group
+/// `Msg::Ops` batches, which the multi-group envelopes do not expose.
+///
 /// # Panics
 ///
 /// Panics if the prelude fails to converge — a harness or protocol bug,
 /// not an explorable behavior.
-pub fn build() -> CrossBuilt {
+pub fn build(preset: &Preset, tamper: Option<TamperSpec>) -> Result<CrossBuilt, String> {
+    if tamper.is_some() {
+        return Err(format!(
+            "scenario `{CROSS_GROUP}` cannot install a tamper hook"
+        ));
+    }
+    let nodes = preset.eager;
     let table = Arc::new(GroupTable::from_plan(plan()));
-    let spec = MultiClusterSpec::full_overlap(NODES, Arc::clone(&table));
+    let spec = MultiClusterSpec::full_overlap(nodes, Arc::clone(&table));
     let registry = Arc::new(registry());
     let cfg = MachineConfig::default()
         .with_sync_period(SimTime::from_millis(100))
@@ -194,7 +202,7 @@ pub fn build() -> CrossBuilt {
         .with_shard_plan(plan());
 
     let mut net: SchedNet<MultiMachine> = SchedNet::new();
-    for i in 0..NODES {
+    for i in 0..nodes {
         net.add_machine(MachineId::new(i), spec.build_node(i, &registry, &cfg));
     }
 
@@ -204,27 +212,15 @@ pub fn build() -> CrossBuilt {
     });
     let obj = obj.expect("node 0 exists");
 
-    // Deterministic prelude: always deliver the lowest-seq message, fire
-    // a timer only when quiet, until every node has joined both groups
-    // and committed both per-group creates.
-    let num_groups = table.num_groups() as u64;
-    let mut guard = 0u32;
-    loop {
-        guard += 1;
-        assert!(guard < 100_000, "cross-group prelude failed to converge");
-        if let Some(&seq) = net.pending_msgs().first() {
-            net.deliver(seq);
-            continue;
-        }
-        let settled = (0..NODES).all(|i| {
-            let mm = net.actor(MachineId::new(i)).expect("node added");
+    // Every node has joined both groups and committed both per-group
+    // creates.
+    let num_groups = u64::from(table.num_groups());
+    run_prelude(&mut net, |net| {
+        net.members().iter().all(|&id| {
+            let mm = net.actor(id).expect("node added");
             mm.all_joined() && mm.committed_total() == num_groups
-        });
-        if settled {
-            break;
-        }
-        assert!(net.fire_next_timer(), "cross-group prelude stalled");
-    }
+        })
+    });
 
     // The workload: one local conflict seed per group, plus the cross op.
     net.call(MachineId::new(1), |mm, ctx| {
@@ -241,446 +237,223 @@ pub fn build() -> CrossBuilt {
     });
 
     let node0 = net.actor(MachineId::new(0)).expect("node 0");
-    let base_rounds = node0
+    let target_rounds = node0
         .group_ids()
         .into_iter()
-        .map(|g| (g, node0.group(g).expect("hosted").stats().syncs_seen))
-        .collect();
-    CrossBuilt { net, base_rounds }
-}
-
-/// True when the explored window is over: every group's master has run
-/// its target rounds, every node has resolved every submitted cross
-/// operation, and no fences remain.
-fn rounds_done(built: &CrossBuilt) -> bool {
-    let node0 = built.net.actor(MachineId::new(0)).expect("node 0");
-    let rounds_ok = built.base_rounds.iter().all(|(&g, &base)| {
-        node0
-            .group(g)
-            .is_some_and(|m| m.stats().syncs_seen >= base + ROUNDS)
-    });
-    rounds_ok
-        && (0..NODES).all(|i| {
-            let mm = built.net.actor(MachineId::new(i)).expect("node");
-            mm.cross_resolved() == CROSS_OPS && mm.frozen_groups().is_empty()
+        .map(|g| {
+            let base = node0.group(g).expect("hosted").stats().syncs_seen;
+            (g, base + preset.rounds)
         })
+        .collect();
+    Ok(CrossBuilt { net, target_rounds })
 }
 
-fn enabled(built: &CrossBuilt) -> Vec<Step> {
-    let msgs = built.net.pending_msgs();
-    if !msgs.is_empty() {
-        return msgs.iter().map(|&s| Step::Deliver(s)).collect();
-    }
-    if rounds_done(built) {
-        return Vec::new();
-    }
-    if built.net.has_timers() {
-        vec![Step::Timer]
-    } else {
-        Vec::new()
-    }
-}
-
-/// Deliveries to different nodes are independent: a delivery mutates
-/// only its target wrapper (and mints new messages, whose seq numbering
-/// the stable per-node choice identity absorbs — same argument as the
-/// single-group explorer). Everything else is dependent.
-fn independent(built: &CrossBuilt, a: Step, b: Step) -> bool {
-    let (Step::Deliver(x), Step::Deliver(y)) = (a, b) else {
-        return false;
-    };
-    if x == y {
-        return false;
-    }
-    match (built.net.pending_msg(x), built.net.pending_msg(y)) {
-        (Some(px), Some(py)) => px.to != py.to,
-        _ => false,
-    }
-}
-
-/// Executes one choice. Returns false if it was not applicable.
-fn exec_step(net: &mut SchedNet<MultiMachine>, s: Step) -> bool {
-    match s {
-        Step::Deliver(q) => net.deliver(q),
-        Step::Drop(q) => net.drop_msg(q),
-        Step::Admit(q) => net.admit(q),
-        Step::Timer => net.fire_next_timer(),
-    }
-}
-
-/// The per-step oracles described in the module docs.
-pub fn check_step(net: &SchedNet<MultiMachine>) -> Option<Violation> {
-    let ids = net.members();
-    for &id in &ids {
+/// Every protocol instance of the cluster under its virtual id, ordered
+/// by node then group.
+fn instances(net: &SchedNet<MultiMachine>) -> impl Iterator<Item = (MachineId, &Machine)> {
+    net.members().into_iter().flat_map(move |id| {
         let mm = net.actor(id).expect("member");
-        for g in mm.group_ids() {
-            let m = mm.group(g).expect("hosted");
-            if !m.check_guess_invariant() {
-                return Some(Violation::GuessInvariant {
-                    machine: vid(id, g),
-                });
-            }
-            let count = m.stats().max_exec_count;
-            if count > 3 {
-                return Some(Violation::ExecBound {
-                    machine: vid(id, g),
-                    count,
-                });
-            }
-            if let Some(w) = m.witness_violations().first() {
-                return Some(Violation::WitnessEscape {
-                    machine: vid(id, g),
-                    detail: w.to_string(),
-                });
-            }
-            if let Some(v) = m.shard_violations().first() {
-                return Some(Violation::ShardEscape {
-                    machine: vid(id, g),
-                    detail: v.to_string(),
-                });
-            }
-        }
-        if mm.cross_resolved() > CROSS_OPS {
-            return Some(Violation::CrossRound {
-                detail: format!(
-                    "node {id} resolved {} coordinated rounds for {CROSS_OPS} submissions",
-                    mm.cross_resolved()
-                ),
-            });
+        let of = move |g| (vid(id, g), mm.group(g).expect("hosted"));
+        mm.group_ids().into_iter().map(of)
+    })
+}
+
+impl Cluster for CrossBuilt {
+    fn exec(&mut self, s: Step) -> bool {
+        exec_step(&mut self.net, s)
+    }
+    fn pending_msgs(&self) -> Vec<u64> {
+        self.net.pending_msgs()
+    }
+    fn pending_joins(&self) -> Vec<u64> {
+        self.net.pending_joins()
+    }
+    fn has_timers(&self) -> bool {
+        self.net.has_timers()
+    }
+
+    /// Every group's master has run its target rounds, every node has
+    /// resolved every submitted cross operation, and no fences remain.
+    fn window_done(&self) -> bool {
+        let node0 = self.net.actor(MachineId::new(0)).expect("node 0");
+        let rounds_ok = self.target_rounds.iter().all(|(&g, &target)| {
+            node0
+                .group(g)
+                .is_some_and(|m| m.stats().syncs_seen >= target)
+        });
+        rounds_ok
+            && self.net.members().iter().all(|&id| {
+                let mm = self.net.actor(id).expect("member");
+                mm.cross_resolved() == CROSS_OPS && mm.frozen_groups().is_empty()
+            })
+    }
+
+    /// Deliveries to different nodes are independent: a delivery mutates
+    /// only its target wrapper (and mints new messages, whose seq
+    /// numbering the stable per-node choice identity absorbs — same
+    /// argument as for single-group clusters).
+    fn deliveries_independent(&self, x: u64, y: u64) -> bool {
+        match (self.net.pending_msg(x), self.net.pending_msg(y)) {
+            (Some(px), Some(py)) => px.to != py.to,
+            _ => false,
         }
     }
-    for (i, &a) in ids.iter().enumerate() {
-        for &b in &ids[i + 1..] {
-            let na = net.actor(a).expect("member");
-            let nb = net.actor(b).expect("member");
-            for g in na.group_ids() {
-                let (Some(ma), Some(mb)) = (na.group(g), nb.group(g)) else {
-                    continue;
-                };
-                let (ca, cb) = (ma.completed_ops(), mb.completed_ops());
-                let n = ca.len().min(cb.len());
-                if ca[..n] != cb[..n] {
-                    return Some(Violation::CompletedPrefix {
-                        a: vid(a, g),
-                        b: vid(b, g),
-                    });
-                }
-                // A resolution rewrites committed component copies
-                // outside the group's round, so digests are comparable
-                // only between nodes at the same resolution count with
-                // the group unfenced on both.
-                let comparable = ca.len() == cb.len()
-                    && na.cross_resolved() == nb.cross_resolved()
-                    && !na.frozen_groups().contains(&g)
-                    && !nb.frozen_groups().contains(&g);
-                if comparable && ma.committed_digest() != mb.committed_digest() {
-                    return Some(Violation::CommittedDigest {
-                        a: vid(a, g),
-                        b: vid(b, g),
-                    });
-                }
-            }
-            if na.cross_resolved() == nb.cross_resolved() && na.cross_digest() != nb.cross_digest()
-            {
+
+    /// The per-step oracles described in the module docs.
+    fn check_step(&self) -> Option<Violation> {
+        let net = &self.net;
+        if let Some(v) = instances(net).find_map(|(id, m)| check_machine(id, m)) {
+            return Some(v);
+        }
+        let ids = net.members();
+        for &id in &ids {
+            let mm = net.actor(id).expect("member");
+            if mm.cross_resolved() > CROSS_OPS {
                 return Some(Violation::CrossRound {
                     detail: format!(
-                        "nodes {a} and {b} resolved {} coordinated rounds with different \
-                         (xid, result) digests",
-                        na.cross_resolved()
+                        "node {id} resolved {} coordinated rounds for {CROSS_OPS} submissions",
+                        mm.cross_resolved()
                     ),
                 });
             }
         }
-    }
-    None
-}
-
-/// The terminal oracles: every cross operation resolved exactly once on
-/// every node, no fences left, and merged committed state agreeing
-/// cluster-wide.
-pub fn check_terminal(net: &SchedNet<MultiMachine>) -> Option<Violation> {
-    let ids = net.members();
-    for &id in &ids {
-        let mm = net.actor(id).expect("member");
-        if mm.cross_resolved() != CROSS_OPS {
-            return Some(Violation::CrossRound {
-                detail: format!(
-                    "terminal state: node {id} resolved {} of {CROSS_OPS} coordinated rounds",
-                    mm.cross_resolved()
-                ),
-            });
-        }
-        if !mm.frozen_groups().is_empty() {
-            return Some(Violation::CrossRound {
-                detail: format!(
-                    "terminal state: node {id} still fences {:?}",
-                    mm.frozen_groups()
-                ),
-            });
-        }
-    }
-    let d0 = net.actor(ids[0]).expect("member").merged_committed_digest();
-    for &id in &ids[1..] {
-        if net.actor(id).expect("member").merged_committed_digest() != d0 {
-            return Some(Violation::CrossRound {
-                detail: format!(
-                    "terminal state: node {id} disagrees on the merged committed digest"
-                ),
-            });
-        }
-    }
-    None
-}
-
-/// Explores the cross-group preset's schedule tree depth-first (see the
-/// module docs for the reduction). Mirrors [`crate::explore::explore`]
-/// for the multi-group cluster; drop and admission choices do not arise
-/// (lossless network, no staged joiner).
-pub fn explore(cfg: &ExploreConfig) -> Outcome {
-    let mut out = Outcome::default();
-    let mut built = build();
-    let mut path: Vec<Step> = Vec::new();
-    struct Frame {
-        choices: Vec<Step>,
-        idx: usize,
-        sleep: Vec<Step>,
-        explored: Vec<Step>,
-    }
-    let mut frames = vec![Frame {
-        choices: enabled(&built),
-        idx: 0,
-        sleep: Vec::new(),
-        explored: Vec::new(),
-    }];
-    let mut dirty = false;
-
-    while out.schedules < cfg.max_schedules {
-        let Some(frame) = frames.last_mut() else {
-            out.complete = true;
-            break;
-        };
-        if frame.idx >= frame.choices.len() {
-            frames.pop();
-            match path.pop() {
-                Some(c) => {
-                    let parent = frames.last_mut().expect("frames outnumber path by one");
-                    parent.explored.push(c);
-                    parent.idx += 1;
-                    dirty = true;
-                    continue;
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                let na = net.actor(a).expect("member");
+                let nb = net.actor(b).expect("member");
+                for g in na.group_ids() {
+                    let (Some(ma), Some(mb)) = (na.group(g), nb.group(g)) else {
+                        continue;
+                    };
+                    // A resolution rewrites committed component copies
+                    // outside the group's round, so digests are comparable
+                    // only between nodes at the same resolution count with
+                    // the group unfenced on both.
+                    let comparable = na.cross_resolved() == nb.cross_resolved()
+                        && !na.frozen_groups().contains(&g)
+                        && !nb.frozen_groups().contains(&g);
+                    let v = check_pair(vid(a, g), ma, vid(b, g), mb, false, comparable);
+                    if v.is_some() {
+                        return v;
+                    }
                 }
-                None => {
-                    out.complete = true;
-                    break;
+                if na.cross_resolved() == nb.cross_resolved()
+                    && na.cross_digest() != nb.cross_digest()
+                {
+                    return Some(Violation::CrossRound {
+                        detail: format!(
+                            "nodes {a} and {b} resolved {} coordinated rounds with different \
+                             (xid, result) digests",
+                            na.cross_resolved()
+                        ),
+                    });
                 }
             }
         }
-        let c = frame.choices[frame.idx];
-        if cfg.reduction && frame.sleep.contains(&c) {
-            frame.idx += 1;
-            out.pruned += 1;
-            cfg.telemetry.mc_pruned();
-            continue;
-        }
-        if dirty {
-            built = build();
-            for &s in &path {
-                assert!(exec_step(&mut built.net, s), "replaying a known prefix");
-                out.steps_executed += 1;
+        None
+    }
+
+    /// The terminal oracles: every cross operation resolved exactly once on
+    /// every node, no fences left, and merged committed state agreeing
+    /// cluster-wide.
+    fn check_terminal(&self) -> Option<Violation> {
+        let net = &self.net;
+        let ids = net.members();
+        for &id in &ids {
+            let mm = net.actor(id).expect("member");
+            if mm.cross_resolved() != CROSS_OPS {
+                return Some(Violation::CrossRound {
+                    detail: format!(
+                        "terminal state: node {id} resolved {} of {CROSS_OPS} coordinated rounds",
+                        mm.cross_resolved()
+                    ),
+                });
             }
-            dirty = false;
-        }
-        let frame = frames.last().expect("just checked");
-        let child_sleep: Vec<Step> = frame
-            .sleep
-            .iter()
-            .chain(frame.explored.iter())
-            .copied()
-            .filter(|&x| x != c && independent(&built, x, c))
-            .collect();
-
-        assert!(exec_step(&mut built.net, c), "enabled choice must apply");
-        out.steps_executed += 1;
-        path.push(c);
-        out.max_depth = out.max_depth.max(path.len());
-        cfg.telemetry.mc_oracle_check();
-        if let Some(v) = check_step(&built.net) {
-            out.violation = Some((v, path.clone()));
-            return out;
-        }
-
-        let next = enabled(&built);
-        let terminal = next.is_empty();
-        let cut = !terminal && path.len() >= cfg.max_steps;
-        if terminal || cut {
-            out.schedules += 1;
-            cfg.telemetry.mc_schedule();
-            if cut {
-                out.truncated += 1;
+            if !mm.frozen_groups().is_empty() {
+                return Some(Violation::CrossRound {
+                    detail: format!(
+                        "terminal state: node {id} still fences {:?}",
+                        mm.frozen_groups()
+                    ),
+                });
             }
-            if terminal {
-                cfg.telemetry.mc_oracle_check();
-                if let Some(v) = check_terminal(&built.net) {
-                    out.violation = Some((v, path.clone()));
-                    return out;
-                }
+        }
+        let d0 = net.actor(ids[0]).expect("member").merged_committed_digest();
+        for &id in &ids[1..] {
+            if net.actor(id).expect("member").merged_committed_digest() != d0 {
+                return Some(Violation::CrossRound {
+                    detail: format!(
+                        "terminal state: node {id} disagrees on the merged committed digest"
+                    ),
+                });
             }
-            out.sample = Some(path.clone());
-            path.pop();
-            let frame = frames.last_mut().expect("frame for the popped step");
-            frame.explored.push(c);
-            frame.idx += 1;
-            dirty = true;
-        } else {
-            frames.push(Frame {
-                choices: next,
-                idx: 0,
-                sleep: child_sleep,
-                explored: Vec::new(),
-            });
         }
+        None
     }
-    out
-}
 
-/// Replays a `cross-group` schedule against a freshly built cluster with
-/// the step oracles after every applied choice and the terminal oracles
-/// if the run quiesces. Skip-on-stale-seq semantics match the
-/// single-group replayer, so ddmin minimization works unchanged.
-pub fn replay(sched: &Schedule) -> ReplayReport {
-    let mut built = build();
-    let mut report = ReplayReport {
-        applied: 0,
-        skipped: 0,
-        violation: None,
-    };
-    for &s in &sched.steps {
-        if exec_step(&mut built.net, s) {
-            report.applied += 1;
-        } else {
-            report.skipped += 1;
-            continue;
-        }
-        if let Some(v) = check_step(&built.net) {
-            report.violation = Some(v);
-            return report;
-        }
+    fn state_digest(&self) -> u64 {
+        let node = |id| self.net.actor(id).expect("member");
+        let cross = |id| (node(id).cross_resolved(), node(id).cross_digest());
+        let cross: Vec<_> = self.net.members().into_iter().map(cross).collect();
+        digest_of(instances(&self.net), cross)
     }
-    if built.net.pending_msgs().is_empty() && rounds_done(&built) {
-        report.violation = check_terminal(&built.net);
-    }
-    report
-}
 
-/// Per-inner-machine state summaries for postmortem bundles, ordered by
-/// node then group.
-pub fn summaries(net: &SchedNet<MultiMachine>) -> Vec<guesstimate_runtime::StateSummary> {
-    let mut v = Vec::new();
-    for id in net.members() {
-        let mm = net.actor(id).expect("member");
-        for g in mm.group_ids() {
-            v.push(mm.group(g).expect("hosted").state_summary());
-        }
+    fn summaries(&self) -> Vec<StateSummary> {
+        let summary = |(_, m): (_, &Machine)| m.state_summary();
+        instances(&self.net).map(summary).collect()
     }
-    v
-}
 
-/// [`replay`], additionally returning the summaries. The tracer plumbing
-/// of the single-group replayer does not apply (inner machines run
-/// behind the wrapper), so postmortem bundles for this preset carry
-/// state summaries with an empty causal timeline.
-pub fn replay_with_summaries(
-    sched: &Schedule,
-) -> (ReplayReport, Vec<guesstimate_runtime::StateSummary>) {
-    let mut built = build();
-    let mut report = ReplayReport {
-        applied: 0,
-        skipped: 0,
-        violation: None,
-    };
-    for &s in &sched.steps {
-        if exec_step(&mut built.net, s) {
-            report.applied += 1;
-        } else {
-            report.skipped += 1;
-            continue;
-        }
-        if let Some(v) = check_step(&built.net) {
-            report.violation = Some(v);
-            let s = summaries(&built.net);
-            return (report, s);
+    fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
+        self.net.set_tracer(tracer.clone());
+        for id in self.net.members() {
+            if let Some(mm) = self.net.actor_mut(id) {
+                mm.set_tracer(tracer.clone());
+            }
         }
     }
-    if built.net.pending_msgs().is_empty() && rounds_done(&built) {
-        report.violation = check_terminal(&built.net);
-    }
-    let s = summaries(&built.net);
-    (report, s)
 }
 
 #[cfg(test)]
 mod tests {
+    use guesstimate_core::CommuteMatrix;
+    use guesstimate_net::TraceEvent;
+    use guesstimate_obs::{validate_postmortem, FlightRecorder};
+
     use super::*;
+    use crate::explore::{explore, replay_traced, ExploreConfig};
+    use crate::schedule::Schedule;
 
-    /// Drive the built scenario to quiescence deterministically, checking
-    /// every oracle along the road — the multi-group analog of the
-    /// single-group `oracles_pass_on_deterministic_runs`.
+    /// A traced replay reaches the inner machines: the postmortem bundle
+    /// carries their protocol events (not just the driver's message
+    /// stamps) and one state summary per (node, group), and validates.
     #[test]
-    fn oracles_pass_on_the_deterministic_drain() {
-        let mut built = build();
-        let mut guard = 0u32;
-        loop {
-            guard += 1;
-            assert!(guard < 100_000, "drain failed to converge");
-            assert_eq!(check_step(&built.net), None);
-            if let Some(&seq) = built.net.pending_msgs().first() {
-                built.net.deliver(seq);
-                continue;
-            }
-            if rounds_done(&built) {
-                break;
-            }
-            assert!(built.net.fire_next_timer(), "drain stalled");
-        }
-        assert_eq!(check_terminal(&built.net), None);
-        // The cross op resolved everywhere and the fences are gone.
-        for i in 0..NODES {
-            let mm = built.net.actor(MachineId::new(i)).unwrap();
-            assert_eq!(mm.cross_resolved(), CROSS_OPS, "node {i}");
-        }
-    }
-
-    /// A small bounded exploration stays oracle-clean and the reduction
-    /// actually prunes.
-    #[test]
-    fn bounded_exploration_is_clean() {
+    fn traced_replay_records_protocol_events() {
+        let preset = Preset::by_name(CROSS_GROUP).expect("in the table");
+        let matrix = CommuteMatrix::new();
         let cfg = ExploreConfig {
-            max_schedules: 300,
+            max_schedules: 1,
             ..ExploreConfig::default()
         };
-        let out = explore(&cfg);
-        assert!(out.violation.is_none(), "{:?}", out.violation);
-        assert_eq!(out.schedules, 300);
-        assert!(out.pruned > 0, "the delivery reduction must prune");
-    }
-
-    /// Replay round-trips through the schedule file format.
-    #[test]
-    fn sample_schedule_replays_clean() {
-        let cfg = ExploreConfig {
-            max_schedules: 50,
-            ..ExploreConfig::default()
-        };
-        let out = explore(&cfg);
-        let steps = out.sample.expect("explored schedules");
         let sched = Schedule {
             preset: CROSS_GROUP.to_owned(),
             tamper: None,
-            steps,
+            steps: explore(preset, &matrix, None, &cfg)
+                .sample
+                .expect("one schedule"),
         };
-        let reparsed = Schedule::from_json(&sched.to_json()).expect("well-formed");
-        let report = replay(&reparsed);
-        assert!(report.violation.is_none(), "{:?}", report.violation);
-        assert!(report.applied > 0);
+        let recorder = Arc::new(FlightRecorder::new(4096));
+        let (report, states) = replay_traced(&sched, &matrix, recorder.clone()).expect("replays");
+        assert_eq!(report.violation, None);
+        assert_eq!(states.len(), 6, "3 nodes x 2 groups");
+        assert!(
+            recorder.snapshot().iter().any(|r| !matches!(
+                r.event,
+                TraceEvent::MsgSent { .. } | TraceEvent::MsgReceived { .. }
+            )),
+            "no protocol event from any inner machine"
+        );
+        let pm = validate_postmortem(&recorder.dump_json("test", &states)).expect("validates");
+        assert!(pm.hb_ok);
+        assert_eq!(pm.states, 6);
     }
 }

@@ -151,6 +151,32 @@ impl fmt::Display for Violation {
     }
 }
 
+/// The per-machine step oracles every scenario shares: guess invariant,
+/// ≤3 executions, empty witness- and shard-containment logs. `id` names
+/// the machine in the report (its virtual id behind a `MultiMachine`).
+pub(crate) fn check_machine(id: MachineId, m: &Machine) -> Option<Violation> {
+    if !m.check_guess_invariant() {
+        return Some(Violation::GuessInvariant { machine: id });
+    }
+    let count = m.stats().max_exec_count;
+    if count > 3 {
+        return Some(Violation::ExecBound { machine: id, count });
+    }
+    if let Some(w) = m.witness_violations().first() {
+        return Some(Violation::WitnessEscape {
+            machine: id,
+            detail: w.to_string(),
+        });
+    }
+    if let Some(v) = m.shard_violations().first() {
+        return Some(Violation::ShardEscape {
+            machine: id,
+            detail: v.to_string(),
+        });
+    }
+    None
+}
+
 /// Runs the per-step oracles over every machine in the cluster.
 ///
 /// `hybrid` selects the agreement discipline (see the module docs): the
@@ -159,50 +185,48 @@ impl fmt::Display for Violation {
 /// only, with digests compared once the completed sets coincide.
 pub fn check_step(net: &SchedNet<Machine>, hybrid: bool) -> Option<Violation> {
     let ids = net.members();
-    for &id in &ids {
-        let m = net.actor(id).expect("listed member exists");
-        if !m.check_guess_invariant() {
-            return Some(Violation::GuessInvariant { machine: id });
-        }
-        let count = m.stats().max_exec_count;
-        if count > 3 {
-            return Some(Violation::ExecBound { machine: id, count });
-        }
-        if let Some(w) = m.witness_violations().first() {
-            return Some(Violation::WitnessEscape {
-                machine: id,
-                detail: w.to_string(),
-            });
-        }
-        if let Some(v) = m.shard_violations().first() {
-            return Some(Violation::ShardEscape {
-                machine: id,
-                detail: v.to_string(),
-            });
-        }
+    let machine = |id| net.actor(id).expect("listed member exists");
+    if let Some(v) = ids.iter().find_map(|&id| check_machine(id, machine(id))) {
+        return Some(v);
     }
     for (i, &a) in ids.iter().enumerate() {
         for &b in &ids[i + 1..] {
-            let ma = net.actor(a).expect("member");
-            let mb = net.actor(b).expect("member");
-            let (ca, cb) = if hybrid {
-                (ma.completed_serialized(), mb.completed_serialized())
-            } else {
-                (ma.completed_ops(), mb.completed_ops())
-            };
-            let n = ca.len().min(cb.len());
-            if ca[..n] != cb[..n] {
-                return Some(Violation::CompletedPrefix { a, b });
-            }
-            let digests_comparable = if hybrid {
-                same_completed_set(ma, mb)
-            } else {
-                ca.len() == cb.len()
-            };
-            if digests_comparable && ma.committed_digest() != mb.committed_digest() {
-                return Some(Violation::CommittedDigest { a, b });
+            if let Some(v) = check_pair(a, machine(a), b, machine(b), hybrid, true) {
+                return Some(v);
             }
         }
+    }
+    None
+}
+
+/// The pairwise agreement oracles for two instances of one sync group:
+/// prefix-ordered completions always, and equal committed digests once
+/// both completed the same operations — if `comparable`, the caller's
+/// own precondition (`true` where only rounds touch committed state).
+pub(crate) fn check_pair(
+    a: MachineId,
+    ma: &Machine,
+    b: MachineId,
+    mb: &Machine,
+    hybrid: bool,
+    comparable: bool,
+) -> Option<Violation> {
+    let (ca, cb) = if hybrid {
+        (ma.completed_serialized(), mb.completed_serialized())
+    } else {
+        (ma.completed_ops(), mb.completed_ops())
+    };
+    let n = ca.len().min(cb.len());
+    if ca[..n] != cb[..n] {
+        return Some(Violation::CompletedPrefix { a, b });
+    }
+    let same_ops = if hybrid {
+        same_completed_set(ma, mb)
+    } else {
+        ca.len() == cb.len()
+    };
+    if comparable && same_ops && ma.committed_digest() != mb.committed_digest() {
+        return Some(Violation::CommittedDigest { a, b });
     }
     None
 }
@@ -298,6 +322,19 @@ pub fn check_terminal(
 /// same committed state. On non-hybrid scenarios the two sequences
 /// coincide, so nothing is lost.
 pub fn state_digest(net: &SchedNet<Machine>) -> u64 {
+    let ids = net.members();
+    digest_of(
+        ids.iter().map(|&id| (id, net.actor(id).expect("member"))),
+        (),
+    )
+}
+
+/// [`state_digest`] over any set of protocol instances (under the names
+/// they report as) plus whatever `extra` state the scenario observes.
+pub(crate) fn digest_of<'a>(
+    machines: impl Iterator<Item = (MachineId, &'a Machine)>,
+    extra: impl Hash,
+) -> u64 {
     struct Fnv(u64);
     impl Hasher for Fnv {
         fn finish(&self) -> u64 {
@@ -311,8 +348,7 @@ pub fn state_digest(net: &SchedNet<Machine>) -> u64 {
         }
     }
     let mut h = Fnv(0xCBF2_9CE4_8422_2325);
-    for id in net.members() {
-        let m = net.actor(id).expect("member");
+    for (id, m) in machines {
         id.hash(&mut h);
         m.committed_digest().hash(&mut h);
         m.guess_digest().hash(&mut h);
@@ -322,6 +358,7 @@ pub fn state_digest(net: &SchedNet<Machine>) -> u64 {
         completed.hash(&mut h);
         m.in_cohort().hash(&mut h);
     }
+    extra.hash(&mut h);
     h.finish()
 }
 
@@ -331,50 +368,15 @@ mod tests {
     use crate::scenario::Preset;
     use guesstimate_core::CommuteMatrix;
 
-    /// Drive a built scenario to quiescence the deterministic way and
-    /// check every oracle along the road.
-    #[test]
-    fn oracles_pass_on_deterministic_runs() {
-        for p in crate::scenario::PRESETS {
-            let mut built = p.build(&CommuteMatrix::new(), None);
-            let rounds_target = built.base_rounds + p.rounds;
-            let mut guard = 0u32;
-            loop {
-                guard += 1;
-                assert!(guard < 100_000, "{}: run failed to converge", p.name);
-                assert_eq!(check_step(&built.net, p.hybrid), None, "{}", p.name);
-                if let Some(&seq) = built.net.pending_msgs().first() {
-                    built.net.deliver(seq);
-                    continue;
-                }
-                if let Some(&j) = built.net.pending_joins().first() {
-                    built.net.admit(j);
-                    continue;
-                }
-                let master = built.net.actor(MachineId::new(0)).unwrap();
-                if master.stats().syncs_seen >= rounds_target {
-                    break;
-                }
-                assert!(built.net.fire_next_timer(), "{}: stalled", p.name);
-            }
-            assert_eq!(
-                check_terminal(&built.net, &built.registry, p.total_machines()),
-                None,
-                "{}",
-                p.name
-            );
-        }
-    }
-
     #[test]
     fn state_digest_is_stable_and_discriminating() {
         let p = Preset::by_name("sudoku").unwrap();
-        let a = p.build(&CommuteMatrix::new(), None);
-        let b = p.build(&CommuteMatrix::new(), None);
+        let a = p.build_machines(&CommuteMatrix::new(), None);
+        let b = p.build_machines(&CommuteMatrix::new(), None);
         assert_eq!(state_digest(&a.net), state_digest(&b.net));
 
         // Committing the injected ops must change the digest.
-        let mut c = p.build(&CommuteMatrix::new(), None);
+        let mut c = p.build_machines(&CommuteMatrix::new(), None);
         let mut guard = 0;
         while c.net.actor(MachineId::new(0)).unwrap().pending_len() > 0 {
             guard += 1;

@@ -17,6 +17,7 @@
 //! | `auction` | 2 + late join | two first-bids on `lamp` | bids on different items |
 //! | `event_planner` | 2, lossy | two joins for the last `party` seat | user registration vs joins |
 //! | `message_board` | 3, lossy, hybrid | two posts to `general` (serialized) | async `like`s on all machines |
+//! | `cross-group` | 3 nodes × 2 sync groups | one local op per group vs a cross-routed `mix` | the two groups' rounds |
 //!
 //! The `auction` preset stages a third machine whose admission is itself
 //! a choice point (late join at any explored moment); `event_planner`
@@ -27,16 +28,78 @@
 //! without rounds, while its conflicting posts keep the serialized round
 //! path — so the explorer interleaves async arrivals against round
 //! flushes, with a loss budget that forces the round-boundary fence's
-//! re-piggyback repair.
+//! re-piggyback repair. The `cross-group` preset builds `MultiMachine`
+//! nodes instead of bare machines (see [`crate::multigroup`]); whatever
+//! a scenario builds, the shared harness drives it as a [`Cluster`].
 
 use std::sync::Arc;
 
 use guesstimate_apps::{auction, event_planner, message_board, sudoku};
 use guesstimate_core::{CommuteMatrix, MachineId, ObjectId, OpRegistry, SharedOp};
-use guesstimate_net::{SchedNet, SimTime};
-use guesstimate_runtime::{Machine, MachineConfig, Msg};
+use guesstimate_net::{Actor, SchedNet, SimTime, Tracer};
+use guesstimate_runtime::commute::wire_ops_commute;
+use guesstimate_runtime::{Machine, MachineConfig, Msg, StateSummary, WireEnvelope};
 
-use crate::schedule::TamperSpec;
+use crate::multigroup::{self, CROSS_GROUP};
+use crate::oracle::{self, Violation};
+use crate::schedule::{Step, TamperSpec};
+
+/// A built scenario as the shared harness sees it: the scheduler's
+/// surface (the first four methods, the same for every node type), then
+/// what a scenario judges for itself.
+pub trait Cluster {
+    /// Executes one choice; false if it no longer applies (stale seq).
+    fn exec(&mut self, s: Step) -> bool;
+    /// Seqs of the in-flight messages, ascending.
+    fn pending_msgs(&self) -> Vec<u64>;
+    /// Choice seqs of the staged joiners.
+    fn pending_joins(&self) -> Vec<u64>;
+    /// True when a timer is armed.
+    fn has_timers(&self) -> bool;
+    /// True when the explored window is over (terminal once nothing is
+    /// in flight).
+    fn window_done(&self) -> bool;
+    /// Whether delivering in-flight messages `x != y` in either order
+    /// reaches the same state ([`mod@crate::explore`] judges all other pairs).
+    fn deliveries_independent(&self, x: u64, y: u64) -> bool;
+    /// The oracles run after every applied choice.
+    fn check_step(&self) -> Option<Violation>;
+    /// The oracles run once a schedule quiesces.
+    fn check_terminal(&self) -> Option<Violation>;
+    /// A deterministic digest of the observable state.
+    fn state_digest(&self) -> u64;
+    /// One summary per protocol instance, for postmortem bundles.
+    fn summaries(&self) -> Vec<StateSummary>;
+    /// Installs a trace sink on the driver and every protocol instance.
+    fn set_tracer(&mut self, tracer: Arc<dyn Tracer>);
+}
+
+/// Executes one choice against a cluster of any node type.
+pub(crate) fn exec_step<A: Actor>(net: &mut SchedNet<A>, s: Step) -> bool {
+    match s {
+        Step::Deliver(q) => net.deliver(q),
+        Step::Drop(q) => net.drop_msg(q),
+        Step::Admit(q) => net.admit(q),
+        Step::Timer => net.fire_next_timer(),
+    }
+}
+
+/// The deterministic prelude: always deliver the lowest-seq message, fire
+/// a timer only when quiet, until `settled`. Every branch of the
+/// exploration replays this identically, so it contributes no choice
+/// points; failing to converge is a harness or protocol bug and panics.
+pub(crate) fn run_prelude<A: Actor>(net: &mut SchedNet<A>, settled: impl Fn(&SchedNet<A>) -> bool) {
+    for _ in 0..100_000 {
+        if let Some(&seq) = net.pending_msgs().first() {
+            net.deliver(seq);
+        } else if settled(net) {
+            return;
+        } else {
+            assert!(net.fire_next_timer(), "prelude stalled with no timers");
+        }
+    }
+    panic!("prelude failed to converge");
+}
 
 /// Fixture for the `sneaky` negative preset: a two-slot map whose
 /// `mirror` method deliberately **under-declares** its footprint — it
@@ -292,6 +355,15 @@ pub const PRESETS: &[Preset] = &[
         hybrid: true,
         blurb: "3 machines, lossy, hybrid commit; async likes vs serialized same-topic posts",
     },
+    Preset {
+        name: CROSS_GROUP,
+        eager: 3,
+        late_join: false,
+        rounds: 2,
+        drop_budget: 0,
+        hybrid: false,
+        blurb: "3 nodes x 2 sync groups; per-group rounds + one coordinated cross round",
+    },
 ];
 
 /// Negative-test preset: a deliberately **under-declared** workload the
@@ -332,14 +404,15 @@ pub const MISKEYED: Preset = Preset {
 };
 
 impl Preset {
-    /// Looks up a preset by name ([`PRESETS`] plus the hidden [`SNEAKY`]
-    /// and [`MISKEYED`] negative presets).
+    /// The whole table: [`PRESETS`], then the hidden [`SNEAKY`] and
+    /// [`MISKEYED`] negative presets.
+    pub fn all() -> impl Iterator<Item = &'static Preset> {
+        PRESETS.iter().chain([&SNEAKY, &MISKEYED])
+    }
+
+    /// Looks up a preset by name in [`Preset::all`].
     pub fn by_name(name: &str) -> Option<&'static Preset> {
-        PRESETS
-            .iter()
-            .find(|p| p.name == name)
-            .or((SNEAKY.name == name).then_some(&SNEAKY))
-            .or((MISKEYED.name == name).then_some(&MISKEYED))
+        Self::all().find(|p| p.name == name)
     }
 
     /// Total machines once the staged joiner (if any) is admitted.
@@ -504,14 +577,37 @@ impl Preset {
         }
     }
 
-    /// Builds the cluster, runs the deterministic prelude, injects the
-    /// workload, stages the late joiner, and installs the tamper hook.
+    /// Builds the scenario behind the [`Cluster`] interface — the one
+    /// place a name selects a cluster shape rather than an application.
+    ///
+    /// # Errors
+    ///
+    /// Names the scenario when it cannot install `tamper`.
+    pub fn build(
+        &self,
+        matrix: &CommuteMatrix,
+        tamper: Option<TamperSpec>,
+    ) -> Result<Box<dyn Cluster>, String> {
+        Ok(if self.name == CROSS_GROUP {
+            Box::new(multigroup::build(self, tamper)?)
+        } else {
+            Box::new(self.build_machines(matrix, tamper))
+        })
+    }
+
+    /// Builds the single-group cluster, runs the deterministic prelude,
+    /// injects the workload, stages the late joiner, and installs the
+    /// tamper hook.
     ///
     /// # Panics
     ///
     /// Panics if the prelude fails to converge — that is a bug in either
     /// the protocol or the harness, not an explorable behavior.
-    pub fn build(&self, matrix: &CommuteMatrix, tamper: Option<TamperSpec>) -> Built {
+    pub fn build_machines(&self, matrix: &CommuteMatrix, tamper: Option<TamperSpec>) -> Built {
+        // Resolve the matrix once: the preset's baseline pairs (which arm
+        // the hybrid path) must feed the POR independence relation and the
+        // machines' own classification identically.
+        let matrix = self.effective_matrix(matrix);
         let registry = Arc::new(self.registry());
         // Timeout spacing mirrors deployment ratios (tick < join retry <
         // stall) so timer-only phases preserve protocol behavior; absolute
@@ -523,7 +619,7 @@ impl Preset {
             .with_record_history(true)
             .with_paranoid_checks(true)
             .with_async_commit(self.hybrid)
-            .with_commute_matrix(self.effective_matrix(matrix))
+            .with_commute_matrix(matrix.clone())
             // The negative presets record escapes instead of asserting, so
             // an oracle (not a mid-delivery debug_assert) is what reports
             // them: `sneaky` additionally probes for undeclared reads.
@@ -549,26 +645,12 @@ impl Preset {
         let (obj, prelude_ops) =
             self.prelude_ops(net.actor_mut(MachineId::new(0)).expect("master added"));
 
-        // Deterministic prelude: always deliver the lowest-seq message,
-        // fire a timer only when quiet. Every branch of the exploration
-        // replays this identically, so it contributes no choice points.
-        let mut guard = 0u32;
-        loop {
-            guard += 1;
-            assert!(guard < 100_000, "prelude failed to converge");
-            if let Some(&seq) = net.pending_msgs().first() {
-                net.deliver(seq);
-                continue;
-            }
-            let settled = (0..self.eager).all(|i| {
+        run_prelude(&mut net, |net| {
+            (0..self.eager).all(|i| {
                 let m = net.actor(MachineId::new(i)).expect("member");
                 m.in_cohort() && m.completed_len() == prelude_ops as usize
-            });
-            if settled {
-                break;
-            }
-            assert!(net.fire_next_timer(), "prelude stalled with no timers");
-        }
+            })
+        });
 
         // Injections for machines beyond `eager` are dropped so tests can
         // shrink a preset (fewer machines → exhaustible tree) without
@@ -603,10 +685,10 @@ impl Preset {
             assert!(issued, "injected op failed at issue");
         }
 
-        let join_choice = self.late_join.then(|| {
+        if self.late_join {
             let id = MachineId::new(self.eager);
-            net.stage_join(id, Machine::new_member(id, registry.clone(), cfg.clone()))
-        });
+            net.stage_join(id, Machine::new_member(id, registry.clone(), cfg.clone()));
+        }
 
         if let Some(t) = tamper {
             let victim = MachineId::new(t.victim);
@@ -643,36 +725,170 @@ impl Preset {
         Built {
             net,
             registry,
+            matrix,
+            preset: *self,
             base_rounds,
-            join_choice,
         }
     }
 }
 
-/// A built scenario, ready for exploration or replay.
+/// A built single-group scenario, ready for exploration or replay.
 #[derive(Debug)]
 pub struct Built {
     /// The cluster under the controlled scheduler.
     pub net: SchedNet<Machine>,
     /// The shared operation registry (also used by oracles).
     pub registry: Arc<OpRegistry>,
+    /// The matrix the machines run under ([`Preset::effective_matrix`]).
+    pub matrix: CommuteMatrix,
+    /// The preset this was built from.
+    pub preset: Preset,
     /// The master's sync count at the end of the prelude; exploration
     /// targets `base_rounds + preset.rounds`.
     pub base_rounds: u64,
-    /// The staged joiner's choice seq, if the preset has a late join.
-    pub join_choice: Option<u64>,
+}
+
+impl Cluster for Built {
+    fn exec(&mut self, s: Step) -> bool {
+        exec_step(&mut self.net, s)
+    }
+    fn pending_msgs(&self) -> Vec<u64> {
+        self.net.pending_msgs()
+    }
+    fn pending_joins(&self) -> Vec<u64> {
+        self.net.pending_joins()
+    }
+    fn has_timers(&self) -> bool {
+        self.net.has_timers()
+    }
+
+    fn window_done(&self) -> bool {
+        let master = self.net.actor(MachineId::new(0)).expect("master");
+        master.stats().syncs_seen >= self.base_rounds + self.preset.rounds
+    }
+
+    /// The same-machine rules of the [`mod@crate::explore`] module docs.
+    fn deliveries_independent(&self, x: u64, y: u64) -> bool {
+        let net = &self.net;
+        let (Some(px), Some(py)) = (net.pending_msg(x), net.pending_msg(y)) else {
+            return false;
+        };
+        if px.to != py.to {
+            return true;
+        }
+        let Some(target) = net.actor(px.to) else {
+            return false;
+        };
+        let type_of = |oid| target.object_type(oid).map(str::to_owned);
+        let commute = |ea: &WireEnvelope, eb: &WireEnvelope| {
+            wire_ops_commute(&self.registry, &self.matrix, &type_of, &ea.op, &eb.op)
+        };
+        // Envelopes a message applies (or stages) at the receiver:
+        // serialized batch plus the piggybacked async window for Ops,
+        // the single envelope for a standalone AsyncOp.
+        match (&px.msg, &py.msg) {
+            (
+                Msg::Ops {
+                    round: ra,
+                    machine: sa,
+                    ops: oa,
+                    asyncs: aa,
+                },
+                Msg::Ops {
+                    round: rb,
+                    machine: sb,
+                    ops: ob,
+                    asyncs: ab,
+                },
+            ) => {
+                if ra != rb || sa == sb {
+                    return false;
+                }
+                let ea = oa.iter().chain(aa.iter().map(|(_, e)| e));
+                ea.clone().all(|a| {
+                    ob.iter()
+                        .chain(ab.iter().map(|(_, e)| e))
+                        .all(|b| commute(a, b))
+                })
+            }
+            (Msg::AsyncOp { env: ea, .. }, Msg::AsyncOp { env: eb, .. }) => {
+                // Same-sender AsyncOps share an arrival-order slot.
+                px.from != py.from && commute(ea, eb)
+            }
+            (
+                Msg::AsyncOp { env, .. },
+                Msg::Ops {
+                    machine,
+                    ops,
+                    asyncs,
+                    ..
+                },
+            )
+            | (
+                Msg::Ops {
+                    machine,
+                    ops,
+                    asyncs,
+                    ..
+                },
+                Msg::AsyncOp { env, .. },
+            ) => {
+                // The async op must commute with both the ops the
+                // round will apply and the piggybacked window; a flush
+                // from the async op's own sender shares its slot.
+                let sender = if matches!(&px.msg, Msg::AsyncOp { .. }) {
+                    px.from
+                } else {
+                    py.from
+                };
+                sender != *machine
+                    && ops
+                        .iter()
+                        .chain(asyncs.iter().map(|(_, e)| e))
+                        .all(|b| commute(env, b))
+            }
+            _ => false,
+        }
+    }
+
+    fn check_step(&self) -> Option<Violation> {
+        oracle::check_step(&self.net, self.preset.hybrid)
+    }
+    fn check_terminal(&self) -> Option<Violation> {
+        oracle::check_terminal(&self.net, &self.registry, self.preset.total_machines())
+    }
+    fn state_digest(&self) -> u64 {
+        oracle::state_digest(&self.net)
+    }
+
+    /// Every machine currently admitted to the net, in machine-id order.
+    fn summaries(&self) -> Vec<StateSummary> {
+        let ids = self.net.members();
+        let machines = ids.iter().filter_map(|&id| self.net.actor(id));
+        machines.map(Machine::state_summary).collect()
+    }
+
+    /// The staged joiner, not yet on the net, stays untraced.
+    fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
+        self.net.set_tracer(tracer.clone());
+        for id in self.net.members() {
+            if let Some(m) = self.net.actor_mut(id) {
+                m.set_tracer(tracer.clone());
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Serialized injections stay pending until a round; only the hybrid
+    /// preset's async broadcasts may already be in flight.
     #[test]
-    fn presets_build_and_quiesce() {
-        for p in PRESETS {
-            let built = p.build(&CommuteMatrix::new(), None);
-            // Serialized injections stay pending until a round; only the
-            // hybrid preset's async broadcasts may already be in flight.
+    fn single_group_injections_wait_for_a_round() {
+        for p in PRESETS.iter().filter(|p| p.name != CROSS_GROUP) {
+            let built = p.build_machines(&CommuteMatrix::new(), None);
             for &seq in &built.net.pending_msgs() {
                 let msg = &built.net.pending_msg(seq).unwrap().msg;
                 assert!(
@@ -681,13 +897,6 @@ mod tests {
                     p.name
                 );
             }
-            assert!(built.net.has_timers(), "{}: tick must be armed", p.name);
-            assert_eq!(built.join_choice.is_some(), p.late_join, "{}", p.name);
-            for i in 0..p.eager {
-                let m = built.net.actor(MachineId::new(i)).unwrap();
-                assert!(m.check_guess_invariant(), "{} machine {i}", p.name);
-            }
-            // Injections are pending, not yet committed.
             let master = built.net.actor(MachineId::new(0)).unwrap();
             assert!(master.pending_len() > 0, "{}", p.name);
         }
@@ -696,7 +905,7 @@ mod tests {
     #[test]
     fn hybrid_preset_commits_asyncs_at_issue() {
         let p = Preset::by_name("message_board").unwrap();
-        let built = p.build(&CommuteMatrix::new(), None);
+        let built = p.build_machines(&CommuteMatrix::new(), None);
         // Machine 0's injections: one serialized post (pending) and one
         // async like (committed at issue, on top of the 2 prelude ops).
         let m0 = built.net.actor(MachineId::new(0)).unwrap();
@@ -709,18 +918,5 @@ mod tests {
         assert_eq!(m1.pending_len(), 0);
         // Each like broadcast to the two peers: 3 likes * 2 = 6 in flight.
         assert_eq!(built.net.pending_msgs().len(), 6);
-    }
-
-    #[test]
-    fn build_is_deterministic() {
-        let p = Preset::by_name("auction").unwrap();
-        let a = p.build(&CommuteMatrix::new(), None);
-        let b = p.build(&CommuteMatrix::new(), None);
-        assert_eq!(a.base_rounds, b.base_rounds);
-        assert_eq!(a.join_choice, b.join_choice);
-        assert_eq!(
-            a.net.actor(MachineId::new(0)).unwrap().committed_digest(),
-            b.net.actor(MachineId::new(0)).unwrap().committed_digest()
-        );
     }
 }

@@ -22,7 +22,8 @@ use guesstimate_net::{
     StallWindow, ThreadedNet, TraceRecord,
 };
 use guesstimate_obs::{check_happens_before, merge, record_to_json, TraceLine};
-use guesstimate_runtime::{run_until_cohort, sim_cluster_traced, Machine, MachineConfig};
+use guesstimate_runtime::{run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig};
+use guesstimate_telemetry::Telemetry;
 
 /// Renders driver records to JSONL and back, exactly as the report binary
 /// consumes them, then merges into one cluster timeline.
@@ -83,7 +84,14 @@ fn sim_protocol_timeline_is_causally_consistent_under_loss() {
         .with_latency(LatencyModel::constant_ms(10))
         .with_faults(faults);
     let tracer = Arc::new(RecordingTracer::new());
-    let mut net = sim_cluster_traced(4, counter_registry(), cfg, netcfg, Some(tracer.clone()));
+    let mut net = sim_cluster_instrumented(
+        4,
+        counter_registry(),
+        cfg,
+        netcfg,
+        Some(tracer.clone()),
+        Telemetry::noop(),
+    );
     assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
 
     let board = net

@@ -40,15 +40,19 @@ pub fn sim_cluster(
     cfg: MachineConfig,
     netcfg: NetConfig,
 ) -> SimNet<Machine> {
-    sim_cluster_traced(n, registry, cfg, netcfg, None)
+    sim_cluster_instrumented(n, registry, cfg, netcfg, None, Telemetry::noop())
 }
 
-/// [`sim_cluster`] with a shared trace sink installed on every machine.
+/// [`sim_cluster`] with a shared trace sink and a shared [`Telemetry`]
+/// handle installed on every machine.
 ///
 /// Each machine emits [`guesstimate_net::TraceEvent`]s to `tracer` as the
 /// protocol progresses; pass a [`guesstimate_net::RecordingTracer`] (or any
-/// custom sink) to observe per-stage protocol behaviour. `None` is
-/// equivalent to [`sim_cluster`].
+/// custom sink) to observe per-stage protocol behaviour. All machines
+/// record into the same instrument set, so one
+/// [`Telemetry::render_prometheus`] / [`Telemetry::render_json`] snapshot
+/// after the run covers the whole cluster. `None` and [`Telemetry::noop`]
+/// give exactly [`sim_cluster`] (the hooks cost one branch each).
 ///
 /// # Examples
 ///
@@ -56,15 +60,18 @@ pub fn sim_cluster(
 /// use std::sync::Arc;
 /// use guesstimate_core::OpRegistry;
 /// use guesstimate_net::{LatencyModel, NetConfig, RecordingTracer};
-/// use guesstimate_runtime::{sim_cluster_traced, MachineConfig};
+/// use guesstimate_runtime::{sim_cluster_instrumented, MachineConfig};
+/// use guesstimate_telemetry::Telemetry;
 ///
 /// let tracer = Arc::new(RecordingTracer::new());
-/// let net = sim_cluster_traced(
+/// let telemetry = Telemetry::new();
+/// let net = sim_cluster_instrumented(
 ///     3,
 ///     OpRegistry::new(),
 ///     MachineConfig::default(),
 ///     NetConfig::lan(7).with_latency(LatencyModel::constant_ms(5)),
 ///     Some(tracer.clone()),
+///     telemetry.clone(),
 /// );
 /// assert_eq!(net.members().len(), 3);
 /// // Before the sim runs, only the join-request broadcasts (message sends
@@ -73,43 +80,6 @@ pub fn sim_cluster(
 ///     .snapshot()
 ///     .iter()
 ///     .all(|r| matches!(r.event, guesstimate_net::TraceEvent::MsgSent { .. })));
-/// ```
-pub fn sim_cluster_traced(
-    n: u32,
-    registry: OpRegistry,
-    cfg: MachineConfig,
-    netcfg: NetConfig,
-    tracer: Option<Arc<dyn Tracer>>,
-) -> SimNet<Machine> {
-    sim_cluster_instrumented(n, registry, cfg, netcfg, tracer, Telemetry::noop())
-}
-
-/// [`sim_cluster_traced`] with a shared [`Telemetry`] handle installed on
-/// every machine.
-///
-/// All machines record into the same instrument set, so one
-/// [`Telemetry::render_prometheus`] / [`Telemetry::render_json`] snapshot
-/// after the run covers the whole cluster. Pass [`Telemetry::noop`] to get
-/// exactly [`sim_cluster_traced`] (the hooks cost one branch each).
-///
-/// # Examples
-///
-/// ```
-/// use guesstimate_core::OpRegistry;
-/// use guesstimate_net::{LatencyModel, NetConfig};
-/// use guesstimate_runtime::{sim_cluster_instrumented, MachineConfig};
-/// use guesstimate_telemetry::Telemetry;
-///
-/// let telemetry = Telemetry::new();
-/// let net = sim_cluster_instrumented(
-///     3,
-///     OpRegistry::new(),
-///     MachineConfig::default(),
-///     NetConfig::lan(7).with_latency(LatencyModel::constant_ms(5)),
-///     None,
-///     telemetry.clone(),
-/// );
-/// assert_eq!(net.members().len(), 3);
 /// assert_eq!(telemetry.ops_committed(), 0, "nothing recorded before the sim runs");
 /// ```
 pub fn sim_cluster_instrumented(

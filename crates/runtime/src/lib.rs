@@ -88,7 +88,7 @@ pub mod testutil;
 
 pub use blocking::{issue_blocking, BlockingOutcome};
 pub use cluster::{
-    run_until_cohort, sim_cluster, sim_cluster_instrumented, sim_cluster_traced, threaded_cluster,
+    run_until_cohort, sim_cluster, sim_cluster_instrumented, threaded_cluster,
     threaded_cluster_instrumented,
 };
 pub use config::MachineConfig;

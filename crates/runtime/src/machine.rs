@@ -195,7 +195,7 @@ impl Machine {
     /// [`TraceEvent`]s to it. The default sink discards everything.
     ///
     /// One sink (behind an `Arc`) may be shared by every machine in a
-    /// cluster; see [`crate::cluster::sim_cluster_traced`].
+    /// cluster; see [`crate::cluster::sim_cluster_instrumented`].
     pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
         self.tracer = tracer;
     }

@@ -61,7 +61,9 @@ use guesstimate_core::{
     paths::Seg, value_digest, CompletionFn, ExecError, GState, MachineId, ObjectId, OpRegistry,
     ShardId, ShardPlan, SharedOp, Value,
 };
-use guesstimate_net::{Action, Actor, Channel, Ctx, LatencyModel, NetConfig, SimNet, ThreadedNet};
+use guesstimate_net::{
+    Action, Actor, Channel, Ctx, LatencyModel, NetConfig, SimNet, ThreadedNet, Tracer,
+};
 use guesstimate_telemetry::Telemetry;
 
 use crate::config::MachineConfig;
@@ -404,6 +406,14 @@ impl MultiMachine {
             m.set_telemetry(telemetry.for_group(self.table.label(*g)));
         }
         self.telemetry = telemetry;
+    }
+
+    /// Installs a shared trace sink on every hosted group's machine (the
+    /// wrapper itself emits no events).
+    pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
+        for m in self.machines.values_mut() {
+            m.set_tracer(Arc::clone(&tracer));
+        }
     }
 
     /// This node's outer mesh id.

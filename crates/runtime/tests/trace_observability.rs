@@ -17,8 +17,9 @@ use guesstimate_net::{
     TraceRecord,
 };
 use guesstimate_runtime::{
-    run_until_cohort, sim_cluster_traced, Machine, MachineConfig, SyncSample,
+    run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig, SyncSample,
 };
+use guesstimate_telemetry::Telemetry;
 
 /// The runtime crate's unit-test counter, reproduced here because the crate's
 /// `testutil` module is `#[cfg(test)]`-gated and invisible to integration
@@ -58,7 +59,14 @@ fn traced_session() -> (Vec<SyncSample>, Vec<TraceRecord>) {
         .with_stall_timeout(SimTime::from_secs(2));
     let netcfg = NetConfig::lan(11).with_latency(LatencyModel::constant_ms(10));
     let tracer = Arc::new(RecordingTracer::new());
-    let mut net = sim_cluster_traced(4, counter_registry(), cfg, netcfg, Some(tracer.clone()));
+    let mut net = sim_cluster_instrumented(
+        4,
+        counter_registry(),
+        cfg,
+        netcfg,
+        Some(tracer.clone()),
+        Telemetry::noop(),
+    );
     assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
 
     let board = net
@@ -187,7 +195,14 @@ fn recovery_round_emits_resend_and_removal_events() {
         .with_latency(LatencyModel::constant_ms(10))
         .with_faults(faults);
     let tracer = Arc::new(RecordingTracer::new());
-    let mut net = sim_cluster_traced(3, counter_registry(), cfg, netcfg, Some(tracer.clone()));
+    let mut net = sim_cluster_instrumented(
+        3,
+        counter_registry(),
+        cfg,
+        netcfg,
+        Some(tracer.clone()),
+        Telemetry::noop(),
+    );
     assert!(run_until_cohort(&mut net, SimTime::from_secs(5)));
     net.run_until(SimTime::from_secs(30));
 

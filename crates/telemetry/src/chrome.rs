@@ -12,8 +12,8 @@ use std::collections::BTreeSet;
 
 use guesstimate_net::TraceRecord;
 
-use crate::metrics::escape_json;
 use crate::spans::OpSpan;
+use guesstimate_core::json::escape;
 
 /// Renders records + spans as a Chrome trace-format JSON document.
 pub fn render(records: &[TraceRecord], spans: &[OpSpan]) -> String {
@@ -41,9 +41,9 @@ pub fn render(records: &[TraceRecord], spans: &[OpSpan]) -> String {
             None => "{}".to_owned(),
         };
         events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"protocol\",\"ph\":\"i\",\"s\":\"t\",\
+            "{{\"name\":{},\"cat\":\"protocol\",\"ph\":\"i\",\"s\":\"t\",\
              \"ts\":{},\"pid\":0,\"tid\":{},\"args\":{}}}",
-            escape_json(r.event.name()),
+            escape(r.event.name()),
             r.at.as_micros(),
             r.source.index(),
             round_arg,

@@ -18,6 +18,8 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use guesstimate_core::json::escape;
+
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -386,15 +388,15 @@ impl Registry {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"type\":\"{}\",\"labels\":{{",
-                escape_json(&e.name),
+                "{{\"name\":{},\"type\":\"{}\",\"labels\":{{",
+                escape(&e.name),
                 e.instrument.type_name()
             ));
             for (j, (k, v)) in e.labels.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)));
+                out.push_str(&format!("{}:{}", escape(k), escape(v)));
             }
             out.push('}');
             match &e.instrument {
@@ -449,23 +451,6 @@ pub fn escape_label(v: &str) -> String {
 /// Escapes a Prometheus HELP string: `\` → `\\`, newline → `\n`.
 pub fn escape_help(v: &str) -> String {
     v.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Escapes a JSON string value.
-pub fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

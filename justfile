@@ -1,101 +1,64 @@
 # Developer workflow. Run `just check` before sending a change.
+#
+# Every recipe is a name for one step of scripts/check.sh, where the
+# commands (and what each gate enforces) live.
 
-# Everything CI would run, in order.
-check: fmt clippy doc test analyze shards mc-smoke bench-snapshot bench-shards
+# Everything CI's check step runs, in order.
+check:
+    ./scripts/check.sh
 
 # Formatting gate (no writes).
 fmt:
-    cargo fmt --all --check
+    ./scripts/check.sh fmt
 
-# Lint gate: the whole workspace, tests and bins included, warnings fatal.
+# Lint gate: warnings fatal.
 clippy:
-    cargo clippy --workspace --all-targets -- -D warnings
+    ./scripts/check.sh clippy
 
-# Doc gate: rustdoc warnings (broken intra-doc links, missing docs on the
-# public protocol surface) are fatal.
+# Doc gate: rustdoc warnings fatal.
 doc:
-    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+    ./scripts/check.sh doc
 
-# The full test suite (unit + integration + doctests, every crate).
+# The full test suite.
 test:
-    cargo test --workspace -q
+    ./scripts/check.sh test
 
-# Effect-analysis lint: conflict matrices for all six apps; any undeclared
-# effect, footprint under-approximation, nondeterminism, or witness-refuted
-# footprint (undeclared read/write) is fatal.
+# Effect-analysis lint over all six apps.
 analyze:
-    cargo run -q -p guesstimate-analysis --bin analyze
+    ./scripts/check.sh analyze
 
-# Shard-plan gate: derive + sanitize + witness-check every app's ShardPlan
-# and archive it, then re-derive and require the archive byte-identical
-# (deterministic derivation; docs/ANALYSIS.md "Shard plans").
+# Shard-plan gate: derive, sanitize, witness-check, byte-identical re-derive.
 shards:
-    cargo run -q -p guesstimate-analysis --bin analyze -- --shard-plan --json target/shard_plans.json
-    cargo run -q -p guesstimate-analysis --bin analyze -- --shard-plan --json target/shard_plans_again.json > /dev/null
-    cmp target/shard_plans.json target/shard_plans_again.json
+    ./scripts/check.sh shards
 
-# Effect-witness soundness, all three layers (docs/ANALYSIS.md "Soundness"):
-# the analyzer's witness sanitizer over the six apps, the core witness
-# recorder's unit tests, the runtime's apply-site containment tests, and
-# the model checker's sneaky-preset detection + shrink regression — plus
-# the same three layers for shard plans (static sanitizer + witness escape
-# check in `shards`, the runtime shard-containment tests, and the mc
-# mis-keyed-preset detection + shrink regression).
-sanitize: shards
-    cargo run -q -p guesstimate-analysis --bin analyze
-    cargo test -q -p guesstimate-core witness
-    cargo test -q -p guesstimate-runtime undeclared_read
-    cargo test -q --test mc_regressions under_declared_read
-    cargo test -q -p guesstimate-runtime shard
-    cargo test -q --test mc_regressions mis_keyed
+# Effect-witness soundness, all three layers (effects and shard plans).
+sanitize:
+    ./scripts/check.sh sanitize
 
-# Model-checker smoke: a quick bounded exploration of every preset
-# (debug build, small budget) — catches oracle violations early. The
-# cross-group preset runs separately: it explores a multi-group cluster
-# shape with its own oracles, so `all` does not include it.
+# Model-checker smoke: small bounded exploration of every scenario.
 mc-smoke:
-    cargo run -q -p guesstimate-mc --bin mc -- --preset all --max-schedules 400
-    cargo run -q -p guesstimate-mc --bin mc -- --preset cross-group --max-schedules 400
+    ./scripts/check.sh mc-smoke
 
-# Telemetry smoke: fixed-seed fig5 with metrics + spans + exporters on;
-# validates the observability invariants and artifact well-formedness,
-# and refreshes BENCH_pr4.json (docs/OBSERVABILITY.md).
+# Telemetry smoke; refreshes BENCH_pr4/6/8/9.json.
 bench-snapshot:
-    ./scripts/bench_snapshot.sh
+    ./scripts/check.sh bench-snapshot
 
-# Shard-scaling gate: fixed-seed multi-group run over ThreadedNet at
-# 1/2/4/8 sync groups; validates per-group stage partitioning and the
-# >= 2.5x 4-group throughput gate, and refreshes BENCH_pr10.json
-# (docs/PROTOCOL.md "Multi-group synchronization").
+# Shard-scaling gate; refreshes BENCH_pr10.json.
 bench-shards:
-    ./scripts/bench_shards.sh
+    ./scripts/check.sh bench-shards
 
-# Causal cluster report: run fig5 (short, traced) and then the obs
-# report binary over its trace + spans — the merged happens-before
-# timeline, the per-op lag waterfall, re-execution attribution, and
-# guess-divergence windows (docs/OBSERVABILITY.md "Lag waterfalls").
+# Causal cluster report over a short traced fig5.
 obs:
-    cargo run --release -q -p guesstimate-bench --bin fig5_sync_distribution 120 42 > /dev/null
-    cargo run --release -q -p guesstimate-obs --bin obs
+    ./scripts/check.sh obs
 
-# The CI model-checking gate: release build, full budget, with the
-# validated commute matrix from the effect analysis; requires >= 10k
-# schedules per preset and >= 30% pruning from the reduction.
+# The CI model-checking gate: full budget, validated matrix, gated.
 mc:
-    cargo run -q -p guesstimate-analysis --bin analyze -- --json target/analysis.json > /dev/null
-    cargo run --release -q -p guesstimate-mc --bin mc -- --preset all \
-        --matrix target/analysis.json --max-schedules 12000 \
-        --min-schedules 10000 --min-prune 0.30
-    cargo run --release -q -p guesstimate-mc --bin mc -- --preset cross-group \
-        --max-schedules 12000 --min-schedules 10000
+    ./scripts/check.sh mc
 
 # Tier-1 smoke: what the release gate runs.
 tier1:
-    cargo build --release
-    cargo test -q
+    ./scripts/check.sh tier1
 
 # Regenerate the paper's headline figures with traces enabled.
 figures:
-    cargo run --release -p guesstimate-bench --bin fig5_sync_distribution
-    cargo run --release -p guesstimate-bench --bin fig6_sync_vs_users
-    cargo run --release -p guesstimate-bench --bin failure_recovery
+    ./scripts/check.sh figures

@@ -1,31 +1,102 @@
 #!/usr/bin/env sh
-# The `just check` pipeline for environments without `just`.
+# The one list of gates. `check.sh [step...]` runs the named steps in the
+# order given; with no arguments it runs everything a change must pass
+# (`just check`, CI's first step). Every justfile recipe and every CI step
+# calls this script, so a command lives in exactly one place.
 set -eu
 cd "$(dirname "$0")/.."
 
-cargo fmt --all --check
-cargo clippy --workspace --all-targets -- -D warnings
-# Doc gate: rustdoc warnings (broken intra-doc links, missing docs on the
-# public protocol surface) are fatal.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
-cargo test --workspace -q
-# Effect-analysis lint: undeclared effects, footprint under-approximations,
-# nondeterminism and witness-refuted footprints (undeclared reads/writes
-# caught by perturbation probing — `just sanitize` runs this plus the
-# runtime/mc layers in isolation) fail the check (docs/ANALYSIS.md).
-# `--shard-plan` additionally derives, sanitizes and witness-checks each
-# app's ShardPlan (docs/ANALYSIS.md "Shard plans"); the second run must
-# produce a byte-identical archive (deterministic derivation).
-cargo run -q -p guesstimate-analysis --bin analyze -- --shard-plan --json target/shard_plans.json
-cargo run -q -p guesstimate-analysis --bin analyze -- --shard-plan --json target/shard_plans_again.json > /dev/null
-cmp target/shard_plans.json target/shard_plans_again.json
-# Model-checker smoke: bounded exploration of every preset with all
-# oracles armed (docs/MODELCHECK.md) — `all` includes the hybrid
-# `message_board` preset, whose step oracle checks committed-digest
-# agreement under the commute-first async commit path. The full-budget
-# gated run is CI's `mc` step / `just mc`.
-cargo run -q -p guesstimate-mc --bin mc -- --preset all --max-schedules 400
-# Telemetry smoke: fixed-seed fig5 with the observability stack on,
-# self-validated invariants + artifact well-formedness
-# (docs/OBSERVABILITY.md).
-./scripts/bench_snapshot.sh
+CHECK="fmt clippy doc test analyze shards mc-smoke bench-snapshot bench-shards"
+
+analyze() {
+    cargo run -q -p guesstimate-analysis --bin analyze -- "$@"
+}
+
+step() {
+    case "$1" in
+    fmt) cargo fmt --all --check ;;
+    # The whole workspace, tests and bins included, warnings fatal.
+    clippy) cargo clippy --workspace --all-targets -- -D warnings ;;
+    # Rustdoc warnings (broken intra-doc links, missing docs on the public
+    # protocol surface) are fatal.
+    doc) RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q ;;
+    # Unit + integration + doctests, every crate.
+    test) cargo test --workspace -q ;;
+    # Effect-analysis lint: conflict matrices for all six apps; any
+    # undeclared effect, footprint under-approximation, nondeterminism or
+    # witness-refuted footprint is fatal (docs/ANALYSIS.md).
+    analyze) analyze ;;
+    # Shard-plan gate: derive + sanitize + witness-check every app's
+    # ShardPlan and archive it, then re-derive and require the archive
+    # byte-identical (docs/ANALYSIS.md "Shard plans").
+    shards)
+        analyze --shard-plan --json target/shard_plans.json
+        analyze --shard-plan --json target/shard_plans_again.json >/dev/null
+        cmp target/shard_plans.json target/shard_plans_again.json
+        ;;
+    # Model-checker smoke: a quick bounded exploration of every scenario
+    # in the table (debug build, small budget) with all oracles armed
+    # (docs/MODELCHECK.md).
+    mc-smoke)
+        cargo run -q -p guesstimate-mc --bin mc -- --preset all --max-schedules 400
+        ;;
+    # The model-checking gate: release build, full budget, the commute
+    # matrix the effect analysis just validated; every scenario must reach
+    # 10k schedules with >= 30% of choices pruned by the reduction. Repros
+    # and postmortems land in target/.
+    mc)
+        analyze --shard-plan --json target/analysis.json >/dev/null
+        cargo run --release -q -p guesstimate-mc --bin mc -- --preset all \
+            --matrix target/analysis.json --max-schedules 12000 \
+            --min-schedules 10000 --min-prune 0.30 --out target
+        ;;
+    # Telemetry smoke: fixed-seed fig5 with metrics + spans + exporters on;
+    # validates the observability invariants and artifact well-formedness,
+    # and refreshes BENCH_pr4/6/8/9.json (docs/OBSERVABILITY.md).
+    bench-snapshot) ./scripts/bench_snapshot.sh ;;
+    # Shard-scaling gate: fixed-seed multi-group run over ThreadedNet at
+    # 1/2/4/8 sync groups; refreshes BENCH_pr10.json (docs/PROTOCOL.md
+    # "Multi-group synchronization").
+    bench-shards) ./scripts/bench_shards.sh ;;
+    # Effect-witness soundness, all three layers (docs/ANALYSIS.md
+    # "Soundness"): the analyzer's witness sanitizer, the core witness
+    # recorder, the runtime's apply-site containment, and the model
+    # checker's sneaky-preset detection + shrink regression -- plus the
+    # same three layers for shard plans.
+    sanitize)
+        step shards
+        step analyze
+        cargo test -q -p guesstimate-core witness
+        cargo test -q -p guesstimate-runtime undeclared_read
+        cargo test -q --test mc_regressions under_declared_read
+        cargo test -q -p guesstimate-runtime shard
+        cargo test -q --test mc_regressions mis_keyed
+        ;;
+    # Causal cluster report: a short traced fig5, then the obs report over
+    # its trace + spans (docs/OBSERVABILITY.md "Lag waterfalls").
+    obs)
+        cargo run --release -q -p guesstimate-bench --bin fig5_sync_distribution 120 42 >/dev/null
+        cargo run --release -q -p guesstimate-obs --bin obs
+        ;;
+    # What the release gate runs.
+    tier1)
+        cargo build --release
+        cargo test -q
+        ;;
+    # The paper's headline figures, traces enabled.
+    figures)
+        cargo run --release -p guesstimate-bench --bin fig5_sync_distribution
+        cargo run --release -p guesstimate-bench --bin fig6_sync_vs_users
+        cargo run --release -p guesstimate-bench --bin failure_recovery
+        ;;
+    *)
+        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc sanitize obs tier1 figures)" >&2
+        exit 2
+        ;;
+    esac
+}
+
+[ $# -gt 0 ] || set -- $CHECK
+for s in "$@"; do
+    step "$s"
+done

@@ -34,13 +34,9 @@ fn checked_in_schedules_replay_as_recorded() {
         let text = std::fs::read_to_string(&path).expect("schedule file readable");
         let sched = Schedule::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         let report = replay(&sched, &matrix).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        // `cross-group` lives outside PRESETS (it explores a different
-        // cluster shape) but is a positive preset: its schedules must
-        // replay clean.
-        let negative_preset = sched.preset != guesstimate_mc::CROSS_GROUP
-            && guesstimate_mc::PRESETS
-                .iter()
-                .all(|p| p.name != sched.preset);
+        let negative_preset = guesstimate_mc::PRESETS
+            .iter()
+            .all(|p| p.name != sched.preset);
         if sched.tamper.is_some() || negative_preset {
             assert!(
                 report.violation.is_some(),
@@ -245,8 +241,7 @@ fn generate_message_board_async_gap_schedule() {
 
     let preset = *Preset::by_name("message_board").expect("built-in preset");
     let matrix = CommuteMatrix::new();
-    let effective = preset.effective_matrix(&matrix);
-    let mut built = preset.build(&effective, None);
+    let mut built = preset.build_machines(&matrix, None);
     let mut steps = Vec::new();
 
     let mut gap: Vec<(u64, u64)> = built
@@ -312,44 +307,31 @@ fn generate_message_board_async_gap_schedule() {
 #[test]
 #[ignore = "generator for the checked-in cross-group schedule"]
 fn generate_cross_group_coordinated_round_schedule() {
-    use guesstimate_mc::multigroup;
-
-    let mut built = multigroup::build();
+    let matrix = CommuteMatrix::new();
+    let preset = Preset::by_name(guesstimate_mc::CROSS_GROUP).expect("in the table");
+    let mut built = preset.build(&matrix, None).expect("no tamper to refuse");
     let mut steps = Vec::new();
     let mut guard = 0u32;
     loop {
         guard += 1;
         assert!(guard < 100_000, "drain failed to converge");
-        assert_eq!(multigroup::check_step(&built.net), None);
-        let pending = built.net.pending_msgs();
-        if let Some(&seq) = pending.last() {
-            assert!(built.net.deliver(seq));
-            steps.push(Step::Deliver(seq));
-            continue;
-        }
-        let node0 = built
-            .net
-            .actor(guesstimate_core::MachineId::new(0))
-            .expect("node 0");
-        let rounds_done = built.base_rounds.iter().all(|(&g, &base)| {
-            node0
-                .group(g)
-                .is_some_and(|m| m.stats().syncs_seen >= base + 2)
-        });
-        if rounds_done && node0.cross_resolved() == 1 {
-            break;
-        }
-        assert!(built.net.fire_next_timer(), "drain stalled");
-        steps.push(Step::Timer);
+        assert_eq!(built.check_step(), None);
+        let next = match built.pending_msgs().last() {
+            Some(&seq) => Step::Deliver(seq),
+            None if built.window_done() => break,
+            None => Step::Timer,
+        };
+        assert!(built.exec(next), "drain stalled at {next}");
+        steps.push(next);
     }
-    assert_eq!(multigroup::check_terminal(&built.net), None);
+    assert_eq!(built.check_terminal(), None);
 
     let sched = Schedule {
-        preset: guesstimate_mc::CROSS_GROUP.to_owned(),
+        preset: preset.name.to_owned(),
         tamper: None,
         steps,
     };
-    let report = replay(&sched, &CommuteMatrix::new()).expect("dispatches to multigroup");
+    let report = replay(&sched, &matrix).expect("known preset");
     assert!(report.violation.is_none(), "{:?}", report.violation);
     println!("{}", sched.to_json());
 }
