@@ -100,6 +100,21 @@ fn bench_store_copy(c: &mut Criterion) {
             b.iter(|| dst.copy_from(&src))
         });
     }
+    // What a round pays on a big store: 256 boards held, one touched by a
+    // commit and one by a pending guess, then the delta resync.
+    let mut sc = ObjectStore::new();
+    for i in 0..256 {
+        sc.insert(board_id(i), Box::new(sudoku::example_puzzle()));
+    }
+    let mut sg = ObjectStore::new();
+    sg.sync_from(&mut sc);
+    g.bench_function("sync_256_boards_2_dirty", |b| {
+        b.iter(|| {
+            sc.get_mut(board_id(0));
+            sg.get_mut(board_id(1));
+            sg.sync_from(&mut sc)
+        })
+    });
     g.finish();
 }
 

@@ -3,11 +3,31 @@
 //! The GUESSTIMATE runtime keeps, on every machine, *two copies* of each
 //! shared object the machine has joined — one backing the committed state and
 //! one backing the guesstimated state (§4). An [`ObjectStore`] is one such
-//! replica set. Stores support whole-store copying ([`ObjectStore::copy_from`],
-//! the `sc → sg` copy at the end of each synchronization) and canonical
-//! digests used to check cross-machine convergence.
+//! replica set. Stores support canonical digests, used to check
+//! cross-machine convergence, and two ways of making one store equal
+//! another:
+//!
+//! * [`ObjectStore::sync_from`] — the **delta resync**, the `sc → sg` copy
+//!   at the end of each synchronization. A store records the ids it has
+//!   been mutated on since it last took part in a resync (its *dirty set*),
+//!   and the resync visits only `sc.dirty ∪ sg.dirty`: a round costs what
+//!   it touched, not what the store holds (the paper's §9 names the
+//!   whole-store copy as its scaling limitation).
+//! * [`ObjectStore::copy_from`] — the whole-store copy, for a store that
+//!   has no resync history with its source: a freshly installed `sc` at
+//!   join, [`Clone`], and the invariant oracle that must not trust the
+//!   dirty sets.
+//!
+//! Dirty marking is by construction, not by declaration: the object map is
+//! private, and every way in that can change one entry — `insert`, `remove`,
+//! `get_mut` / `get_as_mut`, [`ObjectAccess::apply`] — marks the id (a
+//! whole `copy_from` leaves the pair identical everywhere, so it has
+//! nothing to mark). It is conservative (a mutable borrow that changes
+//! nothing still marks) and trusts no operation footprint. A failed
+//! `Atomic` never reaches the store (its overlay clones through `&self`),
+//! and a committed overlay marks what it writes back, through `apply`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::exec::ObjectAccess;
 use crate::ids::ObjectId;
@@ -43,6 +63,10 @@ use crate::value::{value_digest, Value};
 #[derive(Default)]
 pub struct ObjectStore {
     objects: BTreeMap<ObjectId, Box<dyn SharedObject>>,
+    /// Ids whose entry may have changed since this store last took part in
+    /// a [`ObjectStore::sync_from`]. Invariant for the `sc`/`sg` pair: an id
+    /// in neither store's set holds logically identical entries in both.
+    dirty: BTreeSet<ObjectId>,
 }
 
 impl ObjectStore {
@@ -72,12 +96,17 @@ impl ObjectStore {
         id: ObjectId,
         object: Box<dyn SharedObject>,
     ) -> Option<Box<dyn SharedObject>> {
+        self.dirty.insert(id);
         self.objects.insert(id, object)
     }
 
     /// Removes the object under `id`.
     pub fn remove(&mut self, id: ObjectId) -> Option<Box<dyn SharedObject>> {
-        self.objects.remove(&id)
+        let removed = self.objects.remove(&id);
+        if removed.is_some() {
+            self.dirty.insert(id);
+        }
+        removed
     }
 
     /// Borrows the object under `id`.
@@ -85,9 +114,12 @@ impl ObjectStore {
         self.objects.get(&id).map(|b| &**b)
     }
 
-    /// Mutably borrows the object under `id`.
+    /// Mutably borrows the object under `id`, marking it dirty: the store
+    /// cannot see what the borrower does, so it assumes a write.
     pub fn get_mut(&mut self, id: ObjectId) -> Option<&mut (dyn SharedObject + 'static)> {
-        self.objects.get_mut(&id).map(|b| &mut **b)
+        let obj = self.objects.get_mut(&id)?;
+        self.dirty.insert(id);
+        Some(&mut **obj)
     }
 
     /// Borrows the object under `id` downcast to its concrete type.
@@ -118,7 +150,10 @@ impl ObjectStore {
     /// [`SharedObject::copy_from`]; objects only in `src` are cloned in;
     /// objects only in `self` are removed. After the call the two stores hold
     /// logically identical state. This is the whole-store analog of the
-    /// paper's `Copy` and implements the committed-to-guesstimated state copy.
+    /// paper's `Copy`. It neither reads nor changes a dirty set: the stores
+    /// end up identical everywhere, so whatever marks either carries stay a
+    /// superset of what a later [`ObjectStore::sync_from`] between the two
+    /// must visit.
     ///
     /// If an id is occupied by a *different concrete type* in the two stores
     /// (possible only when an application reuses ids across types), the
@@ -128,14 +163,28 @@ impl ObjectStore {
     pub fn copy_from(&mut self, src: &ObjectStore) {
         self.objects.retain(|id, _| src.objects.contains_key(id));
         for (id, obj) in &src.objects {
-            let in_place = match self.objects.get_mut(id) {
-                Some(mine) => mine.copy_from(&**obj).is_ok(),
-                None => false,
-            };
-            if !in_place {
-                self.objects.insert(*id, obj.clone_boxed());
-            }
+            copy_entry(&mut self.objects, *id, Some(&**obj));
         }
+    }
+
+    /// The delta resync: makes this store logically identical to `src` by
+    /// visiting only the ids either store has been mutated on since the
+    /// two were last identical — copied in place, cloned in, or removed,
+    /// exactly as [`ObjectStore::copy_from`] treats every id — and then
+    /// clears both dirty sets. Returns the number of ids visited.
+    ///
+    /// This is the `sc → sg` copy of §4 (`sg.sync_from(&mut sc)`). A dirty
+    /// set is relative to the one partner a store resyncs with: the two
+    /// must have been identical once (both empty, or one a whole
+    /// [`ObjectStore::copy_from`] / [`Clone`] of the other), and neither
+    /// may have been resynced with a third store since.
+    pub fn sync_from(&mut self, src: &mut ObjectStore) -> usize {
+        let mut ids = std::mem::take(&mut self.dirty);
+        ids.append(&mut src.dirty);
+        for id in &ids {
+            copy_entry(&mut self.objects, *id, src.objects.get(id).map(|b| &**b));
+        }
+        ids.len()
     }
 
     /// Canonical snapshot of the entire store: a map from object id strings
@@ -151,6 +200,26 @@ impl ObjectStore {
     /// Deterministic digest of the whole store, for convergence checks.
     pub fn digest(&self) -> u64 {
         value_digest(&self.snapshot())
+    }
+}
+
+/// The per-object step of both copies: makes `objects[id]` logically
+/// identical to `src` (the source store's entry under `id`, if any).
+fn copy_entry(
+    objects: &mut BTreeMap<ObjectId, Box<dyn SharedObject>>,
+    id: ObjectId,
+    src: Option<&dyn SharedObject>,
+) {
+    let Some(src) = src else {
+        objects.remove(&id);
+        return;
+    };
+    let in_place = match objects.get_mut(&id) {
+        Some(mine) => mine.copy_from(src).is_ok(),
+        None => false,
+    };
+    if !in_place {
+        objects.insert(id, src.clone_boxed());
     }
 }
 
@@ -191,13 +260,17 @@ impl ObjectAccess for ObjectStore {
 }
 
 #[cfg(test)]
+#[path = "store_sync_tests.rs"]
+mod sync_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::RestoreError;
     use crate::ids::MachineId;
 
     #[derive(Clone, Default, Debug, PartialEq)]
-    struct Num(i64);
+    pub(super) struct Num(pub(super) i64);
     impl GState for Num {
         const TYPE_NAME: &'static str = "Num";
         fn snapshot(&self) -> Value {
@@ -210,7 +283,7 @@ mod tests {
     }
 
     #[derive(Clone, Default, Debug, PartialEq)]
-    struct Txt(String);
+    pub(super) struct Txt(pub(super) String);
     impl GState for Txt {
         const TYPE_NAME: &'static str = "Txt";
         fn snapshot(&self) -> Value {
@@ -222,7 +295,7 @@ mod tests {
         }
     }
 
-    fn oid(m: u32, s: u64) -> ObjectId {
+    pub(super) fn oid(m: u32, s: u64) -> ObjectId {
         ObjectId::new(MachineId::new(m), s)
     }
 

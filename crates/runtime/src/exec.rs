@@ -147,37 +147,14 @@ impl Machine {
         } else {
             // §4 steps (i)-(iii): copy committed onto guesstimated, run the
             // pending completion routines, replay the still-pending operations.
-            self.guess.copy_from(&self.committed);
+            self.resync_guess();
             self.stats.completions_run += queue.run_all() as u64;
-            let still_pending: Vec<WireEnvelope> = self.pending.iter().cloned().collect();
-            for env in &still_pending {
-                let _ = execute_wire_checked(
-                    &env.op,
-                    &mut self.guess,
-                    &self.registry,
-                    &self.cfg,
-                    self.id,
-                    "replay",
-                    &mut self.witness_log,
-                );
-                self.stats.replays += 1;
-                *self.exec_counts.entry(env.id).or_insert(0) += 1;
-            }
-            if !still_pending.is_empty() {
-                let cause = if ordered.iter().any(|e| e.id.machine() != self.id) {
-                    ReplayCause::ForeignConflict
-                } else {
-                    ReplayCause::RoundReplay
-                };
-                self.trace(
-                    now,
-                    TraceEvent::Reexecuted {
-                        round,
-                        pending: still_pending.len() as u64,
-                        cause,
-                    },
-                );
-            }
+            let cause = if ordered.iter().any(|e| e.id.machine() != self.id) {
+                ReplayCause::ForeignConflict
+            } else {
+                ReplayCause::RoundReplay
+            };
+            self.replay_pending("replay", Some((round, cause, now)), true);
         }
         self.stats.rounds_applied += 1;
         for object in remote_touched {
@@ -191,6 +168,54 @@ impl Machine {
             self.drain_async(now);
         }
         n
+    }
+
+    /// The `sc → sg` copy of §4 as a delta: only the objects either store
+    /// was mutated on since the last resync are copied, cloned in or
+    /// removed (see [`ObjectStore::sync_from`]).
+    pub(crate) fn resync_guess(&mut self) {
+        self.stats.objects_resynced += self.guess.sync_from(&mut self.committed) as u64;
+    }
+
+    /// Replays the pending list `P` onto `sg`, in order — the second half
+    /// of every rebuild of `sg = [P](sc)`; the caller has just copied
+    /// `sc → sg`. `site` labels the apply site for witness checks; `traced`
+    /// is the `(round, cause, now)` of the [`TraceEvent::Reexecuted`] to
+    /// emit when anything replayed; `count_execs` says whether the replays
+    /// count against the paper's ≤ 3-executions-per-op budget.
+    pub(crate) fn replay_pending(
+        &mut self,
+        site: &'static str,
+        traced: Option<(u64, ReplayCause, SimTime)>,
+        count_execs: bool,
+    ) {
+        for env in &self.pending {
+            let _ = execute_wire_checked(
+                &env.op,
+                &mut self.guess,
+                &self.registry,
+                &self.cfg,
+                self.id,
+                site,
+                &mut self.witness_log,
+            );
+            self.stats.replays += 1;
+            if count_execs {
+                *self.exec_counts.entry(env.id).or_insert(0) += 1;
+            }
+        }
+        let pending = self.pending.len() as u64;
+        match traced {
+            Some((round, cause, now)) if pending > 0 => self.trace(
+                now,
+                TraceEvent::Reexecuted {
+                    round,
+                    pending,
+                    cause,
+                },
+            ),
+            _ => {}
+        }
     }
 
     /// Decides whether this round's rebuild of `sg = [P](sc)` may be
@@ -326,37 +351,18 @@ impl Machine {
             // snapshot; re-apply them from the (restart-surviving) window.
             self.restore_unseen_asyncs(own_watermark, now);
         }
+        // A freshly installed `sc` shares no resync history with `sg`, so
+        // this one copy is whole-store.
         self.guess.copy_from(&self.committed);
-        let still_pending: Vec<WireEnvelope> = self.pending.iter().cloned().collect();
-        for env in &still_pending {
+        for env in &self.pending {
             if let WireOp::Create {
                 object, type_name, ..
             } = &env.op
             {
                 self.catalog.insert(*object, type_name.clone());
             }
-            let _ = execute_wire_checked(
-                &env.op,
-                &mut self.guess,
-                &self.registry,
-                &self.cfg,
-                self.id,
-                "join-replay",
-                &mut self.witness_log,
-            );
-            self.stats.replays += 1;
-            *self.exec_counts.entry(env.id).or_insert(0) += 1;
         }
-        if !still_pending.is_empty() {
-            self.trace(
-                now,
-                TraceEvent::Reexecuted {
-                    round: 0,
-                    pending: still_pending.len() as u64,
-                    cause: ReplayCause::JoinReplay,
-                },
-            );
-        }
+        self.replay_pending("join-replay", Some((0, ReplayCause::JoinReplay, now)), true);
         self.membership.joined_system = true;
         // Round bookkeeping restarts with the new membership epoch: the
         // first BeginSync after (re-)admission re-anchors the numbering.

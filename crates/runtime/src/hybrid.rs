@@ -417,7 +417,9 @@ impl Machine {
     /// [`Machine::reset_for_restart`] deliberately keeps, along with the
     /// monotone `aseq_next`). Re-applying them here keeps the issuer
     /// consistent with receivers that *did* get the original broadcasts,
-    /// and the still-windowed entries re-fence to everyone else.
+    /// and the still-windowed entries re-fence to everyone else. Only `sc`
+    /// is patched: after a restart `sg` holds no objects to patch, and the
+    /// join's whole-store copy that follows rebuilds it from `sc` anyway.
     ///
     /// Completion routines for these operations were already run in the
     /// previous incarnation and are not re-run.
@@ -439,16 +441,6 @@ impl Machine {
                 &mut self.witness_log,
             )
             .expect("restore: async ops touch only objects committed before issue");
-            let _ = execute_wire_checked(
-                &env.op,
-                &mut self.guess,
-                &self.registry,
-                &self.cfg,
-                self.id,
-                "async-restore",
-                &mut self.witness_log,
-            )
-            .expect("restore: sg holds every object sc holds");
             self.completed.push(env.id);
             if self.cfg.record_history {
                 self.history.push(env.clone());
@@ -648,6 +640,46 @@ mod tests {
         // A replayed duplicate of sender 1's aseq 0 is now absorbed.
         joiner.handle_async_op(MachineId::new(1), 0, put_env(1, 0, obj, "a"), SimTime::ZERO);
         assert_eq!(joiner.stats.committed_async_foreign, 0);
+    }
+
+    /// A restarted issuer rejoins with an own async commit the master never
+    /// saw still in its fence window. `sg` is empty at that point, so the
+    /// restore must patch `sc` alone and leave `sg` to the join's copy.
+    #[test]
+    fn rejoin_after_restart_restores_unseen_own_asyncs() {
+        let mut m = hybrid_machine(1);
+        let obj = ObjectId::new(MachineId::new(0), 0);
+        // aseq 0 reached the master before the restart, aseq 1 did not.
+        m.async_window = vec![(0, put_env(1, 0, obj, "a")), (1, put_env(1, 1, obj, "b"))];
+        m.aseq_next = 2;
+        m.reset_for_restart();
+        assert_eq!(m.async_window.len(), 2, "the fence window survives");
+        let seen = crate::testutil::Slots {
+            m: [("a".to_owned(), 1)].into(),
+        };
+        m.init_from_join_info(
+            vec![crate::message::ObjectInit {
+                id: obj,
+                type_name: "Slots".into(),
+                state: guesstimate_core::GState::snapshot(&seen),
+            }],
+            vec![OpId::new(m.id(), 0)],
+            Vec::new(),
+            vec![(MachineId::new(0), 0), (m.id(), 1)],
+            SimTime::ZERO,
+        );
+        assert_eq!(
+            m.completed_ops(),
+            &[OpId::new(m.id(), 0), OpId::new(m.id(), 1)],
+            "the unseen op is in C exactly once"
+        );
+        let slots = |s: &crate::testutil::Slots| s.m.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(
+            m.read_committed(obj, slots),
+            Some(vec!["a".into(), "b".into()])
+        );
+        assert_eq!(m.read(obj, slots), Some(vec!["a".into(), "b".into()]));
+        assert!(m.check_guess_invariant());
     }
 
     #[test]

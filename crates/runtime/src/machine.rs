@@ -548,29 +548,18 @@ impl Machine {
         }
     }
 
-    /// Re-establishes `sg = [P](sc)` from scratch after an out-of-band
-    /// committed-store write (the cross coordinated-round write-back):
-    /// copy `sc → sg`, then replay the pending list in order.
+    /// Re-establishes `sg = [P](sc)` after an out-of-band committed-store
+    /// write (the cross coordinated-round write-back, which marks what it
+    /// overwrites like any other store write): resync `sc → sg`, then
+    /// replay the pending list in order.
     ///
     /// Replays here are extension-level re-executions attributable to the
     /// cross round, *outside* the paper's ≤3-executions-per-op budget; they
     /// are counted in [`crate::MachineStats::replays`] but deliberately do
     /// not bump the per-op `exec_counts` consumed by that bound.
     pub(crate) fn rebuild_guess_from_committed(&mut self) {
-        self.guess.copy_from(&self.committed);
-        let still_pending: Vec<WireEnvelope> = self.pending.iter().cloned().collect();
-        for env in &still_pending {
-            let _ = crate::exec::execute_wire_checked(
-                &env.op,
-                &mut self.guess,
-                &self.registry,
-                &self.cfg,
-                self.id,
-                "cross-rebuild",
-                &mut self.witness_log,
-            );
-            self.stats.replays += 1;
-        }
+        self.resync_guess();
+        self.replay_pending("cross-rebuild", None, false);
     }
 
     /// All objects this machine knows about: `(id, type name)` pairs

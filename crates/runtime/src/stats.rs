@@ -90,6 +90,11 @@ pub struct MachineStats {
     /// operation that would have been replayed had the round's foreign
     /// commits not provably commuted with the whole pending queue.
     pub replays_skipped: u64,
+    /// Objects visited by the delta `sc → sg` resyncs
+    /// ([`guesstimate_core::ObjectStore::sync_from`]): per resync, the ids
+    /// either store was mutated on since the previous one. The whole-store
+    /// copy at join is not counted.
+    pub objects_resynced: u64,
     /// Times this machine was restarted by recovery.
     pub restarts: u64,
     /// Times this machine promoted itself to master (failover extension).

@@ -55,6 +55,10 @@ obs:
 mc:
     ./scripts/check.sh mc
 
+# Benchmark smoke: the BENCHMARK.json command with --check (about 25 s).
+perf-check:
+    ./scripts/check.sh perf
+
 # Tier-1 smoke: what the release gate runs.
 tier1:
     ./scripts/check.sh tier1

@@ -58,6 +58,14 @@ step() {
     # 1/2/4/8 sync groups; refreshes BENCH_pr10.json (docs/PROTOCOL.md
     # "Multi-group synchronization").
     bench-shards) ./scripts/bench_shards.sh ;;
+    # Benchmark smoke: the BENCHMARK.json command with `--check` -- the
+    # shortest run of every workload in both modes (about 25 s); fails
+    # unless the emitted metric names are exactly BENCHMARK.json's and every
+    # output check passes (crates/bench/src/bin/perf/README.md).
+    perf)
+        cargo run --release --offline -q \
+            --manifest-path crates/bench/src/bin/perf/Cargo.toml -- --check
+        ;;
     # Effect-witness soundness, all three layers (docs/ANALYSIS.md
     # "Soundness"): the analyzer's witness sanitizer, the core witness
     # recorder, the runtime's apply-site containment, and the model
@@ -90,7 +98,7 @@ step() {
         cargo run --release -p guesstimate-bench --bin failure_recovery
         ;;
     *)
-        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc sanitize obs tier1 figures)" >&2
+        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf sanitize obs tier1 figures)" >&2
         exit 2
         ;;
     esac
