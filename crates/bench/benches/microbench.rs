@@ -10,10 +10,12 @@
 //! * `snapshot_digest` — canonical snapshot + digest of a Sudoku board
 //!   (convergence checking).
 //! * `sim_round` — one full synchronization round of a simulated 4-machine
-//!   cluster (protocol + virtual network bookkeeping).
+//!   cluster (protocol + virtual network bookkeeping): nearly idle, and
+//!   with 256 pending ops to consolidate, commute-skip off and on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use guesstimate_apps::message_board::{self, MessageBoard};
 use guesstimate_apps::sudoku::{self, Sudoku};
 use guesstimate_core::{
     args, execute, GState, MachineId, ObjectId, ObjectStore, OpRegistry, SharedOp,
@@ -167,12 +169,63 @@ fn bench_sim_round(c: &mut Criterion) {
     });
 }
 
+/// A round that carries real load: 64 `like` ops pending on each of 4
+/// machines (own key per machine, so every cross-machine pair commutes by
+/// footprint), all flushed, consolidated and committed by the next
+/// synchronization. Timed with commute-skip off (copy + replay) and on
+/// (the pairwise judgment, then patching `sg` in place).
+fn bench_sim_round_loaded(c: &mut Criterion) {
+    for (name, commute_skip) in [
+        ("sim_round/4_machines_256_pending_ops", false),
+        ("sim_round/4_machines_256_pending_ops_commute_skip", true),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let cfg = MachineConfig::default()
+                        .with_sync_period(SimTime::from_millis(50))
+                        .with_stall_timeout(SimTime::from_secs(2))
+                        .with_commute_skip(commute_skip);
+                    let netcfg = NetConfig::lan(7).with_latency(LatencyModel::constant_ms(5));
+                    let mut registry = OpRegistry::new();
+                    message_board::register(&mut registry);
+                    let mut net = sim_cluster(4, registry, cfg, netcfg);
+                    assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
+                    let board = net
+                        .actor_mut(MachineId::new(0))
+                        .unwrap()
+                        .create_instance(MessageBoard::new());
+                    let settle = net.now() + SimTime::from_secs(2);
+                    net.run_until(settle);
+                    for i in 0..4u32 {
+                        let m = net.actor_mut(MachineId::new(i)).unwrap();
+                        for _ in 0..64 {
+                            let like = message_board::ops::like(board, &format!("post-{i}"));
+                            assert!(m.issue(like).unwrap());
+                        }
+                    }
+                    net
+                },
+                |mut net| {
+                    let t = net.now() + SimTime::from_millis(200);
+                    net.run_until(t);
+                    let committed = net.actor(MachineId::new(0)).unwrap().completed_len();
+                    assert_eq!(committed, 1 + 256);
+                    committed
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_issue,
     bench_atomic_overhead,
     bench_store_copy,
     bench_snapshot_digest,
-    bench_sim_round
+    bench_sim_round,
+    bench_sim_round_loaded
 );
 criterion_main!(benches);

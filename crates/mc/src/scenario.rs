@@ -705,10 +705,11 @@ impl Preset {
                 if seen != t.nth || i == j || i >= ops.len() || j >= ops.len() {
                     return false;
                 }
-                // Swap the *ids*: receivers key a round's batch by id and
-                // apply in id order, so this inverts the victim's commit
-                // order for the two operations. The batch is shared behind
-                // an Arc; clone-on-write so only this delivery is corrupted.
+                // Swap the *ids*: a receiver re-sorts a batch that arrives
+                // out of id order and applies it in id order, so this
+                // inverts the victim's commit order for the two operations.
+                // The batch is shared behind an Arc; clone-on-write so only
+                // this delivery is corrupted.
                 let ops = std::sync::Arc::make_mut(ops);
                 let a = ops[i].id;
                 ops[i].id = ops[j].id;

@@ -458,17 +458,19 @@ impl<A: Actor> SimNet<A> {
         let duplicate = dup_p > 0.0 && self.rng.gen_bool(dup_p);
         let lat = self.cfg.model_for(channel).sample(&mut self.rng);
         let at = self.now + lat;
+        // Only the rare duplicated leg pays for a copy of the message.
+        let copy = duplicate.then(|| msg.clone());
         self.push(
             at,
             EventKind::Deliver {
                 from,
                 to,
                 channel,
-                msg: msg.clone(),
+                msg,
                 stamp,
             },
         );
-        if duplicate {
+        if let Some(msg) = copy {
             self.metrics.duplicated += 1;
             let lat2 = self.cfg.model_for(channel).sample(&mut self.rng);
             self.push(

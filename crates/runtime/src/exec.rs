@@ -21,11 +21,14 @@ use crate::commute;
 use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::message::{ObjectInit, WireEnvelope, WireOp};
+use crate::roles::OpsBatch;
 
 impl Machine {
-    /// Applies one round's consolidated, ordered operation list to the
-    /// committed state, then re-establishes `sg = [P](sc)`: copy `sc → sg`,
-    /// run queued completion routines, replay remaining pending operations.
+    /// Applies one round's consolidated operation list — the received
+    /// `runs`, one sorted batch per machine, end to end in machine order —
+    /// to the committed state, then re-establishes `sg = [P](sc)`: copy
+    /// `sc → sg`, run queued completion routines, replay remaining pending
+    /// operations.
     ///
     /// With [`crate::MachineConfig::commute_skip`] enabled, the rebuild is
     /// elided whenever every foreign commit provably commutes with the whole
@@ -35,29 +38,22 @@ impl Machine {
     /// Returns the number of operations committed.
     pub(crate) fn apply_committed_round(
         &mut self,
-        ordered: Vec<WireEnvelope>,
+        runs: &[OpsBatch],
         round: u64,
         now: SimTime,
     ) -> u64 {
+        let me = self.id;
+        let foreign = || round_ops(runs).filter(move |e| e.id.machine() != me);
         // The commutation judgment must see the pending list *before* the
         // commit loop below pops own operations off its front.
-        let skip = self.cfg.commute_skip && self.can_skip_replay(&ordered);
+        let skip = self.cfg.commute_skip && self.can_skip_replay(runs);
         let mut queue = CompletionQueue::new();
         let mut remote_touched: BTreeSet<ObjectId> = BTreeSet::new();
-        let n = ordered.len() as u64;
-        for env in &ordered {
+        for env in round_ops(runs) {
             if env.id.machine() != self.id && !self.remote_hooks.is_empty() {
-                match &env.op {
-                    WireOp::Create { object, .. } => {
-                        remote_touched.insert(*object);
-                    }
-                    WireOp::Shared(op) => {
-                        remote_touched.extend(op.objects_touched());
-                    }
-                    // Markers touch no state; the wrapper fires hooks for the
-                    // payload's objects when the coordinated round resolves.
-                    WireOp::CrossMarker { .. } => {}
-                }
+                // A marker touches nothing here: the wrapper fires hooks for
+                // its payload's objects when the coordinated round resolves.
+                remote_touched.extend(commute::wire_objects(&env.op));
             }
             if let WireOp::Create {
                 object, type_name, ..
@@ -65,53 +61,39 @@ impl Machine {
             {
                 self.catalog.insert(*object, type_name.clone());
             }
-            let result = execute_wire_checked(
-                &env.op,
-                &mut self.committed,
-                &self.registry,
-                &self.cfg,
-                self.id,
-                "commit",
-                &mut self.witness_log,
-            )
-            .expect("commit: registries must agree on every machine");
-            self.note_shard_commit(&env.op, "commit");
+            let result = self.commit_op(env, "commit", true, true);
             if matches!(env.op, WireOp::CrossMarker { .. }) {
                 // Hand the committed marker to the multi-group wrapper: its
                 // position in this group's commit order *is* the agreed
                 // interleaving point of the coordinated round.
                 self.cross_commits.push(env.clone());
             }
-            self.completed.push(env.id);
-            self.completed_serialized.push(env.id);
-            if self.cfg.record_history {
-                self.history.push(env.clone());
-            }
-            if env.id.machine() == self.id {
-                let count = self.exec_counts.remove(&env.id).unwrap_or(0) + 1;
-                self.stats.record_exec_count(count);
-                self.stats.committed_own += 1;
-                self.telemetry.op_committed(env.id, round, count, now);
-                if !result {
-                    // Succeeded at issue (only successful ops are enqueued),
-                    // failed at commit: a conflict (Figure 7).
-                    self.stats.conflicts += 1;
-                }
-                match self.pending.front() {
-                    Some(front) if front.id == env.id => {
-                        self.pending.pop_front();
-                    }
-                    _ => debug_assert!(false, "own op committed out of pending order"),
-                }
-                if let Some(c) = self.completions.remove(&env.id) {
-                    queue.push(env.id, result, c);
-                    self.telemetry.op_completed(env.id, now);
-                }
-                if let Some(t) = self.issue_times.remove(&env.id) {
-                    self.stats.commit_latencies.push(now.saturating_since(t));
-                }
-            } else {
+            if env.id.machine() != self.id {
                 self.stats.committed_foreign += 1;
+                continue;
+            }
+            // Own ops commit in issue order, so this one heads `P`.
+            let own = match self.pending.front() {
+                Some(front) if front.env.id == env.id => self.pending.pop_front(),
+                _ => None,
+            };
+            debug_assert!(own.is_some(), "own op committed out of pending order");
+            let count = own.as_ref().map_or(0, |p| p.execs) + 1;
+            self.stats.record_exec_count(count);
+            self.stats.committed_own += 1;
+            self.telemetry.op_committed(env.id, round, count, now);
+            if !result {
+                // Succeeded at issue (only successful ops are enqueued),
+                // failed at commit: a conflict (Figure 7).
+                self.stats.conflicts += 1;
+            }
+            let (completion, issued_at) = own.map_or((None, None), |p| (p.completion, p.issued_at));
+            if let Some(c) = completion {
+                queue.push(env.id, result, c);
+                self.telemetry.op_completed(env.id, now);
+            }
+            if let Some(t) = issued_at {
+                self.stats.commit_latencies.push(now.saturating_since(t));
             }
         }
         if skip {
@@ -120,19 +102,17 @@ impl Machine {
             // ops: own committed ops already acted first in `sg` (they sat
             // at the front of `P`), and the still-pending tail need not
             // re-execute. Skipped replays do not count as executions, so
-            // `exec_counts` is deliberately left alone.
-            for env in &ordered {
-                if env.id.machine() != self.id {
-                    let _ = execute_wire_checked(
-                        &env.op,
-                        &mut self.guess,
-                        &self.registry,
-                        &self.cfg,
-                        self.id,
-                        "commute-skip",
-                        &mut self.witness_log,
-                    );
-                }
+            // the records' `execs` are deliberately left alone.
+            for env in foreign() {
+                let _ = execute_wire_checked(
+                    &env.op,
+                    &mut self.guess,
+                    &self.registry,
+                    &self.cfg,
+                    self.id,
+                    "commute-skip",
+                    &mut self.witness_log,
+                );
             }
             let skipped = self.pending.len() as u64;
             self.stats.replays_skipped += skipped;
@@ -149,7 +129,7 @@ impl Machine {
             // pending completion routines, replay the still-pending operations.
             self.resync_guess();
             self.stats.completions_run += queue.run_all() as u64;
-            let cause = if ordered.iter().any(|e| e.id.machine() != self.id) {
+            let cause = if foreign().next().is_some() {
                 ReplayCause::ForeignConflict
             } else {
                 ReplayCause::RoundReplay
@@ -167,7 +147,45 @@ impl Machine {
         if self.cfg.async_commit {
             self.drain_async(now);
         }
-        n
+        runs.iter().map(|run| run.len() as u64).sum()
+    }
+
+    /// The one commit step, shared by the round commit and the three async
+    /// commit sites: execute `env` on `sc` (witness-checked under `site`),
+    /// label its shard when `count_shard`, append it to `C` — and to the
+    /// serialized subsequence when `serialized` — and record history.
+    /// Returns the commit-time result. Stats, telemetry and completions
+    /// differ per site and stay with the caller.
+    pub(crate) fn commit_op(
+        &mut self,
+        env: &WireEnvelope,
+        site: &'static str,
+        serialized: bool,
+        count_shard: bool,
+    ) -> bool {
+        let result = execute_wire_checked(
+            &env.op,
+            &mut self.committed,
+            &self.registry,
+            &self.cfg,
+            self.id,
+            site,
+            &mut self.witness_log,
+        )
+        .unwrap_or_else(|e| {
+            panic!("{site}: registries and catalogs must agree on every machine: {e:?}")
+        });
+        if count_shard {
+            self.note_shard_commit(&env.op, site);
+        }
+        self.completed.push(env.id);
+        if serialized {
+            self.completed_serialized.push(env.id);
+        }
+        if self.cfg.record_history {
+            self.history.push(env.clone());
+        }
+        result
     }
 
     /// The `sc → sg` copy of §4 as a delta: only the objects either store
@@ -189,9 +207,9 @@ impl Machine {
         traced: Option<(u64, ReplayCause, SimTime)>,
         count_execs: bool,
     ) {
-        for env in &self.pending {
+        for p in &mut self.pending {
             let _ = execute_wire_checked(
-                &env.op,
+                &p.env.op,
                 &mut self.guess,
                 &self.registry,
                 &self.cfg,
@@ -201,7 +219,7 @@ impl Machine {
             );
             self.stats.replays += 1;
             if count_execs {
-                *self.exec_counts.entry(env.id).or_insert(0) += 1;
+                p.execs += 1;
             }
         }
         let pending = self.pending.len() as u64;
@@ -232,13 +250,13 @@ impl Machine {
     /// [`guesstimate_core::EffectSpec`]s (see [`crate::commute`]). Any pair
     /// left unproven — including any operation whose method lacks a
     /// declared effect — forces the full rebuild.
-    fn can_skip_replay(&self, ordered: &[WireEnvelope]) -> bool {
+    fn can_skip_replay(&self, runs: &[OpsBatch]) -> bool {
         if self.pending.is_empty() {
             return false; // nothing to skip; the rebuild is a plain copy
         }
         // Objects created this round are not in the catalog yet.
         let mut created: BTreeMap<ObjectId, String> = BTreeMap::new();
-        for env in ordered {
+        for env in round_ops(runs) {
             if let WireOp::Create {
                 object, type_name, ..
             } = &env.op
@@ -255,9 +273,9 @@ impl Machine {
         let pending_objs: Vec<(&WireEnvelope, BTreeSet<ObjectId>)> = self
             .pending
             .iter()
-            .map(|env| (env, commute::wire_objects(&env.op)))
+            .map(|p| (&p.env, commute::wire_objects(&p.env.op)))
             .collect();
-        for f in ordered.iter().filter(|e| e.id.machine() != self.id) {
+        for f in round_ops(runs).filter(|e| e.id.machine() != self.id) {
             let f_objs = commute::wire_objects(&f.op);
             let mut f_fps: Option<BTreeMap<ObjectId, Footprint>> = None;
             for (p, p_objs) in &pending_objs {
@@ -354,10 +372,10 @@ impl Machine {
         // A freshly installed `sc` shares no resync history with `sg`, so
         // this one copy is whole-store.
         self.guess.copy_from(&self.committed);
-        for env in &self.pending {
+        for p in &self.pending {
             if let WireOp::Create {
                 object, type_name, ..
-            } = &env.op
+            } = &p.env.op
             {
                 self.catalog.insert(*object, type_name.clone());
             }
@@ -386,11 +404,9 @@ impl Machine {
         self.telemetry
             .machine_restarted(self.id, self.pending.len() as u64);
         self.stats.ops_lost_to_restart += self.pending.len() as u64;
-        self.stats.completions_dropped += self.completions.len() as u64;
+        let with_completion = self.pending.iter().filter(|p| p.completion.is_some());
+        self.stats.completions_dropped += with_completion.count() as u64;
         self.pending.clear();
-        self.completions.clear();
-        self.exec_counts.clear();
-        self.issue_times.clear();
         self.committed = ObjectStore::new();
         self.guess = ObjectStore::new();
         self.catalog.clear();
@@ -409,6 +425,11 @@ impl Machine {
         self.participant.round = None;
         self.participant.buffered.clear();
     }
+}
+
+/// A round's consolidated list: its runs laid end to end, by reference.
+fn round_ops(runs: &[OpsBatch]) -> impl Iterator<Item = &WireEnvelope> {
+    runs.iter().flat_map(|run| run.iter())
 }
 
 /// Executes a wire operation against a store.

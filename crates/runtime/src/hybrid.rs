@@ -150,17 +150,7 @@ impl Machine {
         ctx: &mut Ctx<'_, Msg>,
     ) -> Result<bool, ExecError> {
         let now = ctx.now();
-        let outcome = crate::exec::execute_shared_checked(
-            &op,
-            &mut self.guess,
-            &self.registry,
-            &self.cfg,
-            self.id,
-            "async-issue",
-            &mut self.witness_log,
-        )?;
-        if !outcome.is_success() {
-            self.stats.issue_failures += 1;
+        if !self.try_on_guess(&op, "async-issue")? {
             return Ok(false);
         }
         let op_id = self.next_op_id();
@@ -168,21 +158,7 @@ impl Machine {
             id: op_id,
             op: WireOp::Shared(op),
         };
-        let result = execute_wire_checked(
-            &env.op,
-            &mut self.committed,
-            &self.registry,
-            &self.cfg,
-            self.id,
-            "async-commit",
-            &mut self.witness_log,
-        )
-        .expect("async commit: the op just executed on sg, so sc must accept it");
-        self.note_shard_commit(&env.op, "async-commit");
-        self.completed.push(op_id);
-        if self.cfg.record_history {
-            self.history.push(env.clone());
-        }
+        let result = self.commit_op(&env, "async-commit", false, true);
         self.stats.issued += 1;
         self.stats.record_exec_count(2);
         self.stats.committed_own += 1;
@@ -306,16 +282,7 @@ impl Machine {
     /// survives appending it to both sides), record it, fire remote-update
     /// hooks.
     fn apply_async_foreign(&mut self, env: WireEnvelope) {
-        let _ = execute_wire_checked(
-            &env.op,
-            &mut self.committed,
-            &self.registry,
-            &self.cfg,
-            self.id,
-            "async-apply",
-            &mut self.witness_log,
-        )
-        .expect("async apply: registries must agree on every machine");
+        self.commit_op(&env, "async-apply", false, true);
         let _ = execute_wire_checked(
             &env.op,
             &mut self.guess,
@@ -326,11 +293,6 @@ impl Machine {
             &mut self.witness_log,
         )
         .expect("async apply: sg holds every object sc holds");
-        self.note_shard_commit(&env.op, "async-apply");
-        self.completed.push(env.id);
-        if self.cfg.record_history {
-            self.history.push(env.clone());
-        }
         self.stats.committed_foreign += 1;
         self.stats.committed_async_foreign += 1;
         if !self.remote_hooks.is_empty() {
@@ -431,22 +393,10 @@ impl Machine {
                 continue; // folded into the join snapshot we just installed
             }
             restored += 1;
-            let _ = execute_wire_checked(
-                &env.op,
-                &mut self.committed,
-                &self.registry,
-                &self.cfg,
-                self.id,
-                "async-restore",
-                &mut self.witness_log,
-            )
-            .expect("restore: async ops touch only objects committed before issue");
-            self.completed.push(env.id);
-            if self.cfg.record_history {
-                self.history.push(env.clone());
-            }
-            // No telemetry here: the op's span was already committed in the
-            // previous incarnation, and the shared handle kept it.
+            // No shard count and no telemetry here: the op's span was
+            // already committed (and counted) in the previous incarnation,
+            // and the shared handle kept it.
+            self.commit_op(env, "async-restore", false, false);
             self.stats.record_exec_count(1);
             self.stats.committed_own += 1;
             self.stats.committed_async_own += 1;

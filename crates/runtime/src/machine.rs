@@ -58,11 +58,10 @@ pub struct Machine {
     pub(crate) cfg: MachineConfig,
 
     // --- The §3 machine state ---
-    pub(crate) committed: ObjectStore,          // sc
-    pub(crate) guess: ObjectStore,              // sg
-    pub(crate) pending: VecDeque<WireEnvelope>, // P
-    pub(crate) completed: Vec<OpId>,            // C (identities)
-    pub(crate) completions: HashMap<OpId, CompletionFn>,
+    pub(crate) committed: ObjectStore,       // sc
+    pub(crate) guess: ObjectStore,           // sg
+    pub(crate) pending: VecDeque<PendingOp>, // P
+    pub(crate) completed: Vec<OpId>,         // C (identities)
 
     // --- Object catalog (AvailableObjects) ---
     pub(crate) catalog: BTreeMap<ObjectId, String>,
@@ -70,8 +69,6 @@ pub struct Machine {
     // --- Issue bookkeeping ---
     pub(crate) op_seq: u64,
     pub(crate) obj_seq: u64,
-    pub(crate) exec_counts: HashMap<OpId, u32>,
-    pub(crate) issue_times: HashMap<OpId, SimTime>,
 
     // --- Hybrid commit path (MachineConfig::async_commit) ---
     /// Next async sequence number to stamp on an async-committed op.
@@ -119,6 +116,20 @@ pub struct Machine {
     pub(crate) telemetry: Telemetry,
 }
 
+/// One entry of the pending list `P`: the paper's `(operation, completion)`
+/// pair plus what the commit needs to account for it. Built only by
+/// [`Machine::enqueue`]; the round commit pops it off the front of `P`.
+pub(crate) struct PendingOp {
+    /// The `(machineId, opNumber, op)` triple a flush ships.
+    pub(crate) env: WireEnvelope,
+    /// Executions so far: the issue-time run plus every counted replay.
+    pub(crate) execs: u32,
+    /// The completion routine, run with the commit-time result.
+    pub(crate) completion: Option<CompletionFn>,
+    /// Issue time, when the caller stamped one (commit-latency stats).
+    pub(crate) issued_at: Option<SimTime>,
+}
+
 /// Callback invoked after a synchronization commits *foreign* operations
 /// touching an object (see [`Machine::on_remote_update`]).
 pub type RemoteUpdateHook = Box<dyn FnMut(ObjectId) + Send>;
@@ -164,12 +175,9 @@ impl Machine {
             guess: ObjectStore::new(),
             pending: VecDeque::new(),
             completed: Vec::new(),
-            completions: HashMap::new(),
             catalog: BTreeMap::new(),
             op_seq: 0,
             obj_seq: 0,
-            exec_counts: HashMap::new(),
-            issue_times: HashMap::new(),
             aseq_next: 0,
             async_window: Vec::new(),
             async_in: BTreeMap::new(),
@@ -338,8 +346,8 @@ impl Machine {
     /// model's invariant.
     pub fn check_guess_invariant(&self) -> bool {
         let mut replay = self.committed.clone();
-        for env in &self.pending {
-            let _ = execute_wire(&env.op, &mut replay, &self.registry);
+        for p in &self.pending {
+            let _ = execute_wire(&p.env.op, &mut replay, &self.registry);
         }
         replay.digest() == self.guess.digest()
     }
@@ -408,29 +416,9 @@ impl Machine {
     /// Panics if `T` was not registered with the shared [`OpRegistry`] —
     /// every machine must be able to construct every shared type.
     pub fn create_instance<T: GState>(&mut self, init: T) -> ObjectId {
-        assert!(
-            self.registry.has_type(T::TYPE_NAME),
-            "create_instance: type {:?} is not registered",
-            T::TYPE_NAME
-        );
         let object = ObjectId::new(self.id, self.obj_seq);
         self.obj_seq += 1;
-        let snap = GState::snapshot(&init);
-        self.catalog.insert(object, T::TYPE_NAME.to_owned());
-        self.guess.insert(object, Box::new(init));
-        let op_id = self.next_op_id();
-        self.pending.push_back(WireEnvelope {
-            id: op_id,
-            op: WireOp::Create {
-                object,
-                type_name: T::TYPE_NAME.to_owned(),
-                init: snap,
-            },
-        });
-        self.exec_counts.insert(op_id, 1);
-        self.stats.issued += 1;
-        self.telemetry.op_issued(op_id, None);
-        self.note_pending_depth();
+        self.create_instance_as(object, init);
         object
     }
 
@@ -445,29 +433,21 @@ impl Machine {
     pub(crate) fn create_instance_as<T: GState>(&mut self, object: ObjectId, init: T) {
         assert!(
             self.registry.has_type(T::TYPE_NAME),
-            "create_instance_as: type {:?} is not registered",
+            "create_instance: type {:?} is not registered",
             T::TYPE_NAME
         );
         assert!(
             !self.catalog.contains_key(&object),
-            "create_instance_as: object {object:?} already exists"
+            "create_instance: object {object:?} already exists"
         );
-        let snap = GState::snapshot(&init);
+        let create = WireOp::Create {
+            object,
+            type_name: T::TYPE_NAME.to_owned(),
+            init: GState::snapshot(&init),
+        };
         self.catalog.insert(object, T::TYPE_NAME.to_owned());
         self.guess.insert(object, Box::new(init));
-        let op_id = self.next_op_id();
-        self.pending.push_back(WireEnvelope {
-            id: op_id,
-            op: WireOp::Create {
-                object,
-                type_name: T::TYPE_NAME.to_owned(),
-                init: snap,
-            },
-        });
-        self.exec_counts.insert(op_id, 1);
-        self.stats.issued += 1;
-        self.telemetry.op_issued(op_id, None);
-        self.note_pending_depth();
+        self.enqueue(create, None, None);
     }
 
     /// Appends a [`WireOp::CrossMarker`] to the pending list (multi-group
@@ -483,22 +463,37 @@ impl Machine {
         groups: Vec<u32>,
         op: SharedOp,
     ) -> OpId {
-        let op_id = self.next_op_id();
-        self.pending.push_back(WireEnvelope {
-            id: op_id,
-            op: WireOp::CrossMarker {
-                xid,
-                origin,
-                oseq,
-                groups,
-                op,
-            },
+        let marker = WireOp::CrossMarker {
+            xid,
+            origin,
+            oseq,
+            groups,
+            op,
+        };
+        self.enqueue(marker, None, None)
+    }
+
+    /// Appends one operation to the pending list `P` — the only way in.
+    /// The caller has already run it on `sg` (rule R2), which is the one
+    /// execution the record starts with.
+    pub(crate) fn enqueue(
+        &mut self,
+        op: WireOp,
+        completion: Option<CompletionFn>,
+        issued_at: Option<SimTime>,
+    ) -> OpId {
+        let id = self.next_op_id();
+        self.pending.push_back(PendingOp {
+            env: WireEnvelope { id, op },
+            execs: 1,
+            completion,
+            issued_at,
         });
-        self.exec_counts.insert(op_id, 1);
         self.stats.issued += 1;
-        self.telemetry.op_issued(op_id, None);
-        self.note_pending_depth();
-        op_id
+        self.telemetry.op_issued(id, issued_at);
+        let depth = self.pending.len() as u64;
+        self.stats.max_pending_depth = self.stats.max_pending_depth.max(depth);
+        id
     }
 
     /// Drains the committed-but-unresolved cross markers (commit order).
@@ -645,43 +640,34 @@ impl Machine {
         completion: Option<CompletionFn>,
         issued_at: Option<SimTime>,
     ) -> Result<bool, ExecError> {
+        if !self.try_on_guess(&op, "issue")? {
+            return Ok(false);
+        }
+        self.enqueue(WireOp::Shared(op), completion, issued_at);
+        Ok(true)
+    }
+
+    /// The first half of rule R2, shared by the serialized and the async
+    /// issue paths: run `op` on `sg`. A failure there is counted and the
+    /// operation goes no further.
+    pub(crate) fn try_on_guess(
+        &mut self,
+        op: &SharedOp,
+        site: &'static str,
+    ) -> Result<bool, ExecError> {
         let outcome = crate::exec::execute_shared_checked(
-            &op,
+            op,
             &mut self.guess,
             &self.registry,
             &self.cfg,
             self.id,
-            "issue",
+            site,
             &mut self.witness_log,
         )?;
         if !outcome.is_success() {
             self.stats.issue_failures += 1;
-            return Ok(false);
         }
-        let op_id = self.next_op_id();
-        self.pending.push_back(WireEnvelope {
-            id: op_id,
-            op: WireOp::Shared(op),
-        });
-        self.exec_counts.insert(op_id, 1);
-        if let Some(c) = completion {
-            self.completions.insert(op_id, c);
-        }
-        if let Some(t) = issued_at {
-            self.issue_times.insert(op_id, t);
-        }
-        self.stats.issued += 1;
-        self.telemetry.op_issued(op_id, issued_at);
-        self.note_pending_depth();
-        Ok(true)
-    }
-
-    /// Updates the pending-list high-water mark after a push.
-    fn note_pending_depth(&mut self) {
-        let depth = self.pending.len() as u64;
-        if depth > self.stats.max_pending_depth {
-            self.stats.max_pending_depth = depth;
-        }
+        Ok(outcome.is_success())
     }
 
     /// Reads a shared object's guesstimated state, isolated from concurrent

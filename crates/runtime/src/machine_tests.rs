@@ -7,6 +7,16 @@ use super::*;
 use crate::testutil::{counter_registry, Counter};
 use guesstimate_core::args;
 
+/// The still-pending envelopes, in issue order (what a flush would ship).
+fn pending_envs(m: &Machine) -> Vec<WireEnvelope> {
+    m.pending.iter().map(|p| p.env.clone()).collect()
+}
+
+/// Applies `ops` as a one-run round at time zero.
+fn apply(m: &mut Machine, ops: Vec<WireEnvelope>, round: u64) -> u64 {
+    m.apply_committed_round(&[Arc::new(ops)], round, SimTime::ZERO)
+}
+
 fn machine() -> Machine {
     Machine::new_master(
         MachineId::new(0),
@@ -84,8 +94,8 @@ fn apply_committed_round_commits_own_ops_and_pops_pending() {
     let mut m = machine();
     let id = m.create_instance(Counter { n: 0 });
     m.issue(SharedOp::primitive(id, "add", args![3])).unwrap();
-    let batch: Vec<WireEnvelope> = m.pending.iter().cloned().collect();
-    let n = m.apply_committed_round(batch, 0, guesstimate_net::SimTime::ZERO);
+    let batch = pending_envs(&m);
+    let n = apply(&mut m, batch, 0);
     assert_eq!(n, 2);
     assert_eq!(m.pending_len(), 0);
     assert_eq!(m.completed_len(), 2);
@@ -110,8 +120,8 @@ fn completion_runs_with_commit_result() {
         Box::new(move |b| s.store(b as i32, Ordering::SeqCst)),
     )
     .unwrap();
-    let batch: Vec<WireEnvelope> = m.pending.iter().cloned().collect();
-    m.apply_committed_round(batch, 0, guesstimate_net::SimTime::ZERO);
+    let batch = pending_envs(&m);
+    apply(&mut m, batch, 0);
     assert_eq!(seen.load(Ordering::SeqCst), 1);
     assert_eq!(m.stats().completions_run, 1);
 }
@@ -123,8 +133,8 @@ fn conflict_detected_when_foreign_op_invalidates_own() {
     let mut m = machine();
     let id = m.create_instance(Counter { n: 0 });
     // Commit creation first so the foreign op can execute.
-    let create: Vec<WireEnvelope> = m.pending.iter().cloned().collect();
-    m.apply_committed_round(create, 0, guesstimate_net::SimTime::ZERO);
+    let create = pending_envs(&m);
+    apply(&mut m, create, 0);
 
     m.issue(SharedOp::primitive(id, "add_capped", args![5, 10]))
         .unwrap();
@@ -134,14 +144,14 @@ fn conflict_detected_when_foreign_op_invalidates_own() {
         id: OpId::new(MachineId::new(1), 0),
         op: WireOp::Shared(SharedOp::primitive(id, "add", args![8])),
     };
-    let own = m.pending.front().cloned().unwrap();
+    let own = m.pending.front().unwrap().env.clone();
     // Foreign machine id 1 > 0? No: lexicographic order puts m0's op
     // first... we want the foreign op to commit BEFORE ours, so give it
     // machine id... m0 < m1, so our op sorts first and would succeed.
     // Apply in explicit order instead: the protocol sorts; here we hand
     // an already-ordered list with the foreign op first, modelling a
     // foreign machine with a smaller id.
-    let n = m.apply_committed_round(vec![foreign, own], 0, guesstimate_net::SimTime::ZERO);
+    let n = apply(&mut m, vec![foreign, own], 0);
     assert_eq!(n, 2);
     assert_eq!(m.stats().conflicts, 1);
     // Committed state has only the foreign add.
@@ -156,16 +166,16 @@ fn replay_of_still_pending_ops_rebuilds_guess() {
     m.issue(SharedOp::primitive(id, "add", args![1])).unwrap();
     // Simulate a round that commits only the creation (as if add was
     // issued after our flush): commit the first pending op only.
-    let create = vec![m.pending.front().cloned().unwrap()];
-    m.apply_committed_round(create, 0, guesstimate_net::SimTime::ZERO);
+    let create = vec![m.pending.front().unwrap().env.clone()];
+    apply(&mut m, create, 0);
     // add(1) is still pending and was replayed onto the fresh guess.
     assert_eq!(m.pending_len(), 1);
     assert_eq!(m.read::<Counter, _>(id, |c| c.n), Some(1));
     assert_eq!(m.read_committed::<Counter, _>(id, |c| c.n), Some(0));
     assert_eq!(m.stats().replays, 1);
     // Now commit it: 3 executions total (issue, replay, commit).
-    let rest: Vec<WireEnvelope> = m.pending.iter().cloned().collect();
-    m.apply_committed_round(rest, 0, guesstimate_net::SimTime::ZERO);
+    let rest = pending_envs(&m);
+    apply(&mut m, rest, 0);
     assert_eq!(m.stats().exec_histogram[3], 1);
     assert!(m.stats().max_exec_count <= 3);
 }
@@ -174,8 +184,8 @@ fn replay_of_still_pending_ops_rebuilds_guess() {
 fn join_info_roundtrip_replicates_state() {
     let mut master = machine();
     let id = master.create_instance(Counter { n: 7 });
-    let batch: Vec<WireEnvelope> = master.pending.iter().cloned().collect();
-    master.apply_committed_round(batch, 0, guesstimate_net::SimTime::ZERO);
+    let batch = pending_envs(&master);
+    apply(&mut master, batch, 0);
 
     let (catalog, completed, completed_serialized, watermarks) = master.build_join_info();
     let mut member = Machine::new_member(
@@ -208,8 +218,8 @@ fn skip_machine(cfg: MachineConfig) -> (Machine, ObjectId) {
         cfg.with_commute_skip(true),
     );
     let id = m.create_instance(Slots::default());
-    let create: Vec<WireEnvelope> = m.pending.iter().cloned().collect();
-    m.apply_committed_round(create, 0, guesstimate_net::SimTime::ZERO);
+    let create = pending_envs(&m);
+    apply(&mut m, create, 0);
     (m, id)
 }
 
@@ -229,15 +239,15 @@ fn foreign_free_round_skips_replay() {
         .unwrap();
     // Commit only the first pending op: the round has no foreign ops, so
     // the rebuild is always skippable.
-    let first = vec![m.pending.front().cloned().unwrap()];
-    m.apply_committed_round(first, 1, guesstimate_net::SimTime::ZERO);
+    let first = vec![m.pending.front().unwrap().env.clone()];
+    apply(&mut m, first, 1);
     assert_eq!(m.stats().replays, 0);
     assert_eq!(m.stats().replays_skipped, 1);
     assert_eq!(m.read::<Slots, _>(id, |s| s.m.len()), Some(2));
     // The skipped replay is not an execution: when the op commits next
     // round, its lifetime count is issue + commit = 2, not 3.
-    let rest: Vec<WireEnvelope> = m.pending.iter().cloned().collect();
-    m.apply_committed_round(rest, 2, guesstimate_net::SimTime::ZERO);
+    let rest = pending_envs(&m);
+    apply(&mut m, rest, 2);
     assert_eq!(m.stats().exec_histogram[2], 3); // create + both puts
     assert_eq!(m.guess_digest(), m.committed_digest());
 }
@@ -247,11 +257,7 @@ fn disjoint_foreign_op_skips_and_patches_guess() {
     let (mut m, id) = skip_machine(MachineConfig::default());
     m.issue(SharedOp::primitive(id, "put", args!["a", 1]))
         .unwrap();
-    let n = m.apply_committed_round(
-        vec![foreign_put(id, 0, "b", 2)],
-        1,
-        guesstimate_net::SimTime::ZERO,
-    );
+    let n = apply(&mut m, vec![foreign_put(id, 0, "b", 2)], 1);
     assert_eq!(n, 1);
     assert_eq!(m.stats().replays, 0);
     assert_eq!(m.stats().replays_skipped, 1);
@@ -275,11 +281,7 @@ fn overlapping_foreign_op_forces_rebuild() {
     let (mut m, id) = skip_machine(MachineConfig::default());
     m.issue(SharedOp::primitive(id, "put", args!["a", 1]))
         .unwrap();
-    m.apply_committed_round(
-        vec![foreign_put(id, 0, "a", 9)],
-        1,
-        guesstimate_net::SimTime::ZERO,
-    );
+    apply(&mut m, vec![foreign_put(id, 0, "a", 9)], 1);
     assert_eq!(m.stats().replays_skipped, 0);
     assert_eq!(m.stats().replays, 1);
     // Local pending put replayed on top of the conflicting foreign one.
@@ -299,7 +301,7 @@ fn undeclared_effect_forces_rebuild_unless_matrix_proves_it() {
         id: OpId::new(MachineId::new(1), 0),
         op: WireOp::Shared(SharedOp::primitive(id, "raw_put", args!["b", 2])),
     };
-    m.apply_committed_round(vec![foreign.clone()], 1, guesstimate_net::SimTime::ZERO);
+    apply(&mut m, vec![foreign.clone()], 1);
     assert_eq!(m.stats().replays, 1);
     assert_eq!(m.stats().replays_skipped, 0);
 
@@ -313,7 +315,7 @@ fn undeclared_effect_forces_rebuild_unless_matrix_proves_it() {
         id: OpId::new(MachineId::new(1), 0),
         op: WireOp::Shared(SharedOp::primitive(id, "raw_put", args!["b", 2])),
     };
-    m.apply_committed_round(vec![foreign], 1, guesstimate_net::SimTime::ZERO);
+    apply(&mut m, vec![foreign], 1);
     assert_eq!(m.stats().replays, 0);
     assert_eq!(m.stats().replays_skipped, 1);
     assert_eq!(m.read::<Slots, _>(id, |s| s.m.len()), Some(2));
@@ -326,11 +328,7 @@ fn skip_emits_round_scoped_trace_event() {
     m.set_tracer(tracer.clone());
     m.issue(SharedOp::primitive(id, "put", args!["a", 1]))
         .unwrap();
-    m.apply_committed_round(
-        vec![foreign_put(id, 0, "b", 2)],
-        7,
-        guesstimate_net::SimTime::ZERO,
-    );
+    apply(&mut m, vec![foreign_put(id, 0, "b", 2)], 7);
     let skips: Vec<_> = tracer
         .snapshot()
         .into_iter()
@@ -364,18 +362,79 @@ fn join_preserves_pre_join_pending_ops() {
 
 #[test]
 fn restart_drops_pending_and_counts() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    let ran = Arc::new(AtomicU32::new(0));
     let mut m = machine();
     let id = m.create_instance(Counter { n: 0 });
-    m.issue_with_completion(SharedOp::primitive(id, "add", args![1]), Box::new(|_| {}))
+    for _ in 0..2 {
+        let ran = ran.clone();
+        m.issue_with_completion(
+            SharedOp::primitive(id, "add", args![1]),
+            Box::new(move |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }),
+        )
         .unwrap();
+    }
     m.reset_for_restart();
     assert_eq!(m.pending_len(), 0);
     assert_eq!(m.completed_len(), 0);
     assert_eq!(m.stats().restarts, 1);
-    assert_eq!(m.stats().ops_lost_to_restart, 2);
-    assert_eq!(m.stats().completions_dropped, 1);
+    assert_eq!(m.stats().ops_lost_to_restart, 3);
+    assert_eq!(m.stats().completions_dropped, 2, "records holding one");
     assert!(!m.is_joined());
     assert!(m.available_objects().is_empty());
+    // The dropped routines are gone for good: a rejoin and a later round
+    // find nothing of the lost ops to complete.
+    m.init_from_join_info(vec![], vec![], vec![], vec![], SimTime::ZERO);
+    apply(&mut m, vec![], 1);
+    assert_eq!(ran.load(Ordering::SeqCst), 0);
+    assert_eq!(m.stats().completions_run, 0);
+}
+
+/// Every way into `P` goes through `Machine::enqueue`, so all four callers
+/// must leave the same bookkeeping behind: one more issued op, the depth
+/// high-water mark at the new length, an `op_issued` span carrying the
+/// caller's timestamp, and a record that starts at one execution.
+#[test]
+fn every_enqueue_caller_keeps_the_same_books() {
+    const AT: SimTime = SimTime::from_millis(7);
+    type Enqueue = fn(&mut Machine, ObjectId);
+    let callers: [(&str, Option<SimTime>, Enqueue); 4] = [
+        ("create_instance", None, |m, _| {
+            m.create_instance(Counter { n: 1 });
+        }),
+        ("create_instance_as", None, |m, _| {
+            m.create_instance_as(ObjectId::new(MachineId::new(9), 0), Counter { n: 1 });
+        }),
+        ("issue_cross_marker", None, |m, obj| {
+            let payload = SharedOp::primitive(obj, "add", args![1]);
+            m.issue_cross_marker(0, MachineId::new(0), 0, vec![0], payload);
+        }),
+        ("issue_inner", Some(AT), |m, obj| {
+            let op = SharedOp::primitive(obj, "add", args![1]);
+            assert!(m.issue_inner(op, None, Some(AT)).unwrap());
+        }),
+    ];
+    for (name, issued_at, enqueue) in callers {
+        let mut m = machine();
+        m.set_telemetry(Telemetry::new());
+        let obj = m.create_instance(Counter { n: 0 });
+        enqueue(&mut m, obj);
+        let p = m.pending.back().unwrap();
+        assert_eq!(p.env.id, OpId::new(m.id(), 1), "{name}: next op number");
+        assert_eq!(p.execs, 1, "{name}");
+        assert_eq!(p.issued_at, issued_at, "{name}");
+        assert_eq!(m.stats().issued, 2, "{name}");
+        assert_eq!(m.stats().max_pending_depth, 2, "{name}");
+        let spans = m.telemetry().spans();
+        let span = spans.iter().find(|s| s.op == p.env.id);
+        assert_eq!(
+            span.map(|s| s.issued_at),
+            Some(issued_at),
+            "{name}: span opened with the record's issue time"
+        );
+    }
 }
 
 #[test]

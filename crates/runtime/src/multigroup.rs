@@ -129,7 +129,7 @@ pub struct GroupSpec {
 /// `(type, component)` pair of the plan, in plan (BTreeMap) order.
 #[derive(Debug, Clone)]
 pub struct GroupTable {
-    plan: Arc<ShardPlan>,
+    router: ShardRouter,
     groups: Vec<GroupSpec>,
     by_key: BTreeMap<(String, u32), GroupId>,
 }
@@ -152,7 +152,7 @@ impl GroupTable {
         }
         assert!(!groups.is_empty(), "shard plan has no components");
         GroupTable {
-            plan,
+            router: ShardRouter::new(plan),
             groups,
             by_key,
         }
@@ -160,7 +160,7 @@ impl GroupTable {
 
     /// The wrapped plan.
     pub fn plan(&self) -> &Arc<ShardPlan> {
-        &self.plan
+        &self.router.plan
     }
 
     /// Number of sync groups.
@@ -190,9 +190,7 @@ impl GroupTable {
     /// a cross-routed operation (the union of the touched types' groups;
     /// every group if no type resolves).
     pub fn route(&self, op: &SharedOp, type_of: &dyn Fn(ObjectId) -> Option<String>) -> GroupRoute {
-        let wire = WireOp::Shared(op.clone());
-        let shard = ShardRouter::new(Arc::clone(&self.plan)).shard_of(&wire, &type_of);
-        match shard {
+        match self.router.shard_of_shared(op, &type_of) {
             ShardId::Local {
                 type_name,
                 component,
@@ -229,7 +227,7 @@ impl GroupTable {
     /// component whose prefixes cover the field (a literal first segment
     /// equal to the field, or a key/wildcard first segment).
     fn owner_of_field(&self, type_name: &str, field: &str) -> Option<GroupId> {
-        let tp = self.plan.types.get(type_name)?;
+        let tp = self.router.plan.types.get(type_name)?;
         for (c, comp) in tp.components.iter().enumerate() {
             for prefix in &comp.prefixes {
                 let covers = match prefix.segs().first() {

@@ -38,7 +38,7 @@ use guesstimate_core::MachineId;
 use guesstimate_net::{Actor, Channel, Ctx, TraceEvent};
 
 use crate::machine::Machine;
-use crate::message::{Msg, WireEnvelope};
+use crate::message::Msg;
 use crate::roles::election::ElectionEvent;
 use crate::roles::master::MasterEvent;
 use crate::roles::membership::MembershipEvent;
@@ -226,7 +226,7 @@ impl Machine {
                     self.participant.start_local_round(round, order)
                 }
                 Effect::Flush => self.do_flush(ctx),
-                Effect::RebroadcastFlush => self.rebroadcast_flush(ctx),
+                Effect::RebroadcastFlush => self.announce_flush(ctx),
                 Effect::MaybeFlushOnTurn => self.maybe_flush_on_turn(ctx),
                 Effect::TryApply => self.try_apply(ctx),
                 Effect::RetryApply => {
@@ -408,45 +408,25 @@ impl Machine {
             return;
         }
         rs.flushed = true;
-        let batch: OpsBatch = Arc::new(self.pending.iter().cloned().collect());
+        let batch: OpsBatch = Arc::new(self.pending.iter().map(|p| p.env.clone()).collect());
         rs.my_flush = Arc::clone(&batch);
-        rs.my_asyncs = Arc::clone(&asyncs);
+        rs.my_asyncs = asyncs;
         let count = batch.len() as u64;
         // Our own ops participate in the consolidated list directly.
-        rs.received.insert(
-            self.id,
-            batch.iter().map(|e| (e.id, e.op.clone())).collect(),
-        );
-        let round = rs.round;
+        rs.received.insert(self.id, Arc::clone(&batch));
         self.telemetry.pending_depth(count);
         for e in batch.iter() {
             self.telemetry.op_flushed(e.id, ctx.now());
         }
-        if count > 0 || !asyncs.is_empty() {
-            ctx.broadcast(
-                Channel::Operations,
-                Msg::Ops {
-                    round,
-                    machine: self.id,
-                    ops: batch,
-                    asyncs,
-                },
-            );
-            self.trace(ctx.now(), TraceEvent::OpsBatchSent { round, ops: count });
-        }
-        ctx.broadcast(
-            Channel::Signals,
-            Msg::FlushDone {
-                round,
-                machine: self.id,
-                count,
-            },
-        );
+        self.announce_flush(ctx);
         self.note_flush_done(self.id, count, ctx);
     }
 
-    /// Re-announces an already-performed flush (recovery nudge path).
-    fn rebroadcast_flush(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    /// Ships the stored flush: the batch (with its async fence) on the
+    /// Operations channel when either is non-empty, then the turn-passing
+    /// `FlushDone` on the Signals channel. Runs once per flush, and again
+    /// for every recovery nudge that asks to see the flush again.
+    fn announce_flush(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let Some(rs) = self.participant.round.as_ref() else {
             return;
         };
@@ -547,28 +527,9 @@ impl Machine {
             }
             return;
         }
-        // Assemble the consolidated pending list in lexicographic
-        // (machineID, operationnumber) order and commit it.
-        let ordered: Vec<WireEnvelope> = {
-            let rs = self.participant.round.as_mut().expect("round active");
-            let counts = rs.counts.as_ref().expect("counts known");
-            let mut ordered = Vec::new();
-            for (m, _) in counts.iter() {
-                if let Some(ops) = rs.received.get(m) {
-                    ordered.extend(ops.iter().map(|(id, op)| WireEnvelope {
-                        id: *id,
-                        op: op.clone(),
-                    }));
-                }
-            }
-            // counts is a BTreeMap (sorted by machine) and each inner map is
-            // sorted by OpId, so `ordered` is already lexicographic; the
-            // debug assertion guards the invariant.
-            debug_assert!(ordered.windows(2).all(|w| w[0].id < w[1].id));
-            rs.received.clear();
-            ordered
-        };
-        let n = self.apply_committed_round(ordered, round, ctx.now());
+        let rs = self.participant.round.as_mut().expect("round active");
+        let runs = rs.take_runs();
+        let n = self.apply_committed_round(&runs, round, ctx.now());
         // After the replay the pending list is exactly the set of ops on
         // `sg` but not yet in `sc` — the guesstimate-health divergence.
         self.telemetry.divergence(self.pending.len() as u64);

@@ -18,7 +18,7 @@ use guesstimate_core::{MachineId, OpId};
 use guesstimate_net::{Channel, SimTime, TraceEvent};
 
 use crate::config::MachineConfig;
-use crate::message::{Msg, WireOp};
+use crate::message::{Msg, WireEnvelope};
 use crate::roles::{AsyncBatch, Effect, OpsBatch};
 
 /// Participant-side state of the round in progress (the master keeps one
@@ -42,8 +42,10 @@ pub struct RoundState {
     pub(crate) my_asyncs: AsyncBatch,
     /// Per-machine flushed-op counts heard via `FlushDone` (turn-taking).
     pub(crate) flush_done: BTreeMap<MachineId, u64>,
-    /// Operation batches received so far, per source machine.
-    pub(crate) received: BTreeMap<MachineId, BTreeMap<OpId, WireOp>>,
+    /// The run received from each source machine so far: its flushed
+    /// batch, strictly ascending by id (see [`sorted_run`]). A repeated
+    /// delivery of the same flush replaces the entry.
+    pub(crate) received: BTreeMap<MachineId, OpsBatch>,
     /// Authoritative per-machine counts from `BeginApply`, once known.
     pub(crate) counts: Option<BTreeMap<MachineId, u64>>,
     /// Whether this machine has applied the consolidated list.
@@ -70,6 +72,25 @@ impl RoundState {
         }
     }
 
+    /// Takes the consolidated list stage 2 applies: the received runs of
+    /// the machines `BeginApply` counted, in machine order — which, every
+    /// run being sorted, is the paper's lexicographic `(machineId,
+    /// opNumber)` order. Anything received from an uncounted machine is
+    /// discarded with the rest of `received`.
+    pub(crate) fn take_runs(&mut self) -> Vec<OpsBatch> {
+        let counts = self.counts.as_ref().expect("counts known");
+        let runs: Vec<OpsBatch> = counts
+            .keys()
+            .filter_map(|m| self.received.remove(m))
+            .collect();
+        self.received.clear();
+        debug_assert!(runs
+            .iter()
+            .flat_map(|run| run.iter())
+            .is_sorted_by(|a, b| a.id < b.id));
+        runs
+    }
+
     /// Serial turn-taking: `me` may flush once every earlier machine in
     /// the round order has flushed (or been removed).
     pub(crate) fn my_turn(&self, me: MachineId) -> bool {
@@ -83,6 +104,19 @@ impl RoundState {
             .iter()
             .all(|m| self.flush_done.contains_key(m) || self.removed.contains(m))
     }
+}
+
+/// A received batch as the run stage 2 applies. A flush ships `P` in issue
+/// order, so an honest batch is already strictly ascending by id and is
+/// kept as the sender's own allocation. Anything else was corrupted in
+/// flight and is put in the order an id-keyed map would give it: sorted by
+/// id, the last of any duplicates winning.
+fn sorted_run(ops: OpsBatch) -> OpsBatch {
+    if ops.is_sorted_by(|a, b| a.id < b.id) {
+        return ops;
+    }
+    let by_id: BTreeMap<OpId, &WireEnvelope> = ops.iter().map(|e| (e.id, e)).collect();
+    Arc::new(by_id.into_values().cloned().collect())
 }
 
 /// Inputs to the participant role. Round-scoped events are only fed for
@@ -220,10 +254,7 @@ impl ParticipantRole {
                     return Vec::new();
                 }
                 let n = ops.len() as u64;
-                let entry = rs.received.entry(machine).or_default();
-                for e in ops.iter() {
-                    entry.insert(e.id, e.op.clone());
-                }
+                rs.received.insert(machine, sorted_run(ops));
                 vec![
                     Effect::Trace(TraceEvent::OpsBatchReceived {
                         round: rs.round,
@@ -398,8 +429,8 @@ mod tests {
     //! Pure step-level tests: no net driver — events in, effects out.
 
     use super::*;
-    use crate::message::WireEnvelope;
-    use guesstimate_core::{ObjectId, OpId, SharedOp};
+    use crate::message::WireOp;
+    use guesstimate_core::{ObjectId, SharedOp};
 
     fn id(n: u32) -> MachineId {
         MachineId::new(n)
@@ -562,6 +593,104 @@ mod tests {
             2,
             "batch retained for the apply"
         );
+    }
+
+    fn env(machine: u32, seq: u64, payload: i64) -> WireEnvelope {
+        WireEnvelope {
+            id: OpId::new(id(machine), seq),
+            op: WireOp::Shared(SharedOp::primitive(
+                ObjectId::new(id(machine), 0),
+                "noop",
+                guesstimate_core::args![payload],
+            )),
+        }
+    }
+
+    #[test]
+    fn in_order_batch_is_kept_by_reference_and_a_swapped_one_is_sorted() {
+        let c = cfg();
+        let mut p = ParticipantRole::new(id(1));
+        p.step(begin_sync(1), SimTime::ZERO, &c);
+        let honest = batch(0, 3);
+        let ops = Arc::clone(&honest);
+        p.step(
+            ParticipantEvent::Ops {
+                machine: id(0),
+                ops,
+            },
+            SimTime::ZERO,
+            &c,
+        );
+        assert!(
+            Arc::ptr_eq(&p.round.as_ref().unwrap().received[&id(0)], &honest),
+            "an ascending batch is stored as the sender's allocation"
+        );
+        // The corruption `sudoku-tamper-swap.json` injects: two ids traded.
+        let swapped = Arc::new(vec![env(0, 1, 10), env(0, 0, 11), env(0, 2, 12)]);
+        p.step(
+            ParticipantEvent::Ops {
+                machine: id(0),
+                ops: swapped,
+            },
+            SimTime::ZERO,
+            &c,
+        );
+        assert_eq!(
+            *p.round.as_ref().unwrap().received[&id(0)],
+            vec![env(0, 0, 11), env(0, 1, 10), env(0, 2, 12)],
+            "the later delivery replaces the run, sorted by id"
+        );
+    }
+
+    proptest::proptest! {
+        /// Whatever arrives — unsorted ids, duplicate ids, a batch delivered
+        /// twice, a batch from a machine the master then leaves out of the
+        /// counts — stage 2 is handed the list the id-keyed maps used to
+        /// yield: per counted machine, its ops by ascending id, the last
+        /// duplicate winning.
+        #[test]
+        fn consolidated_runs_equal_the_id_keyed_reference(
+            batches in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u64..6, 0i64..1000), 0..8),
+                    proptest::any::<bool>(),
+                    proptest::any::<bool>(),
+                ),
+                0..5,
+            )
+        ) {
+            let c = cfg();
+            let mut p = ParticipantRole::new(id(1));
+            p.step(begin_sync(1), SimTime::ZERO, &c);
+            let mut reference: BTreeMap<MachineId, BTreeMap<OpId, WireOp>> = BTreeMap::new();
+            let mut counts = Vec::new();
+            for (m, (ops, twice, counted)) in batches.into_iter().enumerate() {
+                let m = m as u32;
+                let ops: OpsBatch =
+                    Arc::new(ops.into_iter().map(|(seq, v)| env(m, seq, v)).collect());
+                for _ in 0..=usize::from(twice) {
+                    let entry = reference.entry(id(m)).or_default();
+                    for e in ops.iter() {
+                        entry.insert(e.id, e.op.clone());
+                    }
+                    let ops = Arc::clone(&ops);
+                    p.step(ParticipantEvent::Ops { machine: id(m), ops }, SimTime::ZERO, &c);
+                }
+                if counted {
+                    counts.push((id(m), reference[&id(m)].len() as u64));
+                }
+            }
+            let expected: Vec<WireEnvelope> = counts
+                .iter()
+                .flat_map(|(m, _)| &reference[m])
+                .map(|(id, op)| WireEnvelope { id: *id, op: op.clone() })
+                .collect();
+            p.step(ParticipantEvent::BeginApply { round: 1, counts }, SimTime::ZERO, &c);
+            let runs = p.round.as_mut().unwrap().take_runs();
+            let applied: Vec<WireEnvelope> =
+                runs.iter().flat_map(|run| run.iter().cloned()).collect();
+            proptest::prop_assert_eq!(applied, expected);
+        }
     }
 
     #[test]

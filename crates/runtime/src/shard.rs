@@ -29,7 +29,7 @@ use crate::message::WireOp;
 /// Cloning is cheap (the plan is shared behind an `Arc`).
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
-    plan: Arc<ShardPlan>,
+    pub(crate) plan: Arc<ShardPlan>,
 }
 
 impl ShardRouter {
@@ -61,7 +61,7 @@ impl ShardRouter {
         }
     }
 
-    fn shard_of_shared(&self, op: &SharedOp, type_of: TypeOf<'_>) -> ShardId {
+    pub(crate) fn shard_of_shared(&self, op: &SharedOp, type_of: TypeOf<'_>) -> ShardId {
         match op {
             SharedOp::Primitive {
                 object,
@@ -132,8 +132,13 @@ impl Machine {
     /// Labels one committed wire operation with its routed shard (per-shard
     /// telemetry counter) and, under [`crate::MachineConfig::paranoid_checks`],
     /// checks that the operation's declared footprints stay inside that
-    /// shard. No-op unless a [`crate::MachineConfig::shard_plan`] is installed.
+    /// shard. No-op unless a [`crate::MachineConfig::shard_plan`] is installed
+    /// and somebody is listening: with a no-op telemetry handle and paranoid
+    /// checks off, the route would be computed only to be dropped.
     pub(crate) fn note_shard_commit(&mut self, op: &WireOp, site: &'static str) {
+        if !(self.telemetry.enabled() || self.cfg.paranoid_checks) {
+            return;
+        }
         let Some(plan) = self.cfg.shard_plan.clone() else {
             return;
         };

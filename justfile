@@ -59,6 +59,10 @@ mc:
 perf-check:
     ./scripts/check.sh perf
 
+# Non-test Rust lines per crate, and the change since the base commit.
+loc:
+    ./scripts/check.sh loc
+
 # Tier-1 smoke: what the release gate runs.
 tier1:
     ./scripts/check.sh tier1

@@ -12,6 +12,51 @@ analyze() {
     cargo run -q -p guesstimate-analysis --bin analyze -- "$@"
 }
 
+# Non-test lines of Rust fed on stdin as concatenated files, each preceded
+# by a `==> path` line: a file stops counting at its `#[cfg(test)]` test
+# module (inline `mod`, or `#[path]`-declared).
+count_nontest() {
+    awk '
+        /^==> / { skip = 0; held = 0; next }
+        skip { next }
+        held { held = 0; if ($0 ~ /^(mod |#\[path)/) { skip = 1; next } n++ }
+        /^#\[cfg\(test\)\]$/ { held = 1; next }
+        { n++ }
+        END { print n + 0 }'
+}
+
+# Lists a crate's non-test source files (`src/**.rs` minus `*_tests.rs` and
+# the `testutil.rs` fixture) at revision $2, or in the work tree if empty.
+loc_of() {
+    if [ -n "$2" ]; then
+        git ls-tree -r --name-only "$2" -- "$1/src"
+    else
+        git ls-files -- "$1/src"
+    fi | grep '\.rs$' | grep -v -e '_tests\.rs$' -e '/testutil\.rs$' |
+        while read -r f; do
+            echo "==> $f"
+            if [ -n "$2" ]; then git show "$2:$f"; else cat "$f"; fi
+        done | count_nontest
+}
+
+# Prints each crate's non-test line count and its change since revision $1.
+loc_table() {
+    base=$(git rev-parse --short "$1" 2>/dev/null) || base=
+    printf '%-18s %8s %12s\n' crate lines "vs ${base:-?}"
+    total=0
+    total_delta=0
+    for c in crates/* .; do
+        [ -d "$c/src" ] || continue
+        now=$(loc_of "$c" "")
+        delta=0
+        [ -z "$base" ] || delta=$((now - $(loc_of "$c" "$base")))
+        total=$((total + now))
+        total_delta=$((total_delta + delta))
+        printf '%-18s %8d %+12d\n' "$c" "$now" "$delta"
+    done
+    printf '%-18s %8d %+12d\n' total "$total" "$total_delta"
+}
+
 step() {
     case "$1" in
     fmt) cargo fmt --all --check ;;
@@ -86,6 +131,15 @@ step() {
         cargo run --release -q -p guesstimate-bench --bin fig5_sync_distribution 120 42 >/dev/null
         cargo run --release -q -p guesstimate-obs --bin obs
         ;;
+    # Net line count, which the north star asks every PR to report:
+    # non-test Rust lines per crate and the change against the merge-base
+    # with origin/main (HEAD~1 where there is no such ref) and, when the
+    # tree has uncommitted changes, against HEAD. Reports only; never fails.
+    loc)
+        base=$(git merge-base HEAD origin/main 2>/dev/null) || base=HEAD~1
+        loc_table "$base"
+        git diff --quiet HEAD 2>/dev/null || loc_table HEAD
+        ;;
     # What the release gate runs.
     tier1)
         cargo build --release
@@ -98,7 +152,7 @@ step() {
         cargo run --release -p guesstimate-bench --bin failure_recovery
         ;;
     *)
-        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf sanitize obs tier1 figures)" >&2
+        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf loc sanitize obs tier1 figures)" >&2
         exit 2
         ;;
     esac
