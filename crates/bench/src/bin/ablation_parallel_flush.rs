@@ -5,22 +5,37 @@
 //! (AddUpdatesToMesh) ... One possibility is to parallelize the first stage
 //! of the synchronization protocol so that the time taken depends only on
 //! the number of operations and the network delay but not on the number of
-//! users." This ablation runs the same Figure 6 sweep with the parallel
-//! flush enabled and shows the linear term collapse.
+//! users." The runtime now ships that parallel flush as its default and
+//! keeps the serial turn-taking as the paper-fidelity mode; this ablation
+//! runs the Figure 6 sweep under both and shows the linear term collapse.
+//!
+//! It is also the gate that keeps both modes honest (`scripts/check.sh
+//! figures`): it exits non-zero unless mean sync time grows at least
+//! [`MIN_SERIAL_GROWTH`]x from 2 to 8 users under the serial flush and at
+//! most [`MAX_PARALLEL_GROWTH`]x under the parallel one.
 //!
 //! Usage: `ablation_parallel_flush [duration_secs] [seed]` (defaults: 60, 7).
+
+use std::process::ExitCode;
 
 use guesstimate_bench::{ActivityLevel, SessionConfig};
 use guesstimate_net::SimTime;
 
-fn main() {
+/// Serial stage 1 adds one link delay per user: 2 → 8 users must at least
+/// double the round.
+const MIN_SERIAL_GROWTH: f64 = 2.0;
+/// Parallel stage 1 is four link delays for any cohort; what growth remains
+/// is the slowest of more latency draws.
+const MAX_PARALLEL_GROWTH: f64 = 1.4;
+
+fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let duration: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(60);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(7);
     let cutoff = SimTime::from_secs(12);
 
     eprintln!("running ablation A1: serial vs parallel flush, users 2..=8, {duration}s each ...");
-    println!("# Ablation A1: serial (paper) vs parallel (future-work) first stage");
+    println!("# Ablation A1: serial (paper) vs parallel (runtime default) first stage");
     println!("{:>5} {:>12} {:>14}", "users", "serial_ms", "parallel_ms");
     let mut serial = Vec::new();
     let mut parallel = Vec::new();
@@ -45,10 +60,15 @@ fn main() {
     }
     println!();
     let growth = |v: &[f64]| v.last().unwrap() / v.first().unwrap();
-    println!(
-        "# growth 2→8 users: serial {:.2}x, parallel {:.2}x",
-        growth(&serial),
-        growth(&parallel)
-    );
+    let (serial, parallel) = (growth(&serial), growth(&parallel));
+    println!("# growth 2→8 users: serial {serial:.2}x, parallel {parallel:.2}x");
     println!("# expected shape: serial grows ~linearly; parallel stays ~flat");
+    if serial < MIN_SERIAL_GROWTH || parallel > MAX_PARALLEL_GROWTH {
+        eprintln!(
+            "ablation_parallel_flush: GATE FAILED: wanted serial growth >= \
+             {MIN_SERIAL_GROWTH}x and parallel growth <= {MAX_PARALLEL_GROWTH}x"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

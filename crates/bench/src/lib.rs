@@ -11,7 +11,7 @@
 //! | `fig7_conflicts_vs_users` | Figure 7 — conflicts vs number of users, one user added per 100 syncs |
 //! | `table_spec_assertions` | §6 Spec#/Boogie statistic (323 assertions: 271 verified, 52 runtime checks) |
 //! | `failure_recovery` | §7 "Failure and recovery" narrative (stalls, resends, restarts) |
-//! | `ablation_parallel_flush` | §9 future work: parallel stage 1 ⇒ sync time ~independent of user count |
+//! | `ablation_parallel_flush` | §9 future work, now the runtime default: parallel stage 1 ⇒ sync time ~independent of user count (gated against the serial sweep) |
 //! | `ablation_responsiveness` | §1 claim: non-blocking issue vs one-copy serializability |
 //! | `ablation_consistency` | §1 spectrum: replicated execution vs GUESSTIMATE vs one-copy |
 //! | `scalability` | §7/§9 extrapolation ("100 users within 3 s"), actually run |

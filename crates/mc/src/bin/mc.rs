@@ -89,7 +89,12 @@ fn parse_args() -> Result<Option<Args>, String> {
         match a.as_str() {
             "--list" => {
                 for p in PRESETS {
-                    println!("{:<14} {}", p.name, p.blurb);
+                    let flush = if p.parallel_flush {
+                        "parallel"
+                    } else {
+                        "serial"
+                    };
+                    println!("{:<22} {flush:<8} {}", p.name, p.blurb);
                 }
                 return Ok(None);
             }
@@ -243,7 +248,7 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
         let out = explore(preset, &args.matrix, args.tamper, &args.cfg);
         let ratio = out.pruned as f64 / (out.pruned + out.schedules).max(1) as f64;
         println!(
-            "{:<14} schedules {:>7}  pruned {:>7} ({:>5.1}%)  truncated {:>5}  max depth {:>3}  steps {:>9}{}",
+            "{:<22} schedules {:>7}  pruned {:>7} ({:>5.1}%)  truncated {:>5}  max depth {:>3}  steps {:>9}{}",
             preset.name,
             out.schedules,
             out.pruned,

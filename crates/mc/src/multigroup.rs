@@ -199,6 +199,7 @@ pub fn build(preset: &Preset, tamper: Option<TamperSpec>) -> Result<CrossBuilt, 
         .with_join_retry(SimTime::from_millis(300))
         .with_stall_timeout(SimTime::from_millis(500))
         .with_paranoid_checks(true)
+        .with_parallel_flush(preset.parallel_flush)
         .with_shard_plan(plan());
 
     let mut net: SchedNet<MultiMachine> = SchedNet::new();

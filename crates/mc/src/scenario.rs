@@ -19,6 +19,12 @@
 //! | `message_board` | 3, lossy, hybrid | two posts to `general` (serialized) | async `like`s on all machines |
 //! | `cross-group` | 3 nodes × 2 sync groups | one local op per group vs a cross-routed `mix` | the two groups' rounds |
 //!
+//! Every row above runs the paper's serial stage 1 (machines flush in
+//! turn); a `<name>-parallel` twin of each runs the same scenario under
+//! the parallel flush the runtime ships by default — `FlushDone` to the
+//! master only, every member's batch in flight at once — so both modes
+//! face the same oracles.
+//!
 //! The `auction` preset stages a third machine whose admission is itself
 //! a choice point (late join at any explored moment); `event_planner`
 //! grants the explorer a message-loss budget, driving the protocol's
@@ -313,57 +319,85 @@ pub struct Preset {
     /// Enable the hybrid commit path (`async_commit`): eligible
     /// injections broadcast as `Msg::AsyncOp` and commit without rounds.
     pub hybrid: bool,
+    /// Stage-1 flush mode (`MachineConfig::parallel_flush`): `true` is the
+    /// runtime's default, `false` the paper's serial turn-taking. A
+    /// schedule's `seq` numbers index one mode's rounds, so each row keeps
+    /// the mode its checked-in schedules were recorded under.
+    pub parallel_flush: bool,
     /// One-line description for `mc --list`.
     pub blurb: &'static str,
 }
 
-/// All built-in presets.
+const SUDOKU: Preset = Preset {
+    name: "sudoku",
+    eager: 3,
+    late_join: false,
+    rounds: 2,
+    drop_budget: 0,
+    hybrid: false,
+    parallel_flush: false,
+    blurb: "3 machines; same-cell update/clear conflict vs disjoint-unit moves",
+};
+
+const AUCTION: Preset = Preset {
+    name: "auction",
+    eager: 2,
+    late_join: true,
+    rounds: 2,
+    drop_budget: 0,
+    hybrid: false,
+    parallel_flush: false,
+    blurb: "2 machines + late joiner; dueling first-bids vs cross-item bids",
+};
+
+const EVENT_PLANNER: Preset = Preset {
+    name: "event_planner",
+    eager: 2,
+    late_join: false,
+    rounds: 3,
+    drop_budget: 2,
+    hybrid: false,
+    parallel_flush: false,
+    blurb: "2 machines, lossy network; last-seat race plus recovery paths",
+};
+
+const MESSAGE_BOARD: Preset = Preset {
+    name: "message_board",
+    eager: 3,
+    late_join: false,
+    rounds: 2,
+    drop_budget: 2,
+    hybrid: true,
+    parallel_flush: false,
+    blurb: "3 machines, lossy, hybrid commit; async likes vs serialized same-topic posts",
+};
+
+const CROSS: Preset = Preset {
+    name: CROSS_GROUP,
+    eager: 3,
+    late_join: false,
+    rounds: 2,
+    drop_budget: 0,
+    hybrid: false,
+    parallel_flush: false,
+    blurb: "3 nodes x 2 sync groups; per-group rounds + one coordinated cross round",
+};
+
+/// All built-in presets: each scenario under the paper's serial flush (the
+/// mode the checked-in schedules were recorded under), then again — same
+/// machines, workload and budgets — under the parallel flush that
+/// `MachineConfig::default()` ships.
 pub const PRESETS: &[Preset] = &[
-    Preset {
-        name: "sudoku",
-        eager: 3,
-        late_join: false,
-        rounds: 2,
-        drop_budget: 0,
-        hybrid: false,
-        blurb: "3 machines; same-cell update/clear conflict vs disjoint-unit moves",
-    },
-    Preset {
-        name: "auction",
-        eager: 2,
-        late_join: true,
-        rounds: 2,
-        drop_budget: 0,
-        hybrid: false,
-        blurb: "2 machines + late joiner; dueling first-bids vs cross-item bids",
-    },
-    Preset {
-        name: "event_planner",
-        eager: 2,
-        late_join: false,
-        rounds: 3,
-        drop_budget: 2,
-        hybrid: false,
-        blurb: "2 machines, lossy network; last-seat race plus recovery paths",
-    },
-    Preset {
-        name: "message_board",
-        eager: 3,
-        late_join: false,
-        rounds: 2,
-        drop_budget: 2,
-        hybrid: true,
-        blurb: "3 machines, lossy, hybrid commit; async likes vs serialized same-topic posts",
-    },
-    Preset {
-        name: CROSS_GROUP,
-        eager: 3,
-        late_join: false,
-        rounds: 2,
-        drop_budget: 0,
-        hybrid: false,
-        blurb: "3 nodes x 2 sync groups; per-group rounds + one coordinated cross round",
-    },
+    SUDOKU,
+    AUCTION,
+    EVENT_PLANNER,
+    MESSAGE_BOARD,
+    CROSS,
+    SUDOKU.parallel("sudoku-parallel"),
+    AUCTION.parallel("auction-parallel"),
+    EVENT_PLANNER.parallel("event_planner-parallel"),
+    MESSAGE_BOARD.parallel("message_board-parallel"),
+    CROSS.parallel("cross-group-parallel"),
 ];
 
 /// Negative-test preset: a deliberately **under-declared** workload the
@@ -382,6 +416,7 @@ pub const SNEAKY: Preset = Preset {
     rounds: 2,
     drop_budget: 0,
     hybrid: false,
+    parallel_flush: false,
     blurb: "negative test: under-declared read the witness oracle must catch",
 };
 
@@ -400,6 +435,7 @@ pub const MISKEYED: Preset = Preset {
     rounds: 2,
     drop_budget: 0,
     hybrid: false,
+    parallel_flush: false,
     blurb: "negative test: mis-keyed shard plan the shard-escape oracle must catch",
 };
 
@@ -415,6 +451,21 @@ impl Preset {
         Self::all().find(|p| p.name == name)
     }
 
+    /// This scenario under the parallel flush, as a row of its own.
+    const fn parallel(self, name: &'static str) -> Preset {
+        Preset {
+            name,
+            parallel_flush: true,
+            ..self
+        }
+    }
+
+    /// The scenario a row runs — its name without the flush-mode suffix.
+    /// Selects the application, workload and cluster shape.
+    pub fn app(&self) -> &'static str {
+        self.name.strip_suffix("-parallel").unwrap_or(self.name)
+    }
+
     /// Total machines once the staged joiner (if any) is admitted.
     pub fn total_machines(&self) -> u32 {
         self.eager + u32::from(self.late_join)
@@ -422,7 +473,7 @@ impl Preset {
 
     fn registry(&self) -> OpRegistry {
         let mut reg = OpRegistry::new();
-        match self.name {
+        match self.app() {
             "sudoku" => sudoku::register(&mut reg),
             "auction" => auction::register(&mut reg),
             "event_planner" => event_planner::register(&mut reg),
@@ -445,7 +496,7 @@ impl Preset {
     /// through unchanged.
     pub fn effective_matrix(&self, given: &CommuteMatrix) -> CommuteMatrix {
         let mut m = given.clone();
-        if self.name == "message_board" {
+        if self.app() == "message_board" {
             for other in ["like", "post", "create_topic"] {
                 m.insert("MessageBoard", "like", other);
             }
@@ -458,7 +509,7 @@ impl Preset {
     /// Returns the object id and the number of ops issued (incl. the
     /// creation).
     fn prelude_ops(&self, master: &mut Machine) -> (ObjectId, u64) {
-        match self.name {
+        match self.app() {
             "sudoku" => (master.create_instance(sudoku::Sudoku::new()), 1),
             "auction" => {
                 let obj = master.create_instance(auction::Auction::new());
@@ -512,7 +563,7 @@ impl Preset {
     /// The per-machine operations injected after the prelude — the
     /// workload whose interleavings are explored.
     fn injections(&self, obj: ObjectId) -> Vec<(u32, SharedOp)> {
-        match self.name {
+        match self.app() {
             "sudoku" => vec![
                 // Machine 0: a same-cell conflicting pair (also the
                 // seeded-mutation target: swapping their commit order is
@@ -588,7 +639,7 @@ impl Preset {
         matrix: &CommuteMatrix,
         tamper: Option<TamperSpec>,
     ) -> Result<Box<dyn Cluster>, String> {
-        Ok(if self.name == CROSS_GROUP {
+        Ok(if self.app() == CROSS_GROUP {
             Box::new(multigroup::build(self, tamper)?)
         } else {
             Box::new(self.build_machines(matrix, tamper))
@@ -619,6 +670,7 @@ impl Preset {
             .with_record_history(true)
             .with_paranoid_checks(true)
             .with_async_commit(self.hybrid)
+            .with_parallel_flush(self.parallel_flush)
             .with_commute_matrix(matrix.clone())
             // The negative presets record escapes instead of asserting, so
             // an oracle (not a mid-delivery debug_assert) is what reports
@@ -888,7 +940,7 @@ mod tests {
     /// preset's async broadcasts may already be in flight.
     #[test]
     fn single_group_injections_wait_for_a_round() {
-        for p in PRESETS.iter().filter(|p| p.name != CROSS_GROUP) {
+        for p in PRESETS.iter().filter(|p| p.app() != CROSS_GROUP) {
             let built = p.build_machines(&CommuteMatrix::new(), None);
             for &seq in &built.net.pending_msgs() {
                 let msg = &built.net.pending_msg(seq).unwrap().msg;

@@ -31,8 +31,13 @@ pub struct MachineConfig {
     pub stall_timeout: SimTime,
     /// Participant: how often to re-send `JoinRequest` until admitted.
     pub join_retry: SimTime,
-    /// Ablation A1 (§9 "Scalable run-time"): flush all machines in parallel
-    /// during stage 1 instead of the paper's serial turn-taking.
+    /// Stage-1 flush mode. `true` (the default; §9 "Scalable run-time"):
+    /// every participant flushes as soon as it sees `BeginSync` and confirms
+    /// to the master alone, so a round's critical path is four one-way
+    /// delays for any cohort size. `false` is the paper's §4 serial
+    /// turn-taking — machines flush one after another in round order, each
+    /// `FlushDone` broadcast to pass the turn, N + 2 delays per round —
+    /// kept as the paper-fidelity setting the Fig. 5/6 reproductions select.
     pub parallel_flush: bool,
     /// Record the full committed-operation history on this machine
     /// (diagnostics / refinement checking against the formal semantics).
@@ -103,7 +108,7 @@ impl Default for MachineConfig {
             sync_period: SimTime::from_millis(250),
             stall_timeout: SimTime::from_secs(2),
             join_retry: SimTime::from_secs(1),
-            parallel_flush: false,
+            parallel_flush: true,
             record_history: false,
             master_failover: None,
             commute_skip: false,
@@ -130,7 +135,9 @@ impl MachineConfig {
         self
     }
 
-    /// Enables the parallel first stage (Ablation A1).
+    /// Selects the stage-1 flush mode: parallel (the default) or, with
+    /// `false`, the paper's serial turn-taking (see
+    /// [`MachineConfig::parallel_flush`]).
     pub fn with_parallel_flush(mut self, on: bool) -> Self {
         self.parallel_flush = on;
         self
@@ -231,7 +238,7 @@ mod tests {
     fn defaults_are_sane() {
         let c = MachineConfig::default();
         assert!(c.sync_period < c.stall_timeout);
-        assert!(!c.parallel_flush);
+        assert!(c.parallel_flush, "the four-delay round is what ships");
     }
 
     #[test]
@@ -240,11 +247,11 @@ mod tests {
             .with_sync_period(SimTime::from_millis(10))
             .with_stall_timeout(SimTime::from_millis(500))
             .with_join_retry(SimTime::from_millis(100))
-            .with_parallel_flush(true);
+            .with_parallel_flush(false);
         assert_eq!(c.sync_period, SimTime::from_millis(10));
         assert_eq!(c.stall_timeout, SimTime::from_millis(500));
         assert_eq!(c.join_retry, SimTime::from_millis(100));
-        assert!(c.parallel_flush);
+        assert!(!c.parallel_flush, "serial turn-taking stays selectable");
     }
 
     #[test]

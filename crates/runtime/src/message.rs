@@ -3,7 +3,8 @@
 //! §4 of the paper: synchronization proceeds in three stages over two meshes.
 //! *AddUpdatesToMesh* flushes each machine's pending operations as
 //! `(machineID, operationnumber, operation)` triples on the **Operations**
-//! channel, with turn-passing confirmations on the **Signals** channel;
+//! channel, each confirmed on the **Signals** channel (to the master, or —
+//! under the paper's serial turn-taking — to everyone, passing the turn);
 //! *ApplyUpdatesFromMesh* applies the consolidated list and acknowledges;
 //! *FlagCompletion* closes the round. Membership (enter/leave) and fault
 //! recovery (resend/restart) also ride the Signals channel.
@@ -183,8 +184,9 @@ impl ObjectInit {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     // ---- Stage 1: AddUpdatesToMesh ----
-    /// Master → all: a synchronization round begins; `order` fixes the
-    /// serial flush turns (master first).
+    /// Master → all: a synchronization round begins; `order` names the
+    /// participants, master first (and, under serial turn-taking, the
+    /// flush turns).
     BeginSync {
         /// Round number (monotonically increasing).
         round: u64,
@@ -210,8 +212,10 @@ pub enum Msg {
         /// [`crate::MachineConfig::async_commit`] is off.
         asyncs: Arc<Vec<(u64, WireEnvelope)>>,
     },
-    /// Flushing machine → all: confirmation that its flush is complete
-    /// (`count` operations); passes the turn to the next machine in order.
+    /// Flushing machine → the round's master: confirmation that its flush
+    /// is complete (`count` operations). Under serial turn-taking
+    /// (`parallel_flush` off) it goes to all and passes the turn to the next
+    /// machine in order.
     FlushDone {
         /// Round number.
         round: u64,

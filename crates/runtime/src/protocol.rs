@@ -19,10 +19,12 @@
 //!
 //! Round overview (the roles' module docs have the details):
 //!
-//! 1. **AddUpdatesToMesh** — machines flush their pending lists in a fixed
-//!    serial order (master first), each batch broadcast on the Operations
-//!    channel and confirmed with a `FlushDone` on the Signals channel that
-//!    passes the turn.
+//! 1. **AddUpdatesToMesh** — every machine flushes its pending list on
+//!    `BeginSync`: the batch broadcast on the Operations channel, then a
+//!    `FlushDone` on the Signals channel to the master. (With
+//!    `parallel_flush` off — the paper's §4 — machines flush in a fixed
+//!    serial order, master first, and `FlushDone` is a broadcast that
+//!    passes the turn.)
 //! 2. **ApplyUpdatesFromMesh** — when every participant has flushed, the
 //!    master broadcasts `BeginApply` with the authoritative per-machine op
 //!    counts; each machine waits for all expected operations, applies them
@@ -419,18 +421,28 @@ impl Machine {
             self.telemetry.op_flushed(e.id, ctx.now());
         }
         self.announce_flush(ctx);
-        self.note_flush_done(self.id, count, ctx);
+        if self.is_master {
+            self.step_master(
+                MasterEvent::FlushDone {
+                    machine: self.id,
+                    count,
+                },
+                ctx,
+            );
+        }
     }
 
     /// Ships the stored flush: the batch (with its async fence) on the
-    /// Operations channel when either is non-empty, then the turn-passing
-    /// `FlushDone` on the Signals channel. Runs once per flush, and again
-    /// for every recovery nudge that asks to see the flush again.
+    /// Operations channel when either is non-empty, then `FlushDone` on the
+    /// Signals channel — to the round's master alone, the only machine that
+    /// counts flushes, or under serial turn-taking to everyone, because
+    /// there it also passes the turn. Runs once per flush, and again for
+    /// every recovery nudge that asks to see the flush again.
     fn announce_flush(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let Some(rs) = self.participant.round.as_ref() else {
             return;
         };
-        let round = rs.round;
+        let (round, master) = (rs.round, rs.order[0]);
         let count = rs.my_flush.len() as u64;
         if count > 0 || !rs.my_asyncs.is_empty() {
             let ops = Arc::clone(&rs.my_flush);
@@ -446,27 +458,27 @@ impl Machine {
             );
             self.trace(ctx.now(), TraceEvent::OpsBatchSent { round, ops: count });
         }
-        ctx.broadcast(
-            Channel::Signals,
-            Msg::FlushDone {
-                round,
-                machine: self.id,
-                count,
-            },
-        );
+        let done = Msg::FlushDone {
+            round,
+            machine: self.id,
+            count,
+        };
+        if !self.cfg.parallel_flush {
+            ctx.broadcast(Channel::Signals, done);
+        } else if master != self.id {
+            ctx.send(master, Channel::Signals, done);
+        }
     }
 
-    /// Records a `FlushDone` in the participant round, then feeds it to
-    /// whichever side reacts: the master role tracks stage completion, a
-    /// plain participant checks whether the turn passed to it.
+    /// Feeds a received `FlushDone` to whichever side reacts: the master
+    /// role tracks stage completion; a plain participant — which hears one
+    /// only under serial turn-taking — records it and checks whether the
+    /// turn passed to it.
     fn note_flush_done(&mut self, machine: MachineId, count: u64, ctx: &mut Ctx<'_, Msg>) {
-        let Some(rs) = self.participant.round.as_mut() else {
-            return;
-        };
-        rs.flush_done.insert(machine, count);
         if self.is_master {
             self.step_master(MasterEvent::FlushDone { machine, count }, ctx);
-        } else {
+        } else if let Some(rs) = self.participant.round.as_mut() {
+            rs.flush_done.insert(machine, count);
             self.maybe_flush_on_turn(ctx);
         }
     }

@@ -592,14 +592,19 @@ mod tests {
         m
     }
 
-    #[test]
-    fn begin_round_script_is_broadcast_install_trace_flush_timer() {
-        let c = cfg();
+    /// The paper's §4 turn-taking, which the default no longer selects.
+    fn serial_cfg() -> MachineConfig {
+        cfg().with_parallel_flush(false)
+    }
+
+    /// Starts round 1 over `order3` and checks the part of the script both
+    /// flush modes share; returns what follows the `RoundStarted` trace.
+    fn begin_round_tail(c: &MachineConfig) -> Vec<Effect> {
         let mut m = MasterRole::new(id(0));
-        let fx = m.step(
+        let mut fx = m.step(
             MasterEvent::BeginRound { order: order3() },
             SimTime::ZERO,
-            &c,
+            c,
         );
         assert!(matches!(
             fx[0],
@@ -616,15 +621,36 @@ mod tests {
                 ..
             })
         ));
-        // Serial flush by default: the master's window opens first.
-        assert!(matches!(
-            fx[3],
-            Effect::Trace(TraceEvent::FlushWindowOpened { .. })
-        ));
-        assert!(matches!(fx[4], Effect::Flush));
-        assert!(matches!(fx[5], Effect::SetTimer { tag: t, .. }
-            if tag::kind(t) == tag::MASTER_STAGE1 && tag::round(t) == 1));
         assert_eq!(m.next_round, 2);
+        fx.split_off(3)
+    }
+
+    fn is_stage1_timer(fx: &Effect) -> bool {
+        matches!(fx, Effect::SetTimer { tag: t, .. }
+            if tag::kind(*t) == tag::MASTER_STAGE1 && tag::round(*t) == 1)
+    }
+
+    #[test]
+    fn begin_round_script_is_broadcast_install_trace_flush_timer() {
+        // Serial flush: the master's window opens first.
+        let tail = begin_round_tail(&serial_cfg());
+        assert!(matches!(
+            tail[..],
+            [
+                Effect::Trace(TraceEvent::FlushWindowOpened { .. }),
+                Effect::Flush,
+                _
+            ]
+        ));
+        assert!(is_stage1_timer(&tail[2]));
+    }
+
+    #[test]
+    fn parallel_begin_round_opens_no_flush_window() {
+        // Everyone flushes at once: there is no turn to open.
+        let tail = begin_round_tail(&cfg());
+        assert!(matches!(tail[..], [Effect::Flush, _]));
+        assert!(is_stage1_timer(&tail[1]));
     }
 
     #[test]
@@ -679,7 +705,7 @@ mod tests {
 
     #[test]
     fn stage1_stall_nudges_then_removes() {
-        let c = cfg();
+        let c = serial_cfg();
         let mut m = MasterRole::new(id(0));
         m.step(
             MasterEvent::BeginRound { order: order3() },
@@ -733,6 +759,91 @@ mod tests {
         let mr = m.active.as_ref().unwrap();
         assert!(mr.removed.contains(&id(1)));
         assert_eq!((mr.resends, mr.removals), (1, 1));
+    }
+
+    #[test]
+    fn parallel_stage1_stall_nudges_then_removes_every_silent_member() {
+        // Parallel flush: both silent members block the stage at once, so
+        // one timeout nudges both and the next removes both.
+        let c = cfg();
+        let mut m = MasterRole::new(id(0));
+        m.step(
+            MasterEvent::BeginRound { order: order3() },
+            SimTime::ZERO,
+            &c,
+        );
+        m.step(
+            MasterEvent::FlushDone {
+                machine: id(0),
+                count: 2,
+            },
+            SimTime::ZERO,
+            &c,
+        );
+        let fx = m.step(
+            MasterEvent::Stage1Timeout { round: 1 },
+            SimTime::from_secs(2),
+            &c,
+        );
+        let nudged: Vec<MachineId> = fx
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to,
+                    msg: Msg::BeginSync { round: 1, .. },
+                    ..
+                } => Some(*to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(nudged, vec![id(1), id(2)]);
+        assert!(is_stage1_timer(fx.last().unwrap()), "stage 1 re-armed");
+        assert_eq!(m.active.as_ref().unwrap().stage, Stage::Flush);
+
+        let fx = m.step(
+            MasterEvent::Stage1Timeout { round: 1 },
+            SimTime::from_secs(4),
+            &c,
+        );
+        let updates: Vec<&Vec<MachineId>> = fx
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Broadcast {
+                    msg: Msg::RoundUpdate { removed, .. },
+                    ..
+                } => Some(removed),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            updates,
+            vec![&vec![id(1), id(2)]],
+            "one RoundUpdate names both"
+        );
+        let restarted = fx.iter().filter(|e| {
+            matches!(
+                e,
+                Effect::Send {
+                    msg: Msg::Restart,
+                    ..
+                }
+            )
+        });
+        assert_eq!(restarted.count(), 2);
+        // Nobody is left to wait for: the stage advances on the master's
+        // own flush, with no stage-1 timer re-armed.
+        let counts = fx.iter().find_map(|e| match e {
+            Effect::Broadcast {
+                msg: Msg::BeginApply { counts, .. },
+                ..
+            } => Some(counts.clone()),
+            _ => None,
+        });
+        assert_eq!(counts, Some(vec![(id(0), 2)]));
+        assert!(!fx.iter().any(is_stage1_timer));
+        let mr = m.active.as_ref().unwrap();
+        assert_eq!(mr.stage, Stage::Apply);
+        assert_eq!((mr.resends, mr.removals), (2, 2));
     }
 
     #[test]

@@ -147,7 +147,8 @@ pub enum Effect {
     Flush,
     /// Re-announce an already-performed flush (recovery nudge).
     RebroadcastFlush,
-    /// Flush if every earlier machine in the round order has flushed.
+    /// Flush if every earlier machine in the round order has flushed
+    /// (serial turn-taking; a no-op once flushed, as under parallel flush).
     MaybeFlushOnTurn,
     /// Apply the round if every expected operation has arrived.
     TryApply,

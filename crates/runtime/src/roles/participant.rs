@@ -40,7 +40,9 @@ pub struct RoundState {
     /// The async-committed window this machine piggybacked on its flush
     /// (hybrid commit path), kept for the same recovery resends.
     pub(crate) my_asyncs: AsyncBatch,
-    /// Per-machine flushed-op counts heard via `FlushDone` (turn-taking).
+    /// Per-machine flushed-op counts heard via `FlushDone`. Filled only on
+    /// non-masters under serial turn-taking, where `FlushDone` is a
+    /// broadcast that passes the turn (see [`RoundState::my_turn`]).
     pub(crate) flush_done: BTreeMap<MachineId, u64>,
     /// The run received from each source machine so far: its flushed
     /// batch, strictly ascending by id (see [`sorted_run`]). A repeated
@@ -467,21 +469,37 @@ mod tests {
         )
     }
 
-    #[test]
-    fn begin_sync_installs_round_and_takes_turn() {
-        let c = cfg();
+    /// A fresh machine's first `BeginSync`: installs the round, anchors the
+    /// numbering, and returns the effect between `JoinCohort` and
+    /// `ReplayBuffered` — the one the flush mode decides.
+    fn first_begin_sync_flush_effect(c: &MachineConfig) -> Effect {
         let mut p = ParticipantRole::new(id(1));
-        let fx = p.step(begin_sync(1), SimTime::ZERO, &c);
+        let mut fx = p.step(begin_sync(1), SimTime::ZERO, c);
         assert!(matches!(
             fx[..],
-            [
-                Effect::JoinCohort,
-                Effect::MaybeFlushOnTurn,
-                Effect::ReplayBuffered(_)
-            ]
+            [Effect::JoinCohort, _, Effect::ReplayBuffered(_)]
         ));
         assert_eq!(p.active_round(), Some(1));
         assert_eq!(p.next_round_expected(), Some(1), "numbering anchored");
+        fx.swap_remove(1)
+    }
+
+    #[test]
+    fn begin_sync_installs_round_and_takes_turn() {
+        // The paper's §4 turn-taking: flush only once the turn arrives.
+        let serial = cfg().with_parallel_flush(false);
+        assert!(matches!(
+            first_begin_sync_flush_effect(&serial),
+            Effect::MaybeFlushOnTurn
+        ));
+    }
+
+    #[test]
+    fn parallel_begin_sync_installs_round_and_flushes_at_once() {
+        assert!(matches!(
+            first_begin_sync_flush_effect(&cfg()),
+            Effect::Flush
+        ));
     }
 
     #[test]

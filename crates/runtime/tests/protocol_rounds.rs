@@ -35,7 +35,7 @@ mod rounds {
         net
     }
 
-    fn default_cfg() -> MachineConfig {
+    pub(super) fn default_cfg() -> MachineConfig {
         // paranoid_checks: every protocol step re-validates `sg = [P](sc)`,
         // so these tests no longer need ad-hoc mid-run invariant calls.
         MachineConfig::default()
@@ -448,8 +448,9 @@ mod rounds {
     }
 
     #[test]
-    fn parallel_flush_converges_too() {
-        let cfg = default_cfg().with_parallel_flush(true);
+    fn serial_flush_converges_too() {
+        // The paper's §4 turn-taking, which the default no longer selects.
+        let cfg = default_cfg().with_parallel_flush(false);
         let mut net = cluster(6, 37, LatencyModel::constant_ms(10), FaultPlan::new(), cfg);
         net.run_until(SimTime::from_secs(1));
         let obj = net
@@ -482,13 +483,13 @@ mod rounds {
             .stats();
         assert!(stats.sync_samples.len() >= 10);
         for s in &stats.sync_samples {
-            // With 10ms constant latency and 4 machines, a round takes a few
-            // dozen ms — never longer than the stall timeout in this test.
+            // With 10ms constant latency a round takes a few dozen ms —
+            // never longer than the stall timeout in this test.
             assert!(s.duration >= SimTime::from_millis(20), "{:?}", s);
             assert!(s.duration < SimTime::from_millis(500), "{:?}", s);
             assert!(!s.recovered());
         }
-        // Serial flush: more participants, longer rounds (on average).
+        // A lone master's round crosses no link; a cohort's crosses four.
         let early: Vec<_> = stats
             .sync_samples
             .iter()
@@ -790,5 +791,241 @@ mod reorder {
                 m.buffered_rounds()
             );
         }
+    }
+}
+
+mod flush_modes {
+    //! What stage 1 puts on the wire in each flush mode, and how the
+    //! parallel mode recovers when one of its messages is lost. Operations
+    //! travel in 1 ms and Signals in 10 ms, so a partition window one
+    //! millisecond wide — partitions are judged at delivery too — removes
+    //! exactly the deliveries due inside it.
+
+    use guesstimate_core::{args, MachineId, ObjectId, SharedOp};
+    use guesstimate_net::{
+        FaultPlan, LatencyModel, NetConfig, PartitionWindow, RecordingTracer, SimNet, SimTime,
+        TraceEvent, TraceRecord,
+    };
+    use guesstimate_runtime::testutil::{counter_registry, Counter};
+    use guesstimate_runtime::{Machine, MachineConfig, SyncSample};
+    use std::sync::Arc;
+
+    use super::rounds::default_cfg as cfg;
+
+    const OPS_MS: u64 = 1;
+    const SIGNALS_MS: u64 = 10;
+    /// Membership and the object's creation have committed everywhere.
+    const SETTLED: SimTime = SimTime::from_secs(3);
+
+    /// What one run of the scenario leaves behind.
+    struct Run {
+        net: SimNet<Machine>,
+        obj: ObjectId,
+        /// The round that committed the issued ops.
+        round: SyncSample,
+        /// Everything traced while that round ran.
+        trace: Vec<TraceRecord>,
+        /// Point-to-point sends while it ran (a broadcast counts per peer).
+        msgs: u64,
+    }
+
+    impl Run {
+        fn count(&self, pred: impl Fn(&TraceEvent) -> bool) -> usize {
+            self.trace.iter().filter(|r| pred(&r.event)).count()
+        }
+
+        fn sent(&self, kind: &str) -> usize {
+            self.count(|e| matches!(e, TraceEvent::MsgSent { kind: k, .. } if *k == kind))
+        }
+
+        fn assert_committed_everywhere(&self, n: u32) {
+            for i in 0..n {
+                let m = self.net.actor(MachineId::new(i)).expect("member");
+                assert!(m.in_cohort(), "m{i} still in the cohort");
+                assert_eq!(m.stats().restarts, 0, "m{i} never restarted");
+                assert_eq!(m.pending_len(), 0, "m{i} flushed everything");
+                assert_eq!(
+                    m.read_committed::<Counter, _>(self.obj, |c| c.n),
+                    Some(i64::from(n)),
+                    "m{i} committed every machine's op"
+                );
+            }
+        }
+    }
+
+    /// `n` machines settle, each issues one `add(1)` between two rounds, and
+    /// the round that follows is observed under `faults`.
+    fn run(n: u32, cfg: MachineConfig, faults: FaultPlan) -> Run {
+        let registry = Arc::new(counter_registry());
+        let netcfg = NetConfig::lan(5)
+            .with_latency(LatencyModel::constant_ms(OPS_MS))
+            .with_signals_latency(LatencyModel::constant_ms(SIGNALS_MS))
+            .with_faults(faults);
+        let mut net = SimNet::new(netcfg);
+        let tracer = Arc::new(RecordingTracer::new());
+        for i in 0..n {
+            let id = MachineId::new(i);
+            let mut m = if i == 0 {
+                Machine::new_master(id, registry.clone(), cfg.clone())
+            } else {
+                Machine::new_member(id, registry.clone(), cfg.clone())
+            };
+            m.set_tracer(tracer.clone());
+            net.add_machine(id, m);
+        }
+        net.set_tracer(tracer.clone());
+        net.run_until(SimTime::from_secs(1));
+        let obj = net
+            .actor_mut(MachineId::new(0))
+            .expect("master")
+            .create_instance(Counter { n: 0 });
+        net.run_until(SETTLED);
+        // Issue between rounds, so exactly one round carries the ops: step
+        // to the end of the round in progress and let its SyncComplete land.
+        let rounds_done = |net: &SimNet<Machine>| {
+            let master = net.actor(MachineId::new(0)).expect("master");
+            master.stats().sync_samples.len()
+        };
+        let step_past = |net: &mut SimNet<Machine>, done: usize| {
+            while rounds_done(net) <= done {
+                assert!(net.now() < SimTime::from_secs(10), "round never finished");
+                net.step();
+            }
+        };
+        let done = rounds_done(&net);
+        step_past(&mut net, done);
+        net.run_until(net.now() + SimTime::from_millis(2 * SIGNALS_MS));
+        for i in 0..n {
+            net.call(MachineId::new(i), |m, _| {
+                assert!(m
+                    .issue(SharedOp::primitive(obj, "add", args![1]))
+                    .expect("the object is replicated everywhere by now"));
+            });
+        }
+        tracer.take();
+        let sent_before = net.metrics().sent;
+        step_past(&mut net, done + 1);
+        let master = net.actor(MachineId::new(0)).expect("master");
+        let round = master.stats().sync_samples[done + 1];
+        let trace = tracer.take();
+        let msgs = net.metrics().sent - sent_before;
+        // Let the last SyncComplete land before anyone inspects members.
+        net.run_until(net.now() + SimTime::from_millis(2 * SIGNALS_MS));
+        Run {
+            net,
+            obj,
+            round,
+            trace,
+            msgs,
+        }
+    }
+
+    /// When the round observed by [`run`] starts: found on a fault-free
+    /// twin, whose timeline is the faulty run's up to the first fault.
+    fn round_start(n: u32) -> SimTime {
+        run(n, cfg(), FaultPlan::new()).round.started_at
+    }
+
+    /// Cuts `group` off from the rest for the millisecond around `at`.
+    fn cut_around(group: &[u32], at: SimTime) -> FaultPlan {
+        let half = SimTime::from_micros(500);
+        FaultPlan::new().with_partition(PartitionWindow::new(
+            group.iter().map(|&i| MachineId::new(i)).collect(),
+            at.saturating_since(half),
+            at + half,
+        ))
+    }
+
+    #[test]
+    fn a_four_replica_round_is_27_messages_parallel_and_36_serial() {
+        // BeginSync 3 + Ops 4x3 + BeginApply 3 + Ack 3 + SyncComplete 3 = 24
+        // either way; FlushDone is one per non-master to the master (3), or
+        // under serial turn-taking a broadcast from every machine (12).
+        let parallel = run(4, cfg(), FaultPlan::new());
+        assert_eq!(parallel.sent("flush_done"), 3);
+        assert_eq!(parallel.msgs, 27);
+        assert_eq!(
+            parallel.round.duration,
+            SimTime::from_millis(4 * SIGNALS_MS),
+            "BeginSync, FlushDone, BeginApply, Ack"
+        );
+        parallel.assert_committed_everywhere(4);
+
+        let serial = run(4, cfg().with_parallel_flush(false), FaultPlan::new());
+        assert_eq!(serial.sent("flush_done"), 4);
+        assert_eq!(serial.msgs, 36);
+        assert_eq!(
+            serial.round.duration,
+            SimTime::from_millis(6 * SIGNALS_MS),
+            "one more delay per member's turn"
+        );
+        serial.assert_committed_everywhere(4);
+    }
+
+    #[test]
+    fn lost_ops_with_flush_done_delivered_recovers_by_ops_request() {
+        // Members flush when BeginSync lands; their batches are due 1 ms
+        // later. Cutting machine 2 off for that millisecond loses its batch
+        // at machines 0 and 1 and machine 1's batch at machine 2 — while
+        // every FlushDone, 9 ms behind on the Signals channel, arrives.
+        let flushed_at = round_start(3) + SimTime::from_millis(SIGNALS_MS);
+        let r = run(
+            3,
+            cfg(),
+            cut_around(&[2], flushed_at + SimTime::from_millis(OPS_MS)),
+        );
+        // The master's counts expose the gaps: each machine asks the source
+        // it is missing, and the round needs no stall timeout.
+        let requested = |by: u32, from: u32| {
+            r.trace.iter().any(|t| {
+                t.source == MachineId::new(by)
+                    && matches!(t.event, TraceEvent::OpsResendRequested { source, .. }
+                        if source == MachineId::new(from))
+            })
+        };
+        assert!(requested(0, 2) && requested(1, 2) && requested(2, 1));
+        assert_eq!(r.sent("ops_request"), 3);
+        assert_eq!((r.round.resends, r.round.removals), (0, 0));
+        assert!(r.round.duration < cfg().stall_timeout, "{:?}", r.round);
+        r.assert_committed_everywhere(3);
+    }
+
+    #[test]
+    fn lost_master_only_flush_done_is_resent_on_the_nudge() {
+        // Machine 1's FlushDone — sent to the master alone — is due one
+        // Signals delay after it flushed. Nobody else can vouch for the
+        // flush, so the master's stage-1 timeout re-sends BeginSync and the
+        // duplicate makes machine 1 announce its flush again, to the master.
+        let flushed_at = round_start(3) + SimTime::from_millis(SIGNALS_MS);
+        let r = run(
+            3,
+            cfg(),
+            cut_around(&[1], flushed_at + SimTime::from_millis(SIGNALS_MS)),
+        );
+        assert_eq!(
+            r.count(|e| matches!(e, TraceEvent::Resend { stage: 1, machine, .. }
+                if *machine == MachineId::new(1))),
+            1,
+            "one nudge, to the silent machine only"
+        );
+        let flush_dones_from = |m: u32| {
+            r.trace
+                .iter()
+                .filter(|t| {
+                    t.source == MachineId::new(m)
+                        && matches!(
+                            t.event,
+                            TraceEvent::MsgSent {
+                                kind: "flush_done",
+                                ..
+                            }
+                        )
+                })
+                .count()
+        };
+        assert_eq!((flush_dones_from(1), flush_dones_from(2)), (2, 1));
+        assert_eq!((r.round.resends, r.round.removals), (1, 0));
+        assert!(r.round.duration >= cfg().stall_timeout, "{:?}", r.round);
+        r.assert_committed_everywhere(3);
     }
 }

@@ -67,6 +67,6 @@ loc:
 tier1:
     ./scripts/check.sh tier1
 
-# Regenerate the paper's headline figures with traces enabled.
+# Regenerate the paper's headline figures with traces enabled; gate both flush modes (A1).
 figures:
     ./scripts/check.sh figures

@@ -8,13 +8,16 @@ use guesstimate::runtime::{run_until_cohort, sim_cluster, Machine, MachineConfig
 use guesstimate::{MachineId, ObjectId, OpRegistry};
 
 fn cluster(n: u32, seed: u64) -> guesstimate::net::SimNet<Machine> {
+    cluster_with(n, seed, MachineConfig::default())
+}
+
+fn cluster_with(n: u32, seed: u64, cfg: MachineConfig) -> guesstimate::net::SimNet<Machine> {
     let mut registry = OpRegistry::new();
     apps::register_all(&mut registry);
     sim_cluster(
         n,
         registry,
-        MachineConfig::default()
-            .with_sync_period(SimTime::from_millis(100))
+        cfg.with_sync_period(SimTime::from_millis(100))
             .with_stall_timeout(SimTime::from_millis(800))
             // Debug-assert sg = [P](sc) after every protocol callback on
             // every machine, replacing ad-hoc mid-run polling.
@@ -265,12 +268,11 @@ fn object_ids_resolve_by_string_form() {
     assert_eq!(m1.join_instance(parsed), Some("Sudoku"));
 }
 
-#[test]
-fn sixteen_machine_cluster_converges_under_load() {
-    // Scale check beyond the paper's 8 users: the serial protocol still
-    // converges (just with longer rounds — the Figure 6 trend).
+/// Scale check beyond the paper's 8 users: 16 machines issuing Sudoku moves
+/// converge; returns the durations of the full-cohort rounds.
+fn sixteen_machines_under_load(cfg: MachineConfig) -> Vec<SimTime> {
     let n = 16;
-    let mut net = cluster(n, 77);
+    let mut net = cluster_with(n, 77, cfg);
     assert!(run_until_cohort(&mut net, SimTime::from_secs(20)));
     let board = net
         .actor_mut(MachineId::new(0))
@@ -295,16 +297,38 @@ fn sixteen_machine_cluster_converges_under_load() {
     }
     net.run_until(net.now() + SimTime::from_secs(15));
     assert_all_converged(&net, n);
-    // Round duration reflects 16 serial flush turns.
-    let samples = &net.actor(MachineId::new(0)).unwrap().stats().sync_samples;
-    let full_rounds: Vec<_> = samples.iter().filter(|s| s.participants == 16).collect();
-    assert!(!full_rounds.is_empty(), "full-cohort rounds happened");
-    for s in &full_rounds {
-        assert!(
-            s.duration >= SimTime::from_millis(150),
-            "16 serial turns at 10ms latency each: {s:?}"
-        );
-    }
     let st = net.actor(MachineId::new(5)).unwrap().stats();
     assert!(st.max_exec_count <= 3);
+    let samples = &net.actor(MachineId::new(0)).unwrap().stats().sync_samples;
+    let full_rounds: Vec<SimTime> = samples
+        .iter()
+        .filter(|s| s.participants == 16)
+        .map(|s| s.duration)
+        .collect();
+    assert!(!full_rounds.is_empty(), "full-cohort rounds happened");
+    full_rounds
+}
+
+#[test]
+fn sixteen_machine_cluster_converges_under_load() {
+    // The paper's serial protocol still converges, just with longer rounds
+    // (the Figure 6 trend): round duration reflects 16 flush turns.
+    for d in sixteen_machines_under_load(MachineConfig::default().with_parallel_flush(false)) {
+        assert!(
+            d >= SimTime::from_millis(150),
+            "16 serial turns at 10ms latency each: {d:?}"
+        );
+    }
+}
+
+#[test]
+fn sixteen_machine_round_takes_four_link_delays() {
+    // The default parallel flush: BeginSync, FlushDone, BeginApply, Ack —
+    // four one-way delays of 10 ms however large the cohort.
+    for d in sixteen_machines_under_load(MachineConfig::default()) {
+        assert!(
+            d >= SimTime::from_millis(40) && d <= SimTime::from_millis(45),
+            "a 16-machine round is 4 link delays, not 18: {d:?}"
+        );
+    }
 }

@@ -335,3 +335,92 @@ fn generate_cross_group_coordinated_round_schedule() {
     assert!(report.violation.is_none(), "{:?}", report.violation);
     println!("{}", sched.to_json());
 }
+
+/// The loss cases only the parallel flush has, driven under every oracle
+/// and pinned as `tests/schedules/event-planner-parallel-flush-lost.json`.
+/// In the first explored round machine 1's batch to the master is dropped
+/// while its `FlushDone` arrives, so the master's own `BeginApply` counts
+/// must send it asking (`OpsRequest`). In the second, machine 1's
+/// `FlushDone` — sent to the master alone, so nobody else can vouch for
+/// the flush — is dropped, and the master's stage-1 nudge must make
+/// machine 1 announce it again. Everything else is delivered lowest seq
+/// first. If the protocol's wire changes, regenerate the file from the
+/// schedule this test prints.
+#[test]
+fn parallel_flush_losses_recover_as_the_checked_in_schedule_records() {
+    use guesstimate_core::MachineId;
+    use guesstimate_mc::Cluster;
+    use guesstimate_runtime::Msg;
+
+    let preset = *Preset::by_name("event_planner-parallel").expect("built-in preset");
+    assert!(preset.parallel_flush && preset.drop_budget >= 2);
+    let matrix = CommuteMatrix::new();
+    let mut built = preset.build_machines(&matrix, None);
+    let (master, member) = (MachineId::new(0), MachineId::new(1));
+    let rounds_done = |built: &guesstimate_mc::Built| {
+        let stats = built.net.actor(master).expect("master").stats();
+        stats.sync_samples.len()
+    };
+    let first_round = rounds_done(&built);
+
+    let mut steps = Vec::new();
+    let (mut lost_flush_done, mut lost_batch) = (false, false);
+    while !(built.window_done() && built.pending_msgs().is_empty()) {
+        assert!(steps.len() < 10_000, "drain failed to converge");
+        let next = match built.pending_msgs().first() {
+            None => Step::Timer,
+            Some(&seq) => {
+                let p = built.net.pending_msg(seq).expect("pending");
+                let from_member = p.from == member && p.to == master;
+                let round = rounds_done(&built) - first_round;
+                match p.msg {
+                    Msg::Ops { .. } if from_member && round == 0 && !lost_batch => {
+                        lost_batch = true;
+                        Step::Drop(seq)
+                    }
+                    Msg::FlushDone { .. } if from_member && round == 1 && !lost_flush_done => {
+                        lost_flush_done = true;
+                        Step::Drop(seq)
+                    }
+                    _ => Step::Deliver(seq),
+                }
+            }
+        };
+        assert!(built.exec(next), "stalled at {next}");
+        assert_eq!(built.check_step(), None, "after {next}");
+        steps.push(next);
+    }
+    assert_eq!(built.check_terminal(), None);
+    assert!(lost_flush_done && lost_batch, "both losses were injected");
+
+    let samples = &built
+        .net
+        .actor(master)
+        .expect("master")
+        .stats()
+        .sync_samples;
+    let explored = &samples[first_round..];
+    assert_eq!(
+        explored
+            .iter()
+            .map(|s| (s.resends, s.removals, s.ops_committed))
+            .collect::<Vec<_>>(),
+        vec![(0, 0, 3), (1, 0, 0), (0, 0, 0)],
+        "all 3 ops commit in round 1 with no nudge; round 2 needs one; nobody is removed"
+    );
+
+    let sched = Schedule {
+        preset: preset.name.to_owned(),
+        tamper: None,
+        steps,
+    };
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/schedules/event-planner-parallel-flush-lost.json");
+    let recorded = std::fs::read_to_string(&path).unwrap_or_default();
+    assert_eq!(
+        recorded,
+        sched.to_json(),
+        "{path:?} is stale; it should read:\n{}",
+        sched.to_json()
+    );
+}
