@@ -12,6 +12,12 @@
 //! * `sim_round` — one full synchronization round of a simulated 4-machine
 //!   cluster (protocol + virtual network bookkeeping): nearly idle, and
 //!   with 256 pending ops to consolidate, commute-skip off and on.
+//! * `threaded_link_round_trip` — a ping and its echo over the real-thread
+//!   mesh with a constant link delay: twice the link when the delivery
+//!   thread wakes on time, and its wake-up lateness twice over when not.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -20,7 +26,7 @@ use guesstimate_apps::sudoku::{self, Sudoku};
 use guesstimate_core::{
     args, execute, GState, MachineId, ObjectId, ObjectStore, OpRegistry, SharedOp,
 };
-use guesstimate_net::{LatencyModel, NetConfig, SimTime};
+use guesstimate_net::{Actor, Channel, Ctx, LatencyModel, NetConfig, SimTime, ThreadedNet};
 use guesstimate_runtime::{run_until_cohort, sim_cluster, MachineConfig};
 
 fn board_id(i: u64) -> ObjectId {
@@ -219,6 +225,42 @@ fn bench_sim_round_loaded(c: &mut Criterion) {
     }
 }
 
+/// Machine 1 echoes; machine 0 counts the echoes that came back.
+struct Relay(Arc<AtomicU64>);
+
+impl Actor for Relay {
+    type Msg = ();
+    fn on_message(&mut self, from: MachineId, channel: Channel, _: (), ctx: &mut Ctx<'_, ()>) {
+        if ctx.self_id() == MachineId::new(0) {
+            self.0.fetch_add(1, Ordering::Release);
+        } else {
+            ctx.send(from, channel, ());
+        }
+    }
+}
+
+fn bench_threaded_link_round_trip(c: &mut Criterion) {
+    let mut g = c.benchmark_group("threaded_link_round_trip");
+    for (name, link) in [("200us", 200), ("1ms", 1_000)] {
+        let echoes = Arc::new(AtomicU64::new(0));
+        let net = ThreadedNet::new(LatencyModel::Constant(SimTime::from_micros(link)), 7);
+        let a = net.add_machine(MachineId::new(0), Relay(echoes.clone()));
+        let _b = net.add_machine(MachineId::new(1), Relay(echoes.clone()));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let before = echoes.load(Ordering::Acquire);
+                a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Signals, ()));
+                // Spin, not sleep: this thread's own wake-up is not the
+                // mesh's lateness.
+                while echoes.load(Ordering::Acquire) == before {
+                    std::hint::spin_loop();
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_issue,
@@ -226,6 +268,7 @@ criterion_group!(
     bench_store_copy,
     bench_snapshot_digest,
     bench_sim_round,
-    bench_sim_round_loaded
+    bench_sim_round_loaded,
+    bench_threaded_link_round_trip
 );
 criterion_main!(benches);

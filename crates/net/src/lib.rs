@@ -20,7 +20,8 @@
 //!   reproducing them on a simulated clock preserves their shape while
 //!   making experiments repeatable.
 //! * [`ThreadedNet`] — a real-thread, wall-clock driver with the same
-//!   semantics, for interactive examples.
+//!   semantics, for interactive examples and wall-clock measurement (its
+//!   module doc states how punctually it delivers).
 //! * [`SchedNet`] — a controlled-scheduler driver for the model checker
 //!   (`guesstimate-mc`): every delivery, drop, join admission and timer
 //!   firing is an externally chosen event, so a checker can enumerate

@@ -4,12 +4,36 @@
 //! but with real threads and real delays: application threads (a UI, a
 //! workload generator, a test) interact with their machine through a
 //! [`ThreadedHandle`] while a background *delivery service* thread plays the
-//! network, applying the configured latency model to every message.
+//! network, applying the configured latency model to every message. Every
+//! wall-clock measurement of the protocol (the `perf` benchmark's six
+//! workloads) runs on this mesh, so how punctually it delivers is part of
+//! every number they report.
+//!
+//! # Delivery contract
+//!
+//! A delivery or timer submitted with due time `t` is dispatched
+//!
+//! * **never early**: the handler starts at a clock reading `>= t`;
+//! * **in due order**: among items the thread has been sent, the earliest
+//!   `(t, submission order)` goes first, also when it was submitted while
+//!   the thread was already waiting for a later one;
+//! * **late by the poll granularity**: once `t` is less than the guard away
+//!   the thread stops blocking and polls (clock, `try_recv`,
+//!   `spin_loop`), so it notices `t` within one poll, well under a
+//!   microsecond, where blocking until `t` returned one timer-slack-plus-
+//!   scheduler wake-up (p50 75 to 130 us on Linux) after it. Handlers run on
+//!   this one thread, so an item due while another's handler runs waits for
+//!   it, and a wake-up later than the guard is late by the excess.
+//!
+//! The thread **polls only within the guard** of the heap head's due time.
+//! Further away it blocks in `recv_timeout` until the guard begins (a
+//! submission wakes it sooner), and with nothing in the heap it blocks in
+//! `recv` and costs nothing. Its busy time is therefore bounded by the
+//! guard times the number of wake-ups, which is what
+//! `bench.cpu_us_per_commit` shows rising with this design.
 //!
 //! Fault injection is a simulation-mode feature; the threaded driver is
-//! fault-free by design (it exists to demonstrate liveness and the
-//! non-blocking API under true concurrency, not to run measured
-//! experiments).
+//! fault-free by design.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -17,7 +41,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use guesstimate_core::MachineId;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -30,20 +54,19 @@ use crate::metrics::NetMetrics;
 use crate::time::SimTime;
 use crate::trace::{NoopTracer, TraceEvent, TraceRecord, Tracer};
 
+/// How long before the heap head is due the delivery thread stops blocking
+/// and polls for it. A blocking wait on Linux ends late by much the same
+/// amount whatever its length: timer slack plus a scheduler wake-up, here
+/// p50 75-130 us and p90 100-200 us between a quiet and a noisy hour (the
+/// table in `docs/ARCHITECTURE.md`, reprinted by the `lateness_table` test
+/// below). So the thread asks to be woken this much early and polls away
+/// what the wake-up left of it; a wake-up later than the guard delivers late
+/// by the excess, as every wake-up did before. Each wake-up polls for at most
+/// the guard.
+const POLL_GUARD: Duration = Duration::from_micros(150);
+
 enum Submission<M> {
-    Deliver {
-        at: SimTime,
-        from: MachineId,
-        to: MachineId,
-        channel: Channel,
-        msg: M,
-        stamp: u64,
-    },
-    Timer {
-        at: SimTime,
-        machine: MachineId,
-        tag: u64,
-    },
+    Due { at: SimTime, item: DueItem<M> },
     Shutdown,
 }
 
@@ -60,6 +83,8 @@ enum DueItem<M> {
         channel: Channel,
         msg: M,
         stamp: u64,
+        /// `Actor::msg_size` of `msg`, computed once by the sender.
+        size: u64,
     },
     Timer {
         machine: MachineId,
@@ -124,7 +149,6 @@ impl<A: Actor> Shared<A> {
         for action in actions {
             match action {
                 Action::Broadcast(channel, msg) => {
-                    let stamp = self.next_stamp(now, src, &msg);
                     let targets: Vec<MachineId> = self
                         .machines
                         .read()
@@ -132,64 +156,68 @@ impl<A: Actor> Shared<A> {
                         .copied()
                         .filter(|&m| m != src)
                         .collect();
-                    for to in targets {
-                        self.submit_delivery(now, src, to, channel, msg.clone(), stamp);
-                    }
+                    self.send(now, src, &targets, channel, msg);
                 }
-                Action::Send(to, channel, msg) => {
-                    let stamp = self.next_stamp(now, src, &msg);
-                    self.submit_delivery(now, src, to, channel, msg, stamp);
-                }
+                Action::Send(to, channel, msg) => self.send(now, src, &[to], channel, msg),
                 Action::SetTimer { delay, tag } => {
-                    let _ = self.tx.send(Submission::Timer {
+                    let _ = self.tx.send(Submission::Due {
                         at: now + delay,
-                        machine: src,
-                        tag,
+                        item: DueItem::Timer { machine: src, tag },
                     });
                 }
             }
         }
     }
 
-    /// Allocates one causal stamp for a send action and records its
-    /// [`TraceEvent::MsgSent`] (broadcast fan-out legs share the stamp).
-    fn next_stamp(&self, now: SimTime, src: MachineId, msg: &A::Msg) -> u64 {
-        let stamp = self.stamps.fetch_add(1, AtomicOrdering::Relaxed);
-        self.trace(
-            now,
-            src,
-            TraceEvent::MsgSent {
-                stamp,
-                kind: A::msg_kind(msg),
-                bytes: A::msg_size(msg),
-            },
-        );
-        stamp
-    }
-
-    fn submit_delivery(
+    /// Submits one send action: one causal stamp and [`TraceEvent::MsgSent`]
+    /// (broadcast fan-out legs share the stamp), one sizing of `msg`, one
+    /// turn at the metrics and RNG locks, one latency draw per recipient in
+    /// `targets` order.
+    fn send(
         &self,
         now: SimTime,
         from: MachineId,
-        to: MachineId,
+        targets: &[MachineId],
         channel: Channel,
         msg: A::Msg,
-        stamp: u64,
     ) {
+        let size = A::msg_size(&msg);
+        let stamp = self.stamps.fetch_add(1, AtomicOrdering::Relaxed);
+        self.trace(
+            now,
+            from,
+            TraceEvent::MsgSent {
+                stamp,
+                kind: A::msg_kind(&msg),
+                bytes: size,
+            },
+        );
+        let Some((&last, rest)) = targets.split_last() else {
+            return;
+        };
         {
             let mut m = self.metrics.lock();
-            m.sent += 1;
-            m.bytes_sent += A::msg_size(&msg);
+            m.sent += targets.len() as u64;
+            m.bytes_sent += size * targets.len() as u64;
         }
-        let lat = self.latency.sample(&mut *self.rng.lock());
-        let _ = self.tx.send(Submission::Deliver {
-            at: now + lat,
-            from,
-            to,
-            channel,
-            msg,
-            stamp,
-        });
+        let mut rng = self.rng.lock();
+        let mut submit = |to, msg| {
+            let _ = self.tx.send(Submission::Due {
+                at: now + self.latency.sample(&mut *rng),
+                item: DueItem::Deliver {
+                    from,
+                    to,
+                    channel,
+                    msg,
+                    stamp,
+                    size,
+                },
+            });
+        };
+        for &to in rest {
+            submit(to, msg.clone());
+        }
+        submit(last, msg);
     }
 }
 
@@ -362,7 +390,15 @@ impl<A: Actor> Drop for ThreadedNet<A> {
     fn drop(&mut self) {
         let _ = self.shared.tx.send(Submission::Shutdown);
         if let Some(h) = self.service.take() {
-            let _ = h.join();
+            // A handler that panicked took the delivery thread with it and
+            // the mesh went quiet: surface that where the mesh is dropped
+            // (unless this drop is itself part of an unwind, where a second
+            // panic would abort).
+            if let Err(panic) = h.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         }
     }
 }
@@ -370,92 +406,94 @@ impl<A: Actor> Drop for ThreadedNet<A> {
 fn delivery_service<A: Actor>(shared: Arc<Shared<A>>, rx: Receiver<Submission<A::Msg>>) {
     let mut heap: BinaryHeap<Due<A::Msg>> = BinaryHeap::new();
     let mut seq: u64 = 0;
+    let mut push = |heap: &mut BinaryHeap<_>, at, item| {
+        seq += 1;
+        heap.push(Due { at, seq, item });
+    };
     loop {
-        // Dispatch everything due.
+        // Read the clock, then drain: whatever was submitted before this
+        // reading is in the heap before anything is judged due against it,
+        // so a later-due item never overtakes an earlier-due one that had
+        // already been sent, and nothing is dispatched early.
         let now = shared.now();
-        while heap.peek().is_some_and(|d| d.at <= now) {
-            let due = heap.pop().expect("peeked");
-            match due.item {
-                DueItem::Deliver {
-                    from,
-                    to,
-                    channel,
-                    msg,
-                    stamp,
-                } => {
-                    let size = A::msg_size(&msg);
-                    let kind = A::msg_kind(&msg);
-                    // Record the receive *before* on_message so any reply's
-                    // MsgSent timestamp is never earlier than this receive.
-                    // (If the machine leaves in the tiny window before
-                    // invoke, the extra receive is still HB-consistent:
-                    // its matching send exists.)
-                    if shared.machines.read().contains_key(&to) {
-                        shared.trace(
-                            shared.now(),
-                            to,
-                            TraceEvent::MsgReceived {
-                                origin: from,
-                                stamp,
-                                kind,
-                            },
-                        );
-                    }
-                    let delivered =
-                        shared.invoke(to, |a, ctx| a.on_message(from, channel, msg, ctx));
-                    let mut m = shared.metrics.lock();
-                    if delivered {
-                        m.delivered += 1;
-                        m.bytes_delivered += size;
-                    } else {
-                        m.dropped += 1;
-                    }
-                }
-                DueItem::Timer { machine, tag } => {
-                    if shared.invoke(machine, |a, ctx| a.on_timer(tag, ctx)) {
-                        shared.metrics.lock().timers_fired += 1;
-                    }
-                }
+        loop {
+            match rx.try_recv() {
+                Ok(Submission::Due { at, item }) => push(&mut heap, at, item),
+                Ok(Submission::Shutdown) | Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Empty) => break,
             }
         }
-        // Sleep until the next due time or the next submission.
-        let timeout = heap
-            .peek()
-            .map(|d| Duration::from(d.at.saturating_since(shared.now())))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Submission::Shutdown) => return,
-            Ok(Submission::Deliver {
-                at,
-                from,
-                to,
-                channel,
-                msg,
-                stamp,
-            }) => {
-                seq += 1;
-                heap.push(Due {
-                    at,
-                    seq,
-                    item: DueItem::Deliver {
-                        from,
-                        to,
-                        channel,
-                        msg,
-                        stamp,
-                    },
-                });
+        // Dispatch the head if it is due. Otherwise block while it is
+        // further away than the guard (forever on an empty heap; a
+        // submission ends either wait), and inside the guard poll: back to
+        // the top for the clock and the channel. The poll does not
+        // `yield_now`: sharing a core with a busy thread, a yield per poll
+        // gives up this thread's slice each time and its later wake-ups
+        // stop preempting that neighbour (Linux 6.18: a 200 us link round
+        // trip measured 8 ms so, 0.4 ms spinning).
+        let woken_by = match heap.peek().map(|head| head.at) {
+            Some(at) if at <= now => {
+                dispatch(&shared, heap.pop().expect("peeked").item);
+                continue;
             }
-            Ok(Submission::Timer { at, machine, tag }) => {
-                seq += 1;
-                heap.push(Due {
-                    at,
-                    seq,
-                    item: DueItem::Timer { machine, tag },
-                });
+            Some(at) => {
+                let wait = Duration::from(at.saturating_since(now));
+                if wait <= POLL_GUARD {
+                    std::hint::spin_loop();
+                    continue;
+                }
+                rx.recv_timeout(wait - POLL_GUARD)
             }
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match woken_by {
+            Ok(Submission::Due { at, item }) => push(&mut heap, at, item),
+            Ok(Submission::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+        }
+    }
+}
+
+fn dispatch<A: Actor>(shared: &Shared<A>, item: DueItem<A::Msg>) {
+    match item {
+        DueItem::Deliver {
+            from,
+            to,
+            channel,
+            msg,
+            stamp,
+            size,
+        } => {
+            let kind = A::msg_kind(&msg);
+            // Record the receive *before* on_message so any reply's
+            // MsgSent timestamp is never earlier than this receive.
+            // (If the machine leaves in the tiny window before
+            // invoke, the extra receive is still HB-consistent:
+            // its matching send exists.)
+            if shared.machines.read().contains_key(&to) {
+                shared.trace(
+                    shared.now(),
+                    to,
+                    TraceEvent::MsgReceived {
+                        origin: from,
+                        stamp,
+                        kind,
+                    },
+                );
+            }
+            let delivered = shared.invoke(to, |a, ctx| a.on_message(from, channel, msg, ctx));
+            let mut m = shared.metrics.lock();
+            if delivered {
+                m.delivered += 1;
+                m.bytes_delivered += size;
+            } else {
+                m.dropped += 1;
+            }
+        }
+        DueItem::Timer { machine, tag } => {
+            if shared.invoke(machine, |a, ctx| a.on_timer(tag, ctx)) {
+                shared.metrics.lock().timers_fired += 1;
+            }
         }
     }
 }
@@ -573,5 +611,187 @@ mod tests {
         net.remove_machine(MachineId::new(0));
         assert_eq!(a.with(|p, _| p.pings_seen), None);
         assert_eq!(a.read(|p| p.timer_hits), None);
+    }
+
+    /// Ping-pongs its receipt time over the link: every message carries the
+    /// sender's clock reading, every receipt records how long it flew.
+    struct Echo {
+        flights: Arc<Mutex<Vec<SimTime>>>,
+    }
+
+    impl Actor for Echo {
+        type Msg = SimTime;
+        fn on_message(
+            &mut self,
+            from: MachineId,
+            channel: Channel,
+            sent: SimTime,
+            ctx: &mut Ctx<'_, SimTime>,
+        ) {
+            self.flights.lock().push(ctx.now().saturating_since(sent));
+            ctx.send(from, channel, ctx.now());
+        }
+    }
+
+    /// Starts a two-actor ping-pong over a constant `link` and calls
+    /// `meanwhile` until `n` flights are recorded; returns the flights.
+    fn echo_flights(link: SimTime, n: usize, mut meanwhile: impl FnMut()) -> Vec<SimTime> {
+        let flights = Arc::new(Mutex::new(Vec::new()));
+        let net = ThreadedNet::new(LatencyModel::Constant(link), 3);
+        let echo = || Echo {
+            flights: flights.clone(),
+        };
+        let a = net.add_machine(MachineId::new(0), echo());
+        let _b = net.add_machine(MachineId::new(1), echo());
+        a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Operations, ctx.now()));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while flights.lock().len() < n {
+            assert!(Instant::now() < deadline, "ping-pong stalled");
+            meanwhile();
+        }
+        drop(net);
+        let mut flights = flights.lock().clone();
+        flights.truncate(n);
+        flights
+    }
+
+    /// `[p10, p50, p90, p99]` of `samples`, in microseconds.
+    fn percentiles_us(mut samples: Vec<u64>) -> [u64; 4] {
+        samples.sort_unstable();
+        [10, 50, 90, 99].map(|p| samples[(samples.len() - 1) * p / 100])
+    }
+
+    /// How late a blocking `wait` returns, `n` times over, in microseconds.
+    fn overshoots_us(wait: Duration, n: usize, block: impl Fn(Duration)) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                let t = Instant::now();
+                block(wait);
+                t.elapsed().saturating_sub(wait).as_micros() as u64
+            })
+            .collect()
+    }
+
+    /// (a) never early, (b) on time. The yardstick for (b) is taken by this
+    /// thread while the mesh runs, so both see the same box: a delivery is
+    /// late by a poll, a `thread::sleep` of the link delay by a whole
+    /// wake-up, and blocking until the due time (the wait this replaced)
+    /// made the two equal.
+    #[test]
+    fn a_constant_link_delivers_never_early_and_on_time() {
+        let link = SimTime::from_micros(200);
+        let mut sleeps = Vec::new();
+        let flights = echo_flights(link, 600, || {
+            sleeps.extend(overshoots_us(link.into(), 1, std::thread::sleep));
+        });
+        assert!(flights.iter().all(|&f| f >= link), "a delivery was early");
+        let late = flights.iter().map(|f| f.as_micros() - link.as_micros());
+        let [_, late_p50, ..] = percentiles_us(late.collect());
+        let [_, sleep_p50, ..] = percentiles_us(sleeps);
+        assert!(
+            2 * late_p50 < sleep_p50,
+            "median delivery {late_p50} us late; a sleep of the same length {sleep_p50} us"
+        );
+    }
+
+    struct TimerLog(Vec<(u64, SimTime)>);
+
+    impl Actor for TimerLog {
+        type Msg = ();
+        fn on_message(&mut self, _: MachineId, _: Channel, _: (), _: &mut Ctx<'_, ()>) {}
+        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, ()>) {
+            self.0.push((tag, ctx.now()));
+        }
+    }
+
+    /// (c) A timer due in 140 us puts the delivery thread inside its guard;
+    /// 70 us later, while it polls, a second one due in 10 us is submitted.
+    /// The second must fire first, and before the first was due: polling
+    /// still listens to the channel.
+    #[test]
+    fn a_submission_while_polling_is_dispatched_in_due_order_and_on_time() {
+        let net = ThreadedNet::new(LatencyModel::constant_ms(1), 3);
+        let a = net.add_machine(MachineId::new(0), TimerLog(Vec::new()));
+        let (head, second) = (SimTime::from_micros(140), SimTime::from_micros(10));
+        let (mut judged, mut prompt) = (0, 0);
+        for round in 1..=200 {
+            let start = net.now();
+            a.with(|_, ctx| ctx.set_timer(head, 1));
+            while net.now() < start + SimTime::from_micros(70) {
+                std::hint::spin_loop();
+            }
+            a.with(|_, ctx| ctx.set_timer(second, 2));
+            let submitted = net.now();
+            assert!(wait_for(
+                || a.read(|log| log.0.len()) == Some(2 * round),
+                2_000
+            ));
+            // The head was due no earlier than `start + head`, the second
+            // no later than `submitted + second`: judge the rounds in which
+            // this thread was not held up between the two.
+            if submitted + second < start + head {
+                judged += 1;
+                let fired = a.read(|log| log.0[2 * round - 2]).unwrap();
+                assert_eq!(fired.0, 2, "the later-due head overtook");
+                prompt += usize::from(fired.1 < start + head);
+            }
+        }
+        assert!(judged >= 100, "only {judged} of 200 rounds ran undisturbed");
+        assert!(
+            4 * prompt >= 3 * judged,
+            "{prompt} of {judged} fired before the head's due time"
+        );
+    }
+
+    struct Bomb;
+
+    impl Actor for Bomb {
+        type Msg = ();
+        fn on_message(&mut self, _: MachineId, _: Channel, _: (), _: &mut Ctx<'_, ()>) {
+            panic!("handler bug");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "handler bug")]
+    fn a_handler_panic_on_the_delivery_thread_resurfaces_when_the_mesh_drops() {
+        let net = ThreadedNet::new(LatencyModel::constant_ms(1), 3);
+        let a = net.add_machine(MachineId::new(0), Bomb);
+        let _b = net.add_machine(MachineId::new(1), Bomb);
+        a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Operations, ()));
+        let service = net.service.as_ref().expect("joined only in drop");
+        assert!(wait_for(|| service.is_finished(), 2_000));
+    }
+
+    /// Prints the table that sizes [`POLL_GUARD`]: how late a wait of 200 us,
+    /// 1 ms and 3 ms ends as `thread::sleep`, as `recv_timeout` on an idle
+    /// channel (the delivery thread's wait before it polled), and as a
+    /// delivery over a constant link of that length. Run it with
+    /// `cargo test --release -p guesstimate-net lateness_table -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn lateness_table() {
+        let (_tx, rx) = unbounded::<()>();
+        println!("lateness in us, 400 samples a cell: p10 / p50 / p90 / p99");
+        for us in [200, 1_000, 3_000] {
+            let wait = Duration::from_micros(us);
+            let row = [
+                overshoots_us(wait, 400, std::thread::sleep),
+                overshoots_us(wait, 400, |d| {
+                    let _ = rx.recv_timeout(d);
+                }),
+                echo_flights(SimTime::from_micros(us), 400, || {
+                    std::thread::sleep(Duration::from_millis(2))
+                })
+                .iter()
+                .map(|f| f.as_micros() - us)
+                .collect(),
+            ]
+            .map(|cell| percentiles_us(cell).map(|p| p.to_string()).join(" / "));
+            println!(
+                "{us:>5} us wait | sleep {} | recv_timeout {} | delivery {}",
+                row[0], row[1], row[2]
+            );
+        }
     }
 }
