@@ -18,6 +18,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -225,40 +226,66 @@ fn bench_sim_round_loaded(c: &mut Criterion) {
     }
 }
 
-/// Machine 1 echoes; machine 0 counts the echoes that came back.
-struct Relay(Arc<AtomicU64>);
+/// Machine 1 echoes, then busy-works for `work`; machine 0 counts the echoes
+/// that came back.
+struct Relay {
+    echoes: Arc<AtomicU64>,
+    work: Duration,
+}
 
 impl Actor for Relay {
     type Msg = ();
     fn on_message(&mut self, from: MachineId, channel: Channel, _: (), ctx: &mut Ctx<'_, ()>) {
         if ctx.self_id() == MachineId::new(0) {
-            self.0.fetch_add(1, Ordering::Release);
+            self.echoes.fetch_add(1, Ordering::Release);
         } else {
             ctx.send(from, channel, ());
+            let t = Instant::now();
+            while t.elapsed() < self.work {
+                std::hint::spin_loop();
+            }
         }
     }
 }
 
+/// One ping-pong over a constant link per iteration. `link_round_trip`
+/// reads 2 x link when deliveries are on time; `send_then_work`, whose
+/// replier spins 100 us *after* its send, reads the same 2 x link when a
+/// send leaves at the call and 2 x link + 100 us when it leaves at the
+/// handler's return.
 fn bench_threaded_link_round_trip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("threaded_link_round_trip");
-    for (name, link) in [("200us", 200), ("1ms", 1_000)] {
-        let echoes = Arc::new(AtomicU64::new(0));
-        let net = ThreadedNet::new(LatencyModel::Constant(SimTime::from_micros(link)), 7);
-        let a = net.add_machine(MachineId::new(0), Relay(echoes.clone()));
-        let _b = net.add_machine(MachineId::new(1), Relay(echoes.clone()));
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let before = echoes.load(Ordering::Acquire);
-                a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Signals, ()));
-                // Spin, not sleep: this thread's own wake-up is not the
-                // mesh's lateness.
-                while echoes.load(Ordering::Acquire) == before {
-                    std::hint::spin_loop();
-                }
-            })
-        });
+    for (group, work_us, links) in [
+        (
+            "threaded_link_round_trip",
+            0,
+            &[("200us", 200), ("1ms", 1_000)][..],
+        ),
+        ("threaded_send_then_work", 100, &[("200us", 200)][..]),
+    ] {
+        let mut g = c.benchmark_group(group);
+        for &(name, link) in links {
+            let echoes = Arc::new(AtomicU64::new(0));
+            let relay = || Relay {
+                echoes: echoes.clone(),
+                work: Duration::from_micros(work_us),
+            };
+            let net = ThreadedNet::new(LatencyModel::Constant(SimTime::from_micros(link)), 7);
+            let a = net.add_machine(MachineId::new(0), relay());
+            let _b = net.add_machine(MachineId::new(1), relay());
+            g.bench_function(name, |b| {
+                b.iter(|| {
+                    let before = echoes.load(Ordering::Acquire);
+                    a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Signals, ()));
+                    // Spin, not sleep: this thread's own wake-up is not the
+                    // mesh's lateness.
+                    while echoes.load(Ordering::Acquire) == before {
+                        std::hint::spin_loop();
+                    }
+                })
+            });
+        }
+        g.finish();
     }
-    g.finish();
 }
 
 criterion_group!(

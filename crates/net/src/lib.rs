@@ -91,7 +91,7 @@ mod threaded;
 mod time;
 mod trace;
 
-pub use actor::{Action, Actor, Ctx};
+pub use actor::{Action, Actor, Ctx, Outbox};
 pub use channel::Channel;
 pub use fault::{FaultEvent, FaultPlan, PartitionWindow, StallWindow};
 pub use latency::LatencyModel;

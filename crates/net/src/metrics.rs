@@ -16,7 +16,9 @@ pub struct NetMetrics {
     pub sent: u64,
     /// Deliveries that reached `on_message`.
     pub delivered: u64,
-    /// Deliveries dropped by the fault plan (loss or stall).
+    /// Deliveries dropped by the fault plan (loss or stall); on the threaded
+    /// mesh, deliveries and timers whose machine, or that incarnation of
+    /// it, had left by their due time.
     pub dropped: u64,
     /// Extra deliveries injected by duplication faults.
     pub duplicated: u64,

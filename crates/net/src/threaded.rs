@@ -11,19 +11,34 @@
 //!
 //! # Delivery contract
 //!
-//! A delivery or timer submitted with due time `t` is dispatched
+//! **A delay runs from the call that made it.** `Ctx::send`, `broadcast`
+//! and `set_timer` read the clock and submit to the delivery thread inside
+//! the call: a message is due one sampled link delay after its `send`, a
+//! timer `delay` after its `set_timer`, whatever the actor goes on to do in
+//! the same callback. An actor that signals first and works afterwards has
+//! its signal in flight while it works, and two sends of one callback are
+//! due as far apart as they were made.
+//!
+//! A delivery or timer with due time `t` is dispatched
 //!
 //! * **never early**: the handler starts at a clock reading `>= t`;
 //! * **in due order**: among items the thread has been sent, the earliest
 //!   `(t, submission order)` goes first, also when it was submitted while
-//!   the thread was already waiting for a later one;
+//!   the thread was already waiting for a later one, and also when `t` had
+//!   passed before the callback that made it returned (the thread was busy
+//!   in that callback, or the recipient was);
 //! * **late by the poll granularity**: once `t` is less than the guard away
 //!   the thread stops blocking and polls (clock, `try_recv`,
 //!   `spin_loop`), so it notices `t` within one poll, well under a
 //!   microsecond, where blocking until `t` returned one timer-slack-plus-
 //!   scheduler wake-up (p50 75 to 130 us on Linux) after it. Handlers run on
 //!   this one thread, so an item due while another's handler runs waits for
-//!   it, and a wake-up later than the guard is late by the excess.
+//!   it, and a wake-up later than the guard is late by the excess;
+//! * **to the incarnation it was meant for**: every `add_machine` is a new
+//!   incarnation of its id. A timer fires only on the incarnation that set
+//!   it and a message reaches only the incarnation that held the id when it
+//!   was sent; otherwise the item is counted `dropped`. (A message sent to
+//!   an id nobody holds goes to whoever holds it when it is due.)
 //!
 //! The thread **polls only within the guard** of the heap head's due time.
 //! Further away it blocks in `recv_timeout` until the guard begins (a
@@ -47,7 +62,7 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::actor::{Action, Actor, Ctx};
+use crate::actor::{Action, Actor, Ctx, Outbox};
 use crate::channel::Channel;
 use crate::latency::LatencyModel;
 use crate::metrics::NetMetrics;
@@ -80,6 +95,11 @@ enum DueItem<M> {
     Deliver {
         from: MachineId,
         to: MachineId,
+        /// The incarnation `to` had when this was sent: only that one is
+        /// handed the message. `None` when nobody held the id: such a
+        /// message was addressed to no incarnation, and whoever holds the
+        /// id at the due time is handed it, as always.
+        incarnation: Option<u64>,
         channel: Channel,
         msg: M,
         stamp: u64,
@@ -88,6 +108,8 @@ enum DueItem<M> {
     },
     Timer {
         machine: MachineId,
+        /// The incarnation that set the timer; it fires on no other.
+        incarnation: u64,
         tag: u64,
     },
 }
@@ -109,8 +131,16 @@ impl<M> Ord for Due<M> {
     }
 }
 
+/// One `add_machine`: the actor and the number that tells it from an earlier
+/// or later holder of the same id.
+struct Slot<A> {
+    incarnation: u64,
+    actor: Mutex<A>,
+}
+
 struct Shared<A: Actor> {
-    machines: RwLock<std::collections::BTreeMap<MachineId, Arc<Mutex<A>>>>,
+    machines: RwLock<std::collections::BTreeMap<MachineId, Arc<Slot<A>>>>,
+    incarnations: AtomicU64,
     tx: Sender<Submission<A::Msg>>,
     start: Instant,
     latency: LatencyModel,
@@ -129,55 +159,40 @@ impl<A: Actor> Shared<A> {
         self.tracer.read().record(TraceRecord { at, source, event });
     }
 
-    /// Runs `f` on the actor with a live context, then routes its actions.
-    fn invoke(&self, id: MachineId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) -> bool {
-        let Some(actor) = self.machines.read().get(&id).cloned() else {
+    /// Runs `f` on the actor holding `id` (on that `incarnation` of it, if
+    /// one is named) with a live context: what the actor sends or arms
+    /// inside `f` is submitted at that call.
+    fn invoke(
+        &self,
+        id: MachineId,
+        incarnation: Option<u64>,
+        f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>),
+    ) -> bool {
+        let Some(slot) = self.machines.read().get(&id).cloned() else {
             return false;
         };
-        let mut actions = Vec::new();
-        {
-            let mut guard = actor.lock();
-            let mut ctx = Ctx::new(self.now(), id, &mut actions);
-            f(&mut guard, &mut ctx);
+        if incarnation.is_some_and(|i| i != slot.incarnation) {
+            return false;
         }
-        self.route(id, actions);
+        let mut guard = slot.actor.lock();
+        let mut out = Live {
+            shared: self,
+            src: id,
+            incarnation: slot.incarnation,
+        };
+        f(&mut guard, &mut Ctx::new(self.now(), id, &mut out));
         true
     }
 
-    fn route(&self, src: MachineId, actions: Vec<Action<A::Msg>>) {
-        let now = self.now();
-        for action in actions {
-            match action {
-                Action::Broadcast(channel, msg) => {
-                    let targets: Vec<MachineId> = self
-                        .machines
-                        .read()
-                        .keys()
-                        .copied()
-                        .filter(|&m| m != src)
-                        .collect();
-                    self.send(now, src, &targets, channel, msg);
-                }
-                Action::Send(to, channel, msg) => self.send(now, src, &[to], channel, msg),
-                Action::SetTimer { delay, tag } => {
-                    let _ = self.tx.send(Submission::Due {
-                        at: now + delay,
-                        item: DueItem::Timer { machine: src, tag },
-                    });
-                }
-            }
-        }
-    }
-
-    /// Submits one send action: one causal stamp and [`TraceEvent::MsgSent`]
-    /// (broadcast fan-out legs share the stamp), one sizing of `msg`, one
-    /// turn at the metrics and RNG locks, one latency draw per recipient in
-    /// `targets` order.
+    /// Submits one send action made at `now`: one causal stamp and
+    /// [`TraceEvent::MsgSent`] (broadcast fan-out legs share the stamp), one
+    /// sizing of `msg`, one turn at the metrics and RNG locks, one latency
+    /// draw per recipient in `targets` order.
     fn send(
         &self,
         now: SimTime,
         from: MachineId,
-        targets: &[MachineId],
+        targets: &[(MachineId, Option<u64>)],
         channel: Channel,
         msg: A::Msg,
     ) {
@@ -201,12 +216,13 @@ impl<A: Actor> Shared<A> {
             m.bytes_sent += size * targets.len() as u64;
         }
         let mut rng = self.rng.lock();
-        let mut submit = |to, msg| {
+        let mut submit = |(to, incarnation), msg| {
             let _ = self.tx.send(Submission::Due {
                 at: now + self.latency.sample(&mut *rng),
                 item: DueItem::Deliver {
                     from,
                     to,
+                    incarnation,
                     channel,
                     msg,
                     stamp,
@@ -218,6 +234,48 @@ impl<A: Actor> Shared<A> {
             submit(to, msg.clone());
         }
         submit(last, msg);
+    }
+}
+
+/// The outbox of a running callback: each action is stamped with the clock
+/// at the call that made it and submitted to the delivery thread from inside
+/// that call, so its delay is already running while the actor works on.
+struct Live<'s, A: Actor> {
+    shared: &'s Shared<A>,
+    src: MachineId,
+    incarnation: u64,
+}
+
+impl<A: Actor> Outbox<A::Msg> for Live<'_, A> {
+    fn push(&mut self, action: Action<A::Msg>) {
+        let (shared, src) = (self.shared, self.src);
+        let now = shared.now();
+        match action {
+            Action::Broadcast(channel, msg) => {
+                let targets: Vec<_> = shared
+                    .machines
+                    .read()
+                    .iter()
+                    .filter(|(&m, _)| m != src)
+                    .map(|(&m, slot)| (m, Some(slot.incarnation)))
+                    .collect();
+                shared.send(now, src, &targets, channel, msg);
+            }
+            Action::Send(to, channel, msg) => {
+                let incarnation = shared.machines.read().get(&to).map(|s| s.incarnation);
+                shared.send(now, src, &[(to, incarnation)], channel, msg);
+            }
+            Action::SetTimer { delay, tag } => {
+                let _ = shared.tx.send(Submission::Due {
+                    at: now + delay,
+                    item: DueItem::Timer {
+                        machine: src,
+                        incarnation: self.incarnation,
+                        tag,
+                    },
+                });
+            }
+        }
     }
 }
 
@@ -256,18 +314,15 @@ impl<A: Actor> ThreadedHandle<A> {
     /// Returns `None` if the machine has left the mesh.
     pub fn with<R>(&self, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) -> R) -> Option<R> {
         let mut out = None;
-        let ok = self.shared.invoke(self.id, |a, ctx| out = Some(f(a, ctx)));
-        if ok {
-            out
-        } else {
-            None
-        }
+        self.shared
+            .invoke(self.id, None, |a, ctx| out = Some(f(a, ctx)));
+        out
     }
 
     /// Runs `f` with shared read access to the actor (no context).
     pub fn read<R>(&self, f: impl FnOnce(&A) -> R) -> Option<R> {
-        let actor = self.shared.machines.read().get(&self.id).cloned()?;
-        let guard = actor.lock();
+        let slot = self.shared.machines.read().get(&self.id).cloned()?;
+        let guard = slot.actor.lock();
         Some(f(&guard))
     }
 }
@@ -314,6 +369,7 @@ impl<A: Actor> ThreadedNet<A> {
         let (tx, rx) = unbounded();
         let shared = Arc::new(Shared {
             machines: RwLock::new(std::collections::BTreeMap::new()),
+            incarnations: AtomicU64::new(0),
             tx,
             start: Instant::now(),
             latency,
@@ -336,19 +392,27 @@ impl<A: Actor> ThreadedNet<A> {
     }
 
     /// Adds a machine; its [`Actor::on_start`] runs before this returns.
+    ///
+    /// Each call is a new *incarnation* of `id`: timers set by, and messages
+    /// sent to, an earlier holder of the id never reach this one.
     pub fn add_machine(&self, id: MachineId, actor: A) -> ThreadedHandle<A> {
-        self.shared
-            .machines
-            .write()
-            .insert(id, Arc::new(Mutex::new(actor)));
-        self.shared.invoke(id, |a, ctx| a.on_start(ctx));
+        let slot = Slot {
+            incarnation: self
+                .shared
+                .incarnations
+                .fetch_add(1, AtomicOrdering::Relaxed),
+            actor: Mutex::new(actor),
+        };
+        self.shared.machines.write().insert(id, Arc::new(slot));
+        self.shared.invoke(id, None, |a, ctx| a.on_start(ctx));
         ThreadedHandle {
             id,
             shared: self.shared.clone(),
         }
     }
 
-    /// Removes a machine from the mesh; in-flight messages to it are dropped.
+    /// Removes a machine from the mesh; in-flight messages to it are dropped
+    /// and its pending timers never fire, also if the id is added again.
     pub fn remove_machine(&self, id: MachineId) {
         self.shared.machines.write().remove(&id);
     }
@@ -459,20 +523,18 @@ fn dispatch<A: Actor>(shared: &Shared<A>, item: DueItem<A::Msg>) {
         DueItem::Deliver {
             from,
             to,
+            incarnation,
             channel,
             msg,
             stamp,
             size,
         } => {
             let kind = A::msg_kind(&msg);
-            // Record the receive *before* on_message so any reply's
-            // MsgSent timestamp is never earlier than this receive.
-            // (If the machine leaves in the tiny window before
-            // invoke, the extra receive is still HB-consistent:
-            // its matching send exists.)
-            if shared.machines.read().contains_key(&to) {
+            let delivered = shared.invoke(to, incarnation, |a, ctx| {
+                // Record the receive *before* on_message so any reply's
+                // MsgSent timestamp is never earlier than this receive.
                 shared.trace(
-                    shared.now(),
+                    ctx.now(),
                     to,
                     TraceEvent::MsgReceived {
                         origin: from,
@@ -480,8 +542,8 @@ fn dispatch<A: Actor>(shared: &Shared<A>, item: DueItem<A::Msg>) {
                         kind,
                     },
                 );
-            }
-            let delivered = shared.invoke(to, |a, ctx| a.on_message(from, channel, msg, ctx));
+                a.on_message(from, channel, msg, ctx)
+            });
             let mut m = shared.metrics.lock();
             if delivered {
                 m.delivered += 1;
@@ -490,9 +552,17 @@ fn dispatch<A: Actor>(shared: &Shared<A>, item: DueItem<A::Msg>) {
                 m.dropped += 1;
             }
         }
-        DueItem::Timer { machine, tag } => {
-            if shared.invoke(machine, |a, ctx| a.on_timer(tag, ctx)) {
-                shared.metrics.lock().timers_fired += 1;
+        DueItem::Timer {
+            machine,
+            incarnation,
+            tag,
+        } => {
+            let fired = shared.invoke(machine, Some(incarnation), |a, ctx| a.on_timer(tag, ctx));
+            let mut m = shared.metrics.lock();
+            if fired {
+                m.timers_fired += 1;
+            } else {
+                m.dropped += 1;
             }
         }
     }
@@ -741,6 +811,315 @@ mod tests {
             4 * prompt >= 3 * judged,
             "{prompt} of {judged} fired before the head's due time"
         );
+    }
+
+    /// One thing a [`Scripted`] actor does inside a callback.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Send `Some(label)` to the peer.
+        Send(u64),
+        /// Arm a timer: delay in microseconds, tag.
+        Timer(u64, u64),
+        /// Busy-work for this many microseconds.
+        Work(u64),
+    }
+
+    /// What a [`Scripted`] pair saw, each with a reading of the mesh clock:
+    /// `Called` just before the `send`/`set_timer` call of that label or
+    /// tag, `Got`/`Fired` when its handler started, `Returned` at the end of
+    /// the script.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Seen {
+        Called(u64),
+        Got(u64),
+        Fired(u64),
+        Returned,
+    }
+
+    type Log = Arc<Mutex<Vec<(Seen, SimTime)>>>;
+
+    /// Plays scripts of sends, timers and work, and logs when each call was
+    /// made and when it took effect. With `hosted` the script runs the way a
+    /// `MultiMachine` group does: in a context hosted inside the mesh's.
+    struct Scripted {
+        peer: MachineId,
+        /// Played when `None` ("go") arrives, i.e. on the delivery thread.
+        on_go: Vec<Step>,
+        hosted: bool,
+        clock: Instant,
+        log: Log,
+    }
+
+    impl Scripted {
+        fn note(&self, seen: Seen, at: SimTime) {
+            self.log.lock().push((seen, at));
+        }
+
+        fn clock(&self) -> SimTime {
+            SimTime::from(self.clock.elapsed())
+        }
+
+        fn run(&self, steps: &[Step], ctx: &mut Ctx<'_, Option<u64>>) {
+            if self.hosted {
+                ctx.hosted(
+                    ctx.self_id(),
+                    |action| action,
+                    |inner| self.play(steps, inner),
+                );
+            } else {
+                self.play(steps, ctx);
+            }
+            self.note(Seen::Returned, self.clock());
+        }
+
+        fn play(&self, steps: &[Step], ctx: &mut Ctx<'_, Option<u64>>) {
+            for &step in steps {
+                match step {
+                    Step::Send(label) => {
+                        self.note(Seen::Called(label), self.clock());
+                        ctx.send(self.peer, Channel::Signals, Some(label));
+                    }
+                    Step::Timer(us, tag) => {
+                        self.note(Seen::Called(tag), self.clock());
+                        ctx.set_timer(SimTime::from_micros(us), tag);
+                    }
+                    Step::Work(us) => {
+                        let t = Instant::now();
+                        while t.elapsed() < Duration::from_micros(us) {
+                            std::hint::spin_loop();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    impl Actor for Scripted {
+        type Msg = Option<u64>;
+        fn on_message(
+            &mut self,
+            _: MachineId,
+            _: Channel,
+            msg: Option<u64>,
+            ctx: &mut Ctx<'_, Option<u64>>,
+        ) {
+            match msg {
+                None => self.run(&self.on_go.clone(), ctx),
+                Some(label) => self.note(Seen::Got(label), ctx.now()),
+            }
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, Option<u64>>) {
+            self.note(Seen::Fired(tag), ctx.now());
+        }
+    }
+
+    const LINK_US: u64 = 200;
+
+    /// Machines 0 and 1 over a constant [`LINK_US`] link, each the other's
+    /// peer; runs `round` 60 times and hands `judge` each round's log once
+    /// every event in `expect` is in it.
+    fn scripted_rounds(
+        hosted: bool,
+        on_go: &[Step],
+        expect: &[Seen],
+        round: impl Fn(&ThreadedHandle<Scripted>),
+        mut judge: impl FnMut(&dyn Fn(Seen) -> SimTime, &[(Seen, SimTime)]),
+    ) {
+        let log: Log = Arc::default();
+        let net = ThreadedNet::new(LatencyModel::Constant(SimTime::from_micros(LINK_US)), 3);
+        let [a, _b] = [0, 1].map(|i| {
+            let actor = Scripted {
+                peer: MachineId::new(1 - i),
+                on_go: on_go.to_vec(),
+                hosted,
+                clock: net.shared.start,
+                log: log.clone(),
+            };
+            net.add_machine(MachineId::new(i), actor)
+        });
+        for _ in 0..60 {
+            round(&a);
+            let seen_all = || {
+                let log = log.lock();
+                expect.iter().all(|e| log.iter().any(|(s, _)| s == e))
+            };
+            assert!(wait_for(seen_all, 2_000), "hosted={hosted}: round stalled");
+            let events = std::mem::take(&mut *log.lock());
+            let at = |seen| {
+                let found = events.iter().find(|(s, _)| *s == seen);
+                found.unwrap_or_else(|| panic!("no {seen:?}")).1
+            };
+            judge(&at, &events);
+        }
+    }
+
+    /// The delay of a send runs from the `send` call: an actor that sends
+    /// and then works 300 us in the same callback is heard one link delay
+    /// after the call, not one link delay after it finished.
+    #[test]
+    fn a_send_followed_by_work_is_received_one_link_after_the_call() {
+        for hosted in [false, true] {
+            let mut flights = Vec::new();
+            scripted_rounds(
+                hosted,
+                &[],
+                &[Seen::Got(1)],
+                |a| {
+                    a.with(|s, ctx| s.run(&[Step::Send(1), Step::Work(300)], ctx));
+                },
+                |at, _| {
+                    let flight = at(Seen::Got(1)).saturating_since(at(Seen::Called(1)));
+                    assert!(flight.as_micros() >= LINK_US, "early: {flight:?}");
+                    flights.push(flight.as_micros());
+                },
+            );
+            let [_, p50, ..] = percentiles_us(flights);
+            assert!(
+                p50 < LINK_US + 150,
+                "hosted={hosted}: median flight {p50} us; the work after the send is on the path"
+            );
+        }
+    }
+
+    /// Two sends 150 us of work apart arrive in that order and that far
+    /// apart: each carries its own call's clock reading.
+    #[test]
+    fn sends_separated_by_work_arrive_in_order_and_as_far_apart() {
+        for hosted in [false, true] {
+            let mut gaps = Vec::new();
+            scripted_rounds(
+                hosted,
+                &[],
+                &[Seen::Got(1), Seen::Got(2)],
+                |a| {
+                    let script = [Step::Send(1), Step::Work(150), Step::Send(2)];
+                    a.with(|s, ctx| s.run(&script, ctx));
+                },
+                |at, _| {
+                    for label in [1, 2] {
+                        let flight = at(Seen::Got(label)).saturating_since(at(Seen::Called(label)));
+                        assert!(flight.as_micros() >= LINK_US, "early: {flight:?}");
+                    }
+                    assert!(at(Seen::Got(1)) <= at(Seen::Got(2)), "overtaken");
+                    gaps.push(
+                        at(Seen::Got(2))
+                            .saturating_since(at(Seen::Got(1)))
+                            .as_micros(),
+                    );
+                },
+            );
+            let [_, p50, ..] = percentiles_us(gaps);
+            assert!(
+                (100..=250).contains(&p50),
+                "hosted={hosted}: median gap {p50} us between sends made 150 us apart"
+            );
+        }
+    }
+
+    /// A timer runs from the `set_timer` call, not from the callback's end:
+    /// 500 us armed ahead of 300 us of work fire 500 us after the call. (The
+    /// timer outlasts the work because its handler needs the actor, which
+    /// the working callback holds.)
+    #[test]
+    fn a_timer_set_before_work_fires_its_delay_after_the_call() {
+        for hosted in [false, true] {
+            let mut waits = Vec::new();
+            scripted_rounds(
+                hosted,
+                &[],
+                &[Seen::Fired(9)],
+                |a| {
+                    a.with(|s, ctx| s.run(&[Step::Timer(500, 9), Step::Work(300)], ctx));
+                },
+                |at, _| {
+                    let wait = at(Seen::Fired(9)).saturating_since(at(Seen::Called(9)));
+                    assert!(wait.as_micros() >= 500, "early: {wait:?}");
+                    waits.push(wait.as_micros());
+                },
+            );
+            let [_, p50, ..] = percentiles_us(waits);
+            assert!(
+                p50 < 500 + 150,
+                "hosted={hosted}: median wait {p50} us for a 500 us timer"
+            );
+        }
+    }
+
+    /// A handler on the delivery thread sends, arms a shorter timer, and
+    /// then works past both due times. Both are dispatched when the thread
+    /// comes free: in due order, neither before it was due, and without a
+    /// second link delay on top of the work.
+    #[test]
+    fn work_that_outlasts_the_link_delays_dispatch_only_until_the_thread_is_free() {
+        for hosted in [false, true] {
+            let mut after_return = Vec::new();
+            scripted_rounds(
+                hosted,
+                &[Step::Send(1), Step::Timer(100, 7), Step::Work(300)],
+                &[Seen::Got(1), Seen::Fired(7)],
+                |a| {
+                    a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Signals, None));
+                },
+                |at, events| {
+                    let flight = at(Seen::Got(1)).saturating_since(at(Seen::Called(1)));
+                    assert!(flight.as_micros() >= LINK_US, "early: {flight:?}");
+                    let wait = at(Seen::Fired(7)).saturating_since(at(Seen::Called(7)));
+                    assert!(wait.as_micros() >= 100, "early: {wait:?}");
+                    let order: Vec<Seen> = events.iter().map(|(s, _)| *s).collect();
+                    assert_eq!(
+                        order[order.len() - 3..],
+                        [Seen::Returned, Seen::Fired(7), Seen::Got(1)],
+                        "the timer was due first"
+                    );
+                    after_return.push(
+                        at(Seen::Got(1))
+                            .saturating_since(at(Seen::Returned))
+                            .as_micros(),
+                    );
+                },
+            );
+            let [_, p50, ..] = percentiles_us(after_return);
+            assert!(
+                p50 < 100,
+                "hosted={hosted}: received a median {p50} us after the sender's handler returned"
+            );
+        }
+    }
+
+    /// A machine id that is removed and added again is a new incarnation:
+    /// the old one's timer does not fire on it, and a message sent to the
+    /// old one does not reach it. Both are counted dropped.
+    #[test]
+    fn a_re_added_id_inherits_neither_timers_nor_messages_in_flight() {
+        let pongs = Arc::new(AtomicUsize::new(0));
+        let net = ThreadedNet::new(LatencyModel::constant_ms(5), 3);
+        let a = net.add_machine(MachineId::new(0), pinger(&pongs));
+        let old = net.add_machine(MachineId::new(1), pinger(&pongs));
+        old.with(|_, ctx| ctx.set_timer(SimTime::from_millis(5), 1));
+        a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Operations, "ping"));
+        std::thread::sleep(Duration::from_millis(1));
+        net.remove_machine(MachineId::new(1));
+        let new = net.add_machine(MachineId::new(1), pinger(&pongs));
+        assert!(wait_for(|| net.metrics().dropped == 2, 2_000));
+        assert_eq!(new.read(|p| (p.timer_hits, p.pings_seen)), Some((0, 0)));
+        assert_eq!(net.metrics().timers_fired, 0);
+        // The new holder of the id is reachable and keeps its own timers.
+        new.with(|_, ctx| ctx.set_timer(SimTime::from_millis(1), 2));
+        a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Operations, "ping"));
+        assert!(wait_for(|| pongs.load(Ordering::SeqCst) == 1, 2_000));
+        assert!(wait_for(|| new.read(|p| p.timer_hits) == Some(1), 2_000));
+    }
+
+    /// Nobody holds the id when the message is sent, so it is addressed to
+    /// no incarnation: whoever holds the id when it is due gets it.
+    #[test]
+    fn a_message_to_an_id_nobody_holds_yet_reaches_who_holds_it_when_due() {
+        let pongs = Arc::new(AtomicUsize::new(0));
+        let net = ThreadedNet::new(LatencyModel::constant_ms(5), 3);
+        let a = net.add_machine(MachineId::new(0), pinger(&pongs));
+        a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Operations, "ping"));
+        let _b = net.add_machine(MachineId::new(1), pinger(&pongs));
+        assert!(wait_for(|| pongs.load(Ordering::SeqCst) == 1, 2_000));
     }
 
     struct Bomb;

@@ -437,6 +437,47 @@ fn every_enqueue_caller_keeps_the_same_books() {
     }
 }
 
+/// On the wall-clock mesh a send leaves at its call (`net::Outbox`), so
+/// where a participant's replies sit in their callbacks is load-bearing:
+/// `FlushDone` tells the master this machine's batch is on the wire and
+/// `Ack` that the round is in its committed state, so each can only follow
+/// the work it reports -- the last action of its callback, with nothing the
+/// master waits for behind it.
+#[test]
+fn a_participants_flush_done_and_ack_are_the_last_actions_of_their_callbacks() {
+    use crate::message::Msg;
+    use guesstimate_net::{Action, Actor, Channel, Ctx};
+    let (master, me) = (MachineId::new(0), MachineId::new(1));
+    let mut m = Machine::new_member(me, Arc::new(counter_registry()), MachineConfig::default());
+    m.membership.joined_system = true;
+    m.membership.in_cohort = true;
+    m.create_instance(Counter { n: 0 });
+    let on_message = |m: &mut Machine, msg| {
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(SimTime::ZERO, me, &mut actions);
+        m.on_message(master, Channel::Signals, msg, &mut ctx);
+        actions
+    };
+
+    let order = vec![master, me];
+    let flush = on_message(&mut m, Msg::BeginSync { round: 1, order });
+    assert!(matches!(
+        flush[..],
+        [
+            Action::Broadcast(Channel::Operations, Msg::Ops { round: 1, .. }),
+            Action::Send(to, Channel::Signals, Msg::FlushDone { round: 1, count: 1, .. }),
+        ] if to == master
+    ));
+
+    let counts = vec![(master, 0), (me, 1)];
+    let apply = on_message(&mut m, Msg::BeginApply { round: 1, counts });
+    assert_eq!(m.completed_len(), 1, "the round is applied before the Ack");
+    assert!(matches!(
+        apply[..],
+        [Action::Send(to, Channel::Signals, Msg::Ack { round: 1, .. })] if to == master
+    ));
+}
+
 #[test]
 fn op_seq_survives_restart() {
     // OpIds must never be reused across a restart, or the completed

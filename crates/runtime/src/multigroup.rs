@@ -114,6 +114,36 @@ fn split_tag(tag: u64) -> Option<(GroupId, u64)> {
     Some(((slot - 1) as GroupId, tag & ((1u64 << TAG_GROUP_SHIFT) - 1)))
 }
 
+/// Translates one action of group `g`'s machine onto the outer mesh: the
+/// message group-tagged, the recipient's node, the timer tag group-scoped.
+fn outer_action(g: GroupId, action: Action<Msg>) -> Action<GMsg> {
+    match action {
+        Action::Broadcast(channel, msg) => {
+            Action::Broadcast(channel, GMsg::Inner { group: g, msg })
+        }
+        Action::Send(to, channel, msg) => {
+            Action::Send(node_of(to), channel, GMsg::Inner { group: g, msg })
+        }
+        Action::SetTimer { delay, tag } => Action::SetTimer {
+            delay,
+            tag: outer_tag(g, tag),
+        },
+    }
+}
+
+/// Runs `f` on group `g`'s machine with an inner context that forwards each
+/// action, translated, into `ctx` at the call that makes it: on the
+/// wall-clock mesh a hosted group's send leaves when the group sends it, as
+/// a lone [`Machine`]'s does, not when the wrapper gets control back.
+fn in_group<R>(
+    g: GroupId,
+    m: &mut Machine,
+    ctx: &mut Ctx<'_, GMsg>,
+    f: impl FnOnce(&mut Machine, &mut Ctx<'_, Msg>) -> R,
+) -> R {
+    ctx.hosted(m.id(), |a| outer_action(g, a), |ictx| f(m, ictx))
+}
+
 /// One sync group: a component of a type, with its display label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupSpec {
@@ -486,25 +516,19 @@ impl MultiMachine {
             .find_map(|m| m.object_type(id).map(str::to_owned))
     }
 
-    /// Runs `f` against one hosted group's machine with a synthesized
-    /// inner context, then translates the produced actions onto the outer
-    /// mesh and runs the post-dispatch pipeline (cross-commit draining,
-    /// fencing, resolution, buffered replay).
+    /// Runs `f` against one hosted group's machine with a translating inner
+    /// context (its actions reach the outer mesh as it makes them), then
+    /// runs the post-dispatch pipeline (cross-commit draining, fencing,
+    /// resolution, buffered replay).
     pub fn with_group<R>(
         &mut self,
         g: GroupId,
         ctx: &mut Ctx<'_, GMsg>,
         f: impl FnOnce(&mut Machine, &mut Ctx<'_, Msg>) -> R,
     ) -> Option<R> {
-        let now = ctx.now();
         let m = self.machines.get_mut(&g)?;
-        let mut actions = Vec::new();
-        let r = {
-            let mut ictx = Ctx::new(now, m.id(), &mut actions);
-            f(m, &mut ictx)
-        };
+        let r = in_group(g, m, ctx, f);
         let commits = m.take_cross_commits();
-        self.emit(g, actions, ctx);
         self.enqueue_cross_commits(g, commits);
         self.pump(ctx);
         Some(r)
@@ -850,41 +874,18 @@ impl MultiMachine {
     // Event plumbing
     // ------------------------------------------------------------------
 
-    /// Translates one group's inner actions onto the outer mesh.
-    fn emit(&mut self, g: GroupId, actions: Vec<Action<Msg>>, ctx: &mut Ctx<'_, GMsg>) {
-        for a in actions {
-            match a {
-                Action::Broadcast(channel, msg) => {
-                    ctx.broadcast(channel, GMsg::Inner { group: g, msg });
-                }
-                Action::Send(to, channel, msg) => {
-                    ctx.send(node_of(to), channel, GMsg::Inner { group: g, msg });
-                }
-                Action::SetTimer { delay, tag } => {
-                    ctx.set_timer(delay, outer_tag(g, tag));
-                }
-            }
-        }
-    }
-
     /// Dispatches one event into a group's machine (no fence check).
     fn raw_dispatch(&mut self, g: GroupId, ev: Buffered, ctx: &mut Ctx<'_, GMsg>) {
-        let now = ctx.now();
         let Some(m) = self.machines.get_mut(&g) else {
             return;
         };
-        let mut actions = Vec::new();
-        {
-            let mut ictx = Ctx::new(now, m.id(), &mut actions);
-            match ev {
-                Buffered::Message { from, channel, msg } => {
-                    m.on_message(vid(from, g), channel, msg, &mut ictx);
-                }
-                Buffered::Timer { inner_tag } => m.on_timer(inner_tag, &mut ictx),
+        in_group(g, m, ctx, |m, ictx| match ev {
+            Buffered::Message { from, channel, msg } => {
+                m.on_message(vid(from, g), channel, msg, ictx);
             }
-        }
+            Buffered::Timer { inner_tag } => m.on_timer(inner_tag, ictx),
+        });
         let commits = m.take_cross_commits();
-        self.emit(g, actions, ctx);
         self.enqueue_cross_commits(g, commits);
     }
 
@@ -934,16 +935,8 @@ impl Actor for MultiMachine {
     type Msg = GMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, GMsg>) {
-        let now = ctx.now();
-        let groups = self.group_ids();
-        for g in groups {
-            let m = self.machines.get_mut(&g).expect("hosted");
-            let mut actions = Vec::new();
-            {
-                let mut ictx = Ctx::new(now, m.id(), &mut actions);
-                m.on_start(&mut ictx);
-            }
-            self.emit(g, actions, ctx);
+        for (&g, m) in &mut self.machines {
+            in_group(g, m, ctx, |m, ictx| m.on_start(ictx));
         }
     }
 
@@ -1250,6 +1243,43 @@ mod tests {
         let outer = outer_tag(3, inner);
         assert_eq!(split_tag(outer), Some((3, inner)));
         assert_eq!(split_tag(inner), None);
+    }
+
+    /// A hosted group's action is in the outer context, translated, before
+    /// the inner call that made it returns: on the wall-clock mesh that is
+    /// what starts its link delay ahead of the rest of the group's callback.
+    #[test]
+    fn a_hosted_groups_action_reaches_the_outer_context_inside_the_inner_call() {
+        use std::{cell::RefCell, rc::Rc};
+
+        struct Seen(Rc<RefCell<Vec<Action<GMsg>>>>);
+        impl guesstimate_net::Outbox<GMsg> for Seen {
+            fn push(&mut self, action: Action<GMsg>) {
+                self.0.borrow_mut().push(action);
+            }
+        }
+
+        let table = Arc::new(GroupTable::from_plan(pair_plan()));
+        let spec = MultiClusterSpec::full_overlap(2, table);
+        let mut mm = spec.build_node(0, &Arc::new(pair_registry()), &cfg());
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let mut out = Seen(Rc::clone(&seen));
+        let mut ctx = Ctx::new(SimTime::ZERO, mm.node(), &mut out);
+        mm.with_group(1, &mut ctx, |m, ictx| {
+            assert_eq!(ictx.self_id(), m.id());
+            ictx.send(vid(MachineId::new(1), 1), Channel::Signals, Msg::Restart);
+            assert!(matches!(
+                seen.borrow()[..],
+                [Action::Send(to, Channel::Signals, GMsg::Inner { group: 1, msg: Msg::Restart })]
+                    if to == MachineId::new(1)
+            ));
+            ictx.set_timer(SimTime::from_millis(3), 5);
+            assert!(matches!(
+                seen.borrow()[1],
+                Action::SetTimer { tag, .. } if split_tag(tag) == Some((1, 5))
+            ));
+        })
+        .expect("hosted");
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!    master broadcasts `BeginApply` with the authoritative per-machine op
 //!    counts; each machine waits for all expected operations, applies them
 //!    to its committed state in lexicographic `(machineID, opnumber)` order,
-//!    acknowledges, then copies committed onto guesstimated state, runs its
-//!    pending completion routines and replays its still-pending operations.
+//!    copies committed onto guesstimated state, runs its pending completion
+//!    routines, replays its still-pending operations, and then acknowledges
+//!    (`try_apply`: the `Ack` is the last action of the callback).
 //! 3. **FlagCompletion** — when all acknowledgments are in, the master
 //!    broadcasts `SyncComplete` and may start the next round any time after.
 

@@ -202,6 +202,8 @@ impl MasterRole {
         self.next_round += 1;
         debug_assert_eq!(order.first(), Some(&self.me), "master flushes first");
         let participants = order.len() as u32;
+        // `BeginSync` goes first: on the wall-clock mesh a send leaves at its
+        // call, so the members' link delay runs while this machine flushes.
         let mut fx = vec![
             Effect::Broadcast {
                 channel: Channel::Signals,
@@ -294,6 +296,9 @@ impl MasterRole {
             .collect();
         mr.counts = counts.clone();
         let round = mr.round;
+        // `BeginApply` goes first, the master's own apply last: a send leaves
+        // at its call, so the members hear it one link delay from here while
+        // this machine applies the round.
         vec![
             Effect::Broadcast {
                 channel: Channel::Signals,
@@ -598,7 +603,9 @@ mod tests {
     }
 
     /// Starts round 1 over `order3` and checks the part of the script both
-    /// flush modes share; returns what follows the `RoundStarted` trace.
+    /// flush modes share -- `BeginSync` ahead of everything, the master's
+    /// own flush included, so that it is on the wire while the master works
+    /// -- and returns what follows the `RoundStarted` trace.
     fn begin_round_tail(c: &MachineConfig) -> Vec<Effect> {
         let mut m = MasterRole::new(id(0));
         let mut fx = m.step(
@@ -698,9 +705,16 @@ mod tests {
             })
             .expect("BeginApply broadcast");
         assert_eq!(begin_apply, vec![(id(0), 2), (id(1), 2), (id(2), 2)]);
-        assert!(fx
-            .iter()
-            .any(|e| matches!(e, Effect::BeginApplyLocal { .. })));
+        // The signal leads and the master's own apply comes last, so the
+        // members' link delay covers it (see `start_apply_stage`).
+        assert!(matches!(
+            fx[fx.len() - 4],
+            Effect::Broadcast {
+                msg: Msg::BeginApply { .. },
+                ..
+            }
+        ));
+        assert!(matches!(fx.last(), Some(Effect::BeginApplyLocal { .. })));
     }
 
     #[test]

@@ -59,6 +59,10 @@ mc:
 perf-check:
     ./scripts/check.sh perf
 
+# Parent-against-change benchmark pairs, every workload (about half an hour; reports only).
+perf-pairs:
+    ./scripts/check.sh perf-pairs
+
 # Non-test Rust lines per crate, and the change since the base commit.
 loc:
     ./scripts/check.sh loc

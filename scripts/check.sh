@@ -111,6 +111,15 @@ step() {
         cargo run --release --offline -q \
             --manifest-path crates/bench/src/bin/perf/Cargo.toml -- --check
         ;;
+    # Parent-against-change pairs of that benchmark, all six workloads at
+    # its own run length (about half an hour): medians, quartiles, pairs
+    # won and the beyond-the-parent's-IQR rule per end-to-end metric
+    # (scripts/perf_pairs.sh). The parent is HEAD while the tree has
+    # uncommitted changes, HEAD~1 otherwise. Reports only; never fails.
+    perf-pairs)
+        if git diff --quiet HEAD 2>/dev/null; then base=HEAD~1; else base=HEAD; fi
+        ./scripts/perf_pairs.sh "$base" 10 || true
+        ;;
     # Effect-witness soundness, all three layers (docs/ANALYSIS.md
     # "Soundness"): the analyzer's witness sanitizer, the core witness
     # recorder, the runtime's apply-site containment, and the model
@@ -156,7 +165,7 @@ step() {
         cargo run --release -p guesstimate-bench --bin ablation_parallel_flush
         ;;
     *)
-        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf loc sanitize obs tier1 figures)" >&2
+        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf perf-pairs loc sanitize obs tier1 figures)" >&2
         exit 2
         ;;
     esac
