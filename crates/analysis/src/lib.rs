@@ -729,8 +729,8 @@ pub fn analyze_app(
 /// into a [`CommuteMatrix`] so downstream tools (the model checker, the
 /// runtime's replay skipping) reuse the validated verdicts without
 /// re-running the bounded-exhaustive validator, and
-/// [`shard_plans_from_json`] recovers the
-/// [`guesstimate_core::ShardPlan`] for the runtime's router.
+/// [`guesstimate_core::ShardPlan::from_json_archive`] recovers the
+/// shard plan for the runtime's router.
 pub fn report_to_json(reports: &[AppReport]) -> String {
     report_to_json_with_plans(reports, None)
 }
@@ -910,24 +910,10 @@ pub fn matrices_from_json(text: &str) -> Result<CommuteMatrix, String> {
     Ok(matrix)
 }
 
-/// Reads the per-app `shard_plan` objects of a schema-v3 archive back into
-/// a combined [`guesstimate_core::ShardPlan`]. Now a thin wrapper over
-/// [`guesstimate_core::ShardPlan::from_json_archive`], which moved to the
-/// core crate so the runtime can load plans without depending on the
-/// analyzer.
-///
-/// # Errors
-///
-/// Returns a description of the first syntactic or shape problem (see
-/// [`guesstimate_core::ShardPlan::from_json_archive`]).
-pub fn shard_plans_from_json(text: &str) -> Result<guesstimate_core::ShardPlan, String> {
-    guesstimate_core::ShardPlan::from_json_archive(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guesstimate_core::{args, EffectSpec, Footprint, GState, RestoreError};
+    use guesstimate_core::{args, EffectSpec, Footprint, GState, RestoreError, ShardPlan};
 
     /// Two independent cells plus an append-only log.
     #[derive(Clone, Default)]
@@ -1098,7 +1084,7 @@ mod tests {
         // An unknown future version fails with a *named* error, not a panic.
         let err = matrices_from_json("{\"version\": 4, \"apps\": []}").unwrap_err();
         assert!(err.contains("unsupported archive version 4"), "{err}");
-        let err = shard_plans_from_json("{\"version\": 4, \"apps\": []}").unwrap_err();
+        let err = ShardPlan::from_json_archive("{\"version\": 4, \"apps\": []}").unwrap_err();
         assert!(err.contains("unsupported archive version 4"), "{err}");
         // All shipped schema versions are accepted: v1 archives predate
         // the witness fields, v2 archives carry them, v3 adds shard plans.
@@ -1128,9 +1114,9 @@ mod tests {
             assert!(m.commutes("Cells", "set_a", "set_b"), "fixture: {text}");
         }
         // Only the v3 fixture carries a plan; earlier versions load empty.
-        assert!(shard_plans_from_json(v1).unwrap().types.is_empty());
-        assert!(shard_plans_from_json(v2).unwrap().types.is_empty());
-        let plan = shard_plans_from_json(v3).unwrap();
+        assert!(ShardPlan::from_json_archive(v1).unwrap().types.is_empty());
+        assert!(ShardPlan::from_json_archive(v2).unwrap().types.is_empty());
+        let plan = ShardPlan::from_json_archive(v3).unwrap();
         let tp = &plan.types["Cells"];
         assert_eq!(tp.components.len(), 1);
         assert!(!tp.components[0].keyed);
@@ -1160,7 +1146,7 @@ mod tests {
         let mut plan = guesstimate_core::ShardPlan::new();
         plan.types.insert("Cells".to_owned(), tp);
         let text = report_to_json_with_plans(std::slice::from_ref(&report), Some(&plan));
-        let reread = shard_plans_from_json(&text).unwrap();
+        let reread = ShardPlan::from_json_archive(&text).unwrap();
         assert_eq!(reread, plan);
     }
 

@@ -74,6 +74,20 @@ mod tests {
         }
         assert!(paths[0].to_string_lossy().ends_with(".prom"));
         assert!(paths[2].to_string_lossy().ends_with("_chrome.json"));
+        // The metric families dashboards key on, and the array trace
+        // viewers look for.
+        let prom = std::fs::read_to_string(&paths[0]).unwrap();
+        for line in [
+            "# TYPE guesstimate_ops_committed_total counter",
+            "# TYPE guesstimate_commit_lag_us histogram",
+            "guesstimate_commit_lag_us_count ",
+            "# TYPE guesstimate_commit_lag_round_us histogram",
+            "# TYPE guesstimate_net_sent_total counter",
+        ] {
+            assert!(prom.lines().any(|l| l.starts_with(line)), "no `{line}`");
+        }
+        let chrome = std::fs::read_to_string(&paths[2]).unwrap();
+        assert!(chrome.contains("\"traceEvents\""), "{chrome}");
         assert!(paths[3].to_string_lossy().ends_with("_spans.jsonl"));
         let spans = std::fs::read_to_string(&paths[3]).unwrap();
         assert_eq!(spans.lines().count(), 1, "one span line per tracked op");

@@ -64,13 +64,6 @@ pub struct SessionConfig {
     /// `sg = [P](sc)` rebuild when a round's foreign commits provably
     /// commute with every pending local operation.
     pub commute_skip: bool,
-    /// Run every machine with `MachineConfig::paranoid_checks` **and**
-    /// `witness_reads`: per-step invariant replays plus access-witness
-    /// containment (read probing included) at every apply site. Purely
-    /// diagnostic and far slower; `bench_snapshot` uses a short paired
-    /// run to pin that witnessing never perturbs the measured protocol
-    /// (byte-identical committed digest, issue and commit counts).
-    pub witness_checks: bool,
 }
 
 impl SessionConfig {
@@ -91,7 +84,6 @@ impl SessionConfig {
             seed,
             parallel_flush: false,
             commute_skip: false,
-            witness_checks: false,
         }
     }
 }
@@ -100,9 +92,9 @@ impl SessionConfig {
 /// period of §7 and the serial stage 1 of §4. The fixed-shape reproductions
 /// (Fig. 7, the latency and baseline comparisons, the hybrid lag collapse)
 /// build on this rather than on `MachineConfig::default()`, whose parallel
-/// flush postdates the paper — so their checked-in numbers
-/// (`BENCH_pr6.json`) describe the paper's protocol and do not move when
-/// the runtime's default does.
+/// flush postdates the paper — so their checked-in numbers (the `hybrid.*`
+/// keys of `tests/fingerprint.txt`) describe the paper's protocol and do
+/// not move when the runtime's default does.
 fn paper_machine_config() -> MachineConfig {
     MachineConfig::default()
         .with_sync_period(SimTime::from_millis(250))
@@ -212,8 +204,6 @@ pub fn run_session_instrumented(
         .with_join_retry(SimTime::from_millis(700))
         .with_parallel_flush(cfg.parallel_flush)
         .with_commute_skip(cfg.commute_skip)
-        .with_paranoid_checks(cfg.witness_checks)
-        .with_witness_reads(cfg.witness_checks)
         // Sudoku's analysis-derived shard plan rides along so the
         // per-shard and Cross-route commit counters are live (the fig5 /
         // fig6 footer rows); routing is note-and-count only, so the
@@ -376,13 +366,8 @@ pub fn histogram(samples: &[SyncSample]) -> Vec<HistogramBucket> {
 /// Figure 5: the sync-duration distribution of a long 8-user, 2-grid
 /// session with two injected stalls (the paper's two >12 s outliers were
 /// "the times when synchronization stalled and the master had to perform a
-/// fault recovery").
-pub fn run_fig5(seed: u64, duration: SimTime) -> SessionResult {
-    run_fig5_instrumented(seed, duration, None, Telemetry::noop())
-}
-
-/// [`run_fig5`] with a protocol trace sink and a shared [`Telemetry`]
-/// handle (see [`run_session_instrumented`]).
+/// fault recovery"), observed through a protocol trace sink and a shared
+/// [`Telemetry`] handle (see [`run_session_instrumented`]).
 pub fn run_fig5_instrumented(
     seed: u64,
     duration: SimTime,

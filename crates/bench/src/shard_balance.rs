@@ -5,8 +5,8 @@
 //! of every method through each app's derived plan, and reports how the
 //! operation population spreads across shards: shard count, per-shard op
 //! share, and the cross-shard fraction. The fig5/fig6 binaries print these
-//! rows as a footer, and `bench_snapshot` persists them (`BENCH_pr8.json`)
-//! with the derived-plan regression gates.
+//! rows as a footer, and the `shards.*` keys of `tests/fingerprint.txt` pin
+//! them.
 
 use guesstimate_analysis::harness::analyze_all_apps;
 

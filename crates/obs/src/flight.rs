@@ -19,7 +19,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use guesstimate_analysis::json::Json;
+use guesstimate_core::json::Json;
 use guesstimate_net::{TraceRecord, Tracer};
 use guesstimate_runtime::StateSummary;
 use parking_lot::Mutex;

@@ -75,7 +75,7 @@ pub fn render_text(report: &Report) -> String {
     s
 }
 
-/// Renders the report as one JSON document (for `BENCH_pr9.json` and CI).
+/// Renders the report as one JSON document (the `obs` binary's `--json` output).
 pub fn to_json(report: &Report) -> String {
     let mut ops = String::new();
     for (i, op) in report.waterfall.ops.iter().enumerate() {
@@ -135,7 +135,7 @@ pub fn to_json(report: &Report) -> String {
 
 #[cfg(test)]
 mod tests {
-    use guesstimate_analysis::json::Json;
+    use guesstimate_core::json::Json;
 
     use super::*;
 

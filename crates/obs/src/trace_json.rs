@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use guesstimate_analysis::json::Json;
+use guesstimate_core::json::Json;
 use guesstimate_net::{TraceEvent, TraceRecord};
 
 /// Renders one trace record as a single-line JSON object.

@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
-use guesstimate_analysis::json::Json;
+use guesstimate_core::json::Json;
 
 use crate::trace_json::TraceLine;
 

@@ -146,34 +146,17 @@ pub fn threaded_cluster(
     latency: LatencyModel,
     seed: u64,
 ) -> (ThreadedNet<Machine>, Vec<ThreadedHandle<Machine>>) {
-    threaded_cluster_instrumented(n, registry, cfg, latency, seed, Telemetry::noop())
-}
-
-/// [`threaded_cluster`] with a shared [`Telemetry`] handle installed on
-/// every machine (see [`sim_cluster_instrumented`]).
-pub fn threaded_cluster_instrumented(
-    n: u32,
-    registry: OpRegistry,
-    cfg: MachineConfig,
-    latency: LatencyModel,
-    seed: u64,
-    telemetry: Telemetry,
-) -> (ThreadedNet<Machine>, Vec<ThreadedHandle<Machine>>) {
     let registry = Arc::new(registry);
     let net = ThreadedNet::new(latency, seed);
     let mut handles = Vec::with_capacity(n as usize);
-    let machine = |i: u32| {
+    for i in 0..n {
         let id = MachineId::new(i);
-        let mut m = if i == 0 {
+        let m = if i == 0 {
             Machine::new_master(id, registry.clone(), cfg.clone())
         } else {
             Machine::new_member(id, registry.clone(), cfg.clone())
         };
-        m.set_telemetry(telemetry.clone());
-        m
-    };
-    for i in 0..n {
-        handles.push(net.add_machine(MachineId::new(i), machine(i)));
+        handles.push(net.add_machine(id, m));
     }
     (net, handles)
 }

@@ -87,17 +87,14 @@ mod stats;
 pub mod testutil;
 
 pub use blocking::{issue_blocking, BlockingOutcome};
-pub use cluster::{
-    run_until_cohort, sim_cluster, sim_cluster_instrumented, threaded_cluster,
-    threaded_cluster_instrumented,
-};
+pub use cluster::{run_until_cohort, sim_cluster, sim_cluster_instrumented, threaded_cluster};
 pub use config::MachineConfig;
 pub use exec::WitnessViolation;
 pub use machine::{Machine, RemoteUpdateHook, StateSummary};
 pub use message::{Msg, ObjectInit, WireEnvelope, WireOp};
 pub use multigroup::{
-    multi_sim_cluster, multi_threaded_cluster, run_multi_until_joined, GMsg, GroupId, GroupRoute,
-    GroupTable, IssueOutcome, MultiClusterSpec, MultiMachine,
+    multi_sim_cluster, run_multi_until_joined, GMsg, GroupId, GroupRoute, GroupTable, IssueOutcome,
+    MultiClusterSpec, MultiMachine,
 };
 pub use shard::{ShardRouter, ShardViolation};
 pub use stats::{MachineStats, SyncSample};

@@ -43,7 +43,9 @@ fn value_size(v: &Value) -> u64 {
     }
 }
 
-fn shared_op_size(op: &SharedOp) -> u64 {
+/// Modelled size of a [`SharedOp`] on its own, without the [`WireOp`] tag
+/// byte that wraps it in a message.
+pub(crate) fn shared_op_size(op: &SharedOp) -> u64 {
     TAG + match op {
         SharedOp::Primitive { method, args, .. } => {
             OBJECT_ID + LEN + method.len() as u64 + LEN + args.iter().map(value_size).sum::<u64>()

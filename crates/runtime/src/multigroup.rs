@@ -51,8 +51,7 @@
 //! attribute a component's fields to the group that owns it. Cross
 //! operations require the involved types' hosting to be *cross-closed*:
 //! every node hosting one involved group hosts them all (full-overlap
-//! clusters trivially qualify; the partitioned bench topology issues no
-//! cross operations).
+//! clusters trivially qualify).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -61,14 +60,12 @@ use guesstimate_core::{
     paths::Seg, value_digest, CompletionFn, ExecError, GState, MachineId, ObjectId, OpRegistry,
     ShardId, ShardPlan, SharedOp, Value,
 };
-use guesstimate_net::{
-    Action, Actor, Channel, Ctx, LatencyModel, NetConfig, SimNet, ThreadedNet, Tracer,
-};
+use guesstimate_net::{Action, Actor, Channel, Ctx, NetConfig, SimNet, Tracer};
 use guesstimate_telemetry::Telemetry;
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
-use crate::message::{Msg, WireOp};
+use crate::message::{shared_op_size, Msg, WireOp};
 use crate::shard::ShardRouter;
 
 /// Index of a sync group: one per `(type, component)` pair of the
@@ -974,8 +971,10 @@ impl Actor for MultiMachine {
     fn msg_size(msg: &GMsg) -> u64 {
         match msg {
             GMsg::Inner { msg, .. } => 4 + msg.wire_size(),
+            // The payload counts as a `WireOp::Shared`: one tag byte on top
+            // of the operation, sized by reference (this runs on every send).
             GMsg::CrossSubmit { groups, op, .. } => {
-                4 + 8 + 4 + 4 * groups.len() as u64 + WireOp::Shared(op.clone()).wire_size()
+                4 + 8 + 4 + 4 * groups.len() as u64 + 1 + shared_op_size(op)
             }
         }
     }
@@ -1024,23 +1023,6 @@ impl MultiClusterSpec {
         }
     }
 
-    /// Partitioned hosting: node `i` hosts exactly group `i % G`, so `n`
-    /// nodes split into `G` disjoint sub-clusters of `n / G` nodes — the
-    /// shard-scaling bench topology (no cross-closed hosting: issue no
-    /// cross operations on it). Group `g`'s master is node `g` (the
-    /// lowest node hosting it).
-    pub fn partitioned(n: u32, table: Arc<GroupTable>) -> Self {
-        let num = table.num_groups();
-        assert!(n >= num, "need at least one node per group");
-        let masters = (0..num).map(|g| (g, MachineId::new(g))).collect();
-        MultiClusterSpec {
-            table,
-            hosting: (0..n).map(|i| vec![i % num]).collect(),
-            masters,
-            coordinator: MachineId::new(0),
-        }
-    }
-
     /// Builds the node `i` wrapper.
     pub fn build_node(
         &self,
@@ -1075,28 +1057,6 @@ pub fn multi_sim_cluster(
         net.add_machine(MachineId::new(i), mm);
     }
     net
-}
-
-/// A real-thread multi-group cluster on [`ThreadedNet`] (instrumented).
-pub fn multi_threaded_cluster(
-    spec: &MultiClusterSpec,
-    registry: Arc<OpRegistry>,
-    cfg: MachineConfig,
-    latency: LatencyModel,
-    seed: u64,
-    telemetry: Telemetry,
-) -> (
-    ThreadedNet<MultiMachine>,
-    Vec<guesstimate_net::ThreadedHandle<MultiMachine>>,
-) {
-    let net = ThreadedNet::new(latency, seed);
-    let mut handles = Vec::new();
-    for i in 0..spec.hosting.len() as u32 {
-        let mut mm = spec.build_node(i, &registry, &cfg);
-        mm.set_telemetry(telemetry.clone());
-        handles.push(net.add_machine(MachineId::new(i), mm));
-    }
-    (net, handles)
 }
 
 /// Runs a simulated multi-group cluster until every hosted machine of
@@ -1243,6 +1203,30 @@ mod tests {
         let outer = outer_tag(3, inner);
         assert_eq!(split_tag(outer), Some((3, inner)));
         assert_eq!(split_tag(inner), None);
+    }
+
+    /// A `CrossSubmit` is sized as its header plus the payload as a
+    /// `WireOp::Shared`; `msg_size` reaches that figure without building one.
+    #[test]
+    fn cross_submit_is_sized_as_its_payload_wire_op() {
+        let obj = ObjectId::new(MachineId::new(0), 0);
+        let mix = SharedOp::primitive(obj, "mix", args![3]);
+        let bump = SharedOp::primitive(obj, "bump_a", args![-1]);
+        for op in [
+            mix.clone(),
+            SharedOp::Atomic(vec![mix.clone(), bump.clone()]),
+            SharedOp::OrElse(Box::new(mix), Box::new(bump)),
+        ] {
+            let groups = vec![0, 1];
+            let want = 4 + 8 + 4 + 4 * 2 + WireOp::Shared(op.clone()).wire_size();
+            let submit = GMsg::CrossSubmit {
+                origin: MachineId::new(1),
+                oseq: 0,
+                groups,
+                op,
+            };
+            assert_eq!(MultiMachine::msg_size(&submit), want, "{submit:?}");
+        }
     }
 
     /// A hosted group's action is in the outer context, translated, before

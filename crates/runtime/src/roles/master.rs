@@ -352,7 +352,8 @@ impl MasterRole {
         // round. If they do, a stage boundary was recorded out of order and
         // the silent clamp below would fabricate a zero stage 3 — masking
         // exactly the "stage durations partition the round" invariant that
-        // bench_snapshot asserts. Fail loudly in debug builds instead.
+        // `stage_timings_decompose_round_duration` asserts. Fail loudly in
+        // debug builds instead.
         debug_assert!(
             flush_duration + apply_duration <= duration,
             "round {}: stage durations exceed the round duration \

@@ -126,19 +126,6 @@ pub struct MachineStats {
 }
 
 impl MachineStats {
-    /// Mean issue-to-commit latency among tracked operations.
-    pub fn mean_commit_latency(&self) -> Option<SimTime> {
-        if self.commit_latencies.is_empty() {
-            return None;
-        }
-        let total: u64 = self.commit_latencies.iter().map(|t| t.as_micros()).sum();
-        Some(SimTime::from_micros(
-            total / self.commit_latencies.len() as u64,
-        ))
-    }
-}
-
-impl MachineStats {
     /// Records the final execution count of one own operation.
     pub(crate) fn record_exec_count(&mut self, count: u32) {
         let idx = (count as usize).min(self.exec_histogram.len() - 1);

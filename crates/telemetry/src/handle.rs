@@ -139,7 +139,7 @@ impl GroupInstruments {
     }
 }
 
-/// Per-group round/commit sums, read back by the shard-scaling bench to
+/// Per-group round/commit sums, read back by `tests/multigroup.rs` to
 /// assert the stage-partition invariant group by group.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupRoundStats {
@@ -345,11 +345,10 @@ impl Telemetry {
     /// aggregate instruments and additionally splits round durations,
     /// stage durations, committed-op counts and commit lag into
     /// `group`-labeled instruments (multi-group mode — one derived handle
-    /// per [`GroupId`]-keyed round-protocol instance).
+    /// per `GroupId`-keyed round-protocol instance; read the sums back with
+    /// [`Telemetry::group_round_stats`]).
     ///
     /// Deriving from a no-op handle stays a no-op.
-    ///
-    /// [`GroupId`]: GroupRoundStats
     pub fn for_group(&self, label: &str) -> Telemetry {
         let Some(inner) = &self.inner else {
             return Telemetry::noop();
@@ -383,14 +382,6 @@ impl Telemetry {
             ops_committed: gi.ops_committed.get(),
             lag_samples: gi.commit_lag_us.count(),
         })
-    }
-
-    /// The group labels that have derived handles, sorted.
-    pub fn group_labels(&self) -> Vec<String> {
-        match &self.inner {
-            Some(inner) => inner.groups.lock().keys().cloned().collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Whether this handle records anything.

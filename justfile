@@ -39,14 +39,6 @@ sanitize:
 mc-smoke:
     ./scripts/check.sh mc-smoke
 
-# Telemetry smoke; refreshes BENCH_pr4/6/8/9.json.
-bench-snapshot:
-    ./scripts/check.sh bench-snapshot
-
-# Shard-scaling gate; refreshes BENCH_pr10.json.
-bench-shards:
-    ./scripts/check.sh bench-shards
-
 # Causal cluster report over a short traced fig5.
 obs:
     ./scripts/check.sh obs
@@ -63,7 +55,7 @@ perf-check:
 perf-pairs:
     ./scripts/check.sh perf-pairs
 
-# Non-test Rust lines per crate, and the change since the base commit.
+# Non-test Rust lines per crate, and the change in them and in test lines since the base commit.
 loc:
     ./scripts/check.sh loc
 

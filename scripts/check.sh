@@ -6,55 +6,67 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-CHECK="fmt clippy doc test analyze shards mc-smoke bench-snapshot bench-shards"
+CHECK="fmt clippy doc test analyze shards mc-smoke"
 
 analyze() {
     cargo run -q -p guesstimate-analysis --bin analyze -- "$@"
 }
 
-# Non-test lines of Rust fed on stdin as concatenated files, each preceded
-# by a `==> path` line: a file stops counting at its `#[cfg(test)]` test
-# module (inline `mod`, or `#[path]`-declared).
-count_nontest() {
+# Counts Rust lines fed on stdin as concatenated files, each preceded by a
+# `==> path` line, and prints `<non-test> <test>`. Test lines are whole
+# files under a `tests/` directory, `*_tests.rs` and the `testutil.rs`
+# fixture, and the rest of a file from its `#[cfg(test)]` test module
+# (inline `mod`, or `#[path]`-declared) on.
+count_lines() {
     awk '
-        /^==> / { skip = 0; held = 0; next }
-        skip { next }
-        held { held = 0; if ($0 ~ /^(mod |#\[path)/) { skip = 1; next } n++ }
+        /^==> / { skip = ($2 ~ /(^|\/)tests\// || $2 ~ /(_tests|\/testutil)\.rs$/); held = 0; next }
+        skip { t++; next }
+        held { held = 0; t++; if ($0 ~ /^(mod |#\[path)/) { skip = 1; t++; next } n++ }
         /^#\[cfg\(test\)\]$/ { held = 1; next }
         { n++ }
-        END { print n + 0 }'
+        END { print n + 0, t + 0 }'
 }
 
-# Lists a crate's non-test source files (`src/**.rs` minus `*_tests.rs` and
-# the `testutil.rs` fixture) at revision $2, or in the work tree if empty.
+# Prints `<non-test> <test>` line counts of crate $1 (`src/**.rs` and
+# `tests/**.rs`) at revision $2, or in the work tree if empty.
 loc_of() {
     if [ -n "$2" ]; then
-        git ls-tree -r --name-only "$2" -- "$1/src"
+        git ls-tree -r --name-only "$2" -- "$1/src" "$1/tests"
     else
-        git ls-files -- "$1/src"
-    fi | grep '\.rs$' | grep -v -e '_tests\.rs$' -e '/testutil\.rs$' |
+        git ls-files -- "$1/src" "$1/tests"
+    fi | grep '\.rs$' |
         while read -r f; do
             echo "==> $f"
             if [ -n "$2" ]; then git show "$2:$f"; else cat "$f"; fi
-        done | count_nontest
+        done | count_lines
 }
 
-# Prints each crate's non-test line count and its change since revision $1.
+# Prints each crate's non-test line count and its change since revision $1,
+# and beside it the change in test lines: code that moved into a test shows
+# there instead of passing for removed.
 loc_table() {
     base=$(git rev-parse --short "$1" 2>/dev/null) || base=
-    printf '%-18s %8s %12s\n' crate lines "vs ${base:-?}"
+    printf '%-18s %8s %12s %14s\n' crate lines "vs ${base:-?}" "tests vs ${base:-?}"
     total=0
     total_delta=0
+    total_tests_delta=0
     for c in crates/* .; do
         [ -d "$c/src" ] || continue
-        now=$(loc_of "$c" "")
+        set -- $(loc_of "$c" "")
+        now=$1 tests_now=$2
         delta=0
-        [ -z "$base" ] || delta=$((now - $(loc_of "$c" "$base")))
+        tests_delta=0
+        if [ -n "$base" ]; then
+            set -- $(loc_of "$c" "$base")
+            delta=$((now - $1))
+            tests_delta=$((tests_now - $2))
+        fi
         total=$((total + now))
         total_delta=$((total_delta + delta))
-        printf '%-18s %8d %+12d\n' "$c" "$now" "$delta"
+        total_tests_delta=$((total_tests_delta + tests_delta))
+        printf '%-18s %8d %+12d %+14d\n' "$c" "$now" "$delta" "$tests_delta"
     done
-    printf '%-18s %8d %+12d\n' total "$total" "$total_delta"
+    printf '%-18s %8d %+12d %+14d\n' total "$total" "$total_delta" "$total_tests_delta"
 }
 
 step() {
@@ -95,14 +107,6 @@ step() {
             --matrix target/analysis.json --max-schedules 12000 \
             --min-schedules 10000 --min-prune 0.30 --out target
         ;;
-    # Telemetry smoke: fixed-seed fig5 with metrics + spans + exporters on;
-    # validates the observability invariants and artifact well-formedness,
-    # and refreshes BENCH_pr4/6/8/9.json (docs/OBSERVABILITY.md).
-    bench-snapshot) ./scripts/bench_snapshot.sh ;;
-    # Shard-scaling gate: fixed-seed multi-group run over ThreadedNet at
-    # 1/2/4/8 sync groups; refreshes BENCH_pr10.json (docs/PROTOCOL.md
-    # "Multi-group synchronization").
-    bench-shards) ./scripts/bench_shards.sh ;;
     # Benchmark smoke: the BENCHMARK.json command with `--check` -- the
     # shortest run of every workload in both modes (about 25 s); fails
     # unless the emitted metric names are exactly BENCHMARK.json's and every
@@ -141,9 +145,10 @@ step() {
         cargo run --release -q -p guesstimate-obs --bin obs
         ;;
     # Net line count, which the north star asks every PR to report:
-    # non-test Rust lines per crate and the change against the merge-base
-    # with origin/main (HEAD~1 where there is no such ref) and, when the
-    # tree has uncommitted changes, against HEAD. Reports only; never fails.
+    # non-test Rust lines per crate and the change, in them and in test
+    # lines, against the merge-base with origin/main (HEAD~1 where there is
+    # no such ref) and, when the tree has uncommitted changes, against HEAD.
+    # Reports only; never fails.
     loc)
         base=$(git merge-base HEAD origin/main 2>/dev/null) || base=HEAD~1
         loc_table "$base"

@@ -5,7 +5,8 @@
 //! leave every other group's round loop untouched. The fixture is the
 //! minimal two-component type split into groups `Pair:0` and `Pair:1`
 //! with *different* master nodes: node 1 masters `Pair:1` only, so
-//! killing node 1 decapitates exactly one group.
+//! killing node 1 decapitates exactly one group. The same independence
+//! shows in telemetry: each group's round and stage sums are its own.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use guesstimate::runtime::multigroup::{
 };
 use guesstimate::runtime::MachineConfig;
 use guesstimate::telemetry::Telemetry;
-use guesstimate::{GState, MachineId, OpRegistry, RestoreError, Value};
+use guesstimate::{GState, MachineId, ObjectId, OpRegistry, RestoreError, Value};
 
 /// Two independent fields; the shard plan splits them into two groups.
 #[derive(Clone, Default, Debug, PartialEq)]
@@ -98,7 +99,7 @@ fn plan() -> Arc<ShardPlan> {
 /// its lowest member): node 0 hosts only `Pair:0` and masters it; nodes
 /// 1–3 host both groups, and node 1 — the lowest `Pair:1` member —
 /// masters `Pair:1`.
-fn cluster() -> SimNet<MultiMachine> {
+fn cluster(telemetry: Telemetry) -> SimNet<MultiMachine> {
     let table = Arc::new(GroupTable::from_plan(plan()));
     let spec = MultiClusterSpec {
         table,
@@ -119,22 +120,27 @@ fn cluster() -> SimNet<MultiMachine> {
         Arc::new(registry()),
         cfg,
         NetConfig::lan(21).with_latency(LatencyModel::constant_ms(10)),
-        Telemetry::noop(),
+        telemetry,
     )
 }
 
-#[test]
-fn killing_one_groups_master_leaves_the_other_group_committing() {
-    let mut net = cluster();
-    run_multi_until_joined(&mut net, SimTime::from_secs(10));
-
-    // Node 1 hosts both groups, so its create fans out to both.
+/// Creates the shared `Pair` on node 1 — it hosts both groups, so the create
+/// fans out to both — and lets it commit everywhere.
+fn create_pair(net: &mut SimNet<MultiMachine>) -> ObjectId {
     let mut obj = None;
     net.call(MachineId::new(1), |mm, ctx| {
         obj = Some(mm.create_instance(Pair::default(), ctx));
     });
-    let obj = obj.unwrap();
     net.run_until(net.now() + SimTime::from_secs(2));
+    obj.expect("node 1 is in the cluster")
+}
+
+#[test]
+fn killing_one_groups_master_leaves_the_other_group_committing() {
+    let mut net = cluster(Telemetry::noop());
+    run_multi_until_joined(&mut net, SimTime::from_secs(10));
+
+    let obj = create_pair(&mut net);
 
     net.call(MachineId::new(2), |mm, ctx| {
         mm.issue(SharedOp::primitive(obj, "bump_a", args![1]), None, ctx)
@@ -252,4 +258,51 @@ fn killing_one_groups_master_leaves_the_other_group_committing() {
         })
         .collect();
     assert!(d1.windows(2).all(|w| w[0] == w[1]), "Pair:1 digests agree");
+}
+
+/// Per-group telemetry: in every sync group the three stage-duration sums
+/// partition the group's summed round durations exactly (virtual time
+/// truncates nothing), and the group's commit-lag histogram holds one
+/// sample per operation the group committed.
+#[test]
+fn every_groups_stage_sums_partition_its_rounds() {
+    let telemetry = Telemetry::new();
+    let mut net = cluster(telemetry.clone());
+    run_multi_until_joined(&mut net, SimTime::from_secs(10));
+
+    let obj = create_pair(&mut net);
+
+    // Both groups commit work from several nodes over a few rounds
+    // (every node hosts `Pair:0`; nodes 1–3 host `Pair:1`).
+    for k in 0..12u32 {
+        let (node, method) = if k % 2 == 0 {
+            (k % 4, "bump_a")
+        } else {
+            (1 + k % 3, "bump_b")
+        };
+        let at = net.now() + SimTime::from_millis(70 * u64::from(k));
+        net.schedule_call(
+            at,
+            MachineId::new(node),
+            move |mm: &mut MultiMachine, ctx| {
+                mm.issue(SharedOp::primitive(obj, method, args![1]), None, ctx)
+                    .unwrap();
+            },
+        );
+    }
+    net.run_until(net.now() + SimTime::from_secs(3));
+
+    for label in ["Pair:0", "Pair:1"] {
+        let s = telemetry
+            .group_round_stats(label)
+            .unwrap_or_else(|| panic!("group {label} recorded no rounds"));
+        assert!(s.rounds > 0, "{label}: no rounds completed");
+        assert!(s.ops_committed >= 6, "{label}: {s:?}");
+        assert_eq!(
+            s.flush_us + s.apply_us + s.completion_us,
+            s.duration_us,
+            "{label}: stage sums must partition the round sum: {s:?}"
+        );
+        assert_eq!(s.lag_samples, s.ops_committed, "{label}: {s:?}");
+    }
 }

@@ -1,6 +1,7 @@
 //! Cluster-level telemetry integration: per-op span lifecycle under
 //! message loss, and observational invisibility of the instrumented run
-//! (docs/OBSERVABILITY.md).
+//! (docs/OBSERVABILITY.md) and of the witness-checked run
+//! (docs/ANALYSIS.md "Soundness").
 
 use guesstimate::apps::sudoku::{self, Sudoku};
 use guesstimate::net::{FaultPlan, LatencyModel, NetConfig, SimTime};
@@ -8,10 +9,20 @@ use guesstimate::runtime::{run_until_cohort, sim_cluster_instrumented, Machine, 
 use guesstimate::telemetry::Telemetry;
 use guesstimate::{MachineId, OpRegistry};
 
-/// A short seeded session with background message loss: 4 users issue a
-/// couple hundred Sudoku moves while 5% of messages are dropped, forcing
-/// stall recovery (resends, re-flushes) to carry rounds to completion.
-fn lossy_session(seed: u64, drop_prob: f64, telemetry: Telemetry) -> Vec<Machine> {
+/// A short seeded session with background message loss: 4 users issue
+/// `moves_each` Sudoku moves while a share of the messages is dropped,
+/// forcing stall recovery (resends, re-flushes) to carry rounds to
+/// completion. `witnessed` turns on the per-step invariant replays and the
+/// access-witness containment check (read probing included) at every apply
+/// site — a witnessed apply re-executes once per uncovered path, so keep
+/// `moves_each` small with it.
+fn lossy_session(
+    seed: u64,
+    drop_prob: f64,
+    moves_each: u64,
+    telemetry: Telemetry,
+    witnessed: bool,
+) -> Vec<Machine> {
     let users = 4u32;
     let mut registry = OpRegistry::new();
     sudoku::register(&mut registry);
@@ -20,7 +31,9 @@ fn lossy_session(seed: u64, drop_prob: f64, telemetry: Telemetry) -> Vec<Machine
         registry,
         MachineConfig::default()
             .with_sync_period(SimTime::from_millis(150))
-            .with_stall_timeout(SimTime::from_secs(2)),
+            .with_stall_timeout(SimTime::from_secs(2))
+            .with_paranoid_checks(witnessed)
+            .with_witness_reads(witnessed),
         NetConfig::lan(seed)
             .with_latency(LatencyModel::lan_ms(20))
             .with_faults(FaultPlan::new().with_drop_prob(drop_prob)),
@@ -34,7 +47,7 @@ fn lossy_session(seed: u64, drop_prob: f64, telemetry: Telemetry) -> Vec<Machine
         .create_instance(sudoku::example_puzzle());
     net.run_until(net.now() + SimTime::from_secs(1));
     for i in 0..users {
-        for k in 0..40u64 {
+        for k in 0..moves_each {
             net.schedule_call(
                 net.now() + SimTime::from_millis(120 * k + u64::from(i) * 31),
                 MachineId::new(i),
@@ -68,7 +81,7 @@ fn prom_counter(text: &str, name: &str) -> u64 {
 #[test]
 fn spans_stay_unique_under_message_loss() {
     let telemetry = Telemetry::new();
-    let machines = lossy_session(11, 0.05, telemetry.clone());
+    let machines = lossy_session(11, 0.05, 40, telemetry.clone(), false);
 
     let spans = telemetry.spans();
     assert!(!spans.is_empty(), "lossy session still commits ops");
@@ -114,20 +127,39 @@ fn spans_stay_unique_under_message_loss() {
 /// byte-identical histories on every machine.
 #[test]
 fn telemetry_is_observationally_invisible() {
-    let instrumented = lossy_session(7, 0.02, Telemetry::new());
-    let noop = lossy_session(7, 0.02, Telemetry::noop());
+    let instrumented = lossy_session(7, 0.02, 40, Telemetry::new(), false);
+    let noop = lossy_session(7, 0.02, 40, Telemetry::noop(), false);
+    assert_same_outcome(&instrumented, &noop, "telemetry");
+}
 
-    assert_eq!(instrumented.len(), noop.len());
-    for (a, b) in instrumented.iter().zip(&noop) {
+/// The witness layer observes, never perturbs: the identical seeded
+/// session with paranoid checks and witness read probing on ends with the
+/// same committed digest, issue count and commit count on every machine.
+#[test]
+fn witness_checks_are_observationally_invisible() {
+    let witnessed = lossy_session(7, 0.02, 10, Telemetry::noop(), true);
+    let plain = lossy_session(7, 0.02, 10, Telemetry::noop(), false);
+    assert!(
+        witnessed.iter().all(|m| m.witness_violations().is_empty()),
+        "Sudoku's declared footprints are honest"
+    );
+    assert_same_outcome(&witnessed, &plain, "witness checking");
+}
+
+/// Both runs of one seeded session committed byte-identical histories from
+/// the same issues, and the comparison covers real commits.
+fn assert_same_outcome(observed: &[Machine], plain: &[Machine], what: &str) {
+    assert_eq!(observed.len(), plain.len());
+    for (a, b) in observed.iter().zip(plain) {
         assert_eq!(
             a.committed_digest(),
             b.committed_digest(),
-            "{}: telemetry perturbed the committed history",
+            "{}: {what} perturbed the committed history",
             a.id()
         );
         assert_eq!(a.stats().committed_own, b.stats().committed_own);
         assert_eq!(a.stats().issued, b.stats().issued);
     }
-    let committed: u64 = instrumented.iter().map(|m| m.stats().committed_own).sum();
+    let committed: u64 = observed.iter().map(|m| m.stats().committed_own).sum();
     assert!(committed > 0, "the comparison must cover real commits");
 }
