@@ -102,6 +102,7 @@ fn main() {
     println!("rounds needing recovery  : {recovered_rounds}");
     println!("recovery resends         : {resends}");
     println!("machines removed/restarted: {removals} removals, {restarts} restarts");
+    println!("ticks held for a joiner  : {}", r.join_holds_summary());
     println!("pending ops lost to restart: {lost}");
     println!("ops issued/committed     : {}/{}", r.issued, r.committed);
     println!(

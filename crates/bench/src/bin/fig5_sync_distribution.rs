@@ -130,6 +130,7 @@ fn main() {
         result.sync_samples.iter().filter(|s| s.recovered()).count()
     );
     println!("# machines restarted     : {}", result.machines_restarted);
+    println!("# ticks held for a joiner: {}", result.join_holds_summary());
     println!(
         "# ops issued/committed   : {}/{}",
         result.issued, result.committed

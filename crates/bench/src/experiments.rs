@@ -43,7 +43,7 @@ pub struct SessionConfig {
     pub boards: usize,
     /// Length of the measured window.
     pub duration: SimTime,
-    /// Master's inter-round delay.
+    /// Master's round period, start to start.
     pub sync_period: SimTime,
     /// Master's stall timeout (recovery trigger).
     pub stall_timeout: SimTime,
@@ -137,6 +137,19 @@ pub struct SessionResult {
 }
 
 impl SessionResult {
+    /// The cost of admitting joiners, for the figure summaries: how many
+    /// ticks the master held for a handshake in flight
+    /// ([`MachineStats::join_holds`]) and how long they waited in all.
+    pub fn join_holds_summary(&self) -> String {
+        let holds: u64 = self.per_machine.iter().map(|s| s.join_holds).sum();
+        let waited: u64 = self
+            .per_machine
+            .iter()
+            .map(|s| s.join_hold_time.as_micros())
+            .sum();
+        format!("{holds} ({:.1} ms waited in all)", waited as f64 / 1e3)
+    }
+
     /// Mean sync duration, excluding recovery outliers above `cutoff`
     /// (Figure 6 "ignores the outliers (time > 12 seconds), as including
     /// them would skew the average away from the median").

@@ -22,9 +22,12 @@ use guesstimate_net::SimTime;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineConfig {
-    /// Master: delay between the end of one synchronization and the start of
-    /// the next ("the master can start another synchronization any time
-    /// after this", §4).
+    /// Master: the time from the start of one synchronization to the start
+    /// of the next. A round starts every `sync_period`, or as soon as the
+    /// last one has completed when it ran longer ("the master can start
+    /// another synchronization any time after this", §4); a tick that
+    /// finds a join handshake in flight waits for it, at most
+    /// `stall_timeout`.
     pub sync_period: SimTime,
     /// Master: how long a stage may stall before recovery kicks in
     /// (resend, then removal + restart).
@@ -123,7 +126,7 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// Sets the master's inter-round delay.
+    /// Sets the master's round period, start to start.
     pub fn with_sync_period(mut self, p: SimTime) -> Self {
         self.sync_period = p;
         self

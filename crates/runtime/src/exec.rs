@@ -19,7 +19,7 @@ use guesstimate_net::{ReplayCause, SimTime, TraceEvent};
 
 use crate::commute;
 use crate::config::MachineConfig;
-use crate::machine::Machine;
+use crate::machine::{Machine, PendingOp};
 use crate::message::{ObjectInit, WireEnvelope, WireOp};
 use crate::roles::OpsBatch;
 
@@ -363,6 +363,7 @@ impl Machine {
         }
         self.completed = completed;
         self.completed_serialized = completed_serialized;
+        self.retire_ops_committed_while_away();
         let own_watermark = self.install_async_watermarks(async_watermarks);
         if self.cfg.async_commit {
             // Own async commits the master never saw are absent from the
@@ -391,6 +392,34 @@ impl Machine {
         // that the snapshot just materialized) may now be applicable.
         if self.cfg.async_commit {
             self.drain_async(now);
+        }
+    }
+
+    /// Retires the pending operations that are already in the `C` a join
+    /// just installed: this machine left after `BeginApply` had counted its
+    /// flush, so the round committed them everywhere else, and replaying
+    /// and flushing them again would commit them twice. `P` commits from
+    /// its front, so they are a prefix of it. Their commit-time results
+    /// never reached this machine: the completion routines are dropped, and
+    /// counted as such (no commit stamp reaches telemetry either).
+    fn retire_ops_committed_while_away(&mut self) {
+        let Some(first) = self.pending.front().map(|p| p.env.id.seq()) else {
+            return;
+        };
+        let me = self.id;
+        // Not "up to the highest own id in `C`": an async commit takes a
+        // later id than the serialized operations still pending behind it.
+        let committed: BTreeSet<u64> = self
+            .completed
+            .iter()
+            .filter(|id| id.machine() == me && id.seq() >= first)
+            .map(|id| id.seq())
+            .collect();
+        let in_c = |p: &mut PendingOp| committed.contains(&p.env.id.seq());
+        while let Some(p) = self.pending.pop_front_if(in_c) {
+            self.stats.record_exec_count(p.execs);
+            self.stats.committed_own += 1;
+            self.stats.completions_dropped += u64::from(p.completion.is_some());
         }
     }
 

@@ -478,6 +478,61 @@ fn a_participants_flush_done_and_ack_are_the_last_actions_of_their_callbacks() {
     ));
 }
 
+/// A machine that left on purpose keeps its pending operations for its
+/// return. What can still reach it is meant for the member it was: a
+/// `Restart` or a `RoundUpdate` naming it (the master missed its `Leave`
+/// and gave up on it), and the `JoinInfo` of a handshake begun before it
+/// left. None may reset it or answer; `come_online` ends the deafness.
+#[test]
+fn an_offline_machine_ignores_restart_round_traffic_and_join_info() {
+    use crate::message::Msg;
+    use guesstimate_net::{Action, Actor, Channel, Ctx};
+    let (master, me) = (MachineId::new(0), MachineId::new(1));
+    let mut m = Machine::new_member(me, Arc::new(counter_registry()), MachineConfig::default());
+    m.membership.joined_system = true;
+    m.membership.in_cohort = true;
+    m.create_instance(Counter { n: 0 });
+    let with_ctx = |m: &mut Machine, f: &mut dyn FnMut(&mut Machine, &mut Ctx<'_, Msg>)| {
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(SimTime::ZERO, me, &mut actions);
+        f(m, &mut ctx);
+        actions
+    };
+    let deliver = |m: &mut Machine, msg: Msg| {
+        let mut msg = Some(msg);
+        with_ctx(m, &mut |m, ctx| {
+            m.on_message(master, Channel::Signals, msg.take().unwrap(), ctx)
+        })
+    };
+
+    with_ctx(&mut m, &mut |m, ctx| m.go_offline(ctx));
+    let removed = vec![me];
+    for msg in [
+        Msg::Restart,
+        Msg::RoundUpdate { round: 3, removed },
+        Msg::JoinInfo {
+            catalog: Vec::new(),
+            completed: Vec::new(),
+            completed_serialized: Vec::new(),
+            async_watermarks: Vec::new(),
+        },
+    ] {
+        let sent = deliver(&mut m, msg);
+        assert!(sent.is_empty(), "an offline machine answers nothing");
+    }
+    assert_eq!((m.pending_len(), m.stats().restarts), (1, 0));
+    assert_eq!(m.buffered_rounds(), 0, "nothing is kept for later either");
+    assert!(!m.is_joined());
+
+    let back = with_ctx(&mut m, &mut |m, ctx| m.come_online(ctx));
+    assert!(matches!(
+        back[0],
+        Action::Broadcast(Channel::Signals, Msg::JoinRequest { .. })
+    ));
+    deliver(&mut m, Msg::Restart);
+    assert_eq!(m.stats().restarts, 1, "back online, a Restart is obeyed");
+}
+
 #[test]
 fn op_seq_survives_restart() {
     // OpIds must never be reused across a restart, or the completed

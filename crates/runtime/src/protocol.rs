@@ -124,6 +124,10 @@ impl Actor for Machine {
             Msg::AsyncOp { aseq, env } => self.handle_async_op(from, aseq, env, ctx.now()),
             Msg::JoinReady { machine } => self.handle_join_ready(machine, ctx),
             Msg::Leave { machine } => self.handle_leave(machine, ctx),
+            // A machine that left on purpose keeps its pending operations
+            // for its return: a `Restart` can only be the master having
+            // missed its `Leave`.
+            Msg::Restart if self.membership.offline => {}
             Msg::Restart => self.self_restart(ctx),
             Msg::BeginSync { round, order } => self.handle_begin_sync(round, order, ctx),
             Msg::MasterCandidate {
@@ -152,6 +156,7 @@ impl Actor for Machine {
                 ctx,
             ),
             tag::MEMBERSHIP_JOIN_RETRY => self.handle_join_retry(ctx),
+            tag::MEMBERSHIP_JOIN_HOLD => self.handle_join_hold_timeout(tag::round(timer_tag), ctx),
             tag::ELECTION_WATCHDOG => self.handle_watchdog(ctx),
             tag::ELECTION_END => self.step_election(
                 ElectionEvent::WindowClosed {
@@ -328,6 +333,9 @@ impl Machine {
                 let (machine, asyncs) = (*machine, Arc::clone(asyncs));
                 self.apply_async_batch(machine, &asyncs, ctx.now());
             }
+        }
+        if self.membership.offline {
+            return; // left on purpose: no round is meant for this machine
         }
         let Some(round) = msg_round(&msg) else { return };
         match self.participant.active_round() {
@@ -570,16 +578,60 @@ impl Machine {
     // Master: round initiation
     // ------------------------------------------------------------------
 
+    /// The tick: ship `JoinInfo` to whoever waits for one, then start a
+    /// round -- unless a handshake stamped with the current epoch is now
+    /// unanswered. Its `JoinReady` would arrive mid-round and be thrown
+    /// away (with a period at or below the link round trip, every time), so
+    /// the tick is *held*: the round starts from [`Machine::release_join_hold`]
+    /// when the last such handshake is answered, or when the hold's
+    /// `stall_timeout` timer fires. One hold per tick -- the release path
+    /// starts the round without servicing joins again -- so a handshake
+    /// that keeps going stale delays each round by a round trip but cannot
+    /// stop rounds.
     fn handle_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if !self.is_master {
-            return;
-        }
-        if self.participant.round.is_some() {
-            return; // stage timers drive the active round
+        if !self.is_master || self.participant.round.is_some() || self.membership.hold.is_some() {
+            return; // stage timers drive an active round, the release path a hold
         }
         self.service_joins(ctx);
+        if self.membership.handshake_in_flight(self.join_epoch()) {
+            let generation = self.membership.begin_hold(ctx.now());
+            self.stats.join_holds += 1;
+            ctx.set_timer(
+                self.cfg.stall_timeout,
+                tag::encode(tag::MEMBERSHIP_JOIN_HOLD, generation),
+            );
+            return;
+        }
+        self.begin_round(ctx);
+    }
+
+    fn begin_round(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let order: Vec<MachineId> = self.membership.members().iter().copied().collect();
         self.step_master(MasterEvent::BeginRound { order }, ctx);
+    }
+
+    /// Starts the held round once no handshake is in flight any more.
+    fn release_join_hold(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let Some(hold) = self.membership.hold else {
+            return;
+        };
+        if self.membership.handshake_in_flight(self.join_epoch()) {
+            return;
+        }
+        self.membership.hold = None;
+        self.stats.join_hold_time += ctx.now().saturating_since(hold.since);
+        self.begin_round(ctx);
+    }
+
+    /// The hold outlasted the patience the master shows a silent member:
+    /// forget the joiners that never answered -- one that is alive
+    /// registers again on its own `join_retry` -- and start the round.
+    fn handle_join_hold_timeout(&mut self, generation: u64, ctx: &mut Ctx<'_, Msg>) {
+        if self.membership.hold.map(|h| h.generation) != Some(generation) {
+            return; // a timer of a hold already released
+        }
+        self.membership.forget_in_flight();
+        self.release_join_hold(ctx);
     }
 
     // ------------------------------------------------------------------
@@ -601,8 +653,14 @@ impl Machine {
         if !self.is_master || self.participant.round.is_some() {
             return;
         }
-        let epoch = self.completed.len() as u64;
+        let epoch = self.join_epoch();
         self.step_membership(MembershipEvent::ServiceJoins { epoch }, ctx);
+    }
+
+    /// The epoch a join handshake is stamped with: the completed-history
+    /// length.
+    fn join_epoch(&self) -> u64 {
+        self.completed.len() as u64
     }
 
     fn handle_join_info(
@@ -614,8 +672,8 @@ impl Machine {
         async_watermarks: Vec<(MachineId, u64)>,
         ctx: &mut Ctx<'_, Msg>,
     ) {
-        if self.is_master {
-            return;
+        if self.is_master || self.membership.offline {
+            return; // offline: a handshake begun before leaving is not answered
         }
         if !self.membership.in_cohort {
             self.init_from_join_info(
@@ -633,7 +691,7 @@ impl Machine {
         if !self.is_master {
             return;
         }
-        let epoch = self.completed.len() as u64;
+        let epoch = self.join_epoch();
         let round_active = self.participant.round.is_some();
         self.step_membership(
             MembershipEvent::JoinReady {
@@ -643,17 +701,24 @@ impl Machine {
             },
             ctx,
         );
+        self.release_join_hold(ctx);
     }
 
+    /// A machine left on purpose: out of the member set and any handshake,
+    /// and out of the round in progress, which stops waiting for it.
     fn handle_leave(&mut self, machine: MachineId, ctx: &mut Ctx<'_, Msg>) {
         if !self.is_master {
             return;
         }
         self.step_membership(MembershipEvent::Leave { machine }, ctx);
+        self.step_master(MasterEvent::Left { machine }, ctx);
+        self.release_join_hold(ctx);
     }
 
     /// Gracefully leaves the system (application API): intimates the master
-    /// so it is excluded "from the next synchronization onward" (§4).
+    /// so it is excluded "from the next synchronization onward" (§4) -- and
+    /// from the one in progress, which stops waiting for this machine
+    /// wherever it stands ([`MasterEvent::Left`]).
     ///
     /// Replicated state, pending operations and completion routines are
     /// retained, so a departed machine can keep working offline and later
@@ -662,6 +727,7 @@ impl Machine {
         ctx.broadcast(Channel::Signals, Msg::Leave { machine: self.id });
         self.membership.joined_system = false;
         self.membership.in_cohort = false;
+        self.membership.offline = true;
         self.participant.round = None;
         self.participant.buffered.clear();
     }
@@ -686,6 +752,7 @@ impl Machine {
     /// onto the fresh guesstimate, and committed in the machine's first
     /// round back.
     pub fn come_online(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.membership.offline = false;
         ctx.broadcast(Channel::Signals, Msg::JoinRequest { machine: self.id });
         ctx.set_timer(
             self.cfg.join_retry,
@@ -753,6 +820,7 @@ impl Machine {
         self.membership.members.clear();
         self.membership.members.insert(self.id);
         self.membership.pending_joins.clear();
+        self.membership.hold = None;
         self.participant.round = None;
         self.master.active = None;
         // Skip a round number in case the dead master's last round was
@@ -785,6 +853,7 @@ impl Machine {
         self.master.active = None;
         self.membership.members.clear();
         self.membership.pending_joins.clear();
+        self.membership.hold = None;
         self.membership.joined_system = false;
         self.membership.in_cohort = false;
         self.participant.round = None;

@@ -115,6 +115,12 @@ pub enum MasterEvent {
         /// Operations committed in the consolidated list.
         ops_committed: u64,
     },
+    /// A participant left the system on purpose (`Leave`): the round stops
+    /// waiting for it.
+    Left {
+        /// The departing machine.
+        machine: MachineId,
+    },
     /// The stage-1 stall timer fired for the encoded round.
     Stage1Timeout {
         /// Round the timer was armed for.
@@ -152,6 +158,13 @@ impl MasterRole {
         self.active.is_some()
     }
 
+    /// The round in progress, for the paths that only exist inside one.
+    fn active_mut(&mut self) -> &mut MasterRound {
+        self.active
+            .as_mut()
+            .expect("stage timers and stage transitions only run with a round active")
+    }
+
     /// Pure transition: consumes one event, returns the effects to lower.
     pub fn step(&mut self, ev: MasterEvent, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
         match ev {
@@ -187,6 +200,7 @@ impl MasterRole {
                 fx.extend(self.finish_if_complete(now, cfg));
                 fx
             }
+            MasterEvent::Left { machine } => self.on_left(machine, now, cfg),
             MasterEvent::Stage1Timeout { round } => self.on_stage1_timeout(round, now, cfg),
             MasterEvent::Stage2Timeout { round } => self.on_stage2_timeout(round, now, cfg),
         }
@@ -285,7 +299,7 @@ impl MasterRole {
 
     /// Stage 1 → stage 2: broadcast the authoritative per-machine counts.
     fn start_apply_stage(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let mr = self.active.as_mut().expect("master round active");
+        let mr = self.active_mut();
         mr.stage = Stage::Apply;
         mr.apply_started_at = Some(now);
         let counts: Vec<(MachineId, u64)> = mr
@@ -319,23 +333,60 @@ impl MasterRole {
         ]
     }
 
-    /// Finishes the round if everyone still expected has acknowledged.
-    fn finish_if_complete(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let done = {
-            let Some(mr) = self.active.as_ref() else {
-                return Vec::new();
-            };
-            mr.stage == Stage::Apply && mr.expected().all(|m| mr.acks.contains(m))
-        };
-        if done {
-            self.finish_round(now, cfg)
+    /// Starts stage 2 if every machine still expected has flushed.
+    fn start_apply_if_flushed(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
+        let mr = self.active_mut();
+        if mr.stage == Stage::Flush && mr.expected().all(|m| mr.flush_counts.contains_key(m)) {
+            self.start_apply_stage(now, cfg)
         } else {
             Vec::new()
         }
     }
 
-    fn finish_round(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let mr = self.active.take().expect("master round active");
+    /// A machine in the round left on purpose and has dropped its round
+    /// state: stop waiting for it. In stage 1 it drops out of the round --
+    /// whatever it flushed stays on its own pending list, uncounted by
+    /// `BeginApply` -- which may be what the stage was waiting for; in
+    /// stage 2 its flush is already counted and commits everywhere, and
+    /// only its `Ack` is no longer awaited. Unlike a stalled machine it is
+    /// not sent `Restart`: it keeps its pending operations for its return.
+    fn on_left(&mut self, machine: MachineId, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
+        let Some(mr) = self.active.as_mut() else {
+            return Vec::new();
+        };
+        if machine == self.me || !mr.expected().any(|m| *m == machine) {
+            return Vec::new();
+        }
+        mr.removed.insert(machine);
+        let mut fx = vec![Effect::RemoveFromRound { machine }];
+        match mr.stage {
+            Stage::Flush => {
+                fx.push(Effect::Broadcast {
+                    channel: Channel::Signals,
+                    msg: Msg::RoundUpdate {
+                        round: mr.round,
+                        removed: vec![machine],
+                    },
+                });
+                fx.extend(self.start_apply_if_flushed(now, cfg));
+            }
+            Stage::Apply => fx.extend(self.finish_if_complete(now, cfg)),
+        }
+        fx
+    }
+
+    /// Finishes the round if everyone still expected has acknowledged.
+    fn finish_if_complete(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
+        let done = |mr: &mut MasterRound| {
+            mr.stage == Stage::Apply && mr.expected().all(|m| mr.acks.contains(m))
+        };
+        match self.active.take_if(done) {
+            Some(mr) => Self::finish_round(mr, now, cfg),
+            None => Vec::new(),
+        }
+    }
+
+    fn finish_round(mr: MasterRound, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
         let duration = now.saturating_since(mr.started_at);
         // Per-stage decomposition: stage 1 ran from BeginSync until
         // BeginApply went out, stage 2 from BeginApply until the last ack
@@ -386,8 +437,10 @@ impl MasterRole {
                 },
             },
             Effect::ServiceJoins,
+            // Rounds are paced start to start: the next one is due
+            // `sync_period` after this one began, at once if it ran longer.
             Effect::SetTimer {
-                after: cfg.sync_period,
+                after: cfg.sync_period.saturating_since(duration),
                 tag: tag::encode(tag::MASTER_TICK, 0),
             },
         ]
@@ -428,7 +481,7 @@ impl MasterRole {
                 fx.extend(self.remove_machine(m));
                 newly_removed.push(m);
             } else {
-                let mr = self.active.as_mut().expect("master round");
+                let mr = self.active_mut();
                 mr.nudged_flush.insert(m);
                 debug_assert!(mr.resends < u64::MAX, "resend counter saturated");
                 mr.resends = mr.resends.saturating_add(1);
@@ -456,12 +509,9 @@ impl MasterRole {
                 },
             });
             // Removal may have unblocked the stage.
-            let stage_done = {
-                let mr = self.active.as_ref().expect("master round");
-                mr.stage == Stage::Flush && mr.expected().all(|m| mr.flush_counts.contains_key(m))
-            };
-            if stage_done {
-                fx.extend(self.start_apply_stage(now, cfg));
+            let apply = self.start_apply_if_flushed(now, cfg);
+            if !apply.is_empty() {
+                fx.extend(apply);
                 return fx;
             }
         }
@@ -509,7 +559,7 @@ impl MasterRole {
                 fx.extend(self.remove_machine(m));
                 removed_any = true;
             } else {
-                let mr = self.active.as_mut().expect("master round");
+                let mr = self.active_mut();
                 mr.nudged_acks.insert(m);
                 debug_assert!(mr.resends < u64::MAX, "resend counter saturated");
                 mr.resends = mr.resends.saturating_add(1);
@@ -541,7 +591,7 @@ impl MasterRole {
     /// Removes a stalled machine from the round: mirrors updated here, the
     /// participant set and member list via [`Effect::RemoveFromRound`].
     fn remove_machine(&mut self, m: MachineId) -> Vec<Effect> {
-        let mr = self.active.as_mut().expect("master round");
+        let mr = self.active_mut();
         mr.removed.insert(m);
         debug_assert!(mr.removals < u64::MAX, "removal counter saturated");
         mr.removals = mr.removals.saturating_add(1);
@@ -900,10 +950,143 @@ mod tests {
         assert_eq!(sample.ops_committed, 3);
         assert_eq!(sample.ops_flushed, 3);
         assert!(matches!(fx[4], Effect::ServiceJoins));
-        assert!(
-            matches!(fx[5], Effect::SetTimer { tag: t, .. } if tag::kind(t) == tag::MASTER_TICK)
-        );
+        // The round began at 0 and took 30 ms of the 250 ms period.
+        assert_eq!(next_tick(&fx[5]), SimTime::from_millis(220));
         assert!(m.active.is_none());
+    }
+
+    /// The delay of the `MASTER_TICK` a finished round arms.
+    fn next_tick(fx: &Effect) -> SimTime {
+        match fx {
+            Effect::SetTimer { after, tag: t } if tag::kind(*t) == tag::MASTER_TICK => *after,
+            other => panic!("MASTER_TICK expected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_round_that_outlasts_the_period_is_followed_at_once() {
+        // Rounds are paced start to start: `into_apply` began one at 0, and
+        // the last ack arrives after the whole 250 ms period has gone by.
+        let c = cfg();
+        let mut m = into_apply(&c);
+        for ev in [
+            MasterEvent::RoundApplied { ops_committed: 3 },
+            MasterEvent::Ack { machine: id(1) },
+        ] {
+            m.step(ev, SimTime::from_millis(20), &c);
+        }
+        let fx = m.step(
+            MasterEvent::Ack { machine: id(2) },
+            SimTime::from_millis(300),
+            &c,
+        );
+        assert_eq!(next_tick(fx.last().unwrap()), SimTime::ZERO);
+    }
+
+    fn restarts(fx: &[Effect]) -> usize {
+        let is_restart = |e: &&Effect| {
+            matches!(
+                e,
+                Effect::Send {
+                    msg: Msg::Restart,
+                    ..
+                }
+            )
+        };
+        fx.iter().filter(is_restart).count()
+    }
+
+    #[test]
+    fn a_leaver_drops_out_of_stage_1_whether_or_not_it_flushed() {
+        let c = cfg();
+        let mut m = MasterRole::new(id(0));
+        m.step(
+            MasterEvent::BeginRound { order: order3() },
+            SimTime::ZERO,
+            &c,
+        );
+        for i in 0..2 {
+            m.step(
+                MasterEvent::FlushDone {
+                    machine: id(i),
+                    count: 2,
+                },
+                SimTime::ZERO,
+                &c,
+            );
+        }
+        // m1 leaves after its flush; m2 has not flushed, so the stage waits.
+        let fx = m.step(MasterEvent::Left { machine: id(1) }, SimTime::ZERO, &c);
+        assert!(matches!(
+            fx[..],
+            [
+                Effect::RemoveFromRound { machine },
+                Effect::Broadcast {
+                    msg: Msg::RoundUpdate { round: 1, ref removed },
+                    ..
+                }
+            ] if machine == id(1) && *removed == vec![id(1)]
+        ));
+        // m2 leaves before its flush: it was the last one awaited, and
+        // neither leaver's operations are counted.
+        let fx = m.step(
+            MasterEvent::Left { machine: id(2) },
+            SimTime::from_millis(5),
+            &c,
+        );
+        let counts = fx.iter().find_map(|e| match e {
+            Effect::Broadcast {
+                msg: Msg::BeginApply { counts, .. },
+                ..
+            } => Some(counts.clone()),
+            _ => None,
+        });
+        assert_eq!(counts, Some(vec![(id(0), 2)]));
+        assert_eq!(restarts(&fx), 0, "a leaver is never restarted");
+        let mr = m.active.as_ref().unwrap();
+        assert_eq!((mr.stage, mr.removals), (Stage::Apply, 0));
+        // Leaving twice, or leaving a round one is not in, changes nothing.
+        assert!(m
+            .step(MasterEvent::Left { machine: id(2) }, SimTime::ZERO, &c)
+            .is_empty());
+        assert!(m
+            .step(MasterEvent::Left { machine: id(9) }, SimTime::ZERO, &c)
+            .is_empty());
+    }
+
+    #[test]
+    fn a_leavers_ack_is_not_awaited_in_stage_2() {
+        let c = cfg();
+        let mut m = into_apply(&c);
+        m.step(
+            MasterEvent::RoundApplied { ops_committed: 3 },
+            SimTime::from_millis(20),
+            &c,
+        );
+        m.step(
+            MasterEvent::Ack { machine: id(1) },
+            SimTime::from_millis(25),
+            &c,
+        );
+        // m2's flush is counted and commits everywhere; only its ack is
+        // missing, and it will not come.
+        let fx = m.step(
+            MasterEvent::Left { machine: id(2) },
+            SimTime::from_millis(30),
+            &c,
+        );
+        assert!(matches!(fx[0], Effect::RemoveFromRound { machine } if machine == id(2)));
+        assert!(matches!(fx[1], Effect::ClearRound));
+        let Effect::RoundFinished { sample } = &fx[3] else {
+            panic!("RoundFinished expected, got {:?}", fx[3]);
+        };
+        assert_eq!((sample.ops_flushed, sample.removals), (3, 0));
+        assert_eq!(restarts(&fx), 0);
+        assert!(m.active.is_none());
+        // With no round active there is nothing to leave.
+        assert!(m
+            .step(MasterEvent::Left { machine: id(1) }, SimTime::ZERO, &c)
+            .is_empty());
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! this role tracks the member set and in-flight handshakes; the member
 //! side tracks whether this machine has joined and retries its request
 //! until it participates in a round.
+//!
+//! A `JoinReady` can only be accepted between rounds, so while a handshake
+//! stamped with the current epoch is unanswered the master *holds* its tick
+//! ([`MembershipRole::handshake_in_flight`], [`JoinHold`]) instead of
+//! starting a round the answer would arrive in the middle of: the round
+//! starts when the last such handshake is answered, or after
+//! `stall_timeout`, when the silent joiners are forgotten
+//! ([`MembershipRole::forget_in_flight`]) until their own retry.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,6 +33,15 @@ pub enum JoinPhase {
     /// `JoinInfo` sent when the completed history had this length; the
     /// machine is admitted only if the history has not advanced since.
     InfoSent(u64),
+}
+
+/// A master tick held back for join handshakes in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JoinHold {
+    /// Distinguishes this hold's timeout timer from an earlier hold's.
+    pub(crate) generation: u64,
+    /// When the tick was held.
+    pub(crate) since: SimTime,
 }
 
 /// Inputs to the membership role.
@@ -66,11 +83,18 @@ pub struct MembershipRole {
     pub(crate) members: BTreeSet<MachineId>,
     /// (Master) In-flight join handshakes.
     pub(crate) pending_joins: BTreeMap<MachineId, JoinPhase>,
+    /// (Master) The tick currently held for handshakes in flight.
+    pub(crate) hold: Option<JoinHold>,
+    /// (Master) Holds begun so far; the next hold's generation.
+    holds_begun: u64,
     /// (Member) Whether this machine has completed the join handshake.
     pub(crate) joined_system: bool,
     /// (Member) Whether this machine has participated in a round since
     /// joining; retries stop only once this is set.
     pub(crate) in_cohort: bool,
+    /// (Member) Whether this machine left on purpose and has not asked to
+    /// come back: round traffic and `Restart` are not meant for it.
+    pub(crate) offline: bool,
 }
 
 impl MembershipRole {
@@ -85,8 +109,11 @@ impl MembershipRole {
             me,
             members,
             pending_joins: BTreeMap::new(),
+            hold: None,
+            holds_begun: 0,
             joined_system: is_master,
             in_cohort: is_master,
+            offline: false,
         }
     }
 
@@ -103,6 +130,35 @@ impl MembershipRole {
     /// Whether this machine has participated in a round since joining.
     pub fn in_cohort(&self) -> bool {
         self.in_cohort
+    }
+
+    /// (Master) Whether a `JoinInfo` stamped with `epoch` is still
+    /// unanswered: a round started now would make its `JoinReady` arrive
+    /// mid-round and be thrown away.
+    pub fn handshake_in_flight(&self, epoch: u64) -> bool {
+        self.pending_joins
+            .values()
+            .any(|phase| *phase == JoinPhase::InfoSent(epoch))
+    }
+
+    /// (Master) Forgets every handshake still waiting for its `JoinReady`,
+    /// whatever its epoch; a joiner that is alive registers again with its
+    /// next `JoinRequest` retry.
+    pub fn forget_in_flight(&mut self) {
+        self.pending_joins
+            .retain(|_, phase| !matches!(phase, JoinPhase::InfoSent(_)));
+    }
+
+    /// (Master) Holds the tick at `now`; returns the generation to stamp
+    /// into the hold's timeout timer.
+    pub fn begin_hold(&mut self, now: SimTime) -> u64 {
+        let generation = self.holds_begun;
+        self.holds_begun += 1;
+        self.hold = Some(JoinHold {
+            generation,
+            since: now,
+        });
+        generation
     }
 
     /// Pure transition: consumes one event, returns the effects to lower.
@@ -259,6 +315,72 @@ mod tests {
             &c,
         );
         assert!(matches!(fx[..], [Effect::SendJoinInfo { to }] if to == id(1)));
+    }
+
+    #[test]
+    fn a_handshake_is_in_flight_only_at_the_epoch_it_was_stamped_with() {
+        let c = cfg();
+        let mut m = MembershipRole::new(id(0), true);
+        m.step(
+            MembershipEvent::JoinRequest { machine: id(1) },
+            SimTime::ZERO,
+            &c,
+        );
+        assert!(!m.handshake_in_flight(3), "requested, nothing sent yet");
+        m.step(
+            MembershipEvent::ServiceJoins { epoch: 3 },
+            SimTime::ZERO,
+            &c,
+        );
+        assert!(m.handshake_in_flight(3));
+        // An async commit moved the epoch: the answer would be refused
+        // whenever it comes, so there is nothing to hold a round for.
+        assert!(!m.handshake_in_flight(4));
+        // The answer ends it, accepted (as here) or not.
+        m.step(
+            MembershipEvent::JoinReady {
+                machine: id(1),
+                epoch: 3,
+                round_active: false,
+            },
+            SimTime::ZERO,
+            &c,
+        );
+        assert!(!m.handshake_in_flight(3));
+    }
+
+    #[test]
+    fn forgetting_drops_the_unanswered_and_keeps_the_unserved() {
+        let mut m = MembershipRole::new(id(0), true);
+        m.pending_joins.insert(id(1), JoinPhase::InfoSent(3));
+        m.pending_joins.insert(id(2), JoinPhase::InfoSent(2));
+        m.pending_joins.insert(id(3), JoinPhase::Requested);
+        m.forget_in_flight();
+        // A silent joiner must not be served again at the next gap (and
+        // hold the next tick too): whatever the epoch, it is gone until
+        // its own retry. One that was never sent anything has not been
+        // silent.
+        assert_eq!(
+            m.pending_joins.into_iter().collect::<Vec<_>>(),
+            vec![(id(3), JoinPhase::Requested)]
+        );
+    }
+
+    #[test]
+    fn each_hold_gets_its_own_generation() {
+        let mut m = MembershipRole::new(id(0), true);
+        let first = m.begin_hold(SimTime::from_millis(5));
+        assert_eq!(
+            m.hold,
+            Some(JoinHold {
+                generation: first,
+                since: SimTime::from_millis(5)
+            })
+        );
+        m.hold = None;
+        // The first hold's timeout timer may still be armed: it must not
+        // be taken for the second's.
+        assert_ne!(m.begin_hold(SimTime::from_millis(9)), first);
     }
 
     #[test]

@@ -41,7 +41,10 @@ use crate::stats::SyncSample;
 /// opaque to the drivers — neither `SimNet` nor `SchedNet` ordering ever
 /// depends on a tag's value.
 pub mod tag {
-    /// Master: start the next round (`sync_period` after the last).
+    /// Master: start the next round. Armed when a round completes, for
+    /// `sync_period` after that round *started* -- at once if it ran longer
+    /// -- so a round starts every `sync_period`, or as soon as the last one
+    /// has completed.
     pub const MASTER_TICK: u64 = 0;
     /// Master: stage-1 (flush) stall check for the encoded round.
     pub const MASTER_STAGE1: u64 = 1;
@@ -53,6 +56,9 @@ pub mod tag {
     pub const ELECTION_WATCHDOG: u64 = 4;
     /// Election: candidacy window closes (round field = generation).
     pub const ELECTION_END: u64 = 5;
+    /// Membership: a tick held for join handshakes in flight has waited
+    /// `stall_timeout` (round field = hold generation).
+    pub const MEMBERSHIP_JOIN_HOLD: u64 = 6;
 
     /// Bits available for the round/generation field.
     pub const ROUND_BITS: u32 = 56;

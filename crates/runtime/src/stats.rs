@@ -81,7 +81,9 @@ pub struct MachineStats {
     pub conflicts: u64,
     /// Completion routines executed.
     pub completions_run: u64,
-    /// Completion routines dropped by a restart.
+    /// Completion routines dropped: by a restart, or because the operation
+    /// committed while its issuer was away (it left after `BeginApply` had
+    /// counted its flush) and the commit-time result never reached it.
     pub completions_dropped: u64,
     /// Pending operations re-executed while re-establishing `sg = [P](sc)`.
     pub replays: u64,
@@ -101,6 +103,12 @@ pub struct MachineStats {
     pub promotions: u64,
     /// Pending operations lost to restarts.
     pub ops_lost_to_restart: u64,
+    /// Master only: ticks held because a join handshake was in flight (the
+    /// round started when the handshake was answered, or after
+    /// `stall_timeout`).
+    pub join_holds: u64,
+    /// Master only: summed time those held ticks waited.
+    pub join_hold_time: SimTime,
     /// Synchronization rounds this machine applied.
     pub rounds_applied: u64,
     /// High-water mark of the pending list `P` (queue depth at issue time).

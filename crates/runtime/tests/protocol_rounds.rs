@@ -55,6 +55,23 @@ mod rounds {
         )
     }
 
+    /// Steps the mesh to the next instant at which none of `ids` is in a
+    /// round: whatever they issue there is flushed by one and the same
+    /// round, the next, wherever in the master's cycle the caller's clock
+    /// happened to stand.
+    fn run_to_round_gap(net: &mut SimNet<Machine>, ids: &[u32]) {
+        let in_round = |net: &SimNet<Machine>| {
+            ids.iter().any(|&i| {
+                let m = net.actor(MachineId::new(i)).expect("machine is registered");
+                m.state_summary().active_round.is_some()
+            })
+        };
+        while in_round(net) {
+            net.step()
+                .expect("a periodic protocol never runs out of events");
+        }
+    }
+
     fn assert_converged(net: &SimNet<Machine>, ids: &[u32]) {
         let digests: Vec<u64> = ids
             .iter()
@@ -194,8 +211,10 @@ mod rounds {
             .expect("machine is registered on the mesh")
             .create_instance(Counter { n: 0 });
         net.run_until(SimTime::from_secs(2));
+        run_to_round_gap(&mut net, &[0, 1]);
         let seen = Arc::new(AtomicI32::new(-1));
-        // m0's op sorts first (smaller machine id) and wins; m1's loses.
+        // Both are flushed by the next round, where m0's op sorts first
+        // (smaller machine id) and wins; m1's loses.
         let s = seen.clone();
         net.call(MachineId::new(0), |m, _| {
             assert!(m
@@ -311,6 +330,57 @@ mod rounds {
                 .read::<Counter, _>(obj, |c| c.n),
             Some(7)
         );
+    }
+
+    #[test]
+    fn a_joiner_is_admitted_with_the_period_below_the_link_round_trip() {
+        // 30 ms links (jittered), a round asked for every 50 ms: a
+        // `JoinReady` is about 60 ms behind its `JoinInfo`, so a master that
+        // starts a round at every tick has nearly always started one when
+        // the answer arrives, and refuses it -- the joiner gets in when the
+        // jitter happens to shrink a round trip, after seconds or never.
+        // The first member assembles against a master alone; the second
+        // arrives once two-member rounds are running, and is admitted in
+        // the time its handshake takes, whatever the seed: request, info,
+        // ready, and the `BeginSync` of the round the master held for it.
+        let cfg = default_cfg().with_sync_period(SimTime::from_millis(50));
+        let (master, late) = (MachineId::new(0), MachineId::new(2));
+        for seed in 50..62 {
+            let mut net = cluster(
+                2,
+                seed,
+                LatencyModel::lan_ms(30),
+                FaultPlan::new(),
+                cfg.clone(),
+            );
+            net.run_until(SimTime::from_secs(1));
+            let stats = net.actor(master).expect("machine is registered").stats();
+            let two_member_rounds = stats.sync_samples.iter();
+            assert!(
+                two_member_rounds.filter(|s| s.participants == 2).count() > 1,
+                "seed {seed}: the joiner must meet multi-member rounds"
+            );
+            let (holds, held) = (stats.join_holds, stats.join_hold_time);
+            let joiner = Machine::new_member(late, Arc::new(counter_registry()), cfg.clone());
+            net.schedule_join(SimTime::from_secs(1), late, joiner);
+            net.run_until(SimTime::from_millis(1_300));
+            assert!(
+                net.actor(late).is_some_and(Machine::in_cohort),
+                "seed {seed}: not admitted within 300 ms"
+            );
+            // One held tick did it, for what was left of the round trip:
+            // the cost is visible, and nowhere near the `stall_timeout` a
+            // dead joiner would cost.
+            let stats = net.actor(master).expect("machine is registered").stats();
+            assert_eq!(stats.join_holds, holds + 1, "seed {seed}");
+            let waited = stats.join_hold_time.saturating_since(held);
+            assert!(
+                waited < SimTime::from_millis(150),
+                "seed {seed}: {waited:?}"
+            );
+            net.run_until(SimTime::from_secs(2));
+            assert_converged(&net, &[0, 1, 2]);
+        }
     }
 
     #[test]
@@ -445,6 +515,112 @@ mod rounds {
             .last()
             .expect("the master completed at least one round");
         assert_eq!(last.participants, 2);
+    }
+
+    /// One machine goes offline `offset_ms` after a round's `BeginSync`
+    /// left the master (10 ms links: members flush at +10, the master
+    /// starts stage 2 when the last `FlushDone` is in, they apply one link
+    /// later), works offline, and comes back. Wherever in the round the
+    /// `Leave` lands, the round must neither wait for the leaver nor cost
+    /// it its pending operations, and every operation commits exactly once.
+    fn leave_mid_round_and_return(cfg: MachineConfig, leaver: u32, offset_ms: u64) {
+        let mut net = cluster(3, 43, LatencyModel::constant_ms(10), FaultPlan::new(), cfg);
+        let (master, away) = (MachineId::new(0), MachineId::new(leaver));
+        net.run_until(SimTime::from_secs(1));
+        let obj = net
+            .actor_mut(master)
+            .expect("machine is registered on the mesh")
+            .create_instance(Counter { n: 0 });
+        net.run_until(SimTime::from_secs(2));
+        // One operation each, issued in a gap: the next round flushes all three.
+        run_to_round_gap(&mut net, &[0, 1, 2]);
+        for i in 0..3 {
+            net.call(MachineId::new(i), |m, _| {
+                assert!(m
+                    .issue(SharedOp::primitive(obj, "add", args![1]))
+                    .expect("issue: the target object is known to this machine"));
+            });
+        }
+        let in_round = |net: &SimNet<Machine>| {
+            let m = net.actor(master).expect("machine is registered");
+            m.state_summary().active_round.is_some()
+        };
+        while !in_round(&net) {
+            net.step().expect("the master ticks");
+        }
+        let begun = net.now();
+        let rounds_before = net.actor(master).unwrap().stats().sync_samples.len();
+        net.schedule_call(
+            begun + SimTime::from_millis(offset_ms),
+            away,
+            move |m: &mut Machine, ctx| {
+                m.go_offline(ctx);
+                // Offline work: it must survive the absence.
+                assert!(m
+                    .issue(SharedOp::primitive(obj, "add", args![10]))
+                    .expect("issue: the target object is known to this machine"));
+            },
+        );
+        net.run_until(begun + SimTime::from_millis(95));
+        {
+            let m = net.actor(master).expect("machine is registered");
+            let samples = &m.stats().sync_samples;
+            assert_eq!(samples.len(), rounds_before + 1, "the round completed");
+            let round = samples.last().unwrap();
+            assert!(
+                round.duration <= SimTime::from_millis(50),
+                "the round waited for the leaver: {round:?}"
+            );
+            assert_eq!((round.resends, round.removals), (0, 0), "{round:?}");
+            assert_eq!(m.members().len(), 2);
+        }
+        net.call(away, |m, ctx| m.come_online(ctx));
+        net.run_until(begun + SimTime::from_secs(2));
+        assert_converged(&net, &[0, 1, 2]);
+        let m = net.actor(away).expect("machine is registered");
+        assert!(m.in_cohort(), "the leaver is back");
+        assert_eq!(
+            (m.stats().restarts, m.stats().ops_lost_to_restart),
+            (0, 0),
+            "a machine that left on purpose is not restarted"
+        );
+        assert_eq!(m.stats().committed_own, 2);
+        assert_eq!(
+            m.read::<Counter, _>(obj, |c| c.n),
+            Some(13),
+            "three adds of 1 and the offline 10, each exactly once"
+        );
+    }
+
+    #[test]
+    fn leaving_in_the_gap_shrinks_the_next_round() {
+        // The round is over everywhere at +50; the `Leave` lands at +70.
+        leave_mid_round_and_return(default_cfg(), 2, 60);
+    }
+
+    #[test]
+    fn leaving_before_the_flush_drops_out_of_stage_1() {
+        // `BeginSync` reaches an offline machine at +10; the `Leave`
+        // reaches the master at +15, ahead of the other `FlushDone`.
+        leave_mid_round_and_return(default_cfg(), 2, 5);
+    }
+
+    #[test]
+    fn leaving_after_the_flush_leaves_the_batch_uncounted() {
+        // Serial turns, so that stage 1 outlives the leaver's flush: m1
+        // flushes at +10, m2 at +20 on hearing it, and the `Leave` reaches
+        // the master at +22, between their two `FlushDone`s. m1's batch is
+        // on every replica and in no `BeginApply`.
+        leave_mid_round_and_return(default_cfg().with_parallel_flush(false), 1, 12);
+    }
+
+    #[test]
+    fn leaving_after_begin_apply_commits_the_counted_flush_once() {
+        // `BeginApply` (sent at +20) counts the leaver's flush; it is gone
+        // at +25, before the signal arrives. Everyone else commits its
+        // operation, so on its return the operation is already in `C` and
+        // must leave `P` without a second commit.
+        leave_mid_round_and_return(default_cfg(), 2, 25);
     }
 
     #[test]

@@ -15,8 +15,12 @@
 # quartiles, the pairs each side won (ties count for neither), and whether
 # the medians differ by more than the parent's inter-quartile range -- a gain
 # is claimed only with >= 9/10 of the pairs *and* that. Every run's numbers
-# go to target/perf_pairs/runs.tsv. Reads only the `name value unit` lines
-# the benchmark prints. Reports; exits non-zero only when it cannot run.
+# go to target/perf_pairs/runs.tsv, and both sides' `(commit, workload,
+# metric, median, q1, q3, pairs, first_seed)` rows are appended as JSON lines to the
+# checked-in BENCH_ledger.jsonl, the trajectory across perf PRs (the work
+# tree's commit is HEAD, with a `+` while it has uncommitted changes). Reads
+# only the `name value unit` lines the benchmark prints. Reports; exits
+# non-zero only when it cannot run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,6 +29,8 @@ cd "$(dirname "$0")/.."
     exit 2
 }
 rev=$(git rev-parse --short "$1^{commit}")
+head=$(git rev-parse --short HEAD)
+git diff --quiet HEAD 2>/dev/null || head="$head+"
 pairs=${2%@*}
 seed0=1
 case "$2" in *@*) seed0=${2#*@} ;; esac
@@ -87,7 +93,7 @@ done
 
 echo
 echo "parent $rev vs work tree, $pairs pairs a workload (seeds $seed0..$((seed0 + pairs - 1))), ${seconds} s runs"
-echo "$metrics" | awk -v OFS='\t' '
+echo "$metrics" | awk -v OFS='\t' -v ledger=BENCH_ledger.jsonl -v parent="$rev" -v change="$head" -v seed0="$seed0" '
     # Linear-interpolated quantile of v[1..n], sorted ascending.
     function q(v, n, p,    h, lo) {
         h = (n - 1) * p + 1; lo = int(h)
@@ -100,6 +106,10 @@ echo "$metrics" | awk -v OFS='\t' '
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && dst[j - 1] > dst[j]; j--) { t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t }
         return n
+    }
+    function ledger_row(commit, w, m, v, n) {
+        printf "{\"commit\": \"%s\", \"workload\": \"%s\", \"metric\": \"%s\", \"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g, \"pairs\": %d, \"first_seed\": %d}\n", \
+            commit, w, m, q(v, n, .5), q(v, n, .25), q(v, n, .75), n, seed0 >>ledger
     }
     NR == FNR { better[$1] = $2; order[++nm] = $1; next }
     FNR == 1 { next }
@@ -118,6 +128,7 @@ echo "$metrics" | awk -v OFS='\t' '
                 m = order[b]
                 np = sorted(val, w, m, "parent", P); nc = sorted(val, w, m, "change", C)
                 if (!np || !nc) { printf "%-9s %-18s no samples\n", w, m; continue }
+                ledger_row(parent, w, m, P, np); ledger_row(change, w, m, C, nc)
                 cw = pw = tie = 0
                 for (i = 1; i <= npairs[w]; i++) {
                     if (!((w, i, "parent", m) in val) || !((w, i, "change", m) in val)) continue
@@ -137,4 +148,4 @@ echo "$metrics" | awk -v OFS='\t' '
                 printf "%-9s runs that exited non-zero: parent %d, change %d\n", w, failed[w, "parent"], failed[w, "change"]
         }
     }' - "$runs"
-echo "every run: $runs"
+echo "every run: $runs; medians and quartiles appended to BENCH_ledger.jsonl"

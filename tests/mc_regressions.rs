@@ -424,3 +424,144 @@ fn parallel_flush_losses_recover_as_the_checked_in_schedule_records() {
         sched.to_json()
     );
 }
+
+/// The adversary of the join-liveness regressions, on the `auction`
+/// late-join preset: the joiner is admitted to the net at once, every
+/// message is delivered lowest seq first — except a `JoinReady`, which
+/// waits until the master has taken a tick, so that every tick is chosen
+/// ahead of it (the explorer fires timers only in quiet phases and never
+/// makes this choice). A master that starts a round at every tick has then
+/// always started one when the answer arrives, refuses it, and under this
+/// fair schedule never admits the joiner; one that holds the tick for the
+/// handshake admits it with the first. With `lose_ready`, every `JoinReady`
+/// is dropped for as long as that first hold lasts.
+///
+/// Returns the cluster once the joiner is in the cohort and the explored
+/// window has drained, the schedule that got it there, and how many steps
+/// the admission took. Panics if it takes more than `MAX_STEPS`.
+fn drive_late_join(lose_ready: bool) -> (guesstimate_mc::Built, Schedule, usize) {
+    use guesstimate_core::MachineId;
+    use guesstimate_mc::Cluster;
+    use guesstimate_runtime::Msg;
+    const MAX_STEPS: usize = 200;
+
+    let preset = *Preset::by_name("auction").expect("built-in preset");
+    assert!(preset.late_join);
+    let matrix = CommuteMatrix::new();
+    let mut built = preset.build_machines(&matrix, None);
+    let (master, joiner) = (MachineId::new(0), MachineId::new(preset.eager));
+    // What a tick leaves behind on the master: a round, or a held tick.
+    let ticks = |built: &guesstimate_mc::Built| {
+        let m = built.net.actor(master).expect("master");
+        (m.state_summary().active_round, m.stats().join_holds)
+    };
+    let holding = |built: &guesstimate_mc::Built| {
+        let stats = built.net.actor(master).expect("master").stats();
+        stats.join_holds == 1 && stats.join_hold_time == guesstimate_net::SimTime::ZERO
+    };
+    let in_cohort = |built: &guesstimate_mc::Built| {
+        let m = built.net.actor(joiner);
+        m.is_some_and(|m| m.in_cohort())
+    };
+
+    // The lowest-seq message in flight that is (`ready`) or is not a `JoinReady`.
+    let first_msg = |built: &guesstimate_mc::Built, ready: bool| {
+        let is_ready = |seq: &u64| {
+            let p = built.net.pending_msg(*seq).expect("pending");
+            matches!(p.msg, Msg::JoinReady { .. })
+        };
+        let mut pending = built.pending_msgs().into_iter();
+        pending.find(|s| is_ready(s) == ready)
+    };
+
+    let mut steps = vec![Step::Admit(built.pending_joins()[0])];
+    assert!(built.exec(steps[0]));
+    let mut ticked = false;
+    let mut admitted_after = None;
+    while !(built.window_done() && built.pending_msgs().is_empty()) {
+        assert!(steps.len() < MAX_STEPS, "the joiner was never admitted");
+        if admitted_after.is_none() && in_cohort(&built) {
+            admitted_after = Some(steps.len());
+        }
+        let (ready, other) = (first_msg(&built, true), first_msg(&built, false));
+        let next = match (ready, other) {
+            // The tick it waited for has been taken: now it arrives, ahead
+            // of whatever that tick sent.
+            (Some(seq), _) if ticked && lose_ready && holding(&built) => Step::Drop(seq),
+            (Some(seq), _) if ticked => Step::Deliver(seq),
+            (_, Some(seq)) => Step::Deliver(seq),
+            (Some(seq), None) if in_cohort(&built) => Step::Deliver(seq),
+            _ => Step::Timer,
+        };
+        let before = ticks(&built);
+        assert!(built.exec(next), "stalled at {next}");
+        assert_eq!(built.check_step(), None, "after {next}");
+        steps.push(next);
+        ticked = match next {
+            Step::Timer => ready.is_some() && before.0.is_none() && ticks(&built) != before,
+            _ => ticked && first_msg(&built, true).is_some(),
+        };
+    }
+    assert_eq!(built.check_terminal(), None);
+    let sched = Schedule {
+        preset: preset.name.to_owned(),
+        tamper: None,
+        steps,
+    };
+    (
+        built,
+        sched,
+        admitted_after.expect("in the cohort by the end"),
+    )
+}
+
+/// Compares a driven schedule with its checked-in recording.
+fn assert_recorded(name: &str, sched: &Schedule) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/schedules")
+        .join(name);
+    let recorded = std::fs::read_to_string(&path).unwrap_or_default();
+    assert_eq!(
+        recorded,
+        sched.to_json(),
+        "{path:?} is stale; it should read:\n{}",
+        sched.to_json()
+    );
+}
+
+/// Liveness of the join with every tick chosen ahead of the `JoinReady`
+/// (`tests/schedules/auction-join-tick-first.json`): the first tick is
+/// held, the answer admits the joiner, and the held round is its first.
+#[test]
+fn a_joiner_is_admitted_though_every_tick_beats_its_join_ready() {
+    use guesstimate_core::MachineId;
+    let (built, sched, admitted_after) = drive_late_join(false);
+    assert!(admitted_after <= 12, "{admitted_after} steps to admission");
+    let stats = built.net.actor(MachineId::new(0)).expect("master").stats();
+    assert_eq!(stats.join_holds, 1);
+    let explored = &stats.sync_samples[built.base_rounds as usize..];
+    let cohorts: Vec<usize> = explored.iter().map(|s| s.participants).collect();
+    assert_eq!(cohorts, vec![3, 3], "no round ran without the joiner");
+    assert_recorded("auction-join-tick-first.json", &sched);
+}
+
+/// The same adversary against a joiner whose answers are lost
+/// (`tests/schedules/auction-join-ready-lost.json`): the held round starts
+/// without it after `stall_timeout` — the cluster's whole cost — the silent
+/// handshake is forgotten, and the joiner gets in on its own retry.
+#[test]
+fn a_lost_join_ready_costs_one_stall_timeout_and_the_retry_gets_in() {
+    use guesstimate_core::MachineId;
+    use guesstimate_net::SimTime;
+    let (built, sched, _) = drive_late_join(true);
+    assert!(sched.steps.iter().any(|s| matches!(s, Step::Drop(_))));
+    let stats = built.net.actor(MachineId::new(0)).expect("master").stats();
+    // The scenarios run a 500 ms stall timeout; the second hold is the
+    // retry's, released by its answer in no (virtual) time.
+    assert_eq!(stats.join_holds, 2);
+    assert_eq!(stats.join_hold_time, SimTime::from_millis(500));
+    let explored = &stats.sync_samples[built.base_rounds as usize..];
+    let cohorts: Vec<usize> = explored.iter().map(|s| s.participants).collect();
+    assert_eq!(cohorts, vec![2, 3]);
+    assert_recorded("auction-join-ready-lost.json", &sched);
+}
