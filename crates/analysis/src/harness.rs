@@ -1,12 +1,10 @@
-//! The six-app analysis harness: registries, state samples, and argument
-//! spaces for every bundled application, packaged so the `analyze` binary,
-//! the bench crate's shard-balance summaries, and tests all drive the
-//! identical configuration.
+//! The analysis harness: every row of `guesstimate_apps::all()` — its
+//! registry, its representative states and its suite's argument spaces —
+//! analyzed and packaged so the `analyze` binary, the bench crate's
+//! shard-balance summaries, and tests all drive the identical configuration.
 
-use guesstimate_core::{
-    args, execute, MachineId, ObjectId, ObjectStore, OpRegistry, ShardPlan, SharedOp, TypePlan,
-    Value,
-};
+use guesstimate_apps::App;
+use guesstimate_core::{OpRegistry, ShardPlan, TypePlan};
 use guesstimate_spec::CaseSpace;
 
 use crate::shard::{derive_type_plan, sanitize_type_plan, witness_check_type_plan};
@@ -80,32 +78,13 @@ impl AppAnalysis {
     }
 }
 
-fn scratch() -> ObjectId {
-    ObjectId::new(MachineId::new(0), 0)
-}
-
-/// Builds representative states by executing an op sequence through the
-/// registry, snapshotting after every step (the bench crate's idiom).
-fn states_by_ops(reg: &OpRegistry, type_name: &str, seq: &[SharedOp]) -> Vec<Value> {
-    let o = scratch();
-    let mut store = ObjectStore::new();
-    store.insert(o, reg.construct(type_name).expect("registered"));
-    let mut out = vec![store.get(o).expect("present").snapshot()];
-    for op in seq {
-        let _ = execute(op, &mut store, reg);
-        out.push(store.get(o).expect("present").snapshot());
-    }
-    out
-}
-
-fn run(
-    registry: OpRegistry,
-    type_name: &str,
-    spaces: Vec<MethodSpace>,
-    states: Vec<Value>,
-) -> AppAnalysis {
-    let case_space = CaseSpace::sampled(states, MAX_CASES);
-    let report = analyze_app(&registry, type_name, &spaces, &case_space);
+/// Analyzes one application: its suite's argument spaces over its
+/// representative states.
+pub fn analyze(app: &App) -> AppAnalysis {
+    let registry = app.registry();
+    let spaces = method_spaces_from_suite(&(app.spec_suite)());
+    let case_space = CaseSpace::sampled((app.states)(), MAX_CASES);
+    let report = analyze_app(&registry, app.type_name, &spaces, &case_space);
     AppAnalysis {
         registry,
         spaces,
@@ -116,151 +95,15 @@ fn run(
 
 /// Analyzes the Sudoku app.
 pub fn analyze_sudoku() -> AppAnalysis {
-    use guesstimate_apps::sudoku;
-    let mut reg = OpRegistry::new();
-    sudoku::register(&mut reg);
-    let mut states = sudoku::sampled_states(6, 0xA11CE).states;
-    states.push(guesstimate_core::GState::snapshot(&sudoku::example_puzzle()));
-    let spaces = method_spaces_from_suite(&sudoku::spec_suite());
-    run(reg, "Sudoku", spaces, states)
-}
-
-/// Analyzes the event-planner app.
-pub fn analyze_event_planner() -> AppAnalysis {
-    use guesstimate_apps::event_planner::{self as ep, ops};
-    let mut reg = OpRegistry::new();
-    ep::register(&mut reg);
-    let o = scratch();
-    let states = states_by_ops(
-        &reg,
-        "EventPlanner",
-        &[
-            ops::register_user(o, "ann", "pw"),
-            ops::register_user(o, "bob", "pw"),
-            ops::create_event(o, "party", 1),
-            ops::create_event(o, "dinner", 2),
-            ops::sign_in(o, "ann", "pw"),
-            ops::join(o, "ann", "party"),
-            ops::join(o, "bob", "dinner"),
-            ops::leave(o, "ann", "party"),
-        ],
-    );
-    let mut spaces = method_spaces_from_suite(&ep::spec_suite());
-    // The suite has no sign_out spec; give it the sign_in user space.
-    spaces.push(MethodSpace {
-        method: "sign_out".to_owned(),
-        args: ["ann", "bob", "ghost", ""]
-            .iter()
-            .map(|u| args![*u])
-            .collect(),
-        args_exhaustive: false,
-    });
-    run(reg, "EventPlanner", spaces, states)
+    analyze(&guesstimate_apps::sudoku::APP)
 }
 
 /// Analyzes the message-board app.
 pub fn analyze_message_board() -> AppAnalysis {
-    use guesstimate_apps::message_board::{self as mb, ops};
-    let mut reg = OpRegistry::new();
-    mb::register(&mut reg);
-    let o = scratch();
-    let states = states_by_ops(
-        &reg,
-        "MessageBoard",
-        &[
-            ops::create_topic(o, "general"),
-            ops::post(o, "general", "ann", "hi"),
-            ops::create_topic(o, "random"),
-            ops::post(o, "general", "bob", "yo"),
-        ],
-    );
-    let spaces = method_spaces_from_suite(&mb::spec_suite());
-    run(reg, "MessageBoard", spaces, states)
-}
-
-/// Analyzes the car-pool app.
-pub fn analyze_carpool() -> AppAnalysis {
-    use guesstimate_apps::carpool::{self as cp, ops};
-    let mut reg = OpRegistry::new();
-    cp::register(&mut reg);
-    let o = scratch();
-    let states = states_by_ops(
-        &reg,
-        "CarPool",
-        &[
-            ops::add_vehicle(o, "v1", 1, "party"),
-            ops::add_vehicle(o, "v2", 2, "party"),
-            ops::board(o, "ann", "v1"),
-            ops::board(o, "bob", "v2"),
-            ops::disembark(o, "ann", "v1"),
-        ],
-    );
-    let spaces = method_spaces_from_suite(&cp::spec_suite());
-    run(reg, "CarPool", spaces, states)
-}
-
-/// Analyzes the auction app.
-pub fn analyze_auction() -> AppAnalysis {
-    use guesstimate_apps::auction::{self as au, ops};
-    let mut reg = OpRegistry::new();
-    au::register(&mut reg);
-    let o = scratch();
-    let states = states_by_ops(
-        &reg,
-        "Auction",
-        &[
-            ops::list_item(o, "lamp", "seller", 10, 5),
-            ops::bid(o, "lamp", "ann", 10),
-            ops::list_item(o, "sofa", "bob", 0, 1),
-            ops::close(o, "sofa", "bob"),
-        ],
-    );
-    let spaces = method_spaces_from_suite(&au::spec_suite());
-    run(reg, "Auction", spaces, states)
-}
-
-/// Analyzes the micro-blog app.
-pub fn analyze_microblog() -> AppAnalysis {
-    use guesstimate_apps::microblog::{self as micro, ops};
-    let mut reg = OpRegistry::new();
-    micro::register(&mut reg);
-    let o = scratch();
-    let states = states_by_ops(
-        &reg,
-        "MicroBlog",
-        &[
-            ops::register(o, "ann"),
-            ops::register(o, "bob"),
-            ops::follow(o, "ann", "bob"),
-            ops::post(o, "bob", "x"),
-            ops::unfollow(o, "ann", "bob"),
-        ],
-    );
-    let mut spaces = method_spaces_from_suite(&micro::spec_suite());
-    // The suite has no unfollow spec; reuse follow's handle pairs.
-    let handles = ["ann", "bob", "ghost", ""];
-    let mut unfollow_args = Vec::new();
-    for f in handles {
-        for g in handles {
-            unfollow_args.push(args![f, g]);
-        }
-    }
-    spaces.push(MethodSpace {
-        method: "unfollow".to_owned(),
-        args: unfollow_args,
-        args_exhaustive: true,
-    });
-    run(reg, "MicroBlog", spaces, states)
+    analyze(&guesstimate_apps::message_board::APP)
 }
 
 /// Analyzes all six bundled apps, in the canonical order.
 pub fn analyze_all_apps() -> Vec<AppAnalysis> {
-    vec![
-        analyze_sudoku(),
-        analyze_event_planner(),
-        analyze_message_board(),
-        analyze_carpool(),
-        analyze_auction(),
-        analyze_microblog(),
-    ]
+    guesstimate_apps::all().iter().map(analyze).collect()
 }

@@ -156,9 +156,8 @@ impl fmt::Display for AnalysisViolation {
 
 /// The argument space of one method, for sanitizing and pairing.
 ///
-/// Usually derived from the app's [`SpecSuite`] via
-/// [`method_spaces_from_suite`]; methods the suite omits get explicit
-/// spaces from the caller.
+/// Derived from the app's [`SpecSuite`] via [`method_spaces_from_suite`]
+/// (every registered method of a bundled app has a spec).
 #[derive(Debug, Clone)]
 pub struct MethodSpace {
     /// Registered method name.

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use guesstimate_core::{
     args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
 };
-use guesstimate_spec::{ConformanceLog, MethodContract, MethodSpec, SpecSuite};
+use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// One listed item.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -327,53 +327,6 @@ fn invariant(v: &Value) -> bool {
     })
 }
 
-/// Registers with runtime conformance checking.
-pub fn register_checked(registry: &mut OpRegistry, log: &ConformanceLog) {
-    registry.register_type::<Auction>();
-    let inv = MethodContract::new().with_invariant(invariant);
-    guesstimate_spec::register_checked::<Auction>(
-        registry,
-        "list_item",
-        inv.clone(),
-        log,
-        apply_list,
-    );
-    guesstimate_spec::register_checked::<Auction>(
-        registry,
-        "bid",
-        inv.clone().with_post(|pre, post, a| {
-            // φ_bid: on success our bid stands and strictly improves on the
-            // previous best.
-            let (Some(item), Some(bidder), Some(amount)) = (
-                a.first().and_then(Value::as_str),
-                a.get(1).and_then(Value::as_str),
-                a.get(2).and_then(Value::as_i64),
-            ) else {
-                return false;
-            };
-            let best_after = post
-                .as_map()
-                .and_then(|m| m.get(item))
-                .and_then(|i| i.field("best"))
-                .and_then(Value::as_list);
-            let prev = pre
-                .as_map()
-                .and_then(|m| m.get(item))
-                .and_then(|i| i.field("best"))
-                .and_then(Value::as_list)
-                .and_then(|l| l.get(1).and_then(Value::as_i64));
-            best_after.is_some_and(|l| {
-                l.first().and_then(Value::as_str) == Some(bidder)
-                    && l.get(1).and_then(Value::as_i64) == Some(amount)
-                    && prev.is_none_or(|p| amount > p)
-            })
-        }),
-        log,
-        apply_bid,
-    );
-    guesstimate_spec::register_checked::<Auction>(registry, "close", inv, log, apply_close);
-}
-
 /// Specification suite for the verifier table.
 pub fn spec_suite() -> SpecSuite {
     use guesstimate_spec::Assertion;
@@ -392,9 +345,32 @@ pub fn spec_suite() -> SpecSuite {
             .get(1)?
             .as_i64()
     };
+    let open =
+        |v: &Value, item: &str| -> Option<bool> { v.as_map()?.get(item)?.field("open")?.as_bool() };
     let bid = MethodSpec::new(
         "bid",
         MethodContract::new()
+            .with_post(move |pre, post, a| {
+                // φ_bid: on success our bid stands and strictly improves on
+                // the previous best.
+                let (Some(item), Some(bidder), Some(amount)) = (
+                    a.first().and_then(Value::as_str),
+                    a.get(1).and_then(Value::as_str),
+                    a.get(2).and_then(Value::as_i64),
+                ) else {
+                    return false;
+                };
+                let standing = post
+                    .as_map()
+                    .and_then(|m| m.get(item))
+                    .and_then(|i| i.field("best"))
+                    .and_then(Value::as_list);
+                standing.is_some_and(|l| {
+                    l.first().and_then(Value::as_str) == Some(bidder)
+                        && l.get(1).and_then(Value::as_i64) == Some(amount)
+                        && best_amount(pre, item).is_none_or(|p| amount > p)
+                })
+            })
             .with_assertion("bid-strictly-improves", move |c| {
                 let Some(item) = c.args.first().and_then(Value::as_str) else {
                     return false;
@@ -408,17 +384,11 @@ pub fn spec_suite() -> SpecSuite {
                         _ => false,
                     }
             })
-            .with_assertion("closed-items-are-frozen", |c| {
+            .with_assertion("closed-items-are-frozen", move |c| {
                 let Some(item) = c.args.first().and_then(Value::as_str) else {
                     return false;
                 };
-                let open = c
-                    .pre
-                    .as_map()
-                    .and_then(|m| m.get(item))
-                    .and_then(|i| i.field("open"))
-                    .and_then(Value::as_bool);
-                open != Some(false) || c.pre == c.post
+                open(&c.pre, item) != Some(false) || c.pre == c.post
             })
             .with_assertion("bid-frames-other-items", |c| {
                 let Some(item) = c.args.first().and_then(Value::as_str) else {
@@ -435,15 +405,10 @@ pub fn spec_suite() -> SpecSuite {
     let close = MethodSpec::new(
         "close",
         MethodContract::new()
-            .with_post(|_pre, post, a| {
-                let Some(item) = a.first().and_then(Value::as_str) else {
-                    return false;
-                };
-                post.as_map()
-                    .and_then(|m| m.get(item))
-                    .and_then(|i| i.field("open"))
-                    .and_then(Value::as_bool)
-                    == Some(false)
+            .with_post(move |_pre, post, a| {
+                a.first()
+                    .and_then(Value::as_str)
+                    .is_some_and(|item| open(post, item) == Some(false))
             })
             .with_assertion("close-preserves-best-bid", |c| {
                 let Some(item) = c.args.first().and_then(Value::as_str) else {
@@ -483,15 +448,10 @@ pub fn spec_suite() -> SpecSuite {
                 })
                 .assume_state_independent(),
             )
-            .with_post(|_pre, post, a| {
-                let Some(name) = a.first().and_then(Value::as_str) else {
-                    return false;
-                };
-                post.as_map()
-                    .and_then(|m| m.get(name))
-                    .and_then(|i| i.field("open"))
-                    .and_then(Value::as_bool)
-                    == Some(true)
+            .with_post(move |_pre, post, a| {
+                a.first()
+                    .and_then(Value::as_str)
+                    .is_some_and(|item| open(post, item) == Some(true))
             }),
     )
     // Small-scope abstraction over the numeric guards.
@@ -513,6 +473,27 @@ pub fn spec_suite() -> SpecSuite {
         .with_method(close)
         .with_method(list_item)
 }
+
+fn states() -> Vec<Value> {
+    let o = crate::SCRATCH;
+    crate::states_by_ops(
+        &APP,
+        &[
+            ops::list_item(o, "lamp", "seller", 10, 5),
+            ops::bid(o, "lamp", "ann", 10),
+            ops::list_item(o, "sofa", "bob", 0, 1),
+            ops::close(o, "sofa", "bob"),
+        ],
+    )
+}
+
+/// This application's row of [`crate::all`].
+pub const APP: crate::App = crate::App {
+    type_name: Auction::TYPE_NAME,
+    register,
+    spec_suite,
+    states,
+};
 
 #[cfg(test)]
 mod tests {
@@ -612,27 +593,6 @@ mod tests {
         a.bid("lamp", "ann", 12);
         assert!(invariant(&GState::snapshot(&a)));
         assert!(!invariant(&Value::Unit));
-    }
-
-    #[test]
-    fn checked_registration_is_clean() {
-        use guesstimate_core::{execute, MachineId, ObjectStore};
-        let obj = ObjectId::new(MachineId::new(0), 0);
-        let mut reg = OpRegistry::new();
-        let log = ConformanceLog::new();
-        register_checked(&mut reg, &log);
-        let mut store = ObjectStore::new();
-        store.insert(obj, Box::new(house()));
-        for op in [
-            ops::bid(obj, "lamp", "ann", 10),
-            ops::bid(obj, "lamp", "bob", 12), // fails: below increment
-            ops::bid(obj, "lamp", "bob", 15),
-            ops::close(obj, "lamp", "seller"),
-            ops::list_item(obj, "sofa", "bob", 5, 1),
-        ] {
-            let _ = execute(&op, &mut store, &reg).unwrap();
-        }
-        assert!(log.is_empty(), "{:?}", log.violations());
     }
 
     #[test]

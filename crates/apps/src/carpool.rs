@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use guesstimate_core::{
     args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value, ROOT,
 };
-use guesstimate_spec::{ConformanceLog, MethodContract, MethodSpec, SpecSuite};
+use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// A vehicle driving to one event.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -302,40 +302,6 @@ fn invariant(v: &Value) -> bool {
     true
 }
 
-/// Registers with runtime conformance checking.
-pub fn register_checked(registry: &mut OpRegistry, log: &ConformanceLog) {
-    registry.register_type::<CarPool>();
-    let inv = MethodContract::new().with_invariant(invariant);
-    guesstimate_spec::register_checked::<CarPool>(
-        registry,
-        "add_vehicle",
-        inv.clone(),
-        log,
-        apply_add,
-    );
-    guesstimate_spec::register_checked::<CarPool>(
-        registry,
-        "board",
-        inv.clone().with_post(|_pre, post, a| {
-            // On success the user rides the named vehicle.
-            let (Some(user), Some(vehicle)) = (
-                a.first().and_then(Value::as_str),
-                a.get(1).and_then(Value::as_str),
-            ) else {
-                return false;
-            };
-            post.as_map()
-                .and_then(|m| m.get(vehicle))
-                .and_then(|v| v.field("riders"))
-                .and_then(Value::as_list)
-                .is_some_and(|rs| rs.iter().any(|r| r.as_str() == Some(user)))
-        }),
-        log,
-        apply_board,
-    );
-    guesstimate_spec::register_checked::<CarPool>(registry, "disembark", inv, log, apply_disembark);
-}
-
 /// Specification suite for the verifier table.
 pub fn spec_suite() -> SpecSuite {
     use guesstimate_spec::{Assertion, ExecCase};
@@ -347,6 +313,17 @@ pub fn spec_suite() -> SpecSuite {
         for v in vehicles {
             board_args.push(args![u, v]);
         }
+    }
+    /// Whether user `args[0]` rides vehicle `args[1]` (a vehicle that does
+    /// not exist has no riders); `None` on ill-typed arguments.
+    fn rides(v: &Value, args: &[Value]) -> Option<bool> {
+        let (user, vehicle) = (args.first()?.as_str()?, args.get(1)?.as_str()?);
+        let riders = v.as_map()?.get(vehicle).and_then(|veh| veh.field("riders"));
+        Some(
+            riders
+                .and_then(Value::as_list)
+                .is_some_and(|rs| rs.iter().any(|r| r.as_str() == Some(user))),
+        )
     }
     fn frames_other_vehicles(c: &ExecCase) -> bool {
         let Some(target) = c.args.get(1).and_then(Value::as_str) else {
@@ -360,19 +337,7 @@ pub fn spec_suite() -> SpecSuite {
     let board = MethodSpec::new(
         "board",
         MethodContract::new()
-            .with_post(|_pre, post, a| {
-                let (Some(u), Some(v)) = (
-                    a.first().and_then(Value::as_str),
-                    a.get(1).and_then(Value::as_str),
-                ) else {
-                    return false;
-                };
-                post.as_map()
-                    .and_then(|m| m.get(v))
-                    .and_then(|veh| veh.field("riders"))
-                    .and_then(Value::as_list)
-                    .is_some_and(|rs| rs.iter().any(|r| r.as_str() == Some(u)))
-            })
+            .with_post(|_pre, post, a| rides(post, a) == Some(true))
             .with_assertion("board-frames-other-vehicles", frames_other_vehicles)
             .with_assertion("board-never-changes-seats-or-event", |c| {
                 let meta = |v: &Value| -> Vec<Value> {
@@ -395,20 +360,7 @@ pub fn spec_suite() -> SpecSuite {
     let disembark = MethodSpec::new(
         "disembark",
         MethodContract::new()
-            .with_post(|_pre, post, a| {
-                let (Some(u), Some(v)) = (
-                    a.first().and_then(Value::as_str),
-                    a.get(1).and_then(Value::as_str),
-                ) else {
-                    return false;
-                };
-                !post
-                    .as_map()
-                    .and_then(|m| m.get(v))
-                    .and_then(|veh| veh.field("riders"))
-                    .and_then(Value::as_list)
-                    .is_some_and(|rs| rs.iter().any(|r| r.as_str() == Some(u)))
-            })
+            .with_post(|_pre, post, a| rides(post, a) == Some(false))
             .with_assertion("disembark-frames-other-vehicles", frames_other_vehicles),
     )
     .with_args(board_args, false);
@@ -456,6 +408,28 @@ pub fn spec_suite() -> SpecSuite {
         .with_method(disembark)
         .with_method(add_vehicle)
 }
+
+fn states() -> Vec<Value> {
+    let o = crate::SCRATCH;
+    crate::states_by_ops(
+        &APP,
+        &[
+            ops::add_vehicle(o, "v1", 1, "party"),
+            ops::add_vehicle(o, "v2", 2, "party"),
+            ops::board(o, "ann", "v1"),
+            ops::board(o, "bob", "v2"),
+            ops::disembark(o, "ann", "v1"),
+        ],
+    )
+}
+
+/// This application's row of [`crate::all`].
+pub const APP: crate::App = crate::App {
+    type_name: CarPool::TYPE_NAME,
+    register,
+    spec_suite,
+    states,
+};
 
 #[cfg(test)]
 mod tests {
@@ -570,21 +544,6 @@ mod tests {
         p.board("ann", "v1");
         assert!(invariant(&GState::snapshot(&p)));
         assert!(!invariant(&Value::Unit));
-    }
-
-    #[test]
-    fn checked_registration_is_clean() {
-        let obj = ObjectId::new(MachineId::new(0), 0);
-        let mut reg = OpRegistry::new();
-        let log = ConformanceLog::new();
-        register_checked(&mut reg, &log);
-        let mut store = ObjectStore::new();
-        store.insert(obj, Box::new(pool()));
-        execute(&ops::board(obj, "ann", "v1"), &mut store, &reg).unwrap();
-        execute(&ops::board(obj, "bob", "v1"), &mut store, &reg).unwrap(); // full
-        execute(&ops::disembark(obj, "ann", "v1"), &mut store, &reg).unwrap();
-        execute(&ops::add_vehicle(obj, "v9", 2, "gala"), &mut store, &reg).unwrap();
-        assert!(log.is_empty(), "{:?}", log.violations());
     }
 
     #[test]

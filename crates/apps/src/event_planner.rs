@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use guesstimate_core::{
     args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
 };
-use guesstimate_spec::{ConformanceLog, MethodContract, MethodSpec, SpecSuite};
+use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// A registered user.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -443,71 +443,6 @@ fn invariant(v: &Value) -> bool {
     per_user.values().all(|&n| n <= quota)
 }
 
-/// Registers with runtime conformance checking.
-pub fn register_checked(registry: &mut OpRegistry, log: &ConformanceLog) {
-    registry.register_type::<EventPlanner>();
-    let inv = MethodContract::new().with_invariant(invariant);
-    guesstimate_spec::register_checked::<EventPlanner>(
-        registry,
-        "register_user",
-        inv.clone(),
-        log,
-        apply2!(register_user),
-    );
-    guesstimate_spec::register_checked::<EventPlanner>(
-        registry,
-        "sign_in",
-        inv.clone(),
-        log,
-        apply2!(sign_in),
-    );
-    guesstimate_spec::register_checked::<EventPlanner>(
-        registry,
-        "sign_out",
-        inv.clone(),
-        log,
-        |s, a| {
-            let Some(n) = a.str(0) else { return false };
-            s.sign_out(n)
-        },
-    );
-    guesstimate_spec::register_checked::<EventPlanner>(
-        registry,
-        "create_event",
-        inv.clone(),
-        log,
-        |s, a| {
-            let (Some(n), Some(c)) = (a.str(0), a.i64(1)) else {
-                return false;
-            };
-            s.create_event(n, c)
-        },
-    );
-    guesstimate_spec::register_checked::<EventPlanner>(
-        registry,
-        "join",
-        inv.clone().with_post(|_pre, post, a| {
-            // φ_join: the user now attends the event (capacity/quota are
-            // covered by the invariant).
-            let (Some(user), Some(event)) = (
-                a.first().and_then(Value::as_str),
-                a.get(1).and_then(Value::as_str),
-            ) else {
-                return false;
-            };
-            post.field("events")
-                .and_then(Value::as_map)
-                .and_then(|m| m.get(event))
-                .and_then(|e| e.field("attendees"))
-                .and_then(Value::as_list)
-                .is_some_and(|att| att.iter().any(|x| x.as_str() == Some(user)))
-        }),
-        log,
-        apply2!(join),
-    );
-    guesstimate_spec::register_checked::<EventPlanner>(registry, "leave", inv, log, apply2!(leave));
-}
-
 /// The specification suite for the verifier's table.
 ///
 /// Beyond the universal frame/invariant assertions, the suite carries
@@ -537,6 +472,13 @@ pub fn spec_suite() -> SpecSuite {
             .and_then(|e| e.field("attendees"))
             .and_then(Value::as_list)
             .is_some_and(|l| l.iter().any(|a| a.as_str() == Some(user)))
+    }
+    fn signed_in(v: &Value, user: &str) -> Option<bool> {
+        v.field("users")
+            .and_then(Value::as_map)
+            .and_then(|m| m.get(user))
+            .and_then(|r| r.field("signed_in"))
+            .and_then(Value::as_bool)
     }
     fn other_events_unchanged(c: &ExecCase) -> bool {
         let Some(target) = c.args.get(1).and_then(Value::as_str) else {
@@ -610,12 +552,7 @@ pub fn spec_suite() -> SpecSuite {
                 let Some(u) = a.first().and_then(Value::as_str) else {
                     return false;
                 };
-                post.field("users")
-                    .and_then(Value::as_map)
-                    .and_then(|m| m.get(u))
-                    .and_then(|r| r.field("signed_in"))
-                    .and_then(Value::as_bool)
-                    == Some(true)
+                signed_in(post, u) == Some(true)
             })
             .with_assertion("sign-in-never-changes-passwords", |c| {
                 let pw = |v: &Value| -> Vec<Value> {
@@ -642,6 +579,21 @@ pub fn spec_suite() -> SpecSuite {
         ],
         false,
     );
+
+    let sign_out = MethodSpec::new(
+        "sign_out",
+        MethodContract::new()
+            .with_post(|_pre, post, a| {
+                let Some(u) = a.first().and_then(Value::as_str) else {
+                    return false;
+                };
+                signed_in(post, u) == Some(false)
+            })
+            .with_assertion("sign-out-never-touches-events", |c| {
+                c.pre.field("events") == c.post.field("events")
+            }),
+    )
+    .with_args(users.iter().map(|u| args![*u]).collect(), false);
 
     let register = MethodSpec::new(
         "register_user",
@@ -711,7 +663,33 @@ pub fn spec_suite() -> SpecSuite {
         .with_method(sign_in)
         .with_method(register)
         .with_method(create_event)
+        .with_method(sign_out)
 }
+
+fn states() -> Vec<Value> {
+    let o = crate::SCRATCH;
+    crate::states_by_ops(
+        &APP,
+        &[
+            ops::register_user(o, "ann", "pw"),
+            ops::register_user(o, "bob", "pw"),
+            ops::create_event(o, "party", 1),
+            ops::create_event(o, "dinner", 2),
+            ops::sign_in(o, "ann", "pw"),
+            ops::join(o, "ann", "party"),
+            ops::join(o, "bob", "dinner"),
+            ops::leave(o, "ann", "party"),
+        ],
+    )
+}
+
+/// This application's row of [`crate::all`].
+pub const APP: crate::App = crate::App {
+    type_name: EventPlanner::TYPE_NAME,
+    register,
+    spec_suite,
+    states,
+};
 
 #[cfg(test)]
 mod tests {
@@ -864,29 +842,6 @@ mod tests {
         assert!(!execute(&both, &mut store, &reg).unwrap().is_success());
         let p = store.get_as::<EventPlanner>(obj).unwrap();
         assert!(!p.is_attending("ann", "dinner"), "dinner join rolled back");
-    }
-
-    #[test]
-    fn checked_registration_is_clean() {
-        use guesstimate_core::{execute, MachineId, ObjectStore};
-        let obj = ObjectId::new(MachineId::new(0), 0);
-        let mut reg = OpRegistry::new();
-        let log = ConformanceLog::new();
-        register_checked(&mut reg, &log);
-        let mut store = ObjectStore::new();
-        store.insert(obj, Box::new(planner()));
-        for op in [
-            ops::join(obj, "ann", "party"),
-            ops::join(obj, "bob", "party"), // fails: full
-            ops::leave(obj, "ann", "party"),
-            ops::sign_in(obj, "ann", "pw"),
-            ops::sign_out(obj, "ann"),
-            ops::register_user(obj, "cid", "pw"),
-            ops::create_event(obj, "gala", 5),
-        ] {
-            let _ = execute(&op, &mut store, &reg).unwrap();
-        }
-        assert!(log.is_empty(), "{:?}", log.violations());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use guesstimate_core::{
     args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
 };
-use guesstimate_spec::{ConformanceLog, MethodContract, MethodSpec, SpecSuite};
+use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// One post.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -296,47 +296,6 @@ fn post_contract() -> MethodContract {
     })
 }
 
-/// Registers with runtime conformance checking.
-pub fn register_checked(registry: &mut OpRegistry, log: &ConformanceLog) {
-    registry.register_type::<MessageBoard>();
-    guesstimate_spec::register_checked::<MessageBoard>(
-        registry,
-        "create_topic",
-        MethodContract::new().with_post(|pre, post, a| {
-            let Some(name) = a.first().and_then(Value::as_str) else {
-                return false;
-            };
-            pre.field("topics")
-                .and_then(Value::as_map)
-                .is_some_and(|m| !m.contains_key(name))
-                && post
-                    .field("topics")
-                    .and_then(Value::as_map)
-                    .is_some_and(|m| {
-                        m.get(name)
-                            .and_then(Value::as_list)
-                            .is_some_and(|l| l.is_empty())
-                    })
-        }),
-        log,
-        apply_create,
-    );
-    guesstimate_spec::register_checked::<MessageBoard>(
-        registry,
-        "post",
-        post_contract(),
-        log,
-        apply_post,
-    );
-    guesstimate_spec::register_checked::<MessageBoard>(
-        registry,
-        "like",
-        like_contract(),
-        log,
-        apply_like,
-    );
-}
-
 fn like_contract() -> MethodContract {
     MethodContract::new().with_post(|pre, post, a| {
         // φ_post: exactly this key's tally grew by one; topics untouched.
@@ -361,6 +320,24 @@ pub fn spec_suite() -> SpecSuite {
     let create = MethodSpec::new(
         "create_topic",
         MethodContract::new()
+            .with_post(|pre, post, a| {
+                // φ_create_topic: the name was free and now heads an empty
+                // post list.
+                let Some(name) = a.first().and_then(Value::as_str) else {
+                    return false;
+                };
+                pre.field("topics")
+                    .and_then(Value::as_map)
+                    .is_some_and(|m| !m.contains_key(name))
+                    && post
+                        .field("topics")
+                        .and_then(Value::as_map)
+                        .is_some_and(|m| {
+                            m.get(name)
+                                .and_then(Value::as_list)
+                                .is_some_and(|l| l.is_empty())
+                        })
+            })
             .with_assertion_obj(
                 Assertion::new("empty-topic-name-fails", |c| {
                     c.args.first().and_then(Value::as_str) != Some("")
@@ -446,6 +423,27 @@ pub fn spec_suite() -> SpecSuite {
         .with_method(like)
 }
 
+fn states() -> Vec<Value> {
+    let o = crate::SCRATCH;
+    crate::states_by_ops(
+        &APP,
+        &[
+            ops::create_topic(o, "general"),
+            ops::post(o, "general", "ann", "hi"),
+            ops::create_topic(o, "random"),
+            ops::post(o, "general", "bob", "yo"),
+        ],
+    )
+}
+
+/// This application's row of [`crate::all`].
+pub const APP: crate::App = crate::App {
+    type_name: MessageBoard::TYPE_NAME,
+    register,
+    spec_suite,
+    states,
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,23 +507,6 @@ mod tests {
     fn restore_rejects_malformed() {
         let mut b = MessageBoard::new();
         assert!(GState::restore(&mut b, &Value::from(1)).is_err());
-    }
-
-    #[test]
-    fn checked_registration_is_clean() {
-        use guesstimate_core::{execute, MachineId, ObjectStore};
-        let obj = ObjectId::new(MachineId::new(0), 0);
-        let mut reg = OpRegistry::new();
-        let log = ConformanceLog::new();
-        register_checked(&mut reg, &log);
-        let mut store = ObjectStore::new();
-        store.insert(obj, Box::new(MessageBoard::new()));
-        execute(&ops::create_topic(obj, "general"), &mut store, &reg).unwrap();
-        execute(&ops::post(obj, "general", "ann", "hi"), &mut store, &reg).unwrap();
-        execute(&ops::post(obj, "missing", "ann", "hi"), &mut store, &reg).unwrap();
-        execute(&ops::like(obj, "general"), &mut store, &reg).unwrap();
-        execute(&ops::like(obj, "phantom"), &mut store, &reg).unwrap();
-        assert!(log.is_empty(), "{:?}", log.violations());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use guesstimate_core::{
     args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
 };
-use guesstimate_spec::{ConformanceLog, MethodContract, MethodSpec, SpecSuite};
+use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// One post, tagged with its global commit sequence number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -393,49 +393,6 @@ fn invariant(v: &Value) -> bool {
     })
 }
 
-/// Registers with runtime conformance checking.
-pub fn register_checked(registry: &mut OpRegistry, log: &ConformanceLog) {
-    registry.register_type::<MicroBlog>();
-    let inv = MethodContract::new().with_invariant(invariant);
-    guesstimate_spec::register_checked::<MicroBlog>(
-        registry,
-        "register",
-        inv.clone(),
-        log,
-        apply_register,
-    );
-    guesstimate_spec::register_checked::<MicroBlog>(
-        registry,
-        "post",
-        inv.clone().with_post(|pre, post, _| {
-            let (Some(b), Some(a)) = (
-                pre.field("posts").and_then(Value::as_list),
-                post.field("posts").and_then(Value::as_list),
-            ) else {
-                return false;
-            };
-            a.len() == b.len() + 1 && a[..b.len()] == *b
-        }),
-        log,
-        apply_post,
-    );
-    guesstimate_spec::register_checked::<MicroBlog>(
-        registry,
-        "follow",
-        inv.clone(),
-        log,
-        apply_follow,
-    );
-    guesstimate_spec::register_checked::<MicroBlog>(registry, "unfollow", inv, log, apply_unfollow);
-    guesstimate_spec::register_checked::<MicroBlog>(
-        registry,
-        "heart",
-        heart_contract(),
-        log,
-        apply_heart,
-    );
-}
-
 fn heart_contract() -> MethodContract {
     MethodContract::new().with_post(|pre, post, a| {
         // φ_post: exactly this handle's tally grew by one; the checked
@@ -500,16 +457,18 @@ pub fn spec_suite() -> SpecSuite {
                 let Some(author) = a.first().and_then(Value::as_str) else {
                     return false;
                 };
-                let posts = |v: &Value| {
-                    v.field("posts")
-                        .and_then(Value::as_list)
-                        .map(<[Value]>::len)
+                // φ_post: the timeline grew by exactly one post — ours, at
+                // the end — and every earlier post is as it was.
+                let (Some(before), Some(after)) = (
+                    pre.field("posts").and_then(Value::as_list),
+                    post.field("posts").and_then(Value::as_list),
+                ) else {
+                    return false;
                 };
-                posts(post) == posts(pre).map(|n| n + 1)
-                    && post
-                        .field("posts")
-                        .and_then(Value::as_list)
-                        .and_then(|l| l.last())
+                after.len() == before.len() + 1
+                    && after[..before.len()] == *before
+                    && after
+                        .last()
                         .and_then(|p| p.field("author"))
                         .and_then(Value::as_str)
                         == Some(author)
@@ -541,21 +500,24 @@ pub fn spec_suite() -> SpecSuite {
         true,
     );
 
+    let follows = |v: &Value, f: &str, g: &str| {
+        v.field("follows")
+            .and_then(Value::as_map)
+            .and_then(|m| m.get(f))
+            .and_then(Value::as_list)
+            .is_some_and(|l| l.iter().any(|x| x.as_str() == Some(g)))
+    };
     let follow = MethodSpec::new(
         "follow",
         MethodContract::new()
-            .with_post(|_pre, post, a| {
+            .with_post(move |_pre, post, a| {
                 let (Some(f), Some(g)) = (
                     a.first().and_then(Value::as_str),
                     a.get(1).and_then(Value::as_str),
                 ) else {
                     return false;
                 };
-                post.field("follows")
-                    .and_then(Value::as_map)
-                    .and_then(|m| m.get(f))
-                    .and_then(Value::as_list)
-                    .is_some_and(|l| l.iter().any(|x| x.as_str() == Some(g)))
+                follows(post, f, g)
             })
             .with_assertion("self-follow-always-fails", |c| {
                 let f = c.args.first().and_then(Value::as_str);
@@ -568,6 +530,24 @@ pub fn spec_suite() -> SpecSuite {
     )
     // Small-scope abstraction: all pairings of two registered handles, an
     // unregistered one, and "" — the footprint depends only on the follower.
+    .with_args(follow_args.clone(), true);
+
+    let unfollow = MethodSpec::new(
+        "unfollow",
+        MethodContract::new()
+            .with_post(move |_pre, post, a| {
+                let (Some(f), Some(g)) = (
+                    a.first().and_then(Value::as_str),
+                    a.get(1).and_then(Value::as_str),
+                ) else {
+                    return false;
+                };
+                !follows(post, f, g)
+            })
+            .with_assertion("unfollow-never-touches-posts", |c| {
+                c.pre.field("posts") == c.post.field("posts")
+            }),
+    )
     .with_args(follow_args, true);
 
     let heart = MethodSpec::new(
@@ -594,7 +574,30 @@ pub fn spec_suite() -> SpecSuite {
         .with_method(post)
         .with_method(follow)
         .with_method(heart)
+        .with_method(unfollow)
 }
+
+fn states() -> Vec<Value> {
+    let o = crate::SCRATCH;
+    crate::states_by_ops(
+        &APP,
+        &[
+            ops::register(o, "ann"),
+            ops::register(o, "bob"),
+            ops::follow(o, "ann", "bob"),
+            ops::post(o, "bob", "x"),
+            ops::unfollow(o, "ann", "bob"),
+        ],
+    )
+}
+
+/// This application's row of [`crate::all`].
+pub const APP: crate::App = crate::App {
+    type_name: MicroBlog::TYPE_NAME,
+    register,
+    spec_suite,
+    states,
+};
 
 #[cfg(test)]
 mod tests {
@@ -685,29 +688,6 @@ mod tests {
         b.post("ann", "x");
         assert!(invariant(&GState::snapshot(&b)));
         assert!(!invariant(&Value::Unit));
-    }
-
-    #[test]
-    fn checked_registration_is_clean() {
-        use guesstimate_core::{execute, MachineId, ObjectStore};
-        let obj = ObjectId::new(MachineId::new(0), 0);
-        let mut reg = OpRegistry::new();
-        let log = ConformanceLog::new();
-        register_checked(&mut reg, &log);
-        let mut store = ObjectStore::new();
-        store.insert(obj, Box::new(blog()));
-        for op in [
-            ops::post(obj, "ann", "hello"),
-            ops::follow(obj, "bob", "ann"),
-            ops::post(obj, "ghost", "nope"), // fails
-            ops::unfollow(obj, "bob", "ann"),
-            ops::register(obj, "dan"),
-            ops::heart(obj, "ann"),
-            ops::heart(obj, "nobody"),
-        ] {
-            let _ = execute(&op, &mut store, &reg).unwrap();
-        }
-        assert!(log.is_empty(), "{:?}", log.violations());
     }
 
     #[test]

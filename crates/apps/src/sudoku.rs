@@ -15,9 +15,7 @@
 use guesstimate_core::{
     args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
 };
-use guesstimate_spec::{
-    Assertion, CaseSpace, ConformanceLog, MethodContract, MethodSpec, SpecSuite,
-};
+use guesstimate_spec::{Assertion, CaseSpace, MethodContract, MethodSpec, SpecSuite};
 
 /// The shared Sudoku board.
 ///
@@ -358,25 +356,6 @@ pub fn register(registry: &mut OpRegistry) {
     registry.register_with_effects::<Sudoku>("clear", clear_effect(), apply_clear);
 }
 
-/// Registers with runtime conformance checking (§5 "Specifications").
-pub fn register_checked(registry: &mut OpRegistry, log: &ConformanceLog) {
-    registry.register_type::<Sudoku>();
-    guesstimate_spec::register_checked::<Sudoku>(
-        registry,
-        "update",
-        update_contract(),
-        log,
-        apply_update,
-    );
-    guesstimate_spec::register_checked::<Sudoku>(
-        registry,
-        "clear",
-        clear_contract(),
-        log,
-        apply_clear,
-    );
-}
-
 /// Decodes the `grid` list of a snapshot.
 fn snap_grid(v: &Value) -> Option<Vec<i64>> {
     let g = v.field("grid")?.as_list()?;
@@ -403,18 +382,18 @@ fn snapshot_valid(v: &Value) -> bool {
     })
 }
 
-/// The `update` contract: φ_update = "the target cell now holds v; every
-/// other cell (and the givens mask) is unchanged".
-fn update_contract() -> MethodContract {
+/// φ of both operations: the target cell now holds `value(args)`; every
+/// other cell (and the givens mask) is unchanged.
+fn cell_contract(value: fn(&[Value]) -> Option<i64>) -> MethodContract {
     MethodContract::new()
-        .with_post(|pre, post, a| {
+        .with_post(move |pre, post, a| {
             let (Some(gp), Some(gq)) = (snap_grid(pre), snap_grid(post)) else {
                 return false;
             };
             let (Some(r), Some(c), Some(v)) = (
                 a.first().and_then(Value::as_i64),
                 a.get(1).and_then(Value::as_i64),
-                a.get(2).and_then(Value::as_i64),
+                value(a),
             ) else {
                 return false;
             };
@@ -433,32 +412,14 @@ fn update_contract() -> MethodContract {
         .with_invariant(snapshot_valid)
 }
 
-/// The `clear` contract: the target cell is now 0, everything else intact.
+/// The `update` contract: the target cell now holds `v`.
+fn update_contract() -> MethodContract {
+    cell_contract(|a| a.get(2).and_then(Value::as_i64))
+}
+
+/// The `clear` contract: the target cell is now 0.
 fn clear_contract() -> MethodContract {
-    MethodContract::new()
-        .with_post(|pre, post, a| {
-            let (Some(gp), Some(gq)) = (snap_grid(pre), snap_grid(post)) else {
-                return false;
-            };
-            let (Some(r), Some(c)) = (
-                a.first().and_then(Value::as_i64),
-                a.get(1).and_then(Value::as_i64),
-            ) else {
-                return false;
-            };
-            if !(1..=9).contains(&r) || !(1..=9).contains(&c) {
-                return false;
-            }
-            let target = (r as usize - 1) * 9 + (c as usize - 1);
-            gq[target] == 0
-                && gp
-                    .iter()
-                    .zip(gq.iter())
-                    .enumerate()
-                    .all(|(i, (a, b))| i == target || a == b)
-                && pre.field("fixed") == post.field("fixed")
-        })
-        .with_invariant(snapshot_valid)
+    cell_contract(|_| Some(0))
 }
 
 /// Bounds-guard assertion (state-independent): out-of-range arguments must
@@ -649,11 +610,27 @@ pub fn example_puzzle() -> Sudoku {
     ])
 }
 
+/// The board's sampled state space: six boards played from the example
+/// puzzle, and the puzzle itself.
+fn states() -> Vec<Value> {
+    let mut states = sampled_states(6, 0xA11CE).states;
+    states.push(GState::snapshot(&example_puzzle()));
+    states
+}
+
+/// This application's row of [`crate::all`].
+pub const APP: crate::App = crate::App {
+    type_name: Sudoku::TYPE_NAME,
+    register,
+    spec_suite,
+    states,
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use guesstimate_core::{execute, MachineId, ObjectStore};
-    use guesstimate_spec::{verify_suite, Verdict};
+    use guesstimate_spec::{verify_suite, ConformanceLog, Verdict};
 
     fn board_id() -> ObjectId {
         ObjectId::new(MachineId::new(0), 0)
@@ -770,20 +747,6 @@ mod tests {
         let s = example_puzzle();
         assert!(s.valid());
         assert_eq!(81 - s.empty_count(), 30);
-    }
-
-    #[test]
-    fn checked_registration_is_clean_on_correct_impl() {
-        let mut reg = OpRegistry::new();
-        let log = ConformanceLog::new();
-        register_checked(&mut reg, &log);
-        let mut store = ObjectStore::new();
-        store.insert(board_id(), Box::new(example_puzzle()));
-        for (r, c, v) in [(1u8, 3u8, 4u8), (1, 4, 6), (3, 1, 1), (1, 3, 2)] {
-            let _ = execute(&ops::update(board_id(), r, c, v), &mut store, &reg).unwrap();
-        }
-        let _ = execute(&ops::clear(board_id(), 1, 3), &mut store, &reg).unwrap();
-        assert!(log.is_empty(), "{:?}", log.violations());
     }
 
     #[test]

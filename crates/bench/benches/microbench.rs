@@ -10,8 +10,9 @@
 //! * `snapshot_digest` — canonical snapshot + digest of a Sudoku board
 //!   (convergence checking).
 //! * `sim_round` — one full synchronization round of a simulated 4-machine
-//!   cluster (protocol + virtual network bookkeeping): nearly idle, and
-//!   with 256 pending ops to consolidate, commute-skip off and on.
+//!   cluster (protocol + virtual network bookkeeping): nearly idle — on the
+//!   plain registry and on the checked one — and with 256 pending ops to
+//!   consolidate, commute-skip off and on.
 //! * `threaded_link_round_trip` — a ping and its echo over the real-thread
 //!   mesh with a constant link delay: twice the link when the delivery
 //!   thread wakes on time, and its wake-up lateness twice over when not.
@@ -29,6 +30,7 @@ use guesstimate_core::{
 };
 use guesstimate_net::{Actor, Channel, Ctx, LatencyModel, NetConfig, SimTime, ThreadedNet};
 use guesstimate_runtime::{run_until_cohort, sim_cluster, MachineConfig};
+use guesstimate_spec::{check_suite, ConformanceLog};
 
 fn board_id(i: u64) -> ObjectId {
     ObjectId::new(MachineId::new(0), i)
@@ -137,15 +139,15 @@ fn bench_snapshot_digest(c: &mut Criterion) {
     });
 }
 
-fn bench_sim_round(c: &mut Criterion) {
-    c.bench_function("sim_round/4_machines_one_sync", |b| {
+fn sim_round_row(c: &mut Criterion, name: &str, registry: fn() -> OpRegistry) {
+    c.bench_function(name, |b| {
         b.iter_batched(
             || {
                 let cfg = MachineConfig::default()
                     .with_sync_period(SimTime::from_millis(50))
                     .with_stall_timeout(SimTime::from_secs(2));
                 let netcfg = NetConfig::lan(7).with_latency(LatencyModel::constant_ms(5));
-                let mut net = sim_cluster(4, sudoku_registry(), cfg, netcfg);
+                let mut net = sim_cluster(4, registry(), cfg, netcfg);
                 assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
                 let board = net
                     .actor_mut(MachineId::new(0))
@@ -173,6 +175,18 @@ fn bench_sim_round(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+}
+
+/// The nearly idle round, on the plain registry and on the checked one:
+/// the second row is what running Sudoku's whole suite (114 assertions an
+/// `update`) at issue, replay and commit costs.
+fn bench_sim_round(c: &mut Criterion) {
+    sim_round_row(c, "sim_round/4_machines_one_sync", sudoku_registry);
+    sim_round_row(c, "sim_round/4_machines_checked_registry", || {
+        let mut r = sudoku_registry();
+        check_suite(&mut r, &sudoku::spec_suite(), &ConformanceLog::new());
+        r
     });
 }
 

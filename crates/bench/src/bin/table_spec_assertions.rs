@@ -4,19 +4,19 @@
 //! 323 assertions out of which boogie was able to verify 271 as correct
 //! while the remaining 52 were translated into runtime checks." We generate
 //! each application's assertion population from its contracts and classify
-//! every assertion with the bounded-exhaustive verifier.
+//! every assertion with the bounded-exhaustive verifier. The same suites,
+//! whole, are what the checked registry runs (`apps::register_all_checked`).
 //!
-//! Usage: `table_spec_assertions [seed] [--detail]` (default seed 42;
-//! `--detail` additionally prints the per-method breakdown for Sudoku).
+//! Usage: `table_spec_assertions [--detail]` (`--detail` additionally prints
+//! each application's per-method breakdown). Exits 1 if any assertion of a
+//! shipped application is refuted.
 
-use guesstimate_bench::run_spec_table;
+use guesstimate_bench::{run_spec_table, spec_table_total};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let detail = args.iter().any(|a| a == "--detail");
-    let seed: u64 = args.iter().find_map(|a| a.parse().ok()).unwrap_or(42);
-    eprintln!("classifying assertion populations for all six applications (seed {seed}) ...");
-    let rows = run_spec_table(seed);
+    let detail = std::env::args().skip(1).any(|a| a == "--detail");
+    eprintln!("classifying assertion populations for all six applications ...");
+    let rows = run_spec_table();
 
     println!("# Specification table: assertions per application");
     println!("# (paper, Sudoku only: 323 assertions = 271 verified + 52 runtime checks)");
@@ -24,33 +24,34 @@ fn main() {
         "{:<14} {:>6} {:>9} {:>15} {:>8}",
         "app", "total", "verified", "runtime_checks", "refuted"
     );
-    let (mut t, mut v, mut rc, mut rf) = (0, 0, 0, 0);
-    for r in &rows {
+    let row = |name: &str, c: [usize; 4]| {
         println!(
-            "{:<14} {:>6} {:>9} {:>15} {:>8}",
-            r.app, r.total, r.verified, r.runtime_checks, r.refuted
+            "{name:<14} {:>6} {:>9} {:>15} {:>8}",
+            c[0], c[1], c[2], c[3]
         );
-        t += r.total;
-        v += r.verified;
-        rc += r.runtime_checks;
-        rf += r.refuted;
+    };
+    for r in &rows {
+        row(r.app, r.counts());
     }
-    println!("{:<14} {:>6} {:>9} {:>15} {:>8}", "TOTAL", t, v, rc, rf);
+    let sum = spec_table_total(&rows);
+    row("TOTAL", sum);
     println!();
     println!("# shape vs paper: a large assertion population, the majority discharged");
     println!("# statically (here: complete small-scope enumeration), the remainder kept");
     println!("# as runtime checks; zero refutations on the shipped implementations.");
 
     if detail {
-        use guesstimate_apps::sudoku;
-        use guesstimate_core::OpRegistry;
-        use guesstimate_spec::verify_suite;
-        let mut reg = OpRegistry::new();
-        sudoku::register(&mut reg);
-        let space = sudoku::sampled_states(4, seed);
-        let report = verify_suite(&reg, &sudoku::spec_suite(), &space);
-        println!();
-        println!("# Sudoku per-method breakdown:");
-        print!("{}", report.format_table());
+        for r in &rows {
+            println!();
+            println!("# {} per-method breakdown:", r.app);
+            print!("{}", r.report.format_table());
+        }
+    }
+    if sum[3] > 0 {
+        eprintln!(
+            "{} assertion(s) refuted on the shipped implementations",
+            sum[3]
+        );
+        std::process::exit(1);
     }
 }

@@ -17,7 +17,7 @@ use guesstimate_runtime::{
     run_until_cohort, sim_cluster, sim_cluster_instrumented, Machine, MachineConfig, MachineStats,
     SyncSample,
 };
-use guesstimate_spec::{verify_suite, CaseSpace, Value};
+use guesstimate_spec::{verify_suite, CaseSpace, VerificationReport};
 use guesstimate_telemetry::Telemetry;
 
 use crate::workload::{schedule_user, schedule_user_dynamic, Activity};
@@ -605,207 +605,49 @@ pub fn run_fig7(seed: u64, mean_think: SimTime) -> Vec<Fig7Row> {
 // Spec table (§6)
 // ---------------------------------------------------------------------
 
-/// One row of the specification table.
+/// One row of the specification table: an application and its suite's
+/// classified assertions.
 #[derive(Debug, Clone)]
 pub struct SpecTableRow {
-    /// Application name.
+    /// Application (its registered type name).
     pub app: &'static str,
-    /// Total assertions generated from the contracts.
-    pub total: usize,
-    /// Statically verified (complete enumeration, no counterexample).
-    pub verified: usize,
-    /// Left as runtime checks.
-    pub runtime_checks: usize,
-    /// Refuted (would be compile-time warnings in Spec#).
-    pub refuted: usize,
+    /// Every assertion generated from the contracts, with its verdict.
+    pub report: VerificationReport,
+}
+
+impl SpecTableRow {
+    /// The row's columns: total, verified, left as runtime checks, refuted.
+    pub fn counts(&self) -> [usize; 4] {
+        let r = &self.report;
+        [r.total(), r.verified(), r.runtime_checks(), r.refuted()]
+    }
+}
+
+/// The table's TOTAL row: the rows' [`SpecTableRow::counts`], summed.
+pub fn spec_table_total(rows: &[SpecTableRow]) -> [usize; 4] {
+    rows.iter().fold([0; 4], |sum, r| {
+        let c = r.counts();
+        [sum[0] + c[0], sum[1] + c[1], sum[2] + c[2], sum[3] + c[3]]
+    })
 }
 
 /// The Spec#/Boogie table: classify every application's assertion
-/// population. The paper reports, for Sudoku alone: "Spec# generated 323
-/// assertions out of which boogie was able to verify 271 as correct while
-/// the remaining 52 were translated into runtime checks."
-pub fn run_spec_table(seed: u64) -> Vec<SpecTableRow> {
-    let mut rows = Vec::new();
-
-    // Sudoku: full argument enumeration over sampled board states.
-    {
-        let mut reg = OpRegistry::new();
-        sudoku::register(&mut reg);
-        let space = sudoku::sampled_states(4, seed);
-        let report = verify_suite(&reg, &sudoku::spec_suite(), &space);
-        rows.push(SpecTableRow {
-            app: "Sudoku",
-            total: report.total(),
-            verified: report.verified(),
-            runtime_checks: report.runtime_checks(),
-            refuted: report.refuted(),
-        });
-    }
-
-    // The other five applications use representative sampled state spaces.
-    let small = |states: Vec<Value>| CaseSpace::sampled(states, 100_000);
-
-    {
-        use guesstimate_apps::event_planner as ep;
-        let mut reg = OpRegistry::new();
-        ep::register(&mut reg);
-        let states = app_states_event_planner(&reg);
-        let report = verify_suite(&reg, &ep::spec_suite(), &small(states));
-        rows.push(row("EventPlanner", &report));
-    }
-    {
-        use guesstimate_apps::message_board as mb;
-        let mut reg = OpRegistry::new();
-        mb::register(&mut reg);
-        let states = app_states_message_board(&reg);
-        let report = verify_suite(&reg, &mb::spec_suite(), &small(states));
-        rows.push(row("MessageBoard", &report));
-    }
-    {
-        use guesstimate_apps::carpool as cp;
-        let mut reg = OpRegistry::new();
-        cp::register(&mut reg);
-        let states = app_states_carpool(&reg);
-        let report = verify_suite(&reg, &cp::spec_suite(), &small(states));
-        rows.push(row("CarPool", &report));
-    }
-    {
-        use guesstimate_apps::auction as au;
-        let mut reg = OpRegistry::new();
-        au::register(&mut reg);
-        let states = app_states_auction(&reg);
-        let report = verify_suite(&reg, &au::spec_suite(), &small(states));
-        rows.push(row("Auction", &report));
-    }
-    {
-        use guesstimate_apps::microblog as micro;
-        let mut reg = OpRegistry::new();
-        micro::register(&mut reg);
-        let states = app_states_microblog(&reg);
-        let report = verify_suite(&reg, &micro::spec_suite(), &small(states));
-        rows.push(row("MicroBlog", &report));
-    }
-    rows
-}
-
-fn row(app: &'static str, report: &guesstimate_spec::VerificationReport) -> SpecTableRow {
-    SpecTableRow {
-        app,
-        total: report.total(),
-        verified: report.verified(),
-        runtime_checks: report.runtime_checks(),
-        refuted: report.refuted(),
-    }
-}
-
-/// Builds representative states for an app by executing op sequences
-/// through the registry and snapshotting after each step.
-fn states_by_ops(
-    reg: &OpRegistry,
-    type_name: &str,
-    seqs: &[Vec<guesstimate_core::SharedOp>],
-    scratch: ObjectId,
-) -> Vec<Value> {
-    let mut out = Vec::new();
-    for seq in seqs {
-        let mut store = guesstimate_core::ObjectStore::new();
-        store.insert(scratch, reg.construct(type_name).expect("registered"));
-        out.push(store.get(scratch).expect("present").snapshot());
-        for op in seq {
-            let _ = guesstimate_core::execute(op, &mut store, reg);
-            out.push(store.get(scratch).expect("present").snapshot());
-        }
-    }
-    out
-}
-
-fn scratch_obj() -> ObjectId {
-    ObjectId::new(MachineId::new(0), 0)
-}
-
-fn app_states_event_planner(reg: &OpRegistry) -> Vec<Value> {
-    use guesstimate_apps::event_planner::ops;
-    let o = scratch_obj();
-    states_by_ops(
-        reg,
-        "EventPlanner",
-        &[vec![
-            ops::register_user(o, "ann", "pw"),
-            ops::register_user(o, "bob", "pw"),
-            ops::create_event(o, "party", 1),
-            ops::create_event(o, "dinner", 2),
-            ops::join(o, "ann", "party"),
-            ops::join(o, "bob", "party"),
-            ops::join(o, "bob", "dinner"),
-            ops::leave(o, "ann", "party"),
-        ]],
-        o,
-    )
-}
-
-fn app_states_message_board(reg: &OpRegistry) -> Vec<Value> {
-    use guesstimate_apps::message_board::ops;
-    let o = scratch_obj();
-    states_by_ops(
-        reg,
-        "MessageBoard",
-        &[vec![
-            ops::create_topic(o, "general"),
-            ops::post(o, "general", "ann", "hi"),
-            ops::post(o, "general", "bob", "yo"),
-        ]],
-        o,
-    )
-}
-
-fn app_states_carpool(reg: &OpRegistry) -> Vec<Value> {
-    use guesstimate_apps::carpool::ops;
-    let o = scratch_obj();
-    states_by_ops(
-        reg,
-        "CarPool",
-        &[vec![
-            ops::add_vehicle(o, "v1", 1, "party"),
-            ops::add_vehicle(o, "v2", 2, "party"),
-            ops::board(o, "ann", "v1"),
-            ops::board(o, "bob", "v2"),
-            ops::disembark(o, "ann", "v1"),
-        ]],
-        o,
-    )
-}
-
-fn app_states_auction(reg: &OpRegistry) -> Vec<Value> {
-    use guesstimate_apps::auction::ops;
-    let o = scratch_obj();
-    states_by_ops(
-        reg,
-        "Auction",
-        &[vec![
-            ops::list_item(o, "lamp", "seller", 10, 5),
-            ops::bid(o, "lamp", "ann", 10),
-            ops::bid(o, "lamp", "bob", 15),
-            ops::close(o, "lamp", "seller"),
-        ]],
-        o,
-    )
-}
-
-fn app_states_microblog(reg: &OpRegistry) -> Vec<Value> {
-    use guesstimate_apps::microblog::ops;
-    let o = scratch_obj();
-    states_by_ops(
-        reg,
-        "MicroBlog",
-        &[vec![
-            ops::register(o, "ann"),
-            ops::register(o, "bob"),
-            ops::follow(o, "ann", "bob"),
-            ops::post(o, "bob", "hello"),
-            ops::post(o, "ann", "hey"),
-        ]],
-        o,
-    )
+/// population — each row of `guesstimate_apps::all()`, its suite's argument
+/// spaces enumerated over its representative states. The paper reports, for
+/// Sudoku alone: "Spec# generated 323 assertions out of which boogie was
+/// able to verify 271 as correct while the remaining 52 were translated
+/// into runtime checks."
+pub fn run_spec_table() -> Vec<SpecTableRow> {
+    guesstimate_apps::all()
+        .iter()
+        .map(|app| {
+            let space = CaseSpace::sampled((app.states)(), 100_000);
+            SpecTableRow {
+                app: app.type_name,
+                report: verify_suite(&app.registry(), &(app.spec_suite)(), &space),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1420,18 +1262,5 @@ mod tests {
                 ser.app
             );
         }
-    }
-
-    #[test]
-    fn spec_table_has_six_rows_and_no_refutations() {
-        let rows = run_spec_table(3);
-        assert_eq!(rows.len(), 6);
-        for r in &rows {
-            assert_eq!(r.refuted, 0, "{}: correct implementations", r.app);
-            assert_eq!(r.total, r.verified + r.runtime_checks);
-        }
-        let sudoku_row = &rows[0];
-        assert_eq!(sudoku_row.total, 227);
-        assert!(sudoku_row.verified >= 5, "the SI guards verify");
     }
 }

@@ -32,8 +32,8 @@ pub use artifacts::{metrics_stem, trace_path, write_metrics_artifacts};
 pub use experiments::{
     histogram, run_consistency_spectrum, run_fig5_instrumented, run_fig6_instrumented, run_fig7,
     run_hybrid_lag, run_hybrid_traced, run_responsiveness, run_session, run_session_instrumented,
-    run_spec_table, ActivityLevel, Fig6Row, Fig7Row, HistogramBucket, HybridLagRow,
-    ResponsivenessRow, SessionConfig, SessionResult, SpecTableRow, SpectrumRow,
+    run_spec_table, spec_table_total, ActivityLevel, Fig6Row, Fig7Row, HistogramBucket,
+    HybridLagRow, ResponsivenessRow, SessionConfig, SessionResult, SpecTableRow, SpectrumRow,
 };
 pub use shard_balance::{render_shard_balance, shard_balance_rows, ShardBalanceRow};
 pub use trace::{

@@ -16,7 +16,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use guesstimate_bench::{
-    run_fig5_instrumented, run_hybrid_lag, run_hybrid_traced, shard_balance_rows,
+    run_fig5_instrumented, run_hybrid_lag, run_hybrid_traced, run_spec_table, shard_balance_rows,
+    spec_table_total,
 };
 use guesstimate_net::{RecordingTracer, SimTime, TraceEvent, TraceRecord, Tracer};
 use guesstimate_obs::{record_to_json, report, validate_postmortem, FlightRecorder, TeeTracer};
@@ -180,6 +181,26 @@ fn render_shards() -> String {
     out.0
 }
 
+/// The specification table: every app's suite classified over its
+/// representative states (`total verified runtime-checks refuted`). A row
+/// with a non-zero last column is a shipped implementation refuted.
+fn render_spec() -> String {
+    let mut out = Rendering::default();
+    out.heading("spec: assertions per app as total verified runtime refuted");
+    let mut row = |name: &str, c: [usize; 4]| {
+        out.kv(
+            format_args!("spec.{name}"),
+            format_args!("{} {} {} {}", c[0], c[1], c[2], c[3]),
+        );
+    };
+    let rows = run_spec_table();
+    for r in &rows {
+        row(r.app, r.counts());
+    }
+    row("TOTAL", spec_table_total(&rows));
+    out.0
+}
+
 /// Compares a rendering with the expected text, line by line. On drift the
 /// rendering goes to `actual_path` and the error names the first line that
 /// differs on each side.
@@ -210,7 +231,7 @@ fn target_dir() -> &'static Path {
 #[test]
 fn fixed_seed_sessions_match_the_checked_in_fingerprint() {
     // The sections are independent sessions: run them side by side.
-    let sections: [fn() -> String; 3] = [render_fig5, render_hybrid, render_shards];
+    let sections: [fn() -> String; 4] = [render_fig5, render_hybrid, render_shards, render_spec];
     let actual: String = std::thread::scope(|s| {
         let running: Vec<_> = sections.iter().map(|f| s.spawn(f)).collect();
         running

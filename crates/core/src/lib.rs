@@ -103,7 +103,7 @@ pub use ids::{MachineId, ObjectId, OpId};
 pub use object::{GState, SharedObject};
 pub use op::{OpEnvelope, SharedOp};
 pub use paths::{path_covers, paths_overlap, PathPattern, ROOT};
-pub use registry::{ArgView, OpRegistry};
+pub use registry::{ApplyFn, ArgView, OpRegistry};
 pub use shard::{key_render, ComponentPlan, Routing, ShardId, ShardPlan, TypePlan};
 pub use store::ObjectStore;
 pub use value::{value_digest, Value};

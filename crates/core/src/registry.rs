@@ -26,7 +26,7 @@ use crate::value::Value;
 /// means the registry routed the call to an object of the wrong concrete
 /// type ([`ExecError::TypeMismatch`]) — a programming error, not a failed
 /// precondition.
-pub(crate) type ApplyFn =
+pub type ApplyFn =
     Arc<dyn Fn(&mut dyn SharedObject, ArgView<'_>) -> Result<bool, ExecError> + Send + Sync>;
 
 type CtorFn = Arc<dyn Fn() -> Box<dyn SharedObject> + Send + Sync>;
@@ -203,6 +203,32 @@ impl OpRegistry {
             .entry(T::TYPE_NAME)
             .or_default()
             .insert(method, effect);
+    }
+
+    /// Replaces the apply function of the registered `(type_name, method)`
+    /// with `wrap(current)`, in place: the constructor and the declared
+    /// effect stay as they are. This is how `guesstimate-spec` puts runtime
+    /// contract checks around methods an application already registered.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::UnknownMethod`] when no such method is registered.
+    pub fn wrap_method(
+        &mut self,
+        type_name: &str,
+        method: &str,
+        wrap: impl FnOnce(ApplyFn) -> ApplyFn,
+    ) -> Result<(), ExecError> {
+        let slot = self
+            .methods
+            .get_mut(type_name)
+            .and_then(|m| m.get_mut(method))
+            .ok_or_else(|| ExecError::UnknownMethod {
+                type_name: type_name.to_owned(),
+                method: method.to_owned(),
+            })?;
+        *slot = wrap(slot.clone());
+        Ok(())
     }
 
     /// The declared effect of `(type_name, method)`, if any.
@@ -443,6 +469,38 @@ mod tests {
         assert!(fp.writes.contains("value"));
         assert!(r.effect_of("Cell", "bogus").is_none());
         assert!(r.effect_of("Nope", "set").is_none());
+    }
+
+    #[test]
+    fn wrap_method_replaces_the_apply_and_keeps_the_effect() {
+        use crate::effect::{EffectSpec, Footprint};
+        let mut r = OpRegistry::new();
+        r.register_type::<Cell>();
+        r.register_with_effects::<Cell>(
+            "set",
+            EffectSpec::new(|_| Footprint::new().writes(["value"])),
+            |c, a| {
+                let Some(v) = a.i64(0) else { return false };
+                c.0 = v;
+                true
+            },
+        );
+        // The wrapper runs the old apply and then negates its result.
+        r.wrap_method("Cell", "set", |inner| {
+            Arc::new(move |obj, argv| inner(obj, argv).map(|ok| !ok))
+        })
+        .unwrap();
+        let mut obj: Box<dyn SharedObject> = Box::new(Cell(0));
+        let f = r.lookup("Cell", "set").unwrap().clone();
+        let a = args![7];
+        assert!(!f(&mut *obj, ArgView::new(&a)).unwrap());
+        assert_eq!(obj.as_any().downcast_ref::<Cell>().unwrap().0, 7);
+        assert!(r.effect_of("Cell", "set").is_some());
+        assert!(r.methods_without_effects("Cell").is_empty());
+        assert!(matches!(
+            r.wrap_method("Cell", "bogus", |inner| inner),
+            Err(ExecError::UnknownMethod { .. })
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Runtime conformance checking: the "runtime checks" half of Spec#.
 //!
-//! Methods registered through [`register_checked`] are wrapped so that
-//! *every* execution — at issue time on the guesstimated state, at replay,
+//! [`check_suite`] wraps the registered methods of a type so that *every*
+//! execution — at issue time on the guesstimated state, at replay,
 //! and at commit time on every machine's committed state — is checked
 //! against the model's frame condition and the method's contract. Detected
 //! violations are recorded in a shared [`ConformanceLog`] (they indicate
@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use guesstimate_core::{ArgView, GState, OpRegistry, Value};
 
-use crate::contract::MethodContract;
+use crate::contract::{ExecCase, InvPred, MethodContract, PostPred, SpecSuite};
 
 /// What a recorded violation violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,17 +97,41 @@ impl ConformanceLog {
     }
 }
 
-/// Registers `method` for `T` with conformance checking wrapped around `f`.
+/// Puts runtime conformance checks around every method already registered
+/// for `suite`'s type: the contract of its [`crate::MethodSpec`] plus the
+/// suite's type-level invariant (a method-level invariant overrides it, as in
+/// [`crate::verify_suite`]) — so what runs is what the verifier classifies.
+/// A registered method the suite has no spec for still gets the frame
+/// condition and the invariant.
 ///
-/// Functionally identical to [`OpRegistry::register_method`], plus: each
-/// execution snapshots the object before and after, checks the frame
-/// condition, the contract's postcondition, invariant and assertions, and
-/// records violations in `log`. The wrapped method's boolean result is
-/// passed through unchanged — checking never alters semantics.
+/// Each execution snapshots the object before and after, checks the frame
+/// condition, postcondition, invariant and assertions, and records
+/// violations in `log`. The wrapped method's result is passed through
+/// unchanged and its declared effect stays — checking never alters
+/// semantics.
 ///
-/// This costs two snapshots per execution; production deployments register
-/// plainly and run the checked registry in tests, exactly as Spec# moves
-/// unproven assertions into (removable) runtime checks.
+/// This costs two snapshots and the whole contract per execution;
+/// production deployments register plainly and run the checked registry in
+/// tests, exactly as Spec# moves unproven assertions into (removable)
+/// runtime checks.
+pub fn check_suite(registry: &mut OpRegistry, suite: &SpecSuite, log: &ConformanceLog) {
+    for method in registry.methods_of(&suite.type_name) {
+        let mut contract = suite
+            .methods
+            .iter()
+            .find(|m| m.method == method)
+            .map(|m| m.contract.clone())
+            .unwrap_or_default();
+        if contract.invariant.is_none() {
+            contract.invariant = suite.invariant.as_ref().map(|i| i.pred.clone());
+        }
+        wrap_checked(registry, &suite.type_name, method, contract, log);
+    }
+}
+
+/// Registers `method` for `T` and wraps it with `contract`'s checks, as
+/// [`check_suite`] does for a whole suite: the way to put one hand-written
+/// (in the tests: deliberately buggy) implementation under a contract.
 pub fn register_checked<T: GState>(
     registry: &mut OpRegistry,
     method: &'static str,
@@ -115,49 +139,56 @@ pub fn register_checked<T: GState>(
     log: &ConformanceLog,
     f: impl Fn(&mut T, ArgView<'_>) -> bool + Send + Sync + 'static,
 ) {
-    let log = log.clone();
-    registry.register_method::<T>(method, move |obj, argv| {
-        let pre = GState::snapshot(obj);
-        let result = f(obj, argv);
-        let post = GState::snapshot(obj);
-        let args: Vec<Value> = argv.as_slice().to_vec();
-        let mk = |kind, assertion: Option<String>| Violation {
-            type_name: T::TYPE_NAME.to_owned(),
-            method: method.to_owned(),
-            kind,
-            assertion,
-            args: args.clone(),
-        };
-        if !result && pre != post {
-            log.record(mk(ViolationKind::Frame, None));
-        }
-        if result {
-            if let Some(p) = &contract.post {
-                if !p(&pre, &post, &args) {
-                    log.record(mk(ViolationKind::Postcondition, None));
+    registry.register_method::<T>(method, f);
+    wrap_checked(registry, T::TYPE_NAME, method, contract, log);
+}
+
+fn wrap_checked(
+    registry: &mut OpRegistry,
+    type_name: &str,
+    method: &str,
+    contract: MethodContract,
+    log: &ConformanceLog,
+) {
+    let (log, ty, m) = (log.clone(), type_name.to_owned(), method.to_owned());
+    registry
+        .wrap_method(type_name, method, |inner| {
+            Arc::new(move |obj, argv| {
+                let pre = obj.snapshot();
+                let result = inner(obj, argv)?;
+                let case = ExecCase {
+                    pre,
+                    args: argv.as_slice().to_vec(),
+                    result,
+                    post: obj.snapshot(),
+                };
+                let record = |kind, assertion: Option<&str>| {
+                    log.record(Violation {
+                        type_name: ty.clone(),
+                        method: m.clone(),
+                        kind,
+                        assertion: assertion.map(str::to_owned),
+                        args: case.args.clone(),
+                    });
+                };
+                if !result && case.pre != case.post {
+                    record(ViolationKind::Frame, None);
                 }
-            }
-        }
-        if let Some(inv) = &contract.invariant {
-            if inv(&pre) && !inv(&post) {
-                log.record(mk(ViolationKind::Invariant, None));
-            }
-        }
-        if !contract.assertions.is_empty() {
-            let case = crate::contract::ExecCase {
-                pre,
-                args: args.clone(),
-                result,
-                post,
-            };
-            for a in &contract.assertions {
-                if !a.holds(&case) {
-                    log.record(mk(ViolationKind::Assertion, Some(a.name().to_owned())));
+                let broken = |p: &PostPred| !p(&case.pre, &case.post, &case.args);
+                if result && contract.post.as_ref().is_some_and(broken) {
+                    record(ViolationKind::Postcondition, None);
                 }
-            }
-        }
-        result
-    });
+                let lost = |inv: &InvPred| inv(&case.pre) && !inv(&case.post);
+                if contract.invariant.as_ref().is_some_and(lost) {
+                    record(ViolationKind::Invariant, None);
+                }
+                for a in contract.assertions.iter().filter(|a| !a.holds(&case)) {
+                    record(ViolationKind::Assertion, Some(a.name()));
+                }
+                Ok(result)
+            })
+        })
+        .expect("the method is registered");
 }
 
 #[cfg(test)]
@@ -278,6 +309,55 @@ mod tests {
         assert_eq!(vs[0].kind, ViolationKind::Assertion);
         assert_eq!(vs[0].assertion.as_deref(), Some("never-negative-delta"));
         assert!(vs[0].to_string().contains("never-negative-delta"));
+    }
+
+    #[test]
+    fn check_suite_wraps_every_registered_method_and_keeps_effects() {
+        use crate::contract::MethodSpec;
+        use guesstimate_core::{EffectSpec, Footprint};
+        let mut reg = OpRegistry::new();
+        reg.register_type::<Gauge>();
+        // `add` has a spec (and a declared effect); `bad_dec` has neither.
+        reg.register_with_effects::<Gauge>(
+            "add",
+            EffectSpec::new(|_| Footprint::new().writes(["level"])),
+            |g, a| {
+                let Some(d) = a.i64(0) else { return false };
+                g.0 += d;
+                true
+            },
+        );
+        reg.register_method::<Gauge>("bad_dec", |g, _| {
+            g.0 -= 1;
+            g.0 >= 0
+        });
+        let suite = SpecSuite::new("Gauge")
+            .with_invariant("non-negative", |s| s.as_i64().unwrap_or(-1) >= 0)
+            .with_method(MethodSpec::new(
+                "add",
+                MethodContract::new().with_post(|_, post, _| post.as_i64().unwrap_or(0) <= 10),
+            ));
+        let log = ConformanceLog::new();
+        check_suite(&mut reg, &suite, &log);
+        assert!(reg.effect_of("Gauge", "add").is_some(), "the effect stays");
+
+        let id = ObjectId::new(MachineId::new(0), 0);
+        let mut store = ObjectStore::new();
+        store.insert(id, Box::new(Gauge(0)));
+        execute(&SharedOp::primitive(id, "add", args![11]), &mut store, &reg).unwrap();
+        assert_eq!(log.violations()[0].kind, ViolationKind::Postcondition);
+        log.clear();
+        // The spec-less method still answers to the frame condition and to
+        // the suite's invariant.
+        store.insert(id, Box::new(Gauge(0)));
+        execute(
+            &SharedOp::primitive(id, "bad_dec", args![]),
+            &mut store,
+            &reg,
+        )
+        .unwrap();
+        let kinds: Vec<_> = log.violations().iter().map(|v| v.kind).collect();
+        assert_eq!(kinds, [ViolationKind::Frame, ViolationKind::Invariant]);
     }
 
     #[test]

@@ -18,11 +18,15 @@
 //! * [`contract`](MethodContract) — executable contracts: a postcondition
 //!   relation `φ` over canonical [`Value`] snapshots, plus object
 //!   invariants, plus arbitrary named *assertions* over execution cases.
-//! * [`conformance`](register_checked) — the runtime-check half of Spec#:
-//!   registering a method through [`register_checked`] wraps it so every
-//!   execution (issue, replay, commit — on any machine) verifies frame,
-//!   postcondition and invariant, recording violations in a
-//!   [`ConformanceLog`].
+//! * [`conformance`](check_suite) — the runtime-check half of Spec#:
+//!   [`check_suite`] wraps every method an application has registered with
+//!   the contract its [`SpecSuite`] gives it, so every execution (issue,
+//!   replay, commit — on any machine) verifies frame, postcondition,
+//!   invariant and assertions, recording violations in a
+//!   [`ConformanceLog`]. The suite is the one place a contract is written:
+//!   the assertions the verifier classifies are the ones that run.
+//!   ([`register_checked`] puts a single hand-written implementation under
+//!   a contract through the same wrapper — the seeded-bug tests use it.)
 //! * [`verifier`](verify_suite) — the Boogie analog: a bounded-exhaustive
 //!   classifier that evaluates every assertion of a [`SpecSuite`] over an
 //!   enumerated [`CaseSpace`] and classifies it as **Verified** (holds on
@@ -82,7 +86,7 @@ mod conformance;
 mod contract;
 mod verifier;
 
-pub use conformance::{register_checked, ConformanceLog, Violation, ViolationKind};
+pub use conformance::{check_suite, register_checked, ConformanceLog, Violation, ViolationKind};
 pub use contract::{Assertion, ExecCase, InvariantSpec, MethodContract, MethodSpec, SpecSuite};
 pub use verifier::{verify_suite, CaseSpace, ClassifiedAssertion, Verdict, VerificationReport};
 

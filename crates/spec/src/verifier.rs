@@ -11,7 +11,7 @@
 //!   for the finite domain.
 //! * **RuntimeCheck** — no counterexample, but the space was sampled or
 //!   truncated; the assertion remains a runtime check (see
-//!   [`crate::register_checked`]).
+//!   [`crate::check_suite`]).
 //! * **Refuted** — a counterexample was found.
 
 use guesstimate_core::{execute, MachineId, ObjectId, ObjectStore, OpRegistry, SharedOp, Value};

@@ -159,15 +159,17 @@ step() {
         cargo build --release
         cargo test -q
         ;;
-    # The paper's headline figures, traces enabled, then the A1 ablation --
-    # the one gate on both flush modes: it fails unless sync time grows
-    # >= 2x from 2 to 8 users under the paper's serial stage 1 and <= 1.4x
-    # under the parallel one the runtime defaults to.
+    # The paper's headline figures, traces enabled, then the two that gate:
+    # the A1 ablation fails unless sync time grows >= 2x from 2 to 8 users
+    # under the paper's serial stage 1 and <= 1.4x under the parallel one
+    # the runtime defaults to, and the specification table fails if any
+    # assertion of a shipped app is refuted.
     figures)
         cargo run --release -p guesstimate-bench --bin fig5_sync_distribution
         cargo run --release -p guesstimate-bench --bin fig6_sync_vs_users
         cargo run --release -p guesstimate-bench --bin failure_recovery
         cargo run --release -p guesstimate-bench --bin ablation_parallel_flush
+        cargo run --release -p guesstimate-bench --bin table_spec_assertions
         ;;
     *)
         echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf perf-pairs loc sanitize obs tier1 figures)" >&2
