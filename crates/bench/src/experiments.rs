@@ -137,17 +137,23 @@ pub struct SessionResult {
 }
 
 impl SessionResult {
-    /// The cost of admitting joiners, for the figure summaries: how many
-    /// ticks the master held for a handshake in flight
-    /// ([`MachineStats::join_holds`]) and how long they waited in all.
+    /// Where the master's ticks did not simply start a round, for the
+    /// figure summaries: how many it held for a join handshake in flight
+    /// ([`MachineStats::join_holds`]) and how long they waited in all; how
+    /// many rounds it began while the round before was still in stage 2
+    /// ([`MachineStats::rounds_overlapped`]) and how many ticks had to wait
+    /// for room ([`MachineStats::ticks_deferred`]). Serial-flush sessions
+    /// run one round at a time and read zero for the last two.
     pub fn join_holds_summary(&self) -> String {
-        let holds: u64 = self.per_machine.iter().map(|s| s.join_holds).sum();
-        let waited: u64 = self
-            .per_machine
-            .iter()
-            .map(|s| s.join_hold_time.as_micros())
-            .sum();
-        format!("{holds} ({:.1} ms waited in all)", waited as f64 / 1e3)
+        let total = |f: fn(&MachineStats) -> u64| self.per_machine.iter().map(f).sum::<u64>();
+        let holds = total(|s| s.join_holds);
+        let waited = total(|s| s.join_hold_time.as_micros());
+        let (overlapped, deferred) = (total(|s| s.rounds_overlapped), total(|s| s.ticks_deferred));
+        format!(
+            "{holds} ({:.1} ms waited in all); {overlapped} rounds begun under another, \
+             {deferred} ticks deferred",
+            waited as f64 / 1e3
+        )
     }
 
     /// Mean sync duration, excluding recovery outliers above `cutoff`

@@ -6,7 +6,11 @@
 //! node type. Each tree node is a scheduler state; its outgoing edges are
 //! the **enabled choices**: deliver any in-flight message, drop one
 //! (while the preset's loss budget lasts), and — in quiet phases — admit
-//! the staged joiner or fire the earliest timer. Machines are not
+//! the staged joiner or fire the earliest timer. One timer is also a
+//! choice while messages are in flight: a master's sync tick, whenever
+//! firing it begins the next round under the one still being applied
+//! (while the preset's [`Preset::tick_budget`] lasts) — the only way two
+//! rounds come to be in flight. Machines are not
 //! clonable (completions are closures), so backtracking is *stateless*:
 //! the cluster is rebuilt from the preset and the current path prefix is
 //! replayed. The prelude and every step are deterministic, so replay
@@ -136,6 +140,13 @@ fn enabled(built: &dyn Cluster, may_drop: bool) -> Vec<Step> {
     let mut v = Vec::new();
     let msgs = built.pending_msgs();
     if !msgs.is_empty() {
+        // The one timer that may fire mid-round: a master's tick, when it
+        // begins the next round under the one in flight. It goes first: a
+        // depth-first walk under a schedule budget only ever varies the tail
+        // of its first path, so that path must be the one with the overlap.
+        if built.overlap_tick_ready() {
+            v.push(Step::Timer);
+        }
         v.extend(msgs.iter().map(|&s| Step::Deliver(s)));
         if may_drop {
             v.extend(msgs.iter().map(|&s| Step::Drop(s)));

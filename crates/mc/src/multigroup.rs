@@ -166,6 +166,14 @@ pub struct CrossBuilt {
     /// Each group master's sync count at which the explored window ends
     /// (its count at the end of the prelude plus the preset's `rounds`).
     pub target_rounds: BTreeMap<GroupId, u64>,
+    /// Rounds a schedule may begin under another, in each group
+    /// ([`Preset::tick_budget`]); the groups' ticks fall due together, so a
+    /// group whose tick fires on the other's allowance can run one over.
+    tick_budget: u32,
+    /// The `-overlap` rows' second wave, not yet issued: `(node, group,
+    /// op)`, issued the moment the node has flushed the group's first
+    /// explored round.
+    wave: Vec<(u32, GroupId, SharedOp)>,
 }
 
 /// Builds the cross-group cluster — `preset.eager` fully-overlapping
@@ -246,7 +254,20 @@ pub fn build(preset: &Preset, tamper: Option<TamperSpec>) -> Result<CrossBuilt, 
             (g, base + preset.rounds)
         })
         .collect();
-    Ok(CrossBuilt { net, target_rounds })
+    // One more local operation per group, from the node that did not issue
+    // the first, for the round begun under the first.
+    let groups = node0.group_ids();
+    let mut wave = vec![
+        (2, groups[0], SharedOp::primitive(obj, "bump_a", args![5])),
+        (1, groups[1], SharedOp::primitive(obj, "bump_b", args![7])),
+    ];
+    wave.retain(|_| preset.tick_budget > 0);
+    Ok(CrossBuilt {
+        net,
+        target_rounds,
+        tick_budget: preset.tick_budget,
+        wave,
+    })
 }
 
 /// Every protocol instance of the cluster under its virtual id, ordered
@@ -259,9 +280,32 @@ fn instances(net: &SchedNet<MultiMachine>) -> impl Iterator<Item = (MachineId, &
     })
 }
 
+impl CrossBuilt {
+    /// Issues the second-wave operations whose node has just flushed its
+    /// group's first explored round (see `Built::inject_wave`; nothing is
+    /// lost here, so the first round a node is in is the first explored).
+    fn inject_wave(&mut self) {
+        let flushed = |net: &SchedNet<MultiMachine>, node: u32, g: GroupId| {
+            let mm = net.actor(MachineId::new(node)).expect("node");
+            mm.group(g).is_some_and(|m| m.active_round().is_some())
+        };
+        let (now, later) = std::mem::take(&mut self.wave)
+            .into_iter()
+            .partition(|(node, g, _)| flushed(&self.net, *node, *g));
+        self.wave = later;
+        for (node, _, op) in now {
+            self.net.call(MachineId::new(node), |mm, ctx| {
+                mm.issue(op, None, ctx).expect("routes to a hosted group");
+            });
+        }
+    }
+}
+
 impl Cluster for CrossBuilt {
     fn exec(&mut self, s: Step) -> bool {
-        exec_step(&mut self.net, s)
+        let applied = exec_step(&mut self.net, s);
+        self.inject_wave();
+        applied
     }
     fn pending_msgs(&self) -> Vec<u64> {
         self.net.pending_msgs()
@@ -271,6 +315,15 @@ impl Cluster for CrossBuilt {
     }
     fn has_timers(&self) -> bool {
         self.net.has_timers()
+    }
+
+    fn overlap_tick_ready(&self) -> bool {
+        let due = self.net.next_timer_due();
+        let ready = |(_, m): (_, &Machine)| {
+            m.stats().rounds_overlapped < u64::from(self.tick_budget)
+                && m.overlap_tick_due().is_some_and(|t| Some(t) == due)
+        };
+        instances(&self.net).any(ready)
     }
 
     /// Every group's master has run its target rounds, every node has
@@ -423,6 +476,24 @@ mod tests {
     use super::*;
     use crate::explore::{explore, replay_traced, ExploreConfig};
     use crate::schedule::Schedule;
+
+    /// The `-overlap` row's first path -- the tick as soon as it begins a
+    /// round under another, else the lowest-seq delivery -- has two rounds
+    /// of each group in flight, and both second-wave operations are issued
+    /// and committed inside the explored window.
+    #[test]
+    fn overlap_row_begins_a_group_round_under_another() {
+        let preset = Preset::by_name("cross-group-overlap").expect("in the table");
+        let mut built = build(preset, None).expect("no tamper to refuse");
+        assert_eq!(built.wave.len(), 2);
+        crate::scenario::walk_overlap_path(&mut built);
+        assert!(built.wave.is_empty(), "the wave was issued");
+        let overlapped = |(_, m): (_, &Machine)| m.stats().rounds_overlapped;
+        let masters = instances(&built.net).filter(|(_, m)| m.is_master());
+        assert!(masters.map(overlapped).all(|n| n >= 1), "in each group");
+        let pending = |(_, m): (_, &Machine)| m.pending_len();
+        assert_eq!(instances(&built.net).map(pending).sum::<usize>(), 0);
+    }
 
     /// A traced replay reaches the inner machines: the postmortem bundle
     /// carries their protocol events (not just the driver's message

@@ -23,7 +23,15 @@
 //! turn); a `<name>-parallel` twin of each runs the same scenario under
 //! the parallel flush the runtime ships by default — `FlushDone` to the
 //! master only, every member's batch in flight at once — so both modes
-//! face the same oracles.
+//! face the same oracles. A `<name>-overlap` twin runs the parallel flush
+//! with **two rounds in flight**: the explorer may fire the master's tick
+//! while messages are in flight whenever that begins the next round under
+//! the one being applied (every explored round after the first may:
+//! [`Preset::tick_budget`]),
+//! and each machine issues a second wave of operations the moment it has
+//! flushed the first explored round — so the overlapped round carries
+//! operations issued between a machine's flush and its apply, the ones a
+//! double replay would push past three executions.
 //!
 //! The `auction` preset stages a third machine whose admission is itself
 //! a choice point (late join at any explored moment); `event_planner`
@@ -62,6 +70,11 @@ pub trait Cluster {
     fn pending_joins(&self) -> Vec<u64>;
     /// True when a timer is armed.
     fn has_timers(&self) -> bool;
+    /// True when the next timer is a master's sync tick, firing it now
+    /// would begin a round under the one in flight, and the scenario's
+    /// [`Preset::tick_budget`] allows another such round: the one timer the
+    /// explorer may fire while messages are in flight.
+    fn overlap_tick_ready(&self) -> bool;
     /// True when the explored window is over (terminal once nothing is
     /// in flight).
     fn window_done(&self) -> bool;
@@ -324,6 +337,12 @@ pub struct Preset {
     /// schedule's `seq` numbers index one mode's rounds, so each row keeps
     /// the mode its checked-in schedules were recorded under.
     pub parallel_flush: bool,
+    /// How many rounds per schedule the explorer may begin *under* another:
+    /// while one is positive it may fire the master's tick with messages in
+    /// flight, whenever that starts round r + 1 beside round r in stage 2
+    /// (the other timers stay quiet-phase choices). Positive rows also
+    /// inject `Preset::second_wave`.
+    pub tick_budget: u32,
     /// One-line description for `mc --list`.
     pub blurb: &'static str,
 }
@@ -336,6 +355,7 @@ const SUDOKU: Preset = Preset {
     drop_budget: 0,
     hybrid: false,
     parallel_flush: false,
+    tick_budget: 0,
     blurb: "3 machines; same-cell update/clear conflict vs disjoint-unit moves",
 };
 
@@ -347,6 +367,7 @@ const AUCTION: Preset = Preset {
     drop_budget: 0,
     hybrid: false,
     parallel_flush: false,
+    tick_budget: 0,
     blurb: "2 machines + late joiner; dueling first-bids vs cross-item bids",
 };
 
@@ -358,6 +379,7 @@ const EVENT_PLANNER: Preset = Preset {
     drop_budget: 2,
     hybrid: false,
     parallel_flush: false,
+    tick_budget: 0,
     blurb: "2 machines, lossy network; last-seat race plus recovery paths",
 };
 
@@ -369,6 +391,7 @@ const MESSAGE_BOARD: Preset = Preset {
     drop_budget: 2,
     hybrid: true,
     parallel_flush: false,
+    tick_budget: 0,
     blurb: "3 machines, lossy, hybrid commit; async likes vs serialized same-topic posts",
 };
 
@@ -380,13 +403,15 @@ const CROSS: Preset = Preset {
     drop_budget: 0,
     hybrid: false,
     parallel_flush: false,
+    tick_budget: 0,
     blurb: "3 nodes x 2 sync groups; per-group rounds + one coordinated cross round",
 };
 
 /// All built-in presets: each scenario under the paper's serial flush (the
 /// mode the checked-in schedules were recorded under), then again — same
 /// machines, workload and budgets — under the parallel flush that
-/// `MachineConfig::default()` ships.
+/// `MachineConfig::default()` ships, then with one round per schedule
+/// begun under another and a second wave of operations.
 pub const PRESETS: &[Preset] = &[
     SUDOKU,
     AUCTION,
@@ -398,6 +423,11 @@ pub const PRESETS: &[Preset] = &[
     EVENT_PLANNER.parallel("event_planner-parallel"),
     MESSAGE_BOARD.parallel("message_board-parallel"),
     CROSS.parallel("cross-group-parallel"),
+    SUDOKU.overlap("sudoku-overlap"),
+    AUCTION.overlap("auction-overlap"),
+    EVENT_PLANNER.overlap("event_planner-overlap"),
+    MESSAGE_BOARD.overlap("message_board-overlap"),
+    CROSS.overlap("cross-group-overlap"),
 ];
 
 /// Negative-test preset: a deliberately **under-declared** workload the
@@ -417,6 +447,7 @@ pub const SNEAKY: Preset = Preset {
     drop_budget: 0,
     hybrid: false,
     parallel_flush: false,
+    tick_budget: 0,
     blurb: "negative test: under-declared read the witness oracle must catch",
 };
 
@@ -436,6 +467,7 @@ pub const MISKEYED: Preset = Preset {
     drop_budget: 0,
     hybrid: false,
     parallel_flush: false,
+    tick_budget: 0,
     blurb: "negative test: mis-keyed shard plan the shard-escape oracle must catch",
 };
 
@@ -460,10 +492,24 @@ impl Preset {
         }
     }
 
-    /// The scenario a row runs — its name without the flush-mode suffix.
-    /// Selects the application, workload and cluster shape.
+    /// This scenario with two rounds in flight, as a row of its own: the
+    /// parallel flush, every explored round after the first begun under the
+    /// one before it, and the second wave of operations.
+    const fn overlap(self, name: &'static str) -> Preset {
+        Preset {
+            name,
+            parallel_flush: true,
+            tick_budget: self.rounds as u32 - 1,
+            ..self
+        }
+    }
+
+    /// The scenario a row runs — its name without the mode suffix. Selects
+    /// the application, workload and cluster shape.
     pub fn app(&self) -> &'static str {
-        self.name.strip_suffix("-parallel").unwrap_or(self.name)
+        let name = self.name;
+        let bare = name.strip_suffix("-parallel");
+        bare.or(name.strip_suffix("-overlap")).unwrap_or(name)
     }
 
     /// Total machines once the staged joiner (if any) is admitted.
@@ -628,6 +674,46 @@ impl Preset {
         }
     }
 
+    /// The second wave of the `-overlap` rows: what each machine issues the
+    /// moment it has flushed the first explored round, so that the round
+    /// begun under that one carries operations issued between a machine's
+    /// flush and its apply. Empty for every other row.
+    fn second_wave(&self, obj: ObjectId) -> Vec<(u32, SharedOp)> {
+        if self.tick_budget == 0 {
+            return Vec::new();
+        }
+        match self.app() {
+            "sudoku" => vec![
+                // The cell machine 0's first-wave pair fills and clears: two
+                // machines race for it in the overlapped round.
+                (1, sudoku::ops::update(obj, 1, 1, 9)),
+                (2, sudoku::ops::update(obj, 1, 1, 2)),
+                // A move in units nobody else touches.
+                (0, sudoku::ops::update(obj, 8, 4, 6)),
+            ],
+            "auction" => vec![
+                // Raises over whichever first-bid the first round commits.
+                (1, auction::ops::bid(obj, "lamp", "erin", 15)),
+                (0, auction::ops::bid(obj, "rug", "dave", 6)),
+            ],
+            "event_planner" => vec![
+                // `dinner` has two seats: both joins fit, in either order.
+                (0, event_planner::ops::join(obj, "ann", "dinner")),
+                (1, event_planner::ops::join(obj, "bob", "dinner")),
+            ],
+            "message_board" => vec![
+                // A third post to the contested topic (serialized), and
+                // likes that enter the async window after the first flush:
+                // the overlapped round's flush must fence them, and only
+                // them.
+                (1, message_board::ops::post(obj, "general", "cat", "ok")),
+                (0, message_board::ops::like(obj, "general")),
+                (2, message_board::ops::like(obj, "general")),
+            ],
+            other => unreachable!("no second wave for preset {other}"),
+        }
+    }
+
     /// Builds the scenario behind the [`Cluster`] interface — the one
     /// place a name selects a cluster shape rather than an application.
     ///
@@ -712,29 +798,7 @@ impl Preset {
             .into_iter()
             .filter(|&(m, _)| m < self.eager)
         {
-            let id = MachineId::new(machine);
-            let issued = if self.hybrid {
-                // The hybrid issue path may broadcast an AsyncOp, so it
-                // needs a network context; the resulting in-flight
-                // messages become exploration choices like any other.
-                let mut ok = None;
-                assert!(
-                    net.call(id, |m, ctx| {
-                        ok = Some(
-                            m.issue_hybrid(op, None, ctx)
-                                .expect("injection references known objects"),
-                        );
-                    }),
-                    "machine exists"
-                );
-                ok.expect("call ran")
-            } else {
-                net.actor_mut(id)
-                    .expect("machine exists")
-                    .issue(op)
-                    .expect("injection references known objects")
-            };
-            assert!(issued, "injected op failed at issue");
+            inject(&mut net, self.hybrid, machine, op);
         }
 
         if self.late_join {
@@ -775,14 +839,35 @@ impl Preset {
             .expect("master")
             .stats()
             .syncs_seen;
+        let wave = self.second_wave(obj);
+        let wave = wave.into_iter().filter(|&(m, _)| m < self.eager).collect();
         Built {
             net,
             registry,
             matrix,
             preset: *self,
             base_rounds,
+            wave,
         }
     }
+}
+
+/// Issues `op` on `machine`, which must take it.
+fn inject(net: &mut SchedNet<Machine>, hybrid: bool, machine: u32, op: SharedOp) {
+    let mut issued = None;
+    // The hybrid issue path may broadcast an AsyncOp, so it needs a network
+    // context; the resulting in-flight messages become exploration choices
+    // like any other.
+    let ran = net.call(MachineId::new(machine), |m, ctx| {
+        let took = if hybrid {
+            m.issue_hybrid(op, None, ctx)
+        } else {
+            m.issue(op)
+        };
+        issued = Some(took.expect("injection references known objects"));
+    });
+    assert!(ran, "machine exists");
+    assert_eq!(issued, Some(true), "injected op failed at issue");
 }
 
 /// A built single-group scenario, ready for exploration or replay.
@@ -799,11 +884,40 @@ pub struct Built {
     /// The master's sync count at the end of the prelude; exploration
     /// targets `base_rounds + preset.rounds`.
     pub base_rounds: u64,
+    /// The second-wave operations not yet issued (`Preset::second_wave`).
+    wave: Vec<(u32, SharedOp)>,
+}
+
+impl Built {
+    /// Issues the second-wave operations of every machine that has just
+    /// flushed the first explored round: it is in a round (installing one
+    /// flushes it, under the parallel flush the `-overlap` rows run) and has
+    /// applied none since the prelude. A function of the machines' state, so
+    /// a replayed prefix injects at the same steps.
+    fn inject_wave(&mut self) {
+        let master = self.net.actor(MachineId::new(0)).expect("master");
+        if self.wave.is_empty() || master.stats().syncs_seen > self.base_rounds {
+            return;
+        }
+        let flushed = |net: &SchedNet<Machine>, machine: u32| {
+            let m = net.actor(MachineId::new(machine)).expect("eager machine");
+            m.active_round().is_some()
+        };
+        let (now, later) = std::mem::take(&mut self.wave)
+            .into_iter()
+            .partition(|&(m, _)| flushed(&self.net, m));
+        self.wave = later;
+        for (machine, op) in now {
+            inject(&mut self.net, self.preset.hybrid, machine, op);
+        }
+    }
 }
 
 impl Cluster for Built {
     fn exec(&mut self, s: Step) -> bool {
-        exec_step(&mut self.net, s)
+        let applied = exec_step(&mut self.net, s);
+        self.inject_wave();
+        applied
     }
     fn pending_msgs(&self) -> Vec<u64> {
         self.net.pending_msgs()
@@ -813,6 +927,12 @@ impl Cluster for Built {
     }
     fn has_timers(&self) -> bool {
         self.net.has_timers()
+    }
+
+    fn overlap_tick_ready(&self) -> bool {
+        let master = self.net.actor(MachineId::new(0)).expect("master");
+        master.stats().rounds_overlapped < u64::from(self.preset.tick_budget)
+            && master.overlap_tick_due() == self.net.next_timer_due()
     }
 
     fn window_done(&self) -> bool {
@@ -932,6 +1052,23 @@ impl Cluster for Built {
     }
 }
 
+/// Walks the first path the explorer takes on an `-overlap` row -- the tick
+/// as soon as it begins a round under another, else the lowest-seq delivery,
+/// a timer when nothing is in flight -- under the step oracles, to the end
+/// of the explored window and the terminal oracles.
+#[cfg(test)]
+pub(crate) fn walk_overlap_path(built: &mut dyn Cluster) {
+    while !(built.window_done() && built.pending_msgs().is_empty()) {
+        let next = match built.pending_msgs().first() {
+            Some(&seq) if !built.overlap_tick_ready() => Step::Deliver(seq),
+            _ => Step::Timer,
+        };
+        assert!(built.exec(next), "stalled at {next}");
+        assert_eq!(built.check_step(), None, "after {next}");
+    }
+    assert_eq!(built.check_terminal(), None);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -952,6 +1089,30 @@ mod tests {
             }
             let master = built.net.actor(MachineId::new(0)).unwrap();
             assert!(master.pending_len() > 0, "{}", p.name);
+        }
+    }
+
+    /// The first path the explorer walks on an `-overlap` row -- the tick as
+    /// soon as it begins a round under another, else the lowest-seq
+    /// delivery -- really has two rounds in flight, and its second wave is
+    /// issued between a flush and the apply: those operations are replayed
+    /// once and commit on their third execution (a fourth would trip the
+    /// step oracle), within the explored window.
+    #[test]
+    fn overlap_rows_begin_a_round_under_another_that_carries_the_second_wave() {
+        let rows = PRESETS.iter().filter(|p| p.tick_budget > 0);
+        for p in rows.filter(|p| p.app() != CROSS_GROUP) {
+            let mut built = p.build_machines(&CommuteMatrix::new(), None);
+            assert!(!built.wave.is_empty(), "{}", p.name);
+            walk_overlap_path(&mut built);
+            assert!(built.wave.is_empty(), "{}: the wave was issued", p.name);
+            let machine = |i| built.net.actor(MachineId::new(i)).unwrap();
+            let overlapped = machine(0).stats().rounds_overlapped;
+            assert_eq!(overlapped, u64::from(p.tick_budget), "{}", p.name);
+            let thrice = |i| machine(i).stats().exec_histogram[3];
+            assert!((0..p.eager).map(thrice).sum::<u64>() > 0, "{}", p.name);
+            let pending = |i| machine(i).pending_len();
+            assert_eq!((0..p.eager).map(pending).sum::<usize>(), 0, "{}", p.name);
         }
     }
 

@@ -247,3 +247,80 @@ fn sched_drops_and_resends_keep_timeline_consistent() {
         "drops can only produce unreceived sends: {hb:?}"
     );
 }
+
+/// Two rounds in flight: 10 ms links make a round 40 ms and the master asks
+/// for one every 30 ms, so each round begins while the members are still
+/// applying the one before. An operation's waterfall is charged to the round
+/// whose flush carried it -- the one its span names as committing -- and the
+/// stage boundaries are looked up by that number, so a second round on the
+/// wire moves nothing: the stages sum exactly, and they read what the links
+/// say. A member's flush reaches the master one link later (`wire`), with
+/// the last `FlushDone` (`gather` 0), and `BeginApply` commits it one link
+/// after that (`apply`); the master flushes a link before the members do, so
+/// its own operations wait two for `BeginApply` (`gather`) and commit at
+/// once.
+#[test]
+fn waterfalls_under_overlapping_rounds_sum_exactly_and_charge_the_flushing_round() {
+    let cfg = MachineConfig::default()
+        .with_sync_period(SimTime::from_millis(30))
+        .with_paranoid_checks(true);
+    let netcfg = NetConfig::lan(31).with_latency(LatencyModel::constant_ms(10));
+    let tracer = Arc::new(RecordingTracer::new());
+    let telemetry = Telemetry::new();
+    let mut net = sim_cluster_instrumented(
+        4,
+        counter_registry(),
+        cfg,
+        netcfg,
+        Some(tracer.clone()),
+        telemetry.clone(),
+    );
+    assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
+    let board = net
+        .actor_mut(MachineId::new(0))
+        .unwrap()
+        .create_instance(Counter::default());
+    for k in 0..60u64 {
+        let t = net.now() + SimTime::from_millis(200 + 7 * k);
+        let user = MachineId::new((k % 4) as u32);
+        net.schedule_call(t, user, move |m: &mut Machine, ctx| {
+            let op = SharedOp::primitive(board, "add", args![1]);
+            assert!(m.issue_at(op, None, ctx.now()).expect("known object"));
+        });
+    }
+    net.run_until(net.now() + SimTime::from_secs(1));
+    let master = net.actor(MachineId::new(0)).unwrap().stats();
+    assert!(
+        master.rounds_overlapped > 20,
+        "{}",
+        master.rounds_overlapped
+    );
+
+    let trace: String = tracer
+        .take()
+        .iter()
+        .map(|r| record_to_json(r) + "\n")
+        .collect();
+    let spans: String = telemetry
+        .spans()
+        .iter()
+        .map(|s| s.to_json_line() + "\n")
+        .collect();
+    let report = guesstimate_obs::report::run(&trace, &spans).expect("obs report");
+    assert!(report.hb.ok(), "{:?}", report.hb);
+    assert!(report.waterfall.verify_exact_sum());
+    // (The board's creation carries no issue time and is left out.)
+    assert_eq!(report.waterfall.ops.len(), 60);
+    for op in &report.waterfall.ops {
+        let stage = |name| op.stages.iter().find(|(n, _)| *n == name).expect(name).1;
+        let (wire, gather, apply) = (stage("wire"), stage("gather"), stage("apply"));
+        let expected = if op.machine == 0 {
+            (0, 20_000, 0)
+        } else {
+            (10_000, 0, 10_000)
+        };
+        assert_eq!((wire, gather, apply), expected, "{op:?}");
+        // It waited for its machine's next flush, never a whole period more.
+        assert!(stage("round_wait") + stage("flush_wait") < 30_000, "{op:?}");
+    }
+}

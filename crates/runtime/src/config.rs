@@ -23,10 +23,12 @@ use guesstimate_net::SimTime;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Master: the time from the start of one synchronization to the start
-    /// of the next. A round starts every `sync_period`, or as soon as the
-    /// last one has completed when it ran longer ("the master can start
-    /// another synchronization any time after this", §4); a tick that
-    /// finds a join handshake in flight waits for it, at most
+    /// of the next. A round starts every `sync_period`, or -- when a round
+    /// outlasts it -- as soon as the last one has left stage 1 and the
+    /// master has applied it (under serial turns: as soon as it has
+    /// completed; "the master can start another synchronization any time
+    /// after this", §4); a tick that finds a joiner waiting lets the rounds
+    /// in flight finish first, and waits for its handshake, at most
     /// `stall_timeout`.
     pub sync_period: SimTime,
     /// Master: how long a stage may stall before recovery kicks in

@@ -386,8 +386,7 @@ impl Machine {
         // Round bookkeeping restarts with the new membership epoch: the
         // first BeginSync after (re-)admission re-anchors the numbering.
         self.participant.next_round_expected = None;
-        self.participant.buffered.clear();
-        self.participant.round = None;
+        self.participant.drop_rounds();
         // Async ops buffered while unjoined (or held on a missing object
         // that the snapshot just materialized) may now be applicable.
         if self.cfg.async_commit {
@@ -451,8 +450,7 @@ impl Machine {
         self.membership.joined_system = false;
         self.membership.in_cohort = false;
         self.participant.next_round_expected = None;
-        self.participant.round = None;
-        self.participant.buffered.clear();
+        self.participant.drop_rounds();
     }
 }
 

@@ -30,7 +30,10 @@
 //!   original `AsyncOp` broadcast is repaired at the next round boundary.
 //!   The window is trimmed only once a round in which it rode a non-empty
 //!   (and therefore resend-guaranteed) flush completes; until then it is
-//!   re-piggybacked, and the watermark makes duplicates harmless.
+//!   re-piggybacked -- except by the flush of the next round while that
+//!   round is still closing, which would only repeat what the closing
+//!   round's flush guarantees -- and the watermark makes duplicates
+//!   harmless.
 //!
 //! Serialized operations (composites, non-universal methods, operations
 //! on objects whose creation has not committed here yet) keep the paper's
@@ -306,32 +309,31 @@ impl Machine {
         }
     }
 
-    /// The not-yet-fenced async window, to piggyback on a flush. The
-    /// window is *not* consumed — see [`Machine::trim_async_window`] for
-    /// when entries actually leave it.
+    /// The not-yet-fenced async window, to piggyback on a flush: everything
+    /// in the window except what the round still closing already carries
+    /// under count protection ([`RoundState::fenced_asyncs`]) -- every
+    /// machine that applies that round has those entries, and one that does
+    /// not is restarted onto a snapshot of a machine that did. The window
+    /// is *not* consumed -- see [`Machine::trim_async_window`] for when
+    /// entries actually leave it.
+    ///
+    /// [`RoundState::fenced_asyncs`]: crate::roles::participant::RoundState
     pub(crate) fn take_async_window(&self) -> AsyncBatch {
-        std::sync::Arc::new(self.async_window.clone())
+        let closing = self.participant.closing.as_ref();
+        let fenced = closing.and_then(|rs| rs.fenced_asyncs());
+        let unfenced = |(aseq, _): &&(u64, WireEnvelope)| fenced.is_none_or(|f| *aseq > f);
+        std::sync::Arc::new(self.async_window.iter().filter(unfenced).cloned().collect())
     }
 
-    /// Trims the fence window after a round completes: entries that rode
-    /// this round's flush alongside a **non-empty** serialized batch are
-    /// guaranteed delivered (the batch's `FlushDone` count makes the `Ops`
-    /// message resend-protected), so they need no further fencing. A
-    /// zero-op flush carries the window best-effort only, so its entries
-    /// stay and ride the next flush too.
-    pub(crate) fn trim_async_window(&mut self) {
-        let Some(rs) = self.participant.round.as_ref() else {
-            return;
-        };
-        if !rs.flushed || rs.my_flush.is_empty() || rs.my_asyncs.is_empty() {
-            return;
-        }
-        let fenced = rs
-            .my_asyncs
-            .last()
-            .map(|(aseq, _)| *aseq)
-            .expect("non-empty window");
-        self.async_window.retain(|(aseq, _)| *aseq > fenced);
+    /// Trims the fence window once a round has completed everywhere:
+    /// entries up to `through` rode that round's flush alongside a
+    /// **non-empty** serialized batch, so they are delivered (the batch's
+    /// `FlushDone` count makes the `Ops` message resend-protected) and need
+    /// no further fencing. A zero-op flush carries the window best-effort
+    /// only and fences nothing, so its entries stay and ride the next flush
+    /// too.
+    pub(crate) fn trim_async_window(&mut self, through: u64) {
+        self.async_window.retain(|(aseq, _)| *aseq > through);
     }
 
     /// The master's per-sender async watermarks, shipped in `JoinInfo`:
@@ -635,25 +637,32 @@ mod tests {
     #[test]
     fn window_trim_requires_a_resend_protected_flush() {
         let mut m = hybrid_machine(0);
-        m.async_window = vec![(0, put_env(0, 0, ObjectId::new(m.id(), 0), "a"))];
-        // No active round: nothing trims.
-        m.trim_async_window();
-        assert_eq!(m.async_window.len(), 1);
+        let obj = ObjectId::new(m.id(), 0);
+        m.async_window = vec![(0, put_env(0, 0, obj, "a"))];
         // A flushed round whose serialized batch was empty: the piggyback
-        // was best-effort, so the window must survive.
+        // was best-effort, so it fences nothing and the window survives.
         m.participant.start_local_round(1, vec![m.id()]);
         let window = m.take_async_window();
         {
             let rs = m.participant.round.as_mut().unwrap();
             rs.flushed = true;
             rs.my_asyncs = window;
+            assert_eq!(rs.fenced_asyncs(), None, "zero-op flush");
+            // A flush that carried real ops is resend-protected.
+            rs.my_flush = Arc::new(vec![put_env(0, 9, obj, "z")]);
+            assert_eq!(rs.fenced_asyncs(), Some(0));
         }
-        m.trim_async_window();
-        assert_eq!(m.async_window.len(), 1, "zero-op flush fences best-effort");
-        // A flush that carried real ops is resend-protected: trim.
-        let flush = Arc::new(vec![put_env(0, 9, ObjectId::new(m.id(), 0), "z")]);
-        m.participant.round.as_mut().unwrap().my_flush = flush;
-        m.trim_async_window();
-        assert!(m.async_window.is_empty());
+        // Applied and closing, the round's flush still vouches for the
+        // entry: the next round's flush does not repeat it, and carries
+        // only what was committed since.
+        let rs = m.participant.round.take().unwrap();
+        m.participant.applied(rs);
+        m.async_window.push((1, put_env(0, 1, obj, "b")));
+        let next = m.take_async_window();
+        assert_eq!(next.iter().map(|(a, _)| *a).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(m.async_window.len(), 2, "nothing leaves before completion");
+        // The round completes everywhere: its entries leave the window.
+        m.trim_async_window(0);
+        assert_eq!(m.async_window.len(), 1);
     }
 }

@@ -308,6 +308,24 @@ impl Machine {
         self.membership.members().iter().copied().collect()
     }
 
+    /// The newest round this machine is in, if any: installed by `BeginSync`
+    /// (or, on the master, by its own tick) and held until `SyncComplete`.
+    pub fn active_round(&self) -> Option<u64> {
+        self.participant.active_round()
+    }
+
+    /// For schedule exploration: when this master's sync tick is due, if
+    /// firing it now would begin a round *under* the one in flight -- that
+    /// round is in stage 2 and applied here, stage 1 is free, and no joiner
+    /// or held tick is in the way. `None` otherwise, on a member, and under
+    /// serial turns.
+    pub fn overlap_tick_due(&self) -> Option<SimTime> {
+        let clear = self.is_master
+            && self.membership.hold.is_none()
+            && self.membership.pending_joins.is_empty();
+        self.master.overlap_tick_due(&self.cfg).filter(|_| clear)
+    }
+
     /// How many early rounds the participant role is currently buffering
     /// (round messages that arrived before their `BeginSync`).
     pub fn buffered_rounds(&self) -> usize {
@@ -695,7 +713,7 @@ impl Machine {
             is_master: self.is_master,
             joined: self.membership.is_joined(),
             in_cohort: self.membership.in_cohort(),
-            active_round: self.participant.active_round(),
+            active_round: self.active_round(),
             pending: self.pending.len() as u64,
             completed: self.completed.len() as u64,
             completed_serialized: self.completed_serialized.len() as u64,

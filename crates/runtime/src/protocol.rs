@@ -33,7 +33,17 @@
 //!    routines, replays its still-pending operations, and then acknowledges
 //!    (`try_apply`: the `Ack` is the last action of the callback).
 //! 3. **FlagCompletion** — when all acknowledgments are in, the master
-//!    broadcasts `SyncComplete` and may start the next round any time after.
+//!    broadcasts `SyncComplete`.
+//!
+//! Rounds are paced start to start, one every `sync_period`. Under the
+//! parallel flush two may be in flight, one per stage: the master may begin
+//! round r + 1 once it has applied round r itself, a member takes r + 1
+//! only after it has applied r (until then its `BeginSync` is buffered like
+//! any other early round message), and r + 1 leaves stage 1 only after r
+//! has completed. Messages are routed by round number to the slot that
+//! holds the round: [`crate::roles::participant::ParticipantRole::round`]
+//! (not yet applied here) or `closing` (applied, still answering resend
+//! requests until `SyncComplete`). Serial turns run one round at a time.
 
 use std::sync::Arc;
 
@@ -45,7 +55,7 @@ use crate::message::Msg;
 use crate::roles::election::ElectionEvent;
 use crate::roles::master::MasterEvent;
 use crate::roles::membership::MembershipEvent;
-use crate::roles::participant::ParticipantEvent;
+use crate::roles::participant::{ParticipantEvent, RoundState};
 use crate::roles::{tag, Effect, OpsBatch};
 
 fn msg_round(msg: &Msg) -> Option<u64> {
@@ -234,7 +244,11 @@ impl Machine {
                     self.participant.start_local_round(round, order)
                 }
                 Effect::Flush => self.do_flush(ctx),
-                Effect::RebroadcastFlush => self.announce_flush(ctx),
+                Effect::RebroadcastFlush { round } => {
+                    if let Some(rs) = self.participant.holding(round) {
+                        self.announce_flush(rs, ctx);
+                    }
+                }
                 Effect::MaybeFlushOnTurn => self.maybe_flush_on_turn(ctx),
                 Effect::TryApply => self.try_apply(ctx),
                 Effect::RetryApply => {
@@ -270,18 +284,22 @@ impl Machine {
                     self.step_participant(ParticipantEvent::BeginApply { round, counts }, ctx)
                 }
                 Effect::RemoveFromRound { machine } => {
+                    // Only a round not yet applied still takes turns.
                     if let Some(rs) = self.participant.round.as_mut() {
                         rs.removed.insert(machine);
                     }
                     self.membership.members.remove(&machine);
                 }
                 Effect::ClearRound => {
-                    // The master finished the round: fenced async-window
-                    // entries are delivered everywhere, so trim before the
-                    // round state (and its piggyback record) goes away.
-                    self.trim_async_window();
-                    self.participant.round = None;
+                    // The master finished the round it applied: what its
+                    // own flush fenced is delivered everywhere.
+                    let fenced = self.participant.closing.take();
+                    if let Some(through) = fenced.and_then(|rs| rs.fenced_asyncs()) {
+                        self.trim_async_window(through);
+                    }
                 }
+                Effect::FenceAsyncs { through } => self.trim_async_window(through),
+                Effect::RoundDue => self.round_due(ctx),
                 Effect::RoundFinished { sample } => {
                     self.telemetry.round_finished(
                         sample.duration,
@@ -300,14 +318,6 @@ impl Machine {
                     );
                     self.stats.syncs_seen += 1;
                     self.stats.sync_samples.push(sample);
-                }
-                Effect::RearmStage2 { round } => {
-                    if self.master.round_active() {
-                        ctx.set_timer(
-                            self.cfg.stall_timeout,
-                            tag::encode(tag::MASTER_STAGE2, round),
-                        );
-                    }
                 }
                 Effect::Promote => self.promote(ctx),
                 Effect::DeferToWinner => self.defer_to_winner(ctx),
@@ -338,20 +348,25 @@ impl Machine {
             return; // left on purpose: no round is meant for this machine
         }
         let Some(round) = msg_round(&msg) else { return };
-        match self.participant.active_round() {
-            Some(r) if r == round => self.dispatch_round_msg(from, msg, ctx),
-            Some(r) if r > round => {} // stale round: drop
-            _ => {
-                // No active round, or a future round: buffer until BeginSync
-                // arrives (the Signals and Operations channels are
-                // independently delayed, so reordering is normal).
-                self.participant.buffer_early(round, from, msg);
-            }
-        }
+        if self.participant.holding(round).is_some() {
+            self.dispatch_round_msg(from, msg, ctx);
+        } else if self.participant.active_round().is_none_or(|r| r < round) {
+            // No round here yet, or a future round: buffer until BeginSync
+            // arrives (the Signals and Operations channels are
+            // independently delayed, so reordering is normal).
+            self.participant.buffer_early(round, from, msg);
+        } // else a stale round: drop
     }
 
+    /// Feeds a message of a round this machine holds, in either slot, to the
+    /// role that reacts. `Ops` and `FlushDone` only matter to a round not
+    /// yet applied here; the rest carry their round number to the role and
+    /// find their slot by it.
     fn dispatch_round_msg(&mut self, from: MachineId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        let unapplied = self.participant.round.as_ref().map(|rs| rs.round);
         match msg {
+            Msg::BeginSync { round, order } => self.handle_begin_sync(round, order, ctx),
+            Msg::Ops { round, .. } | Msg::FlushDone { round, .. } if unapplied != Some(round) => {}
             Msg::Ops { machine, ops, .. } => {
                 self.step_participant(ParticipantEvent::Ops { machine, ops }, ctx)
             }
@@ -369,15 +384,11 @@ impl Machine {
             Msg::Ack { machine, .. } if self.is_master => {
                 self.step_master(MasterEvent::Ack { machine }, ctx);
             }
-            Msg::SyncComplete { .. } => {
-                // The round completed everywhere: trim the async fence
-                // window while the round state still records what this
-                // machine's flush piggybacked.
-                self.trim_async_window();
-                self.step_participant(ParticipantEvent::SyncComplete, ctx)
+            Msg::SyncComplete { round } => {
+                self.step_participant(ParticipantEvent::SyncComplete { round }, ctx)
             }
-            Msg::RoundUpdate { removed, .. } => {
-                self.step_participant(ParticipantEvent::RoundUpdate { removed }, ctx)
+            Msg::RoundUpdate { round, removed } => {
+                self.step_participant(ParticipantEvent::RoundUpdate { round, removed }, ctx)
             }
             _ => {}
         }
@@ -412,12 +423,9 @@ impl Machine {
         // The round-boundary fence: piggyback the not-yet-fenced async
         // window on this flush (empty unless async_commit is on).
         let asyncs = self.take_async_window();
-        let Some(rs) = self.participant.round.as_mut() else {
+        let Some(mut rs) = self.participant.round.take_if(|rs| !rs.flushed) else {
             return;
         };
-        if rs.flushed {
-            return;
-        }
         rs.flushed = true;
         let batch: OpsBatch = Arc::new(self.pending.iter().map(|p| p.env.clone()).collect());
         rs.my_flush = Arc::clone(&batch);
@@ -429,7 +437,8 @@ impl Machine {
         for e in batch.iter() {
             self.telemetry.op_flushed(e.id, ctx.now());
         }
-        self.announce_flush(ctx);
+        self.announce_flush(&rs, ctx);
+        self.participant.round = Some(rs);
         if self.is_master {
             self.step_master(
                 MasterEvent::FlushDone {
@@ -441,16 +450,13 @@ impl Machine {
         }
     }
 
-    /// Ships the stored flush: the batch (with its async fence) on the
-    /// Operations channel when either is non-empty, then `FlushDone` on the
-    /// Signals channel — to the round's master alone, the only machine that
-    /// counts flushes, or under serial turn-taking to everyone, because
+    /// Ships the flush stored in `rs`: the batch (with its async fence) on
+    /// the Operations channel when either is non-empty, then `FlushDone` on
+    /// the Signals channel — to the round's master alone, the only machine
+    /// that counts flushes, or under serial turn-taking to everyone, because
     /// there it also passes the turn. Runs once per flush, and again for
     /// every recovery nudge that asks to see the flush again.
-    fn announce_flush(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let Some(rs) = self.participant.round.as_ref() else {
-            return;
-        };
+    fn announce_flush(&self, rs: &RoundState, ctx: &mut Ctx<'_, Msg>) {
         let (round, master) = (rs.round, rs.order[0]);
         let count = rs.my_flush.len() as u64;
         if count > 0 || !rs.my_asyncs.is_empty() {
@@ -512,64 +518,38 @@ impl Machine {
     /// Applies the round as soon as every expected operation has arrived;
     /// requests per-source resends for anything missing.
     fn try_apply(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let (round, missing) = {
-            let Some(rs) = self.participant.round.as_ref() else {
-                return;
-            };
-            if rs.applied {
-                return;
-            }
-            let Some(counts) = rs.counts.as_ref() else {
-                return;
-            };
-            let missing: Vec<MachineId> = counts
-                .iter()
-                .filter(|(m, c)| (rs.received.get(m).map_or(0, |ops| ops.len() as u64)) < **c)
-                .map(|(m, _)| *m)
-                .collect();
-            (rs.round, missing)
+        let ready = |rs: &mut RoundState| rs.ready_to_apply();
+        let Some(mut rs) = self.participant.round.take_if(ready) else {
+            return self.request_missing(ctx);
         };
-        if !missing.is_empty() {
-            let mut requested = Vec::new();
-            {
-                let rs = self.participant.round.as_mut().expect("round active");
-                for m in missing {
-                    if m != self.id && rs.resend_requested.insert(m) {
-                        requested.push(m);
-                    }
-                }
-            }
-            for m in requested {
-                ctx.send(m, Channel::Operations, Msg::OpsRequest { round });
-                self.trace(
-                    ctx.now(),
-                    TraceEvent::OpsResendRequested { round, source: m },
-                );
-            }
-            return;
-        }
-        let rs = self.participant.round.as_mut().expect("round active");
         let runs = rs.take_runs();
-        let n = self.apply_committed_round(&runs, round, ctx.now());
+        let n = self.apply_committed_round(&runs, rs.round, ctx.now());
         // After the replay the pending list is exactly the set of ops on
         // `sg` but not yet in `sc` — the guesstimate-health divergence.
         self.telemetry.divergence(self.pending.len() as u64);
-        let (round, master) = {
-            let rs = self.participant.round.as_mut().expect("round active");
-            rs.applied = true;
-            (rs.round, rs.order[0])
-        };
-        self.participant.next_round_expected = Some(round + 1);
+        // The round moves to the closing slot; a member's `Ack` is the last
+        // send of its apply.
+        let fx = self.participant.applied(rs);
+        self.lower(fx, ctx);
         if self.is_master {
             self.step_master(MasterEvent::RoundApplied { ops_committed: n }, ctx);
-        } else {
-            ctx.send(
-                master,
-                Channel::Signals,
-                Msg::Ack {
-                    round,
-                    machine: self.id,
-                },
+        }
+    }
+
+    /// Asks each source whose counted run has not fully arrived to send it
+    /// again, once per source per `BeginApply`.
+    fn request_missing(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let Some(rs) = self.participant.round.as_mut() else {
+            return;
+        };
+        let round = rs.round;
+        let mut missing: Vec<MachineId> = rs.missing().into_iter().flatten().collect();
+        missing.retain(|&m| m != self.id && rs.resend_requested.insert(m));
+        for m in missing {
+            ctx.send(m, Channel::Operations, Msg::OpsRequest { round });
+            self.trace(
+                ctx.now(),
+                TraceEvent::OpsResendRequested { round, source: m },
             );
         }
     }
@@ -578,19 +558,36 @@ impl Machine {
     // Master: round initiation
     // ------------------------------------------------------------------
 
-    /// The tick: ship `JoinInfo` to whoever waits for one, then start a
-    /// round -- unless a handshake stamped with the current epoch is now
-    /// unanswered. Its `JoinReady` would arrive mid-round and be thrown
-    /// away (with a period at or below the link round trip, every time), so
-    /// the tick is *held*: the round starts from [`Machine::release_join_hold`]
-    /// when the last such handshake is answered, or when the hold's
-    /// `stall_timeout` timer fires. One hold per tick -- the release path
-    /// starts the round without servicing joins again -- so a handshake
-    /// that keeps going stale delays each round by a round trip but cannot
-    /// stop rounds.
+    /// The tick: a round is wanted. The master role says when the pipeline
+    /// has room for it ([`Effect::RoundDue`], lowered by
+    /// [`Machine::round_due`]): at once, or -- counted in
+    /// `ticks_deferred` -- when stage 1 is free and this machine has applied
+    /// the round before, or, with a joiner waiting (joiners are admitted
+    /// between rounds), when the rounds in flight have drained.
     fn handle_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if !self.is_master || self.participant.round.is_some() || self.membership.hold.is_some() {
-            return; // stage timers drive an active round, the release path a hold
+        if !self.is_master || self.membership.hold.is_some() {
+            return; // the release path starts a held round
+        }
+        let drain_first = !self.membership.pending_joins.is_empty();
+        self.step_master(MasterEvent::Tick { drain_first }, ctx);
+        self.stats.ticks_deferred += u64::from(self.master.tick_waiting.is_some());
+    }
+
+    /// Starts the round a tick asked for. Beside a round still in stage 2
+    /// it simply starts. With no round in flight it first ships `JoinInfo`
+    /// to whoever waits for one, and if a handshake stamped with the current
+    /// epoch is then unanswered the round is *held*: its `JoinReady` would
+    /// arrive mid-round and be thrown away (with a period at or below the
+    /// link round trip, every time), so the round starts from
+    /// [`Machine::release_join_hold`] when the last such handshake is
+    /// answered, or when the hold's `stall_timeout` timer fires. One hold
+    /// per tick -- the release path starts the round without servicing
+    /// joins again -- so a handshake that keeps going stale delays each
+    /// round by a round trip but cannot stop rounds.
+    fn round_due(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.master.round_active() {
+            self.stats.rounds_overlapped += 1;
+            return self.begin_round(ctx);
         }
         self.service_joins(ctx);
         if self.membership.handshake_in_flight(self.join_epoch()) {
@@ -650,7 +647,7 @@ impl Machine {
     /// send time guarantees a machine is only admitted if no operation
     /// committed since its snapshot was taken.
     fn service_joins(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if !self.is_master || self.participant.round.is_some() {
+        if !self.is_master || self.master.round_active() {
             return;
         }
         let epoch = self.join_epoch();
@@ -692,7 +689,7 @@ impl Machine {
             return;
         }
         let epoch = self.join_epoch();
-        let round_active = self.participant.round.is_some();
+        let round_active = self.master.round_active();
         self.step_membership(
             MembershipEvent::JoinReady {
                 machine,
@@ -728,8 +725,7 @@ impl Machine {
         self.membership.joined_system = false;
         self.membership.in_cohort = false;
         self.membership.offline = true;
-        self.participant.round = None;
-        self.participant.buffered.clear();
+        self.participant.drop_rounds();
     }
 
     /// §9 "Off-line updates": detaches from the system while continuing to
@@ -821,8 +817,8 @@ impl Machine {
         self.membership.members.insert(self.id);
         self.membership.pending_joins.clear();
         self.membership.hold = None;
-        self.participant.round = None;
-        self.master.active = None;
+        self.participant.drop_rounds();
+        self.master.reset();
         // Skip a round number in case the dead master's last round was
         // partially committed somewhere.
         self.master.next_round = self.participant.election_round_hint() + 2;
@@ -842,22 +838,20 @@ impl Machine {
     fn defer_to_winner(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.membership.joined_system = false;
         self.membership.in_cohort = false;
-        self.participant.round = None;
-        self.participant.buffered.clear();
+        self.participant.drop_rounds();
         self.come_online(ctx);
     }
 
     /// A master that lost a split-brain race steps down and rejoins.
     fn demote_and_rejoin(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.is_master = false;
-        self.master.active = None;
+        self.master.reset();
         self.membership.members.clear();
         self.membership.pending_joins.clear();
         self.membership.hold = None;
         self.membership.joined_system = false;
         self.membership.in_cohort = false;
-        self.participant.round = None;
-        self.participant.buffered.clear();
+        self.participant.drop_rounds();
         self.election.last_master_activity = ctx.now();
         self.come_online(ctx);
         if let Some(timeout) = self.cfg.master_failover {

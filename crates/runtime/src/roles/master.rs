@@ -8,6 +8,18 @@
 //! round. This role owns the [`MasterRound`] bookkeeping plus mirrors of
 //! the round order and removed set, so every master decision is a pure
 //! function of its own state.
+//!
+//! Rounds are a **two-slot pipeline**, at most one round in each stage:
+//! `MasterRole::flushing` holds the round in stage 1,
+//! `MasterRole::applying` the round in stage 2. Under the parallel flush
+//! a tick may begin round r + 1 while round r is still in stage 2 — once
+//! the master has applied r itself, so that its own flush of r + 1 carries
+//! only what it issued since — and r + 1 stays in stage 1 until r has
+//! completed: `FlushDone` always means the flushing round and `Ack` the
+//! applying one. A tick that finds no room is remembered, and its round is
+//! reported due by the transition that makes room. Under the paper's serial
+//! turns a tick is only armed by a round's completion, so the pipeline
+//! never holds two rounds.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,16 +31,7 @@ use crate::message::Msg;
 use crate::roles::{tag, Effect};
 use crate::stats::SyncSample;
 
-/// Which stage the master is driving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Stage 1: participants flush their pending lists.
-    Flush,
-    /// Stage 2: participants apply the consolidated list and acknowledge.
-    Apply,
-}
-
-/// Master-side bookkeeping for the round in progress.
+/// Master-side bookkeeping for one round in flight.
 #[derive(Debug)]
 pub struct MasterRound {
     /// Round number.
@@ -39,8 +42,6 @@ pub struct MasterRound {
     /// the round is still flushing; used to decompose the round duration
     /// into per-stage timings in the final [`SyncSample`].
     pub(crate) apply_started_at: Option<SimTime>,
-    /// Current stage.
-    pub(crate) stage: Stage,
     /// The flush order announced in `BeginSync` (mirror of the master's own
     /// participant state; the master is the only writer of both).
     pub(crate) order: Vec<MachineId>,
@@ -70,7 +71,6 @@ impl MasterRound {
             round,
             started_at,
             apply_started_at: None,
-            stage: Stage::Flush,
             order,
             removed: BTreeSet::new(),
             flush_counts: BTreeMap::new(),
@@ -88,38 +88,74 @@ impl MasterRound {
     fn expected(&self) -> impl Iterator<Item = &MachineId> {
         self.order.iter().filter(|m| !self.removed.contains(m))
     }
+
+    /// Expected participants whose `FlushDone` is missing, in round order.
+    fn unflushed(&self) -> impl Iterator<Item = &MachineId> {
+        self.expected()
+            .filter(|m| !self.flush_counts.contains_key(*m))
+    }
+
+    /// Expected participants whose `Ack` is missing, in round order.
+    fn unacked(&self) -> impl Iterator<Item = &MachineId> {
+        self.expected().filter(|m| !self.acks.contains(*m))
+    }
+
+    /// Stops expecting `machine`; false if the round was not expecting it.
+    fn drop_machine(&mut self, machine: MachineId) -> bool {
+        self.expected().any(|m| *m == machine) && self.removed.insert(machine)
+    }
+
+    /// Notes a stall of `m`, in `nudged_flush` or `nudged_acks`: true, and a
+    /// resend counted, if it is the machine's first in that stage.
+    fn first_stall(nudged: &mut BTreeSet<MachineId>, resends: &mut u64, m: MachineId) -> bool {
+        let first = nudged.insert(m);
+        if first {
+            debug_assert!(*resends < u64::MAX, "resend counter saturated");
+            *resends = resends.saturating_add(1);
+        }
+        first
+    }
 }
 
 /// Inputs to the master role.
 #[derive(Debug)]
 pub enum MasterEvent {
-    /// The sync-period tick elapsed with no round active: start one.
+    /// Start a round now: the composer's answer to [`Effect::RoundDue`],
+    /// once no joiner has to be served first.
     BeginRound {
         /// The flush order (current member set, master first).
         order: Vec<MachineId>,
     },
-    /// A participant confirmed its flush.
+    /// A participant confirmed its flush (of the round in stage 1).
     FlushDone {
         /// The participant.
         machine: MachineId,
         /// How many operations it flushed.
         count: u64,
     },
-    /// A participant acknowledged the apply.
+    /// A participant acknowledged the apply (of the round in stage 2).
     Ack {
         /// The participant.
         machine: MachineId,
     },
-    /// The master's own participant side applied the round.
+    /// The master's own participant side applied the round in stage 2.
     RoundApplied {
         /// Operations committed in the consolidated list.
         ops_committed: u64,
     },
-    /// A participant left the system on purpose (`Leave`): the round stops
-    /// waiting for it.
+    /// A participant left the system on purpose (`Leave`): no round in
+    /// flight waits for it any longer.
     Left {
         /// The departing machine.
         machine: MachineId,
+    },
+    /// The sync-period tick: a round is wanted. It is reported due
+    /// ([`Effect::RoundDue`]) at once if the pipeline has room for it,
+    /// otherwise by the transition that makes room.
+    Tick {
+        /// A joiner is waiting, and joiners are admitted between rounds:
+        /// room means an empty pipeline, not just a free stage 1.
+        drain_first: bool,
     },
     /// The stage-1 stall timer fired for the encoded round.
     Stage1Timeout {
@@ -137,10 +173,16 @@ pub enum MasterEvent {
 #[derive(Debug)]
 pub struct MasterRole {
     me: MachineId,
-    /// The round in progress, if any.
-    pub(crate) active: Option<MasterRound>,
+    /// The round in stage 1, if any. With every flush in, it still waits
+    /// here until `MasterRole::applying` is empty.
+    pub(crate) flushing: Option<MasterRound>,
+    /// The round in stage 2, if any.
+    pub(crate) applying: Option<MasterRound>,
     /// The next round number to use.
     pub(crate) next_round: u64,
+    /// A tick whose round has not begun for want of room, with its
+    /// `drain_first`.
+    pub(crate) tick_waiting: Option<bool>,
 }
 
 impl MasterRole {
@@ -148,32 +190,35 @@ impl MasterRole {
     pub fn new(me: MachineId) -> Self {
         MasterRole {
             me,
-            active: None,
+            flushing: None,
+            applying: None,
             next_round: 1,
+            tick_waiting: None,
         }
     }
 
     /// Whether a round is currently being driven.
     pub fn round_active(&self) -> bool {
-        self.active.is_some()
+        self.flushing.is_some() || self.applying.is_some()
     }
 
-    /// The round in progress, for the paths that only exist inside one.
-    fn active_mut(&mut self) -> &mut MasterRound {
-        self.active
-            .as_mut()
-            .expect("stage timers and stage transitions only run with a round active")
+    /// Forgets the rounds in flight and any waiting tick: they were another
+    /// mastership's (promotion, demotion).
+    pub(crate) fn reset(&mut self) {
+        self.flushing = None;
+        self.applying = None;
+        self.tick_waiting = None;
     }
 
     /// Pure transition: consumes one event, returns the effects to lower.
     pub fn step(&mut self, ev: MasterEvent, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        match ev {
+        let mut fx = match ev {
             MasterEvent::BeginRound { order } => self.begin_round(order, now, cfg),
             MasterEvent::FlushDone { machine, count } => {
                 self.on_flush_done(machine, count, now, cfg)
             }
             MasterEvent::Ack { machine } => {
-                let Some(mr) = self.active.as_mut() else {
+                let Some(mr) = self.applying.as_mut() else {
                     return Vec::new();
                 };
                 let mut fx = Vec::new();
@@ -183,26 +228,62 @@ impl MasterRole {
                         machine,
                     }));
                 }
-                fx.extend(self.finish_if_complete(now, cfg));
+                fx.extend(self.advance(now, cfg));
                 fx
             }
             MasterEvent::RoundApplied { ops_committed } => {
-                let Some(mr) = self.active.as_mut() else {
+                let Some(mr) = self.applying.as_mut() else {
                     return Vec::new();
                 };
                 mr.ops_committed = ops_committed;
                 mr.acks.insert(self.me);
-                let round = mr.round;
                 let mut fx = vec![Effect::Trace(TraceEvent::AckReceived {
-                    round,
+                    round: mr.round,
                     machine: self.me,
                 })];
-                fx.extend(self.finish_if_complete(now, cfg));
+                fx.extend(self.advance(now, cfg));
                 fx
             }
             MasterEvent::Left { machine } => self.on_left(machine, now, cfg),
+            MasterEvent::Tick { drain_first } => {
+                self.tick_waiting = Some(drain_first);
+                Vec::new()
+            }
             MasterEvent::Stage1Timeout { round } => self.on_stage1_timeout(round, now, cfg),
             MasterEvent::Stage2Timeout { round } => self.on_stage2_timeout(round, now, cfg),
+        };
+        fx.extend(self.round_due(cfg));
+        fx
+    }
+
+    /// Whether the pipeline has room for another round: always when empty;
+    /// under the parallel flush also beside a round in stage 2 that the
+    /// master has applied itself, unless the pipeline must `drain_first`.
+    fn has_room(&self, drain_first: bool, cfg: &MachineConfig) -> bool {
+        match (&self.flushing, &self.applying) {
+            (None, None) => true,
+            (None, Some(mr)) => cfg.parallel_flush && !drain_first && mr.acks.contains(&self.me),
+            (Some(_), _) => false,
+        }
+    }
+
+    /// When the tick armed by the round in stage 2 is due, if firing it now
+    /// would begin the next round under that one.
+    pub(crate) fn overlap_tick_due(&self, cfg: &MachineConfig) -> Option<SimTime> {
+        let under = self.applying.as_ref()?;
+        let begins = self.tick_waiting.is_none() && self.has_room(false, cfg);
+        begins.then_some(under.started_at + cfg.sync_period)
+    }
+
+    /// Reports the waiting tick's round due once the pipeline has room for
+    /// it.
+    fn round_due(&mut self, cfg: &MachineConfig) -> Vec<Effect> {
+        match self.tick_waiting {
+            Some(drain_first) if self.has_room(drain_first, cfg) => {
+                self.tick_waiting = None;
+                vec![Effect::RoundDue]
+            }
+            _ => Vec::new(),
         }
     }
 
@@ -212,13 +293,26 @@ impl MasterRole {
         now: SimTime,
         cfg: &MachineConfig,
     ) -> Vec<Effect> {
+        debug_assert!(self.flushing.is_none(), "stage 1 holds one round");
         let round = self.next_round;
         self.next_round += 1;
         debug_assert_eq!(order.first(), Some(&self.me), "master flushes first");
         let participants = order.len() as u32;
-        // `BeginSync` goes first: on the wall-clock mesh a send leaves at its
-        // call, so the members' link delay runs while this machine flushes.
-        let mut fx = vec![
+        let mut fx = Vec::new();
+        if cfg.parallel_flush {
+            // Rounds are paced start to start and the next may begin under
+            // this one, so its tick runs from here, not from the completion
+            // -- and from the top of the list: on the wall-clock mesh a
+            // timer's delay runs from its call, and behind this machine's
+            // flush every cycle would be the period plus that flush.
+            fx.push(Effect::SetTimer {
+                after: cfg.sync_period,
+                tag: tag::encode(tag::MASTER_TICK, 0),
+            });
+        }
+        // `BeginSync` goes out before any work: a send leaves at its call,
+        // so the members' link delay runs while this machine flushes.
+        fx.extend([
             Effect::Broadcast {
                 channel: Channel::Signals,
                 msg: Msg::BeginSync {
@@ -234,8 +328,8 @@ impl MasterRole {
                 round,
                 participants,
             }),
-        ];
-        self.active = Some(MasterRound::new(round, now, order));
+        ]);
+        self.flushing = Some(MasterRound::new(round, now, order));
         if !cfg.parallel_flush {
             // Serial turn-taking: the master flushes first.
             fx.push(Effect::Trace(TraceEvent::FlushWindowOpened {
@@ -258,58 +352,65 @@ impl MasterRole {
         now: SimTime,
         cfg: &MachineConfig,
     ) -> Vec<Effect> {
-        let (newly, round, stage_done, next_turn) = {
-            let Some(mr) = self.active.as_mut() else {
-                return Vec::new();
-            };
-            if mr.stage != Stage::Flush {
-                return Vec::new();
-            }
-            let newly = mr.flush_counts.insert(machine, count).is_none();
-            let pending = || mr.expected().filter(|m| !mr.flush_counts.contains_key(*m));
-            let stage_done = pending().next().is_none();
-            // Under serial turn-taking the next unflushed machine in the
-            // round order now holds the flush window.
-            let next_turn = if cfg.parallel_flush {
-                None
-            } else {
-                pending().next().copied()
-            };
-            (newly, mr.round, stage_done, next_turn)
+        let Some(mr) = self.flushing.as_mut() else {
+            return Vec::new();
         };
         let mut fx = Vec::new();
-        if newly {
+        if mr.flush_counts.insert(machine, count).is_none() {
+            let round = mr.round;
             fx.push(Effect::Trace(TraceEvent::FlushWindowClosed {
                 round,
                 machine,
                 ops: count,
             }));
-            if let Some(next) = next_turn {
+            // Under serial turn-taking the next unflushed machine in the
+            // round order now holds the flush window.
+            let next_turn = mr.unflushed().next().filter(|_| !cfg.parallel_flush);
+            if let Some(&next) = next_turn {
                 fx.push(Effect::Trace(TraceEvent::FlushWindowOpened {
                     round,
                     machine: next,
                 }));
             }
         }
-        if stage_done {
-            fx.extend(self.start_apply_stage(now, cfg));
+        fx.extend(self.advance(now, cfg));
+        fx
+    }
+
+    /// Moves the pipeline as far as it goes: completes the round in stage 2
+    /// once everyone still expected has acknowledged, then -- stage 2 being
+    /// free -- moves the round in stage 1 there once everyone still
+    /// expected has flushed.
+    fn advance(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        let acked = |mr: &mut MasterRound| mr.unacked().next().is_none();
+        if let Some(mr) = self.applying.take_if(acked) {
+            fx.extend(Self::finish_round(mr, now, cfg));
+        }
+        if self.applying.is_none() {
+            let flushed = |mr: &mut MasterRound| mr.unflushed().next().is_none();
+            if let Some(mr) = self.flushing.take_if(flushed) {
+                fx.extend(self.start_apply_stage(mr, now, cfg));
+            }
         }
         fx
     }
 
     /// Stage 1 → stage 2: broadcast the authoritative per-machine counts.
-    fn start_apply_stage(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let mr = self.active_mut();
-        mr.stage = Stage::Apply;
+    fn start_apply_stage(
+        &mut self,
+        mut mr: MasterRound,
+        now: SimTime,
+        cfg: &MachineConfig,
+    ) -> Vec<Effect> {
         mr.apply_started_at = Some(now);
         let counts: Vec<(MachineId, u64)> = mr
-            .order
-            .iter()
-            .filter(|m| !mr.removed.contains(m))
+            .expected()
             .map(|m| (*m, *mr.flush_counts.get(m).unwrap_or(&0)))
             .collect();
         mr.counts = counts.clone();
         let round = mr.round;
+        self.applying = Some(mr);
         // `BeginApply` goes first, the master's own apply last: a send leaves
         // at its call, so the members hear it one link delay from here while
         // this machine applies the round.
@@ -333,57 +434,39 @@ impl MasterRole {
         ]
     }
 
-    /// Starts stage 2 if every machine still expected has flushed.
-    fn start_apply_if_flushed(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let mr = self.active_mut();
-        if mr.stage == Stage::Flush && mr.expected().all(|m| mr.flush_counts.contains_key(m)) {
-            self.start_apply_stage(now, cfg)
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// A machine in the round left on purpose and has dropped its round
-    /// state: stop waiting for it. In stage 1 it drops out of the round --
+    /// A machine left on purpose and has dropped its round state: no round
+    /// in flight waits for it any longer. The round in stage 1 drops it --
     /// whatever it flushed stays on its own pending list, uncounted by
-    /// `BeginApply` -- which may be what the stage was waiting for; in
-    /// stage 2 its flush is already counted and commits everywhere, and
-    /// only its `Ack` is no longer awaited. Unlike a stalled machine it is
-    /// not sent `Restart`: it keeps its pending operations for its return.
+    /// `BeginApply` -- which may be what the stage was waiting for; in the
+    /// round in stage 2 its flush is already counted and commits
+    /// everywhere, and only its `Ack` is no longer awaited. Unlike a
+    /// stalled machine it is not sent `Restart`: it keeps its pending
+    /// operations for its return.
     fn on_left(&mut self, machine: MachineId, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let Some(mr) = self.active.as_mut() else {
-            return Vec::new();
-        };
-        if machine == self.me || !mr.expected().any(|m| *m == machine) {
+        if machine == self.me {
             return Vec::new();
         }
-        mr.removed.insert(machine);
+        let drop_from = |slot: &mut Option<MasterRound>| {
+            let mr = slot.as_mut()?;
+            mr.drop_machine(machine).then_some(mr.round)
+        };
+        let unacked = drop_from(&mut self.applying);
+        let unflushed = drop_from(&mut self.flushing);
+        if unacked.or(unflushed).is_none() {
+            return Vec::new();
+        }
         let mut fx = vec![Effect::RemoveFromRound { machine }];
-        match mr.stage {
-            Stage::Flush => {
-                fx.push(Effect::Broadcast {
-                    channel: Channel::Signals,
-                    msg: Msg::RoundUpdate {
-                        round: mr.round,
-                        removed: vec![machine],
-                    },
-                });
-                fx.extend(self.start_apply_if_flushed(now, cfg));
-            }
-            Stage::Apply => fx.extend(self.finish_if_complete(now, cfg)),
+        if let Some(round) = unflushed {
+            fx.push(Effect::Broadcast {
+                channel: Channel::Signals,
+                msg: Msg::RoundUpdate {
+                    round,
+                    removed: vec![machine],
+                },
+            });
         }
+        fx.extend(self.advance(now, cfg));
         fx
-    }
-
-    /// Finishes the round if everyone still expected has acknowledged.
-    fn finish_if_complete(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let done = |mr: &mut MasterRound| {
-            mr.stage == Stage::Apply && mr.expected().all(|m| mr.acks.contains(m))
-        };
-        match self.active.take_if(done) {
-            Some(mr) => Self::finish_round(mr, now, cfg),
-            None => Vec::new(),
-        }
     }
 
     fn finish_round(mr: MasterRound, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
@@ -415,7 +498,7 @@ impl MasterRole {
             duration,
         );
         let completion_duration = duration.saturating_since(flush_duration + apply_duration);
-        vec![
+        let mut fx = vec![
             Effect::ClearRound,
             Effect::Broadcast {
                 channel: Channel::Signals,
@@ -437,68 +520,56 @@ impl MasterRole {
                 },
             },
             Effect::ServiceJoins,
-            // Rounds are paced start to start: the next one is due
-            // `sync_period` after this one began, at once if it ran longer.
-            Effect::SetTimer {
+        ];
+        if !cfg.parallel_flush {
+            // Serial turns run one round at a time, paced start to start:
+            // the next is due `sync_period` after this one began, at once
+            // if it ran longer. (A parallel-flush round armed the tick when
+            // it began.)
+            fx.push(Effect::SetTimer {
                 after: cfg.sync_period.saturating_since(duration),
                 tag: tag::encode(tag::MASTER_TICK, 0),
-            },
-        ]
+            });
+        }
+        fx
     }
 
     fn on_stage1_timeout(&mut self, round: u64, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let laggards: Vec<MachineId> = {
-            let Some(mr) = self.active.as_ref() else {
-                return Vec::new();
-            };
-            if mr.round != round || mr.stage != Stage::Flush {
-                return Vec::new();
-            }
-            let unflushed = mr
-                .expected()
-                .filter(|m| !mr.flush_counts.contains_key(*m))
-                .copied();
-            if cfg.parallel_flush {
-                unflushed.collect()
-            } else {
-                // Serial turns: only the machine whose turn it is can be
-                // blocking the stage.
-                unflushed.take(1).collect()
-            }
-        };
-        if laggards.is_empty() {
+        let Some(mr) = self.flushing.as_ref().filter(|mr| mr.round == round) else {
             return Vec::new();
+        };
+        // Serial turns: only the machine whose turn it is can be blocking
+        // the stage.
+        let blocking = if cfg.parallel_flush { usize::MAX } else { 1 };
+        let laggards: Vec<MachineId> = mr.unflushed().take(blocking).copied().collect();
+        if laggards.is_empty() {
+            return Vec::new(); // every flush is in: the round waits for stage 2 to empty
         }
+        let order = mr.order.clone();
         let mut fx = Vec::new();
         let mut newly_removed = Vec::new();
         for m in laggards {
-            let nudged = self
-                .active
-                .as_ref()
-                .map(|mr| mr.nudged_flush.contains(&m))
-                .unwrap_or(false);
-            if nudged {
-                fx.extend(self.remove_machine(m));
+            let first_stall = |mr: &mut MasterRound| {
+                MasterRound::first_stall(&mut mr.nudged_flush, &mut mr.resends, m)
+            };
+            if !self.flushing.as_mut().is_some_and(first_stall) {
+                fx.extend(self.remove_machine(m, round));
                 newly_removed.push(m);
-            } else {
-                let mr = self.active_mut();
-                mr.nudged_flush.insert(m);
-                debug_assert!(mr.resends < u64::MAX, "resend counter saturated");
-                mr.resends = mr.resends.saturating_add(1);
-                fx.push(Effect::Send {
-                    to: m,
-                    channel: Channel::Signals,
-                    msg: Msg::BeginSync {
-                        round,
-                        order: mr.order.clone(),
-                    },
-                });
-                fx.push(Effect::Trace(TraceEvent::Resend {
-                    round,
-                    machine: m,
-                    stage: 1,
-                }));
+                continue;
             }
+            fx.push(Effect::Send {
+                to: m,
+                channel: Channel::Signals,
+                msg: Msg::BeginSync {
+                    round,
+                    order: order.clone(),
+                },
+            });
+            fx.push(Effect::Trace(TraceEvent::Resend {
+                round,
+                machine: m,
+                stage: 1,
+            }));
         }
         if !newly_removed.is_empty() {
             fx.push(Effect::Broadcast {
@@ -508,36 +579,27 @@ impl MasterRole {
                     removed: newly_removed,
                 },
             });
-            // Removal may have unblocked the stage.
-            let apply = self.start_apply_if_flushed(now, cfg);
-            if !apply.is_empty() {
-                fx.extend(apply);
-                return fx;
-            }
+            // Removal may have unblocked either stage.
+            fx.extend(self.advance(now, cfg));
         }
-        fx.push(Effect::SetTimer {
-            after: cfg.stall_timeout,
-            tag: tag::encode(tag::MASTER_STAGE1, round),
-        });
+        if self.flushing.is_some() {
+            fx.push(Effect::SetTimer {
+                after: cfg.stall_timeout,
+                tag: tag::encode(tag::MASTER_STAGE1, round),
+            });
+        }
         fx
     }
 
     fn on_stage2_timeout(&mut self, round: u64, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
-        let missing: Vec<MachineId> = {
-            let Some(mr) = self.active.as_ref() else {
-                return Vec::new();
-            };
-            if mr.round != round || mr.stage != Stage::Apply {
-                return Vec::new();
-            }
-            mr.expected()
-                .filter(|m| !mr.acks.contains(*m))
-                .copied()
-                .collect()
+        let Some(mr) = self.applying.as_ref().filter(|mr| mr.round == round) else {
+            return Vec::new();
         };
+        let missing: Vec<MachineId> = mr.unacked().copied().collect();
         if missing.is_empty() {
             return Vec::new();
         }
+        let counts = mr.counts.clone();
         let mut fx = Vec::new();
         // If the master itself is still waiting for operation batches, the
         // earlier resend requests were probably lost: retry them rather
@@ -550,36 +612,33 @@ impl MasterRole {
         let me = self.me;
         let mut removed_any = false;
         for m in missing.into_iter().filter(|&m| m != me) {
-            let nudged = self
-                .active
-                .as_ref()
-                .map(|mr| mr.nudged_acks.contains(&m))
-                .unwrap_or(false);
-            if nudged {
-                fx.extend(self.remove_machine(m));
+            let first_stall = |mr: &mut MasterRound| {
+                MasterRound::first_stall(&mut mr.nudged_acks, &mut mr.resends, m)
+            };
+            if !self.applying.as_mut().is_some_and(first_stall) {
+                fx.extend(self.remove_machine(m, round));
                 removed_any = true;
-            } else {
-                let mr = self.active_mut();
-                mr.nudged_acks.insert(m);
-                debug_assert!(mr.resends < u64::MAX, "resend counter saturated");
-                mr.resends = mr.resends.saturating_add(1);
-                let counts = mr.counts.clone();
-                fx.push(Effect::Send {
-                    to: m,
-                    channel: Channel::Signals,
-                    msg: Msg::BeginApply { round, counts },
-                });
-                fx.push(Effect::Trace(TraceEvent::Resend {
-                    round,
-                    machine: m,
-                    stage: 2,
-                }));
+                continue;
             }
+            fx.push(Effect::Send {
+                to: m,
+                channel: Channel::Signals,
+                msg: Msg::BeginApply {
+                    round,
+                    counts: counts.clone(),
+                },
+            });
+            fx.push(Effect::Trace(TraceEvent::Resend {
+                round,
+                machine: m,
+                stage: 2,
+            }));
         }
         if removed_any {
-            fx.extend(self.finish_if_complete(now, cfg));
+            fx.extend(self.advance(now, cfg));
         }
-        if self.active.is_some() {
+        // A round that took this one's place in stage 2 armed its own timer.
+        if self.applying.as_ref().is_some_and(|mr| mr.round == round) {
             fx.push(Effect::SetTimer {
                 after: cfg.stall_timeout,
                 tag: tag::encode(tag::MASTER_STAGE2, round),
@@ -588,15 +647,14 @@ impl MasterRole {
         fx
     }
 
-    /// Removes a stalled machine from the round: mirrors updated here, the
-    /// participant set and member list via [`Effect::RemoveFromRound`].
-    fn remove_machine(&mut self, m: MachineId) -> Vec<Effect> {
-        let mr = self.active_mut();
-        mr.removed.insert(m);
-        debug_assert!(mr.removals < u64::MAX, "removal counter saturated");
-        mr.removals = mr.removals.saturating_add(1);
-        let round = mr.round;
-        vec![
+    /// Removes a stalled machine -- `round`'s stall timer gave up on it --
+    /// from every round in flight: it is about to restart and will answer
+    /// neither. Mirrors are updated here, the participant set and member
+    /// list via [`Effect::RemoveFromRound`]; the removal counts against
+    /// `round`, and a stage-1 round that loses the machine to the other
+    /// round's timer tells its members.
+    fn remove_machine(&mut self, m: MachineId, round: u64) -> Vec<Effect> {
+        let mut fx = vec![
             Effect::RemoveFromRound { machine: m },
             Effect::Send {
                 to: m,
@@ -604,7 +662,31 @@ impl MasterRole {
                 msg: Msg::Restart,
             },
             Effect::Trace(TraceEvent::Removed { round, machine: m }),
-        ]
+        ];
+        // True if `mr` lost the machine to the other round's timer.
+        let drop_from = |mr: &mut MasterRound| {
+            let dropped = mr.drop_machine(m);
+            if dropped && mr.round == round {
+                debug_assert!(mr.removals < u64::MAX, "removal counter saturated");
+                mr.removals = mr.removals.saturating_add(1);
+            }
+            dropped && mr.round != round
+        };
+        if let Some(mr) = self.applying.as_mut() {
+            drop_from(mr);
+        }
+        if let Some(mr) = self.flushing.as_mut() {
+            if drop_from(mr) {
+                fx.push(Effect::Broadcast {
+                    channel: Channel::Signals,
+                    msg: Msg::RoundUpdate {
+                        round: mr.round,
+                        removed: vec![m],
+                    },
+                });
+            }
+        }
+        fx
     }
 }
 
@@ -644,7 +726,7 @@ mod tests {
                 c,
             );
         }
-        assert_eq!(m.active.as_ref().unwrap().stage, Stage::Apply);
+        assert!(m.flushing.is_none() && m.applying.is_some());
         m
     }
 
@@ -654,9 +736,9 @@ mod tests {
     }
 
     /// Starts round 1 over `order3` and checks the part of the script both
-    /// flush modes share -- `BeginSync` ahead of everything, the master's
-    /// own flush included, so that it is on the wire while the master works
-    /// -- and returns what follows the `RoundStarted` trace.
+    /// flush modes share -- `BeginSync` ahead of all work, the master's own
+    /// flush included, so that it is on the wire while the master works --
+    /// and returns what follows the `RoundStarted` trace.
     fn begin_round_tail(c: &MachineConfig) -> Vec<Effect> {
         let mut m = MasterRole::new(id(0));
         let mut fx = m.step(
@@ -664,6 +746,10 @@ mod tests {
             SimTime::ZERO,
             c,
         );
+        if c.parallel_flush {
+            // The next round's tick runs from the very start of this one.
+            assert_eq!(next_tick(&fx.remove(0)), c.sync_period);
+        }
         assert!(matches!(
             fx[0],
             Effect::Broadcast {
@@ -821,7 +907,7 @@ mod tests {
                 ..
             }
         )));
-        let mr = m.active.as_ref().unwrap();
+        let mr = m.flushing.as_ref().unwrap();
         assert!(mr.removed.contains(&id(1)));
         assert_eq!((mr.resends, mr.removals), (1, 1));
     }
@@ -863,7 +949,7 @@ mod tests {
             .collect();
         assert_eq!(nudged, vec![id(1), id(2)]);
         assert!(is_stage1_timer(fx.last().unwrap()), "stage 1 re-armed");
-        assert_eq!(m.active.as_ref().unwrap().stage, Stage::Flush);
+        assert!(m.flushing.is_some() && m.applying.is_none());
 
         let fx = m.step(
             MasterEvent::Stage1Timeout { round: 1 },
@@ -906,14 +992,14 @@ mod tests {
         });
         assert_eq!(counts, Some(vec![(id(0), 2)]));
         assert!(!fx.iter().any(is_stage1_timer));
-        let mr = m.active.as_ref().unwrap();
-        assert_eq!(mr.stage, Stage::Apply);
+        assert!(m.flushing.is_none(), "the round moved to stage 2");
+        let mr = m.applying.as_ref().unwrap();
         assert_eq!((mr.resends, mr.removals), (2, 2));
     }
 
     #[test]
     fn all_acks_finish_the_round_with_a_sample() {
-        let c = cfg();
+        let c = serial_cfg();
         let mut m = into_apply(&c);
         m.step(
             MasterEvent::RoundApplied { ops_committed: 3 },
@@ -950,9 +1036,10 @@ mod tests {
         assert_eq!(sample.ops_committed, 3);
         assert_eq!(sample.ops_flushed, 3);
         assert!(matches!(fx[4], Effect::ServiceJoins));
-        // The round began at 0 and took 30 ms of the 250 ms period.
+        // Serial turns arm the tick here: the round began at 0 and took
+        // 30 ms of the 250 ms period.
         assert_eq!(next_tick(&fx[5]), SimTime::from_millis(220));
-        assert!(m.active.is_none());
+        assert!(!m.round_active());
     }
 
     /// The delay of the `MASTER_TICK` a finished round arms.
@@ -964,10 +1051,10 @@ mod tests {
     }
 
     #[test]
-    fn a_round_that_outlasts_the_period_is_followed_at_once() {
+    fn a_serial_round_that_outlasts_the_period_is_followed_at_once() {
         // Rounds are paced start to start: `into_apply` began one at 0, and
         // the last ack arrives after the whole 250 ms period has gone by.
-        let c = cfg();
+        let c = serial_cfg();
         let mut m = into_apply(&c);
         for ev in [
             MasterEvent::RoundApplied { ops_committed: 3 },
@@ -981,6 +1068,218 @@ mod tests {
             &c,
         );
         assert_eq!(next_tick(fx.last().unwrap()), SimTime::ZERO);
+    }
+
+    fn due(fx: &[Effect]) -> bool {
+        fx.iter().any(|e| matches!(e, Effect::RoundDue))
+    }
+
+    fn broadcasts(fx: &[Effect]) -> Vec<&Msg> {
+        let mut sent = Vec::new();
+        for e in fx {
+            if let Effect::Broadcast { msg, .. } = e {
+                sent.push(msg);
+            }
+        }
+        sent
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    /// Round 1 in stage 2 and applied by the master, round 2 begun under it
+    /// by a tick at 15 ms.
+    fn two_in_flight(c: &MachineConfig) -> MasterRole {
+        let mut m = into_apply(c);
+        m.step(MasterEvent::RoundApplied { ops_committed: 3 }, ms(12), c);
+        let fx = m.step(MasterEvent::Tick { drain_first: false }, ms(15), c);
+        assert!(matches!(fx[..], [Effect::RoundDue]), "room beside round 1");
+        m.step(MasterEvent::BeginRound { order: order3() }, ms(15), c);
+        let in_flight = [&m.flushing, &m.applying].map(|mr| mr.as_ref().unwrap().round);
+        assert_eq!(in_flight, [2, 1]);
+        m
+    }
+
+    #[test]
+    fn a_tick_during_stage_1_is_remembered_not_dropped() {
+        let c = cfg();
+        let mut m = MasterRole::new(id(0));
+        m.step(MasterEvent::BeginRound { order: order3() }, ms(0), &c);
+        assert!(m
+            .step(MasterEvent::Tick { drain_first: false }, ms(5), &c)
+            .is_empty());
+        assert_eq!(m.tick_waiting, Some(false));
+        // Stage 1 closing is not room yet: the master's own flush of the
+        // next round must carry only what it issued since this one's, so it
+        // has to apply this one first.
+        for i in 0..3 {
+            let (machine, count) = (id(i), 1);
+            let fx = m.step(MasterEvent::FlushDone { machine, count }, ms(10), &c);
+            assert!(!due(&fx));
+        }
+        assert!(m.flushing.is_none() && m.applying.is_some());
+        let fx = m.step(MasterEvent::RoundApplied { ops_committed: 3 }, ms(11), &c);
+        assert!(matches!(
+            fx[..],
+            [
+                Effect::Trace(TraceEvent::AckReceived { .. }),
+                Effect::RoundDue
+            ]
+        ));
+        assert_eq!(m.tick_waiting, None, "due once");
+        assert!(!due(&m.step(
+            MasterEvent::Ack { machine: id(1) },
+            ms(12),
+            &c
+        )));
+    }
+
+    #[test]
+    fn serial_turns_or_a_waiting_joiner_keep_the_tick_until_no_round_is_in_flight() {
+        for (c, drain_first) in [(serial_cfg(), false), (cfg(), true)] {
+            let mut m = into_apply(&c);
+            m.step(MasterEvent::RoundApplied { ops_committed: 3 }, ms(12), &c);
+            assert!(m
+                .step(MasterEvent::Tick { drain_first }, ms(15), &c)
+                .is_empty());
+            assert!(!due(&m.step(
+                MasterEvent::Ack { machine: id(1) },
+                ms(20),
+                &c
+            )));
+            let fx = m.step(MasterEvent::Ack { machine: id(2) }, ms(21), &c);
+            assert!(!m.round_active());
+            assert!(matches!(fx.last(), Some(Effect::RoundDue)), "{fx:?}");
+        }
+    }
+
+    #[test]
+    fn the_next_round_waits_in_stage_1_until_this_one_completes() {
+        let c = cfg();
+        let mut m = two_in_flight(&c);
+        for i in 0..3 {
+            let (machine, count) = (id(i), 1);
+            let fx = m.step(MasterEvent::FlushDone { machine, count }, ms(16), &c);
+            assert!(broadcasts(&fx).is_empty(), "round 2 stays in stage 1");
+        }
+        assert_eq!(m.flushing.as_ref().unwrap().flush_counts.len(), 3);
+        // With every flush in there is nobody to nudge: the timer lapses.
+        assert!(m
+            .step(MasterEvent::Stage1Timeout { round: 2 }, ms(17), &c)
+            .is_empty());
+        // A tick finds stage 1 taken, and waits.
+        assert!(m
+            .step(MasterEvent::Tick { drain_first: false }, ms(18), &c)
+            .is_empty());
+        m.step(MasterEvent::Ack { machine: id(1) }, ms(20), &c);
+        let fx = m.step(MasterEvent::Ack { machine: id(2) }, ms(21), &c);
+        // Round 1 completes, and round 2 enters stage 2 in the same step.
+        assert!(matches!(
+            broadcasts(&fx)[..],
+            [
+                Msg::SyncComplete { round: 1 },
+                Msg::BeginApply { round: 2, .. }
+            ]
+        ));
+        assert!(matches!(
+            fx.last(),
+            Some(Effect::BeginApplyLocal { round: 2, .. })
+        ));
+        assert!(m.flushing.is_none());
+        // The waiting tick's turn comes when the master has applied round 2.
+        let fx = m.step(MasterEvent::RoundApplied { ops_committed: 3 }, ms(21), &c);
+        assert!(due(&fx));
+        // Round 2's stage 1 is charged the wait: 15 ms to 21 ms.
+        m.step(MasterEvent::Ack { machine: id(1) }, ms(30), &c);
+        let fx = m.step(MasterEvent::Ack { machine: id(2) }, ms(31), &c);
+        let sample = fx.iter().find_map(|e| match e {
+            Effect::RoundFinished { sample } => Some(*sample),
+            _ => None,
+        });
+        let sample = sample.expect("round 2 finished");
+        assert_eq!(
+            (sample.round, sample.flush_duration, sample.apply_duration),
+            (2, ms(6), ms(10))
+        );
+    }
+
+    #[test]
+    fn a_machine_removed_from_the_applying_round_leaves_the_flushing_round_too() {
+        let c = cfg();
+        let mut m = two_in_flight(&c);
+        m.step(MasterEvent::Ack { machine: id(1) }, ms(16), &c);
+        for i in 0..2 {
+            let (machine, count) = (id(i), 1);
+            m.step(MasterEvent::FlushDone { machine, count }, ms(17), &c);
+        }
+        // m2 neither acknowledges round 1 nor flushes round 2. Round 1's
+        // stage-2 timer nudges it, then gives up on it.
+        let fx = m.step(
+            MasterEvent::Stage2Timeout { round: 1 },
+            SimTime::from_secs(2),
+            &c,
+        );
+        assert!(matches!(
+            fx[0],
+            Effect::Send { to, msg: Msg::BeginApply { round: 1, .. }, .. } if to == id(2)
+        ));
+        let fx = m.step(
+            MasterEvent::Stage2Timeout { round: 1 },
+            SimTime::from_secs(4),
+            &c,
+        );
+        assert!(matches!(fx[0], Effect::RemoveFromRound { machine } if machine == id(2)));
+        assert_eq!(restarts(&fx), 1);
+        // Round 2's members hear that it lost a machine, round 1 completes
+        // without the ack, and round 2 closes stage 1 without the flush.
+        let sent = broadcasts(&fx);
+        assert!(matches!(
+            sent[0],
+            Msg::RoundUpdate { round: 2, removed } if *removed == vec![id(2)]
+        ));
+        assert!(matches!(sent[1], Msg::SyncComplete { round: 1 }));
+        assert!(matches!(
+            sent[2],
+            Msg::BeginApply { round: 2, counts } if *counts == vec![(id(0), 1), (id(1), 1)]
+        ));
+        let removals = fx.iter().find_map(|e| match e {
+            Effect::RoundFinished { sample } => Some((sample.round, sample.removals)),
+            _ => None,
+        });
+        assert_eq!(removals, Some((1, 1)), "counted once, against round 1");
+        assert_eq!(m.applying.as_ref().unwrap().removals, 0);
+        let rearmed = |e: &Effect| {
+            matches!(e, Effect::SetTimer { tag: t, .. }
+                if tag::kind(*t) == tag::MASTER_STAGE2 && tag::round(*t) == 1)
+        };
+        assert!(!fx.iter().any(rearmed), "round 1 is over");
+    }
+
+    #[test]
+    fn a_leaver_drops_out_of_both_rounds_in_flight() {
+        let c = cfg();
+        let mut m = two_in_flight(&c);
+        m.step(MasterEvent::Ack { machine: id(1) }, ms(16), &c);
+        for i in 0..2 {
+            let (machine, count) = (id(i), 1);
+            m.step(MasterEvent::FlushDone { machine, count }, ms(17), &c);
+        }
+        // m2 leaves owing round 1 an ack and round 2 a flush: both stop
+        // waiting, nobody is restarted.
+        let fx = m.step(MasterEvent::Left { machine: id(2) }, ms(18), &c);
+        assert!(matches!(fx[0], Effect::RemoveFromRound { machine } if machine == id(2)));
+        assert!(matches!(
+            broadcasts(&fx)[..],
+            [
+                Msg::RoundUpdate { round: 2, .. },
+                Msg::SyncComplete { round: 1 },
+                Msg::BeginApply { round: 2, .. }
+            ]
+        ));
+        assert_eq!(restarts(&fx), 0);
+        assert!(m.flushing.is_none());
+        assert_eq!(m.applying.as_ref().unwrap().round, 2);
     }
 
     fn restarts(fx: &[Effect]) -> usize {
@@ -1043,8 +1342,8 @@ mod tests {
         });
         assert_eq!(counts, Some(vec![(id(0), 2)]));
         assert_eq!(restarts(&fx), 0, "a leaver is never restarted");
-        let mr = m.active.as_ref().unwrap();
-        assert_eq!((mr.stage, mr.removals), (Stage::Apply, 0));
+        assert!(m.flushing.is_none(), "the round moved to stage 2");
+        assert_eq!(m.applying.as_ref().unwrap().removals, 0);
         // Leaving twice, or leaving a round one is not in, changes nothing.
         assert!(m
             .step(MasterEvent::Left { machine: id(2) }, SimTime::ZERO, &c)
@@ -1082,7 +1381,7 @@ mod tests {
         };
         assert_eq!((sample.ops_flushed, sample.removals), (3, 0));
         assert_eq!(restarts(&fx), 0);
-        assert!(m.active.is_none());
+        assert!(!m.round_active());
         // With no round active there is nothing to leave.
         assert!(m
             .step(MasterEvent::Left { machine: id(1) }, SimTime::ZERO, &c)

@@ -41,10 +41,12 @@ use crate::stats::SyncSample;
 /// opaque to the drivers — neither `SimNet` nor `SchedNet` ordering ever
 /// depends on a tag's value.
 pub mod tag {
-    /// Master: start the next round. Armed when a round completes, for
-    /// `sync_period` after that round *started* -- at once if it ran longer
-    /// -- so a round starts every `sync_period`, or as soon as the last one
-    /// has completed.
+    /// Master: a round is wanted. Armed for `sync_period` after a round
+    /// *started*: when it starts under the parallel flush -- the next round
+    /// may begin while this one applies, so a round starts every
+    /// `sync_period`, or as soon as stage 1 is free -- and when it completes
+    /// under serial turns (at once if it ran longer), which run one round at
+    /// a time.
     pub const MASTER_TICK: u64 = 0;
     /// Master: stage-1 (flush) stall check for the encoded round.
     pub const MASTER_STAGE1: u64 = 1;
@@ -151,8 +153,11 @@ pub enum Effect {
     },
     /// Flush the pending list into the active round (stage 1).
     Flush,
-    /// Re-announce an already-performed flush (recovery nudge).
-    RebroadcastFlush,
+    /// Re-announce the flush already performed for `round` (recovery nudge).
+    RebroadcastFlush {
+        /// Round number.
+        round: u64,
+    },
     /// Flush if every earlier machine in the round order has flushed
     /// (serial turn-taking; a no-op once flushed, as under parallel flush).
     MaybeFlushOnTurn,
@@ -188,17 +193,22 @@ pub enum Effect {
         /// The machine being removed.
         machine: MachineId,
     },
-    /// Drop the local participant round (the master finished it).
+    /// Drop the local participant's closing round (the master finished it).
     ClearRound,
     /// Record a finished round: telemetry, trace, stats sample.
     RoundFinished {
         /// The completed round's health sample.
         sample: SyncSample,
     },
-    /// Re-arm the stage-2 stall timer iff the round is still active.
-    RearmStage2 {
-        /// Round number.
-        round: u64,
+    /// The master's pipeline has room for the round a tick asked for:
+    /// serve joiners if it is empty, then start the round (or hold it for a
+    /// handshake).
+    RoundDue,
+    /// A round this machine's flush rode has completed everywhere: async
+    /// fence-window entries up to `through` need no further fencing.
+    FenceAsyncs {
+        /// The highest async sequence number the flush carried.
+        through: u64,
     },
     /// This machine won the election: become master.
     Promote,

@@ -10,6 +10,16 @@
 //! [`Effect`]s lowered by the composer; everything decided *about* the
 //! round — when to flush, when a duplicate signal needs re-answering,
 //! when a gap forces a restart — is decided here, purely.
+//!
+//! A machine holds at most two rounds, one per slot.
+//! `ParticipantRole::round` is the round it has not applied yet; applying
+//! moves it to `ParticipantRole::closing`, where it waits for the
+//! master's `SyncComplete` and meanwhile still answers for what it shipped:
+//! a slow peer's `OpsRequest`, a resent `BeginApply` (the `Ack` was lost),
+//! a resent `BeginSync`. Under the parallel flush the master may begin
+//! round r + 1 while round r is closing, so both slots can be full at once;
+//! a machine flushes r + 1 only after it has applied r, which is what keeps
+//! an operation's executions at three (issue, one replay, commit).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -21,8 +31,8 @@ use crate::config::MachineConfig;
 use crate::message::{Msg, WireEnvelope};
 use crate::roles::{AsyncBatch, Effect, OpsBatch};
 
-/// Participant-side state of the round in progress (the master keeps one
-/// too — it participates like everyone else).
+/// Participant-side state of one round (the master keeps these too — it
+/// participates like everyone else).
 #[derive(Debug)]
 pub struct RoundState {
     /// Round number.
@@ -50,8 +60,6 @@ pub struct RoundState {
     pub(crate) received: BTreeMap<MachineId, OpsBatch>,
     /// Authoritative per-machine counts from `BeginApply`, once known.
     pub(crate) counts: Option<BTreeMap<MachineId, u64>>,
-    /// Whether this machine has applied the consolidated list.
-    pub(crate) applied: bool,
     /// Sources already asked for a resend (one request per source per
     /// `BeginApply`).
     pub(crate) resend_requested: BTreeSet<MachineId>,
@@ -69,9 +77,25 @@ impl RoundState {
             flush_done: BTreeMap::new(),
             received: BTreeMap::new(),
             counts: None,
-            applied: false,
             resend_requested: BTreeSet::new(),
         }
+    }
+
+    /// The machines `BeginApply` counted whose run has not fully arrived;
+    /// `None` until `BeginApply` has named the counts.
+    pub(crate) fn missing(&self) -> Option<impl Iterator<Item = MachineId> + '_> {
+        let short = |(m, c): (&MachineId, &u64)| {
+            let got = self.received.get(m).map_or(0, |ops| ops.len() as u64);
+            (got < *c).then_some(*m)
+        };
+        Some(self.counts.as_ref()?.iter().filter_map(short))
+    }
+
+    /// Whether stage 2 can run: the counts are known and every counted run
+    /// is here.
+    pub(crate) fn ready_to_apply(&self) -> bool {
+        self.missing()
+            .is_some_and(|mut missing| missing.next().is_none())
     }
 
     /// Takes the consolidated list stage 2 applies: the received runs of
@@ -80,11 +104,8 @@ impl RoundState {
     /// opNumber)` order. Anything received from an uncounted machine is
     /// discarded with the rest of `received`.
     pub(crate) fn take_runs(&mut self) -> Vec<OpsBatch> {
-        let counts = self.counts.as_ref().expect("counts known");
-        let runs: Vec<OpsBatch> = counts
-            .keys()
-            .filter_map(|m| self.received.remove(m))
-            .collect();
+        let counted = self.counts.iter().flat_map(BTreeMap::keys);
+        let runs: Vec<OpsBatch> = counted.filter_map(|m| self.received.remove(m)).collect();
         self.received.clear();
         debug_assert!(runs
             .iter()
@@ -106,6 +127,18 @@ impl RoundState {
             .iter()
             .all(|m| self.flush_done.contains_key(m) || self.removed.contains(m))
     }
+
+    /// The highest async sequence number this round's flush carried under
+    /// count protection, if any: async-window entries that rode alongside a
+    /// **non-empty** serialized batch reach every machine that applies the
+    /// round (the batch's `FlushDone` count makes the `Ops` message
+    /// resend-protected). A zero-op flush carries the window best-effort
+    /// only, so it protects nothing.
+    pub(crate) fn fenced_asyncs(&self) -> Option<u64> {
+        let protected = self.flushed && !self.my_flush.is_empty();
+        let last = self.my_asyncs.last().filter(|_| protected);
+        last.map(|(aseq, _)| *aseq)
+    }
 }
 
 /// A received batch as the run stage 2 applies. A flush ships `P` in issue
@@ -121,8 +154,9 @@ fn sorted_run(ops: OpsBatch) -> OpsBatch {
     Arc::new(by_id.into_values().cloned().collect())
 }
 
-/// Inputs to the participant role. Round-scoped events are only fed for
-/// the active round (the composer routes and buffers by round number).
+/// Inputs to the participant role. `Ops`, which carries no round number, is
+/// only fed for the round not yet applied (the composer routes and buffers
+/// by round number).
 #[derive(Debug)]
 pub enum ParticipantEvent {
     /// The master started (or re-announced) a round.
@@ -155,10 +189,15 @@ pub enum ParticipantEvent {
         /// Who is asking.
         requester: MachineId,
     },
-    /// The master flagged the round complete.
-    SyncComplete,
-    /// The master removed machines from the round.
+    /// The master flagged a round complete.
+    SyncComplete {
+        /// Round number.
+        round: u64,
+    },
+    /// The master removed machines from a round this machine holds.
     RoundUpdate {
+        /// Round number.
+        round: u64,
         /// The removed machines.
         removed: Vec<MachineId>,
     },
@@ -168,9 +207,14 @@ pub enum ParticipantEvent {
 #[derive(Debug)]
 pub struct ParticipantRole {
     me: MachineId,
-    /// The round in progress, if any.
+    /// The round this machine has not applied yet, if any.
     pub(crate) round: Option<RoundState>,
-    /// Round messages that arrived before their `BeginSync`, keyed by
+    /// The round this machine has applied and the master has not yet
+    /// flagged complete, if any: the predecessor of `round`, or of the
+    /// round to come.
+    pub(crate) closing: Option<RoundState>,
+    /// Round messages that arrived before their `BeginSync` — and a
+    /// `BeginSync` that overtook its predecessor's `BeginApply` — keyed by
     /// round number.
     pub(crate) buffered: BTreeMap<u64, Vec<(MachineId, Msg)>>,
     /// The next round this machine expects to take part in. `None` means
@@ -193,14 +237,17 @@ impl ParticipantRole {
         ParticipantRole {
             me,
             round: None,
+            closing: None,
             buffered: BTreeMap::new(),
             next_round_expected: None,
         }
     }
 
-    /// The active round number, if any.
+    /// The newest round this machine is in: the one it has yet to apply,
+    /// else the one it has applied and not yet seen completed.
     pub fn active_round(&self) -> Option<u64> {
-        self.round.as_ref().map(|rs| rs.round)
+        let newest = self.round.as_ref().or(self.closing.as_ref());
+        newest.map(|rs| rs.round)
     }
 
     /// The next round this machine expects (`None` until a first round is
@@ -235,6 +282,20 @@ impl ParticipantRole {
         }
     }
 
+    /// Forgets both rounds and everything buffered: this machine is out of
+    /// the rounds it was in (leave, restart, join, a change of master).
+    pub(crate) fn drop_rounds(&mut self) {
+        self.round = None;
+        self.closing = None;
+        self.buffered.clear();
+    }
+
+    /// The state of round number `round`, whichever slot holds it.
+    pub(crate) fn holding(&self, round: u64) -> Option<&RoundState> {
+        let slots = [self.round.as_ref(), self.closing.as_ref()];
+        slots.into_iter().flatten().find(|rs| rs.round == round)
+    }
+
     /// Pure transition: consumes one event, returns the effects to lower.
     pub fn step(
         &mut self,
@@ -252,9 +313,6 @@ impl ParticipantRole {
                 let Some(rs) = self.round.as_mut() else {
                     return Vec::new();
                 };
-                if rs.applied {
-                    return Vec::new();
-                }
                 let n = ops.len() as u64;
                 rs.received.insert(machine, sorted_run(ops));
                 vec![
@@ -267,25 +325,16 @@ impl ParticipantRole {
                 ]
             }
             ParticipantEvent::BeginApply { round, counts } => {
-                let Some(rs) = self.round.as_mut() else {
-                    return Vec::new();
-                };
-                if rs.applied {
+                if let Some(rs) = self.closing.as_ref().filter(|rs| rs.round == round) {
                     // Duplicate BeginApply (recovery): our Ack probably got
                     // lost.
                     let master = rs.order[0];
-                    if master != self.me {
-                        return vec![Effect::Send {
-                            to: master,
-                            channel: Channel::Signals,
-                            msg: Msg::Ack {
-                                round,
-                                machine: self.me,
-                            },
-                        }];
-                    }
-                    return Vec::new();
+                    let ack = (master != self.me).then(|| self.ack(round, master));
+                    return ack.into_iter().collect();
                 }
+                let Some(rs) = self.round.as_mut().filter(|rs| rs.round == round) else {
+                    return Vec::new();
+                };
                 if rs.counts.is_some() {
                     // Duplicate BeginApply while we are still waiting for
                     // operation batches: the earlier OpsRequest (or its
@@ -297,55 +346,90 @@ impl ParticipantRole {
                 vec![Effect::TryApply]
             }
             ParticipantEvent::OpsRequest { round, requester } => {
-                let Some(rs) = self.round.as_ref() else {
+                let Some(rs) = self.holding(round).filter(|rs| rs.flushed) else {
                     return Vec::new();
                 };
-                if rs.round == round && rs.flushed {
-                    vec![Effect::Send {
-                        to: requester,
-                        channel: Channel::Operations,
-                        msg: Msg::Ops {
-                            round,
-                            machine: self.me,
-                            ops: Arc::clone(&rs.my_flush),
-                            asyncs: Arc::clone(&rs.my_asyncs),
-                        },
-                    }]
+                vec![Effect::Send {
+                    to: requester,
+                    channel: Channel::Operations,
+                    msg: Msg::Ops {
+                        round,
+                        machine: self.me,
+                        ops: Arc::clone(&rs.my_flush),
+                        asyncs: Arc::clone(&rs.my_asyncs),
+                    },
+                }]
+            }
+            ParticipantEvent::SyncComplete { round } => {
+                if let Some(rs) = self.closing.take_if(|rs| rs.round == round) {
+                    let mut fx = Self::closed(&rs);
+                    fx.push(Effect::Trace(TraceEvent::SyncCompleteReceived { round }));
+                    fx
+                } else if self.round.as_ref().is_some_and(|rs| rs.round == round) {
+                    // The round completed globally but we never applied it:
+                    // we have a committed-state gap and must resync.
+                    vec![Effect::SelfRestart]
                 } else {
                     Vec::new()
                 }
             }
-            ParticipantEvent::SyncComplete => {
-                let Some(rs) = self.round.as_ref() else {
-                    return Vec::new();
-                };
-                let round = rs.round;
-                if rs.applied {
-                    self.round = None;
-                    vec![
-                        Effect::CountSync,
-                        Effect::Trace(TraceEvent::SyncCompleteReceived { round }),
-                    ]
-                } else {
-                    // The round completed globally but we never applied it:
-                    // we have a committed-state gap and must resync.
-                    vec![Effect::SelfRestart]
-                }
-            }
-            ParticipantEvent::RoundUpdate { removed } => {
+            ParticipantEvent::RoundUpdate { round, removed } => {
                 if removed.contains(&self.me) {
-                    // The master gave up on us this round; resync
-                    // immediately rather than waiting for the (possibly
-                    // lost) Restart signal.
+                    // The master gave up on us this round -- applied here or
+                    // not; resync immediately rather than waiting for the
+                    // (possibly lost) Restart signal.
                     return vec![Effect::SelfRestart];
                 }
-                let Some(rs) = self.round.as_mut() else {
+                let Some(rs) = self.round.as_mut().filter(|rs| rs.round == round) else {
                     return Vec::new();
                 };
                 rs.removed.extend(removed.iter().copied());
                 vec![Effect::MaybeFlushOnTurn, Effect::TryApply]
             }
         }
+    }
+
+    fn ack(&self, round: u64, master: MachineId) -> Effect {
+        Effect::Send {
+            to: master,
+            channel: Channel::Signals,
+            msg: Msg::Ack {
+                round,
+                machine: self.me,
+            },
+        }
+    }
+
+    /// What a round leaving the closing slot leaves behind: it completed
+    /// everywhere, so what its flush fenced needs no more fencing, and it
+    /// counts as a synchronization seen.
+    fn closed(rs: &RoundState) -> Vec<Effect> {
+        let fence = rs.fenced_asyncs();
+        let fence = fence.map(|through| Effect::FenceAsyncs { through });
+        fence.into_iter().chain([Effect::CountSync]).collect()
+    }
+
+    /// This machine has applied `rs` (the composer took it out of
+    /// `ParticipantRole::round`): it moves to the closing slot — over a
+    /// predecessor whose `SyncComplete` never came, and which the master
+    /// must have completed to let this round into stage 2 — and is
+    /// acknowledged. A `BeginSync` for the next round that overtook this
+    /// round's `BeginApply` is taken now.
+    pub(crate) fn applied(&mut self, rs: RoundState) -> Vec<Effect> {
+        let (round, master) = (rs.round, rs.order[0]);
+        self.next_round_expected = Some(round + 1);
+        let before = self.closing.replace(rs);
+        let mut fx = before.as_ref().map_or_else(Vec::new, Self::closed);
+        if master != self.me {
+            fx.push(self.ack(round, master));
+        }
+        let early = self.buffered.get_mut(&(round + 1));
+        let overtook = early.and_then(|msgs| {
+            let is_begin_sync = |(_, m): &(MachineId, Msg)| matches!(m, Msg::BeginSync { .. });
+            Some(msgs.remove(msgs.iter().position(is_begin_sync)?))
+        });
+        fx.extend(overtook.map(|msg| Effect::ReplayBuffered(vec![msg])));
+        fx
     }
 
     fn on_begin_sync(
@@ -356,33 +440,37 @@ impl ParticipantRole {
         cfg: &MachineConfig,
     ) -> Vec<Effect> {
         let me_in = order.contains(&self.me);
-        let mut fx = Vec::new();
         if let Some(rs) = &self.round {
             if rs.round == round {
                 // Duplicate or recovery nudge: make our flush visible again.
-                if me_in {
-                    if rs.flushed {
-                        fx.push(Effect::RebroadcastFlush);
-                    } else {
-                        fx.push(Effect::Flush);
-                    }
-                }
-                return fx;
+                return match (me_in, rs.flushed) {
+                    (true, true) => vec![Effect::RebroadcastFlush { round }],
+                    (true, false) => vec![Effect::Flush],
+                    (false, _) => Vec::new(),
+                };
             }
             if rs.round > round {
-                return fx;
+                return Vec::new();
             }
-            // A new round is starting while the previous one never finished
-            // for us. If we applied it, we only missed the SyncComplete and
-            // are still consistent; otherwise we have a committed-state gap.
-            if rs.applied {
-                fx.push(Effect::CountSync);
-                self.round = None;
-            } else {
-                fx.push(Effect::SelfRestart);
-                return fx;
+            if cfg.parallel_flush && round == rs.round + 1 {
+                // The next round, begun while ours is in stage 2, overtook
+                // our `BeginApply`: it waits until we have applied, so that
+                // its flush carries only what we issued since ours.
+                let master = order.first().copied().unwrap_or(self.me);
+                self.buffer_early(round, master, Msg::BeginSync { round, order });
+                return Vec::new();
             }
+            // A later round is starting while this one never finished for
+            // us: we have a committed-state gap.
+            return vec![Effect::SelfRestart];
         }
+        if let Some(rs) = self.closing.as_ref().filter(|rs| rs.round >= round) {
+            // Late duplicate for a round we have applied already.
+            let again = me_in && rs.round == round && rs.flushed;
+            let again = again.then_some(Effect::RebroadcastFlush { round });
+            return again.into_iter().collect();
+        }
+        let mut fx = Vec::new();
         if !me_in {
             if in_cohort {
                 // Evicted (our Restart signal was probably lost): resync.
@@ -472,6 +560,13 @@ mod tests {
     /// A fresh machine's first `BeginSync`: installs the round, anchors the
     /// numbering, and returns the effect between `JoinCohort` and
     /// `ReplayBuffered` — the one the flush mode decides.
+    /// What the composer does once stage 2 has run: the round leaves its
+    /// slot by value and is handed back as applied.
+    fn apply(p: &mut ParticipantRole) -> Vec<Effect> {
+        let rs = p.round.take().expect("a round to apply");
+        p.applied(rs)
+    }
+
     fn first_begin_sync_flush_effect(c: &MachineConfig) -> Effect {
         let mut p = ParticipantRole::new(id(1));
         let mut fx = p.step(begin_sync(1), SimTime::ZERO, c);
@@ -562,7 +657,7 @@ mod tests {
         // Flushed: the nudge only re-announces it.
         p.round.as_mut().unwrap().flushed = true;
         let fx = p.step(begin_sync(1), SimTime::ZERO, &c);
-        assert!(matches!(fx[..], [Effect::RebroadcastFlush]));
+        assert!(matches!(fx[..], [Effect::RebroadcastFlush { round: 1 }]));
     }
 
     #[test]
@@ -570,11 +665,11 @@ mod tests {
         let c = cfg();
         let mut p = ParticipantRole::new(id(1));
         p.step(begin_sync(1), SimTime::ZERO, &c);
-        p.round.as_mut().unwrap().applied = true;
-        p.next_round_expected = Some(2);
+        apply(&mut p);
+        assert_eq!(p.next_round_expected(), Some(2));
         // Round 3 announced but round 2 never reached us.
         let fx = p.step(begin_sync(3), SimTime::ZERO, &c);
-        assert!(matches!(fx[..], [Effect::CountSync, Effect::SelfRestart]));
+        assert!(matches!(fx[..], [Effect::SelfRestart]));
     }
 
     #[test]
@@ -716,7 +811,11 @@ mod tests {
         let c = cfg();
         let mut p = ParticipantRole::new(id(1));
         p.step(begin_sync(1), SimTime::ZERO, &c);
-        p.round.as_mut().unwrap().applied = true;
+        let fx = apply(&mut p);
+        assert!(matches!(
+            fx[..],
+            [Effect::Send { to, msg: Msg::Ack { round: 1, .. }, .. }] if to == id(0)
+        ));
         let fx = p.step(
             ParticipantEvent::BeginApply {
                 round: 1,
@@ -767,11 +866,12 @@ mod tests {
         let c = cfg();
         let mut p = ParticipantRole::new(id(1));
         p.step(begin_sync(1), SimTime::ZERO, &c);
-        let fx = p.step(ParticipantEvent::SyncComplete, SimTime::ZERO, &c);
+        let complete = || ParticipantEvent::SyncComplete { round: 1 };
+        let fx = p.step(complete(), SimTime::ZERO, &c);
         assert!(matches!(fx[..], [Effect::SelfRestart]));
         // After applying, the same signal ends the round cleanly.
-        p.round.as_mut().unwrap().applied = true;
-        let fx = p.step(ParticipantEvent::SyncComplete, SimTime::ZERO, &c);
+        apply(&mut p);
+        let fx = p.step(complete(), SimTime::ZERO, &c);
         assert!(matches!(
             fx[..],
             [
@@ -779,7 +879,152 @@ mod tests {
                 Effect::Trace(TraceEvent::SyncCompleteReceived { round: 1 })
             ]
         ));
-        assert!(p.round.is_none());
+        assert_eq!(p.active_round(), None);
+        // A duplicate finds nothing to end.
+        assert!(p.step(complete(), SimTime::ZERO, &c).is_empty());
+    }
+
+    /// Round 1 flushed (a batch of `ops` operations and one async entry),
+    /// applied and closing; round 2 begun under it and installed.
+    fn closing_1_under_2(c: &MachineConfig, ops: u64) -> ParticipantRole {
+        let mut p = ParticipantRole::new(id(1));
+        p.step(begin_sync(1), SimTime::ZERO, c);
+        let rs = p.round.as_mut().unwrap();
+        rs.flushed = true;
+        rs.my_flush = batch(1, ops);
+        rs.my_asyncs = Arc::new(vec![(4, env(1, 9, 0))]);
+        apply(&mut p);
+        let fx = p.step(begin_sync(2), SimTime::ZERO, c);
+        assert!(matches!(
+            fx[..],
+            [Effect::JoinCohort, Effect::Flush, Effect::ReplayBuffered(_)]
+        ));
+        let held = [&p.round, &p.closing].map(|rs| rs.as_ref().unwrap().round);
+        assert_eq!(held, [2, 1]);
+        p
+    }
+
+    #[test]
+    fn the_closing_slot_answers_ops_request_and_duplicate_begin_apply() {
+        let c = cfg();
+        let mut p = closing_1_under_2(&c, 3);
+        assert_eq!(p.active_round(), Some(2));
+        // A slow peer still assembling round 1 asks for our batch.
+        let (round, requester) = (1, id(0));
+        let ask = ParticipantEvent::OpsRequest { round, requester };
+        let fx = p.step(ask, SimTime::ZERO, &c);
+        let [Effect::Send {
+            msg: Msg::Ops { round: 1, ops, .. },
+            ..
+        }] = &fx[..]
+        else {
+            panic!("round 1's batch expected, got {fx:?}");
+        };
+        assert!(Arc::ptr_eq(ops, &p.closing.as_ref().unwrap().my_flush));
+        // The master never heard our Ack and sends `BeginApply{1}` again.
+        let counts = vec![(id(0), 0), (id(1), 3)];
+        let again = ParticipantEvent::BeginApply { round: 1, counts };
+        let fx = p.step(again, SimTime::ZERO, &c);
+        assert!(matches!(
+            fx[..],
+            [Effect::Send { to, msg: Msg::Ack { round: 1, .. }, .. }] if to == id(0)
+        ));
+        assert!(
+            p.round.as_ref().unwrap().counts.is_none(),
+            "round 2 untouched"
+        );
+        // A resent `BeginSync{1}` is behind us; one for round 2 is a nudge.
+        assert!(p.step(begin_sync(1), SimTime::ZERO, &c).is_empty());
+        let fx = p.step(begin_sync(2), SimTime::ZERO, &c);
+        assert!(matches!(fx[..], [Effect::Flush]));
+        // So is a removal of a peer from round 1; our own removal from it is
+        // the master giving up on us, applied or not.
+        let update = |removed| ParticipantEvent::RoundUpdate { round: 1, removed };
+        assert!(p.step(update(vec![id(0)]), SimTime::ZERO, &c).is_empty());
+        let fx = p.step(update(vec![id(1)]), SimTime::ZERO, &c);
+        assert!(matches!(fx[..], [Effect::SelfRestart]));
+        // `SyncComplete{1}` empties the slot and keeps what the flush fenced.
+        let fx = p.step(
+            ParticipantEvent::SyncComplete { round: 1 },
+            SimTime::ZERO,
+            &c,
+        );
+        assert!(matches!(
+            fx[..],
+            [
+                Effect::FenceAsyncs { through: 4 },
+                Effect::CountSync,
+                Effect::Trace(TraceEvent::SyncCompleteReceived { round: 1 })
+            ]
+        ));
+        assert!(p.closing.is_none() && p.round.is_some());
+    }
+
+    #[test]
+    fn a_round_applied_over_an_unfinished_predecessor_closes_it() {
+        let c = cfg();
+        // `SyncComplete{1}` is lost. The master let round 2 into stage 2, so
+        // round 1 completed: applying round 2 closes it, as the signal would.
+        let mut p = closing_1_under_2(&c, 3);
+        let fx = apply(&mut p);
+        assert!(matches!(
+            fx[..],
+            [
+                Effect::FenceAsyncs { through: 4 },
+                Effect::CountSync,
+                Effect::Send {
+                    msg: Msg::Ack { round: 2, .. },
+                    ..
+                }
+            ]
+        ));
+        assert_eq!(p.closing.as_ref().unwrap().round, 2);
+        // A flush that carried no operation is no guarantee for its asyncs.
+        let mut p = closing_1_under_2(&c, 0);
+        assert!(matches!(apply(&mut p)[..], [Effect::CountSync, _]));
+    }
+
+    #[test]
+    fn a_begin_sync_that_overtakes_begin_apply_waits_for_the_apply() {
+        let c = cfg();
+        let mut p = ParticipantRole::new(id(1));
+        p.step(begin_sync(1), SimTime::ZERO, &c);
+        // Round 2 began while round 1 is in stage 2, and its `BeginSync`
+        // got here first. Flushing now would put an operation issued since
+        // the first flush through two replays; it waits.
+        assert!(p.step(begin_sync(2), SimTime::ZERO, &c).is_empty());
+        assert_eq!(p.round.as_ref().unwrap().round, 1);
+        assert_eq!(p.buffered_rounds(), 1);
+        let fx = apply(&mut p);
+        let [Effect::Send {
+            msg: Msg::Ack { round: 1, .. },
+            ..
+        }, Effect::ReplayBuffered(early)] = &fx[..]
+        else {
+            panic!("the Ack, then the buffered BeginSync, got {fx:?}");
+        };
+        assert!(matches!(
+            early[..],
+            [(from, Msg::BeginSync { round: 2, .. })] if from == id(0)
+        ));
+        // Under serial turns a round starts only when the one before has
+        // completed: there the same signal proves we missed that.
+        let serial = cfg().with_parallel_flush(false);
+        let mut p = ParticipantRole::new(id(1));
+        p.step(begin_sync(1), SimTime::ZERO, &serial);
+        let fx = p.step(begin_sync(2), SimTime::ZERO, &serial);
+        assert!(matches!(fx[..], [Effect::SelfRestart]));
+    }
+
+    #[test]
+    fn begin_sync_two_rounds_ahead_of_an_unapplied_round_restarts() {
+        let c = cfg();
+        let mut p = ParticipantRole::new(id(1));
+        p.step(begin_sync(1), SimTime::ZERO, &c);
+        // Round 3 cannot begin before round 1 has completed everywhere.
+        let fx = p.step(begin_sync(3), SimTime::ZERO, &c);
+        assert!(matches!(fx[..], [Effect::SelfRestart]));
+        assert_eq!(p.buffered_rounds(), 0);
     }
 
     #[test]
@@ -789,6 +1034,7 @@ mod tests {
         p.step(begin_sync(1), SimTime::ZERO, &c);
         let fx = p.step(
             ParticipantEvent::RoundUpdate {
+                round: 1,
                 removed: vec![id(0)],
             },
             SimTime::ZERO,
@@ -804,6 +1050,7 @@ mod tests {
         );
         let fx = p.step(
             ParticipantEvent::RoundUpdate {
+                round: 1,
                 removed: vec![id(1)],
             },
             SimTime::ZERO,

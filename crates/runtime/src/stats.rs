@@ -109,6 +109,14 @@ pub struct MachineStats {
     pub join_holds: u64,
     /// Master only: summed time those held ticks waited.
     pub join_hold_time: SimTime,
+    /// Master only: rounds begun while the round before was still in
+    /// stage 2 (two rounds in flight, one per stage).
+    pub rounds_overlapped: u64,
+    /// Master only: ticks whose round could not begin at once -- stage 1
+    /// was still open, the master had not applied the round before, or a
+    /// joiner was waiting for the rounds in flight to drain -- and began
+    /// when there was room.
+    pub ticks_deferred: u64,
     /// Synchronization rounds this machine applied.
     pub rounds_applied: u64,
     /// High-water mark of the pending list `P` (queue depth at issue time).

@@ -10,7 +10,7 @@ mod rounds {
     use guesstimate_runtime::{Machine, MachineConfig};
     use std::sync::Arc;
 
-    fn cluster(
+    pub(super) fn cluster(
         n: u32,
         seed: u64,
         latency: LatencyModel,
@@ -72,7 +72,7 @@ mod rounds {
         }
     }
 
-    fn assert_converged(net: &SimNet<Machine>, ids: &[u32]) {
+    pub(super) fn assert_converged(net: &SimNet<Machine>, ids: &[u32]) {
         let digests: Vec<u64> = ids
             .iter()
             .map(|&i| {
@@ -1199,9 +1199,241 @@ mod flush_modes {
                 })
                 .count()
         };
-        assert_eq!((flush_dones_from(1), flush_dones_from(2)), (2, 1));
+        // One announcement more than machine 2 -- beside the one each sent
+        // for the next round: this one outlasted the period, so the next
+        // began as soon as the master had applied it.
+        assert_eq!((flush_dones_from(1), flush_dones_from(2)), (3, 2));
         assert_eq!((r.round.resends, r.round.removals), (1, 0));
         assert!(r.round.duration >= cfg().stall_timeout, "{:?}", r.round);
         r.assert_committed_everywhere(3);
+    }
+}
+
+mod pipeline {
+    //! Two rounds in flight, one per stage: 10 ms links make a round 40 ms
+    //! (`BeginSync`, `FlushDone`, `BeginApply`, `Ack`) and the master asks
+    //! for one every 30 ms, so round r + 1 begins while the members are
+    //! still applying round r. `paranoid_checks` re-validates `sg = [P](sc)`
+    //! after every protocol step of every machine.
+
+    use guesstimate_core::{args, MachineId, ObjectId, SharedOp};
+    use guesstimate_net::{FaultPlan, LatencyModel, SimNet, SimTime};
+    use guesstimate_runtime::testutil::Counter;
+    use guesstimate_runtime::{Machine, MachineConfig, MachineStats};
+
+    use super::rounds::{assert_converged, cluster, default_cfg};
+
+    const LINK_MS: u64 = 10;
+    const PERIOD: SimTime = SimTime::from_millis(30);
+    const ROUND: SimTime = SimTime::from_millis(4 * LINK_MS);
+
+    fn cfg() -> MachineConfig {
+        default_cfg().with_sync_period(PERIOD)
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    fn master_stats(net: &SimNet<Machine>) -> &MachineStats {
+        net.actor(MachineId::new(0)).expect("master").stats()
+    }
+
+    /// `n` machines in the cohort and a counter committed everywhere.
+    fn settled(n: u32, cfg: MachineConfig, faults: FaultPlan) -> (SimNet<Machine>, ObjectId) {
+        let mut net = cluster(n, 47, LatencyModel::constant_ms(LINK_MS), faults, cfg);
+        net.run_until(SimTime::from_secs(1));
+        let master = net.actor_mut(MachineId::new(0)).expect("master");
+        let obj = master.create_instance(Counter { n: 0 });
+        net.run_until(SimTime::from_secs(2));
+        (net, obj)
+    }
+
+    #[test]
+    fn a_period_below_the_round_starts_a_round_every_period() {
+        let (mut net, obj) = settled(4, cfg(), FaultPlan::new());
+        let first = master_stats(&net).sync_samples.len();
+        // One operation a machine every 7 ms, wherever the rounds stand.
+        for k in 0..120u64 {
+            let at = SimTime::from_secs(2) + ms(7 * k + 3);
+            let issuer = MachineId::new((k % 4) as u32);
+            net.schedule_call(at, issuer, move |m: &mut Machine, ctx| {
+                let op = SharedOp::primitive(obj, "add", args![1]);
+                assert!(m.issue_at(op, None, ctx.now()).expect("known object"));
+            });
+        }
+        net.run_until(SimTime::from_secs(3));
+        let stats = master_stats(&net);
+        let rounds = &stats.sync_samples[first..];
+        assert!(rounds.len() >= 30, "a round every 30 ms: {}", rounds.len());
+        for pair in rounds.windows(2) {
+            let gap = pair[1].started_at.saturating_since(pair[0].started_at);
+            assert_eq!(gap, PERIOD, "{pair:?}");
+        }
+        // There are more rounds, not faster ones: each is still four links,
+        // and the next one's stage 1 never has to wait for it.
+        for r in rounds {
+            assert_eq!((r.duration, r.flush_duration), (ROUND, ms(20)), "{r:?}");
+            assert_eq!((r.resends, r.removals), (0, 0), "{r:?}");
+        }
+        assert!(stats.rounds_overlapped as usize >= rounds.len() - 1);
+        // The master applied each round 10 ms before the next tick: no tick
+        // found stage 1 open.
+        assert_eq!(stats.ticks_deferred, 0);
+        net.run_until(SimTime::from_millis(3_200));
+        assert_converged(&net, &[0, 1, 2, 3]);
+        for i in 0..4 {
+            let m = net.actor(MachineId::new(i)).expect("member");
+            assert_eq!(m.read::<Counter, _>(obj, |c| c.n), Some(120));
+            let s = m.stats();
+            assert_eq!((s.restarts, s.max_exec_count), (0, 3), "m{i}");
+            // An operation waits for its machine's next flush (under a
+            // period) and commits here two links later -- three for the
+            // master's, which flushes a link before the members do.
+            let worst = s.commit_latencies.iter().max().expect("it issued 30");
+            let links = if i == 0 { 3 } else { 2 };
+            assert!(*worst <= PERIOD + ms(links * LINK_MS), "m{i}: {worst:?}");
+        }
+    }
+
+    #[test]
+    fn a_joiner_arriving_mid_pipeline_is_admitted_after_a_drain_behind_one_hold() {
+        use guesstimate_runtime::testutil::counter_registry;
+        let (mut net, _) = settled(3, cfg(), FaultPlan::new());
+        let before = master_stats(&net).clone();
+        let late = MachineId::new(3);
+        let joiner = Machine::new_member(late, std::sync::Arc::new(counter_registry()), cfg());
+        net.schedule_join(SimTime::from_millis(2_004), late, joiner);
+        net.run_until(SimTime::from_millis(2_300));
+        assert!(net.actor(late).is_some_and(Machine::in_cohort));
+        let stats = master_stats(&net);
+        // The tick after its `JoinRequest` waits for the rounds in flight to
+        // finish instead of starting a third; the empty pipeline serves the
+        // handshake, and the round held for its answer is the joiner's first.
+        assert_eq!(stats.ticks_deferred, before.ticks_deferred + 1);
+        assert_eq!(stats.join_holds, before.join_holds + 1);
+        let waited = stats.join_hold_time.saturating_since(before.join_hold_time);
+        assert_eq!(waited, ms(2 * LINK_MS), "`JoinInfo` out, `JoinReady` back");
+        let rounds = &stats.sync_samples[before.sync_samples.len() - 1..];
+        let starts = rounds.windows(2).map(|w| {
+            let gap = w[1].started_at.saturating_since(w[0].started_at);
+            (gap, w[0].participants, w[1].participants)
+        });
+        let slow: Vec<_> = starts.filter(|(gap, ..)| *gap != PERIOD).collect();
+        // Drained at +40 (the round the tick found in stage 2), held to +60.
+        assert_eq!(slow, vec![(ms(60), 3, 4)], "one gap, at the admission");
+        assert!(rounds.iter().all(|r| r.duration == ROUND && !r.recovered()));
+        net.run_until(SimTime::from_millis(2_500));
+        assert_converged(&net, &[0, 1, 2, 3]);
+    }
+
+    /// When the master sends the `BeginSync` the leave scenarios are timed
+    /// from: one period after the next round it begins under another.
+    fn observed_begin(net: &mut SimNet<Machine>) -> SimTime {
+        let begun = master_stats(net).rounds_overlapped;
+        while master_stats(net).rounds_overlapped == begun {
+            net.step().expect("the master ticks");
+        }
+        net.now() + PERIOD
+    }
+
+    /// Machine 2 goes offline `offset_ms` around the moment round r + 1's
+    /// `BeginSync` leaves the master (round r's `BeginApply` went out 10 ms
+    /// earlier, the members apply r as r + 1 begins and flush r + 1 10 ms
+    /// later), works offline, and comes back. With `cut`, machine 1 is cut
+    /// off for the millisecond in which its `Ack{r}` and its `BeginSync{r+1}`
+    /// are due, so r stays in stage 2 and r + 1 in stage 1 until the stall
+    /// timers resend both. Every machine issues one operation 20 ms before
+    /// the leave; `counted` says whether a `BeginApply` counts the leaver's
+    /// before it is gone, so that it commits in its absence. Wherever the
+    /// `Leave` lands, neither round may wait for the leaver or cost it its
+    /// pending operations, and every operation commits exactly once.
+    fn leave_with_two_rounds_in_flight(offset_ms: i64, cut: bool, counted: bool) {
+        use guesstimate_net::PartitionWindow;
+        let mut faults = FaultPlan::new();
+        if cut {
+            let (mut twin, _) = settled(3, cfg(), FaultPlan::new());
+            let due = observed_begin(&mut twin) + ms(LINK_MS);
+            let half = SimTime::from_micros(500);
+            let window = PartitionWindow::new(vec![MachineId::new(1)], due - half, due + half);
+            faults = faults.with_partition(window);
+        }
+        let (mut net, obj) = settled(3, cfg(), faults);
+        let away = MachineId::new(2);
+        let begin = observed_begin(&mut net);
+        let rounds_before = master_stats(&net).sync_samples.len();
+        let at = SimTime::from_micros((begin.as_micros() as i64 + 1_000 * offset_ms) as u64);
+        for i in 0..3 {
+            net.schedule_call(at - ms(20), MachineId::new(i), move |m: &mut Machine, _| {
+                let op = SharedOp::primitive(obj, "add", args![1]);
+                assert!(m.issue(op).expect("known object"));
+            });
+        }
+        net.schedule_call(at, away, move |m: &mut Machine, ctx| {
+            m.go_offline(ctx);
+            // Offline work: it must survive the absence.
+            let op = SharedOp::primitive(obj, "add", args![10]);
+            assert!(m.issue(op).expect("known object"));
+        });
+        net.run_until(begin + SimTime::from_secs(1));
+        {
+            let master = net.actor(MachineId::new(0)).expect("master");
+            assert_eq!(master.members().len(), 2);
+            let rounds = &master.stats().sync_samples[rounds_before..];
+            assert!(rounds.iter().all(|r| r.removals == 0), "nobody is removed");
+            let slow = rounds.iter().filter(|r| r.duration > ROUND);
+            let nudges: Vec<u64> = slow.map(|r| r.resends).collect();
+            // No round waits for the leaver; the cut costs r and r + 1 one
+            // resend each.
+            assert_eq!(nudges, vec![1; if cut { 2 } else { 0 }]);
+            let committed = master.read_committed::<Counter, _>(obj, |c| c.n);
+            assert_eq!(committed, Some(2 + i64::from(counted)), "while it is away");
+        }
+        net.call(away, |m, ctx| m.come_online(ctx));
+        net.run_until(begin + SimTime::from_secs(2));
+        assert_converged(&net, &[0, 1, 2]);
+        for i in 0..3 {
+            let m = net.actor(MachineId::new(i)).expect("member");
+            assert!(m.in_cohort(), "m{i} is in the cohort");
+            let s = m.stats();
+            assert_eq!((s.restarts, s.ops_lost_to_restart), (0, 0), "m{i}");
+            // Beside its add: the master's `Create`, the leaver's offline add.
+            assert_eq!(s.committed_own, [2, 1, 2][i as usize], "m{i}");
+            assert_eq!(
+                m.read::<Counter, _>(obj, |c| c.n),
+                Some(13),
+                "three adds of 1 and the offline 10, each exactly once"
+            );
+        }
+    }
+
+    #[test]
+    fn leaving_between_begin_apply_and_the_next_flush_leaves_both_rounds() {
+        // The `Leave` lands at +5: the leaver owes r an `Ack` (its counted
+        // flush commits everywhere else) and r + 1, begun with it in the
+        // order, a flush.
+        leave_with_two_rounds_in_flight(-5, false, true);
+    }
+
+    #[test]
+    fn leaving_after_the_apply_drops_out_of_the_next_stage_1() {
+        // It applied r as r + 1 began; its `Ack` is in at +10, the `Leave`
+        // at +15, ahead of the others' `FlushDone{r+1}`.
+        leave_with_two_rounds_in_flight(5, false, false);
+    }
+
+    #[test]
+    fn leaving_after_the_next_flush_commits_the_counted_flush_once() {
+        // It flushed r + 1 at +10; `BeginApply{r+1}` (+20) counts the flush,
+        // and the `Leave` lands at +22.
+        leave_with_two_rounds_in_flight(12, false, true);
+    }
+
+    #[test]
+    fn leaving_a_round_held_in_stage_1_leaves_the_flushed_batch_uncounted() {
+        // Machine 1's lost `Ack{r}` keeps r + 1 in stage 1 with the leaver's
+        // `FlushDone` in; the `Leave` lands at +35, long before the resends.
+        // Machine 1 answers the resent `BeginApply{r}` from its closing slot.
+        leave_with_two_rounds_in_flight(25, true, false);
     }
 }

@@ -91,15 +91,17 @@ step() {
         analyze --shard-plan --json target/shard_plans_again.json >/dev/null
         cmp target/shard_plans.json target/shard_plans_again.json
         ;;
-    # Model-checker smoke: a quick bounded exploration of every scenario
-    # in the table (debug build, small budget) with all oracles armed
+    # Model-checker smoke: a quick bounded exploration of every row of the
+    # scenario table -- 15: five scenarios under the serial flush, the
+    # parallel flush, and the parallel flush with two rounds in flight --
+    # (debug build, small budget) with all oracles armed
     # (docs/MODELCHECK.md).
     mc-smoke)
         cargo run -q -p guesstimate-mc --bin mc -- --preset all --max-schedules 400
         ;;
     # The model-checking gate: release build, full budget, the commute
-    # matrix the effect analysis just validated; every scenario must reach
-    # 10k schedules with >= 30% of choices pruned by the reduction. Repros
+    # matrix the effect analysis just validated; each of the 15 rows must
+    # reach 10k schedules with >= 30% of choices pruned by the reduction. Repros
     # and postmortems land in target/.
     mc)
         analyze --shard-plan --json target/analysis.json >/dev/null

@@ -18,14 +18,23 @@ fn run_dense_session_with(
     latency_ms: u64,
     telemetry: Telemetry,
 ) -> Vec<Machine> {
+    let cfg = MachineConfig::default().with_sync_period(SimTime::from_millis(120));
+    run_dense_session_under(cfg, users, seed, latency_ms, telemetry)
+}
+
+fn run_dense_session_under(
+    cfg: MachineConfig,
+    users: u32,
+    seed: u64,
+    latency_ms: u64,
+    telemetry: Telemetry,
+) -> Vec<Machine> {
     let mut registry = OpRegistry::new();
     sudoku::register(&mut registry);
     let mut net = sim_cluster_instrumented(
         users,
         registry,
-        MachineConfig::default()
-            .with_sync_period(SimTime::from_millis(120))
-            .with_stall_timeout(SimTime::from_secs(2)),
+        cfg.with_stall_timeout(SimTime::from_secs(2)),
         NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(latency_ms)),
         None,
         telemetry,
@@ -92,6 +101,51 @@ fn ops_execute_at_most_three_times_across_seeds() {
         assert!(
             threes > 0,
             "seed {seed}: dense schedule produces replayed (3x) ops"
+        );
+    }
+}
+
+/// Two rounds in flight: a round is four ~10 ms links and the master asks
+/// for one every 5 ms, so each round begins while the one before is still
+/// being applied. The bound is tight there -- a machine that flushed round
+/// r + 1 before it had applied round r would replay an operation issued in
+/// between twice -- and `paranoid_checks` re-validates `sg = [P](sc)` after
+/// every step of every machine.
+#[test]
+fn bound_holds_with_a_round_beginning_under_every_round() {
+    for seed in [1u64, 17, 23, 99] {
+        let cfg = MachineConfig::default()
+            .with_sync_period(SimTime::from_millis(5))
+            .with_paranoid_checks(true);
+        let machines = run_dense_session_under(cfg, 4, seed, 10, Telemetry::noop());
+        let master = machines[0].stats();
+        let rounds = master.sync_samples.len() as u64;
+        assert!(
+            master.rounds_overlapped * 10 >= rounds * 9,
+            "seed {seed}: {} of {rounds} rounds began under another",
+            master.rounds_overlapped
+        );
+        assert_eq!(
+            master.sync_samples.iter().map(|s| s.removals).sum::<u64>(),
+            0
+        );
+        let mut histogram = [0u64; 8];
+        for m in &machines {
+            assert!(m.check_guess_invariant(), "seed {seed}, {}", m.id());
+            assert_eq!(m.stats().restarts, 0, "seed {seed}, {}", m.id());
+            for (total, n) in histogram.iter_mut().zip(m.stats().exec_histogram) {
+                *total += n;
+            }
+        }
+        assert_eq!(histogram[0] + histogram[1], 0, "seed {seed}");
+        assert!(
+            histogram[2] > 0 && histogram[3] > 0,
+            "seed {seed}: {histogram:?}"
+        );
+        assert_eq!(
+            histogram[4..].iter().sum::<u64>(),
+            0,
+            "seed {seed}: {histogram:?}"
         );
     }
 }

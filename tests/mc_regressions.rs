@@ -12,8 +12,10 @@
 
 use guesstimate_core::CommuteMatrix;
 use guesstimate_mc::{
-    explore, minimize, replay, ExploreConfig, Preset, Schedule, Step, TamperSpec, Violation,
+    explore, minimize, replay, Built, ExploreConfig, Preset, Schedule, Step, TamperSpec, Violation,
 };
+use guesstimate_net::PendingMsg;
+use guesstimate_runtime::Msg;
 
 fn schedule_files() -> Vec<std::path::PathBuf> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/schedules");
@@ -564,4 +566,199 @@ fn a_lost_join_ready_costs_one_stall_timeout_and_the_retry_gets_in() {
     let cohorts: Vec<usize> = explored.iter().map(|s| s.participants).collect();
     assert_eq!(cohorts, vec![2, 3]);
     assert_recorded("auction-join-ready-lost.json", &sched);
+}
+
+/// What a [`drive_overlap`] rule decides about one in-flight message.
+enum Fate {
+    Deliver,
+    Drop,
+    /// Not yet: something else moves first.
+    Hold,
+}
+
+/// Drives one of the `-overlap` presets by `rule`: the master's tick fires
+/// the moment it begins a round under another (the choice the explorer
+/// makes first too); otherwise the lowest-seq message in flight that the
+/// rule does not hold back is delivered or dropped as it says; otherwise a
+/// timer fires -- until the explored window is over, nothing is in flight
+/// and `settled`. The step oracles run after every step and the terminal
+/// ones at the end. Returns the cluster and the schedule that drove it.
+fn drive_overlap(
+    preset: &str,
+    mut rule: impl FnMut(&Built, &PendingMsg<Msg>) -> Fate,
+    settled: impl Fn(&Built) -> bool,
+) -> (Built, Schedule) {
+    use guesstimate_mc::Cluster;
+    let preset = *Preset::by_name(preset).expect("built-in preset");
+    assert!(preset.tick_budget > 0, "{}", preset.name);
+    let mut built = preset.build_machines(&CommuteMatrix::new(), None);
+    let mut steps = Vec::new();
+    while !(built.window_done() && built.pending_msgs().is_empty() && settled(&built)) {
+        assert!(steps.len() < 400, "the drive failed to converge");
+        let decided = built.pending_msgs().into_iter().find_map(|seq| {
+            let msg = built.net.pending_msg(seq).expect("pending");
+            match rule(&built, msg) {
+                Fate::Deliver => Some(Step::Deliver(seq)),
+                Fate::Drop => Some(Step::Drop(seq)),
+                Fate::Hold => None,
+            }
+        });
+        let next = match decided {
+            Some(step) if !built.overlap_tick_ready() => step,
+            _ => Step::Timer,
+        };
+        assert!(built.exec(next), "stalled at {next}");
+        assert_eq!(built.check_step(), None, "after {next}");
+        steps.push(next);
+    }
+    assert_eq!(built.check_terminal(), None);
+    let sched = Schedule {
+        preset: preset.name.to_owned(),
+        tamper: None,
+        steps,
+    };
+    (built, sched)
+}
+
+/// `(resends, removals, ops committed)` of the rounds a drive explored.
+fn explored_rounds(built: &Built) -> Vec<(u64, u64, u64)> {
+    let master = built.net.actor(guesstimate_core::MachineId::new(0));
+    let samples = &master.expect("master").stats().sync_samples;
+    let explored = &samples[built.base_rounds as usize..];
+    let row = |s: &guesstimate_runtime::SyncSample| (s.resends, s.removals, s.ops_committed);
+    explored.iter().map(row).collect()
+}
+
+/// `tests/schedules/sudoku-overlap-begin-sync-first.json`: round r + 1
+/// begins while round r is in stage 2, and its `BeginSync` reaches machine 1
+/// *ahead of* round r's `BeginApply`. The machine must hold it back --
+/// flushing r + 1 before applying r would put what it issued since its
+/// first flush through two replays -- and take it the moment it has
+/// applied r: nobody restarts, and both rounds commit everywhere. (Before
+/// two rounds could be in flight, a `BeginSync` finding the round before it
+/// unapplied meant a missed round, and the machine restarted.)
+#[test]
+fn a_begin_sync_that_overtakes_begin_apply_is_buffered_not_a_restart() {
+    use guesstimate_core::MachineId;
+    let victim = MachineId::new(1);
+    let mut overtaken = false;
+    let mut found_waiting = false;
+    let rule = |built: &Built, p: &PendingMsg<Msg>| {
+        let r = built.base_rounds + 1;
+        match &p.msg {
+            Msg::BeginApply { round, .. } if p.to == victim && *round == r && !overtaken => {
+                return Fate::Hold;
+            }
+            Msg::BeginApply { round, .. } if p.to == victim && *round == r => {
+                let m = built.net.actor(victim).expect("victim");
+                found_waiting = m.buffered_rounds() == 1 && m.stats().rounds_applied == r - 1;
+            }
+            Msg::BeginSync { round, .. } if p.to == victim && *round == r + 1 => overtaken = true,
+            _ => {}
+        }
+        Fate::Deliver
+    };
+    let (built, sched) = drive_overlap("sudoku-overlap", rule, |_| true);
+    assert!(
+        found_waiting,
+        "round r + 1 waited, buffered, for round r's apply"
+    );
+    // Five first-wave operations in round r, three second-wave in r + 1.
+    assert_eq!(explored_rounds(&built), vec![(0, 0, 5), (0, 0, 3)]);
+    for i in 0..3 {
+        let m = built.net.actor(MachineId::new(i)).expect("machine");
+        assert_eq!((m.stats().restarts, m.pending_len()), (0, 0), "machine {i}");
+    }
+    let master = built.net.actor(MachineId::new(0)).expect("master").stats();
+    assert_eq!(master.rounds_overlapped, 1);
+    assert_recorded("sudoku-overlap-begin-sync-first.json", &sched);
+}
+
+/// `tests/schedules/message-board-overlap-closing-resends.json`: machine 2
+/// has applied round r and moved on to r + 1 when (i) machine 1, whose copy
+/// of machine 2's batch was lost, asks for it (`OpsRequest{r}`), and (ii)
+/// the master, which never heard machine 2's lost `Ack{r}`, resends
+/// `BeginApply{r}`. Both are answered from the closing slot; r completes
+/// with one resend and nobody removed, and r + 1 -- held in stage 1 all the
+/// while -- follows.
+#[test]
+fn a_machine_that_moved_on_still_answers_for_the_round_it_is_closing() {
+    use guesstimate_core::MachineId;
+    let (master, slow, fast) = (MachineId::new(0), MachineId::new(1), MachineId::new(2));
+    let (mut lost_batch, mut lost_ack) = (false, false);
+    let (mut asked_closing, mut nudged_closing) = (false, false);
+    let rule = |built: &Built, p: &PendingMsg<Msg>| {
+        let r = built.base_rounds + 1;
+        let moved_on = built.net.actor(fast).expect("fast").active_round() == Some(r + 1);
+        match &p.msg {
+            Msg::Ops { round, machine, .. }
+                if *round == r && *machine == fast && p.to == slow && !lost_batch =>
+            {
+                lost_batch = true;
+                return Fate::Drop;
+            }
+            Msg::Ack { round, machine } if *round == r && *machine == fast && !lost_ack => {
+                lost_ack = true;
+                return Fate::Drop;
+            }
+            Msg::BeginApply { round, .. } if *round == r && p.to == slow && !moved_on => {
+                return Fate::Hold;
+            }
+            Msg::OpsRequest { round } if *round == r && p.to == fast => asked_closing |= moved_on,
+            Msg::BeginApply { round, .. } if *round == r && p.to == fast && p.from == master => {
+                nudged_closing |= moved_on;
+            }
+            _ => {}
+        }
+        Fate::Deliver
+    };
+    let (built, sched) = drive_overlap("message_board-overlap", rule, |_| true);
+    assert!(lost_batch && lost_ack, "both losses were injected");
+    assert!(
+        asked_closing,
+        "machine 1 asked a machine already in round r + 1"
+    );
+    assert!(
+        nudged_closing,
+        "the master nudged a machine already in round r + 1"
+    );
+    // Two posts in round r, the third in r + 1; the likes commit by themselves.
+    assert_eq!(explored_rounds(&built)[..2], [(1, 0, 2), (0, 0, 1)]);
+    for i in 0..3 {
+        let m = built.net.actor(MachineId::new(i)).expect("machine");
+        assert_eq!((m.stats().restarts, m.pending_len()), (0, 0), "machine {i}");
+    }
+    assert_recorded("message-board-overlap-closing-resends.json", &sched);
+}
+
+/// `tests/schedules/event-planner-overlap-removed-from-both.json`: machine
+/// 1's `Ack{r}` is lost, and so is the one it sends again when nudged, so
+/// the master removes it from round r in stage 2 -- while it is also in the
+/// order of round r + 1, begun under r and waiting in stage 1 with the
+/// machine's flush in. It leaves both rounds: r completes without its ack,
+/// r + 1 closes without its batch (those operations are lost to the
+/// restart, as a removed machine's always are), and it rejoins.
+#[test]
+fn a_machine_removed_in_stage_2_leaves_the_round_begun_under_it_too() {
+    use guesstimate_core::MachineId;
+    let member = MachineId::new(1);
+    let mut lost_acks = 0;
+    let rule = |built: &Built, p: &PendingMsg<Msg>| match &p.msg {
+        Msg::Ack { round, .. } if *round == built.base_rounds + 1 => {
+            lost_acks += 1;
+            Fate::Drop
+        }
+        _ => Fate::Deliver,
+    };
+    let back = |built: &Built| built.net.actor(member).is_some_and(|m| m.in_cohort());
+    let (built, sched) = drive_overlap("event_planner-overlap", rule, back);
+    assert_eq!(lost_acks, 2, "the Ack, and the one the nudge asked for");
+    let rounds = explored_rounds(&built);
+    // Round r commits both machines' first wave; r + 1 only the master's
+    // second-wave join -- the member's went down with it.
+    assert_eq!(rounds[..2], [(1, 1, 3), (0, 0, 1)]);
+    let m = built.net.actor(member).expect("member");
+    assert_eq!((m.stats().restarts, m.stats().ops_lost_to_restart), (1, 1));
+    assert!(m.in_cohort(), "it is back in the cohort");
+    assert_recorded("event-planner-overlap-removed-from-both.json", &sched);
 }
