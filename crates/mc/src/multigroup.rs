@@ -287,7 +287,7 @@ impl CrossBuilt {
     fn inject_wave(&mut self) {
         let flushed = |net: &SchedNet<MultiMachine>, node: u32, g: GroupId| {
             let mm = net.actor(MachineId::new(node)).expect("node");
-            mm.group(g).is_some_and(|m| m.active_round().is_some())
+            mm.group(g).is_some_and(|m| m.flushed_round().is_some())
         };
         let (now, later) = std::mem::take(&mut self.wave)
             .into_iter()

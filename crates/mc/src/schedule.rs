@@ -58,8 +58,9 @@ impl std::fmt::Display for Step {
     }
 }
 
-/// A seeded mutation: on the `nth` (1-based) `Msg::Ops` delivery to
-/// `victim`, swap the operation *ids* of the envelopes at positions
+/// A seeded mutation: on the `nth` (1-based) delivery of a flushed batch
+/// to `victim` -- a `Msg::Ops`, or a `Msg::BeginApply` carrying the
+/// master's -- swap the operation *ids* of the envelopes at positions
 /// `swap.0` and `swap.1` of the batch.
 ///
 /// Swapping ids (not positions) matters: receivers key a round's
@@ -71,7 +72,7 @@ impl std::fmt::Display for Step {
 pub struct TamperSpec {
     /// Machine whose incoming batch is corrupted.
     pub victim: u32,
-    /// Which `Msg::Ops` delivery to the victim to corrupt (1-based).
+    /// Which batch delivery to the victim to corrupt (1-based).
     pub nth: u64,
     /// Envelope positions whose ids are exchanged.
     pub swap: (usize, usize),

@@ -19,6 +19,12 @@
 //! | `apply`      | … → the commit on the issuing machine                 |
 //! | `completion` | … → the completion callback                           |
 //!
+//! The master's own batch, under the parallel flush, is cut as stage 1
+//! closes and rides the `begin_apply` message: its `flush_wait` runs to the
+//! cut, its `wire` from there to the last member's receipt of that message,
+//! and -- the master having committed at the cut -- nothing is left for
+//! `gather`, `apply` or `completion`.
+//!
 //! Async path (hybrid commute-first commit): `async_commit` (issue →
 //! commit, zero when committed at issue) and `completion`.
 //!
@@ -158,9 +164,11 @@ pub fn build(lines: &[TraceLine], spans: &[SpanLine]) -> WaterfallReport {
     let mut round_started: HashMap<u64, u64> = HashMap::new();
     let mut begin_apply: HashMap<u64, u64> = HashMap::new();
     let mut round_master: HashMap<u64, u32> = HashMap::new();
-    // Stage-1 flush broadcasts: (src, send time) → stamp; and receipts
-    // of those stamps: (origin, stamp) → per-receiver earliest time.
-    let mut ops_sent: HashMap<(u32, u64), u64> = HashMap::new();
+    // The sends that carry a flushed batch: (src, send time) → stamp, and
+    // whether it is a `begin_apply` -- a machine's own `ops` broadcast, else
+    // (the master's cut) the `begin_apply` it sends as it flushes; and
+    // receipts of those stamps: (origin, stamp) → per-receiver time.
+    let mut ops_sent: HashMap<(u32, u64), (u64, bool)> = HashMap::new();
     let mut ops_received: HashMap<(u32, u64), Vec<(u32, u64)>> = HashMap::new();
     let mut reexec: BTreeMap<String, ReexecTotals> = BTreeMap::new();
     for l in lines {
@@ -176,12 +184,16 @@ pub fn build(lines: &[TraceLine], spans: &[SpanLine]) -> WaterfallReport {
                     begin_apply.entry(r).or_insert(l.at_us);
                 }
             }
-            "msg_sent" if l.kind.as_deref() == Some("ops") => {
+            "msg_sent" if matches!(l.kind.as_deref(), Some("ops" | "begin_apply")) => {
+                // First wins: a machine that broadcasts `ops` as it flushes
+                // does so ahead of any signal of the same instant.
                 if let Some(stamp) = l.stamp {
-                    ops_sent.entry((l.src, l.at_us)).or_insert(stamp);
+                    let rides_begin_apply = l.kind.as_deref() == Some("begin_apply");
+                    let carrier = (stamp, rides_begin_apply);
+                    ops_sent.entry((l.src, l.at_us)).or_insert(carrier);
                 }
             }
-            "msg_received" if l.kind.as_deref() == Some("ops") => {
+            "msg_received" if matches!(l.kind.as_deref(), Some("ops" | "begin_apply")) => {
                 if let (Some(origin), Some(stamp)) = (l.origin, l.stamp) {
                     ops_received
                         .entry((origin, stamp))
@@ -240,19 +252,18 @@ pub fn build(lines: &[TraceLine], spans: &[SpanLine]) -> WaterfallReport {
             stage("flush_wait", s.flushed_us, &mut prev);
             // The wire boundary: when the committing round's master
             // received the flush broadcast this op rode on (joined via
-            // the send's causal stamp).
+            // the send's causal stamp) -- or, for the master's own batch
+            // inside `begin_apply`, when the last member received that.
             let master = r.and_then(|r| round_master.get(&r)).copied();
-            let arrival = s
-                .flushed_us
-                .and_then(|f| ops_sent.get(&(s.machine, f)))
-                .and_then(|stamp| ops_received.get(&(s.machine, *stamp)))
-                .and_then(|receipts| {
-                    receipts
-                        .iter()
-                        .filter(|(rx, _)| master.is_none_or(|m| *rx == m))
-                        .map(|(_, at)| *at)
-                        .min()
-                });
+            let carrier = s.flushed_us.and_then(|f| ops_sent.get(&(s.machine, f)));
+            let arrival = carrier.and_then(|&(stamp, rides_begin_apply)| {
+                let receipts = ops_received.get(&(s.machine, stamp))?.iter();
+                if rides_begin_apply {
+                    return receipts.map(|(_, at)| *at).max();
+                }
+                let at_master = receipts.filter(|(rx, _)| master.is_none_or(|m| *rx == m));
+                at_master.map(|(_, at)| *at).min()
+            });
             stage("wire", arrival, &mut prev);
             stage(
                 "gather",
@@ -431,6 +442,47 @@ mod tests {
                 ("gather", 1_500),
                 ("apply", 1_000),
                 ("completion", 500),
+            ]
+        );
+        assert!(report.verify_exact_sum());
+    }
+
+    #[test]
+    fn the_masters_cut_batch_takes_its_wire_stage_from_the_begin_apply_that_carried_it() {
+        // The master (m0) cuts at 5 ms: flush, `begin_apply` send and commit
+        // share the instant; the members receive the message 1 and 1.2 ms
+        // later.
+        let at = |mut l: TraceLine, round| {
+            l.round = Some(round);
+            l
+        };
+        let msg = |mut l: TraceLine, origin, stamp, kind: &str| {
+            (l.origin, l.stamp, l.kind) = (origin, Some(stamp), Some(kind.to_owned()));
+            l
+        };
+        let lines = vec![
+            at(tl(1_000, 0, "round_started"), 3),
+            msg(tl(5_000, 0, "msg_sent"), None, 9, "begin_apply"),
+            at(tl(5_000, 0, "begin_apply"), 3),
+            msg(tl(6_000, 1, "msg_received"), Some(0), 9, "begin_apply"),
+            msg(tl(6_200, 2, "msg_received"), Some(0), 9, "begin_apply"),
+        ];
+        let mut s = span(0, 0);
+        s.issued_us = Some(500);
+        s.flushed_us = Some(5_000);
+        s.committed_us = Some(5_000);
+        s.completed_us = Some(5_000);
+        s.round = Some(3);
+        let report = build(&lines, &[s]);
+        assert_eq!(
+            report.ops[0].stages,
+            vec![
+                ("round_wait", 500),
+                ("flush_wait", 4_000),
+                ("wire", 1_200),
+                ("gather", 0),
+                ("apply", 0),
+                ("completion", 0),
             ]
         );
         assert!(report.verify_exact_sum());

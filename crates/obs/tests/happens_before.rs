@@ -256,9 +256,9 @@ fn sched_drops_and_resends_keep_timeline_consistent() {
 /// wire moves nothing: the stages sum exactly, and they read what the links
 /// say. A member's flush reaches the master one link later (`wire`), with
 /// the last `FlushDone` (`gather` 0), and `BeginApply` commits it one link
-/// after that (`apply`); the master flushes a link before the members do, so
-/// its own operations wait two for `BeginApply` (`gather`) and commit at
-/// once.
+/// after that (`apply`); the master flushes at that last `FlushDone`, two
+/// links into the round (`flush_wait`), and commits at once (`gather`,
+/// `apply` 0) while its batch rides `BeginApply` to the members (`wire`).
 #[test]
 fn waterfalls_under_overlapping_rounds_sum_exactly_and_charge_the_flushing_round() {
     let cfg = MachineConfig::default()
@@ -315,7 +315,7 @@ fn waterfalls_under_overlapping_rounds_sum_exactly_and_charge_the_flushing_round
         let stage = |name| op.stages.iter().find(|(n, _)| *n == name).expect(name).1;
         let (wire, gather, apply) = (stage("wire"), stage("gather"), stage("apply"));
         let expected = if op.machine == 0 {
-            (0, 20_000, 0)
+            (10_000, 0, 0)
         } else {
             (10_000, 0, 10_000)
         };

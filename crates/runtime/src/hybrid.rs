@@ -29,7 +29,9 @@
 //!   that causally preceded the flush, and a receiver that lost the
 //!   original `AsyncOp` broadcast is repaired at the next round boundary.
 //!   The window is trimmed only once a round in which it rode a non-empty
-//!   (and therefore resend-guaranteed) flush completes; until then it is
+//!   (and therefore resend-guaranteed) flush completes -- or any flush of
+//!   the master's under the parallel flush, which rides the `BeginApply` no
+//!   machine applies the round without; until then it is
 //!   re-piggybacked -- except by the flush of the next round while that
 //!   round is still closing, which would only repeat what the closing
 //!   round's flush guarantees -- and the watermark makes duplicates
@@ -331,7 +333,7 @@ impl Machine {
     /// `FlushDone` count makes the `Ops` message resend-protected) and need
     /// no further fencing. A zero-op flush carries the window best-effort
     /// only and fences nothing, so its entries stay and ride the next flush
-    /// too.
+    /// too -- unless it rode `BeginApply` (`RoundState::rides_begin_apply`).
     pub(crate) fn trim_async_window(&mut self, through: u64) {
         self.async_window.retain(|(aseq, _)| *aseq > through);
     }
@@ -664,5 +666,34 @@ mod tests {
         // The round completes everywhere: its entries leave the window.
         m.trim_async_window(0);
         assert_eq!(m.async_window.len(), 1);
+    }
+
+    #[test]
+    fn the_masters_window_is_protected_by_begin_apply_whatever_its_batch_holds() {
+        use guesstimate_net::Action;
+        // A master alone, under the parallel flush, with one async commit in
+        // its window and nothing to serialize: the tick begins a round, the
+        // round cuts at once, and the window rides the `BeginApply`.
+        let mut m = hybrid_machine(0);
+        let obj = ObjectId::new(m.id(), 0);
+        m.async_window = vec![(0, put_env(0, 0, obj, "a"))];
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(SimTime::ZERO, m.id(), &mut actions);
+        let tick = crate::roles::tag::encode(crate::roles::tag::MASTER_TICK, 0);
+        guesstimate_net::Actor::on_timer(&mut m, tick, &mut ctx);
+        let begin_apply = actions.iter().find_map(|a| match a {
+            Action::Broadcast(_, Msg::BeginApply { ops, asyncs, .. }) => Some((ops, asyncs)),
+            _ => None,
+        });
+        let (ops, asyncs) = begin_apply.expect("the round cut and entered stage 2");
+        assert!(ops.is_empty());
+        assert_eq!(asyncs.iter().map(|(a, _)| *a).collect::<Vec<_>>(), vec![0]);
+        let sent_ops = |a: &Action<Msg>| matches!(a, Action::Broadcast(_, Msg::Ops { .. }));
+        assert!(!actions.iter().any(sent_ops), "no `Ops` of its own");
+        // No machine applies the round without that `BeginApply`, so the
+        // zero-op flush fenced the entry all the same: alone, the master
+        // completed the round in the same step, and the window is trimmed.
+        assert!(m.async_window.is_empty());
+        assert!(m.check_guess_invariant());
     }
 }

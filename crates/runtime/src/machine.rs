@@ -314,6 +314,13 @@ impl Machine {
         self.participant.active_round()
     }
 
+    /// For schedule exploration: the newest round this machine holds and
+    /// has flushed -- a member on taking its `BeginSync`, the master under
+    /// the parallel flush only as stage 1 closes, in the step it applies.
+    pub fn flushed_round(&self) -> Option<u64> {
+        self.participant.flushed_round()
+    }
+
     /// For schedule exploration: when this master's sync tick is due, if
     /// firing it now would begin a round *under* the one in flight -- that
     /// round is in stage 2 and applied here, stage 1 is free, and no joiner

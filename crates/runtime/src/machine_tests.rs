@@ -437,6 +437,45 @@ fn every_enqueue_caller_keeps_the_same_books() {
     }
 }
 
+/// A member (m1, one creation pending) and the `BeginApply{1}` its master
+/// (m0) sends it under the parallel flush: a creation of the master's own
+/// riding it, both machines counted for one operation.
+fn member_and_its_begin_apply() -> (Machine, crate::message::Msg) {
+    let (master, me) = (MachineId::new(0), MachineId::new(1));
+    let mut m = Machine::new_member(me, Arc::new(counter_registry()), MachineConfig::default());
+    m.membership.joined_system = true;
+    m.membership.in_cohort = true;
+    m.create_instance(Counter { n: 0 });
+    let (_, type_name, init) = m.pending[0].env.op.as_create().expect("a creation");
+    let ops = Arc::new(vec![WireEnvelope {
+        id: OpId::new(master, 0),
+        op: WireOp::Create {
+            object: ObjectId::new(master, 0),
+            type_name: type_name.to_owned(),
+            init: init.clone(),
+        },
+    }]);
+    let begin_apply = crate::message::Msg::BeginApply {
+        round: 1,
+        counts: vec![(master, 1), (me, 1)],
+        ops,
+        asyncs: Default::default(),
+    };
+    (m, begin_apply)
+}
+
+/// Delivers `msg` from m0 on the Signals channel; what the machine sent.
+fn deliver(
+    m: &mut Machine,
+    msg: crate::message::Msg,
+) -> Vec<guesstimate_net::Action<crate::message::Msg>> {
+    use guesstimate_net::{Actor, Channel, Ctx};
+    let mut actions = Vec::new();
+    let mut ctx = Ctx::new(SimTime::ZERO, m.id(), &mut actions);
+    m.on_message(MachineId::new(0), Channel::Signals, msg, &mut ctx);
+    actions
+}
+
 /// On the wall-clock mesh a send leaves at its call (`net::Outbox`), so
 /// where a participant's replies sit in their callbacks is load-bearing:
 /// `FlushDone` tells the master this machine's batch is on the wire and
@@ -446,21 +485,11 @@ fn every_enqueue_caller_keeps_the_same_books() {
 #[test]
 fn a_participants_flush_done_and_ack_are_the_last_actions_of_their_callbacks() {
     use crate::message::Msg;
-    use guesstimate_net::{Action, Actor, Channel, Ctx};
-    let (master, me) = (MachineId::new(0), MachineId::new(1));
-    let mut m = Machine::new_member(me, Arc::new(counter_registry()), MachineConfig::default());
-    m.membership.joined_system = true;
-    m.membership.in_cohort = true;
-    m.create_instance(Counter { n: 0 });
-    let on_message = |m: &mut Machine, msg| {
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(SimTime::ZERO, me, &mut actions);
-        m.on_message(master, Channel::Signals, msg, &mut ctx);
-        actions
-    };
-
+    use guesstimate_net::{Action, Channel};
+    let (mut m, begin_apply) = member_and_its_begin_apply();
+    let (master, me) = (MachineId::new(0), m.id());
     let order = vec![master, me];
-    let flush = on_message(&mut m, Msg::BeginSync { round: 1, order });
+    let flush = deliver(&mut m, Msg::BeginSync { round: 1, order });
     assert!(matches!(
         flush[..],
         [
@@ -469,13 +498,83 @@ fn a_participants_flush_done_and_ack_are_the_last_actions_of_their_callbacks() {
         ] if to == master
     ));
 
-    let counts = vec![(master, 0), (me, 1)];
-    let apply = on_message(&mut m, Msg::BeginApply { round: 1, counts });
-    assert_eq!(m.completed_len(), 1, "the round is applied before the Ack");
+    // The master's batch comes with the counts: nothing is asked of anyone.
+    let apply = deliver(&mut m, begin_apply.clone());
+    assert_eq!(m.completed_len(), 2, "the round is applied before the Ack");
+    assert!(m.check_guess_invariant());
+    let only_an_ack = |sent: &[Action<Msg>]| {
+        matches!(
+            sent,
+            [Action::Send(to, Channel::Signals, Msg::Ack { round: 1, .. })] if *to == master
+        )
+    };
+    assert!(only_an_ack(&apply));
+    // A resend finds the round closing: acknowledged again, applied once.
+    assert!(only_an_ack(&deliver(&mut m, begin_apply)));
+    assert_eq!(m.completed_len(), 2);
+}
+
+/// No honest master sends `BeginApply{r}` to a machine it counts before that
+/// machine's `FlushDone{r}`, and so before it has taken a `BeginSync{r}` --
+/// which is why no driven schedule can order them the other way round, and
+/// this test forces it: the message is parked whole, the master's batch with
+/// it, and when `BeginSync{r}` comes the machine flushes, replays it and
+/// applies, asking nobody for anything.
+#[test]
+fn a_begin_apply_ahead_of_its_begin_sync_is_buffered_with_its_batch() {
+    use crate::message::Msg;
+    use guesstimate_net::{Action, Channel};
+    let (mut m, begin_apply) = member_and_its_begin_apply();
+    let (master, me) = (MachineId::new(0), m.id());
+    assert!(deliver(&mut m, begin_apply).is_empty());
+    assert_eq!((m.buffered_rounds(), m.completed_len()), (1, 0));
+    let order = vec![master, me];
+    let sent = deliver(&mut m, Msg::BeginSync { round: 1, order });
     assert!(matches!(
-        apply[..],
-        [Action::Send(to, Channel::Signals, Msg::Ack { round: 1, .. })] if to == master
+        sent[..],
+        [
+            Action::Broadcast(Channel::Operations, Msg::Ops { round: 1, .. }),
+            Action::Send(
+                _,
+                Channel::Signals,
+                Msg::FlushDone {
+                    round: 1,
+                    count: 1,
+                    ..
+                }
+            ),
+            Action::Send(_, Channel::Signals, Msg::Ack { round: 1, .. }),
+        ]
     ));
+    assert_eq!((m.buffered_rounds(), m.completed_len()), (0, 2));
+    assert!(m.check_guess_invariant());
+}
+
+/// A `BeginApply` that carries nothing -- the master flushed no operation
+/// and no async window, as under serial turns it never does -- is no batch
+/// delivery: the master traced no `OpsBatchSent` for it, so the member
+/// traces no `OpsBatchReceived`, and the master's count of 0 is all the
+/// round needs to apply.
+#[test]
+fn an_empty_begin_apply_is_no_batch_delivery() {
+    use crate::message::Msg;
+    let (mut m, _) = member_and_its_begin_apply();
+    let tracer = Arc::new(guesstimate_net::RecordingTracer::new());
+    m.set_tracer(tracer.clone());
+    let (master, me) = (MachineId::new(0), m.id());
+    let order = vec![master, me];
+    deliver(&mut m, Msg::BeginSync { round: 1, order });
+    let empty = Msg::BeginApply {
+        round: 1,
+        counts: vec![(master, 0), (me, 1)],
+        ops: Default::default(),
+        asyncs: Default::default(),
+    };
+    deliver(&mut m, empty);
+    assert_eq!(m.completed_len(), 1, "applied on the counts alone");
+    assert!(m.check_guess_invariant());
+    let received = |e: &TraceEvent| matches!(e, TraceEvent::OpsBatchReceived { .. });
+    assert!(!tracer.snapshot().iter().any(|r| received(&r.event)));
 }
 
 /// A machine that left on purpose keeps its pending operations for its

@@ -230,12 +230,20 @@ pub enum Msg {
     // ---- Stage 2: ApplyUpdatesFromMesh ----
     /// Master → all: every participant flushed; apply the consolidated
     /// pending list. `counts` is the authoritative per-machine op count
-    /// (machines removed by recovery are absent).
+    /// (machines removed by recovery are absent). Under the parallel flush
+    /// the master flushes last, as stage 1 closes, and its batch travels
+    /// here instead of in a [`Msg::Ops`] of its own: counts and batch arrive
+    /// together, one link after the cut. Under serial turn-taking the master
+    /// flushed first and both are empty.
     BeginApply {
         /// Round number.
         round: u64,
         /// Authoritative `(machine, op count)` pairs for the round.
         counts: Vec<(MachineId, u64)>,
+        /// The master's own batch, as [`Msg::Ops::ops`] would carry it.
+        ops: Arc<Vec<WireEnvelope>>,
+        /// The master's async fence window, as [`Msg::Ops::asyncs`] would.
+        asyncs: Arc<Vec<(u64, WireEnvelope)>>,
     },
     /// Participant → source machine: some of your round-`round` operations
     /// never arrived here; please resend your batch.
@@ -331,6 +339,14 @@ pub enum Msg {
     },
 }
 
+/// Modelled size of a flushed batch and the async window beside it,
+/// wherever they travel: two length prefixes and every envelope.
+fn batch_size(ops: &[WireEnvelope], asyncs: &[(u64, WireEnvelope)]) -> u64 {
+    LEN + ops.iter().map(WireEnvelope::wire_size).sum::<u64>()
+        + LEN
+        + asyncs.iter().map(|(_, e)| 8 + e.wire_size()).sum::<u64>()
+}
+
 impl Msg {
     /// Estimated encoded size in bytes (see the module's wire-size model).
     ///
@@ -341,16 +357,14 @@ impl Msg {
     pub fn wire_size(&self) -> u64 {
         TAG + match self {
             Msg::BeginSync { order, .. } => ROUND + LEN + order.len() as u64 * MACHINE_ID,
-            Msg::Ops { ops, asyncs, .. } => {
-                ROUND
-                    + MACHINE_ID
-                    + LEN
-                    + ops.iter().map(WireEnvelope::wire_size).sum::<u64>()
-                    + LEN
-                    + asyncs.iter().map(|(_, e)| 8 + e.wire_size()).sum::<u64>()
-            }
+            Msg::Ops { ops, asyncs, .. } => ROUND + MACHINE_ID + batch_size(ops, asyncs),
             Msg::FlushDone { .. } => ROUND + MACHINE_ID + 8,
-            Msg::BeginApply { counts, .. } => ROUND + LEN + counts.len() as u64 * (MACHINE_ID + 8),
+            Msg::BeginApply {
+                counts,
+                ops,
+                asyncs,
+                ..
+            } => ROUND + LEN + counts.len() as u64 * (MACHINE_ID + 8) + batch_size(ops, asyncs),
             Msg::OpsRequest { .. } | Msg::SyncComplete { .. } => ROUND,
             Msg::AsyncOp { env, .. } => 8 + env.wire_size(),
             Msg::Ack { .. } => ROUND + MACHINE_ID,
@@ -454,6 +468,35 @@ mod tests {
             one.wire_size() - empty.wire_size(),
             "each identical envelope adds the same number of bytes"
         );
+        // The master's batch inside `BeginApply` is sized as it would be
+        // inside `Ops`: an envelope in the batch, or in the window with its
+        // sequence number, costs the same on either carrier.
+        let riding = |ops: Vec<WireEnvelope>, asyncs: Vec<(u64, WireEnvelope)>| {
+            let (ops, asyncs) = (Arc::new(ops), Arc::new(asyncs));
+            let begin_apply = Msg::BeginApply {
+                round: 1,
+                counts: vec![(MachineId::new(0), 1), (MachineId::new(1), 0)],
+                ops: Arc::clone(&ops),
+                asyncs: Arc::clone(&asyncs),
+            };
+            let ops = Msg::Ops {
+                round: 1,
+                machine: MachineId::new(0),
+                ops,
+                asyncs,
+            };
+            (begin_apply.wire_size(), ops.wire_size())
+        };
+        let (bare, header) = riding(vec![], vec![]);
+        for (ops, asyncs) in [
+            (vec![env(0)], vec![]),
+            (vec![env(0), env(1)], vec![(4, env(2))]),
+            (vec![], vec![(4, env(2)), (5, env(3))]),
+        ] {
+            let (carried, sent_alone) = riding(ops, asyncs);
+            assert!(carried > bare);
+            assert_eq!(carried - bare, sent_alone - header);
+        }
         // A longer method name costs exactly its extra UTF-8 bytes.
         let short = WireOp::Shared(SharedOp::primitive(
             ObjectId::new(MachineId::new(0), 0),
@@ -474,6 +517,13 @@ mod tests {
     #[test]
     fn wire_size_covers_every_message_variant() {
         let machine = MachineId::new(3);
+        let window = Arc::new(vec![(
+            0,
+            WireEnvelope {
+                id: OpId::new(machine, 0),
+                op: WireOp::Shared(SharedOp::primitive(ObjectId::new(machine, 0), "f", args![])),
+            },
+        )]);
         let msgs = vec![
             Msg::BeginSync {
                 round: 1,
@@ -483,17 +533,7 @@ mod tests {
                 round: 1,
                 machine,
                 ops: Arc::new(vec![]),
-                asyncs: Arc::new(vec![(
-                    0,
-                    WireEnvelope {
-                        id: OpId::new(machine, 0),
-                        op: WireOp::Shared(SharedOp::primitive(
-                            ObjectId::new(machine, 0),
-                            "f",
-                            args![],
-                        )),
-                    },
-                )]),
+                asyncs: Arc::clone(&window),
             },
             Msg::AsyncOp {
                 aseq: 0,
@@ -514,6 +554,8 @@ mod tests {
             Msg::BeginApply {
                 round: 1,
                 counts: vec![(machine, 2)],
+                ops: Arc::new(vec![]),
+                asyncs: window,
             },
             Msg::OpsRequest { round: 1 },
             Msg::Ack { round: 1, machine },

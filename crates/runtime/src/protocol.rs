@@ -19,15 +19,18 @@
 //!
 //! Round overview (the roles' module docs have the details):
 //!
-//! 1. **AddUpdatesToMesh** — every machine flushes its pending list on
+//! 1. **AddUpdatesToMesh** — every member flushes its pending list on
 //!    `BeginSync`: the batch broadcast on the Operations channel, then a
-//!    `FlushDone` on the Signals channel to the master. (With
-//!    `parallel_flush` off — the paper's §4 — machines flush in a fixed
-//!    serial order, master first, and `FlushDone` is a broadcast that
-//!    passes the turn.)
+//!    `FlushDone` on the Signals channel to the master. The master flushes
+//!    last, at the moment the last of those is in and stage 2 is free, and
+//!    sends no `Ops`: its batch rides the `BeginApply` it sends next, in
+//!    the same handler. (With `parallel_flush` off — the paper's §4 —
+//!    machines flush in a fixed serial order, master first, and
+//!    `FlushDone` is a broadcast that passes the turn.)
 //! 2. **ApplyUpdatesFromMesh** — when every participant has flushed, the
 //!    master broadcasts `BeginApply` with the authoritative per-machine op
-//!    counts; each machine waits for all expected operations, applies them
+//!    counts (and its own batch); each machine waits for all expected
+//!    operations, applies them
 //!    to its committed state in lexicographic `(machineID, opnumber)` order,
 //!    copies committed onto guesstimated state, runs its pending completion
 //!    routines, replays its still-pending operations, and then acknowledges
@@ -48,7 +51,7 @@
 use std::sync::Arc;
 
 use guesstimate_core::MachineId;
-use guesstimate_net::{Actor, Channel, Ctx, TraceEvent};
+use guesstimate_net::{Actor, Channel, Ctx, SimTime, TraceEvent};
 
 use crate::machine::Machine;
 use crate::message::Msg;
@@ -280,6 +283,16 @@ impl Machine {
                         },
                     );
                 }
+                Effect::BeginApply { to, round, counts } => {
+                    let msg = self.begin_apply_msg(round, counts);
+                    match to {
+                        Some(to) => ctx.send(to, Channel::Signals, msg),
+                        None => {
+                            ctx.broadcast(Channel::Signals, msg);
+                            self.account_cut(round, ctx.now());
+                        }
+                    }
+                }
                 Effect::BeginApplyLocal { round, counts } => {
                     self.step_participant(ParticipantEvent::BeginApply { round, counts }, ctx)
                 }
@@ -332,17 +345,19 @@ impl Machine {
     fn route_round_msg(&mut self, from: MachineId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         // The flush-piggybacked async window (the round-boundary fence)
         // applies *before* round gating: it repairs lost `AsyncOp`
-        // broadcasts whether the carrying `Ops` message is current,
-        // buffered early, stale, or a resend — the per-sender watermark
-        // absorbs any duplicate.
-        if let Msg::Ops {
-            machine, asyncs, ..
-        } = &msg
-        {
-            if !asyncs.is_empty() {
-                let (machine, asyncs) = (*machine, Arc::clone(asyncs));
-                self.apply_async_batch(machine, &asyncs, ctx.now());
-            }
+        // broadcasts whether the carrying message -- a member's `Ops`, the
+        // master's `BeginApply` -- is current, buffered early, stale, or a
+        // resend — the per-sender watermark absorbs any duplicate.
+        let window = match &msg {
+            Msg::Ops {
+                machine, asyncs, ..
+            } => Some((*machine, asyncs)),
+            Msg::BeginApply { asyncs, .. } => Some((from, asyncs)),
+            _ => None,
+        };
+        if let Some((machine, asyncs)) = window.filter(|(_, asyncs)| !asyncs.is_empty()) {
+            let asyncs = Arc::clone(asyncs);
+            self.apply_async_batch(machine, &asyncs, ctx.now());
         }
         if self.membership.offline {
             return; // left on purpose: no round is meant for this machine
@@ -371,7 +386,26 @@ impl Machine {
                 self.step_participant(ParticipantEvent::Ops { machine, ops }, ctx)
             }
             Msg::FlushDone { machine, count, .. } => self.note_flush_done(machine, count, ctx),
-            Msg::BeginApply { round, counts } => {
+            Msg::BeginApply {
+                round,
+                counts,
+                ops,
+                asyncs,
+            } => {
+                // Under the parallel flush the master's batch comes with the
+                // counts and is taken with them, batch first: the two are
+                // never seen apart, so nobody ever asks the master for it.
+                // (A resend, its counts known already, repeats the batch.)
+                // A `BeginApply` that carries nothing -- every serial one --
+                // is no batch delivery, as the `Ops` it stands for was never
+                // sent: the master's count of 0 is all the round needs.
+                let first = |rs: &&RoundState| rs.round == round && rs.counts.is_none();
+                let rs = self.participant.round.as_ref().filter(first);
+                let master = rs.map(|rs| rs.order[0]);
+                let carries = !(ops.is_empty() && asyncs.is_empty());
+                if let Some(machine) = master.filter(|_| carries) {
+                    self.step_participant(ParticipantEvent::Ops { machine, ops }, ctx);
+                }
                 self.step_participant(ParticipantEvent::BeginApply { round, counts }, ctx)
             }
             Msg::OpsRequest { round } => self.step_participant(
@@ -427,17 +461,21 @@ impl Machine {
             return;
         };
         rs.flushed = true;
+        rs.rides_begin_apply = self.is_master && self.cfg.parallel_flush;
         let batch: OpsBatch = Arc::new(self.pending.iter().map(|p| p.env.clone()).collect());
         rs.my_flush = Arc::clone(&batch);
         rs.my_asyncs = asyncs;
         let count = batch.len() as u64;
         // Our own ops participate in the consolidated list directly.
         rs.received.insert(self.id, Arc::clone(&batch));
-        self.telemetry.pending_depth(count);
-        for e in batch.iter() {
-            self.telemetry.op_flushed(e.id, ctx.now());
+        // A flush that rides `BeginApply` -- the master's cut -- ships
+        // nothing here, and the round waits on this handler: the
+        // `FlushDone` fed back below closes stage 1 and sends the signal,
+        // and the flush is accounted for behind that send (`account_cut`).
+        if !rs.rides_begin_apply {
+            self.account_flush(&rs, ctx.now());
+            self.announce_flush(&rs, ctx);
         }
-        self.announce_flush(&rs, ctx);
         self.participant.round = Some(rs);
         if self.is_master {
             self.step_master(
@@ -455,7 +493,9 @@ impl Machine {
     /// the Signals channel — to the round's master alone, the only machine
     /// that counts flushes, or under serial turn-taking to everyone, because
     /// there it also passes the turn. Runs once per flush, and again for
-    /// every recovery nudge that asks to see the flush again.
+    /// every recovery nudge that asks to see the flush again. Never for a
+    /// flush that rides `BeginApply` -- the master's, who tells itself and
+    /// is never nudged: [`Machine::begin_apply_msg`] carries that one.
     fn announce_flush(&self, rs: &RoundState, ctx: &mut Ctx<'_, Msg>) {
         let (round, master) = (rs.round, rs.order[0]);
         let count = rs.my_flush.len() as u64;
@@ -482,6 +522,48 @@ impl Machine {
             ctx.broadcast(Channel::Signals, done);
         } else if master != self.id {
             ctx.send(master, Channel::Signals, done);
+        }
+    }
+
+    /// The flush telemetry: the pending list's depth at the flush and each
+    /// flushed operation's instant.
+    fn account_flush(&self, rs: &RoundState, now: SimTime) {
+        self.telemetry.pending_depth(rs.my_flush.len() as u64);
+        for e in rs.my_flush.iter() {
+            self.telemetry.op_flushed(e.id, now);
+        }
+    }
+
+    /// Accounts for the batch cut for the `BeginApply` of `round` that has
+    /// just been broadcast: what `do_flush` records and `announce_flush`
+    /// traces for a flush shipped as `Ops`, moved behind the send the round
+    /// was waiting for -- still in the handler, and at the instant, of the
+    /// cut, and ahead of this machine's own apply.
+    fn account_cut(&self, round: u64, now: SimTime) {
+        let riding = self.participant.holding(round);
+        let Some(rs) = riding.filter(|rs| rs.rides_begin_apply) else {
+            return;
+        };
+        self.account_flush(rs, now);
+        let ops = rs.my_flush.len() as u64;
+        if ops > 0 || !rs.my_asyncs.is_empty() {
+            self.trace(now, TraceEvent::OpsBatchSent { round, ops });
+        }
+    }
+
+    /// The `BeginApply` of `round`, which this machine drives: the counts,
+    /// and the batch and async window it cut for the round if they ride it.
+    fn begin_apply_msg(&self, round: u64, counts: Vec<(MachineId, u64)>) -> Msg {
+        let riding = self.participant.holding(round);
+        let riding = riding.filter(|rs| rs.rides_begin_apply);
+        let (ops, asyncs) = riding.map_or_else(Default::default, |rs| {
+            (Arc::clone(&rs.my_flush), Arc::clone(&rs.my_asyncs))
+        });
+        Msg::BeginApply {
+            round,
+            counts,
+            ops,
+            asyncs,
         }
     }
 

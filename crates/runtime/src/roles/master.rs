@@ -13,13 +13,23 @@
 //! `MasterRole::flushing` holds the round in stage 1,
 //! `MasterRole::applying` the round in stage 2. Under the parallel flush
 //! a tick may begin round r + 1 while round r is still in stage 2 — once
-//! the master has applied r itself, so that its own flush of r + 1 carries
-//! only what it issued since — and r + 1 stays in stage 1 until r has
-//! completed: `FlushDone` always means the flushing round and `Ack` the
-//! applying one. A tick that finds no room is remembered, and its round is
-//! reported due by the transition that makes room. Under the paper's serial
-//! turns a tick is only armed by a round's completion, so the pipeline
-//! never holds two rounds.
+//! the master has applied r itself, which frees its participant side for
+//! r + 1 — and r + 1 stays in stage 1 until r has completed: `FlushDone`
+//! always means the flushing round and `Ack` the applying one. A tick that
+//! finds no room is remembered, and its round is reported due by the
+//! transition that makes room. Under the paper's serial turns a tick is
+//! only armed by a round's completion, so the pipeline never holds two
+//! rounds.
+//!
+//! Under the parallel flush the master flushes **last**: it *cuts* its
+//! batch ([`Effect::Flush`]) at the moment stage 1 closes — every other
+//! expected machine has flushed or been dropped, and stage 2 is free — and
+//! the batch rides the `BeginApply` that the cut's own `FlushDone` then
+//! sends ([`Effect::BeginApply`]), so one handler runs *flush → send
+//! `BeginApply` → apply*. The master's operations wait for the close of
+//! stage 1 instead of its opening and reach the members with the counts,
+//! one link later; it applies with an empty pending list. Under serial
+//! turns the master keeps the first turn, flushing as it sends `BeginSync`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -93,6 +103,13 @@ impl MasterRound {
     fn unflushed(&self) -> impl Iterator<Item = &MachineId> {
         self.expected()
             .filter(|m| !self.flush_counts.contains_key(*m))
+    }
+
+    /// The members stage 1 still waits for: [`MasterRound::unflushed`]
+    /// without the master `me`, whose own flush is never late -- under the
+    /// parallel flush it is cut when the last of these is in.
+    fn awaited(&self, me: MachineId) -> impl Iterator<Item = &MachineId> {
+        self.unflushed().filter(move |m| **m != me)
     }
 
     /// Expected participants whose `Ack` is missing, in round order.
@@ -330,14 +347,18 @@ impl MasterRole {
             }),
         ]);
         self.flushing = Some(MasterRound::new(round, now, order));
-        if !cfg.parallel_flush {
+        if cfg.parallel_flush {
+            // The master flushes last, when the stage closes: at once if it
+            // is alone and stage 2 is free.
+            fx.extend(self.advance(now, cfg));
+        } else {
             // Serial turn-taking: the master flushes first.
             fx.push(Effect::Trace(TraceEvent::FlushWindowOpened {
                 round,
                 machine: self.me,
             }));
+            fx.push(Effect::Flush);
         }
-        fx.push(Effect::Flush);
         fx.push(Effect::SetTimer {
             after: cfg.stall_timeout,
             tag: tag::encode(tag::MASTER_STAGE1, round),
@@ -380,7 +401,10 @@ impl MasterRole {
     /// Moves the pipeline as far as it goes: completes the round in stage 2
     /// once everyone still expected has acknowledged, then -- stage 2 being
     /// free -- moves the round in stage 1 there once everyone still
-    /// expected has flushed.
+    /// expected has flushed. Under the parallel flush the last of them is
+    /// the master itself: when only its own flush is missing it cuts its
+    /// batch, and the `FlushDone` the cut feeds back (in the same handler)
+    /// is what moves the round.
     fn advance(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
         let mut fx = Vec::new();
         let acked = |mr: &mut MasterRound| mr.unacked().next().is_none();
@@ -391,12 +415,23 @@ impl MasterRole {
             let flushed = |mr: &mut MasterRound| mr.unflushed().next().is_none();
             if let Some(mr) = self.flushing.take_if(flushed) {
                 fx.extend(self.start_apply_stage(mr, now, cfg));
+            } else if self.only_the_cut_is_missing() {
+                fx.push(Effect::Flush);
             }
         }
         fx
     }
 
-    /// Stage 1 → stage 2: broadcast the authoritative per-machine counts.
+    /// Whether the round in stage 1 waits for nothing but the master's own
+    /// flush. Only the parallel flush gets here: under serial turns the
+    /// master's `FlushDone` is the first in.
+    fn only_the_cut_is_missing(&self) -> bool {
+        let flushing = self.flushing.as_ref();
+        flushing.is_some_and(|mr| mr.unflushed().eq([&self.me]))
+    }
+
+    /// Stage 1 → stage 2: broadcast the authoritative per-machine counts,
+    /// and with them the batch the master just cut.
     fn start_apply_stage(
         &mut self,
         mut mr: MasterRound,
@@ -415,12 +450,10 @@ impl MasterRole {
         // at its call, so the members hear it one link delay from here while
         // this machine applies the round.
         vec![
-            Effect::Broadcast {
-                channel: Channel::Signals,
-                msg: Msg::BeginApply {
-                    round,
-                    counts: counts.clone(),
-                },
+            Effect::BeginApply {
+                to: None,
+                round,
+                counts: counts.clone(),
             },
             Effect::Trace(TraceEvent::BeginApply {
                 round,
@@ -541,9 +574,9 @@ impl MasterRole {
         // Serial turns: only the machine whose turn it is can be blocking
         // the stage.
         let blocking = if cfg.parallel_flush { usize::MAX } else { 1 };
-        let laggards: Vec<MachineId> = mr.unflushed().take(blocking).copied().collect();
+        let laggards: Vec<MachineId> = mr.awaited(self.me).take(blocking).copied().collect();
         if laggards.is_empty() {
-            return Vec::new(); // every flush is in: the round waits for stage 2 to empty
+            return Vec::new(); // every member's flush is in: the round waits for stage 2 to empty
         }
         let order = mr.order.clone();
         let mut fx = Vec::new();
@@ -582,7 +615,10 @@ impl MasterRole {
             // Removal may have unblocked either stage.
             fx.extend(self.advance(now, cfg));
         }
-        if self.flushing.is_some() {
+        // Re-armed only while a member is awaited: a stage closed by these
+        // removals moves on when the cut `advance` asked for is lowered.
+        let flushing = self.flushing.as_ref();
+        if flushing.is_some_and(|mr| mr.awaited(self.me).next().is_some()) {
             fx.push(Effect::SetTimer {
                 after: cfg.stall_timeout,
                 tag: tag::encode(tag::MASTER_STAGE1, round),
@@ -620,13 +656,11 @@ impl MasterRole {
                 removed_any = true;
                 continue;
             }
-            fx.push(Effect::Send {
-                to: m,
-                channel: Channel::Signals,
-                msg: Msg::BeginApply {
-                    round,
-                    counts: counts.clone(),
-                },
+            // The same counts and, attached by the lowering, the same batch.
+            fx.push(Effect::BeginApply {
+                to: Some(m),
+                round,
+                counts: counts.clone(),
             });
             fx.push(Effect::Trace(TraceEvent::Resend {
                 round,
@@ -708,6 +742,38 @@ mod tests {
         vec![id(0), id(1), id(2)]
     }
 
+    fn flush_done(m: &mut MasterRole, i: u32, now: SimTime, c: &MachineConfig) -> Vec<Effect> {
+        let (machine, count) = (id(i), 1);
+        m.step(MasterEvent::FlushDone { machine, count }, now, c)
+    }
+
+    /// Whether `fx` ends by asking the master for its own flush: the cut.
+    fn cuts(fx: &[Effect]) -> bool {
+        matches!(fx.last(), Some(Effect::Flush))
+    }
+
+    /// Feeds the flushing round of `order3` one `FlushDone` each, one
+    /// operation apiece, in the order the composer does: under serial turns
+    /// the master's first; under the parallel flush the members', and then
+    /// -- answering the cut the last of them brings if stage 2 is free --
+    /// the master's own. Returns the effects of the last step.
+    fn flush_all(m: &mut MasterRole, now: SimTime, c: &MachineConfig) -> Vec<Effect> {
+        if !c.parallel_flush {
+            flush_done(m, 0, now, c);
+        }
+        flush_done(m, 1, now, c);
+        let last = flush_done(m, 2, now, c);
+        if !c.parallel_flush {
+            return last;
+        }
+        assert_eq!(cuts(&last), m.applying.is_none(), "cut iff stage 2 is free");
+        if cuts(&last) {
+            flush_done(m, 0, now, c)
+        } else {
+            last
+        }
+    }
+
     /// Drives a fresh role through BeginSync + all FlushDones into Apply.
     fn into_apply(c: &MachineConfig) -> MasterRole {
         let mut m = MasterRole::new(id(0));
@@ -716,18 +782,21 @@ mod tests {
             SimTime::ZERO,
             c,
         );
-        for i in 0..3 {
-            m.step(
-                MasterEvent::FlushDone {
-                    machine: id(i),
-                    count: 1,
-                },
-                SimTime::from_millis(10),
-                c,
-            );
-        }
+        flush_all(&mut m, SimTime::from_millis(10), c);
         assert!(m.flushing.is_none() && m.applying.is_some());
         m
+    }
+
+    type Counts = Vec<(MachineId, u64)>;
+
+    /// The `BeginApply`s in `fx`: addressee (`None` = everyone), round,
+    /// counts.
+    fn begin_applies(fx: &[Effect]) -> Vec<(Option<MachineId>, u64, Counts)> {
+        let begin_apply = |e: &Effect| match e {
+            Effect::BeginApply { to, round, counts } => Some((*to, *round, counts.clone())),
+            _ => None,
+        };
+        fx.iter().filter_map(begin_apply).collect()
     }
 
     /// The paper's §4 turn-taking, which the default no longer selects.
@@ -790,68 +859,85 @@ mod tests {
     }
 
     #[test]
-    fn parallel_begin_round_opens_no_flush_window() {
-        // Everyone flushes at once: there is no turn to open.
+    fn parallel_begin_round_neither_opens_a_flush_window_nor_flushes() {
+        // Everyone flushes at once: there is no turn to open. And the
+        // master flushes last: with members to wait for, not yet.
         let tail = begin_round_tail(&cfg());
-        assert!(matches!(tail[..], [Effect::Flush, _]));
-        assert!(is_stage1_timer(&tail[1]));
+        assert!(matches!(tail[..], [_]));
+        assert!(is_stage1_timer(&tail[0]));
     }
 
     #[test]
-    fn last_flush_done_starts_the_apply_stage() {
+    fn a_master_alone_cuts_as_it_begins_the_round() {
         let c = cfg();
         let mut m = MasterRole::new(id(0));
-        m.step(
-            MasterEvent::BeginRound { order: order3() },
-            SimTime::ZERO,
-            &c,
-        );
-        for i in 0..2 {
-            let fx = m.step(
-                MasterEvent::FlushDone {
-                    machine: id(i),
-                    count: 2,
-                },
-                SimTime::from_millis(5),
-                &c,
-            );
-            assert!(!fx.iter().any(|e| matches!(
-                e,
-                Effect::Broadcast {
-                    msg: Msg::BeginApply { .. },
-                    ..
-                }
-            )));
-        }
-        let fx = m.step(
-            MasterEvent::FlushDone {
-                machine: id(2),
-                count: 2,
-            },
-            SimTime::from_millis(5),
-            &c,
-        );
-        let begin_apply = fx
-            .iter()
-            .find_map(|e| match e {
-                Effect::Broadcast {
-                    msg: Msg::BeginApply { counts, .. },
-                    ..
-                } => Some(counts.clone()),
-                _ => None,
-            })
-            .expect("BeginApply broadcast");
-        assert_eq!(begin_apply, vec![(id(0), 2), (id(1), 2), (id(2), 2)]);
-        // The signal leads and the master's own apply comes last, so the
-        // members' link delay covers it (see `start_apply_stage`).
+        let order = vec![id(0)];
+        let fx = m.step(MasterEvent::BeginRound { order }, ms(0), &c);
+        // Stage 1 is closed as it opens; the stall timer still trails.
+        assert!(cuts(&fx[..fx.len() - 1]), "{fx:?}");
+        let fx = flush_done(&mut m, 0, ms(0), &c);
+        assert_eq!(begin_applies(&fx), vec![(None, 1, vec![(id(0), 1)])]);
+    }
+
+    #[test]
+    fn the_last_members_flush_done_cuts_and_the_masters_own_starts_the_apply_stage() {
+        let c = cfg();
+        let mut m = MasterRole::new(id(0));
+        m.step(MasterEvent::BeginRound { order: order3() }, ms(0), &c);
+        let fx = flush_done(&mut m, 1, ms(5), &c);
         assert!(matches!(
-            fx[fx.len() - 4],
-            Effect::Broadcast {
-                msg: Msg::BeginApply { .. },
-                ..
-            }
+            fx[..],
+            [Effect::Trace(TraceEvent::FlushWindowClosed { .. })]
         ));
-        assert!(matches!(fx.last(), Some(Effect::BeginApplyLocal { .. })));
+        // The last member's: stage 1 is closed but for the master's flush.
+        let fx = flush_done(&mut m, 2, ms(5), &c);
+        assert!(matches!(
+            fx[..],
+            [
+                Effect::Trace(TraceEvent::FlushWindowClosed { .. }),
+                Effect::Flush
+            ]
+        ));
+        assert!(m.flushing.is_some(), "the round moves with the cut's count");
+        // A duplicate of it asks for the cut again; the composer flushes a
+        // round once.
+        assert!(matches!(
+            flush_done(&mut m, 2, ms(5), &c)[..],
+            [Effect::Flush]
+        ));
+        // The cut's own `FlushDone`: the counts go out -- the lowering
+        // attaches the batch -- ahead of the master's own apply, so the
+        // members' link delay covers it (see `start_apply_stage`).
+        let fx = flush_done(&mut m, 0, ms(5), &c);
+        let everyone = vec![(id(0), 1), (id(1), 1), (id(2), 1)];
+        assert_eq!(begin_applies(&fx), vec![(None, 1, everyone)]);
+        assert!(matches!(
+            fx[..],
+            [
+                Effect::Trace(TraceEvent::FlushWindowClosed { .. }),
+                Effect::BeginApply { .. },
+                Effect::Trace(TraceEvent::BeginApply { ops_total: 3, .. }),
+                Effect::SetTimer { .. },
+                Effect::BeginApplyLocal { .. }
+            ]
+        ));
+    }
+
+    #[test]
+    fn a_flush_done_of_its_own_ahead_of_the_members_is_counted_and_nothing_is_cut() {
+        // Not an order the composer produces under the parallel flush, but
+        // one a driver of the bare role may: the count stands, and the last
+        // member's `FlushDone` moves the round itself.
+        let c = cfg();
+        let mut m = MasterRole::new(id(0));
+        m.step(MasterEvent::BeginRound { order: order3() }, ms(0), &c);
+        for i in 0..2 {
+            let fx = flush_done(&mut m, i, ms(5), &c);
+            assert!(!cuts(&fx) && begin_applies(&fx).is_empty());
+        }
+        let fx = flush_done(&mut m, 2, ms(5), &c);
+        assert!(!cuts(&fx));
+        assert_eq!(begin_applies(&fx).len(), 1);
     }
 
     #[test]
@@ -916,18 +1002,12 @@ mod tests {
     fn parallel_stage1_stall_nudges_then_removes_every_silent_member() {
         // Parallel flush: both silent members block the stage at once, so
         // one timeout nudges both and the next removes both.
+        // The master's own flush is missing as well -- it comes last -- and
+        // is never a laggard: nobody nudges or removes the master.
         let c = cfg();
         let mut m = MasterRole::new(id(0));
         m.step(
             MasterEvent::BeginRound { order: order3() },
-            SimTime::ZERO,
-            &c,
-        );
-        m.step(
-            MasterEvent::FlushDone {
-                machine: id(0),
-                count: 2,
-            },
             SimTime::ZERO,
             &c,
         );
@@ -981,17 +1061,13 @@ mod tests {
             )
         });
         assert_eq!(restarted.count(), 2);
-        // Nobody is left to wait for: the stage advances on the master's
-        // own flush, with no stage-1 timer re-armed.
-        let counts = fx.iter().find_map(|e| match e {
-            Effect::Broadcast {
-                msg: Msg::BeginApply { counts, .. },
-                ..
-            } => Some(counts.clone()),
-            _ => None,
-        });
-        assert_eq!(counts, Some(vec![(id(0), 2)]));
+        // Nobody is left to wait for: the removal of the last laggard cuts,
+        // with no stage-1 timer re-armed, and the stage advances on the
+        // master's own flush.
+        assert!(cuts(&fx));
         assert!(!fx.iter().any(is_stage1_timer));
+        let fx = flush_done(&mut m, 0, SimTime::from_secs(4), &c);
+        assert_eq!(begin_applies(&fx), vec![(None, 1, vec![(id(0), 1)])]);
         assert!(m.flushing.is_none(), "the round moved to stage 2");
         let mr = m.applying.as_ref().unwrap();
         assert_eq!((mr.resends, mr.removals), (2, 2));
@@ -1110,14 +1186,9 @@ mod tests {
             .step(MasterEvent::Tick { drain_first: false }, ms(5), &c)
             .is_empty());
         assert_eq!(m.tick_waiting, Some(false));
-        // Stage 1 closing is not room yet: the master's own flush of the
-        // next round must carry only what it issued since this one's, so it
-        // has to apply this one first.
-        for i in 0..3 {
-            let (machine, count) = (id(i), 1);
-            let fx = m.step(MasterEvent::FlushDone { machine, count }, ms(10), &c);
-            assert!(!due(&fx));
-        }
+        // Stage 1 closing is not room yet: the master's participant side
+        // holds one unapplied round, so it has to apply this one first.
+        assert!(!due(&flush_all(&mut m, ms(10), &c)));
         assert!(m.flushing.is_none() && m.applying.is_some());
         let fx = m.step(MasterEvent::RoundApplied { ops_committed: 3 }, ms(11), &c);
         assert!(matches!(
@@ -1158,13 +1229,16 @@ mod tests {
     fn the_next_round_waits_in_stage_1_until_this_one_completes() {
         let c = cfg();
         let mut m = two_in_flight(&c);
-        for i in 0..3 {
-            let (machine, count) = (id(i), 1);
-            let fx = m.step(MasterEvent::FlushDone { machine, count }, ms(16), &c);
-            assert!(broadcasts(&fx).is_empty(), "round 2 stays in stage 1");
-        }
-        assert_eq!(m.flushing.as_ref().unwrap().flush_counts.len(), 3);
-        // With every flush in there is nobody to nudge: the timer lapses.
+        // Every member's flush of round 2 is in while round 1 applies: it
+        // stays in stage 1, and the master does not cut yet.
+        let fx = flush_all(&mut m, ms(16), &c);
+        assert!(matches!(
+            fx[..],
+            [Effect::Trace(TraceEvent::FlushWindowClosed { .. })]
+        ));
+        assert_eq!(m.flushing.as_ref().unwrap().flush_counts.len(), 2);
+        // With every member's flush in there is nobody to nudge: the timer
+        // lapses.
         assert!(m
             .step(MasterEvent::Stage1Timeout { round: 2 }, ms(17), &c)
             .is_empty());
@@ -1174,14 +1248,16 @@ mod tests {
             .is_empty());
         m.step(MasterEvent::Ack { machine: id(1) }, ms(20), &c);
         let fx = m.step(MasterEvent::Ack { machine: id(2) }, ms(21), &c);
-        // Round 1 completes, and round 2 enters stage 2 in the same step.
+        // Round 1 completes, and only then -- what the master issued up to
+        // here rides -- is round 2 cut; it enters stage 2 with the cut's
+        // count, in the same handler.
         assert!(matches!(
             broadcasts(&fx)[..],
-            [
-                Msg::SyncComplete { round: 1 },
-                Msg::BeginApply { round: 2, .. }
-            ]
+            [Msg::SyncComplete { round: 1 }]
         ));
+        assert!(cuts(&fx) && m.flushing.is_some());
+        let fx = flush_done(&mut m, 0, ms(21), &c);
+        assert!(matches!(begin_applies(&fx)[..], [(None, 2, _)]));
         assert!(matches!(
             fx.last(),
             Some(Effect::BeginApplyLocal { round: 2, .. })
@@ -1209,10 +1285,7 @@ mod tests {
         let c = cfg();
         let mut m = two_in_flight(&c);
         m.step(MasterEvent::Ack { machine: id(1) }, ms(16), &c);
-        for i in 0..2 {
-            let (machine, count) = (id(i), 1);
-            m.step(MasterEvent::FlushDone { machine, count }, ms(17), &c);
-        }
+        flush_done(&mut m, 1, ms(17), &c);
         // m2 neither acknowledges round 1 nor flushes round 2. Round 1's
         // stage-2 timer nudges it, then gives up on it.
         let fx = m.step(
@@ -1222,7 +1295,7 @@ mod tests {
         );
         assert!(matches!(
             fx[0],
-            Effect::Send { to, msg: Msg::BeginApply { round: 1, .. }, .. } if to == id(2)
+            Effect::BeginApply { to: Some(to), round: 1, .. } if to == id(2)
         ));
         let fx = m.step(
             MasterEvent::Stage2Timeout { round: 1 },
@@ -1232,28 +1305,29 @@ mod tests {
         assert!(matches!(fx[0], Effect::RemoveFromRound { machine } if machine == id(2)));
         assert_eq!(restarts(&fx), 1);
         // Round 2's members hear that it lost a machine, round 1 completes
-        // without the ack, and round 2 closes stage 1 without the flush.
+        // without the ack, and round 2 closes stage 1 without the flush:
+        // the master cuts.
         let sent = broadcasts(&fx);
         assert!(matches!(
             sent[0],
             Msg::RoundUpdate { round: 2, removed } if *removed == vec![id(2)]
         ));
-        assert!(matches!(sent[1], Msg::SyncComplete { round: 1 }));
-        assert!(matches!(
-            sent[2],
-            Msg::BeginApply { round: 2, counts } if *counts == vec![(id(0), 1), (id(1), 1)]
-        ));
+        assert!(matches!(sent[1..], [Msg::SyncComplete { round: 1 }]));
+        assert!(cuts(&fx));
         let removals = fx.iter().find_map(|e| match e {
             Effect::RoundFinished { sample } => Some((sample.round, sample.removals)),
             _ => None,
         });
         assert_eq!(removals, Some((1, 1)), "counted once, against round 1");
-        assert_eq!(m.applying.as_ref().unwrap().removals, 0);
         let rearmed = |e: &Effect| {
             matches!(e, Effect::SetTimer { tag: t, .. }
                 if tag::kind(*t) == tag::MASTER_STAGE2 && tag::round(*t) == 1)
         };
         assert!(!fx.iter().any(rearmed), "round 1 is over");
+        let fx = flush_done(&mut m, 0, SimTime::from_secs(4), &c);
+        let counts = vec![(id(0), 1), (id(1), 1)];
+        assert_eq!(begin_applies(&fx), vec![(None, 2, counts)]);
+        assert_eq!(m.applying.as_ref().unwrap().removals, 0);
     }
 
     #[test]
@@ -1261,23 +1335,22 @@ mod tests {
         let c = cfg();
         let mut m = two_in_flight(&c);
         m.step(MasterEvent::Ack { machine: id(1) }, ms(16), &c);
-        for i in 0..2 {
-            let (machine, count) = (id(i), 1);
-            m.step(MasterEvent::FlushDone { machine, count }, ms(17), &c);
-        }
+        flush_done(&mut m, 1, ms(17), &c);
         // m2 leaves owing round 1 an ack and round 2 a flush: both stop
-        // waiting, nobody is restarted.
+        // waiting, nobody is restarted, and round 2 is cut.
         let fx = m.step(MasterEvent::Left { machine: id(2) }, ms(18), &c);
         assert!(matches!(fx[0], Effect::RemoveFromRound { machine } if machine == id(2)));
         assert!(matches!(
             broadcasts(&fx)[..],
             [
                 Msg::RoundUpdate { round: 2, .. },
-                Msg::SyncComplete { round: 1 },
-                Msg::BeginApply { round: 2, .. }
+                Msg::SyncComplete { round: 1 }
             ]
         ));
         assert_eq!(restarts(&fx), 0);
+        assert!(cuts(&fx));
+        let fx = flush_done(&mut m, 0, ms(18), &c);
+        assert!(matches!(begin_applies(&fx)[..], [(None, 2, _)]));
         assert!(m.flushing.is_none());
         assert_eq!(m.applying.as_ref().unwrap().round, 2);
     }
@@ -1304,16 +1377,7 @@ mod tests {
             SimTime::ZERO,
             &c,
         );
-        for i in 0..2 {
-            m.step(
-                MasterEvent::FlushDone {
-                    machine: id(i),
-                    count: 2,
-                },
-                SimTime::ZERO,
-                &c,
-            );
-        }
+        flush_done(&mut m, 1, SimTime::ZERO, &c);
         // m1 leaves after its flush; m2 has not flushed, so the stage waits.
         let fx = m.step(MasterEvent::Left { machine: id(1) }, SimTime::ZERO, &c);
         assert!(matches!(
@@ -1326,22 +1390,17 @@ mod tests {
                 }
             ] if machine == id(1) && *removed == vec![id(1)]
         ));
-        // m2 leaves before its flush: it was the last one awaited, and
-        // neither leaver's operations are counted.
+        // m2 leaves before its flush: it was the last one awaited, so the
+        // master cuts, and neither leaver's operations are counted.
         let fx = m.step(
             MasterEvent::Left { machine: id(2) },
             SimTime::from_millis(5),
             &c,
         );
-        let counts = fx.iter().find_map(|e| match e {
-            Effect::Broadcast {
-                msg: Msg::BeginApply { counts, .. },
-                ..
-            } => Some(counts.clone()),
-            _ => None,
-        });
-        assert_eq!(counts, Some(vec![(id(0), 2)]));
+        assert!(cuts(&fx));
         assert_eq!(restarts(&fx), 0, "a leaver is never restarted");
+        let fx = flush_done(&mut m, 0, SimTime::from_millis(5), &c);
+        assert_eq!(begin_applies(&fx), vec![(None, 1, vec![(id(0), 1)])]);
         assert!(m.flushing.is_none(), "the round moved to stage 2");
         assert_eq!(m.applying.as_ref().unwrap().removals, 0);
         // Leaving twice, or leaving a round one is not in, changes nothing.

@@ -151,7 +151,9 @@ pub enum Effect {
         /// Flush order (also the participant set).
         order: Vec<MachineId>,
     },
-    /// Flush the pending list into the active round (stage 1).
+    /// Flush the pending list into the active round (stage 1). From the
+    /// master under the parallel flush this is the *cut*: stage 1 has
+    /// closed but for its own flush.
     Flush,
     /// Re-announce the flush already performed for `round` (recovery nudge).
     RebroadcastFlush {
@@ -180,6 +182,20 @@ pub enum Effect {
     SendJoinInfo {
         /// The joining machine.
         to: MachineId,
+    },
+    /// Send `BeginApply` for `round`, which this machine drives: the counts,
+    /// and attached by the lowering the batch and async window this machine
+    /// cut for the round when they ride it (the parallel flush; under serial
+    /// turns they went out as the master's `Ops` and an empty batch is sent).
+    /// The broadcast is also where a riding flush is accounted for
+    /// (telemetry, `OpsBatchSent`): behind the send the round waits for.
+    BeginApply {
+        /// One machine (a stage-2 resend), or `None` for every other one.
+        to: Option<MachineId>,
+        /// Round number.
+        round: u64,
+        /// Authoritative per-machine op counts.
+        counts: Vec<(MachineId, u64)>,
     },
     /// Deliver `BeginApply` to the local participant (master's own copy).
     BeginApplyLocal {

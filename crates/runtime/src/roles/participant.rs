@@ -50,6 +50,10 @@ pub struct RoundState {
     /// The async-committed window this machine piggybacked on its flush
     /// (hybrid commit path), kept for the same recovery resends.
     pub(crate) my_asyncs: AsyncBatch,
+    /// This machine's flush travels inside the round's `BeginApply` rather
+    /// than as an `Ops` message of its own: it is the master and cut its
+    /// batch as stage 1 closed (the parallel flush). Set by the flush.
+    pub(crate) rides_begin_apply: bool,
     /// Per-machine flushed-op counts heard via `FlushDone`. Filled only on
     /// non-masters under serial turn-taking, where `FlushDone` is a
     /// broadcast that passes the turn (see [`RoundState::my_turn`]).
@@ -74,6 +78,7 @@ impl RoundState {
             flushed: false,
             my_flush: Arc::new(Vec::new()),
             my_asyncs: Arc::new(Vec::new()),
+            rides_begin_apply: false,
             flush_done: BTreeMap::new(),
             received: BTreeMap::new(),
             counts: None,
@@ -133,9 +138,10 @@ impl RoundState {
     /// **non-empty** serialized batch reach every machine that applies the
     /// round (the batch's `FlushDone` count makes the `Ops` message
     /// resend-protected). A zero-op flush carries the window best-effort
-    /// only, so it protects nothing.
+    /// only, so it protects nothing -- unless it rides `BeginApply`, which
+    /// no machine applies the round without, whatever the batch holds.
     pub(crate) fn fenced_asyncs(&self) -> Option<u64> {
-        let protected = self.flushed && !self.my_flush.is_empty();
+        let protected = self.flushed && (self.rides_begin_apply || !self.my_flush.is_empty());
         let last = self.my_asyncs.last().filter(|_| protected);
         last.map(|(aseq, _)| *aseq)
     }
@@ -248,6 +254,13 @@ impl ParticipantRole {
     pub fn active_round(&self) -> Option<u64> {
         let newest = self.round.as_ref().or(self.closing.as_ref());
         newest.map(|rs| rs.round)
+    }
+
+    /// The newest round this machine holds that it has flushed.
+    pub fn flushed_round(&self) -> Option<u64> {
+        let slots = [self.round.as_ref(), self.closing.as_ref()];
+        let flushed = slots.into_iter().flatten().find(|rs| rs.flushed);
+        flushed.map(|rs| rs.round)
     }
 
     /// The next round this machine expects (`None` until a first round is
@@ -706,6 +719,65 @@ mod tests {
             2,
             "batch retained for the apply"
         );
+    }
+
+    #[test]
+    fn the_masters_batch_then_the_counts_are_ready_at_once() {
+        // What the composer feeds for a `BeginApply` carrying the master's
+        // batch: the batch as `Ops`, then the counts.
+        let c = cfg();
+        let mut p = ParticipantRole::new(id(1));
+        p.step(begin_sync(1), SimTime::ZERO, &c);
+        let rs = p.round.as_mut().unwrap();
+        rs.flushed = true;
+        rs.received.insert(id(1), batch(1, 1));
+        let ops = batch(0, 2);
+        let fx = p.step(
+            ParticipantEvent::Ops {
+                machine: id(0),
+                ops,
+            },
+            SimTime::ZERO,
+            &c,
+        );
+        assert!(matches!(
+            fx[..],
+            [
+                Effect::Trace(TraceEvent::OpsBatchReceived { ops: 2, .. }),
+                Effect::TryApply
+            ]
+        ));
+        // That `TryApply` finds no counts: nothing to apply, nobody to ask.
+        let rs = p.round.as_ref().unwrap();
+        assert!(!rs.ready_to_apply() && rs.missing().is_none());
+        let counts = vec![(id(0), 2), (id(1), 1)];
+        let fx = p.step(
+            ParticipantEvent::BeginApply { round: 1, counts },
+            SimTime::ZERO,
+            &c,
+        );
+        assert!(matches!(fx[..], [Effect::TryApply]));
+        let rs = p.round.as_mut().unwrap();
+        assert!(rs.ready_to_apply(), "the master's run came with the counts");
+        assert_eq!(rs.take_runs().iter().map(|r| r.len()).sum::<usize>(), 3);
+        // Applied and closing, a resent `BeginApply` is only acknowledged:
+        // the composer feeds its batch to a round not yet applied, never to
+        // this one.
+        apply(&mut p);
+        let counts = vec![(id(0), 2), (id(1), 1)];
+        let fx = p.step(
+            ParticipantEvent::BeginApply { round: 1, counts },
+            SimTime::ZERO,
+            &c,
+        );
+        assert!(matches!(
+            fx[..],
+            [Effect::Send {
+                msg: Msg::Ack { round: 1, .. },
+                ..
+            }]
+        ));
+        assert!(p.closing.as_ref().unwrap().received.is_empty());
     }
 
     fn env(machine: u32, seq: u64, payload: i64) -> WireEnvelope {

@@ -51,7 +51,7 @@ mc:
 perf-check:
     ./scripts/check.sh perf
 
-# Parent-against-change benchmark pairs, every workload (about half an hour; reports only).
+# Parent-against-change benchmark pairs, every workload, then one traced run a side for the per-layer rows (about 40 min; reports only).
 perf-pairs:
     ./scripts/check.sh perf-pairs
 

@@ -118,8 +118,10 @@ step() {
             --manifest-path crates/bench/src/bin/perf/Cargo.toml -- --check
         ;;
     # Parent-against-change pairs of that benchmark, all six workloads at
-    # its own run length (about half an hour): medians, quartiles, pairs
-    # won and the beyond-the-parent's-IQR rule per end-to-end metric
+    # its own run length (about 40 minutes): medians, quartiles, pairs
+    # won and the beyond-the-parent's-IQR rule per end-to-end metric, then
+    # one traced run a side per workload and every per-layer row as `name
+    # parent change ratio`, those more than 5 % apart starred
     # (scripts/perf_pairs.sh). The parent is HEAD while the tree has
     # uncommitted changes, HEAD~1 otherwise. Reports only; never fails.
     perf-pairs)

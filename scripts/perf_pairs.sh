@@ -18,8 +18,17 @@
 # go to target/perf_pairs/runs.tsv, and both sides' `(commit, workload,
 # metric, median, q1, q3, pairs, first_seed)` rows are appended as JSON lines to the
 # checked-in BENCH_ledger.jsonl, the trajectory across perf PRs (the work
-# tree's commit is HEAD, with a `+` while it has uncommitted changes). Reads
-# only the `name value unit` lines the benchmark prints. Reports; exits
+# tree's commit is HEAD, with a `+` while it has uncommitted changes).
+#
+# Then the traced side of a claim -- the supporting counts an issue names
+# beforehand: one `--trace 1` run a side per workload, on the seed after the
+# pairs', the side that goes first alternating by workload, and every
+# per-layer row of BENCHMARK.json printed as `name parent change ratio`, with
+# a `*` where the two differ by more than 5 %. One run a side is a reading,
+# not a sample: these rows are reported only (the outputs stay in
+# target/perf_pairs/traced-<workload>-<side>.txt) and never reach the ledger.
+#
+# Reads only the `name value unit` lines the benchmark prints. Reports; exits
 # non-zero only when it cannot run.
 set -eu
 cd "$(dirname "$0")/.."
@@ -54,13 +63,19 @@ git archive "$rev" | tar -x -C "$parent"
 runs=$out/runs.tsv
 printf 'workload\tpair\tseed\tside\tfirst\texit\tmetric\tvalue\n' >"$runs"
 
-# Runs the benchmark command in tree $1 for workload $2 with seed $3; keeps
-# the end-to-end `name value unit` lines as "name value", then the exit code.
-bench() {
-    status=0
+# Runs the benchmark command in tree $1 for workload $2 with seed $3 and
+# `--trace $4`, its output into file $5.
+run() {
     (cd "$1" && cargo run --release --offline -q \
         --manifest-path crates/bench/src/bin/perf/Cargo.toml -- \
-        --workload "$2" --seed "$3" --seconds "$seconds" --trace 0) >"$out/last.txt" || status=$?
+        --workload "$2" --seed "$3" --seconds "$seconds" --trace "$4") >"$5"
+}
+
+# An end-to-end run (tree $1, workload $2, seed $3): prints the end-to-end
+# `name value unit` lines as "name value", then the exit code.
+bench() {
+    status=0
+    run "$1" "$2" "$3" 0 "$out/last.txt" || status=$?
     echo "$metrics" | while read -r name _; do
         awk -v n="$name" '$1 == n && NF == 3 { print $1, $2 }' "$out/last.txt"
     done
@@ -149,3 +164,35 @@ echo "$metrics" | awk -v OFS='\t' -v ledger=BENCH_ledger.jsonl -v parent="$rev" 
         }
     }' - "$runs"
 echo "every run: $runs; medians and quartiles appended to BENCH_ledger.jsonl"
+
+tseed=$((seed0 + pairs))
+n=0
+for w in "$@"; do
+    n=$((n + 1))
+    if [ $((n % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        if [ "$side" = parent ]; then tree=$parent; else tree=.; fi
+        echo "$w traced, seed $tseed: $side" >&2
+        run "$tree" "$w" "$tseed" 1 "$out/traced-$w-$side.txt" ||
+            echo "$w: the traced run of the $side exited $?"
+    done
+done
+
+echo
+echo "per-layer rows, one traced run a side (seed $tseed); * = more than 5 % apart"
+for w in "$@"; do
+    block per_layer | field name | awk -v w="$w" '
+        FILENAME == "-" { order[++n] = $1; next }
+        NF == 3 { v[FILENAME == ARGV[2] ? "p" : "c", $1] = $2 }
+        END {
+            printf "%-9s %-46s %14s %14s %8s\n", w, "per-layer metric", "parent", "change", "ratio"
+            for (i = 1; i <= n; i++) {
+                m = order[i]
+                if (!(("p", m) in v) || !(("c", m) in v)) continue
+                p = v["p", m]; c = v["c", m]
+                ratio = p != 0 ? sprintf("%.3f", c / p) : (c != 0 ? "inf" : "1.000")
+                apart = p != 0 ? (c / p > 1.05 || c / p < 0.95) : c != 0
+                printf "%-9s %-46s %14.6g %14.6g %8s%s\n", w, m, p, c, ratio, apart ? " *" : ""
+            }
+        }' - "$out/traced-$w-parent.txt" "$out/traced-$w-change.txt"
+done

@@ -19,14 +19,15 @@ fn run_dense_session_with(
     telemetry: Telemetry,
 ) -> Vec<Machine> {
     let cfg = MachineConfig::default().with_sync_period(SimTime::from_millis(120));
-    run_dense_session_under(cfg, users, seed, latency_ms, telemetry)
+    let links = LatencyModel::lan_ms(latency_ms);
+    run_dense_session_under(cfg, users, seed, links, telemetry)
 }
 
 fn run_dense_session_under(
     cfg: MachineConfig,
     users: u32,
     seed: u64,
-    latency_ms: u64,
+    links: LatencyModel,
     telemetry: Telemetry,
 ) -> Vec<Machine> {
     let mut registry = OpRegistry::new();
@@ -35,7 +36,7 @@ fn run_dense_session_under(
         users,
         registry,
         cfg.with_stall_timeout(SimTime::from_secs(2)),
-        NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(latency_ms)),
+        NetConfig::lan(seed).with_latency(links),
         None,
         telemetry,
     );
@@ -111,13 +112,25 @@ fn ops_execute_at_most_three_times_across_seeds() {
 /// r + 1 before it had applied round r would replay an operation issued in
 /// between twice -- and `paranoid_checks` re-validates `sg = [P](sc)` after
 /// every step of every machine.
+///
+/// The master flushes last, as stage 1 closes, and applies in the same step
+/// with nothing pending: on links that keep a sender's order (`jitter` off,
+/// every batch in ahead of its `FlushDone`) each of its operations executes
+/// exactly twice, issue and commit. A batch that trails its `FlushDone`
+/// makes the master wait between its cut and its apply, and what it issues
+/// meanwhile is replayed once, as a member's would be.
 #[test]
 fn bound_holds_with_a_round_beginning_under_every_round() {
-    for seed in [1u64, 17, 23, 99] {
+    let runs = [1u64, 17, 23, 99].map(|seed| (seed, true));
+    for (seed, jitter) in runs.into_iter().chain([(1, false), (17, false)]) {
         let cfg = MachineConfig::default()
             .with_sync_period(SimTime::from_millis(5))
             .with_paranoid_checks(true);
-        let machines = run_dense_session_under(cfg, 4, seed, 10, Telemetry::noop());
+        let links = match jitter {
+            true => LatencyModel::lan_ms(10),
+            false => LatencyModel::constant_ms(10),
+        };
+        let machines = run_dense_session_under(cfg, 4, seed, links, Telemetry::noop());
         let master = machines[0].stats();
         let rounds = master.sync_samples.len() as u64;
         assert!(
@@ -141,6 +154,12 @@ fn bound_holds_with_a_round_beginning_under_every_round() {
         assert!(
             histogram[2] > 0 && histogram[3] > 0,
             "seed {seed}: {histogram:?}"
+        );
+        let [.., twice, thrice, _, _, _, _] = master.exec_histogram;
+        assert!(
+            twice > 0 && (jitter || thrice == 0),
+            "seed {seed}: the master's own {:?}",
+            master.exec_histogram
         );
         assert_eq!(
             histogram[4..].iter().sum::<u64>(),

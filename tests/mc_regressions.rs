@@ -57,50 +57,55 @@ fn checked_in_schedules_replay_as_recorded() {
     }
 }
 
-/// End-to-end seeded-mutation check: corrupt the first Ops batch machine 1
+/// End-to-end seeded-mutation check: corrupt the first batch machine 1
 /// receives by swapping the operation ids of the conflicting sudoku pair
 /// (a deliberately reordered commit), and require the checker to detect
 /// it, shrink it, and reproduce it deterministically from the shrunken
-/// schedule.
+/// schedule. The pair is the master's: under serial turns it arrives in the
+/// master's `Ops`, under the parallel flush inside `BeginApply` (machine 2's
+/// one-operation batch has nothing to swap), so both carriers face the
+/// mutation.
 #[test]
 fn seeded_commit_reorder_is_detected_and_shrunk() {
-    // The built-in preset must be used as-is: replay resolves the
-    // schedule's preset *name*, so a locally shrunk variant would not
-    // round-trip through the file format.
-    let preset = *Preset::by_name("sudoku").expect("built-in preset");
-    let tamper = Some(TamperSpec {
-        victim: 1,
-        nth: 1,
-        swap: (0, 1),
-    });
-    let matrix = CommuteMatrix::new();
-    let out = explore(&preset, &matrix, tamper, &ExploreConfig::default());
-    let (violation, steps) = out
-        .violation
-        .expect("a reordered commit must trip the agreement oracles");
-    let raw = Schedule {
-        preset: preset.name.to_owned(),
-        tamper,
-        steps,
-    };
-    let min = minimize(&raw, &matrix);
-    assert!(
-        min.steps.len() <= raw.steps.len(),
-        "minimization must never grow the schedule"
-    );
-    // The minimized schedule round-trips through its file format and
-    // still fails, twice in a row.
-    let reparsed = Schedule::from_json(&min.to_json()).expect("well-formed file");
-    let first = replay(&reparsed, &matrix).expect("known preset");
-    let second = replay(&reparsed, &matrix).expect("known preset");
-    assert!(
-        first.violation.is_some(),
-        "minimized repro lost the violation (original: {violation})"
-    );
-    assert_eq!(
-        first.violation, second.violation,
-        "repro must be deterministic"
-    );
+    for name in ["sudoku", "sudoku-parallel"] {
+        // The built-in preset must be used as-is: replay resolves the
+        // schedule's preset *name*, so a locally shrunk variant would not
+        // round-trip through the file format.
+        let preset = *Preset::by_name(name).expect("built-in preset");
+        let tamper = Some(TamperSpec {
+            victim: 1,
+            nth: 1,
+            swap: (0, 1),
+        });
+        let matrix = CommuteMatrix::new();
+        let out = explore(&preset, &matrix, tamper, &ExploreConfig::default());
+        let (violation, steps) = out
+            .violation
+            .unwrap_or_else(|| panic!("{name}: a reordered commit must trip the oracles"));
+        let raw = Schedule {
+            preset: preset.name.to_owned(),
+            tamper,
+            steps,
+        };
+        let min = minimize(&raw, &matrix);
+        assert!(
+            min.steps.len() <= raw.steps.len(),
+            "{name}: minimization must never grow the schedule"
+        );
+        // The minimized schedule round-trips through its file format and
+        // still fails, twice in a row.
+        let reparsed = Schedule::from_json(&min.to_json()).expect("well-formed file");
+        let first = replay(&reparsed, &matrix).expect("known preset");
+        let second = replay(&reparsed, &matrix).expect("known preset");
+        assert!(
+            first.violation.is_some(),
+            "{name}: minimized repro lost the violation (original: {violation})"
+        );
+        assert_eq!(
+            first.violation, second.violation,
+            "{name}: repro must be deterministic"
+        );
+    }
 }
 
 /// Three-layer soundness demo, model-checker layer (the other two are the
@@ -595,18 +600,22 @@ fn drive_overlap(
     let mut steps = Vec::new();
     while !(built.window_done() && built.pending_msgs().is_empty() && settled(&built)) {
         assert!(steps.len() < 400, "the drive failed to converge");
-        let decided = built.pending_msgs().into_iter().find_map(|seq| {
+        // The rule is asked only when its answer is the step taken: what
+        // it notes down about a message it lets through has then happened.
+        let mut decide = |seq| {
             let msg = built.net.pending_msg(seq).expect("pending");
             match rule(&built, msg) {
                 Fate::Deliver => Some(Step::Deliver(seq)),
                 Fate::Drop => Some(Step::Drop(seq)),
                 Fate::Hold => None,
             }
-        });
-        let next = match decided {
-            Some(step) if !built.overlap_tick_ready() => step,
-            _ => Step::Timer,
         };
+        let next = if built.overlap_tick_ready() {
+            None
+        } else {
+            built.pending_msgs().into_iter().find_map(&mut decide)
+        };
+        let next = next.unwrap_or(Step::Timer);
         assert!(built.exec(next), "stalled at {next}");
         assert_eq!(built.check_step(), None, "after {next}");
         steps.push(next);
@@ -761,4 +770,113 @@ fn a_machine_removed_in_stage_2_leaves_the_round_begun_under_it_too() {
     assert_eq!((m.stats().restarts, m.stats().ops_lost_to_restart), (1, 1));
     assert!(m.in_cohort(), "it is back in the cohort");
     assert_recorded("event-planner-overlap-removed-from-both.json", &sched);
+}
+
+/// `tests/schedules/event-planner-overlap-begin-apply-lost.json`: under the
+/// parallel flush the master's batch travels inside `BeginApply`, and the
+/// `BeginApply{r}` for machine 1 is lost. Nothing else can bring machine 1
+/// the master's two operations -- nobody may ask the master for them -- so
+/// the stage-2 nudge must resend the signal *with the batch*: machine 1
+/// applies, r completes with one resend and nobody removed, the master's
+/// operations are in every `C` exactly once, and r + 1, begun under r and
+/// held in stage 1 all the while, follows.
+#[test]
+fn a_lost_begin_apply_is_resent_with_the_masters_batch() {
+    use guesstimate_core::MachineId;
+    let (master, member) = (MachineId::new(0), MachineId::new(1));
+    let mut carried = Vec::new();
+    let mut asked_master = false;
+    let rule = |built: &Built, p: &PendingMsg<Msg>| {
+        match &p.msg {
+            Msg::BeginApply { round, ops, .. }
+                if *round == built.base_rounds + 1 && p.to == member =>
+            {
+                carried.push(ops.len());
+                if carried.len() == 1 {
+                    return Fate::Drop;
+                }
+            }
+            Msg::OpsRequest { .. } if p.to == master => asked_master = true,
+            _ => {}
+        }
+        Fate::Deliver
+    };
+    let (built, sched) = drive_overlap("event_planner-overlap", rule, |_| true);
+    assert_eq!(carried, vec![2, 2], "sent and resent, the batch both times");
+    assert!(!asked_master, "the master is never asked for its batch");
+    // The master's two first-wave operations and the member's one in round
+    // r; both second-wave joins in r + 1.
+    assert_eq!(explored_rounds(&built)[..2], [(1, 0, 3), (0, 0, 2)]);
+    let history = |i| {
+        let m = built.net.actor(MachineId::new(i)).expect("machine");
+        assert_eq!((m.stats().restarts, m.pending_len()), (0, 0), "machine {i}");
+        m.completed_ops().to_vec()
+    };
+    let c = history(0);
+    assert_eq!(c, history(1));
+    let once: std::collections::BTreeSet<_> = c.iter().collect();
+    assert_eq!(once.len(), c.len(), "no operation committed twice");
+    assert_recorded("event-planner-overlap-begin-apply-lost.json", &sched);
+}
+
+/// `tests/schedules/message-board-overlap-window-rides-begin-apply.json`:
+/// the master's second-wave `like` commits at issue, right after the cut of
+/// round r took its only serialized operation, and its `AsyncOp` is lost to
+/// machine 1. Round r + 1 finds the master with nothing to serialize -- as
+/// an `Ops` message, a flush like that would vouch for nothing -- but its
+/// window rides the `BeginApply` no machine applies r + 1 without: machine 1
+/// is repaired by it, and when r + 1 has completed the entry is fenced and
+/// leaves the window, so the `BeginApply` of the round after carries none.
+#[test]
+fn the_masters_window_rides_begin_apply_and_is_trimmed_when_the_round_completes() {
+    use guesstimate_core::MachineId;
+    let (master, victim) = (MachineId::new(0), MachineId::new(1));
+    let has = |built: &Built, op| {
+        let m = built.net.actor(victim).expect("victim");
+        m.completed_ops().contains(&op)
+    };
+    let mut lost = None;
+    let (mut repaired, mut trimmed) = (false, false);
+    let rule = |built: &Built, p: &PendingMsg<Msg>| {
+        let r = built.base_rounds + 1;
+        match &p.msg {
+            // The master's first like (aseq 0) was issued with the workload.
+            Msg::AsyncOp { aseq: 1, env } if p.from == master && p.to == victim => {
+                lost = Some(env.id);
+                return Fate::Drop;
+            }
+            Msg::BeginApply {
+                round, ops, asyncs, ..
+            } if p.to == victim && *round == r + 1 => {
+                let lost = lost.expect("lost before the round it is repaired in");
+                let riding: Vec<_> = asyncs.iter().map(|(_, env)| env.id).collect();
+                repaired = ops.is_empty() && riding == [lost] && !has(built, lost);
+            }
+            Msg::SyncComplete { round } if p.to == victim && *round == r + 1 => {
+                repaired &= has(built, lost.expect("lost"));
+            }
+            Msg::BeginApply { round, asyncs, .. } if *round == r + 2 => {
+                trimmed = asyncs.is_empty();
+            }
+            _ => {}
+        }
+        Fate::Deliver
+    };
+    let third_round = |built: &Built| explored_rounds(built).len() >= 3;
+    let (built, sched) = drive_overlap("message_board-overlap", rule, third_round);
+    assert!(
+        repaired,
+        "the window inside BeginApply{{r + 1}} brought the like"
+    );
+    assert!(trimmed, "fenced by r + 1, it rides no later round");
+    // Two posts in round r, the third in r + 1; nothing left for the next.
+    assert_eq!(explored_rounds(&built), [(0, 0, 2), (0, 0, 1), (0, 0, 0)]);
+    for i in 0..3 {
+        let m = built.net.actor(MachineId::new(i)).expect("machine");
+        assert_eq!((m.stats().restarts, m.pending_len()), (0, 0), "machine {i}");
+    }
+    assert_recorded(
+        "message-board-overlap-window-rides-begin-apply.json",
+        &sched,
+    );
 }
