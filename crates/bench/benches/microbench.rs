@@ -12,7 +12,7 @@
 //! * `sim_round` — one full synchronization round of a simulated 4-machine
 //!   cluster (protocol + virtual network bookkeeping): nearly idle — on the
 //!   plain registry and on the checked one — and with 256 pending ops to
-//!   consolidate, commute-skip off and on.
+//!   consolidate.
 //! * `threaded_link_round_trip` — a ping and its echo over the real-thread
 //!   mesh with a constant link delay: twice the link when the delivery
 //!   thread wakes on time, and its wake-up lateness twice over when not.
@@ -191,53 +191,46 @@ fn bench_sim_round(c: &mut Criterion) {
 }
 
 /// A round that carries real load: 64 `like` ops pending on each of 4
-/// machines (own key per machine, so every cross-machine pair commutes by
-/// footprint), all flushed, consolidated and committed by the next
-/// synchronization. Timed with commute-skip off (copy + replay) and on
-/// (the pairwise judgment, then patching `sg` in place).
+/// machines (own key per machine), all flushed, consolidated and committed
+/// by the next synchronization, each machine then rebuilding `sg` (copy +
+/// replay).
 fn bench_sim_round_loaded(c: &mut Criterion) {
-    for (name, commute_skip) in [
-        ("sim_round/4_machines_256_pending_ops", false),
-        ("sim_round/4_machines_256_pending_ops_commute_skip", true),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let cfg = MachineConfig::default()
-                        .with_sync_period(SimTime::from_millis(50))
-                        .with_stall_timeout(SimTime::from_secs(2))
-                        .with_commute_skip(commute_skip);
-                    let netcfg = NetConfig::lan(7).with_latency(LatencyModel::constant_ms(5));
-                    let mut registry = OpRegistry::new();
-                    message_board::register(&mut registry);
-                    let mut net = sim_cluster(4, registry, cfg, netcfg);
-                    assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
-                    let board = net
-                        .actor_mut(MachineId::new(0))
-                        .unwrap()
-                        .create_instance(MessageBoard::new());
-                    let settle = net.now() + SimTime::from_secs(2);
-                    net.run_until(settle);
-                    for i in 0..4u32 {
-                        let m = net.actor_mut(MachineId::new(i)).unwrap();
-                        for _ in 0..64 {
-                            let like = message_board::ops::like(board, &format!("post-{i}"));
-                            assert!(m.issue(like).unwrap());
-                        }
+    c.bench_function("sim_round/4_machines_256_pending_ops", |b| {
+        b.iter_batched(
+            || {
+                let cfg = MachineConfig::default()
+                    .with_sync_period(SimTime::from_millis(50))
+                    .with_stall_timeout(SimTime::from_secs(2));
+                let netcfg = NetConfig::lan(7).with_latency(LatencyModel::constant_ms(5));
+                let mut registry = OpRegistry::new();
+                message_board::register(&mut registry);
+                let mut net = sim_cluster(4, registry, cfg, netcfg);
+                assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
+                let board = net
+                    .actor_mut(MachineId::new(0))
+                    .unwrap()
+                    .create_instance(MessageBoard::new());
+                let settle = net.now() + SimTime::from_secs(2);
+                net.run_until(settle);
+                for i in 0..4u32 {
+                    let m = net.actor_mut(MachineId::new(i)).unwrap();
+                    for _ in 0..64 {
+                        let like = message_board::ops::like(board, &format!("post-{i}"));
+                        assert!(m.issue(like).unwrap());
                     }
-                    net
-                },
-                |mut net| {
-                    let t = net.now() + SimTime::from_millis(200);
-                    net.run_until(t);
-                    let committed = net.actor(MachineId::new(0)).unwrap().completed_len();
-                    assert_eq!(committed, 1 + 256);
-                    committed
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
+                }
+                net
+            },
+            |mut net| {
+                let t = net.now() + SimTime::from_millis(200);
+                net.run_until(t);
+                let committed = net.actor(MachineId::new(0)).unwrap().completed_len();
+                assert_eq!(committed, 1 + 256);
+                committed
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 /// Machine 1 echoes, then busy-works for `work`; machine 0 counts the echoes

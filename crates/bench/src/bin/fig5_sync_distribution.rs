@@ -135,10 +135,7 @@ fn main() {
         "# ops issued/committed   : {}/{}",
         result.issued, result.committed
     );
-    println!(
-        "# replays run/skipped    : {}/{}  [commute-aware skipping, docs/ANALYSIS.md]",
-        result.replays, result.replays_skipped
-    );
+    println!("# replays run            : {}", result.replays);
     println!(
         "# bytes sent/delivered   : {}/{}  [structural wire-size model]",
         result.net.bytes_sent, result.net.bytes_delivered

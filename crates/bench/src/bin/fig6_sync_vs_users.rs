@@ -72,25 +72,17 @@ fn main() {
     println!("# Figure 6: average time to synchronize vs number of users");
     println!("# (outliers > 12s excluded, as in the paper)");
     println!(
-        "{:>5} {:>14} {:>14} {:>8} {:>12} {:>14} {:>12} {:>12}",
-        "users",
-        "active_ms",
-        "idle_ms",
-        "rounds",
-        "replays",
-        "replays_skip",
-        "bytes_sent",
-        "bytes_dlvd"
+        "{:>5} {:>14} {:>14} {:>8} {:>12} {:>12} {:>12}",
+        "users", "active_ms", "idle_ms", "rounds", "replays", "bytes_sent", "bytes_dlvd"
     );
     for r in &rows {
         println!(
-            "{:>5} {:>14.1} {:>14.1} {:>8} {:>12} {:>14} {:>12} {:>12}",
+            "{:>5} {:>14.1} {:>14.1} {:>8} {:>12} {:>12} {:>12}",
             r.users,
             r.active.as_millis_f64(),
             r.idle.as_millis_f64(),
             r.rounds,
             r.replays,
-            r.replays_skipped,
             r.bytes_sent,
             r.bytes_delivered
         );

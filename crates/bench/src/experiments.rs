@@ -60,10 +60,6 @@ pub struct SessionConfig {
     /// [`SessionConfig::paper_default`]; ablation A1 and `scalability` turn
     /// on the parallel flush the runtime itself defaults to.
     pub parallel_flush: bool,
-    /// Commute-aware replay skipping (`docs/ANALYSIS.md`): elide the
-    /// `sg = [P](sc)` rebuild when a round's foreign commits provably
-    /// commute with every pending local operation.
-    pub commute_skip: bool,
 }
 
 impl SessionConfig {
@@ -83,7 +79,6 @@ impl SessionConfig {
             },
             seed,
             parallel_flush: false,
-            commute_skip: false,
         }
     }
 }
@@ -123,9 +118,6 @@ pub struct SessionResult {
     pub events_scheduled: usize,
     /// Total pending replays executed while rebuilding `sg = [P](sc)`.
     pub replays: u64,
-    /// Total replays elided by commute-aware skipping (zero unless
-    /// [`SessionConfig::commute_skip`] is set).
-    pub replays_skipped: u64,
     /// Transport counters for the whole run, including the structural
     /// byte accounting (`bytes_sent`/`bytes_delivered`).
     pub net: NetMetrics,
@@ -222,7 +214,6 @@ pub fn run_session_instrumented(
         .with_stall_timeout(cfg.stall_timeout)
         .with_join_retry(SimTime::from_millis(700))
         .with_parallel_flush(cfg.parallel_flush)
-        .with_commute_skip(cfg.commute_skip)
         // Sudoku's analysis-derived shard plan rides along so the
         // per-shard and Cross-route commit counters are live (the fig5 /
         // fig6 footer rows); routing is note-and-count only, so the
@@ -328,7 +319,6 @@ fn collect_result(
         committed: per_machine.iter().map(|s| s.committed_own).sum(),
         machines_restarted: per_machine.iter().filter(|s| s.restarts > 0).count(),
         replays: per_machine.iter().map(|s| s.replays).sum(),
-        replays_skipped: per_machine.iter().map(|s| s.replays_skipped).sum(),
         per_machine,
         sync_samples,
         converged,
@@ -395,10 +385,6 @@ pub fn run_fig5_instrumented(
 ) -> SessionResult {
     let mut cfg = SessionConfig::paper_default(8, seed);
     cfg.duration = duration;
-    // Commute-aware replay skipping stays observationally identical (the
-    // refinement suite proves it) while exercising the optimization: most
-    // Sudoku moves land on distinct cells and so commute.
-    cfg.commute_skip = true;
     // Long stalls on two different machines, far apart; each blocks a round
     // until the master's two-step recovery (resend, then remove + restart)
     // clears it, producing the outlier and the removal.
@@ -435,8 +421,6 @@ pub struct Fig6Row {
     pub rounds: usize,
     /// Pending replays executed in the active run.
     pub replays: u64,
-    /// Replays elided by commute-aware skipping in the active run.
-    pub replays_skipped: u64,
     /// Payload bytes sent in the active run (structural wire-size model).
     pub bytes_sent: u64,
     /// Payload bytes delivered in the active run.
@@ -462,7 +446,6 @@ pub fn run_fig6_instrumented(
         .map(|users| {
             let mut active_cfg = SessionConfig::paper_default(users, seed + u64::from(users));
             active_cfg.duration = duration;
-            active_cfg.commute_skip = true;
             let (session_tracer, session_telemetry) = if users == 8 {
                 (tracer.clone(), telemetry.clone())
             } else {
@@ -482,7 +465,6 @@ pub fn run_fig6_instrumented(
                     .expect("idle rounds measured"),
                 rounds: active.sync_samples.len(),
                 replays: active.replays,
-                replays_skipped: active.replays_skipped,
                 bytes_sent: active.net.bytes_sent,
                 bytes_delivered: active.net.bytes_delivered,
             }
@@ -1237,7 +1219,6 @@ mod tests {
             converged: true,
             events_scheduled: 0,
             replays: 0,
-            replays_skipped: 0,
             net: NetMetrics::default(),
             committed_digest: 0,
         };

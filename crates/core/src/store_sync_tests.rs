@@ -122,7 +122,7 @@ fn failing_atomic_and_reads_leave_the_store_clean() {
     assert_eq!(sc.dirty.iter().copied().collect::<Vec<_>>(), [oid(0, 1)]);
 }
 
-/// The commute-skip and async-apply shape: the runtime patches both stores
+/// The async-apply shape: the runtime patches both stores
 /// in place and resyncs nothing, so nothing may be cleared either — the
 /// marks must survive until the next real resync.
 #[test]

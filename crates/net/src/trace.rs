@@ -36,9 +36,8 @@ use crate::time::SimTime;
 /// can attribute each `sg` replay (or in-place patch) to what forced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayCause {
-    /// A foreign, conflicting commit entered the round: the commute check
-    /// could not prove the round's foreign commits past the pending list,
-    /// so `sg` was rebuilt from `sc` and every pending op re-executed.
+    /// The round committed foreign operations, so `sg` was rebuilt from
+    /// `sc` and every pending op re-executed after them.
     ForeignConflict,
     /// Ordinary round bookkeeping: the round carried only this machine's
     /// own commits (or nothing replay-relevant) but still-pending ops had
@@ -146,15 +145,6 @@ pub enum TraceEvent {
         /// Round number.
         round: u64,
     },
-    /// The emitting machine proved the round's foreign commits commute with
-    /// every still-pending local operation and skipped the `sg` rebuild
-    /// (copy + replay), patching the guesstimated store in place instead.
-    ReplaySkipped {
-        /// Round number.
-        round: u64,
-        /// Pending operations whose re-execution was skipped.
-        pending: u64,
-    },
     /// The master re-sent a stage's kickoff to a straggler.
     ///
     /// `stage` is `1` for a `BeginSync` re-send (flush never observed) or
@@ -249,7 +239,6 @@ impl TraceEvent {
             TraceEvent::AckReceived { .. } => "ack_received",
             TraceEvent::SyncComplete { .. } => "sync_complete",
             TraceEvent::SyncCompleteReceived { .. } => "sync_complete_received",
-            TraceEvent::ReplaySkipped { .. } => "replay_skipped",
             TraceEvent::Resend { .. } => "resend",
             TraceEvent::OpsResendRequested { .. } => "ops_resend_requested",
             TraceEvent::Removed { .. } => "removed",
@@ -281,7 +270,6 @@ impl TraceEvent {
             | TraceEvent::AckReceived { round, .. }
             | TraceEvent::SyncComplete { round, .. }
             | TraceEvent::SyncCompleteReceived { round }
-            | TraceEvent::ReplaySkipped { round, .. }
             | TraceEvent::Resend { round, .. }
             | TraceEvent::OpsResendRequested { round, .. }
             | TraceEvent::Removed { round, .. } => Some(round),
@@ -447,10 +435,6 @@ mod tests {
                 ops_committed: 0,
             },
             TraceEvent::SyncCompleteReceived { round: 0 },
-            TraceEvent::ReplaySkipped {
-                round: 0,
-                pending: 0,
-            },
             TraceEvent::Resend {
                 round: 0,
                 machine: m,

@@ -72,9 +72,6 @@ pub fn record_to_json(r: &TraceRecord) -> String {
         TraceEvent::SyncCompleteReceived { round } => {
             let _ = write!(s, ",\"round\":{round}");
         }
-        TraceEvent::ReplaySkipped { round, pending } => {
-            let _ = write!(s, ",\"round\":{round},\"pending\":{pending}");
-        }
         TraceEvent::Resend {
             round,
             machine,
@@ -153,7 +150,7 @@ pub struct TraceLine {
     pub origin: Option<u32>,
     /// Message-kind label (`msg_sent` / `msg_received`).
     pub kind: Option<String>,
-    /// Pending-list length (`reexecuted` / `replay_skipped`).
+    /// Pending-list length (`reexecuted`).
     pub pending: Option<u64>,
     /// Re-execution cause (`reexecuted` only).
     pub cause: Option<String>,
@@ -276,6 +273,17 @@ mod tests {
             .unwrap();
         assert_eq!(line.event, "custom");
         assert_eq!(line.round, None);
+        // An event this binary no longer emits (deleted in PR 25) still
+        // parses, with the fields the reader types.
+        let old = TraceLine::parse(
+            "{\"at_us\":9000,\"src\":2,\"event\":\"replay_skipped\",\"round\":4,\"pending\":3}",
+        )
+        .unwrap();
+        assert_eq!(old.event, "replay_skipped");
+        assert_eq!(
+            (old.round, old.pending, old.cause),
+            (Some(4), Some(3), None)
+        );
         assert!(TraceLine::parse("{\"src\":0,\"event\":\"x\"}").is_err());
     }
 

@@ -1,8 +1,10 @@
 //! Pairwise commutation judgments over wire operations.
 //!
-//! The replay-skip fast path ([`crate::MachineConfig::commute_skip`]) and
-//! the schedule model checker (`guesstimate-mc`) both need the same
-//! question answered: *do two wire operations provably commute?* The proof
+//! Commutativity is settled at design time, and this module answers the
+//! design-time consumers: the schedule model checker (`guesstimate-mc`)
+//! asks [`wire_ops_commute`] *do two wire operations provably commute?* for
+//! its independence relation, and the hybrid path asks
+//! [`universal_commuters`] which methods may skip the round. The proof
 //! cascade, strongest-first, mirrors `docs/ANALYSIS.md`:
 //!
 //! 1. **Object disjointness** — per-object state means operations on
@@ -17,10 +19,9 @@
 //! declared effect — is conservatively treated as conflicting.
 //!
 //! Object types are resolved through a caller-supplied function, because
-//! the catalog to consult differs per caller: a [`crate::Machine`] uses its
-//! own catalog plus the round's fresh `Create`s, while the model checker
-//! uses the scenario's object table plus the creations inside the two
-//! batches under comparison.
+//! the catalog to consult differs per caller: the model checker uses the
+//! scenario's object table plus the creations inside the two batches under
+//! comparison, and shard routing ([`crate::shard`]) its machine's catalog.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -45,12 +46,7 @@ pub fn wire_objects(op: &WireOp) -> BTreeSet<ObjectId> {
 /// Matrix fast path: both operations are single primitives on the same
 /// object whose method pair the offline analysis validated as
 /// always-commuting (any argument, any state).
-pub fn matrix_commutes(
-    matrix: &CommuteMatrix,
-    type_of: TypeOf<'_>,
-    a: &WireOp,
-    b: &WireOp,
-) -> bool {
+fn matrix_commutes(matrix: &CommuteMatrix, type_of: TypeOf<'_>, a: &WireOp, b: &WireOp) -> bool {
     let (
         WireOp::Shared(SharedOp::Primitive {
             object: oa,

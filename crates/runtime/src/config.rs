@@ -53,15 +53,10 @@ pub struct MachineConfig {
     /// id). `None` (the default, and the paper's behavior) means master
     /// failure is not tolerated.
     pub master_failover: Option<SimTime>,
-    /// Commute-aware replay skipping (see `docs/ANALYSIS.md`): when every
-    /// foreign operation committed by a round provably commutes with every
-    /// still-pending local operation, patch the guesstimated store in place
-    /// instead of rebuilding `sg = [P](sc)` from scratch. Off by default —
-    /// the paper always rebuilds.
-    pub commute_skip: bool,
     /// Method pairs validated as always-commuting by the offline analysis
-    /// (`guesstimate-analysis`). Used as a fast path by the replay-skip
-    /// check before falling back to per-argument footprint comparison.
+    /// (`guesstimate-analysis`). Its full rows name the *universal
+    /// commuters* eligible for the hybrid path
+    /// ([`MachineConfig::async_commit`]).
     pub commute_matrix: CommuteMatrix,
     /// Debug-assert the §3 invariant `sg = [P](sc)` after **every**
     /// protocol step (`on_start` / `on_message` / `on_timer`).
@@ -116,7 +111,6 @@ impl Default for MachineConfig {
             parallel_flush: true,
             record_history: false,
             master_failover: None,
-            commute_skip: false,
             commute_matrix: CommuteMatrix::new(),
             paranoid_checks: false,
             async_commit: false,
@@ -165,13 +159,6 @@ impl MachineConfig {
     /// spurious elections).
     pub fn with_master_failover(mut self, timeout: SimTime) -> Self {
         self.master_failover = Some(timeout);
-        self
-    }
-
-    /// Enables commute-aware replay skipping (see
-    /// [`MachineConfig::commute_skip`]).
-    pub fn with_commute_skip(mut self, on: bool) -> Self {
-        self.commute_skip = on;
         self
     }
 

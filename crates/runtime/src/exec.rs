@@ -1,5 +1,5 @@
-//! Commit-side machinery: applying a consolidated round, the commute-skip
-//! judgment, join initialization, and restarts.
+//! Commit-side machinery: applying a consolidated round (and rebuilding
+//! `sg = [P](sc)` after it), join initialization, and restarts.
 //!
 //! These are the [`Machine`] operations that touch the replicated stores
 //! (`sc`, `sg`) and the pending list in bulk. They are invoked by the
@@ -8,12 +8,12 @@
 //! [`Machine::init_from_join_info`] on `JoinInfo`, and
 //! [`Machine::reset_for_restart`] behind `Effect::SelfRestart`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use guesstimate_core::{
     containment_escapes, declared_footprints, execute, execute_witnessed, CompletionQueue,
-    ExecError, ExecOutcome, Footprint, MachineId, ObjectId, ObjectStore, OpId, OpRegistry,
-    ProbeReads, SharedOp,
+    ExecError, ExecOutcome, MachineId, ObjectId, ObjectStore, OpId, OpRegistry, ProbeReads,
+    SharedOp,
 };
 use guesstimate_net::{ReplayCause, SimTime, TraceEvent};
 
@@ -28,12 +28,7 @@ impl Machine {
     /// `runs`, one sorted batch per machine, end to end in machine order —
     /// to the committed state, then re-establishes `sg = [P](sc)`: copy
     /// `sc → sg`, run queued completion routines, replay remaining pending
-    /// operations.
-    ///
-    /// With [`crate::MachineConfig::commute_skip`] enabled, the rebuild is
-    /// elided whenever every foreign commit provably commutes with the whole
-    /// pending list (see [`Machine::can_skip_replay`]); the guesstimated
-    /// store is then patched in place instead.
+    /// operations. The rebuild runs every round, as in the paper.
     ///
     /// Returns the number of operations committed.
     pub(crate) fn apply_committed_round(
@@ -42,11 +37,6 @@ impl Machine {
         round: u64,
         now: SimTime,
     ) -> u64 {
-        let me = self.id;
-        let foreign = || round_ops(runs).filter(move |e| e.id.machine() != me);
-        // The commutation judgment must see the pending list *before* the
-        // commit loop below pops own operations off its front.
-        let skip = self.cfg.commute_skip && self.can_skip_replay(runs);
         let mut queue = CompletionQueue::new();
         let mut remote_touched: BTreeSet<ObjectId> = BTreeSet::new();
         for env in round_ops(runs) {
@@ -96,46 +86,16 @@ impl Machine {
                 self.stats.commit_latencies.push(now.saturating_since(t));
             }
         }
-        if skip {
-            // Every foreign commit commutes past the whole pending list, so
-            // `sg = [P](sc)` survives the round up to appending the foreign
-            // ops: own committed ops already acted first in `sg` (they sat
-            // at the front of `P`), and the still-pending tail need not
-            // re-execute. Skipped replays do not count as executions, so
-            // the records' `execs` are deliberately left alone.
-            for env in foreign() {
-                let _ = execute_wire_checked(
-                    &env.op,
-                    &mut self.guess,
-                    &self.registry,
-                    &self.cfg,
-                    self.id,
-                    "commute-skip",
-                    &mut self.witness_log,
-                );
-            }
-            let skipped = self.pending.len() as u64;
-            self.stats.replays_skipped += skipped;
-            self.stats.completions_run += queue.run_all() as u64;
-            self.trace(
-                now,
-                TraceEvent::ReplaySkipped {
-                    round,
-                    pending: skipped,
-                },
-            );
+        // §4 steps (i)-(iii): copy committed onto guesstimated, run the
+        // pending completion routines, replay the still-pending operations.
+        self.resync_guess();
+        self.stats.completions_run += queue.run_all() as u64;
+        let cause = if round_ops(runs).any(|e| e.id.machine() != self.id) {
+            ReplayCause::ForeignConflict
         } else {
-            // §4 steps (i)-(iii): copy committed onto guesstimated, run the
-            // pending completion routines, replay the still-pending operations.
-            self.resync_guess();
-            self.stats.completions_run += queue.run_all() as u64;
-            let cause = if foreign().next().is_some() {
-                ReplayCause::ForeignConflict
-            } else {
-                ReplayCause::RoundReplay
-            };
-            self.replay_pending("replay", Some((round, cause, now)), true);
-        }
+            ReplayCause::RoundReplay
+        };
+        self.replay_pending("replay", Some((round, cause, now)), true);
         self.stats.rounds_applied += 1;
         for object in remote_touched {
             for hook in &mut self.remote_hooks {
@@ -234,80 +194,6 @@ impl Machine {
             ),
             _ => {}
         }
-    }
-
-    /// Decides whether this round's rebuild of `sg = [P](sc)` may be
-    /// skipped: every foreign committed operation must provably commute
-    /// with every operation in the pending list `P` — own ops about to
-    /// commit included, since skipping implicitly reorders each foreign op
-    /// past all of them. A round that commits no foreign operation always
-    /// qualifies (own commits act first in both stores, so `sg` is already
-    /// `[P'](sc')`).
-    ///
-    /// Proofs, strongest-first per pair: disjoint touched-object sets;
-    /// the analysis-validated [`crate::MachineConfig::commute_matrix`]; and
-    /// argument-precise footprint disjointness from the methods' declared
-    /// [`guesstimate_core::EffectSpec`]s (see [`crate::commute`]). Any pair
-    /// left unproven — including any operation whose method lacks a
-    /// declared effect — forces the full rebuild.
-    fn can_skip_replay(&self, runs: &[OpsBatch]) -> bool {
-        if self.pending.is_empty() {
-            return false; // nothing to skip; the rebuild is a plain copy
-        }
-        // Objects created this round are not in the catalog yet.
-        let mut created: BTreeMap<ObjectId, String> = BTreeMap::new();
-        for env in round_ops(runs) {
-            if let WireOp::Create {
-                object, type_name, ..
-            } = &env.op
-            {
-                created.insert(*object, type_name.clone());
-            }
-        }
-        let type_of = |id: ObjectId| {
-            created
-                .get(&id)
-                .cloned()
-                .or_else(|| self.catalog.get(&id).cloned())
-        };
-        let pending_objs: Vec<(&WireEnvelope, BTreeSet<ObjectId>)> = self
-            .pending
-            .iter()
-            .map(|p| (&p.env, commute::wire_objects(&p.env.op)))
-            .collect();
-        for f in round_ops(runs).filter(|e| e.id.machine() != self.id) {
-            let f_objs = commute::wire_objects(&f.op);
-            let mut f_fps: Option<BTreeMap<ObjectId, Footprint>> = None;
-            for (p, p_objs) in &pending_objs {
-                if f_objs.is_disjoint(p_objs) {
-                    continue; // per-object state: disjoint objects commute
-                }
-                if commute::matrix_commutes(&self.cfg.commute_matrix, &type_of, &f.op, &p.op) {
-                    continue;
-                }
-                if f_fps.is_none() {
-                    match commute::wire_footprints(&self.registry, &type_of, &f.op) {
-                        Some(fp) => f_fps = Some(fp),
-                        None => return false,
-                    }
-                }
-                let ffp = f_fps.as_ref().expect("computed above");
-                let Some(pfp) = commute::wire_footprints(&self.registry, &type_of, &p.op) else {
-                    return false;
-                };
-                let all_disjoint =
-                    f_objs
-                        .intersection(p_objs)
-                        .all(|id| match (ffp.get(id), pfp.get(id)) {
-                            (Some(a), Some(b)) => a.disjoint(b),
-                            _ => false,
-                        });
-                if !all_disjoint {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Builds the catalog snapshot + completed history shipped to a joining
@@ -498,7 +384,7 @@ pub(crate) fn execute_wire(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessViolation {
     /// The apply site that observed the escape ("issue", "commit",
-    /// "commute-skip", "replay", "join-replay", "async-issue",
+    /// "replay", "join-replay", "async-issue",
     /// "async-commit", "async-apply", "async-restore").
     pub site: &'static str,
     /// The rendered [`guesstimate_core::WitnessEscape`].

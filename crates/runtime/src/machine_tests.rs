@@ -1,10 +1,10 @@
 //! Unit tests for the local [`Machine`] API and the commit-side machinery
-//! in [`crate::exec`] (applied rounds, replay skipping, join info,
+//! in [`crate::exec`] (applied rounds, the `sg` rebuild, join info,
 //! restarts). Declared by `machine.rs` via `#[path]` so `super::*` still
 //! refers to that module.
 
 use super::*;
-use crate::testutil::{counter_registry, Counter};
+use crate::testutil::{counter_registry, slots_registry, Counter, Slots};
 use guesstimate_core::args;
 
 /// The still-pending envelopes, in issue order (what a flush would ship).
@@ -161,18 +161,35 @@ fn conflict_detected_when_foreign_op_invalidates_own() {
 
 #[test]
 fn replay_of_still_pending_ops_rebuilds_guess() {
+    let tracer = Arc::new(guesstimate_net::RecordingTracer::new());
     let mut m = machine();
+    m.set_tracer(tracer.clone());
     let id = m.create_instance(Counter { n: 0 });
     m.issue(SharedOp::primitive(id, "add", args![1])).unwrap();
     // Simulate a round that commits only the creation (as if add was
     // issued after our flush): commit the first pending op only.
     let create = vec![m.pending.front().unwrap().env.clone()];
-    apply(&mut m, create, 0);
-    // add(1) is still pending and was replayed onto the fresh guess.
+    apply(&mut m, create, 7);
+    // A round of only this machine's own ops still rebuilds `sg`: add(1)
+    // is still pending and was replayed onto the fresh guess.
     assert_eq!(m.pending_len(), 1);
     assert_eq!(m.read::<Counter, _>(id, |c| c.n), Some(1));
     assert_eq!(m.read_committed::<Counter, _>(id, |c| c.n), Some(0));
     assert_eq!(m.stats().replays, 1);
+    let replays: Vec<_> = tracer
+        .snapshot()
+        .into_iter()
+        .map(|r| r.event)
+        .filter(|e| matches!(e, TraceEvent::Reexecuted { .. }))
+        .collect();
+    assert_eq!(
+        replays,
+        [TraceEvent::Reexecuted {
+            round: 7,
+            pending: 1,
+            cause: guesstimate_net::ReplayCause::RoundReplay,
+        }]
+    );
     // Now commit it: 3 executions total (issue, replay, commit).
     let rest = pending_envs(&m);
     apply(&mut m, rest, 0);
@@ -204,145 +221,6 @@ fn join_info_roundtrip_replicates_state() {
     assert_eq!(member.committed_digest(), master.committed_digest());
     assert_eq!(member.read::<Counter, _>(id, |c| c.n), Some(7));
     assert_eq!(member.completed_len(), 1);
-}
-
-// --- Commute-aware replay skipping ---
-
-use crate::testutil::{slots_registry, Slots};
-
-/// A `Slots` machine with `commute_skip` on and its creation committed.
-fn skip_machine(cfg: MachineConfig) -> (Machine, ObjectId) {
-    let mut m = Machine::new_master(
-        MachineId::new(0),
-        Arc::new(slots_registry()),
-        cfg.with_commute_skip(true),
-    );
-    let id = m.create_instance(Slots::default());
-    let create = pending_envs(&m);
-    apply(&mut m, create, 0);
-    (m, id)
-}
-
-fn foreign_put(id: ObjectId, seq: u64, key: &str, v: i64) -> WireEnvelope {
-    WireEnvelope {
-        id: OpId::new(MachineId::new(1), seq),
-        op: WireOp::Shared(SharedOp::primitive(id, "put", args![key, v])),
-    }
-}
-
-#[test]
-fn foreign_free_round_skips_replay() {
-    let (mut m, id) = skip_machine(MachineConfig::default());
-    m.issue(SharedOp::primitive(id, "put", args!["a", 1]))
-        .unwrap();
-    m.issue(SharedOp::primitive(id, "put", args!["b", 2]))
-        .unwrap();
-    // Commit only the first pending op: the round has no foreign ops, so
-    // the rebuild is always skippable.
-    let first = vec![m.pending.front().unwrap().env.clone()];
-    apply(&mut m, first, 1);
-    assert_eq!(m.stats().replays, 0);
-    assert_eq!(m.stats().replays_skipped, 1);
-    assert_eq!(m.read::<Slots, _>(id, |s| s.m.len()), Some(2));
-    // The skipped replay is not an execution: when the op commits next
-    // round, its lifetime count is issue + commit = 2, not 3.
-    let rest = pending_envs(&m);
-    apply(&mut m, rest, 2);
-    assert_eq!(m.stats().exec_histogram[2], 3); // create + both puts
-    assert_eq!(m.guess_digest(), m.committed_digest());
-}
-
-#[test]
-fn disjoint_foreign_op_skips_and_patches_guess() {
-    let (mut m, id) = skip_machine(MachineConfig::default());
-    m.issue(SharedOp::primitive(id, "put", args!["a", 1]))
-        .unwrap();
-    let n = apply(&mut m, vec![foreign_put(id, 0, "b", 2)], 1);
-    assert_eq!(n, 1);
-    assert_eq!(m.stats().replays, 0);
-    assert_eq!(m.stats().replays_skipped, 1);
-    // Guess = committed (b=2) + still-pending local put (a=1).
-    assert_eq!(
-        m.read::<Slots, _>(id, |s| s.m.get("a").copied()),
-        Some(Some(1))
-    );
-    assert_eq!(
-        m.read::<Slots, _>(id, |s| s.m.get("b").copied()),
-        Some(Some(2))
-    );
-    assert_eq!(
-        m.read_committed::<Slots, _>(id, |s| s.m.get("a").copied()),
-        Some(None)
-    );
-}
-
-#[test]
-fn overlapping_foreign_op_forces_rebuild() {
-    let (mut m, id) = skip_machine(MachineConfig::default());
-    m.issue(SharedOp::primitive(id, "put", args!["a", 1]))
-        .unwrap();
-    apply(&mut m, vec![foreign_put(id, 0, "a", 9)], 1);
-    assert_eq!(m.stats().replays_skipped, 0);
-    assert_eq!(m.stats().replays, 1);
-    // Local pending put replayed on top of the conflicting foreign one.
-    assert_eq!(
-        m.read::<Slots, _>(id, |s| s.m.get("a").copied()),
-        Some(Some(1))
-    );
-}
-
-#[test]
-fn undeclared_effect_forces_rebuild_unless_matrix_proves_it() {
-    // raw_put has no declared effect: same-object pairs cannot be judged…
-    let (mut m, id) = skip_machine(MachineConfig::default());
-    m.issue(SharedOp::primitive(id, "raw_put", args!["a", 1]))
-        .unwrap();
-    let foreign = WireEnvelope {
-        id: OpId::new(MachineId::new(1), 0),
-        op: WireOp::Shared(SharedOp::primitive(id, "raw_put", args!["b", 2])),
-    };
-    apply(&mut m, vec![foreign.clone()], 1);
-    assert_eq!(m.stats().replays, 1);
-    assert_eq!(m.stats().replays_skipped, 0);
-
-    // …unless an analysis-validated matrix vouches for the method pair.
-    let mut matrix = guesstimate_core::CommuteMatrix::new();
-    matrix.insert("Slots", "raw_put", "raw_put");
-    let (mut m, id) = skip_machine(MachineConfig::default().with_commute_matrix(matrix));
-    m.issue(SharedOp::primitive(id, "raw_put", args!["a", 1]))
-        .unwrap();
-    let foreign = WireEnvelope {
-        id: OpId::new(MachineId::new(1), 0),
-        op: WireOp::Shared(SharedOp::primitive(id, "raw_put", args!["b", 2])),
-    };
-    apply(&mut m, vec![foreign], 1);
-    assert_eq!(m.stats().replays, 0);
-    assert_eq!(m.stats().replays_skipped, 1);
-    assert_eq!(m.read::<Slots, _>(id, |s| s.m.len()), Some(2));
-}
-
-#[test]
-fn skip_emits_round_scoped_trace_event() {
-    let tracer = Arc::new(guesstimate_net::RecordingTracer::new());
-    let (mut m, id) = skip_machine(MachineConfig::default());
-    m.set_tracer(tracer.clone());
-    m.issue(SharedOp::primitive(id, "put", args!["a", 1]))
-        .unwrap();
-    apply(&mut m, vec![foreign_put(id, 0, "b", 2)], 7);
-    let skips: Vec<_> = tracer
-        .snapshot()
-        .into_iter()
-        .filter(|r| matches!(r.event, TraceEvent::ReplaySkipped { .. }))
-        .collect();
-    assert_eq!(skips.len(), 1);
-    assert_eq!(skips[0].event.round(), Some(7));
-    assert_eq!(
-        skips[0].event,
-        TraceEvent::ReplaySkipped {
-            round: 7,
-            pending: 1
-        }
-    );
 }
 
 #[test]

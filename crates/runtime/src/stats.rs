@@ -87,10 +87,9 @@ pub struct MachineStats {
     pub completions_dropped: u64,
     /// Pending operations re-executed while re-establishing `sg = [P](sc)`.
     pub replays: u64,
-    /// Pending re-executions avoided by commute-aware replay skipping
-    /// ([`crate::MachineConfig::commute_skip`]): each unit is one pending
-    /// operation that would have been replayed had the round's foreign
-    /// commits not provably commuted with the whole pending queue.
+    /// Always 0 since PR 25, which deleted the commute-aware replay skip it
+    /// counted; kept only because the frozen `perf` harness reads it for its
+    /// `runtime.replays_skipped_per_commit` row.
     pub replays_skipped: u64,
     /// Objects visited by the delta `sc → sg` resyncs
     /// ([`guesstimate_core::ObjectStore::sync_from`]): per resync, the ids

@@ -33,7 +33,6 @@ struct RoundCost {
 
 struct Outcome {
     rounds: Vec<RoundCost>,
-    replays_skipped: u64,
     hot_boards: Vec<Slots>,
 }
 
@@ -51,7 +50,6 @@ fn populated(tag: u64) -> Slots {
 struct Watch {
     rounds_applied: u64,
     resynced: u64,
-    skipped: u64,
     history: usize,
     /// Objects of own operations issued and not yet committed, oldest first
     /// (own operations commit in issue order).
@@ -82,11 +80,7 @@ fn observe(m: &Machine, w: &mut Watch, rounds: &mut Vec<RoundCost>) {
         }
     }
     let resynced = stats.objects_resynced - w.resynced;
-    if stats.replays_skipped > w.skipped {
-        assert_eq!(resynced, 0, "a commute-skipped round copies nothing");
-    }
-    // A skipped round clears nothing either, so what it touched stays in
-    // the bound until a resync that visits something.
+    // A resync that visited nothing leaves the bound as it was.
     if resynced > 0 {
         assert!(
             resynced <= w.dirty_bound.len() as u64,
@@ -103,16 +97,14 @@ fn observe(m: &Machine, w: &mut Watch, rounds: &mut Vec<RoundCost>) {
     });
     w.rounds_applied = stats.rounds_applied;
     w.resynced = stats.objects_resynced;
-    w.skipped = stats.replays_skipped;
     w.history = m.history().len();
 }
 
-fn run(bystanders: u64, commute_skip: bool) -> Outcome {
+fn run(bystanders: u64) -> Outcome {
     let cfg = MachineConfig::default()
         .with_sync_period(SimTime::from_millis(100))
         .with_join_retry(SimTime::from_millis(300))
         .with_record_history(true)
-        .with_commute_skip(commute_skip)
         .with_paranoid_checks(true);
     let netcfg = NetConfig::lan(23).with_latency(LatencyModel::constant_ms(10));
     let mut net: SimNet<Machine> = sim_cluster(MACHINES, slots_registry(), cfg, netcfg);
@@ -141,7 +133,6 @@ fn run(bystanders: u64, commute_skip: bool) -> Outcome {
             Watch {
                 rounds_applied: m.stats().rounds_applied,
                 resynced: m.stats().objects_resynced,
-                skipped: m.stats().replays_skipped,
                 history: m.history().len(),
                 ..Watch::default()
             }
@@ -177,9 +168,6 @@ fn run(bystanders: u64, commute_skip: bool) -> Outcome {
     let master = net.actor(MachineId::new(0)).unwrap();
     Outcome {
         rounds,
-        replays_skipped: ids()
-            .map(|id| net.actor(id).unwrap().stats().replays_skipped)
-            .sum(),
         hot_boards: boards[..HOT as usize]
             .iter()
             .map(|&b| master.read_committed(b, Slots::clone).unwrap())
@@ -206,31 +194,17 @@ fn run_observed(
     }
 }
 
-fn assert_proportional(commute_skip: bool) {
-    let base = run(0, commute_skip);
+#[test]
+fn resync_cost_is_independent_of_bystanders() {
+    let base = run(0);
     assert!(
         base.rounds.iter().any(|r| r.resynced > 0),
         "the stream must exercise the resync"
     );
     assert!(base.rounds.iter().all(|r| r.resynced <= HOT));
-    assert_eq!(
-        base.replays_skipped > 0,
-        commute_skip,
-        "skip rounds happen exactly when enabled"
-    );
     for n in [64, 1024] {
-        let big = run(n, commute_skip);
+        let big = run(n);
         assert_eq!(big.rounds, base.rounds, "{n} bystanders changed a round");
         assert_eq!(big.hot_boards, base.hot_boards);
     }
-}
-
-#[test]
-fn resync_cost_is_independent_of_bystanders() {
-    assert_proportional(false);
-}
-
-#[test]
-fn resync_cost_is_independent_of_bystanders_with_commute_skip() {
-    assert_proportional(true);
 }
