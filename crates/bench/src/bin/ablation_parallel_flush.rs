@@ -18,8 +18,9 @@
 
 use std::process::ExitCode;
 
-use guesstimate_bench::{ActivityLevel, SessionConfig};
+use guesstimate_bench::{run_session, ActivityLevel, SessionConfig};
 use guesstimate_net::SimTime;
+use guesstimate_telemetry::Telemetry;
 
 /// Serial stage 1 adds one link delay per user: 2 → 8 users must at least
 /// double the round.
@@ -43,11 +44,11 @@ fn main() -> ExitCode {
         let mut cfg = SessionConfig::paper_default(users, seed + u64::from(users));
         cfg.duration = SimTime::from_secs(duration);
         cfg.activity = ActivityLevel::Idle;
-        let s = guesstimate_bench::experiments::run_session(&cfg)
+        let s = run_session(&cfg, None, Telemetry::noop())
             .mean_sync_excluding(cutoff)
             .expect("serial rounds");
         cfg.parallel_flush = true;
-        let p = guesstimate_bench::experiments::run_session(&cfg)
+        let p = run_session(&cfg, None, Telemetry::noop())
             .mean_sync_excluding(cutoff)
             .expect("parallel rounds");
         println!(

@@ -21,18 +21,10 @@
 //! `target/failure_recovery_metrics` stem (override with
 //! `GUESSTIMATE_METRICS=<stem>`); see docs/OBSERVABILITY.md.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-
-use guesstimate_bench::experiments::{run_session_instrumented, ActivityLevel, SessionConfig};
-use guesstimate_bench::{
-    metrics_stem, render_timelines, summarize_rounds, trace_path, write_jsonl,
-    write_metrics_artifacts,
-};
+use guesstimate_bench::experiments::{run_session, ActivityLevel, SessionConfig};
+use guesstimate_bench::{record_figure, render_timelines, summarize_rounds};
 use guesstimate_core::MachineId;
-use guesstimate_net::{FaultPlan, RecordingTracer, SimTime, StallWindow, Tracer};
-use guesstimate_obs::{FlightRecorder, TeeTracer};
-use guesstimate_telemetry::Telemetry;
+use guesstimate_net::{FaultPlan, SimTime, StallWindow};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -60,35 +52,10 @@ fn main() {
         ));
 
     eprintln!("running failure/recovery session: 6 users, {duration}s, 2 stalls + 0.2% loss ...");
-    let tracer = Arc::new(RecordingTracer::new());
-    let recorder = Arc::new(FlightRecorder::default());
-    let postmortem = PathBuf::from(format!(
-        "{}_postmortem.json",
-        metrics_stem("failure_recovery_metrics").to_string_lossy()
-    ));
-    FlightRecorder::install_panic_dump(recorder.clone(), postmortem);
-    let tee: Arc<dyn Tracer> = Arc::new(TeeTracer::new(tracer.clone(), recorder));
-    let telemetry = Telemetry::new();
-    let r = run_session_instrumented(&cfg, Some(tee), telemetry.clone());
-
-    let records = tracer.take();
-    let path = trace_path("failure_recovery_trace.jsonl");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match write_jsonl(&path, &records) {
-        Ok(()) => eprintln!("wrote {} trace events to {}", records.len(), path.display()),
-        Err(e) => eprintln!("could not write trace to {}: {e}", path.display()),
-    }
-    let stem = metrics_stem("failure_recovery_metrics");
-    match write_metrics_artifacts(&telemetry, &records, &stem) {
-        Ok(paths) => {
-            for p in &paths {
-                eprintln!("wrote metrics artifact {}", p.display());
-            }
-        }
-        Err(e) => eprintln!("could not write metrics to {}*: {e}", stem.display()),
-    }
+    let run = record_figure("failure_recovery", |tracer, telemetry| {
+        run_session(&cfg, tracer, telemetry)
+    });
+    let r = &run.output;
 
     let resends: u64 = r.sync_samples.iter().map(|s| s.resends).sum();
     let removals: u64 = r.sync_samples.iter().map(|s| s.removals).sum();
@@ -111,7 +78,7 @@ fn main() {
     );
     println!(
         "max executions per op    : {}  [paper bound: 3]",
-        telemetry.max_exec_count()
+        run.telemetry.max_exec_count()
     );
     println!("survivors converged      : {}", r.converged);
     println!();
@@ -120,7 +87,7 @@ fn main() {
     println!("# committed states identical at the end — they never noticed.");
 
     // Stage-level timelines of exactly the rounds recovery touched.
-    let recovery: Vec<_> = summarize_rounds(&records)
+    let recovery: Vec<_> = summarize_rounds(&run.records)
         .into_iter()
         .filter(|t| t.resends > 0 || t.removals > 0)
         .collect();
@@ -128,7 +95,7 @@ fn main() {
     println!(
         "# recovery-round timelines ({} rounds; full trace: {}):",
         recovery.len(),
-        path.display()
+        run.trace_path.display()
     );
     print!("{}", render_timelines(&recovery));
     assert!(r.converged, "survivors must converge");

@@ -15,16 +15,8 @@
 //! `target/fig5_metrics` stem (override with `GUESSTIMATE_METRICS=<stem>`);
 //! see docs/OBSERVABILITY.md.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-
-use guesstimate_bench::{
-    histogram, metrics_stem, render_timelines, run_fig5_instrumented, summarize_rounds, trace_path,
-    write_jsonl, write_metrics_artifacts,
-};
-use guesstimate_net::{RecordingTracer, SimTime, Tracer};
-use guesstimate_obs::{FlightRecorder, TeeTracer};
-use guesstimate_telemetry::Telemetry;
+use guesstimate_bench::{histogram, record_figure, render_timelines, run_fig5, summarize_rounds};
+use guesstimate_net::SimTime;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -32,43 +24,10 @@ fn main() {
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
 
     eprintln!("running fig5: 8 users, 2 grids, {duration}s virtual, seed {seed} ...");
-    let tracer = Arc::new(RecordingTracer::new());
-    // The flight recorder keeps a bounded ring of recent events; if this
-    // binary panics mid-run, a postmortem bundle lands next to the
-    // metrics artifacts instead of losing the whole session.
-    let recorder = Arc::new(FlightRecorder::default());
-    let postmortem = PathBuf::from(format!(
-        "{}_postmortem.json",
-        metrics_stem("fig5_metrics").to_string_lossy()
-    ));
-    FlightRecorder::install_panic_dump(recorder.clone(), postmortem);
-    let tee: Arc<dyn Tracer> = Arc::new(TeeTracer::new(tracer.clone(), recorder));
-    let telemetry = Telemetry::new();
-    let result = run_fig5_instrumented(
-        seed,
-        SimTime::from_secs(duration),
-        Some(tee),
-        telemetry.clone(),
-    );
-
-    let records = tracer.take();
-    let path = trace_path("fig5_trace.jsonl");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match write_jsonl(&path, &records) {
-        Ok(()) => eprintln!("wrote {} trace events to {}", records.len(), path.display()),
-        Err(e) => eprintln!("could not write trace to {}: {e}", path.display()),
-    }
-    let stem = metrics_stem("fig5_metrics");
-    match write_metrics_artifacts(&telemetry, &records, &stem) {
-        Ok(paths) => {
-            for p in &paths {
-                eprintln!("wrote metrics artifact {}", p.display());
-            }
-        }
-        Err(e) => eprintln!("could not write metrics to {}*: {e}", stem.display()),
-    }
+    let run = record_figure("fig5", |tracer, telemetry| {
+        run_fig5(seed, SimTime::from_secs(duration), tracer, telemetry)
+    });
+    let result = &run.output;
 
     println!("# Figure 5: distribution of time taken for synchronization");
     println!("# 8 users, 2 Sudoku grids, {duration}s, 2 injected stalls");
@@ -142,24 +101,24 @@ fn main() {
     );
     println!(
         "# max executions per op  : {}  [paper bound: 3]",
-        telemetry.max_exec_count()
+        run.telemetry.max_exec_count()
     );
     println!(
         "# cross-routed commits   : {}  [guesstimate_cross_routes_total: only the board creations, which span every component; moves stay in-shard]",
-        telemetry.cross_routes()
+        run.telemetry.cross_routes()
     );
     println!("# converged              : {}", result.converged);
 
     // Per-stage breakdown of the slowest rounds: the >12 s outliers should
     // show their time in stage 1 (flush stalled until recovery cleared it).
-    let mut timelines = summarize_rounds(&records);
+    let mut timelines = summarize_rounds(&run.records);
     timelines.sort_by_key(|t| std::cmp::Reverse(t.duration().unwrap_or(SimTime::ZERO)));
     timelines.truncate(10);
     timelines.sort_by_key(|t| t.round);
     println!();
     println!(
         "# slowest 10 rounds, per stage (full trace: {}):",
-        path.display()
+        run.trace_path.display()
     );
     print!("{}", render_timelines(&timelines));
 

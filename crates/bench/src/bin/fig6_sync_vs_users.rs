@@ -13,16 +13,8 @@
 //! trace) land under the `target/fig6_metrics` stem (override with
 //! `GUESSTIMATE_METRICS=<stem>`); see docs/OBSERVABILITY.md.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-
-use guesstimate_bench::{
-    metrics_stem, run_fig6_instrumented, summarize_rounds, trace_path, write_jsonl,
-    write_metrics_artifacts,
-};
-use guesstimate_net::{RecordingTracer, SimTime, Tracer};
-use guesstimate_obs::{FlightRecorder, TeeTracer};
-use guesstimate_telemetry::Telemetry;
+use guesstimate_bench::{record_figure, run_fig6, summarize_rounds};
+use guesstimate_net::SimTime;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -30,44 +22,10 @@ fn main() {
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(7);
 
     eprintln!("running fig6: users 2..=8 x {{active, idle}}, {duration}s each, seed {seed} ...");
-    let tracer = Arc::new(RecordingTracer::new());
-    let recorder = Arc::new(FlightRecorder::default());
-    let postmortem = PathBuf::from(format!(
-        "{}_postmortem.json",
-        metrics_stem("fig6_metrics").to_string_lossy()
-    ));
-    FlightRecorder::install_panic_dump(recorder.clone(), postmortem);
-    let tee: Arc<dyn Tracer> = Arc::new(TeeTracer::new(tracer.clone(), recorder));
-    let telemetry = Telemetry::new();
-    let rows = run_fig6_instrumented(
-        seed,
-        SimTime::from_secs(duration),
-        Some(tee),
-        telemetry.clone(),
-    );
-
-    let records = tracer.take();
-    let path = trace_path("fig6_trace.jsonl");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match write_jsonl(&path, &records) {
-        Ok(()) => eprintln!(
-            "wrote {} trace events (8-user active session) to {}",
-            records.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("could not write trace to {}: {e}", path.display()),
-    }
-    let stem = metrics_stem("fig6_metrics");
-    match write_metrics_artifacts(&telemetry, &records, &stem) {
-        Ok(paths) => {
-            for p in &paths {
-                eprintln!("wrote metrics artifact {}", p.display());
-            }
-        }
-        Err(e) => eprintln!("could not write metrics to {}*: {e}", stem.display()),
-    }
+    let run = record_figure("fig6", |tracer, telemetry| {
+        run_fig6(seed, SimTime::from_secs(duration), tracer, telemetry)
+    });
+    let rows = &run.output;
 
     println!("# Figure 6: average time to synchronize vs number of users");
     println!("# (outliers > 12s excluded, as in the paper)");
@@ -75,7 +33,7 @@ fn main() {
         "{:>5} {:>14} {:>14} {:>8} {:>12} {:>12} {:>12}",
         "users", "active_ms", "idle_ms", "rounds", "replays", "bytes_sent", "bytes_dlvd"
     );
-    for r in &rows {
+    for r in rows {
         println!(
             "{:>5} {:>14.1} {:>14.1} {:>8} {:>12} {:>12} {:>12}",
             r.users,
@@ -112,7 +70,7 @@ fn main() {
 
     // Mean per-stage split of the traced 8-user session: with a serial
     // stage 1, flush should dominate and be the part that grows with users.
-    let timelines = summarize_rounds(&records);
+    let timelines = summarize_rounds(&run.records);
     let mean_ms = |f: &dyn Fn(&guesstimate_bench::RoundTimeline) -> Option<SimTime>| {
         let vals: Vec<f64> = timelines
             .iter()
@@ -130,7 +88,7 @@ fn main() {
     );
     println!(
         "# cross-routed commits   : {}  [guesstimate_cross_routes_total, 8-user session: only the board creations, which span every component; moves stay in-shard]",
-        telemetry.cross_routes()
+        run.telemetry.cross_routes()
     );
 
     // How the derived shard plans would spread each app's operation

@@ -11,6 +11,7 @@
 
 use guesstimate_bench::experiments::{run_session, ActivityLevel, SessionConfig};
 use guesstimate_net::SimTime;
+use guesstimate_telemetry::Telemetry;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -31,10 +32,10 @@ fn main() {
         // Large cohorts need a gentler stall timeout than the default so a
         // slow (but healthy) serial round is never mistaken for a fault.
         cfg.stall_timeout = SimTime::from_secs(20);
-        let serial = run_session(&cfg);
+        let serial = run_session(&cfg, None, Telemetry::noop());
         let s = serial.mean_sync_excluding(cutoff).expect("rounds measured");
         cfg.parallel_flush = true;
-        let parallel = run_session(&cfg);
+        let parallel = run_session(&cfg, None, Telemetry::noop());
         let p = parallel
             .mean_sync_excluding(cutoff)
             .expect("rounds measured");

@@ -6,21 +6,24 @@
 //! LAN and "the dominant component of the time for synchronization is
 //! network delay").
 
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use guesstimate_apps::sudoku;
+use guesstimate_apps::sudoku::{self, ops::update, Sudoku};
+use guesstimate_baselines::one_copy::{one_copy_cluster, OneCopyMachine};
 use guesstimate_core::{MachineId, ObjectId, OpRegistry, ShardPlan};
 use guesstimate_net::{
     FaultPlan, LatencyModel, NetConfig, NetMetrics, SimNet, SimTime, StallWindow, Tracer,
 };
 use guesstimate_runtime::{
-    run_until_cohort, sim_cluster, sim_cluster_instrumented, Machine, MachineConfig, MachineStats,
-    SyncSample,
+    run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig, MachineStats, SyncSample,
 };
 use guesstimate_spec::{verify_suite, CaseSpace, VerificationReport};
 use guesstimate_telemetry::Telemetry;
+use rand::{Rng, SeedableRng};
 
-use crate::workload::{schedule_user, schedule_user_dynamic, Activity};
+use crate::workload::{issue_random_move_at, schedule_user, Activity, Boards};
 
 /// Whether simulated users are active during the measured window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,21 +37,16 @@ pub enum ActivityLevel {
     },
 }
 
-/// Configuration of one measured Sudoku session.
+/// Configuration of one measured Sudoku session on two shared grids, as in
+/// §7.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Number of machines (machine 0 is the master and also a player).
     pub users: u32,
-    /// Number of shared Sudoku grids.
-    pub boards: usize,
     /// Length of the measured window.
     pub duration: SimTime,
-    /// Master's round period, start to start.
-    pub sync_period: SimTime,
     /// Master's stall timeout (recovery trigger).
     pub stall_timeout: SimTime,
-    /// Link latency model.
-    pub latency: LatencyModel,
     /// Fault schedule (stalls/drops), in *measured-window* coordinates:
     /// windows are shifted by the session's warm-up offset.
     pub faults: FaultPlan,
@@ -63,16 +61,14 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// The paper-like default: LAN latency, 250 ms sync period, active
-    /// users with a 2 s mean think time, 2 grids.
+    /// The paper-like default: active users with a 2 s mean think time, on
+    /// the paper's machine configuration and mesh (250 ms sync period, LAN
+    /// latency).
     pub fn paper_default(users: u32, seed: u64) -> Self {
         SessionConfig {
             users,
-            boards: 2,
             duration: SimTime::from_secs(120),
-            sync_period: SimTime::from_millis(250),
             stall_timeout: SimTime::from_secs(3),
-            latency: LatencyModel::lan_ms(30),
             faults: FaultPlan::new(),
             activity: ActivityLevel::Active {
                 mean_think: SimTime::from_secs(2),
@@ -84,17 +80,65 @@ impl SessionConfig {
 }
 
 /// The paper's deployment as a machine configuration: the 250 ms sync
-/// period of §7 and the serial stage 1 of §4. The fixed-shape reproductions
-/// (Fig. 7, the latency and baseline comparisons, the hybrid lag collapse)
-/// build on this rather than on `MachineConfig::default()`, whose parallel
-/// flush postdates the paper — so their checked-in numbers (the `hybrid.*`
-/// keys of `tests/fingerprint.txt`) describe the paper's protocol and do
-/// not move when the runtime's default does.
+/// period of §7 and the serial stage 1 of §4. Every experiment builds on
+/// this rather than on `MachineConfig::default()`, whose parallel flush
+/// postdates the paper — so the checked-in numbers (the keys of
+/// `tests/fingerprint.txt`) describe the paper's protocol and do not move
+/// when the runtime's default does.
 fn paper_machine_config() -> MachineConfig {
     MachineConfig::default()
         .with_sync_period(SimTime::from_millis(250))
         .with_stall_timeout(SimTime::from_secs(3))
         .with_parallel_flush(false)
+}
+
+/// The paper's mesh: LAN latency around 30 ms a hop.
+fn paper_net(seed: u64) -> NetConfig {
+    NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(30))
+}
+
+fn sudoku_registry() -> OpRegistry {
+    let mut registry = OpRegistry::new();
+    sudoku::register(&mut registry);
+    registry
+}
+
+/// Brings up `users` machines (machine 0 the master) on `netcfg`, every
+/// machine reporting to `tracer` and `telemetry`; waits for the cohort, has
+/// the master `create` the shared objects and settles 2 s.
+fn cluster<T>(
+    users: u32,
+    registry: OpRegistry,
+    mcfg: MachineConfig,
+    netcfg: NetConfig,
+    tracer: Option<Arc<dyn Tracer>>,
+    telemetry: Telemetry,
+    create: impl FnOnce(&mut Machine) -> T,
+) -> (SimNet<Machine>, T) {
+    let mut net = sim_cluster_instrumented(users, registry, mcfg, netcfg, tracer, telemetry);
+    assert!(
+        run_until_cohort(&mut net, SimTime::from_secs(30)),
+        "cohort must assemble before the measured window"
+    );
+    let objects = create(net.actor_mut(MachineId::new(0)).expect("master"));
+    net.run_until(net.now() + SimTime::from_secs(2));
+    (net, objects)
+}
+
+/// The mean of `samples`; zero when there are none.
+fn mean(samples: &[SimTime]) -> SimTime {
+    if samples.is_empty() {
+        return SimTime::ZERO;
+    }
+    SimTime::from_micros(samples.iter().map(|t| t.as_micros()).sum::<u64>() / samples.len() as u64)
+}
+
+/// True when the listed machines hold one committed state and nothing is
+/// pending on any of them.
+fn agreed(net: &SimNet<Machine>, ids: &[MachineId]) -> bool {
+    let machine = |i: MachineId| net.actor(i).expect("listed");
+    let digests: Vec<u64> = ids.iter().map(|&i| machine(i).committed_digest()).collect();
+    digests.windows(2).all(|w| w[0] == w[1]) && ids.iter().all(|&i| machine(i).pending_len() == 0)
 }
 
 /// What a session produced.
@@ -121,11 +165,6 @@ pub struct SessionResult {
     /// Transport counters for the whole run, including the structural
     /// byte accounting (`bytes_sent`/`bytes_delivered`).
     pub net: NetMetrics,
-    /// Digest of the first in-cohort machine's committed history. When
-    /// [`SessionResult::converged`] holds this is *the* cohort digest, so
-    /// two runs of the same seed can be checked for byte-identical
-    /// committed histories (e.g. the telemetry invisibility check).
-    pub committed_digest: u64,
 }
 
 impl SessionResult {
@@ -152,18 +191,13 @@ impl SessionResult {
     /// (Figure 6 "ignores the outliers (time > 12 seconds), as including
     /// them would skew the average away from the median").
     pub fn mean_sync_excluding(&self, cutoff: SimTime) -> Option<SimTime> {
-        let kept: Vec<u64> = self
+        let kept: Vec<SimTime> = self
             .sync_samples
             .iter()
-            .filter(|s| s.duration <= cutoff)
-            .map(|s| s.duration.as_micros())
+            .map(|s| s.duration)
+            .filter(|&d| d <= cutoff)
             .collect();
-        if kept.is_empty() {
-            return None;
-        }
-        Some(SimTime::from_micros(
-            kept.iter().sum::<u64>() / kept.len() as u64,
-        ))
+        (!kept.is_empty()).then(|| mean(&kept))
     }
 }
 
@@ -181,36 +215,26 @@ fn sudoku_shard_plan() -> Arc<ShardPlan> {
     }))
 }
 
-/// Runs one measured Sudoku session.
+/// Runs one measured Sudoku session, every machine reporting to `tracer`
+/// and `telemetry`; the telemetry is also fed the driver's transport
+/// counters at the end.
 ///
-/// Timeline: cohort assembly (up to 30 s) → board creation + 2 s settle →
-/// `duration` of measured activity → 10 s settle (so pending operations
-/// commit and the convergence check is meaningful).
-pub fn run_session(cfg: &SessionConfig) -> SessionResult {
-    run_session_instrumented(cfg, None, Telemetry::noop())
-}
-
-/// [`run_session`] with a protocol trace sink and a shared [`Telemetry`]
-/// handle installed on every machine, the latter fed the driver's
-/// transport counters at the end.
+/// Timeline: cohort assembly (up to 30 s) → board creation, settled until
+/// t = 32 s → `duration` of measured activity → 10 s settle (so pending
+/// operations commit and the convergence check is meaningful).
 ///
-/// Every machine in the session emits [`guesstimate_net::TraceEvent`]s to
-/// `tracer`; pass a [`guesstimate_net::RecordingTracer`] to post-process the
-/// stream (see [`crate::trace`]) or a [`crate::trace::JsonlSink`] to stream
-/// it to disk. `None` and [`Telemetry::noop`] give exactly [`run_session`];
-/// pass an enabled handle and snapshot it afterwards
+/// `None` and [`Telemetry::noop`] run the session uninstrumented. Pass a
+/// [`guesstimate_net::RecordingTracer`] to post-process the event stream
+/// (see [`crate::trace`]), and an enabled handle to snapshot afterwards
 /// ([`Telemetry::render_prometheus`] / [`Telemetry::render_json`] /
-/// [`Telemetry::render_chrome_trace`]) to get the run's metrics and per-op
-/// spans alongside the figure data.
-pub fn run_session_instrumented(
+/// [`Telemetry::render_chrome_trace`]) for the run's metrics and per-op
+/// spans; [`crate::artifacts::record_figure`] does both for a figure.
+pub fn run_session(
     cfg: &SessionConfig,
     tracer: Option<Arc<dyn Tracer>>,
     telemetry: Telemetry,
 ) -> SessionResult {
-    let mut registry = OpRegistry::new();
-    sudoku::register(&mut registry);
-    let mcfg = MachineConfig::default()
-        .with_sync_period(cfg.sync_period)
+    let mcfg = paper_machine_config()
         .with_stall_timeout(cfg.stall_timeout)
         .with_join_retry(SimTime::from_millis(700))
         .with_parallel_flush(cfg.parallel_flush)
@@ -235,29 +259,26 @@ pub fn run_session_instrumented(
         ));
     }
 
-    let netcfg = NetConfig::lan(cfg.seed)
-        .with_latency(cfg.latency.clone())
-        .with_faults(faults);
-    let mut net =
-        sim_cluster_instrumented(cfg.users, registry, mcfg, netcfg, tracer, telemetry.clone());
-    assert!(
-        run_until_cohort(&mut net, SimTime::from_secs(30)),
-        "cohort must assemble before the measured window"
+    let (mut net, boards) = cluster(
+        cfg.users,
+        sudoku_registry(),
+        mcfg,
+        paper_net(cfg.seed).with_faults(faults),
+        tracer,
+        telemetry.clone(),
+        |master| {
+            (0..2)
+                .map(|_| master.create_instance(sudoku::example_puzzle()))
+                .collect()
+        },
     );
-
-    // Master creates the shared grids.
-    let boards: Vec<ObjectId> = {
-        let master = net.actor_mut(MachineId::new(0)).expect("master");
-        (0..cfg.boards)
-            .map(|_| master.create_instance(sudoku::example_puzzle()))
-            .collect()
-    };
     net.run_until(warmup);
 
     let t0 = net.now();
     let t_end = t0 + cfg.duration;
     let mut events_scheduled = 0;
     if let ActivityLevel::Active { mean_think } = cfg.activity {
+        let boards = Boards::Fixed(boards);
         for i in 0..cfg.users {
             events_scheduled += schedule_user(
                 &mut net,
@@ -275,26 +296,16 @@ pub fn run_session_instrumented(
     net.run_until(t_end + SimTime::from_secs(10));
 
     telemetry.record_net(&net.metrics());
-    collect_result(&net, t0, t_end, events_scheduled)
-}
 
-fn collect_result(
-    net: &SimNet<Machine>,
-    t0: SimTime,
-    t_end: SimTime,
-    events_scheduled: usize,
-) -> SessionResult {
     let ids = net.members();
     let per_machine: Vec<MachineStats> = ids
         .iter()
         .filter_map(|&i| net.actor(i).map(|m| m.stats().clone()))
         .collect();
-    let master_stats = net
+    let sync_samples: Vec<SyncSample> = net
         .actor(MachineId::new(0))
         .expect("master alive")
         .stats()
-        .clone();
-    let sync_samples: Vec<SyncSample> = master_stats
         .sync_samples
         .iter()
         .filter(|s| s.started_at >= t0 && s.started_at < t_end)
@@ -305,14 +316,6 @@ fn collect_result(
         .copied()
         .filter(|&i| net.actor(i).map(Machine::in_cohort).unwrap_or(false))
         .collect();
-    let digests: Vec<u64> = in_cohort
-        .iter()
-        .map(|&i| net.actor(i).expect("listed").committed_digest())
-        .collect();
-    let converged = digests.windows(2).all(|w| w[0] == w[1])
-        && in_cohort
-            .iter()
-            .all(|&i| net.actor(i).expect("listed").pending_len() == 0);
     SessionResult {
         conflicts: per_machine.iter().map(|s| s.conflicts).sum(),
         issued: per_machine.iter().map(|s| s.issued).sum(),
@@ -321,10 +324,9 @@ fn collect_result(
         replays: per_machine.iter().map(|s| s.replays).sum(),
         per_machine,
         sync_samples,
-        converged,
+        converged: agreed(&net, &in_cohort),
         events_scheduled,
         net: net.metrics(),
-        committed_digest: digests.first().copied().unwrap_or(0),
     }
 }
 
@@ -375,9 +377,9 @@ pub fn histogram(samples: &[SyncSample]) -> Vec<HistogramBucket> {
 /// Figure 5: the sync-duration distribution of a long 8-user, 2-grid
 /// session with two injected stalls (the paper's two >12 s outliers were
 /// "the times when synchronization stalled and the master had to perform a
-/// fault recovery"), observed through a protocol trace sink and a shared
-/// [`Telemetry`] handle (see [`run_session_instrumented`]).
-pub fn run_fig5_instrumented(
+/// fault recovery"), observed through `tracer` and `telemetry` (see
+/// [`run_session`]).
+pub fn run_fig5(
     seed: u64,
     duration: SimTime,
     tracer: Option<Arc<dyn Tracer>>,
@@ -401,7 +403,7 @@ pub fn run_fig5_instrumented(
             third + third,
             third + third + SimTime::from_secs(30),
         ));
-    run_session_instrumented(&cfg, tracer, telemetry)
+    run_session(&cfg, tracer, telemetry)
 }
 
 // ---------------------------------------------------------------------
@@ -431,11 +433,11 @@ pub struct Fig6Row {
 /// and without user activity. Expect a linear trend (serial stage 1) and
 /// little difference between active and idle (network-delay dominated).
 ///
-/// The trace sink and the [`Telemetry`] handle observe the **8-user
-/// active** session only — the series' most contended point, and the one
-/// whose per-stage breakdown explains the linear trend (serial stage 1
-/// grows with users); see [`run_session_instrumented`].
-pub fn run_fig6_instrumented(
+/// `tracer` and `telemetry` observe the **8-user active** session only —
+/// the series' most contended point, and the one whose per-stage breakdown
+/// explains the linear trend (serial stage 1 grows with users); see
+/// [`run_session`].
+pub fn run_fig6(
     seed: u64,
     duration: SimTime,
     tracer: Option<Arc<dyn Tracer>>,
@@ -451,10 +453,10 @@ pub fn run_fig6_instrumented(
             } else {
                 (None, Telemetry::noop())
             };
-            let active = run_session_instrumented(&active_cfg, session_tracer, session_telemetry);
+            let active = run_session(&active_cfg, session_tracer, session_telemetry);
             let mut idle_cfg = active_cfg.clone();
             idle_cfg.activity = ActivityLevel::Idle;
-            let idle = run_session(&idle_cfg);
+            let idle = run_session(&idle_cfg, None, Telemetry::noop());
             Fig6Row {
                 users,
                 active: active
@@ -494,97 +496,88 @@ pub struct Fig7Row {
 /// runtime" — we start with 2 users and admit one more after each 100
 /// rounds, recording the conflict delta per segment.
 pub fn run_fig7(seed: u64, mean_think: SimTime) -> Vec<Fig7Row> {
-    let mut registry = OpRegistry::new();
-    sudoku::register(&mut registry);
-    let registry = std::sync::Arc::new(registry);
     let mcfg = paper_machine_config().with_join_retry(SimTime::from_millis(700));
-    let netcfg = NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(30));
-    let mut net: SimNet<Machine> = SimNet::new(netcfg);
-    net.add_machine(
-        MachineId::new(0),
-        Machine::new_master(MachineId::new(0), registry.clone(), mcfg.clone()),
-    );
-    net.add_machine(
-        MachineId::new(1),
-        Machine::new_member(MachineId::new(1), registry.clone(), mcfg.clone()),
-    );
-    assert!(run_until_cohort(&mut net, SimTime::from_secs(30)));
-
     // Initial grids; fresh ones are added every segment so legal moves
     // never run dry (the paper's volunteers likewise moved on to new grids).
-    {
-        let master = net.actor_mut(MachineId::new(0)).expect("master");
-        for _ in 0..8 {
-            master.create_instance(sudoku::example_puzzle());
-        }
-    }
-    net.run_until(net.now() + SimTime::from_secs(2));
+    let (mut net, ()) = cluster(
+        2,
+        sudoku_registry(),
+        mcfg.clone(),
+        paper_net(seed),
+        None,
+        Telemetry::noop(),
+        |master| {
+            for _ in 0..8 {
+                master.create_instance(sudoku::example_puzzle());
+            }
+        },
+    );
+    let registry = Arc::new(sudoku_registry());
 
-    let activity = |seed| Activity { mean_think, seed };
+    let activity = Activity { mean_think, seed };
     // The measured horizon is generous; each segment ends at +100 syncs.
     let horizon = net.now() + SimTime::from_secs(3_600);
     let start = net.now();
     for i in 0..2u32 {
-        schedule_user_dynamic(&mut net, MachineId::new(i), activity(seed), start, horizon);
+        schedule_user(
+            &mut net,
+            MachineId::new(i),
+            &Boards::Catalog,
+            activity,
+            start,
+            horizon,
+        );
     }
 
-    let mut rows = Vec::new();
-    let mut active_users: u32 = 2;
-    let segment_base = |net: &SimNet<Machine>| {
-        net.actor(MachineId::new(0))
+    // The master's rounds seen, and own-op commits and conflicts summed over
+    // the cluster.
+    let counts = |net: &SimNet<Machine>| {
+        let syncs = net
+            .actor(MachineId::new(0))
             .expect("master")
             .stats()
-            .syncs_seen
-    };
-    let conflicts_now = |net: &SimNet<Machine>| -> u64 {
-        net.members()
-            .iter()
-            .filter_map(|&i| net.actor(i))
-            .map(|m| m.stats().conflicts)
-            .sum()
-    };
-    let ops_now = |net: &SimNet<Machine>| -> u64 {
-        net.members()
-            .iter()
-            .filter_map(|&i| net.actor(i))
-            .map(|m| m.stats().committed_own)
-            .sum()
+            .syncs_seen;
+        let members = net.members().into_iter().filter_map(|i| net.actor(i));
+        members.fold((syncs, 0, 0), |(s, ops, conflicts), m| {
+            (
+                s,
+                ops + m.stats().committed_own,
+                conflicts + m.stats().conflicts,
+            )
+        })
     };
 
-    while active_users <= 8 {
-        let base_syncs = segment_base(&net);
-        let base_conflicts = conflicts_now(&net);
-        let base_ops = ops_now(&net);
+    let mut rows = Vec::new();
+    for users in 2..=8 {
+        let base = counts(&net);
         // Run until 100 more syncs completed.
-        while segment_base(&net) < base_syncs + 100 {
+        while counts(&net).0 < base.0 + 100 {
             let t = net.now() + SimTime::from_secs(1);
             net.run_until(t);
         }
+        let end = counts(&net);
         rows.push(Fig7Row {
-            users: active_users,
-            syncs: segment_base(&net) - base_syncs,
-            ops: ops_now(&net) - base_ops,
-            conflicts: conflicts_now(&net) - base_conflicts,
+            users,
+            syncs: end.0 - base.0,
+            ops: end.1 - base.1,
+            conflicts: end.2 - base.2,
         });
-        if active_users == 8 {
+        if users == 8 {
             break;
         }
         // Fresh grids for the next segment, then admit the next user and
         // give it a workload.
-        {
-            let master = net.actor_mut(MachineId::new(0)).expect("master");
-            for _ in 0..6 {
-                master.create_instance(sudoku::example_puzzle());
-            }
+        let master = net.actor_mut(MachineId::new(0)).expect("master");
+        for _ in 0..6 {
+            master.create_instance(sudoku::example_puzzle());
         }
-        let next = MachineId::new(active_users);
+        let next = MachineId::new(users);
         net.add_machine(
             next,
             Machine::new_member(next, registry.clone(), mcfg.clone()),
         );
         let start = net.now() + SimTime::from_secs(3);
-        schedule_user_dynamic(&mut net, next, activity(seed), start, horizon);
-        active_users += 1;
+        schedule_user(&mut net, next, &Boards::Catalog, activity, start, horizon);
     }
     rows
 }
@@ -658,112 +651,138 @@ pub struct ResponsivenessRow {
 }
 
 /// Ablation A2: GUESSTIMATE's non-blocking issue vs one-copy
-/// serializability, under the same mesh latency and an identical
-/// counter-increment workload.
+/// serializability, under the same mesh latency and an identical workload
+/// of Sudoku moves: every user tries 20 random moves, 200 ms apart.
 pub fn run_responsiveness(seed: u64, users_range: &[u32]) -> Vec<ResponsivenessRow> {
     users_range
         .iter()
         .map(|&users| {
-            let (gv, gc) = guesstimate_latency(users, seed);
-            let oc = one_copy_latency(users, seed);
+            // User `i`'s move `k`: when, after the settle, and its seed.
+            let events: Vec<(u32, SimTime, u64)> = (0..users)
+                .flat_map(|i| {
+                    (0..20u64).map(move |k| {
+                        let at = SimTime::from_millis(200 * k + 7 * u64::from(i));
+                        (i, at, seed ^ (u64::from(i) << 32) ^ k)
+                    })
+                })
+                .collect();
+            let random_move = |seed_k| {
+                move |moves: &[Move]| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed_k);
+                    (!moves.is_empty()).then(|| moves[rng.gen_range(0..moves.len())])
+                }
+            };
+            let one_copy = one_copy_moves(
+                users,
+                seed,
+                events.iter().map(|&(i, at, s)| (i, at, random_move(s))),
+                SimTime::from_secs(30),
+            );
             ResponsivenessRow {
                 users,
-                guess_visibility: gv,
-                guess_commit: gc,
-                one_copy_visibility: oc,
+                guess_visibility: SimTime::ZERO,
+                guess_commit: guesstimate_latency(users, seed, &events),
+                one_copy_visibility: one_copy.visibility,
             }
         })
         .collect()
 }
 
-fn guesstimate_latency(users: u32, seed: u64) -> (SimTime, SimTime) {
-    let mut registry = OpRegistry::new();
-    sudoku::register(&mut registry);
-    let mcfg = paper_machine_config();
-    let netcfg = NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(30));
-    let mut net = sim_cluster(users, registry, mcfg, netcfg);
-    assert!(run_until_cohort(&mut net, SimTime::from_secs(30)));
-    let board = net
-        .actor_mut(MachineId::new(0))
-        .expect("master")
-        .create_instance(sudoku::example_puzzle());
-    net.run_until(net.now() + SimTime::from_secs(2));
-    // Every user issues 20 timed moves.
+/// GUESSTIMATE's mean issue-to-commit latency over A2's move events.
+fn guesstimate_latency(users: u32, seed: u64, events: &[(u32, SimTime, u64)]) -> SimTime {
+    let (mut net, board) = cluster(
+        users,
+        sudoku_registry(),
+        paper_machine_config(),
+        paper_net(seed),
+        None,
+        Telemetry::noop(),
+        |master| master.create_instance(sudoku::example_puzzle()),
+    );
     let t0 = net.now();
-    for i in 0..users {
-        for k in 0..20u64 {
-            let seed_k = seed ^ (u64::from(i) << 32) ^ k;
-            net.schedule_call(
-                t0 + SimTime::from_millis(200 * k + 7 * u64::from(i)),
-                MachineId::new(i),
-                move |m: &mut Machine, ctx| {
-                    let boards = [board];
-                    // Reuse the workload move picker, but timed.
-                    let _ =
-                        crate::workload::issue_random_move_timed(m, &boards[..], seed_k, ctx.now());
-                },
-            );
-        }
+    for &(i, at, seed_k) in events {
+        net.schedule_call(t0 + at, MachineId::new(i), move |m: &mut Machine, ctx| {
+            let _ = issue_random_move_at(m, &[board], seed_k, ctx.now());
+        });
     }
-    net.run_until(net.now() + SimTime::from_secs(30));
+    net.run_until(t0 + SimTime::from_secs(30));
     let lats: Vec<SimTime> = (0..users)
         .filter_map(|i| net.actor(MachineId::new(i)))
         .flat_map(|m| m.stats().commit_latencies.clone())
         .collect();
-    let mean = if lats.is_empty() {
-        SimTime::ZERO
-    } else {
-        SimTime::from_micros(lats.iter().map(|t| t.as_micros()).sum::<u64>() / lats.len() as u64)
-    };
-    (SimTime::ZERO, mean)
+    mean(&lats)
 }
 
-fn one_copy_latency(users: u32, seed: u64) -> SimTime {
-    use guesstimate_baselines::one_copy::{one_copy_cluster, OneCopyMachine};
-    let mut registry = OpRegistry::new();
-    sudoku::register(&mut registry);
-    let netcfg = NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(30));
-    let mut net = one_copy_cluster(users, registry, netcfg);
-    let board = {
-        let mut out = None;
-        net.call(MachineId::new(0), |m, ctx| {
-            out = Some(m.create_instance(sudoku::example_puzzle(), ctx))
-        });
-        out.expect("created")
-    };
+/// A Sudoku move: row, column, value.
+type Move = (u8, u8, u8);
+
+/// What a one-copy run left behind.
+struct OneCopyRun {
+    /// Distinct final replica states.
+    distinct_states: usize,
+    /// Mean submit-to-visibility latency.
+    visibility: SimTime,
+    /// Moves whose commit succeeded.
+    accepted: u64,
+}
+
+/// One-copy serializability on the paper's mesh, the baseline of A2 and
+/// A3: `users` machines (machine 0 the sequencer) share one Sudoku board,
+/// created and settled 2 s. Each `(user, at, pick)` event submits, `at`
+/// after the settle, the move `pick` takes from the user's candidate
+/// moves, if any; the mesh then runs `run_for` more.
+fn one_copy_moves<P>(
+    users: u32,
+    seed: u64,
+    events: impl IntoIterator<Item = (u32, SimTime, P)>,
+    run_for: SimTime,
+) -> OneCopyRun
+where
+    P: FnOnce(&[Move]) -> Option<Move> + Send + 'static,
+{
+    let mut net = one_copy_cluster(users, sudoku_registry(), paper_net(seed));
+    let mut board = None;
+    net.call(MachineId::new(0), |m, ctx| {
+        board = Some(m.create_instance(sudoku::example_puzzle(), ctx))
+    });
+    let board = board.expect("created");
     net.run_until(SimTime::from_secs(2));
+    let accepted = Arc::new(AtomicU64::new(0));
     let t0 = net.now();
-    for i in 0..users {
-        for k in 0..20u64 {
-            let seed_k = seed ^ (u64::from(i) << 32) ^ k;
-            net.schedule_call(
-                t0 + SimTime::from_millis(200 * k + 7 * u64::from(i)),
-                MachineId::new(i),
-                move |m: &mut OneCopyMachine, ctx| {
-                    use guesstimate_apps::sudoku::Sudoku;
-                    use rand::{Rng, SeedableRng};
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed_k);
-                    let Some(moves) = m.read::<Sudoku, _>(board, |s| s.candidate_moves()) else {
-                        return;
+    for (i, at, pick) in events {
+        let accepted = Arc::clone(&accepted);
+        net.schedule_call(
+            t0 + at,
+            MachineId::new(i),
+            move |m: &mut OneCopyMachine, ctx| {
+                let moves = m
+                    .read::<Sudoku, _>(board, |s| s.candidate_moves())
+                    .unwrap_or_default();
+                if let Some((r, c, v)) = pick(&moves) {
+                    let count = move |ok| {
+                        accepted.fetch_add(u64::from(ok), Ordering::Relaxed);
                     };
-                    if moves.is_empty() {
-                        return;
-                    }
-                    let (r, c, v) = moves[rng.gen_range(0..moves.len())];
-                    m.issue(sudoku::ops::update(board, r, c, v), None, ctx);
-                },
-            );
-        }
+                    m.issue(update(board, r, c, v), Some(Box::new(count)), ctx);
+                }
+            },
+        );
     }
-    net.run_until(net.now() + SimTime::from_secs(30));
-    let lats: Vec<SimTime> = (0..users)
-        .filter_map(|i| net.actor(MachineId::new(i)))
+    net.run_until(t0 + run_for);
+    let machines: Vec<&OneCopyMachine> = (0..users)
+        .map(|i| net.actor(MachineId::new(i)).expect("machine"))
+        .collect();
+    let lats: Vec<SimTime> = machines
+        .iter()
         .flat_map(|m| m.stats().latencies.clone())
         .collect();
-    if lats.is_empty() {
-        SimTime::ZERO
-    } else {
-        SimTime::from_micros(lats.iter().map(|t| t.as_micros()).sum::<u64>() / lats.len() as u64)
+    OneCopyRun {
+        distinct_states: machines
+            .iter()
+            .map(|m| m.digest())
+            .collect::<BTreeSet<_>>()
+            .len(),
+        visibility: mean(&lats),
+        accepted: accepted.load(Ordering::Relaxed),
     }
 }
 
@@ -780,7 +799,9 @@ pub struct SpectrumRow {
     pub distinct_states: usize,
     /// Time until an issued operation is visible to its own issuer.
     pub visibility: SimTime,
-    /// Moves accepted across the cluster during the workload.
+    /// Workload moves accepted across the cluster: at issue in the first
+    /// two models, at commit under one-copy serializability (which has no
+    /// issue-time check).
     pub ops_accepted: u64,
 }
 
@@ -792,17 +813,21 @@ pub fn run_consistency_spectrum(seed: u64, users: u32) -> Vec<SpectrumRow> {
     use guesstimate_baselines::local_only::{divergence, local_only_cluster};
     let mut rows = Vec::new();
 
-    // A fixed move schedule: (user, event index) pairs; each model picks
-    // moves from its own replica state with the same per-event seeds.
-    let events: Vec<(u32, u64)> = (0..users)
-        .flat_map(|i| (0..15u64).map(move |k| (i, k)))
+    // A fixed move schedule: user `i`'s event `k` fires `100k + 11i` ms
+    // after the settle and takes candidate move `(k + 3i) mod 7` of the
+    // issuer's own replica, in every model.
+    let events: Vec<(u32, SimTime, usize)> = (0..users)
+        .flat_map(|i| {
+            (0..15u64).map(move |k| {
+                let at = SimTime::from_millis(100 * k + 11 * u64::from(i));
+                (i, at, ((k + 3 * u64::from(i)) % 7) as usize)
+            })
+        })
         .collect();
 
     // 1. Replicated execution (local-only).
     {
-        let mut registry = OpRegistry::new();
-        sudoku::register(&mut registry);
-        let mut net = local_only_cluster(users, registry, NetConfig::lan(seed));
+        let mut net = local_only_cluster(users, sudoku_registry(), NetConfig::lan(seed));
         let shared = ObjectId::new(MachineId::new(9), 0);
         let ids: Vec<MachineId> = (0..users).map(MachineId::new).collect();
         for &i in &ids {
@@ -811,14 +836,13 @@ pub fn run_consistency_spectrum(seed: u64, users: u32) -> Vec<SpectrumRow> {
                 .install(shared, sudoku::example_puzzle());
         }
         let mut accepted = 0u64;
-        for &(i, k) in &events {
+        for &(i, _, idx) in &events {
             let m = net.actor_mut(MachineId::new(i)).expect("machine");
             let moves = m
-                .read::<sudoku::Sudoku, _>(shared, |s| s.candidate_moves())
+                .read::<Sudoku, _>(shared, |s| s.candidate_moves())
                 .unwrap_or_default();
-            let idx = ((k + 3 * u64::from(i)) % 7) as usize;
             if let Some(&(r, c, v)) = moves.get(idx) {
-                if m.issue(sudoku::ops::update(shared, r, c, v)) {
+                if m.issue(update(shared, r, c, v)) {
                     accepted += 1;
                 }
             }
@@ -833,119 +857,59 @@ pub fn run_consistency_spectrum(seed: u64, users: u32) -> Vec<SpectrumRow> {
 
     // 2. GUESSTIMATE.
     {
-        let mut registry = OpRegistry::new();
-        sudoku::register(&mut registry);
-        let mcfg = paper_machine_config();
-        let netcfg = NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(30));
-        let mut net = sim_cluster(users, registry, mcfg, netcfg);
-        assert!(run_until_cohort(&mut net, SimTime::from_secs(30)));
-        let board = net
-            .actor_mut(MachineId::new(0))
-            .expect("master")
-            .create_instance(sudoku::example_puzzle());
-        net.run_until(net.now() + SimTime::from_secs(2));
+        let (mut net, board) = cluster(
+            users,
+            sudoku_registry(),
+            paper_machine_config(),
+            paper_net(seed),
+            None,
+            Telemetry::noop(),
+            |master| master.create_instance(sudoku::example_puzzle()),
+        );
+        let accepted = Arc::new(AtomicU64::new(0));
         let t0 = net.now();
-        for &(i, k) in &events {
-            net.schedule_call(
-                t0 + SimTime::from_millis(100 * k + 11 * u64::from(i)),
-                MachineId::new(i),
-                move |m: &mut Machine, _| {
-                    if let Some(moves) = m.read::<sudoku::Sudoku, _>(board, |s| s.candidate_moves())
-                    {
-                        let idx = ((k + 3 * u64::from(i)) % 7) as usize;
-                        if let Some(&(r, c, v)) = moves.get(idx) {
-                            let _ = m.issue(sudoku::ops::update(board, r, c, v));
-                        }
+        for &(i, at, idx) in &events {
+            let accepted = Arc::clone(&accepted);
+            net.schedule_call(t0 + at, MachineId::new(i), move |m: &mut Machine, _| {
+                if let Some(moves) = m.read::<Sudoku, _>(board, |s| s.candidate_moves()) {
+                    if let Some(&(r, c, v)) = moves.get(idx) {
+                        let ok = m.issue(update(board, r, c, v)) == Ok(true);
+                        accepted.fetch_add(u64::from(ok), Ordering::Relaxed);
                     }
-                },
-            );
+                }
+            });
         }
-        net.run_until(net.now() + SimTime::from_secs(15));
-        let digests: std::collections::BTreeSet<u64> = (0..users)
-            .map(|i| {
-                net.actor(MachineId::new(i))
-                    .expect("machine")
-                    .committed_digest()
-            })
+        net.run_until(t0 + SimTime::from_secs(15));
+        let machines: Vec<&Machine> = (0..users)
+            .map(|i| net.actor(MachineId::new(i)).expect("machine"))
             .collect();
-        let accepted: u64 = (0..users)
-            .map(|i| {
-                net.actor(MachineId::new(i))
-                    .expect("machine")
-                    .stats()
-                    .issued
-            })
-            .sum();
         rows.push(SpectrumRow {
             model: "guesstimate",
-            distinct_states: digests.len(),
+            distinct_states: machines
+                .iter()
+                .map(|m| m.committed_digest())
+                .collect::<BTreeSet<_>>()
+                .len(),
             visibility: SimTime::ZERO,
-            ops_accepted: accepted,
+            ops_accepted: accepted.load(Ordering::Relaxed),
         });
     }
 
     // 3. One-copy serializability.
-    {
-        use guesstimate_baselines::one_copy::{one_copy_cluster, OneCopyMachine};
-        let mut registry = OpRegistry::new();
-        sudoku::register(&mut registry);
-        let netcfg = NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(30));
-        let mut net = one_copy_cluster(users, registry, netcfg);
-        let board = {
-            let mut out = None;
-            net.call(MachineId::new(0), |m, ctx| {
-                out = Some(m.create_instance(sudoku::example_puzzle(), ctx))
-            });
-            out.expect("created")
-        };
-        net.run_until(SimTime::from_secs(2));
-        let t0 = net.now();
-        for &(i, k) in &events {
-            net.schedule_call(
-                t0 + SimTime::from_millis(100 * k + 11 * u64::from(i)),
-                MachineId::new(i),
-                move |m: &mut OneCopyMachine, ctx| {
-                    if let Some(moves) = m.read::<sudoku::Sudoku, _>(board, |s| s.candidate_moves())
-                    {
-                        if !moves.is_empty() {
-                            let idx = ((k + 3 * u64::from(i)) % 7) as usize % moves.len();
-                            let (r, c, v) = moves[idx];
-                            m.issue(sudoku::ops::update(board, r, c, v), None, ctx);
-                        }
-                    }
-                },
-            );
-        }
-        net.run_until(net.now() + SimTime::from_secs(15));
-        let digests: std::collections::BTreeSet<u64> = (0..users)
-            .map(|i| net.actor(MachineId::new(i)).expect("machine").digest())
-            .collect();
-        let lats: Vec<SimTime> = (0..users)
-            .filter_map(|i| net.actor(MachineId::new(i)))
-            .flat_map(|m| m.stats().latencies.clone())
-            .collect();
-        let mean = if lats.is_empty() {
-            SimTime::ZERO
-        } else {
-            SimTime::from_micros(
-                lats.iter().map(|t| t.as_micros()).sum::<u64>() / lats.len() as u64,
-            )
-        };
-        let accepted: u64 = (0..users)
-            .map(|i| {
-                net.actor(MachineId::new(i))
-                    .expect("machine")
-                    .stats()
-                    .submitted
-            })
-            .sum();
-        rows.push(SpectrumRow {
-            model: "one-copy",
-            distinct_states: digests.len(),
-            visibility: mean,
-            ops_accepted: accepted,
-        });
-    }
+    let one_copy = one_copy_moves(
+        users,
+        seed,
+        events
+            .iter()
+            .map(|&(i, at, idx)| (i, at, move |moves: &[Move]| moves.get(idx).copied())),
+        SimTime::from_secs(15),
+    );
+    rows.push(SpectrumRow {
+        model: "one-copy",
+        distinct_states: one_copy.distinct_states,
+        visibility: one_copy.visibility,
+        ops_accepted: one_copy.accepted,
+    });
     rows
 }
 
@@ -997,8 +961,10 @@ fn blind_counter_matrix(app: &'static str) -> guesstimate_core::CommuteMatrix {
 /// Every user spams the app's universal-commuter op (`like` / `heart`)
 /// through [`Machine::issue_hybrid`]; with `async_commit` off that is the
 /// paper's serialized round path (lag ≈ sync period), with it on the op
-/// commits at issue and broadcasts in one hop (lag ≈ 0).
-fn hybrid_lag_session(
+/// commits at issue and broadcasts in one hop (lag ≈ 0). Every machine
+/// reports to `tracer` and `telemetry`; the lag is read from the
+/// telemetry's op spans, so pass an enabled handle ([`Telemetry::new`]).
+pub fn run_hybrid_session(
     app: &'static str,
     async_on: bool,
     seed: u64,
@@ -1018,19 +984,16 @@ fn hybrid_lag_session(
     let mcfg = paper_machine_config()
         .with_commute_matrix(blind_counter_matrix(app))
         .with_async_commit(async_on);
-    let netcfg = NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(30));
-    let mut net =
-        sim_cluster_instrumented(users, registry, mcfg, netcfg, tracer, telemetry.clone());
-    assert!(
-        run_until_cohort(&mut net, SimTime::from_secs(30)),
-        "cohort must assemble before the measured window"
-    );
-
     // The shared object must *commit* everywhere before its blind counter
     // is async-eligible (guess-only objects always serialize).
-    let board = {
-        let master = net.actor_mut(MachineId::new(0)).expect("master");
-        match app {
+    let (mut net, board) = cluster(
+        users,
+        registry,
+        mcfg,
+        paper_net(seed),
+        tracer,
+        telemetry.clone(),
+        |master| match app {
             "message_board" => {
                 let obj = master.create_instance(message_board::MessageBoard::new());
                 assert!(master
@@ -1040,9 +1003,8 @@ fn hybrid_lag_session(
             }
             "microblog" => master.create_instance(microblog::MicroBlog::new()),
             other => unreachable!("unknown app {other}"),
-        }
-    };
-    net.run_until(net.now() + SimTime::from_secs(2));
+        },
+    );
 
     let t0 = net.now();
     let t_end = t0 + duration;
@@ -1064,33 +1026,19 @@ fn hybrid_lag_session(
 
     // Lag over the workload window only: the prelude's create/topic ops
     // are round-committed in both modes and would dilute the comparison.
-    let lags: Vec<u64> = telemetry
+    let lags: Vec<SimTime> = telemetry
         .spans()
         .iter()
         .filter(|s| s.issued_at.is_some_and(|t| t >= t0))
-        .filter_map(|s| s.commit_lag().map(|l| l.as_micros()))
+        .filter_map(|s| s.commit_lag())
         .collect();
-    let mean_commit_lag = if lags.is_empty() {
-        SimTime::ZERO
-    } else {
-        SimTime::from_micros(lags.iter().sum::<u64>() / lags.len() as u64)
-    };
-    let ids = net.members();
-    let digests: Vec<u64> = ids
-        .iter()
-        .map(|&i| net.actor(i).expect("member").committed_digest())
-        .collect();
-    let converged = digests.windows(2).all(|w| w[0] == w[1])
-        && ids
-            .iter()
-            .all(|&i| net.actor(i).expect("member").pending_len() == 0);
     HybridLagRow {
         app,
         mode: if async_on { "hybrid" } else { "serialized" },
         ops_committed: lags.len() as u64,
         ops_async: telemetry.ops_committed_async(),
-        mean_commit_lag,
-        converged,
+        mean_commit_lag: mean(&lags),
+        converged: agreed(&net, &net.members()),
     }
 }
 
@@ -1102,7 +1050,7 @@ pub fn run_hybrid_lag(seed: u64, users: u32, duration: SimTime) -> Vec<HybridLag
     let mut rows = Vec::new();
     for app in ["message_board", "microblog"] {
         for async_on in [false, true] {
-            rows.push(hybrid_lag_session(
+            rows.push(run_hybrid_session(
                 app,
                 async_on,
                 seed,
@@ -1116,30 +1064,6 @@ pub fn run_hybrid_lag(seed: u64, users: u32, duration: SimTime) -> Vec<HybridLag
     rows
 }
 
-/// One fully-traced hybrid blind-counter session (`message_board` with
-/// `async_commit` on): returns the comparison row, the driver+machine
-/// trace records, and the telemetry handle whose spans carry the
-/// async-path commit times — the inputs the lag-attribution waterfall
-/// needs to exercise the `async_commit` stage decomposition.
-pub fn run_hybrid_traced(
-    seed: u64,
-    users: u32,
-    duration: SimTime,
-) -> (HybridLagRow, Vec<guesstimate_net::TraceRecord>, Telemetry) {
-    let tracer = Arc::new(guesstimate_net::RecordingTracer::new());
-    let telemetry = Telemetry::new();
-    let row = hybrid_lag_session(
-        "message_board",
-        true,
-        seed,
-        users,
-        duration,
-        Some(tracer.clone()),
-        telemetry.clone(),
-    );
-    (row, tracer.take(), telemetry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1151,7 +1075,7 @@ mod tests {
         cfg.activity = ActivityLevel::Active {
             mean_think: SimTime::from_millis(800),
         };
-        let r = run_session(&cfg);
+        let r = run_session(&cfg, None, Telemetry::noop());
         assert!(r.converged, "session converged");
         assert!(r.issued > 10);
         assert!(r.committed > 10);
@@ -1164,7 +1088,7 @@ mod tests {
         let mut cfg = SessionConfig::paper_default(2, 5);
         cfg.duration = SimTime::from_secs(15);
         cfg.activity = ActivityLevel::Idle;
-        let r = run_session(&cfg);
+        let r = run_session(&cfg, None, Telemetry::noop());
         assert!(r.sync_samples.len() > 20);
         assert_eq!(r.events_scheduled, 0);
         // Only the board creations were committed.
@@ -1220,7 +1144,6 @@ mod tests {
             events_scheduled: 0,
             replays: 0,
             net: NetMetrics::default(),
-            committed_digest: 0,
         };
         assert_eq!(
             r.mean_sync_excluding(SimTime::from_secs(12)),

@@ -1,13 +1,10 @@
-//! Trace sinks and round-timeline summaries for the experiment binaries.
+//! Round-timeline summaries for the experiment binaries.
 //!
 //! The runtime emits [`TraceRecord`]s through the pluggable
-//! [`guesstimate_net::Tracer`] interface; this module turns those streams
-//! into artifacts a person (or a plotting script) can use:
+//! [`guesstimate_net::Tracer`] interface (the bench binaries record them
+//! with [`crate::artifacts::record_figure`]); this module turns a recorded
+//! stream into something a person can read:
 //!
-//! * [`JsonlSink`] / [`write_jsonl`] — one JSON object per line, one line
-//!   per event, with stable keys taken from [`TraceEvent::name`]. The JSON
-//!   is hand-rolled: every field is a scalar (no strings need escaping), so
-//!   no serialization dependency is required.
 //! * [`summarize_rounds`] — folds a trace into one [`RoundTimeline`] per
 //!   sync round, recovering the per-stage boundaries (flush → apply →
 //!   completion) that aggregate [`guesstimate_runtime::SyncSample`] counters
@@ -17,69 +14,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 
-use guesstimate_net::{SimTime, TraceEvent, TraceRecord, Tracer};
-// The canonical line format (writer + reader) lives in `guesstimate-obs`;
-// re-exported here so the sinks below and older call sites share it.
-pub use guesstimate_obs::record_to_json;
-
-/// Writes a recorded trace to `path`, one JSON object per line.
-///
-/// # Errors
-///
-/// Propagates any I/O error from creating or writing the file.
-pub fn write_jsonl(path: &Path, records: &[TraceRecord]) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    for r in records {
-        out.write_all(record_to_json(r).as_bytes())?;
-        out.write_all(b"\n")?;
-    }
-    out.flush()
-}
-
-/// A [`Tracer`] that streams each event to a file as a JSON line.
-///
-/// Unlike collecting with [`guesstimate_net::RecordingTracer`] and calling
-/// [`write_jsonl`] afterwards, this sink holds no events in memory — useful
-/// for hour-long sessions where the full trace would be large.
-#[derive(Debug)]
-pub struct JsonlSink {
-    out: parking_lot::Mutex<BufWriter<File>>,
-}
-
-impl JsonlSink {
-    /// Creates (truncating) the file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file cannot be created.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(JsonlSink {
-            out: parking_lot::Mutex::new(BufWriter::new(File::create(path)?)),
-        })
-    }
-
-    /// Flushes buffered lines to disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error from the underlying writer.
-    pub fn flush(&self) -> io::Result<()> {
-        self.out.lock().flush()
-    }
-}
-
-impl Tracer for JsonlSink {
-    fn record(&self, record: TraceRecord) {
-        let mut out = self.out.lock();
-        // `record` must not panic; a full disk degrades to a truncated trace.
-        let _ = out.write_all(record_to_json(&record).as_bytes());
-        let _ = out.write_all(b"\n");
-    }
-}
+use guesstimate_net::{SimTime, TraceEvent, TraceRecord};
 
 /// The reconstructed timeline of one synchronization round.
 ///
@@ -87,7 +23,7 @@ impl Tracer for JsonlSink {
 /// [`TraceEvent::SyncCompleteReceived`] receipts; any field can be `None`
 /// when a trace is truncated (round in flight at either end of the
 /// recording window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundTimeline {
     /// Round number.
     pub round: u64,
@@ -108,19 +44,6 @@ pub struct RoundTimeline {
 }
 
 impl RoundTimeline {
-    fn empty(round: u64) -> Self {
-        RoundTimeline {
-            round,
-            started_at: None,
-            flush_done_at: None,
-            completed_at: None,
-            last_received_at: None,
-            ops_committed: 0,
-            resends: 0,
-            removals: 0,
-        }
-    }
-
     /// Stage-1 duration (round start → `BeginApply`), when both edges were
     /// observed.
     pub fn flush_duration(&self) -> Option<SimTime> {
@@ -155,9 +78,10 @@ pub fn summarize_rounds(records: &[TraceRecord]) -> Vec<RoundTimeline> {
         let Some(round) = r.event.round() else {
             continue;
         };
-        let t = rounds
-            .entry(round)
-            .or_insert_with(|| RoundTimeline::empty(round));
+        let t = rounds.entry(round).or_insert(RoundTimeline {
+            round,
+            ..RoundTimeline::default()
+        });
         match r.event {
             TraceEvent::RoundStarted { .. } => t.started_at = Some(r.at),
             TraceEvent::BeginApply { .. } => t.flush_done_at = Some(r.at),
@@ -223,6 +147,7 @@ pub fn render_timelines(timelines: &[RoundTimeline]) -> String {
 mod tests {
     use super::*;
     use guesstimate_core::MachineId;
+    use guesstimate_obs::record_to_json;
 
     fn rec(at_ms: u64, source: u32, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -343,29 +268,5 @@ mod tests {
         let table = render_timelines(&summarize_rounds(&sample_round()));
         assert_eq!(table.lines().count(), 2, "header + one round:\n{table}");
         assert!(table.contains("flush_ms"));
-    }
-
-    #[test]
-    fn jsonl_roundtrip_to_disk() {
-        let dir = std::env::temp_dir().join("guesstimate-bench-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        let records = sample_round();
-        write_jsonl(&path, &records).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), records.len());
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-
-        // The streaming sink produces the same bytes.
-        let sink_path = dir.join("sink.jsonl");
-        let sink = JsonlSink::create(&sink_path).unwrap();
-        for r in &records {
-            sink.record(*r);
-        }
-        sink.flush().unwrap();
-        assert_eq!(std::fs::read_to_string(&sink_path).unwrap(), text);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -36,6 +36,31 @@ fn event_seed(base: u64, user: u32, event: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Where a user's move events look for boards.
+#[derive(Debug, Clone)]
+pub enum Boards {
+    /// These boards, fixed when the events are scheduled.
+    Fixed(Vec<ObjectId>),
+    /// Every Sudoku in the machine's catalog at event time, so boards
+    /// created mid-run (e.g. fresh grids added as old ones fill up) are
+    /// used automatically.
+    Catalog,
+}
+
+impl Boards {
+    fn on(&self, m: &Machine) -> Vec<ObjectId> {
+        match self {
+            Boards::Fixed(boards) => boards.clone(),
+            Boards::Catalog => m
+                .available_objects()
+                .into_iter()
+                .filter(|(_, t)| t == "Sudoku")
+                .map(|(id, _)| id)
+                .collect(),
+        }
+    }
+}
+
 /// Schedules `user`'s move events on `net` between `from` and `until`.
 ///
 /// Think times are exponential with the given mean (sampled up front, so
@@ -46,7 +71,7 @@ fn event_seed(base: u64, user: u32, event: u64) -> u64 {
 pub fn schedule_user(
     net: &mut SimNet<Machine>,
     user: MachineId,
-    boards: &[ObjectId],
+    boards: &Boards,
     activity: Activity,
     from: SimTime,
     until: SimTime,
@@ -54,7 +79,6 @@ pub fn schedule_user(
     let mut rng = StdRng::seed_from_u64(event_seed(activity.seed, user.index(), u64::MAX));
     let mut t = from;
     let mut events = 0usize;
-    let boards = boards.to_vec();
     loop {
         // Exponential inter-arrival with the configured mean.
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -66,7 +90,7 @@ pub fn schedule_user(
         let seed = event_seed(activity.seed, user.index(), events as u64);
         let boards = boards.clone();
         net.schedule_call(t, user, move |m: &mut Machine, ctx| {
-            issue_random_move_timed(m, &boards, seed, ctx.now());
+            issue_random_move_at(m, &boards.on(m), seed, ctx.now());
         });
         events += 1;
     }
@@ -74,61 +98,10 @@ pub fn schedule_user(
 }
 
 /// Picks a random legal move on a random board (as seen on the machine's
-/// guesstimated state) and issues it. Returns the issue result, or `None`
-/// when no move is available.
-pub fn issue_random_move(m: &mut Machine, boards: &[ObjectId], seed: u64) -> Option<bool> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    if boards.is_empty() {
-        return None;
-    }
-    let board = boards[rng.gen_range(0..boards.len())];
-    let moves = m.read::<Sudoku, _>(board, |s| s.candidate_moves())?;
-    if moves.is_empty() {
-        return None;
-    }
-    let (r, c, v) = moves[rng.gen_range(0..moves.len())];
-    m.issue(sudoku::ops::update(board, r, c, v)).ok()
-}
-
-/// Schedules `user`'s move events with *dynamic* board discovery: each
-/// event picks among all Sudoku objects in the machine's catalog at event
-/// time, so boards created mid-run (e.g. fresh grids added as old ones fill
-/// up) are used automatically.
-pub fn schedule_user_dynamic(
-    net: &mut SimNet<Machine>,
-    user: MachineId,
-    activity: Activity,
-    from: SimTime,
-    until: SimTime,
-) -> usize {
-    let mut rng = StdRng::seed_from_u64(event_seed(activity.seed, user.index(), u64::MAX));
-    let mut t = from;
-    let mut events = 0usize;
-    loop {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let gap = (-u.ln() * activity.mean_think.as_micros() as f64) as u64;
-        t += SimTime::from_micros(gap.max(1_000));
-        if t >= until {
-            break;
-        }
-        let seed = event_seed(activity.seed, user.index(), events as u64);
-        net.schedule_call(t, user, move |m: &mut Machine, ctx| {
-            let boards: Vec<ObjectId> = m
-                .available_objects()
-                .into_iter()
-                .filter(|(_, t)| t == "Sudoku")
-                .map(|(id, _)| id)
-                .collect();
-            issue_random_move_timed(m, &boards, seed, ctx.now());
-        });
-        events += 1;
-    }
-    events
-}
-
-/// Like [`issue_random_move`], but stamps the issue time so the runtime
-/// records the operation's issue-to-commit latency (responsiveness ablation).
-pub fn issue_random_move_timed(
+/// guesstimated state) and issues it stamped `now`, so the runtime records
+/// its issue-to-commit latency. Returns the issue result, or `None` when
+/// no move is available.
+pub fn issue_random_move_at(
     m: &mut Machine,
     boards: &[ObjectId],
     seed: u64,
@@ -185,7 +158,8 @@ mod tests {
         };
         let until = t0 + SimTime::from_secs(20);
         for i in 0..3 {
-            let n = schedule_user(&mut net, MachineId::new(i), &[board], activity, t0, until);
+            let boards = Boards::Fixed(vec![board]);
+            let n = schedule_user(&mut net, MachineId::new(i), &boards, activity, t0, until);
             assert!(n > 10, "user {i} scheduled {n} events");
         }
         net.run_until(until + SimTime::from_secs(5));
@@ -218,8 +192,13 @@ mod tests {
         let mut net = cluster(1);
         net.run_until(SimTime::from_secs(1));
         let m = net.actor_mut(MachineId::new(0)).unwrap();
-        assert_eq!(issue_random_move(m, &[], 1), None, "no boards");
+        let now = SimTime::from_secs(1);
+        assert_eq!(issue_random_move_at(m, &[], 1, now), None, "no boards");
         let ghost = ObjectId::new(MachineId::new(7), 7);
-        assert_eq!(issue_random_move(m, &[ghost], 1), None, "unknown board");
+        assert_eq!(
+            issue_random_move_at(m, &[ghost], 1, now),
+            None,
+            "unknown board"
+        );
     }
 }

@@ -16,8 +16,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use guesstimate_bench::{
-    run_fig5_instrumented, run_hybrid_lag, run_hybrid_traced, run_spec_table, shard_balance_rows,
-    spec_table_total,
+    run_consistency_spectrum, run_fig5, run_fig7, run_hybrid_lag, run_hybrid_session,
+    run_responsiveness, run_spec_table, shard_balance_rows, spec_table_total,
 };
 use guesstimate_net::{RecordingTracer, SimTime, TraceEvent, TraceRecord, Tracer};
 use guesstimate_obs::{record_to_json, report, validate_postmortem, FlightRecorder, TeeTracer};
@@ -58,7 +58,7 @@ fn render_fig5() -> String {
     let recorder = Arc::new(FlightRecorder::default());
     let tee: Arc<dyn Tracer> = Arc::new(TeeTracer::new(tracer.clone(), recorder.clone()));
     let telemetry = Telemetry::new();
-    let run = run_fig5_instrumented(SEED, SimTime::from_secs(60), Some(tee), telemetry.clone());
+    let run = run_fig5(SEED, SimTime::from_secs(60), Some(tee), telemetry.clone());
     let records = tracer.take();
     let report = obs_report(&records, &telemetry);
     let postmortem = validate_postmortem(&recorder.dump_json("fingerprint", &[]))
@@ -137,8 +137,18 @@ fn render_hybrid() -> String {
     out.heading(format_args!(
         "hybrid_traced: message_board, 4 users, 20 s, seed {SEED}; async commits on"
     ));
-    let (row, records, telemetry) = run_hybrid_traced(SEED, 4, SimTime::from_secs(20));
-    let report = obs_report(&records, &telemetry);
+    let tracer = Arc::new(RecordingTracer::new());
+    let telemetry = Telemetry::new();
+    let row = run_hybrid_session(
+        "message_board",
+        true,
+        SEED,
+        4,
+        SimTime::from_secs(20),
+        Some(tracer.clone()),
+        telemetry.clone(),
+    );
+    let report = obs_report(&tracer.take(), &telemetry);
     let ops = &report.waterfall.ops;
     out.kv("hybrid_traced.converged", row.converged);
     out.kv(
@@ -201,6 +211,57 @@ fn render_spec() -> String {
     out.0
 }
 
+/// Figure 7 at the binary's defaults: one row per segment.
+fn render_fig7() -> String {
+    let mut out = Rendering::default();
+    out.heading("fig7: +1 user per 100 syncs, think 1000 ms, seed 11");
+    for r in run_fig7(11, SimTime::from_millis(1_000)) {
+        let key = format!("fig7.{}", r.users);
+        out.kv(format_args!("{key}.syncs"), r.syncs);
+        out.kv(format_args!("{key}.ops"), r.ops);
+        out.kv(format_args!("{key}.conflicts"), r.conflicts);
+    }
+    out.0
+}
+
+/// Ablation A2 at the binary's defaults: one row per cluster size.
+fn render_a2() -> String {
+    let mut out = Rendering::default();
+    out.heading("a2: guesstimate vs one-copy visibility, users 2/4/8, seed 5");
+    for r in run_responsiveness(5, &[2, 4, 8]) {
+        let key = format!("a2.{}", r.users);
+        out.kv(
+            format_args!("{key}.guess_visibility_us"),
+            r.guess_visibility.as_micros(),
+        );
+        out.kv(
+            format_args!("{key}.guess_commit_us"),
+            r.guess_commit.as_micros(),
+        );
+        out.kv(
+            format_args!("{key}.one_copy_visibility_us"),
+            r.one_copy_visibility.as_micros(),
+        );
+    }
+    out.0
+}
+
+/// Ablation A3 at the binary's defaults: one row per consistency model.
+fn render_a3() -> String {
+    let mut out = Rendering::default();
+    out.heading("a3: consistency spectrum, 4 users, seed 23");
+    for r in run_consistency_spectrum(23, 4) {
+        let key = format!("a3.{}", r.model);
+        out.kv(format_args!("{key}.distinct_states"), r.distinct_states);
+        out.kv(
+            format_args!("{key}.visibility_us"),
+            r.visibility.as_micros(),
+        );
+        out.kv(format_args!("{key}.ops_accepted"), r.ops_accepted);
+    }
+    out.0
+}
+
 /// Compares a rendering with the expected text, line by line. On drift the
 /// rendering goes to `actual_path` and the error names the first line that
 /// differs on each side.
@@ -231,7 +292,15 @@ fn target_dir() -> &'static Path {
 #[test]
 fn fixed_seed_sessions_match_the_checked_in_fingerprint() {
     // The sections are independent sessions: run them side by side.
-    let sections: [fn() -> String; 4] = [render_fig5, render_hybrid, render_shards, render_spec];
+    let sections: [fn() -> String; 7] = [
+        render_fig5,
+        render_hybrid,
+        render_shards,
+        render_spec,
+        render_fig7,
+        render_a2,
+        render_a3,
+    ];
     let actual: String = std::thread::scope(|s| {
         let running: Vec<_> = sections.iter().map(|f| s.spawn(f)).collect();
         running

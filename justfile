@@ -63,6 +63,6 @@ loc:
 tier1:
     ./scripts/check.sh tier1
 
-# Regenerate the paper's headline figures with traces enabled; gate both flush modes (A1) and the spec table (no refutation).
+# Run every figure binary EXPERIMENTS.md lists (fig5-7, failure recovery, A1-A3, scalability, spec table); gate both flush modes (A1) and the spec table (no refutation).
 figures:
     ./scripts/check.sh figures

@@ -163,15 +163,22 @@ step() {
         cargo build --release
         cargo test -q
         ;;
-    # The paper's headline figures, traces enabled, then the two that gate:
-    # the A1 ablation fails unless sync time grows >= 2x from 2 to 8 users
-    # under the paper's serial stage 1 and <= 1.4x under the parallel one
-    # the runtime defaults to, and the specification table fails if any
-    # assertion of a shipped app is refuted.
+    # Every figure binary EXPERIMENTS.md lists, with its command there
+    # (fig5, fig6 and failure_recovery write traces), so a panic or a
+    # failed assert in any of them (A3 asserts its distinct_states) fails
+    # the step; then the two that gate: the A1 ablation fails unless sync
+    # time grows >= 2x from 2 to 8 users under the paper's serial stage 1
+    # and <= 1.4x under the parallel one the runtime defaults to, and the
+    # specification table fails if any assertion of a shipped app is
+    # refuted.
     figures)
         cargo run --release -p guesstimate-bench --bin fig5_sync_distribution
         cargo run --release -p guesstimate-bench --bin fig6_sync_vs_users
+        cargo run --release -p guesstimate-bench --bin fig7_conflicts_vs_users -- 1000 11
         cargo run --release -p guesstimate-bench --bin failure_recovery
+        cargo run --release -p guesstimate-bench --bin ablation_responsiveness
+        cargo run --release -p guesstimate-bench --bin ablation_consistency
+        cargo run --release -p guesstimate-bench --bin scalability
         cargo run --release -p guesstimate-bench --bin ablation_parallel_flush
         cargo run --release -p guesstimate-bench --bin table_spec_assertions
         ;;
