@@ -743,121 +743,80 @@ pub fn report_to_json_with_plans(
     reports: &[AppReport],
     plans: Option<&guesstimate_core::ShardPlan>,
 ) -> String {
-    use guesstimate_core::Routing;
-    use json::Json;
-    use std::collections::BTreeMap;
-    let apps: Vec<Json> = reports
-        .iter()
-        .map(|r| {
-            let mut app = BTreeMap::new();
-            if let Some(tp) = plans.and_then(|p| p.types.get(&r.type_name)) {
-                let components: Vec<Json> = tp
-                    .components
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let mut m = BTreeMap::new();
-                        m.insert("id".to_owned(), Json::Num(i as f64));
-                        m.insert("keyed".to_owned(), Json::Bool(c.keyed));
-                        m.insert(
-                            "prefixes".to_owned(),
-                            Json::List(c.prefixes.iter().map(|p| Json::Str(p.render())).collect()),
-                        );
-                        Json::Map(m)
-                    })
-                    .collect();
-                let routes: BTreeMap<String, Json> = tp
-                    .routes
-                    .iter()
-                    .map(|(method, route)| {
-                        let mut m = BTreeMap::new();
-                        match route {
-                            Routing::Local { component, key_arg } => {
-                                m.insert("kind".to_owned(), Json::Str("local".to_owned()));
-                                m.insert("component".to_owned(), Json::Num(f64::from(*component)));
-                                m.insert(
-                                    "key_arg".to_owned(),
-                                    match key_arg {
-                                        Some(i) => Json::Num(*i as f64),
-                                        None => Json::Null,
-                                    },
-                                );
-                            }
-                            Routing::CrossShard => {
-                                m.insert("kind".to_owned(), Json::Str("cross".to_owned()));
-                            }
-                        }
-                        (method.clone(), Json::Map(m))
-                    })
-                    .collect();
-                let mut sp = BTreeMap::new();
-                sp.insert("components".to_owned(), Json::List(components));
-                sp.insert("routes".to_owned(), Json::Map(routes));
-                app.insert("shard_plan".to_owned(), Json::Map(sp));
+    // Keys are written in sorted order, the order archives have always had.
+    json::object(|w| {
+        w.key("apps").array(|w| {
+            for r in reports {
+                let plan = plans.and_then(|p| p.types.get(&r.type_name));
+                w.object(|w| write_app(w, r, plan));
             }
-            app.insert("type".to_owned(), Json::Str(r.type_name.clone()));
-            app.insert(
-                "methods".to_owned(),
-                Json::List(r.methods.iter().cloned().map(Json::Str).collect()),
-            );
-            app.insert("clean".to_owned(), Json::Bool(r.is_clean()));
-            app.insert(
-                "universal_commuters".to_owned(),
-                Json::List(r.universal_commuters().into_iter().map(Json::Str).collect()),
-            );
-            app.insert(
-                "pairs".to_owned(),
-                Json::List(
-                    r.pairs
-                        .iter()
-                        .map(|p| {
-                            let mut m = BTreeMap::new();
-                            m.insert("a".to_owned(), Json::Str(p.a.clone()));
-                            m.insert("b".to_owned(), Json::Str(p.b.clone()));
-                            m.insert(
-                                "classification".to_owned(),
-                                Json::Str(p.classification.to_string()),
-                            );
-                            m.insert("cases".to_owned(), Json::Num(p.cases as f64));
-                            m.insert("static_commute".to_owned(), Json::Bool(p.static_commute));
-                            m.insert(
-                                "counterexample".to_owned(),
-                                match &p.counterexample {
-                                    Some(c) => Json::Str(c.clone()),
-                                    None => Json::Null,
-                                },
-                            );
-                            Json::Map(m)
-                        })
-                        .collect(),
-                ),
-            );
-            app.insert(
-                "violations".to_owned(),
-                Json::List(
-                    r.violations
-                        .iter()
-                        .map(|v| {
-                            let mut m = BTreeMap::new();
-                            m.insert("kind".to_owned(), Json::Str(v.kind.to_string()));
-                            m.insert("method".to_owned(), Json::Str(v.method.clone()));
-                            m.insert("detail".to_owned(), Json::Str(v.detail.clone()));
-                            Json::Map(m)
-                        })
-                        .collect(),
-                ),
-            );
-            app.insert(
-                "warnings".to_owned(),
-                Json::List(r.warnings.iter().cloned().map(Json::Str).collect()),
-            );
-            Json::Map(app)
-        })
-        .collect();
-    let mut doc = BTreeMap::new();
-    doc.insert("version".to_owned(), Json::Num(3.0));
-    doc.insert("apps".to_owned(), Json::List(apps));
-    Json::Map(doc).to_string()
+        });
+        w.field("version", 3u32);
+    })
+}
+
+fn write_app(w: &mut json::JsonWriter, r: &AppReport, plan: Option<&guesstimate_core::TypePlan>) {
+    use guesstimate_core::Routing;
+    let strings = |w: &mut json::JsonWriter, list: &[String]| {
+        w.array(|w| {
+            for s in list {
+                w.value(s);
+            }
+        });
+    };
+    w.field("clean", r.is_clean());
+    strings(w.key("methods"), &r.methods);
+    w.key("pairs").array(|w| {
+        for p in &r.pairs {
+            w.object(|w| {
+                w.field("a", &p.a)
+                    .field("b", &p.b)
+                    .field("cases", p.cases)
+                    .field("classification", p.classification.to_string())
+                    .field("counterexample", p.counterexample.as_ref())
+                    .field("static_commute", p.static_commute);
+            });
+        }
+    });
+    if let Some(tp) = plan {
+        w.key("shard_plan").object(|w| {
+            w.key("components").array(|w| {
+                for (i, c) in tp.components.iter().enumerate() {
+                    w.object(|w| {
+                        w.field("id", i).field("keyed", c.keyed);
+                        let prefixes: Vec<String> = c.prefixes.iter().map(|p| p.render()).collect();
+                        strings(w.key("prefixes"), &prefixes);
+                    });
+                }
+            });
+            w.key("routes").object(|w| {
+                for (method, route) in &tp.routes {
+                    w.key(method).object(|w| match route {
+                        Routing::Local { component, key_arg } => {
+                            w.field("component", *component)
+                                .field("key_arg", *key_arg)
+                                .field("kind", "local");
+                        }
+                        Routing::CrossShard => {
+                            w.field("kind", "cross");
+                        }
+                    });
+                }
+            });
+        });
+    }
+    w.field("type", &r.type_name);
+    strings(w.key("universal_commuters"), &r.universal_commuters());
+    w.key("violations").array(|w| {
+        for v in &r.violations {
+            w.object(|w| {
+                w.field("detail", &v.detail)
+                    .field("kind", v.kind.to_string())
+                    .field("method", &v.method);
+            });
+        }
+    });
+    strings(w.key("warnings"), &r.warnings);
 }
 
 /// Reads an archive written by [`report_to_json`] back into the combined
@@ -1127,6 +1086,74 @@ mod tests {
             }
         );
         assert_eq!(tp.routes["set_b"], guesstimate_core::Routing::CrossShard);
+    }
+
+    /// The exact bytes of a one-app v3 archive with a shard plan.
+    #[test]
+    fn archive_matches_its_golden_bytes() {
+        use guesstimate_core::{ComponentPlan, PathPattern, Routing, TypePlan};
+        let pair = |a: &str, b: &str, classification, counterexample: Option<&str>| PairReport {
+            a: a.to_owned(),
+            b: b.to_owned(),
+            classification,
+            cases: 4,
+            static_commute: counterexample.is_none(),
+            counterexample: counterexample.map(str::to_owned),
+        };
+        let report = AppReport {
+            type_name: "Cells".to_owned(),
+            methods: vec!["set_a".to_owned(), "set_b".to_owned()],
+            pairs: vec![
+                pair(
+                    "set_a",
+                    "set_a",
+                    Classification::Conflict,
+                    Some("a=1 \"x\""),
+                ),
+                pair("set_a", "set_b", Classification::Commute, None),
+                pair("set_b", "set_b", Classification::Commute, None),
+            ],
+            violations: vec![AnalysisViolation {
+                kind: ViolationKind::Nondeterminism,
+                type_name: "Cells".to_owned(),
+                method: "set_b".to_owned(),
+                detail: "flaky".to_owned(),
+            }],
+            warnings: vec!["w".to_owned()],
+        };
+        let component = |p: &str| ComponentPlan {
+            prefixes: vec![PathPattern::parse(p).unwrap()],
+            keyed: false,
+        };
+        let local = |component, key_arg| Routing::Local { component, key_arg };
+        let mut plan = ShardPlan::new();
+        plan.types.insert(
+            "Cells".to_owned(),
+            TypePlan {
+                components: vec![component("a"), component("b")],
+                routes: [
+                    ("set_a".to_owned(), local(0, None)),
+                    ("set_b".to_owned(), local(1, Some(0))),
+                    ("mix".to_owned(), Routing::CrossShard),
+                ]
+                .into(),
+            },
+        );
+        assert_eq!(
+            report_to_json_with_plans(std::slice::from_ref(&report), Some(&plan)),
+            concat!(
+                r#"{"apps":[{"clean":false,"methods":["set_a","set_b"],"pairs":["#,
+                r#"{"a":"set_a","b":"set_a","cases":4,"classification":"Conflict","counterexample":"a=1 \"x\"","static_commute":false},"#,
+                r#"{"a":"set_a","b":"set_b","cases":4,"classification":"Commute","counterexample":null,"static_commute":true},"#,
+                r#"{"a":"set_b","b":"set_b","cases":4,"classification":"Commute","counterexample":null,"static_commute":true}],"#,
+                r#""shard_plan":{"components":[{"id":0,"keyed":false,"prefixes":["a"]},{"id":1,"keyed":false,"prefixes":["b"]}],"#,
+                r#""routes":{"mix":{"kind":"cross"},"set_a":{"component":0,"key_arg":null,"kind":"local"},"#,
+                r#""set_b":{"component":1,"key_arg":0,"kind":"local"}}},"#,
+                r#""type":"Cells","universal_commuters":["set_b"],"#,
+                r#""violations":[{"detail":"flaky","kind":"nondeterminism","method":"set_b"}],"warnings":["w"]}],"#,
+                r#""version":3}"#,
+            )
+        );
     }
 
     /// A derived plan round-trips through the v3 archive exactly.

@@ -147,7 +147,6 @@ pub fn render_timelines(timelines: &[RoundTimeline]) -> String {
 mod tests {
     use super::*;
     use guesstimate_core::MachineId;
-    use guesstimate_obs::record_to_json;
 
     fn rec(at_ms: u64, source: u32, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -196,38 +195,6 @@ mod tests {
             rec(230, 1, TraceEvent::SyncCompleteReceived { round: 5 }),
             rec(245, 2, TraceEvent::SyncCompleteReceived { round: 5 }),
         ]
-    }
-
-    #[test]
-    fn json_lines_have_stable_shape() {
-        let line = record_to_json(&rec(
-            100,
-            0,
-            TraceEvent::RoundStarted {
-                round: 5,
-                participants: 3,
-            },
-        ));
-        assert_eq!(
-            line,
-            "{\"at_us\":100000,\"src\":0,\"event\":\"round_started\",\"round\":5,\"participants\":3}"
-        );
-        let bare = record_to_json(&rec(7, 2, TraceEvent::Restarted));
-        assert_eq!(bare, "{\"at_us\":7000,\"src\":2,\"event\":\"restarted\"}");
-    }
-
-    #[test]
-    fn json_carries_machine_ids_as_indices() {
-        let line = record_to_json(&rec(
-            1,
-            0,
-            TraceEvent::Removed {
-                round: 9,
-                machine: MachineId::new(4),
-            },
-        ));
-        assert!(line.contains("\"machine\":4"), "{line}");
-        assert!(line.contains("\"round\":9"), "{line}");
     }
 
     #[test]

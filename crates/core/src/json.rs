@@ -1,17 +1,26 @@
-//! A minimal JSON value, writer and recursive-descent parser.
+//! The workspace's one JSON writer and one JSON parser.
 //!
-//! The repo deliberately carries no serialization dependency (the
-//! container is offline; see `shims/`), and the handful of artifacts that
-//! cross tool boundaries — the analyzer's `--json` archive, the model
-//! checker's replayable schedule files — are small and schema-stable. A
-//! few hundred lines of hand-rolled JSON beats a dependency here, and the
-//! parser doubles as the reader for both consumers.
+//! The repo deliberately carries no serialization dependency (the build
+//! is offline; see `shims/`), and every JSON artifact that crosses a tool
+//! boundary is small and schema-stable: protocol traces and op spans, the
+//! metrics and Chrome-trace snapshots, the `obs` report, flight-recorder
+//! postmortems, the analyzer's `--json` archive and the model checker's
+//! schedule files. All of them are written through [`JsonWriter`] (the
+//! schedule file keeps its own one-step-per-line layout, built from
+//! [`escape`]) and read back through [`Json::parse`].
 //!
-//! Numbers are kept as `f64` (both producers only emit booleans, strings
-//! and small non-negative integers, all exactly representable).
+//! The writer streams into a `String`: keys come out in the order they are
+//! written, integers exactly (a 64-bit digest survives), strings through
+//! [`escape`], and `None` as `null`. Parsed numbers are kept as `f64`
+//! (every reader consumes booleans, strings and integers below 2^53).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::Write as _;
+
+/// How deeply arrays and objects may nest in a parsed document. The
+/// deepest document the workspace writes nests 6 levels; a deeper one is
+/// rejected rather than recursed into.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,7 +102,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -102,46 +111,14 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => f.write_str(&escape(s)),
-            Json::List(v) => {
-                f.write_str("[")?;
-                for (i, x) in v.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Map(m) => {
-                f.write_str("{")?;
-                for (i, (k, x)) in m.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{}:{x}", escape(k))?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
-
 /// Renders a string as a quoted JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -150,12 +127,128 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
+}
+
+/// A value [`JsonWriter`] writes in one call.
+pub trait Scalar {
+    /// Appends the value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+// Integers and booleans: their `Display` form is their JSON form.
+macro_rules! display_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_scalar!(u8, u32, u64, usize, i64, bool);
+
+impl Scalar for str {
+    fn write_json(&self, out: &mut String) {
+        escape_into(out, self);
+    }
+}
+
+impl Scalar for String {
+    fn write_json(&self, out: &mut String) {
+        escape_into(out, self);
+    }
+}
+
+impl<T: Scalar> Scalar for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: Scalar + ?Sized> Scalar for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+/// A streaming JSON writer over a `String`.
+///
+/// Members and elements come out in call order, separated by commas the
+/// writer inserts. [`JsonWriter::key`] starts an object member, whose value
+/// is the next thing written; [`JsonWriter::object`] and
+/// [`JsonWriter::array`] nest. The caller keeps the calls well formed (a
+/// key only inside an object, each followed by one value).
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    comma: bool,
+}
+
+/// Writes one object whose members `body` writes, and returns its text.
+pub fn object(body: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::default();
+    w.object(body);
+    w.out
+}
+
+impl JsonWriter {
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Writes a scalar: an array element, or the value of the last key.
+    pub fn value(&mut self, v: impl Scalar) -> &mut Self {
+        self.separate();
+        v.write_json(&mut self.out);
+        self.comma = true;
+        self
+    }
+
+    /// Starts an object member; the next call writes its value.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.separate();
+        escape_into(&mut self.out, k);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes an object member with a scalar value.
+    pub fn field(&mut self, k: &str, v: impl Scalar) -> &mut Self {
+        self.key(k).value(v)
+    }
+
+    /// Writes an object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nest('{', '}', body)
+    }
+
+    /// Writes an array whose elements `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nest('[', ']', body)
+    }
+
+    fn nest(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -173,7 +266,7 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
@@ -182,53 +275,67 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(b, pos).map(Json::Str),
         Some(b'[') => {
-            *pos += 1;
             let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::List(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::List(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
+            parse_items(b, pos, depth, b']', |b, pos| {
+                items.push(parse_value(b, pos, depth + 1)?);
+                Ok(())
+            })?;
+            Ok(Json::List(items))
         }
         Some(b'{') => {
-            *pos += 1;
             let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Map(map));
-            }
-            loop {
-                skip_ws(b, pos);
+            parse_items(b, pos, depth, b'}', |b, pos| {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let val = parse_value(b, pos)?;
-                map.insert(key, val);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Map(map));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
+                map.insert(key, parse_value(b, pos, depth + 1)?);
+                Ok(())
+            })?;
+            Ok(Json::Map(map))
         }
         Some(_) => parse_number(b, pos).map(Json::Num),
+    }
+}
+
+/// Parses the comma-separated items of the array or object opening at
+/// `pos`, nested `depth` levels deep, through its `close` byte.
+fn parse_items(
+    b: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    close: u8,
+    mut item: impl FnMut(&[u8], &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    if depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
+    *pos += 1;
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&close) {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        skip_ws(b, pos);
+        item(b, pos)?;
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(&c) if c == close => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => {
+                let close = close as char;
+                return Err(format!(
+                    "expected `,` or `{close}` at byte {pos}",
+                    pos = *pos
+                ));
+            }
+        }
     }
 }
 
@@ -272,11 +379,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one full UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the run up to the next quote or escape: both are
+                // ASCII, so the run ends on a character boundary.
+                let start = *pos;
+                while b.get(*pos).is_some_and(|c| !matches!(c, b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -314,14 +423,49 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_list().unwrap().len(), 3);
         assert_eq!(v.get("b").unwrap().get("y").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("s").unwrap().as_str(), Some("q\"\\\n"));
-        // Render → reparse is identity.
-        let rendered = v.to_string();
-        assert_eq!(Json::parse(&rendered).unwrap(), v);
     }
 
     #[test]
-    fn integers_render_without_fraction() {
-        assert_eq!(Json::Num(12.0).to_string(), "12");
+    fn writer_keeps_call_order_and_exact_integers() {
+        let text = object(|w| {
+            w.field("z", u64::MAX)
+                .field("a", -3i64)
+                .field("s", "q\"\\\n")
+                .field("none", None::<u64>)
+                .field("some", Some(7u32));
+            w.key("list").array(|w| {
+                w.value(true).value(false);
+                w.object(|_| {});
+                w.array(|_| {});
+            });
+            w.key("empty").object(|_| {});
+        });
+        assert_eq!(
+            text,
+            r#"{"z":18446744073709551615,"a":-3,"s":"q\"\\\n","none":null,"some":7,"list":[true,false,{},[]],"empty":{}}"#
+        );
+        let v = Json::parse(&text).unwrap();
+        assert_eq!(v.get("s").unwrap().as_str(), Some("q\"\\\n"));
+        assert_eq!(v.get("some").unwrap().as_u64(), Some(7));
+    }
+
+    #[test]
+    fn deep_nesting_fails_closed() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&ok).is_ok());
+        let err = Json::parse(&("[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1)));
+        assert_eq!(
+            err.unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.starts_with("nesting deeper than"), "{err}");
+        }
+    }
+
+    #[test]
+    fn integers_parse_exactly_below_2_pow_53() {
         assert_eq!(Json::Num(12.0).as_u64(), Some(12));
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(0.5).as_u64(), None);

@@ -19,13 +19,13 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use guesstimate_core::json::Json;
+use guesstimate_core::json::{self, Json, JsonWriter};
 use guesstimate_net::{TraceRecord, Tracer};
 use guesstimate_runtime::StateSummary;
 use parking_lot::Mutex;
 
 use crate::timeline::{check_happens_before, merge};
-use crate::trace_json::{record_to_json, TraceLine};
+use crate::trace_json::{record_to_json, write_record, TraceLine};
 
 /// Default per-machine ring capacity.
 pub const DEFAULT_CAP: usize = 256;
@@ -93,49 +93,32 @@ impl FlightRecorder {
     /// captured window.
     pub fn dump_json(&self, reason: &str, states: &[StateSummary]) -> String {
         let rings = self.rings.lock();
-        let mut lines: Vec<TraceLine> = Vec::new();
-        let mut machines = String::new();
-        for (i, (m, ring)) in rings.iter().enumerate() {
-            if i > 0 {
-                machines.push(',');
-            }
-            let events: Vec<String> = ring
-                .events
-                .iter()
-                .map(|r| {
-                    let json = record_to_json(r);
-                    if let Ok(l) = TraceLine::parse(&json) {
-                        lines.push(l);
-                    }
-                    json
-                })
-                .collect();
-            machines.push_str(&format!(
-                "{{\"machine\":{m},\"dropped\":{},\"events\":[{}]}}",
-                ring.dropped,
-                events.join(",")
-            ));
-        }
-        drop(rings);
-        let hb = check_happens_before(&merge(lines), false);
-        let state_json: Vec<String> = states.iter().map(state_to_json).collect();
-        format!(
-            "{{\"reason\":{},\"cap\":{},\
-             \"hb\":{{\"ok\":{},\"sends\":{},\"receives\":{},\"matched\":{},\
-             \"orphans\":{},\"unreceived\":{},\"violations\":{}}},\
-             \"machines\":[{}],\"states\":[{}]}}",
-            Json::Str(reason.to_owned()),
-            self.cap,
-            hb.ok(),
-            hb.sends,
-            hb.receives,
-            hb.matched,
-            hb.orphans,
-            hb.unreceived,
-            hb.violations.len(),
-            machines,
-            state_json.join(","),
-        )
+        let lines = rings
+            .values()
+            .flat_map(|ring| &ring.events)
+            .filter_map(|r| TraceLine::parse(&record_to_json(r)).ok());
+        let hb = check_happens_before(&merge(lines.collect()), false);
+        json::object(|w| {
+            w.field("reason", reason).field("cap", self.cap);
+            hb.write_json(w.key("hb"));
+            w.key("machines").array(|w| {
+                for (m, ring) in rings.iter() {
+                    w.object(|w| {
+                        w.field("machine", *m).field("dropped", ring.dropped);
+                        w.key("events").array(|w| {
+                            for r in &ring.events {
+                                w.object(|w| write_record(w, r));
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("states").array(|w| {
+                for s in states {
+                    w.object(|w| write_state(w, s));
+                }
+            });
+        })
     }
 
     /// Writes the postmortem bundle to `path`, creating parent
@@ -213,31 +196,22 @@ impl Tracer for FlightRecorder {
     }
 }
 
-fn state_to_json(s: &StateSummary) -> String {
-    let round = match s.active_round {
-        Some(r) => r.to_string(),
-        None => "null".to_owned(),
-    };
-    format!(
-        "{{\"machine\":{},\"is_master\":{},\"joined\":{},\"in_cohort\":{},\
-         \"active_round\":{round},\"pending\":{},\"completed\":{},\
-         \"completed_serialized\":{},\"committed_digest\":{},\
-         \"guess_digest\":{},\"guess_invariant_holds\":{},\
-         \"witness_violations\":{},\"shard_violations\":{},\"restarts\":{}}}",
-        s.id.index(),
-        s.is_master,
-        s.joined,
-        s.in_cohort,
-        s.pending,
-        s.completed,
-        s.completed_serialized,
-        s.committed_digest,
-        s.guess_digest,
-        s.guess_invariant_holds,
-        s.witness_violations,
-        s.shard_violations,
-        s.restarts,
-    )
+/// The members of one machine's state summary (digests as exact integers).
+fn write_state(w: &mut JsonWriter, s: &StateSummary) {
+    w.field("machine", s.id.index())
+        .field("is_master", s.is_master)
+        .field("joined", s.joined)
+        .field("in_cohort", s.in_cohort)
+        .field("active_round", s.active_round)
+        .field("pending", s.pending)
+        .field("completed", s.completed)
+        .field("completed_serialized", s.completed_serialized)
+        .field("committed_digest", s.committed_digest)
+        .field("guess_digest", s.guess_digest)
+        .field("guess_invariant_holds", s.guess_invariant_holds)
+        .field("witness_violations", s.witness_violations)
+        .field("shard_violations", s.shard_violations)
+        .field("restarts", s.restarts);
 }
 
 /// What a validated postmortem bundle contained.
@@ -291,7 +265,7 @@ pub fn validate_postmortem(text: &str) -> Result<PostmortemSummary, String> {
             .and_then(Json::as_list)
             .ok_or("missing events")?
         {
-            let line = TraceLine::parse(&e.to_string())
+            let line = TraceLine::from_json(e)
                 .map_err(|err| format!("captured event malformed: {err}"))?;
             lines.push(line);
             events += 1;
@@ -389,6 +363,59 @@ mod tests {
         assert_eq!(summary.events, 3);
         assert!(summary.hb_ok, "receive of stamp 3 matches a kept send");
         assert!(bundle.contains("\"dropped\":2"));
+    }
+
+    #[test]
+    fn bundle_matches_its_golden_bytes() {
+        let fr = FlightRecorder::new(4);
+        fr.record(rec(
+            1,
+            0,
+            TraceEvent::MsgSent {
+                stamp: 0,
+                kind: "ops",
+                bytes: 10,
+            },
+        ));
+        fr.record(rec(
+            2,
+            1,
+            TraceEvent::MsgReceived {
+                origin: MachineId::new(0),
+                stamp: 0,
+                kind: "ops",
+            },
+        ));
+        // Both digests lie above 2^53, where an `f64` would round them.
+        let state = StateSummary {
+            id: MachineId::new(1),
+            is_master: false,
+            joined: true,
+            in_cohort: true,
+            active_round: None,
+            pending: 2,
+            completed: 9,
+            completed_serialized: 8,
+            committed_digest: u64::MAX - 1,
+            guess_digest: (1 << 53) + 1,
+            guess_invariant_holds: true,
+            witness_violations: 0,
+            shard_violations: 0,
+            restarts: 1,
+        };
+        assert_eq!(
+            fr.dump_json("golden \"r\"", &[state]),
+            concat!(
+                r#"{"reason":"golden \"r\"","cap":4,"#,
+                r#""hb":{"ok":true,"sends":1,"receives":1,"matched":1,"orphans":0,"unreceived":0,"violations":0},"#,
+                r#""machines":[{"machine":0,"dropped":0,"events":[{"at_us":1000,"src":0,"event":"msg_sent","stamp":0,"kind":"ops","bytes":10}]},"#,
+                r#"{"machine":1,"dropped":0,"events":[{"at_us":2000,"src":1,"event":"msg_received","origin":0,"stamp":0,"kind":"ops"}]}],"#,
+                r#""states":[{"machine":1,"is_master":false,"joined":true,"in_cohort":true,"active_round":null,"#,
+                r#""pending":2,"completed":9,"completed_serialized":8,"committed_digest":18446744073709551614,"#,
+                r#""guess_digest":9007199254740993,"guess_invariant_holds":true,"witness_violations":0,"#,
+                r#""shard_violations":0,"restarts":1}]}"#,
+            )
+        );
     }
 
     #[test]

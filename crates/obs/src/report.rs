@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use guesstimate_core::json;
+
 use crate::timeline::{check_happens_before, merge, HbReport};
 use crate::trace_json::TraceLine;
 use crate::waterfall::{self, SpanLine, WaterfallReport};
@@ -77,60 +79,40 @@ pub fn render_text(report: &Report) -> String {
 
 /// Renders the report as one JSON document (the `obs` binary's `--json` output).
 pub fn to_json(report: &Report) -> String {
-    let mut ops = String::new();
-    for (i, op) in report.waterfall.ops.iter().enumerate() {
-        if i > 0 {
-            ops.push(',');
-        }
-        let stages: Vec<String> = op
-            .stages
-            .iter()
-            .map(|(name, us)| format!("\"{name}\":{us}"))
-            .collect();
-        let _ = write!(
-            ops,
-            "{{\"machine\":{},\"seq\":{},\"path\":\"{}\",\"total_us\":{},\"stages\":{{{}}}}}",
-            op.machine,
-            op.seq,
-            op.path,
-            op.total_us,
-            stages.join(",")
-        );
-    }
-    let mut reexec = String::new();
-    for (i, (cause, t)) in report.waterfall.reexec.iter().enumerate() {
-        if i > 0 {
-            reexec.push(',');
-        }
-        let _ = write!(
-            reexec,
-            "\"{cause}\":{{\"events\":{},\"ops\":{}}}",
-            t.events, t.ops
-        );
-    }
-    let mut divergence = String::new();
-    for (i, (m, us)) in report.waterfall.divergence_us.iter().enumerate() {
-        if i > 0 {
-            divergence.push(',');
-        }
-        let _ = write!(divergence, "\"{m}\":{us}");
-    }
-    format!(
-        "{{\"events\":{},\"hb\":{{\"ok\":{},\"sends\":{},\"receives\":{},\
-         \"matched\":{},\"orphans\":{},\"unreceived\":{},\"violations\":{}}},\
-         \"exact_sum_ok\":{},\"excluded_untimed\":{},\
-         \"ops\":[{ops}],\"reexec\":{{{reexec}}},\"divergence_us\":{{{divergence}}}}}",
-        report.events,
-        report.hb.ok(),
-        report.hb.sends,
-        report.hb.receives,
-        report.hb.matched,
-        report.hb.orphans,
-        report.hb.unreceived,
-        report.hb.violations.len(),
-        report.waterfall.verify_exact_sum(),
-        report.waterfall.excluded_untimed,
-    )
+    let wf = &report.waterfall;
+    json::object(|w| {
+        w.field("events", report.events);
+        report.hb.write_json(w.key("hb"));
+        w.field("exact_sum_ok", wf.verify_exact_sum())
+            .field("excluded_untimed", wf.excluded_untimed);
+        w.key("ops").array(|w| {
+            for op in &wf.ops {
+                w.object(|w| {
+                    w.field("machine", op.machine)
+                        .field("seq", op.seq)
+                        .field("path", op.path)
+                        .field("total_us", op.total_us);
+                    w.key("stages").object(|w| {
+                        for (name, us) in &op.stages {
+                            w.field(name, us);
+                        }
+                    });
+                });
+            }
+        });
+        w.key("reexec").object(|w| {
+            for (cause, t) in &wf.reexec {
+                w.key(cause).object(|w| {
+                    w.field("events", t.events).field("ops", t.ops);
+                });
+            }
+        });
+        w.key("divergence_us").object(|w| {
+            for (m, us) in &wf.divergence_us {
+                w.field(&m.to_string(), us);
+            }
+        });
+    })
 }
 
 #[cfg(test)]
@@ -169,6 +151,26 @@ mod tests {
         let stages = ops[0].get("stages").and_then(Json::as_map).unwrap();
         let sum: u64 = stages.values().filter_map(Json::as_u64).sum();
         assert_eq!(Some(sum), ops[0].get("total_us").and_then(Json::as_u64));
+    }
+
+    #[test]
+    fn json_output_matches_its_golden_bytes() {
+        let trace = format!(
+            "{TRACE}{}\n",
+            r#"{"at_us":4500,"src":1,"event":"reexecuted","round":1,"pending":2,"cause":"round_replay"}"#
+        );
+        let report = run(&trace, SPANS).unwrap();
+        assert_eq!(
+            to_json(&report),
+            concat!(
+                r#"{"events":5,"#,
+                r#""hb":{"ok":true,"sends":1,"receives":1,"matched":1,"orphans":0,"unreceived":0,"violations":0},"#,
+                r#""exact_sum_ok":true,"excluded_untimed":0,"#,
+                r#""ops":[{"machine":1,"seq":0,"path":"serialized","total_us":5000,"#,
+                r#""stages":{"round_wait":500,"flush_wait":1000,"wire":1000,"gather":1000,"apply":1000,"completion":500}}],"#,
+                r#""reexec":{"round_replay":{"events":1,"ops":2}},"divergence_us":{"1":4500}}"#,
+            )
+        );
     }
 
     #[test]

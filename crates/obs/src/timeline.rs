@@ -11,6 +11,8 @@
 
 use std::collections::HashMap;
 
+use guesstimate_core::json::JsonWriter;
+
 use crate::trace_json::TraceLine;
 
 /// Sorts trace lines into the canonical cluster-timeline order: by
@@ -86,6 +88,20 @@ impl HbReport {
     /// Whether the timeline passed the check.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Writes the verdict as the `hb` object of the `obs` report and the
+    /// postmortem bundle (violations as a count).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("ok", self.ok())
+                .field("sends", self.sends)
+                .field("receives", self.receives)
+                .field("matched", self.matched)
+                .field("orphans", self.orphans)
+                .field("unreceived", self.unreceived)
+                .field("violations", self.violations.len());
+        });
     }
 }
 

@@ -2,14 +2,12 @@
 //!
 //! [`record_to_json`] is the **single** definition of the trace line
 //! format (one JSON object per [`TraceRecord`], stable keys, every value
-//! a scalar); `guesstimate-bench` re-exports it for its sinks. The
+//! a scalar), written through `guesstimate_core::json`'s writer. The
 //! matching reader, [`TraceLine`], parses those lines back — including
 //! lines produced by older binaries, since unknown keys are ignored and
 //! absent keys parse as `None`.
 
-use std::fmt::Write as _;
-
-use guesstimate_core::json::Json;
+use guesstimate_core::json::{self, Json, JsonWriter};
 use guesstimate_net::{TraceEvent, TraceRecord};
 
 /// Renders one trace record as a single-line JSON object.
@@ -18,115 +16,83 @@ use guesstimate_net::{TraceEvent, TraceRecord};
 /// machine index), `event` (stable snake_case name), then the variant's
 /// scalar fields under their field names (machine ids as indices).
 pub fn record_to_json(r: &TraceRecord) -> String {
-    let mut s = String::with_capacity(96);
-    let _ = write!(
-        s,
-        "{{\"at_us\":{},\"src\":{},\"event\":\"{}\"",
-        r.at.as_micros(),
-        r.source.index(),
-        r.event.name()
-    );
+    json::object(|w| write_record(w, r))
+}
+
+/// The members of [`record_to_json`]'s object.
+pub(crate) fn write_record(w: &mut JsonWriter, r: &TraceRecord) {
+    w.field("at_us", r.at.as_micros())
+        .field("src", r.source.index())
+        .field("event", r.event.name());
     match r.event {
         TraceEvent::RoundStarted {
             round,
             participants,
-        } => {
-            let _ = write!(s, ",\"round\":{round},\"participants\":{participants}");
-        }
-        TraceEvent::FlushWindowOpened { round, machine } => {
-            let _ = write!(s, ",\"round\":{round},\"machine\":{}", machine.index());
+        } => w.field("round", round).field("participants", participants),
+        TraceEvent::FlushWindowOpened { round, machine }
+        | TraceEvent::AckReceived { round, machine }
+        | TraceEvent::Removed { round, machine } => {
+            w.field("round", round).field("machine", machine.index())
         }
         TraceEvent::FlushWindowClosed {
             round,
             machine,
             ops,
-        } => {
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"machine\":{},\"ops\":{ops}",
-                machine.index()
-            );
-        }
-        TraceEvent::OpsBatchSent { round, ops } => {
-            let _ = write!(s, ",\"round\":{round},\"ops\":{ops}");
-        }
-        TraceEvent::OpsBatchReceived { round, from, ops } => {
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"from\":{},\"ops\":{ops}",
-                from.index()
-            );
-        }
+        } => w
+            .field("round", round)
+            .field("machine", machine.index())
+            .field("ops", ops),
+        TraceEvent::OpsBatchSent { round, ops } => w.field("round", round).field("ops", ops),
+        TraceEvent::OpsBatchReceived { round, from, ops } => w
+            .field("round", round)
+            .field("from", from.index())
+            .field("ops", ops),
         TraceEvent::BeginApply { round, ops_total } => {
-            let _ = write!(s, ",\"round\":{round},\"ops_total\":{ops_total}");
-        }
-        TraceEvent::AckReceived { round, machine } => {
-            let _ = write!(s, ",\"round\":{round},\"machine\":{}", machine.index());
+            w.field("round", round).field("ops_total", ops_total)
         }
         TraceEvent::SyncComplete {
             round,
             ops_committed,
-        } => {
-            let _ = write!(s, ",\"round\":{round},\"ops_committed\":{ops_committed}");
-        }
-        TraceEvent::SyncCompleteReceived { round } => {
-            let _ = write!(s, ",\"round\":{round}");
+        } => w
+            .field("round", round)
+            .field("ops_committed", ops_committed),
+        TraceEvent::SyncCompleteReceived { round } | TraceEvent::ElectionWon { round } => {
+            w.field("round", round)
         }
         TraceEvent::Resend {
             round,
             machine,
             stage,
-        } => {
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"machine\":{},\"stage\":{stage}",
-                machine.index()
-            );
-        }
+        } => w
+            .field("round", round)
+            .field("machine", machine.index())
+            .field("stage", stage),
         TraceEvent::OpsResendRequested { round, source } => {
-            let _ = write!(s, ",\"round\":{round},\"source\":{}", source.index());
+            w.field("round", round).field("source", source.index())
         }
-        TraceEvent::Removed { round, machine } => {
-            let _ = write!(s, ",\"round\":{round},\"machine\":{}", machine.index());
-        }
-        TraceEvent::Restarted => {}
-        TraceEvent::MsgSent { stamp, kind, bytes } => {
-            let _ = write!(
-                s,
-                ",\"stamp\":{stamp},\"kind\":\"{kind}\",\"bytes\":{bytes}"
-            );
-        }
+        TraceEvent::Restarted => w,
+        TraceEvent::MsgSent { stamp, kind, bytes } => w
+            .field("stamp", stamp)
+            .field("kind", kind)
+            .field("bytes", bytes),
         TraceEvent::MsgReceived {
             origin,
             stamp,
             kind,
-        } => {
-            let _ = write!(
-                s,
-                ",\"origin\":{},\"stamp\":{stamp},\"kind\":\"{kind}\"",
-                origin.index()
-            );
-        }
+        } => w
+            .field("origin", origin.index())
+            .field("stamp", stamp)
+            .field("kind", kind),
         TraceEvent::Reexecuted {
             round,
             pending,
             cause,
-        } => {
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"pending\":{pending},\"cause\":\"{}\"",
-                cause.name()
-            );
-        }
-        TraceEvent::ElectionStarted { last_round } => {
-            let _ = write!(s, ",\"last_round\":{last_round}");
-        }
-        TraceEvent::ElectionWon { round } => {
-            let _ = write!(s, ",\"round\":{round}");
-        }
-    }
-    s.push('}');
-    s
+        } => w
+            .field("round", round)
+            .field("pending", pending)
+            .field("cause", cause.name()),
+        TraceEvent::ElectionStarted { last_round } => w.field("last_round", last_round),
+    };
 }
 
 /// One parsed trace line — the reader side of [`record_to_json`].
@@ -164,7 +130,16 @@ impl TraceLine {
     /// Returns a description when the line is not a JSON object or lacks
     /// the `at_us` / `src` / `event` envelope.
     pub fn parse(line: &str) -> Result<TraceLine, String> {
-        let v = Json::parse(line)?;
+        TraceLine::from_json(&Json::parse(line)?)
+    }
+
+    /// Reads one already-parsed trace line (as captured inside a
+    /// postmortem bundle).
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceLine::parse`], past the JSON syntax.
+    pub fn from_json(v: &Json) -> Result<TraceLine, String> {
         let at_us = v
             .get("at_us")
             .and_then(Json::as_u64)
@@ -217,6 +192,166 @@ mod tests {
             at: SimTime::from_millis(at_ms),
             source: MachineId::new(source),
             event,
+        }
+    }
+
+    #[test]
+    fn json_lines_have_stable_shape() {
+        let line = record_to_json(&rec(
+            100,
+            0,
+            TraceEvent::RoundStarted {
+                round: 5,
+                participants: 3,
+            },
+        ));
+        assert_eq!(
+            line,
+            "{\"at_us\":100000,\"src\":0,\"event\":\"round_started\",\"round\":5,\"participants\":3}"
+        );
+        let bare = record_to_json(&rec(7, 2, TraceEvent::Restarted));
+        assert_eq!(bare, "{\"at_us\":7000,\"src\":2,\"event\":\"restarted\"}");
+    }
+
+    #[test]
+    fn json_carries_machine_ids_as_indices() {
+        let line = record_to_json(&rec(
+            1,
+            0,
+            TraceEvent::Removed {
+                round: 9,
+                machine: MachineId::new(4),
+            },
+        ));
+        assert!(line.contains("\"machine\":4"), "{line}");
+        assert!(line.contains("\"round\":9"), "{line}");
+    }
+
+    /// The exact bytes of one line per event variant.
+    #[test]
+    fn every_variant_renders_its_golden_line() {
+        let m = MachineId::new(1);
+        let cases = [
+            (
+                TraceEvent::RoundStarted {
+                    round: 3,
+                    participants: 4,
+                },
+                r#""round_started","round":3,"participants":4"#,
+            ),
+            (
+                TraceEvent::FlushWindowOpened {
+                    round: 3,
+                    machine: m,
+                },
+                r#""flush_window_opened","round":3,"machine":1"#,
+            ),
+            (
+                TraceEvent::FlushWindowClosed {
+                    round: 3,
+                    machine: m,
+                    ops: 5,
+                },
+                r#""flush_window_closed","round":3,"machine":1,"ops":5"#,
+            ),
+            (
+                TraceEvent::OpsBatchSent { round: 3, ops: 5 },
+                r#""ops_batch_sent","round":3,"ops":5"#,
+            ),
+            (
+                TraceEvent::OpsBatchReceived {
+                    round: 3,
+                    from: m,
+                    ops: 5,
+                },
+                r#""ops_batch_received","round":3,"from":1,"ops":5"#,
+            ),
+            (
+                TraceEvent::BeginApply {
+                    round: 3,
+                    ops_total: 6,
+                },
+                r#""begin_apply","round":3,"ops_total":6"#,
+            ),
+            (
+                TraceEvent::AckReceived {
+                    round: 3,
+                    machine: m,
+                },
+                r#""ack_received","round":3,"machine":1"#,
+            ),
+            (
+                TraceEvent::SyncComplete {
+                    round: 3,
+                    ops_committed: 6,
+                },
+                r#""sync_complete","round":3,"ops_committed":6"#,
+            ),
+            (
+                TraceEvent::SyncCompleteReceived { round: 3 },
+                r#""sync_complete_received","round":3"#,
+            ),
+            (
+                TraceEvent::Resend {
+                    round: 3,
+                    machine: m,
+                    stage: 2,
+                },
+                r#""resend","round":3,"machine":1,"stage":2"#,
+            ),
+            (
+                TraceEvent::OpsResendRequested {
+                    round: 3,
+                    source: m,
+                },
+                r#""ops_resend_requested","round":3,"source":1"#,
+            ),
+            (
+                TraceEvent::Removed {
+                    round: 3,
+                    machine: m,
+                },
+                r#""removed","round":3,"machine":1"#,
+            ),
+            (TraceEvent::Restarted, r#""restarted""#),
+            (
+                TraceEvent::MsgSent {
+                    stamp: 7,
+                    kind: "ops",
+                    bytes: 120,
+                },
+                r#""msg_sent","stamp":7,"kind":"ops","bytes":120"#,
+            ),
+            (
+                TraceEvent::MsgReceived {
+                    origin: m,
+                    stamp: 7,
+                    kind: "ops",
+                },
+                r#""msg_received","origin":1,"stamp":7,"kind":"ops""#,
+            ),
+            (
+                TraceEvent::Reexecuted {
+                    round: 3,
+                    pending: 2,
+                    cause: ReplayCause::JoinReplay,
+                },
+                r#""reexecuted","round":3,"pending":2,"cause":"join_replay""#,
+            ),
+            (
+                TraceEvent::ElectionStarted { last_round: 3 },
+                r#""election_started","last_round":3"#,
+            ),
+            (
+                TraceEvent::ElectionWon { round: 4 },
+                r#""election_won","round":4"#,
+            ),
+        ];
+        for (event, tail) in cases {
+            assert_eq!(
+                record_to_json(&rec(1, 2, event)),
+                format!(r#"{{"at_us":1000,"src":2,"event":{tail}}}"#)
+            );
         }
     }
 

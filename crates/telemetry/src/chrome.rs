@@ -10,15 +10,13 @@
 
 use std::collections::BTreeSet;
 
-use guesstimate_net::TraceRecord;
+use guesstimate_core::json::{self, JsonWriter};
+use guesstimate_net::{SimTime, TraceRecord};
 
 use crate::spans::OpSpan;
-use guesstimate_core::json::escape;
 
 /// Renders records + spans as a Chrome trace-format JSON document.
 pub fn render(records: &[TraceRecord], spans: &[OpSpan]) -> String {
-    let mut events: Vec<String> = Vec::new();
-
     // One named track per machine (metadata events).
     let mut machines: BTreeSet<u32> = BTreeSet::new();
     for r in records {
@@ -27,81 +25,96 @@ pub fn render(records: &[TraceRecord], spans: &[OpSpan]) -> String {
     for s in spans {
         machines.insert(s.op.machine().index());
     }
-    for m in &machines {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{m},\
-             \"args\":{{\"name\":\"machine-{m}\"}}}}"
-        ));
-    }
+    json::object(|w| {
+        w.field("displayTimeUnit", "ms");
+        w.key("traceEvents").array(|w| {
+            for m in &machines {
+                w.object(|w| {
+                    w.field("name", "thread_name")
+                        .field("ph", "M")
+                        .field("pid", 0u32)
+                        .field("tid", *m);
+                    w.key("args").object(|w| {
+                        w.field("name", format!("machine-{m}"));
+                    });
+                });
+            }
+            // Protocol transitions as thread-scoped instant events.
+            for r in records {
+                w.object(|w| {
+                    w.field("name", r.event.name())
+                        .field("cat", "protocol")
+                        .field("ph", "i")
+                        .field("s", "t")
+                        .field("ts", r.at.as_micros())
+                        .field("pid", 0u32)
+                        .field("tid", r.source.index());
+                    w.key("args").object(|w| {
+                        if let Some(round) = r.event.round() {
+                            w.field("round", round);
+                        }
+                    });
+                });
+            }
+            for s in spans {
+                write_span(w, s);
+            }
+        });
+    })
+}
 
-    // Protocol transitions as thread-scoped instant events.
-    for r in records {
-        let round_arg = match r.event.round() {
-            Some(round) => format!("{{\"round\":{round}}}"),
-            None => "{}".to_owned(),
-        };
-        events.push(format!(
-            "{{\"name\":{},\"cat\":\"protocol\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{},\"pid\":0,\"tid\":{},\"args\":{}}}",
-            escape(r.event.name()),
-            r.at.as_micros(),
-            r.source.index(),
-            round_arg,
-        ));
-    }
-
-    // One async span per op: issue (or first observable instant) → the
-    // completion callback. Uncommitted spans render as zero-length with
-    // a status arg so lost ops are still visible on the timeline. Every
-    // begin is paired with an end in the same iteration, so a run cut
-    // short at shutdown never leaves a dangling async span.
-    for s in spans {
-        let Some(begin) = s
-            .issued_at
-            .or(s.flushed_at)
-            .or(s.committed_at)
-            .or(s.completed_at)
-        else {
-            continue;
-        };
-        let end = s
-            .completed_at
-            .or(s.committed_at)
-            .unwrap_or(begin)
-            .max(begin);
-        let status = if s.committed() {
-            "committed"
-        } else if s.lost {
-            "lost"
-        } else {
-            "in-flight"
-        };
-        let name = s.op.to_string();
-        let mut args = format!("\"exec_count\":{},\"status\":\"{status}\"", s.exec_count);
-        if let Some(r) = s.commit_round {
-            args.push_str(&format!(",\"round\":{r}"));
-        }
-        if let Some(f) = s.flushed_at {
-            args.push_str(&format!(",\"flushed_ts\":{}", f.as_micros()));
-        }
-        let common = format!(
-            "\"cat\":\"op\",\"id\":\"{name}\",\"pid\":0,\"tid\":{}",
-            s.op.machine().index()
-        );
-        events.push(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"b\",\"ts\":{},{common},\"args\":{{{args}}}}}",
-            begin.as_micros()
-        ));
-        events.push(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"e\",\"ts\":{},{common},\"args\":{{}}}}",
-            end.as_micros()
-        ));
-    }
-
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-        events.join(",")
-    )
+/// One async span per op: issue (or first observable instant) → the
+/// completion callback. Uncommitted spans render as zero-length with a
+/// status arg so lost ops are still visible on the timeline. Every begin
+/// is paired with an end, so a run cut short at shutdown never leaves a
+/// dangling async span.
+fn write_span(w: &mut JsonWriter, s: &OpSpan) {
+    let Some(begin) = s
+        .issued_at
+        .or(s.flushed_at)
+        .or(s.committed_at)
+        .or(s.completed_at)
+    else {
+        return;
+    };
+    let end = s
+        .completed_at
+        .or(s.committed_at)
+        .unwrap_or(begin)
+        .max(begin);
+    let status = if s.committed() {
+        "committed"
+    } else if s.lost {
+        "lost"
+    } else {
+        "in-flight"
+    };
+    let name = s.op.to_string();
+    let head = |w: &mut JsonWriter, ph: &str, ts: SimTime| {
+        w.field("name", &name)
+            .field("ph", ph)
+            .field("ts", ts.as_micros())
+            .field("cat", "op")
+            .field("id", &name)
+            .field("pid", 0u32)
+            .field("tid", s.op.machine().index());
+    };
+    w.object(|w| {
+        head(w, "b", begin);
+        w.key("args").object(|w| {
+            w.field("exec_count", s.exec_count).field("status", status);
+            if let Some(r) = s.commit_round {
+                w.field("round", r);
+            }
+            if let Some(f) = s.flushed_at {
+                w.field("flushed_ts", f.as_micros());
+            }
+        });
+    });
+    w.object(|w| {
+        head(w, "e", end);
+        w.key("args").object(|_| {});
+    });
 }
 
 #[cfg(test)]
@@ -147,6 +160,54 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
+    }
+
+    #[test]
+    fn render_matches_its_golden_bytes() {
+        let records = [
+            TraceRecord {
+                at: SimTime::from_millis(3),
+                source: MachineId::new(0),
+                event: TraceEvent::RoundStarted {
+                    round: 1,
+                    participants: 2,
+                },
+            },
+            TraceRecord {
+                at: SimTime::from_millis(4),
+                source: MachineId::new(2),
+                event: TraceEvent::Restarted,
+            },
+        ];
+        let mut book = SpanBook::new();
+        let op = OpId::new(MachineId::new(1), 0);
+        book.issued(op, Some(SimTime::from_millis(1)));
+        book.flushed(op, SimTime::from_millis(2));
+        book.committed(op, 1, 2, SimTime::from_millis(5));
+        book.completed(op, SimTime::from_millis(5));
+        book.issued(
+            OpId::new(MachineId::new(2), 4),
+            Some(SimTime::from_millis(7)),
+        );
+        book.machine_restarted(MachineId::new(2));
+        let events = [
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"machine-0"}}"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"machine-1"}}"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"machine-2"}}"#,
+            r#"{"name":"round_started","cat":"protocol","ph":"i","s":"t","ts":3000,"pid":0,"tid":0,"args":{"round":1}}"#,
+            r#"{"name":"restarted","cat":"protocol","ph":"i","s":"t","ts":4000,"pid":0,"tid":2,"args":{}}"#,
+            r#"{"name":"op-m1-0","ph":"b","ts":1000,"cat":"op","id":"op-m1-0","pid":0,"tid":1,"args":{"exec_count":2,"status":"committed","round":1,"flushed_ts":2000}}"#,
+            r#"{"name":"op-m1-0","ph":"e","ts":5000,"cat":"op","id":"op-m1-0","pid":0,"tid":1,"args":{}}"#,
+            r#"{"name":"op-m2-4","ph":"b","ts":7000,"cat":"op","id":"op-m2-4","pid":0,"tid":2,"args":{"exec_count":1,"status":"lost"}}"#,
+            r#"{"name":"op-m2-4","ph":"e","ts":7000,"cat":"op","id":"op-m2-4","pid":0,"tid":2,"args":{}}"#,
+        ];
+        assert_eq!(
+            render(&records, &book.snapshot()),
+            format!(
+                r#"{{"displayTimeUnit":"ms","traceEvents":[{}]}}"#,
+                events.join(",")
+            )
+        );
     }
 
     #[test]

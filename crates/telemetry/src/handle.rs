@@ -610,7 +610,7 @@ impl Telemetry {
     pub fn render_json(&self) -> String {
         match &self.inner {
             Some(inner) => inner.registry.render_json(),
-            None => "{\"metrics\":[]}".to_owned(),
+            None => Registry::new().render_json(),
         }
     }
 

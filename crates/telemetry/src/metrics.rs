@@ -7,10 +7,10 @@
 //!   [`Histogram::observe`] are single relaxed atomic operations (the
 //!   histogram adds a handful of shift/mask instructions to pick a
 //!   bucket). No locks, no allocation.
-//! * **No dependencies.** Rendering is hand-rolled; the exposition
-//!   format follows the Prometheus text format 0.0.4 conventions
-//!   (`# HELP`/`# TYPE` headers, cumulative `le` buckets,
-//!   `_sum`/`_count` series, label-value escaping).
+//! * **No dependencies.** The exposition format is hand-rolled and
+//!   follows the Prometheus text format 0.0.4 conventions (`# HELP`/`# TYPE`
+//!   headers, cumulative `le` buckets, `_sum`/`_count` series, label-value
+//!   escaping); the JSON goes through `guesstimate_core::json`'s writer.
 //! * **Registration is cold.** Instruments are registered once behind a
 //!   mutex and handed out as `Arc`s; the hot path never touches the
 //!   registry again.
@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use guesstimate_core::json::escape;
+use guesstimate_core::json::{self, JsonWriter};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -382,48 +382,41 @@ impl Registry {
     /// (`{"metrics": [...]}`; histograms carry non-cumulative buckets).
     pub fn render_json(&self) -> String {
         let entries = self.entries.lock().clone();
-        let mut out = String::from("{\"metrics\":[");
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"type\":\"{}\",\"labels\":{{",
-                escape(&e.name),
-                e.instrument.type_name()
-            ));
-            for (j, (k, v)) in e.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        json::object(|w| {
+            w.key("metrics").array(|w| {
+                for e in &entries {
+                    w.object(|w| write_entry(w, e));
                 }
-                out.push_str(&format!("{}:{}", escape(k), escape(v)));
-            }
-            out.push('}');
-            match &e.instrument {
-                Instrument::Counter(c) => out.push_str(&format!(",\"value\":{}", c.get())),
-                Instrument::Gauge(g) => out.push_str(&format!(",\"value\":{}", g.get())),
-                Instrument::Histogram(h) => {
-                    out.push_str(&format!(",\"count\":{},\"sum\":{}", h.count(), h.sum()));
-                    out.push_str(",\"buckets\":[");
-                    let mut first = true;
-                    for (idx, c) in h.bucket_counts().into_iter().enumerate() {
-                        if c == 0 {
-                            continue;
-                        }
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        out.push_str(&format!("{{\"le\":{},\"count\":{}}}", bucket_upper(idx), c));
-                    }
-                    out.push(']');
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            });
+        })
     }
+}
+
+fn write_entry(w: &mut JsonWriter, e: &Entry) {
+    w.field("name", &e.name)
+        .field("type", e.instrument.type_name());
+    w.key("labels").object(|w| {
+        for (k, v) in &e.labels {
+            w.field(k, v);
+        }
+    });
+    match &e.instrument {
+        Instrument::Counter(c) => w.field("value", c.get()),
+        Instrument::Gauge(g) => w.field("value", g.get()),
+        Instrument::Histogram(h) => w
+            .field("count", h.count())
+            .field("sum", h.sum())
+            .key("buckets")
+            .array(|w| {
+                for (idx, c) in h.bucket_counts().into_iter().enumerate() {
+                    if c > 0 {
+                        w.object(|w| {
+                            w.field("le", bucket_upper(idx)).field("count", c);
+                        });
+                    }
+                }
+            }),
+    };
 }
 
 fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
@@ -563,6 +556,21 @@ mod tests {
         assert!(json.contains("\"k\":\"a\\\"b\\\\c\\nd\""));
         assert!(json.contains("\"value\":-5"));
         assert!(json.contains("{\"le\":7,\"count\":1}"));
+    }
+
+    #[test]
+    fn json_rendering_matches_its_golden_bytes() {
+        let r = Registry::new();
+        r.counter("ops_total", "ops").add(3);
+        r.gauge("depth", "d").set(-2);
+        let h = r.histogram_with_labels("lag_us", "lag", &[("app", "sudoku"), ("kind", "a\"b")]);
+        h.observe(2);
+        h.observe(10);
+        h.observe(10);
+        assert_eq!(
+            r.render_json(),
+            r#"{"metrics":[{"name":"ops_total","type":"counter","labels":{},"value":3},{"name":"depth","type":"gauge","labels":{},"value":-2},{"name":"lag_us","type":"histogram","labels":{"app":"sudoku","kind":"a\"b"},"count":3,"sum":22,"buckets":[{"le":2,"count":1},{"le":11,"count":2}]}]}"#
+        );
     }
 
     #[test]

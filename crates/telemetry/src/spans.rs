@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 
+use guesstimate_core::json;
 use guesstimate_core::{MachineId, OpId};
 use guesstimate_net::SimTime;
 
@@ -81,28 +82,19 @@ impl OpSpan {
     /// as `null`. This is the `<stem>_spans.jsonl` artifact format the
     /// `obs` report binary joins against the protocol trace.
     pub fn to_json_line(&self) -> String {
-        let us = |t: Option<SimTime>| match t {
-            Some(t) => t.as_micros().to_string(),
-            None => "null".to_owned(),
-        };
-        let round = match self.commit_round {
-            Some(r) => r.to_string(),
-            None => "null".to_owned(),
-        };
-        format!(
-            "{{\"machine\":{},\"seq\":{},\"issued_us\":{},\"flushed_us\":{},\
-             \"committed_us\":{},\"completed_us\":{},\"round\":{round},\
-             \"async\":{},\"exec_count\":{},\"lost\":{}}}",
-            self.op.machine().index(),
-            self.op.seq(),
-            us(self.issued_at),
-            us(self.flushed_at),
-            us(self.committed_at),
-            us(self.completed_at),
-            self.committed_async,
-            self.exec_count,
-            self.lost,
-        )
+        let us = |t: Option<SimTime>| t.map(SimTime::as_micros);
+        json::object(|w| {
+            w.field("machine", self.op.machine().index())
+                .field("seq", self.op.seq())
+                .field("issued_us", us(self.issued_at))
+                .field("flushed_us", us(self.flushed_at))
+                .field("committed_us", us(self.committed_at))
+                .field("completed_us", us(self.completed_at))
+                .field("round", self.commit_round)
+                .field("async", self.committed_async)
+                .field("exec_count", self.exec_count)
+                .field("lost", self.lost);
+        })
     }
 }
 
@@ -252,6 +244,25 @@ mod tests {
         assert!(!spans.iter().find(|s| s.op == op(1, 0)).unwrap().lost);
         assert!(spans.iter().find(|s| s.op == op(1, 1)).unwrap().lost);
         assert!(!spans.iter().find(|s| s.op == op(2, 0)).unwrap().lost);
+    }
+
+    #[test]
+    fn json_lines_match_their_golden_bytes() {
+        let mut book = SpanBook::new();
+        book.issued(op(1, 0), Some(SimTime::from_millis(10)));
+        book.flushed(op(1, 0), SimTime::from_millis(40));
+        book.committed(op(1, 0), 3, 2, SimTime::from_millis(200));
+        book.completed(op(1, 0), SimTime::from_millis(200));
+        book.issued(op(2, 4), Some(SimTime::from_millis(7)));
+        book.machine_restarted(MachineId::new(2));
+        let lines: Vec<String> = book.snapshot().iter().map(OpSpan::to_json_line).collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"machine":1,"seq":0,"issued_us":10000,"flushed_us":40000,"committed_us":200000,"completed_us":200000,"round":3,"async":false,"exec_count":2,"lost":false}"#,
+                r#"{"machine":2,"seq":4,"issued_us":7000,"flushed_us":null,"committed_us":null,"completed_us":null,"round":null,"async":false,"exec_count":1,"lost":true}"#,
+            ]
+        );
     }
 
     #[test]

@@ -55,6 +55,10 @@ perf-check:
 perf-pairs:
     ./scripts/check.sh perf-pairs
 
+# Figure, analysis, obs and replay artifacts byte-identical to revision `rev` (release builds of both sides).
+artifacts rev:
+    ./scripts/check.sh artifacts {{rev}}
+
 # Non-test Rust lines per crate, and the change in them and in test lines since the base commit.
 loc:
     ./scripts/check.sh loc

@@ -69,6 +69,57 @@ loc_table() {
     printf '%-18s %8d %+12d %+14d\n' total "$total" "$total_delta" "$total_tests_delta"
 }
 
+# Writes one side's artifacts: builds tree $1 in release, then runs, inside
+# directory $2 and with relative paths (so stdouts do not name the side),
+# the three figures that write traces and metrics, the shard-plan archive,
+# the `obs` report over fig5's trace and spans, and an `mc --replay` of a
+# copy of a violating schedule (which writes its postmortem beside the
+# copy). Every stdout, and mc's exit status, lands in a file there too.
+artifacts_side() {
+    (cd "$1" && cargo build --release --offline -q -p guesstimate-bench \
+        -p guesstimate-analysis -p guesstimate-obs -p guesstimate-mc --bins)
+    bin=$(cd "$1" && pwd)/target/release
+    rm -rf "$2"
+    mkdir -p "$2"
+    cp tests/schedules/sudoku-tamper-swap.json "$2/replay.json"
+    (
+        cd "$2"
+        for run in "fig5_sync_distribution 300 42" "fig6_sync_vs_users 30 7" \
+            "failure_recovery 120 13"; do
+            set -- $run
+            GUESSTIMATE_TRACE=$1_trace.jsonl GUESSTIMATE_METRICS=$1_metrics \
+                "$bin/$1" "$2" "$3" >"$1.stdout" 2>/dev/null
+        done
+        "$bin/analyze" --shard-plan --json analysis.json >analyze.stdout
+        "$bin/obs" --trace fig5_sync_distribution_trace.jsonl \
+            --spans fig5_sync_distribution_metrics_spans.jsonl --json obs.json >obs.stdout
+        status=0
+        "$bin/mc" --replay replay.json >mc.stdout || status=$?
+        echo "$status" >mc.status
+    )
+}
+
+# Compares the artifacts of the work tree with those of revision $1: every
+# file either side writes must exist on both and be byte-identical.
+artifacts() {
+    rev=$(git rev-parse --short "$1^{commit}")
+    parent=target/artifacts/$rev
+    rm -rf "$parent"
+    mkdir -p "$parent"
+    git archive "$rev" | tar -x -C "$parent"
+    artifacts_side "$parent" target/artifacts/out-parent
+    artifacts_side . target/artifacts/out-tree
+    a=target/artifacts/out-parent
+    b=target/artifacts/out-tree
+    for f in $( (ls "$a" && ls "$b") | sort -u); do
+        cmp -s "$a/$f" "$b/$f" || {
+            echo "check.sh artifacts: $f differs from $rev (or is missing on one side)" >&2
+            exit 1
+        }
+    done
+    echo "check.sh artifacts: $(ls "$b" | wc -l) files byte-identical to $rev"
+}
+
 step() {
     case "$1" in
     fmt) cargo fmt --all --check ;;
@@ -183,13 +234,31 @@ step() {
         cargo run --release -p guesstimate-bench --bin table_spec_assertions
         ;;
     *)
-        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf perf-pairs loc sanitize obs tier1 figures)" >&2
+        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf perf-pairs loc sanitize obs tier1 figures; artifacts <rev>)" >&2
         exit 2
         ;;
     esac
 }
 
 [ $# -gt 0 ] || set -- $CHECK
-for s in "$@"; do
-    step "$s"
+while [ $# -gt 0 ]; do
+    s=$1
+    shift
+    case "$s" in
+    # The artifacts a change must leave byte-identical, against a parent
+    # revision: fig5 / fig6 / failure_recovery traces, metrics, Chrome
+    # traces and spans, the shard-plan archive, the `obs --json` report and
+    # an `mc --replay` postmortem, all built and run on both sides under
+    # target/artifacts/ (a release build of each side). Not in the default
+    # list: it takes a revision.
+    artifacts)
+        [ $# -gt 0 ] || {
+            echo "check.sh: artifacts needs a revision to compare with" >&2
+            exit 2
+        }
+        artifacts "$1"
+        shift
+        ;;
+    *) step "$s" ;;
+    esac
 done
