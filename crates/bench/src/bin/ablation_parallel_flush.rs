@@ -18,9 +18,8 @@
 
 use std::process::ExitCode;
 
-use guesstimate_bench::{run_session, ActivityLevel, SessionConfig};
+use guesstimate_bench::run_flush_sweep;
 use guesstimate_net::SimTime;
-use guesstimate_telemetry::Telemetry;
 
 /// Serial stage 1 adds one link delay per user: 2 → 8 users must at least
 /// double the round.
@@ -33,35 +32,31 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let duration: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(60);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(7);
-    let cutoff = SimTime::from_secs(12);
 
     eprintln!("running ablation A1: serial vs parallel flush, users 2..=8, {duration}s each ...");
     println!("# Ablation A1: serial (paper) vs parallel (runtime default) first stage");
     println!("{:>5} {:>12} {:>14}", "users", "serial_ms", "parallel_ms");
-    let mut serial = Vec::new();
-    let mut parallel = Vec::new();
-    for users in 2..=8u32 {
-        let mut cfg = SessionConfig::paper_default(users, seed + u64::from(users));
-        cfg.duration = SimTime::from_secs(duration);
-        cfg.activity = ActivityLevel::Idle;
-        let s = run_session(&cfg, None, Telemetry::noop())
-            .mean_sync_excluding(cutoff)
-            .expect("serial rounds");
-        cfg.parallel_flush = true;
-        let p = run_session(&cfg, None, Telemetry::noop())
-            .mean_sync_excluding(cutoff)
-            .expect("parallel rounds");
+    let rows = run_flush_sweep(
+        &[2, 3, 4, 5, 6, 7, 8],
+        SimTime::from_secs(duration),
+        seed,
+        SimTime::from_secs(3), // the paper's stall timeout
+        SimTime::from_secs(12),
+    );
+    for r in &rows {
         println!(
-            "{users:>5} {:>12.1} {:>14.1}",
-            s.as_millis_f64(),
-            p.as_millis_f64()
+            "{:>5} {:>12.1} {:>14.1}",
+            r.users,
+            r.serial.as_millis_f64(),
+            r.parallel.as_millis_f64()
         );
-        serial.push(s.as_millis_f64());
-        parallel.push(p.as_millis_f64());
     }
     println!();
-    let growth = |v: &[f64]| v.last().unwrap() / v.first().unwrap();
-    let (serial, parallel) = (growth(&serial), growth(&parallel));
+    let first = rows.first().expect("2 users");
+    let last = rows.last().expect("8 users");
+    let growth = |from: SimTime, to: SimTime| to.as_millis_f64() / from.as_millis_f64();
+    let serial = growth(first.serial, last.serial);
+    let parallel = growth(first.parallel, last.parallel);
     println!("# growth 2→8 users: serial {serial:.2}x, parallel {parallel:.2}x");
     println!("# expected shape: serial grows ~linearly; parallel stays ~flat");
     if serial < MIN_SERIAL_GROWTH || parallel > MAX_PARALLEL_GROWTH {

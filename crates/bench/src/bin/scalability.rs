@@ -9,46 +9,38 @@
 //!
 //! Usage: `scalability [duration_secs] [seed]` (defaults: 60, 7).
 
-use guesstimate_bench::experiments::{run_session, ActivityLevel, SessionConfig};
+use guesstimate_bench::run_flush_sweep;
 use guesstimate_net::SimTime;
-use guesstimate_telemetry::Telemetry;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let duration: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(60);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(7);
-    let cutoff = SimTime::from_secs(60);
 
     println!("# Scalability: mean sync time at cluster sizes the paper only extrapolated");
     println!(
         "{:>6} {:>12} {:>14} {:>8}",
         "users", "serial_ms", "parallel_ms", "rounds"
     );
-    let mut serial_100 = 0.0;
-    for users in [10u32, 25, 50, 100] {
-        let mut cfg = SessionConfig::paper_default(users, seed + u64::from(users));
-        cfg.duration = SimTime::from_secs(duration);
-        cfg.activity = ActivityLevel::Idle;
-        // Large cohorts need a gentler stall timeout than the default so a
-        // slow (but healthy) serial round is never mistaken for a fault.
-        cfg.stall_timeout = SimTime::from_secs(20);
-        let serial = run_session(&cfg, None, Telemetry::noop());
-        let s = serial.mean_sync_excluding(cutoff).expect("rounds measured");
-        cfg.parallel_flush = true;
-        let parallel = run_session(&cfg, None, Telemetry::noop());
-        let p = parallel
-            .mean_sync_excluding(cutoff)
-            .expect("rounds measured");
+    // Large cohorts need a gentler stall timeout than the default so a slow
+    // (but healthy) serial round is never mistaken for a fault.
+    let rows = run_flush_sweep(
+        &[10, 25, 50, 100],
+        SimTime::from_secs(duration),
+        seed,
+        SimTime::from_secs(20),
+        SimTime::from_secs(60),
+    );
+    for r in &rows {
         println!(
-            "{users:>6} {:>12.1} {:>14.1} {:>8}",
-            s.as_millis_f64(),
-            p.as_millis_f64(),
-            serial.sync_samples.len()
+            "{:>6} {:>12.1} {:>14.1} {:>8}",
+            r.users,
+            r.serial.as_millis_f64(),
+            r.parallel.as_millis_f64(),
+            r.serial_rounds
         );
-        if users == 100 {
-            serial_100 = s.as_secs_f64();
-        }
     }
+    let serial_100 = rows.last().expect("100 users").serial.as_secs_f64();
     println!();
     println!("# paper's extrapolation: 100 users 'within 3 seconds' — measured: {serial_100:.2} s");
     println!("# (matches the linear model: ~31 ms of one-way latency per serial flush turn;");

@@ -11,10 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use guesstimate_apps::sudoku::{self, ops::update, Sudoku};
-use guesstimate_baselines::one_copy::{one_copy_cluster, OneCopyMachine};
-use guesstimate_core::{MachineId, ObjectId, OpRegistry, ShardPlan};
+use guesstimate_core::{execute, MachineId, ObjectId, ObjectStore, OpRegistry, ShardPlan};
 use guesstimate_net::{
-    FaultPlan, LatencyModel, NetConfig, NetMetrics, SimNet, SimTime, StallWindow, Tracer,
+    FaultEvent, FaultPlan, LatencyModel, NetConfig, NetMetrics, PartitionWindow, SimNet, SimTime,
+    StallWindow, Tracer,
 };
 use guesstimate_runtime::{
     run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig, MachineStats, SyncSample,
@@ -23,6 +23,7 @@ use guesstimate_spec::{verify_suite, CaseSpace, VerificationReport};
 use guesstimate_telemetry::Telemetry;
 use rand::{Rng, SeedableRng};
 
+use crate::one_copy::{one_copy_cluster, OneCopyMachine};
 use crate::workload::{issue_random_move_at, schedule_user, Activity, Boards};
 
 /// Whether simulated users are active during the measured window.
@@ -47,8 +48,9 @@ pub struct SessionConfig {
     pub duration: SimTime,
     /// Master's stall timeout (recovery trigger).
     pub stall_timeout: SimTime,
-    /// Fault schedule (stalls/drops), in *measured-window* coordinates:
-    /// windows are shifted by the session's warm-up offset.
+    /// Fault schedule (drops, duplicates, stalls, partitions, crashes), in
+    /// *measured-window* coordinates: windows and crash times are shifted
+    /// by the session's warm-up offset.
     pub faults: FaultPlan,
     /// User activity.
     pub activity: ActivityLevel,
@@ -245,8 +247,8 @@ pub fn run_session(
         // invariant pins this).
         .with_shard_plan(sudoku_shard_plan());
 
-    // Session-long fault plan: shift stall windows into absolute time after
-    // the warm-up (measured window starts around t=32 s below).
+    // Session-long fault plan: shift every window and crash into absolute
+    // time after the warm-up (measured window starts around t=32 s below).
     let warmup = SimTime::from_secs(32);
     let mut faults = FaultPlan::new()
         .with_drop_prob(cfg.faults.drop_prob())
@@ -257,6 +259,16 @@ pub fn run_session(
             w.from + warmup,
             w.until + warmup,
         ));
+    }
+    for w in cfg.faults.partitions() {
+        faults = faults.with_partition(PartitionWindow::new(
+            w.group.clone(),
+            w.from + warmup,
+            w.until + warmup,
+        ));
+    }
+    for &FaultEvent::Crash { machine, at } in cfg.faults.events() {
+        faults = faults.with_crash(machine, at + warmup);
     }
 
     let (mut net, boards) = cluster(
@@ -475,6 +487,56 @@ pub fn run_fig6(
 }
 
 // ---------------------------------------------------------------------
+// Ablation A1 and scalability: serial vs parallel stage 1
+// ---------------------------------------------------------------------
+
+/// One cohort size of [`run_flush_sweep`].
+#[derive(Debug, Clone, Copy)]
+pub struct FlushSweepRow {
+    /// Number of users.
+    pub users: u32,
+    /// Mean sync time under the paper's serial stage 1.
+    pub serial: SimTime,
+    /// Mean sync time under the parallel stage 1.
+    pub parallel: SimTime,
+    /// Rounds measured under the serial stage 1.
+    pub serial_rounds: usize,
+}
+
+/// The sweep behind ablation A1 and `scalability`: for each cohort size in
+/// `users`, an idle session of `duration` (seed `seed + users`, master stall
+/// timeout `stall_timeout`) under the serial flush and again under the
+/// parallel one, each mean excluding rounds longer than `cutoff`.
+pub fn run_flush_sweep(
+    users: &[u32],
+    duration: SimTime,
+    seed: u64,
+    stall_timeout: SimTime,
+    cutoff: SimTime,
+) -> Vec<FlushSweepRow> {
+    users
+        .iter()
+        .map(|&users| {
+            let mut cfg = SessionConfig::paper_default(users, seed + u64::from(users));
+            cfg.duration = duration;
+            cfg.activity = ActivityLevel::Idle;
+            cfg.stall_timeout = stall_timeout;
+            let serial = run_session(&cfg, None, Telemetry::noop());
+            cfg.parallel_flush = true;
+            let parallel = run_session(&cfg, None, Telemetry::noop());
+            let mean_sync =
+                |r: &SessionResult| r.mean_sync_excluding(cutoff).expect("rounds measured");
+            FlushSweepRow {
+                users,
+                serial: mean_sync(&serial),
+                parallel: mean_sync(&parallel),
+                serial_rounds: serial.sync_samples.len(),
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------
 // Figure 7
 // ---------------------------------------------------------------------
 
@@ -495,15 +557,25 @@ pub struct Fig7Row {
 /// adding a new user for every 100 synchronizations performed by the
 /// runtime" — we start with 2 users and admit one more after each 100
 /// rounds, recording the conflict delta per segment.
+///
+/// # Panics
+///
+/// Panics, naming the segment and the syncs it reached, if a segment has
+/// not completed its 100 syncs by the hour-long horizon.
 pub fn run_fig7(seed: u64, mean_think: SimTime) -> Vec<Fig7Row> {
     let mcfg = paper_machine_config().with_join_retry(SimTime::from_millis(700));
+    fig7_on(mcfg, paper_net(seed), seed, mean_think)
+}
+
+/// [`run_fig7`] with machines configured by `mcfg` on the mesh `netcfg`.
+fn fig7_on(mcfg: MachineConfig, netcfg: NetConfig, seed: u64, mean_think: SimTime) -> Vec<Fig7Row> {
     // Initial grids; fresh ones are added every segment so legal moves
     // never run dry (the paper's volunteers likewise moved on to new grids).
     let (mut net, ()) = cluster(
         2,
         sudoku_registry(),
         mcfg.clone(),
-        paper_net(seed),
+        netcfg,
         None,
         Telemetry::noop(),
         |master| {
@@ -552,6 +624,11 @@ pub fn run_fig7(seed: u64, mean_think: SimTime) -> Vec<Fig7Row> {
         let base = counts(&net);
         // Run until 100 more syncs completed.
         while counts(&net).0 < base.0 + 100 {
+            assert!(
+                net.now() < horizon,
+                "fig7: the {users}-user segment reached {} of its 100 syncs by the horizon",
+                counts(&net).0 - base.0
+            );
             let t = net.now() + SimTime::from_secs(1);
             net.run_until(t);
         }
@@ -810,7 +887,6 @@ pub struct SpectrumRow {
 /// divergent), GUESSTIMATE (fast *and* eventually agreed), and one-copy
 /// serializability (agreed, but blocking).
 pub fn run_consistency_spectrum(seed: u64, users: u32) -> Vec<SpectrumRow> {
-    use guesstimate_baselines::local_only::{divergence, local_only_cluster};
     let mut rows = Vec::new();
 
     // A fixed move schedule: user `i`'s event `k` fires `100k + 11i` ms
@@ -825,31 +901,38 @@ pub fn run_consistency_spectrum(seed: u64, users: u32) -> Vec<SpectrumRow> {
         })
         .collect();
 
-    // 1. Replicated execution (local-only).
+    // 1. Replicated execution: one store per user, starting from a common
+    // board, each applying its own user's moves at once and never hearing
+    // of anyone else's.
     {
-        let mut net = local_only_cluster(users, sudoku_registry(), NetConfig::lan(seed));
+        let registry = sudoku_registry();
         let shared = ObjectId::new(MachineId::new(9), 0);
-        let ids: Vec<MachineId> = (0..users).map(MachineId::new).collect();
-        for &i in &ids {
-            net.actor_mut(i)
-                .unwrap()
-                .install(shared, sudoku::example_puzzle());
-        }
+        let mut stores: Vec<ObjectStore> = (0..users)
+            .map(|_| {
+                let mut store = ObjectStore::new();
+                store.insert(shared, Box::new(sudoku::example_puzzle()));
+                store
+            })
+            .collect();
         let mut accepted = 0u64;
         for &(i, _, idx) in &events {
-            let m = net.actor_mut(MachineId::new(i)).expect("machine");
-            let moves = m
-                .read::<Sudoku, _>(shared, |s| s.candidate_moves())
+            let store = &mut stores[i as usize];
+            let moves = store
+                .get_as::<Sudoku>(shared)
+                .map(Sudoku::candidate_moves)
                 .unwrap_or_default();
             if let Some(&(r, c, v)) = moves.get(idx) {
-                if m.issue(update(shared, r, c, v)) {
-                    accepted += 1;
-                }
+                let outcome = execute(&update(shared, r, c, v), store, &registry);
+                accepted += u64::from(outcome.is_ok_and(|o| o.is_success()));
             }
         }
         rows.push(SpectrumRow {
             model: "replicated-execution",
-            distinct_states: divergence(&net, &ids),
+            distinct_states: stores
+                .iter()
+                .map(ObjectStore::digest)
+                .collect::<BTreeSet<_>>()
+                .len(),
             visibility: SimTime::ZERO,
             ops_accepted: accepted,
         });
@@ -1093,6 +1176,47 @@ mod tests {
         assert_eq!(r.events_scheduled, 0);
         // Only the board creations were committed.
         assert_eq!(r.committed, 2);
+    }
+
+    #[test]
+    fn session_keeps_configured_partitions_and_crashes() {
+        let session = |faults: FaultPlan| {
+            let mut cfg = SessionConfig::paper_default(3, 5);
+            cfg.duration = SimTime::from_secs(20);
+            cfg.activity = ActivityLevel::Idle;
+            cfg.faults = faults;
+            run_session(&cfg, None, Telemetry::noop())
+        };
+        let cut_off = vec![MachineId::new(2)];
+        let (from, until) = (SimTime::from_secs(5), SimTime::from_secs(15));
+        let r =
+            session(FaultPlan::new().with_partition(PartitionWindow::new(cut_off, from, until)));
+        assert!(r.net.dropped > 0, "the partition drops messages");
+        assert!(
+            r.sync_samples.iter().any(SyncSample::recovered),
+            "the master resends to or removes the partitioned machine"
+        );
+        let r = session(FaultPlan::new().with_crash(MachineId::new(2), from));
+        assert_eq!(r.per_machine.len(), 2, "machine 2 crashed");
+    }
+
+    #[test]
+    #[should_panic(expected = "the 2-user segment reached")]
+    fn fig7_fails_at_the_horizon_when_rounds_stop() {
+        // The master stalls from t = 4 s, just after the cohort forms, to
+        // past the horizon; a stall timeout longer than that keeps it from
+        // removing the member and carrying on alone, so no round completes.
+        let stall = StallWindow::new(
+            MachineId::new(0),
+            SimTime::from_secs(4),
+            SimTime::from_secs(10_000),
+        );
+        fig7_on(
+            paper_machine_config().with_stall_timeout(SimTime::from_secs(10_000)),
+            paper_net(11).with_faults(FaultPlan::new().with_stall(stall)),
+            11,
+            SimTime::from_secs(60),
+        );
     }
 
     #[test]

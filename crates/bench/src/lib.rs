@@ -11,10 +11,10 @@
 //! | `fig7_conflicts_vs_users` | [`run_fig7`] | Figure 7 — conflicts vs number of users, one user added per 100 syncs |
 //! | `table_spec_assertions` | [`run_spec_table`] | §6 Spec#/Boogie statistic (323 assertions: 271 verified, 52 runtime checks) |
 //! | `failure_recovery` | [`run_session`] | §7 "Failure and recovery" narrative (stalls, resends, restarts) |
-//! | `ablation_parallel_flush` | [`run_session`] | §9 future work, now the runtime default: parallel stage 1 ⇒ sync time ~independent of user count (gated against the serial sweep) |
-//! | `ablation_responsiveness` | [`run_responsiveness`] | §1 claim: non-blocking issue vs one-copy serializability |
+//! | `ablation_parallel_flush` | [`run_flush_sweep`] | §9 future work, now the runtime default: parallel stage 1 ⇒ sync time ~independent of user count (gated against the serial sweep) |
+//! | `ablation_responsiveness` | [`run_responsiveness`] | §1 claim: non-blocking issue vs one-copy serializability ([`one_copy`]) |
 //! | `ablation_consistency` | [`run_consistency_spectrum`] | §1 spectrum: replicated execution vs GUESSTIMATE vs one-copy |
-//! | `scalability` | [`run_session`] | §7/§9 extrapolation ("100 users within 3 s"), actually run |
+//! | `scalability` | [`run_flush_sweep`] | §7/§9 extrapolation ("100 users within 3 s"), actually run |
 //!
 //! The workload is the paper's: concurrent users collaboratively solving
 //! Sudoku grids, with seeded think times and move choices so every figure
@@ -24,16 +24,17 @@
 
 pub mod artifacts;
 pub mod experiments;
+pub mod one_copy;
 pub mod shard_balance;
 pub mod trace;
 pub mod workload;
 
 pub use artifacts::{record_figure, Recorded};
 pub use experiments::{
-    histogram, run_consistency_spectrum, run_fig5, run_fig6, run_fig7, run_hybrid_lag,
-    run_hybrid_session, run_responsiveness, run_session, run_spec_table, spec_table_total,
-    ActivityLevel, Fig6Row, Fig7Row, HistogramBucket, HybridLagRow, ResponsivenessRow,
-    SessionConfig, SessionResult, SpecTableRow, SpectrumRow,
+    histogram, run_consistency_spectrum, run_fig5, run_fig6, run_fig7, run_flush_sweep,
+    run_hybrid_lag, run_hybrid_session, run_responsiveness, run_session, run_spec_table,
+    spec_table_total, ActivityLevel, Fig6Row, Fig7Row, FlushSweepRow, HistogramBucket,
+    HybridLagRow, ResponsivenessRow, SessionConfig, SessionResult, SpecTableRow, SpectrumRow,
 };
 pub use shard_balance::{render_shard_balance, shard_balance_rows, ShardBalanceRow};
 pub use trace::{render_timelines, summarize_rounds, RoundTimeline};

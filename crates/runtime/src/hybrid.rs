@@ -168,7 +168,6 @@ impl Machine {
         self.stats.record_exec_count(2);
         self.stats.committed_own += 1;
         self.stats.committed_async_own += 1;
-        self.stats.async_commit_latencies.push(SimTime::ZERO);
         if !result {
             // Succeeded on sg an instant ago but failed on sc: a conflict,
             // same accounting as the round path (Figure 7). For a true

@@ -134,10 +134,6 @@ pub struct MachineStats {
     /// [`crate::Machine::issue_at`] (operations issued without a timestamp
     /// are not tracked).
     pub commit_latencies: Vec<SimTime>,
-    /// Issue-to-commit latencies of own operations committed through the
-    /// async path (a subset of neither list: serialized latencies land in
-    /// `commit_latencies`, async ones here).
-    pub async_commit_latencies: Vec<SimTime>,
 }
 
 impl MachineStats {

@@ -414,29 +414,7 @@ impl Telemetry {
     /// test suite: an enabled telemetry handle turns every committed op
     /// into a live check.
     pub fn op_committed(&self, op: OpId, round: u64, exec_count: u32, at: SimTime) {
-        let Some(inner) = &self.inner else { return };
-        assert!(
-            exec_count <= 3,
-            "{op} executed {exec_count} times; the paper bounds executions by 3"
-        );
-        inner.ops_committed.inc();
-        inner.exec_count.observe(u64::from(exec_count));
-        let mut spans = inner.spans.lock();
-        spans.committed(op, round, exec_count, at);
-        // One commit-lag sample per committed own op — by construction
-        // the histogram's count equals ops_committed exactly. Untimed
-        // issues contribute a zero-lag sample.
-        let lag = spans
-            .get(op)
-            .and_then(|s| s.commit_lag())
-            .unwrap_or(SimTime::ZERO);
-        drop(spans);
-        inner.commit_lag_us.observe(lag.as_micros());
-        inner.commit_lag_round_us.observe(lag.as_micros());
-        if let Some(g) = &self.group {
-            g.ops_committed.inc();
-            g.commit_lag_us.observe(lag.as_micros());
-        }
+        self.committed(op, Some(round), exec_count, at);
     }
 
     /// An own operation was committed through the hybrid async path
@@ -446,23 +424,39 @@ impl Telemetry {
     /// sample, and additionally feeds the async-path counter and
     /// histogram so the two paths' latencies can be compared.
     pub fn op_committed_async(&self, op: OpId, exec_count: u32, at: SimTime) {
+        self.committed(op, None, exec_count, at);
+    }
+
+    /// The one body of [`Telemetry::op_committed`] (`round` is `Some`) and
+    /// [`Telemetry::op_committed_async`] (`None`).
+    fn committed(&self, op: OpId, round: Option<u64>, exec_count: u32, at: SimTime) {
         let Some(inner) = &self.inner else { return };
         assert!(
             exec_count <= 3,
             "{op} executed {exec_count} times; the paper bounds executions by 3"
         );
         inner.ops_committed.inc();
-        inner.ops_committed_async.inc();
         inner.exec_count.observe(u64::from(exec_count));
         let mut spans = inner.spans.lock();
-        spans.committed_async(op, exec_count, at);
+        match round {
+            Some(round) => spans.committed(op, round, exec_count, at),
+            None => spans.committed_async(op, exec_count, at),
+        }
+        // One commit-lag sample per committed own op — by construction
+        // the histogram's count equals ops_committed exactly. Untimed
+        // issues contribute a zero-lag sample.
         let lag = spans
             .get(op)
             .and_then(|s| s.commit_lag())
             .unwrap_or(SimTime::ZERO);
         drop(spans);
         inner.commit_lag_us.observe(lag.as_micros());
-        inner.commit_lag_async_us.observe(lag.as_micros());
+        if round.is_some() {
+            inner.commit_lag_round_us.observe(lag.as_micros());
+        } else {
+            inner.ops_committed_async.inc();
+            inner.commit_lag_async_us.observe(lag.as_micros());
+        }
         if let Some(g) = &self.group {
             g.ops_committed.inc();
             g.commit_lag_us.observe(lag.as_micros());

@@ -43,15 +43,16 @@ loc_of() {
 
 # Prints each crate's non-test line count and its change since revision $1,
 # and beside it the change in test lines: code that moved into a test shows
-# there instead of passing for removed.
+# there instead of passing for removed. A crate deleted since $1 is a row of
+# zero lines, so its removal counts.
 loc_table() {
     base=$(git rev-parse --short "$1" 2>/dev/null) || base=
     printf '%-18s %8s %12s %14s\n' crate lines "vs ${base:-?}" "tests vs ${base:-?}"
     total=0
     total_delta=0
     total_tests_delta=0
-    for c in crates/* .; do
-        [ -d "$c/src" ] || continue
+    for c in $( (git ls-files crates; [ -z "$base" ] || git ls-tree -r --name-only "$base" crates) |
+        cut -d/ -f1-2 | sort -u) .; do
         set -- $(loc_of "$c" "")
         now=$1 tests_now=$2
         delta=0
@@ -71,10 +72,12 @@ loc_table() {
 
 # Writes one side's artifacts: builds tree $1 in release, then runs, inside
 # directory $2 and with relative paths (so stdouts do not name the side),
-# the three figures that write traces and metrics, the shard-plan archive,
-# the `obs` report over fig5's trace and spans, and an `mc --replay` of a
-# copy of a violating schedule (which writes its postmortem beside the
-# copy). Every stdout, and mc's exit status, lands in a file there too.
+# the three figures that write traces and metrics, the figures that only
+# print (fig7, the three ablations, scalability and the specification
+# table), the shard-plan archive, the `obs` report over fig5's trace and
+# spans, and an `mc --replay` of a copy of a violating schedule (which
+# writes its postmortem beside the copy). Every stdout, and mc's exit
+# status, lands in a file there too.
 artifacts_side() {
     (cd "$1" && cargo build --release --offline -q -p guesstimate-bench \
         -p guesstimate-analysis -p guesstimate-obs -p guesstimate-mc --bins)
@@ -89,6 +92,14 @@ artifacts_side() {
             set -- $run
             GUESSTIMATE_TRACE=$1_trace.jsonl GUESSTIMATE_METRICS=$1_metrics \
                 "$bin/$1" "$2" "$3" >"$1.stdout" 2>/dev/null
+        done
+        for run in "ablation_parallel_flush 10 7" ablation_responsiveness \
+            ablation_consistency "scalability 10 7" "fig7_conflicts_vs_users 1000 11" \
+            table_spec_assertions; do
+            set -- $run
+            name=$1
+            shift
+            "$bin/$name" "$@" >"$name.stdout" 2>/dev/null
         done
         "$bin/analyze" --shard-plan --json analysis.json >analyze.stdout
         "$bin/obs" --trace fig5_sync_distribution_trace.jsonl \
@@ -247,10 +258,10 @@ while [ $# -gt 0 ]; do
     case "$s" in
     # The artifacts a change must leave byte-identical, against a parent
     # revision: fig5 / fig6 / failure_recovery traces, metrics, Chrome
-    # traces and spans, the shard-plan archive, the `obs --json` report and
-    # an `mc --replay` postmortem, all built and run on both sides under
-    # target/artifacts/ (a release build of each side). Not in the default
-    # list: it takes a revision.
+    # traces and spans, the stdout of every figure binary, the shard-plan
+    # archive, the `obs --json` report and an `mc --replay` postmortem, all
+    # built and run on both sides under target/artifacts/ (a release build
+    # of each side). Not in the default list: it takes a revision.
     artifacts)
         [ $# -gt 0 ] || {
             echo "check.sh: artifacts needs a revision to compare with" >&2

@@ -22,9 +22,6 @@
 //!   classifier (the Spec#/Boogie analog).
 //! * [`apps`] — the paper's six collaborative applications: Sudoku, event
 //!   planner, message board, car pool, auction, microblog.
-//! * [`baselines`] — the consistency-model baselines the paper positions
-//!   itself against: one-copy serializability and unsynchronized local
-//!   replication.
 //! * [`telemetry`] — operation-lifecycle observability: the metrics
 //!   registry, per-op spans, guesstimate-health gauges, and the
 //!   Prometheus/JSON/Chrome-trace exporters (`docs/OBSERVABILITY.md`).
@@ -32,7 +29,6 @@
 //! See `README.md` for a tour and `examples/` for runnable programs.
 
 pub use guesstimate_apps as apps;
-pub use guesstimate_baselines as baselines;
 pub use guesstimate_core as core;
 pub use guesstimate_net as net;
 pub use guesstimate_runtime as runtime;
