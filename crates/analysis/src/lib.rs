@@ -33,8 +33,8 @@
 //! * the `analyze` binary printing the per-app conflict matrix and all
 //!   violations (non-zero exit on any violation, so it can gate CI).
 //!
-//! The validated output feeds the runtime's commute-aware replay skipping
-//! (see `docs/ANALYSIS.md`).
+//! The validated output feeds the hybrid async commit and the model
+//! checker's independence relation (see `docs/ANALYSIS.md`).
 
 #![deny(missing_docs)]
 
@@ -90,7 +90,7 @@ pub enum ViolationKind {
     UnanalyzedMethod,
     /// An observed snapshot change is not covered by the declared write
     /// set — the footprint under-approximates and every consumer of it
-    /// (including the runtime's replay skipping) would be unsound.
+    /// (including the hybrid async commit) would be unsound.
     FootprintUnderApproximation,
     /// Executing the method twice from identical snapshots diverged.
     Nondeterminism,
@@ -726,7 +726,7 @@ pub fn analyze_app(
 ///
 /// CI archives this file per run; [`matrices_from_json`] reads it back
 /// into a [`CommuteMatrix`] so downstream tools (the model checker, the
-/// runtime's replay skipping) reuse the validated verdicts without
+/// runtime's hybrid path) reuse the validated verdicts without
 /// re-running the bounded-exhaustive validator, and
 /// [`guesstimate_core::ShardPlan::from_json_archive`] recovers the
 /// shard plan for the runtime's router.

@@ -2,8 +2,8 @@
 //! set of an operation execution, in the same `/`-separated snapshot-path
 //! language [`EffectSpec`](crate::EffectSpec) declarations use.
 //!
-//! Every fast path built on declared footprints — replay skipping,
-//! partial-order reduction, the hybrid async commit — is only as sound as
+//! Every fast path built on declared footprints — partial-order
+//! reduction, the hybrid async commit, shard routing — is only as sound as
 //! the hand-written declarations. This module closes the loop: it turns a
 //! declared footprint from *trusted* into *checked* by executing the
 //! operation under observation and refuting any declaration the observed

@@ -124,7 +124,7 @@ pub(crate) fn run_prelude<A: Actor>(net: &mut SchedNet<A>, settled: impl Fn(&Sch
 /// Fixture for the `sneaky` negative preset: a two-slot map whose
 /// `mirror` method deliberately **under-declares** its footprint — it
 /// copies `src` into `dst` while admitting only to touching `dst`. The
-/// commute matrix and replay-skip judgments built on that declaration
+/// commute matrix and independence judgments built on that declaration
 /// are unsound for it, which is exactly what the witness-containment
 /// oracle must report.
 mod sneaky {

@@ -1,10 +1,10 @@
 //! The event-driven participant interface.
 //!
-//! Protocol logic (the GUESSTIMATE synchronizer, the baselines' servers and
-//! clients) is written once against [`Actor`] and runs unchanged under the
-//! deterministic virtual-time driver ([`crate::SimNet`]) and the real-thread
-//! driver ([`crate::ThreadedNet`]). Actors never touch sockets or clocks
-//! directly — they receive events and emit [`Action`]s through a [`Ctx`].
+//! Protocol logic (the GUESSTIMATE synchronizer, the one-copy baseline) is
+//! written once against [`Actor`] and runs unchanged under all three
+//! drivers: [`crate::SimNet`], [`crate::SchedNet`] and [`crate::ThreadedNet`].
+//! Actors never touch sockets or clocks directly — they receive events and
+//! emit [`Action`]s through a [`Ctx`].
 
 use guesstimate_core::MachineId;
 

@@ -12,20 +12,24 @@
 //!
 //! * [`Channel`] — the two logical meshes (*Signals* and *Operations*).
 //! * [`Actor`] — the event-driven interface a protocol participant
-//!   implements (`on_start` / `on_message` / `on_timer` / `on_call`); the
-//!   GUESSTIMATE synchronizer in `guesstimate-runtime` is an `Actor`, which
-//!   lets the *same* protocol logic run under both drivers below.
-//! * [`SimNet`] — a deterministic, seeded, virtual-time discrete-event
-//!   driver. All of the paper's figures are network-delay dominated, so
-//!   reproducing them on a simulated clock preserves their shape while
-//!   making experiments repeatable.
+//!   implements (`on_start` / `on_message` / `on_timer`); the GUESSTIMATE
+//!   synchronizer in `guesstimate-runtime` is an `Actor`, which lets the
+//!   *same* protocol logic run under all three drivers below.
+//! * [`Mesh`] — the one virtual-time mesh: actors, clock, causal stamps,
+//!   counters and fan-out, with a scheduler that picks the next event. It
+//!   is used as one of two drivers:
+//!   * [`SimNet`] — a deterministic, seeded discrete-event driver
+//!     ([`Timeline`]: earliest event first). All of the paper's figures
+//!     are network-delay dominated, so reproducing them on a simulated
+//!     clock preserves their shape while making experiments repeatable.
+//!   * [`SchedNet`] — a controlled-scheduler driver for the model checker
+//!     (`guesstimate-mc`, [`Choices`]): every delivery, drop, join
+//!     admission and timer firing is an externally chosen event, so a
+//!     checker can enumerate interleavings instead of following the
+//!     simulator's fixed order.
 //! * [`ThreadedNet`] — a real-thread, wall-clock driver with the same
 //!   semantics, for interactive examples and wall-clock measurement (its
 //!   module doc states how punctually it delivers).
-//! * [`SchedNet`] — a controlled-scheduler driver for the model checker
-//!   (`guesstimate-mc`): every delivery, drop, join admission and timer
-//!   firing is an externally chosen event, so a checker can enumerate
-//!   interleavings instead of following the simulator's fixed order.
 //! * [`LatencyModel`] — constant / uniform / normal / log-normal / spiky
 //!   link-latency distributions (LAN-like defaults match the §7 testbed).
 //! * [`FaultPlan`] — message loss, duplication, machine stall windows and
@@ -34,7 +38,7 @@
 //! * [`Tracer`] / [`TraceEvent`] — a structured, allocation-light protocol
 //!   trace stream; the runtime emits one event per protocol transition
 //!   (round start, flush windows, apply, acks, completion, recovery) under
-//!   either driver.
+//!   every driver.
 //!
 //! ## Example
 //!
@@ -84,6 +88,7 @@ mod actor;
 mod channel;
 mod fault;
 mod latency;
+mod mesh;
 mod metrics;
 mod sched;
 mod sim;
@@ -95,9 +100,10 @@ pub use actor::{Action, Actor, Ctx, Outbox};
 pub use channel::Channel;
 pub use fault::{FaultEvent, FaultPlan, PartitionWindow, StallWindow};
 pub use latency::LatencyModel;
+pub use mesh::Mesh;
 pub use metrics::NetMetrics;
-pub use sched::{PendingMsg, SchedNet, TamperHook};
-pub use sim::{NetConfig, SimNet};
+pub use sched::{Choices, PendingMsg, SchedNet, TamperHook};
+pub use sim::{NetConfig, SimNet, Timeline};
 pub use threaded::{ThreadedHandle, ThreadedNet};
 pub use time::SimTime;
 pub use trace::{NoopTracer, RecordingTracer, ReplayCause, TraceEvent, TraceRecord, Tracer};

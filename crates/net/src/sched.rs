@@ -3,8 +3,10 @@
 //! [`SimNet`](crate::SimNet) is deterministic: events fire in `(time,
 //! scheduling-order)` sequence and a seed fixes everything else. That is
 //! perfect for experiments and fatal for model checking, where the point
-//! is to *choose* the next event. [`SchedNet`] runs the same [`Actor`]s
-//! but externalizes every nondeterministic decision:
+//! is to *choose* the next event. [`SchedNet`] is the same
+//! [`Mesh`](crate::Mesh) running the same [`Actor`]s under another
+//! scheduler, [`Choices`], which externalizes every nondeterministic
+//! decision:
 //!
 //! - **Message deliveries** are never performed spontaneously. Each send
 //!   or broadcast leg becomes a [`PendingMsg`] with a stable sequence
@@ -33,15 +35,14 @@
 //! test surface, not a protocol feature.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::fmt;
 
 use guesstimate_core::MachineId;
 
-use crate::actor::{Action, Actor, Ctx};
+use crate::actor::Actor;
 use crate::channel::Channel;
-use crate::metrics::NetMetrics;
+use crate::mesh::{Leg, Mesh, Scheduler};
 use crate::time::SimTime;
-use crate::trace::{NoopTracer, TraceEvent, TraceRecord, Tracer};
 
 /// A message leg awaiting a delivery decision.
 #[derive(Debug, Clone)]
@@ -57,49 +58,65 @@ pub struct PendingMsg<M> {
     /// The payload.
     pub msg: M,
     /// Causal stamp of the send action this leg belongs to; broadcast
-    /// fan-out legs share one stamp (see [`TraceEvent::MsgSent`]).
+    /// fan-out legs share one stamp (see [`crate::TraceEvent::MsgSent`]).
     pub stamp: u64,
-}
-
-/// A pending timer, ordered by `(due, seq)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct TimerKey {
-    due: SimTime,
-    seq: u64,
 }
 
 /// Mutates a message as it is delivered; returns `true` if it changed
 /// anything. Arguments: delivery seq, sender, receiver, payload.
 pub type TamperHook<M> = Box<dyn FnMut(u64, MachineId, MachineId, &mut M) -> bool + Send>;
 
-/// A mesh whose every delivery, join, and timer firing is an external
-/// choice. See the module docs for the model.
-pub struct SchedNet<A: Actor> {
-    machines: BTreeMap<MachineId, A>,
-    /// Messages in flight, keyed by stable seq.
+/// [`SchedNet`]'s scheduler: what waits for the caller's choice — legs in
+/// flight, staged joiners and armed timers, each keyed by its stable seq —
+/// plus the tamper hook.
+pub struct Choices<A: Actor> {
     pending: BTreeMap<u64, PendingMsg<A::Msg>>,
-    /// Staged joiners, keyed by stable seq.
-    joins: BTreeMap<u64, (MachineId, Option<A>)>,
+    joins: BTreeMap<u64, (MachineId, A)>,
     /// Armed timers: `(due, seq) -> (machine, tag)`.
-    timers: BTreeMap<TimerKey, (MachineId, u64)>,
-    now: SimTime,
-    seq: u64,
-    stamps: u64,
+    timers: BTreeMap<(SimTime, u64), (MachineId, u64)>,
     tamper: Option<TamperHook<A::Msg>>,
     tampered: u64,
-    metrics: NetMetrics,
-    tracer: Arc<dyn Tracer>,
 }
 
-impl<A: Actor> std::fmt::Debug for SchedNet<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedNet")
-            .field("machines", &self.machines.keys().collect::<Vec<_>>())
+impl<A: Actor> fmt::Debug for Choices<A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Choices")
             .field("pending", &self.pending.len())
             .field("joins", &self.joins.len())
             .field("timers", &self.timers.len())
-            .field("now", &self.now)
-            .finish()
+            .finish_non_exhaustive()
+    }
+}
+
+/// A mesh whose every delivery, join, and timer firing is an external
+/// choice: a [`Mesh`] run by its [`Choices`]. See the module docs for the
+/// model.
+///
+/// Its counters count every send leg as `sent`, every
+/// [`SchedNet::deliver`] as `delivered` (or `dropped` if the receiver has
+/// left) and every [`SchedNet::drop_msg`] as `dropped`; its clock moves
+/// only when a timer fires.
+pub type SchedNet<A> = Mesh<A, Choices<A>>;
+
+impl<A: Actor> Scheduler<A> for Choices<A> {
+    const NAME: &'static str = "SchedNet";
+
+    fn route(net: &mut SchedNet<A>, leg: Leg<A::Msg>) {
+        let seq = net.next_seq();
+        let pending = PendingMsg {
+            seq,
+            from: leg.from,
+            to: leg.to,
+            channel: leg.channel,
+            msg: leg.msg,
+            stamp: leg.stamp,
+        };
+        net.sched.pending.insert(seq, pending);
+    }
+
+    fn arm(net: &mut SchedNet<A>, due: SimTime, machine: MachineId, tag: u64) {
+        let seq = net.next_seq();
+        net.sched.timers.insert((due, seq), (machine, tag));
     }
 }
 
@@ -112,128 +129,61 @@ impl<A: Actor> Default for SchedNet<A> {
 impl<A: Actor> SchedNet<A> {
     /// Creates an empty controlled mesh at time zero.
     pub fn new() -> Self {
-        SchedNet {
-            machines: BTreeMap::new(),
+        Mesh::with_scheduler(Choices {
             pending: BTreeMap::new(),
             joins: BTreeMap::new(),
             timers: BTreeMap::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            stamps: 0,
             tamper: None,
             tampered: 0,
-            metrics: NetMetrics::default(),
-            tracer: Arc::new(NoopTracer),
-        }
-    }
-
-    /// Installs a tracer for driver-level causal-stamp events
-    /// ([`TraceEvent::MsgSent`] / [`TraceEvent::MsgReceived`]). Used by the
-    /// model checker's postmortem replay to reconstruct the causal
-    /// timeline of a shrunken violating schedule.
-    pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
-        self.tracer = tracer;
-    }
-
-    fn trace(&self, source: MachineId, event: TraceEvent) {
-        self.tracer.record(TraceRecord {
-            at: self.now,
-            source,
-            event,
-        });
-    }
-
-    /// The current virtual time (advanced only by timer firings).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Transport counters so far: every send leg counts as `sent`, every
-    /// [`SchedNet::deliver`] as `delivered`, every
-    /// [`SchedNet::drop_msg`] as `dropped`.
-    pub fn metrics(&self) -> NetMetrics {
-        self.metrics
-    }
-
-    /// Ids of current members, in order.
-    pub fn members(&self) -> Vec<MachineId> {
-        self.machines.keys().copied().collect()
-    }
-
-    /// Immutable access to an actor.
-    pub fn actor(&self, id: MachineId) -> Option<&A> {
-        self.machines.get(&id)
-    }
-
-    /// Mutable access to an actor, **without** a context (assertions and
-    /// stat extraction only; use [`SchedNet::call`] when the mutation may
-    /// send messages or set timers).
-    pub fn actor_mut(&mut self, id: MachineId) -> Option<&mut A> {
-        self.machines.get_mut(&id)
+        })
     }
 
     /// Installs the delivery-time tamper hook (see the module docs).
     pub fn set_tamper(&mut self, hook: TamperHook<A::Msg>) {
-        self.tamper = Some(hook);
+        self.sched.tamper = Some(hook);
     }
 
     /// How many deliveries the tamper hook reported mutating.
     pub fn tamper_count(&self) -> u64 {
-        self.tampered
-    }
-
-    /// Adds a machine *now*; its [`Actor::on_start`] runs immediately.
-    pub fn add_machine(&mut self, id: MachineId, actor: A) {
-        self.machines.insert(id, actor);
-        self.invoke(id, |a, ctx| a.on_start(ctx));
+        self.sched.tampered
     }
 
     /// Stages `actor` as a joiner and returns the choice seq that
     /// [`SchedNet::admit`] takes.
     pub fn stage_join(&mut self, id: MachineId, actor: A) -> u64 {
         let seq = self.next_seq();
-        self.joins.insert(seq, (id, Some(actor)));
+        self.sched.joins.insert(seq, (id, actor));
         seq
-    }
-
-    /// Invokes `f` on an actor *now*, with a context. Returns `false` if
-    /// the machine is not a member.
-    pub fn call(&mut self, id: MachineId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) -> bool {
-        if !self.machines.contains_key(&id) {
-            return false;
-        }
-        self.invoke(id, f);
-        true
     }
 
     /// The sequence numbers of all messages awaiting a decision, ascending.
     pub fn pending_msgs(&self) -> Vec<u64> {
-        self.pending.keys().copied().collect()
+        self.sched.pending.keys().copied().collect()
     }
 
     /// Looks at one in-flight message.
     pub fn pending_msg(&self, seq: u64) -> Option<&PendingMsg<A::Msg>> {
-        self.pending.get(&seq)
+        self.sched.pending.get(&seq)
     }
 
     /// The choice seqs of all staged joiners, ascending.
     pub fn pending_joins(&self) -> Vec<u64> {
-        self.joins.keys().copied().collect()
+        self.sched.joins.keys().copied().collect()
     }
 
     /// The staged joiner behind a choice seq.
     pub fn pending_join(&self, seq: u64) -> Option<MachineId> {
-        self.joins.get(&seq).map(|(id, _)| *id)
+        self.sched.joins.get(&seq).map(|(id, _)| *id)
     }
 
     /// True if any timer is armed.
     pub fn has_timers(&self) -> bool {
-        !self.timers.is_empty()
+        !self.sched.timers.is_empty()
     }
 
     /// The due time of the earliest armed timer.
     pub fn next_timer_due(&self) -> Option<SimTime> {
-        self.timers.keys().next().map(|k| k.due)
+        self.sched.timers.keys().next().map(|&(due, _)| due)
     }
 
     /// Delivers message `seq` now. Returns `false` (and discards nothing)
@@ -241,36 +191,28 @@ impl<A: Actor> SchedNet<A> {
     /// consumed silently, like a real network handing bytes to a dead
     /// host.
     pub fn deliver(&mut self, seq: u64) -> bool {
-        let Some(mut p) = self.pending.remove(&seq) else {
+        let Some(mut p) = self.sched.pending.remove(&seq) else {
             return false;
         };
-        if let Some(hook) = self.tamper.as_mut() {
+        if let Some(hook) = self.sched.tamper.as_mut() {
             if hook(p.seq, p.from, p.to, &mut p.msg) {
-                self.tampered += 1;
+                self.sched.tampered += 1;
             }
         }
-        if self.machines.contains_key(&p.to) {
-            self.metrics.delivered += 1;
-            self.metrics.bytes_delivered += A::msg_size(&p.msg);
-            self.trace(
-                p.to,
-                TraceEvent::MsgReceived {
-                    origin: p.from,
-                    stamp: p.stamp,
-                    kind: A::msg_kind(&p.msg),
-                },
-            );
-            self.invoke(p.to, |a, ctx| a.on_message(p.from, p.channel, p.msg, ctx));
-        } else {
-            self.metrics.dropped += 1;
-        }
+        self.receive(Leg {
+            from: p.from,
+            to: p.to,
+            channel: p.channel,
+            msg: p.msg,
+            stamp: p.stamp,
+        });
         true
     }
 
     /// Drops message `seq` (the "network loses it" choice). Returns
     /// `false` if `seq` is not pending.
     pub fn drop_msg(&mut self, seq: u64) -> bool {
-        let dropped = self.pending.remove(&seq).is_some();
+        let dropped = self.sched.pending.remove(&seq).is_some();
         if dropped {
             self.metrics.dropped += 1;
         }
@@ -281,12 +223,10 @@ impl<A: Actor> SchedNet<A> {
     /// member and its `on_start` runs. Returns `false` if `seq` is not a
     /// staged join.
     pub fn admit(&mut self, seq: u64) -> bool {
-        let Some((id, actor)) = self.joins.remove(&seq) else {
+        let Some((id, actor)) = self.sched.joins.remove(&seq) else {
             return false;
         };
-        let Some(actor) = actor else { return false };
-        self.machines.insert(id, actor);
-        self.invoke(id, |a, ctx| a.on_start(ctx));
+        self.add_machine(id, actor);
         true
     }
 
@@ -296,108 +236,21 @@ impl<A: Actor> SchedNet<A> {
     /// Timers on departed machines are discarded (and the next one tried),
     /// mirroring [`SimNet`](crate::SimNet).
     pub fn fire_next_timer(&mut self) -> bool {
-        while let Some((&key, _)) = self.timers.iter().next() {
-            let (machine, tag) = self.timers.remove(&key).expect("key just seen");
-            debug_assert!(key.due >= self.now, "time went backwards");
-            self.now = self.now.max(key.due);
-            if self.machines.contains_key(&machine) {
-                self.metrics.timers_fired += 1;
-                self.invoke(machine, |a, ctx| a.on_timer(tag, ctx));
+        while let Some(((due, _), (machine, tag))) = self.sched.timers.pop_first() {
+            debug_assert!(due >= self.now, "time went backwards");
+            self.now = self.now.max(due);
+            if self.fire(machine, tag) {
                 return true;
             }
         }
         false
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    /// Allocates one causal stamp for a send action and records its
-    /// [`TraceEvent::MsgSent`]. Stamp allocation is part of the
-    /// deterministic driver state, so replaying a recorded schedule
-    /// reproduces identical stamps.
-    fn next_stamp(&mut self, src: MachineId, msg: &A::Msg) -> u64 {
-        let stamp = self.stamps;
-        self.stamps += 1;
-        self.trace(
-            src,
-            TraceEvent::MsgSent {
-                stamp,
-                kind: A::msg_kind(msg),
-                bytes: A::msg_size(msg),
-            },
-        );
-        stamp
-    }
-
-    fn invoke(&mut self, id: MachineId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) {
-        let mut actions = Vec::new();
-        {
-            let actor = self.machines.get_mut(&id).expect("caller checked");
-            let mut ctx = Ctx::new(self.now, id, &mut actions);
-            f(actor, &mut ctx);
-        }
-        for action in actions {
-            match action {
-                Action::Broadcast(channel, msg) => {
-                    let stamp = self.next_stamp(id, &msg);
-                    let targets: Vec<MachineId> =
-                        self.machines.keys().copied().filter(|&m| m != id).collect();
-                    for to in targets {
-                        let seq = self.next_seq();
-                        self.metrics.sent += 1;
-                        self.metrics.bytes_sent += A::msg_size(&msg);
-                        self.pending.insert(
-                            seq,
-                            PendingMsg {
-                                seq,
-                                from: id,
-                                to,
-                                channel,
-                                msg: msg.clone(),
-                                stamp,
-                            },
-                        );
-                    }
-                }
-                Action::Send(to, channel, msg) => {
-                    let stamp = self.next_stamp(id, &msg);
-                    let seq = self.next_seq();
-                    self.metrics.sent += 1;
-                    self.metrics.bytes_sent += A::msg_size(&msg);
-                    self.pending.insert(
-                        seq,
-                        PendingMsg {
-                            seq,
-                            from: id,
-                            to,
-                            channel,
-                            msg,
-                            stamp,
-                        },
-                    );
-                }
-                Action::SetTimer { delay, tag } => {
-                    let seq = self.next_seq();
-                    self.timers.insert(
-                        TimerKey {
-                            due: self.now + delay,
-                            seq,
-                        },
-                        (id, tag),
-                    );
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Ctx;
 
     /// Test actor: logs received payloads, replies to "ping", arms a timer
     /// on start.

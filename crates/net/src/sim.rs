@@ -1,26 +1,26 @@
 //! Deterministic virtual-time driver (discrete-event simulation).
 //!
-//! [`SimNet`] owns the actors, an event queue keyed by virtual time, a
-//! seeded RNG (latency samples, fault coin-flips) and the fault plan. Every
-//! run with the same seed, same actors and same scheduled calls produces the
-//! same history — which is what lets the benchmark harness regenerate the
-//! paper's figures repeatably.
+//! [`SimNet`] is the [`Mesh`] whose scheduler, [`Timeline`], keeps an event
+//! queue keyed by virtual time, a seeded RNG (latency samples, fault
+//! coin-flips) and the fault plan. Every run with the same seed, same
+//! actors and same scheduled calls produces the same history — which is
+//! what lets the benchmark harness regenerate the paper's figures
+//! repeatably.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
+use std::fmt;
 
 use guesstimate_core::MachineId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::actor::{Action, Actor, Ctx};
+use crate::actor::{Actor, Ctx};
 use crate::channel::Channel;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::latency::LatencyModel;
-use crate::metrics::NetMetrics;
+use crate::mesh::{Leg, Mesh, Scheduler};
 use crate::time::SimTime;
-use crate::trace::{NoopTracer, TraceEvent, TraceRecord, Tracer};
 
 /// Static configuration of a simulated mesh.
 #[derive(Debug, Clone)]
@@ -72,46 +72,26 @@ impl NetConfig {
     }
 }
 
-/// A deferred invocation on one actor (used by `schedule_call`).
-type DeferredCall<A> = Box<dyn FnOnce(&mut A, &mut Ctx<'_, <A as Actor>::Msg>) + Send>;
+/// Anything else the mesh does at a scheduled instant: a call, a join, a
+/// crash.
+type Deferred<A> = Box<dyn FnOnce(&mut SimNet<A>) + Send>;
 
 enum EventKind<A: Actor> {
-    Deliver {
-        from: MachineId,
-        to: MachineId,
-        channel: Channel,
-        msg: A::Msg,
-        /// Causal stamp of the send action this leg belongs to (see
-        /// [`TraceEvent::MsgSent`]); broadcast legs share one stamp.
-        stamp: u64,
-    },
-    Timer {
-        machine: MachineId,
-        tag: u64,
-    },
-    Call {
-        machine: MachineId,
-        f: DeferredCall<A>,
-    },
-    Join {
-        machine: MachineId,
-        actor: Option<A>,
-    },
-    Crash {
-        machine: MachineId,
-    },
+    Deliver(Leg<A::Msg>),
+    Timer { machine: MachineId, tag: u64 },
+    Run(Deferred<A>),
 }
 
 /// A queue entry, ordered by `(at, seq)`.
 ///
-/// `seq` is a monotonically increasing scheduling counter, so events that
-/// share a virtual timestamp fire in **exactly the order they were
-/// scheduled** — a total, deterministic tie-break. This matters: protocol
-/// stages routinely schedule several same-instant deliveries (a broadcast
-/// under constant latency lands everywhere at once), and without the
-/// counter the heap's ordering among equal keys would be arbitrary.
-/// Exploring *different* same-timestamp orders deliberately is the job of
-/// the model checker's `SchedNet`, not of `SimNet`.
+/// `seq` is the mesh's scheduling counter, so events that share a virtual
+/// timestamp fire in **exactly the order they were scheduled** — a total,
+/// deterministic tie-break. This matters: protocol stages routinely
+/// schedule several same-instant deliveries (a broadcast under constant
+/// latency lands everywhere at once), and without the counter the heap's
+/// ordering among equal keys would be arbitrary. Exploring *different*
+/// same-timestamp orders deliberately is the job of the model checker's
+/// `SchedNet`, not of `SimNet`.
 struct Scheduled<A: Actor> {
     at: SimTime,
     seq: u64,
@@ -136,138 +116,96 @@ impl<A: Actor> Ord for Scheduled<A> {
     }
 }
 
-/// A deterministic, virtual-time mesh of actors.
-///
-/// See the [crate-level example](crate) for a minimal program.
-pub struct SimNet<A: Actor> {
+/// [`SimNet`]'s scheduler: the configuration, the seeded RNG and the
+/// `(at, seq)` event queue. The earliest event runs next.
+pub struct Timeline<A: Actor> {
     cfg: NetConfig,
-    machines: BTreeMap<MachineId, A>,
-    queue: BinaryHeap<Scheduled<A>>,
-    now: SimTime,
-    seq: u64,
-    stamps: u64,
     rng: StdRng,
-    metrics: NetMetrics,
-    tracer: Arc<dyn Tracer>,
+    queue: BinaryHeap<Scheduled<A>>,
 }
 
-impl<A: Actor> std::fmt::Debug for SimNet<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimNet")
-            .field("now", &self.now)
-            .field("machines", &self.machines.keys().collect::<Vec<_>>())
+impl<A: Actor> fmt::Debug for Timeline<A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Timeline")
             .field("queued", &self.queue.len())
-            .finish()
+            .finish_non_exhaustive()
+    }
+}
+
+/// A deterministic, virtual-time mesh of actors: a [`Mesh`] run by its
+/// [`Timeline`].
+///
+/// See the [crate-level example](crate) for a minimal program.
+pub type SimNet<A> = Mesh<A, Timeline<A>>;
+
+impl<A: Actor> Scheduler<A> for Timeline<A> {
+    const NAME: &'static str = "SimNet";
+
+    /// Drops a leg whose sender is stalled or cut off, then draws, in this
+    /// order: drop, duplicate, latency, and the duplicate's latency.
+    fn route(net: &mut SimNet<A>, leg: Leg<A::Msg>) {
+        let (Timeline { cfg, rng, .. }, now) = (&mut net.sched, net.now);
+        if cfg.faults.is_stalled(leg.from, now) || cfg.faults.is_cut(leg.from, leg.to, now) {
+            net.metrics.dropped += 1;
+            return;
+        }
+        let drop_p = cfg.faults.drop_prob();
+        if drop_p > 0.0 && rng.gen_bool(drop_p) {
+            net.metrics.dropped += 1;
+            return;
+        }
+        let dup_p = cfg.faults.dup_prob();
+        let duplicate = dup_p > 0.0 && rng.gen_bool(dup_p);
+        let model = cfg.model_for(leg.channel);
+        let at = now + model.sample(rng);
+        // Only the rare duplicated leg pays for a copy of the message.
+        let copy = duplicate.then(|| (now + model.sample(rng), leg.clone()));
+        net.push(at, EventKind::Deliver(leg));
+        if let Some((at, copy)) = copy {
+            net.metrics.duplicated += 1;
+            net.push(at, EventKind::Deliver(copy));
+        }
+    }
+
+    fn arm(net: &mut SimNet<A>, due: SimTime, machine: MachineId, tag: u64) {
+        net.push(due, EventKind::Timer { machine, tag });
     }
 }
 
 impl<A: Actor> SimNet<A> {
     /// Creates an empty mesh; scheduled crash faults are armed immediately.
     pub fn new(cfg: NetConfig) -> Self {
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        let mut net = SimNet {
-            rng,
-            machines: BTreeMap::new(),
+        let crashes = cfg.faults.events().to_vec();
+        let mut net = Mesh::with_scheduler(Timeline {
+            rng: StdRng::seed_from_u64(cfg.seed),
             queue: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            stamps: 0,
-            metrics: NetMetrics::default(),
-            tracer: Arc::new(NoopTracer),
             cfg,
-        };
-        for ev in net.cfg.faults.events().to_vec() {
-            match ev {
-                FaultEvent::Crash { machine, at } => {
-                    net.push(at, EventKind::Crash { machine });
-                }
-            }
+        });
+        for FaultEvent::Crash { machine, at } in crashes {
+            net.run_at(at, move |net| {
+                net.remove_machine(machine);
+            });
         }
         net
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<A>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled { at, seq, kind });
+        let seq = self.next_seq();
+        self.sched.queue.push(Scheduled { at, seq, kind });
     }
 
-    /// Installs a tracer for driver-level causal-stamp events
-    /// ([`TraceEvent::MsgSent`] / [`TraceEvent::MsgReceived`]).
-    ///
-    /// Distinct from any tracer the *actors* hold for protocol events; a
-    /// cluster typically shares one sink between both so the streams merge.
-    pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
-        self.tracer = tracer;
-    }
-
-    fn trace(&self, source: MachineId, event: TraceEvent) {
-        self.tracer.record(TraceRecord {
-            at: self.now,
-            source,
-            event,
-        });
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Transport counters so far.
-    pub fn metrics(&self) -> NetMetrics {
-        self.metrics
-    }
-
-    /// Ids of current (non-crashed) members, in order.
-    pub fn members(&self) -> Vec<MachineId> {
-        self.machines.keys().copied().collect()
-    }
-
-    /// Immutable access to an actor.
-    pub fn actor(&self, id: MachineId) -> Option<&A> {
-        self.machines.get(&id)
-    }
-
-    /// Mutable access to an actor, **without** a context.
-    ///
-    /// Use for assertions and stat extraction; use [`SimNet::call`] when the
-    /// mutation needs to send messages or set timers.
-    pub fn actor_mut(&mut self, id: MachineId) -> Option<&mut A> {
-        self.machines.get_mut(&id)
-    }
-
-    /// Adds a machine *now*; its [`Actor::on_start`] runs immediately.
-    pub fn add_machine(&mut self, id: MachineId, actor: A) {
-        self.machines.insert(id, actor);
-        self.invoke(id, |a, ctx| a.on_start(ctx));
+    fn run_at(&mut self, at: SimTime, f: impl FnOnce(&mut SimNet<A>) + Send + 'static) {
+        self.push(at, EventKind::Run(Box::new(f)));
     }
 
     /// Schedules a machine to join at virtual time `at`.
     pub fn schedule_join(&mut self, at: SimTime, id: MachineId, actor: A) {
-        self.push(
-            at,
-            EventKind::Join {
-                machine: id,
-                actor: Some(actor),
-            },
-        );
+        self.run_at(at, move |net| net.add_machine(id, actor));
     }
 
     /// Removes a machine immediately (graceful leave), returning its actor.
     pub fn remove_machine(&mut self, id: MachineId) -> Option<A> {
         self.machines.remove(&id)
-    }
-
-    /// Invokes `f` on an actor *now*, with a context (messages/timers work).
-    ///
-    /// Returns `false` if the machine is not a member.
-    pub fn call(&mut self, id: MachineId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) -> bool {
-        if !self.machines.contains_key(&id) {
-            return false;
-        }
-        self.invoke(id, f);
-        true
     }
 
     /// Schedules `f` to run on machine `id` at virtual time `at`.
@@ -281,13 +219,9 @@ impl<A: Actor> SimNet<A> {
         id: MachineId,
         f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) + Send + 'static,
     ) {
-        self.push(
-            at,
-            EventKind::Call {
-                machine: id,
-                f: Box::new(f),
-            },
-        );
+        self.run_at(at, move |net| {
+            net.call(id, f);
+        });
     }
 
     /// Processes the next event, if any, returning its time.
@@ -298,67 +232,29 @@ impl<A: Actor> SimNet<A> {
     /// sequence of external calls therefore process identical event
     /// sequences.
     pub fn step(&mut self) -> Option<SimTime> {
-        let ev = self.queue.pop()?;
+        let ev = self.sched.queue.pop()?;
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         match ev.kind {
-            EventKind::Deliver {
-                from,
-                to,
-                channel,
-                msg,
-                stamp,
-            } => {
-                let stalled = self.cfg.faults.is_stalled(to, self.now)
-                    || self.cfg.faults.is_cut(from, to, self.now);
-                if stalled || !self.machines.contains_key(&to) {
+            EventKind::Deliver(leg) => {
+                let (faults, now) = (&self.sched.cfg.faults, self.now);
+                if faults.is_stalled(leg.to, now) || faults.is_cut(leg.from, leg.to, now) {
                     self.metrics.dropped += 1;
                 } else {
-                    self.metrics.delivered += 1;
-                    self.metrics.bytes_delivered += A::msg_size(&msg);
-                    self.trace(
-                        to,
-                        TraceEvent::MsgReceived {
-                            origin: from,
-                            stamp,
-                            kind: A::msg_kind(&msg),
-                        },
-                    );
-                    self.invoke(to, |a, ctx| a.on_message(from, channel, msg, ctx));
+                    self.receive(leg);
                 }
             }
             EventKind::Timer { machine, tag } => {
-                if self.machines.contains_key(&machine) {
-                    self.metrics.timers_fired += 1;
-                    self.invoke(machine, |a, ctx| a.on_timer(tag, ctx));
-                }
+                self.fire(machine, tag);
             }
-            EventKind::Call { machine, f } => {
-                if self.machines.contains_key(&machine) {
-                    self.invoke(machine, f);
-                }
-            }
-            EventKind::Join { machine, mut actor } => {
-                if let Some(actor) = actor.take() {
-                    self.machines.insert(machine, actor);
-                    self.invoke(machine, |a, ctx| a.on_start(ctx));
-                }
-            }
-            EventKind::Crash { machine } => {
-                self.machines.remove(&machine);
-            }
+            EventKind::Run(f) => f(self),
         }
         Some(self.now)
     }
 
     /// Runs every event scheduled at or before `t`; afterwards `now() == t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(next) = self.queue.peek() {
-            if next.at > t {
-                break;
-            }
-            self.step();
-        }
+        self.run_until_quiescent(t);
         self.now = self.now.max(t);
     }
 
@@ -368,122 +264,10 @@ impl<A: Actor> SimNet<A> {
     /// Note that periodic protocols (a master that re-arms a sync timer)
     /// never quiesce; use [`SimNet::run_until`] for those.
     pub fn run_until_quiescent(&mut self, limit: SimTime) -> bool {
-        while let Some(next) = self.queue.peek() {
-            if next.at > limit {
-                return false;
-            }
+        while self.sched.queue.peek().is_some_and(|next| next.at <= limit) {
             self.step();
         }
-        true
-    }
-
-    fn invoke(&mut self, id: MachineId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) {
-        let mut actions = Vec::new();
-        {
-            let Some(actor) = self.machines.get_mut(&id) else {
-                return;
-            };
-            let mut ctx = Ctx::new(self.now, id, &mut actions);
-            f(actor, &mut ctx);
-        }
-        self.process_actions(id, actions);
-    }
-
-    fn process_actions(&mut self, src: MachineId, actions: Vec<Action<A::Msg>>) {
-        for action in actions {
-            match action {
-                Action::Broadcast(channel, msg) => {
-                    let stamp = self.next_stamp(src, &msg);
-                    let targets: Vec<MachineId> = self
-                        .machines
-                        .keys()
-                        .copied()
-                        .filter(|&m| m != src)
-                        .collect();
-                    for to in targets {
-                        self.schedule_delivery(src, to, channel, msg.clone(), stamp);
-                    }
-                }
-                Action::Send(to, channel, msg) => {
-                    let stamp = self.next_stamp(src, &msg);
-                    self.schedule_delivery(src, to, channel, msg, stamp);
-                }
-                Action::SetTimer { delay, tag } => {
-                    let at = self.now + delay;
-                    self.push(at, EventKind::Timer { machine: src, tag });
-                }
-            }
-        }
-    }
-
-    /// Allocates one causal stamp for a send action and records its
-    /// [`TraceEvent::MsgSent`] (broadcast fan-out legs share the stamp).
-    fn next_stamp(&mut self, src: MachineId, msg: &A::Msg) -> u64 {
-        let stamp = self.stamps;
-        self.stamps += 1;
-        self.trace(
-            src,
-            TraceEvent::MsgSent {
-                stamp,
-                kind: A::msg_kind(msg),
-                bytes: A::msg_size(msg),
-            },
-        );
-        stamp
-    }
-
-    fn schedule_delivery(
-        &mut self,
-        from: MachineId,
-        to: MachineId,
-        channel: Channel,
-        msg: A::Msg,
-        stamp: u64,
-    ) where
-        A::Msg: Clone,
-    {
-        self.metrics.sent += 1;
-        self.metrics.bytes_sent += A::msg_size(&msg);
-        if self.cfg.faults.is_stalled(from, self.now) || self.cfg.faults.is_cut(from, to, self.now)
-        {
-            self.metrics.dropped += 1;
-            return;
-        }
-        let drop_p = self.cfg.faults.drop_prob();
-        if drop_p > 0.0 && self.rng.gen_bool(drop_p) {
-            self.metrics.dropped += 1;
-            return;
-        }
-        let dup_p = self.cfg.faults.dup_prob();
-        let duplicate = dup_p > 0.0 && self.rng.gen_bool(dup_p);
-        let lat = self.cfg.model_for(channel).sample(&mut self.rng);
-        let at = self.now + lat;
-        // Only the rare duplicated leg pays for a copy of the message.
-        let copy = duplicate.then(|| msg.clone());
-        self.push(
-            at,
-            EventKind::Deliver {
-                from,
-                to,
-                channel,
-                msg,
-                stamp,
-            },
-        );
-        if let Some(msg) = copy {
-            self.metrics.duplicated += 1;
-            let lat2 = self.cfg.model_for(channel).sample(&mut self.rng);
-            self.push(
-                self.now + lat2,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    channel,
-                    msg,
-                    stamp,
-                },
-            );
-        }
+        self.sched.queue.is_empty()
     }
 }
 

@@ -21,9 +21,9 @@
 //!   every machine in a cluster (the threaded driver invokes actors from
 //!   multiple threads).
 //!
-//! Consumers either collect events in memory with [`RecordingTracer`] or
-//! stream them elsewhere with a custom [`Tracer`] impl (the bench crate
-//! ships a JSON-lines sink).
+//! Consumers either collect events in memory with [`RecordingTracer`] (the
+//! figures write its records out as JSON lines) or stream them elsewhere
+//! with a custom [`Tracer`] impl (`guesstimate-obs`'s flight recorder).
 
 use std::fmt;
 

@@ -698,8 +698,8 @@ impl Machine {
     /// Reads a shared object's guesstimated state, isolated from concurrent
     /// synchronizer writes (`BeginRead`/`EndRead`).
     ///
-    /// The closure runs while the machine is exclusively held (both drivers
-    /// serialize access to the actor), which is exactly the isolation the
+    /// The closure runs while the machine is exclusively held (every driver
+    /// serializes access to the actor), which is exactly the isolation the
     /// paper's read window provides. Returns `None` if the object is absent
     /// or of a different type.
     pub fn read<T: GState, R>(&self, id: ObjectId, f: impl FnOnce(&T) -> R) -> Option<R> {

@@ -92,8 +92,8 @@ impl GState for Slots {
 
 /// Registry with `Slots` and two methods:
 /// * `put(key, v)` — writes one slot, with a declared per-key footprint;
-/// * `raw_put(key, v)` — same behavior but **no** declared effect, so the
-///   replay-skip judgment cannot reason about it.
+/// * `raw_put(key, v)` — same behavior but **no** declared effect, so no
+///   commutation judgment can reason about it.
 pub fn slots_registry() -> OpRegistry {
     let mut r = OpRegistry::new();
     r.register_type::<Slots>();

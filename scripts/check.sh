@@ -75,9 +75,12 @@ loc_table() {
 # the three figures that write traces and metrics, the figures that only
 # print (fig7, the three ablations, scalability and the specification
 # table), the shard-plan archive, the `obs` report over fig5's trace and
-# spans, and an `mc --replay` of a copy of a violating schedule (which
-# writes its postmortem beside the copy). Every stdout, and mc's exit
-# status, lands in a file there too.
+# spans, an `mc --replay` of a copy of a violating schedule (which writes
+# its postmortem beside the copy), and the model checker's exploration of
+# every scenario row at 400 schedules (schedules, pruned, ratio, depth and
+# steps; no timings), so a change to `SchedNet`, the roles or mc shows as a
+# differing file. Every stdout, and each mc run's exit status, lands in a
+# file there too.
 artifacts_side() {
     (cd "$1" && cargo build --release --offline -q -p guesstimate-bench \
         -p guesstimate-analysis -p guesstimate-obs -p guesstimate-mc --bins)
@@ -107,6 +110,9 @@ artifacts_side() {
         status=0
         "$bin/mc" --replay replay.json >mc.stdout || status=$?
         echo "$status" >mc.status
+        status=0
+        "$bin/mc" --preset all --max-schedules 400 >mc_explore.stdout || status=$?
+        echo "$status" >mc_explore.status
     )
 }
 
@@ -259,9 +265,10 @@ while [ $# -gt 0 ]; do
     # The artifacts a change must leave byte-identical, against a parent
     # revision: fig5 / fig6 / failure_recovery traces, metrics, Chrome
     # traces and spans, the stdout of every figure binary, the shard-plan
-    # archive, the `obs --json` report and an `mc --replay` postmortem, all
-    # built and run on both sides under target/artifacts/ (a release build
-    # of each side). Not in the default list: it takes a revision.
+    # archive, the `obs --json` report, an `mc --replay` postmortem and the
+    # stdout of `mc --preset all --max-schedules 400`, all built and run on
+    # both sides under target/artifacts/ (a release build of each side). Not
+    # in the default list: it takes a revision.
     artifacts)
         [ $# -gt 0 ] || {
             echo "check.sh: artifacts needs a revision to compare with" >&2
