@@ -89,7 +89,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         match a.as_str() {
             "--list" => {
                 for p in PRESETS {
-                    let flush = if p.parallel_flush {
+                    let flush = if p.flush.parallel() {
                         "parallel"
                     } else {
                         "serial"

@@ -16,16 +16,16 @@
 //!
 //! Layout:
 //!
-//! * [`scenario`] — the scenario table (small clusters with conflicting
-//!   workloads), the deterministic prelude, and the [`Cluster`] interface
-//!   every built scenario hands the shared harness.
+//! * [`scenario`] — the scenario table, one row of data per scenario, and
+//!   the one harness ([`Built`]) that builds any row and drives it as a
+//!   [`Cluster`], with a [`scenario::Node`] impl per node kind.
 //! * [`schedule`] — the choice alphabet ([`Step`]) and the replayable
 //!   JSON schedule file format.
 //! * [`mod@explore`] — the DFS explorer, the independence relation, and
 //!   schedule replay, for every scenario alike.
-//! * [`mod@multigroup`] — what only the `cross-group` scenario has: the
-//!   multi-group [`guesstimate_runtime::MultiMachine`] fixture, per-group
-//!   prefix oracles, and the coordinated cross-round oracle.
+//! * [`mod@multigroup`] — what only the `cross-group` rows have: the
+//!   `XPair` fixture and `MultiMachine`'s `Node` impl, with the
+//!   coordinated cross-round oracle.
 //! * [`oracle`] — step/terminal oracles and the state digest.
 //! * [`shrink`] — ddmin minimization of failing schedules.
 //!
@@ -42,7 +42,7 @@ pub mod shrink;
 
 pub use explore::{explore, replay, replay_traced, ExploreConfig, Outcome, ReplayReport};
 pub use multigroup::CROSS_GROUP;
-pub use oracle::{check_step, check_terminal, state_digest, Violation};
-pub use scenario::{Built, Cluster, Preset, MISKEYED, PRESETS, SNEAKY};
+pub use oracle::{check_terminal, Violation};
+pub use scenario::{Built, Cluster, Flush, Preset, MISKEYED, PRESETS, SNEAKY};
 pub use schedule::{Schedule, Step, TamperSpec};
 pub use shrink::minimize;

@@ -1,12 +1,13 @@
-//! Model checking the multi-group synchronizer: the `cross-group` preset.
+//! Model checking the multi-group synchronizer: what the `cross-group`
+//! rows have that no single-group row does.
 //!
-//! The single-group presets drive bare [`guesstimate_runtime::Machine`]s;
-//! this module drives [`MultiMachine`] wrappers — one full round-protocol
+//! The single-group rows drive bare [`guesstimate_runtime::Machine`]s;
+//! these drive [`MultiMachine`] wrappers — one full round-protocol
 //! instance per sync group behind every node — through the same
-//! controlled scheduler, exploring the interleavings that only exist in
-//! multi-group mode: two groups' rounds racing each other, a
-//! cross-routed operation's `CrossSubmit` hop, the coordinator's marker
-//! issue, per-group marker commits landing in either order, and the
+//! controlled scheduler and the same harness, exploring the interleavings
+//! that only exist in multi-group mode: two groups' rounds racing each
+//! other, a cross-routed operation's `CrossSubmit` hop, the coordinator's
+//! marker issue, per-group marker commits landing in either order, and the
 //! fence-buffered replay after the coordinated round resolves.
 //!
 //! The fixture is the minimal two-component type: `XPair` holds fields
@@ -33,27 +34,29 @@
 //! have resolved every submitted cross operation, hold no fenced group,
 //! and agree on the merged committed digest.
 //!
-//! Everything else — the DFS, the sleep sets, replay, ddmin, the report
-//! and the gates — is the shared harness: [`CrossBuilt`] implements
-//! [`Cluster`], and the preset sits in the scenario table under the name
-//! [`CROSS_GROUP`]. Its delivery reduction is the conservative one
-//! (deliveries to distinct nodes are independent — a delivery only
-//! mutates its target wrapper; same-node deliveries are dependent).
+//! The harness ([`Built`]) and the rows are shared; this module is the
+//! fixture and `MultiMachine`'s [`Node`] impl. Its delivery reduction is
+//! the conservative one (deliveries to distinct nodes are independent — a
+//! delivery only mutates its target wrapper; same-node deliveries are
+//! dependent).
 
 use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use guesstimate_core::{
-    args, ComponentPlan, EffectSpec, Footprint, GState, MachineId, OpRegistry, PathPattern,
-    RestoreError, Routing, ShardPlan, SharedOp, TypePlan, Value,
+    ComponentPlan, EffectSpec, Footprint, GState, OpRegistry, PathPattern, RestoreError, Routing,
+    ShardPlan, SharedOp, TypePlan, Value,
 };
-use guesstimate_net::{SchedNet, SimTime, Tracer};
-use guesstimate_runtime::multigroup::{vid, GroupId, GroupTable, MultiClusterSpec, MultiMachine};
-use guesstimate_runtime::{Machine, MachineConfig, StateSummary};
+use guesstimate_net::{Ctx, TamperHook, Tracer};
+use guesstimate_runtime::multigroup::{
+    GMsg, GroupId, GroupRoute, GroupTable, IssueOutcome, MultiClusterSpec, MultiMachine,
+};
+use guesstimate_runtime::{Machine, MachineConfig};
 
-use crate::oracle::{check_machine, check_pair, digest_of, Violation};
-use crate::scenario::{exec_step, run_prelude, Cluster, Preset};
-use crate::schedule::{Step, TamperSpec};
+use crate::oracle::Violation;
+use crate::scenario::{Built, Node};
+use crate::schedule::TamperSpec;
 
 /// The multi-group preset's name in schedule files and `mc --preset`.
 pub const CROSS_GROUP: &str = "cross-group";
@@ -88,8 +91,8 @@ impl GState for XPair {
     }
 }
 
-fn registry() -> OpRegistry {
-    let mut r = OpRegistry::new();
+/// Installs `XPair` and its three operations.
+pub fn register(r: &mut OpRegistry) {
     r.register_type::<XPair>();
     r.register_with_effects::<XPair>(
         "bump_a",
@@ -119,7 +122,6 @@ fn registry() -> OpRegistry {
             true
         },
     );
-    r
 }
 
 /// The hand-built two-component plan (what the shard-partition analysis
@@ -158,312 +160,138 @@ pub fn plan() -> Arc<ShardPlan> {
     Arc::new(plan)
 }
 
-/// The built cross-group scenario, ready for exploration or replay.
-#[derive(Debug)]
-pub struct CrossBuilt {
-    /// The multi-group cluster under the controlled scheduler.
-    pub net: SchedNet<MultiMachine>,
-    /// Each group master's sync count at which the explored window ends
-    /// (its count at the end of the prelude plus the preset's `rounds`).
-    pub target_rounds: BTreeMap<GroupId, u64>,
-    /// Rounds a schedule may begin under another, in each group
-    /// ([`Preset::tick_budget`]); the groups' ticks fall due together, so a
-    /// group whose tick fires on the other's allowance can run one over.
-    tick_budget: u32,
-    /// The `-overlap` rows' second wave, not yet issued: `(node, group,
-    /// op)`, issued the moment the node has flushed the group's first
-    /// explored round.
-    wave: Vec<(u32, GroupId, SharedOp)>,
+/// A `CrossRound` violation.
+fn cross_round(detail: String) -> Option<Violation> {
+    Some(Violation::CrossRound { detail })
 }
 
-/// Builds the cross-group cluster — `preset.eager` fully-overlapping
-/// nodes, each hosting both groups — runs the deterministic prelude
-/// (joins of both groups plus the fixture object's per-group creates),
-/// and injects the workload: one conflicting local op per group and one
-/// cross-routed `mix` whose `CrossSubmit` is in flight when exploration
-/// starts.
-///
-/// # Errors
-///
-/// Fails closed on a `tamper` spec: the hook rewrites single-group
-/// `Msg::Ops` batches, which the multi-group envelopes do not expose.
-///
-/// # Panics
-///
-/// Panics if the prelude fails to converge — a harness or protocol bug,
-/// not an explorable behavior.
-pub fn build(preset: &Preset, tamper: Option<TamperSpec>) -> Result<CrossBuilt, String> {
-    if tamper.is_some() {
-        return Err(format!(
-            "scenario `{CROSS_GROUP}` cannot install a tamper hook"
-        ));
-    }
-    let nodes = preset.eager;
-    let table = Arc::new(GroupTable::from_plan(plan()));
-    let spec = MultiClusterSpec::full_overlap(nodes, Arc::clone(&table));
-    let registry = Arc::new(registry());
-    let cfg = MachineConfig::default()
-        .with_sync_period(SimTime::from_millis(100))
-        .with_join_retry(SimTime::from_millis(300))
-        .with_stall_timeout(SimTime::from_millis(500))
-        .with_paranoid_checks(true)
-        .with_parallel_flush(preset.parallel_flush)
-        .with_shard_plan(plan());
-
-    let mut net: SchedNet<MultiMachine> = SchedNet::new();
-    for i in 0..nodes {
-        net.add_machine(MachineId::new(i), spec.build_node(i, &registry, &cfg));
+/// The multi-group node: one protocol instance per hosted sync group, the
+/// coordinated cross round on top.
+impl Node for MultiMachine {
+    /// Every node hosts every group of the row's plan; node 0 masters each
+    /// and coordinates cross operations.
+    fn boot(i: u32, registry: &Arc<OpRegistry>, cfg: &MachineConfig) -> Self {
+        let plan = cfg
+            .shard_plan
+            .clone()
+            .expect("a multi-group row installs a plan");
+        let table = Arc::new(GroupTable::from_plan(plan));
+        MultiClusterSpec::full_overlap(i + 1, table).build_node(i, registry, cfg)
     }
 
-    let mut obj = None;
-    net.call(MachineId::new(0), |mm, ctx| {
-        obj = Some(mm.create_instance(XPair::default(), ctx));
-    });
-    let obj = obj.expect("node 0 exists");
+    fn instances(&self) -> impl Iterator<Item = (GroupId, &Machine)> {
+        let groups = self.group_ids().into_iter();
+        groups.map(|g| (g, self.group(g).expect("hosted")))
+    }
 
-    // Every node has joined both groups and committed both per-group
-    // creates.
-    let num_groups = u64::from(table.num_groups());
-    run_prelude(&mut net, |net| {
-        net.members().iter().all(|&id| {
-            let mm = net.actor(id).expect("node added");
-            mm.all_joined() && mm.committed_total() == num_groups
-        })
-    });
-
-    // The workload: one local conflict seed per group, plus the cross op.
-    net.call(MachineId::new(1), |mm, ctx| {
-        mm.issue(SharedOp::primitive(obj, "bump_a", args![2]), None, ctx)
-            .expect("bump_a routes to a hosted group");
-    });
-    net.call(MachineId::new(2), |mm, ctx| {
-        mm.issue(SharedOp::primitive(obj, "bump_b", args![3]), None, ctx)
-            .expect("bump_b routes to a hosted group");
-    });
-    net.call(MachineId::new(1), |mm, ctx| {
-        mm.issue(SharedOp::primitive(obj, "mix", args![1]), None, ctx)
-            .expect("mix cross-submits");
-    });
-
-    let node0 = net.actor(MachineId::new(0)).expect("node 0");
-    let target_rounds = node0
-        .group_ids()
-        .into_iter()
-        .map(|g| {
-            let base = node0.group(g).expect("hosted").stats().syncs_seen;
-            (g, base + preset.rounds)
-        })
-        .collect();
-    // One more local operation per group, from the node that did not issue
-    // the first, for the round begun under the first.
-    let groups = node0.group_ids();
-    let mut wave = vec![
-        (2, groups[0], SharedOp::primitive(obj, "bump_a", args![5])),
-        (1, groups[1], SharedOp::primitive(obj, "bump_b", args![7])),
-    ];
-    wave.retain(|_| preset.tick_budget > 0);
-    Ok(CrossBuilt {
-        net,
-        target_rounds,
-        tick_budget: preset.tick_budget,
-        wave,
-    })
-}
-
-/// Every protocol instance of the cluster under its virtual id, ordered
-/// by node then group.
-fn instances(net: &SchedNet<MultiMachine>) -> impl Iterator<Item = (MachineId, &Machine)> {
-    net.members().into_iter().flat_map(move |id| {
-        let mm = net.actor(id).expect("member");
-        let of = move |g| (vid(id, g), mm.group(g).expect("hosted"));
-        mm.group_ids().into_iter().map(of)
-    })
-}
-
-impl CrossBuilt {
-    /// Issues the second-wave operations whose node has just flushed its
-    /// group's first explored round (see `Built::inject_wave`; nothing is
-    /// lost here, so the first round a node is in is the first explored).
-    fn inject_wave(&mut self) {
-        let flushed = |net: &SchedNet<MultiMachine>, node: u32, g: GroupId| {
-            let mm = net.actor(MachineId::new(node)).expect("node");
-            mm.group(g).is_some_and(|m| m.flushed_round().is_some())
-        };
-        let (now, later) = std::mem::take(&mut self.wave)
-            .into_iter()
-            .partition(|(node, g, _)| flushed(&self.net, *node, *g));
-        self.wave = later;
-        for (node, _, op) in now {
-            self.net.call(MachineId::new(node), |mm, ctx| {
-                mm.issue(op, None, ctx).expect("routes to a hosted group");
-            });
+    /// Every group instance takes the hybrid path its configuration says.
+    fn inject(&mut self, op: SharedOp, _: bool, ctx: &mut Ctx<'_, GMsg>) -> bool {
+        match self.issue(op, None, ctx).expect("routes to a hosted group") {
+            IssueOutcome::Local(took) => took,
+            IssueOutcome::CrossPending => true,
         }
     }
-}
 
-impl Cluster for CrossBuilt {
-    fn exec(&mut self, s: Step) -> bool {
-        let applied = exec_step(&mut self.net, s);
-        self.inject_wave();
-        applied
-    }
-    fn pending_msgs(&self) -> Vec<u64> {
-        self.net.pending_msgs()
-    }
-    fn pending_joins(&self) -> Vec<u64> {
-        self.net.pending_joins()
-    }
-    fn has_timers(&self) -> bool {
-        self.net.has_timers()
-    }
-
-    fn overlap_tick_ready(&self) -> bool {
-        let due = self.net.next_timer_due();
-        let ready = |(_, m): (_, &Machine)| {
-            m.stats().rounds_overlapped < u64::from(self.tick_budget)
-                && m.overlap_tick_due().is_some_and(|t| Some(t) == due)
+    fn flushed_for(&self, op: &SharedOp) -> bool {
+        let type_of = |id| {
+            let mut hosted = self.instances();
+            hosted.find_map(|(_, m)| m.object_type(id).map(str::to_owned))
         };
-        instances(&self.net).any(ready)
+        let groups = match self.table().route(op, &type_of) {
+            GroupRoute::Local(g) => vec![g],
+            GroupRoute::Cross(groups) => groups,
+        };
+        let flushed = |g| self.group(g).is_some_and(|m| m.flushed_round().is_some());
+        groups.into_iter().all(flushed)
     }
 
-    /// Every group's master has run its target rounds, every node has
-    /// resolved every submitted cross operation, and no fences remain.
-    fn window_done(&self) -> bool {
-        let node0 = self.net.actor(MachineId::new(0)).expect("node 0");
-        let rounds_ok = self.target_rounds.iter().all(|(&g, &target)| {
-            node0
-                .group(g)
-                .is_some_and(|m| m.stats().syncs_seen >= target)
-        });
-        rounds_ok
-            && self.net.members().iter().all(|&id| {
-                let mm = self.net.actor(id).expect("member");
-                mm.cross_resolved() == CROSS_OPS && mm.frozen_groups().is_empty()
-            })
+    fn trace_to(&mut self, tracer: Arc<dyn Tracer>) {
+        self.set_tracer(tracer);
+    }
+
+    /// Fails closed: the hook rewrites single-group `Msg::Ops` batches,
+    /// which the multi-group envelopes do not expose.
+    fn tamper(_: TamperSpec) -> Option<TamperHook<GMsg>> {
+        None
     }
 
     /// Deliveries to different nodes are independent: a delivery mutates
     /// only its target wrapper (and mints new messages, whose seq
     /// numbering the stable per-node choice identity absorbs — same
     /// argument as for single-group clusters).
-    fn deliveries_independent(&self, x: u64, y: u64) -> bool {
-        match (self.net.pending_msg(x), self.net.pending_msg(y)) {
+    fn deliveries_independent(built: &Built<Self>, x: u64, y: u64) -> bool {
+        match (built.net.pending_msg(x), built.net.pending_msg(y)) {
             (Some(px), Some(py)) => px.to != py.to,
             _ => false,
         }
     }
 
-    /// The per-step oracles described in the module docs.
-    fn check_step(&self) -> Option<Violation> {
-        let net = &self.net;
-        if let Some(v) = instances(net).find_map(|(id, m)| check_machine(id, m)) {
-            return Some(v);
-        }
-        let ids = net.members();
-        for &id in &ids {
-            let mm = net.actor(id).expect("member");
-            if mm.cross_resolved() > CROSS_OPS {
-                return Some(Violation::CrossRound {
-                    detail: format!(
-                        "node {id} resolved {} coordinated rounds for {CROSS_OPS} submissions",
-                        mm.cross_resolved()
-                    ),
-                });
+    /// Every cross operation resolved exactly once on every node, no fences
+    /// left, and merged committed state agreeing cluster-wide.
+    fn check_terminal(built: &Built<Self>) -> Option<Violation> {
+        let nodes: Vec<&Self> = built.nodes().collect();
+        for mm in &nodes {
+            let (id, resolved, fenced) = (mm.node(), mm.cross_resolved(), mm.frozen_groups());
+            if resolved != CROSS_OPS {
+                return cross_round(format!(
+                    "terminal state: node {id} resolved {resolved} of {CROSS_OPS} coordinated rounds"
+                ));
+            }
+            if !fenced.is_empty() {
+                return cross_round(format!("terminal state: node {id} still fences {fenced:?}"));
             }
         }
-        for (i, &a) in ids.iter().enumerate() {
-            for &b in &ids[i + 1..] {
-                let na = net.actor(a).expect("member");
-                let nb = net.actor(b).expect("member");
-                for g in na.group_ids() {
-                    let (Some(ma), Some(mb)) = (na.group(g), nb.group(g)) else {
-                        continue;
-                    };
-                    // A resolution rewrites committed component copies
-                    // outside the group's round, so digests are comparable
-                    // only between nodes at the same resolution count with
-                    // the group unfenced on both.
-                    let comparable = na.cross_resolved() == nb.cross_resolved()
-                        && !na.frozen_groups().contains(&g)
-                        && !nb.frozen_groups().contains(&g);
-                    let v = check_pair(vid(a, g), ma, vid(b, g), mb, false, comparable);
-                    if v.is_some() {
-                        return v;
-                    }
-                }
-                if na.cross_resolved() == nb.cross_resolved()
-                    && na.cross_digest() != nb.cross_digest()
-                {
-                    return Some(Violation::CrossRound {
-                        detail: format!(
-                            "nodes {a} and {b} resolved {} coordinated rounds with different \
-                             (xid, result) digests",
-                            na.cross_resolved()
-                        ),
-                    });
-                }
+        let d0 = nodes[0].merged_committed_digest();
+        let mm = nodes[1..]
+            .iter()
+            .find(|mm| mm.merged_committed_digest() != d0)?;
+        cross_round(format!(
+            "terminal state: node {} disagrees on the merged committed digest",
+            mm.node()
+        ))
+    }
+
+    /// Every submitted cross operation resolved here and no fence left.
+    fn settled(&self) -> bool {
+        self.cross_resolved() == CROSS_OPS && self.frozen_groups().is_empty()
+    }
+
+    /// A resolution rewrites committed component copies outside the
+    /// group's round, so digests are comparable only between nodes at the
+    /// same resolution count with the group unfenced on both.
+    fn comparable(&self, other: &Self, g: GroupId) -> bool {
+        self.cross_resolved() == other.cross_resolved()
+            && !self.frozen_groups().contains(&g)
+            && !other.frozen_groups().contains(&g)
+    }
+
+    /// The cross-round oracle described in the module docs.
+    fn check_nodes(nodes: &[&Self]) -> Option<Violation> {
+        if let Some(mm) = nodes.iter().find(|mm| mm.cross_resolved() > CROSS_OPS) {
+            let (id, resolved) = (mm.node(), mm.cross_resolved());
+            return cross_round(format!(
+                "node {id} resolved {resolved} coordinated rounds for {CROSS_OPS} submissions"
+            ));
+        }
+        for (i, na) in nodes.iter().enumerate() {
+            let (resolved, digest) = (na.cross_resolved(), na.cross_digest());
+            let differs =
+                |nb: &&&Self| nb.cross_resolved() == resolved && nb.cross_digest() != digest;
+            if let Some(nb) = nodes[i + 1..].iter().find(differs) {
+                return cross_round(format!(
+                    "nodes {} and {} resolved {resolved} coordinated rounds with different \
+                     (xid, result) digests",
+                    na.node(),
+                    nb.node()
+                ));
             }
         }
         None
     }
 
-    /// The terminal oracles: every cross operation resolved exactly once on
-    /// every node, no fences left, and merged committed state agreeing
-    /// cluster-wide.
-    fn check_terminal(&self) -> Option<Violation> {
-        let net = &self.net;
-        let ids = net.members();
-        for &id in &ids {
-            let mm = net.actor(id).expect("member");
-            if mm.cross_resolved() != CROSS_OPS {
-                return Some(Violation::CrossRound {
-                    detail: format!(
-                        "terminal state: node {id} resolved {} of {CROSS_OPS} coordinated rounds",
-                        mm.cross_resolved()
-                    ),
-                });
-            }
-            if !mm.frozen_groups().is_empty() {
-                return Some(Violation::CrossRound {
-                    detail: format!(
-                        "terminal state: node {id} still fences {:?}",
-                        mm.frozen_groups()
-                    ),
-                });
-            }
-        }
-        let d0 = net.actor(ids[0]).expect("member").merged_committed_digest();
-        for &id in &ids[1..] {
-            if net.actor(id).expect("member").merged_committed_digest() != d0 {
-                return Some(Violation::CrossRound {
-                    detail: format!(
-                        "terminal state: node {id} disagrees on the merged committed digest"
-                    ),
-                });
-            }
-        }
-        None
-    }
-
-    fn state_digest(&self) -> u64 {
-        let node = |id| self.net.actor(id).expect("member");
-        let cross = |id| (node(id).cross_resolved(), node(id).cross_digest());
-        let cross: Vec<_> = self.net.members().into_iter().map(cross).collect();
-        digest_of(instances(&self.net), cross)
-    }
-
-    fn summaries(&self) -> Vec<StateSummary> {
-        let summary = |(_, m): (_, &Machine)| m.state_summary();
-        instances(&self.net).map(summary).collect()
-    }
-
-    fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
-        self.net.set_tracer(tracer.clone());
-        for id in self.net.members() {
-            if let Some(mm) = self.net.actor_mut(id) {
-                mm.set_tracer(tracer.clone());
-            }
-        }
+    fn digest_extra(nodes: &[&Self]) -> impl Hash {
+        let cross = |mm: &&Self| (mm.cross_resolved(), mm.cross_digest());
+        nodes.iter().map(cross).collect::<Vec<_>>()
     }
 }
 
@@ -475,25 +303,8 @@ mod tests {
 
     use super::*;
     use crate::explore::{explore, replay_traced, ExploreConfig};
+    use crate::scenario::Preset;
     use crate::schedule::Schedule;
-
-    /// The `-overlap` row's first path -- the tick as soon as it begins a
-    /// round under another, else the lowest-seq delivery -- has two rounds
-    /// of each group in flight, and both second-wave operations are issued
-    /// and committed inside the explored window.
-    #[test]
-    fn overlap_row_begins_a_group_round_under_another() {
-        let preset = Preset::by_name("cross-group-overlap").expect("in the table");
-        let mut built = build(preset, None).expect("no tamper to refuse");
-        assert_eq!(built.wave.len(), 2);
-        crate::scenario::walk_overlap_path(&mut built);
-        assert!(built.wave.is_empty(), "the wave was issued");
-        let overlapped = |(_, m): (_, &Machine)| m.stats().rounds_overlapped;
-        let masters = instances(&built.net).filter(|(_, m)| m.is_master());
-        assert!(masters.map(overlapped).all(|n| n >= 1), "in each group");
-        let pending = |(_, m): (_, &Machine)| m.pending_len();
-        assert_eq!(instances(&built.net).map(pending).sum::<usize>(), 0);
-    }
 
     /// A traced replay reaches the inner machines: the postmortem bundle
     /// carries their protocol events (not just the driver's message

@@ -2,7 +2,7 @@
 //!
 //! Two layers, mirroring the paper's §3 semantics:
 //!
-//! * **Step oracles** ([`check_step`]) run after *every* explored choice:
+//! * **Step oracles** (`Cluster::check_step`) run after *every* explored choice:
 //!   the per-machine guess invariant `sg = [P](sc)`
 //!   ([`Machine::check_guess_invariant`]), the ≤3-executions bound on any
 //!   single operation, an empty per-machine witness-containment log (no
@@ -152,9 +152,10 @@ impl fmt::Display for Violation {
 }
 
 /// The per-machine step oracles every scenario shares: guess invariant,
-/// ≤3 executions, empty witness- and shard-containment logs. `id` names
-/// the machine in the report (its virtual id behind a `MultiMachine`).
-pub(crate) fn check_machine(id: MachineId, m: &Machine) -> Option<Violation> {
+/// ≤3 executions, empty witness- and shard-containment logs. The report
+/// names the machine by its id (its virtual id behind a `MultiMachine`).
+pub(crate) fn check_machine(m: &Machine) -> Option<Violation> {
+    let id = m.id();
     if !m.check_guess_invariant() {
         return Some(Violation::GuessInvariant { machine: id });
     }
@@ -177,40 +178,22 @@ pub(crate) fn check_machine(id: MachineId, m: &Machine) -> Option<Violation> {
     None
 }
 
-/// Runs the per-step oracles over every machine in the cluster.
+/// The pairwise agreement oracles for two instances of one sync group:
+/// prefix-ordered completions always, and equal committed digests once
+/// both completed the same operations — if `comparable`, the caller's
+/// own precondition (`true` where only rounds touch committed state).
 ///
 /// `hybrid` selects the agreement discipline (see the module docs): the
 /// paper's total order over all completions, or — when the scenario runs
 /// the hybrid commit path — a total order over serialized completions
 /// only, with digests compared once the completed sets coincide.
-pub fn check_step(net: &SchedNet<Machine>, hybrid: bool) -> Option<Violation> {
-    let ids = net.members();
-    let machine = |id| net.actor(id).expect("listed member exists");
-    if let Some(v) = ids.iter().find_map(|&id| check_machine(id, machine(id))) {
-        return Some(v);
-    }
-    for (i, &a) in ids.iter().enumerate() {
-        for &b in &ids[i + 1..] {
-            if let Some(v) = check_pair(a, machine(a), b, machine(b), hybrid, true) {
-                return Some(v);
-            }
-        }
-    }
-    None
-}
-
-/// The pairwise agreement oracles for two instances of one sync group:
-/// prefix-ordered completions always, and equal committed digests once
-/// both completed the same operations — if `comparable`, the caller's
-/// own precondition (`true` where only rounds touch committed state).
 pub(crate) fn check_pair(
-    a: MachineId,
     ma: &Machine,
-    b: MachineId,
     mb: &Machine,
     hybrid: bool,
     comparable: bool,
 ) -> Option<Violation> {
+    let (a, b) = (ma.id(), mb.id());
     let (ca, cb) = if hybrid {
         (ma.completed_serialized(), mb.completed_serialized())
     } else {
@@ -310,9 +293,11 @@ pub fn check_terminal(
     None
 }
 
-/// A deterministic digest of the cluster's observable state, used to prove
-/// the partial-order reduction sound on small scenarios: exploring with
-/// and without reduction must visit the same *set* of terminal digests.
+/// A deterministic digest of the cluster's observable state — its
+/// protocol instances plus whatever `extra` state the node kind observes —
+/// used to prove the partial-order reduction sound on small scenarios:
+/// exploring with and without reduction must visit the same *set* of
+/// terminal digests.
 ///
 /// The serialized completion sequence is hashed in order (it is the
 /// paper's total order); the full completed set is hashed *sorted*,
@@ -321,20 +306,7 @@ pub fn check_terminal(
 /// equivalent differ only in that order, and by construction reach the
 /// same committed state. On non-hybrid scenarios the two sequences
 /// coincide, so nothing is lost.
-pub fn state_digest(net: &SchedNet<Machine>) -> u64 {
-    let ids = net.members();
-    digest_of(
-        ids.iter().map(|&id| (id, net.actor(id).expect("member"))),
-        (),
-    )
-}
-
-/// [`state_digest`] over any set of protocol instances (under the names
-/// they report as) plus whatever `extra` state the scenario observes.
-pub(crate) fn digest_of<'a>(
-    machines: impl Iterator<Item = (MachineId, &'a Machine)>,
-    extra: impl Hash,
-) -> u64 {
+pub(crate) fn digest_of<'a>(machines: impl Iterator<Item = &'a Machine>, extra: impl Hash) -> u64 {
     struct Fnv(u64);
     impl Hasher for Fnv {
         fn finish(&self) -> u64 {
@@ -348,8 +320,8 @@ pub(crate) fn digest_of<'a>(
         }
     }
     let mut h = Fnv(0xCBF2_9CE4_8422_2325);
-    for (id, m) in machines {
-        id.hash(&mut h);
+    for m in machines {
+        m.id().hash(&mut h);
         m.committed_digest().hash(&mut h);
         m.guess_digest().hash(&mut h);
         m.completed_serialized().hash(&mut h);
@@ -365,7 +337,7 @@ pub(crate) fn digest_of<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Preset;
+    use crate::scenario::{Cluster, Preset};
     use guesstimate_core::CommuteMatrix;
 
     #[test]
@@ -373,7 +345,7 @@ mod tests {
         let p = Preset::by_name("sudoku").unwrap();
         let a = p.build_machines(&CommuteMatrix::new(), None);
         let b = p.build_machines(&CommuteMatrix::new(), None);
-        assert_eq!(state_digest(&a.net), state_digest(&b.net));
+        assert_eq!(a.state_digest(), b.state_digest());
 
         // Committing the injected ops must change the digest.
         let mut c = p.build_machines(&CommuteMatrix::new(), None);
@@ -387,6 +359,6 @@ mod tests {
                 assert!(c.net.fire_next_timer());
             }
         }
-        assert_ne!(state_digest(&a.net), state_digest(&c.net));
+        assert_ne!(a.state_digest(), c.state_digest());
     }
 }

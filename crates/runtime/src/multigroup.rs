@@ -693,6 +693,9 @@ impl MultiMachine {
     // Cross-group coordinated rounds
     // ------------------------------------------------------------------
 
+    /// Queues a cross submission on the coordinator. A submission that
+    /// reached any other node is wire input this node cannot sequence: it
+    /// is dropped (resending it is the submitter's job).
     fn accept_cross(&mut self, submit: GMsg) {
         let GMsg::CrossSubmit {
             origin,
@@ -703,10 +706,9 @@ impl MultiMachine {
         else {
             unreachable!("accept_cross takes CrossSubmit");
         };
-        let coord = self
-            .coordinator
-            .as_mut()
-            .expect("cross submission reached a non-coordinator node");
+        let Some(coord) = self.coordinator.as_mut() else {
+            return;
+        };
         coord.queue.push_back((origin, oseq, groups, op));
     }
 
@@ -1401,6 +1403,48 @@ mod tests {
                 .read_committed::<Pair, _>(obj, |p| p.a),
             Some(12)
         );
+    }
+
+    /// A `CrossSubmit` that reaches a node which does not coordinate fails
+    /// closed: the node drops it, resolves nothing, and keeps committing
+    /// local operations in both groups.
+    #[test]
+    fn a_cross_submit_at_a_non_coordinator_is_dropped() {
+        let (mut net, _) = cluster(2);
+        run_multi_until_joined(&mut net, SimTime::from_secs(10));
+        let (n0, n1) = (MachineId::new(0), MachineId::new(1));
+        let mut obj = None;
+        net.call(n0, |mm, ctx| {
+            obj = Some(mm.create_instance(Pair::default(), ctx));
+        });
+        let obj = obj.unwrap();
+        net.run_until(net.now() + SimTime::from_secs(2));
+
+        let submit = GMsg::CrossSubmit {
+            origin: n0,
+            oseq: 0,
+            groups: vec![0, 1],
+            op: SharedOp::primitive(obj, "mix", args![1]),
+        };
+        net.call(n0, |_, ctx| ctx.send(n1, Channel::Signals, submit));
+        net.run_until(net.now() + SimTime::from_secs(2));
+        net.call(n1, |mm, ctx| {
+            for method in ["bump_a", "bump_b"] {
+                mm.issue(SharedOp::primitive(obj, method, args![1]), None, ctx)
+                    .unwrap();
+            }
+        });
+        net.run_until(net.now() + SimTime::from_secs(2));
+
+        for i in 0..2 {
+            let mm = net.actor(MachineId::new(i)).unwrap();
+            assert_eq!(mm.cross_resolved(), 0, "node {i}");
+            assert_eq!(
+                mm.read_committed::<Pair, _>(obj, |p| (p.a, p.b)),
+                Some((1, 1)),
+                "node {i}"
+            );
+        }
     }
 
     #[test]

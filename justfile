@@ -55,7 +55,7 @@ perf-check:
 perf-pairs:
     ./scripts/check.sh perf-pairs
 
-# Figure, analysis, obs, replay and mc-exploration artifacts byte-identical to revision `rev` (release builds of both sides).
+# Figure, analysis, obs, replay, mc-exploration, `mc --list` and hidden-row (sneaky, miskeyed) artifacts byte-identical to revision `rev` (release builds of both sides).
 artifacts rev:
     ./scripts/check.sh artifacts {{rev}}
 

@@ -76,9 +76,11 @@ loc_table() {
 # print (fig7, the three ablations, scalability and the specification
 # table), the shard-plan archive, the `obs` report over fig5's trace and
 # spans, an `mc --replay` of a copy of a violating schedule (which writes
-# its postmortem beside the copy), and the model checker's exploration of
+# its postmortem beside the copy), the model checker's exploration of
 # every scenario row at 400 schedules (schedules, pruned, ratio, depth and
-# steps; no timings), so a change to `SchedNet`, the roles or mc shows as a
+# steps; no timings), the table's public face (`mc --list`) and its two
+# hidden negative rows (`sneaky`, `miskeyed`: each writes a repro and a
+# postmortem bundle), so a change to `SchedNet`, the roles or mc shows as a
 # differing file. Every stdout, and each mc run's exit status, lands in a
 # file there too.
 artifacts_side() {
@@ -113,6 +115,12 @@ artifacts_side() {
         status=0
         "$bin/mc" --preset all --max-schedules 400 >mc_explore.stdout || status=$?
         echo "$status" >mc_explore.status
+        "$bin/mc" --list >mc_list.stdout
+        for preset in sneaky miskeyed; do
+            status=0
+            "$bin/mc" --preset "$preset" --out . >"mc_$preset.stdout" || status=$?
+            echo "$status" >"mc_$preset.status"
+        done
     )
 }
 
@@ -160,9 +168,10 @@ step() {
         cmp target/shard_plans.json target/shard_plans_again.json
         ;;
     # Model-checker smoke: a quick bounded exploration of every row of the
-    # scenario table -- 15: five scenarios under the serial flush, the
-    # parallel flush, and the parallel flush with two rounds in flight --
-    # (debug build, small budget) with all oracles armed
+    # scenario table -- 15 rows of data: five scenarios, each under the
+    # serial flush, the parallel flush, and the parallel flush with two
+    # rounds in flight (one `Flush` column), all driven by the one harness
+    # -- (debug build, small budget) with all oracles armed
     # (docs/MODELCHECK.md).
     mc-smoke)
         cargo run -q -p guesstimate-mc --bin mc -- --preset all --max-schedules 400
@@ -265,10 +274,12 @@ while [ $# -gt 0 ]; do
     # The artifacts a change must leave byte-identical, against a parent
     # revision: fig5 / fig6 / failure_recovery traces, metrics, Chrome
     # traces and spans, the stdout of every figure binary, the shard-plan
-    # archive, the `obs --json` report, an `mc --replay` postmortem and the
-    # stdout of `mc --preset all --max-schedules 400`, all built and run on
-    # both sides under target/artifacts/ (a release build of each side). Not
-    # in the default list: it takes a revision.
+    # archive, the `obs --json` report, an `mc --replay` postmortem, the
+    # stdout of `mc --preset all --max-schedules 400` and of `mc --list`,
+    # and the repros, postmortems, stdouts and exit statuses of the hidden
+    # `sneaky` and `miskeyed` rows, all built and run on both sides under
+    # target/artifacts/ (a release build of each side). Not in the default
+    # list: it takes a revision.
     artifacts)
         [ $# -gt 0 ] || {
             echo "check.sh: artifacts needs a revision to compare with" >&2

@@ -360,7 +360,7 @@ fn parallel_flush_losses_recover_as_the_checked_in_schedule_records() {
     use guesstimate_runtime::Msg;
 
     let preset = *Preset::by_name("event_planner-parallel").expect("built-in preset");
-    assert!(preset.parallel_flush && preset.drop_budget >= 2);
+    assert!(preset.flush.parallel() && preset.drop_budget >= 2);
     let matrix = CommuteMatrix::new();
     let mut built = preset.build_machines(&matrix, None);
     let (master, member) = (MachineId::new(0), MachineId::new(1));
@@ -595,7 +595,7 @@ fn drive_overlap(
 ) -> (Built, Schedule) {
     use guesstimate_mc::Cluster;
     let preset = *Preset::by_name(preset).expect("built-in preset");
-    assert!(preset.tick_budget > 0, "{}", preset.name);
+    assert!(preset.tick_budget() > 0, "{}", preset.name);
     let mut built = preset.build_machines(&CommuteMatrix::new(), None);
     let mut steps = Vec::new();
     while !(built.window_done() && built.pending_msgs().is_empty() && settled(&built)) {
