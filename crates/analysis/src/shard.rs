@@ -19,7 +19,7 @@
 //! Three independent validators back the construction: a static sanitizer
 //! ([`sanitize_type_plan`]), a witness-backed escape check reusing the
 //! bounded-exhaustive executor ([`witness_check_type_plan`]), and the
-//! runtime's `paranoid_checks` containment assertion (see
+//! runtime's containment assertion under its `Checks` (see
 //! `guesstimate-runtime`) exercised by the model checker's `ShardEscape`
 //! oracle.
 

@@ -17,7 +17,8 @@ use guesstimate_net::{
     StallWindow, Tracer,
 };
 use guesstimate_runtime::{
-    run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig, MachineStats, SyncSample,
+    run_until_cohort, sim_cluster_instrumented, Flush, Machine, MachineConfig, MachineStats,
+    SyncSample,
 };
 use guesstimate_spec::{verify_suite, CaseSpace, VerificationReport};
 use guesstimate_telemetry::Telemetry;
@@ -56,10 +57,10 @@ pub struct SessionConfig {
     pub activity: ActivityLevel,
     /// RNG seed.
     pub seed: u64,
-    /// Stage-1 flush mode. `false` — the paper's serial turn-taking — in
+    /// Stage-1 flush mode: the paper's serial turn-taking in
     /// [`SessionConfig::paper_default`]; ablation A1 and `scalability` turn
     /// on the parallel flush the runtime itself defaults to.
-    pub parallel_flush: bool,
+    pub flush: Flush,
 }
 
 impl SessionConfig {
@@ -76,7 +77,7 @@ impl SessionConfig {
                 mean_think: SimTime::from_secs(2),
             },
             seed,
-            parallel_flush: false,
+            flush: Flush::Serial,
         }
     }
 }
@@ -91,7 +92,7 @@ fn paper_machine_config() -> MachineConfig {
     MachineConfig::default()
         .with_sync_period(SimTime::from_millis(250))
         .with_stall_timeout(SimTime::from_secs(3))
-        .with_parallel_flush(false)
+        .with_flush(Flush::Serial)
 }
 
 /// The paper's mesh: LAN latency around 30 ms a hop.
@@ -239,7 +240,7 @@ pub fn run_session(
     let mcfg = paper_machine_config()
         .with_stall_timeout(cfg.stall_timeout)
         .with_join_retry(SimTime::from_millis(700))
-        .with_parallel_flush(cfg.parallel_flush)
+        .with_flush(cfg.flush)
         // Sudoku's analysis-derived shard plan rides along so the
         // per-shard and Cross-route commit counters are live (the fig5 /
         // fig6 footer rows); routing is note-and-count only, so the
@@ -397,6 +398,12 @@ pub fn run_fig5(
     tracer: Option<Arc<dyn Tracer>>,
     telemetry: Telemetry,
 ) -> SessionResult {
+    run_session(&fig5_session(seed, duration), tracer, telemetry)
+}
+
+/// The session [`run_fig5`] runs: 8 users on the paper's configuration,
+/// with two long stalls a third of `duration` apart.
+pub fn fig5_session(seed: u64, duration: SimTime) -> SessionConfig {
     let mut cfg = SessionConfig::paper_default(8, seed);
     cfg.duration = duration;
     // Long stalls on two different machines, far apart; each blocks a round
@@ -415,7 +422,7 @@ pub fn run_fig5(
             third + third,
             third + third + SimTime::from_secs(30),
         ));
-    run_session(&cfg, tracer, telemetry)
+    cfg
 }
 
 // ---------------------------------------------------------------------
@@ -522,7 +529,7 @@ pub fn run_flush_sweep(
             cfg.activity = ActivityLevel::Idle;
             cfg.stall_timeout = stall_timeout;
             let serial = run_session(&cfg, None, Telemetry::noop());
-            cfg.parallel_flush = true;
+            cfg.flush = Flush::Parallel;
             let parallel = run_session(&cfg, None, Telemetry::noop());
             let mean_sync =
                 |r: &SessionResult| r.mean_sync_excluding(cutoff).expect("rounds measured");

@@ -31,10 +31,11 @@ pub mod workload;
 
 pub use artifacts::{record_figure, Recorded};
 pub use experiments::{
-    histogram, run_consistency_spectrum, run_fig5, run_fig6, run_fig7, run_flush_sweep,
-    run_hybrid_lag, run_hybrid_session, run_responsiveness, run_session, run_spec_table,
-    spec_table_total, ActivityLevel, Fig6Row, Fig7Row, FlushSweepRow, HistogramBucket,
-    HybridLagRow, ResponsivenessRow, SessionConfig, SessionResult, SpecTableRow, SpectrumRow,
+    fig5_session, histogram, run_consistency_spectrum, run_fig5, run_fig6, run_fig7,
+    run_flush_sweep, run_hybrid_lag, run_hybrid_session, run_responsiveness, run_session,
+    run_spec_table, spec_table_total, ActivityLevel, Fig6Row, Fig7Row, FlushSweepRow,
+    HistogramBucket, HybridLagRow, ResponsivenessRow, SessionConfig, SessionResult, SpecTableRow,
+    SpectrumRow,
 };
 pub use shard_balance::{render_shard_balance, shard_balance_rows, ShardBalanceRow};
 pub use trace::{render_timelines, summarize_rounds, RoundTimeline};

@@ -16,11 +16,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use guesstimate_bench::{
-    run_consistency_spectrum, run_fig5, run_fig7, run_hybrid_lag, run_hybrid_session,
-    run_responsiveness, run_spec_table, shard_balance_rows, spec_table_total,
+    fig5_session, run_consistency_spectrum, run_fig5, run_fig7, run_hybrid_lag, run_hybrid_session,
+    run_responsiveness, run_session, run_spec_table, shard_balance_rows, spec_table_total,
 };
 use guesstimate_net::{RecordingTracer, SimTime, TraceEvent, TraceRecord, Tracer};
 use guesstimate_obs::{record_to_json, report, validate_postmortem, FlightRecorder, TeeTracer};
+use guesstimate_runtime::Flush;
 use guesstimate_telemetry::Telemetry;
 
 const SEED: u64 = 42;
@@ -103,6 +104,37 @@ fn render_fig5() -> String {
     }
     out.kv("fig5.postmortem_events", postmortem.events);
     out.kv("fig5.postmortem_ok", postmortem.hb_ok);
+    out.0
+}
+
+/// The same session under the parallel flush the runtime ships: every
+/// other section runs the paper's serial turns.
+fn render_fig5_parallel() -> String {
+    let mut out = Rendering::default();
+    let tracer = Arc::new(RecordingTracer::new());
+    let telemetry = Telemetry::new();
+    let mut cfg = fig5_session(SEED, SimTime::from_secs(60));
+    cfg.flush = Flush::Parallel;
+    let run = run_session(&cfg, Some(tracer.clone()), telemetry.clone());
+    let records = tracer.take();
+    let report = obs_report(&records, &telemetry);
+
+    out.heading(format_args!(
+        "fig5_parallel: 8 users, 2 grids, 60 s, seed {SEED}; the fig5 session under the parallel flush"
+    ));
+    out.kv("fig5_parallel.synchronizations", run.sync_samples.len());
+    out.kv("fig5_parallel.ops_committed", run.committed);
+    out.kv("fig5_parallel.bytes_sent", run.net.bytes_sent);
+    out.kv("fig5_parallel.bytes_delivered", run.net.bytes_delivered);
+    out.kv("fig5_parallel.trace_events", records.len());
+    out.kv("fig5_parallel.hb_sends", report.hb.sends);
+    out.kv("fig5_parallel.hb_receives", report.hb.receives);
+    out.kv(
+        "fig5_parallel.exact_sum_ok",
+        report.waterfall.verify_exact_sum(),
+    );
+    out.kv("fig5_parallel.max_exec_count", telemetry.max_exec_count());
+    out.kv("fig5_parallel.converged", run.converged);
     out.0
 }
 
@@ -292,8 +324,9 @@ fn target_dir() -> &'static Path {
 #[test]
 fn fixed_seed_sessions_match_the_checked_in_fingerprint() {
     // The sections are independent sessions: run them side by side.
-    let sections: [fn() -> String; 7] = [
+    let sections: [fn() -> String; 8] = [
         render_fig5,
+        render_fig5_parallel,
         render_hybrid,
         render_shards,
         render_spec,

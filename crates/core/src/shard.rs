@@ -5,7 +5,7 @@
 //! the footprint interference graph (each a [`ComponentPlan`] of symbolic
 //! path prefixes) and a per-method [`Routing`] that maps an invocation to a
 //! [`ShardId`] from its arguments alone. The runtime consumes the plan to
-//! route operations and — under `paranoid_checks` — to assert that committed
+//! route operations and — with its `Checks` on — to assert that committed
 //! effects stay inside the routed shard; the future multi-group synchronizer
 //! will consume the same plan to synchronize shards independently.
 //!

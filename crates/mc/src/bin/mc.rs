@@ -37,6 +37,7 @@ use guesstimate_mc::{
     explore, minimize, replay_traced, ExploreConfig, Preset, Schedule, TamperSpec, PRESETS,
 };
 use guesstimate_obs::FlightRecorder;
+use guesstimate_runtime::Flush;
 use guesstimate_telemetry::Telemetry;
 
 struct Args {
@@ -89,10 +90,9 @@ fn parse_args() -> Result<Option<Args>, String> {
         match a.as_str() {
             "--list" => {
                 for p in PRESETS {
-                    let flush = if p.flush.parallel() {
-                        "parallel"
-                    } else {
-                        "serial"
+                    let flush = match p.flush {
+                        Flush::Parallel => "parallel",
+                        Flush::Serial => "serial",
                     };
                     println!("{:<22} {flush:<8} {}", p.name, p.blurb);
                 }

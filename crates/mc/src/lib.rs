@@ -43,6 +43,6 @@ pub mod shrink;
 pub use explore::{explore, replay, replay_traced, ExploreConfig, Outcome, ReplayReport};
 pub use multigroup::CROSS_GROUP;
 pub use oracle::{check_terminal, Violation};
-pub use scenario::{Built, Cluster, Flush, Preset, MISKEYED, PRESETS, SNEAKY};
+pub use scenario::{Built, Cluster, Preset, MISKEYED, PRESETS, SNEAKY};
 pub use schedule::{Schedule, Step, TamperSpec};
 pub use shrink::minimize;

@@ -1,8 +1,9 @@
 //! Checking scenarios: one row of data each, and the one harness that
 //! builds and drives any row.
 //!
-//! A row ([`Preset`]) is all a scenario is: budgets, a [`Flush`] mode and a
-//! [`Workload`] (node kind, application, operations, config deviations).
+//! A row ([`Preset`]) is all a scenario is: budgets, a [`Flush`] mode,
+//! whether its rounds overlap, and a [`Workload`] (node kind, application,
+//! operations, config deviations).
 //! [`Built`] builds it under the controlled scheduler ([`SchedNet`]), runs
 //! a **deterministic prelude** (membership handshakes and the
 //! synchronizations that commit the app object everywhere — identical on
@@ -37,8 +38,8 @@
 //! and each machine issues a second wave of operations the moment it has
 //! flushed the first explored round — so the overlapped round carries
 //! operations issued between a machine's flush and its apply, the ones a
-//! double replay would push past three executions. The three modes are
-//! the one [`Flush`] column.
+//! double replay would push past three executions. The flush mode is the
+//! runtime's own [`Flush`]; the `-overlap` twins add the `overlap` column.
 //!
 //! The `auction` preset stages a third machine whose admission is itself
 //! a choice point (late join at any explored moment); `event_planner`
@@ -60,7 +61,7 @@ use guesstimate_core::{args, CommuteMatrix, MachineId, ObjectId, OpRegistry, Sha
 use guesstimate_net::{Actor, Ctx, PendingMsg, SchedNet, SimTime, TamperHook, Tracer};
 use guesstimate_runtime::commute::wire_ops_commute;
 use guesstimate_runtime::multigroup::{GMsg, GroupId, MultiMachine};
-use guesstimate_runtime::{Machine, MachineConfig, Msg, StateSummary, WireEnvelope};
+use guesstimate_runtime::{Checks, Flush, Machine, MachineConfig, Msg, StateSummary, WireEnvelope};
 
 use crate::multigroup::{self, XPair, CROSS_GROUP};
 use crate::oracle::{self, check_machine, check_pair, digest_of, Violation};
@@ -297,30 +298,6 @@ mod miskeyed {
     }
 }
 
-/// A row's stage-1 flush mode (`MachineConfig::parallel_flush`) and
-/// whether its rounds may overlap. A schedule's `seq` numbers index one
-/// mode's rounds, so each row keeps the mode its checked-in schedules were
-/// recorded under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flush {
-    /// The paper's serial turn-taking.
-    Serial,
-    /// The parallel flush `MachineConfig::default()` ships, one round at a
-    /// time.
-    Parallel,
-    /// The parallel flush with two rounds in flight: every explored round
-    /// after the first may begin under the one before it
-    /// ([`Preset::tick_budget`]), and the row injects its second wave.
-    Overlap,
-}
-
-impl Flush {
-    /// True under either parallel mode.
-    pub fn parallel(self) -> bool {
-        self != Flush::Serial
-    }
-}
-
 /// A row's node kind, with how node 0 creates the application object.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Nodes {
@@ -372,8 +349,14 @@ pub struct Preset {
     pub rounds: u64,
     /// How many messages the explorer may drop per schedule.
     pub drop_budget: u32,
-    /// Stage-1 flush mode, and whether rounds may overlap.
+    /// Stage-1 flush mode. A schedule's `seq` numbers index one mode's
+    /// rounds, so each row keeps the mode its checked-in schedules were
+    /// recorded under.
     pub flush: Flush,
+    /// Two rounds in flight (parallel flush only): every explored round
+    /// after the first may begin under the one before it
+    /// ([`Preset::tick_budget`]), and the row injects its second wave.
+    pub overlap: bool,
     /// One-line description for `mc --list`.
     pub blurb: &'static str,
     /// What the row runs.
@@ -387,6 +370,7 @@ const SUDOKU: Preset = Preset {
     rounds: 2,
     drop_budget: 0,
     flush: Flush::Serial,
+    overlap: false,
     blurb: "3 machines; same-cell update/clear conflict vs disjoint-unit moves",
     workload: Workload {
         register: sudoku::APP.register,
@@ -427,6 +411,7 @@ const AUCTION: Preset = Preset {
     rounds: 2,
     drop_budget: 0,
     flush: Flush::Serial,
+    overlap: false,
     blurb: "2 machines + late joiner; dueling first-bids vs cross-item bids",
     workload: Workload {
         register: auction::APP.register,
@@ -461,6 +446,7 @@ const EVENT_PLANNER: Preset = Preset {
     rounds: 3,
     drop_budget: 2,
     flush: Flush::Serial,
+    overlap: false,
     blurb: "2 machines, lossy network; last-seat race plus recovery paths",
     workload: Workload {
         register: event_planner::APP.register,
@@ -496,6 +482,7 @@ const MESSAGE_BOARD: Preset = Preset {
     rounds: 2,
     drop_budget: 2,
     flush: Flush::Serial,
+    overlap: false,
     blurb: "3 machines, lossy, hybrid commit; async likes vs serialized same-topic posts",
     workload: Workload {
         register: message_board::APP.register,
@@ -547,6 +534,7 @@ const CROSS: Preset = Preset {
     rounds: 2,
     drop_budget: 0,
     flush: Flush::Serial,
+    overlap: false,
     blurb: "3 nodes x 2 sync groups; per-group rounds + one coordinated cross round",
     workload: Workload {
         register: multigroup::register,
@@ -595,11 +583,11 @@ pub const PRESETS: &[Preset] = &[
     EVENT_PLANNER.under(Flush::Parallel, "event_planner-parallel"),
     MESSAGE_BOARD.under(Flush::Parallel, "message_board-parallel"),
     CROSS.under(Flush::Parallel, "cross-group-parallel"),
-    SUDOKU.under(Flush::Overlap, "sudoku-overlap"),
-    AUCTION.under(Flush::Overlap, "auction-overlap"),
-    EVENT_PLANNER.under(Flush::Overlap, "event_planner-overlap"),
-    MESSAGE_BOARD.under(Flush::Overlap, "message_board-overlap"),
-    CROSS.under(Flush::Overlap, "cross-group-overlap"),
+    SUDOKU.overlapping("sudoku-overlap"),
+    AUCTION.overlapping("auction-overlap"),
+    EVENT_PLANNER.overlapping("event_planner-overlap"),
+    MESSAGE_BOARD.overlapping("message_board-overlap"),
+    CROSS.overlapping("cross-group-overlap"),
 ];
 
 /// Negative-test preset: a deliberately **under-declared** workload the
@@ -608,7 +596,7 @@ pub const PRESETS: &[Preset] = &[
 /// [`PRESETS`] — the positive suites iterate those and this one violates
 /// by design — but reachable through [`Preset::by_name`], so `mc
 /// --preset sneaky` and schedule replays resolve it. Built with
-/// `witness_reads` on and `witness_assert` off: escapes are *recorded*
+/// `witness_reads` on under [`Checks::Record`]: escapes are *recorded*
 /// on the machine for the oracle to report (and ddmin to shrink) instead
 /// of aborting mid-delivery.
 pub const SNEAKY: Preset = Preset {
@@ -618,6 +606,7 @@ pub const SNEAKY: Preset = Preset {
     rounds: 2,
     drop_budget: 0,
     flush: Flush::Serial,
+    overlap: false,
     blurb: "negative test: under-declared read the witness oracle must catch",
     workload: Workload {
         register: sneaky::register,
@@ -637,7 +626,7 @@ pub const SNEAKY: Preset = Preset {
             ],
             ..Ops::default()
         },
-        config: |c| c.with_witness_reads(true).with_witness_assert(false),
+        config: |c| c.with_witness_reads(true).with_checks(Checks::Record),
     },
 };
 
@@ -646,7 +635,7 @@ pub const SNEAKY: Preset = Preset {
 /// author argument instead of the topic; see the `miskeyed` module).
 /// Hidden from [`PRESETS`] like [`SNEAKY`] — it violates by design — but
 /// reachable through [`Preset::by_name`], so `mc --preset miskeyed` and
-/// schedule replays resolve it. Built with `witness_assert` off: shard
+/// schedule replays resolve it. Built under [`Checks::Record`]: shard
 /// escapes are *recorded* on the machine for the `ShardEscape` oracle to
 /// report (and ddmin to shrink) instead of aborting mid-delivery.
 pub const MISKEYED: Preset = Preset {
@@ -656,6 +645,7 @@ pub const MISKEYED: Preset = Preset {
     rounds: 2,
     drop_budget: 0,
     flush: Flush::Serial,
+    overlap: false,
     blurb: "negative test: mis-keyed shard plan the shard-escape oracle must catch",
     workload: Workload {
         register: miskeyed::register,
@@ -673,7 +663,7 @@ pub const MISKEYED: Preset = Preset {
             ..Ops::default()
         },
         config: |c| {
-            c.with_witness_assert(false)
+            c.with_checks(Checks::Record)
                 .with_shard_plan(miskeyed::plan())
         },
     },
@@ -700,15 +690,24 @@ impl Preset {
         }
     }
 
+    /// This row's scenario under the parallel flush with its rounds
+    /// overlapping, as a row of its own.
+    const fn overlapping(self, name: &'static str) -> Preset {
+        Preset {
+            overlap: true,
+            ..self.under(Flush::Parallel, name)
+        }
+    }
+
     /// How many rounds per schedule the explorer may begin *under* another
     /// (firing the master's tick with messages in flight, whenever that
     /// starts round r + 1 beside round r in stage 2): on an `-overlap` row
     /// every explored round after the first, so `mc --rounds` moves it too;
     /// none elsewhere. Rows with a positive budget inject their second wave.
     pub fn tick_budget(&self) -> u32 {
-        match self.flush {
-            Flush::Overlap => self.rounds.saturating_sub(1) as u32,
-            Flush::Serial | Flush::Parallel => 0,
+        match self.overlap {
+            true => self.rounds.saturating_sub(1) as u32,
+            false => 0,
         }
     }
 
@@ -845,9 +844,8 @@ impl<N: Node> Built<N> {
                 .with_sync_period(SimTime::from_millis(100))
                 .with_join_retry(SimTime::from_millis(300))
                 .with_stall_timeout(SimTime::from_millis(500))
-                .with_record_history(true)
-                .with_paranoid_checks(true)
-                .with_parallel_flush(preset.flush.parallel())
+                .with_checks(Checks::Assert)
+                .with_flush(preset.flush)
                 .with_commute_matrix(matrix.clone()),
         );
         let mut built = Built {
@@ -1212,7 +1210,7 @@ mod tests {
 
     /// The single-group rows with two rounds in flight.
     fn single_group_overlap_rows() -> impl Iterator<Item = &'static Preset> {
-        let rows = PRESETS.iter().filter(|p| p.flush == Flush::Overlap);
+        let rows = PRESETS.iter().filter(|p| p.overlap);
         rows.filter(|p| matches!(p.workload.nodes, Nodes::Machine(_)))
     }
 

@@ -22,7 +22,9 @@ use guesstimate_net::{
     StallWindow, ThreadedNet, TraceRecord,
 };
 use guesstimate_obs::{check_happens_before, merge, record_to_json, TraceLine};
-use guesstimate_runtime::{run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig};
+use guesstimate_runtime::{
+    run_until_cohort, sim_cluster_instrumented, Checks, Machine, MachineConfig,
+};
 use guesstimate_telemetry::Telemetry;
 
 /// Renders driver records to JSONL and back, exactly as the report binary
@@ -263,7 +265,7 @@ fn sched_drops_and_resends_keep_timeline_consistent() {
 fn waterfalls_under_overlapping_rounds_sum_exactly_and_charge_the_flushing_round() {
     let cfg = MachineConfig::default()
         .with_sync_period(SimTime::from_millis(30))
-        .with_paranoid_checks(true);
+        .with_checks(Checks::Assert);
     let netcfg = NetConfig::lan(31).with_latency(LatencyModel::constant_ms(10));
     let tracer = Arc::new(RecordingTracer::new());
     let telemetry = Telemetry::new();

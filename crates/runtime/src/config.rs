@@ -2,8 +2,89 @@
 
 use std::sync::Arc;
 
-use guesstimate_core::{CommuteMatrix, ShardPlan};
+use guesstimate_core::{CommuteMatrix, MachineId, ShardPlan};
 use guesstimate_net::SimTime;
+
+/// The stage-1 flush mode: which machines of a round flush before which
+/// ([`Flush::turn_open`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Flush {
+    /// The paper's §4 turn-taking, master first, each `FlushDone` a
+    /// broadcast that passes the turn: N + 2 delays a round, one at a time.
+    Serial,
+    /// §9 "Scalable run-time": members flush at once, the master last, its
+    /// batch riding `BeginApply`: four delays a round, two rounds in flight.
+    #[default]
+    Parallel,
+}
+
+impl Flush {
+    /// The turn rule: `me` may flush once every machine ahead of it in the
+    /// round's flush `order` is `done` (flushed or removed). Under `Serial`
+    /// those are the machines before it; under `Parallel` nobody is ahead
+    /// of a member and every member is ahead of the master (`order[0]`),
+    /// whose turn -- the cut -- also waits for stage 2 to be free.
+    pub fn turn_open(
+        self,
+        order: &[MachineId],
+        me: MachineId,
+        done: impl Fn(&MachineId) -> bool,
+    ) -> bool {
+        let Some(pos) = order.iter().position(|m| *m == me) else {
+            return false;
+        };
+        let ahead = match self {
+            Flush::Serial => &order[..pos],
+            Flush::Parallel if pos == 0 => &order[1..],
+            Flush::Parallel => &[],
+        };
+        ahead.iter().all(done)
+    }
+
+    /// A round may begin while the one before it applies: the tick is armed
+    /// as a round begins, and a `BeginSync` overtaking its predecessor's
+    /// `BeginApply` waits for that apply instead of proving a gap.
+    pub fn overlaps(self) -> bool {
+        self == Flush::Parallel
+    }
+
+    /// The master's flush is the cut, its batch riding `BeginApply`.
+    pub fn master_cuts(self) -> bool {
+        self == Flush::Parallel
+    }
+
+    /// `FlushDone` goes to everyone, opening turns, and the master traces
+    /// every flush window it sees open; otherwise to the master alone.
+    pub fn passes_turn(self) -> bool {
+        self == Flush::Serial
+    }
+}
+
+/// The diagnostic mode: whether a machine checks itself as it runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Checks {
+    /// No checks (the default).
+    #[default]
+    Off,
+    /// `debug_assert!` the §3 invariant `sg = [P](sc)` after every protocol
+    /// step, and witness and shard containment at every apply and commit
+    /// site; keep the committed history ([`crate::Machine::history`]).
+    /// What test clusters and the model checker run; release builds pay
+    /// nothing, debug runs are quadratic in the pending-list length.
+    Assert,
+    /// [`Checks::Assert`], but an escape is only recorded
+    /// ([`crate::Machine::witness_violations`],
+    /// [`crate::Machine::shard_violations`]) for the model checker's
+    /// negative rows to report and shrink.
+    Record,
+}
+
+impl Checks {
+    /// Whether the machine checks itself at all (and keeps its history).
+    pub fn on(self) -> bool {
+        self != Checks::Off
+    }
+}
 
 /// Tunables of a GUESSTIMATE machine.
 ///
@@ -36,17 +117,8 @@ pub struct MachineConfig {
     pub stall_timeout: SimTime,
     /// Participant: how often to re-send `JoinRequest` until admitted.
     pub join_retry: SimTime,
-    /// Stage-1 flush mode. `true` (the default; §9 "Scalable run-time"):
-    /// every participant flushes as soon as it sees `BeginSync` and confirms
-    /// to the master alone, so a round's critical path is four one-way
-    /// delays for any cohort size. `false` is the paper's §4 serial
-    /// turn-taking — machines flush one after another in round order, each
-    /// `FlushDone` broadcast to pass the turn, N + 2 delays per round —
-    /// kept as the paper-fidelity setting the Fig. 5/6 reproductions select.
-    pub parallel_flush: bool,
-    /// Record the full committed-operation history on this machine
-    /// (diagnostics / refinement checking against the formal semantics).
-    pub record_history: bool,
+    /// The stage-1 flush mode (see [`Flush`]): parallel by default.
+    pub flush: Flush,
     /// §9 "Fault tolerance" extension: when set, a member that hears
     /// nothing from the master for this long starts a master election
     /// (candidates ranked by committed progress, ties broken by machine
@@ -58,15 +130,8 @@ pub struct MachineConfig {
     /// commuters* eligible for the hybrid path
     /// ([`MachineConfig::async_commit`]).
     pub commute_matrix: CommuteMatrix,
-    /// Debug-assert the §3 invariant `sg = [P](sc)` after **every**
-    /// protocol step (`on_start` / `on_message` / `on_timer`).
-    ///
-    /// Used by the schedule model checker (`guesstimate-mc`) and by test
-    /// clusters instead of ad-hoc per-test invariant calls. The assertion
-    /// is a `debug_assert!`, so release builds pay nothing; the invariant
-    /// replay makes debug runs quadratic in the pending-list length, which
-    /// is why this is off by default.
-    pub paranoid_checks: bool,
+    /// The diagnostic mode (see [`Checks`]): off by default.
+    pub checks: Checks,
     /// Hybrid commit path (see `docs/PROTOCOL.md` "Commute-first async
     /// commits"): operations whose method is a *universal commuter* in
     /// [`MachineConfig::commute_matrix`] — it commutes with every method of
@@ -76,29 +141,18 @@ pub struct MachineConfig {
     /// paper's total order. Off by default — the paper commits everything
     /// through rounds.
     pub async_commit: bool,
-    /// With [`MachineConfig::paranoid_checks`] on, additionally probe for
-    /// undeclared *reads* at every apply site (issue, commit, replay,
-    /// async apply) via
-    /// [`guesstimate_core::execute_witnessed`]'s perturbation probing —
-    /// the live analog of the analysis witness sanitizer. Each apply
-    /// re-executes the operation once per uncovered pre-state path, so
-    /// this is far costlier than the write-containment check (which
-    /// paranoid mode always performs) and is off by default.
+    /// With [`MachineConfig::checks`] on, also probe every apply site for
+    /// undeclared *reads* ([`guesstimate_core::execute_witnessed`]'s
+    /// perturbation probing, the live analog of the analysis witness
+    /// sanitizer): one re-execution per uncovered pre-state path, so off
+    /// by default.
     pub witness_reads: bool,
-    /// Whether a witness-containment escape `debug_assert!`s (the
-    /// default). The model checker's negative preset turns this off so
-    /// escapes are *recorded* on the machine
-    /// ([`crate::Machine::witness_violations`]) for its oracle to report
-    /// — and ddmin-shrink — instead of aborting mid-delivery.
-    pub witness_assert: bool,
     /// An analysis-derived shard plan (`analyze --shard-plan`; see
     /// `docs/ANALYSIS.md` "Shard plans"). When installed, every commit is
-    /// labeled with its routed [`guesstimate_core::ShardId`] (feeding the
-    /// per-shard telemetry counter), and under
-    /// [`MachineConfig::paranoid_checks`] the commit sites additionally
-    /// assert that the operation's declared footprints stay inside the
-    /// routed shard (see [`crate::ShardViolation`]). `None` (the default)
-    /// disables all shard accounting.
+    /// labeled with its routed [`guesstimate_core::ShardId`] (the per-shard
+    /// telemetry counter), and with [`MachineConfig::checks`] on the commit
+    /// sites check that its declared footprints stay inside that shard
+    /// ([`crate::ShardViolation`]). `None` (the default): no accounting.
     pub shard_plan: Option<Arc<ShardPlan>>,
 }
 
@@ -108,14 +162,12 @@ impl Default for MachineConfig {
             sync_period: SimTime::from_millis(250),
             stall_timeout: SimTime::from_secs(2),
             join_retry: SimTime::from_secs(1),
-            parallel_flush: true,
-            record_history: false,
+            flush: Flush::default(),
             master_failover: None,
             commute_matrix: CommuteMatrix::new(),
-            paranoid_checks: false,
+            checks: Checks::default(),
             async_commit: false,
             witness_reads: false,
-            witness_assert: true,
             shard_plan: None,
         }
     }
@@ -134,23 +186,15 @@ impl MachineConfig {
         self
     }
 
-    /// Selects the stage-1 flush mode: parallel (the default) or, with
-    /// `false`, the paper's serial turn-taking (see
-    /// [`MachineConfig::parallel_flush`]).
-    pub fn with_parallel_flush(mut self, on: bool) -> Self {
-        self.parallel_flush = on;
+    /// Selects the stage-1 flush mode (see [`Flush`]).
+    pub fn with_flush(mut self, flush: Flush) -> Self {
+        self.flush = flush;
         self
     }
 
     /// Sets the join-retry period.
     pub fn with_join_retry(mut self, t: SimTime) -> Self {
         self.join_retry = t;
-        self
-    }
-
-    /// Enables committed-history recording (see [`MachineConfig::record_history`]).
-    pub fn with_record_history(mut self, on: bool) -> Self {
-        self.record_history = on;
         self
     }
 
@@ -169,24 +213,15 @@ impl MachineConfig {
         self
     }
 
-    /// Enables per-step invariant assertions (see
-    /// [`MachineConfig::paranoid_checks`]).
-    pub fn with_paranoid_checks(mut self, on: bool) -> Self {
-        self.paranoid_checks = on;
+    /// Selects the diagnostic mode (see [`Checks`]).
+    pub fn with_checks(mut self, checks: Checks) -> Self {
+        self.checks = checks;
         self
     }
 
-    /// Enables read-probing at apply sites under paranoid checks (see
-    /// [`MachineConfig::witness_reads`]).
+    /// Enables read-probing under checks ([`MachineConfig::witness_reads`]).
     pub fn with_witness_reads(mut self, on: bool) -> Self {
         self.witness_reads = on;
-        self
-    }
-
-    /// Sets whether witness escapes assert or are only recorded (see
-    /// [`MachineConfig::witness_assert`]).
-    pub fn with_witness_assert(mut self, on: bool) -> Self {
-        self.witness_assert = on;
         self
     }
 
@@ -230,7 +265,12 @@ mod tests {
     fn defaults_are_sane() {
         let c = MachineConfig::default();
         assert!(c.sync_period < c.stall_timeout);
-        assert!(c.parallel_flush, "the four-delay round is what ships");
+        assert_eq!(
+            c.flush,
+            Flush::Parallel,
+            "the four-delay round is what ships"
+        );
+        assert_eq!(c.checks, Checks::Off, "checks cost debug runs dearly");
     }
 
     #[test]
@@ -239,11 +279,18 @@ mod tests {
             .with_sync_period(SimTime::from_millis(10))
             .with_stall_timeout(SimTime::from_millis(500))
             .with_join_retry(SimTime::from_millis(100))
-            .with_parallel_flush(false);
+            .with_flush(Flush::Serial)
+            .with_checks(Checks::Record);
         assert_eq!(c.sync_period, SimTime::from_millis(10));
         assert_eq!(c.stall_timeout, SimTime::from_millis(500));
         assert_eq!(c.join_retry, SimTime::from_millis(100));
-        assert!(!c.parallel_flush, "serial turn-taking stays selectable");
+        assert_eq!(
+            c.flush,
+            Flush::Serial,
+            "serial turn-taking stays selectable"
+        );
+        assert_eq!(c.checks, Checks::Record, "escapes logged, not asserted");
+        assert!(c.checks.on() && !Checks::Off.on());
     }
 
     #[test]

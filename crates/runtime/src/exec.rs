@@ -18,7 +18,7 @@ use guesstimate_core::{
 use guesstimate_net::{ReplayCause, SimTime, TraceEvent};
 
 use crate::commute;
-use crate::config::MachineConfig;
+use crate::config::{Checks, MachineConfig};
 use crate::machine::{Machine, PendingOp};
 use crate::message::{ObjectInit, WireEnvelope, WireOp};
 use crate::roles::OpsBatch;
@@ -142,7 +142,7 @@ impl Machine {
         if serialized {
             self.completed_serialized.push(env.id);
         }
-        if self.cfg.record_history {
+        if self.cfg.checks.on() {
             self.history.push(env.clone());
         }
         result
@@ -377,10 +377,10 @@ pub(crate) fn execute_wire(
 /// operation accessed state outside its methods' declared
 /// [`guesstimate_core::EffectSpec`] footprints.
 ///
-/// Recorded on the machine ([`Machine::witness_violations`]); with
-/// [`MachineConfig::witness_assert`] (the default) it also
-/// `debug_assert!`s, making every paranoid test cluster and the model
-/// checker a live race detector for footprint declarations.
+/// Recorded on the machine ([`Machine::witness_violations`]); under
+/// [`crate::Checks::Assert`] it also `debug_assert!`s, making every checked test
+/// cluster and the model checker a live race detector for footprint
+/// declarations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessViolation {
     /// The apply site that observed the escape ("issue", "commit",
@@ -402,14 +402,13 @@ impl std::fmt::Display for WitnessViolation {
 const WITNESS_LOG_CAP: usize = 64;
 
 /// [`execute`] with witness-containment checking under
-/// [`MachineConfig::paranoid_checks`].
+/// [`MachineConfig::checks`].
 ///
-/// When paranoid mode is off, or any constituent method lacks a declared
+/// When checks are off, or any constituent method lacks a declared
 /// effect (nothing to contain against), this is exactly [`execute`].
 /// Otherwise the op runs witnessed — write containment always, read
 /// probing when [`MachineConfig::witness_reads`] — and any escape is
-/// recorded in `log` and (with [`MachineConfig::witness_assert`])
-/// `debug_assert!`ed.
+/// recorded in `log` and (under [`crate::Checks::Assert`]) `debug_assert!`ed.
 pub(crate) fn execute_shared_checked(
     op: &SharedOp,
     store: &mut ObjectStore,
@@ -419,7 +418,7 @@ pub(crate) fn execute_shared_checked(
     site: &'static str,
     log: &mut Vec<WitnessViolation>,
 ) -> Result<ExecOutcome, ExecError> {
-    if !cfg.paranoid_checks {
+    if !cfg.checks.on() {
         return execute(op, store, registry);
     }
     let Some(declared) = declared_footprints(op, store, registry) else {
@@ -432,7 +431,7 @@ pub(crate) fn execute_shared_checked(
     };
     let (outcome, witness) = execute_witnessed(op, store, registry, probe)?;
     for escape in containment_escapes(&witness, &declared) {
-        if cfg.witness_assert {
+        if cfg.checks == Checks::Assert {
             debug_assert!(
                 false,
                 "witness escape on {machine:?} at {site}: {escape} (op {op:?})"

@@ -88,7 +88,7 @@ pub mod testutil;
 
 pub use blocking::{issue_blocking, BlockingOutcome};
 pub use cluster::{run_until_cohort, sim_cluster, sim_cluster_instrumented, threaded_cluster};
-pub use config::MachineConfig;
+pub use config::{Checks, Flush, MachineConfig};
 pub use exec::WitnessViolation;
 pub use machine::{Machine, RemoteUpdateHook, StateSummary};
 pub use message::{Msg, ObjectInit, WireEnvelope, WireOp};

@@ -103,12 +103,12 @@ pub struct Machine {
     pub(crate) history: Vec<WireEnvelope>,
     pub(crate) remote_hooks: Vec<RemoteUpdateHook>,
     /// Witness-containment escapes recorded at apply sites under
-    /// [`MachineConfig::paranoid_checks`]; see
+    /// [`MachineConfig::checks`]; see
     /// [`crate::exec::WitnessViolation`].
     pub(crate) witness_log: Vec<crate::exec::WitnessViolation>,
     /// Shard-containment escapes recorded at commit sites when a
     /// [`MachineConfig::shard_plan`] is installed under
-    /// [`MachineConfig::paranoid_checks`]; see
+    /// [`MachineConfig::checks`]; see
     /// [`crate::shard::ShardViolation`].
     pub(crate) shard_log: Vec<crate::shard::ShardViolation>,
     pub(crate) stats: MachineStats,
@@ -340,7 +340,7 @@ impl Machine {
     }
 
     /// The recorded committed-operation history (empty unless
-    /// [`crate::MachineConfig::record_history`] is enabled).
+    /// [`crate::MachineConfig::checks`] are on).
     pub fn history(&self) -> &[WireEnvelope] {
         &self.history
     }
@@ -378,18 +378,18 @@ impl Machine {
     }
 
     /// Debug-asserts [`Machine::check_guess_invariant`] when
-    /// [`MachineConfig::paranoid_checks`] is enabled.
+    /// [`MachineConfig::checks`] are on.
     ///
     /// The protocol driver calls this after every `on_start` / `on_message`
     /// / `on_timer` step, so an enabled machine validates the §3 invariant
     /// at every point a scheduler could observe it. Compiled out of release
     /// builds (`debug_assert!`).
     #[inline]
-    pub(crate) fn paranoid_check(&self, site: &str) {
-        if self.cfg.paranoid_checks {
+    pub(crate) fn check_step(&self, site: &str) {
+        if self.cfg.checks.on() {
             debug_assert!(
                 self.check_guess_invariant(),
-                "paranoid_checks: [P](sc) != sg on {:?} after {site}",
+                "checks: [P](sc) != sg on {:?} after {site}",
                 self.id
             );
         }
@@ -397,11 +397,11 @@ impl Machine {
 
     /// Witness-containment escapes recorded at this machine's apply sites
     /// (issue, commit, replay, async paths) under
-    /// [`MachineConfig::paranoid_checks`].
+    /// [`MachineConfig::checks`].
     ///
     /// Empty unless a method accessed state outside its declared
-    /// [`guesstimate_core::EffectSpec`] footprint. With
-    /// [`MachineConfig::witness_assert`] disabled, escapes accumulate here
+    /// [`guesstimate_core::EffectSpec`] footprint. Under
+    /// [`crate::Checks::Record`] escapes accumulate here
     /// (bounded) instead of `debug_assert!`ing — the model checker's
     /// witness oracle reads this log after every step.
     pub fn witness_violations(&self) -> &[crate::exec::WitnessViolation] {
@@ -410,10 +410,9 @@ impl Machine {
 
     /// The shard-containment escapes recorded on this machine.
     ///
-    /// Empty unless a [`MachineConfig::shard_plan`] is installed, paranoid
-    /// checks are on, and a committed operation's declared footprint
-    /// escaped its routed shard. With [`MachineConfig::witness_assert`]
-    /// disabled, escapes accumulate here (bounded) instead of
+    /// Empty unless a [`MachineConfig::shard_plan`] is installed, checks
+    /// are on, and a committed operation's declared footprint escaped its
+    /// routed shard. Under [`crate::Checks::Record`] escapes accumulate here (bounded) instead of
     /// `debug_assert!`ing — the model checker's shard oracle reads this
     /// log after every step.
     pub fn shard_violations(&self) -> &[crate::shard::ShardViolation] {

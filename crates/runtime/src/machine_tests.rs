@@ -5,6 +5,7 @@
 
 use super::*;
 use crate::testutil::{counter_registry, slots_registry, Counter, Slots};
+use crate::Checks;
 use guesstimate_core::args;
 
 /// The still-pending envelopes, in issue order (what a flush would ship).
@@ -557,11 +558,10 @@ fn leaky_slots_registry() -> OpRegistry {
     r
 }
 
-fn witness_machine(assert_on: bool) -> (Machine, ObjectId) {
+fn witness_machine(checks: Checks) -> (Machine, ObjectId) {
     let cfg = MachineConfig::default()
-        .with_paranoid_checks(true)
-        .with_witness_reads(true)
-        .with_witness_assert(assert_on);
+        .with_checks(checks)
+        .with_witness_reads(true);
     let mut m = Machine::new_master(MachineId::new(0), Arc::new(leaky_slots_registry()), cfg);
     let id = m.create_instance(Slots {
         m: [("src".to_owned(), 7), ("dst".to_owned(), 0)].into(),
@@ -570,8 +570,8 @@ fn witness_machine(assert_on: bool) -> (Machine, ObjectId) {
 }
 
 #[test]
-fn undeclared_read_is_recorded_when_witness_assert_is_off() {
-    let (mut m, id) = witness_machine(false);
+fn undeclared_read_is_recorded_under_record_checks() {
+    let (mut m, id) = witness_machine(Checks::Record);
     assert!(m.witness_violations().is_empty());
     let ok = m
         .issue(SharedOp::primitive(id, "copy", args!["src", "dst"]))
@@ -596,7 +596,7 @@ fn undeclared_read_is_recorded_when_witness_assert_is_off() {
 #[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "witness escape")]
-fn undeclared_read_asserts_by_default() {
-    let (mut m, id) = witness_machine(true);
+fn undeclared_read_asserts_under_assert_checks() {
+    let (mut m, id) = witness_machine(Checks::Assert);
     let _ = m.issue(SharedOp::primitive(id, "copy", args!["src", "dst"]));
 }

@@ -216,8 +216,8 @@ pub enum Msg {
     },
     /// Flushing machine → the round's master: confirmation that its flush
     /// is complete (`count` operations). Under serial turn-taking
-    /// (`parallel_flush` off) it goes to all and passes the turn to the next
-    /// machine in order.
+    /// ([`crate::Flush::passes_turn`]) it goes to all, and may open the
+    /// turn of the next machine in order ([`crate::Flush::turn_open`]).
     FlushDone {
         /// Round number.
         round: u64,
@@ -231,10 +231,11 @@ pub enum Msg {
     /// Master → all: every participant flushed; apply the consolidated
     /// pending list. `counts` is the authoritative per-machine op count
     /// (machines removed by recovery are absent). Under the parallel flush
-    /// the master flushes last, as stage 1 closes, and its batch travels
-    /// here instead of in a [`Msg::Ops`] of its own: counts and batch arrive
-    /// together, one link after the cut. Under serial turn-taking the master
-    /// flushed first and both are empty.
+    /// the master's turn comes last ([`crate::Flush::master_cuts`]): it
+    /// flushes as stage 1 closes, and its batch travels here instead of in a
+    /// [`Msg::Ops`] of its own: counts and batch arrive together, one link
+    /// after the cut. Under serial turn-taking the master flushed first and
+    /// both are empty.
     BeginApply {
         /// Round number.
         round: u64,

@@ -24,9 +24,10 @@
 //!    `FlushDone` on the Signals channel to the master. The master flushes
 //!    last, at the moment the last of those is in and stage 2 is free, and
 //!    sends no `Ops`: its batch rides the `BeginApply` it sends next, in
-//!    the same handler. (With `parallel_flush` off — the paper's §4 —
+//!    the same handler. (Under `Flush::Serial` — the paper's §4 —
 //!    machines flush in a fixed serial order, master first, and
-//!    `FlushDone` is a broadcast that passes the turn.)
+//!    `FlushDone` is a broadcast that passes the turn.) Both are one turn
+//!    rule, [`crate::Flush::turn_open`].
 //! 2. **ApplyUpdatesFromMesh** — when every participant has flushed, the
 //!    master broadcasts `BeginApply` with the authoritative per-machine op
 //!    counts (and its own batch); each machine waits for all expected
@@ -92,7 +93,7 @@ impl Actor for Machine {
                 ctx.set_timer(timeout, tag::encode(tag::ELECTION_WATCHDOG, 0));
             }
         }
-        self.paranoid_check("on_start");
+        self.check_step("on_start");
     }
 
     fn on_message(&mut self, from: MachineId, _channel: Channel, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
@@ -150,7 +151,7 @@ impl Actor for Machine {
             Msg::MasterHeartbeat => {}
             other => self.route_round_msg(from, other, ctx),
         }
-        self.paranoid_check("on_message");
+        self.check_step("on_message");
     }
 
     fn on_timer(&mut self, timer_tag: u64, ctx: &mut Ctx<'_, Msg>) {
@@ -179,7 +180,7 @@ impl Actor for Machine {
             ),
             _ => {}
         }
-        self.paranoid_check("on_timer");
+        self.check_step("on_timer");
     }
 
     fn msg_size(msg: &Msg) -> u64 {
@@ -252,7 +253,6 @@ impl Machine {
                         self.announce_flush(rs, ctx);
                     }
                 }
-                Effect::MaybeFlushOnTurn => self.maybe_flush_on_turn(ctx),
                 Effect::TryApply => self.try_apply(ctx),
                 Effect::RetryApply => {
                     if let Some(rs) = self.participant.round.as_mut() {
@@ -297,10 +297,6 @@ impl Machine {
                     self.step_participant(ParticipantEvent::BeginApply { round, counts }, ctx)
                 }
                 Effect::RemoveFromRound { machine } => {
-                    // Only a round not yet applied still takes turns.
-                    if let Some(rs) = self.participant.round.as_mut() {
-                        rs.removed.insert(machine);
-                    }
                     self.membership.members.remove(&machine);
                 }
                 Effect::ClearRound => {
@@ -385,7 +381,14 @@ impl Machine {
             Msg::Ops { machine, ops, .. } => {
                 self.step_participant(ParticipantEvent::Ops { machine, ops }, ctx)
             }
-            Msg::FlushDone { machine, count, .. } => self.note_flush_done(machine, count, ctx),
+            // Only the master counts flushes; a member hears one only under
+            // serial turns, where it may open the member's turn.
+            Msg::FlushDone { machine, count, .. } if self.is_master => {
+                self.step_master(MasterEvent::FlushDone { machine, count }, ctx)
+            }
+            Msg::FlushDone { machine, .. } => {
+                self.step_participant(ParticipantEvent::FlushDone { machine }, ctx)
+            }
             Msg::BeginApply {
                 round,
                 counts,
@@ -461,7 +464,7 @@ impl Machine {
             return;
         };
         rs.flushed = true;
-        rs.rides_begin_apply = self.is_master && self.cfg.parallel_flush;
+        rs.rides_begin_apply = self.is_master && self.cfg.flush.master_cuts();
         let batch: OpsBatch = Arc::new(self.pending.iter().map(|p| p.env.clone()).collect());
         rs.my_flush = Arc::clone(&batch);
         rs.my_asyncs = asyncs;
@@ -518,7 +521,7 @@ impl Machine {
             machine: self.id,
             count,
         };
-        if !self.cfg.parallel_flush {
+        if self.cfg.flush.passes_turn() {
             ctx.broadcast(Channel::Signals, done);
         } else if master != self.id {
             ctx.send(master, Channel::Signals, done);
@@ -564,32 +567,6 @@ impl Machine {
             counts,
             ops,
             asyncs,
-        }
-    }
-
-    /// Feeds a received `FlushDone` to whichever side reacts: the master
-    /// role tracks stage completion; a plain participant — which hears one
-    /// only under serial turn-taking — records it and checks whether the
-    /// turn passed to it.
-    fn note_flush_done(&mut self, machine: MachineId, count: u64, ctx: &mut Ctx<'_, Msg>) {
-        if self.is_master {
-            self.step_master(MasterEvent::FlushDone { machine, count }, ctx);
-        } else if let Some(rs) = self.participant.round.as_mut() {
-            rs.flush_done.insert(machine, count);
-            self.maybe_flush_on_turn(ctx);
-        }
-    }
-
-    /// Serial turn-taking: flush once every earlier machine in the round
-    /// order has flushed (or been removed).
-    fn maybe_flush_on_turn(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let ready = self
-            .participant
-            .round
-            .as_ref()
-            .is_some_and(|rs| rs.my_turn(self.id));
-        if ready {
-            self.do_flush(ctx);
         }
     }
 

@@ -5,9 +5,9 @@
 //! (`AddUpdatesToMesh`), apply (`ApplyUpdatesFromMesh`), completion
 //! (`FlagCompletion`) — and recovers from stalls by first *resending* the
 //! signal a silent machine failed to answer, then removing it from the
-//! round. This role owns the [`MasterRound`] bookkeeping plus mirrors of
-//! the round order and removed set, so every master decision is a pure
-//! function of its own state.
+//! round. This role owns the [`MasterRound`] bookkeeping -- order,
+//! removals, flushes, acks -- so every master decision is a pure function
+//! of its own state.
 //!
 //! Rounds are a **two-slot pipeline**, at most one round in each stage:
 //! `MasterRole::flushing` holds the round in stage 1,
@@ -21,22 +21,24 @@
 //! only armed by a round's completion, so the pipeline never holds two
 //! rounds.
 //!
-//! Under the parallel flush the master flushes **last**: it *cuts* its
-//! batch ([`Effect::Flush`]) at the moment stage 1 closes — every other
-//! expected machine has flushed or been dropped, and stage 2 is free — and
-//! the batch rides the `BeginApply` that the cut's own `FlushDone` then
-//! sends ([`Effect::BeginApply`]), so one handler runs *flush → send
-//! `BeginApply` → apply*. The master's operations wait for the close of
-//! stage 1 instead of its opening and reach the members with the counts,
-//! one link later; it applies with an empty pending list. Under serial
-//! turns the master keeps the first turn, flushing as it sends `BeginSync`.
+//! The master asks for its own flush ([`Effect::Flush`]) when its turn
+//! opens ([`Flush::turn_open`]) and stage 2 is free. Under serial turns
+//! that is at once: it keeps the first turn, flushing as it sends
+//! `BeginSync`. Under the parallel flush it flushes **last**: it *cuts* its
+//! batch at the moment stage 1 closes — every other expected machine has
+//! flushed or been dropped, and stage 2 is free — and the batch rides the
+//! `BeginApply` that the cut's own `FlushDone` then sends
+//! ([`Effect::BeginApply`]), so one handler runs *flush → send `BeginApply`
+//! → apply*. The master's operations wait for the close of stage 1 instead
+//! of its opening and reach the members with the counts, one link later;
+//! it applies with an empty pending list.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use guesstimate_core::MachineId;
 use guesstimate_net::{Channel, SimTime, TraceEvent};
 
-use crate::config::MachineConfig;
+use crate::config::{Flush, MachineConfig};
 use crate::message::Msg;
 use crate::roles::{tag, Effect};
 use crate::stats::SyncSample;
@@ -52,10 +54,9 @@ pub struct MasterRound {
     /// the round is still flushing; used to decompose the round duration
     /// into per-stage timings in the final [`SyncSample`].
     pub(crate) apply_started_at: Option<SimTime>,
-    /// The flush order announced in `BeginSync` (mirror of the master's own
-    /// participant state; the master is the only writer of both).
+    /// The flush order announced in `BeginSync`.
     pub(crate) order: Vec<MachineId>,
-    /// Machines removed from this round (mirror, same invariant).
+    /// Machines removed from this round.
     pub(crate) removed: BTreeSet<MachineId>,
     /// Per-machine flushed-op counts from `FlushDone` signals.
     pub(crate) flush_counts: BTreeMap<MachineId, u64>,
@@ -99,17 +100,21 @@ impl MasterRound {
         self.order.iter().filter(|m| !self.removed.contains(m))
     }
 
-    /// Expected participants whose `FlushDone` is missing, in round order.
-    fn unflushed(&self) -> impl Iterator<Item = &MachineId> {
-        self.expected()
-            .filter(|m| !self.flush_counts.contains_key(*m))
+    /// Whether `m`'s flush is no longer awaited: it is in, or `m` was
+    /// removed.
+    fn done(&self, m: &MachineId) -> bool {
+        self.flush_counts.contains_key(m) || self.removed.contains(m)
     }
 
-    /// The members stage 1 still waits for: [`MasterRound::unflushed`]
-    /// without the master `me`, whose own flush is never late -- under the
-    /// parallel flush it is cut when the last of these is in.
-    fn awaited(&self, me: MachineId) -> impl Iterator<Item = &MachineId> {
-        self.unflushed().filter(move |m| **m != me)
+    /// The machines whose turn is open and whose flush is missing, in round
+    /// order: under serial turns one, under the parallel flush the
+    /// unflushed members, or once they are done the master.
+    fn open_turns(&self, flush: Flush) -> impl Iterator<Item = MachineId> + '_ {
+        let open = move |m: &MachineId| flush.turn_open(&self.order, *m, |a| self.done(a));
+        self.order
+            .iter()
+            .copied()
+            .filter(move |m| !self.done(m) && open(m))
     }
 
     /// Expected participants whose `Ack` is missing, in round order.
@@ -279,7 +284,7 @@ impl MasterRole {
     fn has_room(&self, drain_first: bool, cfg: &MachineConfig) -> bool {
         match (&self.flushing, &self.applying) {
             (None, None) => true,
-            (None, Some(mr)) => cfg.parallel_flush && !drain_first && mr.acks.contains(&self.me),
+            (None, Some(mr)) => cfg.flush.overlaps() && !drain_first && mr.acks.contains(&self.me),
             (Some(_), _) => false,
         }
     }
@@ -313,10 +318,10 @@ impl MasterRole {
         debug_assert!(self.flushing.is_none(), "stage 1 holds one round");
         let round = self.next_round;
         self.next_round += 1;
-        debug_assert_eq!(order.first(), Some(&self.me), "master flushes first");
+        debug_assert_eq!(order.first(), Some(&self.me), "the master heads the order");
         let participants = order.len() as u32;
         let mut fx = Vec::new();
-        if cfg.parallel_flush {
+        if cfg.flush.overlaps() {
             // Rounds are paced start to start and the next may begin under
             // this one, so its tick runs from here, not from the completion
             // -- and from the top of the list: on the wall-clock mesh a
@@ -347,18 +352,11 @@ impl MasterRole {
             }),
         ]);
         self.flushing = Some(MasterRound::new(round, now, order));
-        if cfg.parallel_flush {
-            // The master flushes last, when the stage closes: at once if it
-            // is alone and stage 2 is free.
-            fx.extend(self.advance(now, cfg));
-        } else {
-            // Serial turn-taking: the master flushes first.
-            fx.push(Effect::Trace(TraceEvent::FlushWindowOpened {
-                round,
-                machine: self.me,
-            }));
-            fx.push(Effect::Flush);
-        }
+        // The master's own turn: under serial turns it is the first, open
+        // now; under the parallel flush the last, open when the stage
+        // closes -- at once if the master is alone and stage 2 is free.
+        fx.extend(self.trace_open_turns(&[], cfg));
+        fx.extend(self.advance(now, cfg));
         fx.push(Effect::SetTimer {
             after: cfg.stall_timeout,
             tag: tag::encode(tag::MASTER_STAGE1, round),
@@ -378,33 +376,39 @@ impl MasterRole {
         };
         let mut fx = Vec::new();
         if mr.flush_counts.insert(machine, count).is_none() {
-            let round = mr.round;
             fx.push(Effect::Trace(TraceEvent::FlushWindowClosed {
-                round,
+                round: mr.round,
                 machine,
                 ops: count,
             }));
-            // Under serial turn-taking the next unflushed machine in the
-            // round order now holds the flush window.
-            let next_turn = mr.unflushed().next().filter(|_| !cfg.parallel_flush);
-            if let Some(&next) = next_turn {
-                fx.push(Effect::Trace(TraceEvent::FlushWindowOpened {
-                    round,
-                    machine: next,
-                }));
-            }
+            fx.extend(self.trace_open_turns(&[], cfg));
         }
         fx.extend(self.advance(now, cfg));
         fx
     }
 
+    /// Under turn passing ([`Flush::passes_turn`]), a `FlushWindowOpened`
+    /// for every open turn of the round in stage 1 not in `seen`.
+    fn trace_open_turns(&self, seen: &[MachineId], cfg: &MachineConfig) -> Vec<Effect> {
+        let passes = |_: &&MasterRound| cfg.flush.passes_turn();
+        let Some(mr) = self.flushing.as_ref().filter(passes) else {
+            return Vec::new();
+        };
+        let opened = |machine| {
+            let round = mr.round;
+            Effect::Trace(TraceEvent::FlushWindowOpened { round, machine })
+        };
+        let turns = mr.open_turns(cfg.flush).filter(|m| !seen.contains(m));
+        turns.map(opened).collect()
+    }
+
     /// Moves the pipeline as far as it goes: completes the round in stage 2
     /// once everyone still expected has acknowledged, then -- stage 2 being
     /// free -- moves the round in stage 1 there once everyone still
-    /// expected has flushed. Under the parallel flush the last of them is
-    /// the master itself: when only its own flush is missing it cuts its
-    /// batch, and the `FlushDone` the cut feeds back (in the same handler)
-    /// is what moves the round.
+    /// expected has flushed, or else asks for the master's own flush if its
+    /// turn is open. Under the parallel flush that turn comes last: the
+    /// master cuts its batch, and the `FlushDone` the cut feeds back (in
+    /// the same handler) is what moves the round.
     fn advance(&mut self, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
         let mut fx = Vec::new();
         let acked = |mr: &mut MasterRound| mr.unacked().next().is_none();
@@ -412,22 +416,18 @@ impl MasterRole {
             fx.extend(Self::finish_round(mr, now, cfg));
         }
         if self.applying.is_none() {
-            let flushed = |mr: &mut MasterRound| mr.unflushed().next().is_none();
+            let flushed = |mr: &mut MasterRound| mr.order.iter().all(|m| mr.done(m));
             if let Some(mr) = self.flushing.take_if(flushed) {
                 fx.extend(self.start_apply_stage(mr, now, cfg));
-            } else if self.only_the_cut_is_missing() {
-                fx.push(Effect::Flush);
+            } else if let Some(mr) = self.flushing.as_ref() {
+                // The master heads the order: its turn is open iff it is
+                // the first open one.
+                if mr.open_turns(cfg.flush).next() == Some(self.me) {
+                    fx.push(Effect::Flush);
+                }
             }
         }
         fx
-    }
-
-    /// Whether the round in stage 1 waits for nothing but the master's own
-    /// flush. Only the parallel flush gets here: under serial turns the
-    /// master's `FlushDone` is the first in.
-    fn only_the_cut_is_missing(&self) -> bool {
-        let flushing = self.flushing.as_ref();
-        flushing.is_some_and(|mr| mr.unflushed().eq([&self.me]))
     }
 
     /// Stage 1 → stage 2: broadcast the authoritative per-machine counts,
@@ -479,6 +479,11 @@ impl MasterRole {
         if machine == self.me {
             return Vec::new();
         }
+        let seen: Vec<_> = self
+            .flushing
+            .iter()
+            .flat_map(|mr| mr.open_turns(cfg.flush))
+            .collect();
         let drop_from = |slot: &mut Option<MasterRound>| {
             let mr = slot.as_mut()?;
             mr.drop_machine(machine).then_some(mr.round)
@@ -497,6 +502,7 @@ impl MasterRole {
                     removed: vec![machine],
                 },
             });
+            fx.extend(self.trace_open_turns(&seen, cfg));
         }
         fx.extend(self.advance(now, cfg));
         fx
@@ -554,7 +560,7 @@ impl MasterRole {
             },
             Effect::ServiceJoins,
         ];
-        if !cfg.parallel_flush {
+        if !cfg.flush.overlaps() {
             // Serial turns run one round at a time, paced start to start:
             // the next is due `sync_period` after this one began, at once
             // if it ran longer. (A parallel-flush round armed the tick when
@@ -571,10 +577,9 @@ impl MasterRole {
         let Some(mr) = self.flushing.as_ref().filter(|mr| mr.round == round) else {
             return Vec::new();
         };
-        // Serial turns: only the machine whose turn it is can be blocking
-        // the stage.
-        let blocking = if cfg.parallel_flush { usize::MAX } else { 1 };
-        let laggards: Vec<MachineId> = mr.awaited(self.me).take(blocking).copied().collect();
+        // Only a member whose turn is open can be blocking the stage.
+        let seen: Vec<MachineId> = mr.open_turns(cfg.flush).collect();
+        let laggards: Vec<MachineId> = seen.iter().copied().filter(|m| *m != self.me).collect();
         if laggards.is_empty() {
             return Vec::new(); // every member's flush is in: the round waits for stage 2 to empty
         }
@@ -612,13 +617,16 @@ impl MasterRole {
                     removed: newly_removed,
                 },
             });
-            // Removal may have unblocked either stage.
+            // The removals pass the turn on, and may have unblocked either
+            // stage.
+            fx.extend(self.trace_open_turns(&seen, cfg));
             fx.extend(self.advance(now, cfg));
         }
-        // Re-armed only while a member is awaited: a stage closed by these
-        // removals moves on when the cut `advance` asked for is lowered.
-        let flushing = self.flushing.as_ref();
-        if flushing.is_some_and(|mr| mr.awaited(self.me).next().is_some()) {
+        // Re-armed only while a member's turn is open: a stage closed by
+        // these removals moves on when the cut `advance` asked for is
+        // lowered.
+        let mut turns = self.flushing.iter().flat_map(|mr| mr.open_turns(cfg.flush));
+        if turns.any(|m| m != self.me) {
             fx.push(Effect::SetTimer {
                 after: cfg.stall_timeout,
                 tag: tag::encode(tag::MASTER_STAGE1, round),
@@ -758,12 +766,12 @@ mod tests {
     /// -- answering the cut the last of them brings if stage 2 is free --
     /// the master's own. Returns the effects of the last step.
     fn flush_all(m: &mut MasterRole, now: SimTime, c: &MachineConfig) -> Vec<Effect> {
-        if !c.parallel_flush {
+        if c.flush == Flush::Serial {
             flush_done(m, 0, now, c);
         }
         flush_done(m, 1, now, c);
         let last = flush_done(m, 2, now, c);
-        if !c.parallel_flush {
+        if c.flush == Flush::Serial {
             return last;
         }
         assert_eq!(cuts(&last), m.applying.is_none(), "cut iff stage 2 is free");
@@ -801,7 +809,7 @@ mod tests {
 
     /// The paper's §4 turn-taking, which the default no longer selects.
     fn serial_cfg() -> MachineConfig {
-        cfg().with_parallel_flush(false)
+        cfg().with_flush(Flush::Serial)
     }
 
     /// Starts round 1 over `order3` and checks the part of the script both
@@ -815,7 +823,7 @@ mod tests {
             SimTime::ZERO,
             c,
         );
-        if c.parallel_flush {
+        if c.flush == Flush::Parallel {
             // The next round's tick runs from the very start of this one.
             assert_eq!(next_tick(&fx.remove(0)), c.sync_period);
         }
@@ -1366,6 +1374,31 @@ mod tests {
             )
         };
         fx.iter().filter(is_restart).count()
+    }
+
+    /// The machines whose flush window `fx` traces open.
+    fn opened(fx: &[Effect]) -> Vec<MachineId> {
+        let opened = |e: &Effect| match e {
+            Effect::Trace(TraceEvent::FlushWindowOpened { machine, .. }) => Some(*machine),
+            _ => None,
+        };
+        fx.iter().filter_map(opened).collect()
+    }
+
+    #[test]
+    fn a_serial_turn_a_leave_passes_on_is_traced_once() {
+        let c = serial_cfg();
+        let mut m = MasterRole::new(id(0));
+        let order = (0..4).map(id).collect();
+        let fx = m.step(MasterEvent::BeginRound { order }, ms(0), &c);
+        assert_eq!(opened(&fx), vec![id(0)]);
+        assert_eq!(opened(&flush_done(&mut m, 0, ms(0), &c)), vec![id(1)]);
+        // m2 leaves while m1 holds the turn: no turn opens.
+        let fx = m.step(MasterEvent::Left { machine: id(2) }, ms(1), &c);
+        assert!(opened(&fx).is_empty(), "{fx:?}");
+        // m1 leaves holding it: the turn passes over m2 to m3.
+        let fx = m.step(MasterEvent::Left { machine: id(1) }, ms(2), &c);
+        assert_eq!(opened(&fx), vec![id(3)]);
     }
 
     #[test]

@@ -151,18 +151,15 @@ pub enum Effect {
         /// Flush order (also the participant set).
         order: Vec<MachineId>,
     },
-    /// Flush the pending list into the active round (stage 1). From the
-    /// master under the parallel flush this is the *cut*: stage 1 has
-    /// closed but for its own flush.
+    /// Flush the pending list into the active round (stage 1), once: this
+    /// machine's turn is open ([`crate::Flush::turn_open`]) or a nudge asks.
+    /// The master's under the parallel flush is the *cut*.
     Flush,
     /// Re-announce the flush already performed for `round` (recovery nudge).
     RebroadcastFlush {
         /// Round number.
         round: u64,
     },
-    /// Flush if every earlier machine in the round order has flushed
-    /// (serial turn-taking; a no-op once flushed, as under parallel flush).
-    MaybeFlushOnTurn,
     /// Apply the round if every expected operation has arrived.
     TryApply,
     /// Clear per-source resend bookkeeping, then [`Effect::TryApply`]
@@ -204,7 +201,7 @@ pub enum Effect {
         /// Authoritative per-machine op counts.
         counts: Vec<(MachineId, u64)>,
     },
-    /// Remove a stalled machine from the round and the member set.
+    /// Remove a machine the master role dropped from the member set.
     RemoveFromRound {
         /// The machine being removed.
         machine: MachineId,

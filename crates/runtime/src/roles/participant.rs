@@ -27,7 +27,7 @@ use std::sync::Arc;
 use guesstimate_core::{MachineId, OpId};
 use guesstimate_net::{Channel, SimTime, TraceEvent};
 
-use crate::config::MachineConfig;
+use crate::config::{Flush, MachineConfig};
 use crate::message::{Msg, WireEnvelope};
 use crate::roles::{AsyncBatch, Effect, OpsBatch};
 
@@ -39,8 +39,10 @@ pub struct RoundState {
     pub(crate) round: u64,
     /// Flush order announced in `BeginSync` (master first).
     pub(crate) order: Vec<MachineId>,
-    /// Machines the master removed from this round.
-    pub(crate) removed: BTreeSet<MachineId>,
+    /// The machines whose flush this one no longer waits for: removed by
+    /// the master, or heard flushing under serial turns, where `FlushDone`
+    /// is a broadcast -- the `done` of the turn rule ([`Flush::turn_open`]).
+    pub(crate) done: BTreeSet<MachineId>,
     /// Whether this machine has flushed its pending list.
     pub(crate) flushed: bool,
     /// The batch this machine flushed, kept for recovery resends. Shared
@@ -54,10 +56,6 @@ pub struct RoundState {
     /// than as an `Ops` message of its own: it is the master and cut its
     /// batch as stage 1 closed (the parallel flush). Set by the flush.
     pub(crate) rides_begin_apply: bool,
-    /// Per-machine flushed-op counts heard via `FlushDone`. Filled only on
-    /// non-masters under serial turn-taking, where `FlushDone` is a
-    /// broadcast that passes the turn (see [`RoundState::my_turn`]).
-    pub(crate) flush_done: BTreeMap<MachineId, u64>,
     /// The run received from each source machine so far: its flushed
     /// batch, strictly ascending by id (see [`sorted_run`]). A repeated
     /// delivery of the same flush replaces the entry.
@@ -74,12 +72,11 @@ impl RoundState {
         RoundState {
             round,
             order,
-            removed: BTreeSet::new(),
+            done: BTreeSet::new(),
             flushed: false,
             my_flush: Arc::new(Vec::new()),
             my_asyncs: Arc::new(Vec::new()),
             rides_begin_apply: false,
-            flush_done: BTreeMap::new(),
             received: BTreeMap::new(),
             counts: None,
             resend_requested: BTreeSet::new(),
@@ -117,20 +114,6 @@ impl RoundState {
             .flat_map(|run| run.iter())
             .is_sorted_by(|a, b| a.id < b.id));
         runs
-    }
-
-    /// Serial turn-taking: `me` may flush once every earlier machine in
-    /// the round order has flushed (or been removed).
-    pub(crate) fn my_turn(&self, me: MachineId) -> bool {
-        if self.flushed {
-            return false;
-        }
-        let Some(pos) = self.order.iter().position(|&m| m == me) else {
-            return false;
-        };
-        self.order[..pos]
-            .iter()
-            .all(|m| self.flush_done.contains_key(m) || self.removed.contains(m))
     }
 
     /// The highest async sequence number this round's flush carried under
@@ -173,6 +156,12 @@ pub enum ParticipantEvent {
         order: Vec<MachineId>,
         /// Whether this machine currently counts itself in the cohort.
         in_cohort: bool,
+    },
+    /// Another machine announced its flush (serial turn-taking: its
+    /// `FlushDone` is a broadcast, and may open this machine's turn).
+    FlushDone {
+        /// The flushing machine.
+        machine: MachineId,
     },
     /// A batch of operations arrived on the Operations channel.
     Ops {
@@ -322,6 +311,13 @@ impl ParticipantRole {
                 order,
                 in_cohort,
             } => self.on_begin_sync(round, order, in_cohort, cfg),
+            ParticipantEvent::FlushDone { machine } => {
+                let Some(rs) = self.round.as_mut() else {
+                    return Vec::new();
+                };
+                rs.done.insert(machine);
+                self.take_turn(cfg.flush).into_iter().collect()
+            }
             ParticipantEvent::Ops { machine, ops } => {
                 let Some(rs) = self.round.as_mut() else {
                     return Vec::new();
@@ -396,10 +392,20 @@ impl ParticipantRole {
                 let Some(rs) = self.round.as_mut().filter(|rs| rs.round == round) else {
                     return Vec::new();
                 };
-                rs.removed.extend(removed.iter().copied());
-                vec![Effect::MaybeFlushOnTurn, Effect::TryApply]
+                rs.done.extend(removed.iter().copied());
+                let turn = self.take_turn(cfg.flush);
+                turn.into_iter().chain([Effect::TryApply]).collect()
             }
         }
+    }
+
+    /// [`Effect::Flush`] if this machine has not flushed the round it has
+    /// yet to apply and its turn is open: every machine ahead of it in the
+    /// round's flush order has been heard flushing or was removed.
+    fn take_turn(&self, flush: Flush) -> Option<Effect> {
+        let rs = self.round.as_ref().filter(|rs| !rs.flushed)?;
+        let open = flush.turn_open(&rs.order, self.me, |m| rs.done.contains(m));
+        open.then_some(Effect::Flush)
     }
 
     fn ack(&self, round: u64, master: MachineId) -> Effect {
@@ -465,7 +471,7 @@ impl ParticipantRole {
             if rs.round > round {
                 return Vec::new();
             }
-            if cfg.parallel_flush && round == rs.round + 1 {
+            if cfg.flush.overlaps() && round == rs.round + 1 {
                 // The next round, begun while ours is in stage 2, overtook
                 // our `BeginApply`: it waits until we have applied, so that
                 // its flush carries only what we issued since ours.
@@ -507,11 +513,7 @@ impl ParticipantRole {
         self.round = Some(RoundState::new(round, order));
         let buffered = self.buffered.remove(&round).unwrap_or_default();
         self.buffered.retain(|&r, _| r > round);
-        if cfg.parallel_flush {
-            fx.push(Effect::Flush);
-        } else {
-            fx.push(Effect::MaybeFlushOnTurn);
-        }
+        fx.extend(self.take_turn(cfg.flush));
         fx.push(Effect::ReplayBuffered(buffered));
         fx
     }
@@ -533,6 +535,7 @@ mod tests {
 
     use super::*;
     use crate::message::WireOp;
+    use crate::roles::master::{MasterEvent, MasterRole};
     use guesstimate_core::{ObjectId, SharedOp};
 
     fn id(n: u32) -> MachineId {
@@ -570,9 +573,6 @@ mod tests {
         )
     }
 
-    /// A fresh machine's first `BeginSync`: installs the round, anchors the
-    /// numbering, and returns the effect between `JoinCohort` and
-    /// `ReplayBuffered` — the one the flush mode decides.
     /// What the composer does once stage 2 has run: the round leaves its
     /// slot by value and is handed back as applied.
     fn apply(p: &mut ParticipantRole) -> Vec<Effect> {
@@ -580,34 +580,110 @@ mod tests {
         p.applied(rs)
     }
 
-    fn first_begin_sync_flush_effect(c: &MachineConfig) -> Effect {
-        let mut p = ParticipantRole::new(id(1));
-        let mut fx = p.step(begin_sync(1), SimTime::ZERO, c);
+    /// Where another machine of the round stands as the table test's
+    /// turn is decided.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Peer {
+        Pending,
+        Flushed,
+        Removed,
+    }
+
+    fn flushes(fx: &[Effect]) -> bool {
+        fx.iter().any(|e| matches!(e, Effect::Flush))
+    }
+
+    /// Whether member `me` of a fresh round over `order` asks for its flush
+    /// as it takes `BeginSync` and then hears of every peer that flushed or
+    /// was removed.
+    fn member_flushes(
+        c: &MachineConfig,
+        order: &[MachineId],
+        me: MachineId,
+        peers: &[(MachineId, Peer)],
+    ) -> bool {
+        let mut p = ParticipantRole::new(me);
+        let (round, order) = (1, order.to_vec());
+        let begin = ParticipantEvent::BeginSync {
+            round,
+            order,
+            in_cohort: true,
+        };
+        let mut fx = p.step(begin, SimTime::ZERO, c);
         assert!(matches!(
             fx[..],
-            [Effect::JoinCohort, _, Effect::ReplayBuffered(_)]
+            [Effect::JoinCohort, .., Effect::ReplayBuffered(_)]
         ));
-        assert_eq!(p.active_round(), Some(1));
         assert_eq!(p.next_round_expected(), Some(1), "numbering anchored");
-        fx.swap_remove(1)
+        for &(machine, peer) in peers {
+            let ev = match peer {
+                Peer::Pending => continue,
+                Peer::Flushed => ParticipantEvent::FlushDone { machine },
+                Peer::Removed => ParticipantEvent::RoundUpdate {
+                    round,
+                    removed: vec![machine],
+                },
+            };
+            fx.extend(p.step(ev, SimTime::ZERO, c));
+        }
+        flushes(&fx)
+    }
+
+    /// The same for the master, whose role asks for its own flush.
+    fn master_flushes(c: &MachineConfig, order: &[MachineId], peers: &[(MachineId, Peer)]) -> bool {
+        let mut m = MasterRole::new(order[0]);
+        let begin = MasterEvent::BeginRound {
+            order: order.to_vec(),
+        };
+        let mut fx = m.step(begin, SimTime::ZERO, c);
+        for &(machine, peer) in peers {
+            let ev = match peer {
+                Peer::Pending => continue,
+                Peer::Flushed => MasterEvent::FlushDone { machine, count: 1 },
+                Peer::Removed => MasterEvent::Left { machine },
+            };
+            fx.extend(m.step(ev, SimTime::ZERO, c));
+        }
+        flushes(&fx)
     }
 
     #[test]
-    fn begin_sync_installs_round_and_takes_turn() {
-        // The paper's §4 turn-taking: flush only once the turn arrives.
-        let serial = cfg().with_parallel_flush(false);
-        assert!(matches!(
-            first_begin_sync_flush_effect(&serial),
-            Effect::MaybeFlushOnTurn
-        ));
-    }
-
-    #[test]
-    fn parallel_begin_sync_installs_round_and_flushes_at_once() {
-        assert!(matches!(
-            first_begin_sync_flush_effect(&cfg()),
-            Effect::Flush
-        ));
+    fn the_turn_rule_opens_every_turn_in_both_modes() {
+        // Every machine of every order of 1-4 machines, every other machine
+        // pending, flushed or removed: a turn is open once every machine
+        // ahead is done. Serial: ahead are the machines before it in the
+        // order. Parallel: nobody is ahead of a member, every member of the
+        // master.
+        let states = [Peer::Pending, Peer::Flushed, Peer::Removed];
+        for flush in [Flush::Serial, Flush::Parallel] {
+            let c = cfg().with_flush(flush);
+            for n in 1..=4u32 {
+                let order: Vec<MachineId> = (0..n).map(id).collect();
+                for (pos, &me) in order.iter().enumerate() {
+                    for code in 0..3usize.pow(n - 1) {
+                        let others = order.iter().filter(|&&m| m != me);
+                        let peers: Vec<(MachineId, Peer)> = others
+                            .enumerate()
+                            .map(|(k, &m)| (m, states[code / 3usize.pow(k as u32) % 3]))
+                            .collect();
+                        let done = |m: &MachineId| {
+                            peers.contains(&(*m, Peer::Flushed))
+                                || peers.contains(&(*m, Peer::Removed))
+                        };
+                        let want = match flush {
+                            Flush::Serial => order[..pos].iter().all(done),
+                            Flush::Parallel => pos > 0 || order[1..].iter().all(done),
+                        };
+                        let got = if pos == 0 {
+                            master_flushes(&c, &order, &peers)
+                        } else {
+                            member_flushes(&c, &order, me, &peers)
+                        };
+                        assert_eq!(got, want, "{flush:?}, {me:?} of {n}, peers {peers:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1081,7 +1157,7 @@ mod tests {
         ));
         // Under serial turns a round starts only when the one before has
         // completed: there the same signal proves we missed that.
-        let serial = cfg().with_parallel_flush(false);
+        let serial = cfg().with_flush(Flush::Serial);
         let mut p = ParticipantRole::new(id(1));
         p.step(begin_sync(1), SimTime::ZERO, &serial);
         let fx = p.step(begin_sync(2), SimTime::ZERO, &serial);
@@ -1100,8 +1176,8 @@ mod tests {
     }
 
     #[test]
-    fn removal_of_self_restarts_removal_of_peer_unblocks() {
-        let c = cfg();
+    fn removal_of_self_restarts_removal_of_peer_passes_the_turn() {
+        let c = cfg().with_flush(Flush::Serial);
         let mut p = ParticipantRole::new(id(1));
         p.step(begin_sync(1), SimTime::ZERO, &c);
         let fx = p.step(
@@ -1112,12 +1188,8 @@ mod tests {
             SimTime::ZERO,
             &c,
         );
-        assert!(matches!(
-            fx[..],
-            [Effect::MaybeFlushOnTurn, Effect::TryApply]
-        ));
         assert!(
-            p.round.as_ref().unwrap().my_turn(id(1)),
+            matches!(fx[..], [Effect::Flush, Effect::TryApply]),
             "peer removal passes the turn"
         );
         let fx = p.step(

@@ -6,8 +6,8 @@
 //! `docs/ANALYSIS.md` "Shard plans") and installed through
 //! [`crate::MachineConfig::with_shard_plan`]. With a plan installed the machine
 //! labels every commit with its [`ShardId`] — feeding the per-shard
-//! telemetry counter `guesstimate_shard_ops_total` — and, under
-//! [`crate::MachineConfig::paranoid_checks`], asserts *containment*: the declared
+//! telemetry counter `guesstimate_shard_ops_total` — and, with
+//! [`crate::MachineConfig::checks`] on, asserts *containment*: the declared
 //! footprints of the committed operation, instantiated at its actual
 //! arguments, must fall inside the shard the plan routed it to. A
 //! violation means the plan and the effect declarations disagree — either
@@ -101,10 +101,9 @@ impl ShardRouter {
 /// arguments) reached outside the shard the installed
 /// [`crate::MachineConfig::shard_plan`] routed it to.
 ///
-/// Recorded on the machine ([`Machine::shard_violations`]); with
-/// [`crate::MachineConfig::witness_assert`] (the default) it also
-/// `debug_assert!`s. The model checker's negative preset disables the
-/// assert so its `ShardEscape` oracle can report — and ddmin-shrink —
+/// Recorded on the machine ([`Machine::shard_violations`]); under
+/// [`crate::Checks::Assert`] it also `debug_assert!`s. The model checker's
+/// negative preset runs [`crate::Checks::Record`] instead so its `ShardEscape` oracle can report — and ddmin-shrink —
 /// the escape instead of aborting mid-delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardViolation {
@@ -130,13 +129,13 @@ const SHARD_LOG_CAP: usize = 64;
 
 impl Machine {
     /// Labels one committed wire operation with its routed shard (per-shard
-    /// telemetry counter) and, under [`crate::MachineConfig::paranoid_checks`],
+    /// telemetry counter) and, with [`crate::MachineConfig::checks`] on,
     /// checks that the operation's declared footprints stay inside that
     /// shard. No-op unless a [`crate::MachineConfig::shard_plan`] is installed
-    /// and somebody is listening: with a no-op telemetry handle and paranoid
-    /// checks off, the route would be computed only to be dropped.
+    /// and somebody is listening: with a no-op telemetry handle and checks
+    /// off, the route would be computed only to be dropped.
     pub(crate) fn note_shard_commit(&mut self, op: &WireOp, site: &'static str) {
-        if !(self.telemetry.enabled() || self.cfg.paranoid_checks) {
+        if !(self.telemetry.enabled() || self.cfg.checks.on()) {
             return;
         }
         let Some(plan) = self.cfg.shard_plan.clone() else {
@@ -157,7 +156,7 @@ impl Machine {
         if shard == ShardId::Cross {
             self.telemetry.cross_route();
         }
-        if !self.cfg.paranoid_checks || shard == ShardId::Cross {
+        if !self.cfg.checks.on() || shard == ShardId::Cross {
             return;
         }
         // Containment: every path of the declared footprints, instantiated
@@ -177,7 +176,7 @@ impl Machine {
             }
         }
         for detail in escapes {
-            if self.cfg.witness_assert {
+            if self.cfg.checks == crate::Checks::Assert {
                 debug_assert!(
                     false,
                     "shard escape on {:?} at {site}: {detail} (op {op:?})",

@@ -7,7 +7,7 @@ mod rounds {
     use guesstimate_core::{args, MachineId, ObjectId, OpRegistry, SharedOp};
     use guesstimate_net::{FaultPlan, LatencyModel, NetConfig, SimNet, SimTime, StallWindow};
     use guesstimate_runtime::testutil::{counter_registry, Counter};
-    use guesstimate_runtime::{Machine, MachineConfig};
+    use guesstimate_runtime::{Checks, Flush, Machine, MachineConfig};
     use std::sync::Arc;
 
     pub(super) fn cluster(
@@ -36,13 +36,13 @@ mod rounds {
     }
 
     pub(super) fn default_cfg() -> MachineConfig {
-        // paranoid_checks: every protocol step re-validates `sg = [P](sc)`,
+        // Checks::Assert: every protocol step re-validates `sg = [P](sc)`,
         // so these tests no longer need ad-hoc mid-run invariant calls.
         MachineConfig::default()
             .with_sync_period(SimTime::from_millis(100))
             .with_stall_timeout(SimTime::from_millis(500))
             .with_join_retry(SimTime::from_millis(300))
-            .with_paranoid_checks(true)
+            .with_checks(Checks::Assert)
     }
 
     fn fast_cluster(n: u32, seed: u64) -> SimNet<Machine> {
@@ -611,7 +611,7 @@ mod rounds {
         // flushes at +10, m2 at +20 on hearing it, and the `Leave` reaches
         // the master at +22, between their two `FlushDone`s. m1's batch is
         // on every replica and in no `BeginApply`.
-        leave_mid_round_and_return(default_cfg().with_parallel_flush(false), 1, 12);
+        leave_mid_round_and_return(default_cfg().with_flush(Flush::Serial), 1, 12);
     }
 
     #[test]
@@ -626,7 +626,7 @@ mod rounds {
     #[test]
     fn serial_flush_converges_too() {
         // The paper's §4 turn-taking, which the default no longer selects.
-        let cfg = default_cfg().with_parallel_flush(false);
+        let cfg = default_cfg().with_flush(Flush::Serial);
         let mut net = cluster(6, 37, LatencyModel::constant_ms(10), FaultPlan::new(), cfg);
         net.run_until(SimTime::from_secs(1));
         let obj = net
@@ -983,7 +983,7 @@ mod flush_modes {
         TraceEvent, TraceRecord,
     };
     use guesstimate_runtime::testutil::{counter_registry, Counter};
-    use guesstimate_runtime::{Machine, MachineConfig, SyncSample};
+    use guesstimate_runtime::{Flush, Machine, MachineConfig, SyncSample};
     use std::sync::Arc;
 
     use super::rounds::default_cfg as cfg;
@@ -1130,7 +1130,7 @@ mod flush_modes {
         );
         parallel.assert_committed_everywhere(4);
 
-        let serial = run(4, cfg().with_parallel_flush(false), FaultPlan::new());
+        let serial = run(4, cfg().with_flush(Flush::Serial), FaultPlan::new());
         assert_eq!(serial.sent("flush_done"), 4);
         assert_eq!(serial.sent("ops"), 4);
         assert_eq!(serial.msgs, 36);
@@ -1217,7 +1217,7 @@ mod pipeline {
     //! Two rounds in flight, one per stage: 10 ms links make a round 40 ms
     //! (`BeginSync`, `FlushDone`, `BeginApply`, `Ack`) and the master asks
     //! for one every 30 ms, so round r + 1 begins while the members are
-    //! still applying round r. `paranoid_checks` re-validates `sg = [P](sc)`
+    //! still applying round r. `Checks::Assert` re-validates `sg = [P](sc)`
     //! after every protocol step of every machine.
 
     use guesstimate_core::{args, MachineId, ObjectId, SharedOp};

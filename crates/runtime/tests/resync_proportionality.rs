@@ -5,7 +5,7 @@
 //! and must stay within the objects the round's committed operations and
 //! the machine's own pending list touch.
 //!
-//! `paranoid_checks` is on throughout, so the whole-store oracle
+//! `Checks::Assert` is on throughout, so the whole-store oracle
 //! ([`Machine::check_guess_invariant`]) is asserted after every handler
 //! step: a resync that missed an object fails there, not here.
 //!
@@ -17,7 +17,7 @@ use std::collections::{BTreeSet, VecDeque};
 use guesstimate_core::{args, MachineId, ObjectId, SharedOp};
 use guesstimate_net::{LatencyModel, NetConfig, SimNet, SimTime};
 use guesstimate_runtime::testutil::{slots_registry, Slots};
-use guesstimate_runtime::{run_until_cohort, sim_cluster, Machine, MachineConfig, WireOp};
+use guesstimate_runtime::{run_until_cohort, sim_cluster, Checks, Machine, MachineConfig, WireOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,8 +104,7 @@ fn run(bystanders: u64) -> Outcome {
     let cfg = MachineConfig::default()
         .with_sync_period(SimTime::from_millis(100))
         .with_join_retry(SimTime::from_millis(300))
-        .with_record_history(true)
-        .with_paranoid_checks(true);
+        .with_checks(Checks::Assert);
     let netcfg = NetConfig::lan(23).with_latency(LatencyModel::constant_ms(10));
     let mut net: SimNet<Machine> = sim_cluster(MACHINES, slots_registry(), cfg, netcfg);
     assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));

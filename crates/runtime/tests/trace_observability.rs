@@ -7,7 +7,9 @@
 //! 2. the master's trace events for a round appear in three-stage protocol
 //!    order, with timestamps consistent with the round's sample;
 //! 3. a stalled machine produces the recovery events (`resend`, `removed`)
-//!    and, once the stall lifts, a member-side `restarted` event.
+//!    and, once the stall lifts, a member-side `restarted` event;
+//! 4. under serial turns every member's flush window opens before it
+//!    closes, the turn a removal passes on included.
 
 use std::sync::Arc;
 
@@ -17,7 +19,7 @@ use guesstimate_net::{
     TraceRecord,
 };
 use guesstimate_runtime::{
-    run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig, SyncSample,
+    run_until_cohort, sim_cluster_instrumented, Flush, Machine, MachineConfig, SyncSample,
 };
 use guesstimate_telemetry::Telemetry;
 
@@ -248,4 +250,70 @@ fn recovery_round_emits_resend_and_removal_events() {
         1,
         "stats agree with the trace"
     );
+}
+
+#[test]
+fn a_turn_a_removal_passes_on_is_traced_before_it_closes() {
+    // Serial turns over three machines: member 1 stalls through two
+    // stage-1 timeouts, so the master nudges it, then removes it, and the
+    // `RoundUpdate` opens member 2's turn.
+    let (master, stalled, next) = (MachineId::new(0), MachineId::new(1), MachineId::new(2));
+    let cfg = MachineConfig::default()
+        .with_sync_period(SimTime::from_millis(100))
+        .with_stall_timeout(SimTime::from_millis(800))
+        .with_flush(Flush::Serial);
+    let faults = FaultPlan::new().with_stall(StallWindow::new(
+        stalled,
+        SimTime::from_secs(6),
+        SimTime::from_secs(14),
+    ));
+    let netcfg = NetConfig::lan(23)
+        .with_latency(LatencyModel::constant_ms(10))
+        .with_faults(faults);
+    let tracer = Arc::new(RecordingTracer::new());
+    let mut net = sim_cluster_instrumented(
+        3,
+        counter_registry(),
+        cfg,
+        netcfg,
+        Some(tracer.clone()),
+        Telemetry::noop(),
+    );
+    assert!(run_until_cohort(&mut net, SimTime::from_secs(5)));
+    net.run_until(SimTime::from_secs(20));
+
+    let records: Vec<TraceRecord> = tracer
+        .take()
+        .into_iter()
+        .filter(|r| r.source == master)
+        .collect();
+    let removed = records
+        .iter()
+        .find(|r| matches!(r.event, TraceEvent::Removed { machine, .. } if machine == stalled));
+    let round = removed
+        .expect("the stalled member is removed")
+        .event
+        .round();
+    let find = |opened: bool| {
+        records.iter().position(|r| match r.event {
+            TraceEvent::FlushWindowOpened { round: n, machine } => {
+                opened && Some(n) == round && machine == next
+            }
+            TraceEvent::FlushWindowClosed {
+                round: n, machine, ..
+            } => !opened && Some(n) == round && machine == next,
+            _ => false,
+        })
+    };
+    let closed = find(false).expect("member 2 flushes the removal round");
+    let opened = find(true).expect("the removal opens member 2's window");
+    assert!(opened < closed, "its window opens first");
+    // And so does every machine's window of the run.
+    for (i, r) in records.iter().enumerate() {
+        if let TraceEvent::FlushWindowClosed { round, machine, .. } = r.event {
+            let opening = TraceEvent::FlushWindowOpened { round, machine };
+            let opened = records[..i].iter().any(|o| o.event == opening);
+            assert!(opened, "round {round}: {machine:?}'s window never opened");
+        }
+    }
 }

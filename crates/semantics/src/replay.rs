@@ -5,7 +5,7 @@
 //! (§3: "The committed state sc is obtained by executing the sequence of
 //! completed operations C from the initial state"). [`replay_in_commit_order`]
 //! computes that state. Integration tests extract the committed history from
-//! a *runtime* run (with `MachineConfig::record_history`) and check that the
+//! a *runtime* run (kept under `MachineConfig::checks`) and check that the
 //! runtime's committed stores equal this replay — i.e. that the
 //! implementation refines the semantics.
 

@@ -12,6 +12,21 @@ analyze() {
     cargo run -q -p guesstimate-analysis --bin analyze -- "$@"
 }
 
+# `cargo test -q "$@"`, failing unless its name filter selected at least
+# one test: a filter that matches nothing prints "running 0 tests" and
+# passes, so a renamed test would otherwise empty its gate silently.
+filtered_test() {
+    out=$(cargo test -q "$@" 2>&1) || {
+        printf '%s\n' "$out"
+        return 1
+    }
+    printf '%s\n' "$out"
+    printf '%s\n' "$out" | grep -Eq 'test result: ok\. [1-9][0-9]* passed' || {
+        echo "check.sh: \`cargo test $*\` ran no test" >&2
+        return 1
+    }
+}
+
 # Counts Rust lines fed on stdin as concatenated files, each preceded by a
 # `==> path` line, and prints `<non-test> <test>`. Test lines are whole
 # files under a `tests/` directory, `*_tests.rs` and the `testutil.rs`
@@ -170,7 +185,8 @@ step() {
     # Model-checker smoke: a quick bounded exploration of every row of the
     # scenario table -- 15 rows of data: five scenarios, each under the
     # serial flush, the parallel flush, and the parallel flush with two
-    # rounds in flight (one `Flush` column), all driven by the one harness
+    # rounds in flight (the `flush` and `overlap` columns), all driven by
+    # the one harness
     # -- (debug build, small budget) with all oracles armed
     # (docs/MODELCHECK.md).
     mc-smoke)
@@ -213,11 +229,11 @@ step() {
     sanitize)
         step shards
         step analyze
-        cargo test -q -p guesstimate-core witness
-        cargo test -q -p guesstimate-runtime undeclared_read
-        cargo test -q --test mc_regressions under_declared_read
-        cargo test -q -p guesstimate-runtime shard
-        cargo test -q --test mc_regressions mis_keyed
+        filtered_test -p guesstimate-core witness
+        filtered_test -p guesstimate-runtime undeclared_read
+        filtered_test --test mc_regressions under_declared_read
+        filtered_test -p guesstimate-runtime shard
+        filtered_test --test mc_regressions mis_keyed
         ;;
     # Causal cluster report: a short traced fig5, then the obs report over
     # its trace + spans (docs/OBSERVABILITY.md "Lag waterfalls").

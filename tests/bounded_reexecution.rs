@@ -4,7 +4,9 @@
 
 use guesstimate::apps::sudoku::{self, Sudoku};
 use guesstimate::net::{LatencyModel, NetConfig, SimTime};
-use guesstimate::runtime::{run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig};
+use guesstimate::runtime::{
+    run_until_cohort, sim_cluster_instrumented, Checks, Machine, MachineConfig,
+};
 use guesstimate::telemetry::Telemetry;
 use guesstimate::{MachineId, OpRegistry};
 
@@ -110,7 +112,7 @@ fn ops_execute_at_most_three_times_across_seeds() {
 /// for one every 5 ms, so each round begins while the one before is still
 /// being applied. The bound is tight there -- a machine that flushed round
 /// r + 1 before it had applied round r would replay an operation issued in
-/// between twice -- and `paranoid_checks` re-validates `sg = [P](sc)` after
+/// between twice -- and `Checks::Assert` re-validates `sg = [P](sc)` after
 /// every step of every machine.
 ///
 /// The master flushes last, as stage 1 closes, and applies in the same step
@@ -125,7 +127,7 @@ fn bound_holds_with_a_round_beginning_under_every_round() {
     for (seed, jitter) in runs.into_iter().chain([(1, false), (17, false)]) {
         let cfg = MachineConfig::default()
             .with_sync_period(SimTime::from_millis(5))
-            .with_paranoid_checks(true);
+            .with_checks(Checks::Assert);
         let links = match jitter {
             true => LatencyModel::lan_ms(10),
             false => LatencyModel::constant_ms(10),

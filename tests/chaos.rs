@@ -5,7 +5,7 @@
 
 use guesstimate::apps::sudoku::{self, Sudoku};
 use guesstimate::net::{FaultPlan, LatencyModel, NetConfig, PartitionWindow, SimTime, StallWindow};
-use guesstimate::runtime::{run_until_cohort, sim_cluster, Machine, MachineConfig};
+use guesstimate::runtime::{run_until_cohort, sim_cluster, Checks, Machine, MachineConfig};
 use guesstimate::{MachineId, OpRegistry};
 
 #[test]
@@ -37,7 +37,7 @@ fn everything_at_once_soak() {
             .with_sync_period(SimTime::from_millis(150))
             .with_stall_timeout(SimTime::from_millis(900))
             .with_join_retry(SimTime::from_millis(500))
-            .with_paranoid_checks(true),
+            .with_checks(Checks::Assert),
         NetConfig::lan(4242)
             .with_latency(LatencyModel::lan_ms(20))
             .with_faults(faults),
@@ -80,7 +80,7 @@ fn everything_at_once_soak() {
                 .with_sync_period(SimTime::from_millis(150))
                 .with_stall_timeout(SimTime::from_millis(900))
                 .with_join_retry(SimTime::from_millis(500))
-                .with_paranoid_checks(true),
+                .with_checks(Checks::Assert),
         ),
     );
 

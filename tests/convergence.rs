@@ -4,7 +4,7 @@
 use guesstimate::apps;
 use guesstimate::apps::{auction, carpool, event_planner, message_board, microblog, sudoku};
 use guesstimate::net::{LatencyModel, NetConfig, SimTime};
-use guesstimate::runtime::{run_until_cohort, sim_cluster, Machine, MachineConfig};
+use guesstimate::runtime::{run_until_cohort, sim_cluster, Checks, Flush, Machine, MachineConfig};
 use guesstimate::{MachineId, ObjectId, OpRegistry};
 
 fn cluster(n: u32, seed: u64) -> guesstimate::net::SimNet<Machine> {
@@ -21,7 +21,7 @@ fn cluster_with(n: u32, seed: u64, cfg: MachineConfig) -> guesstimate::net::SimN
             .with_stall_timeout(SimTime::from_millis(800))
             // Debug-assert sg = [P](sc) after every protocol callback on
             // every machine, replacing ad-hoc mid-run polling.
-            .with_paranoid_checks(true),
+            .with_checks(Checks::Assert),
         NetConfig::lan(seed).with_latency(LatencyModel::constant_ms(10)),
     )
 }
@@ -175,7 +175,7 @@ fn guess_invariant_holds_throughout_a_run() {
             },
         );
     }
-    // Per-step invariant checking is handled by `paranoid_checks` in the
+    // Per-step invariant checking is handled by `Checks::Assert` in the
     // cluster config: every protocol callback on every machine
     // debug-asserts sg = [P](sc), which subsumes the old 250ms polling
     // loop this test used to run.
@@ -313,7 +313,7 @@ fn sixteen_machines_under_load(cfg: MachineConfig) -> Vec<SimTime> {
 fn sixteen_machine_cluster_converges_under_load() {
     // The paper's serial protocol still converges, just with longer rounds
     // (the Figure 6 trend): round duration reflects 16 flush turns.
-    for d in sixteen_machines_under_load(MachineConfig::default().with_parallel_flush(false)) {
+    for d in sixteen_machines_under_load(MachineConfig::default().with_flush(Flush::Serial)) {
         assert!(
             d >= SimTime::from_millis(150),
             "16 serial turns at 10ms latency each: {d:?}"

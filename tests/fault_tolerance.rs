@@ -4,7 +4,7 @@
 
 use guesstimate::apps::sudoku::{self, Sudoku};
 use guesstimate::net::{FaultPlan, LatencyModel, NetConfig, SimTime, StallWindow};
-use guesstimate::runtime::{run_until_cohort, sim_cluster, Machine, MachineConfig};
+use guesstimate::runtime::{run_until_cohort, sim_cluster, Checks, Machine, MachineConfig};
 use guesstimate::{MachineId, OpRegistry};
 
 fn registry() -> OpRegistry {
@@ -18,7 +18,7 @@ fn mcfg() -> MachineConfig {
         .with_sync_period(SimTime::from_millis(150))
         .with_stall_timeout(SimTime::from_millis(700))
         .with_join_retry(SimTime::from_millis(400))
-        .with_paranoid_checks(true)
+        .with_checks(Checks::Assert)
 }
 
 fn schedule_activity(

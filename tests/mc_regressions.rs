@@ -15,7 +15,7 @@ use guesstimate_mc::{
     explore, minimize, replay, Built, ExploreConfig, Preset, Schedule, Step, TamperSpec, Violation,
 };
 use guesstimate_net::PendingMsg;
-use guesstimate_runtime::Msg;
+use guesstimate_runtime::{Flush, Msg};
 
 fn schedule_files() -> Vec<std::path::PathBuf> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/schedules");
@@ -360,7 +360,7 @@ fn parallel_flush_losses_recover_as_the_checked_in_schedule_records() {
     use guesstimate_runtime::Msg;
 
     let preset = *Preset::by_name("event_planner-parallel").expect("built-in preset");
-    assert!(preset.flush.parallel() && preset.drop_budget >= 2);
+    assert!(preset.flush == Flush::Parallel && preset.drop_budget >= 2);
     let matrix = CommuteMatrix::new();
     let mut built = preset.build_machines(&matrix, None);
     let (master, member) = (MachineId::new(0), MachineId::new(1));

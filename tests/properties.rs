@@ -203,7 +203,7 @@ proptest! {
     fn runtime_random_schedules_converge(seed in 0u64..5000, users in 2u32..5) {
         use guesstimate::apps::sudoku;
         use guesstimate::net::{LatencyModel, NetConfig, SimTime};
-        use guesstimate::runtime::{run_until_cohort, sim_cluster, Machine, MachineConfig};
+        use guesstimate::runtime::{run_until_cohort, sim_cluster, Checks, Machine, MachineConfig};
         use guesstimate::OpRegistry;
 
         let mut registry = OpRegistry::new();
@@ -214,7 +214,7 @@ proptest! {
             MachineConfig::default()
                 .with_sync_period(SimTime::from_millis(120))
                 .with_stall_timeout(SimTime::from_secs(2))
-                .with_paranoid_checks(true),
+                .with_checks(Checks::Assert),
             NetConfig::lan(seed).with_latency(LatencyModel::lan_ms(20)),
         );
         prop_assert!(run_until_cohort(&mut net, SimTime::from_secs(15)));

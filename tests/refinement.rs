@@ -3,7 +3,7 @@
 //! §3: "The committed state sc is obtained by executing the sequence of
 //! completed operations C from the initial state", and all machines agree
 //! on `C`. We record the full committed history of a live runtime session
-//! (`MachineConfig::record_history`) and check:
+//! (kept whenever `MachineConfig::checks` are on) and check:
 //!
 //! 1. every machine recorded the *same* history (agreement on `C`);
 //! 2. replaying that history from the empty store — through the exact
@@ -15,7 +15,7 @@
 use guesstimate::apps::sudoku::{self, Sudoku};
 use guesstimate::core::{execute, ObjectStore, SharedOp};
 use guesstimate::net::{LatencyModel, NetConfig, SimTime};
-use guesstimate::runtime::{run_until_cohort, sim_cluster, Machine, MachineConfig, WireOp};
+use guesstimate::runtime::{run_until_cohort, sim_cluster, Checks, Machine, MachineConfig, WireOp};
 use guesstimate::semantics::replay_in_commit_order;
 use guesstimate::{MachineId, OpRegistry};
 
@@ -59,7 +59,7 @@ fn runtime_committed_state_equals_history_replay() {
         MachineConfig::default()
             .with_sync_period(SimTime::from_millis(100))
             .with_stall_timeout(SimTime::from_secs(1))
-            .with_record_history(true),
+            .with_checks(Checks::Assert),
         NetConfig::lan(13).with_latency(LatencyModel::lan_ms(20)),
     );
     assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
@@ -140,7 +140,7 @@ fn histories_agree_even_with_message_loss() {
         MachineConfig::default()
             .with_sync_period(SimTime::from_millis(100))
             .with_stall_timeout(SimTime::from_millis(600))
-            .with_record_history(true),
+            .with_checks(Checks::Assert),
         NetConfig::lan(31)
             .with_latency(LatencyModel::constant_ms(10))
             .with_faults(faults),

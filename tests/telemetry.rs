@@ -5,7 +5,9 @@
 
 use guesstimate::apps::sudoku::{self, Sudoku};
 use guesstimate::net::{FaultPlan, LatencyModel, NetConfig, SimTime};
-use guesstimate::runtime::{run_until_cohort, sim_cluster_instrumented, Machine, MachineConfig};
+use guesstimate::runtime::{
+    run_until_cohort, sim_cluster_instrumented, Checks, Machine, MachineConfig,
+};
 use guesstimate::telemetry::Telemetry;
 use guesstimate::{MachineId, OpRegistry};
 
@@ -32,7 +34,11 @@ fn lossy_session(
         MachineConfig::default()
             .with_sync_period(SimTime::from_millis(150))
             .with_stall_timeout(SimTime::from_secs(2))
-            .with_paranoid_checks(witnessed)
+            .with_checks(if witnessed {
+                Checks::Assert
+            } else {
+                Checks::Off
+            })
             .with_witness_reads(witnessed),
         NetConfig::lan(seed)
             .with_latency(LatencyModel::lan_ms(20))
