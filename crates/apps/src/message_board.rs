@@ -84,7 +84,14 @@ impl MessageBoard {
         if key.is_empty() {
             return false;
         }
-        *self.likes.entry(key.to_owned()).or_insert(0) += 1;
+        // Almost every like bumps a tally that exists already: allocate
+        // the key only on its first.
+        match self.likes.get_mut(key) {
+            Some(n) => *n += 1,
+            None => {
+                self.likes.insert(key.to_owned(), 1);
+            }
+        }
         true
     }
 
@@ -490,6 +497,18 @@ mod tests {
         assert_eq!(b.likes("general"), 2);
         assert_eq!(b.likes("nope"), 0);
         assert_eq!(b.like_count(), 3);
+    }
+
+    #[test]
+    fn the_first_like_creates_the_tally_and_later_likes_bump_it() {
+        let mut b = MessageBoard::new();
+        assert!(!b.likes.contains_key("general"));
+        assert!(b.like("general"));
+        assert_eq!(b.likes.get("general"), Some(&1), "created at one");
+        assert!(b.like("general"));
+        assert!(b.like("general"));
+        assert_eq!(b.likes.get("general"), Some(&3), "bumped in place");
+        assert_eq!(b.likes.len(), 1, "one tally per key");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   cluster (protocol + virtual network bookkeeping): nearly idle — on the
 //!   plain registry and on the checked one — and with 256 pending ops to
 //!   consolidate.
+//! * `flush` — one member's stage-1 flush of 256 pending ops: the handler
+//!   that takes `BeginSync`, alone.
 //! * `threaded_link_round_trip` — a ping and its echo over the real-thread
 //!   mesh with a constant link delay: twice the link when the delivery
 //!   thread wakes on time, and its wake-up lateness twice over when not.
@@ -28,8 +30,8 @@ use guesstimate_apps::sudoku::{self, Sudoku};
 use guesstimate_core::{
     args, execute, GState, MachineId, ObjectId, ObjectStore, OpRegistry, SharedOp,
 };
-use guesstimate_net::{Actor, Channel, Ctx, LatencyModel, NetConfig, SimTime, ThreadedNet};
-use guesstimate_runtime::{run_until_cohort, sim_cluster, MachineConfig};
+use guesstimate_net::{Actor, Channel, Ctx, LatencyModel, NetConfig, SimNet, SimTime, ThreadedNet};
+use guesstimate_runtime::{run_until_cohort, sim_cluster, Machine, MachineConfig, Msg};
 use guesstimate_spec::{check_suite, ConformanceLog};
 
 fn board_id(i: u64) -> ObjectId {
@@ -190,6 +192,26 @@ fn bench_sim_round(c: &mut Criterion) {
     });
 }
 
+/// A settled 4-machine cluster on constant 5 ms links, with one message
+/// board the master created committed everywhere.
+fn board_cluster() -> (SimNet<Machine>, ObjectId) {
+    let cfg = MachineConfig::default()
+        .with_sync_period(SimTime::from_millis(50))
+        .with_stall_timeout(SimTime::from_secs(2));
+    let netcfg = NetConfig::lan(7).with_latency(LatencyModel::constant_ms(5));
+    let mut registry = OpRegistry::new();
+    message_board::register(&mut registry);
+    let mut net = sim_cluster(4, registry, cfg, netcfg);
+    assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
+    let board = net
+        .actor_mut(MachineId::new(0))
+        .unwrap()
+        .create_instance(MessageBoard::new());
+    let settle = net.now() + SimTime::from_secs(2);
+    net.run_until(settle);
+    (net, board)
+}
+
 /// A round that carries real load: 64 `like` ops pending on each of 4
 /// machines (own key per machine), all flushed, consolidated and committed
 /// by the next synchronization, each machine then rebuilding `sg` (copy +
@@ -198,20 +220,7 @@ fn bench_sim_round_loaded(c: &mut Criterion) {
     c.bench_function("sim_round/4_machines_256_pending_ops", |b| {
         b.iter_batched(
             || {
-                let cfg = MachineConfig::default()
-                    .with_sync_period(SimTime::from_millis(50))
-                    .with_stall_timeout(SimTime::from_secs(2));
-                let netcfg = NetConfig::lan(7).with_latency(LatencyModel::constant_ms(5));
-                let mut registry = OpRegistry::new();
-                message_board::register(&mut registry);
-                let mut net = sim_cluster(4, registry, cfg, netcfg);
-                assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
-                let board = net
-                    .actor_mut(MachineId::new(0))
-                    .unwrap()
-                    .create_instance(MessageBoard::new());
-                let settle = net.now() + SimTime::from_secs(2);
-                net.run_until(settle);
+                let (mut net, board) = board_cluster();
                 for i in 0..4u32 {
                     let m = net.actor_mut(MachineId::new(i)).unwrap();
                     for _ in 0..64 {
@@ -227,6 +236,51 @@ fn bench_sim_round_loaded(c: &mut Criterion) {
                 let committed = net.actor(MachineId::new(0)).unwrap().completed_len();
                 assert_eq!(committed, 1 + 256);
                 committed
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+/// One member taking `BeginSync` with 256 `like` ops pending: the flush
+/// handler alone -- cutting the batch from `P`, broadcasting it and
+/// sending `FlushDone`, the sends routed by the `SimNet` -- delivered
+/// between two rounds of a settled 4-machine cluster.
+fn bench_flush(c: &mut Criterion) {
+    let (master, member) = (MachineId::new(0), MachineId::new(1));
+    c.bench_function("flush/member_256_pending", |b| {
+        // The clusters outlive the timed call: dropping one is no part of
+        // a flush.
+        let mut kept = Vec::new();
+        b.iter_batched(
+            || {
+                let (mut net, board) = board_cluster();
+                // Stop as the member takes a round's `BeginSync`, and let
+                // that round finish well before the next tick's arrives.
+                let held = net.actor(member).unwrap().active_round();
+                let round = loop {
+                    net.step();
+                    let now = net.actor(member).unwrap().active_round();
+                    if let Some(r) = now.filter(|_| now != held) {
+                        break r;
+                    }
+                };
+                let quiet = net.now() + SimTime::from_millis(25);
+                net.run_until(quiet);
+                let m = net.actor_mut(member).unwrap();
+                for _ in 0..256 {
+                    assert!(m.issue(message_board::ops::like(board, "post-1")).unwrap());
+                }
+                let order = net.actor(master).unwrap().members();
+                let round = round + 1;
+                (net, round, Msg::BeginSync { round, order })
+            },
+            |(mut net, round, begin_sync)| {
+                net.call(member, |m, ctx| {
+                    m.on_message(master, Channel::Signals, begin_sync, ctx)
+                });
+                assert_eq!(net.actor(member).unwrap().flushed_round(), Some(round));
+                kept.push(net);
             },
             BatchSize::SmallInput,
         )
@@ -303,6 +357,7 @@ criterion_group!(
     bench_snapshot_digest,
     bench_sim_round,
     bench_sim_round_loaded,
+    bench_flush,
     bench_threaded_link_round_trip
 );
 criterion_main!(benches);

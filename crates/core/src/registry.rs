@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use crate::effect::EffectSpec;
@@ -116,9 +117,43 @@ impl<'a> ArgView<'a> {
 /// See the [crate-level example](crate).
 #[derive(Clone, Default)]
 pub struct OpRegistry {
-    ctors: HashMap<&'static str, CtorFn>,
-    methods: HashMap<&'static str, HashMap<&'static str, ApplyFn>>,
-    effects: HashMap<&'static str, HashMap<&'static str, EffectSpec>>,
+    ctors: NameMap<CtorFn>,
+    methods: NameMap<NameMap<ApplyFn>>,
+    effects: NameMap<NameMap<EffectSpec>>,
+}
+
+/// A map keyed by registered type or method names, hashed with FNV-1a:
+/// every execution -- at issue, on each replay and at every replica's
+/// commit -- looks a name up twice. Only the application inserts keys, so
+/// the maps never grow past its registrations and a looked-up name, even
+/// one a peer sent, probes among those alone: the flooding resistance
+/// SipHash pays for buys nothing here.
+type NameMap<V> = HashMap<&'static str, V, FnvBuild>;
+
+/// Builds [`Fnv`] hashers for [`NameMap`].
+#[derive(Clone, Copy, Default)]
+struct FnvBuild;
+
+impl BuildHasher for FnvBuild {
+    type Hasher = Fnv;
+    fn build_hasher(&self) -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+/// The 64-bit FNV-1a hash.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl OpRegistry {

@@ -64,7 +64,7 @@ impl Machine {
             }
             // Own ops commit in issue order, so this one heads `P`.
             let own = match self.pending.front() {
-                Some(front) if front.env.id == env.id => self.pending.pop_front(),
+                Some(front) if front.env().id == env.id => self.pending.pop_front(),
                 _ => None,
             };
             debug_assert!(own.is_some(), "own op committed out of pending order");
@@ -169,7 +169,7 @@ impl Machine {
     ) {
         for p in &mut self.pending {
             let _ = execute_wire_checked(
-                &p.env.op,
+                &p.env().op,
                 &mut self.guess,
                 &self.registry,
                 &self.cfg,
@@ -262,7 +262,7 @@ impl Machine {
         for p in &self.pending {
             if let WireOp::Create {
                 object, type_name, ..
-            } = &p.env.op
+            } = &p.env().op
             {
                 self.catalog.insert(*object, type_name.clone());
             }
@@ -288,7 +288,7 @@ impl Machine {
     /// never reached this machine: the completion routines are dropped, and
     /// counted as such (no commit stamp reaches telemetry either).
     fn retire_ops_committed_while_away(&mut self) {
-        let Some(first) = self.pending.front().map(|p| p.env.id.seq()) else {
+        let Some(first) = self.pending.front().map(|p| p.env().id.seq()) else {
             return;
         };
         let me = self.id;
@@ -300,7 +300,7 @@ impl Machine {
             .filter(|id| id.machine() == me && id.seq() >= first)
             .map(|id| id.seq())
             .collect();
-        let in_c = |p: &mut PendingOp| committed.contains(&p.env.id.seq());
+        let in_c = |p: &mut PendingOp| committed.contains(&p.env().id.seq());
         while let Some(p) = self.pending.pop_front_if(in_c) {
             self.stats.record_exec_count(p.execs);
             self.stats.committed_own += 1;

@@ -28,6 +28,7 @@ use crate::roles::election::ElectionRole;
 use crate::roles::master::MasterRole;
 use crate::roles::membership::MembershipRole;
 use crate::roles::participant::ParticipantRole;
+use crate::roles::OpsBatch;
 use crate::stats::MachineStats;
 
 /// A GUESSTIMATE machine: replicated state plus synchronizer.
@@ -120,14 +121,38 @@ pub struct Machine {
 /// pair plus what the commit needs to account for it. Built only by
 /// [`Machine::enqueue`]; the round commit pops it off the front of `P`.
 pub(crate) struct PendingOp {
-    /// The `(machineId, opNumber, op)` triple a flush ships.
-    pub(crate) env: WireEnvelope,
+    /// Where the `(machineId, opNumber, op)` triple a flush ships lives;
+    /// read it through [`PendingOp::env`].
+    pub(crate) slot: EnvSlot,
     /// Executions so far: the issue-time run plus every counted replay.
     pub(crate) execs: u32,
     /// The completion routine, run with the commit-time result.
     pub(crate) completion: Option<CompletionFn>,
     /// Issue time, when the caller stamped one (commit-latency stats).
     pub(crate) issued_at: Option<SimTime>,
+}
+
+/// Where a pending operation's envelope lives. It is built once, at issue,
+/// and the record owns it until its first flush, which moves it into the
+/// batch it ships ([`Machine::cut_flush`]); from then on the record points
+/// at its slot there, so the broadcast, the stored flush, the machine's own
+/// received run, the master's `BeginApply` and the commit all share one
+/// allocation.
+pub(crate) enum EnvSlot {
+    /// Never flushed: the record holds the envelope itself.
+    Own(WireEnvelope),
+    /// Flushed: slot `.1` of the batch `.0`.
+    Flushed(OpsBatch, usize),
+}
+
+impl PendingOp {
+    /// The operation's `(machineId, opNumber, op)` triple.
+    pub(crate) fn env(&self) -> &WireEnvelope {
+        match &self.slot {
+            EnvSlot::Own(env) => env,
+            EnvSlot::Flushed(batch, i) => &batch[*i],
+        }
+    }
 }
 
 /// Callback invoked after a synchronization commits *foreign* operations
@@ -372,7 +397,7 @@ impl Machine {
     pub fn check_guess_invariant(&self) -> bool {
         let mut replay = self.committed.clone();
         for p in &self.pending {
-            let _ = execute_wire(&p.env.op, &mut replay, &self.registry);
+            let _ = execute_wire(&p.env().op, &mut replay, &self.registry);
         }
         replay.digest() == self.guess.digest()
     }
@@ -508,7 +533,7 @@ impl Machine {
     ) -> OpId {
         let id = self.next_op_id();
         self.pending.push_back(PendingOp {
-            env: WireEnvelope { id, op },
+            slot: EnvSlot::Own(WireEnvelope { id, op }),
             execs: 1,
             completion,
             issued_at,
@@ -518,6 +543,28 @@ impl Machine {
         let depth = self.pending.len() as u64;
         self.stats.max_pending_depth = self.stats.max_pending_depth.max(depth);
         id
+    }
+
+    /// Cuts the batch a flush ships: `P`'s envelopes in issue order. Every
+    /// never-flushed envelope is moved into the batch, one flushed before
+    /// (its flush was removed from its round, or the round was abandoned
+    /// before it committed) is copied out of its old batch, and every
+    /// record is left pointing at its slot in the new one.
+    pub(crate) fn cut_flush(&mut self) -> OpsBatch {
+        // Records sit on this empty batch while the new one fills.
+        let parked = OpsBatch::default();
+        let mut ops = Vec::with_capacity(self.pending.len());
+        for p in &mut self.pending {
+            match std::mem::replace(&mut p.slot, EnvSlot::Flushed(Arc::clone(&parked), 0)) {
+                EnvSlot::Own(env) => ops.push(env),
+                EnvSlot::Flushed(batch, i) => ops.push(batch[i].clone()),
+            }
+        }
+        let batch = Arc::new(ops);
+        for (i, p) in self.pending.iter_mut().enumerate() {
+            p.slot = EnvSlot::Flushed(Arc::clone(&batch), i);
+        }
+        batch
     }
 
     /// Drains the committed-but-unresolved cross markers (commit order).

@@ -10,7 +10,7 @@ use guesstimate_core::args;
 
 /// The still-pending envelopes, in issue order (what a flush would ship).
 fn pending_envs(m: &Machine) -> Vec<WireEnvelope> {
-    m.pending.iter().map(|p| p.env.clone()).collect()
+    m.pending.iter().map(|p| p.env().clone()).collect()
 }
 
 /// Applies `ops` as a one-run round at time zero.
@@ -145,7 +145,7 @@ fn conflict_detected_when_foreign_op_invalidates_own() {
         id: OpId::new(MachineId::new(1), 0),
         op: WireOp::Shared(SharedOp::primitive(id, "add", args![8])),
     };
-    let own = m.pending.front().unwrap().env.clone();
+    let own = m.pending.front().unwrap().env().clone();
     // Foreign machine id 1 > 0? No: lexicographic order puts m0's op
     // first... we want the foreign op to commit BEFORE ours, so give it
     // machine id... m0 < m1, so our op sorts first and would succeed.
@@ -169,7 +169,7 @@ fn replay_of_still_pending_ops_rebuilds_guess() {
     m.issue(SharedOp::primitive(id, "add", args![1])).unwrap();
     // Simulate a round that commits only the creation (as if add was
     // issued after our flush): commit the first pending op only.
-    let create = vec![m.pending.front().unwrap().env.clone()];
+    let create = vec![m.pending.front().unwrap().env().clone()];
     apply(&mut m, create, 7);
     // A round of only this machine's own ops still rebuilds `sg`: add(1)
     // is still pending and was replayed onto the fresh guess.
@@ -301,13 +301,13 @@ fn every_enqueue_caller_keeps_the_same_books() {
         let obj = m.create_instance(Counter { n: 0 });
         enqueue(&mut m, obj);
         let p = m.pending.back().unwrap();
-        assert_eq!(p.env.id, OpId::new(m.id(), 1), "{name}: next op number");
+        assert_eq!(p.env().id, OpId::new(m.id(), 1), "{name}: next op number");
         assert_eq!(p.execs, 1, "{name}");
         assert_eq!(p.issued_at, issued_at, "{name}");
         assert_eq!(m.stats().issued, 2, "{name}");
         assert_eq!(m.stats().max_pending_depth, 2, "{name}");
         let spans = m.telemetry().spans();
-        let span = spans.iter().find(|s| s.op == p.env.id);
+        let span = spans.iter().find(|s| s.op == p.env().id);
         assert_eq!(
             span.map(|s| s.issued_at),
             Some(issued_at),
@@ -325,7 +325,7 @@ fn member_and_its_begin_apply() -> (Machine, crate::message::Msg) {
     m.membership.joined_system = true;
     m.membership.in_cohort = true;
     m.create_instance(Counter { n: 0 });
-    let (_, type_name, init) = m.pending[0].env.op.as_create().expect("a creation");
+    let (_, type_name, init) = m.pending[0].env().op.as_create().expect("a creation");
     let ops = Arc::new(vec![WireEnvelope {
         id: OpId::new(master, 0),
         op: WireOp::Create {
@@ -599,4 +599,151 @@ fn undeclared_read_is_recorded_under_record_checks() {
 fn undeclared_read_asserts_under_assert_checks() {
     let (mut m, id) = witness_machine(Checks::Assert);
     let _ = m.issue(SharedOp::primitive(id, "copy", args!["src", "dst"]));
+}
+
+// ---- the pending list's envelopes: moved into a flush, shared after --------
+
+/// Where `p`'s envelope lives, if in a batch: the batch and the slot.
+fn flushed_at(p: &PendingOp) -> Option<(&OpsBatch, usize)> {
+    match &p.slot {
+        EnvSlot::Own(_) => None,
+        EnvSlot::Flushed(batch, i) => Some((batch, *i)),
+    }
+}
+
+/// The heap buffer of a primitive operation's method name: the same after
+/// a move, a fresh one after a copy.
+fn method_buffer(env: &WireEnvelope) -> Option<*const u8> {
+    match &env.op {
+        WireOp::Shared(SharedOp::Primitive { method, .. }) => Some(method.as_ptr()),
+        _ => None,
+    }
+}
+
+/// A member's flush moves its pending list into the batch it ships rather
+/// than copying it: the `Ops` it broadcasts, its stored flush, its own
+/// received run and every pending record share one allocation, and each
+/// envelope's contents are the ones built at issue.
+#[test]
+fn a_flush_moves_the_pending_list_into_one_shared_batch() {
+    use crate::message::Msg;
+    use guesstimate_net::{Action, Channel};
+    let (mut m, _) = member_and_its_begin_apply();
+    let (master, me) = (MachineId::new(0), m.id());
+    let (obj, ..) = m.pending[0].env().op.as_create().expect("a creation");
+    for d in 1..=3 {
+        m.issue(SharedOp::primitive(obj, "add", args![d])).unwrap();
+    }
+    let before = pending_envs(&m);
+    let buffers: Vec<_> = m.pending.iter().map(|p| method_buffer(p.env())).collect();
+    let sent = deliver(
+        &mut m,
+        Msg::BeginSync {
+            round: 1,
+            order: vec![master, me],
+        },
+    );
+    let Some(Action::Broadcast(Channel::Operations, Msg::Ops { ops, .. })) = sent.first() else {
+        panic!("the flush ships its batch first: {sent:?}");
+    };
+    let rs = m.participant.round.as_ref().expect("round 1 is held");
+    assert_eq!(rs.my_flush[..], before[..], "the batch is P in issue order");
+    assert!(
+        Arc::ptr_eq(ops, &rs.my_flush),
+        "the broadcast is the stored flush"
+    );
+    assert!(
+        Arc::ptr_eq(&rs.received[&me], &rs.my_flush),
+        "so is the own run"
+    );
+    for (i, p) in m.pending.iter().enumerate() {
+        let (batch, slot) = flushed_at(p).expect("every record was flushed");
+        assert!(Arc::ptr_eq(batch, &rs.my_flush) && slot == i, "record {i}");
+        assert_eq!(method_buffer(p.env()), buffers[i], "record {i} was moved");
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+    /// Whatever happens to `P` -- issues, flushes, commits of part of the
+    /// last flush, flushes repeated after a removal, restarts, rejoins --
+    /// every batch cut is the list of envelopes as issued and still
+    /// pending, every record is left on its slot in it, and
+    /// `sg = [P](sc)` holds after every step under `Checks::Assert`.
+    #[test]
+    fn flushes_ship_the_envelopes_as_issued(
+        steps in proptest::collection::vec((0u8..6, 0u64..8), 1..40)
+    ) {
+        let cfg = MachineConfig::default().with_checks(Checks::Assert);
+        let mut m = Machine::new_master(MachineId::new(0), Arc::new(counter_registry()), cfg);
+        let foreign = MachineId::new(9);
+        // What a flush must ship: the envelopes as built at issue.
+        let mut issued: std::collections::VecDeque<WireEnvelope> = Default::default();
+        let mut last: Option<OpsBatch> = None;
+        let mut counter: Option<ObjectId> = None;
+        let mut round = 0;
+        for (kind, arg) in steps {
+            match kind {
+                0 | 1 => {
+                    match counter.filter(|&id| m.read::<Counter, _>(id, |_| ()).is_some()) {
+                        Some(id) => {
+                            let op = SharedOp::primitive(id, "add", args![arg as i64 + 1]);
+                            proptest::prop_assert!(m.issue(op).unwrap());
+                        }
+                        None => counter = Some(m.create_instance(Counter { n: 0 })),
+                    }
+                    issued.push_back(m.pending.back().unwrap().env().clone());
+                }
+                2 => {
+                    let batch = m.cut_flush();
+                    proptest::prop_assert!(batch.iter().eq(issued.iter()));
+                    for (i, p) in m.pending.iter().enumerate() {
+                        let (at, slot) = flushed_at(p).expect("flushed");
+                        proptest::prop_assert!(Arc::ptr_eq(at, &batch) && slot == i);
+                    }
+                    last = Some(batch);
+                }
+                3 => {
+                    let Some(batch) = last.take() else { continue };
+                    // A prefix of the flush commits; the whole of it is the
+                    // run this machine received from itself.
+                    let n = arg as usize % (batch.len() + 1);
+                    let own = if n == batch.len() {
+                        batch
+                    } else {
+                        Arc::new(batch[..n].to_vec())
+                    };
+                    let mut runs = vec![own];
+                    if arg % 2 == 1 {
+                        let op = WireOp::Create {
+                            object: ObjectId::new(foreign, round),
+                            type_name: "Counter".to_owned(),
+                            init: guesstimate_core::Value::from(0),
+                        };
+                        let id = OpId::new(foreign, round);
+                        runs.push(Arc::new(vec![WireEnvelope { id, op }]));
+                    }
+                    m.apply_committed_round(&runs, round, SimTime::ZERO);
+                    issued.drain(..n);
+                    round += 1;
+                }
+                4 => {
+                    // Restart, then rejoin on the snapshot taken before it.
+                    let (catalog, completed, serialized, marks) = m.build_join_info();
+                    m.reset_for_restart();
+                    issued.clear();
+                    m.init_from_join_info(catalog, completed, serialized, marks, SimTime::ZERO);
+                    last = None;
+                }
+                _ => {
+                    // Rejoin keeping `P`: its records stay where they were.
+                    let (catalog, completed, serialized, marks) = m.build_join_info();
+                    m.init_from_join_info(catalog, completed, serialized, marks, SimTime::ZERO);
+                    last = None;
+                }
+            }
+            proptest::prop_assert!(pending_envs(&m).iter().eq(issued.iter()));
+            proptest::prop_assert!(m.check_guess_invariant());
+        }
+    }
 }

@@ -60,7 +60,7 @@ use crate::roles::election::ElectionEvent;
 use crate::roles::master::MasterEvent;
 use crate::roles::membership::MembershipEvent;
 use crate::roles::participant::{ParticipantEvent, RoundState};
-use crate::roles::{tag, Effect, OpsBatch};
+use crate::roles::{tag, Effect};
 
 fn msg_round(msg: &Msg) -> Option<u64> {
     match msg {
@@ -453,9 +453,11 @@ impl Machine {
     /// Flushes the pending list: broadcast the batch on the Operations
     /// channel, then confirm (and pass the turn) on the Signals channel.
     ///
-    /// The batch is built once and shared behind an [`Arc`]: the broadcast
-    /// fan-out, the stored `my_flush` copy and any later `OpsRequest` reply
-    /// all reuse the same allocation.
+    /// The batch is cut from `P` by moving its envelopes rather than
+    /// copying them ([`Machine::cut_flush`]) and is shared behind an
+    /// [`Arc`]: the broadcast fan-out, the stored `my_flush`, the pending
+    /// records, the commit and any later `OpsRequest` reply all reuse the
+    /// same allocation.
     fn do_flush(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // The round-boundary fence: piggyback the not-yet-fenced async
         // window on this flush (empty unless async_commit is on).
@@ -465,7 +467,7 @@ impl Machine {
         };
         rs.flushed = true;
         rs.rides_begin_apply = self.is_master && self.cfg.flush.master_cuts();
-        let batch: OpsBatch = Arc::new(self.pending.iter().map(|p| p.env.clone()).collect());
+        let batch = self.cut_flush();
         rs.my_flush = Arc::clone(&batch);
         rs.my_asyncs = asyncs;
         let count = batch.len() as u64;

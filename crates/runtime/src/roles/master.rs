@@ -1480,6 +1480,8 @@ mod tests {
             .is_empty());
     }
 
+    // The assertion is debug-only, so a release build has nothing to test.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "stage durations exceed the round duration")]
     fn out_of_order_stage_timestamps_are_rejected() {
