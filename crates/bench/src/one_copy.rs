@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use guesstimate_core::{
-    execute, CompletionFn, GState, MachineId, ObjectId, ObjectStore, OpId, OpRegistry, SharedOp,
-    Value,
+    execute, Callback, Closures, CompletionFn, GState, MachineId, ObjectId, ObjectStore, OpId,
+    OpRegistry, SharedOp, Value,
 };
 use guesstimate_net::{Actor, Channel, Ctx, SimTime};
 
@@ -85,7 +85,7 @@ pub struct OneCopyMachine {
     applied_up_to: u64, // number of commits applied
     reorder: BTreeMap<u64, (OpId, OcOp)>,
     submit_times: HashMap<OpId, SimTime>,
-    completions: HashMap<OpId, CompletionFn>,
+    completions: Closures,
     stats: OcStats,
 }
 
@@ -105,7 +105,7 @@ impl OneCopyMachine {
             applied_up_to: 0,
             reorder: BTreeMap::new(),
             submit_times: HashMap::new(),
-            completions: HashMap::new(),
+            completions: Closures::default(),
             stats: OcStats::default(),
         }
     }
@@ -212,9 +212,7 @@ impl OneCopyMachine {
                 if let Some(t) = self.submit_times.remove(&id) {
                     self.stats.latencies.push(ctx.now().saturating_since(t));
                 }
-                if let Some(c) = self.completions.remove(&id) {
-                    c(ok);
-                }
+                self.completions.run(Callback::Completed(id, ok));
             }
         }
     }

@@ -10,13 +10,16 @@
 //!
 //! During *ApplyUpdatesFromMesh* the runtime first applies all committed
 //! operations, queuing the completions of its own operations into a
-//! `PendingCompletionRoutines` queue, and only then runs them (§4). The
-//! [`CompletionQueue`] models that queue.
+//! `PendingCompletionRoutines` queue, and only then runs them (§4). Here
+//! the queue is data: the protocol records [`Callback`]s, and its owner
+//! hands them to the [`Closures`] table — the one place a closure lives —
+//! at the end of the step. A clone of the table is empty, so protocol state
+//! can be cloned and every closure still runs at most once, on the original.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::fmt;
 
-use crate::ids::OpId;
+use crate::ids::{ObjectId, OpId};
 
 /// A completion callback: receives the commit-time boolean of its operation.
 ///
@@ -24,96 +27,70 @@ use crate::ids::OpId;
 /// completion needs (the paper's `G` component) is captured by the closure.
 pub type CompletionFn = Box<dyn FnOnce(bool) + Send>;
 
-/// A completion routine queued for execution, tagged with the operation it
-/// belongs to and that operation's commit-time result.
-pub struct PendingCompletion {
-    /// The operation whose commitment produced this completion.
-    pub op_id: OpId,
-    /// The boolean result of the commit-time execution.
-    pub committed_result: bool,
-    /// The callback itself.
-    pub completion: CompletionFn,
+/// Runs once per object that a *foreign* committed operation touched.
+pub type RemoteUpdateHook = Box<dyn FnMut(ObjectId) + Send>;
+
+/// What a [`Closures`] table is asked to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Callback {
+    /// The operation committed with this result: run its completion.
+    Completed(OpId, bool),
+    /// Its result will never arrive: drop its completion unrun.
+    Dropped(OpId),
+    /// A foreign commit touched the object: run every remote-update hook.
+    Touched(ObjectId),
 }
 
-impl fmt::Debug for PendingCompletion {
+/// Completions keyed by the operation they complete, and remote-update
+/// hooks.
+#[derive(Default)]
+pub struct Closures {
+    completions: HashMap<OpId, CompletionFn>,
+    hooks: Vec<RemoteUpdateHook>,
+}
+
+impl Clone for Closures {
+    /// An empty table: each closure runs at most once, on the original.
+    fn clone(&self) -> Self {
+        Closures::default()
+    }
+}
+
+impl fmt::Debug for Closures {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PendingCompletion")
-            .field("op_id", &self.op_id)
-            .field("committed_result", &self.committed_result)
-            .finish()
+        f.debug_struct("Closures").finish_non_exhaustive()
     }
 }
 
-/// FIFO queue of completion routines awaiting execution — the paper's
-/// `PendingCompletionRoutines`.
-///
-/// # Examples
-///
-/// ```
-/// use guesstimate_core::{CompletionQueue, MachineId, OpId};
-/// use std::sync::atomic::{AtomicBool, Ordering};
-/// use std::sync::Arc;
-///
-/// let flag = Arc::new(AtomicBool::new(false));
-/// let f = flag.clone();
-/// let mut q = CompletionQueue::new();
-/// q.push(
-///     OpId::new(MachineId::new(0), 0),
-///     true,
-///     Box::new(move |b| f.store(b, Ordering::SeqCst)),
-/// );
-/// assert_eq!(q.run_all(), 1);
-/// assert!(flag.load(Ordering::SeqCst));
-/// ```
-#[derive(Debug, Default)]
-pub struct CompletionQueue {
-    queue: VecDeque<PendingCompletion>,
-}
-
-impl CompletionQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        CompletionQueue::default()
+impl Closures {
+    /// Files `op`'s completion.
+    pub fn insert(&mut self, op: OpId, completion: CompletionFn) {
+        self.completions.insert(op, completion);
     }
 
-    /// Number of queued completions.
-    pub fn len(&self) -> usize {
-        self.queue.len()
+    /// Registers a remote-update hook.
+    pub fn add_hook(&mut self, hook: RemoteUpdateHook) {
+        self.hooks.push(hook);
     }
 
-    /// True if no completions are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+    /// True if any remote-update hook is registered.
+    pub fn has_hooks(&self) -> bool {
+        !self.hooks.is_empty()
     }
 
-    /// Queues `completion` for `op_id` with its commit-time result.
-    pub fn push(&mut self, op_id: OpId, committed_result: bool, completion: CompletionFn) {
-        self.queue.push_back(PendingCompletion {
-            op_id,
-            committed_result,
-            completion,
-        });
-    }
-
-    /// Runs every queued completion in FIFO order, returning how many ran.
-    ///
-    /// Completions run after the committed state has been copied onto the
-    /// guesstimated state (§4 step ii), so reads they perform through the
-    /// runtime observe post-commit state.
-    pub fn run_all(&mut self) -> usize {
-        let mut n = 0;
-        while let Some(pc) = self.queue.pop_front() {
-            (pc.completion)(pc.committed_result);
-            n += 1;
+    /// Acts on `event`; true if a closure of this table ran or was dropped.
+    pub fn run(&mut self, event: Callback) -> bool {
+        match event {
+            Callback::Completed(op, result) => {
+                let completion = self.completions.remove(&op);
+                completion.map(|c| c(result)).is_some()
+            }
+            Callback::Dropped(op) => self.completions.remove(&op).is_some(),
+            Callback::Touched(object) => {
+                self.hooks.iter_mut().for_each(|hook| hook(object));
+                self.has_hooks()
+            }
         }
-        n
-    }
-
-    /// Drains the queue without running, returning the pending entries.
-    ///
-    /// Used by drivers that must run completions on a specific thread.
-    pub fn drain(&mut self) -> Vec<PendingCompletion> {
-        self.queue.drain(..).collect()
     }
 }
 
@@ -121,7 +98,6 @@ impl CompletionQueue {
 mod tests {
     use super::*;
     use crate::ids::MachineId;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn op(n: u64) -> OpId {
@@ -129,43 +105,35 @@ mod tests {
     }
 
     #[test]
-    fn runs_in_fifo_order_with_results() {
+    fn runs_completions_with_results_and_drops_unrun() {
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut q = CompletionQueue::new();
-        for (i, res) in [(0u64, true), (1, false), (2, true)] {
+        let mut table = Closures::default();
+        for i in 0..3u64 {
             let log = log.clone();
-            q.push(op(i), res, Box::new(move |b| log.lock().push((i, b))));
+            table.insert(op(i), Box::new(move |b| log.lock().push((i, b))));
         }
-        assert_eq!(q.len(), 3);
-        assert!(!q.is_empty());
-        assert_eq!(q.run_all(), 3);
-        assert!(q.is_empty());
-        assert_eq!(*log.lock(), vec![(0, true), (1, false), (2, true)]);
+        assert!(table.run(Callback::Completed(op(1), false)));
+        assert!(table.run(Callback::Dropped(op(0))));
+        assert!(table.run(Callback::Completed(op(2), true)));
+        assert!(!table.run(Callback::Completed(op(0), true)), "dropped");
+        assert!(!table.run(Callback::Completed(op(1), true)), "at most once");
+        assert_eq!(*log.lock(), vec![(1, false), (2, true)]);
     }
 
     #[test]
-    fn run_all_on_empty_is_zero() {
-        let mut q = CompletionQueue::new();
-        assert_eq!(q.run_all(), 0);
-    }
-
-    #[test]
-    fn drain_returns_without_running() {
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = count.clone();
-        let mut q = CompletionQueue::new();
-        q.push(
-            op(0),
-            true,
-            Box::new(move |_| {
-                c.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        let drained = q.drain();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(count.load(Ordering::SeqCst), 0, "not run by drain");
-        assert_eq!(drained[0].op_id, op(0));
-        assert!(drained[0].committed_result);
-        assert!(format!("{:?}", drained[0]).contains("PendingCompletion"));
+    fn hooks_run_per_touched_object_and_a_clone_has_none() {
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut table = Closures::default();
+        let object = ObjectId::new(MachineId::new(1), 4);
+        assert!(!table.run(Callback::Touched(object)), "no hook yet");
+        let s = seen.clone();
+        table.add_hook(Box::new(move |o| s.lock().push(o)));
+        table.insert(op(0), Box::new(|_| {}));
+        let mut copy = table.clone();
+        assert!(!copy.has_hooks());
+        assert!(!copy.run(Callback::Completed(op(0), true)));
+        assert!(!copy.run(Callback::Touched(object)));
+        assert!(table.run(Callback::Touched(object)));
+        assert_eq!(*seen.lock(), vec![object]);
     }
 }

@@ -95,7 +95,7 @@ mod store;
 mod value;
 pub mod witness;
 
-pub use completion::{CompletionFn, CompletionQueue, PendingCompletion};
+pub use completion::{Callback, Closures, CompletionFn, RemoteUpdateHook};
 pub use effect::{CommuteMatrix, EffectSpec, Footprint};
 pub use error::{ExecError, RestoreError};
 pub use exec::{execute, execute_against, CowOverlay, ExecOutcome, ObjectAccess};

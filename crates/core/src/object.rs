@@ -113,6 +113,12 @@ pub trait SharedObject: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+impl Clone for Box<dyn SharedObject> {
+    fn clone(&self) -> Self {
+        self.clone_boxed()
+    }
+}
+
 impl<T: GState> SharedObject for T {
     fn type_name(&self) -> &'static str {
         T::TYPE_NAME

@@ -15,8 +15,7 @@
 //!   whole-store copy as its scaling limitation).
 //! * [`ObjectStore::copy_from`] — the whole-store copy, for a store that
 //!   has no resync history with its source: a freshly installed `sc` at
-//!   join, [`Clone`], and the invariant oracle that must not trust the
-//!   dirty sets.
+//!   join, and the invariant oracle that must not trust the dirty sets.
 //!
 //! Dirty marking is by construction, not by declaration: the object map is
 //! private, and every way in that can change one entry — `insert`, `remove`,
@@ -60,7 +59,10 @@ use crate::value::{value_digest, Value};
 /// store.insert(id, Box::new(Flag(true)));
 /// assert!(store.get_as::<Flag>(id).unwrap().0);
 /// ```
-#[derive(Default)]
+///
+/// A clone deep-copies every object and the dirty set with it, so clones
+/// of both stores of an `sc`/`sg` pair resync exactly as the pair would.
+#[derive(Default, Clone)]
 pub struct ObjectStore {
     objects: BTreeMap<ObjectId, Box<dyn SharedObject>>,
     /// Ids whose entry may have changed since this store last took part in
@@ -177,7 +179,10 @@ impl ObjectStore {
     /// set is relative to the one partner a store resyncs with: the two
     /// must have been identical once (both empty, or one a whole
     /// [`ObjectStore::copy_from`] / [`Clone`] of the other), and neither
-    /// may have been resynced with a third store since.
+    /// may have been resynced with a third store since. Cloning both
+    /// stores of a pair gives a pair that meets this too: a clone carries
+    /// its original's marks. Extra marks are always safe — a marked id
+    /// that did not change is copied onto an equal entry.
     pub fn sync_from(&mut self, src: &mut ObjectStore) -> usize {
         let mut ids = std::mem::take(&mut self.dirty);
         ids.append(&mut src.dirty);
@@ -220,15 +225,6 @@ fn copy_entry(
     };
     if !in_place {
         objects.insert(id, src.clone_boxed());
-    }
-}
-
-impl Clone for ObjectStore {
-    /// Deep-copies every object via [`SharedObject::clone_boxed`].
-    fn clone(&self) -> Self {
-        let mut s = ObjectStore::new();
-        s.copy_from(self);
-        s
     }
 }
 

@@ -140,7 +140,7 @@ fn patching_both_stores_without_a_resync_keeps_both_marked() {
 }
 
 /// A whole copy equalizes the pair without touching either dirty set:
-/// stale marks are a superset, and [`Clone`] yields a clean store.
+/// stale marks are a superset, and a clone of a clean store is clean.
 #[test]
 fn whole_copy_leaves_the_marks_alone() {
     let (mut sc, mut sg) = synced_pair(3);
@@ -150,6 +150,21 @@ fn whole_copy_leaves_the_marks_alone() {
     assert!(sc.clone().dirty.is_empty());
     assert_eq!(sg.sync_from(&mut sc), 1);
     assert_resynced(&sc, &sg);
+}
+
+/// A pair cloned while `sg` holds an issue-time write resyncs like the
+/// original: the clones carry the marks, so the write is undone on both.
+#[test]
+fn a_cloned_pair_resyncs_like_the_original() {
+    let (mut sc, mut sg) = synced_pair(3);
+    sg.get_as_mut::<Num>(oid(0, 1)).unwrap().0 = 42; // a pending guess
+    let (mut sc2, mut sg2) = (sc.clone(), sg.clone());
+    assert_eq!(sg2.digest(), sg.digest());
+    assert_eq!(sg2.sync_from(&mut sc2), 1);
+    assert_eq!(sg.sync_from(&mut sc), 1);
+    assert_eq!(sg2.digest(), sc2.digest());
+    assert_eq!(sg2.digest(), sg.digest());
+    assert_resynced(&sc2, &sg2);
 }
 
 /// One random step against the pair: `(kind, on_sc, a, b, n)`.

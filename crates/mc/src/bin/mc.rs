@@ -9,7 +9,8 @@
 //! ```
 //!
 //! Default mode explores each selected preset within the schedule
-//! budget, printing explored/pruned counts and the prune ratio. On an
+//! budget, printing explored/pruned counts and the prune ratio (its wall
+//! time and schedules/s go to stderr: stdout compares byte for byte). On an
 //! oracle violation the offending schedule is minimized, written as a
 //! replayable JSON file (into `--out`, default the working directory)
 //! alongside a flight-recorder postmortem bundle
@@ -30,6 +31,7 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 use guesstimate_analysis::matrices_from_json;
 use guesstimate_core::CommuteMatrix;
@@ -245,7 +247,9 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
 
     let mut gate_failed = false;
     for preset in &args.presets {
+        let started = Instant::now();
         let out = explore(preset, &args.matrix, args.tamper, &args.cfg);
+        let wall = started.elapsed().as_secs_f64();
         let ratio = out.pruned as f64 / (out.pruned + out.schedules).max(1) as f64;
         println!(
             "{:<22} schedules {:>7}  pruned {:>7} ({:>5.1}%)  truncated {:>5}  max depth {:>3}  steps {:>9}{}",
@@ -257,6 +261,11 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
             out.max_depth,
             out.steps_executed,
             if out.complete { "  (exhausted)" } else { "" },
+        );
+        eprintln!(
+            "{:<22} wall {wall:>7.2} s  {:>8.0} schedules/s",
+            preset.name,
+            out.schedules as f64 / wall.max(1e-9),
         );
 
         if let Some((violation, steps)) = out.violation {

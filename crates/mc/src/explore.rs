@@ -1,5 +1,4 @@
-//! Stateless depth-first exploration with sleep-set partial-order
-//! reduction.
+//! Depth-first exploration with sleep-set partial-order reduction.
 //!
 //! The explorer enumerates schedules of a [`Preset`]'s post-prelude
 //! cluster through the [`Cluster`] interface — one harness for every
@@ -10,11 +9,13 @@
 //! choice while messages are in flight: a master's sync tick, whenever
 //! firing it begins the next round under the one still being applied
 //! (while the preset's [`Preset::tick_budget`] lasts) — the only way two
-//! rounds come to be in flight. Machines are not
-//! clonable (completions are closures), so backtracking is *stateless*:
-//! the cluster is rebuilt from the preset and the current path prefix is
-//! replayed. The prelude and every step are deterministic, so replay
-//! reproduces the node exactly.
+//! rounds come to be in flight. The cluster is plain data, so the walk
+//! keeps one copy per node on its path: a child is a [`Cluster::fork`] of
+//! its parent with one choice executed, and backtracking resumes from the
+//! parent's copy. The prelude and every step are deterministic, so a fork
+//! reaches exactly the node a rebuild from the preset and a replay of the
+//! path would ([`replay`] still works that way, and a test holds the two
+//! equal).
 //!
 //! ## Sleep sets
 //!
@@ -62,7 +63,7 @@
 //! empirically: reordering independent deliveries can renumber messages
 //! *created afterwards*, so sleep-set hits are matched on the choice
 //! identity at this node, which the deterministic seq assignment makes
-//! stable across replays of the same prefix.
+//! stable across every copy of the same prefix.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -115,7 +116,7 @@ pub struct Outcome {
     pub truncated: u64,
     /// Deepest schedule seen.
     pub max_depth: usize,
-    /// Total scheduler steps executed (including backtrack replays).
+    /// Total scheduler steps executed: one per edge of the tree walked.
     pub steps_executed: u64,
     /// Digests of terminal states (when `collect_digests`).
     pub terminal_digests: BTreeSet<u64>,
@@ -129,11 +130,26 @@ pub struct Outcome {
     pub violation: Option<(Violation, Vec<Step>)>,
 }
 
+/// One node on the current path: its cluster, which each child forks,
+/// its enabled choices and the sleep-set bookkeeping.
 struct Frame {
+    node: Box<dyn Cluster>,
     choices: Vec<Step>,
     idx: usize,
     sleep: Vec<Step>,
     explored: Vec<Step>,
+}
+
+impl Frame {
+    fn new(node: Box<dyn Cluster>, choices: Vec<Step>, sleep: Vec<Step>) -> Self {
+        Frame {
+            node,
+            choices,
+            idx: 0,
+            sleep,
+            explored: Vec::new(),
+        }
+    }
 }
 
 fn enabled(built: &dyn Cluster, may_drop: bool) -> Vec<Step> {
@@ -194,24 +210,14 @@ pub fn explore(
     tamper: Option<TamperSpec>,
     cfg: &ExploreConfig,
 ) -> Outcome {
-    let build = || {
-        preset
-            .build(matrix, tamper)
-            .unwrap_or_else(|e| panic!("explore: {e}"))
-    };
+    let built = preset
+        .build(matrix, tamper)
+        .unwrap_or_else(|e| panic!("explore: {e}"));
     let mut out = Outcome::default();
-    let mut built = build();
     let mut path: Vec<Step> = Vec::new();
     let mut drops_used = 0u32;
-    let mut frames = vec![Frame {
-        choices: enabled(&*built, drops_used < preset.drop_budget),
-        idx: 0,
-        sleep: Vec::new(),
-        explored: Vec::new(),
-    }];
-    // Set when the cluster state has moved past the node the top frame
-    // describes (after any backtrack): rebuild + replay before executing.
-    let mut dirty = false;
+    let root = enabled(&*built, drops_used < preset.drop_budget);
+    let mut frames = vec![Frame::new(built, root, Vec::new())];
 
     while out.schedules < cfg.max_schedules {
         let Some(frame) = frames.last_mut() else {
@@ -228,7 +234,6 @@ pub fn explore(
                     let parent = frames.last_mut().expect("frames outnumber path by one");
                     parent.explored.push(c);
                     parent.idx += 1;
-                    dirty = true;
                     continue;
                 }
                 None => {
@@ -244,25 +249,17 @@ pub fn explore(
             cfg.telemetry.mc_pruned();
             continue;
         }
-        if dirty {
-            built = build();
-            for &s in &path {
-                assert!(built.exec(s), "replaying {s} of a known prefix");
-                out.steps_executed += 1;
-            }
-            dirty = false;
-        }
         // The child's sleep set must be computed *before* executing `c`:
         // independence inspects the messages still pending here.
-        let frame = frames.last().expect("just checked");
         let child_sleep: Vec<Step> = frame
             .sleep
             .iter()
             .chain(frame.explored.iter())
             .copied()
-            .filter(|&x| x != c && independent(&*built, x, c))
+            .filter(|&x| x != c && independent(&*frame.node, x, c))
             .collect();
 
+        let mut built = frame.node.fork();
         assert!(built.exec(c), "enabled choice {c} must apply");
         out.steps_executed += 1;
         path.push(c);
@@ -303,14 +300,8 @@ pub fn explore(
             let frame = frames.last_mut().expect("frame for the popped step");
             frame.explored.push(c);
             frame.idx += 1;
-            dirty = true;
         } else {
-            frames.push(Frame {
-                choices: next,
-                idx: 0,
-                sleep: child_sleep,
-                explored: Vec::new(),
-            });
+            frames.push(Frame::new(built, next, child_sleep));
         }
     }
     out

@@ -100,6 +100,9 @@ pub trait Cluster {
     fn summaries(&self) -> Vec<StateSummary>;
     /// Installs a trace sink on the driver and every protocol instance.
     fn set_tracer(&mut self, tracer: Arc<dyn Tracer>);
+    /// An independent copy of the cluster at this point: executing the
+    /// same choices on it reaches the same states as on the original.
+    fn fork(&self) -> Box<dyn Cluster>;
 }
 
 /// Fixture for the `sneaky` negative preset: a two-slot map whose
@@ -747,7 +750,7 @@ impl Preset {
 /// A node kind the harness drives: the protocol instances a node hosts,
 /// and the few judgements that differ between one sync group and several.
 /// The defaults are the single-group case.
-pub trait Node: Actor + Sized {
+pub trait Node: Actor + Clone + Sized + 'static {
     /// Node `i` of a row's cluster, under the row's configuration; node 0
     /// masters every group it hosts.
     fn boot(i: u32, registry: &Arc<OpRegistry>, cfg: &MachineConfig) -> Self;
@@ -788,8 +791,8 @@ pub trait Node: Actor + Sized {
 }
 
 /// A built scenario, ready for exploration or replay: one harness for
-/// every node kind.
-#[derive(Debug)]
+/// every node kind; a clone ([`Cluster::fork`]) runs on as the original.
+#[derive(Debug, Clone)]
 pub struct Built<N: Node = Machine> {
     /// The cluster under the controlled scheduler.
     pub net: SchedNet<N>,
@@ -1061,6 +1064,10 @@ impl<N: Node> Cluster for Built<N> {
             }
         }
     }
+
+    fn fork(&self) -> Box<dyn Cluster> {
+        Box::new(self.clone())
+    }
 }
 
 /// What a message applies (or stages) at its receiver, and whose arrival
@@ -1121,8 +1128,7 @@ impl Node for Machine {
     fn tamper(t: TamperSpec) -> Option<TamperHook<Msg>> {
         let victim = MachineId::new(t.victim);
         let (i, j) = t.swap;
-        let mut seen = 0u64;
-        Some(Box::new(move |_seq, _from, to, msg: &mut Msg| {
+        Some(Arc::new(move |seen, _seq, _from, to, msg: &mut Msg| {
             if to != victim {
                 return false;
             }
@@ -1134,8 +1140,8 @@ impl Node for Machine {
                 Msg::BeginApply { ops, .. } if !ops.is_empty() => ops,
                 _ => return false,
             };
-            seen += 1;
-            if seen != t.nth || i == j || i >= ops.len() || j >= ops.len() {
+            *seen += 1;
+            if *seen != t.nth || i == j || i >= ops.len() || j >= ops.len() {
                 return false;
             }
             // Swap the *ids*: a receiver re-sorts a batch that arrives
@@ -1295,6 +1301,93 @@ mod tests {
             "in each group"
         );
         assert_eq!(built.machines().map(Machine::pending_len).sum::<usize>(), 0);
+    }
+
+    /// Drives `built` down the deterministic road -- the lowest-seq
+    /// delivery, then admission, a timer only when quiet -- to the end of
+    /// the window or the first step that trips an oracle; returns the path.
+    fn drain_path(built: &mut dyn Cluster) -> Vec<Step> {
+        let mut path = Vec::new();
+        loop {
+            let next = if let Some(&seq) = built.pending_msgs().first() {
+                Step::Deliver(seq)
+            } else if let Some(&j) = built.pending_joins().first() {
+                Step::Admit(j)
+            } else if built.window_done() {
+                return path;
+            } else {
+                Step::Timer
+            };
+            assert!(built.exec(next), "drain stalled at {next}");
+            path.push(next);
+            if built.check_step().is_some() {
+                return path;
+            }
+        }
+    }
+
+    /// What a run has come to: the step oracles on its state, then, once it
+    /// is quiet, the terminal ones.
+    fn verdict(built: &dyn Cluster) -> Option<Violation> {
+        built.check_step().or_else(|| {
+            let quiet = built.pending_msgs().is_empty() && built.window_done();
+            quiet.then(|| built.check_terminal()).flatten()
+        })
+    }
+
+    /// Forks a row's cluster -- [`Cluster::fork`] is [`Built`]'s `clone` --
+    /// at every prefix of `path` (by default the row's deterministic drain)
+    /// and runs each fork along the rest of it: every fork takes the same
+    /// steps as, and ends in the state, verdict and tamper count of, a
+    /// cluster rebuilt from the row and replayed along the whole path.
+    fn forks_end_where_the_replay_does<N: Node>(
+        preset: &Preset,
+        create: fn(&mut N, &mut Ctx<'_, N::Msg>) -> ObjectId,
+        tamper: Option<TamperSpec>,
+        path: Option<&[Step]>,
+    ) {
+        let matrix = CommuteMatrix::new();
+        let rebuild = || Built::new(preset, create, &matrix, tamper).expect("installs");
+        let path = path.map_or_else(|| drain_path(&mut rebuild()), <[Step]>::to_vec);
+        let end = |b: &Built<N>| (b.state_digest(), verdict(b), b.net.tamper_count());
+        let mut replayed = rebuild();
+        let applied: Vec<bool> = path.iter().map(|&s| replayed.exec(s)).collect();
+        let want = end(&replayed);
+        let mut walker = rebuild();
+        for k in 0..=path.len() {
+            let mut fork = walker.clone();
+            for (i, &s) in path.iter().enumerate().skip(k) {
+                let name = preset.name;
+                assert_eq!(fork.exec(s), applied[i], "{name}: step {i}, forked at {k}");
+            }
+            assert_eq!(end(&fork), want, "{}: forked at {k}", preset.name);
+            if let Some(&s) = path.get(k) {
+                walker.exec(s);
+            }
+        }
+    }
+
+    /// [`forks_end_where_the_replay_does`] for a row of either node kind.
+    fn fork_row(preset: &Preset, tamper: Option<TamperSpec>, path: Option<&[Step]>) {
+        match preset.workload.nodes {
+            Nodes::Machine(create) => forks_end_where_the_replay_does(preset, create, tamper, path),
+            Nodes::Multi(create) => forks_end_where_the_replay_does(preset, create, tamper, path),
+        }
+    }
+
+    /// On every public row's deterministic drain, and on the checked-in
+    /// schedule whose tamper hook swaps a batch, a fork at any point runs on
+    /// exactly as the rebuilt-and-replayed cluster does.
+    #[test]
+    fn a_fork_at_any_prefix_ends_where_the_replay_does() {
+        for p in PRESETS {
+            fork_row(p, None, None);
+        }
+        let text = include_str!("../../../tests/schedules/sudoku-tamper-swap.json");
+        let sched = crate::schedule::Schedule::from_json(text).expect("well-formed");
+        let preset = Preset::by_name(&sched.preset).expect("known row");
+        assert!(sched.tamper.is_some());
+        fork_row(preset, sched.tamper, Some(&sched.steps));
     }
 
     #[test]

@@ -59,6 +59,7 @@ pub struct Leg<M> {
 ///   event runs.
 /// - [`Choices`](crate::Choices), as [`SchedNet`](crate::SchedNet): pending
 ///   legs, staged joins and `(due, seq)` timers; the caller picks.
+#[derive(Clone)]
 pub struct Mesh<A: Actor, S> {
     pub(crate) machines: BTreeMap<MachineId, A>,
     pub(crate) now: SimTime,

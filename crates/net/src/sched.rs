@@ -32,10 +32,12 @@
 //! The optional [tamper hook](SchedNet::set_tamper) mutates a message at
 //! the moment of delivery. The model checker's seeded-mutation test uses
 //! it to corrupt a commit order and prove the oracles catch it; it is a
-//! test surface, not a protocol feature.
+//! test surface, not a protocol feature. Its counter lives in the
+//! scheduler, so a clone of the mesh runs on exactly as the original.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use guesstimate_core::MachineId;
 
@@ -63,18 +65,22 @@ pub struct PendingMsg<M> {
 }
 
 /// Mutates a message as it is delivered; returns `true` if it changed
-/// anything. Arguments: delivery seq, sender, receiver, payload.
-pub type TamperHook<M> = Box<dyn FnMut(u64, MachineId, MachineId, &mut M) -> bool + Send>;
+/// anything. Arguments: the hook's counter, delivery seq, sender,
+/// receiver, payload.
+pub type TamperHook<M> =
+    Arc<dyn Fn(&mut u64, u64, MachineId, MachineId, &mut M) -> bool + Send + Sync>;
 
 /// [`SchedNet`]'s scheduler: what waits for the caller's choice — legs in
 /// flight, staged joiners and armed timers, each keyed by its stable seq —
-/// plus the tamper hook.
+/// plus the tamper hook and its counter.
+#[derive(Clone)]
 pub struct Choices<A: Actor> {
     pending: BTreeMap<u64, PendingMsg<A::Msg>>,
     joins: BTreeMap<u64, (MachineId, A)>,
     /// Armed timers: `(due, seq) -> (machine, tag)`.
     timers: BTreeMap<(SimTime, u64), (MachineId, u64)>,
     tamper: Option<TamperHook<A::Msg>>,
+    tamper_seen: u64,
     tampered: u64,
 }
 
@@ -134,6 +140,7 @@ impl<A: Actor> SchedNet<A> {
             joins: BTreeMap::new(),
             timers: BTreeMap::new(),
             tamper: None,
+            tamper_seen: 0,
             tampered: 0,
         })
     }
@@ -194,8 +201,8 @@ impl<A: Actor> SchedNet<A> {
         let Some(mut p) = self.sched.pending.remove(&seq) else {
             return false;
         };
-        if let Some(hook) = self.sched.tamper.as_mut() {
-            if hook(p.seq, p.from, p.to, &mut p.msg) {
+        if let Some(hook) = &self.sched.tamper {
+            if hook(&mut self.sched.tamper_seen, p.seq, p.from, p.to, &mut p.msg) {
                 self.sched.tampered += 1;
             }
         }
@@ -412,7 +419,7 @@ mod tests {
         let mut net: SchedNet<Probe> = SchedNet::new();
         net.add_machine(m(0), Probe::new());
         net.add_machine(m(1), Probe::new());
-        net.set_tamper(Box::new(|_, _, _, msg: &mut &'static str| {
+        net.set_tamper(Arc::new(|_, _, _, _, msg: &mut &'static str| {
             if *msg == "x" {
                 *msg = "mutated";
                 true
@@ -427,5 +434,51 @@ mod tests {
         }
         assert_eq!(net.actor(m(1)).unwrap().seen, vec!["mutated", "y"]);
         assert_eq!(net.tamper_count(), 1);
+    }
+
+    /// A clone is a fork: it continues as the original would, on its own
+    /// copies of the actors, the choices in flight and the hook's counter.
+    #[derive(Clone)]
+    struct Tally(Vec<&'static str>);
+    impl Actor for Tally {
+        type Msg = &'static str;
+        fn on_message(
+            &mut self,
+            _: MachineId,
+            _: Channel,
+            msg: &'static str,
+            _: &mut Ctx<'_, &'static str>,
+        ) {
+            self.0.push(msg);
+        }
+    }
+
+    #[test]
+    fn a_clone_forks_the_mesh_and_the_hooks_counter() {
+        let mut net: SchedNet<Tally> = SchedNet::new();
+        net.add_machine(m(0), Tally(Vec::new()));
+        net.add_machine(m(1), Tally(Vec::new()));
+        // Rewrites the second delivery only.
+        net.set_tamper(Arc::new(|seen, _, _, _, msg: &mut &'static str| {
+            *seen += 1;
+            *seen == 2 && {
+                *msg = "second";
+                true
+            }
+        }));
+        for msg in ["a", "b", "c"] {
+            net.call(m(0), |_, ctx| ctx.send(m(1), Channel::Operations, msg));
+        }
+        let seqs = net.pending_msgs();
+        assert!(net.deliver(seqs[0]));
+        let mut fork = net.clone();
+        assert!(fork.deliver(seqs[2]));
+        assert!(fork.deliver(seqs[1]));
+        assert!(net.deliver(seqs[1]));
+        assert!(net.deliver(seqs[2]));
+        assert_eq!(net.actor(m(1)).unwrap().0, vec!["a", "second", "c"]);
+        assert_eq!(fork.actor(m(1)).unwrap().0, vec!["a", "second", "b"]);
+        assert_eq!((net.tamper_count(), fork.tamper_count()), (1, 1));
+        assert!(net.pending_msgs().is_empty() && fork.pending_msgs().is_empty());
     }
 }

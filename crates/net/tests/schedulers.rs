@@ -162,7 +162,7 @@ fn sched_net_choice_script_pins_seqs_stamps_and_counters() {
     let tracer = Arc::new(RecordingTracer::new());
     let mut net: SchedNet<Echo> = SchedNet::new();
     net.set_tracer(tracer.clone());
-    net.set_tamper(Box::new(|_, _, _, msg: &mut Msg| match msg {
+    net.set_tamper(Arc::new(|_, _, _, _, msg: &mut Msg| match msg {
         Msg::Pong(n) if *n == 1 => {
             *n = 99;
             true

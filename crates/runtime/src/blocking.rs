@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, RecvTimeoutError};
 use guesstimate_core::SharedOp;
 use guesstimate_net::ThreadedHandle;
 
@@ -29,12 +29,15 @@ pub enum BlockingOutcome {
     Committed(bool),
     /// No commit within the timeout (e.g. the synchronizer is partitioned).
     TimedOut,
+    /// The completion routine was dropped unrun (a restart lost the
+    /// operation, or it committed while the machine was away).
+    Dropped,
     /// The machine has left the mesh.
     Unavailable,
 }
 
 /// Issues `op` and blocks the calling thread until it commits (or fails at
-/// issue, or `timeout` elapses).
+/// issue, or its completion routine is dropped, or `timeout` elapses).
 ///
 /// # Examples
 ///
@@ -59,7 +62,8 @@ pub fn issue_blocking(
         Some(Err(_)) | Some(Ok(false)) => BlockingOutcome::Rejected,
         Some(Ok(true)) => match rx.recv_timeout(timeout) {
             Ok(b) => BlockingOutcome::Committed(b),
-            Err(_) => BlockingOutcome::TimedOut,
+            Err(RecvTimeoutError::Timeout) => BlockingOutcome::TimedOut,
+            Err(RecvTimeoutError::Disconnected) => BlockingOutcome::Dropped,
         },
     }
 }
@@ -69,9 +73,10 @@ mod tests {
     use super::*;
     use crate::cluster::threaded_cluster;
     use crate::config::MachineConfig;
+    use crate::message::Msg;
     use crate::testutil::{counter_registry, Counter};
-    use guesstimate_core::args;
-    use guesstimate_net::{LatencyModel, SimTime};
+    use guesstimate_core::{args, MachineId};
+    use guesstimate_net::{Actor, Channel, LatencyModel, SimTime};
     use std::time::Instant;
 
     fn wait_for(pred: impl Fn() -> bool, ms: u64) -> bool {
@@ -134,5 +139,41 @@ mod tests {
             Duration::from_secs(1),
         );
         assert_eq!(outcome, BlockingOutcome::Rejected);
+    }
+
+    /// A restart drops the pending operation and its completion routine:
+    /// the blocked caller learns so at once, not when the timeout expires.
+    #[test]
+    fn blocking_issue_reports_a_completion_dropped_by_a_restart() {
+        // No round within the test: the operation stays pending.
+        let cfg = MachineConfig::default().with_sync_period(SimTime::from_millis(600_000));
+        let (_net, handles) =
+            threaded_cluster(2, counter_registry(), cfg, LatencyModel::constant_ms(1), 5);
+        let member = handles[1].clone();
+        let obj = member
+            .with(|m, _| m.create_instance(Counter { n: 0 }))
+            .unwrap();
+        let restarter = std::thread::spawn(move || {
+            assert!(wait_for(
+                || member.read(|m| m.pending_len() == 2).unwrap_or(false),
+                5_000
+            ));
+            member.with(|m, ctx| {
+                m.on_message(MachineId::new(0), Channel::Signals, Msg::Restart, ctx)
+            });
+        });
+        let started = Instant::now();
+        let outcome = issue_blocking(
+            &handles[1],
+            SharedOp::primitive(obj, "add", args![1]),
+            Duration::from_secs(60),
+        );
+        restarter.join().unwrap();
+        assert_eq!(outcome, BlockingOutcome::Dropped);
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "no timeout wait"
+        );
+        assert_eq!(handles[1].read(|m| m.stats().completions_dropped), Some(1));
     }
 }

@@ -11,9 +11,8 @@
 use std::collections::BTreeSet;
 
 use guesstimate_core::{
-    containment_escapes, declared_footprints, execute, execute_witnessed, CompletionQueue,
-    ExecError, ExecOutcome, MachineId, ObjectId, ObjectStore, OpId, OpRegistry, ProbeReads,
-    SharedOp,
+    containment_escapes, declared_footprints, execute, execute_witnessed, Callback, ExecError,
+    ExecOutcome, MachineId, ObjectId, ObjectStore, OpId, OpRegistry, ProbeReads, SharedOp,
 };
 use guesstimate_net::{ReplayCause, SimTime, TraceEvent};
 
@@ -26,9 +25,10 @@ use crate::roles::OpsBatch;
 impl Machine {
     /// Applies one round's consolidated operation list — the received
     /// `runs`, one sorted batch per machine, end to end in machine order —
-    /// to the committed state, then re-establishes `sg = [P](sc)`: copy
-    /// `sc → sg`, run queued completion routines, replay remaining pending
-    /// operations. The rebuild runs every round, as in the paper.
+    /// to the committed state, recording own results and (while a hook is
+    /// registered) the objects foreign operations touched for the step's
+    /// end, then re-establishes `sg = [P](sc)`: copy `sc → sg`, replay
+    /// remaining pending operations. The rebuild runs every round.
     ///
     /// Returns the number of operations committed.
     pub(crate) fn apply_committed_round(
@@ -37,10 +37,9 @@ impl Machine {
         round: u64,
         now: SimTime,
     ) -> u64 {
-        let mut queue = CompletionQueue::new();
         let mut remote_touched: BTreeSet<ObjectId> = BTreeSet::new();
         for env in round_ops(runs) {
-            if env.id.machine() != self.id && !self.remote_hooks.is_empty() {
+            if env.id.machine() != self.id && self.closures.has_hooks() {
                 // A marker touches nothing here: the wrapper fires hooks for
                 // its payload's objects when the coordinated round resolves.
                 remote_touched.extend(commute::wire_objects(&env.op));
@@ -77,19 +76,17 @@ impl Machine {
                 // failed at commit: a conflict (Figure 7).
                 self.stats.conflicts += 1;
             }
-            let (completion, issued_at) = own.map_or((None, None), |p| (p.completion, p.issued_at));
-            if let Some(c) = completion {
-                queue.push(env.id, result, c);
-                self.telemetry.op_completed(env.id, now);
-            }
-            if let Some(t) = issued_at {
-                self.stats.commit_latencies.push(now.saturating_since(t));
+            if let Some(own) = own {
+                self.callbacks.push(Callback::Completed(env.id, result));
+                if let Some(t) = own.issued_at {
+                    self.stats.commit_latencies.push(now.saturating_since(t));
+                }
             }
         }
-        // §4 steps (i)-(iii): copy committed onto guesstimated, run the
-        // pending completion routines, replay the still-pending operations.
+        // §4 steps (i) and (iii): copy committed onto guesstimated, replay
+        // the still-pending operations. Step (ii), the pending completion
+        // routines, runs when the step ends (`Machine::run_callbacks`).
         self.resync_guess();
-        self.stats.completions_run += queue.run_all() as u64;
         let cause = if round_ops(runs).any(|e| e.id.machine() != self.id) {
             ReplayCause::ForeignConflict
         } else {
@@ -97,11 +94,8 @@ impl Machine {
         };
         self.replay_pending("replay", Some((round, cause, now)), true);
         self.stats.rounds_applied += 1;
-        for object in remote_touched {
-            for hook in &mut self.remote_hooks {
-                hook(object);
-            }
-        }
+        self.callbacks
+            .extend(remote_touched.into_iter().map(Callback::Touched));
         // Async operations held back because their object's Create had not
         // committed here yet may have just become applicable.
         if self.cfg.async_commit {
@@ -285,8 +279,9 @@ impl Machine {
     /// flush, so the round committed them everywhere else, and replaying
     /// and flushing them again would commit them twice. `P` commits from
     /// its front, so they are a prefix of it. Their commit-time results
-    /// never reached this machine: the completion routines are dropped, and
-    /// counted as such (no commit stamp reaches telemetry either).
+    /// never reached this machine: the completion routines are dropped at
+    /// the step's end, and counted as such (no commit stamp reaches
+    /// telemetry either).
     fn retire_ops_committed_while_away(&mut self) {
         let Some(first) = self.pending.front().map(|p| p.env().id.seq()) else {
             return;
@@ -304,23 +299,25 @@ impl Machine {
         while let Some(p) = self.pending.pop_front_if(in_c) {
             self.stats.record_exec_count(p.execs);
             self.stats.committed_own += 1;
-            self.stats.completions_dropped += u64::from(p.completion.is_some());
+            self.callbacks.push(Callback::Dropped(p.env().id));
         }
     }
 
     /// Resets all replicated state, as the paper's restart signal does:
     /// "the machine shuts down the current instance of the application and
     /// restarts the application. Upon restart the machine re-enters the
-    /// system in a consistent state." Pending operations and their
-    /// completion routines are lost (and counted).
+    /// system in a consistent state." Pending operations are lost (and
+    /// counted); their completion routines are dropped at the step's end.
     pub(crate) fn reset_for_restart(&mut self) {
         self.stats.restarts += 1;
         self.telemetry
             .machine_restarted(self.id, self.pending.len() as u64);
         self.stats.ops_lost_to_restart += self.pending.len() as u64;
-        let with_completion = self.pending.iter().filter(|p| p.completion.is_some());
-        self.stats.completions_dropped += with_completion.count() as u64;
-        self.pending.clear();
+        let lost = self
+            .pending
+            .drain(..)
+            .map(|p| Callback::Dropped(p.env().id));
+        self.callbacks.extend(lost);
         self.committed = ObjectStore::new();
         self.guess = ObjectStore::new();
         self.catalog.clear();

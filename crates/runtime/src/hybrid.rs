@@ -53,7 +53,7 @@
 
 use std::collections::BTreeMap;
 
-use guesstimate_core::{CompletionFn, ExecError, MachineId, SharedOp};
+use guesstimate_core::{Callback, CompletionFn, ExecError, MachineId, SharedOp};
 use guesstimate_net::{Channel, Ctx, ReplayCause, SimTime, TraceEvent};
 
 use crate::commute::universal_commuters;
@@ -71,7 +71,7 @@ use crate::roles::AsyncBatch;
 /// order — not because commutation requires it (it does not), but because
 /// a dense per-sender sequence makes duplicate suppression and loss
 /// repair a single integer comparison.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct AsyncIn {
     /// The next `aseq` expected from this sender; everything below has
     /// been applied (or was folded into a join snapshot).
@@ -100,11 +100,13 @@ impl Machine {
         completion: Option<CompletionFn>,
         ctx: &mut Ctx<'_, Msg>,
     ) -> Result<bool, ExecError> {
-        if self.async_eligible(&op) {
+        let issued = if self.async_eligible(&op) {
             self.commit_async_own(op, completion, ctx)
         } else {
             self.issue_inner(op, completion, Some(ctx.now()))
-        }
+        };
+        self.run_callbacks(ctx.now());
+        issued
     }
 
     /// Issue-time classification: may `op` take the async path?
@@ -145,7 +147,8 @@ impl Machine {
     }
 
     /// The async fast path for an own operation: execute on `sg` (rule
-    /// R2), commit to `sc`, complete, broadcast. Two executions total —
+    /// R2), commit to `sc`, record the completion (it runs as the issue
+    /// returns), broadcast. Two executions total —
     /// the issue-time run and the commit-time run happen back to back —
     /// and an issue-to-commit latency of zero.
     fn commit_async_own(
@@ -178,9 +181,8 @@ impl Machine {
         self.telemetry.op_issued(op_id, Some(now));
         self.telemetry.op_committed_async(op_id, 2, now);
         if let Some(c) = completion {
-            c(result);
-            self.stats.completions_run += 1;
-            self.telemetry.op_completed(op_id, now);
+            self.closures.insert(op_id, c);
+            self.callbacks.push(Callback::Completed(op_id, result));
         }
         let aseq = self.aseq_next;
         self.aseq_next += 1;
@@ -283,8 +285,8 @@ impl Machine {
 
     /// Commits one foreign async operation: patch `sc`, patch `sg` (the
     /// operation commutes past the whole pending list, so `sg = [P](sc)`
-    /// survives appending it to both sides), record it, fire remote-update
-    /// hooks.
+    /// survives appending it to both sides), record it, and record the
+    /// objects it touched for the remote-update hooks.
     fn apply_async_foreign(&mut self, env: WireEnvelope) {
         self.commit_op(&env, "async-apply", false, true);
         let _ = execute_wire_checked(
@@ -299,13 +301,10 @@ impl Machine {
         .expect("async apply: sg holds every object sc holds");
         self.stats.committed_foreign += 1;
         self.stats.committed_async_foreign += 1;
-        if !self.remote_hooks.is_empty() {
+        if self.closures.has_hooks() {
             if let WireOp::Shared(op) = &env.op {
-                for object in op.objects_touched() {
-                    for hook in &mut self.remote_hooks {
-                        hook(object);
-                    }
-                }
+                let touched = op.objects_touched().into_iter().map(Callback::Touched);
+                self.callbacks.extend(touched);
             }
         }
     }

@@ -90,7 +90,8 @@ pub use blocking::{issue_blocking, BlockingOutcome};
 pub use cluster::{run_until_cohort, sim_cluster, sim_cluster_instrumented, threaded_cluster};
 pub use config::{Checks, Flush, MachineConfig};
 pub use exec::WitnessViolation;
-pub use machine::{Machine, RemoteUpdateHook, StateSummary};
+pub use guesstimate_core::RemoteUpdateHook;
+pub use machine::{Machine, StateSummary};
 pub use message::{Msg, ObjectInit, WireEnvelope, WireOp};
 pub use multigroup::{
     multi_sim_cluster, run_multi_until_joined, GMsg, GroupId, GroupRoute, GroupTable, IssueOutcome,

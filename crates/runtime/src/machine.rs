@@ -4,6 +4,8 @@
 //! application through completion closures), the completed sequence `C`, the
 //! committed store `sc`, the pending list `P` and the guesstimated store
 //! `sg` — plus one instance of each protocol role from [`crate::roles`].
+//! All of it is plain data, so the machine is `Clone`; its closures sit in
+//! a [`Closures`] table, which a clone starts without.
 //! The *protocol* (how machines talk) lives in [`crate::protocol`], which
 //! composes the role state machines; the commit-side machinery (applying a
 //! consolidated round, rebuilding `sg = [P](sc)`, restarts, join
@@ -14,8 +16,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use guesstimate_core::{
-    CompletionFn, ExecError, GState, MachineId, ObjectId, ObjectStore, OpId, OpRegistry, SharedOp,
-    Value,
+    Callback, Closures, CompletionFn, ExecError, GState, MachineId, ObjectId, ObjectStore, OpId,
+    OpRegistry, RemoteUpdateHook, SharedOp, Value,
 };
 use guesstimate_net::{NoopTracer, SimTime, TraceEvent, TraceRecord, Tracer};
 use guesstimate_telemetry::Telemetry;
@@ -53,6 +55,7 @@ use crate::stats::MachineStats;
 /// # Examples
 ///
 /// See the `guesstimate-runtime` crate-level example.
+#[derive(Clone)]
 pub struct Machine {
     pub(crate) id: MachineId,
     pub(crate) registry: Arc<OpRegistry>,
@@ -102,7 +105,10 @@ pub struct Machine {
     pub(crate) election: ElectionRole,
 
     pub(crate) history: Vec<WireEnvelope>,
-    pub(crate) remote_hooks: Vec<RemoteUpdateHook>,
+    /// What the step asks of `closures`, in order; empty between steps
+    /// ([`Machine::run_callbacks`]).
+    pub(crate) callbacks: Vec<Callback>,
+    pub(crate) closures: Closures,
     /// Witness-containment escapes recorded at apply sites under
     /// [`MachineConfig::checks`]; see
     /// [`crate::exec::WitnessViolation`].
@@ -117,17 +123,16 @@ pub struct Machine {
     pub(crate) telemetry: Telemetry,
 }
 
-/// One entry of the pending list `P`: the paper's `(operation, completion)`
-/// pair plus what the commit needs to account for it. Built only by
-/// [`Machine::enqueue`]; the round commit pops it off the front of `P`.
+/// One entry of the pending list `P`: the operation plus what the commit
+/// needs to account for it (its completion waits in [`Closures`]). Built
+/// only by [`Machine::enqueue`]; the round commit pops it off `P`'s front.
+#[derive(Clone)]
 pub(crate) struct PendingOp {
     /// Where the `(machineId, opNumber, op)` triple a flush ships lives;
     /// read it through [`PendingOp::env`].
     pub(crate) slot: EnvSlot,
     /// Executions so far: the issue-time run plus every counted replay.
     pub(crate) execs: u32,
-    /// The completion routine, run with the commit-time result.
-    pub(crate) completion: Option<CompletionFn>,
     /// Issue time, when the caller stamped one (commit-latency stats).
     pub(crate) issued_at: Option<SimTime>,
 }
@@ -138,6 +143,7 @@ pub(crate) struct PendingOp {
 /// at its slot there, so the broadcast, the stored flush, the machine's own
 /// received run, the master's `BeginApply` and the commit all share one
 /// allocation.
+#[derive(Clone)]
 pub(crate) enum EnvSlot {
     /// Never flushed: the record holds the envelope itself.
     Own(WireEnvelope),
@@ -154,10 +160,6 @@ impl PendingOp {
         }
     }
 }
-
-/// Callback invoked after a synchronization commits *foreign* operations
-/// touching an object (see [`Machine::on_remote_update`]).
-pub type RemoteUpdateHook = Box<dyn FnMut(ObjectId) + Send>;
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -215,7 +217,8 @@ impl Machine {
             membership: MembershipRole::new(id, is_master),
             election: ElectionRole::new(id),
             history: Vec::new(),
-            remote_hooks: Vec::new(),
+            callbacks: Vec::new(),
+            closures: Closures::default(),
             witness_log: Vec::new(),
             shard_log: Vec::new(),
             stats: MachineStats::default(),
@@ -380,13 +383,29 @@ impl Machine {
     /// The Sudoku application's grid-refresh problem (§6) is the motivating
     /// use: repaint a square whenever another player's move lands.
     ///
-    /// Callbacks run after the committed→guesstimated copy and the
-    /// completion routines, so reads performed from them (via
+    /// Callbacks run as the step that committed the operations ends, after
+    /// the round's completion routines, so reads performed from them (via
     /// [`Machine::read`] on a captured handle) observe post-commit state.
     /// Hooks survive recovery restarts (they are UI wiring, not replicated
-    /// state).
+    /// state); a clone of the machine has none.
     pub fn on_remote_update(&mut self, hook: RemoteUpdateHook) {
-        self.remote_hooks.push(hook);
+        self.closures.add_hook(hook);
+    }
+
+    /// Hands the step's [`Callback`]s, in order, to the closure table.
+    /// Every public entry point that can record one ends with this call, so
+    /// no closure runs while the machine is mid-step.
+    pub(crate) fn run_callbacks(&mut self, now: SimTime) {
+        for event in std::mem::take(&mut self.callbacks) {
+            match (event, self.closures.run(event)) {
+                (Callback::Completed(op, _), true) => {
+                    self.stats.completions_run += 1;
+                    self.telemetry.op_completed(op, now);
+                }
+                (Callback::Dropped(_), true) => self.stats.completions_dropped += 1,
+                _ => {}
+            }
+        }
     }
 
     /// Checks the §3 invariant `[P](sc) = sg`: replays the pending list
@@ -402,15 +421,12 @@ impl Machine {
         replay.digest() == self.guess.digest()
     }
 
-    /// Debug-asserts [`Machine::check_guess_invariant`] when
-    /// [`MachineConfig::checks`] are on.
-    ///
-    /// The protocol driver calls this after every `on_start` / `on_message`
-    /// / `on_timer` step, so an enabled machine validates the §3 invariant
-    /// at every point a scheduler could observe it. Compiled out of release
-    /// builds (`debug_assert!`).
-    #[inline]
-    pub(crate) fn check_step(&self, site: &str) {
+    /// Ends an `on_start` / `on_message` / `on_timer` step: debug-asserts
+    /// [`Machine::check_guess_invariant`] when [`MachineConfig::checks`]
+    /// are on (so an enabled machine validates the §3 invariant at every
+    /// point a scheduler could observe it; compiled out of release builds),
+    /// then runs the step's callbacks.
+    pub(crate) fn end_step(&mut self, site: &str, now: SimTime) {
         if self.cfg.checks.on() {
             debug_assert!(
                 self.check_guess_invariant(),
@@ -418,6 +434,7 @@ impl Machine {
                 self.id
             );
         }
+        self.run_callbacks(now);
     }
 
     /// Witness-containment escapes recorded at this machine's apply sites
@@ -522,9 +539,9 @@ impl Machine {
         self.enqueue(marker, None, None)
     }
 
-    /// Appends one operation to the pending list `P` — the only way in.
-    /// The caller has already run it on `sg` (rule R2), which is the one
-    /// execution the record starts with.
+    /// Appends one operation to the pending list `P` — the only way in —
+    /// and files its completion. The caller has already run it on `sg`
+    /// (rule R2), which is the one execution the record starts with.
     pub(crate) fn enqueue(
         &mut self,
         op: WireOp,
@@ -535,9 +552,11 @@ impl Machine {
         self.pending.push_back(PendingOp {
             slot: EnvSlot::Own(WireEnvelope { id, op }),
             execs: 1,
-            completion,
             issued_at,
         });
+        if let Some(completion) = completion {
+            self.closures.insert(id, completion);
+        }
         self.stats.issued += 1;
         self.telemetry.op_issued(id, issued_at);
         let depth = self.pending.len() as u64;

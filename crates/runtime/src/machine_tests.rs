@@ -13,9 +13,12 @@ fn pending_envs(m: &Machine) -> Vec<WireEnvelope> {
     m.pending.iter().map(|p| p.env().clone()).collect()
 }
 
-/// Applies `ops` as a one-run round at time zero.
+/// Applies `ops` as a one-run round at time zero, and ends the step: the
+/// recorded completions and hooks run.
 fn apply(m: &mut Machine, ops: Vec<WireEnvelope>, round: u64) -> u64 {
-    m.apply_committed_round(&[Arc::new(ops)], round, SimTime::ZERO)
+    let n = m.apply_committed_round(&[Arc::new(ops)], round, SimTime::ZERO);
+    m.run_callbacks(SimTime::ZERO);
+    n
 }
 
 fn machine() -> Machine {
@@ -256,6 +259,7 @@ fn restart_drops_pending_and_counts() {
         .unwrap();
     }
     m.reset_for_restart();
+    m.run_callbacks(SimTime::ZERO);
     assert_eq!(m.pending_len(), 0);
     assert_eq!(m.completed_len(), 0);
     assert_eq!(m.stats().restarts, 1);
@@ -269,6 +273,81 @@ fn restart_drops_pending_and_counts() {
     apply(&mut m, vec![], 1);
     assert_eq!(ran.load(Ordering::SeqCst), 0);
     assert_eq!(m.stats().completions_run, 0);
+}
+
+/// A clone is the protocol state without the closures: committing the
+/// same round on the original and on a clone taken after an
+/// `issue_with_completion` and an `on_remote_update` reaches equal stores,
+/// while the completion and the hook run once, on the original, which alone
+/// counts the completion run. A restart of the clone drops nothing it holds.
+#[test]
+fn a_clone_commits_like_the_original_and_runs_no_closure() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    let completions = Arc::new(AtomicU32::new(0));
+    let hooks = Arc::new(AtomicU32::new(0));
+    let mut m = machine();
+    let id = m.create_instance(Counter { n: 0 });
+    let create = pending_envs(&m);
+    apply(&mut m, create, 0);
+    let c = completions.clone();
+    m.issue_with_completion(
+        SharedOp::primitive(id, "add", args![1]),
+        Box::new(move |ok| {
+            assert!(ok);
+            c.fetch_add(1, Ordering::SeqCst);
+        }),
+    )
+    .unwrap();
+    let h = hooks.clone();
+    m.on_remote_update(Box::new(move |_| {
+        h.fetch_add(1, Ordering::SeqCst);
+    }));
+    let mut copy = m.clone();
+    let foreign = WireEnvelope {
+        id: OpId::new(MachineId::new(1), 0),
+        op: WireOp::Shared(SharedOp::primitive(id, "add", args![2])),
+    };
+    let mut round = pending_envs(&m);
+    round.push(foreign);
+    apply(&mut m, round.clone(), 1);
+    apply(&mut copy, round, 1);
+    assert_eq!(m.committed_digest(), copy.committed_digest());
+    assert_eq!(m.guess_digest(), copy.guess_digest());
+    assert_eq!(copy.read_committed::<Counter, _>(id, |c| c.n), Some(3));
+    assert_eq!(
+        completions.load(Ordering::SeqCst),
+        1,
+        "once, on the original"
+    );
+    assert_eq!(hooks.load(Ordering::SeqCst), 1, "once, on the original");
+    assert_eq!(m.stats().completions_run, 1);
+    assert_eq!(copy.stats().completions_run, 0, "the clone ran none");
+    // A pending op with a completion on both, then a restart of each: only
+    // the original had a routine to drop.
+    let c = completions.clone();
+    m.issue_with_completion(
+        SharedOp::primitive(id, "add", args![1]),
+        Box::new(move |_| {
+            c.fetch_add(1, Ordering::SeqCst);
+        }),
+    )
+    .unwrap();
+    let mut copy = m.clone();
+    for machine in [&mut m, &mut copy] {
+        machine.reset_for_restart();
+        machine.run_callbacks(SimTime::ZERO);
+    }
+    assert_eq!(m.stats().completions_dropped, 1);
+    assert_eq!(copy.stats().completions_dropped, 0);
+    assert_eq!(
+        m.stats().ops_lost_to_restart,
+        copy.stats().ops_lost_to_restart
+    );
+    assert_eq!(
+        completions.load(Ordering::SeqCst),
+        1,
+        "a dropped routine never runs"
+    );
 }
 
 /// Every way into `P` goes through `Machine::enqueue`, so all four callers

@@ -57,8 +57,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use guesstimate_core::{
-    paths::Seg, value_digest, CompletionFn, ExecError, GState, MachineId, ObjectId, OpRegistry,
-    ShardId, ShardPlan, SharedOp, Value,
+    paths::Seg, value_digest, Callback, Closures, CompletionFn, ExecError, GState, MachineId,
+    ObjectId, OpId, OpRegistry, ShardId, ShardPlan, SharedOp, Value,
 };
 use guesstimate_net::{Action, Actor, Channel, Ctx, NetConfig, SimNet, Tracer};
 use guesstimate_telemetry::Telemetry;
@@ -339,7 +339,7 @@ struct CrossCommit {
 }
 
 /// Coordinator-only sequencing state (lives on the coordinator node).
-#[derive(Default)]
+#[derive(Debug, Default, Clone)]
 struct Coordinator {
     queue: VecDeque<(MachineId, u64, Vec<GroupId>, SharedOp)>,
     in_flight: Option<u64>,
@@ -348,6 +348,7 @@ struct Coordinator {
 
 /// One node of a multi-group cluster: a full [`Machine`] per hosted sync
 /// group behind a single mesh [`Actor`]. See the module docs.
+#[derive(Debug, Clone)]
 pub struct MultiMachine {
     node: MachineId,
     table: Arc<GroupTable>,
@@ -358,7 +359,8 @@ pub struct MultiMachine {
     cross_q: BTreeMap<GroupId, VecDeque<CrossCommit>>,
     coordinator_node: MachineId,
     coordinator: Option<Coordinator>,
-    cross_completions: BTreeMap<u64, CompletionFn>,
+    /// This node's cross operations' completions, under `(node, oseq)`.
+    closures: Closures,
     oseq_next: u64,
     obj_seq: u64,
     telemetry: Telemetry,
@@ -367,16 +369,6 @@ pub struct MultiMachine {
     /// Rolling digest over `(xid, result)` of resolved cross operations —
     /// the model checker's cross-round oracle surface.
     cross_digest: u64,
-}
-
-impl std::fmt::Debug for MultiMachine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiMachine")
-            .field("node", &self.node)
-            .field("groups", &self.machines.keys().collect::<Vec<_>>())
-            .field("fenced", &self.frozen_groups())
-            .finish()
-    }
 }
 
 impl MultiMachine {
@@ -415,7 +407,7 @@ impl MultiMachine {
             cross_q: BTreeMap::new(),
             coordinator_node,
             coordinator,
-            cross_completions: BTreeMap::new(),
+            closures: Closures::default(),
             oseq_next: 0,
             obj_seq: 0,
             telemetry: Telemetry::noop(),
@@ -491,15 +483,6 @@ impl MultiMachine {
     /// True once every hosted group's machine is admitted.
     pub fn all_joined(&self) -> bool {
         self.machines.values().all(|m| m.is_joined())
-    }
-
-    /// Total committed operations across hosted groups (serialized +
-    /// async), the bench's aggregate-throughput surface.
-    pub fn committed_total(&self) -> u64 {
-        self.machines
-            .values()
-            .map(|m| m.completed_len() as u64)
-            .sum()
     }
 
     fn fenced(&self, g: GroupId) -> bool {
@@ -585,7 +568,7 @@ impl MultiMachine {
                 let oseq = self.oseq_next;
                 self.oseq_next += 1;
                 if let Some(c) = completion {
-                    self.cross_completions.insert(oseq, c);
+                    self.closures.insert(OpId::new(self.node, oseq), c);
                 }
                 let submit = GMsg::CrossSubmit {
                     origin: self.node,
@@ -858,9 +841,8 @@ impl MultiMachine {
         self.telemetry.shard_op("cross");
         self.telemetry.cross_route();
         if c.origin == self.node {
-            if let Some(cb) = self.cross_completions.remove(&c.oseq) {
-                cb(result);
-            }
+            let op = OpId::new(self.node, c.oseq);
+            self.closures.run(Callback::Completed(op, result));
         }
         if let Some(coord) = self.coordinator.as_mut() {
             if coord.in_flight == Some(c.xid) {

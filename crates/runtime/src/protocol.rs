@@ -33,9 +33,10 @@
 //!    counts (and its own batch); each machine waits for all expected
 //!    operations, applies them
 //!    to its committed state in lexicographic `(machineID, opnumber)` order,
-//!    copies committed onto guesstimated state, runs its pending completion
-//!    routines, replays its still-pending operations, and then acknowledges
-//!    (`try_apply`: the `Ack` is the last action of the callback).
+//!    copies committed onto guesstimated state, replays its still-pending
+//!    operations, and then acknowledges (`try_apply`: the `Ack` is the last
+//!    action of the protocol step). Its pending completion routines run as
+//!    the callback returns ([`Machine::run_callbacks`]).
 //! 3. **FlagCompletion** — when all acknowledgments are in, the master
 //!    broadcasts `SyncComplete`.
 //!
@@ -93,7 +94,7 @@ impl Actor for Machine {
                 ctx.set_timer(timeout, tag::encode(tag::ELECTION_WATCHDOG, 0));
             }
         }
-        self.check_step("on_start");
+        self.end_step("on_start", ctx.now());
     }
 
     fn on_message(&mut self, from: MachineId, _channel: Channel, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
@@ -151,7 +152,7 @@ impl Actor for Machine {
             Msg::MasterHeartbeat => {}
             other => self.route_round_msg(from, other, ctx),
         }
-        self.check_step("on_message");
+        self.end_step("on_message", ctx.now());
     }
 
     fn on_timer(&mut self, timer_tag: u64, ctx: &mut Ctx<'_, Msg>) {
@@ -180,7 +181,7 @@ impl Actor for Machine {
             ),
             _ => {}
         }
-        self.check_step("on_timer");
+        self.end_step("on_timer", ctx.now());
     }
 
     fn msg_size(msg: &Msg) -> u64 {

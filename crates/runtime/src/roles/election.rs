@@ -48,7 +48,7 @@ pub enum ElectionEvent {
 }
 
 /// The election state machine (member side).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ElectionRole {
     me: MachineId,
     /// Known candidacies (`None` when no election is in progress).

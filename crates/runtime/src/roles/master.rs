@@ -44,7 +44,7 @@ use crate::roles::{tag, Effect};
 use crate::stats::SyncSample;
 
 /// Master-side bookkeeping for one round in flight.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MasterRound {
     /// Round number.
     pub(crate) round: u64,
@@ -192,7 +192,7 @@ pub enum MasterEvent {
 }
 
 /// The master state machine: drives rounds, recovers stalls.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MasterRole {
     me: MachineId,
     /// The round in stage 1, if any. With every flush in, it still waits

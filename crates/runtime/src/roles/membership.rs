@@ -76,7 +76,7 @@ pub enum MembershipEvent {
 }
 
 /// The membership state machine (both master and member sides).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MembershipRole {
     me: MachineId,
     /// (Master) The current member set, this machine included.

@@ -33,7 +33,7 @@ use crate::roles::{AsyncBatch, Effect, OpsBatch};
 
 /// Participant-side state of one round (the master keeps these too — it
 /// participates like everyone else).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoundState {
     /// Round number.
     pub(crate) round: u64,
@@ -199,7 +199,7 @@ pub enum ParticipantEvent {
 }
 
 /// The participant state machine: one per machine, master included.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ParticipantRole {
     me: MachineId,
     /// The round this machine has not applied yet, if any.

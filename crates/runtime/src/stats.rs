@@ -79,11 +79,13 @@ pub struct MachineStats {
     pub committed_async_foreign: u64,
     /// Own operations that succeeded at issue but failed at commit.
     pub conflicts: u64,
-    /// Completion routines executed.
+    /// Completion routines executed. Counted by the instance holding the
+    /// routine: a clone of a machine holds none of the original's.
     pub completions_run: u64,
-    /// Completion routines dropped: by a restart, or because the operation
-    /// committed while its issuer was away (it left after `BeginApply` had
-    /// counted its flush) and the commit-time result never reached it.
+    /// Completion routines dropped (counted like `completions_run`): by a
+    /// restart, or because the operation committed while its issuer was
+    /// away (it left after `BeginApply` had counted its flush) and the
+    /// commit-time result never reached it.
     pub completions_dropped: u64,
     /// Pending operations re-executed while re-establishing `sg = [P](sc)`.
     pub replays: u64,
