@@ -10,7 +10,8 @@
 use std::collections::BTreeMap;
 
 use guesstimate_core::{
-    args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
+    args, canonical, Canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp,
+    Value,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -124,67 +125,8 @@ impl Auction {
     }
 }
 
-impl GState for Auction {
-    const TYPE_NAME: &'static str = "Auction";
-
-    fn snapshot(&self) -> Value {
-        Value::map(self.items.iter().map(|(n, i)| {
-            let best = match &i.best {
-                Some((b, amt)) => Value::from(vec![Value::from(b.clone()), Value::from(*amt)]),
-                None => Value::Unit,
-            };
-            (
-                n.clone(),
-                Value::map([
-                    ("seller", Value::from(i.seller.clone())),
-                    ("reserve", Value::from(i.reserve)),
-                    ("increment", Value::from(i.increment)),
-                    ("best", best),
-                    ("open", Value::from(i.open)),
-                ]),
-            )
-        }))
-    }
-
-    fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-        let shape = || RestoreError::shape("auction snapshot");
-        self.items.clear();
-        for (name, it) in v.as_map().ok_or_else(shape)? {
-            let best = match it.field("best").ok_or_else(shape)? {
-                Value::Unit => None,
-                Value::List(l) if l.len() == 2 => Some((
-                    l[0].as_str().ok_or_else(shape)?.to_owned(),
-                    l[1].as_i64().ok_or_else(shape)?,
-                )),
-                _ => return Err(shape()),
-            };
-            self.items.insert(
-                name.clone(),
-                Item {
-                    seller: it
-                        .field("seller")
-                        .and_then(Value::as_str)
-                        .ok_or_else(shape)?
-                        .to_owned(),
-                    reserve: it
-                        .field("reserve")
-                        .and_then(Value::as_i64)
-                        .ok_or_else(shape)?,
-                    increment: it
-                        .field("increment")
-                        .and_then(Value::as_i64)
-                        .ok_or_else(shape)?,
-                    best,
-                    open: it
-                        .field("open")
-                        .and_then(Value::as_bool)
-                        .ok_or_else(shape)?,
-                },
-            );
-        }
-        Ok(())
-    }
-}
+canonical!(struct Item { seller, reserve, increment, best, open });
+canonical!(impl GState for Auction as "Auction" (items));
 
 /// Typed operation constructors.
 pub mod ops {
@@ -301,29 +243,18 @@ pub fn register(registry: &mut OpRegistry) {
 }
 
 fn invariant(v: &Value) -> bool {
-    let Some(items) = v.as_map() else {
+    let Ok(a) = Auction::from_value(v) else {
         return false;
     };
-    items.values().all(|it| {
-        let (Some(reserve), Some(increment), Some(seller)) = (
-            it.field("reserve").and_then(Value::as_i64),
-            it.field("increment").and_then(Value::as_i64),
-            it.field("seller").and_then(Value::as_str),
-        ) else {
-            return false;
-        };
-        if increment <= 0 || reserve < 0 || seller.is_empty() {
-            return false;
-        }
-        match it.field("best") {
-            Some(Value::Unit) | None => true,
-            Some(Value::List(l)) if l.len() == 2 => {
-                // Best bid meets the reserve and never comes from the seller.
-                l[1].as_i64().is_some_and(|amt| amt >= reserve)
-                    && l[0].as_str().is_some_and(|b| b != seller)
-            }
-            _ => false,
-        }
+    a.items.values().all(|it| {
+        // The best bid meets the reserve and never comes from the seller.
+        it.increment > 0
+            && it.reserve >= 0
+            && !it.seller.is_empty()
+            && it
+                .best
+                .as_ref()
+                .is_none_or(|(b, amt)| *amt >= it.reserve && *b != it.seller)
     })
 }
 
@@ -574,17 +505,6 @@ mod tests {
             Some(("ann".into(), 15))
         );
         assert!(ops::bid_up_to(obj, "lamp", "ann", 30, 5, 20).is_none());
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut a = house();
-        a.bid("lamp", "ann", 12);
-        a.list_item("sofa", "bob", 0, 1);
-        a.close("sofa", "bob");
-        let mut b = Auction::new();
-        GState::restore(&mut b, &GState::snapshot(&a)).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

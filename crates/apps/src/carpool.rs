@@ -16,7 +16,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use guesstimate_core::{
-    args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value, ROOT,
+    args, canonical, Canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp,
+    Value, ROOT,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -118,55 +119,8 @@ impl CarPool {
     }
 }
 
-impl GState for CarPool {
-    const TYPE_NAME: &'static str = "CarPool";
-
-    fn snapshot(&self) -> Value {
-        Value::map(self.vehicles.iter().map(|(n, v)| {
-            (
-                n.clone(),
-                Value::map([
-                    ("seats", Value::from(i64::from(v.seats))),
-                    ("event", Value::from(v.event.clone())),
-                    (
-                        "riders",
-                        v.riders.iter().map(|r| Value::from(r.clone())).collect(),
-                    ),
-                ]),
-            )
-        }))
-    }
-
-    fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-        let shape = || RestoreError::shape("car-pool snapshot");
-        self.vehicles.clear();
-        for (name, veh) in v.as_map().ok_or_else(shape)? {
-            let riders = veh
-                .field("riders")
-                .and_then(Value::as_list)
-                .ok_or_else(shape)?
-                .iter()
-                .map(|r| r.as_str().map(str::to_owned).ok_or_else(shape))
-                .collect::<Result<BTreeSet<_>, _>>()?;
-            self.vehicles.insert(
-                name.clone(),
-                Vehicle {
-                    seats: veh
-                        .field("seats")
-                        .and_then(Value::as_i64)
-                        .ok_or_else(shape)? as u32,
-                    event: veh
-                        .field("event")
-                        .and_then(Value::as_str)
-                        .ok_or_else(shape)?
-                        .to_owned(),
-                    riders,
-                },
-            );
-        }
-        Ok(())
-    }
-}
+canonical!(struct Vehicle { seats, event, riders });
+canonical!(impl GState for CarPool as "CarPool" (vehicles));
 
 /// Typed operation constructors, including the §5 `GetRide` pattern.
 pub mod ops {
@@ -276,30 +230,15 @@ pub fn register(registry: &mut OpRegistry) {
 }
 
 fn invariant(v: &Value) -> bool {
-    let Some(vehicles) = v.as_map() else {
+    let Ok(pool) = CarPool::from_value(v) else {
         return false;
     };
     // No vehicle over capacity; no user riding two vehicles to one event.
-    let mut rides: BTreeSet<(String, String)> = BTreeSet::new();
-    for veh in vehicles.values() {
-        let (Some(seats), Some(event), Some(riders)) = (
-            veh.field("seats").and_then(Value::as_i64),
-            veh.field("event").and_then(Value::as_str),
-            veh.field("riders").and_then(Value::as_list),
-        ) else {
-            return false;
-        };
-        if riders.len() as i64 > seats {
-            return false;
-        }
-        for r in riders {
-            let Some(user) = r.as_str() else { return false };
-            if !rides.insert((user.to_owned(), event.to_owned())) {
-                return false; // two rides to the same event
-            }
-        }
-    }
-    true
+    let mut rides = BTreeSet::new();
+    pool.vehicles.values().all(|veh| {
+        u32::try_from(veh.riders.len()).is_ok_and(|n| n <= veh.seats)
+            && veh.riders.iter().all(|r| rides.insert((r, &veh.event)))
+    })
 }
 
 /// Specification suite for the verifier table.
@@ -527,15 +466,6 @@ mod tests {
         let obj = ObjectId::new(MachineId::new(0), 0);
         let p = CarPool::new();
         assert!(ops::get_ride(&p, obj, "ann", "party").is_none());
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut p = pool();
-        p.board("ann", "v1");
-        let mut q = CarPool::new();
-        GState::restore(&mut q, &GState::snapshot(&p)).unwrap();
-        assert_eq!(p, q);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use guesstimate_core::{
-    args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
+    args, canonical, Canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp,
+    Value,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -187,85 +188,9 @@ impl EventPlanner {
     }
 }
 
-impl GState for EventPlanner {
-    const TYPE_NAME: &'static str = "EventPlanner";
-
-    fn snapshot(&self) -> Value {
-        let users = Value::map(self.users.iter().map(|(n, u)| {
-            (
-                n.clone(),
-                Value::map([
-                    ("password", Value::from(u.password.clone())),
-                    ("signed_in", Value::from(u.signed_in)),
-                ]),
-            )
-        }));
-        let events = Value::map(self.events.iter().map(|(n, e)| {
-            (
-                n.clone(),
-                Value::map([
-                    ("capacity", Value::from(i64::from(e.capacity))),
-                    (
-                        "attendees",
-                        e.attendees.iter().map(|a| Value::from(a.clone())).collect(),
-                    ),
-                ]),
-            )
-        }));
-        Value::map([
-            ("quota", Value::from(i64::from(self.quota))),
-            ("users", users),
-            ("events", events),
-        ])
-    }
-
-    fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-        let shape = || RestoreError::shape("event-planner snapshot");
-        self.quota = v.field("quota").and_then(Value::as_i64).ok_or_else(shape)? as u32;
-        self.users.clear();
-        for (name, u) in v.field("users").and_then(Value::as_map).ok_or_else(shape)? {
-            self.users.insert(
-                name.clone(),
-                UserRec {
-                    password: u
-                        .field("password")
-                        .and_then(Value::as_str)
-                        .ok_or_else(shape)?
-                        .to_owned(),
-                    signed_in: u
-                        .field("signed_in")
-                        .and_then(Value::as_bool)
-                        .ok_or_else(shape)?,
-                },
-            );
-        }
-        self.events.clear();
-        for (name, e) in v
-            .field("events")
-            .and_then(Value::as_map)
-            .ok_or_else(shape)?
-        {
-            let attendees = e
-                .field("attendees")
-                .and_then(Value::as_list)
-                .ok_or_else(shape)?
-                .iter()
-                .map(|a| a.as_str().map(str::to_owned).ok_or_else(shape))
-                .collect::<Result<BTreeSet<_>, _>>()?;
-            self.events.insert(
-                name.clone(),
-                EventRec {
-                    capacity: e
-                        .field("capacity")
-                        .and_then(Value::as_i64)
-                        .ok_or_else(shape)? as u32,
-                    attendees,
-                },
-            );
-        }
-        Ok(())
-    }
-}
+canonical!(struct UserRec { password, signed_in });
+canonical!(struct EventRec { capacity, attendees });
+canonical!(impl GState for EventPlanner as "EventPlanner" { quota, users, events });
 
 /// Typed constructors for the shared operations and the paper's composite
 /// design patterns.
@@ -412,35 +337,18 @@ pub fn register(registry: &mut OpRegistry) {
 }
 
 fn invariant(v: &Value) -> bool {
-    let Some(events) = v.field("events").and_then(Value::as_map) else {
+    let Ok(p) = EventPlanner::from_value(v) else {
         return false;
     };
-    let Some(users) = v.field("users").and_then(Value::as_map) else {
-        return false;
-    };
-    let Some(quota) = v.field("quota").and_then(Value::as_i64) else {
-        return false;
-    };
-    let mut per_user: BTreeMap<&str, i64> = BTreeMap::new();
-    for e in events.values() {
-        let (Some(cap), Some(att)) = (
-            e.field("capacity").and_then(Value::as_i64),
-            e.field("attendees").and_then(Value::as_list),
-        ) else {
-            return false;
-        };
-        if att.len() as i64 > cap {
-            return false; // over capacity
-        }
-        for a in att {
-            let Some(name) = a.as_str() else { return false };
-            if !users.contains_key(name) {
-                return false; // attendee is not a registered user
-            }
-            *per_user.entry(name).or_insert(0) += 1;
-        }
-    }
-    per_user.values().all(|&n| n <= quota)
+    // No event over capacity; every attendee registered, none over quota.
+    let mut per_user: BTreeMap<&str, u32> = BTreeMap::new();
+    p.events.values().all(|e| {
+        u32::try_from(e.attendees.len()).is_ok_and(|n| n <= e.capacity)
+            && e.attendees.iter().all(|a| {
+                *per_user.entry(a).or_insert(0) += 1;
+                p.users.contains_key(a)
+            })
+    }) && per_user.values().all(|&n| n <= p.quota)
 }
 
 /// The specification suite for the verifier's table.
@@ -767,22 +675,6 @@ mod tests {
         assert!(p.leave("ann", "party"));
         assert!(!p.is_attending("ann", "party"));
         assert_eq!(p.event_names().len(), 3);
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut p = planner();
-        p.join("ann", "party");
-        p.sign_in("bob", "pw");
-        let mut q = EventPlanner::default();
-        GState::restore(&mut q, &GState::snapshot(&p)).unwrap();
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn restore_rejects_malformed() {
-        let mut p = EventPlanner::default();
-        assert!(GState::restore(&mut p, &Value::from(1)).is_err());
     }
 
     #[test]

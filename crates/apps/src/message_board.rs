@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use guesstimate_core::{
-    args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
+    args, canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp, Value,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -112,69 +112,8 @@ impl MessageBoard {
     }
 }
 
-impl GState for MessageBoard {
-    const TYPE_NAME: &'static str = "MessageBoard";
-
-    fn snapshot(&self) -> Value {
-        let topics = Value::map(self.topics.iter().map(|(name, posts)| {
-            (
-                name.clone(),
-                posts
-                    .iter()
-                    .map(|p| {
-                        Value::map([
-                            ("author", Value::from(p.author.clone())),
-                            ("text", Value::from(p.text.clone())),
-                        ])
-                    })
-                    .collect(),
-            )
-        }));
-        let likes = Value::map(
-            self.likes
-                .iter()
-                .map(|(k, n)| (k.clone(), Value::from(*n as i64))),
-        );
-        Value::map([("topics", topics), ("likes", likes)])
-    }
-
-    fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-        let shape = || RestoreError::shape("message-board snapshot");
-        self.topics.clear();
-        for (name, posts) in v
-            .field("topics")
-            .and_then(Value::as_map)
-            .ok_or_else(shape)?
-        {
-            let posts = posts
-                .as_list()
-                .ok_or_else(shape)?
-                .iter()
-                .map(|p| {
-                    Ok(Post {
-                        author: p
-                            .field("author")
-                            .and_then(Value::as_str)
-                            .ok_or_else(shape)?
-                            .to_owned(),
-                        text: p
-                            .field("text")
-                            .and_then(Value::as_str)
-                            .ok_or_else(shape)?
-                            .to_owned(),
-                    })
-                })
-                .collect::<Result<Vec<_>, RestoreError>>()?;
-            self.topics.insert(name.clone(), posts);
-        }
-        self.likes.clear();
-        for (k, n) in v.field("likes").and_then(Value::as_map).ok_or_else(shape)? {
-            let n = n.as_i64().ok_or_else(shape)?;
-            self.likes.insert(k.clone(), n as u64);
-        }
-        Ok(())
-    }
-}
+canonical!(struct Post { author, text });
+canonical!(impl GState for MessageBoard as "MessageBoard" { topics, likes });
 
 /// Typed operation constructors.
 pub mod ops {
@@ -509,23 +448,6 @@ mod tests {
         assert!(b.like("general"));
         assert_eq!(b.likes.get("general"), Some(&3), "bumped in place");
         assert_eq!(b.likes.len(), 1, "one tally per key");
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut b = MessageBoard::new();
-        b.create_topic("general");
-        b.post("general", "ann", "hello");
-        b.like("general");
-        let mut c = MessageBoard::new();
-        GState::restore(&mut c, &GState::snapshot(&b)).unwrap();
-        assert_eq!(b, c);
-    }
-
-    #[test]
-    fn restore_rejects_malformed() {
-        let mut b = MessageBoard::new();
-        assert!(GState::restore(&mut b, &Value::from(1)).is_err());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use guesstimate_core::{
-    args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
+    args, canonical, Canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp,
+    Value,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -141,97 +142,8 @@ impl MicroBlog {
     }
 }
 
-impl GState for MicroBlog {
-    const TYPE_NAME: &'static str = "MicroBlog";
-
-    fn snapshot(&self) -> Value {
-        let users: Value = self.users.iter().map(|u| Value::from(u.clone())).collect();
-        let follows = Value::map(self.follows.iter().map(|(f, set)| {
-            (
-                f.clone(),
-                set.iter().map(|x| Value::from(x.clone())).collect(),
-            )
-        }));
-        let posts: Value = self
-            .posts
-            .iter()
-            .map(|p| {
-                Value::map([
-                    ("author", Value::from(p.author.clone())),
-                    ("text", Value::from(p.text.clone())),
-                    ("seq", Value::from(p.seq as i64)),
-                ])
-            })
-            .collect();
-        let hearts = Value::map(
-            self.hearts
-                .iter()
-                .map(|(h, n)| (h.clone(), Value::from(*n as i64))),
-        );
-        Value::map([
-            ("users", users),
-            ("follows", follows),
-            ("posts", posts),
-            ("hearts", hearts),
-        ])
-    }
-
-    fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-        let shape = || RestoreError::shape("microblog snapshot");
-        self.users = v
-            .field("users")
-            .and_then(Value::as_list)
-            .ok_or_else(shape)?
-            .iter()
-            .map(|u| u.as_str().map(str::to_owned).ok_or_else(shape))
-            .collect::<Result<_, _>>()?;
-        self.follows.clear();
-        for (f, set) in v
-            .field("follows")
-            .and_then(Value::as_map)
-            .ok_or_else(shape)?
-        {
-            let set = set
-                .as_list()
-                .ok_or_else(shape)?
-                .iter()
-                .map(|x| x.as_str().map(str::to_owned).ok_or_else(shape))
-                .collect::<Result<_, _>>()?;
-            self.follows.insert(f.clone(), set);
-        }
-        self.posts = v
-            .field("posts")
-            .and_then(Value::as_list)
-            .ok_or_else(shape)?
-            .iter()
-            .map(|p| {
-                Ok(BlogPost {
-                    author: p
-                        .field("author")
-                        .and_then(Value::as_str)
-                        .ok_or_else(shape)?
-                        .to_owned(),
-                    text: p
-                        .field("text")
-                        .and_then(Value::as_str)
-                        .ok_or_else(shape)?
-                        .to_owned(),
-                    seq: p.field("seq").and_then(Value::as_i64).ok_or_else(shape)? as u64,
-                })
-            })
-            .collect::<Result<_, RestoreError>>()?;
-        self.hearts.clear();
-        for (h, n) in v
-            .field("hearts")
-            .and_then(Value::as_map)
-            .ok_or_else(shape)?
-        {
-            let n = n.as_i64().ok_or_else(shape)?;
-            self.hearts.insert(h.clone(), n as u64);
-        }
-        Ok(())
-    }
-}
+canonical!(struct BlogPost { author, text, seq });
+canonical!(impl GState for MicroBlog as "MicroBlog" { users, follows, posts, hearts });
 
 /// Typed operation constructors.
 pub mod ops {
@@ -367,30 +279,18 @@ pub fn register(registry: &mut OpRegistry) {
 }
 
 fn invariant(v: &Value) -> bool {
-    let (Some(users), Some(follows), Some(posts)) = (
-        v.field("users").and_then(Value::as_list),
-        v.field("follows").and_then(Value::as_map),
-        v.field("posts").and_then(Value::as_list),
-    ) else {
+    let Ok(b) = MicroBlog::from_value(v) else {
         return false;
     };
-    let user_set: BTreeSet<&str> = users.iter().filter_map(Value::as_str).collect();
     // Every author and follow edge refers to registered users; no self
     // follows; post seq numbers are dense.
-    posts.iter().enumerate().all(|(i, p)| {
-        p.field("author")
-            .and_then(Value::as_str)
-            .is_some_and(|a| user_set.contains(a))
-            && p.field("seq").and_then(Value::as_i64) == Some(i as i64)
-    }) && follows.iter().all(|(f, set)| {
-        user_set.contains(f.as_str())
-            && set.as_list().is_some_and(|l| {
-                l.iter().all(|x| {
-                    x.as_str()
-                        .is_some_and(|x| user_set.contains(x) && x != f.as_str())
-                })
-            })
-    })
+    b.posts
+        .iter()
+        .zip(0..)
+        .all(|(p, i)| b.users.contains(&p.author) && p.seq == i)
+        && b.follows.iter().all(|(f, set)| {
+            b.users.contains(f) && set.iter().all(|x| b.users.contains(x) && x != f)
+        })
 }
 
 fn heart_contract() -> MethodContract {
@@ -668,17 +568,6 @@ mod tests {
         assert_eq!(b.hearts("ann"), 2);
         assert_eq!(b.hearts("bob"), 0);
         assert_eq!(b.heart_count(), 3);
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut b = blog();
-        b.follow("ann", "bob");
-        b.post("bob", "x");
-        b.heart("bob");
-        let mut c = MicroBlog::new();
-        GState::restore(&mut c, &GState::snapshot(&b)).unwrap();
-        assert_eq!(b, c);
     }
 
     #[test]

@@ -253,18 +253,21 @@ impl GState for Sudoku {
         if grid.len() != 81 || fixed.len() != 81 {
             return Err(RestoreError::shape("81-element grid and fixed lists"));
         }
+        // Decode whole, then assign: a failed restore leaves `self` as it was.
+        let mut decoded = Sudoku::default();
         for (i, gv) in grid.iter().enumerate() {
-            let n = gv
+            decoded.grid[i / 9][i % 9] = gv
                 .as_i64()
-                .filter(|n| (0..=9).contains(n))
+                .and_then(|n| u8::try_from(n).ok())
+                .filter(|n| *n <= 9)
                 .ok_or_else(|| RestoreError::shape("cell in 0..=9"))?;
-            self.grid[i / 9][i % 9] = n as u8;
         }
         for (i, fv) in fixed.iter().enumerate() {
-            self.fixed[i / 9][i % 9] = fv
+            decoded.fixed[i / 9][i % 9] = fv
                 .as_bool()
                 .ok_or_else(|| RestoreError::shape("fixed cell bool"))?;
         }
+        *self = decoded;
         Ok(())
     }
 }

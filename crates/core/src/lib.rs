@@ -14,6 +14,9 @@
 //!   `GSharedObject` abstract base class. Application state derives [`GState`]
 //!   (a `Clone + Default` type with [`GState::snapshot`]/[`GState::restore`])
 //!   and receives the object-safe [`SharedObject`] implementation for free.
+//! * [`Canonical`] / [`canonical!`] — the one state codec: a state struct's
+//!   field list becomes its snapshot encoding and its `GState` impl
+//!   ([`codec`]).
 //! * [`OpRegistry`] — the replacement for .NET reflection: a registry mapping
 //!   `(type name, method name)` to an apply function, so that an operation
 //!   created on one machine can be re-executed identically on every replica.
@@ -37,25 +40,13 @@
 //! ## Example
 //!
 //! ```
-//! use guesstimate_core::{
-//!     args, ExecOutcome, GState, ObjectStore, OpRegistry, SharedOp, Value,
-//! };
+//! use guesstimate_core::{args, canonical, ExecOutcome, ObjectStore, OpRegistry, SharedOp};
 //!
 //! #[derive(Clone, Default, Debug, PartialEq)]
 //! struct Counter {
 //!     n: i64,
 //! }
-//!
-//! impl GState for Counter {
-//!     const TYPE_NAME: &'static str = "Counter";
-//!     fn snapshot(&self) -> Value {
-//!         Value::from(self.n)
-//!     }
-//!     fn restore(&mut self, v: &Value) -> Result<(), guesstimate_core::RestoreError> {
-//!         self.n = v.as_i64().ok_or_else(|| guesstimate_core::RestoreError::shape("i64"))?;
-//!         Ok(())
-//!     }
-//! }
+//! canonical!(impl GState for Counter as "Counter" { n });
 //!
 //! let mut registry = OpRegistry::new();
 //! registry.register_type::<Counter>();
@@ -80,6 +71,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod codec;
 mod completion;
 mod effect;
 mod error;
@@ -95,6 +87,7 @@ mod store;
 mod value;
 pub mod witness;
 
+pub use codec::Canonical;
 pub use completion::{Callback, Closures, CompletionFn, RemoteUpdateHook};
 pub use effect::{CommuteMatrix, EffectSpec, Footprint};
 pub use error::{ExecError, RestoreError};

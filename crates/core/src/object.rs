@@ -10,7 +10,9 @@
 //! * [`GState`] — what the *application* implements: a plain `Clone +
 //!   Default` state type plus a canonical [`GState::snapshot`] /
 //!   [`GState::restore`] pair (used to replicate initial state to joining
-//!   machines and to feed the spec checker).
+//!   machines and to feed the spec checker). An application does not write
+//!   that pair: [`canonical!`](crate::canonical) derives it from the
+//!   struct's field list through the one state codec ([`crate::codec`]).
 //! * [`SharedObject`] — the object-safe trait the *runtime* consumes; it is
 //!   implemented automatically for every `GState` via a blanket impl, so
 //!   applications never write `dyn`-plumbing by hand.
@@ -33,24 +35,26 @@ use crate::value::Value;
 /// digested to check cross-machine convergence and are consumed by the spec
 /// framework (`guesstimate-spec`) as the pre/post states of operations.
 ///
+/// Write the impl with [`canonical!`](crate::canonical): it takes the
+/// struct's field list and encodes through [`crate::Canonical`], the one
+/// place the snapshot format is decided, so the encoding is canonical and
+/// `restore` is all-or-nothing by construction. Hand-write the pair only
+/// when the snapshot is not the shape of the fields (Sudoku's flattened,
+/// domain-checked grid).
+///
 /// # Examples
 ///
 /// ```
-/// use guesstimate_core::{GState, RestoreError, Value};
+/// use guesstimate_core::{canonical, GState, Value};
 ///
 /// #[derive(Clone, Default)]
-/// struct Score(i64);
-///
-/// impl GState for Score {
-///     const TYPE_NAME: &'static str = "Score";
-///     fn snapshot(&self) -> Value {
-///         Value::from(self.0)
-///     }
-///     fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-///         self.0 = v.as_i64().ok_or_else(|| RestoreError::shape("i64"))?;
-///         Ok(())
-///     }
+/// struct Score {
+///     points: i64,
 /// }
+/// canonical!(impl GState for Score as "Score" { points });
+///
+/// let v = Score { points: 3 }.snapshot();
+/// assert_eq!(v, Value::map([("points", Value::from(3))]));
 /// ```
 pub trait GState: Clone + Default + Send + 'static {
     /// Stable type name used by the operation registry to route method calls.
@@ -66,7 +70,7 @@ pub trait GState: Clone + Default + Send + 'static {
     /// # Errors
     ///
     /// Returns [`RestoreError`] when `v` does not have the shape produced by
-    /// [`GState::snapshot`].
+    /// [`GState::snapshot`]; the state is then left as it was.
     fn restore(&mut self, v: &Value) -> Result<(), RestoreError>;
 }
 

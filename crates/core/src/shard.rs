@@ -186,13 +186,15 @@ impl ShardPlan {
                         component: r
                             .get("component")
                             .and_then(Json::as_u64)
-                            .ok_or("local route missing `component`")?
-                            as u32,
+                            .and_then(|c| u32::try_from(c).ok())
+                            .ok_or("local route missing a u32 `component`")?,
                         key_arg: match r.get("key_arg") {
                             None | Some(Json::Null) => None,
-                            Some(v) => {
-                                Some(v.as_u64().ok_or("`key_arg` must be a number")? as usize)
-                            }
+                            Some(v) => Some(
+                                v.as_u64()
+                                    .and_then(|a| usize::try_from(a).ok())
+                                    .ok_or("`key_arg` must be an index")?,
+                            ),
                         },
                     },
                     other => return Err(format!("unknown route kind {other:?}")),
@@ -347,5 +349,27 @@ mod tests {
         assert_eq!(key_render(&Value::from(7i64)), Some("7".to_owned()));
         assert_eq!(key_render(&Value::from(true)), Some("true".to_owned()));
         assert_eq!(key_render(&Value::List(vec![])), None);
+    }
+
+    #[test]
+    fn an_archived_component_past_u32_is_an_error() {
+        let archive = |component: u64| {
+            format!(
+                r#"{{"version": 3, "apps": [{{"type": "Board", "shard_plan": {{
+                    "components": [{{"keyed": true, "prefixes": ["topics/{{0}}"]}}],
+                    "routes": {{"post": {{"kind": "local", "component": {component}, "key_arg": 0}}}}
+                }}}}]}}"#
+            )
+        };
+        let mut expected = keyed_plan();
+        expected
+            .types
+            .get_mut("Board")
+            .unwrap()
+            .routes
+            .remove("purge");
+        assert_eq!(ShardPlan::from_json_archive(&archive(0)), Ok(expected));
+        let err = ShardPlan::from_json_archive(&archive(1 << 32)).unwrap_err();
+        assert!(err.contains("component"), "{err}");
     }
 }

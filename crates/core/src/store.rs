@@ -41,18 +41,11 @@ use crate::value::{value_digest, Value};
 /// # Examples
 ///
 /// ```
-/// use guesstimate_core::{GState, MachineId, ObjectId, ObjectStore, RestoreError, Value};
+/// use guesstimate_core::{canonical, MachineId, ObjectId, ObjectStore};
 ///
 /// #[derive(Clone, Default)]
 /// struct Flag(bool);
-/// impl GState for Flag {
-///     const TYPE_NAME: &'static str = "Flag";
-///     fn snapshot(&self) -> Value { Value::from(self.0) }
-///     fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-///         self.0 = v.as_bool().ok_or_else(|| RestoreError::shape("bool"))?;
-///         Ok(())
-///     }
-/// }
+/// canonical!(impl GState for Flag as "Flag" (0));
 ///
 /// let mut store = ObjectStore::new();
 /// let id = ObjectId::new(MachineId::new(0), 1);

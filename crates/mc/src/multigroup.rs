@@ -45,8 +45,8 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use guesstimate_core::{
-    ComponentPlan, EffectSpec, Footprint, GState, OpRegistry, PathPattern, RestoreError, Routing,
-    ShardPlan, SharedOp, TypePlan, Value,
+    canonical, ComponentPlan, EffectSpec, Footprint, GState, OpRegistry, PathPattern, Routing,
+    ShardPlan, SharedOp, TypePlan,
 };
 use guesstimate_net::{Ctx, TamperHook, Tracer};
 use guesstimate_runtime::multigroup::{
@@ -73,23 +73,7 @@ pub struct XPair {
     pub b: i64,
 }
 
-impl GState for XPair {
-    const TYPE_NAME: &'static str = "XPair";
-    fn snapshot(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("a".to_owned(), Value::from(self.a));
-        m.insert("b".to_owned(), Value::from(self.b));
-        Value::Map(m)
-    }
-    fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-        let Value::Map(m) = v else {
-            return Err(RestoreError::shape("map"));
-        };
-        self.a = m.get("a").and_then(Value::as_i64).unwrap_or(0);
-        self.b = m.get("b").and_then(Value::as_i64).unwrap_or(0);
-        Ok(())
-    }
-}
+canonical!(impl GState for XPair as "XPair" { a, b });
 
 /// Installs `XPair` and its three operations.
 pub fn register(r: &mut OpRegistry) {

@@ -111,45 +111,23 @@ pub trait Cluster {
 /// commute matrix and independence judgments built on that declaration
 /// are unsound for it, which is exactly what the witness-containment
 /// oracle must report.
-mod sneaky {
+pub mod sneaky {
     use std::collections::BTreeMap;
 
     use guesstimate_core::{
-        args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
+        args, canonical, EffectSpec, Footprint, ObjectId, OpRegistry, SharedOp,
     };
 
     /// Two integer slots, `src` and `dst`.
     #[derive(Clone, Default, Debug)]
     pub struct Mirror {
+        /// Slot name to value.
         pub m: BTreeMap<String, i64>,
     }
 
-    impl GState for Mirror {
-        const TYPE_NAME: &'static str = "Mirror";
-        fn snapshot(&self) -> Value {
-            Value::Map(
-                self.m
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::from(*v)))
-                    .collect(),
-            )
-        }
-        fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-            let Value::Map(m) = v else {
-                return Err(RestoreError::shape("map"));
-            };
-            self.m = m
-                .iter()
-                .map(|(k, v)| {
-                    v.as_i64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| RestoreError::shape("i64 slot"))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(())
-        }
-    }
+    canonical!(impl GState for Mirror as "Mirror" (m));
 
+    /// Installs `Mirror` with its honest `bump` and under-declared `mirror`.
     pub fn register(reg: &mut OpRegistry) {
         reg.register_type::<Mirror>();
         // Honest: `bump(k, d)` reads and writes exactly slot `k`.
@@ -183,10 +161,12 @@ mod sneaky {
         );
     }
 
+    /// `bump(k, d)`: adds `d` to slot `k`.
     pub fn bump(obj: ObjectId, k: &str, d: i64) -> SharedOp {
         SharedOp::primitive(obj, "bump", args![k, d])
     }
 
+    /// `mirror()`: copies `src` into `dst`.
     pub fn mirror(obj: ObjectId) -> SharedOp {
         SharedOp::primitive(obj, "mirror", args![])
     }
@@ -201,57 +181,26 @@ mod sneaky {
 /// `guesstimate_runtime::ShardViolation`) must record the escape at the
 /// first round commit, and the checker's `ShardEscape` oracle must report
 /// it.
-mod miskeyed {
+pub mod miskeyed {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use guesstimate_core::{
-        args, ComponentPlan, EffectSpec, Footprint, GState, ObjectId, OpRegistry, PathPattern,
-        RestoreError, Routing, ShardPlan, SharedOp, TypePlan, Value,
+        args, canonical, ComponentPlan, EffectSpec, Footprint, GState, ObjectId, OpRegistry,
+        PathPattern, Routing, ShardPlan, SharedOp, TypePlan,
     };
 
     /// Per-topic post tallies, snapshotted under a `topics` subtree so
     /// footprint paths have the shape `topics/{topic}`.
     #[derive(Clone, Default, Debug)]
     pub struct Board {
+        /// Topic name to post count.
         pub topics: BTreeMap<String, i64>,
     }
 
-    impl GState for Board {
-        const TYPE_NAME: &'static str = "KeyedBoard";
-        fn snapshot(&self) -> Value {
-            Value::Map(
-                [(
-                    "topics".to_owned(),
-                    Value::Map(
-                        self.topics
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Value::from(*v)))
-                            .collect(),
-                    ),
-                )]
-                .into(),
-            )
-        }
-        fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-            let Value::Map(m) = v else {
-                return Err(RestoreError::shape("map"));
-            };
-            let Some(Value::Map(topics)) = m.get("topics") else {
-                return Err(RestoreError::shape("topics map"));
-            };
-            self.topics = topics
-                .iter()
-                .map(|(k, v)| {
-                    v.as_i64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| RestoreError::shape("i64 tally"))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(())
-        }
-    }
+    canonical!(impl GState for Board as "KeyedBoard" { topics });
 
+    /// Installs `KeyedBoard` with its honestly declared `post`.
     pub fn register(reg: &mut OpRegistry) {
         reg.register_type::<Board>();
         // Honest: `post(topic, author)` reads and writes `topics/{topic}`.
@@ -296,6 +245,7 @@ mod miskeyed {
         Arc::new(plan)
     }
 
+    /// `post(topic, author)`: one more post in `topic`.
     pub fn post(obj: ObjectId, topic: &str, author: &str) -> SharedOp {
         SharedOp::primitive(obj, "post", args![topic, author])
     }

@@ -153,13 +153,14 @@ impl Schedule {
                 let [a, b] = swap else {
                     return Err("tamper `swap` must have two entries".to_owned());
                 };
-                let (Some(a), Some(b)) = (a.as_u64(), b.as_u64()) else {
+                let index = |x: &Json| x.as_u64().and_then(|n| usize::try_from(n).ok());
+                let (Some(a), Some(b)) = (index(a), index(b)) else {
                     return Err("tamper `swap` entries must be indices".to_owned());
                 };
                 Some(TamperSpec {
                     victim: u32::try_from(victim).map_err(|e| e.to_string())?,
                     nth,
-                    swap: (a as usize, b as usize),
+                    swap: (a, b),
                 })
             }
         };

@@ -144,7 +144,13 @@ impl TraceLine {
             .get("at_us")
             .and_then(Json::as_u64)
             .ok_or("missing at_us")?;
-        let src = v.get("src").and_then(Json::as_u64).ok_or("missing src")? as u32;
+        let index = |k: &str| {
+            v.get(k)
+                .and_then(Json::as_u64)
+                .map(|n| u32::try_from(n).map_err(|_| format!("`{k}` {n} is not a machine index")))
+                .transpose()
+        };
+        let src = index("src")?.ok_or("missing src")?;
         let event = v
             .get("event")
             .and_then(Json::as_str)
@@ -156,7 +162,7 @@ impl TraceLine {
             event,
             round: v.get("round").and_then(Json::as_u64),
             stamp: v.get("stamp").and_then(Json::as_u64),
-            origin: v.get("origin").and_then(Json::as_u64).map(|o| o as u32),
+            origin: index("origin")?,
             kind: v.get("kind").and_then(Json::as_str).map(str::to_owned),
             pending: v.get("pending").and_then(Json::as_u64),
             cause: v.get("cause").and_then(Json::as_str).map(str::to_owned),
@@ -429,5 +435,16 @@ mod tests {
         assert!(err.starts_with("line 3:"), "{err}");
         let ok = TraceLine::parse_all("{\"at_us\":1,\"src\":0,\"event\":\"a\"}\n").unwrap();
         assert_eq!(ok.len(), 1);
+    }
+
+    #[test]
+    fn machine_indices_past_u32_are_errors() {
+        let line = |src: u64, origin: u64| {
+            format!("{{\"at_us\":1,\"src\":{src},\"event\":\"msg_received\",\"origin\":{origin}}}")
+        };
+        let ok = TraceLine::parse(&line(2, 1)).unwrap();
+        assert_eq!((ok.src, ok.origin), (2, Some(1)));
+        assert!(TraceLine::parse(&line(1 << 32, 1)).is_err(), "src");
+        assert!(TraceLine::parse(&line(2, (1 << 32) + 1)).is_err(), "origin");
     }
 }

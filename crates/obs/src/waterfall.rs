@@ -76,7 +76,9 @@ impl SpanLine {
         let v = Json::parse(line)?;
         let u = |k: &str| v.get(k).and_then(Json::as_u64);
         Ok(SpanLine {
-            machine: u("machine").ok_or("missing machine")? as u32,
+            machine: u("machine")
+                .and_then(|m| u32::try_from(m).ok())
+                .ok_or("missing a u32 machine")?,
             seq: u("seq").ok_or("missing seq")?,
             issued_us: u("issued_us"),
             flushed_us: u("flushed_us"),
@@ -84,7 +86,9 @@ impl SpanLine {
             completed_us: u("completed_us"),
             round: u("round"),
             is_async: v.get("async").and_then(Json::as_bool).unwrap_or(false),
-            exec_count: u("exec_count").unwrap_or(0) as u32,
+            exec_count: u("exec_count")
+                .map_or(Ok(0), u32::try_from)
+                .map_err(|_| "exec_count past u32")?,
             lost: v.get("lost").and_then(Json::as_bool).unwrap_or(false),
         })
     }
@@ -575,5 +579,16 @@ mod tests {
         assert!(text.contains("lag waterfall — serialized path (1 ops)"));
         assert!(text.contains("re-execution attribution"));
         assert!(text.contains("guess-divergence windows"));
+    }
+
+    #[test]
+    fn span_counts_past_u32_are_errors() {
+        let line = |machine: u64, exec_count: u64| {
+            format!("{{\"machine\":{machine},\"seq\":0,\"exec_count\":{exec_count}}}")
+        };
+        let ok = SpanLine::parse(&line(1, 2)).unwrap();
+        assert_eq!((ok.machine, ok.exec_count), (1, 2));
+        assert!(SpanLine::parse(&line(1 << 32, 2)).is_err(), "machine");
+        assert!(SpanLine::parse(&line(1, 1 << 32)).is_err(), "exec_count");
     }
 }

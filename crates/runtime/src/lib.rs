@@ -19,26 +19,22 @@
 //! ## Example
 //!
 //! ```
-//! use guesstimate_core::{args, GState, OpRegistry, RestoreError, SharedOp, Value};
+//! use guesstimate_core::{args, canonical, OpRegistry, SharedOp};
 //! use guesstimate_net::{LatencyModel, NetConfig, SimTime};
 //! use guesstimate_runtime::{run_until_cohort, sim_cluster, MachineConfig};
 //!
+//! // The shared type: the state codec writes its snapshot/restore pair.
 //! #[derive(Clone, Default)]
-//! struct Score(i64);
-//! impl GState for Score {
-//!     const TYPE_NAME: &'static str = "Score";
-//!     fn snapshot(&self) -> Value { Value::from(self.0) }
-//!     fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-//!         self.0 = v.as_i64().ok_or_else(|| RestoreError::shape("i64"))?;
-//!         Ok(())
-//!     }
+//! struct Score {
+//!     points: i64,
 //! }
+//! canonical!(impl GState for Score as "Score" { points });
 //!
 //! let mut registry = OpRegistry::new();
 //! registry.register_type::<Score>();
 //! registry.register_method::<Score>("bump", |s, a| {
 //!     let Some(d) = a.i64(0) else { return false };
-//!     s.0 += d;
+//!     s.points += d;
 //!     true
 //! });
 //!
@@ -51,7 +47,7 @@
 //! assert!(run_until_cohort(&mut net, SimTime::from_secs(5)));
 //!
 //! let master = guesstimate_core::MachineId::new(0);
-//! let obj = net.actor_mut(master).unwrap().create_instance(Score(0));
+//! let obj = net.actor_mut(master).unwrap().create_instance(Score::default());
 //! net.run_until(net.now() + SimTime::from_secs(1));
 //!
 //! // Machine 2 bumps the score; the effect is visible locally at once and
@@ -63,7 +59,7 @@
 //!     .unwrap();
 //! net.run_until(net.now() + SimTime::from_secs(2));
 //! assert_eq!(
-//!     net.actor(master).unwrap().read::<Score, _>(obj, |s| s.0),
+//!     net.actor(master).unwrap().read::<Score, _>(obj, |s| s.points),
 //!     Some(3)
 //! );
 //! ```

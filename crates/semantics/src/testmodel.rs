@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use guesstimate_core::{GState, MachineId, ObjectId, ObjectStore, OpRegistry, RestoreError, Value};
+use guesstimate_core::{canonical, MachineId, ObjectId, ObjectStore, OpRegistry};
 
 use crate::model::SemSystem;
 
@@ -16,16 +16,7 @@ pub struct Counter {
     pub n: i64,
 }
 
-impl GState for Counter {
-    const TYPE_NAME: &'static str = "SemCounter";
-    fn snapshot(&self) -> Value {
-        Value::from(self.n)
-    }
-    fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-        self.n = v.as_i64().ok_or_else(|| RestoreError::shape("i64"))?;
-        Ok(())
-    }
-}
+canonical!(impl GState for Counter as "SemCounter" (n));
 
 /// The registry used by the test universe: `add(d)` (fails when the result
 /// would be negative) and `add_capped(d, cap)` (additionally fails above

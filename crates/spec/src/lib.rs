@@ -38,7 +38,7 @@
 //! ## Example
 //!
 //! ```
-//! use guesstimate_core::{args, GState, OpRegistry, RestoreError, Value};
+//! use guesstimate_core::{args, canonical, OpRegistry};
 //! use guesstimate_spec::{
 //!     register_checked, ConformanceLog, MethodContract,
 //! };
@@ -46,14 +46,7 @@
 //!
 //! #[derive(Clone, Default)]
 //! struct Tank(i64);
-//! impl GState for Tank {
-//!     const TYPE_NAME: &'static str = "Tank";
-//!     fn snapshot(&self) -> Value { Value::from(self.0) }
-//!     fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-//!         self.0 = v.as_i64().ok_or_else(|| RestoreError::shape("i64"))?;
-//!         Ok(())
-//!     }
-//! }
+//! canonical!(impl GState for Tank as "Tank" (0)); // snapshot: the level
 //!
 //! let mut reg = OpRegistry::new();
 //! reg.register_type::<Tank>();

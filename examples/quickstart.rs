@@ -12,40 +12,21 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use guesstimate::core::{args, GState, OpRegistry, RestoreError, SharedOp, Value};
+use guesstimate::core::{args, canonical, OpRegistry, SharedOp};
 use guesstimate::net::{LatencyModel, NetConfig, SimTime};
 use guesstimate::runtime::{run_until_cohort, sim_cluster, MachineConfig};
 use guesstimate::MachineId;
 
 /// The shared object: seats on a flight. Derives the paper's
-/// `GSharedObject` contract via [`GState`].
+/// `GSharedObject` contract via `GState`: the state codec writes its
+/// snapshot (a map from field name to value) and restore from the fields.
 #[derive(Clone, Default)]
 struct Flight {
     booked: i64,
     capacity: i64,
 }
 
-impl GState for Flight {
-    const TYPE_NAME: &'static str = "Flight";
-    fn snapshot(&self) -> Value {
-        Value::map([
-            ("booked", Value::from(self.booked)),
-            ("capacity", Value::from(self.capacity)),
-        ])
-    }
-    fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-        let shape = || RestoreError::shape("flight snapshot");
-        self.booked = v
-            .field("booked")
-            .and_then(Value::as_i64)
-            .ok_or_else(shape)?;
-        self.capacity = v
-            .field("capacity")
-            .and_then(Value::as_i64)
-            .ok_or_else(shape)?;
-        Ok(())
-    }
-}
+canonical!(impl GState for Flight as "Flight" { booked, capacity });
 
 fn main() {
     // 1. Register the shared type and its operations — the reflection-free
