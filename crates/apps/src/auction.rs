@@ -9,9 +9,9 @@
 
 use std::collections::BTreeMap;
 
+use guesstimate_core::codec::Args;
 use guesstimate_core::{
-    args, canonical, Canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp,
-    Value,
+    args, canonical, Canonical, Footprint, GState, ObjectId, OpRegistry, SharedOp, Value,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -132,25 +132,15 @@ canonical!(impl GState for Auction as "Auction" (items));
 pub mod ops {
     use super::*;
 
-    /// List an item with a reserve price and minimum increment.
-    pub fn list_item(
-        obj: ObjectId,
-        name: &str,
-        seller: &str,
-        reserve: i64,
-        increment: i64,
-    ) -> SharedOp {
-        SharedOp::primitive(obj, "list_item", args![name, seller, reserve, increment])
-    }
-
-    /// Place a bid.
-    pub fn bid(obj: ObjectId, item: &str, bidder: &str, amount: i64) -> SharedOp {
-        SharedOp::primitive(obj, "bid", args![item, bidder, amount])
-    }
-
-    /// Close an auction (seller only).
-    pub fn close(obj: ObjectId, item: &str, seller: &str) -> SharedOp {
-        SharedOp::primitive(obj, "close", args![item, seller])
+    guesstimate_core::methods! {
+        Auction;
+        /// List an item with a reserve price and minimum increment.
+        fn list_item(name: &str, seller: &str, reserve: i64, increment: i64)
+            => list_item_footprint(name, seller, reserve, increment);
+        /// Place a bid.
+        fn bid(item: &str, bidder: &str, amount: i64) => bid_footprint(item, bidder);
+        /// Close an auction (seller only).
+        fn close(item: &str, seller: &str) => close_footprint(item);
     }
 
     /// A limit bid ladder: try `amount`, else `amount + step`, …, up to
@@ -174,72 +164,32 @@ pub mod ops {
     }
 }
 
-fn apply_list(s: &mut Auction, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(n), Some(seller), Some(r), Some(i)) = (a.str(0), a.str(1), a.i64(2), a.i64(3)) else {
-        return false;
-    };
-    s.list_item(n, seller, r, i)
+fn list_item_footprint(name: &str, seller: &str, reserve: i64, increment: i64) -> Footprint {
+    if name.is_empty() || seller.is_empty() || reserve < 0 || increment <= 0 {
+        return Footprint::new();
+    }
+    // The snapshot is a map keyed directly by item name.
+    Footprint::new().reads([name]).writes([name])
 }
 
-fn apply_bid(s: &mut Auction, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(item), Some(bidder), Some(amount)) = (a.str(0), a.str(1), a.i64(2)) else {
-        return false;
-    };
-    s.bid(item, bidder, amount)
+fn bid_footprint(item: &str, bidder: &str) -> Footprint {
+    if bidder.is_empty() {
+        return Footprint::new();
+    }
+    Footprint::new()
+        .reads([item])
+        .writes([format!("{item}/best")])
 }
 
-fn apply_close(s: &mut Auction, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(item), Some(seller)) = (a.str(0), a.str(1)) else {
-        return false;
-    };
-    s.close(item, seller)
-}
-
-fn list_item_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(n), Some(seller), Some(r), Some(i)) = (a.str(0), a.str(1), a.i64(2), a.i64(3))
-        else {
-            return Footprint::new();
-        };
-        if n.is_empty() || seller.is_empty() || r < 0 || i <= 0 {
-            return Footprint::new();
-        }
-        // The snapshot is a map keyed directly by item name.
-        Footprint::new().reads([n]).writes([n])
-    })
-}
-
-fn bid_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(item), Some(bidder), Some(_)) = (a.str(0), a.str(1), a.i64(2)) else {
-            return Footprint::new();
-        };
-        if bidder.is_empty() {
-            return Footprint::new();
-        }
-        Footprint::new()
-            .reads([item.to_owned()])
-            .writes([format!("{item}/best")])
-    })
-}
-
-fn close_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(item), Some(_)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        Footprint::new()
-            .reads([item.to_owned()])
-            .writes([format!("{item}/open")])
-    })
+fn close_footprint(item: &str) -> Footprint {
+    Footprint::new()
+        .reads([item])
+        .writes([format!("{item}/open")])
 }
 
 /// Registers the auction type and operations.
 pub fn register(registry: &mut OpRegistry) {
-    registry.register_type::<Auction>();
-    registry.register_with_effects::<Auction>("list_item", list_item_effect(), apply_list);
-    registry.register_with_effects::<Auction>("bid", bid_effect(), apply_bid);
-    registry.register_with_effects::<Auction>("close", close_effect(), apply_close);
+    ops::register_methods(registry);
 }
 
 fn invariant(v: &Value) -> bool {
@@ -260,8 +210,6 @@ fn invariant(v: &Value) -> bool {
 
 /// Specification suite for the verifier table.
 pub fn spec_suite() -> SpecSuite {
-    use guesstimate_spec::Assertion;
-
     let mut bid_args = Vec::new();
     for bidder in ["ann", "bob", "seller", ""] {
         for amount in [-5i64, 0, 5, 10, 15, 100] {
@@ -284,11 +232,7 @@ pub fn spec_suite() -> SpecSuite {
             .with_post(move |pre, post, a| {
                 // φ_bid: on success our bid stands and strictly improves on
                 // the previous best.
-                let (Some(item), Some(bidder), Some(amount)) = (
-                    a.first().and_then(Value::as_str),
-                    a.get(1).and_then(Value::as_str),
-                    a.get(2).and_then(Value::as_i64),
-                ) else {
+                let Some((item, bidder, amount)) = <(&str, &str, i64)>::decode(a) else {
                     return false;
                 };
                 let standing = post
@@ -303,7 +247,7 @@ pub fn spec_suite() -> SpecSuite {
                 })
             })
             .with_assertion("bid-strictly-improves", move |c| {
-                let Some(item) = c.args.first().and_then(Value::as_str) else {
+                let Some(item) = <&str>::decode(&c.args) else {
                     return false;
                 };
                 let before = best_amount(&c.pre, item);
@@ -316,13 +260,13 @@ pub fn spec_suite() -> SpecSuite {
                     }
             })
             .with_assertion("closed-items-are-frozen", move |c| {
-                let Some(item) = c.args.first().and_then(Value::as_str) else {
+                let Some(item) = <&str>::decode(&c.args) else {
                     return false;
                 };
                 open(&c.pre, item) != Some(false) || c.pre == c.post
             })
             .with_assertion("bid-frames-other-items", |c| {
-                let Some(item) = c.args.first().and_then(Value::as_str) else {
+                let Some(item) = <&str>::decode(&c.args) else {
                     return false;
                 };
                 let (Some(mp), Some(mq)) = (c.pre.as_map(), c.post.as_map()) else {
@@ -337,12 +281,10 @@ pub fn spec_suite() -> SpecSuite {
         "close",
         MethodContract::new()
             .with_post(move |_pre, post, a| {
-                a.first()
-                    .and_then(Value::as_str)
-                    .is_some_and(|item| open(post, item) == Some(false))
+                <&str>::decode(a).is_some_and(|item| open(post, item) == Some(false))
             })
             .with_assertion("close-preserves-best-bid", |c| {
-                let Some(item) = c.args.first().and_then(Value::as_str) else {
+                let Some(item) = <&str>::decode(&c.args) else {
                     return false;
                 };
                 let best = |v: &Value| {
@@ -365,24 +307,14 @@ pub fn spec_suite() -> SpecSuite {
     let list_item = MethodSpec::new(
         "list_item",
         MethodContract::new()
-            .with_assertion_obj(
-                Assertion::new("negative-reserve-fails", |c| {
-                    c.args.get(2).and_then(Value::as_i64).is_none_or(|r| r >= 0)
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
-            .with_assertion_obj(
-                Assertion::new("nonpositive-increment-fails", |c| {
-                    c.args.get(3).and_then(Value::as_i64).is_none_or(|i| i > 0)
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
+            .with_guard("negative-reserve-fails", |a| {
+                <(&str, &str, i64, i64)>::decode(a).is_some_and(|(_, _, r, _)| r >= 0)
+            })
+            .with_guard("nonpositive-increment-fails", |a| {
+                <(&str, &str, i64, i64)>::decode(a).is_some_and(|(.., i)| i > 0)
+            })
             .with_post(move |_pre, post, a| {
-                a.first()
-                    .and_then(Value::as_str)
-                    .is_some_and(|item| open(post, item) == Some(true))
+                <&str>::decode(a).is_some_and(|item| open(post, item) == Some(true))
             }),
     )
     // Small-scope abstraction over the numeric guards.

@@ -15,9 +15,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use guesstimate_core::codec::Args;
 use guesstimate_core::{
-    args, canonical, Canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp,
-    Value, ROOT,
+    args, canonical, Canonical, Footprint, GState, ObjectId, OpRegistry, SharedOp, Value, ROOT,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -55,11 +55,12 @@ impl CarPool {
             .collect()
     }
 
-    /// Free seats on `vehicle`, if it exists.
+    /// Free seats on `vehicle`, if it exists (0 on an over-full record).
     pub fn free_seats(&self, vehicle: &str) -> Option<u32> {
-        self.vehicles
-            .get(vehicle)
-            .map(|v| v.seats - v.riders.len() as u32)
+        self.vehicles.get(vehicle).map(|v| {
+            let riders = u32::try_from(v.riders.len()).unwrap_or(u32::MAX);
+            v.seats.saturating_sub(riders)
+        })
     }
 
     /// True if `user` has a ride to `event` on some vehicle — the paper's
@@ -78,14 +79,14 @@ impl CarPool {
             .map(|(n, _)| n.clone())
     }
 
-    fn add_vehicle(&mut self, name: &str, seats: i64, event: &str) -> bool {
-        if name.is_empty() || event.is_empty() || seats <= 0 || self.vehicles.contains_key(name) {
+    fn add_vehicle(&mut self, name: &str, seats: u32, event: &str) -> bool {
+        if name.is_empty() || event.is_empty() || seats == 0 || self.vehicles.contains_key(name) {
             return false;
         }
         self.vehicles.insert(
             name.to_owned(),
             Vehicle {
-                seats: seats as u32,
+                seats,
                 event: event.to_owned(),
                 riders: BTreeSet::new(),
             },
@@ -126,19 +127,15 @@ canonical!(impl GState for CarPool as "CarPool" (vehicles));
 pub mod ops {
     use super::*;
 
-    /// Add a vehicle driving to an event.
-    pub fn add_vehicle(obj: ObjectId, name: &str, seats: u32, event: &str) -> SharedOp {
-        SharedOp::primitive(obj, "add_vehicle", args![name, i64::from(seats), event])
-    }
-
-    /// Board a specific vehicle.
-    pub fn board(obj: ObjectId, user: &str, vehicle: &str) -> SharedOp {
-        SharedOp::primitive(obj, "board", args![user, vehicle])
-    }
-
-    /// Leave a vehicle.
-    pub fn disembark(obj: ObjectId, user: &str, vehicle: &str) -> SharedOp {
-        SharedOp::primitive(obj, "disembark", args![user, vehicle])
+    guesstimate_core::methods! {
+        CarPool;
+        /// Add a vehicle driving to an event.
+        fn add_vehicle(name: &str, seats: u32, event: &str)
+            => add_vehicle_footprint(name, seats, event);
+        /// Board a specific vehicle.
+        fn board(user: &str, vehicle: &str) => board_footprint(user, vehicle);
+        /// Leave a vehicle.
+        fn disembark(user: &str, vehicle: &str) => disembark_footprint(vehicle);
     }
 
     /// The paper's `GetRide(e)`: try every vehicle driving to `event` (as
@@ -157,76 +154,37 @@ pub mod ops {
     }
 }
 
-fn apply_add(s: &mut CarPool, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(n), Some(seats), Some(e)) = (a.str(0), a.i64(1), a.str(2)) else {
-        return false;
-    };
-    s.add_vehicle(n, seats, e)
+fn add_vehicle_footprint(name: &str, seats: u32, event: &str) -> Footprint {
+    if name.is_empty() || event.is_empty() || seats == 0 {
+        return Footprint::new();
+    }
+    // The snapshot is a map keyed directly by vehicle name.
+    Footprint::new().reads([name]).writes([name])
 }
 
-fn apply_board(s: &mut CarPool, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(u), Some(v)) = (a.str(0), a.str(1)) else {
-        return false;
-    };
-    s.board(u, v)
+fn board_footprint(user: &str, vehicle: &str) -> Footprint {
+    if user.is_empty() {
+        return Footprint::new();
+    }
+    // `has_ride` scans every vehicle for an existing ride to the same
+    // event, so the read set is the whole snapshot.
+    Footprint::new()
+        .reads([ROOT])
+        .writes([format!("{vehicle}/riders")])
 }
 
-fn apply_disembark(s: &mut CarPool, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(u), Some(v)) = (a.str(0), a.str(1)) else {
-        return false;
-    };
-    s.disembark(u, v)
-}
-
-fn add_vehicle_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(n), Some(seats), Some(e)) = (a.str(0), a.i64(1), a.str(2)) else {
-            return Footprint::new();
-        };
-        if n.is_empty() || e.is_empty() || seats <= 0 {
-            return Footprint::new();
-        }
-        // The snapshot is a map keyed directly by vehicle name.
-        Footprint::new().reads([n]).writes([n])
-    })
-}
-
-fn board_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(u), Some(v)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        if u.is_empty() {
-            return Footprint::new();
-        }
-        // `has_ride` scans every vehicle for an existing ride to the same
-        // event, so the read set is the whole snapshot.
-        Footprint::new()
-            .reads([ROOT])
-            .writes([format!("{v}/riders")])
-    })
-}
-
-fn disembark_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(_), Some(v)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        // The vehicle lookup observably depends on `v` *existing* (the
-        // access witness refutes a riders-only read set via its map-entry
-        // removal probe), and reading `v` covers `v/riders` too.
-        Footprint::new()
-            .reads([v.to_owned()])
-            .writes([format!("{v}/riders")])
-    })
+fn disembark_footprint(vehicle: &str) -> Footprint {
+    // The vehicle lookup observably depends on `vehicle` *existing* (the
+    // access witness refutes a riders-only read set via its map-entry
+    // removal probe), and reading `vehicle` covers its riders too.
+    Footprint::new()
+        .reads([vehicle])
+        .writes([format!("{vehicle}/riders")])
 }
 
 /// Registers the car-pool type and operations.
 pub fn register(registry: &mut OpRegistry) {
-    registry.register_type::<CarPool>();
-    registry.register_with_effects::<CarPool>("add_vehicle", add_vehicle_effect(), apply_add);
-    registry.register_with_effects::<CarPool>("board", board_effect(), apply_board);
-    registry.register_with_effects::<CarPool>("disembark", disembark_effect(), apply_disembark);
+    ops::register_methods(registry);
 }
 
 fn invariant(v: &Value) -> bool {
@@ -243,7 +201,7 @@ fn invariant(v: &Value) -> bool {
 
 /// Specification suite for the verifier table.
 pub fn spec_suite() -> SpecSuite {
-    use guesstimate_spec::{Assertion, ExecCase};
+    use guesstimate_spec::ExecCase;
 
     let users = ["ann", "bob", ""];
     let vehicles = ["v1", "v2", "ghost"];
@@ -256,7 +214,7 @@ pub fn spec_suite() -> SpecSuite {
     /// Whether user `args[0]` rides vehicle `args[1]` (a vehicle that does
     /// not exist has no riders); `None` on ill-typed arguments.
     fn rides(v: &Value, args: &[Value]) -> Option<bool> {
-        let (user, vehicle) = (args.first()?.as_str()?, args.get(1)?.as_str()?);
+        let (user, vehicle) = <(&str, &str)>::decode(args)?;
         let riders = v.as_map()?.get(vehicle).and_then(|veh| veh.field("riders"));
         Some(
             riders
@@ -265,7 +223,7 @@ pub fn spec_suite() -> SpecSuite {
         )
     }
     fn frames_other_vehicles(c: &ExecCase) -> bool {
-        let Some(target) = c.args.get(1).and_then(Value::as_str) else {
+        let Some((_, target)) = <(&str, &str)>::decode(&c.args) else {
             return false;
         };
         let (Some(mp), Some(mq)) = (c.pre.as_map(), c.post.as_map()) else {
@@ -307,26 +265,16 @@ pub fn spec_suite() -> SpecSuite {
     let add_vehicle = MethodSpec::new(
         "add_vehicle",
         MethodContract::new()
-            .with_assertion_obj(
-                Assertion::new("nonpositive-seats-fail", |c| {
-                    c.args.get(1).and_then(Value::as_i64).is_none_or(|n| n > 0)
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
-            .with_assertion_obj(
-                Assertion::new("empty-names-fail", |c| {
-                    (c.args.first().and_then(Value::as_str) != Some("")
-                        && c.args.get(2).and_then(Value::as_str) != Some(""))
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
+            .with_guard("nonpositive-seats-fail", |a| {
+                <(&str, u32, &str)>::decode(a).is_some_and(|(_, n, _)| n > 0)
+            })
+            .with_guard("empty-names-fail", |a| {
+                <(&str, u32, &str)>::decode(a)
+                    .is_some_and(|(name, _, event)| !name.is_empty() && !event.is_empty())
+            })
             .with_post(|_pre, post, a| {
-                let Some(name) = a.first().and_then(Value::as_str) else {
-                    return false;
-                };
-                post.as_map().is_some_and(|m| m.contains_key(name))
+                <&str>::decode(a)
+                    .is_some_and(|name| post.as_map().is_some_and(|m| m.contains_key(name)))
             }),
     )
     .with_args(

@@ -14,9 +14,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use guesstimate_core::codec::Args;
 use guesstimate_core::{
-    args, canonical, Canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp,
-    Value,
+    args, canonical, Canonical, Footprint, GState, ObjectId, OpRegistry, SharedOp, Value,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -81,11 +81,13 @@ impl EventPlanner {
         self.events.get(event).map(|e| e.capacity)
     }
 
-    /// Remaining vacancies of `event`, if it exists.
+    /// Remaining vacancies of `event`, if it exists (0 on an over-full
+    /// record).
     pub fn vacancies(&self, event: &str) -> Option<u32> {
-        self.events
-            .get(event)
-            .map(|e| e.capacity - e.attendees.len() as u32)
+        self.events.get(event).map(|e| {
+            let attendees = u32::try_from(e.attendees.len()).unwrap_or(u32::MAX);
+            e.capacity.saturating_sub(attendees)
+        })
     }
 
     /// True if `user` attends `event`.
@@ -152,14 +154,14 @@ impl EventPlanner {
         }
     }
 
-    fn create_event(&mut self, name: &str, capacity: i64) -> bool {
-        if name.is_empty() || capacity <= 0 || self.events.contains_key(name) {
+    fn create_event(&mut self, name: &str, capacity: u32) -> bool {
+        if name.is_empty() || capacity == 0 || self.events.contains_key(name) {
             return false;
         }
         self.events.insert(
             name.to_owned(),
             EventRec {
-                capacity: capacity as u32,
+                capacity,
                 attendees: BTreeSet::new(),
             },
         );
@@ -197,35 +199,21 @@ canonical!(impl GState for EventPlanner as "EventPlanner" { quota, users, events
 pub mod ops {
     use super::*;
 
-    /// Register a new user (used with blocking issue, Figure 4).
-    pub fn register_user(obj: ObjectId, name: &str, password: &str) -> SharedOp {
-        SharedOp::primitive(obj, "register_user", args![name, password])
-    }
-
-    /// Sign a user in (blocking in the paper: a user may be signed in on
-    /// only one machine at a time).
-    pub fn sign_in(obj: ObjectId, name: &str, password: &str) -> SharedOp {
-        SharedOp::primitive(obj, "sign_in", args![name, password])
-    }
-
-    /// Sign a user out.
-    pub fn sign_out(obj: ObjectId, name: &str) -> SharedOp {
-        SharedOp::primitive(obj, "sign_out", args![name])
-    }
-
-    /// Create an event with a capacity.
-    pub fn create_event(obj: ObjectId, name: &str, capacity: u32) -> SharedOp {
-        SharedOp::primitive(obj, "create_event", args![name, i64::from(capacity)])
-    }
-
-    /// Join an event.
-    pub fn join(obj: ObjectId, user: &str, event: &str) -> SharedOp {
-        SharedOp::primitive(obj, "join", args![user, event])
-    }
-
-    /// Leave an event.
-    pub fn leave(obj: ObjectId, user: &str, event: &str) -> SharedOp {
-        SharedOp::primitive(obj, "leave", args![user, event])
+    guesstimate_core::methods! {
+        EventPlanner;
+        /// Register a new user (used with blocking issue, Figure 4).
+        fn register_user(name: &str, password: &str) => user_footprint(name);
+        /// Sign a user in (blocking in the paper: a user may be signed in on
+        /// only one machine at a time).
+        fn sign_in(name: &str, password: &str) => user_footprint(name);
+        /// Sign a user out.
+        fn sign_out(name: &str) => user_footprint(name);
+        /// Create an event with a capacity.
+        fn create_event(name: &str, capacity: u32) => create_event_footprint(name, capacity);
+        /// Join an event.
+        fn join(user: &str, event: &str) => join_footprint(user, event);
+        /// Leave an event.
+        fn leave(user: &str, event: &str) => leave_footprint(event);
     }
 
     /// §5 OrElse pattern: join the first joinable event of `events`.
@@ -247,93 +235,40 @@ pub mod ops {
     }
 }
 
-macro_rules! apply2 {
-    ($m:ident) => {
-        |s: &mut EventPlanner, a: guesstimate_core::ArgView<'_>| {
-            let (Some(x), Some(y)) = (a.str(0), a.str(1)) else {
-                return false;
-            };
-            s.$m(x, y)
-        }
-    };
+/// The footprint of a method that touches one user record.
+fn user_footprint(name: &str) -> Footprint {
+    if name.is_empty() {
+        return Footprint::new();
+    }
+    let key = format!("users/{name}");
+    Footprint::new().reads([key.clone()]).writes([key])
 }
 
-/// Effect of a method whose footprint is one user record.
-fn user_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let Some(n) = a.str(0) else {
-            return Footprint::new();
-        };
-        if n.is_empty() {
-            return Footprint::new();
-        }
-        let key = format!("users/{n}");
-        Footprint::new().reads([key.clone()]).writes([key])
-    })
+fn create_event_footprint(name: &str, capacity: u32) -> Footprint {
+    if name.is_empty() || capacity == 0 {
+        return Footprint::new();
+    }
+    let key = format!("events/{name}");
+    Footprint::new().reads([key.clone()]).writes([key])
 }
 
-fn create_event_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(n), Some(c)) = (a.str(0), a.i64(1)) else {
-            return Footprint::new();
-        };
-        if n.is_empty() || c <= 0 {
-            return Footprint::new();
-        }
-        let key = format!("events/{n}");
-        Footprint::new().reads([key.clone()]).writes([key])
-    })
+fn join_footprint(user: &str, event: &str) -> Footprint {
+    // The quota check scans the attendee sets of *every* event, so the
+    // read set covers the whole `events` subtree.
+    Footprint::new()
+        .reads([format!("users/{user}"), "events".to_owned()])
+        .writes([format!("events/{event}/attendees")])
 }
 
-fn join_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(u), Some(e)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        // The quota check scans the attendee sets of *every* event, so the
-        // read set covers the whole `events` subtree.
-        Footprint::new()
-            .reads([format!("users/{u}"), "events".to_owned()])
-            .writes([format!("events/{e}/attendees")])
-    })
-}
-
-fn leave_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(_), Some(e)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        Footprint::new()
-            .reads([format!("events/{e}")])
-            .writes([format!("events/{e}/attendees")])
-    })
+fn leave_footprint(event: &str) -> Footprint {
+    Footprint::new()
+        .reads([format!("events/{event}")])
+        .writes([format!("events/{event}/attendees")])
 }
 
 /// Registers the event-planner type and operations.
 pub fn register(registry: &mut OpRegistry) {
-    registry.register_type::<EventPlanner>();
-    registry.register_with_effects::<EventPlanner>(
-        "register_user",
-        user_effect(),
-        apply2!(register_user),
-    );
-    registry.register_with_effects::<EventPlanner>("sign_in", user_effect(), apply2!(sign_in));
-    registry.register_with_effects::<EventPlanner>("sign_out", user_effect(), |s, a| {
-        let Some(n) = a.str(0) else { return false };
-        s.sign_out(n)
-    });
-    registry.register_with_effects::<EventPlanner>(
-        "create_event",
-        create_event_effect(),
-        |s, a| {
-            let (Some(n), Some(c)) = (a.str(0), a.i64(1)) else {
-                return false;
-            };
-            s.create_event(n, c)
-        },
-    );
-    registry.register_with_effects::<EventPlanner>("join", join_effect(), apply2!(join));
-    registry.register_with_effects::<EventPlanner>("leave", leave_effect(), apply2!(leave));
+    ops::register_methods(registry);
 }
 
 fn invariant(v: &Value) -> bool {
@@ -358,7 +293,7 @@ fn invariant(v: &Value) -> bool {
 /// framing, and state-independent argument guards (small-scope abstracted:
 /// one representative non-empty string stands for all).
 pub fn spec_suite() -> SpecSuite {
-    use guesstimate_spec::{Assertion, ExecCase};
+    use guesstimate_spec::ExecCase;
 
     let users = ["ann", "bob", "ghost", ""];
     let events = ["party", "dinner", "nothing", ""];
@@ -389,7 +324,7 @@ pub fn spec_suite() -> SpecSuite {
             .and_then(Value::as_bool)
     }
     fn other_events_unchanged(c: &ExecCase) -> bool {
-        let Some(target) = c.args.get(1).and_then(Value::as_str) else {
+        let Some((_, target)) = <(&str, &str)>::decode(&c.args) else {
             return false;
         };
         let (Some(ep), Some(eq)) = (
@@ -405,13 +340,7 @@ pub fn spec_suite() -> SpecSuite {
         "join",
         MethodContract::new()
             .with_post(|_pre, post, a| {
-                let (Some(u), Some(e)) = (
-                    a.first().and_then(Value::as_str),
-                    a.get(1).and_then(Value::as_str),
-                ) else {
-                    return false;
-                };
-                attends(post, u, e)
+                <(&str, &str)>::decode(a).is_some_and(|(u, e)| attends(post, u, e))
             })
             .with_assertion("join-frames-other-events", other_events_unchanged)
             .with_assertion("join-never-touches-users", |c| {
@@ -438,13 +367,7 @@ pub fn spec_suite() -> SpecSuite {
         "leave",
         MethodContract::new()
             .with_post(|_pre, post, a| {
-                let (Some(u), Some(e)) = (
-                    a.first().and_then(Value::as_str),
-                    a.get(1).and_then(Value::as_str),
-                ) else {
-                    return false;
-                };
-                !attends(post, u, e)
+                <(&str, &str)>::decode(a).is_some_and(|(u, e)| !attends(post, u, e))
             })
             .with_assertion("leave-frames-other-events", other_events_unchanged)
             .with_assertion("leave-never-touches-users", |c| {
@@ -457,10 +380,7 @@ pub fn spec_suite() -> SpecSuite {
         "sign_in",
         MethodContract::new()
             .with_post(|_pre, post, a| {
-                let Some(u) = a.first().and_then(Value::as_str) else {
-                    return false;
-                };
-                signed_in(post, u) == Some(true)
+                <&str>::decode(a).is_some_and(|u| signed_in(post, u) == Some(true))
             })
             .with_assertion("sign-in-never-changes-passwords", |c| {
                 let pw = |v: &Value| -> Vec<Value> {
@@ -492,10 +412,7 @@ pub fn spec_suite() -> SpecSuite {
         "sign_out",
         MethodContract::new()
             .with_post(|_pre, post, a| {
-                let Some(u) = a.first().and_then(Value::as_str) else {
-                    return false;
-                };
-                signed_in(post, u) == Some(false)
+                <&str>::decode(a).is_some_and(|u| signed_in(post, u) == Some(false))
             })
             .with_assertion("sign-out-never-touches-events", |c| {
                 c.pre.field("events") == c.post.field("events")
@@ -507,7 +424,7 @@ pub fn spec_suite() -> SpecSuite {
         "register_user",
         MethodContract::new()
             .with_post(|pre, post, a| {
-                let Some(u) = a.first().and_then(Value::as_str) else {
+                let Some(u) = <&str>::decode(a) else {
                     return false;
                 };
                 let had = pre
@@ -520,13 +437,9 @@ pub fn spec_suite() -> SpecSuite {
                     .is_some_and(|m| m.contains_key(u));
                 !had && has
             })
-            .with_assertion_obj(
-                Assertion::new("empty-username-fails", |c| {
-                    c.args.first().and_then(Value::as_str) != Some("")
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            ),
+            .with_guard("empty-username-fails", |a| {
+                <(&str, &str)>::decode(a).is_some_and(|(name, _)| !name.is_empty())
+            }),
     )
     // Small-scope abstraction: "" and one representative name cover the
     // guard's argument space.
@@ -538,20 +451,12 @@ pub fn spec_suite() -> SpecSuite {
     let create_event = MethodSpec::new(
         "create_event",
         MethodContract::new()
-            .with_assertion_obj(
-                Assertion::new("nonpositive-capacity-fails", |c| {
-                    c.args.get(1).and_then(Value::as_i64).is_none_or(|n| n > 0)
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
-            .with_assertion_obj(
-                Assertion::new("empty-event-name-fails", |c| {
-                    c.args.first().and_then(Value::as_str) != Some("")
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            ),
+            .with_guard("nonpositive-capacity-fails", |a| {
+                <(&str, u32)>::decode(a).is_some_and(|(_, n)| n > 0)
+            })
+            .with_guard("empty-event-name-fails", |a| {
+                <(&str, u32)>::decode(a).is_some_and(|(name, _)| !name.is_empty())
+            }),
     )
     .with_args(
         vec![

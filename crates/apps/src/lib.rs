@@ -15,13 +15,15 @@
 //! 6. [`microblog`] — a small twitter-like application.
 //!
 //! Each module provides the shared-object type (a [`guesstimate_core::GState`]),
-//! a `register` function installing its operations into an
-//! [`guesstimate_core::OpRegistry`], typed operation constructors in an `ops`
-//! submodule, and — following the paper's §5 discipline — *one*
-//! specification: a [`guesstimate_spec::SpecSuite`] with a contract for
-//! every registered method. The Boogie-analog verifier classifies that
-//! suite's assertions, and [`register_all_checked`] runs the same assertions
-//! as runtime checks; no contract is written anywhere else.
+//! its operations as one [`guesstimate_core::methods!`] row each (in the
+//! `ops` submodule, beside the composite constructors: the rows write the
+//! typed constructors, and `register` installs them into an
+//! [`guesstimate_core::OpRegistry`]), and — following the paper's §5
+//! discipline — *one* specification: a [`guesstimate_spec::SpecSuite`]
+//! with a contract for every registered method. The Boogie-analog verifier
+//! classifies that suite's assertions, and [`register_all_checked`] runs
+//! the same assertions as runtime checks; no contract is written anywhere
+//! else.
 //!
 //! Each module exports those as one [`App`] row, and [`all`] is the one list
 //! of applications: `register_all`, the checked registry, the effect

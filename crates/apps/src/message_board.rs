@@ -15,9 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use guesstimate_core::{
-    args, canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp, Value,
-};
+use guesstimate_core::codec::Args;
+use guesstimate_core::{args, canonical, Footprint, GState, OpRegistry, Value};
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// One post.
@@ -119,104 +118,56 @@ canonical!(impl GState for MessageBoard as "MessageBoard" { topics, likes });
 pub mod ops {
     use super::*;
 
-    /// Create a topic (fails on duplicates).
-    pub fn create_topic(obj: ObjectId, name: &str) -> SharedOp {
-        SharedOp::primitive(obj, "create_topic", args![name])
-    }
-
-    /// Append a post to a topic.
-    pub fn post(obj: ObjectId, topic: &str, author: &str, text: &str) -> SharedOp {
-        SharedOp::primitive(obj, "post", args![topic, author, text])
-    }
-
-    /// Blindly bump the like tally for a key.
-    pub fn like(obj: ObjectId, key: &str) -> SharedOp {
-        SharedOp::primitive(obj, "like", args![key])
+    guesstimate_core::methods! {
+        MessageBoard;
+        /// Create a topic (fails on duplicates).
+        fn create_topic(name: &str) => create_topic_footprint(name);
+        /// Append a post to a topic.
+        fn post(topic: &str, author: &str, text: &str) => post_footprint(topic, author);
+        /// Blindly bump the like tally for a key.
+        fn like(key: &str) => like_footprint(key), self_commuting;
     }
 }
 
-fn apply_create(s: &mut MessageBoard, a: guesstimate_core::ArgView<'_>) -> bool {
-    let Some(n) = a.str(0) else { return false };
-    s.create_topic(n)
+fn create_topic_footprint(name: &str) -> Footprint {
+    if name.is_empty() {
+        return Footprint::new();
+    }
+    let key = format!("topics/{name}");
+    Footprint::new().reads([key.clone()]).writes([key])
 }
 
-fn apply_like(s: &mut MessageBoard, a: guesstimate_core::ArgView<'_>) -> bool {
-    let Some(k) = a.str(0) else { return false };
-    s.like(k)
+fn post_footprint(topic: &str, author: &str) -> Footprint {
+    if author.is_empty() {
+        return Footprint::new();
+    }
+    // Appends to the topic's post list: the list content depends on the
+    // existing posts, so the whole topic key is both read and written —
+    // two posts to the *same* topic deliberately conflict (order-visible).
+    let key = format!("topics/{topic}");
+    Footprint::new().reads([key.clone()]).writes([key])
 }
 
-fn apply_post(s: &mut MessageBoard, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(t), Some(au), Some(x)) = (a.str(0), a.str(1), a.str(2)) else {
-        return false;
-    };
-    s.post(t, au, x)
-}
-
-fn create_topic_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let Some(n) = a.str(0) else {
-            return Footprint::new();
-        };
-        if n.is_empty() {
-            return Footprint::new();
-        }
-        let key = format!("topics/{n}");
-        Footprint::new().reads([key.clone()]).writes([key])
-    })
-}
-
-fn post_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(t), Some(au)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        if au.is_empty() {
-            return Footprint::new();
-        }
-        // Appends to the topic's post list: the list content depends on the
-        // existing posts, so the whole topic key is both read and written —
-        // two posts to the *same* topic deliberately conflict (order-visible).
-        let key = format!("topics/{t}");
-        Footprint::new().reads([key.clone()]).writes([key])
-    })
-}
-
-fn like_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let Some(k) = a.str(0) else {
-            return Footprint::new();
-        };
-        if k.is_empty() {
-            return Footprint::new();
-        }
-        // The increment reads the old tally; still commutes with itself
-        // because addition does.
-        let key = format!("likes/{k}");
-        Footprint::new().reads([key.clone()]).writes([key])
-    })
-    .self_commuting()
+fn like_footprint(key: &str) -> Footprint {
+    if key.is_empty() {
+        return Footprint::new();
+    }
+    // The increment reads the old tally; still commutes with itself
+    // because addition does.
+    let key = format!("likes/{key}");
+    Footprint::new().reads([key.clone()]).writes([key])
 }
 
 /// Registers the message-board type and operations.
 pub fn register(registry: &mut OpRegistry) {
-    registry.register_type::<MessageBoard>();
-    registry.register_with_effects::<MessageBoard>(
-        "create_topic",
-        create_topic_effect(),
-        apply_create,
-    );
-    registry.register_with_effects::<MessageBoard>("post", post_effect(), apply_post);
-    registry.register_with_effects::<MessageBoard>("like", like_effect(), apply_like);
+    ops::register_methods(registry);
 }
 
 fn post_contract() -> MethodContract {
     MethodContract::new().with_post(|pre, post, a| {
         // φ_post: the topic's post list grew by exactly one — ours, at the
         // end — and no other topic changed.
-        let (Some(topic), Some(author)) = (
-            a.first().and_then(Value::as_str),
-            a.get(1).and_then(Value::as_str),
-        ) else {
+        let Some((topic, author)) = <(&str, &str)>::decode(a) else {
             return false;
         };
         let (Some(mp), Some(mq)) = (
@@ -245,7 +196,7 @@ fn post_contract() -> MethodContract {
 fn like_contract() -> MethodContract {
     MethodContract::new().with_post(|pre, post, a| {
         // φ_post: exactly this key's tally grew by one; topics untouched.
-        let Some(key) = a.first().and_then(Value::as_str) else {
+        let Some(key) = <&str>::decode(a) else {
             return false;
         };
         let tally = |v: &Value| {
@@ -261,15 +212,13 @@ fn like_contract() -> MethodContract {
 
 /// Specification suite for the verifier table.
 pub fn spec_suite() -> SpecSuite {
-    use guesstimate_spec::Assertion;
-
     let create = MethodSpec::new(
         "create_topic",
         MethodContract::new()
             .with_post(|pre, post, a| {
                 // φ_create_topic: the name was free and now heads an empty
                 // post list.
-                let Some(name) = a.first().and_then(Value::as_str) else {
+                let Some(name) = <&str>::decode(a) else {
                     return false;
                 };
                 pre.field("topics")
@@ -284,13 +233,9 @@ pub fn spec_suite() -> SpecSuite {
                                 .is_some_and(|l| l.is_empty())
                         })
             })
-            .with_assertion_obj(
-                Assertion::new("empty-topic-name-fails", |c| {
-                    c.args.first().and_then(Value::as_str) != Some("")
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
+            .with_guard("empty-topic-name-fails", |a| {
+                <&str>::decode(a).is_some_and(|name| !name.is_empty())
+            })
             .with_assertion("topics-never-disappear", |c| {
                 let (Some(mp), Some(mq)) = (
                     c.pre.field("topics").and_then(Value::as_map),
@@ -307,13 +252,9 @@ pub fn spec_suite() -> SpecSuite {
     let post = MethodSpec::new(
         "post",
         post_contract()
-            .with_assertion_obj(
-                Assertion::new("anonymous-post-fails", |c| {
-                    c.args.get(1).and_then(Value::as_str) != Some("")
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
+            .with_guard("anonymous-post-fails", |a| {
+                <(&str, &str, &str)>::decode(a).is_some_and(|(_, author, _)| !author.is_empty())
+            })
             .with_assertion("posts-are-append-only", |c| {
                 let (Some(mp), Some(mq)) = (
                     c.pre.field("topics").and_then(Value::as_map),
@@ -347,17 +288,13 @@ pub fn spec_suite() -> SpecSuite {
     let like = MethodSpec::new(
         "like",
         like_contract()
-            .with_assertion_obj(
-                Assertion::new("empty-key-fails", |c| {
-                    c.args.first().and_then(Value::as_str) != Some("")
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
+            .with_guard("empty-key-fails", |a| {
+                <&str>::decode(a).is_some_and(|key| !key.is_empty())
+            })
             .with_assertion("likes-are-blind", |c| {
                 // Succeeds whether or not the key names a real topic: an
                 // existence check would order `like` after `create_topic`.
-                c.args.first().and_then(Value::as_str) == Some("") || c.result
+                <&str>::decode(&c.args) == Some("") || c.result
             }),
     )
     // Small-scope abstraction: a key with a topic, one without, and "".

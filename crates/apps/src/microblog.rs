@@ -14,10 +14,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use guesstimate_core::{
-    args, canonical, Canonical, EffectSpec, Footprint, GState, ObjectId, OpRegistry, SharedOp,
-    Value,
-};
+use guesstimate_core::codec::Args;
+use guesstimate_core::{args, canonical, Canonical, Footprint, GState, OpRegistry, Value};
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// One post, tagged with its global commit sequence number.
@@ -149,133 +147,60 @@ canonical!(impl GState for MicroBlog as "MicroBlog" { users, follows, posts, hea
 pub mod ops {
     use super::*;
 
-    /// Register a handle (blocking in spirit, like the event planner's).
-    pub fn register(obj: ObjectId, user: &str) -> SharedOp {
-        SharedOp::primitive(obj, "register", args![user])
-    }
-
-    /// Publish a post.
-    pub fn post(obj: ObjectId, author: &str, text: &str) -> SharedOp {
-        SharedOp::primitive(obj, "post", args![author, text])
-    }
-
-    /// Follow another user.
-    pub fn follow(obj: ObjectId, follower: &str, followee: &str) -> SharedOp {
-        SharedOp::primitive(obj, "follow", args![follower, followee])
-    }
-
-    /// Unfollow.
-    pub fn unfollow(obj: ObjectId, follower: &str, followee: &str) -> SharedOp {
-        SharedOp::primitive(obj, "unfollow", args![follower, followee])
-    }
-
-    /// Blindly applaud a handle.
-    pub fn heart(obj: ObjectId, handle: &str) -> SharedOp {
-        SharedOp::primitive(obj, "heart", args![handle])
+    guesstimate_core::methods! {
+        MicroBlog;
+        /// Register a handle (blocking in spirit, like the event planner's).
+        fn register(user: &str) => register_footprint(user);
+        /// Publish a post.
+        fn post(author: &str, text: &str) => post_footprint();
+        /// Follow another user.
+        fn follow(follower: &str, followee: &str) => follow_footprint(follower);
+        /// Unfollow.
+        fn unfollow(follower: &str, followee: &str) => unfollow_footprint(follower);
+        /// Blindly applaud a handle.
+        fn heart(handle: &str) => heart_footprint(handle), self_commuting;
     }
 }
 
-fn apply_register(s: &mut MicroBlog, a: guesstimate_core::ArgView<'_>) -> bool {
-    let Some(u) = a.str(0) else { return false };
-    s.register(u)
+fn register_footprint(user: &str) -> Footprint {
+    if user.is_empty() {
+        return Footprint::new();
+    }
+    // `users` is one sorted list in the snapshot; inserting shifts it.
+    Footprint::new().reads(["users"]).writes(["users"])
 }
 
-fn apply_post(s: &mut MicroBlog, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(au), Some(t)) = (a.str(0), a.str(1)) else {
-        return false;
-    };
-    s.post(au, t)
+fn post_footprint() -> Footprint {
+    // Reads the registration set and the current post count (seq);
+    // appends to the global post list, so posts self-conflict.
+    Footprint::new().reads(["users", "posts"]).writes(["posts"])
 }
 
-fn apply_follow(s: &mut MicroBlog, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(f), Some(g)) = (a.str(0), a.str(1)) else {
-        return false;
-    };
-    s.follow(f, g)
+fn follow_footprint(follower: &str) -> Footprint {
+    let key = format!("follows/{follower}");
+    Footprint::new()
+        .reads(["users".to_owned(), key.clone()])
+        .writes([key])
 }
 
-fn apply_unfollow(s: &mut MicroBlog, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(f), Some(g)) = (a.str(0), a.str(1)) else {
-        return false;
-    };
-    s.unfollow(f, g)
+fn unfollow_footprint(follower: &str) -> Footprint {
+    let key = format!("follows/{follower}");
+    Footprint::new().reads([key.clone()]).writes([key])
 }
 
-fn apply_heart(s: &mut MicroBlog, a: guesstimate_core::ArgView<'_>) -> bool {
-    let Some(h) = a.str(0) else { return false };
-    s.heart(h)
-}
-
-fn register_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let Some(u) = a.str(0) else {
-            return Footprint::new();
-        };
-        if u.is_empty() {
-            return Footprint::new();
-        }
-        // `users` is one sorted list in the snapshot; inserting shifts it.
-        Footprint::new().reads(["users"]).writes(["users"])
-    })
-}
-
-fn post_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(_), Some(_)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        // Reads the registration set and the current post count (seq);
-        // appends to the global post list, so posts self-conflict.
-        Footprint::new().reads(["users", "posts"]).writes(["posts"])
-    })
-}
-
-fn follow_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(f), Some(_)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        let key = format!("follows/{f}");
-        Footprint::new()
-            .reads(["users".to_owned(), key.clone()])
-            .writes([key])
-    })
-}
-
-fn unfollow_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(f), Some(_)) = (a.str(0), a.str(1)) else {
-            return Footprint::new();
-        };
-        let key = format!("follows/{f}");
-        Footprint::new().reads([key.clone()]).writes([key])
-    })
-}
-
-fn heart_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let Some(h) = a.str(0) else {
-            return Footprint::new();
-        };
-        if h.is_empty() {
-            return Footprint::new();
-        }
-        // Reads the old tally, writes the new one; commutes with itself
-        // because addition does.
-        let key = format!("hearts/{h}");
-        Footprint::new().reads([key.clone()]).writes([key])
-    })
-    .self_commuting()
+fn heart_footprint(handle: &str) -> Footprint {
+    if handle.is_empty() {
+        return Footprint::new();
+    }
+    // Reads the old tally, writes the new one; commutes with itself
+    // because addition does.
+    let key = format!("hearts/{handle}");
+    Footprint::new().reads([key.clone()]).writes([key])
 }
 
 /// Registers the microblog type and operations.
 pub fn register(registry: &mut OpRegistry) {
-    registry.register_type::<MicroBlog>();
-    registry.register_with_effects::<MicroBlog>("register", register_effect(), apply_register);
-    registry.register_with_effects::<MicroBlog>("post", post_effect(), apply_post);
-    registry.register_with_effects::<MicroBlog>("follow", follow_effect(), apply_follow);
-    registry.register_with_effects::<MicroBlog>("unfollow", unfollow_effect(), apply_unfollow);
-    registry.register_with_effects::<MicroBlog>("heart", heart_effect(), apply_heart);
+    ops::register_methods(registry);
 }
 
 fn invariant(v: &Value) -> bool {
@@ -298,7 +223,7 @@ fn heart_contract() -> MethodContract {
         // φ_post: exactly this handle's tally grew by one; the checked
         // service state (users, follows, posts) is untouched. The handle
         // need not be registered — hearts are blind by design.
-        let Some(h) = a.first().and_then(Value::as_str) else {
+        let Some(h) = <&str>::decode(a) else {
             return false;
         };
         let tally = |v: &Value| {
@@ -317,8 +242,6 @@ fn heart_contract() -> MethodContract {
 
 /// Specification suite for the verifier table.
 pub fn spec_suite() -> SpecSuite {
-    use guesstimate_spec::Assertion;
-
     let handles = ["ann", "bob", "ghost", ""];
     let mut follow_args = Vec::new();
     for f in handles {
@@ -329,13 +252,9 @@ pub fn spec_suite() -> SpecSuite {
     let register = MethodSpec::new(
         "register",
         MethodContract::new()
-            .with_assertion_obj(
-                Assertion::new("empty-handle-fails", |c| {
-                    c.args.first().and_then(Value::as_str) != Some("")
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
+            .with_guard("empty-handle-fails", |a| {
+                <&str>::decode(a).is_some_and(|handle| !handle.is_empty())
+            })
             .with_assertion("users-never-disappear", |c| {
                 let users = |v: &Value| -> Vec<Value> {
                     v.field("users")
@@ -354,7 +273,7 @@ pub fn spec_suite() -> SpecSuite {
         "post",
         MethodContract::new()
             .with_post(|pre, post, a| {
-                let Some(author) = a.first().and_then(Value::as_str) else {
+                let Some(author) = <&str>::decode(a) else {
                     return false;
                 };
                 // φ_post: the timeline grew by exactly one post — ours, at
@@ -411,18 +330,11 @@ pub fn spec_suite() -> SpecSuite {
         "follow",
         MethodContract::new()
             .with_post(move |_pre, post, a| {
-                let (Some(f), Some(g)) = (
-                    a.first().and_then(Value::as_str),
-                    a.get(1).and_then(Value::as_str),
-                ) else {
-                    return false;
-                };
-                follows(post, f, g)
+                <(&str, &str)>::decode(a).is_some_and(|(f, g)| follows(post, f, g))
             })
             .with_assertion("self-follow-always-fails", |c| {
-                let f = c.args.first().and_then(Value::as_str);
-                let g = c.args.get(1).and_then(Value::as_str);
-                f != g || (!c.result && c.pre == c.post)
+                <(&str, &str)>::decode(&c.args).is_none_or(|(f, g)| f != g)
+                    || (!c.result && c.pre == c.post)
             })
             .with_assertion("follow-never-touches-posts", |c| {
                 c.pre.field("posts") == c.post.field("posts")
@@ -436,13 +348,7 @@ pub fn spec_suite() -> SpecSuite {
         "unfollow",
         MethodContract::new()
             .with_post(move |_pre, post, a| {
-                let (Some(f), Some(g)) = (
-                    a.first().and_then(Value::as_str),
-                    a.get(1).and_then(Value::as_str),
-                ) else {
-                    return false;
-                };
-                !follows(post, f, g)
+                <(&str, &str)>::decode(a).is_some_and(|(f, g)| !follows(post, f, g))
             })
             .with_assertion("unfollow-never-touches-posts", |c| {
                 c.pre.field("posts") == c.post.field("posts")
@@ -453,17 +359,13 @@ pub fn spec_suite() -> SpecSuite {
     let heart = MethodSpec::new(
         "heart",
         heart_contract()
-            .with_assertion_obj(
-                Assertion::new("empty-handle-fails", |c| {
-                    c.args.first().and_then(Value::as_str) != Some("")
-                        || (!c.result && c.pre == c.post)
-                })
-                .assume_state_independent(),
-            )
+            .with_guard("empty-handle-fails", |a| {
+                <&str>::decode(a).is_some_and(|handle| !handle.is_empty())
+            })
             .with_assertion("hearts-are-blind", |c| {
                 // Applauding an unregistered handle still succeeds: an
                 // existence check would order `heart` after `register`.
-                c.args.first().and_then(Value::as_str) == Some("") || c.result
+                <&str>::decode(&c.args) == Some("") || c.result
             }),
     )
     .with_args(handles.iter().map(|h| args![*h]).collect(), true);

@@ -12,9 +12,8 @@
 //! success, RED on a conflict. `examples/sudoku.rs` reproduces exactly that
 //! flow.
 
-use guesstimate_core::{
-    args, EffectSpec, Footprint, GState, ObjectId, OpRegistry, RestoreError, SharedOp, Value,
-};
+use guesstimate_core::codec::Args;
+use guesstimate_core::{args, Footprint, GState, OpRegistry, RestoreError, Value};
 use guesstimate_spec::{Assertion, CaseSpace, MethodContract, MethodSpec, SpecSuite};
 
 /// The shared Sudoku board.
@@ -125,11 +124,11 @@ impl Sudoku {
     }
 
     /// The paper's `Update` (1-based): writes `v` at `(r, c)` if legal.
-    pub fn update(&mut self, r: i64, c: i64, v: i64) -> bool {
+    pub fn update(&mut self, r: u8, c: u8, v: u8) -> bool {
         if !(1..=9).contains(&r) || !(1..=9).contains(&c) || !(1..=9).contains(&v) {
             return false;
         }
-        let (ri, ci, v) = (r as usize - 1, c as usize - 1, v as u8);
+        let (ri, ci) = (r as usize - 1, c as usize - 1);
         if self.fixed[ri][ci] || !self.placement_ok(ri, ci, v) {
             return false;
         }
@@ -139,7 +138,7 @@ impl Sudoku {
 
     /// Erases a non-given cell (1-based). Fails on range errors, givens and
     /// already-empty cells.
-    pub fn clear(&mut self, r: i64, c: i64) -> bool {
+    pub fn clear(&mut self, r: u8, c: u8) -> bool {
         if !(1..=9).contains(&r) || !(1..=9).contains(&c) {
             return false;
         }
@@ -276,87 +275,55 @@ impl GState for Sudoku {
 pub mod ops {
     use super::*;
 
-    /// `Update(r, c, v)` (1-based, as in the paper).
-    pub fn update(board: ObjectId, r: u8, c: u8, v: u8) -> SharedOp {
-        SharedOp::primitive(
-            board,
-            "update",
-            args![i64::from(r), i64::from(c), i64::from(v)],
-        )
-    }
-
-    /// `clear(r, c)` (1-based).
-    pub fn clear(board: ObjectId, r: u8, c: u8) -> SharedOp {
-        SharedOp::primitive(board, "clear", args![i64::from(r), i64::from(c)])
+    guesstimate_core::methods! {
+        Sudoku;
+        /// `Update(r, c, v)` (1-based, as in the paper).
+        fn update(r: u8, c: u8, v: u8) => update_footprint(r, c, v);
+        /// `clear(r, c)` (1-based).
+        fn clear(r: u8, c: u8) => clear_footprint(r, c);
     }
 }
 
-fn apply_update(s: &mut Sudoku, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(r), Some(c), Some(v)) = (a.i64(0), a.i64(1), a.i64(2)) else {
-        return false;
-    };
-    s.update(r, c, v)
+/// Footprint of `update(r, c, v)`: writes the target cell; reads the
+/// target's `fixed` flag and every cell of the target's row, column and 3×3
+/// box (the constraint check). Out-of-range arguments touch no state at all.
+fn update_footprint(r: u8, c: u8, v: u8) -> Footprint {
+    if !(1..=9).contains(&r) || !(1..=9).contains(&c) || !(1..=9).contains(&v) {
+        return Footprint::new();
+    }
+    let (ri, ci) = (r as usize - 1, c as usize - 1);
+    let idx = ri * 9 + ci;
+    let mut reads = vec![format!("fixed/{idx}")];
+    for i in 0..9 {
+        reads.push(format!("grid/{}", ri * 9 + i));
+        reads.push(format!("grid/{}", i * 9 + ci));
+    }
+    let (br, bc) = (ri / 3 * 3, ci / 3 * 3);
+    for i in br..br + 3 {
+        for j in bc..bc + 3 {
+            reads.push(format!("grid/{}", i * 9 + j));
+        }
+    }
+    Footprint::new()
+        .reads(reads)
+        .writes([format!("grid/{idx}")])
 }
 
-fn apply_clear(s: &mut Sudoku, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(r), Some(c)) = (a.i64(0), a.i64(1)) else {
-        return false;
-    };
-    s.clear(r, c)
-}
-
-/// Effect of `update(r, c, v)`: writes the target cell; reads the target's
-/// `fixed` flag and every cell of the target's row, column and 3×3 box (the
-/// constraint check). Out-of-range arguments touch no state at all.
-fn update_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(r), Some(c), Some(v)) = (a.i64(0), a.i64(1), a.i64(2)) else {
-            return Footprint::new();
-        };
-        if !(1..=9).contains(&r) || !(1..=9).contains(&c) || !(1..=9).contains(&v) {
-            return Footprint::new();
-        }
-        let (ri, ci) = (r as usize - 1, c as usize - 1);
-        let idx = ri * 9 + ci;
-        let mut reads = vec![format!("fixed/{idx}")];
-        for i in 0..9 {
-            reads.push(format!("grid/{}", ri * 9 + i));
-            reads.push(format!("grid/{}", i * 9 + ci));
-        }
-        let (br, bc) = (ri / 3 * 3, ci / 3 * 3);
-        for i in br..br + 3 {
-            for j in bc..bc + 3 {
-                reads.push(format!("grid/{}", i * 9 + j));
-            }
-        }
-        Footprint::new()
-            .reads(reads)
-            .writes([format!("grid/{idx}")])
-    })
-}
-
-/// Effect of `clear(r, c)`: reads and writes only the target cell (plus its
-/// `fixed` flag).
-fn clear_effect() -> EffectSpec {
-    EffectSpec::new(|a| {
-        let (Some(r), Some(c)) = (a.i64(0), a.i64(1)) else {
-            return Footprint::new();
-        };
-        if !(1..=9).contains(&r) || !(1..=9).contains(&c) {
-            return Footprint::new();
-        }
-        let idx = (r as usize - 1) * 9 + (c as usize - 1);
-        Footprint::new()
-            .reads([format!("grid/{idx}"), format!("fixed/{idx}")])
-            .writes([format!("grid/{idx}")])
-    })
+/// Footprint of `clear(r, c)`: reads and writes only the target cell (plus
+/// its `fixed` flag).
+fn clear_footprint(r: u8, c: u8) -> Footprint {
+    if !(1..=9).contains(&r) || !(1..=9).contains(&c) {
+        return Footprint::new();
+    }
+    let idx = (r as usize - 1) * 9 + (c as usize - 1);
+    Footprint::new()
+        .reads([format!("grid/{idx}"), format!("fixed/{idx}")])
+        .writes([format!("grid/{idx}")])
 }
 
 /// Registers the Sudoku type and operations (with declared effects).
 pub fn register(registry: &mut OpRegistry) {
-    registry.register_type::<Sudoku>();
-    registry.register_with_effects::<Sudoku>("update", update_effect(), apply_update);
-    registry.register_with_effects::<Sudoku>("clear", clear_effect(), apply_clear);
+    ops::register_methods(registry);
 }
 
 /// Decodes the `grid` list of a snapshot.
@@ -393,14 +360,10 @@ fn cell_contract(value: fn(&[Value]) -> Option<i64>) -> MethodContract {
             let (Some(gp), Some(gq)) = (snap_grid(pre), snap_grid(post)) else {
                 return false;
             };
-            let (Some(r), Some(c), Some(v)) = (
-                a.first().and_then(Value::as_i64),
-                a.get(1).and_then(Value::as_i64),
-                value(a),
-            ) else {
+            let (Some((r, c)), Some(v)) = (<(i64, i64)>::decode(a), value(a)) else {
                 return false;
             };
-            if !(1..=9).contains(&r) || !(1..=9).contains(&c) {
+            if !nine(r) || !nine(c) {
                 return false; // success with bad indices is itself a bug
             }
             let target = (r as usize - 1) * 9 + (c as usize - 1);
@@ -417,7 +380,7 @@ fn cell_contract(value: fn(&[Value]) -> Option<i64>) -> MethodContract {
 
 /// The `update` contract: the target cell now holds `v`.
 fn update_contract() -> MethodContract {
-    cell_contract(|a| a.get(2).and_then(Value::as_i64))
+    cell_contract(|a| <(i64, i64, i64)>::decode(a).map(|(.., v)| v))
 }
 
 /// The `clear` contract: the target cell is now 0.
@@ -425,19 +388,9 @@ fn clear_contract() -> MethodContract {
     cell_contract(|_| Some(0))
 }
 
-/// Bounds-guard assertion (state-independent): out-of-range arguments must
-/// make the operation fail and leave the state unchanged.
-fn bounds_guard(name: &str, idx: usize, lo: i64, hi: i64) -> Assertion {
-    let (name, idx) = (name.to_owned(), idx);
-    Assertion::new(name, move |case| {
-        let in_range = case
-            .args
-            .get(idx)
-            .and_then(Value::as_i64)
-            .is_some_and(|n| (lo..=hi).contains(&n));
-        in_range || (!case.result && case.pre == case.post)
-    })
-    .assume_state_independent()
+/// Whether a row, column or value argument is in 1..=9.
+fn nine(n: i64) -> bool {
+    (1..=9).contains(&n)
 }
 
 /// Builds the full Sudoku specification suite — the assertion population
@@ -477,13 +430,19 @@ pub fn spec_suite() -> SpecSuite {
     // Bounds guards (state-independent).
     update.contract = update
         .contract
-        .with_assertion_obj(bounds_guard("guard-row-in-1..9", 0, 1, 9))
-        .with_assertion_obj(bounds_guard("guard-col-in-1..9", 1, 1, 9))
-        .with_assertion_obj(bounds_guard("guard-val-in-1..9", 2, 1, 9));
+        .with_guard("guard-row-in-1..9", |a| <i64>::decode(a).is_some_and(nine))
+        .with_guard("guard-col-in-1..9", |a| {
+            <(i64, i64)>::decode(a).is_some_and(|(_, c)| nine(c))
+        })
+        .with_guard("guard-val-in-1..9", |a| {
+            <(i64, i64, i64)>::decode(a).is_some_and(|(.., v)| nine(v))
+        });
     clear.contract = clear
         .contract
-        .with_assertion_obj(bounds_guard("guard-row-in-1..9", 0, 1, 9))
-        .with_assertion_obj(bounds_guard("guard-col-in-1..9", 1, 1, 9));
+        .with_guard("guard-row-in-1..9", |a| <i64>::decode(a).is_some_and(nine))
+        .with_guard("guard-col-in-1..9", |a| {
+            <(i64, i64)>::decode(a).is_some_and(|(_, c)| nine(c))
+        });
 
     // Per-unit no-duplicate assertions (27 per method).
     for method in [&mut update, &mut clear] {
@@ -524,11 +483,8 @@ pub fn spec_suite() -> SpecSuite {
                 let (Some(gp), Some(gq)) = (snap_grid(&case.pre), snap_grid(&case.post)) else {
                     return false;
                 };
-                let target = match (
-                    case.args.first().and_then(Value::as_i64),
-                    case.args.get(1).and_then(Value::as_i64),
-                ) {
-                    (Some(r), Some(c)) if (1..=9).contains(&r) && (1..=9).contains(&c) => {
+                let target = match <(i64, i64)>::decode(&case.args) {
+                    Some((r, c)) if nine(r) && nine(c) => {
                         Some((r as usize - 1) * 9 + (c as usize - 1))
                     }
                     _ => None,
@@ -570,7 +526,7 @@ pub fn sampled_states(n: usize, seed: u64) -> CaseSpace {
             continue;
         }
         let (r, c, v) = moves[next(moves.len())];
-        board.update(i64::from(r), i64::from(c), i64::from(v));
+        board.update(r, c, v);
         states.push(GState::snapshot(&board));
     }
     CaseSpace::sampled(states, usize::MAX)
@@ -632,7 +588,7 @@ pub const APP: crate::App = crate::App {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guesstimate_core::{execute, MachineId, ObjectStore};
+    use guesstimate_core::{execute, MachineId, ObjectId, ObjectStore};
     use guesstimate_spec::{verify_suite, ConformanceLog, Verdict};
 
     fn board_id() -> ObjectId {
@@ -668,7 +624,7 @@ mod tests {
             (1, 10, 1),
             (1, 1, 0),
             (1, 1, 10),
-            (-1, 1, 1),
+            (u8::MAX, 1, 1),
         ] {
             assert!(!s.update(bad.0, bad.1, bad.2), "{bad:?}");
         }

@@ -259,35 +259,36 @@ pub fn one_copy_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guesstimate_core::{args, RestoreError};
+    use guesstimate_core::{canonical, Footprint, ROOT};
     use guesstimate_net::{LatencyModel, NetConfig, SimNet};
 
     #[derive(Clone, Default)]
     struct Cnt(i64);
-    impl GState for Cnt {
-        const TYPE_NAME: &'static str = "Cnt";
-        fn snapshot(&self) -> Value {
-            Value::from(self.0)
+    canonical!(impl GState for Cnt as "Cnt" (0));
+
+    impl Cnt {
+        fn add_capped(&mut self, d: i64, cap: i64) -> bool {
+            if self.0 + d > cap {
+                return false;
+            }
+            self.0 += d;
+            true
         }
-        fn restore(&mut self, v: &Value) -> Result<(), RestoreError> {
-            self.0 = v.as_i64().ok_or_else(|| RestoreError::shape("i64"))?;
-            Ok(())
-        }
+    }
+
+    fn add_capped_footprint() -> Footprint {
+        Footprint::new().reads([ROOT]).writes([ROOT])
+    }
+
+    guesstimate_core::methods! {
+        Cnt;
+        /// `add_capped(d, cap)`: adds `d` unless the sum would exceed `cap`.
+        fn add_capped(d: i64, cap: i64) => add_capped_footprint();
     }
 
     fn registry() -> OpRegistry {
         let mut r = OpRegistry::new();
-        r.register_type::<Cnt>();
-        r.register_method::<Cnt>("add_capped", |c, a| {
-            let (Some(d), Some(cap)) = (a.i64(0), a.i64(1)) else {
-                return false;
-            };
-            if c.0 + d > cap {
-                return false;
-            }
-            c.0 += d;
-            true
-        });
+        register_methods(&mut r);
         r
     }
 
@@ -345,11 +346,7 @@ mod tests {
                 SimTime::from_millis(100 + i as u64),
                 MachineId::new(i),
                 move |m: &mut OneCopyMachine, ctx| {
-                    m.issue(
-                        SharedOp::primitive(obj, "add_capped", args![1, 2]),
-                        None,
-                        ctx,
-                    );
+                    m.issue(add_capped(obj, 1, 2), None, ctx);
                 },
             );
         }
@@ -382,11 +379,7 @@ mod tests {
         };
         net.run_until(SimTime::from_millis(100));
         net.call(MachineId::new(1), |m, ctx| {
-            m.issue(
-                SharedOp::primitive(obj, "add_capped", args![1, 10]),
-                None,
-                ctx,
-            );
+            m.issue(add_capped(obj, 1, 10), None, ctx);
         });
         net.run_until(SimTime::from_secs(1));
         let stats = net.actor(MachineId::new(1)).unwrap().stats().clone();
@@ -444,11 +437,7 @@ mod tests {
                     SimTime::from_millis(300 + 5 * k + u64::from(i)),
                     MachineId::new(i),
                     move |m: &mut OneCopyMachine, ctx| {
-                        m.issue(
-                            SharedOp::primitive(obj, "add_capped", args![1, 100]),
-                            None,
-                            ctx,
-                        );
+                        m.issue(add_capped(obj, 1, 100), None, ctx);
                     },
                 );
             }
@@ -480,7 +469,7 @@ mod tests {
         let s = seen.clone();
         net.call(MachineId::new(1), |m, ctx| {
             m.issue(
-                SharedOp::primitive(obj, "add_capped", args![5, 2]),
+                add_capped(obj, 5, 2),
                 Some(Box::new(move |b| s.store(b as i32, Ordering::SeqCst))),
                 ctx,
             );

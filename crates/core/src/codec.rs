@@ -10,6 +10,14 @@
 //! integer is an `Int`, range-checked on the way back (`try_from`, never
 //! `as`). A `GState` restore decodes a whole new value before it assigns,
 //! so a failed restore leaves the object as it was.
+//!
+//! It is also where an operation's *arguments* are decoded: [`Args`] reads
+//! a typed tuple from an argument list by position (borrowing strings,
+//! range-checking integers), and [`methods!`](crate::methods) declares each
+//! shared operation as one row — name, typed parameters, the state's
+//! method and its footprint fn — from which come the typed constructor,
+//! the registered apply function and the declared
+//! [`EffectSpec`](crate::EffectSpec).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -213,6 +221,156 @@ macro_rules! canonical {
     };
 }
 
+/// One operation argument type: `&str` (borrowed from the argument list,
+/// never allocated), `bool`, `i64`, and `u8` / `u32` / `u64`, whose
+/// decoders range-check (`try_from`, never `as`).
+pub trait Arg<'a>: Sized {
+    /// Decodes one argument: `None` for another kind of value or an
+    /// integer outside the type's range.
+    fn from_arg(v: &'a Value) -> Option<Self>;
+
+    /// The argument's encoding.
+    fn to_arg(self) -> Value;
+}
+
+impl<'a> Arg<'a> for &'a str {
+    fn from_arg(v: &'a Value) -> Option<Self> {
+        v.as_str()
+    }
+    fn to_arg(self) -> Value {
+        Value::from(self)
+    }
+}
+
+impl Arg<'_> for bool {
+    fn from_arg(v: &Value) -> Option<Self> {
+        v.as_bool()
+    }
+    fn to_arg(self) -> Value {
+        Value::Bool(self)
+    }
+}
+
+/// A `u64` past `i64::MAX` encodes as `-1`, which its decoder refuses, so
+/// it fails closed (as [`Canonical`] does).
+macro_rules! int {
+    ($($t:ty),+) => {$(
+        impl Arg<'_> for $t {
+            fn from_arg(v: &Value) -> Option<Self> {
+                <$t>::try_from(v.as_i64()?).ok()
+            }
+            fn to_arg(self) -> Value {
+                Value::Int(i64::try_from(self).unwrap_or(-1))
+            }
+        }
+    )+};
+}
+int!(i64, u8, u32, u64);
+
+/// The one argument decoder: a typed argument list — one [`Arg`], or a
+/// tuple of up to four — read by position from an operation's arguments.
+/// Trailing extra arguments are ignored; a missing argument, another kind
+/// of value or an out-of-range integer makes the whole list `None`.
+///
+/// # Examples
+///
+/// ```
+/// use guesstimate_core::codec::Args;
+/// use guesstimate_core::args;
+///
+/// let a = args!["v1", 4, "party"];
+/// assert_eq!(<(&str, u32, &str)>::decode(&a), Some(("v1", 4, "party")));
+/// assert_eq!(<&str>::decode(&a), Some("v1"));
+/// assert_eq!(<(&str, bool)>::decode(&a), None);
+/// assert_eq!(<(&str, u32)>::decode(&args!["v1", 1i64 << 32]), None);
+/// ```
+pub trait Args<'a>: Sized {
+    /// Decodes the list.
+    fn decode(args: &'a [Value]) -> Option<Self>;
+}
+
+impl<'a, T: Arg<'a>> Args<'a> for T {
+    fn decode(args: &'a [Value]) -> Option<Self> {
+        T::from_arg(args.first()?)
+    }
+}
+
+impl Args<'_> for () {
+    fn decode(_: &[Value]) -> Option<Self> {
+        Some(())
+    }
+}
+
+macro_rules! tuple {
+    ($($t:ident $v:ident),+) => {
+        impl<'a, $($t: Arg<'a>),+> Args<'a> for ($($t,)+) {
+            fn decode(args: &'a [Value]) -> Option<Self> {
+                let [$($v,)+ ..] = args else {
+                    return None;
+                };
+                Some(($($t::from_arg($v)?,)+))
+            }
+        }
+    };
+}
+tuple!(A a);
+tuple!(A a, B b);
+tuple!(A a, B b, C c);
+tuple!(A a, B b, C c, D d);
+
+/// Declares a state type's shared operations, one row each: `fn` name and
+/// typed parameters ([`Arg`] types), and after `=>` the footprint fn
+/// applied to the parameters it needs, with `, self_commuting` where the
+/// method declares it
+/// ([`EffectSpec::self_commuting`](crate::EffectSpec::self_commuting)).
+/// The state's method of the same name (`&mut self`, the same parameters,
+/// returning `bool`) is the operation; the footprint fn returns a
+/// [`Footprint`](crate::Footprint).
+///
+/// Each row writes a typed constructor `name(obj, params..) -> SharedOp`,
+/// and `register_methods(&mut OpRegistry)` registers the type once and
+/// every row's method through
+/// [`OpRegistry::register_with_effects`](crate::OpRegistry::register_with_effects).
+/// Both the apply function and the footprint decode the argument list
+/// through [`Args`]; a list that does not decode fails the operation and
+/// has an empty footprint.
+///
+/// See the [crate-level example](crate).
+#[macro_export]
+macro_rules! methods {
+    ($ty:ident; $(
+        $(#[$doc:meta])*
+        fn $name:ident($($p:ident: $t:ty),* $(,)?) => $fp:ident($($fa:ident),*) $(, $sc:ident)?;
+    )+) => {
+        $(
+            $(#[$doc])*
+            pub fn $name(obj: $crate::ObjectId, $($p: $t),*) -> $crate::SharedOp {
+                $crate::SharedOp::primitive(
+                    obj,
+                    ::std::stringify!($name),
+                    ::std::vec![$($crate::codec::Arg::to_arg($p)),*],
+                )
+            }
+        )+
+
+        /// Registers the state type and every shared operation of its rows.
+        pub fn register_methods(registry: &mut $crate::OpRegistry) {
+            registry.register_type::<$ty>();
+            $(
+                registry.register_with_effects::<$ty>(
+                    ::std::stringify!($name),
+                    $crate::EffectSpec::new(|a| match a.decode::<($($t,)*)>() {
+                        #[allow(unused_variables)]
+                        ::std::option::Option::Some(($($p,)*)) => $fp($($fa),*),
+                        ::std::option::Option::None => $crate::Footprint::new(),
+                    })$(.$sc())?,
+                    |s, a| a.decode::<($($t,)*)>().is_some_and(|($($p,)*)| s.$name($($p),*)),
+                );
+            )+
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +466,31 @@ mod tests {
             Rec::from_value(&Value::map([("a", Value::Unit), ("b", Value::Unit)])).unwrap_err();
         assert_eq!(err.expected(), "`a`: int");
         assert!(Rec::from_value(&Value::from(1)).is_err());
+    }
+
+    #[test]
+    fn arguments_decode_by_position_and_fail_closed() {
+        let a = [
+            Value::from("k"),
+            Value::from(true),
+            Value::from(255),
+            Value::Unit,
+        ];
+        assert_eq!(<()>::decode(&[]), Some(()));
+        assert_eq!(<(&str, bool, u8)>::decode(&a), Some(("k", true, 255)));
+        assert_eq!(<(&str, bool, i64, u64)>::decode(&a[..3]), None, "too short");
+        assert_eq!(<(&str, i64)>::decode(&a), None, "a bool is not an int");
+        assert_eq!(
+            <(&str, bool, u8)>::decode(&[a[0].clone(), a[1].clone(), 256.into()]),
+            None
+        );
+        assert_eq!(<u32>::decode(&[Value::from(-1)]), None);
+        assert_eq!(<u64>::decode(&[u64::MAX.to_arg()]), None, "fails closed");
+        let encoded = ["s".to_arg(), true.to_arg(), 7u32.to_arg(), (-7i64).to_arg()];
+        assert_eq!(
+            <(&str, bool, u32, i64)>::decode(&encoded),
+            Some(("s", true, 7, -7))
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   and receives the object-safe [`SharedObject`] implementation for free.
 //! * [`Canonical`] / [`canonical!`] — the one state codec: a state struct's
 //!   field list becomes its snapshot encoding and its `GState` impl
-//!   ([`codec`]).
+//!   ([`codec`]). Beside it, [`methods!`] declares each shared operation
+//!   as one row, whose arguments decode through [`codec::Args`].
 //! * [`OpRegistry`] — the replacement for .NET reflection: a registry mapping
 //!   `(type name, method name)` to an apply function, so that an operation
 //!   created on one machine can be re-executed identically on every replica.
@@ -40,7 +41,7 @@
 //! ## Example
 //!
 //! ```
-//! use guesstimate_core::{args, canonical, ExecOutcome, ObjectStore, OpRegistry, SharedOp};
+//! use guesstimate_core::{canonical, execute, ExecOutcome, Footprint, ObjectStore, OpRegistry};
 //!
 //! #[derive(Clone, Default, Debug, PartialEq)]
 //! struct Counter {
@@ -48,23 +49,34 @@
 //! }
 //! canonical!(impl GState for Counter as "Counter" { n });
 //!
-//! let mut registry = OpRegistry::new();
-//! registry.register_type::<Counter>();
-//! registry.register_method::<Counter>("add", |c, a| {
-//!     let Some(d) = a.i64(0) else { return false };
-//!     if c.n + d < 0 {
-//!         return false; // precondition: counter never goes negative
+//! impl Counter {
+//!     fn add(&mut self, d: i64) -> bool {
+//!         if self.n + d < 0 {
+//!             return false; // precondition: counter never goes negative
+//!         }
+//!         self.n += d;
+//!         true
 //!     }
-//!     c.n += d;
-//!     true
-//! });
+//! }
+//! fn add_footprint() -> Footprint {
+//!     Footprint::new().reads(["n"]).writes(["n"])
+//! }
+//! // One row per shared operation: its typed constructor `add(obj, d)`, its
+//! // apply function and its declared effect all come from here.
+//! guesstimate_core::methods! {
+//!     Counter;
+//!     /// Adds `d` unless the counter would go negative.
+//!     fn add(d: i64) => add_footprint();
+//! }
+//!
+//! let mut registry = OpRegistry::new();
+//! register_methods(&mut registry);
 //!
 //! let mut store = ObjectStore::new();
 //! let id = guesstimate_core::ObjectId::new(guesstimate_core::MachineId::new(0), 0);
 //! store.insert(id, Box::new(Counter::default()));
 //!
-//! let op = SharedOp::primitive(id, "add", args![5]);
-//! assert_eq!(guesstimate_core::execute(&op, &mut store, &registry).unwrap(), ExecOutcome::Success);
+//! assert_eq!(execute(&add(id, 5), &mut store, &registry).unwrap(), ExecOutcome::Success);
 //! assert_eq!(store.get_as::<Counter>(id).unwrap().n, 5);
 //! ```
 

@@ -15,6 +15,7 @@ use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
+use crate::codec::Args;
 use crate::effect::EffectSpec;
 use crate::error::ExecError;
 use crate::object::{GState, SharedObject};
@@ -101,6 +102,11 @@ impl<'a> ArgView<'a> {
     /// The full argument slice.
     pub fn as_slice(&self) -> &'a [Value] {
         self.0
+    }
+
+    /// The arguments decoded as `T` (see [`Args`]).
+    pub fn decode<T: Args<'a>>(&self) -> Option<T> {
+        T::decode(self.0)
     }
 }
 

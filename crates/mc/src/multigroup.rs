@@ -45,8 +45,8 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use guesstimate_core::{
-    canonical, ComponentPlan, EffectSpec, Footprint, GState, OpRegistry, PathPattern, Routing,
-    ShardPlan, SharedOp, TypePlan,
+    canonical, ComponentPlan, Footprint, GState, OpRegistry, PathPattern, Routing, ShardPlan,
+    SharedOp, TypePlan,
 };
 use guesstimate_net::{Ctx, TamperHook, Tracer};
 use guesstimate_runtime::multigroup::{
@@ -75,37 +75,44 @@ pub struct XPair {
 
 canonical!(impl GState for XPair as "XPair" { a, b });
 
-/// Installs `XPair` and its three operations.
-pub fn register(r: &mut OpRegistry) {
-    r.register_type::<XPair>();
-    r.register_with_effects::<XPair>(
-        "bump_a",
-        EffectSpec::new(|_| Footprint::new().reads(["a"]).writes(["a"])),
-        |p: &mut XPair, a| {
-            let Some(d) = a.i64(0) else { return false };
-            p.a += d;
-            true
-        },
-    );
-    r.register_with_effects::<XPair>(
-        "bump_b",
-        EffectSpec::new(|_| Footprint::new().reads(["b"]).writes(["b"])),
-        |p: &mut XPair, a| {
-            let Some(d) = a.i64(0) else { return false };
-            p.b += d;
-            true
-        },
-    );
-    r.register_with_effects::<XPair>(
-        "mix",
-        EffectSpec::new(|_| Footprint::new().reads(["a", "b"]).writes(["a", "b"])),
-        |p: &mut XPair, a| {
-            let Some(d) = a.i64(0) else { return false };
-            p.a += d;
-            p.b += p.a;
-            true
-        },
-    );
+impl XPair {
+    fn bump_a(&mut self, d: i64) -> bool {
+        self.a += d;
+        true
+    }
+
+    fn bump_b(&mut self, d: i64) -> bool {
+        self.b += d;
+        true
+    }
+
+    fn mix(&mut self, d: i64) -> bool {
+        self.a += d;
+        self.b += self.a;
+        true
+    }
+}
+
+fn a_footprint() -> Footprint {
+    Footprint::new().reads(["a"]).writes(["a"])
+}
+
+fn b_footprint() -> Footprint {
+    Footprint::new().reads(["b"]).writes(["b"])
+}
+
+fn mix_footprint() -> Footprint {
+    Footprint::new().reads(["a", "b"]).writes(["a", "b"])
+}
+
+guesstimate_core::methods! {
+    XPair;
+    /// `bump_a(d)`: adds `d` to `a` (component 0).
+    fn bump_a(d: i64) => a_footprint();
+    /// `bump_b(d)`: adds `d` to `b` (component 1).
+    fn bump_b(d: i64) => b_footprint();
+    /// `mix(d)`: adds `d` to `a`, then `a` to `b` (both components).
+    fn mix(d: i64) => mix_footprint();
 }
 
 /// The hand-built two-component plan (what the shard-partition analysis

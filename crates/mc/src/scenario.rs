@@ -57,7 +57,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use guesstimate_apps::{auction, event_planner, message_board, sudoku};
-use guesstimate_core::{args, CommuteMatrix, MachineId, ObjectId, OpRegistry, SharedOp};
+use guesstimate_core::{CommuteMatrix, MachineId, ObjectId, OpRegistry, SharedOp};
 use guesstimate_net::{Actor, Ctx, PendingMsg, SchedNet, SimTime, TamperHook, Tracer};
 use guesstimate_runtime::commute::wire_ops_commute;
 use guesstimate_runtime::multigroup::{GMsg, GroupId, MultiMachine};
@@ -114,9 +114,7 @@ pub trait Cluster {
 pub mod sneaky {
     use std::collections::BTreeMap;
 
-    use guesstimate_core::{
-        args, canonical, EffectSpec, Footprint, ObjectId, OpRegistry, SharedOp,
-    };
+    use guesstimate_core::{canonical, Footprint};
 
     /// Two integer slots, `src` and `dst`.
     #[derive(Clone, Default, Debug)]
@@ -127,48 +125,37 @@ pub mod sneaky {
 
     canonical!(impl GState for Mirror as "Mirror" (m));
 
-    /// Installs `Mirror` with its honest `bump` and under-declared `mirror`.
-    pub fn register(reg: &mut OpRegistry) {
-        reg.register_type::<Mirror>();
-        // Honest: `bump(k, d)` reads and writes exactly slot `k`.
-        reg.register_with_effects::<Mirror>(
-            "bump",
-            EffectSpec::new(|a| {
-                let Some(k) = a.str(0) else {
-                    return Footprint::new();
-                };
-                Footprint::new().reads([k]).writes([k])
-            }),
-            |s: &mut Mirror, a| {
-                let (Some(k), Some(d)) = (a.str(0), a.i64(1)) else {
-                    return false;
-                };
-                *s.m.entry(k.to_owned()).or_insert(0) += d;
-                true
-            },
-        );
-        // Under-declared: actually reads `src`, declares only `dst`.
-        reg.register_with_effects::<Mirror>(
-            "mirror",
-            EffectSpec::new(|_| Footprint::new().reads(["dst"]).writes(["dst"])),
-            |s: &mut Mirror, _| {
-                let Some(v) = s.m.get("src").copied() else {
-                    return false;
-                };
-                s.m.insert("dst".to_owned(), v);
-                true
-            },
-        );
+    impl Mirror {
+        fn bump(&mut self, k: &str, d: i64) -> bool {
+            *self.m.entry(k.to_owned()).or_insert(0) += d;
+            true
+        }
+
+        fn mirror(&mut self) -> bool {
+            let Some(v) = self.m.get("src").copied() else {
+                return false;
+            };
+            self.m.insert("dst".to_owned(), v);
+            true
+        }
     }
 
-    /// `bump(k, d)`: adds `d` to slot `k`.
-    pub fn bump(obj: ObjectId, k: &str, d: i64) -> SharedOp {
-        SharedOp::primitive(obj, "bump", args![k, d])
+    /// Honest: `bump(k, d)` reads and writes exactly slot `k`.
+    fn bump_footprint(k: &str) -> Footprint {
+        Footprint::new().reads([k]).writes([k])
     }
 
-    /// `mirror()`: copies `src` into `dst`.
-    pub fn mirror(obj: ObjectId) -> SharedOp {
-        SharedOp::primitive(obj, "mirror", args![])
+    /// Under-declared: `mirror` actually reads `src`, declares only `dst`.
+    fn mirror_footprint() -> Footprint {
+        Footprint::new().reads(["dst"]).writes(["dst"])
+    }
+
+    guesstimate_core::methods! {
+        Mirror;
+        /// `bump(k, d)`: adds `d` to slot `k`.
+        fn bump(k: &str, d: i64) => bump_footprint(k);
+        /// `mirror()`: copies `src` into `dst`.
+        fn mirror() => mirror_footprint();
     }
 }
 
@@ -186,8 +173,7 @@ pub mod miskeyed {
     use std::sync::Arc;
 
     use guesstimate_core::{
-        args, canonical, ComponentPlan, EffectSpec, Footprint, GState, ObjectId, OpRegistry,
-        PathPattern, Routing, ShardPlan, SharedOp, TypePlan,
+        canonical, ComponentPlan, Footprint, GState, PathPattern, Routing, ShardPlan, TypePlan,
     };
 
     /// Per-topic post tallies, snapshotted under a `topics` subtree so
@@ -200,26 +186,23 @@ pub mod miskeyed {
 
     canonical!(impl GState for Board as "KeyedBoard" { topics });
 
-    /// Installs `KeyedBoard` with its honestly declared `post`.
-    pub fn register(reg: &mut OpRegistry) {
-        reg.register_type::<Board>();
-        // Honest: `post(topic, author)` reads and writes `topics/{topic}`.
-        reg.register_with_effects::<Board>(
-            "post",
-            EffectSpec::new(|a| match a.str(0) {
-                Some(t) => Footprint::new()
-                    .reads([format!("topics/{t}")])
-                    .writes([format!("topics/{t}")]),
-                None => Footprint::new(),
-            }),
-            |s: &mut Board, a| {
-                let (Some(t), Some(_author)) = (a.str(0), a.str(1)) else {
-                    return false;
-                };
-                *s.topics.entry(t.to_owned()).or_insert(0) += 1;
-                true
-            },
-        );
+    impl Board {
+        fn post(&mut self, topic: &str, _author: &str) -> bool {
+            *self.topics.entry(topic.to_owned()).or_insert(0) += 1;
+            true
+        }
+    }
+
+    /// Honest: `post(topic, author)` reads and writes `topics/{topic}`.
+    fn post_footprint(topic: &str) -> Footprint {
+        let key = format!("topics/{topic}");
+        Footprint::new().reads([key.clone()]).writes([key])
+    }
+
+    guesstimate_core::methods! {
+        Board;
+        /// `post(topic, author)`: one more post in `topic`.
+        fn post(topic: &str, author: &str) => post_footprint(topic);
     }
 
     /// The deliberately mis-keyed plan: the component is right
@@ -243,11 +226,6 @@ pub mod miskeyed {
         let mut plan = ShardPlan::new();
         plan.types.insert(Board::TYPE_NAME.to_owned(), tp);
         Arc::new(plan)
-    }
-
-    /// `post(topic, author)`: one more post in `topic`.
-    pub fn post(obj: ObjectId, topic: &str, author: &str) -> SharedOp {
-        SharedOp::primitive(obj, "post", args![topic, author])
     }
 }
 
@@ -326,7 +304,7 @@ const SUDOKU: Preset = Preset {
     overlap: false,
     blurb: "3 machines; same-cell update/clear conflict vs disjoint-unit moves",
     workload: Workload {
-        register: sudoku::APP.register,
+        register: sudoku::register,
         nodes: Nodes::Machine(|m, _| m.create_instance(sudoku::Sudoku::new())),
         ops: |obj| Ops {
             injections: vec![
@@ -367,7 +345,7 @@ const AUCTION: Preset = Preset {
     overlap: false,
     blurb: "2 machines + late joiner; dueling first-bids vs cross-item bids",
     workload: Workload {
-        register: auction::APP.register,
+        register: auction::register,
         nodes: Nodes::Machine(|m, _| m.create_instance(auction::Auction::new())),
         ops: |obj| Ops {
             prelude: vec![
@@ -402,7 +380,7 @@ const EVENT_PLANNER: Preset = Preset {
     overlap: false,
     blurb: "2 machines, lossy network; last-seat race plus recovery paths",
     workload: Workload {
-        register: event_planner::APP.register,
+        register: event_planner::register,
         nodes: Nodes::Machine(|m, _| m.create_instance(event_planner::EventPlanner::with_quota(2))),
         ops: |obj| Ops {
             prelude: vec![
@@ -438,7 +416,7 @@ const MESSAGE_BOARD: Preset = Preset {
     overlap: false,
     blurb: "3 machines, lossy, hybrid commit; async likes vs serialized same-topic posts",
     workload: Workload {
-        register: message_board::APP.register,
+        register: message_board::register,
         nodes: Nodes::Machine(|m, _| m.create_instance(message_board::MessageBoard::new())),
         ops: |obj| Ops {
             prelude: vec![message_board::ops::create_topic(obj, "general")],
@@ -490,21 +468,21 @@ const CROSS: Preset = Preset {
     overlap: false,
     blurb: "3 nodes x 2 sync groups; per-group rounds + one coordinated cross round",
     workload: Workload {
-        register: multigroup::register,
+        register: multigroup::register_methods,
         nodes: Nodes::Multi(|mm, ctx| mm.create_instance(XPair::default(), ctx)),
         ops: |obj| Ops {
             injections: vec![
                 // One local conflict seed per group, then the cross op,
                 // whose `CrossSubmit` is in flight when exploration starts.
-                (1, SharedOp::primitive(obj, "bump_a", args![2])),
-                (2, SharedOp::primitive(obj, "bump_b", args![3])),
-                (1, SharedOp::primitive(obj, "mix", args![1])),
+                (1, multigroup::bump_a(obj, 2)),
+                (2, multigroup::bump_b(obj, 3)),
+                (1, multigroup::mix(obj, 1)),
             ],
             second_wave: vec![
                 // One more local operation per group, from the node that did
                 // not issue the first.
-                (2, SharedOp::primitive(obj, "bump_a", args![5])),
-                (1, SharedOp::primitive(obj, "bump_b", args![7])),
+                (2, multigroup::bump_a(obj, 5)),
+                (1, multigroup::bump_b(obj, 7)),
             ],
             ..Ops::default()
         },
@@ -562,7 +540,7 @@ pub const SNEAKY: Preset = Preset {
     overlap: false,
     blurb: "negative test: under-declared read the witness oracle must catch",
     workload: Workload {
-        register: sneaky::register,
+        register: sneaky::register_methods,
         nodes: Nodes::Machine(|m, _| {
             m.create_instance(sneaky::Mirror {
                 m: [("src".to_owned(), 1), ("dst".to_owned(), 0)].into(),
@@ -601,7 +579,7 @@ pub const MISKEYED: Preset = Preset {
     overlap: false,
     blurb: "negative test: mis-keyed shard plan the shard-escape oracle must catch",
     workload: Workload {
-        register: miskeyed::register,
+        register: miskeyed::register_methods,
         nodes: Nodes::Machine(|m, _| m.create_instance(miskeyed::Board::default())),
         ops: |obj| Ops {
             injections: vec![

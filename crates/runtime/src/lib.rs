@@ -19,7 +19,7 @@
 //! ## Example
 //!
 //! ```
-//! use guesstimate_core::{args, canonical, OpRegistry, SharedOp};
+//! use guesstimate_core::{canonical, Footprint, OpRegistry};
 //! use guesstimate_net::{LatencyModel, NetConfig, SimTime};
 //! use guesstimate_runtime::{run_until_cohort, sim_cluster, MachineConfig};
 //!
@@ -30,13 +30,24 @@
 //! }
 //! canonical!(impl GState for Score as "Score" { points });
 //!
+//! impl Score {
+//!     fn bump(&mut self, d: i64) -> bool {
+//!         self.points += d;
+//!         true
+//!     }
+//! }
+//! fn bump_footprint() -> Footprint {
+//!     Footprint::new().reads(["points"]).writes(["points"])
+//! }
+//! // Its one operation, as a row: constructor, apply function, effect.
+//! guesstimate_core::methods! {
+//!     Score;
+//!     /// Adds `d` points.
+//!     fn bump(d: i64) => bump_footprint();
+//! }
+//!
 //! let mut registry = OpRegistry::new();
-//! registry.register_type::<Score>();
-//! registry.register_method::<Score>("bump", |s, a| {
-//!     let Some(d) = a.i64(0) else { return false };
-//!     s.points += d;
-//!     true
-//! });
+//! register_methods(&mut registry);
 //!
 //! let mut net = sim_cluster(
 //!     3,
@@ -55,7 +66,7 @@
 //! let m2 = guesstimate_core::MachineId::new(2);
 //! net.actor_mut(m2)
 //!     .unwrap()
-//!     .issue(SharedOp::primitive(obj, "bump", args![3]))
+//!     .issue(bump(obj, 3))
 //!     .unwrap();
 //! net.run_until(net.now() + SimTime::from_secs(2));
 //! assert_eq!(

@@ -11,6 +11,16 @@ pub struct Counter {
     pub n: i64,
 }
 
+impl Counter {
+    fn add_capped(&mut self, d: i64, cap: i64) -> bool {
+        if self.n + d < 0 || self.n + d > cap {
+            return false;
+        }
+        self.n += d;
+        true
+    }
+}
+
 impl GState for Counter {
     const TYPE_NAME: &'static str = "Counter";
     fn snapshot(&self) -> Value {
@@ -31,27 +41,16 @@ pub fn counter_registry() -> OpRegistry {
     let mut r = OpRegistry::new();
     r.register_type::<Counter>();
     r.register_method::<Counter>("add", |c, a| {
-        let Some(d) = a.i64(0) else { return false };
-        if c.n + d < 0 {
-            return false;
-        }
-        c.n += d;
-        true
+        a.decode().is_some_and(|d: i64| c.add_capped(d, i64::MAX))
     });
     r.register_method::<Counter>("add_capped", |c, a| {
-        let (Some(d), Some(cap)) = (a.i64(0), a.i64(1)) else {
-            return false;
-        };
-        if c.n + d < 0 || c.n + d > cap {
-            return false;
-        }
-        c.n += d;
-        true
+        a.decode().is_some_and(|(d, cap)| c.add_capped(d, cap))
     });
     r.register_method::<Counter>("set", |c, a| {
-        let Some(v) = a.i64(0) else { return false };
-        c.n = v;
-        true
+        a.decode().is_some_and(|v| {
+            c.n = v;
+            true
+        })
     });
     r
 }
@@ -99,11 +98,9 @@ pub fn slots_registry() -> OpRegistry {
     r.register_type::<Slots>();
     r.register_with_effects::<Slots>(
         "put",
-        EffectSpec::new(|a| {
-            let Some(k) = a.str(0) else {
-                return Footprint::new();
-            };
-            Footprint::new().reads([k]).writes([k])
+        EffectSpec::new(|a| match a.decode::<&str>() {
+            Some(k) => Footprint::new().reads([k]).writes([k]),
+            None => Footprint::new(),
         }),
         put_slot,
     );
@@ -112,9 +109,8 @@ pub fn slots_registry() -> OpRegistry {
 }
 
 fn put_slot(s: &mut Slots, a: guesstimate_core::ArgView<'_>) -> bool {
-    let (Some(k), Some(v)) = (a.str(0), a.i64(1)) else {
-        return false;
-    };
-    s.m.insert(k.to_owned(), v);
-    true
+    a.decode().is_some_and(|(k, v): (&str, i64)| {
+        s.m.insert(k.to_owned(), v);
+        true
+    })
 }

@@ -34,7 +34,7 @@
 //! ## Example
 //!
 //! ```
-//! use guesstimate_core::{args, MachineId, SharedOp};
+//! use guesstimate_core::MachineId;
 //! use guesstimate_semantics::{check_invariants, testmodel, SemSystem};
 //!
 //! let mut sys = testmodel::counter_system(2, 0);
@@ -43,8 +43,8 @@
 //! let m1 = MachineId::new(1);
 //!
 //! // R2 at both machines, then commit everything.
-//! assert!(sys.issue(m0, SharedOp::primitive(obj, "add", args![2])).unwrap());
-//! assert!(sys.issue(m1, SharedOp::primitive(obj, "add", args![3])).unwrap());
+//! assert!(sys.issue(m0, testmodel::add(obj, 2)).unwrap());
+//! assert!(sys.issue(m1, testmodel::add(obj, 3)).unwrap());
 //! check_invariants(&sys).unwrap();
 //! while sys.commit_any().unwrap() {
 //!     check_invariants(&sys).unwrap();

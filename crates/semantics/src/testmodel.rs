@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use guesstimate_core::{canonical, MachineId, ObjectId, ObjectStore, OpRegistry};
+use guesstimate_core::{canonical, Footprint, MachineId, ObjectId, ObjectStore, OpRegistry, ROOT};
 
 use crate::model::SemSystem;
 
@@ -18,30 +18,38 @@ pub struct Counter {
 
 canonical!(impl GState for Counter as "SemCounter" (n));
 
-/// The registry used by the test universe: `add(d)` (fails when the result
-/// would be negative) and `add_capped(d, cap)` (additionally fails above
-/// `cap` — an easy source of commit-time conflicts).
+impl Counter {
+    fn add(&mut self, d: i64) -> bool {
+        if self.n + d < 0 {
+            return false;
+        }
+        self.n += d;
+        true
+    }
+
+    fn add_capped(&mut self, d: i64, cap: i64) -> bool {
+        self.n + d <= cap && self.add(d)
+    }
+}
+
+/// Both operations read and write the one value.
+fn add_footprint() -> Footprint {
+    Footprint::new().reads([ROOT]).writes([ROOT])
+}
+
+guesstimate_core::methods! {
+    Counter;
+    /// `add(d)`: fails when the result would be negative.
+    fn add(d: i64) => add_footprint();
+    /// `add_capped(d, cap)`: additionally fails above `cap` — an easy
+    /// source of commit-time conflicts.
+    fn add_capped(d: i64, cap: i64) => add_footprint();
+}
+
+/// The registry used by the test universe: `Counter` and its two operations.
 pub fn counter_registry() -> OpRegistry {
     let mut r = OpRegistry::new();
-    r.register_type::<Counter>();
-    r.register_method::<Counter>("add", |c, a| {
-        let Some(d) = a.i64(0) else { return false };
-        if c.n + d < 0 {
-            return false;
-        }
-        c.n += d;
-        true
-    });
-    r.register_method::<Counter>("add_capped", |c, a| {
-        let (Some(d), Some(cap)) = (a.i64(0), a.i64(1)) else {
-            return false;
-        };
-        if c.n + d < 0 || c.n + d > cap {
-            return false;
-        }
-        c.n += d;
-        true
-    });
+    register_methods(&mut r);
     r
 }
 

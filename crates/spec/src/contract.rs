@@ -89,6 +89,19 @@ impl MethodContract {
         self.assertions.push(a);
         self
     }
+
+    /// Adds a state-independent *guard*: an execution whose argument list
+    /// `ok` refuses must fail and leave the state unchanged. A guard decodes
+    /// the method's whole parameter list and refuses a list that does not
+    /// decode (`is_some_and`), as the operation does.
+    pub fn with_guard(
+        self,
+        name: impl Into<String>,
+        ok: impl Fn(&[Value]) -> bool + Send + Sync + 'static,
+    ) -> Self {
+        let guard = move |c: &ExecCase| ok(&c.args) || (!c.result && c.pre == c.post);
+        self.with_assertion_obj(Assertion::new(name, guard).assume_state_independent())
+    }
 }
 
 /// A named assertion over execution cases — the unit the verifier counts

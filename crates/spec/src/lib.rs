@@ -38,38 +38,49 @@
 //! ## Example
 //!
 //! ```
-//! use guesstimate_core::{args, canonical, OpRegistry};
-//! use guesstimate_spec::{
-//!     register_checked, ConformanceLog, MethodContract,
-//! };
-//! use std::sync::Arc;
+//! use guesstimate_core::{canonical, execute, Footprint, MachineId, ObjectId, ObjectStore, OpRegistry};
+//! use guesstimate_spec::{check_suite, ConformanceLog, MethodContract, MethodSpec, SpecSuite};
 //!
 //! #[derive(Clone, Default)]
 //! struct Tank(i64);
 //! canonical!(impl GState for Tank as "Tank" (0)); // snapshot: the level
 //!
+//! impl Tank {
+//!     fn fill(&mut self, d: i64) -> bool {
+//!         if d <= 0 || self.0 + d > 10 {
+//!             return false;
+//!         }
+//!         self.0 += d;
+//!         true
+//!     }
+//! }
+//! fn fill_footprint() -> Footprint {
+//!     Footprint::new().reads([""]).writes([""])
+//! }
+//! guesstimate_core::methods! {
+//!     Tank;
+//!     /// Adds `d` to the level, up to 10.
+//!     fn fill(d: i64) => fill_footprint();
+//! }
+//!
 //! let mut reg = OpRegistry::new();
-//! reg.register_type::<Tank>();
-//! let log = ConformanceLog::new();
+//! register_methods(&mut reg);
+//!
 //! // φ_fill: on success the level strictly increases and stays ≤ 10.
 //! let contract = MethodContract::new()
 //!     .with_post(|pre, post, _args| {
 //!         post.as_i64() > pre.as_i64() && post.as_i64().unwrap() <= 10
 //!     })
 //!     .with_invariant(|s| (0..=10).contains(&s.as_i64().unwrap_or(-1)));
-//! register_checked::<Tank>(&mut reg, "fill", contract, &log, |t, a| {
-//!     let Some(d) = a.i64(0) else { return false };
-//!     if d <= 0 || t.0 + d > 10 { return false; }
-//!     t.0 += d;
-//!     true
-//! });
+//! let suite = SpecSuite::new("Tank").with_method(MethodSpec::new("fill", contract));
+//! let log = ConformanceLog::new();
+//! check_suite(&mut reg, &suite, &log);
 //!
 //! // Execute through the registry as the runtime would.
-//! use guesstimate_core::{execute, MachineId, ObjectId, ObjectStore, SharedOp};
 //! let id = ObjectId::new(MachineId::new(0), 0);
 //! let mut store = ObjectStore::new();
 //! store.insert(id, Box::new(Tank(0)));
-//! execute(&SharedOp::primitive(id, "fill", args![4]), &mut store, &reg).unwrap();
+//! execute(&fill(id, 4), &mut store, &reg).unwrap();
 //! assert!(log.is_empty(), "no conformance violations");
 //! ```
 

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use guesstimate::core::{args, canonical, OpRegistry, SharedOp};
+use guesstimate::core::{canonical, Footprint, OpRegistry};
 use guesstimate::net::{LatencyModel, NetConfig, SimTime};
 use guesstimate::runtime::{run_until_cohort, sim_cluster, MachineConfig};
 use guesstimate::MachineId;
@@ -28,19 +28,39 @@ struct Flight {
 
 canonical!(impl GState for Flight as "Flight" { booked, capacity });
 
+impl Flight {
+    /// The shared operation: returns whether it succeeded, and changes
+    /// nothing when it fails.
+    fn book(&mut self, n: i64) -> bool {
+        if n <= 0 || self.booked + n > self.capacity {
+            return false; // precondition: never oversell
+        }
+        self.booked += n;
+        true
+    }
+}
+
+/// What `book` may read and write, for the commute analysis.
+fn book_footprint() -> Footprint {
+    Footprint::new()
+        .reads(["booked", "capacity"])
+        .writes(["booked"])
+}
+
+// One row per shared operation: the typed constructor `book(obj, n)`, the
+// apply function the registry replays on every machine, and the declared
+// effect all come from it.
+guesstimate::core::methods! {
+    Flight;
+    /// Book `n` seats.
+    fn book(n: i64) => book_footprint();
+}
+
 fn main() {
     // 1. Register the shared type and its operations — the reflection-free
     //    analog of `Guesstimate.CreateOperation(obj, "book", n)`.
     let mut registry = OpRegistry::new();
-    registry.register_type::<Flight>();
-    registry.register_method::<Flight>("book", |f, a| {
-        let Some(n) = a.i64(0) else { return false };
-        if n <= 0 || f.booked + n > f.capacity {
-            return false; // precondition: never oversell
-        }
-        f.booked += n;
-        true
-    });
+    register_methods(&mut registry);
 
     // 2. Build a 3-machine mesh (machine 0 is the master) and let the
     //    membership protocol assemble the cohort.
@@ -68,7 +88,7 @@ fn main() {
     for i in 0..3u32 {
         let (confirmed, lost) = (confirmed.clone(), lost.clone());
         net.call(MachineId::new(i), move |m, _| {
-            let op = SharedOp::primitive(flight, "book", args![4]);
+            let op = book(flight, 4);
             let issued = m
                 .issue_with_completion(
                     op,

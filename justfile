@@ -23,6 +23,10 @@ doc:
 test:
     ./scripts/check.sh test
 
+# The full test suite in release mode (overflow wraps, debug assertions off).
+test-release:
+    ./scripts/check.sh test-release
+
 # Effect-analysis lint over all six apps.
 analyze:
     ./scripts/check.sh analyze

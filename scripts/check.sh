@@ -170,6 +170,11 @@ step() {
     doc) RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q ;;
     # Unit + integration + doctests, every crate.
     test) cargo test --workspace -q ;;
+    # The same suite in release: overflow wraps instead of panicking and
+    # `debug_assert!` is compiled out, so arithmetic and the assertions'
+    # side conditions are exercised as they ship (the behaviour-identical
+    # rule in ROADMAP.md asks for this run).
+    test-release) cargo test --release --workspace --no-fail-fast -q ;;
     # Effect-analysis lint: conflict matrices for all six apps; any
     # undeclared effect, footprint under-approximation, nondeterminism or
     # witness-refuted footprint is fatal (docs/ANALYSIS.md).
@@ -276,7 +281,7 @@ step() {
         cargo run --release -p guesstimate-bench --bin table_spec_assertions
         ;;
     *)
-        echo "check.sh: unknown step \`$1\` (steps: $CHECK mc perf perf-pairs loc sanitize obs tier1 figures; artifacts <rev>)" >&2
+        echo "check.sh: unknown step \`$1\` (steps: $CHECK test-release mc perf perf-pairs loc sanitize obs tier1 figures; artifacts <rev>)" >&2
         exit 2
         ;;
     esac
