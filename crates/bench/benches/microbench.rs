@@ -15,6 +15,8 @@
 //!   consolidate.
 //! * `flush` — one member's stage-1 flush of 256 pending ops: the handler
 //!   that takes `BeginSync`, alone.
+//! * `apply` — one member's stage-2 apply of a 256-op round with 64 ops
+//!   still pending: the handler that takes `BeginApply`, alone.
 //! * `threaded_link_round_trip` — a ping and its echo over the real-thread
 //!   mesh with a constant link delay: twice the link when the delivery
 //!   thread wakes on time, and its wake-up lateness twice over when not.
@@ -287,6 +289,68 @@ fn bench_flush(c: &mut Criterion) {
     });
 }
 
+/// A settled `board_cluster()` between two rounds, every machine then
+/// issuing 64 `like`s (its own key), run to `member`'s flush of the round
+/// that carries them; `member` issues 64 more, which stay pending. Then
+/// events run one at a time until the round is applied on `member`, or
+/// until `stop_before` of them have run. Returns the cluster and how many
+/// ran (the sim is deterministic: every call takes the same path).
+fn round_before_apply(member: MachineId, stop_before: Option<usize>) -> (SimNet<Machine>, usize) {
+    let (mut net, board) = board_cluster();
+    let held = net.actor(member).unwrap().active_round();
+    while net.actor(member).unwrap().active_round() == held {
+        net.step();
+    }
+    let quiet = net.now() + SimTime::from_millis(25);
+    net.run_until(quiet);
+    for i in 0..4u32 {
+        let m = net.actor_mut(MachineId::new(i)).unwrap();
+        for _ in 0..64 {
+            let like = message_board::ops::like(board, &format!("post-{i}"));
+            assert!(m.issue(like).unwrap());
+        }
+    }
+    let flushed = net.actor(member).unwrap().flushed_round();
+    while net.actor(member).unwrap().flushed_round() == flushed {
+        net.step();
+    }
+    let m = net.actor_mut(member).unwrap();
+    for _ in 0..64 {
+        assert!(m.issue(message_board::ops::like(board, "post-1")).unwrap());
+    }
+    let committed = m.completed_len();
+    let mut steps = 0;
+    while Some(steps) != stop_before && net.actor(member).unwrap().completed_len() == committed {
+        net.step();
+        steps += 1;
+    }
+    (net, steps)
+}
+
+/// One member taking the `BeginApply` of a round that commits 256 `like`s,
+/// 64 of them its own, with 64 more pending: the apply handler alone --
+/// the commit on `sc`, the `sc → sg` resync, the replay of `P` and the
+/// `Ack` -- delivered as the next event of a settled 4-machine cluster.
+fn bench_apply(c: &mut Criterion) {
+    let member = MachineId::new(1);
+    let (_, to_apply) = round_before_apply(member, None);
+    c.bench_function("apply/member_256_round", |b| {
+        // The clusters outlive the timed call: dropping one is no part of
+        // an apply.
+        let mut kept = Vec::new();
+        b.iter_batched(
+            || round_before_apply(member, Some(to_apply - 1)).0,
+            |mut net| {
+                net.step();
+                let m = net.actor(member).unwrap();
+                assert_eq!((m.completed_len(), m.pending_len()), (1 + 256, 64));
+                kept.push(net);
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 /// Machine 1 echoes, then busy-works for `work`; machine 0 counts the echoes
 /// that came back.
 struct Relay {
@@ -358,6 +422,7 @@ criterion_group!(
     bench_sim_round,
     bench_sim_round_loaded,
     bench_flush,
+    bench_apply,
     bench_threaded_link_round_trip
 );
 criterion_main!(benches);

@@ -9,7 +9,9 @@
 //! `Option` is `Unit` or the value; a pair is a two-element list; an
 //! integer is an `Int`, range-checked on the way back (`try_from`, never
 //! `as`). A `GState` restore decodes a whole new value before it assigns,
-//! so a failed restore leaves the object as it was.
+//! so a failed restore leaves the object as it was. The same field list
+//! writes the object's in-place copy ([`Canonical::assign`]), which the
+//! `sc → sg` resync of every round runs.
 //!
 //! It is also where an operation's *arguments* are decoded: [`Args`] reads
 //! a typed tuple from an argument list by position (borrowing strings,
@@ -26,7 +28,7 @@ use crate::value::Value;
 
 /// A type with one canonical [`Value`] encoding: equal values encode
 /// equally, and `from_value(&x.to_value())` reproduces `x`.
-pub trait Canonical: Sized {
+pub trait Canonical: Sized + Clone {
     /// The canonical encoding.
     fn to_value(&self) -> Value;
 
@@ -37,6 +39,15 @@ pub trait Canonical: Sized {
     /// Any other kind of node, a missing record field, or an integer
     /// outside the target type's range.
     fn from_value(v: &Value) -> Result<Self, RestoreError>;
+
+    /// Makes `self` equal to `src` (the `sc → sg` copy of every object
+    /// written with [`canonical!`](crate::canonical)), reusing `self`'s
+    /// allocations where the two agree in shape: a map or set whose keys
+    /// match keeps its nodes, a list its buffer, a string its bytes. A
+    /// map or set whose keys differ is rebuilt.
+    fn assign(&mut self, src: &Self) {
+        self.clone_from(src);
+    }
 }
 
 impl Canonical for bool {
@@ -87,6 +98,12 @@ impl<T: Canonical> Canonical for Option<T> {
             v => T::from_value(v).map(Some),
         }
     }
+    fn assign(&mut self, src: &Self) {
+        match (self.as_mut(), src) {
+            (Some(x), Some(y)) => x.assign(y),
+            _ => self.clone_from(src),
+        }
+    }
 }
 
 impl<A: Canonical, B: Canonical> Canonical for (A, B) {
@@ -99,6 +116,10 @@ impl<A: Canonical, B: Canonical> Canonical for (A, B) {
         };
         Ok((A::from_value(a)?, B::from_value(b)?))
     }
+    fn assign(&mut self, src: &Self) {
+        self.0.assign(&src.0);
+        self.1.assign(&src.1);
+    }
 }
 
 impl<T: Canonical> Canonical for Vec<T> {
@@ -108,6 +129,14 @@ impl<T: Canonical> Canonical for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, RestoreError> {
         list(v)?.iter().map(T::from_value).collect()
     }
+    fn assign(&mut self, src: &Self) {
+        self.truncate(src.len());
+        let (shared, rest) = src.split_at(self.len());
+        for (x, y) in self.iter_mut().zip(shared) {
+            x.assign(y);
+        }
+        self.extend_from_slice(rest);
+    }
 }
 
 impl<T: Canonical + Ord> Canonical for BTreeSet<T> {
@@ -116,6 +145,11 @@ impl<T: Canonical + Ord> Canonical for BTreeSet<T> {
     }
     fn from_value(v: &Value) -> Result<Self, RestoreError> {
         list(v)?.iter().map(T::from_value).collect()
+    }
+    fn assign(&mut self, src: &Self) {
+        if self != src {
+            self.clone_from(src);
+        }
     }
 }
 
@@ -137,6 +171,15 @@ impl<T: Canonical> Canonical for BTreeMap<String, T> {
             .map(|(k, x)| Ok((k.clone(), T::from_value(x)?)))
             .collect()
     }
+    fn assign(&mut self, src: &Self) {
+        if self.len() == src.len() && self.keys().eq(src.keys()) {
+            for (x, y) in self.values_mut().zip(src.values()) {
+                x.assign(y);
+            }
+        } else {
+            self.clone_from(src);
+        }
+    }
 }
 
 /// Decodes record field `name` of `v`, naming the field in the error
@@ -157,7 +200,8 @@ pub fn field<T: Canonical>(v: &Value, name: &str) -> Result<T, RestoreError> {
 /// every field), `canonical!(struct T(a))` the one field's own encoding.
 /// Written `canonical!(impl GState for T as "Name" { a, b })` (or `(a)`),
 /// it also writes `T`'s [`GState`](crate::GState) impl: `snapshot` is the
-/// encoding, and `restore` decodes in full before it assigns.
+/// encoding, `restore` decodes in full before it assigns, and
+/// `assign_from` copies field by field through [`Canonical::assign`].
 ///
 /// # Examples
 ///
@@ -193,6 +237,9 @@ macro_rules! canonical {
                 *self = $crate::Canonical::from_value(v)?;
                 ::std::result::Result::Ok(())
             }
+            fn assign_from(&mut self, src: &Self) {
+                $crate::Canonical::assign(self, src);
+            }
         }
     };
     (struct $ty:ident { $($field:ident),+ $(,)? }) => {
@@ -207,6 +254,9 @@ macro_rules! canonical {
                     $($field: $crate::codec::field(v, ::std::stringify!($field))?,)+
                 })
             }
+            fn assign(&mut self, src: &Self) {
+                $($crate::Canonical::assign(&mut self.$field, &src.$field);)+
+            }
         }
     };
     (struct $ty:ident ( $field:tt )) => {
@@ -216,6 +266,9 @@ macro_rules! canonical {
             }
             fn from_value(v: &$crate::Value) -> ::std::result::Result<Self, $crate::RestoreError> {
                 ::std::result::Result::Ok($ty { $field: $crate::Canonical::from_value(v)? })
+            }
+            fn assign(&mut self, src: &Self) {
+                $crate::Canonical::assign(&mut self.$field, &src.$field);
             }
         }
     };
@@ -437,14 +490,14 @@ mod tests {
         );
     }
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq)]
     struct Rec {
         a: i64,
         b: Option<String>,
     }
     canonical!(struct Rec { a, b });
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq)]
     struct Named {
         m: BTreeMap<String, i64>,
     }
@@ -490,6 +543,46 @@ mod tests {
         assert_eq!(
             <(&str, bool, u32, i64)>::decode(&encoded),
             Some(("s", true, 7, -7))
+        );
+    }
+
+    #[test]
+    fn assign_reuses_what_matches_and_rebuilds_what_does_not() {
+        type Topics = BTreeMap<String, Vec<String>>;
+        let topics = |kv: &[(&str, &[&str])]| -> Topics {
+            kv.iter()
+                .map(|(k, v)| (k.to_string(), v.iter().map(|s| s.to_string()).collect()))
+                .collect()
+        };
+        let a = topics(&[("a", &["x", "y"]), ("b", &[])]);
+        for src in [
+            topics(&[("a", &["x"]), ("b", &["p", "q", "r"])]), // same keys
+            topics(&[("a", &["x"])]),                          // keys shrink
+            topics(&[("a", &[]), ("b", &[]), ("c", &["z"])]),  // keys grow
+            topics(&[("c", &["x", "y"]), ("d", &[])]),         // keys differ
+        ] {
+            let mut dst = a.clone();
+            dst.assign(&src);
+            assert_eq!(dst, src);
+        }
+        let mut dst = a.clone();
+        let kept = dst["a"].as_ptr();
+        dst.assign(&topics(&[("a", &["q", "r"]), ("b", &["s"])]));
+        assert_eq!(dst["a"].as_ptr(), kept, "matching keys keep their lists");
+        let mut pair = (Some(1i64), BTreeSet::from([1i64]));
+        pair.assign(&(None, BTreeSet::from([2, 3])));
+        assert_eq!(pair, (None, BTreeSet::from([2, 3])));
+        let mut rec = Rec { a: 1, b: None };
+        rec.assign(&Rec {
+            a: 2,
+            b: Some("s".to_owned()),
+        });
+        assert_eq!(
+            rec,
+            Rec {
+                a: 2,
+                b: Some("s".to_owned())
+            }
         );
     }
 

@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::ids::{ObjectId, OpId};
+use crate::registry::FnvBuild;
 
 /// A completion callback: receives the commit-time boolean of its operation.
 ///
@@ -45,7 +46,9 @@ pub enum Callback {
 /// hooks.
 #[derive(Default)]
 pub struct Closures {
-    completions: HashMap<OpId, CompletionFn>,
+    /// Hashed with FNV-1a: only the machine's own operations are filed, so
+    /// the flooding resistance SipHash pays for buys nothing here.
+    completions: HashMap<OpId, CompletionFn, FnvBuild>,
     hooks: Vec<RemoteUpdateHook>,
 }
 

@@ -25,7 +25,7 @@ use crate::error::ExecError;
 use crate::ids::ObjectId;
 use crate::object::SharedObject;
 use crate::op::SharedOp;
-use crate::registry::{ArgView, OpRegistry};
+use crate::registry::{ApplyFn, ArgView, OpRegistry};
 use crate::store::ObjectStore;
 
 /// Result of executing a shared operation: the model's boolean, made a type.
@@ -235,10 +235,112 @@ pub fn execute_against(
     }
 }
 
-/// Executes `op` against a store, yielding the model's boolean as an
-/// [`ExecOutcome`].
+/// Executes a sequence of operations against one store, each exactly as
+/// [`execute_against`] would: the loops that run a round's operations back
+/// to back (the commit on `sc`, the replay of `P` on `sg`). A run of
+/// consecutive primitives of one `(type, method)` finds its apply function
+/// in the registry once; each operation of a run then only borrows its
+/// object (which marks it dirty) and calls.
 ///
-/// This is the entry point the runtime uses at issue, replay and commit time.
+/// # Examples
+///
+/// ```
+/// use guesstimate_core::{ExecOutcome, ExecPass, MachineId, ObjectId, ObjectStore, OpRegistry};
+/// # use guesstimate_core::canonical;
+/// # #[derive(Clone, Default)]
+/// # struct Counter { n: i64 }
+/// # canonical!(impl GState for Counter as "Counter" { n });
+/// # impl Counter {
+/// #     fn add(&mut self, d: i64) -> bool { self.n += d; true }
+/// # }
+/// # fn fp() -> guesstimate_core::Footprint { guesstimate_core::Footprint::new() }
+/// # guesstimate_core::methods! { Counter; fn add(d: i64) => fp(); }
+/// let mut registry = OpRegistry::new();
+/// register_methods(&mut registry);
+/// let id = ObjectId::new(MachineId::new(0), 0);
+/// let mut store = ObjectStore::new();
+/// store.insert(id, Box::new(Counter::default()));
+/// let mut pass = ExecPass::new(&mut store, &registry);
+/// for d in 1..=3 {
+///     assert_eq!(pass.execute(&add(id, d)).unwrap(), ExecOutcome::Success);
+/// }
+/// assert_eq!(store.get_as::<Counter>(id).unwrap().n, 6);
+/// ```
+pub struct ExecPass<'a> {
+    store: &'a mut ObjectStore,
+    registry: &'a OpRegistry,
+    /// The last primitive's type and method, and the method's apply
+    /// function.
+    method: Option<(&'static str, &'static str, &'a ApplyFn)>,
+}
+
+impl<'a> ExecPass<'a> {
+    /// A pass over `store`.
+    pub fn new(store: &'a mut ObjectStore, registry: &'a OpRegistry) -> Self {
+        ExecPass {
+            store,
+            registry,
+            method: None,
+        }
+    }
+
+    /// The registry the pass resolves methods in.
+    pub fn registry(&self) -> &'a OpRegistry {
+        self.registry
+    }
+
+    /// The store, for a write outside the pass (an object created or
+    /// removed).
+    pub fn store(&mut self) -> &mut ObjectStore {
+        self.store
+    }
+
+    /// Executes `op`: a primitive through the runs' resolutions, a
+    /// composite through [`execute_against`].
+    ///
+    /// # Errors
+    ///
+    /// See [`execute_against`].
+    pub fn execute(&mut self, op: &SharedOp) -> Result<ExecOutcome, ExecError> {
+        let SharedOp::Primitive {
+            object,
+            method,
+            args,
+        } = op
+        else {
+            // Composites copy through their overlay: no object comes or goes.
+            return execute_against(op, self.store, self.registry).map(ExecOutcome::from);
+        };
+        let obj = self
+            .store
+            .get_mut(*object)
+            .ok_or(ExecError::UnknownObject(*object))?;
+        let ty = obj.type_name();
+        let apply = match self.method {
+            Some((t, m, f)) if t == ty && m == method => f,
+            _ => {
+                let (m, f) = self.registry.lookup_keyed(ty, method)?;
+                self.method = Some((ty, m, f));
+                f
+            }
+        };
+        apply(obj, ArgView::new(args)).map(ExecOutcome::from)
+    }
+}
+
+impl std::fmt::Debug for ExecPass<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExecPass")
+            .field("method", &self.method.map(|(t, m, _)| (t, m)))
+            .finish_non_exhaustive()
+    }
+}
+
+/// Executes `op` against a store, yielding the model's boolean as an
+/// [`ExecOutcome`]: a one-operation [`ExecPass`].
+///
+/// This is the entry point the runtime uses at issue time; the commit and
+/// replay loops hold one [`ExecPass`] across a round's operations.
 ///
 /// # Errors
 ///
@@ -252,7 +354,7 @@ pub fn execute(
     store: &mut ObjectStore,
     registry: &OpRegistry,
 ) -> Result<ExecOutcome, ExecError> {
-    execute_against(op, store, registry).map(ExecOutcome::from)
+    ExecPass::new(store, registry).execute(op)
 }
 
 #[cfg(test)]
@@ -668,6 +770,48 @@ mod tests {
                 actual: "Account".into(),
             }
         );
+    }
+
+    #[test]
+    fn a_pass_executes_each_op_as_the_access_path_does() {
+        let r = registry();
+        let ops = [
+            SharedOp::primitive(oid(0), "deposit", args![5]),
+            SharedOp::primitive(oid(0), "deposit", args![1]),
+            SharedOp::primitive(oid(0), "withdraw", args![100]),
+            SharedOp::primitive(oid(0), "withdraw", args![3]),
+            SharedOp::primitive(oid(1), "withdraw", args![3]),
+            SharedOp::primitive(oid(1), "bogus", args![]),
+            SharedOp::primitive(oid(9), "deposit", args![1]),
+            SharedOp::primitive(oid(1), "deposit", args!["not an int"]),
+            SharedOp::atomic(vec![
+                SharedOp::primitive(oid(0), "withdraw", args![2]),
+                SharedOp::primitive(oid(1), "deposit", args![2]),
+            ]),
+            SharedOp::primitive(oid(1), "deposit", args![4]),
+            SharedOp::primitive(oid(0), "deposit", args![4]),
+        ];
+        // The reference: each op alone, through the `ObjectAccess` path.
+        let mut one_by_one = store_with(&[10, 0]);
+        let want: Vec<_> = ops
+            .iter()
+            .map(|op| execute_against(op, &mut one_by_one, &r).map(ExecOutcome::from))
+            .collect();
+        let mut store = store_with(&[10, 0]);
+        let mut pass = ExecPass::new(&mut store, &r);
+        let got: Vec<_> = ops.iter().map(|op| pass.execute(op)).collect();
+        assert_eq!(got, want);
+        assert_eq!(store.digest(), one_by_one.digest());
+        // A write outside the pass: the replaced object's method resolves
+        // afresh.
+        let mut pass = ExecPass::new(&mut store, &r);
+        let deposit = SharedOp::primitive(oid(0), "deposit", args![1]);
+        assert_eq!(pass.execute(&deposit), Ok(ExecOutcome::Success));
+        pass.store().insert(oid(0), Box::new(Blob));
+        assert!(matches!(
+            pass.execute(&deposit),
+            Err(ExecError::UnknownMethod { .. })
+        ));
     }
 
     #[test]

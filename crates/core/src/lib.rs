@@ -103,7 +103,7 @@ pub use codec::Canonical;
 pub use completion::{Callback, Closures, CompletionFn, RemoteUpdateHook};
 pub use effect::{CommuteMatrix, EffectSpec, Footprint};
 pub use error::{ExecError, RestoreError};
-pub use exec::{execute, execute_against, CowOverlay, ExecOutcome, ObjectAccess};
+pub use exec::{execute, execute_against, CowOverlay, ExecOutcome, ExecPass, ObjectAccess};
 pub use ids::{MachineId, ObjectId, OpId};
 pub use object::{GState, SharedObject};
 pub use op::{OpEnvelope, SharedOp};

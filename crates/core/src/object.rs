@@ -27,8 +27,9 @@ use crate::value::Value;
 ///
 /// Implement this for each class of shared object. The runtime will keep one
 /// *committed* and one *guesstimated* instance per machine and copy between
-/// them; `Clone` provides the paper's `Copy` method, `Default` provides the
-/// factory used when a remote machine first materializes the object.
+/// them; [`GState::assign_from`] (by default `Clone::clone_from`) is the
+/// paper's `Copy` method, `Default` provides the factory used when a remote
+/// machine first materializes the object.
 ///
 /// [`GState::snapshot`] must be a *canonical* encoding: two instances with
 /// equal logical state must produce equal [`Value`]s, because snapshots are
@@ -72,6 +73,15 @@ pub trait GState: Clone + Default + Send + 'static {
     /// Returns [`RestoreError`] when `v` does not have the shape produced by
     /// [`GState::snapshot`]; the state is then left as it was.
     fn restore(&mut self, v: &Value) -> Result<(), RestoreError>;
+
+    /// Overwrites `self` with `src`'s state: the paper's `Copy`, which the
+    /// `sc → sg` resync runs on every object a round touched. The default
+    /// is [`Clone::clone_from`]; [`canonical!`](crate::canonical) writes an
+    /// in-place copy that keeps `self`'s allocations where the two agree in
+    /// shape ([`crate::Canonical::assign`]).
+    fn assign_from(&mut self, src: &Self) {
+        self.clone_from(src);
+    }
 }
 
 /// Object-safe shared-object interface used by stores and the runtime.
@@ -136,7 +146,7 @@ impl<T: GState> SharedObject for T {
                 expected: T::TYPE_NAME.to_owned(),
                 actual: src.type_name().to_owned(),
             })?;
-        self.clone_from(src);
+        self.assign_from(src);
         Ok(())
     }
 

@@ -136,9 +136,10 @@ pub struct OpRegistry {
 /// SipHash pays for buys nothing here.
 type NameMap<V> = HashMap<&'static str, V, FnvBuild>;
 
-/// Builds [`Fnv`] hashers for [`NameMap`].
+/// Builds [`Fnv`] hashers: for [`NameMap`], and for the completion table
+/// ([`crate::Closures`]), whose keys are the machine's own operation ids.
 #[derive(Clone, Copy, Default)]
-struct FnvBuild;
+pub(crate) struct FnvBuild;
 
 impl BuildHasher for FnvBuild {
     type Hasher = Fnv;
@@ -148,7 +149,7 @@ impl BuildHasher for FnvBuild {
 }
 
 /// The 64-bit FNV-1a hash.
-struct Fnv(u64);
+pub(crate) struct Fnv(u64);
 
 impl Hasher for Fnv {
     fn write(&mut self, bytes: &[u8]) {
@@ -307,9 +308,19 @@ impl OpRegistry {
     ///
     /// Returns [`ExecError::UnknownMethod`] when no such method is registered.
     pub(crate) fn lookup(&self, type_name: &str, method: &str) -> Result<&ApplyFn, ExecError> {
+        self.lookup_keyed(type_name, method).map(|(_, f)| f)
+    }
+
+    /// [`OpRegistry::lookup`], with the method name as registered.
+    pub(crate) fn lookup_keyed(
+        &self,
+        type_name: &str,
+        method: &str,
+    ) -> Result<(&'static str, &ApplyFn), ExecError> {
         self.methods
             .get(type_name)
-            .and_then(|m| m.get(method))
+            .and_then(|m| m.get_key_value(method))
+            .map(|(name, f)| (*name, f))
             .ok_or_else(|| ExecError::UnknownMethod {
                 type_name: type_name.to_owned(),
                 method: method.to_owned(),

@@ -1162,34 +1162,59 @@ mod tests {
         assert!(wait_for(|| service.is_finished(), 2_000));
     }
 
+    /// Sets the calling thread's timer slack to 1 ns by writing
+    /// `/proc/<tid>/timerslack_ns`, the tid read from `/proc/thread-self`
+    /// (a link to `<pid>/task/<tid>`). False where that cannot be done.
+    fn tighten_timer_slack() -> bool {
+        let Ok(link) = std::fs::read_link("/proc/thread-self") else {
+            return false;
+        };
+        let Some(tid) = link.file_name().and_then(|t| t.to_str()) else {
+            return false;
+        };
+        std::fs::write(format!("/proc/{tid}/timerslack_ns"), "1").is_ok()
+    }
+
     /// Prints the table that sizes [`POLL_GUARD`]: how late a wait of 200 us,
     /// 1 ms and 3 ms ends as `thread::sleep`, as `recv_timeout` on an idle
-    /// channel (the delivery thread's wait before it polled), and as a
-    /// delivery over a constant link of that length. Run it with
+    /// channel (the delivery thread's wait before it polled) at the default
+    /// timer slack and, on a thread whose slack is 1 ns, again ("n/a" where
+    /// it cannot be set), and as a delivery over a constant link of that
+    /// length. Run it with
     /// `cargo test --release -p guesstimate-net lateness_table -- --ignored --nocapture`.
     #[test]
     #[ignore = "a measurement, not a check"]
     fn lateness_table() {
-        let (_tx, rx) = unbounded::<()>();
+        let recv_timeouts = |wait| {
+            let (_tx, rx) = unbounded::<()>();
+            overshoots_us(wait, 400, |d| {
+                let _ = rx.recv_timeout(d);
+            })
+        };
+        let cell = |samples| percentiles_us(samples).map(|p| p.to_string()).join(" / ");
         println!("lateness in us, 400 samples a cell: p10 / p50 / p90 / p99");
         for us in [200, 1_000, 3_000] {
             let wait = Duration::from_micros(us);
+            let tight =
+                std::thread::spawn(move || tighten_timer_slack().then(|| recv_timeouts(wait)))
+                    .join()
+                    .expect("the measuring thread");
             let row = [
-                overshoots_us(wait, 400, std::thread::sleep),
-                overshoots_us(wait, 400, |d| {
-                    let _ = rx.recv_timeout(d);
-                }),
-                echo_flights(SimTime::from_micros(us), 400, || {
-                    std::thread::sleep(Duration::from_millis(2))
-                })
-                .iter()
-                .map(|f| f.as_micros() - us)
-                .collect(),
-            ]
-            .map(|cell| percentiles_us(cell).map(|p| p.to_string()).join(" / "));
+                cell(overshoots_us(wait, 400, std::thread::sleep)),
+                cell(recv_timeouts(wait)),
+                tight.map_or_else(|| "n/a".to_owned(), cell),
+                cell(
+                    echo_flights(SimTime::from_micros(us), 400, || {
+                        std::thread::sleep(Duration::from_millis(2))
+                    })
+                    .iter()
+                    .map(|f| f.as_micros() - us)
+                    .collect(),
+                ),
+            ];
             println!(
-                "{us:>5} us wait | sleep {} | recv_timeout {} | delivery {}",
-                row[0], row[1], row[2]
+                "{us:>5} us wait | sleep {} | recv_timeout {} | recv_timeout, 1 ns slack {} | delivery {}",
+                row[0], row[1], row[2], row[3]
             );
         }
     }

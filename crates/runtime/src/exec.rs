@@ -12,7 +12,8 @@ use std::collections::BTreeSet;
 
 use guesstimate_core::{
     containment_escapes, declared_footprints, execute, execute_witnessed, Callback, ExecError,
-    ExecOutcome, MachineId, ObjectId, ObjectStore, OpId, OpRegistry, ProbeReads, SharedOp,
+    ExecOutcome, ExecPass, MachineId, ObjectId, ObjectStore, OpId, OpRegistry, ProbeReads,
+    SharedOp,
 };
 use guesstimate_net::{ReplayCause, SimTime, TraceEvent};
 
@@ -37,8 +38,17 @@ impl Machine {
         round: u64,
         now: SimTime,
     ) -> u64 {
+        // The round's operations run on `sc` in one pass; the bookkeeping
+        // below reads none of `sc`, so it follows in a second loop.
+        let mut pass = ExecPass::new(&mut self.committed, &self.registry);
+        let results: Vec<bool> = round_ops(runs)
+            .map(|env| {
+                let log = &mut self.witness_log;
+                commit_execute(&mut pass, &env.op, &self.cfg, self.id, "commit", log)
+            })
+            .collect();
         let mut remote_touched: BTreeSet<ObjectId> = BTreeSet::new();
-        for env in round_ops(runs) {
+        for (env, result) in round_ops(runs).zip(results) {
             if env.id.machine() != self.id && self.closures.has_hooks() {
                 // A marker touches nothing here: the wrapper fires hooks for
                 // its payload's objects when the coordinated round resolves.
@@ -50,7 +60,7 @@ impl Machine {
             {
                 self.catalog.insert(*object, type_name.clone());
             }
-            let result = self.commit_op(env, "commit", true, true);
+            self.record_commit(env, "commit", true, true);
             if matches!(env.op, WireOp::CrossMarker { .. }) {
                 // Hand the committed marker to the multi-group wrapper: its
                 // position in this group's commit order *is* the agreed
@@ -104,42 +114,46 @@ impl Machine {
         runs.iter().map(|run| run.len() as u64).sum()
     }
 
-    /// The one commit step, shared by the round commit and the three async
-    /// commit sites: execute `env` on `sc` (witness-checked under `site`),
-    /// label its shard when `count_shard`, append it to `C` — and to the
-    /// serialized subsequence when `serialized` — and record history.
-    /// Returns the commit-time result. Stats, telemetry and completions
-    /// differ per site and stay with the caller.
-    pub(crate) fn commit_op(
+    /// The one commit step of the three async commit sites: execute `env`
+    /// on `sc` (witness-checked under `site`), then
+    /// [`Machine::record_commit`] it as not serialized. Returns the
+    /// commit-time result. Stats, telemetry and completions differ per site
+    /// and stay with the caller.
+    pub(crate) fn commit_async(
+        &mut self,
+        env: &WireEnvelope,
+        site: &'static str,
+        count_shard: bool,
+    ) -> bool {
+        let mut pass = ExecPass::new(&mut self.committed, &self.registry);
+        let log = &mut self.witness_log;
+        let result = commit_execute(&mut pass, &env.op, &self.cfg, self.id, site, log);
+        self.record_commit(env, site, false, count_shard);
+        result
+    }
+
+    /// What every commit records, the round's and the async sites', after
+    /// executing `env` on `sc`: label its shard when `count_shard`, append
+    /// it to `C` — and, with async commits on, to the serialized
+    /// subsequence when `serialized` (with them off that subsequence *is*
+    /// `C`; see [`Machine::completed_serialized`]) — and record history.
+    pub(crate) fn record_commit(
         &mut self,
         env: &WireEnvelope,
         site: &'static str,
         serialized: bool,
         count_shard: bool,
-    ) -> bool {
-        let result = execute_wire_checked(
-            &env.op,
-            &mut self.committed,
-            &self.registry,
-            &self.cfg,
-            self.id,
-            site,
-            &mut self.witness_log,
-        )
-        .unwrap_or_else(|e| {
-            panic!("{site}: registries and catalogs must agree on every machine: {e:?}")
-        });
+    ) {
         if count_shard {
             self.note_shard_commit(&env.op, site);
         }
         self.completed.push(env.id);
-        if serialized {
+        if serialized && self.cfg.async_commit {
             self.completed_serialized.push(env.id);
         }
         if self.cfg.checks.on() {
             self.history.push(env.clone());
         }
-        result
     }
 
     /// The `sc → sg` copy of §4 as a delta: only the objects either store
@@ -161,11 +175,11 @@ impl Machine {
         traced: Option<(u64, ReplayCause, SimTime)>,
         count_execs: bool,
     ) {
+        let mut pass = ExecPass::new(&mut self.guess, &self.registry);
         for p in &mut self.pending {
             let _ = execute_wire_checked(
                 &p.env().op,
-                &mut self.guess,
-                &self.registry,
+                &mut pass,
                 &self.cfg,
                 self.id,
                 site,
@@ -211,7 +225,7 @@ impl Machine {
         (
             catalog,
             self.completed.clone(),
-            self.completed_serialized.clone(),
+            self.completed_serialized().to_vec(),
             self.async_watermarks(),
         )
     }
@@ -242,7 +256,9 @@ impl Machine {
             self.catalog.insert(oi.id, oi.type_name);
         }
         self.completed = completed;
-        self.completed_serialized = completed_serialized;
+        if self.cfg.async_commit {
+            self.completed_serialized = completed_serialized;
+        }
         self.retire_ops_committed_while_away();
         let own_watermark = self.install_async_watermarks(async_watermarks);
         if self.cfg.async_commit {
@@ -444,22 +460,42 @@ pub(crate) fn execute_shared_checked(
     Ok(outcome)
 }
 
-/// [`execute_wire`] with witness-containment checking; see
-/// [`execute_shared_checked`]. `Create` has nothing to check (it writes
-/// its object's whole snapshot by definition).
+/// [`execute_wire`] within a pass, with witness-containment checking; see
+/// [`execute_shared_checked`], whose per-operation path runs while checks
+/// are on. `Create` has nothing to check (it writes its object's whole
+/// snapshot by definition).
 pub(crate) fn execute_wire_checked(
     op: &WireOp,
-    store: &mut ObjectStore,
-    registry: &OpRegistry,
+    pass: &mut ExecPass<'_>,
     cfg: &MachineConfig,
     machine: MachineId,
     site: &'static str,
     log: &mut Vec<WitnessViolation>,
 ) -> Result<bool, ExecError> {
+    let registry = pass.registry();
     match op {
-        WireOp::Create { .. } | WireOp::CrossMarker { .. } => execute_wire(op, store, registry),
-        WireOp::Shared(op) => {
+        WireOp::Create { .. } | WireOp::CrossMarker { .. } => {
+            execute_wire(op, pass.store(), registry)
+        }
+        WireOp::Shared(op) if cfg.checks.on() => {
+            let store = pass.store();
             Ok(execute_shared_checked(op, store, registry, cfg, machine, site, log)?.as_bool())
         }
+        WireOp::Shared(op) => Ok(pass.execute(op)?.as_bool()),
     }
+}
+
+/// [`execute_wire_checked`] at a commit site, where an error means the
+/// machines disagree on their registries or catalogs.
+fn commit_execute(
+    pass: &mut ExecPass<'_>,
+    op: &WireOp,
+    cfg: &MachineConfig,
+    machine: MachineId,
+    site: &'static str,
+    log: &mut Vec<WitnessViolation>,
+) -> bool {
+    execute_wire_checked(op, pass, cfg, machine, site, log).unwrap_or_else(|e| {
+        panic!("{site}: registries and catalogs must agree on every machine: {e:?}")
+    })
 }

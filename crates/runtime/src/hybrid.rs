@@ -53,7 +53,7 @@
 
 use std::collections::BTreeMap;
 
-use guesstimate_core::{Callback, CompletionFn, ExecError, MachineId, SharedOp};
+use guesstimate_core::{Callback, CompletionFn, ExecError, ExecPass, MachineId, SharedOp};
 use guesstimate_net::{Channel, Ctx, ReplayCause, SimTime, TraceEvent};
 
 use crate::commute::universal_commuters;
@@ -166,7 +166,7 @@ impl Machine {
             id: op_id,
             op: WireOp::Shared(op),
         };
-        let result = self.commit_op(&env, "async-commit", false, true);
+        let result = self.commit_async(&env, "async-commit", true);
         self.stats.issued += 1;
         self.stats.record_exec_count(2);
         self.stats.committed_own += 1;
@@ -288,17 +288,11 @@ impl Machine {
     /// survives appending it to both sides), record it, and record the
     /// objects it touched for the remote-update hooks.
     fn apply_async_foreign(&mut self, env: WireEnvelope) {
-        self.commit_op(&env, "async-apply", false, true);
-        let _ = execute_wire_checked(
-            &env.op,
-            &mut self.guess,
-            &self.registry,
-            &self.cfg,
-            self.id,
-            "async-apply",
-            &mut self.witness_log,
-        )
-        .expect("async apply: sg holds every object sc holds");
+        self.commit_async(&env, "async-apply", true);
+        let mut pass = ExecPass::new(&mut self.guess, &self.registry);
+        let log = &mut self.witness_log;
+        execute_wire_checked(&env.op, &mut pass, &self.cfg, self.id, "async-apply", log)
+            .expect("async apply: sg holds every object sc holds");
         self.stats.committed_foreign += 1;
         self.stats.committed_async_foreign += 1;
         if self.closures.has_hooks() {
@@ -398,7 +392,7 @@ impl Machine {
             // No shard count and no telemetry here: the op's span was
             // already committed (and counted) in the previous incarnation,
             // and the shared handle kept it.
-            self.commit_op(env, "async-restore", false, false);
+            self.commit_async(env, "async-restore", false);
             self.stats.record_exec_count(1);
             self.stats.committed_own += 1;
             self.stats.committed_async_own += 1;

@@ -86,10 +86,12 @@ pub struct Machine {
     pub(crate) async_in: BTreeMap<MachineId, AsyncIn>,
     /// Memoized [`crate::commute::universal_commuters`] per type name.
     pub(crate) universal_cache: HashMap<String, BTreeSet<String>>,
-    /// The serialized-only subsequence of `completed`, in round order.
-    /// Under the hybrid path the full `completed` list interleaves async
-    /// commits in per-machine arrival order, so round-total-order oracle
-    /// checks (prefix agreement) consult this list instead.
+    /// The serialized-only subsequence of `completed`, in round order,
+    /// kept only while [`MachineConfig::async_commit`] is on (with it off
+    /// the subsequence is `completed` itself). Under the hybrid path the
+    /// full `completed` list interleaves async commits in per-machine
+    /// arrival order, so round-total-order oracle checks (prefix
+    /// agreement) consult this list instead.
     pub(crate) completed_serialized: Vec<OpId>,
     /// Committed-but-unresolved [`crate::message::WireOp::CrossMarker`]
     /// envelopes, in this group's commit order. Only populated in
@@ -307,7 +309,11 @@ impl Machine {
     /// excluded. The model checker's prefix-agreement oracle compares this
     /// sequence across machines.
     pub fn completed_serialized(&self) -> &[OpId] {
-        &self.completed_serialized
+        if self.cfg.async_commit {
+            &self.completed_serialized
+        } else {
+            &self.completed
+        }
     }
 
     /// Deterministic digest of the committed state `sc`.
@@ -396,7 +402,9 @@ impl Machine {
     /// Every public entry point that can record one ends with this call, so
     /// no closure runs while the machine is mid-step.
     pub(crate) fn run_callbacks(&mut self, now: SimTime) {
-        for event in std::mem::take(&mut self.callbacks) {
+        // The buffer goes back afterwards: the next step reuses it.
+        let mut events = std::mem::take(&mut self.callbacks);
+        for event in events.drain(..) {
             match (event, self.closures.run(event)) {
                 (Callback::Completed(op, _), true) => {
                     self.stats.completions_run += 1;
@@ -406,6 +414,7 @@ impl Machine {
                 _ => {}
             }
         }
+        self.callbacks = events;
     }
 
     /// Checks the §3 invariant `[P](sc) = sg`: replays the pending list
@@ -788,7 +797,7 @@ impl Machine {
             active_round: self.active_round(),
             pending: self.pending.len() as u64,
             completed: self.completed.len() as u64,
-            completed_serialized: self.completed_serialized.len() as u64,
+            completed_serialized: self.completed_serialized().len() as u64,
             committed_digest: self.committed.digest(),
             guess_digest: self.guess.digest(),
             guess_invariant_holds: self.check_guess_invariant(),

@@ -55,6 +55,10 @@ mc:
 perf-check:
     ./scripts/check.sh perf
 
+# Every microbench row once: its setup and assertions, untimed.
+microbench:
+    ./scripts/check.sh microbench
+
 # Parent-against-change benchmark pairs, every workload, then one traced run a side for the per-layer rows (about 40 min; reports only).
 perf-pairs:
     ./scripts/check.sh perf-pairs

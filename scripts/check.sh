@@ -215,6 +215,12 @@ step() {
         cargo run --release --offline -q \
             --manifest-path crates/bench/src/bin/perf/Cargo.toml -- --check
         ;;
+    # Every microbench row once (the criterion shim's `--test`): each row's
+    # setup and its assertions run, so a row that no longer builds the
+    # state it names fails here rather than only when someone times it.
+    microbench)
+        cargo bench -q -p guesstimate-bench --bench microbench -- --test
+        ;;
     # Parent-against-change pairs of that benchmark, all six workloads at
     # its own run length (about 40 minutes): medians, quartiles, pairs
     # won and the beyond-the-parent's-IQR rule per end-to-end metric, then

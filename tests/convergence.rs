@@ -251,6 +251,69 @@ fn late_joiners_and_leavers_interleave_safely() {
     .unwrap();
 }
 
+/// With async commits off the serialized log is `C` itself, on every
+/// member and on a joiner, which receives the master's in its `JoinInfo`.
+#[test]
+fn without_async_commits_the_serialized_log_is_c() {
+    let mut net = cluster(4, 11);
+    assert!(run_until_cohort(&mut net, SimTime::from_secs(10)));
+    let mboard = net
+        .actor_mut(MachineId::new(0))
+        .unwrap()
+        .create_instance(message_board::MessageBoard::new());
+    net.run_until(net.now() + SimTime::from_millis(500));
+    let issue_everywhere = |net: &mut guesstimate::net::SimNet<Machine>, n: u32| {
+        for i in 0..n {
+            let m = net.actor_mut(MachineId::new(i)).unwrap();
+            for k in 0..3 {
+                let like = message_board::ops::like(mboard, &format!("m{i}-{k}"));
+                assert!(m.issue(like).unwrap());
+            }
+        }
+    };
+    issue_everywhere(&mut net, 4);
+    net.run_until(net.now() + SimTime::from_millis(500));
+
+    let joiner = MachineId::new(4);
+    let mut registry = OpRegistry::new();
+    apps::register_all(&mut registry);
+    let cfg = MachineConfig::default()
+        .with_sync_period(SimTime::from_millis(100))
+        .with_stall_timeout(SimTime::from_millis(800))
+        .with_checks(Checks::Assert);
+    let member = Machine::new_member(joiner, std::sync::Arc::new(registry), cfg);
+    net.schedule_join(net.now() + SimTime::from_millis(50), joiner, member);
+    while !net.actor(joiner).is_some_and(Machine::is_joined) {
+        issue_everywhere(&mut net, 4);
+        net.run_until(net.now() + SimTime::from_millis(20));
+    }
+    let (j, master) = (
+        net.actor(joiner).unwrap(),
+        net.actor(MachineId::new(0)).unwrap(),
+    );
+    assert!(!j.completed_ops().is_empty());
+    assert_eq!(j.completed_serialized(), j.completed_ops());
+    assert!(master.completed_ops().starts_with(j.completed_ops()));
+
+    issue_everywhere(&mut net, 5);
+    net.run_until(net.now() + SimTime::from_secs(2));
+    assert_all_converged(&net, 5);
+    let master = net.actor(MachineId::new(0)).unwrap();
+    for i in 0..5 {
+        let m = net.actor(MachineId::new(i)).unwrap();
+        assert_eq!(m.completed_serialized(), m.completed_ops(), "m{i}");
+        assert_eq!(
+            m.completed_serialized(),
+            master.completed_serialized(),
+            "m{i}"
+        );
+        assert_eq!(
+            m.state_summary().completed_serialized,
+            m.completed_len() as u64
+        );
+    }
+}
+
 #[test]
 fn object_ids_resolve_by_string_form() {
     // AvailableObjects/GetUniqueID round trip through the display form.

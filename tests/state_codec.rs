@@ -12,6 +12,10 @@
 //! * an unsigned count out of range is an `Err`;
 //! * nothing panics.
 //!
+//! The in-place copy of every application's states is exact (its
+//! snapshot, its independence from the source, the store resync built on
+//! it).
+//!
 //! The operations' argument decoders, likewise in one table: every
 //! registered method is listed by its typed constructor, whose arguments
 //! decode back to its inputs, and every list its parameter types refuse
@@ -192,6 +196,56 @@ fn every_decoder_round_trips_and_fails_closed() {
                     assert_eq!(obj.snapshot(), again, "{name}: {path:?} as {kind}");
                 }
             }
+        }
+    }
+}
+
+/// The in-place copy each round's `sc → sg` resync runs
+/// (`GState::assign_from`, through `SharedObject::copy_from`), over pairs
+/// of every application's states — key sets equal, grown, shrunk and
+/// disjoint among them: the copy snapshots as its source, stays as it is
+/// when the source then runs every method of the suite, and the store's
+/// delta resync digests as a whole-store copy from scratch.
+#[test]
+fn the_in_place_copy_is_exact() {
+    for app in all() {
+        let subject = app_subject(app);
+        let name = subject.name;
+        let registry = app.registry();
+        let mutations: Vec<SharedOp> = (app.spec_suite)()
+            .methods
+            .iter()
+            .filter_map(|m| {
+                let argv = m.arg_space.first()?.clone();
+                Some(SharedOp::primitive(OBJ, m.method.clone(), argv))
+            })
+            .collect();
+        let stride = subject.states.len().div_ceil(24);
+        let states: Vec<&Value> = subject.states.iter().step_by(stride).collect();
+        for (a, b) in states
+            .iter()
+            .flat_map(|a| states.iter().map(move |b| (a, b)))
+        {
+            let mut copy = subject.restore(a).expect("a state restores");
+            let src = subject.restore(b).expect("a state restores");
+            copy.copy_from(&*src).expect("same type");
+            assert_eq!(&copy.snapshot(), *b, "{name}: copy");
+
+            let mut source = ObjectStore::new();
+            source.insert(OBJ, src);
+            for op in &mutations {
+                execute(op, &mut source, &registry).expect("registered method");
+            }
+            assert_eq!(&copy.snapshot(), *b, "{name}: the source's writes leaked");
+
+            let mut sg = ObjectStore::new();
+            sg.insert(OBJ, subject.restore(a).expect("a state restores"));
+            let mut sc = ObjectStore::new();
+            sc.insert(OBJ, subject.restore(b).expect("a state restores"));
+            sg.sync_from(&mut sc);
+            let mut fresh = ObjectStore::new();
+            fresh.copy_from(&sc);
+            assert_eq!(sg.digest(), fresh.digest(), "{name}: resync");
         }
     }
 }
