@@ -16,10 +16,14 @@
 //! * `flush` — one member's stage-1 flush of 256 pending ops: the handler
 //!   that takes `BeginSync`, alone.
 //! * `apply` — one member's stage-2 apply of a 256-op round with 64 ops
-//!   still pending: the handler that takes `BeginApply`, alone.
+//!   still pending: the handler that takes `BeginApply` and its deferred
+//!   half, which virtual time runs in the same step.
 //! * `threaded_link_round_trip` — a ping and its echo over the real-thread
 //!   mesh with a constant link delay: twice the link when the delivery
 //!   thread wakes on time, and its wake-up lateness twice over when not.
+//! * `threaded_ack_then_work` / `threaded_ack_then_defer` — one broadcast
+//!   to three repliers that each answer and then work: inline, the last
+//!   answer waits for the others' work; deferred, it does not.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -328,9 +332,10 @@ fn round_before_apply(member: MachineId, stop_before: Option<usize>) -> (SimNet<
 }
 
 /// One member taking the `BeginApply` of a round that commits 256 `like`s,
-/// 64 of them its own, with 64 more pending: the apply handler alone --
-/// the commit on `sc`, the `sc → sg` resync, the replay of `P` and the
-/// `Ack` -- delivered as the next event of a settled 4-machine cluster.
+/// 64 of them its own, with 64 more pending: the `Ack` and the apply -- the
+/// commit on `sc`, the `sc → sg` resync, the replay of `P`, which virtual
+/// time runs as the same step's deferred half -- delivered as the next
+/// event of a settled 4-machine cluster.
 fn bench_apply(c: &mut Criterion) {
     let member = MachineId::new(1);
     let (_, to_apply) = round_before_apply(member, None);
@@ -413,6 +418,84 @@ fn bench_threaded_link_round_trip(c: &mut Criterion) {
     }
 }
 
+/// Machines 1-3 answer machine 0's broadcast, then work for `work`: inline,
+/// or as the callback's deferred half. Machine 0 counts the answers.
+struct Acker {
+    answers: Arc<AtomicU64>,
+    work: Duration,
+    deferred: bool,
+}
+
+impl Acker {
+    fn work(&self) {
+        let t = Instant::now();
+        while t.elapsed() < self.work {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+impl Actor for Acker {
+    type Msg = ();
+    fn on_message(&mut self, from: MachineId, channel: Channel, _: (), ctx: &mut Ctx<'_, ()>) {
+        if ctx.self_id() == MachineId::new(0) {
+            self.answers.fetch_add(1, Ordering::Release);
+        } else {
+            ctx.send(from, channel, ());
+            if self.deferred {
+                ctx.defer(0);
+            } else {
+                self.work();
+            }
+        }
+    }
+    fn on_timer(&mut self, _: u64, _: &mut Ctx<'_, ()>) {
+        self.work();
+    }
+}
+
+/// One broadcast to three repliers over a constant 200 us link per
+/// iteration, up to the last answer. Each replier answers and then works
+/// 50 us -- `saturate`'s three member applies are about as long, and as
+/// with them the three fit in one link. The three deliveries fall due
+/// together and run back to back on the delivery thread. `ack_then_work`
+/// reads 2 x link + 100 us: the last replier answers behind two others'
+/// work. `ack_then_defer` reads 2 x link: the work is the deferred half,
+/// which runs after all three answers have left and is done before they
+/// land. (Work longer than a third of the link holds the one delivery
+/// thread past the answers' due time, and the deferred row reads 2 x link
+/// plus the excess.)
+fn bench_threaded_ack_then_defer(c: &mut Criterion) {
+    for (group, deferred) in [
+        ("threaded_ack_then_work", false),
+        ("threaded_ack_then_defer", true),
+    ] {
+        let mut g = c.benchmark_group(group);
+        let answers = Arc::new(AtomicU64::new(0));
+        let net = ThreadedNet::new(LatencyModel::Constant(SimTime::from_micros(200)), 7);
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                let acker = Acker {
+                    answers: answers.clone(),
+                    work: Duration::from_micros(50),
+                    deferred,
+                };
+                net.add_machine(MachineId::new(i), acker)
+            })
+            .collect();
+        g.bench_function("200us", |b| {
+            b.iter(|| {
+                let before = answers.load(Ordering::Acquire);
+                handles[0].with(|_, ctx| ctx.broadcast(Channel::Signals, ()));
+                while answers.load(Ordering::Acquire) < before + 3 {
+                    std::hint::spin_loop();
+                }
+            })
+        });
+        g.finish();
+    }
+}
+
 criterion_group!(
     benches,
     bench_issue,
@@ -423,6 +506,7 @@ criterion_group!(
     bench_sim_round_loaded,
     bench_flush,
     bench_apply,
-    bench_threaded_link_round_trip
+    bench_threaded_link_round_trip,
+    bench_threaded_ack_then_defer
 );
 criterion_main!(benches);

@@ -11,7 +11,8 @@ use guesstimate_core::MachineId;
 use crate::channel::Channel;
 use crate::time::SimTime;
 
-/// An effect requested by an actor: a message send or a timer.
+/// An effect requested by an actor: a message send, a timer, or the
+/// deferred half of the callback that makes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action<M> {
     /// Broadcast `msg` on `channel` to every *other* member of the mesh.
@@ -22,6 +23,14 @@ pub enum Action<M> {
     SetTimer {
         /// How long from now the timer fires.
         delay: SimTime,
+        /// Opaque tag handed back to `on_timer`.
+        tag: u64,
+    },
+    /// Request an `on_timer(tag)` callback as the deferred half of the
+    /// callback that makes it: before anything else reaches the actor
+    /// under virtual time, and behind what is already due on the wall clock
+    /// (see [`Ctx::defer`]). Not a timer: it counts in no `timers_fired`.
+    Defer {
         /// Opaque tag handed back to `on_timer`.
         tag: u64,
     },
@@ -40,9 +49,16 @@ pub enum Action<M> {
 ///   goes on to do in the same callback.
 /// * [`Ctx::hosted`] translates a hosted actor's action and forwards it to
 ///   the host's outbox, still inside the hosted call.
+///
+/// The same choice sets when a deferred half ([`Ctx::defer`]) runs: the
+/// virtual-time drivers run it in the same step, right after the callback
+/// and before routing ([`run_deferred`]); [`crate::ThreadedNet`] queues it
+/// as due at the instant the dispatched item was due (at the call, for an
+/// application thread's [`crate::ThreadedHandle::with`]), so it runs after
+/// everything that fell due with that item and ahead of what is due later.
 pub trait Outbox<M> {
-    /// Takes one action; called once per [`Ctx::send`], [`Ctx::broadcast`]
-    /// and [`Ctx::set_timer`], in call order.
+    /// Takes one action; called once per [`Ctx::send`], [`Ctx::broadcast`],
+    /// [`Ctx::set_timer`] and [`Ctx::defer`], in call order.
     fn push(&mut self, action: Action<M>);
 }
 
@@ -106,10 +122,34 @@ impl<'a, M> Ctx<'a, M> {
         self.out.push(Action::SetTimer { delay, tag });
     }
 
+    /// Splits this callback: `on_timer(tag)` runs as its deferred half. An
+    /// actor that answers first and works afterwards defers the work, so
+    /// that the answers of actors handed the same instant's events leave
+    /// before any of them works.
+    ///
+    /// Under virtual time ([`crate::SimNet`], [`crate::SchedNet`]) the half
+    /// runs in the same step, right after the callback and before what
+    /// either emitted is routed: no event, no timer, no choice point, so a
+    /// schedule does not change. On [`crate::ThreadedNet`] it is due at the
+    /// instant the event being handled was due, so it runs behind the other
+    /// events due then and ahead of any due later; an application thread's
+    /// half is due at its call. Neither counts it in `timers_fired`.
+    ///
+    /// It comes back through [`Actor::on_timer`], the one callback besides
+    /// `on_start` and `on_message` that every wrapper of an actor forwards.
+    /// Nothing runs it before the actor's next event on the wall clock, so
+    /// an actor that defers owes the work: it should pay what it owes first
+    /// in every callback, and may find the tag already paid.
+    pub fn defer(&mut self, tag: u64) {
+        self.out.push(Action::Defer { tag });
+    }
+
     /// Runs `f` with the context of an actor `id` hosted inside this one (a
     /// `runtime::MultiMachine` group): each action the hosted actor makes
     /// goes through `translate` and into this context's outbox at that call,
-    /// so its sends leave when it makes them under every driver.
+    /// so its sends leave when it makes them under every driver. Both tagged
+    /// actions, [`Action::SetTimer`] and [`Action::Defer`], come back to the
+    /// host's `on_timer`, so `translate` scopes their tags alike.
     pub fn hosted<N, R>(
         &mut self,
         id: MachineId,
@@ -121,6 +161,27 @@ impl<'a, M> Ctx<'a, M> {
             translate,
         };
         f(&mut Ctx::new(self.now, id, &mut relay))
+    }
+}
+
+/// Runs the deferred halves ([`Ctx::defer`]) that a callback of `actor`
+/// left in `actions`, the way the virtual-time drivers do: each
+/// [`Action::Defer`] is taken out of the list and its `on_timer(tag)` runs at
+/// once with the same `now`, adding its actions at the end of the list,
+/// until none is left. What the callback emitted keeps its place, and each
+/// half's actions follow it in emission order.
+pub fn run_deferred<A: Actor>(
+    actor: &mut A,
+    now: SimTime,
+    id: MachineId,
+    actions: &mut Vec<Action<A::Msg>>,
+) {
+    let deferred = |a: &Action<A::Msg>| matches!(a, Action::Defer { .. });
+    while let Some(i) = actions.iter().position(deferred) {
+        let Action::Defer { tag } = actions.remove(i) else {
+            unreachable!("found by position");
+        };
+        actor.on_timer(tag, &mut Ctx::new(now, id, actions));
     }
 }
 
@@ -205,6 +266,7 @@ mod tests {
         ctx.broadcast(Channel::Signals, "a");
         ctx.send(MachineId::new(2), Channel::Operations, "b");
         ctx.set_timer(SimTime::from_millis(10), 42);
+        ctx.defer(43);
         assert_eq!(
             actions,
             vec![
@@ -214,6 +276,7 @@ mod tests {
                     delay: SimTime::from_millis(10),
                     tag: 42
                 },
+                Action::Defer { tag: 43 },
             ]
         );
     }
@@ -231,6 +294,7 @@ mod tests {
                 delay,
                 tag: tag | 0x700,
             },
+            Action::Defer { tag } => Action::Defer { tag: tag | 0x700 },
         };
         host.hosted(MachineId::new(42), translate, |hosted| {
             assert_eq!(hosted.self_id(), MachineId::new(42));
@@ -238,6 +302,7 @@ mod tests {
             hosted.broadcast(Channel::Signals, "a");
             hosted.send(MachineId::new(2), Channel::Operations, "b");
             hosted.set_timer(SimTime::from_millis(10), 1);
+            hosted.defer(3);
         });
         host.set_timer(SimTime::from_millis(1), 2);
         assert_eq!(
@@ -250,6 +315,7 @@ mod tests {
                     delay: SimTime::from_millis(10),
                     tag: 0x701
                 },
+                Action::Defer { tag: 0x703 },
                 Action::SetTimer {
                     delay: SimTime::from_millis(1),
                     tag: 2

@@ -96,7 +96,7 @@ mod threaded;
 mod time;
 mod trace;
 
-pub use actor::{Action, Actor, Ctx, Outbox};
+pub use actor::{run_deferred, Action, Actor, Ctx, Outbox};
 pub use channel::Channel;
 pub use fault::{FaultEvent, FaultPlan, PartitionWindow, StallWindow};
 pub use latency::LatencyModel;

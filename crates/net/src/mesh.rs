@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use guesstimate_core::MachineId;
 
-use crate::actor::{Action, Actor, Ctx};
+use crate::actor::{run_deferred, Action, Actor, Ctx};
 use crate::channel::Channel;
 use crate::metrics::NetMetrics;
 use crate::time::SimTime;
@@ -48,7 +48,8 @@ pub struct Leg<M> {
 /// The mesh owns what does not depend on that choice: the actors, virtual
 /// time, the one seq counter that names each scheduled event, the causal
 /// stamps, the [`NetMetrics`] and the driver-level tracer. It runs every
-/// actor callback, fans each send action out into one leg per receiver (one
+/// actor callback, with the deferred halves it asks for in the same step
+/// ([`crate::run_deferred`]), fans each send action out into one leg per receiver (one
 /// [`TraceEvent::MsgSent`] per action, `sent`/`bytes_sent` per leg), hands
 /// a leg to its receiver (one [`TraceEvent::MsgReceived`],
 /// `delivered`/`bytes_delivered`) and fires timers. The scheduler decides
@@ -189,14 +190,16 @@ impl<A: Actor, S: Scheduler<A>> Mesh<A, S> {
         true
     }
 
-    /// Runs `f` on member `id`, then hands what it emitted, in emission
-    /// order, to the scheduler.
+    /// Runs `f` on member `id` and then, in the same step, the deferred
+    /// halves it asked for ([`run_deferred`]); then hands what they emitted,
+    /// in emission order, to the scheduler.
     fn invoke(&mut self, id: MachineId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) {
         let mut actions = Vec::new();
         let Some(actor) = self.machines.get_mut(&id) else {
             return;
         };
         f(actor, &mut Ctx::new(self.now, id, &mut actions));
+        run_deferred(actor, self.now, id, &mut actions);
         for action in actions {
             match action {
                 Action::Broadcast(channel, msg) => {
@@ -215,6 +218,7 @@ impl<A: Actor, S: Scheduler<A>> Mesh<A, S> {
                     let due = self.now + delay;
                     S::arm(self, due, id, tag);
                 }
+                Action::Defer { .. } => unreachable!("run before routing"),
             }
         }
     }

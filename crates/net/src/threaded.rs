@@ -40,6 +40,15 @@
 //!   was sent; otherwise the item is counted `dropped`. (A message sent to
 //!   an id nobody holds goes to whoever holds it when it is due.)
 //!
+//! A **deferred half** ([`Ctx::defer`]) is queued as due at the instant the
+//! item being dispatched was due, behind every item already queued for that
+//! instant (an application thread's, made in [`ThreadedHandle::with`], at its
+//! call). So the events that fall due together are all handled before any of
+//! their deferred halves runs, and a half runs ahead of anything due later,
+//! also when that is already past by the time the handler returns. A half
+//! is run only for the incarnation that deferred it and is no timer: it is
+//! counted in neither `timers_fired` nor `dropped`.
+//!
 //! The thread **polls only within the guard** of the heap head's due time.
 //! Further away it blocks in `recv_timeout` until the guard begins (a
 //! submission wakes it sooner), and with nothing in the heap it blocks in
@@ -112,6 +121,13 @@ enum DueItem<M> {
         incarnation: u64,
         tag: u64,
     },
+    /// A deferred half ([`Ctx::defer`]): `on_timer(tag)` on the incarnation
+    /// that deferred it.
+    Defer {
+        machine: MachineId,
+        incarnation: u64,
+        tag: u64,
+    },
 }
 
 impl<M> PartialEq for Due<M> {
@@ -161,11 +177,14 @@ impl<A: Actor> Shared<A> {
 
     /// Runs `f` on the actor holding `id` (on that `incarnation` of it, if
     /// one is named) with a live context: what the actor sends or arms
-    /// inside `f` is submitted at that call.
+    /// inside `f` is submitted at that call, and what it defers is due at
+    /// `due` -- the due time of the item being dispatched -- or, for a call
+    /// from outside the delivery thread (`None`), at the call.
     fn invoke(
         &self,
         id: MachineId,
         incarnation: Option<u64>,
+        due: Option<SimTime>,
         f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>),
     ) -> bool {
         let Some(slot) = self.machines.read().get(&id).cloned() else {
@@ -175,12 +194,14 @@ impl<A: Actor> Shared<A> {
             return false;
         }
         let mut guard = slot.actor.lock();
+        let now = self.now();
         let mut out = Live {
             shared: self,
             src: id,
             incarnation: slot.incarnation,
+            due: due.unwrap_or(now),
         };
-        f(&mut guard, &mut Ctx::new(self.now(), id, &mut out));
+        f(&mut guard, &mut Ctx::new(now, id, &mut out));
         true
     }
 
@@ -239,11 +260,13 @@ impl<A: Actor> Shared<A> {
 
 /// The outbox of a running callback: each action is stamped with the clock
 /// at the call that made it and submitted to the delivery thread from inside
-/// that call, so its delay is already running while the actor works on.
+/// that call, so its delay is already running while the actor works on. A
+/// deferred half is stamped `due` instead.
 struct Live<'s, A: Actor> {
     shared: &'s Shared<A>,
     src: MachineId,
     incarnation: u64,
+    due: SimTime,
 }
 
 impl<A: Actor> Outbox<A::Msg> for Live<'_, A> {
@@ -269,6 +292,16 @@ impl<A: Actor> Outbox<A::Msg> for Live<'_, A> {
                 let _ = shared.tx.send(Submission::Due {
                     at: now + delay,
                     item: DueItem::Timer {
+                        machine: src,
+                        incarnation: self.incarnation,
+                        tag,
+                    },
+                });
+            }
+            Action::Defer { tag } => {
+                let _ = shared.tx.send(Submission::Due {
+                    at: self.due,
+                    item: DueItem::Defer {
                         machine: src,
                         incarnation: self.incarnation,
                         tag,
@@ -315,7 +348,7 @@ impl<A: Actor> ThreadedHandle<A> {
     pub fn with<R>(&self, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) -> R) -> Option<R> {
         let mut out = None;
         self.shared
-            .invoke(self.id, None, |a, ctx| out = Some(f(a, ctx)));
+            .invoke(self.id, None, None, |a, ctx| out = Some(f(a, ctx)));
         out
     }
 
@@ -404,7 +437,7 @@ impl<A: Actor> ThreadedNet<A> {
             actor: Mutex::new(actor),
         };
         self.shared.machines.write().insert(id, Arc::new(slot));
-        self.shared.invoke(id, None, |a, ctx| a.on_start(ctx));
+        self.shared.invoke(id, None, None, |a, ctx| a.on_start(ctx));
         ThreadedHandle {
             id,
             shared: self.shared.clone(),
@@ -497,7 +530,8 @@ fn delivery_service<A: Actor>(shared: Arc<Shared<A>>, rx: Receiver<Submission<A:
         // trip measured 8 ms so, 0.4 ms spinning).
         let woken_by = match heap.peek().map(|head| head.at) {
             Some(at) if at <= now => {
-                dispatch(&shared, heap.pop().expect("peeked").item);
+                let head = heap.pop().expect("peeked");
+                dispatch(&shared, head.at, head.item);
                 continue;
             }
             Some(at) => {
@@ -518,7 +552,9 @@ fn delivery_service<A: Actor>(shared: Arc<Shared<A>>, rx: Receiver<Submission<A:
     }
 }
 
-fn dispatch<A: Actor>(shared: &Shared<A>, item: DueItem<A::Msg>) {
+/// Runs one item that fell due at `at`; what its handler defers is due then
+/// too.
+fn dispatch<A: Actor>(shared: &Shared<A>, at: SimTime, item: DueItem<A::Msg>) {
     match item {
         DueItem::Deliver {
             from,
@@ -530,7 +566,7 @@ fn dispatch<A: Actor>(shared: &Shared<A>, item: DueItem<A::Msg>) {
             size,
         } => {
             let kind = A::msg_kind(&msg);
-            let delivered = shared.invoke(to, incarnation, |a, ctx| {
+            let delivered = shared.invoke(to, incarnation, Some(at), |a, ctx| {
                 // Record the receive *before* on_message so any reply's
                 // MsgSent timestamp is never earlier than this receive.
                 shared.trace(
@@ -557,13 +593,24 @@ fn dispatch<A: Actor>(shared: &Shared<A>, item: DueItem<A::Msg>) {
             incarnation,
             tag,
         } => {
-            let fired = shared.invoke(machine, Some(incarnation), |a, ctx| a.on_timer(tag, ctx));
+            let fired = shared.invoke(machine, Some(incarnation), Some(at), |a, ctx| {
+                a.on_timer(tag, ctx)
+            });
             let mut m = shared.metrics.lock();
             if fired {
                 m.timers_fired += 1;
             } else {
                 m.dropped += 1;
             }
+        }
+        DueItem::Defer {
+            machine,
+            incarnation,
+            tag,
+        } => {
+            shared.invoke(machine, Some(incarnation), Some(at), |a, ctx| {
+                a.on_timer(tag, ctx)
+            });
         }
     }
 }
@@ -1160,6 +1207,132 @@ mod tests {
         a.with(|_, ctx| ctx.send(MachineId::new(1), Channel::Operations, ()));
         let service = net.service.as_ref().expect("joined only in drop");
         assert!(wait_for(|| service.is_finished(), 2_000));
+    }
+
+    /// What [`Split`] logs: a message handled, or a deferred half run, by
+    /// machine `.1`, at `.2`.
+    type SplitLog = Arc<Mutex<Vec<(&'static str, MachineId, SimTime)>>>;
+
+    fn spin(d: Duration) {
+        let t = Instant::now();
+        while t.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Machine 0 logs each reply it hears. Any other machine logs the
+    /// message it is handed; given "go" it replies to the sender and then
+    /// works `work`, inline or as its deferred half; given "late" it first
+    /// works `work` and only then defers.
+    struct Split {
+        log: SplitLog,
+        work: Duration,
+        deferred: bool,
+    }
+
+    impl Actor for Split {
+        type Msg = &'static str;
+        fn on_message(
+            &mut self,
+            from: MachineId,
+            channel: Channel,
+            msg: &'static str,
+            ctx: &mut Ctx<'_, &'static str>,
+        ) {
+            self.log.lock().push((msg, ctx.self_id(), ctx.now()));
+            match msg {
+                "go" => {
+                    ctx.send(from, channel, "reply");
+                    if self.deferred {
+                        ctx.defer(0);
+                    } else {
+                        spin(self.work);
+                    }
+                }
+                "late" => {
+                    spin(self.work);
+                    ctx.defer(0);
+                }
+                _ => {}
+            }
+        }
+        fn on_timer(&mut self, _: u64, ctx: &mut Ctx<'_, &'static str>) {
+            self.log.lock().push(("half", ctx.self_id(), ctx.now()));
+            spin(self.work);
+        }
+    }
+
+    /// Four [`Split`]s over a constant 1 ms link.
+    fn split_mesh(work_us: u64, deferred: bool) -> (ThreadedNet<Split>, SplitLog) {
+        let log: SplitLog = Arc::default();
+        let net = ThreadedNet::new(LatencyModel::constant_ms(1), 3);
+        for i in 0..4 {
+            let actor = Split {
+                log: log.clone(),
+                work: Duration::from_micros(work_us),
+                deferred,
+            };
+            net.add_machine(MachineId::new(i), actor);
+        }
+        (net, log)
+    }
+
+    /// The spread between the first and the last reply machine 0 heard to
+    /// one broadcast of "go", and the log's kinds in order.
+    fn replies_to_one_broadcast(deferred: bool) -> (Duration, Vec<&'static str>) {
+        let (net, log) = split_mesh(300, deferred);
+        let a = net.handle(MachineId::new(0)).unwrap();
+        a.with(|_, ctx| ctx.broadcast(Channel::Signals, "go"));
+        let replies = || log.lock().iter().filter(|e| e.0 == "reply").count();
+        assert!(wait_for(|| replies() == 3, 2_000));
+        let halves = || log.lock().iter().filter(|e| e.0 == "half").count();
+        assert!(wait_for(|| halves() == 3 * usize::from(deferred), 2_000));
+        let log = log.lock();
+        let heard: Vec<SimTime> = log.iter().filter(|e| e.0 == "reply").map(|e| e.2).collect();
+        let spread = heard[2].saturating_since(heard[0]);
+        (Duration::from(spread), log.iter().map(|e| e.0).collect())
+    }
+
+    #[test]
+    fn answers_leave_before_any_deferred_half_of_the_same_instant_runs() {
+        // One broadcast reaches three machines at one instant. Deferring
+        // the work, each replies before any of them works: the replies are
+        // heard within the guard of each other, and the three halves run
+        // after the three deliveries.
+        let (spread, kinds) = replies_to_one_broadcast(true);
+        assert!(spread < POLL_GUARD, "replies {spread:?} apart");
+        assert_eq!(kinds[..6], ["go", "go", "go", "half", "half", "half"]);
+        // Working inline, each reply waits for the work of the machines
+        // handed the broadcast before it: 600 us between the first and the
+        // last, less what the first reply's delivery may be late by.
+        let (spread, _) = replies_to_one_broadcast(false);
+        let floor = Duration::from_micros(600) - POLL_GUARD;
+        assert!(spread >= floor, "replies {spread:?} apart");
+    }
+
+    #[test]
+    fn a_deferred_half_runs_ahead_of_what_fell_due_after_its_trigger() {
+        // "late" is due 50 us before "go"; its handler works 200 us and only
+        // then defers, so by the time it returns "go" is overdue. The half
+        // is due when "late" was and still goes first.
+        let (net, log) = split_mesh(200, true);
+        let a = net.handle(MachineId::new(0)).unwrap();
+        a.with(|_, ctx| {
+            ctx.send(MachineId::new(1), Channel::Signals, "late");
+            spin(Duration::from_micros(50));
+            ctx.send(MachineId::new(2), Channel::Signals, "go");
+        });
+        assert!(wait_for(|| log.lock().len() == 5, 2_000));
+        let order: Vec<_> = log.lock().iter().map(|e| (e.0, e.1.index())).collect();
+        let want = [
+            ("late", 1),
+            ("half", 1),
+            ("go", 2),
+            ("half", 2),
+            ("reply", 0),
+        ];
+        assert_eq!(order, want);
+        assert_eq!(net.metrics().timers_fired, 0, "a deferred half is no timer");
     }
 
     /// Sets the calling thread's timer slack to 1 ns by writing

@@ -12,6 +12,9 @@
 //!   `MsgSent`/`MsgReceived` sequence and the same `NetMetrics` on
 //!   `SimNet` (constant latency) and on `SchedNet` (lowest seq first),
 //!   which is what `obs::check_happens_before` assumes of either trace.
+//! - A deferred half (`Ctx::defer`) under both: run in the step of the
+//!   callback that deferred it, its actions routed after the callback's own
+//!   in emission order, with no timer and no choice point of its own.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -299,4 +302,73 @@ fn both_schedulers_account_alike_on_a_fault_free_program() {
     assert_eq!(sim_trace, sched_trace);
     assert_eq!(sim.metrics(), sched.metrics());
     assert_eq!(sim.metrics().delivered, 14);
+}
+
+/// Given `Ping(n)`, answers `Pong(n)`, defers, and answers `Pong(1000 + n)`.
+/// Its deferred half answers `Pong(100 + tag)` and, the first time, defers
+/// once more. Machine 0 logs the pongs it hears.
+#[derive(Default)]
+struct Split {
+    heard: Vec<u64>,
+}
+
+impl Actor for Split {
+    type Msg = Msg;
+
+    fn on_message(&mut self, from: MachineId, _: Channel, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        match msg {
+            Msg::Ping(n) => {
+                ctx.send(from, Channel::Signals, Msg::Pong(n));
+                ctx.defer(n);
+                ctx.send(from, Channel::Signals, Msg::Pong(1000 + n));
+            }
+            Msg::Pong(n) => self.heard.push(n),
+        }
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, Msg>) {
+        ctx.send(m(0), Channel::Signals, Msg::Pong(100 + tag));
+        if tag == 0 {
+            ctx.defer(7);
+        }
+    }
+}
+
+#[test]
+fn a_deferred_half_runs_in_its_callbacks_step_under_both_schedulers() {
+    let want = [0, 1000, 100, 107];
+    let ping =
+        |_: &mut Split, ctx: &mut Ctx<'_, Msg>| ctx.send(m(1), Channel::Signals, Msg::Ping(0));
+
+    let cfg = NetConfig::lan(1).with_latency(LatencyModel::constant_ms(1));
+    let mut sim: SimNet<Split> = SimNet::new(cfg);
+    for i in 0..2 {
+        sim.add_machine(m(i), Split::default());
+    }
+    assert!(sim.call(m(0), ping));
+    assert!(sim.run_until_quiescent(SimTime::from_secs(1)));
+    assert_eq!(sim.actor(m(0)).unwrap().heard, want);
+    // The pongs left as the ping was handled: one link each way.
+    assert_eq!(sim.now(), SimTime::from_millis(2));
+
+    let mut sched: SchedNet<Split> = SchedNet::new();
+    for i in 0..2 {
+        sched.add_machine(m(i), Split::default());
+    }
+    assert!(sched.call(m(0), ping));
+    let ping_seq = sched.pending_msgs()[0];
+    assert!(sched.deliver(ping_seq));
+    // One choice per pong, in emission order, and nothing else to choose.
+    let pongs = sched.pending_msgs();
+    assert_eq!(pongs.len(), 4);
+    assert!(!sched.has_timers() && sched.pending_joins().is_empty());
+    for seq in pongs {
+        assert!(sched.deliver(seq));
+    }
+    assert_eq!(sched.actor(m(0)).unwrap().heard, want);
+
+    for metrics in [sim.metrics(), sched.metrics()] {
+        assert_eq!((metrics.sent, metrics.delivered), (5, 5));
+        assert_eq!(metrics.timers_fired, 0, "a deferred half is no timer");
+    }
 }

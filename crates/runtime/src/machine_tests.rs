@@ -422,8 +422,10 @@ fn member_and_its_begin_apply() -> (Machine, crate::message::Msg) {
     (m, begin_apply)
 }
 
-/// Delivers `msg` from m0 on the Signals channel; what the machine sent.
-fn deliver(
+/// Delivers `msg` from m0 on the Signals channel; what the machine sent,
+/// with what the callback deferred still in it: the window between a
+/// member's `Ack` and its apply, which no driver shows.
+fn deliver_raw(
     m: &mut Machine,
     msg: crate::message::Msg,
 ) -> Vec<guesstimate_net::Action<crate::message::Msg>> {
@@ -434,20 +436,39 @@ fn deliver(
     actions
 }
 
+/// [`deliver_raw`], then what the callback deferred, run as a virtual-time
+/// driver runs it: in the same step (`net::run_deferred`).
+fn deliver(
+    m: &mut Machine,
+    msg: crate::message::Msg,
+) -> Vec<guesstimate_net::Action<crate::message::Msg>> {
+    let mut actions = deliver_raw(m, msg);
+    let id = m.id();
+    guesstimate_net::run_deferred(m, SimTime::ZERO, id, &mut actions);
+    actions
+}
+
 /// On the wall-clock mesh a send leaves at its call (`net::Outbox`), so
-/// where a participant's replies sit in their callbacks is load-bearing:
-/// `FlushDone` tells the master this machine's batch is on the wire and
-/// `Ack` that the round is in its committed state, so each can only follow
-/// the work it reports -- the last action of its callback, with nothing the
-/// master waits for behind it.
+/// where a participant's replies sit in their callbacks is load-bearing.
+/// `FlushDone` tells the master this machine's batch is on the wire, so it
+/// follows the batch: the last action of the flush. `Ack` tells it the
+/// round is all here and will be applied before anything else, so it
+/// leaves first, and the apply -- with whatever the apply sends, here the
+/// flush of a next round that overtook it -- follows as the deferred half.
 #[test]
-fn a_participants_flush_done_and_ack_are_the_last_actions_of_their_callbacks() {
+fn a_participants_flush_done_is_the_last_action_of_its_flush_and_its_ack_the_first_of_its_apply() {
     use crate::message::Msg;
     use guesstimate_net::{Action, Channel};
     let (mut m, begin_apply) = member_and_its_begin_apply();
     let (master, me) = (MachineId::new(0), m.id());
     let order = vec![master, me];
-    let flush = deliver(&mut m, Msg::BeginSync { round: 1, order });
+    let flush = deliver(
+        &mut m,
+        Msg::BeginSync {
+            round: 1,
+            order: order.clone(),
+        },
+    );
     assert!(matches!(
         flush[..],
         [
@@ -455,21 +476,152 @@ fn a_participants_flush_done_and_ack_are_the_last_actions_of_their_callbacks() {
             Action::Send(to, Channel::Signals, Msg::FlushDone { round: 1, count: 1, .. }),
         ] if to == master
     ));
+    // Issued since, and flushed in the next round, whose `BeginSync` waits
+    // for the apply.
+    let own = ObjectId::new(me, 0);
+    assert!(m.issue(SharedOp::primitive(own, "add", args![1])).unwrap());
+    assert!(deliver(&mut m, Msg::BeginSync { round: 2, order }).is_empty());
 
     // The master's batch comes with the counts: nothing is asked of anyone.
     let apply = deliver(&mut m, begin_apply.clone());
-    assert_eq!(m.completed_len(), 2, "the round is applied before the Ack");
+    assert!(matches!(
+        apply[..],
+        [
+            Action::Send(to, Channel::Signals, Msg::Ack { round: 1, .. }),
+            Action::Broadcast(Channel::Operations, Msg::Ops { round: 2, .. }),
+            Action::Send(_, Channel::Signals, Msg::FlushDone { round: 2, count: 1, .. }),
+        ] if to == master
+    ));
+    assert_eq!(m.completed_len(), 2, "the deferred half applied the round");
     assert!(m.check_guess_invariant());
-    let only_an_ack = |sent: &[Action<Msg>]| {
-        matches!(
-            sent,
-            [Action::Send(to, Channel::Signals, Msg::Ack { round: 1, .. })] if *to == master
-        )
-    };
-    assert!(only_an_ack(&apply));
     // A resend finds the round closing: acknowledged again, applied once.
-    assert!(only_an_ack(&deliver(&mut m, begin_apply)));
+    assert!(matches!(
+        deliver(&mut m, begin_apply)[..],
+        [Action::Send(to, Channel::Signals, Msg::Ack { round: 1, .. })] if to == master
+    ));
     assert_eq!(m.completed_len(), 2);
+}
+
+/// The window a wall-clock driver may open between a member's `Ack` and
+/// its apply, driven by hand: the `BeginApply` yields the `Ack` and the
+/// deferral, and nothing is applied yet.
+fn member_owing_round_1() -> (Machine, crate::message::Msg, u64) {
+    use crate::message::Msg;
+    use guesstimate_net::{Action, Channel};
+    let (mut m, begin_apply) = member_and_its_begin_apply();
+    let (master, me) = (MachineId::new(0), m.id());
+    deliver(
+        &mut m,
+        Msg::BeginSync {
+            round: 1,
+            order: vec![master, me],
+        },
+    );
+    let sent = deliver_raw(&mut m, begin_apply.clone());
+    let [Action::Send(to, Channel::Signals, Msg::Ack { round: 1, .. }), Action::Defer { tag }] =
+        sent[..]
+    else {
+        panic!("the Ack, then the deferred apply, got {sent:?}");
+    };
+    assert_eq!(to, master);
+    assert_eq!(m.completed_len(), 0, "acknowledged, not applied");
+    assert!(m.check_guess_invariant());
+    (m, begin_apply, tag)
+}
+
+/// Runs the deferred half `tag`; what it sent.
+fn run_half(m: &mut Machine, tag: u64) -> Vec<guesstimate_net::Action<crate::message::Msg>> {
+    use guesstimate_net::{Actor, Ctx};
+    let mut actions = Vec::new();
+    m.on_timer(tag, &mut Ctx::new(SimTime::ZERO, m.id(), &mut actions));
+    actions
+}
+
+/// An application thread may issue between the `Ack` and the apply (a
+/// `ThreadedHandle::with` needs no context). The operation runs on the
+/// guess of before the round -- as one issued just before the `BeginApply`
+/// arrived would -- is replayed by the apply and commits in the next round,
+/// within the three executions.
+#[test]
+fn an_issue_between_a_members_ack_and_its_apply_commits_within_three_executions() {
+    use crate::message::Msg;
+    let (mut m, _, tag) = member_owing_round_1();
+    let (master, me) = (MachineId::new(0), m.id());
+    let own = ObjectId::new(me, 0);
+    assert!(m.issue(SharedOp::primitive(own, "add", args![2])).unwrap());
+    assert!(m.check_guess_invariant());
+    assert!(run_half(&mut m, tag).is_empty());
+    assert_eq!((m.completed_len(), m.pending_len()), (2, 1));
+    assert!(m.check_guess_invariant());
+    // Round 2 commits it.
+    deliver(
+        &mut m,
+        Msg::BeginSync {
+            round: 2,
+            order: vec![master, me],
+        },
+    );
+    let begin_apply = Msg::BeginApply {
+        round: 2,
+        counts: vec![(master, 0), (me, 1)],
+        ops: Default::default(),
+        asyncs: Default::default(),
+    };
+    deliver(&mut m, begin_apply);
+    assert_eq!((m.completed_len(), m.pending_len()), (3, 0));
+    assert_eq!(m.read_committed::<Counter, _>(own, |c| c.n), Some(2));
+    assert_eq!(m.stats().max_exec_count, 3);
+    assert!(m.check_guess_invariant());
+}
+
+/// Whatever reaches a member next -- the master resending `BeginApply`, its
+/// `SyncComplete`, the next round's `BeginSync` -- finds the round it
+/// acknowledged applied: the machine pays the apply first. The deferred
+/// half then finds nothing left to do.
+#[test]
+fn an_event_after_a_members_ack_finds_its_round_applied() {
+    use crate::message::Msg;
+    use guesstimate_net::{Action, Channel};
+    let (master, me) = (MachineId::new(0), MachineId::new(1));
+    let complete = Msg::SyncComplete { round: 1 };
+    let next = Msg::BeginSync {
+        round: 2,
+        order: vec![master, me],
+    };
+    for case in 0..3 {
+        let (mut m, begin_apply, tag) = member_owing_round_1();
+        let msg = [begin_apply, complete.clone(), next.clone()][case].clone();
+        let sent = deliver_raw(&mut m, msg);
+        assert_eq!(m.completed_len(), 2, "case {case}: applied first");
+        match case {
+            0 => assert!(matches!(
+                sent[..],
+                [Action::Send(to, Channel::Signals, Msg::Ack { round: 1, .. })] if to == master
+            )),
+            1 => {
+                assert!(sent.is_empty());
+                assert_eq!((m.active_round(), m.stats().syncs_seen), (None, 1));
+            }
+            _ => {
+                assert!(matches!(
+                    sent[..],
+                    [Action::Send(
+                        _,
+                        Channel::Signals,
+                        Msg::FlushDone {
+                            round: 2,
+                            count: 0,
+                            ..
+                        }
+                    )]
+                ));
+                assert_eq!(m.active_round(), Some(2));
+            }
+        }
+        assert!(run_half(&mut m, tag).is_empty());
+        assert_eq!(m.completed_len(), 2, "case {case}: applied once");
+        assert!(m.check_guess_invariant());
+    }
 }
 
 /// No honest master sends `BeginApply{r}` to a machine it counts before that
@@ -477,13 +629,16 @@ fn a_participants_flush_done_and_ack_are_the_last_actions_of_their_callbacks() {
 /// which is why no driven schedule can order them the other way round, and
 /// this test forces it: the message is parked whole, the master's batch with
 /// it, and when `BeginSync{r}` comes the machine flushes, replays it and
-/// applies, asking nobody for anything.
+/// applies, asking nobody for anything. A resend parked behind it is
+/// replayed as it would be taken arriving later: the round is applied by
+/// then, and the resend is only acknowledged.
 #[test]
 fn a_begin_apply_ahead_of_its_begin_sync_is_buffered_with_its_batch() {
     use crate::message::Msg;
     use guesstimate_net::{Action, Channel};
     let (mut m, begin_apply) = member_and_its_begin_apply();
     let (master, me) = (MachineId::new(0), m.id());
+    assert!(deliver(&mut m, begin_apply.clone()).is_empty());
     assert!(deliver(&mut m, begin_apply).is_empty());
     assert_eq!((m.buffered_rounds(), m.completed_len()), (1, 0));
     let order = vec![master, me];
@@ -501,6 +656,7 @@ fn a_begin_apply_ahead_of_its_begin_sync_is_buffered_with_its_batch() {
                     ..
                 }
             ),
+            Action::Send(_, Channel::Signals, Msg::Ack { round: 1, .. }),
             Action::Send(_, Channel::Signals, Msg::Ack { round: 1, .. }),
         ]
     ));

@@ -38,6 +38,17 @@
 //! back, rebuilds each group's guess, releases the fences and replays
 //! the buffered events in arrival order.
 //!
+//! A group's member acknowledges a round before it applies it: the apply
+//! is the deferred half of the callback (`Machine::pay_owed`), and its
+//! markers commit there. On every event the wrapper pays every hosted
+//! group's owed apply before any logic of its own -- the fences, resolution
+//! and the cross queue read what the groups committed -- and again before
+//! it replays a buffered event, since the apply may fence that event's
+//! group. The deferred half's tag is never buffered behind a fence: it is
+//! paid, not delivered. An issue pays nothing, as on a lone machine: until
+//! a group pays, its markers are not committed, and nothing the wrapper
+//! does reads a round in flight.
+//!
 //! Two freedoms keep this deadlock-free: the coordinator keeps at most
 //! one cross operation in flight (markers therefore commit in `xid`
 //! order within every group), and it only issues markers after the
@@ -66,6 +77,7 @@ use guesstimate_telemetry::Telemetry;
 use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::message::{shared_op_size, Msg, WireOp};
+use crate::roles::tag;
 use crate::shard::ShardRouter;
 
 /// Index of a sync group: one per `(type, component)` pair of the
@@ -123,6 +135,9 @@ fn outer_action(g: GroupId, action: Action<Msg>) -> Action<GMsg> {
         }
         Action::SetTimer { delay, tag } => Action::SetTimer {
             delay,
+            tag: outer_tag(g, tag),
+        },
+        Action::Defer { tag } => Action::Defer {
             tag: outer_tag(g, tag),
         },
     }
@@ -870,6 +885,32 @@ impl MultiMachine {
         self.enqueue_cross_commits(g, commits);
     }
 
+    /// Pays every hosted group's owed apply (`Machine::pay_owed`), runs what
+    /// it completed and queues the cross markers it commits; returns whether
+    /// any group owed one.
+    fn settle(&mut self, ctx: &mut Ctx<'_, GMsg>) -> bool {
+        let owing = self
+            .machines
+            .iter()
+            .filter(|(_, m)| m.participant.owed.is_some());
+        let owing: Vec<GroupId> = owing.map(|(&g, _)| g).collect();
+        for &g in &owing {
+            let m = self.machines.get_mut(&g).expect("hosted");
+            in_group(g, m, ctx, Machine::pay_owed);
+            m.run_callbacks(ctx.now());
+            let commits = m.take_cross_commits();
+            self.enqueue_cross_commits(g, commits);
+        }
+        !owing.is_empty()
+    }
+
+    /// [`MultiMachine::settle`], then what the groups' commits allow.
+    fn pay_owed(&mut self, ctx: &mut Ctx<'_, GMsg>) {
+        if self.settle(ctx) {
+            self.pump(ctx);
+        }
+    }
+
     /// Delivers one external event, respecting the fence.
     fn deliver(&mut self, g: GroupId, ev: Buffered, ctx: &mut Ctx<'_, GMsg>) {
         if self.fenced(g) {
@@ -898,6 +939,9 @@ impl MultiMachine {
                 .map(|(g, _)| *g)
                 .next();
             match next {
+                // An apply a replayed event left owed may fence a group or
+                // resolve a round: pay it before the next replay.
+                Some(_) if self.settle(ctx) => {}
                 Some(g) => {
                     let ev = self
                         .buffered
@@ -928,6 +972,7 @@ impl Actor for MultiMachine {
         msg: GMsg,
         ctx: &mut Ctx<'_, GMsg>,
     ) {
+        self.pay_owed(ctx);
         match msg {
             GMsg::Inner { group, msg } => {
                 if !self.machines.contains_key(&group) {
@@ -943,11 +988,12 @@ impl Actor for MultiMachine {
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, GMsg>) {
+        self.pay_owed(ctx);
         let Some((group, inner_tag)) = split_tag(tag) else {
             return;
         };
-        if !self.machines.contains_key(&group) {
-            return;
+        if !self.machines.contains_key(&group) || tag::kind(inner_tag) == tag::APPLY_OWED {
+            return; // a deferred apply is paid above, never fenced
         }
         self.deliver(group, Buffered::Timer { inner_tag }, ctx);
     }
@@ -1427,6 +1473,131 @@ mod tests {
                 "node {i}"
             );
         }
+    }
+
+    /// A member group that acknowledged the round carrying its cross marker
+    /// owes its apply, and the coordinated round cannot resolve without it.
+    /// The node pays that apply before it takes its next event -- here one
+    /// for the other, fenced group -- so the merge reads the owing group's
+    /// whole round, what the apply completed runs, and the event is not
+    /// buffered behind a round that resolves as it arrives. The deferred
+    /// half then finds nothing owed.
+    #[test]
+    fn a_cross_round_waits_for_and_reads_a_group_that_owes_its_apply() {
+        use crate::roles::tag;
+        let (mut net, _) = cluster(2);
+        run_multi_until_joined(&mut net, SimTime::from_secs(10));
+        let (n0, n1) = (MachineId::new(0), MachineId::new(1));
+        let mut obj = None;
+        net.call(n0, |mm, ctx| {
+            obj = Some(mm.create_instance(Pair::default(), ctx));
+        });
+        let obj = obj.unwrap();
+        net.run_until(net.now() + SimTime::from_secs(2));
+        let between = |net: &SimNet<MultiMachine>| {
+            let groups = &net.actor(n1).unwrap().machines;
+            groups.values().all(|m| m.participant.round.is_none())
+        };
+        while !between(&net) {
+            net.step();
+        }
+        // Node 1 bumps `b`, which its flush of group 1 carries. Node 0, both
+        // groups' master and the coordinator, issues the markers of `mix` at
+        // once: its flush of either group is [marker]. From here node 1 is
+        // driven by hand.
+        let bumped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let done = Arc::clone(&bumped);
+        net.call(n1, |mm, ctx| {
+            let bump = SharedOp::primitive(obj, "bump_b", args![5]);
+            let completion: CompletionFn = Box::new(move |ok| done.store(ok, Ordering::SeqCst));
+            let issued = mm.issue(bump, Some(completion), ctx).unwrap();
+            assert_eq!(issued, IssueOutcome::Local(true));
+        });
+        net.call(n0, |mm, ctx| {
+            let mix = SharedOp::primitive(obj, "mix", args![1]);
+            assert_eq!(
+                mm.issue(mix, None, ctx).unwrap(),
+                IssueOutcome::CrossPending
+            );
+        });
+        let batch = |g: GroupId| -> crate::roles::OpsBatch {
+            let pending = &net.actor(n0).unwrap().machines[&g].pending;
+            Arc::new(pending.iter().map(|p| p.env().clone()).collect())
+        };
+        let batches = [batch(0), batch(1)];
+        assert_eq!(batches.each_ref().map(|b| b.len()), [1, 1]);
+        let now = net.now();
+        let mm = net.actor_mut(n1).unwrap();
+        let rounds = [0, 1].map(|g| mm.machines[&g].participant.next_round_expected.unwrap());
+        let deliver = |mm: &mut MultiMachine, group: GroupId, msg: Msg| {
+            let mut actions = Vec::new();
+            let msg = GMsg::Inner { group, msg };
+            mm.on_message(
+                n0,
+                Channel::Signals,
+                msg,
+                &mut Ctx::new(now, n1, &mut actions),
+            );
+            actions
+        };
+        let begin_apply = |g: GroupId| Msg::BeginApply {
+            round: rounds[g as usize],
+            counts: vec![
+                (vid(n0, g), batches[g as usize].len() as u64),
+                (vid(n1, g), u64::from(g)),
+            ],
+            ops: Arc::clone(&batches[g as usize]),
+            asyncs: Default::default(),
+        };
+        for g in [0, 1] {
+            let order = vec![vid(n0, g), vid(n1, g)];
+            let round = rounds[g as usize];
+            deliver(mm, g, Msg::BeginSync { round, order });
+        }
+        // Group 0 applies and commits its marker: fenced.
+        let mut applied = deliver(mm, 0, begin_apply(0));
+        guesstimate_net::run_deferred(mm, now, n1, &mut applied);
+        assert_eq!(mm.frozen_groups(), vec![0]);
+        // Group 1 acknowledges and owes the apply that commits its own.
+        let acked = deliver(mm, 1, begin_apply(1));
+        let [Action::Send(
+            to,
+            Channel::Signals,
+            GMsg::Inner {
+                group: 1,
+                msg: Msg::Ack { .. },
+            },
+        ), Action::Defer { tag: deferred }] = acked[..]
+        else {
+            panic!("group 1's Ack, then its deferred apply, got {acked:?}");
+        };
+        assert_eq!(to, n0);
+        let owed = tag::encode(tag::APPLY_OWED, rounds[1]);
+        assert_eq!(split_tag(deferred), Some((1, owed)));
+        assert_eq!((mm.cross_resolved(), mm.frozen_groups()), (0, vec![0]));
+        // Group 0's next event pays group 1 first: the round resolves on
+        // the merge of a = 0 and b = 5, and the event is taken, not fenced.
+        assert!(!bumped.load(Ordering::SeqCst));
+        deliver(mm, 0, Msg::SyncComplete { round: rounds[0] });
+        assert!(
+            bumped.load(Ordering::SeqCst),
+            "the paid apply's completion ran"
+        );
+        assert_eq!(mm.cross_resolved(), 1);
+        assert_eq!(
+            mm.read_committed::<Pair, _>(obj, |p| (p.a, p.b)),
+            Some((1, 6))
+        );
+        assert!(mm.frozen_groups().is_empty() && mm.buffered.values().all(VecDeque::is_empty));
+        assert_eq!(
+            mm.group(0).unwrap().active_round(),
+            None,
+            "SyncComplete taken"
+        );
+        let mut actions = Vec::new();
+        mm.on_timer(deferred, &mut Ctx::new(now, n1, &mut actions));
+        assert!(actions.is_empty() && mm.buffered.values().all(VecDeque::is_empty));
+        assert_eq!(mm.cross_resolved(), 1);
     }
 
     #[test]

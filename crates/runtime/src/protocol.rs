@@ -31,14 +31,24 @@
 //! 2. **ApplyUpdatesFromMesh** — when every participant has flushed, the
 //!    master broadcasts `BeginApply` with the authoritative per-machine op
 //!    counts (and its own batch); each machine waits for all expected
-//!    operations, applies them
-//!    to its committed state in lexicographic `(machineID, opnumber)` order,
-//!    copies committed onto guesstimated state, replays its still-pending
-//!    operations, and then acknowledges (`try_apply`: the `Ack` is the last
-//!    action of the protocol step). Its pending completion routines run as
-//!    the callback returns ([`Machine::run_callbacks`]).
+//!    operations, then acknowledges and applies them (`try_apply`): a
+//!    member's `Ack` is the first action of its apply, which runs as the
+//!    deferred half of the same callback (`Ctx::defer`) -- it commits the
+//!    operations to its committed state in lexicographic `(machineID,
+//!    opnumber)` order, copies committed onto guesstimated state, replays
+//!    its still-pending operations and takes any buffered `BeginSync` of the
+//!    next round. The member pays that apply before it takes any other
+//!    event (`Machine::pay_owed`), so none of its events sees the round
+//!    acknowledged and unapplied. Under virtual time the half runs in the
+//!    same step; on the wall-clock mesh it runs behind the other events due
+//!    at that instant -- the other members' `BeginApply`s -- so their `Ack`s
+//!    leave before any of them applies. The master applies at once: its
+//!    `BeginApply` has already left. Pending completion routines run as the
+//!    callback that applied returns ([`Machine::run_callbacks`]).
 //! 3. **FlagCompletion** — when all acknowledgments are in, the master
-//!    broadcasts `SyncComplete`.
+//!    broadcasts `SyncComplete`. It means that every member holds all of
+//!    the round and applies it before its next event -- not that every
+//!    member has finished applying it.
 //!
 //! Rounds are paced start to start, one every `sync_period`. Under the
 //! parallel flush two may be in flight, one per stage: the master may begin
@@ -81,6 +91,7 @@ impl Actor for Machine {
     type Msg = Msg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.pay_owed(ctx);
         if self.is_master {
             ctx.set_timer(self.cfg.sync_period, tag::encode(tag::MASTER_TICK, 0));
         } else {
@@ -98,6 +109,7 @@ impl Actor for Machine {
     }
 
     fn on_message(&mut self, from: MachineId, _channel: Channel, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        self.pay_owed(ctx);
         // Master-originated traffic feeds the failover watchdog; a master
         // hearing round traffic from a *lower-id* master yields (split-brain
         // healing after a failover race).
@@ -156,7 +168,10 @@ impl Actor for Machine {
     }
 
     fn on_timer(&mut self, timer_tag: u64, ctx: &mut Ctx<'_, Msg>) {
+        self.pay_owed(ctx);
         match tag::kind(timer_tag) {
+            // Paid above, if an earlier event has not paid it already.
+            tag::APPLY_OWED => {}
             tag::MASTER_TICK => self.handle_tick(ctx),
             tag::MASTER_STAGE1 => self.step_master(
                 MasterEvent::Stage1Timeout {
@@ -263,6 +278,10 @@ impl Machine {
                 }
                 Effect::ReplayBuffered(msgs) => {
                     for (from, msg) in msgs {
+                        // A message replayed behind the one that made the
+                        // round ready finds it applied, as it would if it
+                        // arrived later.
+                        self.pay_owed(ctx);
                         self.dispatch_round_msg(from, msg, ctx);
                     }
                 }
@@ -577,20 +596,48 @@ impl Machine {
     // Stage 2: ApplyUpdatesFromMesh (store-touching apply machinery)
     // ------------------------------------------------------------------
 
-    /// Applies the round as soon as every expected operation has arrived;
-    /// requests per-source resends for anything missing.
+    /// Acknowledges and applies the round as soon as every expected
+    /// operation has arrived; requests per-source resends for anything
+    /// missing. A member's `Ack` leaves first and its apply is the deferred
+    /// half of this callback: the round waits in `owed` until
+    /// [`Machine::pay_owed`] runs it. The master, which sends no `Ack`,
+    /// applies at once.
     fn try_apply(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let ready = |rs: &mut RoundState| rs.ready_to_apply();
-        let Some(mut rs) = self.participant.round.take_if(ready) else {
+        let Some(rs) = self.participant.round.take_if(ready) else {
             return self.request_missing(ctx);
         };
+        if self.is_master {
+            return self.apply(rs, ctx);
+        }
+        let ack = self.participant.acknowledge(&rs);
+        self.lower(ack, ctx);
+        ctx.defer(tag::encode(tag::APPLY_OWED, rs.round));
+        self.participant.owed = Some(rs);
+    }
+
+    /// Pays the apply this member owes, if any: the deferred half of the
+    /// callback that acknowledged the round. Every event calls this first --
+    /// `on_start`, `on_message`, `on_timer` -- and so do `leave` and
+    /// `come_online`, so whichever order a driver runs events in, none finds
+    /// the round acknowledged and unapplied; each ends by running what the
+    /// apply completed ([`Machine::run_callbacks`]). An issue pays nothing:
+    /// it runs on `sg` as one admitted just before the `BeginApply` would,
+    /// and paying there would run the apply on the issuing thread.
+    pub(crate) fn pay_owed(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if let Some(rs) = self.participant.owed.take() {
+            self.apply(rs, ctx);
+        }
+    }
+
+    /// Stage 2 proper, on every driver and for every machine: commit the
+    /// round, rebuild `sg`, move the round to the closing slot.
+    fn apply(&mut self, mut rs: RoundState, ctx: &mut Ctx<'_, Msg>) {
         let runs = rs.take_runs();
         let n = self.apply_committed_round(&runs, rs.round, ctx.now());
         // After the replay the pending list is exactly the set of ops on
         // `sg` but not yet in `sc` — the guesstimate-health divergence.
         self.telemetry.divergence(self.pending.len() as u64);
-        // The round moves to the closing slot; a member's `Ack` is the last
-        // send of its apply.
         let fx = self.participant.applied(rs);
         self.lower(fx, ctx);
         if self.is_master {
@@ -783,11 +830,13 @@ impl Machine {
     /// retained, so a departed machine can keep working offline and later
     /// [`Machine::come_online`] — the §9 "Off-line updates" extension.
     pub fn leave(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.pay_owed(ctx);
         ctx.broadcast(Channel::Signals, Msg::Leave { machine: self.id });
         self.membership.joined_system = false;
         self.membership.in_cohort = false;
         self.membership.offline = true;
         self.participant.drop_rounds();
+        self.run_callbacks(ctx.now());
     }
 
     /// §9 "Off-line updates": detaches from the system while continuing to
@@ -810,6 +859,13 @@ impl Machine {
     /// onto the fresh guesstimate, and committed in the machine's first
     /// round back.
     pub fn come_online(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.pay_owed(ctx);
+        self.rejoin(ctx);
+        self.run_callbacks(ctx.now());
+    }
+
+    /// Asks to join again, until a round takes this machine in.
+    fn rejoin(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.membership.offline = false;
         ctx.broadcast(Channel::Signals, Msg::JoinRequest { machine: self.id });
         ctx.set_timer(
@@ -901,7 +957,7 @@ impl Machine {
         self.membership.joined_system = false;
         self.membership.in_cohort = false;
         self.participant.drop_rounds();
-        self.come_online(ctx);
+        self.rejoin(ctx);
     }
 
     /// A master that lost a split-brain race steps down and rejoins.
@@ -915,7 +971,7 @@ impl Machine {
         self.membership.in_cohort = false;
         self.participant.drop_rounds();
         self.election.last_master_activity = ctx.now();
-        self.come_online(ctx);
+        self.rejoin(ctx);
         if let Some(timeout) = self.cfg.master_failover {
             ctx.set_timer(timeout, tag::encode(tag::ELECTION_WATCHDOG, 0));
         }

@@ -61,6 +61,10 @@ pub mod tag {
     /// Membership: a tick held for join handshakes in flight has waited
     /// `stall_timeout` (round field = hold generation).
     pub const MEMBERSHIP_JOIN_HOLD: u64 = 6;
+    /// Participant: the deferred half of the callback in which a member
+    /// acknowledged the encoded round -- its apply (`Ctx::defer`, not a
+    /// timer: it is never armed).
+    pub const APPLY_OWED: u64 = 7;
 
     /// Bits available for the round/generation field.
     pub const ROUND_BITS: u32 = 56;

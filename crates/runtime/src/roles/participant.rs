@@ -16,7 +16,14 @@
 //! moves it to `ParticipantRole::closing`, where it waits for the
 //! master's `SyncComplete` and meanwhile still answers for what it shipped:
 //! a slow peer's `OpsRequest`, a resent `BeginApply` (the `Ack` was lost),
-//! a resent `BeginSync`. Under the parallel flush the master may begin
+//! a resent `BeginSync`.
+//!
+//! A member acknowledges a round as it becomes ready to apply
+//! (`ParticipantRole::acknowledge`): the `Ack` is the first action of its
+//! apply, and the apply itself is the deferred half of the same callback.
+//! In between the round is parked in `ParticipantRole::owed`, and the
+//! machine pays that apply before it takes any other event, so no event
+//! ever finds a round acknowledged and not applied. Under the parallel flush the master may begin
 //! round r + 1 while round r is closing, so both slots can be full at once;
 //! a machine flushes r + 1 only after it has applied r, which is what keeps
 //! an operation's executions at three (issue, one replay, commit).
@@ -208,6 +215,11 @@ pub struct ParticipantRole {
     /// flagged complete, if any: the predecessor of `round`, or of the
     /// round to come.
     pub(crate) closing: Option<RoundState>,
+    /// The round this member has acknowledged and owes the apply of: it
+    /// left `round` ready and waits here for the deferred half of the
+    /// callback that acknowledged it, which every event to the machine pays
+    /// first (`Machine::pay_owed`). Never the master's, which applies at once.
+    pub(crate) owed: Option<RoundState>,
     /// Round messages that arrived before their `BeginSync` — and a
     /// `BeginSync` that overtook its predecessor's `BeginApply` — keyed by
     /// round number.
@@ -233,6 +245,7 @@ impl ParticipantRole {
             me,
             round: None,
             closing: None,
+            owed: None,
             buffered: BTreeMap::new(),
             next_round_expected: None,
         }
@@ -287,6 +300,7 @@ impl ParticipantRole {
     /// Forgets both rounds and everything buffered: this machine is out of
     /// the rounds it was in (leave, restart, join, a change of master).
     pub(crate) fn drop_rounds(&mut self) {
+        debug_assert!(self.owed.is_none(), "an acknowledged round left unapplied");
         self.round = None;
         self.closing = None;
         self.buffered.clear();
@@ -337,9 +351,7 @@ impl ParticipantRole {
                 if let Some(rs) = self.closing.as_ref().filter(|rs| rs.round == round) {
                     // Duplicate BeginApply (recovery): our Ack probably got
                     // lost.
-                    let master = rs.order[0];
-                    let ack = (master != self.me).then(|| self.ack(round, master));
-                    return ack.into_iter().collect();
+                    return self.acknowledge(rs);
                 }
                 let Some(rs) = self.round.as_mut().filter(|rs| rs.round == round) else {
                     return Vec::new();
@@ -408,15 +420,23 @@ impl ParticipantRole {
         open.then_some(Effect::Flush)
     }
 
-    fn ack(&self, round: u64, master: MachineId) -> Effect {
-        Effect::Send {
+    /// The `Ack` of `rs` to its master, unless this machine is the master.
+    /// A member sends it as the round becomes ready to apply, ahead of the
+    /// apply (the composer's `try_apply`), and again for every duplicate
+    /// `BeginApply` of a round it has applied.
+    pub(crate) fn acknowledge(&self, rs: &RoundState) -> Vec<Effect> {
+        let master = rs.order[0];
+        if master == self.me {
+            return Vec::new();
+        }
+        vec![Effect::Send {
             to: master,
             channel: Channel::Signals,
             msg: Msg::Ack {
-                round,
+                round: rs.round,
                 machine: self.me,
             },
-        }
+        }]
     }
 
     /// What a round leaving the closing slot leaves behind: it completed
@@ -429,19 +449,16 @@ impl ParticipantRole {
     }
 
     /// This machine has applied `rs` (the composer took it out of
-    /// `ParticipantRole::round`): it moves to the closing slot — over a
-    /// predecessor whose `SyncComplete` never came, and which the master
-    /// must have completed to let this round into stage 2 — and is
-    /// acknowledged. A `BeginSync` for the next round that overtook this
-    /// round's `BeginApply` is taken now.
+    /// `ParticipantRole::round` and acknowledged it): it moves to the closing
+    /// slot — over a predecessor whose `SyncComplete` never came, and which
+    /// the master must have completed to let this round into stage 2. A
+    /// `BeginSync` for the next round that overtook this round's
+    /// `BeginApply` is taken now.
     pub(crate) fn applied(&mut self, rs: RoundState) -> Vec<Effect> {
-        let (round, master) = (rs.round, rs.order[0]);
+        let round = rs.round;
         self.next_round_expected = Some(round + 1);
         let before = self.closing.replace(rs);
         let mut fx = before.as_ref().map_or_else(Vec::new, Self::closed);
-        if master != self.me {
-            fx.push(self.ack(round, master));
-        }
         let early = self.buffered.get_mut(&(round + 1));
         let overtook = early.and_then(|msgs| {
             let is_begin_sync = |(_, m): &(MachineId, Msg)| matches!(m, Msg::BeginSync { .. });
@@ -573,11 +590,14 @@ mod tests {
         )
     }
 
-    /// What the composer does once stage 2 has run: the round leaves its
-    /// slot by value and is handed back as applied.
-    fn apply(p: &mut ParticipantRole) -> Vec<Effect> {
+    /// What the composer does with a round ready for stage 2: it leaves its
+    /// slot by value and is acknowledged, and then -- the deferred half --
+    /// it is handed back as applied. The acknowledgement, then what the
+    /// apply emitted.
+    fn apply(p: &mut ParticipantRole) -> (Vec<Effect>, Vec<Effect>) {
         let rs = p.round.take().expect("a round to apply");
-        p.applied(rs)
+        let ack = p.acknowledge(&rs);
+        (ack, p.applied(rs))
     }
 
     /// Where another machine of the round stands as the table test's
@@ -959,11 +979,15 @@ mod tests {
         let c = cfg();
         let mut p = ParticipantRole::new(id(1));
         p.step(begin_sync(1), SimTime::ZERO, &c);
-        let fx = apply(&mut p);
+        let (ack, applied) = apply(&mut p);
         assert!(matches!(
-            fx[..],
+            ack[..],
             [Effect::Send { to, msg: Msg::Ack { round: 1, .. }, .. }] if to == id(0)
         ));
+        assert!(
+            applied.is_empty(),
+            "the Ack is sent once, ahead of the apply"
+        );
         let fx = p.step(
             ParticipantEvent::BeginApply {
                 round: 1,
@@ -1114,22 +1138,22 @@ mod tests {
         // `SyncComplete{1}` is lost. The master let round 2 into stage 2, so
         // round 1 completed: applying round 2 closes it, as the signal would.
         let mut p = closing_1_under_2(&c, 3);
-        let fx = apply(&mut p);
+        let (ack, applied) = apply(&mut p);
         assert!(matches!(
-            fx[..],
-            [
-                Effect::FenceAsyncs { through: 4 },
-                Effect::CountSync,
-                Effect::Send {
-                    msg: Msg::Ack { round: 2, .. },
-                    ..
-                }
-            ]
+            ack[..],
+            [Effect::Send {
+                msg: Msg::Ack { round: 2, .. },
+                ..
+            }]
+        ));
+        assert!(matches!(
+            applied[..],
+            [Effect::FenceAsyncs { through: 4 }, Effect::CountSync]
         ));
         assert_eq!(p.closing.as_ref().unwrap().round, 2);
         // A flush that carried no operation is no guarantee for its asyncs.
         let mut p = closing_1_under_2(&c, 0);
-        assert!(matches!(apply(&mut p)[..], [Effect::CountSync, _]));
+        assert!(matches!(apply(&mut p).1[..], [Effect::CountSync]));
     }
 
     #[test]
@@ -1143,13 +1167,16 @@ mod tests {
         assert!(p.step(begin_sync(2), SimTime::ZERO, &c).is_empty());
         assert_eq!(p.round.as_ref().unwrap().round, 1);
         assert_eq!(p.buffered_rounds(), 1);
-        let fx = apply(&mut p);
-        let [Effect::Send {
-            msg: Msg::Ack { round: 1, .. },
-            ..
-        }, Effect::ReplayBuffered(early)] = &fx[..]
-        else {
-            panic!("the Ack, then the buffered BeginSync, got {fx:?}");
+        let (ack, applied) = apply(&mut p);
+        assert!(matches!(
+            ack[..],
+            [Effect::Send {
+                msg: Msg::Ack { round: 1, .. },
+                ..
+            }]
+        ));
+        let [Effect::ReplayBuffered(early)] = &applied[..] else {
+            panic!("the buffered BeginSync behind the apply, got {applied:?}");
         };
         assert!(matches!(
             early[..],
