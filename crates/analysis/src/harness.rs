@@ -1,14 +1,16 @@
 //! The analysis harness: every row of `guesstimate_apps::all()` — its
-//! registry, its representative states and its suite's argument spaces —
-//! analyzed and packaged so the `analyze` binary, the bench crate's
-//! shard-balance summaries, and tests all drive the identical configuration.
+//! registry (whose `methods!` rows declare the argument spaces) and its
+//! representative states — analyzed and packaged so the `analyze` binary,
+//! the bench crate's shard-balance summaries, and tests all drive the
+//! identical configuration.
 
 use guesstimate_apps::App;
+use guesstimate_core::codec::ILL_TYPED;
 use guesstimate_core::{OpRegistry, ShardPlan, TypePlan};
 use guesstimate_spec::CaseSpace;
 
 use crate::shard::{derive_type_plan, sanitize_type_plan, witness_check_type_plan};
-use crate::{analyze_app, method_spaces_from_suite, AppReport, MethodSpace};
+use crate::{analyze_app, arg_spaces, AppReport};
 
 /// Case cap per method (sanitizers) and per pair (commutation check).
 pub const MAX_CASES: usize = 4_000;
@@ -19,8 +21,6 @@ pub const MAX_CASES: usize = 4_000;
 pub struct AppAnalysis {
     /// The registry with the app's type and methods registered.
     pub registry: OpRegistry,
-    /// The analyzed argument spaces.
-    pub spaces: Vec<MethodSpace>,
     /// The state enumeration and case cap.
     pub case_space: CaseSpace,
     /// The analysis report.
@@ -31,12 +31,7 @@ impl AppAnalysis {
     /// Derives the app's shard plan from its report (see
     /// [`crate::shard::derive_type_plan`]).
     pub fn derive_shard_plan(&self) -> TypePlan {
-        derive_type_plan(
-            &self.registry,
-            &self.report.type_name,
-            &self.spaces,
-            &self.report,
-        )
+        derive_type_plan(&self.registry, &self.report.type_name, &self.report)
     }
 
     /// Runs the static plan sanitizer (see
@@ -52,13 +47,14 @@ impl AppAnalysis {
             &self.registry,
             &self.report.type_name,
             plan,
-            &self.spaces,
             &self.case_space,
         )
     }
 
     /// Routes every enumerated argument case of every analyzed method
-    /// through `plan` and tallies operations per shard — the raw material
+    /// through `plan` and tallies operations per shard (a list holding the
+    /// domains' ill-typed probe, [`ILL_TYPED`], is a probe, not an
+    /// operation, and is left out) — the raw material
     /// of the bench crate's shard-balance summary (shard count, per-shard
     /// op share, cross-shard fraction). Labels are
     /// [`guesstimate_core::ShardId`] renderings (`"cross"` for cross-shard
@@ -68,9 +64,9 @@ impl AppAnalysis {
         full.types
             .insert(self.report.type_name.clone(), plan.clone());
         let mut counts: std::collections::BTreeMap<String, u64> = Default::default();
-        for space in &self.spaces {
-            for case in &space.args {
-                let shard = full.route_primitive(&self.report.type_name, &space.method, case);
+        for (method, space) in arg_spaces(&self.registry, &self.report.type_name) {
+            for case in space.cases.iter().filter(|c| !c.contains(&ILL_TYPED)) {
+                let shard = full.route_primitive(&self.report.type_name, method, case);
                 *counts.entry(shard.to_string()).or_insert(0) += 1;
             }
         }
@@ -78,16 +74,14 @@ impl AppAnalysis {
     }
 }
 
-/// Analyzes one application: its suite's argument spaces over its
+/// Analyzes one application: its rows' argument spaces over its
 /// representative states.
 pub fn analyze(app: &App) -> AppAnalysis {
     let registry = app.registry();
-    let spaces = method_spaces_from_suite(&(app.spec_suite)());
     let case_space = CaseSpace::sampled((app.states)(), MAX_CASES);
-    let report = analyze_app(&registry, app.type_name, &spaces, &case_space);
+    let report = analyze_app(&registry, app.type_name, &case_space);
     AppAnalysis {
         registry,
-        spaces,
         case_space,
         report,
     }

@@ -46,11 +46,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use guesstimate_core::{
-    containment_escapes, execute, execute_witnessed, paths_overlap, AccessKind, ArgView,
-    CommuteMatrix, EffectSpec, MachineId, ObjectId, ObjectStore, OpRegistry, ProbeReads, SharedOp,
-    Value,
+    containment_escapes, execute, execute_witnessed, paths_overlap, AccessKind, ArgSpace, ArgView,
+    CommuteMatrix, EffectSpec, Footprint, MachineId, ObjectId, ObjectStore, OpRegistry, ProbeReads,
+    SharedOp, Value,
 };
-use guesstimate_spec::{CaseSpace, SpecSuite};
+use guesstimate_spec::CaseSpace;
 
 pub use guesstimate_core::snapshot_diff;
 
@@ -154,31 +154,14 @@ impl fmt::Display for AnalysisViolation {
     }
 }
 
-/// The argument space of one method, for sanitizing and pairing.
-///
-/// Derived from the app's [`SpecSuite`] via [`method_spaces_from_suite`]
-/// (every registered method of a bundled app has a spec).
-#[derive(Debug, Clone)]
-pub struct MethodSpace {
-    /// Registered method name.
-    pub method: String,
-    /// Argument vectors to enumerate.
-    pub args: Vec<Vec<Value>>,
-    /// True if `args` covers all relevant argument vectors (up to
-    /// symmetry); required for a `Commute`-by-enumeration verdict.
-    pub args_exhaustive: bool,
-}
-
-/// Extracts one [`MethodSpace`] per method of a spec suite.
-pub fn method_spaces_from_suite(suite: &SpecSuite) -> Vec<MethodSpace> {
-    suite
-        .methods
-        .iter()
-        .map(|m| MethodSpace {
-            method: m.method.clone(),
-            args: m.arg_space.clone(),
-            args_exhaustive: m.args_exhaustive,
-        })
+/// Every method of `type_name` that declares an argument space, with that
+/// space, sorted by method name: what each pass of the analysis enumerates
+/// (a [`guesstimate_core::methods!`] row's domains and their edge values).
+pub fn arg_spaces(registry: &OpRegistry, type_name: &str) -> Vec<(&'static str, ArgSpace)> {
+    registry
+        .methods_of(type_name)
+        .into_iter()
+        .filter_map(|m| Some((m, registry.arg_space(type_name, m)?)))
         .collect()
 }
 
@@ -357,6 +340,33 @@ fn render_case(state: &Value, a1: &[Value], a2: &[Value]) -> String {
 /// same total budget, spread across the whole domain.
 const WITNESS_CASE_CAP: usize = 192;
 
+/// At most about `cap` cases of `states × cases`, spread over the whole
+/// product: every `stride`-th one, the stride sharing no factor with
+/// `cases.len()` so that the samples do not keep landing on the same few
+/// argument lists (a stride of 4 over lists whose last parameter has 8
+/// values would only ever see two of them).
+pub(crate) fn strided<'a>(
+    states: &'a [Value],
+    cases: &'a [Vec<Value>],
+    cap: usize,
+) -> impl Iterator<Item = (&'a Value, &'a Vec<Value>)> {
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    let mut stride = (states.len() * cases.len()).div_ceil(cap.max(1)).max(1);
+    while gcd(stride, cases.len()) > 1 {
+        stride += 1;
+    }
+    states
+        .iter()
+        .flat_map(move |s| cases.iter().map(move |a| (s, a)))
+        .step_by(stride)
+}
+
 /// Drives each (still-sanitized) method's sampled case domain through
 /// [`guesstimate_core::execute_witnessed`] and returns the witness
 /// violations, the dead-footprint warnings, and the set of refuted
@@ -364,7 +374,7 @@ const WITNESS_CASE_CAP: usize = 192;
 fn witness_sanitize(
     registry: &OpRegistry,
     type_name: &str,
-    spaces: &[MethodSpace],
+    spaces: &[(&'static str, ArgSpace)],
     space: &CaseSpace,
     sanitized: &BTreeSet<&str>,
 ) -> (Vec<AnalysisViolation>, Vec<String>, BTreeSet<String>) {
@@ -372,34 +382,21 @@ fn witness_sanitize(
     let mut warnings = Vec::new();
     let mut refuted: BTreeSet<String> = BTreeSet::new();
     let id = scratch_id();
-    for ms in spaces {
+    for &(method, ref ms) in spaces {
         // Methods already refuted (or lacking a declared effect) are not
         // worth the probing cost; their verdicts are already poisoned.
-        if !sanitized.contains(ms.method.as_str()) {
+        if !sanitized.contains(method) {
             continue;
         }
-        let Some(effect) = registry.effect_of(type_name, &ms.method) else {
+        let Some(effect) = registry.effect_of(type_name, method) else {
             continue;
         };
-        let total = space.states.len() * ms.args.len();
-        if total == 0 {
-            continue;
-        }
-        let cap = space.max_cases.clamp(1, WITNESS_CASE_CAP);
-        let stride = total.div_ceil(cap);
         let mut declared_union: BTreeSet<String> = BTreeSet::new();
         let mut observed_union: BTreeSet<String> = BTreeSet::new();
         let mut sampled = 0usize;
         let mut escaped = false;
-        'method: for (case_idx, (state, argv)) in space
-            .states
-            .iter()
-            .flat_map(|s| ms.args.iter().map(move |a| (s, a)))
-            .enumerate()
-        {
-            if case_idx % stride != 0 {
-                continue;
-            }
+        let cap = space.max_cases.clamp(1, WITNESS_CASE_CAP);
+        'method: for (state, argv) in strided(&space.states, &ms.cases, cap) {
             let Ok(mut obj) = registry.construct(type_name) else {
                 break;
             };
@@ -408,7 +405,7 @@ fn witness_sanitize(
             }
             let mut store = ObjectStore::new();
             store.insert(id, obj);
-            let op = SharedOp::primitive(id, ms.method.as_str(), argv.clone());
+            let op = SharedOp::primitive(id, method, argv.clone());
             let Ok((_, witness)) = execute_witnessed(&op, &mut store, registry, ProbeReads::All)
             else {
                 continue;
@@ -430,7 +427,7 @@ fn witness_sanitize(
                         AccessKind::Write => ViolationKind::UndeclaredWrite,
                     },
                     type_name: type_name.to_owned(),
-                    method: ms.method.clone(),
+                    method: method.to_owned(),
                     detail: format!(
                         "witness observed {e}; declared reads {:?} writes {:?} ({})",
                         fp.reads,
@@ -438,7 +435,7 @@ fn witness_sanitize(
                         render_case(state, argv, &[])
                     ),
                 });
-                refuted.insert(ms.method.clone());
+                refuted.insert(method.to_owned());
                 escaped = true;
                 break 'method;
             }
@@ -459,8 +456,7 @@ fn witness_sanitize(
                     listed.push(format!("… {} more", dead.len() - listed.len()));
                 }
                 warnings.push(format!(
-                    "{type_name}::{} declares {} never observed touched across {sampled} sampled cases — consider tightening the footprint",
-                    ms.method,
+                    "{type_name}::{method} declares {} never observed touched across {sampled} sampled cases — consider tightening the footprint",
                     listed.join(", "),
                 ));
             }
@@ -469,18 +465,13 @@ fn witness_sanitize(
     (violations, warnings, refuted)
 }
 
-/// Runs the full analysis for one application type.
-///
-/// `spaces` must cover every registered method of `type_name` (missing
-/// methods produce an [`ViolationKind::UnanalyzedMethod`] violation);
-/// `space` supplies the state enumeration and the per-method case cap
-/// (`max_cases` also caps each pair's `state × args × args` product).
-pub fn analyze_app(
-    registry: &OpRegistry,
-    type_name: &str,
-    spaces: &[MethodSpace],
-    space: &CaseSpace,
-) -> AppReport {
+/// Runs the full analysis for one application type, over every method's
+/// declared argument space ([`arg_spaces`]; a registered method that
+/// declares none produces an [`ViolationKind::UnanalyzedMethod`]
+/// violation); `space` supplies the state enumeration and the per-method
+/// case cap (`max_cases` also caps each pair's `state × args × args`
+/// product, shared equally among the states).
+pub fn analyze_app(registry: &OpRegistry, type_name: &str, space: &CaseSpace) -> AppReport {
     let mut violations = Vec::new();
 
     // --- coverage lints -------------------------------------------------
@@ -497,54 +488,51 @@ pub fn analyze_app(
         .into_iter()
         .map(str::to_owned)
         .collect();
+    // Sorted by method name, so every downstream list — violations, pairs,
+    // the rendered matrix — is deterministic.
+    let spaces = arg_spaces(registry, type_name);
     for m in &methods {
-        if !spaces.iter().any(|s| &s.method == m) {
+        if !spaces.iter().any(|(s, _)| s == m) {
             violations.push(AnalysisViolation {
                 kind: ViolationKind::UnanalyzedMethod,
                 type_name: type_name.to_owned(),
                 method: m.clone(),
-                detail: "no argument space supplied for analysis".to_owned(),
+                detail: "no argument space declared".to_owned(),
             });
         }
     }
-
-    // Sort the method spaces so every downstream list — violations, pairs,
-    // the rendered matrix — is deterministic regardless of caller order.
-    let mut sorted_spaces = spaces.to_vec();
-    sorted_spaces.sort_by(|x, y| x.method.cmp(&y.method));
-    let spaces = &sorted_spaces[..];
 
     // --- sanitizers: determinism + footprint writes ---------------------
     // Methods whose declared footprints survive the sanitizer; only these
     // may be promoted to Commute by the static judgment.
     let mut sanitized: BTreeSet<&str> = BTreeSet::new();
-    for ms in spaces {
-        let mut clean = registry.effect_of(type_name, &ms.method).is_some();
+    for &(method, ref ms) in &spaces {
+        let mut clean = registry.effect_of(type_name, method).is_some();
         let mut cases = 0usize;
         'outer: for state in &space.states {
-            for argv in &ms.args {
+            for argv in &ms.cases {
                 if cases >= space.max_cases {
                     break 'outer;
                 }
-                let Some((r1, post1)) = run_seq(registry, type_name, state, &[(&ms.method, argv)])
+                let Some((r1, post1)) = run_seq(registry, type_name, state, &[(method, argv)])
                 else {
                     continue;
                 };
                 cases += 1;
                 // Determinism: identical snapshot, identical outcome.
-                let rerun = run_seq(registry, type_name, state, &[(&ms.method, argv)]);
+                let rerun = run_seq(registry, type_name, state, &[(method, argv)]);
                 if rerun.as_ref().map(|(r, p)| (r, p)) != Some((&r1, &post1)) {
                     clean = false;
                     violations.push(AnalysisViolation {
                         kind: ViolationKind::Nondeterminism,
                         type_name: type_name.to_owned(),
-                        method: ms.method.clone(),
+                        method: method.to_owned(),
                         detail: render_case(state, argv, &[]),
                     });
                     break 'outer;
                 }
                 // Footprint: every observed write covered by the declaration.
-                if let Some(effect) = registry.effect_of(type_name, &ms.method) {
+                if let Some(effect) = registry.effect_of(type_name, method) {
                     let fp = effect.footprint(ArgView::new(argv));
                     for path in snapshot_diff(state, &post1) {
                         if !fp.writes_cover(&path) {
@@ -552,7 +540,7 @@ pub fn analyze_app(
                             violations.push(AnalysisViolation {
                                 kind: ViolationKind::FootprintUnderApproximation,
                                 type_name: type_name.to_owned(),
-                                method: ms.method.clone(),
+                                method: method.to_owned(),
                                 detail: format!(
                                     "observed write at {path:?} not in declared writes {:?} ({})",
                                     fp.writes,
@@ -566,43 +554,46 @@ pub fn analyze_app(
             }
         }
         if clean {
-            sanitized.insert(&ms.method);
+            sanitized.insert(method);
         }
     }
 
     // --- access-witness sanitizer ----------------------------------------
     let (witness_violations, warnings, refuted) =
-        witness_sanitize(registry, type_name, spaces, space, &sanitized);
+        witness_sanitize(registry, type_name, &spaces, space, &sanitized);
     violations.extend(witness_violations);
     for m in &refuted {
         sanitized.remove(m.as_str());
     }
 
     // --- pairwise commutativity -----------------------------------------
+    // Static judgment: disjoint declared footprints for EVERY argument
+    // pair. It scans the full (uncapped) argument product — pure footprint
+    // evaluation, no execution — and requires both spaces to be
+    // exhaustive, since the verdict generalizes to arbitrary runtime
+    // arguments; so each exhaustive method's footprints are evaluated once.
+    let footprints: Vec<Option<Vec<Footprint>>> = spaces
+        .iter()
+        .map(|&(method, ref ms)| {
+            let effect = registry.effect_of(type_name, method)?;
+            ms.exhaustive.then(|| {
+                ms.cases
+                    .iter()
+                    .map(|argv| effect.footprint(ArgView::new(argv)))
+                    .collect()
+            })
+        })
+        .collect();
+    // Each state's argument pairs are swept up to an equal share of the
+    // pair's case budget, so a large argument space cannot spend all of it
+    // on the first state.
+    let per_state = space.max_cases.div_ceil(space.states.len().max(1));
     let mut pairs = Vec::new();
-    for (i, ms1) in spaces.iter().enumerate() {
-        for ms2 in spaces.iter().skip(i) {
-            let (a, b) = if ms1.method <= ms2.method {
-                (ms1, ms2)
-            } else {
-                (ms2, ms1)
-            };
-            let fx1 = registry.effect_of(type_name, &a.method);
-            let fx2 = registry.effect_of(type_name, &b.method);
-            // Static judgment: disjoint declared footprints for EVERY
-            // argument pair. This scans the full (uncapped) argument
-            // product — it is pure footprint evaluation, no execution —
-            // and requires both spaces to be exhaustive, since the verdict
-            // generalizes to arbitrary runtime arguments.
-            let static_commute = match (fx1, fx2) {
-                (Some(f1), Some(f2)) if a.args_exhaustive && b.args_exhaustive => {
-                    a.args.iter().all(|a1| {
-                        let fp1 = f1.footprint(ArgView::new(a1));
-                        b.args
-                            .iter()
-                            .all(|a2| fp1.disjoint(&f2.footprint(ArgView::new(a2))))
-                    })
-                }
+    for (i, (am, a)) in spaces.iter().enumerate() {
+        for (j, (bm, b)) in spaces.iter().enumerate().skip(i) {
+            let (am, bm) = (*am, *bm);
+            let static_commute = match (&footprints[i], &footprints[j]) {
+                (Some(f1), Some(f2)) => f1.iter().all(|x| f2.iter().all(|y| x.disjoint(y))),
                 _ => false,
             }
             // Diagonal pairs may instead carry a declared `self_commuting`
@@ -611,49 +602,40 @@ pub fn analyze_app(
             // with exhaustive argument coverage, and the dynamic sweep
             // below refutes a false one the same way it refutes an
             // under-declared footprint.
-            || (a.method == b.method
-                && a.args_exhaustive
-                && fx1.is_some_and(EffectSpec::is_self_commuting));
+            || (i == j
+                && a.exhaustive
+                && registry
+                    .effect_of(type_name, am)
+                    .is_some_and(EffectSpec::is_self_commuting));
             let mut counterexample = None;
             let mut cases = 0usize;
             let mut truncated = false;
             'pair: for state in &space.states {
-                for a1 in &a.args {
-                    for a2 in &b.args {
-                        if cases >= space.max_cases {
-                            truncated = true;
-                            break 'pair;
-                        }
-                        let ab = run_seq(
-                            registry,
-                            type_name,
-                            state,
-                            &[(&a.method, a1), (&b.method, a2)],
-                        );
-                        let ba = run_seq(
-                            registry,
-                            type_name,
-                            state,
-                            &[(&b.method, a2), (&a.method, a1)],
-                        );
-                        cases += 1;
-                        let (Some((rab, sab)), Some((rba, sba))) = (ab, ba) else {
-                            continue;
-                        };
-                        // s1;s2 ≡ s2;s1: same final snapshot AND each op
-                        // reports the same result in both orders.
-                        if sab != sba || rab[0] != rba[1] || rab[1] != rba[0] {
-                            counterexample = Some(render_case(state, a1, a2));
-                            break 'pair;
-                        }
+                let arg_pairs = a
+                    .cases
+                    .iter()
+                    .flat_map(|a1| b.cases.iter().map(move |a2| (a1, a2)));
+                for (k, (a1, a2)) in arg_pairs.enumerate() {
+                    if k == per_state {
+                        truncated = true;
+                        break;
+                    }
+                    let ab = run_seq(registry, type_name, state, &[(am, a1), (bm, a2)]);
+                    let ba = run_seq(registry, type_name, state, &[(bm, a2), (am, a1)]);
+                    cases += 1;
+                    let (Some((rab, sab)), Some((rba, sba))) = (ab, ba) else {
+                        continue;
+                    };
+                    // s1;s2 ≡ s2;s1: same final snapshot AND each op
+                    // reports the same result in both orders.
+                    if sab != sba || rab[0] != rba[1] || rab[1] != rba[0] {
+                        counterexample = Some(render_case(state, a1, a2));
+                        break 'pair;
                     }
                 }
             }
-            let complete =
-                space.states_exhaustive && a.args_exhaustive && b.args_exhaustive && !truncated;
-            let static_ok = static_commute
-                && sanitized.contains(a.method.as_str())
-                && sanitized.contains(b.method.as_str());
+            let complete = space.states_exhaustive && a.exhaustive && b.exhaustive && !truncated;
+            let static_ok = static_commute && sanitized.contains(am) && sanitized.contains(bm);
             let classification = if counterexample.is_some() {
                 if static_ok {
                     // A semantic counterexample under a static "disjoint"
@@ -665,12 +647,12 @@ pub fn analyze_app(
                     violations.push(AnalysisViolation {
                         kind: ViolationKind::StaticSemanticDisagreement,
                         type_name: type_name.to_owned(),
-                        method: format!("{};{}", a.method, b.method),
+                        method: format!("{am};{bm}"),
                         detail: counterexample.clone().unwrap_or_default(),
                     });
                 }
                 Classification::Conflict
-            } else if refuted.contains(a.method.as_str()) || refuted.contains(b.method.as_str()) {
+            } else if refuted.contains(am) || refuted.contains(bm) {
                 // A witness-refuted footprint poisons every judgment about
                 // the method: the enumeration sweep only exercises the
                 // states it was given, and a method caught accessing
@@ -685,8 +667,8 @@ pub fn analyze_app(
                 Classification::Unknown
             };
             pairs.push(PairReport {
-                a: a.method.clone(),
-                b: b.method.clone(),
+                a: am.to_owned(),
+                b: bm.to_owned(),
                 classification,
                 cases,
                 static_commute,
@@ -905,46 +887,59 @@ mod tests {
         }
     }
 
+    /// Small-scope abstraction: the cell setters ignore which value is
+    /// stored, so two representatives cover the space.
+    fn one_or_two() -> Vec<Vec<Value>> {
+        vec![args![1], args![2]]
+    }
+
     fn cell_effect(key: &'static str) -> EffectSpec {
-        EffectSpec::new(move |_| Footprint::new().reads([key]).writes([key]))
+        EffectSpec::new(move |_| Footprint::new().reads([key]).writes([key])).over(one_or_two)
+    }
+
+    /// A registry of the named test methods, each over [`one_or_two`].
+    fn registry_of(methods: &[&'static str]) -> OpRegistry {
+        let mut r = OpRegistry::new();
+        r.register_type::<Cells>();
+        for &m in methods {
+            match m {
+                "set_a" => r.register_with_effects::<Cells>(m, cell_effect("a"), |s, a| {
+                    let Some(v) = a.i64(0) else { return false };
+                    s.a = v;
+                    true
+                }),
+                "set_b" => r.register_with_effects::<Cells>(m, cell_effect("b"), |s, a| {
+                    let Some(v) = a.i64(0) else { return false };
+                    s.b = v;
+                    true
+                }),
+                "append" => r.register_with_effects::<Cells>(m, cell_effect("log"), |s, a| {
+                    let Some(v) = a.i64(0) else { return false };
+                    s.log.push(v);
+                    true
+                }),
+                // BUG for the sanitizer: declares `a` but also writes `b`.
+                "sneaky" => r.register_with_effects::<Cells>(m, cell_effect("a"), |s, a| {
+                    let Some(v) = a.i64(0) else { return false };
+                    s.a = v;
+                    s.b = v;
+                    true
+                }),
+                // BUG for the witness sanitizer: writes exactly what it
+                // declares, but silently *reads* `b` — invisible to the
+                // write-diff check.
+                "copy_b_to_a" => r.register_with_effects::<Cells>(m, cell_effect("a"), |s, _| {
+                    s.a = s.b;
+                    true
+                }),
+                other => unreachable!("no test method {other}"),
+            }
+        }
+        r
     }
 
     fn registry() -> OpRegistry {
-        let mut r = OpRegistry::new();
-        r.register_type::<Cells>();
-        r.register_with_effects::<Cells>("set_a", cell_effect("a"), |s, a| {
-            let Some(v) = a.i64(0) else { return false };
-            s.a = v;
-            true
-        });
-        r.register_with_effects::<Cells>("set_b", cell_effect("b"), |s, a| {
-            let Some(v) = a.i64(0) else { return false };
-            s.b = v;
-            true
-        });
-        r.register_with_effects::<Cells>(
-            "append",
-            EffectSpec::new(|_| Footprint::new().reads(["log"]).writes(["log"])),
-            |s, a| {
-                let Some(v) = a.i64(0) else { return false };
-                s.log.push(v);
-                true
-            },
-        );
-        // BUG for the sanitizer: declares `a` but also writes `b`.
-        r.register_with_effects::<Cells>("sneaky", cell_effect("a"), |s, a| {
-            let Some(v) = a.i64(0) else { return false };
-            s.a = v;
-            s.b = v;
-            true
-        });
-        // BUG for the witness sanitizer: writes exactly what it declares,
-        // but silently *reads* `b` — invisible to the write-diff check.
-        r.register_with_effects::<Cells>("copy_b_to_a", cell_effect("a"), |s, _| {
-            s.a = s.b;
-            true
-        });
-        r
+        registry_of(&["set_a", "set_b", "append"])
     }
 
     fn states() -> Vec<Value> {
@@ -956,14 +951,20 @@ mod tests {
         vec![GState::snapshot(&Cells::default()), GState::snapshot(&one)]
     }
 
-    fn spc(method: &str) -> MethodSpace {
-        MethodSpace {
-            method: method.to_owned(),
-            args: vec![args![1], args![2]],
-            // Small-scope abstraction: the cell setters ignore which value
-            // is stored, so two representatives cover the space.
-            args_exhaustive: true,
-        }
+    #[test]
+    fn strided_samples_reach_every_value_of_the_last_parameter() {
+        let states = vec![Value::Unit; 5];
+        // 120 lists whose last parameter takes 8 values: a plain stride of
+        // 4 would only ever see two of them.
+        let cases: Vec<Vec<Value>> = (0..120).map(|i| args![i / 8, i % 8]).collect();
+        let last: BTreeSet<&Value> = strided(&states, &cases, 192).map(|(_, a)| &a[1]).collect();
+        assert_eq!(last.len(), 8);
+        assert!(strided(&states, &cases, 192).count() <= 192);
+        assert_eq!(
+            strided(&states, &cases, 10_000).count(),
+            600,
+            "under the cap: all"
+        );
     }
 
     #[test]
@@ -985,12 +986,14 @@ mod tests {
 
     #[test]
     fn disjoint_footprints_classify_as_commute() {
-        let report = analyze_app(
-            &registry(),
-            "Cells",
-            &[spc("set_a"), spc("set_b"), spc("append")],
-            &CaseSpace::sampled(states(), 10_000),
+        let mut r = registry();
+        // Declares an effect but no argument space.
+        r.register_with_effects::<Cells>(
+            "unanalyzed",
+            EffectSpec::new(|_| Footprint::new().writes(["a"])),
+            |_, _| true,
         );
+        let report = analyze_app(&r, "Cells", &CaseSpace::sampled(states(), 10_000));
         assert_eq!(
             report.classification("set_a", "set_b"),
             Some(Classification::Commute),
@@ -1000,21 +1003,17 @@ mod tests {
             report.classification("set_a", "append"),
             Some(Classification::Commute)
         );
-        // sneaky is registered but unanalyzed → violation, not a crash.
+        // registered but unanalyzed → violation, not a crash.
         assert!(report
             .violations
             .iter()
-            .any(|v| v.kind == ViolationKind::UnanalyzedMethod && v.method == "sneaky"));
+            .any(|v| v.kind == ViolationKind::UnanalyzedMethod && v.method == "unanalyzed"));
     }
 
     #[test]
     fn json_archive_roundtrips_to_the_same_matrix() {
-        let report = analyze_app(
-            &registry(),
-            "Cells",
-            &[spc("set_a"), spc("set_b"), spc("append")],
-            &CaseSpace::sampled(states(), 10_000),
-        );
+        let r = registry_of(&["set_a", "set_b", "append", "sneaky"]);
+        let report = analyze_app(&r, "Cells", &CaseSpace::sampled(states(), 10_000));
         let direct = report.commute_matrix();
         let text = report_to_json(std::slice::from_ref(&report));
         let restored = matrices_from_json(&text).expect("archive parses");
@@ -1159,13 +1158,12 @@ mod tests {
     /// A derived plan round-trips through the v3 archive exactly.
     #[test]
     fn shard_plan_roundtrips_through_v3_json() {
-        let r = registry();
-        let spaces = [spc("set_a"), spc("set_b"), spc("append"), spc("sneaky")];
+        let r = registry_of(&["set_a", "set_b", "append", "sneaky"]);
         let space = CaseSpace::sampled(states(), 1_000);
-        let report = analyze_app(&r, "Cells", &spaces, &space);
-        let tp = shard::derive_type_plan(&r, "Cells", &spaces, &report);
+        let report = analyze_app(&r, "Cells", &space);
+        let tp = shard::derive_type_plan(&r, "Cells", &report);
         assert_eq!(
-            shard::derive_type_plan(&r, "Cells", &spaces, &report),
+            shard::derive_type_plan(&r, "Cells", &report),
             tp,
             "derivation is deterministic"
         );
@@ -1179,9 +1177,8 @@ mod tests {
     #[test]
     fn self_pairs_detect_order_sensitivity() {
         let report = analyze_app(
-            &registry(),
+            &registry_of(&["set_a", "append"]),
             "Cells",
-            &[spc("set_a"), spc("append")],
             &CaseSpace::sampled(states(), 10_000),
         );
         // set_a(1); set_a(2) leaves a=2 vs a=1 — conflict on the diagonal.
@@ -1199,9 +1196,8 @@ mod tests {
     #[test]
     fn footprint_sanitizer_refutes_underdeclared_writes() {
         let report = analyze_app(
-            &registry(),
+            &registry_of(&["set_a", "set_b", "append", "sneaky"]),
             "Cells",
-            &[spc("set_a"), spc("set_b"), spc("append"), spc("sneaky")],
             &CaseSpace::sampled(states(), 10_000),
         );
         assert!(report.violations.iter().any(|v| {
@@ -1218,9 +1214,8 @@ mod tests {
     #[test]
     fn witness_sanitizer_refutes_undeclared_reads() {
         let report = analyze_app(
-            &registry(),
+            &registry_of(&["set_a", "set_b", "copy_b_to_a"]),
             "Cells",
-            &[spc("set_a"), spc("set_b"), spc("copy_b_to_a")],
             &CaseSpace::sampled(states(), 10_000),
         );
         assert!(
@@ -1261,18 +1256,13 @@ mod tests {
         // Over-declared: claims to read `b`, never does.
         r.register_with_effects::<Cells>(
             "bump_a",
-            EffectSpec::new(|_| Footprint::new().reads(["a", "b"]).writes(["a"])),
+            EffectSpec::new(|_| Footprint::new().reads(["a", "b"]).writes(["a"])).over(one_or_two),
             |s, _| {
                 s.a += 1;
                 true
             },
         );
-        let report = analyze_app(
-            &r,
-            "Cells",
-            &[spc("bump_a")],
-            &CaseSpace::sampled(states(), 10_000),
-        );
+        let report = analyze_app(&r, "Cells", &CaseSpace::sampled(states(), 10_000));
         assert!(report.is_clean(), "over-approximation is sound");
         assert!(
             report
@@ -1294,12 +1284,7 @@ mod tests {
     fn undeclared_effects_are_linted() {
         let mut r = registry();
         r.register_method::<Cells>("mystery", |_, _| true);
-        let report = analyze_app(
-            &r,
-            "Cells",
-            &[spc("set_a"), spc("set_b"), spc("append"), spc("sneaky")],
-            &CaseSpace::sampled(states(), 1_000),
-        );
+        let report = analyze_app(&r, "Cells", &CaseSpace::sampled(states(), 1_000));
         assert!(report
             .violations
             .iter()
@@ -1318,12 +1303,7 @@ mod tests {
             s.a = counter.fetch_add(1, Ordering::Relaxed);
             true
         });
-        let report = analyze_app(
-            &r,
-            "Cells",
-            &[spc("flaky")],
-            &CaseSpace::sampled(states(), 1_000),
-        );
+        let report = analyze_app(&r, "Cells", &CaseSpace::sampled(states(), 1_000));
         assert!(report
             .violations
             .iter()
@@ -1331,38 +1311,34 @@ mod tests {
     }
 
     #[test]
-    fn complete_enumeration_proves_commute_without_effects() {
+    fn complete_enumeration_proves_commute_past_overlapping_footprints() {
         let mut r = OpRegistry::new();
         r.register_type::<Cells>();
-        // No EffectSpec at all: only exhaustive enumeration can prove it.
-        r.register_method::<Cells>("bump_a", |s, _| {
-            s.a += 1;
-            true
-        });
-        let spaces = [MethodSpace {
-            method: "bump_a".to_owned(),
-            args: vec![args![]],
-            args_exhaustive: true,
-        }];
-        let report = analyze_app(&r, "Cells", &spaces, &CaseSpace::exhaustive(states()));
+        // The footprint overlaps itself and claims no self-commutation:
+        // only exhaustive enumeration can prove it.
+        r.register_with_effects::<Cells>(
+            "bump_a",
+            cell_effect("a").over(|| vec![args![]]),
+            |s, _| {
+                s.a += 1;
+                true
+            },
+        );
+        let report = analyze_app(&r, "Cells", &CaseSpace::exhaustive(states()));
         assert_eq!(
             report.classification("bump_a", "bump_a"),
             Some(Classification::Commute),
             "increments commute; proven by complete enumeration"
         );
-        // Still linted for the missing declaration.
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::UndeclaredEffect));
+        assert!(!report.pairs[0].static_commute);
+        assert!(report.is_clean());
     }
 
     #[test]
     fn commute_matrix_extraction_and_formatting() {
         let report = analyze_app(
-            &registry(),
+            &registry_of(&["set_a", "set_b", "append", "sneaky"]),
             "Cells",
-            &[spc("set_a"), spc("set_b"), spc("append"), spc("sneaky")],
             &CaseSpace::sampled(states(), 10_000),
         );
         let m = report.commute_matrix();

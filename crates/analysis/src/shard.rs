@@ -28,11 +28,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use guesstimate_core::paths::{PathPattern, Seg};
 use guesstimate_core::shard::{key_render, ComponentPlan, Routing, ShardPlan, TypePlan};
 use guesstimate_core::{
-    execute_witnessed, ArgView, ObjectStore, OpRegistry, ProbeReads, SharedOp, ROOT,
+    execute_witnessed, ArgSpace, ArgView, ObjectStore, OpRegistry, ProbeReads, SharedOp, ROOT,
 };
 use guesstimate_spec::CaseSpace;
 
-use crate::{AppReport, Classification, MethodSpace};
+use crate::{arg_spaces, AppReport, Classification};
 
 /// The symbolic footprint abstraction of one method.
 #[derive(Debug, Clone, Default)]
@@ -88,8 +88,13 @@ fn unify(group: &[&PathPattern]) -> PathPattern {
 }
 
 /// Computes the symbolic abstraction of one method over its argument space.
-fn abstract_method(registry: &OpRegistry, type_name: &str, ms: &MethodSpace) -> MethodAbstract {
-    let Some(effect) = registry.effect_of(type_name, &ms.method) else {
+fn abstract_method(
+    registry: &OpRegistry,
+    type_name: &str,
+    method: &str,
+    ms: &ArgSpace,
+) -> MethodAbstract {
+    let Some(effect) = registry.effect_of(type_name, method) else {
         return MethodAbstract {
             cross: true,
             ..MethodAbstract::default()
@@ -98,7 +103,7 @@ fn abstract_method(registry: &OpRegistry, type_name: &str, ms: &MethodSpace) -> 
     // Per-argument-tuple pattern sets; tuples with empty footprints (the
     // specs' malformed-argument convention) contribute nothing.
     let mut tuple_sets: Vec<BTreeSet<PathPattern>> = Vec::new();
-    for argv in &ms.args {
+    for argv in &ms.cases {
         let fp = effect.footprint(ArgView::new(argv));
         let mut set = BTreeSet::new();
         for path in fp.reads.iter().chain(fp.writes.iter()) {
@@ -200,36 +205,32 @@ fn refuted_methods(report: &AppReport) -> BTreeSet<String> {
 
 /// Derives the shard plan for one analyzed type.
 ///
-/// `spaces` and `report` must come from the same [`crate::analyze_app`]
-/// run: the report's `Conflict` classifications become interference edges,
+/// `report` must come from [`crate::analyze_app`] over the same registry,
+/// whose argument spaces this pass walks again: the report's `Conflict`
+/// classifications become interference edges,
 /// and its violations force the offending methods cross-shard (a refuted
 /// footprint proves nothing about locality).
 ///
 /// The construction is deterministic: components are ordered by their
 /// smallest pattern rendering, prefixes sorted within each component, and
 /// routes keyed by method name.
-pub fn derive_type_plan(
-    registry: &OpRegistry,
-    type_name: &str,
-    spaces: &[MethodSpace],
-    report: &AppReport,
-) -> TypePlan {
+pub fn derive_type_plan(registry: &OpRegistry, type_name: &str, report: &AppReport) -> TypePlan {
     let refuted = refuted_methods(report);
     // Abstract every method with a validated footprint.
     let mut abstracts: BTreeMap<&str, MethodAbstract> = BTreeMap::new();
-    for ms in spaces {
-        let mut ab = if refuted.contains(&ms.method) {
+    for (method, ms) in arg_spaces(registry, type_name) {
+        let mut ab = if refuted.contains(method) {
             MethodAbstract {
                 cross: true,
                 ..MethodAbstract::default()
             }
         } else {
-            abstract_method(registry, type_name, ms)
+            abstract_method(registry, type_name, method, &ms)
         };
         if ab.cross {
             ab.patterns.clear();
         }
-        abstracts.insert(ms.method.as_str(), ab);
+        abstracts.insert(method, ab);
     }
 
     // Interference-graph nodes: the deduplicated patterns, in order.
@@ -443,36 +444,22 @@ pub fn witness_check_type_plan(
     registry: &OpRegistry,
     type_name: &str,
     plan: &TypePlan,
-    spaces: &[MethodSpace],
     space: &CaseSpace,
 ) -> Vec<String> {
     let mut escapes = Vec::new();
     let id = crate::scratch_id();
-    for ms in spaces {
-        let Some(Routing::Local { component, key_arg }) = plan.routes.get(&ms.method) else {
+    for (method, ms) in arg_spaces(registry, type_name) {
+        let Some(Routing::Local { component, key_arg }) = plan.routes.get(method) else {
             continue; // CrossShard may touch anything
         };
         let Some(comp) = plan.components.get(*component as usize) else {
             escapes.push(format!(
-                "{type_name}::{} routes to missing component {component}",
-                ms.method
+                "{type_name}::{method} routes to missing component {component}"
             ));
             continue;
         };
-        let total = space.states.len() * ms.args.len();
-        if total == 0 {
-            continue;
-        }
-        let stride = total.div_ceil(space.max_cases.clamp(1, SHARD_WITNESS_CAP));
-        'method: for (case_idx, (state, argv)) in space
-            .states
-            .iter()
-            .flat_map(|s| ms.args.iter().map(move |a| (s, a)))
-            .enumerate()
-        {
-            if case_idx % stride != 0 {
-                continue;
-            }
+        let cap = space.max_cases.clamp(1, SHARD_WITNESS_CAP);
+        'method: for (state, argv) in crate::strided(&space.states, &ms.cases, cap) {
             let key = match key_arg {
                 None => None,
                 Some(i) => match argv.get(*i).and_then(key_render) {
@@ -488,7 +475,7 @@ pub fn witness_check_type_plan(
             }
             let mut store = ObjectStore::new();
             store.insert(id, obj);
-            let op = SharedOp::primitive(id, ms.method.as_str(), argv.clone());
+            let op = SharedOp::primitive(id, method, argv.clone());
             let Ok((_, witness)) = execute_witnessed(&op, &mut store, registry, ProbeReads::All)
             else {
                 continue;
@@ -497,8 +484,7 @@ pub fn witness_check_type_plan(
                 for path in w.reads.iter().chain(w.writes.iter()) {
                     if !comp.allows(path, key.as_deref()) {
                         escapes.push(format!(
-                            "{type_name}::{} witnessed access to `{path}` outside shard component {component}{} (args {argv:?})",
-                            ms.method,
+                            "{type_name}::{method} witnessed access to `{path}` outside shard component {component}{} (args {argv:?})",
                             key.as_deref()
                                 .map(|k| format!(" key `{k}`"))
                                 .unwrap_or_default(),

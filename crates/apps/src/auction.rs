@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use guesstimate_core::codec::Args;
 use guesstimate_core::{
-    args, canonical, Canonical, Footprint, GState, ObjectId, OpRegistry, SharedOp, Value,
+    canonical, Canonical, Footprint, GState, ObjectId, OpRegistry, SharedOp, Value,
 };
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
@@ -60,15 +60,13 @@ impl Auction {
             .and_then(|i| i.best.clone())
     }
 
-    /// The minimum acceptable next bid on `item`, if it is open.
+    /// The minimum acceptable next bid on `item`, if it is open and a bid
+    /// above the best one fits in an `i64`.
     pub fn min_next_bid(&self, item: &str) -> Option<i64> {
         self.items
             .get(item)
             .filter(|i| i.open)
-            .map(|i| match &i.best {
-                Some((_, amt)) => amt + i.increment,
-                None => i.reserve,
-            })
+            .and_then(Item::min_next_bid)
     }
 
     fn list_item(&mut self, name: &str, seller: &str, reserve: i64, increment: i64) -> bool {
@@ -103,11 +101,8 @@ impl Auction {
         if !it.open || it.seller == bidder {
             return false;
         }
-        let min = match &it.best {
-            Some((_, best)) => best + it.increment,
-            None => it.reserve,
-        };
-        if amount < min {
+        // No minimum: no higher bid exists.
+        if it.min_next_bid().is_none_or(|min| amount < min) {
             return false;
         }
         it.best = Some((bidder.to_owned(), amount));
@@ -125,6 +120,17 @@ impl Auction {
     }
 }
 
+impl Item {
+    /// The reserve, or the best bid plus the increment; `None` when that
+    /// overflows.
+    fn min_next_bid(&self) -> Option<i64> {
+        match &self.best {
+            Some((_, best)) => best.checked_add(self.increment),
+            None => Some(self.reserve),
+        }
+    }
+}
+
 canonical!(struct Item { seller, reserve, increment, best, open });
 canonical!(impl GState for Auction as "Auction" (items));
 
@@ -135,17 +141,24 @@ pub mod ops {
     guesstimate_core::methods! {
         Auction;
         /// List an item with a reserve price and minimum increment.
-        fn list_item(name: &str, seller: &str, reserve: i64, increment: i64)
-            => list_item_footprint(name, seller, reserve, increment);
+        fn list_item(
+            name: &str = ["chair", "lamp"],
+            seller: &str = ["seller"],
+            reserve: i64 = [10],
+            increment: i64 = [1],
+        ) => list_item_footprint(name, seller, reserve, increment);
         /// Place a bid.
-        fn bid(item: &str, bidder: &str, amount: i64) => bid_footprint(item, bidder);
+        fn bid(item: &str = ["lamp"], bidder: &str = ["ann", "bob", "seller"], amount: i64 = [5, 10, 15])
+            => bid_footprint(item, bidder), sampled;
         /// Close an auction (seller only).
-        fn close(item: &str, seller: &str) => close_footprint(item);
+        fn close(item: &str = ["lamp", "ghost"], seller: &str = ["seller", "ann"])
+            => close_footprint(item), sampled;
     }
 
     /// A limit bid ladder: try `amount`, else `amount + step`, …, up to
-    /// `limit` — an OrElse pattern that survives losing a race by one
-    /// increment. Returns `None` when `amount > limit`.
+    /// `limit` (or the last rung an `i64` holds) — an OrElse pattern that
+    /// survives losing a race by one increment. Returns `None` when
+    /// `amount > limit`.
     pub fn bid_up_to(
         obj: ObjectId,
         item: &str,
@@ -155,10 +168,10 @@ pub mod ops {
         limit: i64,
     ) -> Option<SharedOp> {
         let mut rungs = Vec::new();
-        let mut a = amount;
-        while a <= limit {
-            rungs.push(bid(obj, item, bidder, a));
-            a += step.max(1);
+        let mut a = Some(amount);
+        while let Some(x) = a.filter(|&x| x <= limit) {
+            rungs.push(bid(obj, item, bidder, x));
+            a = x.checked_add(step.max(1));
         }
         SharedOp::first_of(rungs)
     }
@@ -172,8 +185,11 @@ fn list_item_footprint(name: &str, seller: &str, reserve: i64, increment: i64) -
     Footprint::new().reads([name]).writes([name])
 }
 
+/// No item has an empty name (`list_item` refuses one), so a bid or close
+/// on `""` fails without touching state — and its key would render as the
+/// root path.
 fn bid_footprint(item: &str, bidder: &str) -> Footprint {
-    if bidder.is_empty() {
+    if item.is_empty() || bidder.is_empty() {
         return Footprint::new();
     }
     Footprint::new()
@@ -182,6 +198,9 @@ fn bid_footprint(item: &str, bidder: &str) -> Footprint {
 }
 
 fn close_footprint(item: &str) -> Footprint {
+    if item.is_empty() {
+        return Footprint::new();
+    }
     Footprint::new()
         .reads([item])
         .writes([format!("{item}/open")])
@@ -210,12 +229,6 @@ fn invariant(v: &Value) -> bool {
 
 /// Specification suite for the verifier table.
 pub fn spec_suite() -> SpecSuite {
-    let mut bid_args = Vec::new();
-    for bidder in ["ann", "bob", "seller", ""] {
-        for amount in [-5i64, 0, 5, 10, 15, 100] {
-            bid_args.push(args!["lamp", bidder, amount]);
-        }
-    }
     let best_amount = |v: &Value, item: &str| -> Option<i64> {
         v.as_map()?
             .get(item)?
@@ -247,35 +260,32 @@ pub fn spec_suite() -> SpecSuite {
                 })
             })
             .with_assertion("bid-strictly-improves", move |c| {
-                let Some(item) = <&str>::decode(&c.args) else {
-                    return false;
-                };
-                let before = best_amount(&c.pre, item);
-                let after = best_amount(&c.post, item);
                 !c.result
-                    || match (before, after) {
-                        (Some(b), Some(a)) => a > b,
-                        (None, Some(_)) => true,
-                        _ => false,
-                    }
+                    || <&str>::decode(&c.args).is_some_and(|item| {
+                        match (best_amount(&c.pre, item), best_amount(&c.post, item)) {
+                            (Some(b), Some(a)) => a > b,
+                            (None, Some(_)) => true,
+                            _ => false,
+                        }
+                    })
             })
             .with_assertion("closed-items-are-frozen", move |c| {
-                let Some(item) = <&str>::decode(&c.args) else {
-                    return false;
-                };
-                open(&c.pre, item) != Some(false) || c.pre == c.post
+                <&str>::decode(&c.args).is_some_and(|item| open(&c.pre, item) != Some(false))
+                    || c.pre == c.post
             })
             .with_assertion("bid-frames-other-items", |c| {
-                let Some(item) = <&str>::decode(&c.args) else {
-                    return false;
-                };
+                // Every item but the target is unchanged (all of them,
+                // when the arguments name no item).
+                let target = <&str>::decode(&c.args);
                 let (Some(mp), Some(mq)) = (c.pre.as_map(), c.post.as_map()) else {
                     return false;
                 };
-                mp.len() == mq.len() && mp.iter().all(|(k, v)| k == item || mq.get(k) == Some(v))
+                mp.len() == mq.len()
+                    && mp
+                        .iter()
+                        .all(|(k, v)| Some(k.as_str()) == target || mq.get(k) == Some(v))
             }),
-    )
-    .with_args(bid_args, false);
+    );
 
     let close = MethodSpec::new(
         "close",
@@ -285,7 +295,7 @@ pub fn spec_suite() -> SpecSuite {
             })
             .with_assertion("close-preserves-best-bid", |c| {
                 let Some(item) = <&str>::decode(&c.args) else {
-                    return false;
+                    return c.pre == c.post; // names no item: changes nothing
                 };
                 let best = |v: &Value| {
                     v.as_map()
@@ -294,14 +304,6 @@ pub fn spec_suite() -> SpecSuite {
                 };
                 best(&c.pre) == best(&c.post)
             }),
-    )
-    .with_args(
-        vec![
-            args!["lamp", "seller"],
-            args!["lamp", "ann"],
-            args!["ghost", "seller"],
-        ],
-        false,
     );
 
     let list_item = MethodSpec::new(
@@ -316,18 +318,6 @@ pub fn spec_suite() -> SpecSuite {
             .with_post(move |_pre, post, a| {
                 <&str>::decode(a).is_some_and(|item| open(post, item) == Some(true))
             }),
-    )
-    // Small-scope abstraction over the numeric guards.
-    .with_args(
-        vec![
-            args!["chair", "seller", 10, 1],
-            args!["chair", "seller", -1, 1],
-            args!["chair", "seller", 0, 1],
-            args!["chair", "seller", 10, 0],
-            args!["chair", "seller", 10, -1],
-            args!["lamp", "seller", 10, 1],
-        ],
-        true,
     );
 
     SpecSuite::new("Auction")
@@ -418,6 +408,26 @@ mod tests {
         let mut a = house();
         assert!(!a.bid("ghost", "ann", 100));
         assert!(!a.bid("lamp", "", 100));
+    }
+
+    #[test]
+    fn a_best_bid_at_i64_max_admits_no_higher_bid() {
+        let mut a = Auction::new();
+        assert!(a.list_item("lamp", "seller", 0, 1));
+        assert!(a.bid("lamp", "ann", i64::MAX));
+        let before = a.clone();
+        assert!(!a.bid("lamp", "bob", 5), "no bid above i64::MAX exists");
+        assert!(!a.bid("lamp", "bob", i64::MAX));
+        assert_eq!(a, before, "a failed bid changes nothing");
+        assert_eq!(a.min_next_bid("lamp"), None);
+        assert_eq!(a.best_bid("lamp"), Some(("ann".into(), i64::MAX)));
+    }
+
+    #[test]
+    fn a_ladder_stops_at_the_last_rung_an_i64_holds() {
+        let obj = ObjectId::new(guesstimate_core::MachineId::new(0), 0);
+        let ladder = ops::bid_up_to(obj, "lamp", "ann", i64::MAX - 5, 5, i64::MAX).unwrap();
+        assert_eq!(ladder.primitive_count(), 2, "MAX - 5 and MAX");
     }
 
     #[test]

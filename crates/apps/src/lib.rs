@@ -48,10 +48,11 @@ pub struct App {
     pub type_name: &'static str,
     /// Installs the type and its operations.
     pub register: fn(&mut OpRegistry),
-    /// The specification: a contract and an argument space per method.
+    /// The specification: a contract per method. The arguments it is
+    /// checked over are each method's row's ([`OpRegistry::arg_space`]).
     pub spec_suite: fn() -> SpecSuite,
     /// Representative states (canonical snapshots) — the sampled state space
-    /// over which the effect analysis and the verifier enumerate the suite's
+    /// over which the effect analysis and the verifier enumerate the rows'
     /// argument spaces.
     pub states: fn() -> Vec<Value>,
 }
@@ -158,15 +159,16 @@ mod tests {
             let ty = app.type_name;
             assert_eq!(plain.methods_of(ty), checked.methods_of(ty));
             assert!(checked.methods_without_effects(ty).is_empty(), "{ty}");
-            let suite = (app.spec_suite)();
-            for m in &suite.methods {
+            for m in plain.methods_of(ty) {
                 let (p, c) = (
-                    plain.effect_of(ty, &m.method).expect("declared"),
-                    checked.effect_of(ty, &m.method).expect("kept"),
+                    plain.effect_of(ty, m).expect("declared"),
+                    checked.effect_of(ty, m).expect("kept"),
                 );
-                for argv in &m.arg_space {
+                let space = p.arg_space().expect("a row declares its domains");
+                assert_eq!(c.arg_space(), Some(space.clone()), "{ty}::{m}");
+                for argv in &space.cases {
                     let argv = guesstimate_core::ArgView::new(argv);
-                    assert_eq!(p.footprint(argv), c.footprint(argv), "{ty}::{}", m.method);
+                    assert_eq!(p.footprint(argv), c.footprint(argv), "{ty}::{m}");
                 }
             }
         }
@@ -182,21 +184,23 @@ mod tests {
     }
 
     /// What the verifier finds no counterexample to, the runtime checks do
-    /// not trip over: the suites' cases through the checked registry, on
-    /// every representative state. At most 64 argument vectors a method,
-    /// evenly spaced — only Sudoku's 11³ and 11² probes exceed that.
+    /// not trip over: the rows' argument spaces through the checked
+    /// registry, on every representative state. At most 64 argument
+    /// vectors a method, evenly spaced.
     #[test]
     fn representative_cases_leave_the_conformance_log_empty() {
         for app in all() {
             let log = ConformanceLog::new();
             let mut registry = app.registry();
-            let suite = (app.spec_suite)();
-            check_suite(&mut registry, &suite, &log);
+            check_suite(&mut registry, &(app.spec_suite)(), &log);
             for state in (app.states)() {
-                for m in &suite.methods {
-                    let stride = m.arg_space.len().div_ceil(64);
-                    for argv in m.arg_space.iter().step_by(stride) {
-                        let op = SharedOp::primitive(SCRATCH, m.method.clone(), argv.clone());
+                for m in registry.methods_of(app.type_name) {
+                    let cases = registry
+                        .arg_space(app.type_name, m)
+                        .expect("declared")
+                        .cases;
+                    for argv in cases.iter().step_by(cases.len().div_ceil(64)) {
+                        let op = SharedOp::primitive(SCRATCH, m, argv.clone());
                         run_on(&app, &registry, &state, &op);
                     }
                 }

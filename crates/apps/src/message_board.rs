@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use guesstimate_core::codec::Args;
-use guesstimate_core::{args, canonical, Footprint, GState, OpRegistry, Value};
+use guesstimate_core::{canonical, Footprint, GState, OpRegistry, Value};
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// One post.
@@ -121,11 +121,14 @@ pub mod ops {
     guesstimate_core::methods! {
         MessageBoard;
         /// Create a topic (fails on duplicates).
-        fn create_topic(name: &str) => create_topic_footprint(name);
-        /// Append a post to a topic.
-        fn post(topic: &str, author: &str, text: &str) => post_footprint(topic, author);
-        /// Blindly bump the like tally for a key.
-        fn like(key: &str) => like_footprint(key), self_commuting;
+        fn create_topic(name: &str = ["general"]) => create_topic_footprint(name);
+        /// Append a post to a topic. The footprint depends only on the
+        /// topic, so a present and a missing one generalize.
+        fn post(topic: &str = ["general", "missing"], author: &str = ["ann"], text: &str = ["hi"])
+            => post_footprint(topic, author);
+        /// Blindly bump the like tally for a key (one with a topic, one
+        /// without).
+        fn like(key: &str = ["general", "missing"]) => like_footprint(key), self_commuting;
     }
 }
 
@@ -245,9 +248,7 @@ pub fn spec_suite() -> SpecSuite {
                 };
                 mp.keys().all(|k| mq.contains_key(k))
             }),
-    )
-    // Small-scope abstraction: "" vs one representative non-empty name.
-    .with_args(vec![args!["general"], args![""]], true);
+    );
 
     let post = MethodSpec::new(
         "post",
@@ -271,18 +272,6 @@ pub fn spec_suite() -> SpecSuite {
                     },
                 )
             }),
-    )
-    // Small-scope abstraction: present vs missing topic, anonymous author,
-    // empty body — the footprint depends only on the topic name, so these
-    // representatives generalize.
-    .with_args(
-        vec![
-            args!["general", "ann", "hi"],
-            args!["missing", "ann", "hi"],
-            args!["general", "", "hi"],
-            args!["general", "ann", ""],
-        ],
-        true,
     );
 
     let like = MethodSpec::new(
@@ -294,11 +283,9 @@ pub fn spec_suite() -> SpecSuite {
             .with_assertion("likes-are-blind", |c| {
                 // Succeeds whether or not the key names a real topic: an
                 // existence check would order `like` after `create_topic`.
-                <&str>::decode(&c.args) == Some("") || c.result
+                <&str>::decode(&c.args).is_none_or(str::is_empty) || c.result
             }),
-    )
-    // Small-scope abstraction: a key with a topic, one without, and "".
-    .with_args(vec![args!["general"], args!["missing"], args![""]], true);
+    );
 
     SpecSuite::new("MessageBoard")
         .with_method(create)

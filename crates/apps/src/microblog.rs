@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use guesstimate_core::codec::Args;
-use guesstimate_core::{args, canonical, Canonical, Footprint, GState, OpRegistry, Value};
+use guesstimate_core::{canonical, Canonical, Footprint, GState, OpRegistry, Value};
 use guesstimate_spec::{MethodContract, MethodSpec, SpecSuite};
 
 /// One post, tagged with its global commit sequence number.
@@ -150,15 +150,19 @@ pub mod ops {
     guesstimate_core::methods! {
         MicroBlog;
         /// Register a handle (blocking in spirit, like the event planner's).
-        fn register(user: &str) => register_footprint(user);
-        /// Publish a post.
-        fn post(author: &str, text: &str) => post_footprint();
-        /// Follow another user.
-        fn follow(follower: &str, followee: &str) => follow_footprint(follower);
+        fn register(user: &str = ["ann", "bob", "ghost"]) => register_footprint(user);
+        /// Publish a post (registered vs unregistered author: the footprint
+        /// is argument-independent, so these generalize).
+        fn post(author: &str = ["ann", "ghost"], text: &str = ["hi"]) => post_footprint();
+        /// Follow another user (every pairing of two registered handles and
+        /// an unregistered one: the footprint depends only on the follower).
+        fn follow(follower: &str = ["ann", "bob", "ghost"], followee: &str = ["ann", "bob", "ghost"])
+            => follow_footprint(follower);
         /// Unfollow.
-        fn unfollow(follower: &str, followee: &str) => unfollow_footprint(follower);
+        fn unfollow(follower: &str = ["ann", "bob", "ghost"], followee: &str = ["ann", "bob", "ghost"])
+            => unfollow_footprint(follower);
         /// Blindly applaud a handle.
-        fn heart(handle: &str) => heart_footprint(handle), self_commuting;
+        fn heart(handle: &str = ["ann", "bob", "ghost"]) => heart_footprint(handle), self_commuting;
     }
 }
 
@@ -242,13 +246,6 @@ fn heart_contract() -> MethodContract {
 
 /// Specification suite for the verifier table.
 pub fn spec_suite() -> SpecSuite {
-    let handles = ["ann", "bob", "ghost", ""];
-    let mut follow_args = Vec::new();
-    for f in handles {
-        for g in handles {
-            follow_args.push(args![f, g]);
-        }
-    }
     let register = MethodSpec::new(
         "register",
         MethodContract::new()
@@ -266,8 +263,7 @@ pub fn spec_suite() -> SpecSuite {
                 let after = users(&c.post);
                 before.iter().all(|u| after.contains(u))
             }),
-    )
-    .with_args(handles.iter().map(|h| args![*h]).collect(), true);
+    );
 
     let post = MethodSpec::new(
         "post",
@@ -305,18 +301,6 @@ pub fn spec_suite() -> SpecSuite {
             .with_assertion("posting-never-touches-follows", |c| {
                 c.pre.field("follows") == c.post.field("follows")
             }),
-    )
-    // Small-scope abstraction: registered vs unregistered author, empty
-    // body, empty handle — the footprint is argument-independent, so these
-    // representatives generalize.
-    .with_args(
-        vec![
-            args!["ann", "hi"],
-            args!["ghost", "hi"],
-            args!["ann", ""],
-            args!["", "hi"],
-        ],
-        true,
     );
 
     let follows = |v: &Value, f: &str, g: &str| {
@@ -339,10 +323,7 @@ pub fn spec_suite() -> SpecSuite {
             .with_assertion("follow-never-touches-posts", |c| {
                 c.pre.field("posts") == c.post.field("posts")
             }),
-    )
-    // Small-scope abstraction: all pairings of two registered handles, an
-    // unregistered one, and "" — the footprint depends only on the follower.
-    .with_args(follow_args.clone(), true);
+    );
 
     let unfollow = MethodSpec::new(
         "unfollow",
@@ -353,8 +334,7 @@ pub fn spec_suite() -> SpecSuite {
             .with_assertion("unfollow-never-touches-posts", |c| {
                 c.pre.field("posts") == c.post.field("posts")
             }),
-    )
-    .with_args(follow_args, true);
+    );
 
     let heart = MethodSpec::new(
         "heart",
@@ -365,10 +345,9 @@ pub fn spec_suite() -> SpecSuite {
             .with_assertion("hearts-are-blind", |c| {
                 // Applauding an unregistered handle still succeeds: an
                 // existence check would order `heart` after `register`.
-                <&str>::decode(&c.args) == Some("") || c.result
+                <&str>::decode(&c.args).is_none_or(str::is_empty) || c.result
             }),
-    )
-    .with_args(handles.iter().map(|h| args![*h]).collect(), true);
+    );
 
     SpecSuite::new("MicroBlog")
         .with_invariant("referential-integrity", invariant)

@@ -283,7 +283,7 @@ mod tests {
     guesstimate_core::methods! {
         Cnt;
         /// `add_capped(d, cap)`: adds `d` unless the sum would exceed `cap`.
-        fn add_capped(d: i64, cap: i64) => add_capped_footprint();
+        fn add_capped(d: i64 = [1, 2], cap: i64 = [3]) => add_capped_footprint();
     }
 
     fn registry() -> OpRegistry {

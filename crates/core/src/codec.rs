@@ -16,10 +16,12 @@
 //! It is also where an operation's *arguments* are decoded: [`Args`] reads
 //! a typed tuple from an argument list by position (borrowing strings,
 //! range-checking integers), and [`methods!`](crate::methods) declares each
-//! shared operation as one row — name, typed parameters, the state's
-//! method and its footprint fn — from which come the typed constructor,
-//! the registered apply function and the declared
-//! [`EffectSpec`](crate::EffectSpec).
+//! shared operation as one row — name, typed parameters with their small
+//! domains, the state's method and its footprint fn — from which come the
+//! typed constructor, the registered apply function, the declared
+//! [`EffectSpec`](crate::EffectSpec) and the [`ArgSpace`] every checker
+//! enumerates: each domain plus its type's edge values ([`domain`]),
+//! crossed ([`product`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -284,6 +286,12 @@ pub trait Arg<'a>: Sized {
 
     /// The argument's encoding.
     fn to_arg(self) -> Value;
+
+    /// The edge values every domain of this type gains, encoded: `""` for
+    /// a string, both booleans, and for an integer `0`, `-1`, its maximum
+    /// and the next `Int` past it (`i64::MIN` where there is none), so a
+    /// `u32` gets 2^32 and an `i64` both of its ends.
+    fn edges() -> Vec<Value>;
 }
 
 impl<'a> Arg<'a> for &'a str {
@@ -293,6 +301,9 @@ impl<'a> Arg<'a> for &'a str {
     fn to_arg(self) -> Value {
         Value::from(self)
     }
+    fn edges() -> Vec<Value> {
+        vec![Value::from("")]
+    }
 }
 
 impl Arg<'_> for bool {
@@ -301,6 +312,9 @@ impl Arg<'_> for bool {
     }
     fn to_arg(self) -> Value {
         Value::Bool(self)
+    }
+    fn edges() -> Vec<Value> {
+        vec![Value::Bool(false), Value::Bool(true)]
     }
 }
 
@@ -315,10 +329,77 @@ macro_rules! int {
             fn to_arg(self) -> Value {
                 Value::Int(i64::try_from(self).unwrap_or(-1))
             }
+            fn edges() -> Vec<Value> {
+                let max = i64::try_from(<$t>::MAX).unwrap_or(i64::MAX);
+                [0, -1, max, max.checked_add(1).unwrap_or(i64::MIN)]
+                    .map(Value::Int)
+                    .into()
+            }
         }
     )+};
 }
 int!(i64, u8, u32, u64);
+
+/// The ill-typed argument every [`domain`] ends with: no [`Arg`] type
+/// decodes it.
+pub const ILL_TYPED: Value = Value::Unit;
+
+/// One parameter's argument domain, as a [`methods!`](crate::methods) row
+/// derives it: the declared values (a set or a range), then the type's
+/// [`Arg::edges`], then [`ILL_TYPED`], each value once, in that order.
+///
+/// # Examples
+///
+/// ```
+/// use guesstimate_core::codec::domain;
+/// use guesstimate_core::Value;
+///
+/// let seats = domain::<u32>([2]);
+/// assert_eq!(seats[..2], [Value::from(2), Value::from(0)]);
+/// assert!(seats.contains(&Value::from(1i64 << 32)));
+/// assert_eq!(domain::<&str>(["v1", ""]), [Value::from("v1"), Value::from(""), Value::Unit]);
+/// ```
+pub fn domain<'a, T: Arg<'a>>(declared: impl IntoIterator<Item = T>) -> Vec<Value> {
+    let mut out: Vec<Value> = Vec::new();
+    for v in declared
+        .into_iter()
+        .map(T::to_arg)
+        .chain(T::edges())
+        .chain([ILL_TYPED])
+    {
+        if !out.contains(&v) {
+            out.push(v);
+        }
+    }
+    out
+}
+
+/// Every argument list drawn from per-parameter domains — their cross
+/// product, the first parameter varying slowest. No parameters make one
+/// empty list.
+pub fn product(domains: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    domains.iter().fold(vec![Vec::new()], |lists, d| {
+        lists
+            .iter()
+            .flat_map(|l| {
+                d.iter()
+                    .map(move |v| l.iter().chain([v]).cloned().collect())
+            })
+            .collect()
+    })
+}
+
+/// The argument lists a checker enumerates for one method — the product
+/// of its row's domains ([`OpRegistry::arg_space`](crate::OpRegistry::arg_space)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArgSpace {
+    /// The argument lists, in the row's order.
+    pub cases: Vec<Vec<Value>>,
+    /// True if the lists cover every argument list that matters (up to
+    /// symmetry), as a complete enumeration must; false where the row
+    /// marks its domains `sampled`.
+    pub exhaustive: bool,
+}
 
 /// The one argument decoder: a typed argument list — one [`Arg`], or a
 /// tuple of up to four — read by position from an operation's arguments.
@@ -372,13 +453,14 @@ tuple!(A a, B b, C c);
 tuple!(A a, B b, C c, D d);
 
 /// Declares a state type's shared operations, one row each: `fn` name and
-/// typed parameters ([`Arg`] types), and after `=>` the footprint fn
-/// applied to the parameters it needs, with `, self_commuting` where the
-/// method declares it
-/// ([`EffectSpec::self_commuting`](crate::EffectSpec::self_commuting)).
-/// The state's method of the same name (`&mut self`, the same parameters,
-/// returning `bool`) is the operation; the footprint fn returns a
-/// [`Footprint`](crate::Footprint).
+/// typed parameters ([`Arg`] types), each with its small domain after `=`
+/// (an array of values or a range), and after `=>` the footprint fn applied
+/// to the parameters it needs, then any of the flags `self_commuting`
+/// ([`EffectSpec::self_commuting`](crate::EffectSpec::self_commuting)) and
+/// `sampled` (the domains sample the arguments rather than cover them:
+/// [`ArgSpace::exhaustive`] is false). The state's method of the same name
+/// (`&mut self`, the same parameters, returning `bool`) is the operation;
+/// the footprint fn returns a [`Footprint`](crate::Footprint).
 ///
 /// Each row writes a typed constructor `name(obj, params..) -> SharedOp`,
 /// and `register_methods(&mut OpRegistry)` registers the type once and
@@ -386,14 +468,17 @@ tuple!(A a, B b, C c, D d);
 /// [`OpRegistry::register_with_effects`](crate::OpRegistry::register_with_effects).
 /// Both the apply function and the footprint decode the argument list
 /// through [`Args`]; a list that does not decode fails the operation and
-/// has an empty footprint.
+/// has an empty footprint. The row's [`ArgSpace`] — the [`product`] of its
+/// parameters' [`domain`]s — is a fn beside the effect, evaluated only when
+/// a checker asks for it.
 ///
 /// See the [crate-level example](crate).
 #[macro_export]
 macro_rules! methods {
     ($ty:ident; $(
         $(#[$doc:meta])*
-        fn $name:ident($($p:ident: $t:ty),* $(,)?) => $fp:ident($($fa:ident),*) $(, $sc:ident)?;
+        fn $name:ident($($p:ident: $t:ty = $dom:expr),* $(,)?)
+            => $fp:ident($($fa:ident),*) $(, $flag:ident)*;
     )+) => {
         $(
             $(#[$doc])*
@@ -416,7 +501,9 @@ macro_rules! methods {
                         #[allow(unused_variables)]
                         ::std::option::Option::Some(($($p,)*)) => $fp($($fa),*),
                         ::std::option::Option::None => $crate::Footprint::new(),
-                    })$(.$sc())?,
+                    })
+                    .over(|| $crate::codec::product(&[$($crate::codec::domain::<$t>($dom)),*]))
+                    $(.$flag())*,
                     |s, a| a.decode::<($($t,)*)>().is_some_and(|($($p,)*)| s.$name($($p),*)),
                 );
             )+
@@ -544,6 +631,43 @@ mod tests {
             <(&str, bool, u32, i64)>::decode(&encoded),
             Some(("s", true, 7, -7))
         );
+    }
+
+    #[test]
+    fn domains_gain_each_edge_once_and_products_vary_the_last_parameter_fastest() {
+        let ints = |d: Vec<Value>| -> Vec<Option<i64>> { d.iter().map(Value::as_i64).collect() };
+        assert_eq!(
+            ints(domain::<u8>(1..=2)),
+            [
+                Some(1),
+                Some(2),
+                Some(0),
+                Some(-1),
+                Some(255),
+                Some(256),
+                None
+            ]
+        );
+        assert_eq!(
+            ints(domain::<i64>([-1])),
+            [Some(-1), Some(0), Some(i64::MAX), Some(i64::MIN), None]
+        );
+        assert_eq!(domain::<u64>([7])[3], Value::from(i64::MAX));
+        assert_eq!(
+            domain::<bool>([true]),
+            [Value::from(true), Value::from(false), ILL_TYPED]
+        );
+        let (a, b) = (Value::from("a"), Value::from(1));
+        assert_eq!(
+            product(&[vec![a.clone(), b.clone()], vec![b.clone(), a.clone()]]),
+            [
+                vec![a.clone(), b.clone()],
+                vec![a.clone(), a.clone()],
+                vec![b.clone(), b.clone()],
+                vec![b.clone(), a]
+            ]
+        );
+        assert_eq!(product(&[]), [Vec::<Value>::new()]);
     }
 
     #[test]

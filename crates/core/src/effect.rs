@@ -22,8 +22,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
+use crate::codec::ArgSpace;
 use crate::paths::{path_covers, paths_overlap};
 use crate::registry::ArgView;
+use crate::value::Value;
 
 /// The read/write footprint of one method invocation (concrete arguments).
 ///
@@ -111,7 +113,8 @@ impl Footprint {
     }
 }
 
-/// A method's declared effect: argument vector → footprint.
+/// A method's declared effect: argument vector → footprint, and the
+/// argument space its checkers enumerate.
 ///
 /// The function must be *total* and conservative: for any argument vector —
 /// including malformed ones — it must return a footprint covering every key
@@ -122,6 +125,8 @@ impl Footprint {
 pub struct EffectSpec {
     footprint: Arc<dyn Fn(ArgView<'_>) -> Footprint + Send + Sync>,
     self_commuting: bool,
+    cases: Option<fn() -> Vec<Vec<Value>>>,
+    sampled: bool,
 }
 
 impl EffectSpec {
@@ -130,7 +135,33 @@ impl EffectSpec {
         EffectSpec {
             footprint: Arc::new(f),
             self_commuting: false,
+            cases: None,
+            sampled: false,
         }
+    }
+
+    /// Declares the argument lists the spec verifier and the effect
+    /// analysis enumerate for the method (a [`methods!`](crate::methods)
+    /// row passes the product of its domains), evaluated only when one of
+    /// them asks ([`EffectSpec::arg_space`]).
+    pub fn over(mut self, cases: fn() -> Vec<Vec<Value>>) -> Self {
+        self.cases = Some(cases);
+        self
+    }
+
+    /// Declares that the argument lists sample the method's arguments
+    /// rather than cover them, so no verdict over them is complete.
+    pub fn sampled(mut self) -> Self {
+        self.sampled = true;
+        self
+    }
+
+    /// The declared argument space, if any ([`EffectSpec::over`]).
+    pub fn arg_space(&self) -> Option<ArgSpace> {
+        self.cases.map(|cases| ArgSpace {
+            cases: cases(),
+            exhaustive: !self.sampled,
+        })
     }
 
     /// Declares that two invocations of this method always commute with

@@ -254,7 +254,7 @@ pub fn execute_against(
 /// #     fn add(&mut self, d: i64) -> bool { self.n += d; true }
 /// # }
 /// # fn fp() -> guesstimate_core::Footprint { guesstimate_core::Footprint::new() }
-/// # guesstimate_core::methods! { Counter; fn add(d: i64) => fp(); }
+/// # guesstimate_core::methods! { Counter; fn add(d: i64 = [1]) => fp(); }
 /// let mut registry = OpRegistry::new();
 /// register_methods(&mut registry);
 /// let id = ObjectId::new(MachineId::new(0), 0);

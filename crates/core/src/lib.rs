@@ -17,7 +17,8 @@
 //! * [`Canonical`] / [`canonical!`] — the one state codec: a state struct's
 //!   field list becomes its snapshot encoding and its `GState` impl
 //!   ([`codec`]). Beside it, [`methods!`] declares each shared operation
-//!   as one row, whose arguments decode through [`codec::Args`].
+//!   as one row, whose arguments decode through [`codec::Args`] and whose
+//!   parameters' small domains give the checkers their [`ArgSpace`].
 //! * [`OpRegistry`] — the replacement for .NET reflection: a registry mapping
 //!   `(type name, method name)` to an apply function, so that an operation
 //!   created on one machine can be re-executed identically on every replica.
@@ -65,8 +66,9 @@
 //! // apply function and its declared effect all come from here.
 //! guesstimate_core::methods! {
 //!     Counter;
-//!     /// Adds `d` unless the counter would go negative.
-//!     fn add(d: i64) => add_footprint();
+//!     /// Adds `d` unless the counter would go negative. The domain
+//!     /// `-1..=2` (plus `i64`'s edge values) is what checkers enumerate.
+//!     fn add(d: i64 = -1..=2) => add_footprint();
 //! }
 //!
 //! let mut registry = OpRegistry::new();
@@ -99,7 +101,7 @@ mod store;
 mod value;
 pub mod witness;
 
-pub use codec::Canonical;
+pub use codec::{ArgSpace, Canonical};
 pub use completion::{Callback, Closures, CompletionFn, RemoteUpdateHook};
 pub use effect::{CommuteMatrix, EffectSpec, Footprint};
 pub use error::{ExecError, RestoreError};

@@ -15,7 +15,7 @@ use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
-use crate::codec::Args;
+use crate::codec::{ArgSpace, Args};
 use crate::effect::EffectSpec;
 use crate::error::ExecError;
 use crate::object::{GState, SharedObject};
@@ -276,6 +276,12 @@ impl OpRegistry {
     /// The declared effect of `(type_name, method)`, if any.
     pub fn effect_of(&self, type_name: &str, method: &str) -> Option<&EffectSpec> {
         self.effects.get(type_name)?.get(method)
+    }
+
+    /// The declared argument space of `(type_name, method)`, if its effect
+    /// declares one ([`EffectSpec::arg_space`]).
+    pub fn arg_space(&self, type_name: &str, method: &str) -> Option<ArgSpace> {
+        self.effect_of(type_name, method)?.arg_space()
     }
 
     /// Names of the registered methods of a type that have **no** declared

@@ -108,11 +108,11 @@ fn mix_footprint() -> Footprint {
 guesstimate_core::methods! {
     XPair;
     /// `bump_a(d)`: adds `d` to `a` (component 0).
-    fn bump_a(d: i64) => a_footprint();
+    fn bump_a(d: i64 = [2, 5]) => a_footprint();
     /// `bump_b(d)`: adds `d` to `b` (component 1).
-    fn bump_b(d: i64) => b_footprint();
+    fn bump_b(d: i64 = [3, 7]) => b_footprint();
     /// `mix(d)`: adds `d` to `a`, then `a` to `b` (both components).
-    fn mix(d: i64) => mix_footprint();
+    fn mix(d: i64 = [1]) => mix_footprint();
 }
 
 /// The hand-built two-component plan (what the shard-partition analysis

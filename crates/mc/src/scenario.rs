@@ -153,7 +153,7 @@ pub mod sneaky {
     guesstimate_core::methods! {
         Mirror;
         /// `bump(k, d)`: adds `d` to slot `k`.
-        fn bump(k: &str, d: i64) => bump_footprint(k);
+        fn bump(k: &str = ["src", "dst"], d: i64 = [1, -4]) => bump_footprint(k);
         /// `mirror()`: copies `src` into `dst`.
         fn mirror() => mirror_footprint();
     }
@@ -202,7 +202,7 @@ pub mod miskeyed {
     guesstimate_core::methods! {
         Board;
         /// `post(topic, author)`: one more post in `topic`.
-        fn post(topic: &str, author: &str) => post_footprint(topic);
+        fn post(topic: &str = ["news", "sport"], author: &str = ["ann", "bob"]) => post_footprint(topic);
     }
 
     /// The deliberately mis-keyed plan: the component is right

@@ -43,7 +43,7 @@
 //! guesstimate_core::methods! {
 //!     Score;
 //!     /// Adds `d` points.
-//!     fn bump(d: i64) => bump_footprint();
+//!     fn bump(d: i64 = [1, 3]) => bump_footprint();
 //! }
 //!
 //! let mut registry = OpRegistry::new();

@@ -40,10 +40,10 @@ fn add_footprint() -> Footprint {
 guesstimate_core::methods! {
     Counter;
     /// `add(d)`: fails when the result would be negative.
-    fn add(d: i64) => add_footprint();
+    fn add(d: i64 = -3..=5) => add_footprint();
     /// `add_capped(d, cap)`: additionally fails above `cap` — an easy
     /// source of commit-time conflicts.
-    fn add_capped(d: i64, cap: i64) => add_footprint();
+    fn add_capped(d: i64 = -2..=4, cap: i64 = [1, 14]) => add_footprint();
 }
 
 /// The registry used by the test universe: `Counter` and its two operations.

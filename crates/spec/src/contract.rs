@@ -158,19 +158,15 @@ impl fmt::Debug for Assertion {
     }
 }
 
-/// One method's contract together with its name and the argument vectors
-/// the verifier should enumerate for it.
+/// One method's contract together with its name. The argument lists the
+/// verifier enumerates for it are the method's row's, read from the
+/// registry ([`guesstimate_core::OpRegistry::arg_space`]).
 #[derive(Debug, Clone)]
 pub struct MethodSpec {
     /// Registered method name.
     pub method: String,
     /// The contract.
     pub contract: MethodContract,
-    /// Argument vectors to enumerate during verification.
-    pub arg_space: Vec<Vec<Value>>,
-    /// True if `arg_space` covers *all* relevant argument vectors (up to
-    /// symmetry); required for a `Verified` classification.
-    pub args_exhaustive: bool,
 }
 
 impl MethodSpec {
@@ -179,16 +175,7 @@ impl MethodSpec {
         MethodSpec {
             method: method.into(),
             contract,
-            arg_space: vec![vec![]],
-            args_exhaustive: true,
         }
-    }
-
-    /// Sets the argument space.
-    pub fn with_args(mut self, args: Vec<Vec<Value>>, exhaustive: bool) -> Self {
-        self.arg_space = args;
-        self.args_exhaustive = exhaustive;
-        self
     }
 }
 
@@ -323,15 +310,5 @@ mod tests {
             ));
         // f: frame + post + invariant = 3; g: frame + invariant + extra = 3.
         assert_eq!(suite.assertion_count(), 6);
-    }
-
-    #[test]
-    fn method_spec_args_default_to_single_empty_vector() {
-        let m = MethodSpec::new("f", MethodContract::new());
-        assert_eq!(m.arg_space, vec![Vec::<Value>::new()]);
-        assert!(m.args_exhaustive);
-        let m = m.with_args(vec![vec![Value::from(1)]], false);
-        assert_eq!(m.arg_space.len(), 1);
-        assert!(!m.args_exhaustive);
     }
 }

@@ -29,11 +29,14 @@
 //!   a contract through the same wrapper — the seeded-bug tests use it.)
 //! * [`verifier`](verify_suite) — the Boogie analog: a bounded-exhaustive
 //!   classifier that evaluates every assertion of a [`SpecSuite`] over an
-//!   enumerated [`CaseSpace`] and classifies it as **Verified** (holds on
-//!   all cases, enumeration complete), **RuntimeCheck** (no counterexample,
-//!   but the space was sampled rather than exhausted) or **Refuted**
-//!   (counterexample found) — the same three-way split Spec#/Boogie
-//!   produce, regenerated as a table by the benchmark harness.
+//!   enumerated [`CaseSpace`] of states crossed with each method's argument
+//!   space — its `methods!` row's domains and their derived edge values
+//!   ([`guesstimate_core::OpRegistry::arg_space`]) — and classifies it as
+//!   **Verified** (holds on all cases, enumeration complete),
+//!   **RuntimeCheck** (no counterexample, but the space was sampled rather
+//!   than exhausted) or **Refuted** (counterexample found) — the same
+//!   three-way split Spec#/Boogie produce, regenerated as a table by the
+//!   benchmark harness.
 //!
 //! ## Example
 //!
@@ -60,7 +63,7 @@
 //! guesstimate_core::methods! {
 //!     Tank;
 //!     /// Adds `d` to the level, up to 10.
-//!     fn fill(d: i64) => fill_footprint();
+//!     fn fill(d: i64 = 1..=4) => fill_footprint();
 //! }
 //!
 //! let mut reg = OpRegistry::new();

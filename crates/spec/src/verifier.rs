@@ -157,13 +157,15 @@ impl VerificationReport {
 /// (the universal *frame* assertion, the *post* assertion when a
 /// postcondition is present, the *invariant* assertion when a type- or
 /// method-level invariant is present, and every named domain assertion),
-/// enumerate `states × method.arg_space`, execute the real registered
-/// implementation on a scratch object, and classify.
+/// enumerate `states ×` the method's declared argument space
+/// ([`OpRegistry::arg_space`]), execute the real registered implementation
+/// on a scratch object, and classify.
 ///
 /// # Panics
 ///
-/// Panics if the suite's type or one of its methods is not registered —
-/// verification of unregistered code is meaningless.
+/// Panics if the suite's type or one of its methods is not registered, or
+/// the method declares no argument space — verification of unregistered
+/// code is meaningless.
 pub fn verify_suite(
     registry: &OpRegistry,
     suite: &SpecSuite,
@@ -183,12 +185,20 @@ pub fn verify_suite(
             method.method,
             suite.type_name
         );
+        let args = registry
+            .arg_space(&suite.type_name, &method.method)
+            .unwrap_or_else(|| {
+                panic!(
+                    "verify_suite: method {:?} of {:?} declares no argument space",
+                    method.method, suite.type_name
+                )
+            });
         // Enumerate all cases once per method, then evaluate every
         // assertion against them.
         let mut cases: Vec<ExecCase> = Vec::new();
         let mut truncated = false;
         'outer: for state in &space.states {
-            for argv in &method.arg_space {
+            for argv in &args.cases {
                 if cases.len() >= space.max_cases {
                     truncated = true;
                     break 'outer;
@@ -215,10 +225,10 @@ pub fn verify_suite(
                 });
             }
         }
-        let complete = space.states_exhaustive && method.args_exhaustive && !truncated;
+        let complete = space.states_exhaustive && args.exhaustive && !truncated;
         // State-independent assertions only need the argument space to be
         // complete (they never read the state).
-        let complete_si = method.args_exhaustive && !truncated;
+        let complete_si = args.exhaustive && !truncated;
 
         let mut classify = |name: &str, pred: &dyn Fn(&ExecCase) -> bool, si: bool| {
             let counterexample = cases.iter().find(|c| !pred(c)).cloned();
@@ -276,7 +286,7 @@ pub fn verify_suite(
 mod tests {
     use super::*;
     use crate::contract::{MethodContract, MethodSpec};
-    use guesstimate_core::{args, GState, RestoreError};
+    use guesstimate_core::{args, EffectSpec, Footprint, GState, RestoreError};
 
     #[derive(Clone, Default)]
     struct Bin(i64);
@@ -291,11 +301,25 @@ mod tests {
         }
     }
 
+    fn all_args() -> Vec<Vec<Value>> {
+        (0..=3).map(|d| args![d]).collect()
+    }
+
+    /// No footprint; the argument space `0..=3`.
+    fn over_all_args() -> EffectSpec {
+        EffectSpec::new(|_| Footprint::new()).over(all_args)
+    }
+
     fn registry() -> OpRegistry {
+        registry_with(over_all_args())
+    }
+
+    /// `put` declares `put`; `leaky` the whole argument space.
+    fn registry_with(put: EffectSpec) -> OpRegistry {
         let mut r = OpRegistry::new();
         r.register_type::<Bin>();
         // put(d): capacity 3; correct implementation.
-        r.register_method::<Bin>("put", |b, a| {
+        r.register_with_effects::<Bin>("put", put, |b, a| {
             let Some(d) = a.i64(0) else { return false };
             if d < 0 || b.0 + d > 3 {
                 return false;
@@ -304,7 +328,7 @@ mod tests {
             true
         });
         // leaky(d): BUG — mutates then fails for d == 2.
-        r.register_method::<Bin>("leaky", |b, a| {
+        r.register_with_effects::<Bin>("leaky", over_all_args(), |b, a| {
             let Some(d) = a.i64(0) else { return false };
             b.0 += d;
             if d == 2 {
@@ -319,25 +343,18 @@ mod tests {
         CaseSpace::exhaustive((0..=3).map(Value::from).collect())
     }
 
-    fn all_args() -> Vec<Vec<Value>> {
-        (0..=3).map(|d| args![d]).collect()
-    }
-
     #[test]
     fn correct_method_is_fully_verified() {
         let suite = SpecSuite::new("Bin")
             .with_invariant("0 <= n <= 3", |s| {
                 (0..=3).contains(&s.as_i64().unwrap_or(-1))
             })
-            .with_method(
-                MethodSpec::new(
-                    "put",
-                    MethodContract::new().with_post(|pre, post, a| {
-                        post.as_i64() == pre.as_i64().zip(a[0].as_i64()).map(|(x, y)| x + y)
-                    }),
-                )
-                .with_args(all_args(), true),
-            );
+            .with_method(MethodSpec::new(
+                "put",
+                MethodContract::new().with_post(|pre, post, a| {
+                    post.as_i64() == pre.as_i64().zip(a[0].as_i64()).map(|(x, y)| x + y)
+                }),
+            ));
         let report = verify_suite(&registry(), &suite, &full_space());
         assert_eq!(report.total(), 3); // frame + post + invariant
         assert_eq!(report.verified(), 3);
@@ -347,9 +364,8 @@ mod tests {
 
     #[test]
     fn buggy_method_is_refuted_with_counterexample() {
-        let suite = SpecSuite::new("Bin").with_method(
-            MethodSpec::new("leaky", MethodContract::new()).with_args(all_args(), true),
-        );
+        let suite =
+            SpecSuite::new("Bin").with_method(MethodSpec::new("leaky", MethodContract::new()));
         let report = verify_suite(&registry(), &suite, &full_space());
         let frame = &report.assertions[0];
         assert_eq!(frame.verdict, Verdict::Refuted);
@@ -362,8 +378,8 @@ mod tests {
     #[test]
     fn sampled_space_demotes_to_runtime_check() {
         let space = CaseSpace::sampled((0..=3).map(Value::from).collect(), 1_000);
-        let suite = SpecSuite::new("Bin")
-            .with_method(MethodSpec::new("put", MethodContract::new()).with_args(all_args(), true));
+        let suite =
+            SpecSuite::new("Bin").with_method(MethodSpec::new("put", MethodContract::new()));
         let report = verify_suite(&registry(), &suite, &space);
         assert_eq!(report.runtime_checks(), 1);
         assert_eq!(report.verified(), 0);
@@ -373,8 +389,8 @@ mod tests {
     fn case_cap_truncates_and_demotes() {
         let mut space = full_space();
         space.max_cases = 2;
-        let suite = SpecSuite::new("Bin")
-            .with_method(MethodSpec::new("put", MethodContract::new()).with_args(all_args(), true));
+        let suite =
+            SpecSuite::new("Bin").with_method(MethodSpec::new("put", MethodContract::new()));
         let report = verify_suite(&registry(), &suite, &space);
         assert_eq!(report.assertions[0].cases, 2);
         assert_eq!(report.runtime_checks(), 1);
@@ -382,26 +398,23 @@ mod tests {
 
     #[test]
     fn non_exhaustive_args_demote() {
-        let suite = SpecSuite::new("Bin").with_method(
-            MethodSpec::new("put", MethodContract::new()).with_args(vec![args![1]], false),
-        );
-        let report = verify_suite(&registry(), &suite, &full_space());
+        let suite =
+            SpecSuite::new("Bin").with_method(MethodSpec::new("put", MethodContract::new()));
+        let sampled = over_all_args().sampled();
+        let report = verify_suite(&registry_with(sampled), &suite, &full_space());
         assert_eq!(report.runtime_checks(), 1);
     }
 
     #[test]
     fn domain_assertions_are_counted_and_named() {
-        let suite = SpecSuite::new("Bin").with_method(
-            MethodSpec::new(
-                "put",
-                MethodContract::new()
-                    .with_assertion("never-decreases", |c| {
-                        !c.result || c.post.as_i64() >= c.pre.as_i64()
-                    })
-                    .with_assertion("bogus-always-zero", |c| c.post.as_i64() == Some(0)),
-            )
-            .with_args(all_args(), true),
-        );
+        let suite = SpecSuite::new("Bin").with_method(MethodSpec::new(
+            "put",
+            MethodContract::new()
+                .with_assertion("never-decreases", |c| {
+                    !c.result || c.post.as_i64() >= c.pre.as_i64()
+                })
+                .with_assertion("bogus-always-zero", |c| c.post.as_i64() == Some(0)),
+        ));
         let report = verify_suite(&registry(), &suite, &full_space());
         assert_eq!(report.total(), 3); // frame + 2 domain
         let by_name: std::collections::HashMap<_, _> = report
@@ -417,10 +430,8 @@ mod tests {
     #[test]
     fn format_table_breaks_down_per_method() {
         let suite = SpecSuite::new("Bin")
-            .with_method(MethodSpec::new("put", MethodContract::new()).with_args(all_args(), true))
-            .with_method(
-                MethodSpec::new("leaky", MethodContract::new()).with_args(all_args(), true),
-            );
+            .with_method(MethodSpec::new("put", MethodContract::new()))
+            .with_method(MethodSpec::new("leaky", MethodContract::new()));
         let report = verify_suite(&registry(), &suite, &full_space());
         let table = report.format_table();
         assert!(table.contains("put"));
@@ -440,10 +451,9 @@ mod tests {
     #[test]
     fn malformed_states_are_skipped() {
         let space = CaseSpace::exhaustive(vec![Value::from("not an int"), Value::from(1)]);
-        let suite = SpecSuite::new("Bin").with_method(
-            MethodSpec::new("put", MethodContract::new()).with_args(vec![args![1]], true),
-        );
+        let suite =
+            SpecSuite::new("Bin").with_method(MethodSpec::new("put", MethodContract::new()));
         let report = verify_suite(&registry(), &suite, &space);
-        assert_eq!(report.assertions[0].cases, 1);
+        assert_eq!(report.assertions[0].cases, all_args().len());
     }
 }

@@ -48,12 +48,13 @@ fn book_footprint() -> Footprint {
 }
 
 // One row per shared operation: the typed constructor `book(obj, n)`, the
-// apply function the registry replays on every machine, and the declared
-// effect all come from it.
+// apply function the registry replays on every machine, the declared
+// effect, and the argument domain (`[1, 2]`, plus `i64`'s edge values) the
+// checkers enumerate all come from it.
 guesstimate::core::methods! {
     Flight;
     /// Book `n` seats.
-    fn book(n: i64) => book_footprint();
+    fn book(n: i64 = [1, 2]) => book_footprint();
 }
 
 fn main() {

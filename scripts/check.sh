@@ -140,7 +140,8 @@ artifacts_side() {
 }
 
 # Compares the artifacts of the work tree with those of revision $1: every
-# file either side writes must exist on both and be byte-identical.
+# file either side writes must exist on both and be byte-identical. Every
+# file that differs or is missing is named before the step fails.
 artifacts() {
     rev=$(git rev-parse --short "$1^{commit}")
     parent=target/artifacts/$rev
@@ -151,12 +152,21 @@ artifacts() {
     artifacts_side . target/artifacts/out-tree
     a=target/artifacts/out-parent
     b=target/artifacts/out-tree
+    bad=0
     for f in $( (ls "$a" && ls "$b") | sort -u); do
-        cmp -s "$a/$f" "$b/$f" || {
-            echo "check.sh artifacts: $f differs from $rev (or is missing on one side)" >&2
-            exit 1
-        }
+        if [ ! -e "$a/$f" ] || [ ! -e "$b/$f" ]; then
+            echo "check.sh artifacts: $f is missing on one side" >&2
+        elif ! cmp -s "$a/$f" "$b/$f"; then
+            echo "check.sh artifacts: $f differs from $rev" >&2
+        else
+            continue
+        fi
+        bad=$((bad + 1))
     done
+    [ "$bad" -eq 0 ] || {
+        echo "check.sh artifacts: $bad file(s) differ from $rev or are missing" >&2
+        exit 1
+    }
     echo "check.sh artifacts: $(ls "$b" | wc -l) files byte-identical to $rev"
 }
 

@@ -3,13 +3,16 @@
 //!
 //! * `Value` — total order laws, digest stability, snapshot determinism;
 //! * `ObjectStore` — `copy_from` is idempotent and digest-faithful;
-//! * `SharedOp` — structural metrics behave under arbitrary nesting;
+//! * `SharedOp` — over every application's operations, drawn from its
+//!   rows' argument spaces: structural metrics behave under arbitrary
+//!   nesting, and a failed operation never changes the state;
 //! * semantics — the §3 invariants survive *arbitrary* R1/R2/R3 schedules,
 //!   and quiescence always equalizes guesstimated and committed state;
 //! * runtime — random multi-machine schedules converge and respect the
 //!   bounded-re-execution guarantee.
 
-use guesstimate::core::{value_digest, ObjectId, ObjectStore, SharedOp, Value};
+use guesstimate::apps::{all, App};
+use guesstimate::core::{execute, value_digest, ObjectId, ObjectStore, SharedOp, Value};
 use guesstimate::semantics::{check_invariants, testmodel};
 use guesstimate::{args, MachineId};
 use proptest::prelude::*;
@@ -90,12 +93,29 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// SharedOp structure
+// SharedOp structure and the frame condition, over every application
 // ---------------------------------------------------------------------
 
-fn arb_op() -> impl Strategy<Value = SharedOp> {
-    let obj = testmodel::counter_object();
-    let leaf = (-3i64..6).prop_map(move |d| SharedOp::primitive(obj, "add", args![d]));
+/// The object every session below runs on.
+const OBJ: ObjectId = ObjectId::new(MachineId::new(0), 0);
+
+/// One application's operations: a method drawn uniformly, then a list
+/// from its row's argument space (the declared domains with their edge
+/// values and an ill-typed argument), nested in `Atomic` / `OrElse`.
+fn arb_op(app: App) -> impl Strategy<Value = SharedOp> {
+    let registry = app.registry();
+    let spaces: Vec<(&'static str, Vec<Vec<Value>>)> = registry
+        .methods_of(app.type_name)
+        .into_iter()
+        .map(|m| {
+            let space = registry.arg_space(app.type_name, m);
+            (m, space.expect("a row declares its domains").cases)
+        })
+        .collect();
+    let leaf = (0..spaces.len(), any::<usize>()).prop_map(move |(m, k)| {
+        let (method, cases) = &spaces[m];
+        SharedOp::primitive(OBJ, *method, cases[k % cases.len()].clone())
+    });
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..3).prop_map(SharedOp::atomic),
@@ -104,38 +124,63 @@ fn arb_op() -> impl Strategy<Value = SharedOp> {
     })
 }
 
+/// A short session: an application, one of its representative states,
+/// and up to eight operations to run from it in order.
+fn arb_session() -> impl Strategy<Value = (App, Value, Vec<SharedOp>)> {
+    proptest::Union::new(
+        all()
+            .into_iter()
+            .map(|app| {
+                let states = (app.states)();
+                (
+                    0..states.len(),
+                    proptest::collection::vec(arb_op(app), 1..9),
+                )
+                    .prop_map(move |(s, ops)| (app, states[s].clone(), ops))
+                    .boxed()
+            })
+            .collect(),
+    )
+}
+
 proptest! {
     #[test]
-    fn op_metrics_are_consistent(op in arb_op()) {
-        prop_assert!(op.depth() >= 1);
-        let touched = op.objects_touched();
-        if op.primitive_count() > 0 {
-            prop_assert_eq!(touched.len(), 1, "single-object universe");
-        } else {
-            prop_assert!(touched.is_empty());
-        }
-        // Display never panics and mentions the method for non-empty ops.
-        let s = op.to_string();
-        if op.primitive_count() > 0 {
-            prop_assert!(s.contains("add"));
+    fn op_metrics_are_consistent((app, _state, ops) in arb_session()) {
+        let methods = app.registry().methods_of(app.type_name);
+        for op in ops {
+            prop_assert!(op.depth() >= 1);
+            let touched = op.objects_touched();
+            let s = op.to_string();
+            if op.primitive_count() > 0 {
+                prop_assert_eq!(touched.len(), 1, "single-object universe");
+                // Display never panics and names a method.
+                prop_assert!(methods.iter().any(|m| s.contains(m)), "{}", s);
+            } else {
+                prop_assert!(touched.is_empty());
+            }
         }
     }
+}
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
     #[test]
-    fn failed_ops_never_change_state(op in arb_op(), init in 0i64..20) {
-        // Execute against a fresh store; whatever the outcome, a `false`
-        // result must leave the state unchanged (the §3 frame condition,
-        // which Atomic/OrElse composition must preserve).
-        let registry = testmodel::counter_registry();
-        let mut sys = testmodel::counter_system(1, init);
-        let m = MachineId::new(0);
-        let before = sys.machine(m).unwrap().guess.digest();
-        let issued = sys.issue(m, op).unwrap();
-        let after = sys.machine(m).unwrap().guess.digest();
-        if !issued {
-            prop_assert_eq!(before, after, "dropped op must not change sg");
+    fn failed_ops_never_change_state((app, state, ops) in arb_session()) {
+        // Whatever the outcome, a `false` result must leave the state
+        // unchanged (the §3 frame condition, which Atomic/OrElse
+        // composition must preserve), and no operation may panic.
+        let registry = app.registry();
+        let mut store = ObjectStore::new();
+        let mut object = registry.construct(app.type_name).unwrap();
+        object.restore(&state).unwrap();
+        store.insert(OBJ, object);
+        for op in ops {
+            let before = store.get(OBJ).unwrap().snapshot();
+            let ok = execute(&op, &mut store, &registry).unwrap().is_success();
+            if !ok {
+                prop_assert_eq!(&before, &store.get(OBJ).unwrap().snapshot(), "{}: {}", app.type_name, op);
+            }
         }
-        let _ = registry;
     }
 }
 
@@ -312,7 +357,6 @@ proptest! {
         arms in proptest::collection::vec((0i64..6, 0i64..12), 1..5),
         init in 0i64..12,
     ) {
-        use guesstimate::core::execute;
         let registry = testmodel::counter_registry();
         let obj = testmodel::counter_object();
         let chain = SharedOp::first_of(
@@ -340,7 +384,6 @@ proptest! {
         parts in proptest::collection::vec((0i64..6, 0i64..12), 1..5),
         init in 0i64..12,
     ) {
-        use guesstimate::core::execute;
         let registry = testmodel::counter_registry();
         let obj = testmodel::counter_object();
         let group = SharedOp::atomic(

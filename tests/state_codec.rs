@@ -57,19 +57,18 @@ fn app_subject(app: App) -> Subject {
     let registry = app.registry();
     let fresh = move || registry.construct(app.type_name).expect("registered");
     let representative = (app.states)();
-    // One step further: every method of the suite, on at most four
-    // argument vectors each, from every representative state.
+    // One step further: every method, on at most four argument vectors of
+    // its row's space each, from every representative state.
     let mut states: BTreeSet<Value> = representative.iter().cloned().collect();
     let registry = app.registry();
     for s in &representative {
-        for m in &(app.spec_suite)().methods {
-            let stride = m.arg_space.len().div_ceil(4);
-            for argv in m.arg_space.iter().step_by(stride) {
+        for (method, cases) in arg_spaces(&registry, app.type_name) {
+            for argv in cases.iter().step_by(cases.len().div_ceil(4)) {
                 let mut store = ObjectStore::new();
                 let mut obj = registry.construct(app.type_name).expect("registered");
                 obj.restore(s).expect("a representative state");
                 store.insert(OBJ, obj);
-                let op = SharedOp::primitive(OBJ, m.method.clone(), argv.clone());
+                let op = SharedOp::primitive(OBJ, method, argv.clone());
                 execute(&op, &mut store, &registry).expect("registered method");
                 states.insert(store.get(OBJ).expect("present").snapshot());
             }
@@ -212,12 +211,11 @@ fn the_in_place_copy_is_exact() {
         let subject = app_subject(app);
         let name = subject.name;
         let registry = app.registry();
-        let mutations: Vec<SharedOp> = (app.spec_suite)()
-            .methods
-            .iter()
-            .filter_map(|m| {
-                let argv = m.arg_space.first()?.clone();
-                Some(SharedOp::primitive(OBJ, m.method.clone(), argv))
+        let mutations: Vec<SharedOp> = arg_spaces(&registry, app.type_name)
+            .into_iter()
+            .filter_map(|(method, cases)| {
+                let argv = cases.into_iter().next()?;
+                Some(SharedOp::primitive(OBJ, method, argv))
             })
             .collect();
         let stride = subject.states.len().div_ceil(24);
@@ -562,12 +560,22 @@ fn bad_lists(row: &Row, args: &[Value]) -> Vec<Vec<Value>> {
     out
 }
 
-/// One type's methods: its registry, an argument space per method, and
-/// the state the lists run on.
+/// Every method of `type_name` with its row's argument lists.
+fn arg_spaces(registry: &OpRegistry, type_name: &str) -> Vec<(&'static str, Vec<Vec<Value>>)> {
+    registry
+        .methods_of(type_name)
+        .into_iter()
+        .map(|m| {
+            let space = registry.arg_space(type_name, m);
+            (m, space.expect("a row declares its domains").cases)
+        })
+        .collect()
+}
+
+/// One type's methods: its registry and the state the lists run on.
 struct Methods {
     registry: OpRegistry,
     type_name: &'static str,
-    spaces: Vec<(String, Vec<Vec<Value>>)>,
     state: Value,
 }
 
@@ -577,38 +585,21 @@ fn method_tables() -> Vec<Methods> {
         .map(|app| Methods {
             registry: app.registry(),
             type_name: app.type_name,
-            spaces: (app.spec_suite)()
-                .methods
-                .into_iter()
-                .map(|m| (m.method, m.arg_space))
-                .collect(),
             state: (app.states)().pop().expect("at least the initial state"),
         })
         .collect();
-    let mut fixture = |register: fn(&mut OpRegistry),
-                       type_name,
-                       spaces: &[(&str, Vec<Vec<Value>>)],
-                       state: Value| {
+    let mut fixture = |register: fn(&mut OpRegistry), type_name, state: Value| {
         let mut registry = OpRegistry::new();
         register(&mut registry);
-        let spaces = spaces
-            .iter()
-            .map(|(m, s)| ((*m).to_owned(), s.clone()))
-            .collect();
         out.push(Methods {
             registry,
             type_name,
-            spaces,
             state,
         });
     };
     fixture(
         sneaky::register_methods,
         sneaky::Mirror::TYPE_NAME,
-        &[
-            ("bump", vec![args!["src", 1], args!["dst", -4]]),
-            ("mirror", vec![args![]]),
-        ],
         GState::snapshot(&sneaky::Mirror {
             m: [("src".to_owned(), 1), ("dst".to_owned(), -4)].into(),
         }),
@@ -616,7 +607,6 @@ fn method_tables() -> Vec<Methods> {
     fixture(
         miskeyed::register_methods,
         miskeyed::Board::TYPE_NAME,
-        &[("post", vec![args!["news", "ann"], args!["sport", "bob"]])],
         GState::snapshot(&miskeyed::Board {
             topics: [("news".to_owned(), 2)].into(),
         }),
@@ -624,11 +614,6 @@ fn method_tables() -> Vec<Methods> {
     fixture(
         multigroup::register_methods,
         XPair::TYPE_NAME,
-        &[
-            ("bump_a", vec![args![2], args![5]]),
-            ("bump_b", vec![args![3], args![7]]),
-            ("mix", vec![args![1]]),
-        ],
         GState::snapshot(&XPair { a: 1, b: -2 }),
     );
     out
@@ -642,11 +627,8 @@ fn every_method_decodes_its_constructor_and_fails_closed() {
         let mut declared: Vec<&str> = rows.iter().map(|r| r.method.as_str()).collect();
         declared.sort_unstable();
         assert_eq!(t.registry.methods_of(name), declared, "{name}: rows");
-        let mut spaced: Vec<&str> = t.spaces.iter().map(|(m, _)| m.as_str()).collect();
-        spaced.sort_unstable();
-        assert_eq!(spaced, declared, "{name}: an argument space per method");
-        for (method, space) in &t.spaces {
-            let row = rows.iter().find(|r| &r.method == method).expect("a row");
+        for (method, space) in &arg_spaces(&t.registry, name) {
+            let row = rows.iter().find(|r| r.method == *method).expect("a row");
             assert!(!space.is_empty(), "{name}::{method}: no arguments");
             let mut bad = BTreeSet::new();
             for args in space {
