@@ -7,17 +7,22 @@
 //! * `store_copy` — the committed → guesstimated whole-store copy performed
 //!   at the end of every synchronization (§9 lists large shared state as a
 //!   limitation precisely because of this copy).
+//! * `store` — the delta resync into a guesstimated store that lacks 256
+//!   populated boards (a member's `sg` after the round that created them):
+//!   it shares them, and the row fails if it copied any.
 //! * `snapshot_digest` — canonical snapshot + digest of a Sudoku board
 //!   (convergence checking).
 //! * `sim_round` — one full synchronization round of a simulated 4-machine
 //!   cluster (protocol + virtual network bookkeeping): nearly idle — on the
 //!   plain registry and on the checked one — and with 256 pending ops to
 //!   consolidate.
-//! * `flush` — one member's stage-1 flush of 256 pending ops: the handler
-//!   that takes `BeginSync`, alone.
+//! * `flush` — one member's stage-1 flush of 256 and of 9 400 pending ops:
+//!   the handler that takes `BeginSync`, alone.
 //! * `apply` — one member's stage-2 apply of a 256-op round with 64 ops
-//!   still pending: the handler that takes `BeginApply` and its deferred
-//!   half, which virtual time runs in the same step.
+//!   still pending, and of the `bigstore` workload's preload round (256
+//!   boards created, then 9 144 `create_topic`/`post` operations): the
+//!   handler that takes `BeginApply` and its deferred half, which virtual
+//!   time runs in the same step.
 //! * `threaded_link_round_trip` — a ping and its echo over the real-thread
 //!   mesh with a constant link delay: twice the link when the delivery
 //!   thread wakes on time, and its wake-up lateness twice over when not.
@@ -137,6 +142,48 @@ fn bench_store_copy(c: &mut Criterion) {
     g.finish();
 }
 
+/// 256 message boards, each with 4 topics of 8 posts: the objects the
+/// `bigstore` workload's preload fills and then never touches.
+fn populated_boards(store: &mut ObjectStore, registry: &OpRegistry) -> Vec<ObjectId> {
+    let boards: Vec<ObjectId> = (0..256).map(board_id).collect();
+    for &board in &boards {
+        store.insert(board, Box::new(MessageBoard::new()));
+        for t in 0..4 {
+            let topic = format!("topic{t}");
+            let op = message_board::ops::create_topic(board, &topic);
+            assert!(execute(&op, store, registry).unwrap().as_bool());
+            for p in 0..8 {
+                let op = message_board::ops::post(board, &topic, "author", &format!("post {p}"));
+                assert!(execute(&op, store, registry).unwrap().as_bool());
+            }
+        }
+    }
+    boards
+}
+
+/// A member's resync after the round that created 256 populated boards:
+/// its `sg` lacks every one of them. The boards are shared, not copied.
+fn bench_store_resync(c: &mut Criterion) {
+    let mut registry = OpRegistry::new();
+    message_board::register(&mut registry);
+    let mut committed = ObjectStore::new();
+    let boards = populated_boards(&mut committed, &registry);
+    c.bench_function("store/resync_256_fresh", |b| {
+        // The stores outlive the timed call: dropping them is no part of a
+        // resync.
+        let mut kept = Vec::new();
+        b.iter_batched(
+            || (committed.clone(), ObjectStore::new()),
+            |(mut sc, mut sg)| {
+                assert_eq!(sg.sync_from(&mut sc), 256);
+                assert!(boards.iter().all(|&id| sg.shares_with(&sc, id)));
+                kept.push((sc, sg));
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 fn bench_snapshot_digest(c: &mut Criterion) {
     let board = sudoku::example_puzzle();
     c.bench_function("snapshot_digest/sudoku", |b| {
@@ -248,13 +295,20 @@ fn bench_sim_round_loaded(c: &mut Criterion) {
     });
 }
 
-/// One member taking `BeginSync` with 256 `like` ops pending: the flush
-/// handler alone -- cutting the batch from `P`, broadcasting it and
-/// sending `FlushDone`, the sends routed by the `SimNet` -- delivered
-/// between two rounds of a settled 4-machine cluster.
+/// One member taking `BeginSync` with 256 `like` ops pending, and with
+/// 9 400 (a `bigstore` preload's worth): the flush handler alone -- cutting
+/// the batch from `P`, broadcasting it and sending `FlushDone`, the sends
+/// routed by the `SimNet` -- delivered between two rounds of a settled
+/// 4-machine cluster.
 fn bench_flush(c: &mut Criterion) {
+    for (name, pending) in [("flush/member_256_pending", 256), ("flush/cut_9400", 9_400)] {
+        flush_row(c, name, pending);
+    }
+}
+
+fn flush_row(c: &mut Criterion, name: &str, pending: usize) {
     let (master, member) = (MachineId::new(0), MachineId::new(1));
-    c.bench_function("flush/member_256_pending", |b| {
+    c.bench_function(name, |b| {
         // The clusters outlive the timed call: dropping one is no part of
         // a flush.
         let mut kept = Vec::new();
@@ -274,7 +328,7 @@ fn bench_flush(c: &mut Criterion) {
                 let quiet = net.now() + SimTime::from_millis(25);
                 net.run_until(quiet);
                 let m = net.actor_mut(member).unwrap();
-                for _ in 0..256 {
+                for _ in 0..pending {
                     assert!(m.issue(message_board::ops::like(board, "post-1")).unwrap());
                 }
                 let order = net.actor(master).unwrap().members();
@@ -349,6 +403,62 @@ fn bench_apply(c: &mut Criterion) {
                 net.step();
                 let m = net.actor(member).unwrap();
                 assert_eq!((m.completed_len(), m.pending_len()), (1 + 256, 64));
+                kept.push(net);
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+/// `bigstore`'s preload, issued on the master of a settled
+/// `board_cluster()`: 256 boards created, then 4 topics of 8 posts on each
+/// of the 254 beyond the first two -- 9 400 operations in one round. Then
+/// events run one at a time until `member` has applied it, or until
+/// `stop_before` of them have run. Returns the cluster and how many ran.
+fn bulk_round_before_apply(
+    member: MachineId,
+    stop_before: Option<usize>,
+) -> (SimNet<Machine>, usize) {
+    let (mut net, _) = board_cluster();
+    let master = net.actor_mut(MachineId::new(0)).unwrap();
+    let boards: Vec<ObjectId> = (0..256)
+        .map(|_| master.create_instance(MessageBoard::new()))
+        .collect();
+    for &board in &boards[2..] {
+        for t in 0..4 {
+            let topic = format!("topic{t}");
+            let op = message_board::ops::create_topic(board, &topic);
+            assert!(master.issue(op).unwrap());
+            for p in 0..8 {
+                let op = message_board::ops::post(board, &topic, "author", &format!("post {p}"));
+                assert!(master.issue(op).unwrap());
+            }
+        }
+    }
+    assert_eq!(master.pending_len(), 9_400);
+    let committed = net.actor(member).unwrap().completed_len();
+    let mut steps = 0;
+    while Some(steps) != stop_before && net.actor(member).unwrap().completed_len() == committed {
+        net.step();
+        steps += 1;
+    }
+    (net, steps)
+}
+
+/// One member taking the `BeginApply` of `bigstore`'s preload round: the
+/// commit of 256 creations and 9 144 operations on `sc`, and the resync
+/// that brings the 256 boards into its `sg`.
+fn bench_apply_bulk(c: &mut Criterion) {
+    let member = MachineId::new(1);
+    let (net, to_apply) = bulk_round_before_apply(member, None);
+    let committed = net.actor(member).unwrap().completed_len();
+    c.bench_function("apply/member_bulk_round", |b| {
+        let mut kept = Vec::new();
+        b.iter_batched(
+            || bulk_round_before_apply(member, Some(to_apply - 1)).0,
+            |mut net| {
+                net.step();
+                assert_eq!(net.actor(member).unwrap().completed_len(), committed);
                 kept.push(net);
             },
             BatchSize::SmallInput,
@@ -501,11 +611,13 @@ criterion_group!(
     bench_issue,
     bench_atomic_overhead,
     bench_store_copy,
+    bench_store_resync,
     bench_snapshot_digest,
     bench_sim_round,
     bench_sim_round_loaded,
     bench_flush,
     bench_apply,
+    bench_apply_bulk,
     bench_threaded_link_round_trip,
     bench_threaded_ack_then_defer
 );

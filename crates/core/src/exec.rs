@@ -240,7 +240,8 @@ pub fn execute_against(
 /// to back (the commit on `sc`, the replay of `P` on `sg`). A run of
 /// consecutive primitives of one `(type, method)` finds its apply function
 /// in the registry once; each operation of a run then only borrows its
-/// object (which marks it dirty) and calls.
+/// object (which marks it, and copies it first if the store shares it)
+/// and calls.
 ///
 /// # Examples
 ///

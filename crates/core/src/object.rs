@@ -19,6 +19,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{ExecError, RestoreError};
 use crate::value::Value;
@@ -43,6 +44,11 @@ use crate::value::Value;
 /// when the snapshot is not the shape of the fields (Sudoku's flattened,
 /// domain-checked grid).
 ///
+/// A state type is `Send + Sync`: a store shares one object between its
+/// committed and guesstimated copies and every clone of either, behind an
+/// [`Arc`], and a machine moves between threads with its stores. Plain
+/// data (numbers, strings, collections of them) is both.
+///
 /// # Examples
 ///
 /// ```
@@ -57,7 +63,7 @@ use crate::value::Value;
 /// let v = Score { points: 3 }.snapshot();
 /// assert_eq!(v, Value::map([("points", Value::from(3))]));
 /// ```
-pub trait GState: Clone + Default + Send + 'static {
+pub trait GState: Clone + Default + Send + Sync + 'static {
     /// Stable type name used by the operation registry to route method calls.
     ///
     /// Must be unique across all registered types in an application.
@@ -89,8 +95,8 @@ pub trait GState: Clone + Default + Send + 'static {
 /// Implemented automatically for every [`GState`]; you should not need to
 /// implement it by hand. The methods mirror what the GUESSTIMATE runtime
 /// needs: state copying (`copy_from`, the paper's `Copy`), replication
-/// (`clone_boxed`), canonical snapshots, and downcasting.
-pub trait SharedObject: Send {
+/// (`clone_boxed`, `clone_shared`), canonical snapshots, and downcasting.
+pub trait SharedObject: Send + Sync {
     /// The registered type name (matches [`GState::TYPE_NAME`]).
     fn type_name(&self) -> &'static str;
 
@@ -109,6 +115,10 @@ pub trait SharedObject: Send {
 
     /// Clones the object into a new box (replication to a joining machine).
     fn clone_boxed(&self) -> Box<dyn SharedObject>;
+
+    /// Clones the object into a new [`Arc`]: a store's copy-on-write, when
+    /// it writes an object it shares ([`crate::ObjectStore::get_mut`]).
+    fn clone_shared(&self) -> Arc<dyn SharedObject>;
 
     /// Canonical state snapshot (see [`GState::snapshot`]).
     fn snapshot(&self) -> Value;
@@ -152,6 +162,10 @@ impl<T: GState> SharedObject for T {
 
     fn clone_boxed(&self) -> Box<dyn SharedObject> {
         Box::new(self.clone())
+    }
+
+    fn clone_shared(&self) -> Arc<dyn SharedObject> {
+        Arc::new(self.clone())
     }
 
     fn snapshot(&self) -> Value {

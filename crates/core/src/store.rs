@@ -8,32 +8,56 @@
 //! another:
 //!
 //! * [`ObjectStore::sync_from`] — the **delta resync**, the `sc → sg` copy
-//!   at the end of each synchronization. A store records the ids it has
-//!   been mutated on since it last took part in a resync (its *dirty set*),
-//!   and the resync visits only `sc.dirty ∪ sg.dirty`: a round costs what
-//!   it touched, not what the store holds (the paper's §9 names the
-//!   whole-store copy as its scaling limitation).
+//!   at the end of each synchronization. A store marks the ids it has been
+//!   mutated on since it last took part in a resync, and the resync visits
+//!   only the ids either store marked: a round costs what it touched, not
+//!   what the store holds (the paper's §9 names the whole-store copy as its
+//!   scaling limitation).
 //! * [`ObjectStore::copy_from`] — the whole-store copy, for a store that
 //!   has no resync history with its source: a freshly installed `sc` at
-//!   join, and the invariant oracle that must not trust the dirty sets.
+//!   join, and the invariant oracle that must not trust the marks.
 //!
-//! Dirty marking is by construction, not by declaration: the object map is
-//! private, and every way in that can change one entry — `insert`, `remove`,
-//! `get_mut` / `get_as_mut`, [`ObjectAccess::apply`] — marks the id (a
-//! whole `copy_from` leaves the pair identical everywhere, so it has
-//! nothing to mark). It is conservative (a mutable borrow that changes
-//! nothing still marks) and trusts no operation footprint. A failed
-//! `Atomic` never reaches the store (its overlay clones through `&self`),
-//! and a committed overlay marks what it writes back, through `apply`.
+//! **Entries are shared, and copied on write.** An object sits behind an
+//! [`Arc`], and both copies, and every [`Clone`] of a store, share the
+//! object instead of duplicating it: a copy puts the source's object into
+//! every entry the destination lacks or shares with someone, and a clone
+//! of a store clones no object at all. The first write through a shared
+//! entry copies the object into that entry alone ([`ObjectStore::get_mut`]),
+//! which is the paper's per-object copy-on-write of `Atomic` (§4) applied
+//! to the `sc`/`sg` pair. An entry the destination owns outright is
+//! overwritten in place ([`SharedObject::copy_from`]) and keeps its
+//! allocations, so the objects a round writes on both stores take that path
+//! round after round.
+//!
+//! Marking is by construction, not by declaration: the object map is
+//! private, and every way in that can change one entry — `insert`,
+//! `remove`, `get_mut` / `get_as_mut`, [`ObjectAccess::apply`] — marks the
+//! id (a whole `copy_from` leaves the pair identical everywhere, so it has
+//! nothing to mark). The mark is a flag in the entry beside a list of the
+//! marked ids, so marking an entry that is already marked is a flag test. It
+//! is conservative (a mutable borrow that changes nothing still marks) and
+//! trusts no operation footprint. A failed `Atomic` never reaches the store
+//! (its overlay clones through `&self`), and a committed overlay marks what
+//! it writes back, through `apply`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::exec::ObjectAccess;
 use crate::ids::ObjectId;
 use crate::object::{GState, SharedObject};
 use crate::value::{value_digest, Value};
 
-/// A keyed collection of boxed shared objects.
+/// One object of a store: the object, shared with every store that holds
+/// the same version of it, and this store's mark on it.
+#[derive(Clone)]
+struct Entry {
+    object: Arc<dyn SharedObject>,
+    /// Set while the id is in the store's `marked` list.
+    marked: bool,
+}
+
+/// A keyed collection of shared objects.
 ///
 /// Iteration order is the total order on [`ObjectId`], so that digests and
 /// copies are deterministic across machines.
@@ -51,17 +75,26 @@ use crate::value::{value_digest, Value};
 /// let id = ObjectId::new(MachineId::new(0), 1);
 /// store.insert(id, Box::new(Flag(true)));
 /// assert!(store.get_as::<Flag>(id).unwrap().0);
+///
+/// // A clone shares the object until one side writes it.
+/// let mut copy = store.clone();
+/// assert!(copy.shares_with(&store, id));
+/// copy.get_as_mut::<Flag>(id).unwrap().0 = false;
+/// assert!(!copy.shares_with(&store, id));
+/// assert!(store.get_as::<Flag>(id).unwrap().0);
 /// ```
 ///
-/// A clone deep-copies every object and the dirty set with it, so clones
-/// of both stores of an `sc`/`sg` pair resync exactly as the pair would.
+/// A clone shares every object and carries the marks, so clones of both
+/// stores of an `sc`/`sg` pair resync exactly as the pair would.
 #[derive(Default, Clone)]
 pub struct ObjectStore {
-    objects: BTreeMap<ObjectId, Box<dyn SharedObject>>,
+    objects: BTreeMap<ObjectId, Entry>,
     /// Ids whose entry may have changed since this store last took part in
-    /// a [`ObjectStore::sync_from`]. Invariant for the `sc`/`sg` pair: an id
-    /// in neither store's set holds logically identical entries in both.
-    dirty: BTreeSet<ObjectId>,
+    /// a [`ObjectStore::sync_from`]: every entry whose flag is set, and ids
+    /// removed since (an id may repeat). Invariant for the `sc`/`sg` pair:
+    /// an id in neither store's list holds logically identical entries in
+    /// both.
+    marked: Vec<ObjectId>,
 }
 
 impl ObjectStore {
@@ -90,31 +123,47 @@ impl ObjectStore {
         &mut self,
         id: ObjectId,
         object: Box<dyn SharedObject>,
-    ) -> Option<Box<dyn SharedObject>> {
-        self.dirty.insert(id);
-        self.objects.insert(id, object)
+    ) -> Option<Arc<dyn SharedObject>> {
+        let entry = Entry {
+            object: Arc::from(object),
+            marked: true,
+        };
+        let previous = self.objects.insert(id, entry);
+        if !previous.as_ref().is_some_and(|e| e.marked) {
+            self.marked.push(id);
+        }
+        previous.map(|e| e.object)
     }
 
     /// Removes the object under `id`.
-    pub fn remove(&mut self, id: ObjectId) -> Option<Box<dyn SharedObject>> {
-        let removed = self.objects.remove(&id);
-        if removed.is_some() {
-            self.dirty.insert(id);
+    pub fn remove(&mut self, id: ObjectId) -> Option<Arc<dyn SharedObject>> {
+        let removed = self.objects.remove(&id)?;
+        if !removed.marked {
+            self.marked.push(id);
         }
-        removed
+        Some(removed.object)
     }
 
     /// Borrows the object under `id`.
     pub fn get(&self, id: ObjectId) -> Option<&dyn SharedObject> {
-        self.objects.get(&id).map(|b| &**b)
+        self.objects.get(&id).map(|e| &*e.object)
     }
 
-    /// Mutably borrows the object under `id`, marking it dirty: the store
-    /// cannot see what the borrower does, so it assumes a write.
+    /// Mutably borrows the object under `id`, marking it: the store cannot
+    /// see what the borrower does, so it assumes a write. An object this
+    /// store shares with another is copied into this store first, so the
+    /// write reaches no other store.
     pub fn get_mut(&mut self, id: ObjectId) -> Option<&mut (dyn SharedObject + 'static)> {
-        let obj = self.objects.get_mut(&id)?;
-        self.dirty.insert(id);
-        Some(&mut **obj)
+        let entry = self.objects.get_mut(&id)?;
+        if !entry.marked {
+            entry.marked = true;
+            self.marked.push(id);
+        }
+        if Arc::strong_count(&entry.object) > 1 {
+            entry.object = entry.object.clone_shared();
+        }
+        // No `Weak` to these is ever made, so a count of one is unique.
+        Arc::get_mut(&mut entry.object)
     }
 
     /// Borrows the object under `id` downcast to its concrete type.
@@ -129,9 +178,18 @@ impl ObjectStore {
         self.get_mut(id)?.as_any_mut().downcast_mut::<T>()
     }
 
+    /// True if this store and `other` hold the very same object under `id`
+    /// (one allocation, shared until either side writes it).
+    pub fn shares_with(&self, other: &ObjectStore, id: ObjectId) -> bool {
+        match (self.objects.get(&id), other.objects.get(&id)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.object, &b.object),
+            _ => false,
+        }
+    }
+
     /// Iterates over `(id, object)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &dyn SharedObject)> {
-        self.objects.iter().map(|(id, b)| (*id, &**b))
+        self.objects.iter().map(|(id, e)| (*id, &*e.object))
     }
 
     /// The ids present in the store, in order.
@@ -141,48 +199,61 @@ impl ObjectStore {
 
     /// Overwrites this store's contents with `src`'s contents.
     ///
-    /// Objects present in both are copied in place via
-    /// [`SharedObject::copy_from`]; objects only in `src` are cloned in;
-    /// objects only in `self` are removed. After the call the two stores hold
-    /// logically identical state. This is the whole-store analog of the
-    /// paper's `Copy`. It neither reads nor changes a dirty set: the stores
-    /// end up identical everywhere, so whatever marks either carries stay a
+    /// Each object only in `src`, or held here in an entry this store
+    /// shares, is shared from `src`; each object this store owns outright
+    /// is copied in place via [`SharedObject::copy_from`]; objects only in
+    /// `self` are removed. After the call the two stores hold logically
+    /// identical state. This is the whole-store analog of the paper's
+    /// `Copy`. It neither reads nor changes a mark: the stores end up
+    /// identical everywhere, so whatever marks either carries stay a
     /// superset of what a later [`ObjectStore::sync_from`] between the two
     /// must visit.
     ///
     /// If an id is occupied by a *different concrete type* in the two stores
     /// (possible only when an application reuses ids across types), the
-    /// in-place copy is impossible and the object is replaced wholesale with
-    /// a clone of `src`'s — the post-condition (stores logically identical)
-    /// holds either way, so this method is infallible.
+    /// in-place copy is impossible and `src`'s object is shared instead —
+    /// the post-condition (stores logically identical) holds either way, so
+    /// this method is infallible.
     pub fn copy_from(&mut self, src: &ObjectStore) {
         self.objects.retain(|id, _| src.objects.contains_key(id));
-        for (id, obj) in &src.objects {
-            copy_entry(&mut self.objects, *id, Some(&**obj));
+        for (id, theirs) in &src.objects {
+            copy_entry(&mut self.objects, *id, Some(&theirs.object));
         }
     }
 
     /// The delta resync: makes this store logically identical to `src` by
-    /// visiting only the ids either store has been mutated on since the
-    /// two were last identical — copied in place, cloned in, or removed,
-    /// exactly as [`ObjectStore::copy_from`] treats every id — and then
-    /// clears both dirty sets. Returns the number of ids visited.
+    /// visiting only the ids either store has marked since the two were
+    /// last identical — shared, copied in place, or removed, exactly as
+    /// [`ObjectStore::copy_from`] treats every id — and then clears both
+    /// stores' marks. Returns the number of ids visited.
     ///
-    /// This is the `sc → sg` copy of §4 (`sg.sync_from(&mut sc)`). A dirty
-    /// set is relative to the one partner a store resyncs with: the two
-    /// must have been identical once (both empty, or one a whole
+    /// This is the `sc → sg` copy of §4 (`sg.sync_from(&mut sc)`). Marks
+    /// are relative to the one partner a store resyncs with: the two must
+    /// have been identical once (both empty, or one a whole
     /// [`ObjectStore::copy_from`] / [`Clone`] of the other), and neither
     /// may have been resynced with a third store since. Cloning both
     /// stores of a pair gives a pair that meets this too: a clone carries
     /// its original's marks. Extra marks are always safe — a marked id
     /// that did not change is copied onto an equal entry.
     pub fn sync_from(&mut self, src: &mut ObjectStore) -> usize {
-        let mut ids = std::mem::take(&mut self.dirty);
-        ids.append(&mut src.dirty);
+        let mut ids = std::mem::take(&mut self.marked);
+        ids.append(&mut src.marked);
+        ids.sort_unstable();
+        ids.dedup();
+        let visited = ids.len();
         for id in &ids {
-            copy_entry(&mut self.objects, *id, src.objects.get(id).map(|b| &**b));
+            let theirs = src.objects.get_mut(id).map(|e| {
+                e.marked = false;
+                &e.object
+            });
+            if let Some(mine) = copy_entry(&mut self.objects, *id, theirs) {
+                mine.marked = false;
+            }
         }
-        ids.len()
+        // The list's buffer stays with this store for the next round.
+        ids.clear();
+        self.marked = ids;
+        visited
     }
 
     /// Canonical snapshot of the entire store: a map from object id strings
@@ -191,7 +262,7 @@ impl ObjectStore {
         Value::map(
             self.objects
                 .iter()
-                .map(|(id, obj)| (id.to_string(), obj.snapshot())),
+                .map(|(id, e)| (id.to_string(), e.object.snapshot())),
         )
     }
 
@@ -202,23 +273,30 @@ impl ObjectStore {
 }
 
 /// The per-object step of both copies: makes `objects[id]` logically
-/// identical to `src` (the source store's entry under `id`, if any).
-fn copy_entry(
-    objects: &mut BTreeMap<ObjectId, Box<dyn SharedObject>>,
+/// identical to `src` (the source store's object under `id`, if any) and
+/// returns the entry, which keeps its mark. An entry this store owns is
+/// copied in place; anything else ends up sharing `src`.
+fn copy_entry<'a>(
+    objects: &'a mut BTreeMap<ObjectId, Entry>,
     id: ObjectId,
-    src: Option<&dyn SharedObject>,
-) {
+    src: Option<&Arc<dyn SharedObject>>,
+) -> Option<&'a mut Entry> {
     let Some(src) = src else {
         objects.remove(&id);
-        return;
+        return None;
     };
-    let in_place = match objects.get_mut(&id) {
-        Some(mine) => mine.copy_from(src).is_ok(),
-        None => false,
-    };
-    if !in_place {
-        objects.insert(id, src.clone_boxed());
+    let entry = objects.entry(id).or_insert_with(|| Entry {
+        object: Arc::clone(src),
+        marked: false,
+    });
+    if !Arc::ptr_eq(&entry.object, src) {
+        let in_place =
+            Arc::get_mut(&mut entry.object).is_some_and(|mine| mine.copy_from(&**src).is_ok());
+        if !in_place {
+            entry.object = Arc::clone(src);
+        }
     }
+    Some(entry)
 }
 
 impl std::fmt::Debug for ObjectStore {

@@ -1009,7 +1009,7 @@ fn applied(p: &PendingMsg<Msg>) -> Option<(Option<u64>, MachineId, Vec<&WireEnve
             ops,
             asyncs,
         } => {
-            let envs = ops.iter().chain(asyncs.iter().map(|(_, e)| e));
+            let envs = ops.iter().chain(asyncs.iter().map(|(_, e)| &**e));
             Some((Some(*round), *machine, envs.collect()))
         }
         Msg::AsyncOp { env, .. } => Some((None, p.from, vec![env])),

@@ -173,6 +173,10 @@ pub enum TraceEvent {
     },
     /// The emitting machine reset itself and is rejoining the mesh.
     Restarted,
+    /// The emitting machine refused a `JoinInfo` it could not install (a
+    /// type it has not registered, or a snapshot that does not restore)
+    /// and stays as it was, to ask again on its next join retry.
+    JoinRefused,
     /// The emitting machine handed one send action to the mesh driver.
     ///
     /// `(source, stamp)` is the message's **causal stamp**: drivers assign
@@ -243,6 +247,7 @@ impl TraceEvent {
             TraceEvent::OpsResendRequested { .. } => "ops_resend_requested",
             TraceEvent::Removed { .. } => "removed",
             TraceEvent::Restarted => "restarted",
+            TraceEvent::JoinRefused => "join_refused",
             TraceEvent::MsgSent { .. } => "msg_sent",
             TraceEvent::MsgReceived { .. } => "msg_received",
             TraceEvent::Reexecuted { .. } => "reexecuted",
@@ -253,7 +258,8 @@ impl TraceEvent {
 
     /// The sync round this event belongs to, if it is round-scoped.
     ///
-    /// [`TraceEvent::Restarted`], the election events, the causal-stamp
+    /// [`TraceEvent::Restarted`], [`TraceEvent::JoinRefused`], the
+    /// election events, the causal-stamp
     /// events ([`TraceEvent::MsgSent`]/[`TraceEvent::MsgReceived`]) and
     /// [`TraceEvent::Reexecuted`] are machine-scoped and return `None`
     /// (`Reexecuted` keeps its informational `round` field out of the
@@ -274,6 +280,7 @@ impl TraceEvent {
             | TraceEvent::OpsResendRequested { round, .. }
             | TraceEvent::Removed { round, .. } => Some(round),
             TraceEvent::Restarted
+            | TraceEvent::JoinRefused
             | TraceEvent::MsgSent { .. }
             | TraceEvent::MsgReceived { .. }
             | TraceEvent::Reexecuted { .. }
@@ -449,6 +456,7 @@ mod tests {
                 machine: m,
             },
             TraceEvent::Restarted,
+            TraceEvent::JoinRefused,
             TraceEvent::MsgSent {
                 stamp: 0,
                 kind: "msg",
@@ -472,8 +480,8 @@ mod tests {
         // Round-scoped vs machine-scoped split.
         assert_eq!(
             events.iter().filter(|e| e.round().is_none()).count(),
-            6,
-            "restarted + elections + causal-stamp events + reexecuted are machine-scoped"
+            7,
+            "restarted + join_refused + elections + causal-stamp events + reexecuted are machine-scoped"
         );
     }
 

@@ -70,7 +70,7 @@ pub(crate) fn write_record(w: &mut JsonWriter, r: &TraceRecord) {
         TraceEvent::OpsResendRequested { round, source } => {
             w.field("round", round).field("source", source.index())
         }
-        TraceEvent::Restarted => w,
+        TraceEvent::Restarted | TraceEvent::JoinRefused => w,
         TraceEvent::MsgSent { stamp, kind, bytes } => w
             .field("stamp", stamp)
             .field("kind", kind)
@@ -320,6 +320,7 @@ mod tests {
                 r#""removed","round":3,"machine":1"#,
             ),
             (TraceEvent::Restarted, r#""restarted""#),
+            (TraceEvent::JoinRefused, r#""join_refused""#),
             (
                 TraceEvent::MsgSent {
                     stamp: 7,

@@ -8,7 +8,7 @@
 //! [`Machine::init_from_join_info`] on `JoinInfo`, and
 //! [`Machine::reset_for_restart`] behind `Effect::SelfRestart`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use guesstimate_core::{
     containment_escapes, declared_footprints, execute, execute_witnessed, Callback, ExecError,
@@ -19,7 +19,7 @@ use guesstimate_net::{ReplayCause, SimTime, TraceEvent};
 
 use crate::commute;
 use crate::config::{Checks, MachineConfig};
-use crate::machine::{Machine, PendingOp};
+use crate::machine::Machine;
 use crate::message::{ObjectInit, WireEnvelope, WireOp};
 use crate::roles::OpsBatch;
 
@@ -48,6 +48,8 @@ impl Machine {
             })
             .collect();
         let mut remote_touched: BTreeSet<ObjectId> = BTreeSet::new();
+        // This machine's operations in the round: `P`'s prefix they commit.
+        let mut own = 0;
         for (env, result) in round_ops(runs).zip(results) {
             if env.id.machine() != self.id && self.closures.has_hooks() {
                 // A marker touches nothing here: the wrapper fires hooks for
@@ -71,13 +73,12 @@ impl Machine {
                 self.stats.committed_foreign += 1;
                 continue;
             }
-            // Own ops commit in issue order, so this one heads `P`.
-            let own = match self.pending.front() {
-                Some(front) if front.env().id == env.id => self.pending.pop_front(),
-                _ => None,
-            };
-            debug_assert!(own.is_some(), "own op committed out of pending order");
-            let count = own.as_ref().map_or(0, |p| p.execs) + 1;
+            // Own ops commit in issue order, so this one is next in `P`.
+            let record = self.pending.get(own).filter(|(e, _)| e.id == env.id);
+            let record = record.map(|(_, record)| record);
+            debug_assert!(record.is_some(), "own op committed out of pending order");
+            own += usize::from(record.is_some());
+            let count = record.map_or(0, |p| p.execs) + 1;
             self.stats.record_exec_count(count);
             self.stats.committed_own += 1;
             self.telemetry.op_committed(env.id, round, count, now);
@@ -86,13 +87,16 @@ impl Machine {
                 // failed at commit: a conflict (Figure 7).
                 self.stats.conflicts += 1;
             }
-            if let Some(own) = own {
-                self.callbacks.push(Callback::Completed(env.id, result));
-                if let Some(t) = own.issued_at {
+            if let Some(record) = record {
+                if record.completion {
+                    self.callbacks.push(Callback::Completed(env.id, result));
+                }
+                if let Some(t) = record.issued_at {
                     self.stats.commit_latencies.push(now.saturating_since(t));
                 }
             }
         }
+        self.pending.retire(own);
         // §4 steps (i) and (iii): copy committed onto guesstimated, replay
         // the still-pending operations. Step (ii), the pending completion
         // routines, runs when the step ends (`Machine::run_callbacks`).
@@ -176,9 +180,9 @@ impl Machine {
         count_execs: bool,
     ) {
         let mut pass = ExecPass::new(&mut self.guess, &self.registry);
-        for p in &mut self.pending {
+        for (env, p) in self.pending.iter_mut() {
             let _ = execute_wire_checked(
-                &p.env().op,
+                &env.op,
                 &mut pass,
                 &self.cfg,
                 self.id,
@@ -230,7 +234,15 @@ impl Machine {
         )
     }
 
-    /// Initializes committed and guesstimated state from a `JoinInfo`.
+    /// Initializes committed and guesstimated state from a `JoinInfo`, and
+    /// returns whether it did.
+    ///
+    /// The catalog is built into a fresh store first. One that names a
+    /// type this machine has not registered, or holds a snapshot that does
+    /// not restore, is refused: the machine is left as it was (unjoined,
+    /// `P` kept), the refusal is counted in
+    /// [`crate::MachineStats::join_infos_refused`] and traced, and the
+    /// join retry asks again.
     ///
     /// Pending operations issued before admission are preserved and
     /// replayed onto the fresh guesstimated state; they commit in this
@@ -242,19 +254,22 @@ impl Machine {
         completed_serialized: Vec<OpId>,
         async_watermarks: Vec<(MachineId, u64)>,
         now: SimTime,
-    ) {
-        self.committed = ObjectStore::new();
-        self.catalog.clear();
+    ) -> bool {
+        let mut committed = ObjectStore::new();
+        let mut types = BTreeMap::new();
         for oi in catalog {
-            let mut obj = self
-                .registry
-                .construct(&oi.type_name)
-                .expect("join: type must be registered on every machine");
-            obj.restore(&oi.state)
-                .expect("join: snapshot must match registered type");
-            self.committed.insert(oi.id, obj);
-            self.catalog.insert(oi.id, oi.type_name);
+            let restored = self.registry.construct(&oi.type_name).ok();
+            let restored = restored.and_then(|mut obj| obj.restore(&oi.state).ok().map(|()| obj));
+            let Some(obj) = restored else {
+                self.stats.join_infos_refused += 1;
+                self.trace(now, TraceEvent::JoinRefused);
+                return false;
+            };
+            committed.insert(oi.id, obj);
+            types.insert(oi.id, oi.type_name);
         }
+        self.committed = committed;
+        self.catalog = types;
         self.completed = completed;
         if self.cfg.async_commit {
             self.completed_serialized = completed_serialized;
@@ -269,10 +284,10 @@ impl Machine {
         // A freshly installed `sc` shares no resync history with `sg`, so
         // this one copy is whole-store.
         self.guess.copy_from(&self.committed);
-        for p in &self.pending {
+        for env in self.pending.envs() {
             if let WireOp::Create {
                 object, type_name, ..
-            } = &p.env().op
+            } = &env.op
             {
                 self.catalog.insert(*object, type_name.clone());
             }
@@ -288,6 +303,7 @@ impl Machine {
         if self.cfg.async_commit {
             self.drain_async(now);
         }
+        true
     }
 
     /// Retires the pending operations that are already in the `C` a join
@@ -299,7 +315,7 @@ impl Machine {
     /// the step's end, and counted as such (no commit stamp reaches
     /// telemetry either).
     fn retire_ops_committed_while_away(&mut self) {
-        let Some(first) = self.pending.front().map(|p| p.env().id.seq()) else {
+        let Some(first) = self.pending.envs().next().map(|e| e.id.seq()) else {
             return;
         };
         let me = self.id;
@@ -311,12 +327,17 @@ impl Machine {
             .filter(|id| id.machine() == me && id.seq() >= first)
             .map(|id| id.seq())
             .collect();
-        let in_c = |p: &mut PendingOp| committed.contains(&p.env().id.seq());
-        while let Some(p) = self.pending.pop_front_if(in_c) {
+        let mut retired = 0;
+        while let Some((env, p)) = self.pending.get(retired) {
+            if !committed.contains(&env.id.seq()) {
+                break;
+            }
             self.stats.record_exec_count(p.execs);
             self.stats.committed_own += 1;
-            self.callbacks.push(Callback::Dropped(p.env().id));
+            self.callbacks.push(Callback::Dropped(env.id));
+            retired += 1;
         }
+        self.pending.retire(retired);
     }
 
     /// Resets all replicated state, as the paper's restart signal does:
@@ -329,10 +350,7 @@ impl Machine {
         self.telemetry
             .machine_restarted(self.id, self.pending.len() as u64);
         self.stats.ops_lost_to_restart += self.pending.len() as u64;
-        let lost = self
-            .pending
-            .drain(..)
-            .map(|p| Callback::Dropped(p.env().id));
+        let lost = self.pending.clear().into_iter().map(Callback::Dropped);
         self.callbacks.extend(lost);
         self.committed = ObjectStore::new();
         self.guess = ObjectStore::new();

@@ -52,6 +52,7 @@
 //! observed; see [`Machine::restore_unseen_asyncs`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use guesstimate_core::{Callback, CompletionFn, ExecError, ExecPass, MachineId, SharedOp};
 use guesstimate_net::{Channel, Ctx, ReplayCause, SimTime, TraceEvent};
@@ -186,7 +187,7 @@ impl Machine {
         }
         let aseq = self.aseq_next;
         self.aseq_next += 1;
-        self.async_window.push((aseq, env.clone()));
+        self.async_window.push((aseq, Arc::new(env.clone())));
         ctx.broadcast(Channel::Operations, Msg::AsyncOp { aseq, env });
         Ok(true)
     }
@@ -229,7 +230,7 @@ impl Machine {
             if *aseq < slot.next {
                 continue;
             }
-            slot.buffer.insert(*aseq, env.clone());
+            slot.buffer.insert(*aseq, WireEnvelope::clone(env));
         }
         self.drain_async(now);
     }
@@ -315,8 +316,8 @@ impl Machine {
     pub(crate) fn take_async_window(&self) -> AsyncBatch {
         let closing = self.participant.closing.as_ref();
         let fenced = closing.and_then(|rs| rs.fenced_asyncs());
-        let unfenced = |(aseq, _): &&(u64, WireEnvelope)| fenced.is_none_or(|f| *aseq > f);
-        std::sync::Arc::new(self.async_window.iter().filter(unfenced).cloned().collect())
+        let unfenced = |(aseq, _): &&(u64, Arc<WireEnvelope>)| fenced.is_none_or(|f| *aseq > f);
+        Arc::new(self.async_window.iter().filter(unfenced).cloned().collect())
     }
 
     /// Trims the fence window once a round has completed everywhere:
@@ -596,7 +597,10 @@ mod tests {
         let mut m = hybrid_machine(1);
         let obj = ObjectId::new(MachineId::new(0), 0);
         // aseq 0 reached the master before the restart, aseq 1 did not.
-        m.async_window = vec![(0, put_env(1, 0, obj, "a")), (1, put_env(1, 1, obj, "b"))];
+        m.async_window = vec![
+            (0, Arc::new(put_env(1, 0, obj, "a"))),
+            (1, Arc::new(put_env(1, 1, obj, "b"))),
+        ];
         m.aseq_next = 2;
         m.reset_for_restart();
         assert_eq!(m.async_window.len(), 2, "the fence window survives");
@@ -632,7 +636,7 @@ mod tests {
     fn window_trim_requires_a_resend_protected_flush() {
         let mut m = hybrid_machine(0);
         let obj = ObjectId::new(m.id(), 0);
-        m.async_window = vec![(0, put_env(0, 0, obj, "a"))];
+        m.async_window = vec![(0, Arc::new(put_env(0, 0, obj, "a")))];
         // A flushed round whose serialized batch was empty: the piggyback
         // was best-effort, so it fences nothing and the window survives.
         m.participant.start_local_round(1, vec![m.id()]);
@@ -651,7 +655,7 @@ mod tests {
         // only what was committed since.
         let rs = m.participant.round.take().unwrap();
         m.participant.applied(rs);
-        m.async_window.push((1, put_env(0, 1, obj, "b")));
+        m.async_window.push((1, Arc::new(put_env(0, 1, obj, "b"))));
         let next = m.take_async_window();
         assert_eq!(next.iter().map(|(a, _)| *a).collect::<Vec<_>>(), vec![1]);
         assert_eq!(m.async_window.len(), 2, "nothing leaves before completion");
@@ -668,7 +672,7 @@ mod tests {
         // round cuts at once, and the window rides the `BeginApply`.
         let mut m = hybrid_machine(0);
         let obj = ObjectId::new(m.id(), 0);
-        m.async_window = vec![(0, put_env(0, 0, obj, "a"))];
+        m.async_window = vec![(0, Arc::new(put_env(0, 0, obj, "a")))];
         let mut actions = Vec::new();
         let mut ctx = Ctx::new(SimTime::ZERO, m.id(), &mut actions);
         let tick = crate::roles::tag::encode(crate::roles::tag::MASTER_TICK, 0);

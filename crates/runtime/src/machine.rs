@@ -62,10 +62,10 @@ pub struct Machine {
     pub(crate) cfg: MachineConfig,
 
     // --- The §3 machine state ---
-    pub(crate) committed: ObjectStore,       // sc
-    pub(crate) guess: ObjectStore,           // sg
-    pub(crate) pending: VecDeque<PendingOp>, // P
-    pub(crate) completed: Vec<OpId>,         // C (identities)
+    pub(crate) committed: ObjectStore, // sc
+    pub(crate) guess: ObjectStore,     // sg
+    pub(crate) pending: Pending,       // P
+    pub(crate) completed: Vec<OpId>,   // C (identities)
 
     // --- Object catalog (AvailableObjects) ---
     pub(crate) catalog: BTreeMap<ObjectId, String>,
@@ -80,8 +80,9 @@ pub struct Machine {
     /// stay valid when this machine rejoins.
     pub(crate) aseq_next: u64,
     /// Async ops committed here since the last flush; piggybacked on the
-    /// next `Msg::Ops` as the round-boundary fence, then cleared.
-    pub(crate) async_window: Vec<(u64, WireEnvelope)>,
+    /// next `Msg::Ops` as the round-boundary fence, then cleared. Each
+    /// envelope is shared with every flush that carries it.
+    pub(crate) async_window: Vec<(u64, Arc<WireEnvelope>)>,
     /// Per-sender inbound async state: watermark + reorder buffer.
     pub(crate) async_in: BTreeMap<MachineId, AsyncIn>,
     /// Memoized [`crate::commute::universal_commuters`] per type name.
@@ -125,41 +126,118 @@ pub struct Machine {
     pub(crate) telemetry: Telemetry,
 }
 
-/// One entry of the pending list `P`: the operation plus what the commit
-/// needs to account for it (its completion waits in [`Closures`]). Built
-/// only by [`Machine::enqueue`]; the round commit pops it off `P`'s front.
-#[derive(Clone)]
+/// One operation's record in the pending list `P`: what the commit needs to
+/// account for it. Its envelope sits in [`Pending`] beside it, its
+/// completion in [`Closures`].
+#[derive(Clone, Copy)]
 pub(crate) struct PendingOp {
-    /// Where the `(machineId, opNumber, op)` triple a flush ships lives;
-    /// read it through [`PendingOp::env`].
-    pub(crate) slot: EnvSlot,
     /// Executions so far: the issue-time run plus every counted replay.
     pub(crate) execs: u32,
     /// Issue time, when the caller stamped one (commit-latency stats).
     pub(crate) issued_at: Option<SimTime>,
+    /// Whether it was issued with a completion routine: the commit files a
+    /// [`Callback::Completed`] only then.
+    pub(crate) completion: bool,
 }
 
-/// Where a pending operation's envelope lives. It is built once, at issue,
-/// and the record owns it until its first flush, which moves it into the
-/// batch it ships ([`Machine::cut_flush`]); from then on the record points
-/// at its slot there, so the broadcast, the stored flush, the machine's own
-/// received run, the master's `BeginApply` and the commit all share one
-/// allocation.
-#[derive(Clone)]
-pub(crate) enum EnvSlot {
-    /// Never flushed: the record holds the envelope itself.
-    Own(WireEnvelope),
-    /// Flushed: slot `.1` of the batch `.0`.
-    Flushed(OpsBatch, usize),
+/// The pending list `P`: each pending operation's `(machineId, opNumber,
+/// op)` envelope and its [`PendingOp`] record, in issue order. Built up
+/// only by [`Machine::enqueue`]; a round commit retires its front.
+///
+/// An envelope is built once, at issue, into the *open* batch. A flush
+/// seals that batch as the one it ships ([`Pending::cut`]): the broadcast,
+/// the stored flush, the machine's own received run, the master's
+/// `BeginApply`, the commit and `P` itself then all read one allocation,
+/// and the cut moves no envelope and touches no record.
+#[derive(Clone, Default)]
+pub(crate) struct Pending {
+    /// The batch the last cut sealed, while `P` still holds any of it:
+    /// `P` starts with its envelopes from `head` on.
+    sealed: Option<OpsBatch>,
+    head: usize,
+    /// The envelopes issued since the last cut.
+    open: Vec<WireEnvelope>,
+    /// One record per envelope of `sealed[head..]` and then `open`.
+    records: VecDeque<PendingOp>,
 }
 
-impl PendingOp {
-    /// The operation's `(machineId, opNumber, op)` triple.
-    pub(crate) fn env(&self) -> &WireEnvelope {
-        match &self.slot {
-            EnvSlot::Own(env) => env,
-            EnvSlot::Flushed(batch, i) => &batch[*i],
+impl Pending {
+    /// Number of pending operations.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Appends a freshly issued operation.
+    fn push(&mut self, env: WireEnvelope, record: PendingOp) {
+        self.open.push(env);
+        self.records.push_back(record);
+    }
+
+    /// The envelopes still pending of the batch the last cut sealed.
+    fn flushed(&self) -> &[WireEnvelope] {
+        self.sealed
+            .as_deref()
+            .map_or(&[], |batch| &batch[self.head..])
+    }
+
+    /// The envelopes, in issue order.
+    pub(crate) fn envs(&self) -> impl Iterator<Item = &WireEnvelope> {
+        self.flushed().iter().chain(&self.open)
+    }
+
+    /// The envelopes beside their records, in issue order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (&WireEnvelope, &mut PendingOp)> {
+        let flushed = self.sealed.as_deref().map_or(&[][..], |b| &b[self.head..]);
+        flushed.iter().chain(&self.open).zip(&mut self.records)
+    }
+
+    /// The `i`-th pending operation.
+    pub(crate) fn get(&self, i: usize) -> Option<(&WireEnvelope, PendingOp)> {
+        let flushed = self.flushed();
+        let env = match i.checked_sub(flushed.len()) {
+            None => &flushed[i],
+            Some(j) => self.open.get(j)?,
+        };
+        Some((env, self.records[i]))
+    }
+
+    /// Retires the first `n` pending operations.
+    pub(crate) fn retire(&mut self, n: usize) {
+        let flushed = n.min(self.flushed().len());
+        self.head += flushed;
+        if self.flushed().is_empty() {
+            self.sealed = None;
+            self.head = 0;
         }
+        self.open.drain(..n - flushed);
+        self.records.drain(..n);
+    }
+
+    /// Empties the list, returning the operations' ids in issue order.
+    pub(crate) fn clear(&mut self) -> Vec<OpId> {
+        let ids = self.envs().map(|e| e.id).collect();
+        *self = Pending::default();
+        ids
+    }
+
+    /// Seals the batch a flush ships: `P`'s envelopes in issue order. When
+    /// no earlier flush's envelope is still pending, that is the open batch
+    /// itself; envelopes flushed before (their flush was removed from its
+    /// round, or the round was abandoned before it committed) are copied
+    /// ahead of it.
+    pub(crate) fn cut(&mut self) -> OpsBatch {
+        // The next batch starts with room for as many as this one holds.
+        let room = self.open.len();
+        let mut ops = std::mem::replace(&mut self.open, Vec::with_capacity(room));
+        if !self.flushed().is_empty() {
+            let mut again = self.flushed().to_vec();
+            again.append(&mut ops);
+            ops = again;
+        }
+        let batch = Arc::new(ops);
+        self.sealed = Some(Arc::clone(&batch));
+        self.head = 0;
+        batch
     }
 }
 
@@ -202,7 +280,7 @@ impl Machine {
             cfg,
             committed: ObjectStore::new(),
             guess: ObjectStore::new(),
-            pending: VecDeque::new(),
+            pending: Pending::default(),
             completed: Vec::new(),
             catalog: BTreeMap::new(),
             op_seq: 0,
@@ -424,8 +502,8 @@ impl Machine {
     /// model's invariant.
     pub fn check_guess_invariant(&self) -> bool {
         let mut replay = self.committed.clone();
-        for p in &self.pending {
-            let _ = execute_wire(&p.env().op, &mut replay, &self.registry);
+        for env in self.pending.envs() {
+            let _ = execute_wire(&env.op, &mut replay, &self.registry);
         }
         replay.digest() == self.guess.digest()
     }
@@ -558,11 +636,12 @@ impl Machine {
         issued_at: Option<SimTime>,
     ) -> OpId {
         let id = self.next_op_id();
-        self.pending.push_back(PendingOp {
-            slot: EnvSlot::Own(WireEnvelope { id, op }),
+        let record = PendingOp {
             execs: 1,
             issued_at,
-        });
+            completion: completion.is_some(),
+        };
+        self.pending.push(WireEnvelope { id, op }, record);
         if let Some(completion) = completion {
             self.closures.insert(id, completion);
         }
@@ -571,28 +650,6 @@ impl Machine {
         let depth = self.pending.len() as u64;
         self.stats.max_pending_depth = self.stats.max_pending_depth.max(depth);
         id
-    }
-
-    /// Cuts the batch a flush ships: `P`'s envelopes in issue order. Every
-    /// never-flushed envelope is moved into the batch, one flushed before
-    /// (its flush was removed from its round, or the round was abandoned
-    /// before it committed) is copied out of its old batch, and every
-    /// record is left pointing at its slot in the new one.
-    pub(crate) fn cut_flush(&mut self) -> OpsBatch {
-        // Records sit on this empty batch while the new one fills.
-        let parked = OpsBatch::default();
-        let mut ops = Vec::with_capacity(self.pending.len());
-        for p in &mut self.pending {
-            match std::mem::replace(&mut p.slot, EnvSlot::Flushed(Arc::clone(&parked), 0)) {
-                EnvSlot::Own(env) => ops.push(env),
-                EnvSlot::Flushed(batch, i) => ops.push(batch[i].clone()),
-            }
-        }
-        let batch = Arc::new(ops);
-        for (i, p) in self.pending.iter_mut().enumerate() {
-            p.slot = EnvSlot::Flushed(Arc::clone(&batch), i);
-        }
-        batch
     }
 
     /// Drains the committed-but-unresolved cross markers (commit order).

@@ -10,7 +10,7 @@ use guesstimate_core::args;
 
 /// The still-pending envelopes, in issue order (what a flush would ship).
 fn pending_envs(m: &Machine) -> Vec<WireEnvelope> {
-    m.pending.iter().map(|p| p.env().clone()).collect()
+    m.pending.envs().cloned().collect()
 }
 
 /// Applies `ops` as a one-run round at time zero, and ends the step: the
@@ -148,7 +148,7 @@ fn conflict_detected_when_foreign_op_invalidates_own() {
         id: OpId::new(MachineId::new(1), 0),
         op: WireOp::Shared(SharedOp::primitive(id, "add", args![8])),
     };
-    let own = m.pending.front().unwrap().env().clone();
+    let own = m.pending.envs().next().unwrap().clone();
     // Foreign machine id 1 > 0? No: lexicographic order puts m0's op
     // first... we want the foreign op to commit BEFORE ours, so give it
     // machine id... m0 < m1, so our op sorts first and would succeed.
@@ -172,7 +172,7 @@ fn replay_of_still_pending_ops_rebuilds_guess() {
     m.issue(SharedOp::primitive(id, "add", args![1])).unwrap();
     // Simulate a round that commits only the creation (as if add was
     // issued after our flush): commit the first pending op only.
-    let create = vec![m.pending.front().unwrap().env().clone()];
+    let create = vec![m.pending.envs().next().unwrap().clone()];
     apply(&mut m, create, 7);
     // A round of only this machine's own ops still rebuilds `sg`: add(1)
     // is still pending and was replayed onto the fresh guess.
@@ -225,6 +225,158 @@ fn join_info_roundtrip_replicates_state() {
     assert_eq!(member.committed_digest(), master.committed_digest());
     assert_eq!(member.read::<Counter, _>(id, |c| c.n), Some(7));
     assert_eq!(member.completed_len(), 1);
+}
+
+/// A `JoinInfo` whose catalog names an unregistered type, or holds a
+/// snapshot its type does not restore, is refused without a panic: the
+/// member stays unjoined with `P` and its stores as they were, answers
+/// nothing, counts and traces the refusal once, and its join retry asks
+/// again. A valid `JoinInfo` delivered afterwards admits it.
+#[test]
+fn a_malformed_join_info_is_refused_and_the_retry_gets_in() {
+    use crate::message::{Msg, ObjectInit};
+    use guesstimate_net::{Action, Actor, Channel, Ctx};
+    let mut master = machine();
+    master.create_instance(Counter { n: 7 });
+    let batch = pending_envs(&master);
+    apply(&mut master, batch, 0);
+    let (catalog, completed, completed_serialized, async_watermarks) = master.build_join_info();
+    let info = |catalog: Vec<ObjectInit>| Msg::JoinInfo {
+        catalog,
+        completed: completed.clone(),
+        completed_serialized: completed_serialized.clone(),
+        async_watermarks: async_watermarks.clone(),
+    };
+    let extra = |type_name: &str, state: Value| ObjectInit {
+        id: ObjectId::new(MachineId::new(0), 9),
+        type_name: type_name.into(),
+        state,
+    };
+    let unknown_type = [catalog.clone(), vec![extra("Nope", Value::from(1))]].concat();
+    let bad_snapshot = [catalog.clone(), vec![extra("Counter", Value::from("x"))]].concat();
+
+    let tracer = Arc::new(guesstimate_net::RecordingTracer::new());
+    let reg = Arc::new(counter_registry());
+    let mut m = Machine::new_member(MachineId::new(1), reg, MachineConfig::default());
+    m.set_tracer(tracer.clone());
+    let own = m.create_instance(Counter { n: 1 });
+    let (sc, sg) = (m.committed_digest(), m.guess_digest());
+    for (refused, catalog) in [unknown_type, bad_snapshot].into_iter().enumerate() {
+        let sent = deliver(&mut m, info(catalog));
+        assert!(sent.is_empty(), "a refusal sends no JoinReady: {sent:?}");
+        assert!(!m.is_joined());
+        assert_eq!(m.stats().join_infos_refused, refused as u64 + 1);
+        assert_eq!((m.committed_digest(), m.guess_digest()), (sc, sg));
+        assert!(m.available_objects().iter().all(|(id, _)| *id == own));
+        assert_eq!(m.pending_len(), 1, "P is kept");
+    }
+    let refusals = tracer.snapshot();
+    let refusals = refusals
+        .iter()
+        .filter(|r| r.event == TraceEvent::JoinRefused);
+    assert_eq!(refusals.count(), 2);
+
+    let mut retry = Vec::new();
+    let mut ctx = Ctx::new(SimTime::ZERO, m.id(), &mut retry);
+    let tag = crate::roles::tag::encode(crate::roles::tag::MEMBERSHIP_JOIN_RETRY, 0);
+    m.on_timer(tag, &mut ctx);
+    assert!(matches!(
+        retry[0],
+        Action::Broadcast(Channel::Signals, Msg::JoinRequest { .. })
+    ));
+
+    let sent = deliver(&mut m, info(catalog));
+    assert!(matches!(
+        sent[..],
+        [Action::Send(_, Channel::Signals, Msg::JoinReady { .. })]
+    ));
+    assert!(m.is_joined());
+    assert_eq!(m.committed_digest(), master.committed_digest());
+    assert_eq!(m.pending_len(), 1);
+    assert!(m.check_guess_invariant());
+}
+
+/// Straight after a join the guesstimated store shares every object of
+/// the committed one; an issue copies what it writes into `sg` alone.
+#[test]
+fn a_joiner_whose_guess_shares_its_committed_store_issues_on_its_own_copy() {
+    let mut master = machine();
+    let id = master.create_instance(Counter { n: 7 });
+    let batch = pending_envs(&master);
+    apply(&mut master, batch, 0);
+    let (catalog, completed, serialized, watermarks) = master.build_join_info();
+    let reg = Arc::new(counter_registry());
+    let mut m = Machine::new_member(MachineId::new(1), reg, MachineConfig::default());
+    assert!(m.init_from_join_info(catalog, completed, serialized, watermarks, SimTime::ZERO));
+    assert!(m.guess.shares_with(&m.committed, id));
+    let committed = m.committed_digest();
+    assert!(m.issue(SharedOp::primitive(id, "add", args![1])).unwrap());
+    assert!(!m.guess.shares_with(&m.committed, id));
+    assert_eq!(m.committed_digest(), committed);
+    assert_eq!(m.read_committed::<Counter, _>(id, |c| c.n), Some(7));
+    assert_eq!(m.read::<Counter, _>(id, |c| c.n), Some(8));
+    assert!(m.check_guess_invariant());
+}
+
+/// A clone (the model checker's fork) shares every object with its
+/// original; issuing and committing a round on the clone leaves the
+/// original's stores as they were.
+#[test]
+fn a_fork_that_issues_and_commits_leaves_the_original_alone() {
+    let mut m = machine();
+    let id = m.create_instance(Counter { n: 0 });
+    let batch = pending_envs(&m);
+    apply(&mut m, batch, 0);
+    m.issue(SharedOp::primitive(id, "add", args![2])).unwrap();
+    let (sc, sg) = (m.committed_digest(), m.guess_digest());
+    let mut fork = m.clone();
+    assert!(fork.committed.shares_with(&m.committed, id));
+    fork.issue(SharedOp::primitive(id, "add", args![3]))
+        .unwrap();
+    let round = pending_envs(&fork);
+    apply(&mut fork, round, 1);
+    assert_eq!(fork.read_committed::<Counter, _>(id, |c| c.n), Some(5));
+    assert_eq!((m.committed_digest(), m.guess_digest()), (sc, sg));
+    assert_eq!(m.read::<Counter, _>(id, |c| c.n), Some(2));
+    assert!(m.check_guess_invariant() && fork.check_guess_invariant());
+}
+
+/// Once a commit has written an object, each store holds its own copy and
+/// a resync copies into `sg`'s in place: round after round of issues on
+/// every machine leaves no machine's `sc` and `sg` sharing it.
+#[test]
+fn an_object_every_round_writes_stays_owned_by_both_stores() {
+    use crate::cluster::{run_until_cohort, sim_cluster};
+    use guesstimate_net::NetConfig;
+    let mut net = sim_cluster(
+        3,
+        counter_registry(),
+        MachineConfig::default(),
+        NetConfig::lan(1),
+    );
+    assert!(run_until_cohort(&mut net, SimTime::from_secs(5)));
+    let id = net
+        .actor_mut(MachineId::new(0))
+        .unwrap()
+        .create_instance(Counter { n: 0 });
+    let created = net.now() + SimTime::from_secs(1);
+    net.run_until(created);
+    for _ in 0..6 {
+        for i in 0..3 {
+            let m = net.actor_mut(MachineId::new(i)).unwrap();
+            for _ in 0..4 {
+                assert!(m.issue(SharedOp::primitive(id, "add", args![1])).unwrap());
+            }
+        }
+        let t = net.now() + SimTime::from_secs(2);
+        net.run_until(t);
+    }
+    for i in 0..3 {
+        let m = net.actor(MachineId::new(i)).unwrap();
+        assert_eq!(m.pending_len(), 0);
+        assert_eq!(m.read_committed::<Counter, _>(id, |c| c.n), Some(72));
+        assert!(!m.guess.shares_with(&m.committed, id), "machine {i}");
+    }
 }
 
 #[test]
@@ -379,14 +531,14 @@ fn every_enqueue_caller_keeps_the_same_books() {
         m.set_telemetry(Telemetry::new());
         let obj = m.create_instance(Counter { n: 0 });
         enqueue(&mut m, obj);
-        let p = m.pending.back().unwrap();
-        assert_eq!(p.env().id, OpId::new(m.id(), 1), "{name}: next op number");
+        let (env, p) = m.pending.get(1).unwrap();
+        assert_eq!(env.id, OpId::new(m.id(), 1), "{name}: next op number");
         assert_eq!(p.execs, 1, "{name}");
         assert_eq!(p.issued_at, issued_at, "{name}");
         assert_eq!(m.stats().issued, 2, "{name}");
         assert_eq!(m.stats().max_pending_depth, 2, "{name}");
         let spans = m.telemetry().spans();
-        let span = spans.iter().find(|s| s.op == p.env().id);
+        let span = spans.iter().find(|s| s.op == env.id);
         assert_eq!(
             span.map(|s| s.issued_at),
             Some(issued_at),
@@ -404,7 +556,14 @@ fn member_and_its_begin_apply() -> (Machine, crate::message::Msg) {
     m.membership.joined_system = true;
     m.membership.in_cohort = true;
     m.create_instance(Counter { n: 0 });
-    let (_, type_name, init) = m.pending[0].env().op.as_create().expect("a creation");
+    let (_, type_name, init) = m
+        .pending
+        .envs()
+        .next()
+        .unwrap()
+        .op
+        .as_create()
+        .expect("a creation");
     let ops = Arc::new(vec![WireEnvelope {
         id: OpId::new(master, 0),
         op: WireOp::Create {
@@ -836,15 +995,7 @@ fn undeclared_read_asserts_under_assert_checks() {
     let _ = m.issue(SharedOp::primitive(id, "copy", args!["src", "dst"]));
 }
 
-// ---- the pending list's envelopes: moved into a flush, shared after --------
-
-/// Where `p`'s envelope lives, if in a batch: the batch and the slot.
-fn flushed_at(p: &PendingOp) -> Option<(&OpsBatch, usize)> {
-    match &p.slot {
-        EnvSlot::Own(_) => None,
-        EnvSlot::Flushed(batch, i) => Some((batch, *i)),
-    }
-}
+// ---- the pending list's envelopes: sealed by a flush, shared after --------
 
 /// The heap buffer of a primitive operation's method name: the same after
 /// a move, a fresh one after a copy.
@@ -855,22 +1006,23 @@ fn method_buffer(env: &WireEnvelope) -> Option<*const u8> {
     }
 }
 
-/// A member's flush moves its pending list into the batch it ships rather
-/// than copying it: the `Ops` it broadcasts, its stored flush, its own
-/// received run and every pending record share one allocation, and each
-/// envelope's contents are the ones built at issue.
+/// A member's flush seals its pending list's open batch as the batch it
+/// ships: the `Ops` it broadcasts, its stored flush, its own received run
+/// and `P` share that one allocation, whose envelopes are where the issues
+/// built them.
 #[test]
-fn a_flush_moves_the_pending_list_into_one_shared_batch() {
+fn a_flush_seals_the_pending_list_as_one_shared_batch() {
     use crate::message::Msg;
     use guesstimate_net::{Action, Channel};
     let (mut m, _) = member_and_its_begin_apply();
     let (master, me) = (MachineId::new(0), m.id());
-    let (obj, ..) = m.pending[0].env().op.as_create().expect("a creation");
+    let (obj, ..) = pending_envs(&m)[0].op.as_create().expect("a creation");
     for d in 1..=3 {
         m.issue(SharedOp::primitive(obj, "add", args![d])).unwrap();
     }
     let before = pending_envs(&m);
-    let buffers: Vec<_> = m.pending.iter().map(|p| method_buffer(p.env())).collect();
+    let buffers: Vec<_> = m.pending.envs().map(method_buffer).collect();
+    let open = m.pending.open.as_ptr();
     let sent = deliver(
         &mut m,
         Msg::BeginSync {
@@ -891,11 +1043,13 @@ fn a_flush_moves_the_pending_list_into_one_shared_batch() {
         Arc::ptr_eq(&rs.received[&me], &rs.my_flush),
         "so is the own run"
     );
-    for (i, p) in m.pending.iter().enumerate() {
-        let (batch, slot) = flushed_at(p).expect("every record was flushed");
-        assert!(Arc::ptr_eq(batch, &rs.my_flush) && slot == i, "record {i}");
-        assert_eq!(method_buffer(p.env()), buffers[i], "record {i} was moved");
-    }
+    assert!(
+        Arc::ptr_eq(m.pending.sealed.as_ref().unwrap(), &rs.my_flush),
+        "and P"
+    );
+    assert_eq!(rs.my_flush.as_ptr(), open, "the open batch was sealed");
+    let after: Vec<_> = m.pending.envs().map(method_buffer).collect();
+    assert_eq!(after, buffers, "no envelope was copied");
 }
 
 proptest::proptest! {
@@ -903,7 +1057,7 @@ proptest::proptest! {
     /// Whatever happens to `P` -- issues, flushes, commits of part of the
     /// last flush, flushes repeated after a removal, restarts, rejoins --
     /// every batch cut is the list of envelopes as issued and still
-    /// pending, every record is left on its slot in it, and
+    /// pending, `P` is left reading it, and
     /// `sg = [P](sc)` holds after every step under `Checks::Assert`.
     #[test]
     fn flushes_ship_the_envelopes_as_issued(
@@ -927,15 +1081,14 @@ proptest::proptest! {
                         }
                         None => counter = Some(m.create_instance(Counter { n: 0 })),
                     }
-                    issued.push_back(m.pending.back().unwrap().env().clone());
+                    issued.push_back(pending_envs(&m).pop().unwrap());
                 }
                 2 => {
-                    let batch = m.cut_flush();
+                    let batch = m.pending.cut();
                     proptest::prop_assert!(batch.iter().eq(issued.iter()));
-                    for (i, p) in m.pending.iter().enumerate() {
-                        let (at, slot) = flushed_at(p).expect("flushed");
-                        proptest::prop_assert!(Arc::ptr_eq(at, &batch) && slot == i);
-                    }
+                    let p = &m.pending;
+                    proptest::prop_assert!(p.sealed.as_ref().is_some_and(|s| Arc::ptr_eq(s, &batch)) && p.head == 0);
+                    proptest::prop_assert!(p.open.is_empty() && p.records.len() == batch.len());
                     last = Some(batch);
                 }
                 3 => {

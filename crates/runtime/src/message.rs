@@ -211,8 +211,9 @@ pub enum Msg {
         /// piggybacks them so round reliability — counts, `OpsRequest`
         /// resends — repairs any lost [`Msg::AsyncOp`] broadcast before
         /// the round applies). Empty when
-        /// [`crate::MachineConfig::async_commit`] is off.
-        asyncs: Arc<Vec<(u64, WireEnvelope)>>,
+        /// [`crate::MachineConfig::async_commit`] is off. Each envelope is
+        /// the one the issuer's fence window holds, shared.
+        asyncs: Arc<Vec<(u64, Arc<WireEnvelope>)>>,
     },
     /// Flushing machine → the round's master: confirmation that its flush
     /// is complete (`count` operations). Under serial turn-taking
@@ -244,7 +245,7 @@ pub enum Msg {
         /// The master's own batch, as [`Msg::Ops::ops`] would carry it.
         ops: Arc<Vec<WireEnvelope>>,
         /// The master's async fence window, as [`Msg::Ops::asyncs`] would.
-        asyncs: Arc<Vec<(u64, WireEnvelope)>>,
+        asyncs: Arc<Vec<(u64, Arc<WireEnvelope>)>>,
     },
     /// Participant → source machine: some of your round-`round` operations
     /// never arrived here; please resend your batch.
@@ -342,7 +343,7 @@ pub enum Msg {
 
 /// Modelled size of a flushed batch and the async window beside it,
 /// wherever they travel: two length prefixes and every envelope.
-fn batch_size(ops: &[WireEnvelope], asyncs: &[(u64, WireEnvelope)]) -> u64 {
+fn batch_size(ops: &[WireEnvelope], asyncs: &[(u64, Arc<WireEnvelope>)]) -> u64 {
     LEN + ops.iter().map(WireEnvelope::wire_size).sum::<u64>()
         + LEN
         + asyncs.iter().map(|(_, e)| 8 + e.wire_size()).sum::<u64>()
@@ -473,6 +474,7 @@ mod tests {
         // inside `Ops`: an envelope in the batch, or in the window with its
         // sequence number, costs the same on either carrier.
         let riding = |ops: Vec<WireEnvelope>, asyncs: Vec<(u64, WireEnvelope)>| {
+            let asyncs = asyncs.into_iter().map(|(a, e)| (a, Arc::new(e))).collect();
             let (ops, asyncs) = (Arc::new(ops), Arc::new(asyncs));
             let begin_apply = Msg::BeginApply {
                 round: 1,
@@ -520,10 +522,10 @@ mod tests {
         let machine = MachineId::new(3);
         let window = Arc::new(vec![(
             0,
-            WireEnvelope {
+            Arc::new(WireEnvelope {
                 id: OpId::new(machine, 0),
                 op: WireOp::Shared(SharedOp::primitive(ObjectId::new(machine, 0), "f", args![])),
-            },
+            }),
         )]);
         let msgs = vec![
             Msg::BeginSync {

@@ -1522,7 +1522,7 @@ mod tests {
         });
         let batch = |g: GroupId| -> crate::roles::OpsBatch {
             let pending = &net.actor(n0).unwrap().machines[&g].pending;
-            Arc::new(pending.iter().map(|p| p.env().clone()).collect())
+            Arc::new(pending.envs().cloned().collect())
         };
         let batches = [batch(0), batch(1)];
         assert_eq!(batches.each_ref().map(|b| b.len()), [1, 1]);

@@ -473,11 +473,10 @@ impl Machine {
     /// Flushes the pending list: broadcast the batch on the Operations
     /// channel, then confirm (and pass the turn) on the Signals channel.
     ///
-    /// The batch is cut from `P` by moving its envelopes rather than
-    /// copying them ([`Machine::cut_flush`]) and is shared behind an
-    /// [`Arc`]: the broadcast fan-out, the stored `my_flush`, the pending
-    /// records, the commit and any later `OpsRequest` reply all reuse the
-    /// same allocation.
+    /// The batch is `P`'s open batch, sealed where the issues built it
+    /// ([`crate::machine::Pending::cut`]), and is shared behind an [`Arc`]:
+    /// the broadcast fan-out, the stored `my_flush`, `P` itself, the commit
+    /// and any later `OpsRequest` reply all reuse the same allocation.
     fn do_flush(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // The round-boundary fence: piggyback the not-yet-fenced async
         // window on this flush (empty unless async_commit is on).
@@ -487,7 +486,7 @@ impl Machine {
         };
         rs.flushed = true;
         rs.rides_begin_apply = self.is_master && self.cfg.flush.master_cuts();
-        let batch = self.cut_flush();
+        let batch = self.pending.cut();
         rs.my_flush = Arc::clone(&batch);
         rs.my_asyncs = asyncs;
         let count = batch.len() as u64;
@@ -781,14 +780,16 @@ impl Machine {
         if self.is_master || self.membership.offline {
             return; // offline: a handshake begun before leaving is not answered
         }
-        if !self.membership.in_cohort {
-            self.init_from_join_info(
+        if !self.membership.in_cohort
+            && !self.init_from_join_info(
                 catalog,
                 completed,
                 completed_serialized,
                 async_watermarks,
                 ctx.now(),
-            );
+            )
+        {
+            return; // refused: the join retry asks again
         }
         ctx.send(from, Channel::Signals, Msg::JoinReady { machine: self.id });
     }

@@ -243,5 +243,6 @@ pub type OpsBatch = Arc<Vec<WireEnvelope>>;
 
 /// The async-committed `(aseq, envelope)` window a flush piggybacks (the
 /// hybrid commit path's round-boundary fence), shared behind an [`Arc`]
-/// for the same no-copy reason as [`OpsBatch`].
-pub type AsyncBatch = Arc<Vec<(u64, WireEnvelope)>>;
+/// for the same no-copy reason as [`OpsBatch`]. Each envelope is shared
+/// too, with the issuer's fence window, so a flush copies none of them.
+pub type AsyncBatch = Arc<Vec<(u64, Arc<WireEnvelope>)>>;

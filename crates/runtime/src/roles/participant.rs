@@ -1064,7 +1064,7 @@ mod tests {
         let rs = p.round.as_mut().unwrap();
         rs.flushed = true;
         rs.my_flush = batch(1, ops);
-        rs.my_asyncs = Arc::new(vec![(4, env(1, 9, 0))]);
+        rs.my_asyncs = Arc::new(vec![(4, Arc::new(env(1, 9, 0)))]);
         apply(&mut p);
         let fx = p.step(begin_sync(2), SimTime::ZERO, c);
         assert!(matches!(

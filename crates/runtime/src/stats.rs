@@ -104,6 +104,10 @@ pub struct MachineStats {
     pub promotions: u64,
     /// Pending operations lost to restarts.
     pub ops_lost_to_restart: u64,
+    /// `JoinInfo`s refused because their catalog names a type this machine
+    /// has not registered or holds a snapshot that does not restore; the
+    /// machine stayed as it was and its join retry asked again.
+    pub join_infos_refused: u64,
     /// Master only: ticks held because a join handshake was in flight (the
     /// round started when the handshake was answered, or after
     /// `stall_timeout`).

@@ -20,6 +20,9 @@ use guesstimate::MachineId;
 /// The shared object: seats on a flight. Derives the paper's
 /// `GSharedObject` contract via `GState`: the state codec writes its
 /// snapshot (a map from field name to value) and restore from the fields.
+/// A state type is plain data (`Clone + Default + Send + Sync`): the
+/// committed and guesstimated copies share each object until one of them
+/// writes it.
 #[derive(Clone, Default)]
 struct Flight {
     booked: i64,
