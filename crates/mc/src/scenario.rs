@@ -1012,7 +1012,7 @@ fn applied(p: &PendingMsg<Msg>) -> Option<(Option<u64>, MachineId, Vec<&WireEnve
             let envs = ops.iter().chain(asyncs.iter().map(|(_, e)| &**e));
             Some((Some(*round), *machine, envs.collect()))
         }
-        Msg::AsyncOp { env, .. } => Some((None, p.from, vec![env])),
+        Msg::AsyncOp { env, .. } => Some((None, p.from, vec![&**env])),
         _ => None,
     }
 }

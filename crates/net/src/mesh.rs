@@ -40,6 +40,9 @@ pub struct Leg<M> {
     /// Causal stamp of the send action; broadcast legs share one stamp
     /// (see [`TraceEvent::MsgSent`]).
     pub stamp: u64,
+    /// [`Actor::msg_size`] of `msg`, computed once per send action and
+    /// shared by its legs.
+    pub size: u64,
 }
 
 /// A virtual-time mesh of actors whose scheduler `S` chooses the next
@@ -165,7 +168,7 @@ impl<A: Actor, S: Scheduler<A>> Mesh<A, S> {
             return;
         }
         self.metrics.delivered += 1;
-        self.metrics.bytes_delivered += A::msg_size(&leg.msg);
+        self.metrics.bytes_delivered += leg.size;
         self.trace(
             leg.to,
             TraceEvent::MsgReceived {
@@ -203,16 +206,16 @@ impl<A: Actor, S: Scheduler<A>> Mesh<A, S> {
         for action in actions {
             match action {
                 Action::Broadcast(channel, msg) => {
-                    let stamp = self.next_stamp(id, &msg);
+                    let leg = self.stamped(id, id, channel, msg);
                     let targets: Vec<MachineId> =
                         self.machines.keys().copied().filter(|&m| m != id).collect();
                     for to in targets {
-                        self.send(id, to, channel, msg.clone(), stamp);
+                        self.send(Leg { to, ..leg.clone() });
                     }
                 }
                 Action::Send(to, channel, msg) => {
-                    let stamp = self.next_stamp(id, &msg);
-                    self.send(id, to, channel, msg, stamp);
+                    let leg = self.stamped(id, to, channel, msg);
+                    self.send(leg);
                 }
                 Action::SetTimer { delay, tag } => {
                     let due = self.now + delay;
@@ -223,32 +226,42 @@ impl<A: Actor, S: Scheduler<A>> Mesh<A, S> {
         }
     }
 
-    /// Allocates one causal stamp for a send action and records its
-    /// [`TraceEvent::MsgSent`] (broadcast fan-out legs share the stamp).
-    fn next_stamp(&mut self, src: MachineId, msg: &A::Msg) -> u64 {
+    /// A send action's leg to `to`: allocates the action's one causal
+    /// stamp, sizes its message -- the one [`Actor::msg_size`] call its
+    /// legs share -- and records its [`TraceEvent::MsgSent`] (broadcast
+    /// fan-out legs share the stamp and the size).
+    fn stamped(
+        &mut self,
+        from: MachineId,
+        to: MachineId,
+        channel: Channel,
+        msg: A::Msg,
+    ) -> Leg<A::Msg> {
         let stamp = self.stamps;
         self.stamps += 1;
+        let size = A::msg_size(&msg);
+        let kind = A::msg_kind(&msg);
         self.trace(
-            src,
+            from,
             TraceEvent::MsgSent {
                 stamp,
-                kind: A::msg_kind(msg),
-                bytes: A::msg_size(msg),
+                kind,
+                bytes: size,
             },
         );
-        stamp
-    }
-
-    fn send(&mut self, from: MachineId, to: MachineId, channel: Channel, msg: A::Msg, stamp: u64) {
-        self.metrics.sent += 1;
-        self.metrics.bytes_sent += A::msg_size(&msg);
-        let leg = Leg {
+        Leg {
             from,
             to,
             channel,
             msg,
             stamp,
-        };
+            size,
+        }
+    }
+
+    fn send(&mut self, leg: Leg<A::Msg>) {
+        self.metrics.sent += 1;
+        self.metrics.bytes_sent += leg.size;
         S::route(self, leg);
     }
 

@@ -62,6 +62,8 @@ pub struct PendingMsg<M> {
     /// Causal stamp of the send action this leg belongs to; broadcast
     /// fan-out legs share one stamp (see [`crate::TraceEvent::MsgSent`]).
     pub stamp: u64,
+    /// [`Actor::msg_size`] of `msg` as sent.
+    pub size: u64,
 }
 
 /// Mutates a message as it is delivered; returns `true` if it changed
@@ -116,6 +118,7 @@ impl<A: Actor> Scheduler<A> for Choices<A> {
             channel: leg.channel,
             msg: leg.msg,
             stamp: leg.stamp,
+            size: leg.size,
         };
         net.sched.pending.insert(seq, pending);
     }
@@ -204,6 +207,7 @@ impl<A: Actor> SchedNet<A> {
         if let Some(hook) = &self.sched.tamper {
             if hook(&mut self.sched.tamper_seen, p.seq, p.from, p.to, &mut p.msg) {
                 self.sched.tampered += 1;
+                p.size = A::msg_size(&p.msg);
             }
         }
         self.receive(Leg {
@@ -212,6 +216,7 @@ impl<A: Actor> SchedNet<A> {
             channel: p.channel,
             msg: p.msg,
             stamp: p.stamp,
+            size: p.size,
         });
         true
     }

@@ -372,3 +372,53 @@ fn a_deferred_half_runs_in_its_callbacks_step_under_both_schedulers() {
         assert_eq!(metrics.timers_fired, 0, "a deferred half is no timer");
     }
 }
+
+thread_local! {
+    /// How many times `Measured::msg_size` ran on this thread.
+    static SIZINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Receives and does nothing; counts every sizing of its messages.
+struct Measured;
+
+impl Actor for Measured {
+    type Msg = u64;
+
+    fn on_message(&mut self, _: MachineId, _: Channel, _: u64, _: &mut Ctx<'_, u64>) {}
+
+    fn msg_size(_: &u64) -> u64 {
+        SIZINGS.with(|n| n.set(n.get() + 1));
+        100
+    }
+}
+
+/// A send action is sized once: its `MsgSent`, every leg's `bytes_sent`
+/// and every receipt's `bytes_delivered` share the one figure.
+#[test]
+fn a_broadcast_to_three_peers_is_sized_once_under_both_schedulers() {
+    let sizings = || SIZINGS.with(std::cell::Cell::get);
+    let counted = |m: NetMetrics| (m.sent, m.delivered, m.bytes_sent, m.bytes_delivered);
+    let broadcast = |_: &mut Measured, ctx: &mut Ctx<'_, u64>| ctx.broadcast(Channel::Signals, 7);
+
+    let mut sim = SimNet::new(NetConfig::lan(1).with_latency(LatencyModel::constant_ms(1)));
+    for i in 0..4 {
+        sim.add_machine(MachineId::new(i), Measured);
+    }
+    let before = sizings();
+    assert!(sim.call(MachineId::new(0), broadcast));
+    sim.run_until(SimTime::from_millis(5));
+    assert_eq!(counted(sim.metrics()), (3, 3, 300, 300));
+    assert_eq!(sizings() - before, 1, "SimNet");
+
+    let mut sched = SchedNet::new();
+    for i in 0..4 {
+        sched.add_machine(MachineId::new(i), Measured);
+    }
+    let before = sizings();
+    assert!(sched.call(MachineId::new(0), broadcast));
+    for seq in sched.pending_msgs() {
+        assert!(sched.deliver(seq));
+    }
+    assert_eq!(counted(sched.metrics()), (3, 3, 300, 300));
+    assert_eq!(sizings() - before, 1, "SchedNet");
+}

@@ -77,8 +77,9 @@ pub(crate) struct AsyncIn {
     /// The next `aseq` expected from this sender; everything below has
     /// been applied (or was folded into a join snapshot).
     pub(crate) next: u64,
-    /// Arrived-but-not-yet-applied operations, keyed by `aseq`.
-    pub(crate) buffer: BTreeMap<u64, WireEnvelope>,
+    /// Arrived-but-not-yet-applied operations, keyed by `aseq`: the
+    /// envelope the `AsyncOp` or the fence window carried, shared.
+    pub(crate) buffer: BTreeMap<u64, Arc<WireEnvelope>>,
 }
 
 impl Machine {
@@ -130,21 +131,16 @@ impl Machine {
         if !self.committed.contains(*object) {
             return false;
         }
-        let Some(ty) = self.catalog.get(object).cloned() else {
+        let Some(ty) = self.catalog.get(object) else {
             return false;
         };
-        self.universal_set(&ty).contains(method.as_str())
-    }
-
-    /// The memoized universal-commuter set of one type (the matrix and
-    /// registry are fixed for the machine's lifetime, so each type is
-    /// classified once).
-    fn universal_set(&mut self, ty: &str) -> &std::collections::BTreeSet<String> {
+        // The matrix and registry are fixed for the machine's lifetime, so
+        // each type is classified once, the first time it is issued to.
         if !self.universal_cache.contains_key(ty) {
             let set = universal_commuters(&self.registry, &self.cfg.commute_matrix, ty);
-            self.universal_cache.insert(ty.to_owned(), set);
+            self.universal_cache.insert(ty.clone(), set);
         }
-        &self.universal_cache[ty]
+        self.universal_cache[ty].contains(method.as_str())
     }
 
     /// The async fast path for an own operation: execute on `sg` (rule
@@ -163,10 +159,10 @@ impl Machine {
             return Ok(false);
         }
         let op_id = self.next_op_id();
-        let env = WireEnvelope {
+        let env = Arc::new(WireEnvelope {
             id: op_id,
             op: WireOp::Shared(op),
-        };
+        });
         let result = self.commit_async(&env, "async-commit", true);
         self.stats.issued += 1;
         self.stats.record_exec_count(2);
@@ -187,7 +183,7 @@ impl Machine {
         }
         let aseq = self.aseq_next;
         self.aseq_next += 1;
-        self.async_window.push((aseq, Arc::new(env.clone())));
+        self.async_window.push((aseq, Arc::clone(&env)));
         ctx.broadcast(Channel::Operations, Msg::AsyncOp { aseq, env });
         Ok(true)
     }
@@ -198,7 +194,7 @@ impl Machine {
         &mut self,
         from: MachineId,
         aseq: u64,
-        env: WireEnvelope,
+        env: Arc<WireEnvelope>,
         now: SimTime,
     ) {
         if !self.cfg.async_commit || !self.membership.joined_system || from == self.id {
@@ -230,7 +226,7 @@ impl Machine {
             if *aseq < slot.next {
                 continue;
             }
-            slot.buffer.insert(*aseq, WireEnvelope::clone(env));
+            slot.buffer.insert(*aseq, Arc::clone(env));
         }
         self.drain_async(now);
     }
@@ -288,7 +284,7 @@ impl Machine {
     /// operation commutes past the whole pending list, so `sg = [P](sc)`
     /// survives appending it to both sides), record it, and record the
     /// objects it touched for the remote-update hooks.
-    fn apply_async_foreign(&mut self, env: WireEnvelope) {
+    fn apply_async_foreign(&mut self, env: Arc<WireEnvelope>) {
         self.commit_async(&env, "async-apply", true);
         let mut pass = ExecPass::new(&mut self.guess, &self.registry);
         let log = &mut self.witness_log;
@@ -486,15 +482,15 @@ mod tests {
         m.catalog.insert(obj, "Slots".into());
         let sender = MachineId::new(1);
         // aseq 1 arrives first: buffered, not applied.
-        m.handle_async_op(sender, 1, put_env(1, 1, obj, "b"), SimTime::ZERO);
+        m.handle_async_op(sender, 1, Arc::new(put_env(1, 1, obj, "b")), SimTime::ZERO);
         assert_eq!(m.stats.committed_async_foreign, 0);
         // aseq 0 arrives: both drain, in order.
-        m.handle_async_op(sender, 0, put_env(1, 0, obj, "a"), SimTime::ZERO);
+        m.handle_async_op(sender, 0, Arc::new(put_env(1, 0, obj, "a")), SimTime::ZERO);
         assert_eq!(m.stats.committed_async_foreign, 2);
         assert_eq!(m.completed_ops().len(), 2);
         assert!(m.completed_serialized().is_empty());
         // A duplicate is absorbed by the watermark.
-        m.handle_async_op(sender, 0, put_env(1, 0, obj, "a"), SimTime::ZERO);
+        m.handle_async_op(sender, 0, Arc::new(put_env(1, 0, obj, "a")), SimTime::ZERO);
         assert_eq!(m.stats.committed_async_foreign, 2);
         assert!(m.check_guess_invariant());
     }
@@ -517,14 +513,14 @@ mod tests {
             op: WireOp::Shared(SharedOp::primitive(obj, "put", args!["x", v])),
         };
         // aseq 0 is in order: applies immediately.
-        m.handle_async_op(sender, 0, put(0, 10), SimTime::ZERO);
+        m.handle_async_op(sender, 0, Arc::new(put(0, 10)), SimTime::ZERO);
         assert_eq!(m.stats.committed_async_foreign, 1);
         // aseq 2 arrives with aseq 1 still in flight: a gap, so it must
         // buffer — applying it now would reorder the sender's stream.
-        m.handle_async_op(sender, 2, put(2, 30), SimTime::ZERO);
+        m.handle_async_op(sender, 2, Arc::new(put(2, 30)), SimTime::ZERO);
         assert_eq!(m.stats.committed_async_foreign, 1, "n+2 before n+1: held");
         // aseq 1 fills the gap: both drain, in sender FIFO order.
-        m.handle_async_op(sender, 1, put(1, 20), SimTime::ZERO);
+        m.handle_async_op(sender, 1, Arc::new(put(1, 20)), SimTime::ZERO);
         assert_eq!(m.stats.committed_async_foreign, 3);
         assert_eq!(
             m.completed_ops(),
@@ -548,7 +544,7 @@ mod tests {
         let mut m = hybrid_machine(0);
         let obj = ObjectId::new(MachineId::new(1), 0);
         let sender = MachineId::new(1);
-        m.handle_async_op(sender, 0, put_env(1, 0, obj, "a"), SimTime::ZERO);
+        m.handle_async_op(sender, 0, Arc::new(put_env(1, 0, obj, "a")), SimTime::ZERO);
         assert_eq!(m.stats.committed_async_foreign, 0, "object unknown: held");
         // The object's Create commits (as it would in a round)...
         let create = WireOp::Create {
@@ -576,7 +572,12 @@ mod tests {
         execute_wire(&create, &mut master.committed, &master.registry).unwrap();
         execute_wire(&create, &mut master.guess, &master.registry).unwrap();
         master.catalog.insert(obj, "Slots".into());
-        master.handle_async_op(MachineId::new(1), 0, put_env(1, 0, obj, "a"), SimTime::ZERO);
+        master.handle_async_op(
+            MachineId::new(1),
+            0,
+            Arc::new(put_env(1, 0, obj, "a")),
+            SimTime::ZERO,
+        );
         master.aseq_next = 5;
         let wm = master.async_watermarks();
         assert_eq!(wm, vec![(MachineId::new(0), 5), (MachineId::new(1), 1)]);
@@ -585,7 +586,12 @@ mod tests {
         let own = joiner.install_async_watermarks(wm);
         assert_eq!(own, 0, "no entry for machine 2 in the master's map");
         // A replayed duplicate of sender 1's aseq 0 is now absorbed.
-        joiner.handle_async_op(MachineId::new(1), 0, put_env(1, 0, obj, "a"), SimTime::ZERO);
+        joiner.handle_async_op(
+            MachineId::new(1),
+            0,
+            Arc::new(put_env(1, 0, obj, "a")),
+            SimTime::ZERO,
+        );
         assert_eq!(joiner.stats.committed_async_foreign, 0);
     }
 

@@ -439,9 +439,7 @@ impl Machine {
     /// or held tick is in the way. `None` otherwise, on a member, and under
     /// serial turns.
     pub fn overlap_tick_due(&self) -> Option<SimTime> {
-        let clear = self.is_master
-            && self.membership.hold.is_none()
-            && self.membership.pending_joins.is_empty();
+        let clear = self.is_master && self.membership.settled();
         self.master.overlap_tick_due(&self.cfg).filter(|_| clear)
     }
 

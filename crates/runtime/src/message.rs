@@ -277,8 +277,9 @@ pub enum Msg {
         /// Per-sender async sequence number (contiguous from 0); receivers
         /// use it for per-sender FIFO ordering and duplicate suppression.
         aseq: u64,
-        /// The committed operation with its issue identity.
-        env: WireEnvelope,
+        /// The committed operation with its issue identity, shared with the
+        /// issuer's fence window and every leg of the broadcast.
+        env: Arc<WireEnvelope>,
     },
 
     // ---- Recovery ----
@@ -540,14 +541,14 @@ mod tests {
             },
             Msg::AsyncOp {
                 aseq: 0,
-                env: WireEnvelope {
+                env: Arc::new(WireEnvelope {
                     id: OpId::new(machine, 1),
                     op: WireOp::Shared(SharedOp::primitive(
                         ObjectId::new(machine, 0),
                         "g",
                         args![1],
                     )),
-                },
+                }),
             },
             Msg::FlushDone {
                 round: 1,

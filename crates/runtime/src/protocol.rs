@@ -93,7 +93,7 @@ impl Actor for Machine {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.pay_owed(ctx);
         if self.is_master {
-            ctx.set_timer(self.cfg.sync_period, tag::encode(tag::MASTER_TICK, 0));
+            ctx.set_timer(self.cfg.sync_period, self.master.tick_tag());
         } else {
             ctx.broadcast(Channel::Signals, Msg::JoinRequest { machine: self.id });
             ctx.set_timer(
@@ -172,7 +172,7 @@ impl Actor for Machine {
         match tag::kind(timer_tag) {
             // Paid above, if an earlier event has not paid it already.
             tag::APPLY_OWED => {}
-            tag::MASTER_TICK => self.handle_tick(ctx),
+            tag::MASTER_TICK => self.handle_tick(tag::round(timer_tag), ctx),
             tag::MASTER_STAGE1 => self.step_master(
                 MasterEvent::Stage1Timeout {
                     round: tag::round(timer_tag),
@@ -671,9 +671,12 @@ impl Machine {
     /// [`Machine::round_due`]): at once, or -- counted in
     /// `ticks_deferred` -- when stage 1 is free and this machine has applied
     /// the round before, or, with a joiner waiting (joiners are admitted
-    /// between rounds), when the rounds in flight have drained.
-    fn handle_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if !self.is_master || self.membership.hold.is_some() {
+    /// between rounds), when the rounds in flight have drained. A tick of
+    /// an older chain than the master's is stale
+    /// ([`Machine::release_join_hold`] began a round off it) and does
+    /// nothing.
+    fn handle_tick(&mut self, chain: u64, ctx: &mut Ctx<'_, Msg>) {
+        if !self.is_master || chain != self.master.pacing || self.membership.hold.is_some() {
             return; // the release path starts a held round
         }
         let drain_first = !self.membership.pending_joins.is_empty();
@@ -715,17 +718,28 @@ impl Machine {
         self.step_master(MasterEvent::BeginRound { order }, ctx);
     }
 
-    /// Starts the held round once no handshake is in flight any more.
-    fn release_join_hold(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let Some(hold) = self.membership.hold else {
-            return;
-        };
+    /// Starts a round once no handshake is in flight any more: the held
+    /// one; or, when a `JoinReady` has just `admitted` a machine to an idle
+    /// master's cohort, the next one at once rather than a tick later. That
+    /// round starts a new tick chain, paced from it, and the tick already
+    /// armed goes stale.
+    fn release_join_hold(&mut self, admitted: bool, ctx: &mut Ctx<'_, Msg>) {
         if self.membership.handshake_in_flight(self.join_epoch()) {
             return;
         }
-        self.membership.hold = None;
-        self.stats.join_hold_time += ctx.now().saturating_since(hold.since);
+        match self.membership.hold.take() {
+            Some(hold) => self.stats.join_hold_time += ctx.now().saturating_since(hold.since),
+            None if admitted && self.master_idle() => self.master.new_tick_chain(),
+            None => return,
+        }
         self.begin_round(ctx);
+    }
+
+    /// Whether the master has nothing on: no round in flight (so no tick
+    /// waiting for room beside one), no tick held, and no handshake under
+    /// way.
+    fn master_idle(&self) -> bool {
+        !self.master.round_active() && self.membership.settled()
     }
 
     /// The hold outlasted the patience the master shows a silent member:
@@ -736,7 +750,7 @@ impl Machine {
             return; // a timer of a hold already released
         }
         self.membership.forget_in_flight();
-        self.release_join_hold(ctx);
+        self.release_join_hold(false, ctx);
     }
 
     // ------------------------------------------------------------------
@@ -800,6 +814,7 @@ impl Machine {
         }
         let epoch = self.join_epoch();
         let round_active = self.master.round_active();
+        let was_member = self.membership.members.contains(&machine);
         self.step_membership(
             MembershipEvent::JoinReady {
                 machine,
@@ -808,7 +823,8 @@ impl Machine {
             },
             ctx,
         );
-        self.release_join_hold(ctx);
+        let admitted = !was_member && self.membership.members.contains(&machine);
+        self.release_join_hold(admitted, ctx);
     }
 
     /// A machine left on purpose: out of the member set and any handshake,
@@ -819,7 +835,7 @@ impl Machine {
         }
         self.step_membership(MembershipEvent::Leave { machine }, ctx);
         self.step_master(MasterEvent::Left { machine }, ctx);
-        self.release_join_hold(ctx);
+        self.release_join_hold(false, ctx);
     }
 
     /// Gracefully leaves the system (application API): intimates the master
@@ -949,7 +965,7 @@ impl Machine {
             },
         );
         ctx.broadcast(Channel::Signals, Msg::MasterHeartbeat);
-        ctx.set_timer(self.cfg.sync_period, tag::encode(tag::MASTER_TICK, 0));
+        ctx.set_timer(self.cfg.sync_period, self.master.tick_tag());
     }
 
     /// Defers to the election winner: rejoin through the membership path

@@ -205,6 +205,12 @@ pub struct MasterRole {
     /// A tick whose round has not begun for want of room, with its
     /// `drain_first`.
     pub(crate) tick_waiting: Option<bool>,
+    /// The pacing generation every `MASTER_TICK` carries in its round
+    /// field ([`MasterRole::tick_tag`]). A round begun off the tick chain
+    /// -- an idle master's admission round -- starts a new one, and a tick
+    /// of an older generation is dropped when it fires: one chain paces
+    /// the rounds.
+    pub(crate) pacing: u64,
 }
 
 impl MasterRole {
@@ -216,6 +222,7 @@ impl MasterRole {
             applying: None,
             next_round: 1,
             tick_waiting: None,
+            pacing: 0,
         }
     }
 
@@ -224,12 +231,23 @@ impl MasterRole {
         self.flushing.is_some() || self.applying.is_some()
     }
 
-    /// Forgets the rounds in flight and any waiting tick: they were another
-    /// mastership's (promotion, demotion).
+    /// Forgets the rounds in flight and any waiting or armed tick: they
+    /// were another mastership's (promotion, demotion).
     pub(crate) fn reset(&mut self) {
         self.flushing = None;
         self.applying = None;
         self.tick_waiting = None;
+        self.new_tick_chain();
+    }
+
+    /// Starts a new tick chain: every tick armed so far goes stale.
+    pub(crate) fn new_tick_chain(&mut self) {
+        self.pacing += 1;
+    }
+
+    /// The tag of a `MASTER_TICK` of the current chain.
+    pub(crate) fn tick_tag(&self) -> u64 {
+        tag::encode(tag::MASTER_TICK, self.pacing)
     }
 
     /// Pure transition: consumes one event, returns the effects to lower.
@@ -329,7 +347,7 @@ impl MasterRole {
             // flush every cycle would be the period plus that flush.
             fx.push(Effect::SetTimer {
                 after: cfg.sync_period,
-                tag: tag::encode(tag::MASTER_TICK, 0),
+                tag: self.tick_tag(),
             });
         }
         // `BeginSync` goes out before any work: a send leaves at its call,
@@ -413,7 +431,7 @@ impl MasterRole {
         let mut fx = Vec::new();
         let acked = |mr: &mut MasterRound| mr.unacked().next().is_none();
         if let Some(mr) = self.applying.take_if(acked) {
-            fx.extend(Self::finish_round(mr, now, cfg));
+            fx.extend(self.finish_round(mr, now, cfg));
         }
         if self.applying.is_none() {
             let flushed = |mr: &mut MasterRound| mr.order.iter().all(|m| mr.done(m));
@@ -508,7 +526,7 @@ impl MasterRole {
         fx
     }
 
-    fn finish_round(mr: MasterRound, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
+    fn finish_round(&self, mr: MasterRound, now: SimTime, cfg: &MachineConfig) -> Vec<Effect> {
         let duration = now.saturating_since(mr.started_at);
         // Per-stage decomposition: stage 1 ran from BeginSync until
         // BeginApply went out, stage 2 from BeginApply until the last ack
@@ -567,7 +585,7 @@ impl MasterRole {
             // it began.)
             fx.push(Effect::SetTimer {
                 after: cfg.sync_period.saturating_since(duration),
-                tag: tag::encode(tag::MASTER_TICK, 0),
+                tag: self.tick_tag(),
             });
         }
         fx

@@ -141,6 +141,12 @@ impl MembershipRole {
             .any(|phase| *phase == JoinPhase::InfoSent(epoch))
     }
 
+    /// (Master) Whether no handshake is under way and no tick is held: a
+    /// round started now waits for no joiner.
+    pub fn settled(&self) -> bool {
+        self.hold.is_none() && self.pending_joins.is_empty()
+    }
+
     /// (Master) Forgets every handshake still waiting for its `JoinReady`,
     /// whatever its epoch; a joiner that is alive registers again with its
     /// next `JoinRequest` retry.
@@ -364,6 +370,19 @@ mod tests {
             m.pending_joins.into_iter().collect::<Vec<_>>(),
             vec![(id(3), JoinPhase::Requested)]
         );
+    }
+
+    #[test]
+    fn settled_means_no_handshake_in_any_phase_and_no_hold() {
+        let mut m = MembershipRole::new(id(0), true);
+        assert!(m.settled());
+        // A joiner whose answer was refused waits to be served again: a
+        // round begun now would leave it behind.
+        m.pending_joins.insert(id(1), JoinPhase::Requested);
+        assert!(!m.settled());
+        m.pending_joins.clear();
+        m.begin_hold(SimTime::ZERO);
+        assert!(!m.settled());
     }
 
     #[test]

@@ -46,7 +46,9 @@ pub mod tag {
     /// may begin while this one applies, so a round starts every
     /// `sync_period`, or as soon as stage 1 is free -- and when it completes
     /// under serial turns (at once if it ran longer), which run one round at
-    /// a time.
+    /// a time. The round field is the tick chain's pacing generation: a
+    /// round begun off the chain -- at an idle master's admission -- starts
+    /// a new chain, and a tick of an older one is stale.
     pub const MASTER_TICK: u64 = 0;
     /// Master: stage-1 (flush) stall check for the encoded round.
     pub const MASTER_STAGE1: u64 = 1;

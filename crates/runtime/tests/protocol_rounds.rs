@@ -1443,3 +1443,211 @@ mod pipeline {
         leave_with_two_rounds_in_flight(25, true, false);
     }
 }
+
+mod admission {
+    //! The round that starts when the cohort forms. Links take 1 ms and the
+    //! period is 10 ms, so the join handshake -- `JoinRequest`, `JoinInfo`,
+    //! `JoinReady` -- is over at 3 ms, long before the first tick. A
+    //! `JoinReady` that admits a machine while the master is idle (no round
+    //! in flight, no tick waiting or held, no other handshake under way)
+    //! begins a round at once, and the rounds after it are paced from it:
+    //! the tick armed before it goes stale, so there is one tick chain.
+
+    use guesstimate_core::{MachineId, ObjectId};
+    use guesstimate_net::{Channel, FaultPlan, LatencyModel, PartitionWindow, SimNet, SimTime};
+    use guesstimate_runtime::testutil::{counter_registry, Counter};
+    use guesstimate_runtime::{Flush, Machine, MachineConfig, Msg};
+
+    use super::rounds::{assert_converged, cluster, default_cfg};
+
+    const PERIOD: SimTime = SimTime::from_millis(10);
+    const MODES: [Flush; 2] = [Flush::Parallel, Flush::Serial];
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    fn us(n: u64) -> SimTime {
+        SimTime::from_micros(n)
+    }
+
+    fn id(n: u32) -> MachineId {
+        MachineId::new(n)
+    }
+
+    fn cfg(flush: Flush) -> MachineConfig {
+        default_cfg().with_sync_period(PERIOD).with_flush(flush)
+    }
+
+    /// A master and `n - 1` members, all started at 0 on 1 ms links.
+    fn start(n: u32, flush: Flush, faults: FaultPlan) -> SimNet<Machine> {
+        cluster(n, 7, LatencyModel::constant_ms(1), faults, cfg(flush))
+    }
+
+    fn master(net: &SimNet<Machine>) -> &Machine {
+        net.actor(id(0)).expect("master")
+    }
+
+    /// When each round the master has completed began, and with how many.
+    fn rounds(net: &SimNet<Machine>) -> Vec<(SimTime, usize)> {
+        let samples = &master(net).stats().sync_samples;
+        samples
+            .iter()
+            .map(|s| (s.started_at, s.participants))
+            .collect()
+    }
+
+    /// The gaps between consecutive round starts from round `from` on.
+    fn gaps(net: &SimNet<Machine>, from: usize) -> Vec<SimTime> {
+        let starts: Vec<SimTime> = rounds(net)[from..].iter().map(|r| r.0).collect();
+        starts
+            .windows(2)
+            .map(|w| w[1].saturating_since(w[0]))
+            .collect()
+    }
+
+    #[test]
+    fn the_first_round_begins_as_the_last_joiner_is_admitted() {
+        for flush in MODES {
+            let mut net = start(4, flush, FaultPlan::new());
+            // Issued at the admission's instant, just ahead of it.
+            net.schedule_call(ms(3), id(0), |m: &mut Machine, _| {
+                m.create_instance(Counter { n: 0 });
+            });
+            let obj = ObjectId::new(id(0), 0);
+            net.run_until(ms(6));
+            let committed = |net: &SimNet<Machine>, i| {
+                let m = net.actor(id(i)).expect("member");
+                m.read_committed::<Counter, _>(obj, |c| c.n)
+            };
+            if flush == Flush::Parallel {
+                // `BeginSync` at 3, `FlushDone` at 5 with the master's cut,
+                // `BeginApply` at 6: four links, not ten milliseconds more.
+                assert!((0..4).all(|i| committed(&net, i) == Some(0)), "{flush:?}");
+            }
+            net.run_until(ms(12));
+            assert_eq!(
+                rounds(&net)[0],
+                (ms(3), 4),
+                "{flush:?}: BeginSync left at 3 ms"
+            );
+            assert!((0..4).all(|i| committed(&net, i) == Some(0)), "{flush:?}");
+            let stats = master(&net).stats();
+            assert_eq!(
+                (stats.join_holds, stats.ticks_deferred),
+                (0, 0),
+                "{flush:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_rounds_after_the_admission_round_are_one_period_apart() {
+        for flush in MODES {
+            let mut net = start(4, flush, FaultPlan::new());
+            net.run_until(ms(3 + 10 * 10 + 9));
+            // Eleven rounds, the admission round's and ten ticks' later. The
+            // tick `on_start` armed for 10 ms is stale: had it begun a round
+            // too, a second chain would show here as two starts a period.
+            let starts: Vec<SimTime> = rounds(&net).iter().map(|r| r.0).collect();
+            let chain: Vec<SimTime> = (0..11).map(|k| ms(3) + ms(10 * k)).collect();
+            assert_eq!(starts, chain, "{flush:?}");
+            assert!(master(&net)
+                .stats()
+                .sync_samples
+                .iter()
+                .all(|s| !s.recovered()));
+            assert_converged(&net, &[0, 1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn a_lost_join_ready_starts_no_early_round_and_the_tick_holds_as_before() {
+        for flush in MODES {
+            // Machine 3's `JoinReady`, due at 3 ms, is lost.
+            let cut = PartitionWindow::new(vec![id(3)], us(2_500), us(3_500));
+            let mut net = start(4, flush, FaultPlan::new().with_partition(cut));
+            net.run_until(ms(9));
+            assert!(
+                rounds(&net).is_empty(),
+                "{flush:?}: a handshake is in flight"
+            );
+            assert_eq!(master(&net).state_summary().active_round, None);
+            net.run_until(ms(11));
+            // The 10 ms tick finds the handshake unanswered and is held.
+            assert_eq!(master(&net).stats().join_holds, 1, "{flush:?}");
+            assert_eq!(master(&net).state_summary().active_round, None);
+            // Machine 3's `join_retry` (300 ms) asks again; its answer, back
+            // at 303 ms, releases the held round with all four in it.
+            net.run_until(ms(400));
+            let stats = master(&net).stats();
+            assert_eq!(stats.join_holds, 1, "{flush:?}");
+            assert_eq!(stats.join_hold_time, ms(293), "{flush:?}");
+            assert_eq!(rounds(&net)[0], (ms(303), 4), "{flush:?}");
+            assert!(gaps(&net, 0).iter().all(|g| *g == PERIOD), "{flush:?}");
+            assert_converged(&net, &[0, 1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn a_join_ready_that_lands_mid_round_starts_nothing_and_the_gap_admits() {
+        for flush in MODES {
+            let mut net = start(3, flush, FaultPlan::new());
+            net.run_until(ms(1_000));
+            let before = rounds(&net).len();
+            // The round begun at 1 003 ms is in flight when machine 3 asks
+            // to join at 1 003.5 ms; a stray `JoinReady` of its lands one
+            // millisecond later, in the same round.
+            let registry = std::sync::Arc::new(counter_registry());
+            let joiner = Machine::new_member(id(3), registry, cfg(flush));
+            net.schedule_join(us(1_003_500), id(3), joiner);
+            net.schedule_call(us(1_003_600), id(3), |_: &mut Machine, ctx| {
+                ctx.send(id(0), Channel::Signals, Msg::JoinReady { machine: id(3) });
+            });
+            net.run_until(ms(1_040));
+            let starts = &rounds(&net)[before..];
+            // Nothing begins beside the round in flight: its handshake is
+            // served when that round is over and its `JoinReady` is back two
+            // links later, in the gap, where the admission begins the next
+            // round at once; the chain goes on from there.
+            let end = master(&net).stats().sync_samples[before].duration;
+            let admitted = ms(1_003) + end + ms(2);
+            assert_eq!(starts[0], (ms(1_003), 3), "{flush:?}");
+            assert_eq!(starts[1], (admitted, 4), "{flush:?}");
+            assert_eq!(starts[2], (admitted + PERIOD, 4), "{flush:?}");
+            assert_eq!(master(&net).stats().join_holds, 0, "{flush:?}");
+            net.run_until(ms(1_100));
+            assert_converged(&net, &[0, 1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn a_rejoin_while_the_master_idles_begins_a_round_at_the_admission() {
+        for flush in MODES {
+            let mut net = start(4, flush, FaultPlan::new());
+            net.run_until(ms(1_000));
+            // Rounds begin at 3 ms past each 10: machine 3 leaves in the gap
+            // after the 1 003 ms round, and asks back in the gap after the
+            // next one; its `JoinReady` is back 2 ms later, before the tick.
+            net.schedule_call(us(1_009_500), id(3), |m: &mut Machine, ctx| m.leave(ctx));
+            net.schedule_call(us(1_019_200), id(3), |m: &mut Machine, ctx| {
+                m.come_online(ctx)
+            });
+            net.run_until(ms(1_060));
+            let back = us(1_022_200);
+            let after: Vec<(SimTime, usize)> = rounds(&net)
+                .into_iter()
+                .filter(|r| r.0 > ms(1_005))
+                .collect();
+            assert_eq!(
+                after[..3],
+                [(ms(1_013), 3), (back, 4), (back + PERIOD, 4)],
+                "{flush:?}: the tick due at 1 023 ms went stale"
+            );
+            assert_eq!(master(&net).stats().join_holds, 0, "{flush:?}");
+            assert!(net.actor(id(3)).is_some_and(Machine::in_cohort));
+            net.run_until(ms(1_100));
+            assert_converged(&net, &[0, 1, 2, 3]);
+        }
+    }
+}

@@ -28,8 +28,10 @@
 # not a sample: these rows are reported only (the outputs stay in
 # target/perf_pairs/traced-<workload>-<side>.txt) and never reach the ledger.
 #
-# Reads only the `name value unit` lines the benchmark prints. Reports; exits
-# non-zero only when it cannot run.
+# Reads each metric from the one-line JSON result a run ends with, which
+# carries full precision (the `name value unit` lines print 4 decimals, so a
+# 1.86 ms `setup_s` would read 0.0019 there). Reports; exits non-zero only
+# when it cannot run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -71,13 +73,28 @@ run() {
         --workload "$2" --seed "$3" --seconds "$seconds" --trace "$4") >"$5"
 }
 
+# Every metric of the JSON result line that ends run output $1, one
+# "name value" line each, in the order the run reports them.
+values() {
+    tail -n 1 "$1" | awk '{
+        s = $0
+        while (match(s, /"[^"]+": \{"value": [^,}]+/)) {
+            m = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
+            name = m; sub(/^"/, "", name); sub(/".*/, "", name)
+            v = m; sub(/.*"value": /, "", v)
+            print name, v
+        }
+    }'
+}
+
 # An end-to-end run (tree $1, workload $2, seed $3): prints the end-to-end
-# `name value unit` lines as "name value", then the exit code.
+# metrics as "name value", then the exit code.
 bench() {
     status=0
     run "$1" "$2" "$3" 0 "$out/last.txt" || status=$?
+    values "$out/last.txt" >"$out/last.values"
     echo "$metrics" | while read -r name _; do
-        awk -v n="$name" '$1 == n && NF == 3 { print $1, $2 }' "$out/last.txt"
+        awk -v n="$name" '$1 == n { print $1, $2 }' "$out/last.values"
     done
     echo "exit $status"
 }
@@ -181,9 +198,11 @@ done
 echo
 echo "per-layer rows, one traced run a side (seed $tseed); * = more than 5 % apart"
 for w in "$@"; do
+    values "$out/traced-$w-parent.txt" >"$out/traced-$w-parent.values"
+    values "$out/traced-$w-change.txt" >"$out/traced-$w-change.values"
     block per_layer | field name | awk -v w="$w" '
         FILENAME == "-" { order[++n] = $1; next }
-        NF == 3 { v[FILENAME == ARGV[2] ? "p" : "c", $1] = $2 }
+        { v[FILENAME == ARGV[2] ? "p" : "c", $1] = $2 }
         END {
             printf "%-9s %-46s %14s %14s %8s\n", w, "per-layer metric", "parent", "change", "ratio"
             for (i = 1; i <= n; i++) {
@@ -194,5 +213,5 @@ for w in "$@"; do
                 apart = p != 0 ? (c / p > 1.05 || c / p < 0.95) : c != 0
                 printf "%-9s %-46s %14.6g %14.6g %8s%s\n", w, m, p, c, ratio, apart ? " *" : ""
             }
-        }' - "$out/traced-$w-parent.txt" "$out/traced-$w-change.txt"
+        }' - "$out/traced-$w-parent.values" "$out/traced-$w-change.values"
 done
