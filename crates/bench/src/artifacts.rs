@@ -150,7 +150,6 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("guesstimate-artifacts-{}", std::process::id()));
         let telemetry = Telemetry::new();
-        telemetry.mc_schedule();
         telemetry.op_issued(
             guesstimate_core::OpId::new(MachineId::new(1), 0),
             Some(SimTime::from_millis(5)),

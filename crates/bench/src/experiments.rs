@@ -774,13 +774,14 @@ pub fn run_responsiveness(seed: u64, users_range: &[u32]) -> Vec<ResponsivenessR
 
 /// GUESSTIMATE's mean issue-to-commit latency over A2's move events.
 fn guesstimate_latency(users: u32, seed: u64, events: &[(u32, SimTime, u64)]) -> SimTime {
+    let telemetry = Telemetry::new();
     let (mut net, board) = cluster(
         users,
         sudoku_registry(),
         paper_machine_config(),
         paper_net(seed),
         None,
-        Telemetry::noop(),
+        telemetry.clone(),
         |master| master.create_instance(sudoku::example_puzzle()),
     );
     let t0 = net.now();
@@ -790,11 +791,13 @@ fn guesstimate_latency(users: u32, seed: u64, events: &[(u32, SimTime, u64)]) ->
         });
     }
     net.run_until(t0 + SimTime::from_secs(30));
-    let lats: Vec<SimTime> = (0..users)
-        .filter_map(|i| net.actor(MachineId::new(i)))
-        .flat_map(|m| m.stats().commit_latencies.clone())
+    // Only the stamped moves have a lag: the board's creation is untimed.
+    let lags: Vec<SimTime> = telemetry
+        .spans()
+        .iter()
+        .filter_map(|s| s.commit_lag())
         .collect();
-    mean(&lats)
+    mean(&lags)
 }
 
 /// A Sudoku move: row, column, value.

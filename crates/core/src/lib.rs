@@ -108,7 +108,7 @@ pub use error::{ExecError, RestoreError};
 pub use exec::{execute, execute_against, CowOverlay, ExecOutcome, ExecPass, ObjectAccess};
 pub use ids::{MachineId, ObjectId, OpId};
 pub use object::{GState, SharedObject};
-pub use op::{OpEnvelope, SharedOp};
+pub use op::{OpEnvelope, SharedOp, TypeOf};
 pub use paths::{path_covers, paths_overlap, PathPattern, ROOT};
 pub use registry::{ApplyFn, ArgView, OpRegistry};
 pub use shard::{key_render, ComponentPlan, Routing, ShardId, ShardPlan, TypePlan};

@@ -17,6 +17,11 @@ use std::fmt;
 use crate::ids::{ObjectId, OpId};
 use crate::value::Value;
 
+/// Resolves an object id to its registered type name: the store's own
+/// objects at an execution site, a machine's catalog or a scenario's object
+/// table elsewhere.
+pub type TypeOf<'a> = &'a dyn Fn(ObjectId) -> Option<String>;
+
 /// A (possibly hierarchical) shared operation.
 ///
 /// Created with [`SharedOp::primitive`] (the analog of

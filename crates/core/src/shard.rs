@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::op::{SharedOp, TypeOf};
 use crate::paths::PathPattern;
 use crate::value::Value;
 
@@ -236,6 +237,45 @@ impl ShardPlan {
         }
     }
 
+    /// Routes a whole operation tree. Composite operations route to the
+    /// common shard of their constituents when all agree, and cross-shard
+    /// otherwise. Objects whose type cannot be resolved route cross-shard
+    /// (the conservative direction: cross-shard operations are never
+    /// containment-checked).
+    pub fn route_op(&self, op: &SharedOp, type_of: TypeOf<'_>) -> ShardId {
+        match op {
+            SharedOp::Primitive {
+                object,
+                method,
+                args,
+            } => match type_of(*object) {
+                Some(ty) => self.route_primitive(&ty, method, args),
+                None => ShardId::Cross,
+            },
+            SharedOp::Atomic(ops) => {
+                let mut acc: Option<ShardId> = None;
+                for op in ops {
+                    let s = self.route_op(op, type_of);
+                    match &acc {
+                        None => acc = Some(s),
+                        Some(prev) if *prev == s => {}
+                        Some(_) => return ShardId::Cross,
+                    }
+                }
+                acc.unwrap_or(ShardId::Cross)
+            }
+            SharedOp::OrElse(a, b) => {
+                let sa = self.route_op(a, type_of);
+                let sb = self.route_op(b, type_of);
+                if sa == sb {
+                    sa
+                } else {
+                    ShardId::Cross
+                }
+            }
+        }
+    }
+
     /// Checks that an observed (or declared) access to `path` on an object
     /// of type `object_type` stays inside the routed shard. Returns a
     /// human-readable escape description, or `None` if contained.
@@ -275,6 +315,7 @@ impl ShardPlan {
 mod tests {
     use super::*;
     use crate::args;
+    use crate::ids::{MachineId, ObjectId};
 
     fn keyed_plan() -> ShardPlan {
         let mut tp = TypePlan {
@@ -327,6 +368,35 @@ mod tests {
             plan.route_primitive("Other", "post", &args![1]),
             ShardId::Cross
         );
+    }
+
+    fn obj(n: u64) -> ObjectId {
+        ObjectId::new(MachineId::new(0), n)
+    }
+
+    #[test]
+    fn unknown_types_route_cross() {
+        let plan = keyed_plan();
+        let resolve = |_: ObjectId| Some("Board".to_owned());
+        let unresolved = |_: ObjectId| None;
+        let post = SharedOp::primitive(obj(0), "post", args!["news", "ann"]);
+        assert_eq!(plan.route_op(&post, &unresolved), ShardId::Cross);
+        assert_eq!(plan.route_op(&post, &resolve).to_string(), "Board:0/news");
+    }
+
+    #[test]
+    fn composites_route_to_the_common_shard_or_cross() {
+        let plan = keyed_plan();
+        let resolve = |_: ObjectId| Some("Board".to_owned());
+        let p = |topic: &str| SharedOp::primitive(obj(0), "post", args![topic, "ann"]);
+        let same = SharedOp::atomic(vec![p("news"), p("news")]);
+        assert_eq!(plan.route_op(&same, &resolve).to_string(), "Board:0/news");
+        let split = SharedOp::atomic(vec![p("news"), p("random")]);
+        assert_eq!(plan.route_op(&split, &resolve), ShardId::Cross);
+        let or = SharedOp::or_else(p("news"), p("news"));
+        assert_eq!(plan.route_op(&or, &resolve).to_string(), "Board:0/news");
+        let empty = SharedOp::atomic(vec![]);
+        assert_eq!(plan.route_op(&empty, &resolve), ShardId::Cross);
     }
 
     #[test]

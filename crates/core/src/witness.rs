@@ -42,7 +42,7 @@ use crate::effect::Footprint;
 use crate::error::ExecError;
 use crate::exec::{execute, ExecOutcome};
 use crate::ids::ObjectId;
-use crate::op::SharedOp;
+use crate::op::{SharedOp, TypeOf};
 use crate::paths::{child, paths_overlap, split_last};
 use crate::registry::{ArgView, OpRegistry};
 use crate::store::ObjectStore;
@@ -156,19 +156,19 @@ impl fmt::Display for WitnessEscape {
 
 /// The declared per-object footprints of a whole operation tree, or
 /// `None` when any constituent method lacks an [`crate::EffectSpec`] (or
-/// targets an object absent from the store) — the containment check is
-/// then impossible and callers should skip witnessing.
+/// targets an object whose type `type_of` cannot resolve) — the
+/// containment check or commutation judgment is then impossible.
 ///
 /// `Atomic` unions its components; `OrElse` unions both alternatives
 /// (either may run, so the union over-approximates soundly).
 pub fn declared_footprints(
     op: &SharedOp,
-    store: &ObjectStore,
+    type_of: TypeOf<'_>,
     registry: &OpRegistry,
 ) -> Option<BTreeMap<ObjectId, Footprint>> {
     fn go(
         op: &SharedOp,
-        store: &ObjectStore,
+        type_of: TypeOf<'_>,
         registry: &OpRegistry,
         acc: &mut BTreeMap<ObjectId, Footprint>,
     ) -> Option<()> {
@@ -178,7 +178,7 @@ pub fn declared_footprints(
                 method,
                 args,
             } => {
-                let ty = store.get(*object)?.type_name().to_owned();
+                let ty = type_of(*object)?;
                 let eff = registry.effect_of(&ty, method)?;
                 let fp = eff.footprint(ArgView::new(args));
                 let merged = match acc.remove(object) {
@@ -190,18 +190,18 @@ pub fn declared_footprints(
             }
             SharedOp::Atomic(ops) => {
                 for op in ops {
-                    go(op, store, registry, acc)?;
+                    go(op, type_of, registry, acc)?;
                 }
                 Some(())
             }
             SharedOp::OrElse(a, b) => {
-                go(a, store, registry, acc)?;
-                go(b, store, registry, acc)
+                go(a, type_of, registry, acc)?;
+                go(b, type_of, registry, acc)
             }
         }
     }
     let mut acc = BTreeMap::new();
-    go(op, store, registry, &mut acc)?;
+    go(op, type_of, registry, &mut acc)?;
     Some(acc)
 }
 
@@ -264,7 +264,10 @@ pub fn execute_witnessed(
     let touched = op.objects_touched();
     let probing = !matches!(probe, ProbeReads::Off);
     let declared = match probe {
-        ProbeReads::Uncovered => declared_footprints(op, store, registry),
+        ProbeReads::Uncovered => {
+            let type_of = |id| store.get(id).map(|o| o.type_name().to_owned());
+            declared_footprints(op, &type_of, registry)
+        }
         _ => None,
     };
     // Pre-state: snapshots always (for the write diff), object clones only
@@ -681,7 +684,8 @@ mod tests {
         for (method, expect_escape) in [("copy_a_to_b", false), ("sneaky_copy", true)] {
             let mut store = pair_store(5, 0);
             let op = prim(method, vec![]);
-            let declared = declared_footprints(&op, &store, &reg).expect("effects declared");
+            let type_of = |id| store.get(id).map(|o| o.type_name().to_owned());
+            let declared = declared_footprints(&op, &type_of, &reg).expect("effects declared");
             let (_, w) = execute_witnessed(&op, &mut store, &reg, ProbeReads::All).unwrap();
             let escapes = containment_escapes(&w, &declared);
             if expect_escape {
@@ -768,7 +772,8 @@ mod tests {
             prim("set_a", vec![Value::from(1)]),
             prim("copy_a_to_b", vec![]),
         ]);
-        let fps = declared_footprints(&atomic, &store, &reg).unwrap();
+        let type_of = |id| store.get(id).map(|o| o.type_name().to_owned());
+        let fps = declared_footprints(&atomic, &type_of, &reg).unwrap();
         let fp = &fps[&oid()];
         assert!(fp.writes_cover("a") && fp.writes_cover("b") && fp.reads_cover("a"));
         // A method with no effect poisons the whole tree.
@@ -776,6 +781,6 @@ mod tests {
         reg2.register_type::<Pair>();
         reg2.register_method::<Pair>("opaque", |_, _| true);
         let op = prim("opaque", vec![]);
-        assert!(declared_footprints(&op, &store, &reg2).is_none());
+        assert!(declared_footprints(&op, &type_of, &reg2).is_none());
     }
 }

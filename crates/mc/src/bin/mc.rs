@@ -5,7 +5,7 @@
 //! mc [--preset NAME|all] [--rounds N] [--max-schedules N] [--max-steps N]
 //!    [--no-reduction] [--matrix FILE] [--min-prune R] [--min-schedules N]
 //!    [--tamper VICTIM:NTH:I:J] [--out DIR] [--replay FILE] [--emit FILE]
-//!    [--metrics FILE] [--list]
+//!    [--list]
 //! ```
 //!
 //! Default mode explores each selected preset within the schedule
@@ -21,10 +21,6 @@
 //! it still violates, dumping `FILE.postmortem.json` when it does. `--matrix FILE` loads a
 //! validated commute matrix from an `analyze --json` archive, sharpening
 //! the partial-order reduction beyond footprint reasoning alone.
-//! `--metrics FILE` (or the `GUESSTIMATE_METRICS` environment variable)
-//! writes a Prometheus text snapshot of the exploration counters
-//! (schedules, prunes, oracle checks) across all selected presets; a
-//! `.json` extension selects the JSON snapshot format instead.
 //!
 //! Exit codes: 0 clean, 1 violation found (or replay reproduced one, or
 //! a `--min-*` gate failed), 2 usage/IO error.
@@ -40,7 +36,6 @@ use guesstimate_mc::{
 };
 use guesstimate_obs::FlightRecorder;
 use guesstimate_runtime::Flush;
-use guesstimate_telemetry::Telemetry;
 
 struct Args {
     presets: Vec<Preset>,
@@ -52,11 +47,10 @@ struct Args {
     out_dir: String,
     replay_file: Option<String>,
     emit: Option<String>,
-    metrics: Option<String>,
 }
 
 fn usage() -> &'static str {
-    "usage: mc [--preset NAME|all] [--rounds N] [--max-schedules N] [--max-steps N]\n          [--no-reduction] [--matrix FILE] [--min-prune RATIO] [--min-schedules N]\n          [--tamper VICTIM:NTH:I:J] [--out DIR] [--replay FILE] [--emit FILE]\n          [--metrics FILE] [--list]"
+    "usage: mc [--preset NAME|all] [--rounds N] [--max-schedules N] [--max-steps N]\n          [--no-reduction] [--matrix FILE] [--min-prune RATIO] [--min-schedules N]\n          [--tamper VICTIM:NTH:I:J] [--out DIR] [--replay FILE] [--emit FILE]\n          [--list]"
 }
 
 fn parse_tamper(s: &str) -> Result<TamperSpec, String> {
@@ -83,7 +77,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         out_dir: ".".to_owned(),
         replay_file: None,
         emit: None,
-        metrics: std::env::var("GUESSTIMATE_METRICS").ok(),
     };
     let mut rounds = None;
     let mut argv = std::env::args().skip(1);
@@ -149,7 +142,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--out" => args.out_dir = need("--out", argv.next())?,
             "--replay" => args.replay_file = Some(need("--replay", argv.next())?),
             "--emit" => args.emit = Some(need("--emit", argv.next())?),
-            "--metrics" => args.metrics = Some(need("--metrics", argv.next())?),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
     }
@@ -220,31 +212,10 @@ fn run_replay(path: &str, matrix: &CommuteMatrix) -> Result<ExitCode, String> {
     }
 }
 
-/// Writes the exploration-counter snapshot: Prometheus text by default,
-/// the JSON format when `path` ends in `.json`.
-fn write_metrics(path: Option<&str>, telemetry: &Telemetry) -> Result<(), String> {
-    let Some(path) = path else { return Ok(()) };
-    let text = if path.ends_with(".json") {
-        telemetry.render_json()
-    } else {
-        telemetry.render_prometheus()
-    };
-    std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-    println!("wrote metrics snapshot to {path}");
-    Ok(())
-}
-
-fn run(mut args: Args) -> Result<ExitCode, String> {
+fn run(args: Args) -> Result<ExitCode, String> {
     if let Some(path) = &args.replay_file {
         return run_replay(path, &args.matrix);
     }
-    let telemetry = if args.metrics.is_some() {
-        Telemetry::new()
-    } else {
-        Telemetry::noop()
-    };
-    args.cfg.telemetry = telemetry.clone();
-
     let mut gate_failed = false;
     for preset in &args.presets {
         let started = Instant::now();
@@ -294,7 +265,6 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
             );
             let pm = format!("{}/mc-postmortem-{}.json", args.out_dir, preset.name);
             write_postmortem(&min, &args.matrix, &pm, &violation.to_string())?;
-            write_metrics(args.metrics.as_deref(), &telemetry)?;
             return Ok(ExitCode::from(1));
         }
 
@@ -331,7 +301,6 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
             }
         }
     }
-    write_metrics(args.metrics.as_deref(), &telemetry)?;
     Ok(if gate_failed {
         ExitCode::from(1)
     } else {

@@ -71,7 +71,6 @@ use std::sync::Arc;
 use guesstimate_core::CommuteMatrix;
 use guesstimate_net::Tracer;
 use guesstimate_runtime::StateSummary;
-use guesstimate_telemetry::Telemetry;
 
 use crate::oracle::Violation;
 use crate::scenario::{Cluster, Preset};
@@ -88,9 +87,6 @@ pub struct ExploreConfig {
     pub reduction: bool,
     /// Record a digest of every terminal state (for soundness tests).
     pub collect_digests: bool,
-    /// Exploration counters (schedules, prunes, oracle checks) are
-    /// recorded here; the default no-op handle records nothing.
-    pub telemetry: Telemetry,
 }
 
 impl Default for ExploreConfig {
@@ -100,7 +96,6 @@ impl Default for ExploreConfig {
             max_steps: 96,
             reduction: true,
             collect_digests: false,
-            telemetry: Telemetry::noop(),
         }
     }
 }
@@ -246,7 +241,6 @@ pub fn explore(
         if cfg.reduction && frame.sleep.contains(&c) {
             frame.idx += 1;
             out.pruned += 1;
-            cfg.telemetry.mc_pruned();
             continue;
         }
         // The child's sleep set must be computed *before* executing `c`:
@@ -267,7 +261,6 @@ pub fn explore(
             drops_used += 1;
         }
         out.max_depth = out.max_depth.max(path.len());
-        cfg.telemetry.mc_oracle_check();
         if let Some(v) = built.check_step() {
             out.violation = Some((v, path.clone()));
             return out;
@@ -278,12 +271,10 @@ pub fn explore(
         let cut = !terminal && path.len() >= cfg.max_steps;
         if terminal || cut {
             out.schedules += 1;
-            cfg.telemetry.mc_schedule();
             if cut {
                 out.truncated += 1;
             }
             if terminal {
-                cfg.telemetry.mc_oracle_check();
                 if let Some(v) = built.check_terminal() {
                     out.violation = Some((v, path.clone()));
                     return out;
@@ -396,7 +387,6 @@ mod tests {
             max_steps: 64,
             reduction,
             collect_digests: true,
-            ..ExploreConfig::default()
         }
     }
 

@@ -25,12 +25,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use guesstimate_core::{ArgView, CommuteMatrix, Footprint, ObjectId, OpRegistry, SharedOp, ROOT};
+use guesstimate_core::{
+    declared_footprints, CommuteMatrix, Footprint, ObjectId, OpRegistry, SharedOp, TypeOf, ROOT,
+};
 
 use crate::message::WireOp;
-
-/// Resolves an object id to its registered type name.
-pub type TypeOf<'a> = &'a dyn Fn(ObjectId) -> Option<String>;
 
 /// The set of objects a wire operation may touch.
 pub fn wire_objects(op: &WireOp) -> BTreeSet<ObjectId> {
@@ -82,61 +81,10 @@ pub fn wire_footprints(
 ) -> Option<BTreeMap<ObjectId, Footprint>> {
     match op {
         WireOp::Create { object, .. } => {
-            let mut m = BTreeMap::new();
-            m.insert(*object, Footprint::new().writes([ROOT]));
-            Some(m)
+            Some(BTreeMap::from([(*object, Footprint::new().writes([ROOT]))]))
         }
-        WireOp::Shared(op) => shared_footprints(registry, type_of, op),
+        WireOp::Shared(op) => declared_footprints(op, type_of, registry),
         WireOp::CrossMarker { .. } => Some(BTreeMap::new()),
-    }
-}
-
-/// Recursive footprint union over a [`SharedOp`] tree. `Atomic` unions its
-/// components; `OrElse` unions both alternatives (either may run, so the
-/// union over-approximates soundly).
-fn shared_footprints(
-    registry: &OpRegistry,
-    type_of: TypeOf<'_>,
-    op: &SharedOp,
-) -> Option<BTreeMap<ObjectId, Footprint>> {
-    fn merge(acc: &mut BTreeMap<ObjectId, Footprint>, id: ObjectId, fp: Footprint) {
-        match acc.remove(&id) {
-            Some(prev) => {
-                acc.insert(id, prev.union(&fp));
-            }
-            None => {
-                acc.insert(id, fp);
-            }
-        }
-    }
-    match op {
-        SharedOp::Primitive {
-            object,
-            method,
-            args,
-        } => {
-            let ty = type_of(*object)?;
-            let eff = registry.effect_of(&ty, method)?;
-            let mut m = BTreeMap::new();
-            m.insert(*object, eff.footprint(ArgView::new(args)));
-            Some(m)
-        }
-        SharedOp::Atomic(ops) => {
-            let mut acc = BTreeMap::new();
-            for op in ops {
-                for (id, fp) in shared_footprints(registry, type_of, op)? {
-                    merge(&mut acc, id, fp);
-                }
-            }
-            Some(acc)
-        }
-        SharedOp::OrElse(a, b) => {
-            let mut acc = shared_footprints(registry, type_of, a)?;
-            for (id, fp) in shared_footprints(registry, type_of, b)? {
-                merge(&mut acc, id, fp);
-            }
-            Some(acc)
-        }
     }
 }
 

@@ -87,13 +87,8 @@ impl Machine {
                 // failed at commit: a conflict (Figure 7).
                 self.stats.conflicts += 1;
             }
-            if let Some(record) = record {
-                if record.completion {
-                    self.callbacks.push(Callback::Completed(env.id, result));
-                }
-                if let Some(t) = record.issued_at {
-                    self.stats.commit_latencies.push(now.saturating_since(t));
-                }
+            if record.is_some_and(|r| r.completion) {
+                self.callbacks.push(Callback::Completed(env.id, result));
             }
         }
         self.pending.retire(own);
@@ -452,7 +447,8 @@ pub(crate) fn execute_shared_checked(
     if !cfg.checks.on() {
         return execute(op, store, registry);
     }
-    let Some(declared) = declared_footprints(op, store, registry) else {
+    let type_of = |id| store.get(id).map(|o| o.type_name().to_owned());
+    let Some(declared) = declared_footprints(op, &type_of, registry) else {
         return execute(op, store, registry);
     };
     let probe = if cfg.witness_reads {

@@ -104,5 +104,5 @@ pub use multigroup::{
     multi_sim_cluster, run_multi_until_joined, GMsg, GroupId, GroupRoute, GroupTable, IssueOutcome,
     MultiClusterSpec, MultiMachine,
 };
-pub use shard::{ShardRouter, ShardViolation};
+pub use shard::ShardViolation;
 pub use stats::{MachineStats, SyncSample};

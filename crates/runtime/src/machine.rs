@@ -133,8 +133,6 @@ pub struct Machine {
 pub(crate) struct PendingOp {
     /// Executions so far: the issue-time run plus every counted replay.
     pub(crate) execs: u32,
-    /// Issue time, when the caller stamped one (commit-latency stats).
-    pub(crate) issued_at: Option<SimTime>,
     /// Whether it was issued with a completion routine: the commit files a
     /// [`Callback::Completed`] only then.
     pub(crate) completion: bool,
@@ -636,7 +634,6 @@ impl Machine {
         let id = self.next_op_id();
         let record = PendingOp {
             execs: 1,
-            issued_at,
             completion: completion.is_some(),
         };
         self.pending.push(WireEnvelope { id, op }, record);
@@ -773,8 +770,8 @@ impl Machine {
     }
 
     /// Like [`Machine::issue`], additionally stamping the operation with
-    /// its issue time so the runtime can record its issue-to-commit latency
-    /// in [`crate::MachineStats::commit_latencies`].
+    /// its issue time, so an enabled [`Telemetry`] handle's span holds its
+    /// issue-to-commit lag.
     ///
     /// # Errors
     ///

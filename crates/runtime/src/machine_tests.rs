@@ -112,6 +112,21 @@ fn apply_committed_round_commits_own_ops_and_pops_pending() {
     assert_eq!(m.stats().max_exec_count, 2);
 }
 
+/// A committed `Create` writes its object's whole snapshot, so under an
+/// installed shard plan it is labelled cross-shard.
+#[test]
+fn a_committed_create_routes_cross_shard() {
+    let cfg =
+        MachineConfig::default().with_shard_plan(Arc::new(guesstimate_core::ShardPlan::new()));
+    let mut m = Machine::new_master(MachineId::new(0), Arc::new(counter_registry()), cfg);
+    m.set_telemetry(Telemetry::new());
+    m.create_instance(Counter { n: 0 });
+    let batch = pending_envs(&m);
+    assert_eq!(apply(&mut m, batch, 0), 1);
+    assert_eq!(m.telemetry().shard_ops(), vec![("cross".to_owned(), 1)]);
+    assert_eq!(m.telemetry().cross_routes(), 1);
+}
+
 #[test]
 fn completion_runs_with_commit_result() {
     use std::sync::atomic::{AtomicI32, Ordering};
@@ -534,7 +549,6 @@ fn every_enqueue_caller_keeps_the_same_books() {
         let (env, p) = m.pending.get(1).unwrap();
         assert_eq!(env.id, OpId::new(m.id(), 1), "{name}: next op number");
         assert_eq!(p.execs, 1, "{name}");
-        assert_eq!(p.issued_at, issued_at, "{name}");
         assert_eq!(m.stats().issued, 2, "{name}");
         assert_eq!(m.stats().max_pending_depth, 2, "{name}");
         let spans = m.telemetry().spans();
@@ -542,7 +556,7 @@ fn every_enqueue_caller_keeps_the_same_books() {
         assert_eq!(
             span.map(|s| s.issued_at),
             Some(issued_at),
-            "{name}: span opened with the record's issue time"
+            "{name}: span opened with the caller's issue time"
         );
     }
 }

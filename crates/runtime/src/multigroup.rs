@@ -8,7 +8,7 @@
 //! full [`Machine`] per group it participates in, wrapped in a
 //! [`MultiMachine`] actor that:
 //!
-//! * routes every issued operation through the [`ShardRouter`] to its
+//! * routes every issued operation through [`ShardPlan::route_op`] to its
 //!   group's round (the hybrid async-commit path included);
 //! * namespaces wire messages with a [`GroupId`] tag ([`GMsg::Inner`]) and
 //!   re-encodes timer tags so per-group timers never alias;
@@ -78,7 +78,6 @@ use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::message::{shared_op_size, Msg, WireOp};
 use crate::roles::tag;
-use crate::shard::ShardRouter;
 
 /// Index of a sync group: one per `(type, component)` pair of the
 /// installed [`ShardPlan`], in deterministic plan order.
@@ -163,7 +162,7 @@ pub struct GroupSpec {
     pub type_name: String,
     /// Component index within the type's [`ShardPlan`] entry.
     pub component: u32,
-    /// Render: `"Type:component"` — the telemetry group label.
+    /// Render: `"Type:component"` — the group's display label.
     pub label: String,
 }
 
@@ -171,7 +170,7 @@ pub struct GroupSpec {
 /// `(type, component)` pair of the plan, in plan (BTreeMap) order.
 #[derive(Debug, Clone)]
 pub struct GroupTable {
-    router: ShardRouter,
+    plan: Arc<ShardPlan>,
     groups: Vec<GroupSpec>,
     by_key: BTreeMap<(String, u32), GroupId>,
 }
@@ -194,7 +193,7 @@ impl GroupTable {
         }
         assert!(!groups.is_empty(), "shard plan has no components");
         GroupTable {
-            router: ShardRouter::new(plan),
+            plan,
             groups,
             by_key,
         }
@@ -202,7 +201,7 @@ impl GroupTable {
 
     /// The wrapped plan.
     pub fn plan(&self) -> &Arc<ShardPlan> {
-        &self.router.plan
+        &self.plan
     }
 
     /// Number of sync groups.
@@ -215,7 +214,7 @@ impl GroupTable {
         &self.groups[g as usize]
     }
 
-    /// The group's telemetry label.
+    /// The group's display label.
     pub fn label(&self, g: GroupId) -> &str {
         &self.groups[g as usize].label
     }
@@ -232,7 +231,7 @@ impl GroupTable {
     /// a cross-routed operation (the union of the touched types' groups;
     /// every group if no type resolves).
     pub fn route(&self, op: &SharedOp, type_of: &dyn Fn(ObjectId) -> Option<String>) -> GroupRoute {
-        match self.router.shard_of_shared(op, &type_of) {
+        match self.plan.route_op(op, type_of) {
             ShardId::Local {
                 type_name,
                 component,
@@ -269,7 +268,7 @@ impl GroupTable {
     /// component whose prefixes cover the field (a literal first segment
     /// equal to the field, or a key/wildcard first segment).
     fn owner_of_field(&self, type_name: &str, field: &str) -> Option<GroupId> {
-        let tp = self.router.plan.types.get(type_name)?;
+        let tp = self.plan.types.get(type_name)?;
         for (c, comp) in tp.components.iter().enumerate() {
             for prefix in &comp.prefixes {
                 let covers = match prefix.segs().first() {
@@ -431,11 +430,12 @@ impl MultiMachine {
         }
     }
 
-    /// Installs a telemetry handle; each hosted group's machine records
-    /// through a group-labeled derivation of it.
+    /// Installs a telemetry handle in the wrapper and every hosted group's
+    /// machine. Per-group round and commit counts are each group's own
+    /// [`Machine::stats`].
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        for (g, m) in &mut self.machines {
-            m.set_telemetry(telemetry.for_group(self.table.label(*g)));
+        for m in self.machines.values_mut() {
+            m.set_telemetry(telemetry.clone());
         }
         self.telemetry = telemetry;
     }

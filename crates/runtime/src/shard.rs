@@ -1,6 +1,6 @@
-//! Runtime shard routing: mapping wire operations to the shards of an
-//! analysis-derived [`ShardPlan`], and checking at commit sites that an
-//! operation's effects stay inside its routed shard.
+//! Runtime shard labelling: every committed wire operation is labelled
+//! with the shard [`guesstimate_core::ShardPlan::route_op`] routes it to,
+//! and commit sites check that its effects stay inside that shard.
 //!
 //! The plan is produced offline by `analyze --shard-plan` (see
 //! `docs/ANALYSIS.md` "Shard plans") and installed through
@@ -16,85 +16,10 @@
 //! witness escape, so the model checker's `ShardEscape` oracle can report
 //! and ddmin-shrink it.
 
-use std::sync::Arc;
+use guesstimate_core::ShardId;
 
-use guesstimate_core::{ShardId, ShardPlan, SharedOp};
-
-use crate::commute::TypeOf;
 use crate::machine::Machine;
 use crate::message::WireOp;
-
-/// Routes wire operations to shards under one [`ShardPlan`].
-///
-/// Cloning is cheap (the plan is shared behind an `Arc`).
-#[derive(Debug, Clone)]
-pub struct ShardRouter {
-    pub(crate) plan: Arc<ShardPlan>,
-}
-
-impl ShardRouter {
-    /// Wraps a plan.
-    pub fn new(plan: Arc<ShardPlan>) -> Self {
-        ShardRouter { plan }
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The shard one wire operation routes to.
-    ///
-    /// `Create` writes its object's whole snapshot, so it is always
-    /// cross-shard. Composite operations route to the common shard of
-    /// their constituents when all agree, and cross-shard otherwise.
-    /// Objects whose type cannot be resolved route cross-shard (the
-    /// conservative direction: cross-shard operations are never
-    /// containment-checked).
-    pub fn shard_of(&self, op: &WireOp, type_of: TypeOf<'_>) -> ShardId {
-        match op {
-            WireOp::Create { .. } => ShardId::Cross,
-            WireOp::Shared(op) => self.shard_of_shared(op, type_of),
-            // Markers are the multi-group commit vehicle *of* a cross-routed
-            // payload; the payload itself already routed `Cross`.
-            WireOp::CrossMarker { .. } => ShardId::Cross,
-        }
-    }
-
-    pub(crate) fn shard_of_shared(&self, op: &SharedOp, type_of: TypeOf<'_>) -> ShardId {
-        match op {
-            SharedOp::Primitive {
-                object,
-                method,
-                args,
-            } => match type_of(*object) {
-                Some(ty) => self.plan.route_primitive(&ty, method, args),
-                None => ShardId::Cross,
-            },
-            SharedOp::Atomic(ops) => {
-                let mut acc: Option<ShardId> = None;
-                for op in ops {
-                    let s = self.shard_of_shared(op, type_of);
-                    match &acc {
-                        None => acc = Some(s),
-                        Some(prev) if *prev == s => {}
-                        Some(_) => return ShardId::Cross,
-                    }
-                }
-                acc.unwrap_or(ShardId::Cross)
-            }
-            SharedOp::OrElse(a, b) => {
-                let sa = self.shard_of_shared(a, type_of);
-                let sb = self.shard_of_shared(b, type_of);
-                if sa == sb {
-                    sa
-                } else {
-                    ShardId::Cross
-                }
-            }
-        }
-    }
-}
 
 /// One shard-containment escape observed at a runtime commit site: a
 /// committed operation's declared footprint (instantiated at its actual
@@ -112,7 +37,8 @@ pub struct ShardViolation {
     pub site: &'static str,
     /// The routed shard, rendered ([`ShardId`]'s `Display`).
     pub shard: String,
-    /// Human-readable escape description from [`ShardPlan::escape`].
+    /// Human-readable escape description from
+    /// [`guesstimate_core::ShardPlan::escape`].
     pub detail: String,
 }
 
@@ -138,19 +64,24 @@ impl Machine {
         if !(self.telemetry.enabled() || self.cfg.checks.on()) {
             return;
         }
-        let Some(plan) = self.cfg.shard_plan.clone() else {
+        let Some(plan) = &self.cfg.shard_plan else {
             return;
         };
-        if let WireOp::CrossMarker { .. } = op {
-            // Count markers under their own label: the cross *payload* is
-            // already counted once (below) per involved group's marker, and
-            // markers never carry a footprint to contain.
-            self.telemetry.shard_op("cross-marker");
-            return;
-        }
         let catalog = &self.catalog;
         let type_of = |id| catalog.get(&id).cloned();
-        let shard = ShardRouter::new(Arc::clone(&plan)).shard_of(op, &type_of);
+        let shard = match op {
+            WireOp::Shared(op) => plan.route_op(op, &type_of),
+            // `Create` writes its object's whole snapshot, so it is always
+            // cross-shard.
+            WireOp::Create { .. } => ShardId::Cross,
+            WireOp::CrossMarker { .. } => {
+                // Count markers under their own label: the cross *payload*
+                // is already counted once (below) per involved group's
+                // marker, and markers never carry a footprint to contain.
+                self.telemetry.shard_op("cross-marker");
+                return;
+            }
+        };
         let label = shard.to_string();
         self.telemetry.shard_op(&label);
         if shard == ShardId::Cross {
@@ -191,69 +122,5 @@ impl Machine {
                 });
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use guesstimate_core::{
-        args, ComponentPlan, MachineId, ObjectId, PathPattern, Routing, TypePlan,
-    };
-    use std::collections::BTreeMap;
-
-    fn board_plan(key_arg: usize) -> Arc<ShardPlan> {
-        let mut tp = TypePlan {
-            components: vec![ComponentPlan {
-                prefixes: vec![PathPattern::parse("topics/{0}").unwrap()],
-                keyed: true,
-            }],
-            routes: BTreeMap::new(),
-        };
-        tp.routes.insert(
-            "post".to_owned(),
-            Routing::Local {
-                component: 0,
-                key_arg: Some(key_arg),
-            },
-        );
-        let mut plan = ShardPlan::new();
-        plan.types.insert("Board".to_owned(), tp);
-        Arc::new(plan)
-    }
-
-    fn obj(n: u64) -> ObjectId {
-        ObjectId::new(MachineId::new(0), n)
-    }
-
-    #[test]
-    fn creates_and_unknown_types_route_cross() {
-        let router = ShardRouter::new(board_plan(0));
-        let resolve = |_: ObjectId| Some("Board".to_owned());
-        let unresolved = |_: ObjectId| None;
-        let create = WireOp::Create {
-            object: obj(0),
-            type_name: "Board".into(),
-            init: guesstimate_core::Value::Map(Default::default()),
-        };
-        assert_eq!(router.shard_of(&create, &resolve), ShardId::Cross);
-        let post = WireOp::Shared(SharedOp::primitive(obj(0), "post", args!["news", "ann"]));
-        assert_eq!(router.shard_of(&post, &unresolved), ShardId::Cross);
-        assert_eq!(router.shard_of(&post, &resolve).to_string(), "Board:0/news");
-    }
-
-    #[test]
-    fn composites_route_to_the_common_shard_or_cross() {
-        let router = ShardRouter::new(board_plan(0));
-        let resolve = |_: ObjectId| Some("Board".to_owned());
-        let p = |topic: &str| SharedOp::primitive(obj(0), "post", args![topic, "ann"]);
-        let same = WireOp::Shared(SharedOp::atomic(vec![p("news"), p("news")]));
-        assert_eq!(router.shard_of(&same, &resolve).to_string(), "Board:0/news");
-        let split = WireOp::Shared(SharedOp::atomic(vec![p("news"), p("random")]));
-        assert_eq!(router.shard_of(&split, &resolve), ShardId::Cross);
-        let or = WireOp::Shared(SharedOp::or_else(p("news"), p("news")));
-        assert_eq!(router.shard_of(&or, &resolve).to_string(), "Board:0/news");
-        let empty = WireOp::Shared(SharedOp::atomic(vec![]));
-        assert_eq!(router.shard_of(&empty, &resolve), ShardId::Cross);
     }
 }

@@ -136,10 +136,6 @@ pub struct MachineStats {
     pub syncs_seen: u64,
     /// Master only: one sample per completed round.
     pub sync_samples: Vec<SyncSample>,
-    /// Issue-to-commit latencies of own operations issued through
-    /// [`crate::Machine::issue_at`] (operations issued without a timestamp
-    /// are not tracked).
-    pub commit_latencies: Vec<SimTime>,
 }
 
 impl MachineStats {

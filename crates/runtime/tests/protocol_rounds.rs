@@ -1224,6 +1224,7 @@ mod pipeline {
     use guesstimate_net::{FaultPlan, LatencyModel, SimNet, SimTime};
     use guesstimate_runtime::testutil::Counter;
     use guesstimate_runtime::{Machine, MachineConfig, MachineStats};
+    use guesstimate_telemetry::Telemetry;
 
     use super::rounds::{assert_converged, cluster, default_cfg};
 
@@ -1256,6 +1257,11 @@ mod pipeline {
     #[test]
     fn a_period_below_the_round_starts_a_round_every_period() {
         let (mut net, obj) = settled(4, cfg(), FaultPlan::new());
+        let telemetry = Telemetry::new();
+        for i in 0..4 {
+            let m = net.actor_mut(MachineId::new(i)).expect("member");
+            m.set_telemetry(telemetry.clone());
+        }
         let first = master_stats(&net).sync_samples.len();
         // One operation a machine every 7 ms, wherever the rounds stand.
         for k in 0..120u64 {
@@ -1286,6 +1292,7 @@ mod pipeline {
         assert_eq!(stats.ticks_deferred, 0);
         net.run_until(SimTime::from_millis(3_200));
         assert_converged(&net, &[0, 1, 2, 3]);
+        let spans = telemetry.spans();
         for i in 0..4 {
             let m = net.actor(MachineId::new(i)).expect("member");
             assert_eq!(m.read::<Counter, _>(obj, |c| c.n), Some(120));
@@ -1297,8 +1304,13 @@ mod pipeline {
             // list empty: issue and commit, nothing between.
             let (links, execs) = if i == 0 { (0, 2) } else { (2, 3) };
             assert_eq!((s.restarts, s.max_exec_count), (0, execs), "m{i}");
-            let worst = s.commit_latencies.iter().max().expect("it issued 30");
-            assert!(*worst <= PERIOD + ms(links * LINK_MS), "m{i}: {worst:?}");
+            let worst = spans
+                .iter()
+                .filter(|s| s.op.machine() == m.id())
+                .filter_map(|s| s.commit_lag())
+                .max()
+                .expect("it issued 30");
+            assert!(worst <= PERIOD + ms(links * LINK_MS), "m{i}: {worst:?}");
         }
     }
 

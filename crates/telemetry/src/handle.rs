@@ -1,5 +1,5 @@
-//! The [`Telemetry`] handle: the one type the runtime, drivers, bench
-//! harness and model checker carry.
+//! The [`Telemetry`] handle: the one type the runtime, drivers and bench
+//! harness carry.
 //!
 //! A handle is either **enabled** (it owns a [`Registry`] of
 //! instruments plus a [`SpanBook`]) or the **no-op** default. The no-op
@@ -23,7 +23,7 @@ use crate::spans::{OpSpan, SpanBook};
 /// All fields are pre-registered `Arc` handles into `registry`; hooks
 /// never look anything up by name.
 #[derive(Debug)]
-pub struct TelemetryInner {
+struct TelemetryInner {
     registry: Registry,
     spans: parking_lot::Mutex<SpanBook>,
 
@@ -63,10 +63,6 @@ pub struct TelemetryInner {
     net_bytes_sent: Arc<Counter>,
     net_bytes_delivered: Arc<Counter>,
 
-    mc_schedules: Arc<Counter>,
-    mc_pruned: Arc<Counter>,
-    mc_oracle_checks: Arc<Counter>,
-
     /// Per-shard commit counters, registered lazily: shard labels are
     /// data-dependent (keyed shards embed argument values), so they
     /// cannot be pre-registered like the instruments above.
@@ -75,88 +71,6 @@ pub struct TelemetryInner {
     /// Dedicated counter for `Cross`-routed commits (the shard router's
     /// fallback): one bump per committed op whose route left every shard.
     cross_routes: Arc<Counter>,
-
-    /// Per-sync-group instrument sets, registered lazily by group label
-    /// (multi-group mode; see `Telemetry::for_group`).
-    groups: parking_lot::Mutex<BTreeMap<String, Arc<GroupInstruments>>>,
-}
-
-/// The per-group split of the round/commit instruments: one set per sync
-/// group label, shared by every handle derived via [`Telemetry::for_group`].
-/// Aggregate (unlabeled) instruments keep recording as before; these add
-/// the `group`-labeled view.
-#[derive(Debug)]
-struct GroupInstruments {
-    ops_committed: Arc<Counter>,
-    commit_lag_us: Arc<Histogram>,
-    rounds: Arc<Counter>,
-    round_duration_us: Arc<Histogram>,
-    stage_flush_us: Arc<Histogram>,
-    stage_apply_us: Arc<Histogram>,
-    stage_completion_us: Arc<Histogram>,
-}
-
-impl GroupInstruments {
-    fn new(registry: &Registry, label: &str) -> Self {
-        let labels = &[("group", label)];
-        GroupInstruments {
-            ops_committed: registry.counter_with_labels(
-                "guesstimate_group_ops_committed_total",
-                "Own operations committed, by sync group",
-                labels,
-            ),
-            commit_lag_us: registry.histogram_with_labels(
-                "guesstimate_group_commit_lag_us",
-                "Issue-to-commit lag, microseconds, by sync group",
-                labels,
-            ),
-            rounds: registry.counter_with_labels(
-                "guesstimate_group_rounds_total",
-                "Sync rounds completed, by sync group",
-                labels,
-            ),
-            round_duration_us: registry.histogram_with_labels(
-                "guesstimate_group_round_duration_us",
-                "Full sync round duration, microseconds, by sync group",
-                labels,
-            ),
-            stage_flush_us: registry.histogram_with_labels(
-                "guesstimate_group_stage_flush_us",
-                "Stage 1 (AddUpdatesToMesh) duration, microseconds, by sync group",
-                labels,
-            ),
-            stage_apply_us: registry.histogram_with_labels(
-                "guesstimate_group_stage_apply_us",
-                "Stage 2 (ApplyUpdatesFromMesh) duration, microseconds, by sync group",
-                labels,
-            ),
-            stage_completion_us: registry.histogram_with_labels(
-                "guesstimate_group_stage_completion_us",
-                "Stage 3 (FlagCompletion) duration, microseconds, by sync group",
-                labels,
-            ),
-        }
-    }
-}
-
-/// Per-group round/commit sums, read back by `tests/multigroup.rs` to
-/// assert the stage-partition invariant group by group.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GroupRoundStats {
-    /// Rounds completed in this group.
-    pub rounds: u64,
-    /// Sum of full round durations, microseconds.
-    pub duration_us: u64,
-    /// Sum of stage-1 durations, microseconds.
-    pub flush_us: u64,
-    /// Sum of stage-2 durations, microseconds.
-    pub apply_us: u64,
-    /// Sum of stage-3 durations, microseconds.
-    pub completion_us: u64,
-    /// Own operations committed in this group.
-    pub ops_committed: u64,
-    /// Commit-lag samples recorded in this group (one per committed op).
-    pub lag_samples: u64,
 }
 
 impl TelemetryInner {
@@ -278,24 +192,11 @@ impl TelemetryInner {
                 "guesstimate_net_bytes_delivered_total",
                 "Estimated payload bytes delivered to on_message",
             ),
-            mc_schedules: c(
-                "guesstimate_mc_schedules_total",
-                "Model-checker schedules fully explored",
-            ),
-            mc_pruned: c(
-                "guesstimate_mc_pruned_total",
-                "Model-checker branches pruned by partial-order reduction",
-            ),
-            mc_oracle_checks: c(
-                "guesstimate_mc_oracle_checks_total",
-                "Model-checker oracle evaluations",
-            ),
             shard_ops: parking_lot::Mutex::new(BTreeMap::new()),
             cross_routes: c(
                 "guesstimate_cross_routes_total",
                 "Committed operations the shard router routed Cross (fallback)",
             ),
-            groups: parking_lot::Mutex::new(BTreeMap::new()),
             spans: parking_lot::Mutex::new(SpanBook::new()),
             registry,
         }
@@ -310,9 +211,6 @@ impl TelemetryInner {
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<TelemetryInner>>,
-    /// When present, round/commit hooks additionally record into this
-    /// group's labeled instruments (see [`Telemetry::for_group`]).
-    group: Option<Arc<GroupInstruments>>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -328,60 +226,13 @@ impl Telemetry {
     pub fn new() -> Self {
         Telemetry {
             inner: Some(Arc::new(TelemetryInner::new())),
-            group: None,
         }
     }
 
     /// The no-op handle: every hook is a single branch, nothing is
     /// recorded, exports are empty.
     pub fn noop() -> Self {
-        Telemetry {
-            inner: None,
-            group: None,
-        }
-    }
-
-    /// A handle scoped to one sync group: it shares this handle's
-    /// aggregate instruments and additionally splits round durations,
-    /// stage durations, committed-op counts and commit lag into
-    /// `group`-labeled instruments (multi-group mode — one derived handle
-    /// per `GroupId`-keyed round-protocol instance; read the sums back with
-    /// [`Telemetry::group_round_stats`]).
-    ///
-    /// Deriving from a no-op handle stays a no-op.
-    pub fn for_group(&self, label: &str) -> Telemetry {
-        let Some(inner) = &self.inner else {
-            return Telemetry::noop();
-        };
-        let gi = {
-            let mut groups = inner.groups.lock();
-            Arc::clone(
-                groups
-                    .entry(label.to_owned())
-                    .or_insert_with(|| Arc::new(GroupInstruments::new(&inner.registry, label))),
-            )
-        };
-        Telemetry {
-            inner: Some(Arc::clone(inner)),
-            group: Some(gi),
-        }
-    }
-
-    /// Per-group round/commit sums for one group label, or `None` if no
-    /// handle for that group was derived (or this handle is no-op).
-    pub fn group_round_stats(&self, label: &str) -> Option<GroupRoundStats> {
-        let inner = self.inner.as_ref()?;
-        let groups = inner.groups.lock();
-        let gi = groups.get(label)?;
-        Some(GroupRoundStats {
-            rounds: gi.rounds.get(),
-            duration_us: gi.round_duration_us.sum(),
-            flush_us: gi.stage_flush_us.sum(),
-            apply_us: gi.stage_apply_us.sum(),
-            completion_us: gi.stage_completion_us.sum(),
-            ops_committed: gi.ops_committed.get(),
-            lag_samples: gi.commit_lag_us.count(),
-        })
+        Telemetry { inner: None }
     }
 
     /// Whether this handle records anything.
@@ -456,10 +307,6 @@ impl Telemetry {
         } else {
             inner.ops_committed_async.inc();
             inner.commit_lag_async_us.observe(lag.as_micros());
-        }
-        if let Some(g) = &self.group {
-            g.ops_committed.inc();
-            g.commit_lag_us.observe(lag.as_micros());
         }
     }
 
@@ -547,16 +394,9 @@ impl Telemetry {
         inner.stage_flush_us.observe(flush.as_micros());
         inner.stage_apply_us.observe(apply.as_micros());
         inner.stage_completion_us.observe(completion.as_micros());
-        if let Some(g) = &self.group {
-            g.rounds.inc();
-            g.round_duration_us.observe(duration.as_micros());
-            g.stage_flush_us.observe(flush.as_micros());
-            g.stage_apply_us.observe(apply.as_micros());
-            g.stage_completion_us.observe(completion.as_micros());
-        }
     }
 
-    // ---- driver / checker hooks --------------------------------------
+    // ---- driver hooks ------------------------------------------------
 
     /// Folds a driver's transport counters in. Call once per run per
     /// driver (the counters add, they do not overwrite).
@@ -569,24 +409,6 @@ impl Telemetry {
         inner.net_timers.add(m.timers_fired);
         inner.net_bytes_sent.add(m.bytes_sent);
         inner.net_bytes_delivered.add(m.bytes_delivered);
-    }
-
-    /// The model checker fully explored one schedule.
-    pub fn mc_schedule(&self) {
-        let Some(inner) = &self.inner else { return };
-        inner.mc_schedules.inc();
-    }
-
-    /// The model checker pruned a branch.
-    pub fn mc_pruned(&self) {
-        let Some(inner) = &self.inner else { return };
-        inner.mc_pruned.inc();
-    }
-
-    /// The model checker evaluated its oracles once.
-    pub fn mc_oracle_check(&self) {
-        let Some(inner) = &self.inner else { return };
-        inner.mc_oracle_checks.inc();
     }
 
     // ---- exports -----------------------------------------------------

@@ -36,7 +36,7 @@ mod handle;
 pub mod metrics;
 pub mod spans;
 
-pub use handle::{GroupRoundStats, Telemetry, TelemetryInner};
+pub use handle::Telemetry;
 pub use metrics::{
     bucket_index, bucket_upper, Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS,
 };

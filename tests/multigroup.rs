@@ -6,7 +6,7 @@
 //! minimal two-component type split into groups `Pair:0` and `Pair:1`
 //! with *different* master nodes: node 1 masters `Pair:1` only, so
 //! killing node 1 decapitates exactly one group. The same independence
-//! shows in telemetry: each group's round and stage sums are its own.
+//! shows in each group's stats: its round and stage sums are its own.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use guesstimate::net::{LatencyModel, NetConfig, SimNet, SimTime};
 use guesstimate::runtime::multigroup::{
     multi_sim_cluster, run_multi_until_joined, GroupTable, MultiClusterSpec, MultiMachine,
 };
-use guesstimate::runtime::MachineConfig;
+use guesstimate::runtime::{MachineConfig, SyncSample};
 use guesstimate::telemetry::Telemetry;
 use guesstimate::{GState, MachineId, ObjectId, OpRegistry, RestoreError, Value};
 
@@ -260,20 +260,10 @@ fn killing_one_groups_master_leaves_the_other_group_committing() {
     assert!(d1.windows(2).all(|w| w[0] == w[1]), "Pair:1 digests agree");
 }
 
-/// Per-group telemetry: in every sync group the three stage-duration sums
-/// partition the group's summed round durations exactly (virtual time
-/// truncates nothing), and the group's commit-lag histogram holds one
-/// sample per operation the group committed.
-#[test]
-fn every_groups_stage_sums_partition_its_rounds() {
-    let telemetry = Telemetry::new();
-    let mut net = cluster(telemetry.clone());
-    run_multi_until_joined(&mut net, SimTime::from_secs(10));
-
-    let obj = create_pair(&mut net);
-
-    // Both groups commit work from several nodes over a few rounds
-    // (every node hosts `Pair:0`; nodes 1–3 host `Pair:1`).
+/// Issues twelve operations over a few rounds: the even ones `bump_a`
+/// (`Pair:0`) from nodes 0, 2, 0, 2, ..., the odd ones `bump_b` (`Pair:1`)
+/// from nodes 1–3 (every node hosts `Pair:0`; nodes 1–3 host `Pair:1`).
+fn bump_both_groups(net: &mut SimNet<MultiMachine>, obj: ObjectId) {
     for k in 0..12u32 {
         let (node, method) = if k % 2 == 0 {
             (k % 4, "bump_a")
@@ -291,18 +281,62 @@ fn every_groups_stage_sums_partition_its_rounds() {
         );
     }
     net.run_until(net.now() + SimTime::from_secs(3));
+}
 
-    for label in ["Pair:0", "Pair:1"] {
-        let s = telemetry
-            .group_round_stats(label)
-            .unwrap_or_else(|| panic!("group {label} recorded no rounds"));
-        assert!(s.rounds > 0, "{label}: no rounds completed");
-        assert!(s.ops_committed >= 6, "{label}: {s:?}");
+/// Own operations group `g` committed, summed over every node hosting it.
+fn committed_in_group(net: &SimNet<MultiMachine>, g: u32) -> u64 {
+    (0..4)
+        .filter_map(|i| net.actor(MachineId::new(i))?.group(g))
+        .map(|m| m.stats().committed_own)
+        .sum()
+}
+
+/// Per-group round stats: in every sync group the three stage-duration
+/// sums of its master's samples partition the summed round durations
+/// exactly (virtual time truncates nothing).
+#[test]
+fn every_groups_stage_sums_partition_its_rounds() {
+    let mut net = cluster(Telemetry::noop());
+    run_multi_until_joined(&mut net, SimTime::from_secs(10));
+    let obj = create_pair(&mut net);
+    bump_both_groups(&mut net, obj);
+
+    for (g, master, label) in [(0, 0, "Pair:0"), (1, 1, "Pair:1")] {
+        let samples = &net
+            .actor(MachineId::new(master))
+            .unwrap()
+            .group(g)
+            .unwrap()
+            .stats()
+            .sync_samples;
+        assert!(!samples.is_empty(), "{label}: no rounds completed");
+        let committed = committed_in_group(&net, g);
+        assert!(committed >= 6, "{label}: {committed} committed");
+        let sum = |f: fn(&SyncSample) -> SimTime| -> u64 {
+            samples.iter().map(|s| f(s).as_micros()).sum()
+        };
         assert_eq!(
-            s.flush_us + s.apply_us + s.completion_us,
-            s.duration_us,
-            "{label}: stage sums must partition the round sum: {s:?}"
+            sum(SyncSample::stage_sum),
+            sum(|s| s.duration),
+            "{label}: stage sums must partition the round sum: {samples:?}"
         );
-        assert_eq!(s.lag_samples, s.ops_committed, "{label}: {s:?}");
     }
+}
+
+/// One handle installed with `MultiMachine::set_telemetry` reaches every
+/// hosted group's machine and sees each commit once: its committed-op
+/// count and commit-lag samples both equal the groups' own commit counts
+/// summed over every node.
+#[test]
+fn a_shared_handle_counts_each_groups_commits_once() {
+    let telemetry = Telemetry::new();
+    let mut net = cluster(telemetry.clone());
+    run_multi_until_joined(&mut net, SimTime::from_secs(10));
+    let obj = create_pair(&mut net);
+    bump_both_groups(&mut net, obj);
+
+    let committed = committed_in_group(&net, 0) + committed_in_group(&net, 1);
+    assert!(committed >= 12, "{committed}");
+    assert_eq!(telemetry.ops_committed(), committed);
+    assert_eq!(telemetry.commit_lag_count(), committed);
 }
